@@ -104,6 +104,53 @@ func TestAnchorChecks(t *testing.T) {
 	}
 }
 
+// TestAnchorSymbolCheck: an anchor that still lands inside its file but
+// no longer on the identifier the prose ties it to is stale. The
+// fixture is the bug that motivated the check — a doc citing a line
+// inside a struct's field comments for a method 36 lines further down.
+func TestAnchorSymbolCheck(t *testing.T) {
+	src := strings.Repeat("// filler\n", 9) + // lines 1-9
+		"func Solve() {}\n" + // 10
+		strings.Repeat("// filler\n", 9) + // 11-19
+		"func (h *Hier) apply() {}\n" + // 20
+		strings.Repeat("// filler\n", 10) // 21-30
+	root := writeTree(t, map[string]string{"internal/core/core.go": src})
+	cases := []struct {
+		prose  string
+		broken int
+	}{
+		{"`Solve` (`internal/core/core.go:10`) runs the ladder.", 0},
+		{"`Solve` (`internal/core/core.go:12`) is within the slack.", 0},
+		{"`Solve` (`internal/core/core.go:25`) drifted.", 1},
+		{"The ladder (`core.go:10`, `Solve`) by bare basename.", 0},
+		{"The ladder (`core.go:25`, `Solve`) by bare basename, drifted.", 1},
+		{"The K-cycle (`core.go:20`, `(*Hier).apply`) ties to the method name.", 0},
+		{"Lower-case names tie inside the parenthesis (`apply`, `core.go:20`).", 0},
+		{"Lower-case names tie inside the parenthesis (`apply`, `core.go:10`).", 1},
+		{"but `apply` out in the sentence is prose, not a symbol (`core.go:10`).", 0},
+		{"Two pairs (`core.go:10`, `Solve`; `core.go:20`,\n`(*Hier).apply`) across a line break.", 0},
+		{"The nearest name wins: `Solve` is far, (`core.go:20`) `Hier.apply` is near.", 0},
+		{"`Gone` (`core.go:10`) names nothing in the file.", 1},
+		{"`Solve` in one sentence. The next cites `core.go:25` alone.", 0},
+		{"```\ncore.go:25: Solve: sample tool output in a fence\n```", 0},
+		{"Files and fault sites are not symbols: `core.go`, `amg.setup` (`core.go:25`).", 0},
+	}
+	idx, err := indexTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		doc := writeTree(t, map[string]string{"doc.md": tc.prose + "\n"})
+		problems, err := checkDoc(filepath.Join(doc, "doc.md"), idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(problems) != tc.broken {
+			t.Errorf("%q: %d problems %v, want %d", tc.prose, len(problems), problems, tc.broken)
+		}
+	}
+}
+
 // TestRepoDocsClean runs the real gate over the repo's own docs: the
 // same invocation `make docs-check` uses must come back clean.
 func TestRepoDocsClean(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"irfusion/internal/grid"
 	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
+	"irfusion/internal/serve"
 	"irfusion/internal/spice"
 )
 
@@ -76,7 +77,7 @@ func cmdAnalyze(args []string) error {
 		if err != nil {
 			return err
 		}
-		d = &pgen.Design{Name: *deck, W: *size, H: *size, VDD: padVoltage(nl), Netlist: nl}
+		d = &pgen.Design{Name: *deck, W: *size, H: *size, VDD: serve.PadVoltage(nl), Netlist: nl}
 	} else {
 		c := pgen.Fake
 		if *class == "real" {

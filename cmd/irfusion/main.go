@@ -38,6 +38,7 @@ import (
 	"irfusion/internal/dataset"
 	"irfusion/internal/features"
 	"irfusion/internal/pgen"
+	"irfusion/internal/serve"
 	"irfusion/internal/solver"
 	"irfusion/internal/spice"
 )
@@ -335,7 +336,7 @@ func cmdPredict(args []string) error {
 		return err
 	}
 	size := analyzer.Config.Resolution
-	d := &pgen.Design{Name: *deck, W: size, H: size, VDD: padVoltage(nl), Netlist: nl}
+	d := &pgen.Design{Name: *deck, W: size, H: size, VDD: serve.PadVoltage(nl), Netlist: nl}
 	pred, rt, err := analyzer.Analyze(d)
 	if err != nil {
 		return err
@@ -349,15 +350,6 @@ func cmdPredict(args []string) error {
 		log.Printf("wrote %s", *pgm)
 	}
 	return finish()
-}
-
-func padVoltage(nl *spice.Netlist) float64 {
-	for _, e := range nl.Elements {
-		if e.Type == spice.VoltageSource {
-			return e.Value
-		}
-	}
-	return 0
 }
 
 func cmdTransient(args []string) error {

@@ -135,9 +135,11 @@ func requeuePath(body string, cold *serve.AnalyzeResult, manifestOut string, eve
 // restartPath crashes a whole server mid-solve and requires the next
 // incarnation to replay the journal and finish the orphan.
 func restartPath(asyncBody string, cold *serve.AnalyzeResult, manifestOut string, every int) error {
-	// Stretch the solve so the crash reliably lands mid-flight: every
-	// checkpoint store pays injected latency.
-	faults.SetActive(faults.MustParse("checkpoint.save:latency:delay=25ms"))
+	// Park the solve right after its first durable checkpoint: the
+	// second checkpoint store stalls until the crash cancels the job,
+	// so the solve can neither finish nor write anything more. The
+	// profile dies with the first incarnation.
+	faults.SetActive(faults.MustParse("checkpoint.save:stall:after=1"))
 	defer faults.SetActive(nil)
 
 	dir, err := os.MkdirTemp("", "restartsmoke-journal-*")
@@ -160,6 +162,7 @@ func restartPath(asyncBody string, cold *serve.AnalyzeResult, manifestOut string
 	}
 	s1.Crash()
 	ts1.Close()
+	faults.SetActive(nil)
 
 	s2 := serve.New(serve.Config{Workers: 1, JournalDir: dir, CheckpointEvery: every})
 	ts2 := httptest.NewServer(s2.Handler())
@@ -275,12 +278,14 @@ func pollJob(ts *httptest.Server, id string) (serve.JobView, error) {
 	return v, fmt.Errorf("job %s did not finish before the deadline", id)
 }
 
-// waitForBlob blocks until the journal's checkpoint blob directory is
-// non-empty — the earliest moment a crash is recoverable mid-solve.
+// waitForBlob blocks until a published checkpoint blob (not a temp
+// file mid-rename) sits in the journal's blob directory — the earliest
+// moment a crash is recoverable mid-solve, and with the solve parked a
+// stable state rather than a window.
 func waitForBlob(dir string) error {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if ents, err := os.ReadDir(dir); err == nil && len(ents) > 0 {
+		if blobs, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(blobs) > 0 {
 			return nil
 		}
 		time.Sleep(time.Millisecond)

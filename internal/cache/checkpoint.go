@@ -18,7 +18,7 @@ import (
 // a restarted serving process reloads journaled checkpoint blobs into
 // its cache, and a cluster ring-successor picks up the donor shard's
 // checkpoint when the fleet shares a cache — either way the resume
-// rung (core.RungAMGResume) finds the snapshot by key, validates it
+// rung (plan.RungAMGResume) finds the snapshot by key, validates it
 // with a residual guard, and continues the solve from Iter instead of
 // iteration 0.
 

@@ -15,7 +15,7 @@
 //
 // Health is probe-driven: a background loop GETs every shard's
 // /healthz on a fixed interval and feeds the results into a
-// core.BreakerSet keyed by shard name. An open breaker takes the shard
+// plan.BreakerSet keyed by shard name. An open breaker takes the shard
 // out of rotation (requests skip to the ring successor) until the
 // cooldown elapses and a half-open probe closes it again. Forwarding
 // failures — a dropped connection or an injected cluster.forward
@@ -45,10 +45,10 @@ import (
 	"time"
 
 	"irfusion/internal/cache"
-	"irfusion/internal/core"
 	"irfusion/internal/faults"
 	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
+	"irfusion/internal/plan"
 	"irfusion/internal/serve"
 	"irfusion/internal/spice"
 )
@@ -165,7 +165,7 @@ type Gateway struct {
 	ring     *Ring
 	shards   map[string]*shardState
 	order    []string // shard names in config order, for status output
-	breakers *core.BreakerSet
+	breakers *plan.BreakerSet
 	mux      *http.ServeMux
 	start    time.Time
 
@@ -206,7 +206,7 @@ func New(cfg Config) (*Gateway, error) {
 		ring:       NewRing(names, cfg.VNodes),
 		shards:     shards,
 		order:      names,
-		breakers:   core.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		breakers:   plan.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
 		stopProbes: make(chan struct{}),
@@ -226,7 +226,7 @@ func (g *Gateway) Handler() http.Handler { return g.mux }
 func (g *Gateway) Ring() *Ring { return g.ring }
 
 // Breakers exposes the per-shard breaker set (for status and tests).
-func (g *Gateway) Breakers() *core.BreakerSet { return g.breakers }
+func (g *Gateway) Breakers() *plan.BreakerSet { return g.breakers }
 
 func (g *Gateway) routes() {
 	g.mux.HandleFunc("POST /v1/analyze", g.track(g.handleAnalyze))

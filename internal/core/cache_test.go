@@ -84,7 +84,7 @@ func TestAnalyzeCacheExactHit(t *testing.T) {
 
 // TestAnalyzeCacheWarmStart proves the delta-solve path end to end: an
 // ECO-perturbed design warm-starts off the cached baseline (warm event
-// with a sub-budget delta, served by the RungAMGWarm rung) and its map
+// with a sub-budget delta, served by the plan.RungAMGWarm rung) and its map
 // matches a cold analysis of the same perturbed design to GuardTol.
 func TestAnalyzeCacheWarmStart(t *testing.T) {
 	d := cacheTestDesign(t)

@@ -7,13 +7,14 @@ import (
 	"irfusion/internal/cache"
 	"irfusion/internal/faults"
 	"irfusion/internal/obs"
+	"irfusion/internal/plan"
 )
 
 // TestAnalyzeResumeMatchesCold is the tentpole correctness check of
 // solver checkpoint/resume: a solve that "crashes" mid-flight (we keep
 // only its last durable checkpoint, as a restart would) must, when
 // re-run against a fresh cache seeded with that checkpoint, resume via
-// RungAMGResume and produce a map matching a cold solve to GuardTol.
+// plan.RungAMGResume and produce a map matching a cold solve to GuardTol.
 func TestAnalyzeResumeMatchesCold(t *testing.T) {
 	d := cacheTestDesign(t)
 	cold, _ := analyzeWithCache(t, nil, d)
@@ -75,12 +76,12 @@ func TestAnalyzeResumeMatchesCold(t *testing.T) {
 	// The resumed solve ran under its own rung label.
 	sawResume := false
 	for _, s := range mf.Solves {
-		if s.Label == RungAMGResume {
+		if s.Label == plan.RungAMGResume {
 			sawResume = true
 		}
 	}
 	if !sawResume {
-		t.Fatalf("no solve labeled %s in %+v", RungAMGResume, mf.Solves)
+		t.Fatalf("no solve labeled %s in %+v", plan.RungAMGResume, mf.Solves)
 	}
 	if diff := mapMaxDiff(cold, m); diff > cache.GuardTol {
 		t.Fatalf("resumed map differs from cold map by %g (tol %g)", diff, cache.GuardTol)
@@ -134,11 +135,11 @@ func TestAnalyzeResumeGuardRejectsCorrupt(t *testing.T) {
 		t.Fatalf("degradations: %+v", mf.Degradations)
 	}
 	deg := mf.Degradations[0]
-	if deg.Attempts[0].Rung != RungAMGResume || deg.Attempts[0].Error == "" {
-		t.Fatalf("first attempt %+v, want a failed %s", deg.Attempts[0], RungAMGResume)
+	if deg.Attempts[0].Rung != plan.RungAMGResume || deg.Attempts[0].Error == "" {
+		t.Fatalf("first attempt %+v, want a failed %s", deg.Attempts[0], plan.RungAMGResume)
 	}
-	if deg.Rung != RungAMG || !deg.Degraded() {
-		t.Fatalf("served by %q (degraded %v), want cold %s", deg.Rung, deg.Degraded(), RungAMG)
+	if deg.Rung != plan.RungAMG || !deg.Degraded() {
+		t.Fatalf("served by %q (degraded %v), want cold %s", deg.Rung, deg.Degraded(), plan.RungAMG)
 	}
 	// The poisoned snapshot must have been dropped on rejection.
 	fp := cache.DesignFingerprint(d)

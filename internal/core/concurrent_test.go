@@ -9,6 +9,7 @@ import (
 
 	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
+	"irfusion/internal/plan"
 )
 
 // TestConcurrentNumericalAnalyzeManifestIsolation runs N numerical
@@ -46,7 +47,7 @@ func TestConcurrentNumericalAnalyzeManifestIsolation(t *testing.T) {
 				errs <- fmt.Errorf("run %d: %w", i, err)
 				return
 			}
-			if len(m.Solves) != 1 || m.Solves[0].Label != RungSSOR {
+			if len(m.Solves) != 1 || m.Solves[0].Label != plan.RungSSOR {
 				errs <- fmt.Errorf("run %d: cross-talk: solves %+v", i, m.Solves)
 				return
 			}

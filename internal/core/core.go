@@ -14,11 +14,9 @@ import (
 	"math/rand"
 	"time"
 
-	"irfusion/internal/amg"
 	"irfusion/internal/cache"
 	"irfusion/internal/circuit"
 	"irfusion/internal/dataset"
-	"irfusion/internal/faults"
 	"irfusion/internal/features"
 	"irfusion/internal/grid"
 	"irfusion/internal/metrics"
@@ -26,7 +24,7 @@ import (
 	"irfusion/internal/nn"
 	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
-	"irfusion/internal/solver"
+	"irfusion/internal/plan"
 )
 
 // Config assembles every knob of the pipeline. Zero values are filled
@@ -138,7 +136,7 @@ type Analyzer struct {
 	// Resilience tunes the rough-solve degradation ladder used by
 	// AnalyzeCtx (retries/backoff, shared circuit breakers). The zero
 	// value means defaults. Not serialized with the checkpoint.
-	Resilience ResilienceOptions
+	Resilience plan.ResilienceOptions
 }
 
 // Predict runs the ML stage on a prepared sample and returns the
@@ -210,49 +208,17 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*grid.Map, t
 }
 
 // RoughSolver builds the dataset.Options.RoughSolver hook that runs
-// the fused pipeline's rough solve on the degradation ladder, with the
-// given iteration budget (<= 0 uses the config's RoughIters). Exported
-// for callers that drive dataset.BuildCtx themselves — the serving
-// layer, which overrides the budget per request.
+// the fused pipeline's rough solve on the degradation ladder
+// (plan.RoughLadder), with the given iteration budget (<= 0 uses the
+// config's RoughIters). Exported for callers that drive
+// dataset.BuildCtx themselves — the serving layer, which overrides the
+// budget per request.
 func (a *Analyzer) RoughSolver(iters int) func(ctx context.Context, sys *circuit.System, x []float64) error {
 	if iters <= 0 {
 		iters = a.Config.RoughIters
 	}
 	return func(ctx context.Context, sys *circuit.System, x []float64) error {
-		primary := LadderRung{Name: RungRough, Run: func(ctx context.Context) error {
-			var pre solver.Preconditioner
-			if a.Config.DatasetOptions().RoughPrecond == "amg" {
-				h, err := amg.BuildCtx(ctx, sys.G, amg.DefaultOptions())
-				if err != nil {
-					return err
-				}
-				pre = h
-			} else {
-				pre = solver.NewSSOR(sys.G, 2)
-			}
-			for i := range x {
-				x[i] = 0
-			}
-			ropts := solver.RoughOptions(iters)
-			ropts.Label = RungRough
-			_, err := solver.PCGCtx(ctx, sys.G, x, sys.I, pre, ropts)
-			return err
-		}}
-		rwRung := LadderRung{Name: RungRoughRW, Run: func(ctx context.Context) error {
-			return randomWalkSolve(ctx, sys, x, RungRoughRW, iters, nil)
-		}}
-		structOnly := LadderRung{Name: RungStructOnly, Run: func(ctx context.Context) error {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("%w: %w", solver.ErrCancelled, err)
-			}
-			for i := range x {
-				x[i] = 0
-			}
-			return nil
-		}}
-		_, _, err := RunLadder(ctx, "core.fused.rough",
-			[]LadderRung{primary, rwRung, structOnly}, a.Resilience)
-		return err
+		return plan.RoughLadder(ctx, sys, x, iters, a.Resilience)
 	}
 }
 
@@ -606,41 +572,25 @@ func hotspotWeights(y *nn.Tensor, hw float64) *nn.Tensor {
 	return w
 }
 
-// Ladder rung names. They double as the obs solve labels of the
-// numerical stage, so a manifest's convergence traces say which
-// backend produced them, and as the circuit-breaker names in a
-// serving process.
-const (
-	RungAMG        = "numerical.amg"
-	RungAMGMP      = "numerical.amg.mp"
-	RungAMGWarm    = "numerical.amg.warm"
-	RungAMGResume  = "numerical.amg.resume"
-	RungSSOR       = "numerical.ssor"
-	RungRandomWalk = "numerical.randomwalk"
-	RungRough      = "rough"
-	RungRoughRW    = "rough.randomwalk"
-	RungStructOnly = "rough.structure-only"
-)
-
 // NumericalAnalyzer is the pure numerical baseline (PowerRush-style
 // budgeted PCG, or a converged golden AMG-PCG solve when Iters <= 0).
 // Budgeted solves use the same preconditioner the fusion pipeline's
 // rough stage uses ("ssor" by default, "amg" for the full K-cycle) so
 // the Fig-7 comparison is engine-for-engine fair.
 //
-// Solves run on a degradation ladder (AMG-PCG → SSOR-PCG → random
-// walk) governed by Resilience: a failing backend is retried with
-// backoff when the failure looks transient, abandoned for the next
-// rung otherwise, and the outcome is recorded in the run manifest's
-// degradation section. When Precond selects SSOR the ladder starts at
-// the SSOR rung.
+// Solves run on the degradation ladder of internal/plan (plan.Rungs is
+// the policy: cache hit → resume → warm start → AMG-PCG → SSOR-PCG →
+// random walk, as the request and the cache allow) governed by
+// Resilience: a failing backend is retried with backoff when the
+// failure looks transient, abandoned for the next rung otherwise, and
+// the outcome is recorded in the run manifest's degradation section.
 type NumericalAnalyzer struct {
 	Iters      int
 	Resolution int
 	Precond    string
 	// Precision selects the arithmetic path of converged AMG solves:
-	// "mixed" prepends the mixed-precision rung (RungAMGMP — float32
-	// V-cycle inside float64 iterative refinement) ahead of the
+	// "mixed" prepends the mixed-precision rung (plan.RungAMGMP —
+	// float32 V-cycle inside float64 iterative refinement) ahead of the
 	// full-precision AMG rung, so a stagnating refinement falls back
 	// to full precision through the ordinary ladder mechanics with a
 	// degradation trail. Empty or "full" runs full precision only.
@@ -654,28 +604,23 @@ type NumericalAnalyzer struct {
 	Format string
 	// Resilience tunes retries/backoff and optionally carries the
 	// shared circuit-breaker set of a serving process. The zero value
-	// means defaults (see ResilienceOptions).
-	Resilience ResilienceOptions
+	// means defaults (see plan.ResilienceOptions).
+	Resilience plan.ResilienceOptions
 	// CheckpointEvery enables solver checkpointing on converged cached
 	// analyses: every CheckpointEvery PCG iterations (every refinement
 	// round on the mixed rung) the solve snapshots its iterate into the
-	// artifact cache under fingerprint⊕shape, and AnalyzeCtx prepends a
-	// resume rung (RungAMGResume) when a matching snapshot already
+	// artifact cache under fingerprint⊕shape, and the ladder gains a
+	// resume rung (plan.RungAMGResume) when a matching snapshot already
 	// exists — a crashed or handed-off solve continues from its last
 	// checkpoint instead of iteration 0. 0 disables checkpointing.
 	// Requires an active artifact cache; budgeted solves (Iters > 0)
 	// never checkpoint — they run cold by design.
 	CheckpointEvery int
 	// OnCheckpoint, when non-nil, additionally receives each stored
-	// checkpoint's cache key and gob encoding — the durable-persistence
-	// hook the serving layer points at its write-ahead journal.
+	// checkpoint's cache key and binary encoding
+	// (cache.EncodeCheckpoint) — the durable-persistence hook the
+	// serving layer points at its journal's blob store.
 	OnCheckpoint func(key string, encoded []byte)
-
-	// ckptSink is the per-analysis checkpoint writer, installed by
-	// AnalyzeCtx when checkpointing applies. NumericalAnalyzer values
-	// are per-request (the serving layer builds one per job), so the
-	// field needs no locking.
-	ckptSink solver.CheckpointSink
 }
 
 // Analyze solves the design and rasterizes the bottom-layer drops,
@@ -688,18 +633,18 @@ func (n *NumericalAnalyzer) Analyze(d *pgen.Design) (*grid.Map, time.Duration, f
 // stops early with solver.ErrCancelled when ctx is cancelled) and
 // per-context observability via obs.ActiveOr. The solve runs on the
 // degradation ladder; when every rung fails the error wraps
-// ErrLadderExhausted.
+// plan.ErrLadderExhausted.
 //
-// Converged analyses (Iters <= 0) consult the artifact cache resolved
-// by cache.ActiveOr: an exact fingerprint hit reuses the cached golden
-// solution after a one-SpMV residual guard and skips the ladder
-// entirely; a neighbor within cache.DefaultWarmDelta adds a warm-start
-// rung (RungAMGWarm) ahead of the cold ladder, preconditioning with
-// the donor's cloned hierarchy — the rung behaves like any other, so a
-// failed warm start degrades to the cold AMG rung via the usual
-// ladder mechanics. Budgeted analyses (Iters > 0) always run cold:
-// their per-iteration progress is the quantity under study in the
-// Fig-7 trade-off, so caching would corrupt the comparison.
+// Converged analyses (Iters <= 0) are addressed by design fingerprint
+// in the artifact cache resolved by cache.ActiveOr, which lets the
+// ladder open with the cache rungs: an exact hit reuses the cached
+// golden solution after a one-SpMV residual guard, a neighbor within
+// cache.DefaultWarmDelta warm-starts the solve under the donor's
+// cloned hierarchy, and either one failing degrades to the cold AMG
+// rung via the usual ladder mechanics. Budgeted analyses (Iters > 0)
+// always run cold: their per-iteration progress is the quantity under
+// study in the Fig-7 trade-off, so caching would corrupt the
+// comparison.
 func (n *NumericalAnalyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*grid.Map, time.Duration, float64, error) {
 	rec := obs.ActiveOr(ctx)
 	start := time.Now()
@@ -713,303 +658,21 @@ func (n *NumericalAnalyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*gr
 		return nil, 0, 0, err
 	}
 	st.End()
-	x := make([]float64, sys.N())
-	var res solver.Result
 	st = rec.StartStage("numerical.solve")
-	cc := cache.ActiveOr(ctx)
-	var fp string
-	solved := false
-	if cc != nil && n.Iters <= 0 {
-		fp = cache.DesignFingerprint(d)
-		if art := cache.LookupSystem(ctx, cc, fp); art != nil && art.N == sys.N() {
-			if r := solver.RelResidual(sys.G, art.Golden, sys.I); r <= cache.GuardTol {
-				copy(x, art.Golden)
-				res = solver.Result{Iterations: 0, Residual: r, Converged: true}
-				solved = true
-				rec.RecordCacheEvent(obs.CacheEvent{
-					Stage: "numerical.solve", Outcome: obs.CacheHit, Key: cache.ShortKey(fp),
-				})
-			} else {
-				cc.Drop(cache.SystemKey(fp))
-				rec.RecordCacheEvent(obs.CacheEvent{
-					Stage: "numerical.solve", Outcome: obs.CacheStale, Key: cache.ShortKey(fp),
-				})
-			}
-		}
-	}
-	shape := cache.CheckpointShape(n.Precond, n.Precision, n.Format, n.Iters)
-	if cc != nil && fp != "" && n.CheckpointEvery > 0 {
-		n.ckptSink = &cache.CheckpointWriter{
-			Ctx: ctx, Cache: cc, Fingerprint: fp, Shape: shape, Notify: n.OnCheckpoint,
-		}
-	}
-	if !solved {
-		var hier *amg.Hierarchy
-		rungs := n.ladderRungs(sys, x, &res, &hier)
-		if cc != nil && n.Iters <= 0 {
-			nb, delta, werr := cache.FindWarmStart(ctx, cc, sys.G, 0)
-			if werr != nil {
-				return nil, 0, 0, werr
-			}
-			if nb != nil {
-				warm := LadderRung{Name: RungAMGWarm, Run: func(ctx context.Context) error {
-					copy(x, nb.Golden)
-					r, err := solver.PCGCtx(ctx, sys.G, x, sys.I, nb.Hier.Clone(), n.solveOpts(RungAMGWarm))
-					if err != nil {
-						return err
-					}
-					if !r.Converged {
-						return fmt.Errorf("core: warm-started solve stalled at %g", r.Residual)
-					}
-					res = r
-					rec.RecordCacheEvent(obs.CacheEvent{
-						Stage: "numerical.solve", Outcome: obs.CacheWarm,
-						Key: cache.ShortKey(nb.Fingerprint), Delta: delta,
-					})
-					return nil
-				}}
-				rungs = append([]LadderRung{warm}, rungs...)
-			}
-		}
-		if cp := cache.LookupCheckpoint(ctx, cc, fp, shape); cp != nil && cp.N == sys.N() && cp.State.Iter > 0 {
-			rungs = append([]LadderRung{n.resumeRung(sys, x, &res, &hier, cp, rec)}, rungs...)
-		}
-		if _, _, err := RunLadder(ctx, "core.numerical", rungs, n.Resilience); err != nil {
-			return nil, 0, 0, err
-		}
-		if cc != nil && fp != "" && res.Converged {
-			// The solve is done; its mid-flight snapshot must not shadow
-			// a later identical request (the golden artifact below is
-			// strictly better).
-			cache.DropCheckpoint(cc, fp, shape)
-			prec := obs.PrecisionFull
-			if n.Precision == "mixed" {
-				prec = obs.PrecisionMixed
-			}
-			art := &cache.SystemArtifact{
-				Fingerprint: fp, N: sys.N(), G: sys.G, I: sys.I,
-				Golden: append([]float64(nil), x...),
-				Hier:   hier, // nil unless a cold AMG rung built one for sys.G
-				// The float64 hierarchy and golden are stored either
-				// way; Precision only records which path produced them.
-				Precision: prec,
-			}
-			cache.StoreSystem(ctx, cc, "numerical.solve", art)
-		}
+	x := make([]float64, sys.N())
+	res, err := plan.Numerical(ctx, sys, x, plan.Solve{
+		Iters: n.Iters, Precond: n.Precond, Precision: n.Precision, Format: n.Format,
+		Fingerprint:     func() string { return cache.DesignFingerprint(d) },
+		CheckpointEvery: n.CheckpointEvery, OnCheckpoint: n.OnCheckpoint, Resilience: n.Resilience,
+	})
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	st.End()
 	st = rec.StartStage("numerical.rasterize")
 	m := features.GoldenMap(nw, sys.FullDrops(x), n.Resolution, n.Resolution)
 	st.End()
 	return m, time.Since(start), res.Residual, nil
-}
-
-// solveOpts returns the PCG options of one ladder rung: a converged
-// solve when Iters <= 0, the budgeted rough configuration otherwise,
-// labeled with the rung name so the manifest's convergence trace says
-// which backend ran.
-func (n *NumericalAnalyzer) solveOpts(label string) solver.Options {
-	opts := solver.DefaultOptions()
-	if n.Iters > 0 {
-		opts = solver.RoughOptions(n.Iters)
-	}
-	opts.Label = label
-	if n.Format != "" {
-		opts.Format = n.Format
-	}
-	if n.ckptSink != nil {
-		opts.CheckpointEvery = n.CheckpointEvery
-		opts.CheckpointSink = n.ckptSink
-	}
-	return opts
-}
-
-// resumeRung builds the checkpoint-resume rung (RungAMGResume),
-// prepended ahead of every other rung when a cached checkpoint
-// matches the request. The rung re-validates the snapshot against the
-// freshly assembled system with a residual guard — the recomputed
-// relative residual must land within CheckpointGuardFactor of what
-// the snapshot recorded (or under cache.GuardTol outright) — then
-// continues PCG from the checkpointed iterate under a freshly built
-// AMG hierarchy (flexible PCG tolerates the preconditioner change). A
-// guard rejection drops the poisoned snapshot and returns an error,
-// so the ordinary ladder mechanics fall through to the cold rungs
-// with a recorded degradation trail; either way the manifest's resume
-// section says what happened.
-func (n *NumericalAnalyzer) resumeRung(sys *circuit.System, x []float64, res *solver.Result, hierOut **amg.Hierarchy, cp *cache.CheckpointArtifact, rec *obs.Recorder) LadderRung {
-	return LadderRung{Name: RungAMGResume, Run: func(ctx context.Context) error {
-		guard := cp.State.Residual * cache.CheckpointGuardFactor
-		if guard < cache.GuardTol {
-			guard = cache.GuardTol
-		}
-		key := cache.CheckpointKey(cp.Fingerprint, cp.Shape)
-		got := solver.RelResidual(sys.G, cp.State.X, sys.I)
-		if got > guard {
-			// Corrupt, stale, or foreign iterate: reject it, drop the
-			// snapshot so retries go cold immediately, and let the
-			// ladder degrade.
-			rec.RecordResume(obs.ResumeSection{
-				CheckpointKey: cache.ShortKey(key), Iter: cp.State.Iter,
-				Residual: got, Outcome: obs.ResumeRejected,
-			})
-			rec.RecordCacheEvent(obs.CacheEvent{
-				Stage: "checkpoint.restore", Outcome: obs.CacheStale, Key: cache.ShortKey(key),
-			})
-			cc := cache.ActiveOr(ctx)
-			cache.DropCheckpoint(cc, cp.Fingerprint, cp.Shape)
-			return fmt.Errorf("core: checkpoint residual %g exceeds guard %g (recorded %g at iteration %d)",
-				got, guard, cp.State.Residual, cp.State.Iter)
-		}
-		h, err := amg.BuildCtx(ctx, sys.G, amg.DefaultOptions())
-		if err != nil {
-			return err
-		}
-		if hierOut != nil {
-			*hierOut = h
-		}
-		copy(x, cp.State.X)
-		r, err := solver.PCGCtx(ctx, sys.G, x, sys.I, h, n.solveOpts(RungAMGResume))
-		if err != nil {
-			return err
-		}
-		if !r.Converged {
-			return fmt.Errorf("core: resumed solve stalled at %g", r.Residual)
-		}
-		*res = r
-		rec.RecordResume(obs.ResumeSection{
-			CheckpointKey: cache.ShortKey(key), Iter: cp.State.Iter,
-			Residual: cp.State.Residual, Outcome: obs.ResumeAccepted,
-		})
-		rec.RecordCacheEvent(obs.CacheEvent{
-			Stage: "checkpoint.restore", Outcome: obs.CacheHit, Key: cache.ShortKey(key),
-		})
-		return nil
-	}}
-}
-
-// ladderRungs builds the degradation ladder for this analyzer's
-// configuration: AMG-PCG → SSOR-PCG → random walk, starting at the
-// SSOR rung when Precond selects it. Each rung resets x before
-// solving (a failed attempt must not poison the next) and writes the
-// winning solver.Result into res. A hierarchy built by the AMG rung is
-// also published through hierOut (when non-nil), so the caller can
-// hand it to the artifact cache — it was built for exactly sys.G.
-func (n *NumericalAnalyzer) ladderRungs(sys *circuit.System, x []float64, res *solver.Result, hierOut **amg.Hierarchy) []LadderRung {
-	pcgRung := func(name string, pre func(ctx context.Context) (solver.Preconditioner, error)) LadderRung {
-		return LadderRung{Name: name, Run: func(ctx context.Context) error {
-			p, err := pre(ctx)
-			if err != nil {
-				return err
-			}
-			for i := range x {
-				x[i] = 0
-			}
-			r, err := solver.PCGCtx(ctx, sys.G, x, sys.I, p, n.solveOpts(name))
-			if err != nil {
-				return err
-			}
-			*res = r
-			return nil
-		}}
-	}
-	amgRung := pcgRung(RungAMG, func(ctx context.Context) (solver.Preconditioner, error) {
-		h, err := amg.BuildCtx(ctx, sys.G, amg.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		if hierOut != nil {
-			*hierOut = h
-		}
-		return h, nil
-	})
-	ssorRung := pcgRung(RungSSOR, func(context.Context) (solver.Preconditioner, error) {
-		return solver.NewSSOR(sys.G, 2), nil
-	})
-	rwRung := LadderRung{Name: RungRandomWalk, Run: func(ctx context.Context) error {
-		return randomWalkSolve(ctx, sys, x, RungRandomWalk, n.Iters, res)
-	}}
-	if n.Iters > 0 && n.Precond != "amg" {
-		return []LadderRung{ssorRung, rwRung}
-	}
-	rungs := []LadderRung{amgRung, ssorRung, rwRung}
-	if n.Precision == "mixed" && n.Iters <= 0 {
-		// The mixed-precision rung sits ahead of full-precision AMG:
-		// it builds (and publishes) the same float64 hierarchy, derives
-		// the float32 shadow, and refines in float64. A stagnating
-		// refinement (solver.ErrMPStagnation) classifies as structural,
-		// so the ladder falls straight to the full-precision rung — the
-		// degradation trail records the fallback.
-		mpRung := LadderRung{Name: RungAMGMP, Run: func(ctx context.Context) error {
-			h, err := amg.BuildCtx(ctx, sys.G, amg.DefaultOptions())
-			if err != nil {
-				return err
-			}
-			if hierOut != nil {
-				*hierOut = h
-			}
-			for i := range x {
-				x[i] = 0
-			}
-			r, err := solver.MPPCGCtx(ctx, sys.G, x, sys.I, amg.NewHierarchy32(h), n.solveOpts(RungAMGMP))
-			if err != nil {
-				return err
-			}
-			*res = r
-			return nil
-		}}
-		rungs = append([]LadderRung{mpRung}, rungs...)
-	}
-	return rungs
-}
-
-// randomWalkSolve is the last numerical rung: the Monte-Carlo solver
-// of Qian/Nassif/Sapatnekar, which needs no preconditioner setup and
-// no Krylov recurrence — it survives faults that break both PCG
-// backends. The estimate is rough by construction; that is exactly
-// the regime the fusion pipeline tolerates. Reported to the run
-// recorder as a solve record (walks as "iterations") under label.
-func randomWalkSolve(ctx context.Context, sys *circuit.System, x []float64, label string, iters int, res *solver.Result) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w: %w", solver.ErrCancelled, err)
-	}
-	// Fault hook: the walk has no Krylov recurrence to break down, so
-	// of the solver.pcg actions it honors only "fail" — which is how a
-	// chaos spec exhausts a whole ladder (PCG rungs ignore "fail").
-	if f := faults.ActiveOr(ctx).Fire(faults.SitePCG, label); f != nil && f.Action == faults.ActFail {
-		return f.Error()
-	}
-	rw, err := solver.NewRandomWalk(sys.G, sys.I)
-	if err != nil {
-		return err
-	}
-	for i := range x {
-		x[i] = 0
-	}
-	// Walks per node scale with the iteration budget (a budgeted
-	// analyzer wants a fast estimate) but stay bounded.
-	walks := 64
-	if iters > 0 {
-		walks = 8 * iters
-		if walks > 64 {
-			walks = 64
-		}
-	}
-	start := time.Now()
-	rw.Solve(x, walks, rand.New(rand.NewSource(1)))
-	r := solver.Result{
-		Iterations: walks,
-		Residual:   solver.RelResidual(sys.G, x, sys.I),
-	}
-	obs.ActiveOr(ctx).RecordSolve(obs.SolveRecord{
-		Label:      label,
-		Iterations: r.Iterations,
-		Residual:   r.Residual,
-		Seconds:    time.Since(start).Seconds(),
-	})
-	if res != nil {
-		*res = r
-	}
-	return nil
 }
 
 // ModelNames exposes the registry for CLI listings.

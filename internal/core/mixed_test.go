@@ -9,6 +9,7 @@ import (
 
 	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
+	"irfusion/internal/plan"
 	"irfusion/internal/spice"
 )
 
@@ -67,15 +68,15 @@ func TestMixedPrecisionRungServes(t *testing.T) {
 		t.Fatalf("want 1 degradation record, got %+v", man.Degradations)
 	}
 	deg := man.Degradations[0]
-	if deg.Rung != RungAMGMP || deg.RungIndex != 0 || deg.Degraded() {
+	if deg.Rung != plan.RungAMGMP || deg.RungIndex != 0 || deg.Degraded() {
 		t.Errorf("served by %q (index %d, degraded %v), want clean %q",
-			deg.Rung, deg.RungIndex, deg.Degraded(), RungAMGMP)
+			deg.Rung, deg.RungIndex, deg.Degraded(), plan.RungAMGMP)
 	}
 	if len(man.Solves) != 1 || man.Solves[0].Precision != obs.PrecisionMixed {
 		t.Fatalf("want one solve with precision %q, got %+v", obs.PrecisionMixed, man.Solves)
 	}
-	if man.Solves[0].Label != RungAMGMP {
-		t.Errorf("solve label %q, want %q", man.Solves[0].Label, RungAMGMP)
+	if man.Solves[0].Label != plan.RungAMGMP {
+		t.Errorf("solve label %q, want %q", man.Solves[0].Label, plan.RungAMGMP)
 	}
 }
 
@@ -91,7 +92,7 @@ func TestMixedPrecisionStagnationFallsBack(t *testing.T) {
 	d := illConditionedDesign(t)
 
 	rec := obs.NewRecorder()
-	ctx := obs.WithRecorder(context.Background(), rec)
+	ctx := withFaults(obs.WithRecorder(context.Background(), rec), "")
 	na := &NumericalAnalyzer{Resolution: 24, Precision: "mixed"}
 	m, _, resid, err := na.AnalyzeCtx(ctx, d)
 	if err != nil {
@@ -112,12 +113,12 @@ func TestMixedPrecisionStagnationFallsBack(t *testing.T) {
 	if !deg.Degraded() {
 		t.Fatalf("record reports a clean solve; want a fallback trail: %+v", deg)
 	}
-	if deg.Rung != RungAMG || deg.RungIndex != 1 {
+	if deg.Rung != plan.RungAMG || deg.RungIndex != 1 {
 		t.Errorf("served by %q (index %d), want %q (index 1); attempts: %+v",
-			deg.Rung, deg.RungIndex, RungAMG, deg.Attempts)
+			deg.Rung, deg.RungIndex, plan.RungAMG, deg.Attempts)
 	}
-	if len(deg.Attempts) < 2 || deg.Attempts[0].Rung != RungAMGMP {
-		t.Fatalf("want the trail to open with a failed %q attempt, got %+v", RungAMGMP, deg.Attempts)
+	if len(deg.Attempts) < 2 || deg.Attempts[0].Rung != plan.RungAMGMP {
+		t.Fatalf("want the trail to open with a failed %q attempt, got %+v", plan.RungAMGMP, deg.Attempts)
 	}
 	if a := deg.Attempts[0]; a.Error == "" || !strings.Contains(a.Error, "stagnated") {
 		t.Errorf("mp attempt error %q, want a stagnation diagnosis", a.Error)
@@ -137,7 +138,7 @@ func TestMixedPrecisionStagnationFallsBack(t *testing.T) {
 				t.Errorf("stagnated mixed solve recorded as converged: %+v", s)
 			}
 		case obs.PrecisionFull:
-			if s.Label == RungAMG && s.Converged {
+			if s.Label == plan.RungAMG && s.Converged {
 				sawFull = true
 			}
 		}
@@ -149,7 +150,7 @@ func TestMixedPrecisionStagnationFallsBack(t *testing.T) {
 	// The degraded answer is the full-precision answer: an analyzer
 	// asked for full precision outright must land on the same map.
 	full := &NumericalAnalyzer{Resolution: 24}
-	fm, _, _, err := full.AnalyzeCtx(context.Background(), d)
+	fm, _, _, err := full.AnalyzeCtx(withFaults(context.Background(), ""), d)
 	if err != nil {
 		t.Fatalf("full-precision AnalyzeCtx: %v", err)
 	}

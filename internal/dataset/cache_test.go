@@ -119,20 +119,6 @@ func TestBuildCacheWarmGolden(t *testing.T) {
 	}
 }
 
-// TestBuildCacheWarmDisabled pins the opt-out: WarmDelta < 0 keeps
-// exact hits but never warm-starts.
-func TestBuildCacheWarmDisabled(t *testing.T) {
-	d := cacheTestDesign(t)
-	c := cache.New(0, 0)
-	opts := DefaultOptions(16, 16)
-	opts.WarmDelta = -1
-	buildCached(t, c, d, opts)
-	_, evts := buildCached(t, c, pgen.Perturb(d, 0.005, 3), opts)
-	if oc := outcomes(evts, "dataset.golden_solve"); oc[obs.CacheWarm] != 0 {
-		t.Fatalf("WarmDelta=-1 still warm-started: %v", oc)
-	}
-}
-
 // TestBuildUncachedRecordsNothing pins the default: with no cache
 // resolved, BuildCtx records no cache events and stores nothing.
 func TestBuildUncachedRecordsNothing(t *testing.T) {

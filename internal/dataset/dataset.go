@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"irfusion/internal/amg"
 	"irfusion/internal/cache"
 	"irfusion/internal/circuit"
 	"irfusion/internal/faults"
@@ -22,8 +21,7 @@ import (
 	"irfusion/internal/nn"
 	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
-	"irfusion/internal/solver"
-	"irfusion/internal/sparse"
+	"irfusion/internal/plan"
 )
 
 // Options controls sample construction.
@@ -33,12 +31,6 @@ type Options struct {
 	// RoughIters is the solver iteration budget for the numerical
 	// features (the paper's "few iterations").
 	RoughIters int
-	// RoughPrecond selects the budgeted-solve preconditioner: "ssor"
-	// (default) emulates industrial-scale per-iteration AMG-PCG
-	// progress on these miniature grids, "amg" uses the full K-cycle
-	// hierarchy (which converges in a handful of iterations at this
-	// scale — see DESIGN.md).
-	RoughPrecond string
 	// IncludeNumerical gates the hierarchical numerical features
 	// (ablation: "w/o Num. Solu.").
 	IncludeNumerical bool
@@ -46,24 +38,15 @@ type Options struct {
 	// maps are collapsed into single aggregates (ablation: "w/o
 	// hierarchical features").
 	Hierarchical bool
-	// GoldenTol is the relative residual for golden solves.
-	GoldenTol float64
-	// GoldenMaxIter caps golden solve iterations.
-	GoldenMaxIter int
 	// RoughSolver, when non-nil, replaces the built-in budgeted rough
-	// solve: it must fill x (length sys.N()) with an approximate
-	// solution of sys.G·x = sys.I, or return an error to fail the
-	// build. The degradation ladder in internal/core uses this hook
-	// to fall back to cheaper backends — including a structure-only
-	// rung that leaves x zero, which flows through feature extraction
-	// as all-zero numerical channels (the model's input shape never
-	// changes).
+	// solve (plan.Rough): it must fill x (length sys.N()) with an
+	// approximate solution of sys.G·x = sys.I, or return an error to
+	// fail the build. core.Analyzer.RoughSolver uses this hook to run
+	// the same solve on a degradation ladder that falls back to cheaper
+	// backends — including a structure-only rung that leaves x zero,
+	// which flows through feature extraction as all-zero numerical
+	// channels (the model's input shape never changes).
 	RoughSolver func(ctx context.Context, sys *circuit.System, x []float64) error
-	// WarmDelta is the matrix-delta fraction below which a cached
-	// neighbor solution may warm-start the golden solve when the
-	// artifact cache is active: 0 uses cache.DefaultWarmDelta, a
-	// negative value disables warm starts (exact hits still apply).
-	WarmDelta float64
 }
 
 // DefaultOptions returns the pipeline defaults at the given raster
@@ -72,11 +55,8 @@ func DefaultOptions(h, w int) Options {
 	return Options{
 		H: h, W: w,
 		RoughIters:       2,
-		RoughPrecond:     "ssor",
 		IncludeNumerical: true,
 		Hierarchical:     true,
-		GoldenTol:        1e-10,
-		GoldenMaxIter:    2000,
 	}
 }
 
@@ -116,7 +96,7 @@ func Build(d *pgen.Design, opts Options) (*Sample, error) {
 // built sample short-circuits the whole build (RoughSolver must be
 // nil, since hook output is not content-addressed), an exact hit on
 // the system artifact reuses the converged golden solution after a
-// one-SpMV residual guard, and a near-miss within Options.WarmDelta
+// one-SpMV residual guard, and a near-miss within cache.DefaultWarmDelta
 // warm-starts the golden solve from the neighbor's solution with the
 // neighbor's cloned AMG hierarchy as preconditioner — skipping AMG
 // setup, the dominant cost. Every cache interaction lands in the run
@@ -167,91 +147,12 @@ func BuildCtx(ctx context.Context, d *pgen.Design, opts Options) (*Sample, error
 	}
 	st.End()
 
-	// Golden solve, consulting the artifact cache: exact hits reuse the
-	// converged solution outright (after the residual guard), neighbor
-	// hits warm-start PCG with the donor's cloned hierarchy, everything
-	// else builds AMG and solves cold from zero.
+	// Golden solve on the label ladder (plan.Golden): an exact cache hit,
+	// a warm start off a cached neighbor, or cold AMG-PCG from zero.
 	st = rec.StartStage("dataset.golden_solve")
 	gx := make([]float64, sys.N())
-	var h *amg.Hierarchy
-	hFresh := false // h was built from sys.G, so it may be cached
-	goldenDone := false
-	warmGuess := false
-	if cc != nil {
-		if art := cache.LookupSystem(ctx, cc, fp); art != nil && art.N == sys.N() {
-			if r := solver.RelResidual(sys.G, art.Golden, sys.I); r <= cache.GuardTol {
-				copy(gx, art.Golden)
-				h = art.Hier.Clone()
-				goldenDone = true
-				rec.RecordCacheEvent(obs.CacheEvent{
-					Stage: "dataset.golden_solve", Outcome: obs.CacheHit, Key: cache.ShortKey(fp),
-				})
-			} else {
-				cc.Drop(cache.SystemKey(fp))
-				rec.RecordCacheEvent(obs.CacheEvent{
-					Stage: "dataset.golden_solve", Outcome: obs.CacheStale, Key: cache.ShortKey(fp),
-				})
-			}
-		}
-		if !goldenDone && opts.WarmDelta >= 0 {
-			nb, delta, werr := cache.FindWarmStart(ctx, cc, sys.G, opts.WarmDelta)
-			if werr != nil {
-				return nil, fmt.Errorf("dataset: %s: warm-start search: %w", d.Name, werr)
-			}
-			if nb != nil {
-				copy(gx, nb.Golden)
-				h = nb.Hier.Clone()
-				warmGuess = true
-				rec.RecordCacheEvent(obs.CacheEvent{
-					Stage: "dataset.golden_solve", Outcome: obs.CacheWarm,
-					Key: cache.ShortKey(nb.Fingerprint), Delta: delta,
-				})
-			}
-		}
-	}
-	if !goldenDone {
-		if h == nil {
-			h, err = amg.BuildCtx(ctx, sys.G, amg.DefaultOptions())
-			if err != nil {
-				return nil, fmt.Errorf("dataset: %s: %w", d.Name, err)
-			}
-			hFresh = true
-		}
-		gopts := solver.Options{
-			Tol: opts.GoldenTol, MaxIter: opts.GoldenMaxIter, Flexible: true, Record: true,
-			Label: "golden",
-		}
-		gRes, gerr := solver.PCGCtx(ctx, sys.G, gx, sys.I, h, gopts)
-		if warmGuess && ctx.Err() == nil && (gerr != nil || !gRes.Converged) {
-			// The donated guess or foreign preconditioner did not carry
-			// the solve home; degrade to the cold path.
-			rec.RecordCacheEvent(obs.CacheEvent{
-				Stage: "dataset.golden_solve", Outcome: obs.CacheStale, Key: cache.ShortKey(fp),
-			})
-			sparse.Zero(gx)
-			h, err = amg.BuildCtx(ctx, sys.G, amg.DefaultOptions())
-			if err != nil {
-				return nil, fmt.Errorf("dataset: %s: %w", d.Name, err)
-			}
-			hFresh = true
-			gRes, gerr = solver.PCGCtx(ctx, sys.G, gx, sys.I, h, gopts)
-		}
-		if gerr != nil {
-			return nil, fmt.Errorf("dataset: %s: golden solve: %w", d.Name, gerr)
-		}
-		if !gRes.Converged {
-			return nil, fmt.Errorf("dataset: %s: golden solve stalled at %g", d.Name, gRes.Residual)
-		}
-		if cc != nil && fp != "" {
-			art := &cache.SystemArtifact{
-				Fingerprint: fp, N: sys.N(), G: sys.G, I: sys.I,
-				Golden: append([]float64(nil), gx...),
-			}
-			if hFresh {
-				art.Hier = h
-			}
-			cache.StoreSystem(ctx, cc, "dataset.golden_solve", art)
-		}
+	if err := plan.Golden(ctx, sys, gx, fp); err != nil {
+		return nil, fmt.Errorf("dataset: %s: golden solve: %w", d.Name, err)
 	}
 	golden := features.GoldenMap(nw, sys.FullDrops(gx), opts.H, opts.W)
 	st.End()
@@ -271,29 +172,12 @@ func BuildCtx(ctx context.Context, d *pgen.Design, opts Options) (*Sample, error
 		st = rec.StartStage("dataset.rough_solve")
 		rx := make([]float64, sys.N())
 		if opts.RoughSolver != nil {
-			if err := opts.RoughSolver(ctx, sys, rx); err != nil {
-				return nil, fmt.Errorf("dataset: %s: rough solve: %w", d.Name, err)
-			}
+			err = opts.RoughSolver(ctx, sys, rx)
 		} else {
-			var pre solver.Preconditioner
-			if opts.RoughPrecond == "amg" {
-				if h == nil {
-					// Exact-hit fast path skipped setup and the cached
-					// artifact carried no hierarchy; build one now.
-					h, err = amg.BuildCtx(ctx, sys.G, amg.DefaultOptions())
-					if err != nil {
-						return nil, fmt.Errorf("dataset: %s: %w", d.Name, err)
-					}
-				}
-				pre = h
-			} else {
-				pre = solver.NewSSOR(sys.G, 2)
-			}
-			ropts := solver.RoughOptions(opts.RoughIters)
-			ropts.Label = "rough"
-			if _, err := solver.PCGCtx(ctx, sys.G, rx, sys.I, pre, ropts); err != nil {
-				return nil, fmt.Errorf("dataset: %s: rough solve: %w", d.Name, err)
-			}
+			err = plan.Rough(ctx, sys, rx, opts.RoughIters)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("dataset: %s: rough solve: %w", d.Name, err)
 		}
 		st.End()
 		st = rec.StartStage("dataset.features.numerical")
@@ -321,9 +205,8 @@ func BuildCtx(ctx context.Context, d *pgen.Design, opts Options) (*Sample, error
 // fingerprint qualified by every Options field that shapes the output,
 // so ablation variants and resolution changes never collide.
 func sampleKey(fp string, o Options) string {
-	return fmt.Sprintf("sample|%s|h=%d,w=%d,ri=%d,rp=%s,num=%t,hier=%t,gt=%g,gmi=%d",
-		fp, o.H, o.W, o.RoughIters, o.RoughPrecond,
-		o.IncludeNumerical, o.Hierarchical, o.GoldenTol, o.GoldenMaxIter)
+	return fmt.Sprintf("sample|%s|h=%d,w=%d,ri=%d,num=%t,hier=%t",
+		fp, o.H, o.W, o.RoughIters, o.IncludeNumerical, o.Hierarchical)
 }
 
 // cloneSample deep-copies a sample's maps so cached state and caller

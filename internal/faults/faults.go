@@ -31,7 +31,7 @@
 //	cluster.probe   fail | latency
 //	cluster.forward fail | latency
 //	journal.append     fail | torn
-//	checkpoint.save    latency | fail
+//	checkpoint.save    latency | stall | fail
 //	checkpoint.restore corrupt | fail
 //
 // Modifier keys (all optional):
@@ -86,7 +86,7 @@ const (
 
 	// Durability sites fire in the crash-recovery layer:
 	// journal.append at every write-ahead journal append (labeled with
-	// the record type, so a spec can target e.g. only "checkpoint"
+	// the record type, so a spec can target e.g. only "finished"
 	// records), checkpoint.save when a solver checkpoint is persisted,
 	// and checkpoint.restore when a cached/journaled checkpoint is
 	// loaded for a resume — ActCorrupt there poisons the restored

@@ -10,14 +10,15 @@ import (
 	"path/filepath"
 )
 
-// Checkpoint blobs: the journal records only a checkpoint's *key*;
-// the (possibly megabytes-large) solver state itself is stored beside
-// the log under <dir>/checkpoints/, one file per key, written
-// atomically (temp file + rename + fsync) so a crash mid-save leaves
-// either the previous blob or none — never a half-written one. The
-// blob payload is opaque bytes (the cache layer gob-encodes its
-// CheckpointArtifact), framed with the owning key and a CRC so a
-// restart can verify integrity and key identity before trusting it.
+// Checkpoint blobs: the (possibly megabytes-large) solver state of an
+// in-flight job is stored beside the log under <dir>/checkpoints/, one
+// file per key, written atomically (temp file + rename + fsync) so a
+// crash mid-save leaves either the previous blob or none — never a
+// half-written one. The log never names a blob: the serving layer
+// derives the key from the journaled request. The blob payload is
+// opaque bytes (cache.EncodeCheckpoint's binary form), framed with the
+// owning key and a CRC so a restart can verify integrity and key
+// identity before trusting it.
 
 // blobDir is the subdirectory holding checkpoint blobs.
 const blobDir = "checkpoints"

@@ -1,10 +1,11 @@
 // Package journal is the write-ahead job journal of the serving
 // layer: a stdlib-only, append-only log of job lifecycle records that
 // survives process crashes. A serving process appends one record per
-// lifecycle transition (accepted, started, checkpoint, finished,
+// lifecycle transition (accepted, started, requeued, finished,
 // cancelled, failed); after a crash, replaying the journal tells the
-// restarted process exactly which jobs were in flight — and, via
-// checkpoint records, where their solves left off.
+// restarted process exactly which jobs were in flight. Where their
+// solves left off is in the checkpoint blobs beside the log (blob.go),
+// found by a key the accepted record's request determines.
 //
 // # On-disk format
 //
@@ -59,12 +60,11 @@ import (
 // fate (TypeFinished/TypeCancelled/TypeFailed are terminal, anything
 // else marks an orphan to re-enqueue).
 const (
-	TypeAccepted   = "accepted"   // job admitted into the queue (carries the request)
-	TypeStarted    = "started"    // a worker began executing the job
-	TypeCheckpoint = "checkpoint" // a solver checkpoint was persisted (carries its key)
-	TypeFinished   = "finished"   // job completed successfully
-	TypeCancelled  = "cancelled"  // job cancelled by the client or shutdown
-	TypeFailed     = "failed"     // job failed terminally (carries the error kind)
+	TypeAccepted  = "accepted"  // job admitted into the queue (carries the request)
+	TypeStarted   = "started"   // a worker began executing the job
+	TypeFinished  = "finished"  // job completed successfully
+	TypeCancelled = "cancelled" // job cancelled by the client or shutdown
+	TypeFailed    = "failed"    // job failed terminally (carries the error kind)
 	// TypeRequeued marks a job put back into the queue — after a worker
 	// panic (one retry) or by journal replay at restart. Deliberately
 	// non-terminal: a requeued job is still in flight.
@@ -73,15 +73,16 @@ const (
 
 // Record is one journal entry. Request is carried only by
 // TypeAccepted (the full submission body, so replay can re-enqueue the
-// job); CheckpointKey only by TypeCheckpoint and requeue-style
-// TypeFailed records.
+// job). Journals written before checkpoint keys were derived from the
+// request also hold "checkpoint" records and checkpoint_key fields;
+// replay folds the former as one more non-terminal record and ignores
+// the latter.
 type Record struct {
-	Type          string          `json:"type"`
-	JobID         string          `json:"job_id"`
-	Time          time.Time       `json:"time"`
-	Request       json.RawMessage `json:"request,omitempty"`
-	CheckpointKey string          `json:"checkpoint_key,omitempty"`
-	Detail        string          `json:"detail,omitempty"`
+	Type    string          `json:"type"`
+	JobID   string          `json:"job_id"`
+	Time    time.Time       `json:"time"`
+	Request json.RawMessage `json:"request,omitempty"`
+	Detail  string          `json:"detail,omitempty"`
 }
 
 // Terminal reports whether the record type ends a job's lifecycle.
@@ -444,14 +445,12 @@ func (j *Journal) Close() error {
 }
 
 // JobState folds one job's replayed records: the original request (from
-// its accepted record), its latest checkpoint key, and whether any
-// record marked it terminal.
+// its accepted record) and whether any record marked it terminal.
 type JobState struct {
-	JobID         string
-	Request       json.RawMessage
-	CheckpointKey string
-	LastType      string
-	Terminal      bool
+	JobID    string
+	Request  json.RawMessage
+	LastType string
+	Terminal bool
 }
 
 // Fold accumulates replayed records into per-job states, preserving
@@ -483,9 +482,6 @@ func (f *Fold) Add(rec Record) {
 	}
 	if rec.Type == TypeAccepted && len(rec.Request) > 0 {
 		st.Request = rec.Request
-	}
-	if rec.CheckpointKey != "" {
-		st.CheckpointKey = rec.CheckpointKey
 	}
 }
 

@@ -44,7 +44,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	want := []Record{
 		{Type: TypeAccepted, JobID: "job-000001", Request: []byte(`{"mode":"numerical"}`)},
 		{Type: TypeStarted, JobID: "job-000001"},
-		{Type: TypeCheckpoint, JobID: "job-000001", CheckpointKey: "ckpt|abc|shape"},
+		{Type: TypeRequeued, JobID: "job-000001", Detail: "worker panic"},
 		{Type: TypeFinished, JobID: "job-000001"},
 	}
 	for _, r := range want {
@@ -66,7 +66,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	for i, r := range recs {
 		if r.Type != want[i].Type || r.JobID != want[i].JobID ||
-			r.CheckpointKey != want[i].CheckpointKey || string(r.Request) != string(want[i].Request) {
+			r.Detail != want[i].Detail || string(r.Request) != string(want[i].Request) {
 			t.Errorf("record %d: %+v, want %+v", i, r, want[i])
 		}
 		if r.Time.IsZero() {
@@ -262,25 +262,25 @@ func TestJournalAppendFaults(t *testing.T) {
 }
 
 // TestFoldOrphans: the fold keeps acceptance order, marks terminal
-// jobs, and carries requests plus the latest checkpoint key forward.
+// jobs, carries requests forward, and passes over the "checkpoint"
+// records of journals written before keys were derived.
 func TestFoldOrphans(t *testing.T) {
 	f := NewFold()
-	add := func(typ, id, key string, req string) {
-		r := Record{Type: typ, JobID: id, CheckpointKey: key}
+	add := func(typ, id string, req string) {
+		r := Record{Type: typ, JobID: id}
 		if req != "" {
 			r.Request = []byte(req)
 		}
 		f.Add(r)
 	}
-	add(TypeAccepted, "job-1", "", `{"a":1}`)
-	add(TypeAccepted, "job-2", "", `{"b":2}`)
-	add(TypeAccepted, "job-3", "", `{"c":3}`)
-	add(TypeStarted, "job-1", "", "")
-	add(TypeCheckpoint, "job-1", "ckpt-old", "")
-	add(TypeCheckpoint, "job-1", "ckpt-new", "")
-	add(TypeStarted, "job-2", "", "")
-	add(TypeFinished, "job-2", "", "")
-	add(TypeRequeued, "job-3", "", "")
+	add(TypeAccepted, "job-1", `{"a":1}`)
+	add(TypeAccepted, "job-2", `{"b":2}`)
+	add(TypeAccepted, "job-3", `{"c":3}`)
+	add(TypeStarted, "job-1", "")
+	add("checkpoint", "job-1", "")
+	add(TypeStarted, "job-2", "")
+	add(TypeFinished, "job-2", "")
+	add(TypeRequeued, "job-3", "")
 	f.Add(Record{Type: TypeStarted}) // no job id: ignored
 
 	if f.Len() != 3 {
@@ -292,9 +292,6 @@ func TestFoldOrphans(t *testing.T) {
 	}
 	if orphans[0].JobID != "job-1" || orphans[1].JobID != "job-3" {
 		t.Fatalf("orphan order: %q, %q", orphans[0].JobID, orphans[1].JobID)
-	}
-	if orphans[0].CheckpointKey != "ckpt-new" {
-		t.Errorf("job-1 checkpoint key %q, want the latest (ckpt-new)", orphans[0].CheckpointKey)
 	}
 	if string(orphans[0].Request) != `{"a":1}` {
 		t.Errorf("job-1 request %q", orphans[0].Request)

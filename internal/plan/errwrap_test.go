@@ -1,4 +1,4 @@
-package core
+package plan
 
 // Regression tests for error-wrapping identity: the degradation
 // ladder's classification (and the serving layer's error_kind mapping

@@ -1,16 +1,22 @@
-package core
-
-// The graceful-degradation ladder. IR-Fusion's premise is tolerance
-// to imprecision — a deliberately rough numerical solve is repaired by
-// the ML stage — so when a solve backend misbehaves the pipeline
-// should *degrade* to a cheaper/stochastic backend, not die. This
-// file implements the generic machinery: ordered backend rungs with
-// bounded retries, deterministic exponential backoff with jitter for
-// transient faults, per-rung circuit breakers so a repeatedly-failing
-// backend stops being attempted under load, and a Degradation record
-// in the run manifest saying exactly how the answer was produced.
-// The ladders themselves (AMG-PCG → SSOR-PCG → random walk →
-// structure-only inference) are wired in core.go.
+// Package plan is the one solve path of the repository: the rung table
+// (rungs.go — every way a linear system gets an answer, each a plain
+// function of one explicit solve state), the policy that turns a
+// request into an ordered list of rung names, and the degradation
+// ladder that runs such a list (this file). core's analyzers and the
+// dataset builder are all lists of rung names over it, so the rough
+// solve that builds training samples and the one that serves requests
+// are the same code.
+//
+// The ladder: IR-Fusion's premise is tolerance to imprecision — a
+// deliberately rough numerical solve is repaired by the ML stage — so
+// when a solve backend misbehaves the pipeline should *degrade* to a
+// cheaper/stochastic backend, not die. This file implements the
+// generic machinery: ordered backend rungs with bounded retries,
+// deterministic exponential backoff with jitter for transient faults,
+// per-rung circuit breakers so a repeatedly-failing backend stops
+// being attempted under load, and a Degradation record in the run
+// manifest saying exactly how the answer was produced.
+package plan
 
 import (
 	"context"
@@ -27,7 +33,7 @@ import (
 // ErrLadderExhausted is returned when every rung of a degradation
 // ladder failed (or was skipped by an open breaker). The serving
 // layer maps it to a structured 503 with a Retry-After hint.
-var ErrLadderExhausted = errors.New("core: degradation ladder exhausted")
+var ErrLadderExhausted = errors.New("plan: degradation ladder exhausted")
 
 // ResilienceOptions tunes the ladder runner. The zero value means
 // "defaults" (two attempts per rung, 5ms..100ms backoff, jitter seed

@@ -1,0 +1,299 @@
+package plan_test
+
+import (
+	"context"
+	"math"
+	"slices"
+	"testing"
+	"time"
+
+	"irfusion/internal/cache"
+	"irfusion/internal/circuit"
+	"irfusion/internal/dataset"
+	"irfusion/internal/faults"
+	"irfusion/internal/features"
+	"irfusion/internal/obs"
+	"irfusion/internal/pgen"
+	"irfusion/internal/plan"
+	"irfusion/internal/sparse"
+)
+
+func assemble(t *testing.T, d *pgen.Design) (*circuit.Network, *circuit.System) {
+	t.Helper()
+	nw, err := circuit.FromNetlist(d.Netlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := nw.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nw, sys
+}
+
+func maxDiff(a, b []float64) float64 {
+	m := 0.0
+	for i := range a {
+		m = math.Max(m, math.Abs(a[i]-b[i]))
+	}
+	return m
+}
+
+// withFaults scopes a fault profile to ctx. An empty spec binds an
+// injector that never fires, so a path that must run undisturbed stays
+// undisturbed when the suite runs under a process-wide chaos profile
+// (make chaos-smoke).
+func withFaults(ctx context.Context, spec string) context.Context {
+	if spec == "" {
+		spec = "amg.setup:fail:p=0"
+	}
+	return faults.WithInjector(ctx, faults.MustParse(spec))
+}
+
+// servingRung returns the rung the manifest names for component. An
+// exact hit is not a solve and leaves no degradation record: it is
+// named by the hit event of the solve's stage.
+func servingRung(t *testing.T, rec *obs.Recorder, component, stage string) string {
+	t.Helper()
+	m := rec.Manifest("test.paths", nil)
+	for _, deg := range m.Degradations {
+		if deg.Component == component {
+			return deg.Rung
+		}
+	}
+	if m.Cache != nil {
+		for _, e := range m.Cache.Events {
+			if e.Stage == stage && e.Outcome == obs.CacheHit {
+				return plan.RungHit
+			}
+		}
+	}
+	t.Fatalf("manifest has neither a %s degradation record nor a %s hit", component, stage)
+	return ""
+}
+
+// TestSolvePathsAgree is the differential test over the rung table:
+// one fixed deck, solved down every path a rung list can take — cold,
+// exact hit, warm neighbour, resume from checkpoint, mixed precision,
+// SSOR as fallback and as the budgeted first rung, the random walk,
+// the fused rough ladder down to structure-only, and dataset.Build's
+// label ladder. Every path must name, in its manifest, the rung the
+// scenario was built to reach, that rung must be on the list the
+// policy emits for the request, and every converged path must return
+// the sparse-Cholesky answer — which shares no code with the iterative
+// rungs — to 1e-8. A new rung or policy branch gets its row here, not
+// a hand-written suite.
+func TestSolvePathsAgree(t *testing.T) {
+	d, err := pgen.Generate(pgen.DefaultConfig("paths", pgen.Real, 24, 24, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, sys := assemble(t, d)
+	fp := cache.DesignFingerprint(d)
+	ch, err := sparse.NewCholesky(sys.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make([]float64, sys.N())
+	ch.Solve(ref, sys.I)
+
+	neighbour := pgen.Perturb(d, 0.01, 5)
+	bg := withFaults(context.Background(), "")
+	fast := plan.ResilienceOptions{BackoffBase: 10 * time.Microsecond, BackoffMax: 50 * time.Microsecond}
+
+	// solved returns a cache that has seen a converged solve of x.
+	solved := func(x *pgen.Design) *cache.Cache {
+		c := cache.New(0, 0)
+		_, xs := assemble(t, x)
+		req := plan.Solve{Fingerprint: func() string { return cache.DesignFingerprint(x) }}
+		if _, err := plan.Numerical(cache.WithCache(bg, c), xs, make([]float64, xs.N()), req); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// checkpointed returns a cache holding only a mid-solve snapshot of
+	// d, as journal recovery reconstructs it from a blob.
+	checkpointed := func() *cache.Cache {
+		var blob []byte
+		req := plan.Solve{Fingerprint: func() string { return fp }, CheckpointEvery: 2,
+			OnCheckpoint: func(_ string, encoded []byte) { blob = encoded }}
+		if _, err := plan.Numerical(cache.WithCache(bg, cache.New(0, 0)), sys, make([]float64, sys.N()), req); err != nil {
+			t.Fatal(err)
+		}
+		art, err := cache.DecodeCheckpoint(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cache.New(0, 0)
+		cache.StoreCheckpoint(bg, c, art)
+		return c
+	}
+	empty := func() *cache.Cache { return cache.New(0, 0) }
+
+	const breakPCG = "solver.pcg:indefinite"
+	paths := []struct {
+		name      string
+		req       plan.Solve
+		cache     func() *cache.Cache // nil: no artifact cache
+		faults    string
+		want      string
+		estimates bool // a Monte-Carlo estimate: served, not converged
+	}{
+		{name: "cold", want: plan.RungAMG},
+		{name: "cold, cache miss", cache: empty, want: plan.RungAMG},
+		{name: "exact hit", cache: func() *cache.Cache { return solved(d) }, want: plan.RungHit},
+		{name: "warm neighbour", cache: func() *cache.Cache { return solved(neighbour) }, want: plan.RungAMGWarm},
+		{name: "resume", cache: checkpointed, want: plan.RungAMGResume},
+		{name: "poisoned checkpoint goes cold", cache: checkpointed, faults: "checkpoint.restore:corrupt", want: plan.RungAMG},
+		{name: "stale hit goes cold", cache: func() *cache.Cache { return solved(d) }, faults: "cache.lookup:stale", want: plan.RungAMG},
+		{name: "mixed", req: plan.Solve{Precision: "mixed"}, want: plan.RungAMGMP},
+		{name: "ssor fallback", faults: "amg.setup:fail", want: plan.RungSSOR},
+		{name: "ssor-first budgeted", req: plan.Solve{Iters: 50, Precond: "ssor"}, want: plan.RungSSOR},
+		{name: "amg-first budgeted", req: plan.Solve{Iters: 50, Precond: "amg"}, want: plan.RungAMG},
+		{name: "random walk", faults: breakPCG, want: plan.RungRandomWalk, estimates: true},
+	}
+	reached := map[string]bool{}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			rec := obs.NewRecorder()
+			ctx := withFaults(obs.WithRecorder(bg, rec), p.faults)
+			req := p.req
+			req.Resilience = fast
+			req.Fingerprint = func() string { return fp }
+			var c *cache.Cache
+			if p.cache != nil {
+				c = p.cache()
+				ctx = cache.WithCache(ctx, c)
+			}
+			shape := cache.CheckpointShape(req.Precond, req.Precision, req.Format, req.Iters)
+			if list := plan.Rungs(req.Iters, req.Precond, req.Precision, c != nil); !slices.Contains(list, p.want) {
+				t.Fatalf("policy emits %v for this request; %s is not on it", list, p.want)
+			}
+			x := make([]float64, sys.N())
+			res, err := plan.Numerical(ctx, sys, x, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := servingRung(t, rec, "core.numerical", "numerical.solve"); got != p.want {
+				t.Fatalf("served by %q, want %q", got, p.want)
+			}
+			reached[p.want] = true
+			if p.estimates {
+				return
+			}
+			if diff := maxDiff(ref, x); diff > 1e-8 {
+				t.Fatalf("solution differs from the Cholesky answer by %g", diff)
+			}
+			if c != nil && req.Iters <= 0 && res.Converged {
+				if cache.LookupSystem(bg, c, fp) == nil {
+					t.Error("converged solve of an addressed design was not kept")
+				}
+				if cache.LookupCheckpoint(bg, c, fp, shape) != nil {
+					t.Error("finished solve left its checkpoint behind")
+				}
+			}
+		})
+	}
+	for _, cached := range []bool{false, true} {
+		for _, prec := range []string{"", "mixed"} {
+			for _, name := range plan.Rungs(0, "amg", prec, cached) {
+				if !reached[name] {
+					t.Errorf("policy can emit %s but no path above reaches it", name)
+				}
+			}
+		}
+	}
+
+	// The label ladder of dataset.Build, over the same caches.
+	refMap := features.GoldenMap(nw, sys.FullDrops(ref), 24, 24)
+	labels := []struct {
+		name   string
+		cache  func() *cache.Cache
+		faults string
+		want   string
+		events []string // the label solve's cache-event trail
+	}{
+		{name: "cold", want: plan.RungAMG},
+		{name: "exact hit", cache: func() *cache.Cache { return solved(d) }, want: plan.RungHit,
+			events: []string{obs.CacheHit}},
+		{name: "warm neighbour", cache: func() *cache.Cache { return solved(neighbour) }, want: plan.RungAMGWarm,
+			events: []string{obs.CacheWarm, obs.CacheStore}},
+		{name: "failed warm start goes cold", cache: func() *cache.Cache { return solved(neighbour) },
+			faults: breakPCG + ":times=1", want: plan.RungAMG,
+			events: []string{obs.CacheWarm, obs.CacheStale, obs.CacheStore}},
+	}
+	for _, p := range labels {
+		t.Run("dataset.Build "+p.name, func(t *testing.T) {
+			rec := obs.NewRecorder()
+			ctx := withFaults(obs.WithRecorder(bg, rec), p.faults)
+			if p.cache != nil {
+				ctx = cache.WithCache(ctx, p.cache())
+			}
+			s, err := dataset.BuildCtx(ctx, d, dataset.DefaultOptions(24, 24))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := servingRung(t, rec, "dataset.golden", "dataset.golden_solve"); got != p.want {
+				t.Fatalf("label served by %q, want %q", got, p.want)
+			}
+			if diff := maxDiff(refMap.Data, s.Golden.Data); diff > 1e-8 {
+				t.Fatalf("label differs from the Cholesky answer by %g", diff)
+			}
+			var events []string
+			if c := rec.Manifest("test.paths", nil).Cache; c != nil {
+				for _, e := range c.Events {
+					if e.Stage == "dataset.golden_solve" {
+						events = append(events, e.Outcome)
+					}
+				}
+			}
+			if !slices.Equal(events, p.events) {
+				t.Fatalf("label solve's cache events = %v, want %v", events, p.events)
+			}
+		})
+	}
+	t.Run("a label that cannot converge is an error", func(t *testing.T) {
+		_, err := dataset.BuildCtx(withFaults(bg, "amg.setup:fail"), d, dataset.DefaultOptions(24, 24))
+		if err == nil {
+			t.Fatal("label solve degraded below AMG-PCG instead of failing")
+		}
+	})
+
+	// The fused rough ladder: the bare rung dataset.Build trains on,
+	// then each fallback in turn.
+	bare := make([]float64, sys.N())
+	if err := plan.Rough(bg, sys, bare, 4); err != nil {
+		t.Fatal(err)
+	}
+	rough := []struct {
+		name, faults, want string
+	}{
+		{name: "rough", want: plan.RungRough},
+		{name: "random walk", faults: breakPCG, want: plan.RungRoughRW},
+		{name: "structure only", faults: "solver.pcg:fail:label=" + plan.RungRoughRW + ";" + breakPCG, want: plan.RungStructOnly},
+	}
+	for _, p := range rough {
+		t.Run("rough ladder "+p.name, func(t *testing.T) {
+			rec := obs.NewRecorder()
+			ctx := withFaults(obs.WithRecorder(bg, rec), p.faults)
+			x := make([]float64, sys.N())
+			x[0] = 1 // a rung must not trust what it is handed
+			if err := plan.RoughLadder(ctx, sys, x, 4, fast); err != nil {
+				t.Fatal(err)
+			}
+			if got := servingRung(t, rec, "core.fused.rough", ""); got != p.want {
+				t.Fatalf("served by %q, want %q", got, p.want)
+			}
+			switch p.want {
+			case plan.RungRough:
+				if maxDiff(bare, x) != 0 { //irfusion:exact the served rough solve and the trained-on one are the same function
+					t.Fatal("ladder's rough rung and the bare rough solve fill different x")
+				}
+			case plan.RungStructOnly:
+				if slices.ContainsFunc(x, func(v float64) bool { return v != 0 }) { //irfusion:exact structure-only stores literal zeros
+					t.Fatal("structure-only left a non-zero rough solution")
+				}
+			}
+		})
+	}
+}

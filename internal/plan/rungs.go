@@ -1,0 +1,493 @@
+package plan
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"time"
+
+	"irfusion/internal/amg"
+	"irfusion/internal/cache"
+	"irfusion/internal/circuit"
+	"irfusion/internal/faults"
+	"irfusion/internal/obs"
+	"irfusion/internal/solver"
+	"irfusion/internal/sparse"
+)
+
+// Rung names. They double as the obs solve labels of the numerical
+// stage, so a manifest's convergence traces say which backend
+// produced them, and as the circuit-breaker names in a serving
+// process.
+const (
+	RungHit        = "numerical.hit"
+	RungAMG        = "numerical.amg"
+	RungAMGMP      = "numerical.amg.mp"
+	RungAMGWarm    = "numerical.amg.warm"
+	RungAMGResume  = "numerical.amg.resume"
+	RungSSOR       = "numerical.ssor"
+	RungRandomWalk = "numerical.randomwalk"
+	RungRough      = "rough"
+	RungRoughRW    = "rough.randomwalk"
+	RungStructOnly = "rough.structure-only"
+)
+
+// Rungs is the whole solve policy of the numerical analyzer: the
+// ordered rung names for a request with the given iteration budget
+// (<= 0 converges), preconditioner and precision, with or without an
+// artifact cache addressing the design.
+//
+// Budgeted solves run cold — their per-iteration progress is the
+// quantity under study in the Fig-7 trade-off, so caching, resuming
+// and mixed precision would corrupt the comparison — and start at the
+// SSOR rung unless the full AMG K-cycle was asked for. Converged
+// solves try the cheapest answer first: an exact cached solution, a
+// checkpoint of this very solve, a warm start off an ECO neighbour —
+// each only if its lookup finds one — then the cold backends, most
+// capable first.
+func Rungs(iters int, precond, precision string, cached bool) []string {
+	if iters > 0 {
+		if precond != "amg" {
+			return []string{RungSSOR, RungRandomWalk}
+		}
+		return []string{RungAMG, RungSSOR, RungRandomWalk}
+	}
+	var l []string
+	if cached {
+		l = append(l, RungHit, RungAMGResume, RungAMGWarm)
+	}
+	if precision == "mixed" {
+		l = append(l, RungAMGMP)
+	}
+	return append(l, RungAMG, RungSSOR, RungRandomWalk)
+}
+
+// The fixed rung lists of the other two consumers: dataset's
+// must-converge label solve and the fused pipeline's rough solve,
+// which always serves — structure-only leaves the rough solution at
+// zero and lets the ML stage work from structural features alone.
+var (
+	goldenRungs     = []string{RungHit, RungAMGWarm, RungAMG}
+	fusedRoughRungs = []string{RungRough, RungRoughRW, RungStructOnly}
+)
+
+// Golden labels converge to goldenTol within goldenMaxIter iterations.
+const (
+	goldenTol     = 1e-10
+	goldenMaxIter = 2000
+)
+
+// solveState is everything the rungs of one solve share: the system,
+// the iterate they fill, and what the serving rung leaves behind for
+// the caller and the artifact cache.
+type solveState struct {
+	sys  *circuit.System
+	x    []float64
+	res  solver.Result
+	hier *amg.Hierarchy // built for exactly sys.G by a rung of this solve; nil otherwise
+
+	iters        int            // > 0: budgeted solve
+	opts         solver.Options // PCG configuration; an empty Label takes the rung name
+	mustConverge bool           // a cold AMG solve that stops short fails its rung
+
+	cache     *cache.Cache // nil: every cache rung declines
+	fp        string       // design fingerprint addressing the cache
+	shape     string       // checkpoint shape of this request
+	stage     string       // stage name on this solve's cache events
+	precision string       // arithmetic path tagged on the stored artifact
+	rec       *obs.Recorder
+
+	// warmFirst keeps the dataset builder's cache-event trail: "warm" is
+	// recorded before the warm-started solve and a failed one adds
+	// "stale". Without it (core) "warm" is recorded once the solve
+	// converged and a failure shows in the degradation trail only.
+	warmFirst bool
+
+	donor *cache.SystemArtifact     // found by hitReady / warmReady
+	delta float64                   // matrix delta to a warm-start donor
+	ckpt  *cache.CheckpointArtifact // found by resumeReady
+}
+
+// newState prepares a solve of sys into x: to convergence, or budgeted
+// to exactly iters PCG iterations.
+func newState(ctx context.Context, sys *circuit.System, x []float64, iters int, converge bool) *solveState {
+	opts := solver.RoughOptions(iters)
+	if converge {
+		opts = solver.DefaultOptions()
+	}
+	return &solveState{
+		sys: sys, x: x, iters: iters, opts: opts,
+		precision: obs.PrecisionFull, rec: obs.ActiveOr(ctx),
+	}
+}
+
+// rung is one way of filling st.x. ready (optional) is the rung's cache
+// lookup: it reports whether there is anything for the rung to work
+// from.
+type rung struct {
+	ready func(ctx context.Context, st *solveState) bool
+	run   func(ctx context.Context, st *solveState, name string) error
+}
+
+// rungTable is every backend there is. The budgeted rough solve is the
+// SSOR rung under the fusion pipeline's label, and the random walk
+// serves both ladders — which is what keeps the solve that builds
+// training samples and the one that serves requests the same code.
+var rungTable = map[string]rung{
+	RungHit:        {ready: hitReady, run: hit},
+	RungAMGResume:  {ready: resumeReady, run: resume},
+	RungAMGWarm:    {ready: warmReady, run: warm},
+	RungAMGMP:      {run: amgMixed},
+	RungAMG:        {run: amgCold},
+	RungSSOR:       {run: ssor},
+	RungRough:      {run: ssor},
+	RungRandomWalk: {run: randomWalk},
+	RungRoughRW:    {run: randomWalk},
+	RungStructOnly: {run: structureOnly},
+}
+
+// run serves the solve from the named rungs. Lookups come first, in
+// list order: a rung whose ready hook finds nothing is left off the
+// ladder — no attempt in the trail, no shift of the serving rung's
+// index, because missing the cache is not a degradation — and an exact
+// hit is not a solve at all, so it serves on the spot with no
+// degradation record and no circuit breaker. The rungs that remain run
+// on the degradation ladder, and when one converges for an addressed
+// design its reusable products go to the artifact cache.
+func (st *solveState) run(ctx context.Context, component string, names []string, o ResilienceOptions) error {
+	var ladder []LadderRung
+	for _, name := range names {
+		r := rungTable[name]
+		if r.ready != nil && !r.ready(ctx, st) {
+			continue
+		}
+		if name == RungHit {
+			return r.run(ctx, st, name)
+		}
+		ladder = append(ladder, LadderRung{Name: name, Run: func(ctx context.Context) error { return r.run(ctx, st, name) }})
+	}
+	if _, _, err := RunLadder(ctx, component, ladder, o); err != nil {
+		return err
+	}
+	if st.cache != nil && st.res.Converged {
+		cache.StoreSystem(ctx, st.cache, st.stage, &cache.SystemArtifact{
+			Fingerprint: st.fp, N: st.sys.N(), G: st.sys.G, I: st.sys.I,
+			Golden: append([]float64(nil), st.x...),
+			// The float64 hierarchy and golden are stored either way;
+			// Precision only records which path produced them.
+			Hier: st.hier, Precision: st.precision,
+		})
+	}
+	return nil
+}
+
+func (st *solveState) cacheEvent(outcome, key string, delta float64) {
+	st.rec.RecordCacheEvent(obs.CacheEvent{
+		Stage: st.stage, Outcome: outcome, Key: cache.ShortKey(key), Delta: delta,
+	})
+}
+
+// pcg runs flexible PCG from whatever guess x holds, labeled with the
+// rung name so the manifest's convergence trace says which backend
+// ran.
+func (st *solveState) pcg(ctx context.Context, name string, pre solver.Preconditioner, mustConverge bool) error {
+	opts := st.opts
+	if opts.Label == "" {
+		opts.Label = name
+	}
+	r, err := solver.PCGCtx(ctx, st.sys.G, st.x, st.sys.I, pre, opts)
+	if err != nil {
+		return err
+	}
+	if mustConverge && !r.Converged {
+		return fmt.Errorf("plan: %s solve stalled at %g", name, r.Residual)
+	}
+	st.res = r
+	return nil
+}
+
+// buildAMG builds the hierarchy for exactly sys.G and publishes it on
+// the state, so the artifact store may keep it.
+func (st *solveState) buildAMG(ctx context.Context) (*amg.Hierarchy, error) {
+	h, err := amg.BuildCtx(ctx, st.sys.G, amg.DefaultOptions())
+	if err == nil {
+		st.hier = h
+	}
+	return h, err
+}
+
+// hitReady is the guarded exact lookup: the cached golden solution
+// must still satisfy the freshly assembled system to GuardTol (one
+// SpMV); a stale or poisoned entry is dropped, never served.
+func hitReady(ctx context.Context, st *solveState) bool {
+	art := cache.LookupSystem(ctx, st.cache, st.fp)
+	if art == nil || art.N != st.sys.N() {
+		return false
+	}
+	r := solver.RelResidual(st.sys.G, art.Golden, st.sys.I)
+	if r > cache.GuardTol {
+		st.cache.Drop(cache.SystemKey(st.fp))
+		st.cacheEvent(obs.CacheStale, st.fp, 0)
+		return false
+	}
+	st.donor, st.res = art, solver.Result{Residual: r, Converged: true}
+	return true
+}
+
+func hit(_ context.Context, st *solveState, _ string) error {
+	copy(st.x, st.donor.Golden)
+	st.cacheEvent(obs.CacheHit, st.fp, 0)
+	return nil
+}
+
+// warmReady looks for an ECO neighbour within cache.DefaultWarmDelta.
+// A search cut short by cancellation reads as "no donor"; the next
+// rung's first context check ends the ladder.
+func warmReady(ctx context.Context, st *solveState) bool {
+	nb, delta, err := cache.FindWarmStart(ctx, st.cache, st.sys.G, 0)
+	if err != nil || nb == nil {
+		return false
+	}
+	st.donor, st.delta = nb, delta
+	return true
+}
+
+// warm continues from the donor's golden solution, preconditioned by
+// the donor's cloned hierarchy — skipping AMG setup, the dominant
+// cost. A guess or foreign preconditioner that does not carry the
+// solve home fails the rung and the ladder goes cold.
+func warm(ctx context.Context, st *solveState, name string) error {
+	copy(st.x, st.donor.Golden)
+	if st.warmFirst {
+		st.cacheEvent(obs.CacheWarm, st.donor.Fingerprint, st.delta)
+	}
+	err := st.pcg(ctx, name, st.donor.Hier.Clone(), true)
+	switch {
+	case err == nil && !st.warmFirst:
+		st.cacheEvent(obs.CacheWarm, st.donor.Fingerprint, st.delta)
+	case err != nil && st.warmFirst && ctx.Err() == nil:
+		st.cacheEvent(obs.CacheStale, st.fp, 0)
+	}
+	return err
+}
+
+// resumeReady looks for a snapshot of this very solve: same design,
+// same request shape.
+func resumeReady(ctx context.Context, st *solveState) bool {
+	cp := cache.LookupCheckpoint(ctx, st.cache, st.fp, st.shape)
+	if cp == nil || cp.N != st.sys.N() || cp.State.Iter <= 0 {
+		return false
+	}
+	st.ckpt = cp
+	return true
+}
+
+// resume re-validates the checkpoint against the freshly assembled
+// system — the recomputed relative residual must land within
+// CheckpointGuardFactor of what the snapshot recorded (or under
+// cache.GuardTol outright) — then continues PCG from the checkpointed
+// iterate under a freshly built hierarchy (flexible PCG tolerates the
+// preconditioner change). A rejection drops the poisoned snapshot and
+// fails the rung, so the ladder falls through to the cold rungs with a
+// recorded trail; either way the manifest's resume section says what
+// happened.
+func resume(ctx context.Context, st *solveState, name string) error {
+	cp := st.ckpt
+	key := cache.ShortKey(cache.CheckpointKey(cp.Fingerprint, cp.Shape))
+	record := func(residual float64, resumeOutcome, cacheOutcome string) {
+		st.rec.RecordResume(obs.ResumeSection{
+			CheckpointKey: key, Iter: cp.State.Iter, Residual: residual, Outcome: resumeOutcome,
+		})
+		st.rec.RecordCacheEvent(obs.CacheEvent{Stage: "checkpoint.restore", Outcome: cacheOutcome, Key: key})
+	}
+	guard := max(cp.State.Residual*cache.CheckpointGuardFactor, cache.GuardTol)
+	if got := solver.RelResidual(st.sys.G, cp.State.X, st.sys.I); got > guard {
+		record(got, obs.ResumeRejected, obs.CacheStale)
+		cache.DropCheckpoint(st.cache, cp.Fingerprint, cp.Shape)
+		return fmt.Errorf("plan: checkpoint residual %g exceeds guard %g (recorded %g at iteration %d)",
+			got, guard, cp.State.Residual, cp.State.Iter)
+	}
+	h, err := st.buildAMG(ctx)
+	if err != nil {
+		return err
+	}
+	copy(st.x, cp.State.X)
+	if err := st.pcg(ctx, name, h, true); err != nil {
+		return err
+	}
+	record(cp.State.Residual, obs.ResumeAccepted, obs.CacheHit)
+	return nil
+}
+
+func amgCold(ctx context.Context, st *solveState, name string) error {
+	h, err := st.buildAMG(ctx)
+	if err != nil {
+		return err
+	}
+	sparse.Zero(st.x)
+	return st.pcg(ctx, name, h, st.mustConverge)
+}
+
+// amgMixed builds (and publishes) the same float64 hierarchy, derives
+// the float32 shadow, and refines in float64. A stagnating refinement
+// (solver.ErrMPStagnation) classifies as structural, so the ladder
+// falls straight to the full-precision rung.
+func amgMixed(ctx context.Context, st *solveState, name string) error {
+	h, err := st.buildAMG(ctx)
+	if err != nil {
+		return err
+	}
+	sparse.Zero(st.x)
+	opts := st.opts
+	opts.Label = name
+	r, err := solver.MPPCGCtx(ctx, st.sys.G, st.x, st.sys.I, amg.NewHierarchy32(h), opts)
+	if err != nil {
+		return err
+	}
+	st.res = r
+	return nil
+}
+
+func ssor(ctx context.Context, st *solveState, name string) error {
+	sparse.Zero(st.x)
+	return st.pcg(ctx, name, solver.NewSSOR(st.sys.G, 2), false)
+}
+
+// randomWalk is the last numerical rung: the Monte-Carlo solver of
+// Qian/Nassif/Sapatnekar, which needs no preconditioner setup and no
+// Krylov recurrence — it survives faults that break both PCG backends.
+// The estimate is rough by construction; that is exactly the regime
+// the fusion pipeline tolerates. Reported to the run recorder as a
+// solve record (walks as "iterations") under the rung name.
+func randomWalk(ctx context.Context, st *solveState, name string) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("%w: %w", solver.ErrCancelled, err)
+	}
+	// Fault hook: the walk has no Krylov recurrence to break down, so
+	// of the solver.pcg actions it honors only "fail" — which is how a
+	// chaos spec exhausts a whole ladder (PCG rungs ignore "fail").
+	if f := faults.ActiveOr(ctx).Fire(faults.SitePCG, name); f != nil && f.Action == faults.ActFail {
+		return f.Error()
+	}
+	rw, err := solver.NewRandomWalk(st.sys.G, st.sys.I)
+	if err != nil {
+		return err
+	}
+	sparse.Zero(st.x)
+	// Walks per node scale with the iteration budget (a budgeted
+	// analyzer wants a fast estimate) but stay bounded.
+	walks := 64
+	if st.iters > 0 {
+		walks = min(8*st.iters, 64)
+	}
+	start := time.Now()
+	rw.Solve(st.x, walks, rand.New(rand.NewSource(1)))
+	st.res = solver.Result{Iterations: walks, Residual: solver.RelResidual(st.sys.G, st.x, st.sys.I)}
+	st.rec.RecordSolve(obs.SolveRecord{
+		Label:      name,
+		Iterations: walks,
+		Residual:   st.res.Residual,
+		Seconds:    time.Since(start).Seconds(),
+	})
+	return nil
+}
+
+func structureOnly(ctx context.Context, st *solveState, _ string) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("%w: %w", solver.ErrCancelled, err)
+	}
+	sparse.Zero(st.x)
+	return nil
+}
+
+// Solve is a numerical analysis request as the solve path sees it.
+type Solve struct {
+	// Iters > 0 is a budgeted rough solve of exactly that many PCG
+	// iterations; <= 0 solves to convergence.
+	Iters int
+	// Precond ("amg" or "ssor") picks the first rung of a budgeted
+	// solve; Precision "mixed" prepends the mixed-precision rung to a
+	// converged one; Format overrides the SpMV storage format ("" keeps
+	// the solver default).
+	Precond, Precision, Format string
+	// Fingerprint yields the design's content address
+	// (cache.DesignFingerprint). It is called only for a solve the
+	// artifact cache applies to — converged, with a cache resolved from
+	// ctx — which the cache then serves, warm-starts, resumes and
+	// keeps; every other solve runs cold and never pays for the hash.
+	Fingerprint func() string
+	// CheckpointEvery > 0 snapshots a cached solve into the artifact
+	// cache every that many PCG iterations (refinement rounds on the
+	// mixed rung); OnCheckpoint additionally receives each snapshot's
+	// key and binary encoding.
+	CheckpointEvery int
+	OnCheckpoint    func(key string, encoded []byte)
+	Resilience      ResilienceOptions
+}
+
+// Numerical solves sys into x on the full ladder chosen by Rungs and
+// returns the serving rung's result. When every rung fails the error
+// wraps ErrLadderExhausted.
+func Numerical(ctx context.Context, sys *circuit.System, x []float64, s Solve) (solver.Result, error) {
+	st := newState(ctx, sys, x, s.Iters, s.Iters <= 0)
+	st.stage = "numerical.solve"
+	if s.Format != "" {
+		st.opts.Format = s.Format
+	}
+	if s.Precision == "mixed" {
+		st.precision = obs.PrecisionMixed
+	}
+	if cc := cache.ActiveOr(ctx); cc != nil && s.Iters <= 0 {
+		st.cache, st.fp = cc, s.Fingerprint()
+		st.shape = cache.CheckpointShape(s.Precond, s.Precision, s.Format, s.Iters)
+		if s.CheckpointEvery > 0 {
+			st.opts.CheckpointEvery = s.CheckpointEvery
+			st.opts.CheckpointSink = &cache.CheckpointWriter{
+				Ctx: ctx, Cache: cc, Fingerprint: st.fp, Shape: st.shape, Notify: s.OnCheckpoint,
+			}
+		}
+	}
+	names := Rungs(s.Iters, s.Precond, s.Precision, st.cache != nil)
+	if err := st.run(ctx, "core.numerical", names, s.Resilience); err != nil {
+		return st.res, err
+	}
+	if st.cache != nil && st.res.Converged {
+		// The solve is done; its mid-flight snapshot must not shadow a
+		// later identical request (the golden artifact is strictly
+		// better).
+		cache.DropCheckpoint(st.cache, st.fp, st.shape)
+	}
+	return st.res, nil
+}
+
+// Golden solves sys into x to label accuracy for the dataset builder:
+// an exact cached solution, a warm start off a cached neighbour, or a
+// cold AMG-PCG solve — and nothing rougher, a label that did not
+// converge is an error. fp addresses the design in the artifact cache
+// resolved from ctx (no cache: cold).
+func Golden(ctx context.Context, sys *circuit.System, x []float64, fp string) error {
+	st := newState(ctx, sys, x, 0, true)
+	st.opts = solver.Options{Tol: goldenTol, MaxIter: goldenMaxIter, Flexible: true, Record: true, Label: "golden"}
+	st.mustConverge, st.warmFirst = true, true
+	st.stage = "dataset.golden_solve"
+	st.cache, st.fp = cache.ActiveOr(ctx), fp
+	return st.run(ctx, "dataset.golden", goldenRungs, ResilienceOptions{})
+}
+
+// Rough fills x with the fusion pipeline's numerical input — iters
+// SSOR-PCG iterations from a zero guess (paper §III) — as the bare
+// rough rung: no fallbacks, no degradation record. Rough solves always
+// run cold; a warm-started one would shift the model's input
+// distribution.
+func Rough(ctx context.Context, sys *circuit.System, x []float64, iters int) error {
+	return ssor(ctx, newState(ctx, sys, x, iters, false), RungRough)
+}
+
+// RoughLadder is Rough on the fused pipeline's degradation ladder:
+// the same rung first, the random-walk solver when it fails, and
+// finally structure-only. The ladder always serves, so a fused
+// analysis degrades rather than fails when the numerical backends
+// misbehave.
+func RoughLadder(ctx context.Context, sys *circuit.System, x []float64, iters int, o ResilienceOptions) error {
+	return newState(ctx, sys, x, iters, false).run(ctx, "core.fused.rough", fusedRoughRungs, o)
+}

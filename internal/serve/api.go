@@ -18,6 +18,7 @@ import (
 	"irfusion/internal/journal"
 	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
+	"irfusion/internal/plan"
 	"irfusion/internal/solver"
 	"irfusion/internal/sparse"
 	"irfusion/internal/spice"
@@ -537,17 +538,16 @@ func (s *Server) runJob(j *Job) {
 	result, err := s.executeProtected(ctx, j)
 
 	// Requeue-once after a worker panic: the job goes back into the
-	// queue (journaled with its last checkpoint key, so even a crash
-	// between here and the retry keeps it recoverable) and the retry
-	// resumes from the checkpoint instead of iteration 0. Only the
-	// first panic earns a retry — a second one fails the job for real,
-	// so a deterministically-crashing request cannot loop forever.
+	// queue (journaled, so even a crash between here and the retry keeps
+	// it recoverable) and the retry resumes from the checkpoint instead
+	// of iteration 0. Only the first panic earns a retry — a second one
+	// fails the job for real, so a deterministically-crashing request
+	// cannot loop forever.
 	if errors.Is(err, errWorkerPanic) && !j.cancelled.Load() && j.ctx.Err() == nil &&
 		j.requeues.Add(1) == 1 && j.requeueForRetry() {
 		j.resumeFrom = fromRequeue
 		s.journalAppend(j.ctx, journal.Record{
-			Type: journal.TypeRequeued, JobID: j.id,
-			CheckpointKey: j.ckptKey, Detail: err.Error(),
+			Type: journal.TypeRequeued, JobID: j.id, Detail: err.Error(),
 		})
 		if s.submit(j) {
 			cRequeues.Inc()
@@ -599,7 +599,7 @@ func failureKind(err error) (kind, msg string) {
 	switch {
 	case errors.Is(err, errWorkerPanic):
 		kind = errKindPanic
-	case errors.Is(err, core.ErrLadderExhausted):
+	case errors.Is(err, plan.ErrLadderExhausted):
 		kind = errKindExhausted
 	case errors.Is(err, context.DeadlineExceeded):
 		kind = errKindTimeout
@@ -762,7 +762,7 @@ func (s *Server) predictLocked(ctx context.Context, sample *dataset.Sample) *gri
 
 // resilience returns the ladder policy for one job: the configured
 // retry/backoff overrides plus the server's shared breaker set.
-func (s *Server) resilience() core.ResilienceOptions {
+func (s *Server) resilience() plan.ResilienceOptions {
 	res := s.cfg.Resilience
 	res.Breakers = s.breakers
 	return res

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"irfusion/internal/core"
 	"irfusion/internal/pgen"
+	"irfusion/internal/plan"
 )
 
 // genDeck generates a synthetic design and returns its SPICE text.
@@ -57,7 +57,7 @@ func TestConcurrentRequestsNoManifestCrossTalk(t *testing.T) {
 				errs <- fmt.Errorf("seed %d: %w", seed, err)
 				return
 			}
-			if len(m.Solves) != 1 || m.Solves[0].Label != core.RungSSOR {
+			if len(m.Solves) != 1 || m.Solves[0].Label != plan.RungSSOR {
 				errs <- fmt.Errorf("seed %d: cross-talk: %d solves %+v", seed, len(m.Solves), m.Solves)
 				return
 			}

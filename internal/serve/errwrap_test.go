@@ -13,13 +13,13 @@ import (
 	"fmt"
 	"testing"
 
-	"irfusion/internal/core"
+	"irfusion/internal/plan"
 	"irfusion/internal/solver"
 )
 
 func TestFailureKindSeesThroughWrapping(t *testing.T) {
 	exhausted := fmt.Errorf("%w: numerical: last error: %w",
-		core.ErrLadderExhausted,
+		plan.ErrLadderExhausted,
 		fmt.Errorf("rung amg: %w", solver.ErrBreakdown))
 	deadline := fmt.Errorf("analyze: %w",
 		fmt.Errorf("%w after 12 iterations: %w", solver.ErrCancelled, context.DeadlineExceeded))

@@ -52,11 +52,11 @@ type Job struct {
 	// Written before (re-)submission; the queue handoff orders it
 	// before the worker's read.
 	resumeFrom string
-	// ckptKey is the key of the job's latest durably persisted
-	// checkpoint. Written by the checkpoint notify hook on the worker
-	// goroutine running the solve and read on the same goroutine (or
-	// across a queue handoff), so no lock is needed.
-	ckptKey string
+	// hasBlob reports a checkpoint blob of this job's solve on disk —
+	// saved by its notify hook, or found by recovery. Written and read
+	// on the goroutine running the job (or across a queue handoff), so
+	// no lock is needed.
+	hasBlob bool
 	// requeues counts post-panic retries; only the first panic earns
 	// one.
 	requeues atomic.Int32

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -14,7 +15,10 @@ import (
 // journal package owns the on-disk write-ahead log; this file decides
 // *what* gets journaled (one record per job lifecycle transition, one
 // blob per solver checkpoint) and how a restarted process turns the
-// replayed history back into queued jobs.
+// replayed history back into queued jobs. Checkpoints have no journal
+// record of their own: a blob's key is a pure function of the request
+// the accepted record already holds (checkpointKey), so recovery
+// derives it — a blob can never be durable yet unknown to the journal.
 
 // Provenance values recorded in a manifest's resume section
 // (obs.ResumeSection.From) by this layer. A gateway handoff carries a
@@ -44,12 +48,12 @@ func (s *Server) openJournal() {
 
 // recoverOrphans re-enqueues every job whose journal history never
 // reached a terminal record, under its original id, in acceptance
-// order. A job with a checkpoint record first has its blob reloaded
-// into the artifact cache so the resume rung continues the solve from
-// where the crashed process left it. Replay is idempotent: finished,
-// cancelled, and failed jobs are skipped by the fold, and a job this
-// pass fails to recover gets a terminal record so the next restart
-// skips it too.
+// order. A job whose solve left a checkpoint blob first has it
+// reloaded into the artifact cache so the resume rung continues the
+// solve from where the crashed process left it. Replay is idempotent:
+// finished, cancelled, and failed jobs are skipped by the fold, and a
+// job this pass fails to recover gets a terminal record so the next
+// restart skips it too.
 func (s *Server) recoverOrphans(fold *journal.Fold) {
 	for _, st := range fold.Orphans() {
 		if len(st.Request) == 0 {
@@ -71,9 +75,6 @@ func (s *Server) recoverOrphans(fold *journal.Fold) {
 			})
 			continue
 		}
-		if st.CheckpointKey != "" {
-			s.restoreCheckpoint(st.CheckpointKey)
-		}
 		ctx, cancel := s.jobContext(req.TimeoutMS)
 		j := &Job{
 			req:        req,
@@ -84,7 +85,9 @@ func (s *Server) recoverOrphans(fold *journal.Fold) {
 			ctx:        ctx,
 			design:     design,
 			resumeFrom: fromRestart,
-			ckptKey:    st.CheckpointKey,
+		}
+		if s.cache != nil {
+			j.hasBlob = s.restoreCheckpoint(checkpointKey(&req, cache.DesignFingerprint(design)))
 		}
 		s.reg.addWithID(j, st.JobID)
 		if !s.submit(j) {
@@ -98,32 +101,41 @@ func (s *Server) recoverOrphans(fold *journal.Fold) {
 		cRecovered.Inc()
 		cRequeues.Inc()
 		s.journalAppend(s.baseCtx, journal.Record{
-			Type: journal.TypeRequeued, JobID: st.JobID,
-			CheckpointKey: st.CheckpointKey, Detail: fromRestart,
+			Type: journal.TypeRequeued, JobID: st.JobID, Detail: fromRestart,
 		})
 	}
 }
 
-// restoreCheckpoint reloads a journaled checkpoint blob into the
-// artifact cache so the resume rung (core.RungAMGResume) finds it when
-// the recovered job re-runs. Any damage — missing blob, CRC mismatch,
-// undecodable artifact — is counted and otherwise ignored: the job
-// simply solves cold.
-func (s *Server) restoreCheckpoint(key string) {
-	if s.cache == nil {
-		return
-	}
+// checkpointKey is the blob (and cache) key of the checkpoints a
+// request's solve writes: fingerprint ⊕ request shape, the same
+// expression plan.Numerical stores them under.
+func checkpointKey(req *AnalyzeRequest, fp string) string {
+	return cache.CheckpointKey(fp, cache.CheckpointShape(req.Precond, req.Precision, req.Format, req.Iters))
+}
+
+// restoreCheckpoint reloads the checkpoint blob stored under key, if
+// any, into the artifact cache so the resume rung (plan.RungAMGResume)
+// finds it when the recovered job re-runs, and reports whether a blob
+// exists. No blob is the common case (the job died before its first
+// checkpoint, or never checkpoints); damage — CRC mismatch,
+// undecodable artifact — is counted and otherwise ignored: either way
+// the job simply solves cold.
+func (s *Server) restoreCheckpoint(key string) bool {
 	data, err := s.journal.LoadBlob(key)
+	if errors.Is(err, journal.ErrNoBlob) {
+		return false
+	}
 	if err != nil {
 		cJournalErr.Inc()
-		return
+		return true
 	}
 	art, err := cache.DecodeCheckpoint(data)
 	if err != nil {
 		cJournalErr.Inc()
-		return
+		return true
 	}
 	cache.StoreCheckpoint(s.baseCtx, s.cache, art)
+	return true
 }
 
 // journalAppend writes one lifecycle record; ctx scopes fault
@@ -155,19 +167,29 @@ func (s *Server) journalAccepted(j *Job) {
 	})
 }
 
-// journalTerminal records a job's terminal transition, carrying its
-// last checkpoint key so an operator can correlate the blob.
+// journalTerminal records a job's terminal transition. A finished job
+// that left a checkpoint blob removes it — no restart will resume a
+// closed job — so the blob directory does not grow with the jobs
+// served. The key is fingerprint ⊕ request shape, not the job: two
+// in-flight jobs with the same deck and shape share one blob, and the
+// first to finish takes it from the other, which then re-solves cold
+// if the process crashes before it checkpoints again. Failed and
+// cancelled jobs leave their blob to the next job of that key.
 func (s *Server) journalTerminal(j *Job, typ, detail string) {
-	s.journalAppend(j.ctx, journal.Record{
-		Type: typ, JobID: j.id, CheckpointKey: j.ckptKey, Detail: detail,
-	})
+	s.journalAppend(j.ctx, journal.Record{Type: typ, JobID: j.id, Detail: detail})
+	if typ != journal.TypeFinished || !j.hasBlob || s.crashed.Load() {
+		return
+	}
+	if err := s.journal.DropBlob(checkpointKey(&j.req, j.fp)); err != nil {
+		cJournalErr.Inc()
+	}
 }
 
 // checkpointNotify returns the durable-persistence hook handed to the
-// core analyzer: each solver checkpoint is saved as a blob, then
-// recorded in the journal under its key. Nil when the journal is off —
-// checkpoints then live only in the in-process cache (still enough for
-// same-process requeue and shared-cache cluster handoff).
+// core analyzer for job j: each solver checkpoint replaces the solve's
+// blob. Nil when the journal is off — checkpoints then live only in
+// the in-process cache (still enough for same-process requeue and
+// shared-cache cluster handoff).
 func (s *Server) checkpointNotify(j *Job) func(key string, encoded []byte) {
 	if s.journal == nil {
 		return nil
@@ -180,9 +202,6 @@ func (s *Server) checkpointNotify(j *Job) func(key string, encoded []byte) {
 			cJournalErr.Inc()
 			return
 		}
-		j.ckptKey = key
-		s.journalAppend(j.ctx, journal.Record{
-			Type: journal.TypeCheckpoint, JobID: j.id, CheckpointKey: key,
-		})
+		j.hasBlob = true
 	}
 }

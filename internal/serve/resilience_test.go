@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"irfusion/internal/circuit"
-	"irfusion/internal/core"
 	"irfusion/internal/faults"
 	"irfusion/internal/obs"
+	"irfusion/internal/plan"
 )
 
 // withGlobalFaults installs a process-global fault injector for one
@@ -51,9 +51,9 @@ func TestServeDegradesOnAMGSetupFault(t *testing.T) {
 		t.Fatalf("degradation records: %+v", m.Degradations)
 	}
 	deg := m.Degradations[0]
-	if deg.Rung != core.RungSSOR || deg.RungIndex != 1 || deg.Exhausted {
+	if deg.Rung != plan.RungSSOR || deg.RungIndex != 1 || deg.Exhausted {
 		t.Errorf("served by %q (index %d, exhausted %v), want %q at index 1",
-			deg.Rung, deg.RungIndex, deg.Exhausted, core.RungSSOR)
+			deg.Rung, deg.RungIndex, deg.Exhausted, plan.RungSSOR)
 	}
 	if !deg.Degraded() {
 		t.Error("record does not report degradation")
@@ -69,8 +69,8 @@ func TestServeLadderExhausted503(t *testing.T) {
 	// [numerical.ssor, numerical.randomwalk]; the labeled clauses kill
 	// both (the walk honors only the "fail" action).
 	withGlobalFaults(t,
-		"solver.pcg:indefinite:label="+core.RungSSOR+
-			";solver.pcg:fail:label="+core.RungRandomWalk)
+		"solver.pcg:indefinite:label="+plan.RungSSOR+
+			";solver.pcg:fail:label="+plan.RungRandomWalk)
 	s, ts := newTestServer(t, Config{Workers: 1, BreakerCooldown: 7 * time.Second})
 	code, b := post(t, ts, "/v1/analyze", pgenBody(22, 24, `"iters": 4, "precond": "ssor"`))
 	if code != http.StatusServiceUnavailable {
@@ -182,7 +182,7 @@ func TestServeBreakerSkipsFailingBackend(t *testing.T) {
 		t.Fatalf("degradations: %+v", degs)
 	}
 	first := degs[0].Attempts[0]
-	if first.Rung != core.RungAMG || first.Skipped != "breaker-open" {
+	if first.Rung != plan.RungAMG || first.Skipped != "breaker-open" {
 		t.Errorf("third job's AMG attempt = %+v, want a breaker-open skip", first)
 	}
 	code, b := get(t, ts, "/healthz")
@@ -195,8 +195,8 @@ func TestServeBreakerSkipsFailingBackend(t *testing.T) {
 	if err := json.Unmarshal(b, &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Breakers[core.RungAMG] != "open" {
-		t.Errorf("healthz breakers = %v, want %s open", h.Breakers, core.RungAMG)
+	if h.Breakers[plan.RungAMG] != "open" {
+		t.Errorf("healthz breakers = %v, want %s open", h.Breakers, plan.RungAMG)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -10,23 +11,41 @@ import (
 	"testing"
 	"time"
 
+	"irfusion/internal/cache"
+	"irfusion/internal/faults"
+	"irfusion/internal/journal"
 	"irfusion/internal/obs"
 )
 
-// waitForCheckpointBlob polls the journal's blob directory until the
-// first durable checkpoint lands on disk — the signal that a crash
-// from this moment on is recoverable mid-solve.
-func waitForCheckpointBlob(t *testing.T, journalDir string) {
+// parkAfterFirstCheckpoint is the fault profile that ends a process
+// image at a known point instead of racing a timer: the first
+// checkpoint is stored and its blob saved normally, the second
+// checkpoint's store stalls until the job's context is cancelled — so
+// from the moment the first blob is durable the solve cannot advance,
+// finish, or write anything more until Crash() takes the server down.
+// The profile belongs to the process that dies: remove it before
+// starting the next incarnation.
+const parkAfterFirstCheckpoint = "checkpoint.save:stall:after=1"
+
+// waitParked blocks until the job's first checkpoint blob can be loaded
+// under the key recovery will derive from the journaled request. With
+// parkAfterFirstCheckpoint installed that state is stable, so the wait
+// observes an event, not a window.
+func waitParked(t *testing.T, s *Server, id string) {
 	t.Helper()
-	blobs := filepath.Join(journalDir, "checkpoints")
+	j, ok := s.reg.get(id)
+	if !ok {
+		t.Fatalf("job %s not registered", id)
+	}
+	key := checkpointKey(&j.req, cache.DesignFingerprint(j.design))
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if ents, err := os.ReadDir(blobs); err == nil && len(ents) > 0 {
+		if _, err := s.journal.LoadBlob(key); err == nil {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("no checkpoint blob appeared before the deadline")
+	t.Fatal("no checkpoint blob appeared under the derived key before the deadline")
 }
 
 // TestServeCrashRestartResumesJob is the end-to-end durability check:
@@ -51,9 +70,7 @@ func TestServeCrashRestartResumesJob(t *testing.T) {
 	}
 	cold := coldView.Result
 
-	// Each checkpoint store sleeps, stretching a millisecond solve into
-	// a wide, deterministic crash window.
-	withGlobalFaults(t, "checkpoint.save:latency:delay=25ms")
+	withGlobalFaults(t, parkAfterFirstCheckpoint)
 
 	dir := t.TempDir()
 	recoveredBefore := obs.CounterValue("serve.recovered")
@@ -68,9 +85,15 @@ func TestServeCrashRestartResumesJob(t *testing.T) {
 		t.Fatalf("submit: status %d: %s", code, b)
 	}
 	id := decodeJob(t, b).ID
-	waitForCheckpointBlob(t, dir)
+	waitParked(t, s1, id)
 	s1.Crash()
 	ts1.Close()
+	faults.SetActive(nil)
+	// The image holds what a kill -9 leaves: a blob the journal never
+	// names — no record type mentions checkpoints any more.
+	if recs := journalTypes(t, dir); recs["checkpoint"] != 0 || recs[journal.TypeAccepted] != 1 {
+		t.Fatalf("crashed journal holds %v, want one accepted record and no checkpoint records", recs)
+	}
 
 	// Second incarnation on the same journal directory: replay must
 	// find the orphan and finish it.
@@ -112,6 +135,29 @@ func TestServeCrashRestartResumesJob(t *testing.T) {
 	if maxDiff > 1e-8 {
 		t.Fatalf("resumed map differs from cold map by %g (tol 1e-8)", maxDiff)
 	}
+	// The finished job took its blob with it (drain first: a job turns
+	// "done" before its worker has journaled the terminal record).
+	if err := s2.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if ents, _ := os.ReadDir(filepath.Join(dir, "checkpoints")); len(ents) != 0 {
+		t.Errorf("finished job left %d file(s) in checkpoints/", len(ents))
+	}
+}
+
+// journalTypes replays a journal directory read-only-in-effect and
+// tallies its records by type.
+func journalTypes(t *testing.T, dir string) map[string]int {
+	t.Helper()
+	out := map[string]int{}
+	j, _, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone}, func(r journal.Record) { out[r.Type]++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestServeRestartSkipsFinishedJobs: a cleanly finished job must not
@@ -126,7 +172,14 @@ func TestServeRestartSkipsFinishedJobs(t *testing.T) {
 		t.Fatalf("solve: status %d: %s", code, b)
 	}
 	ts1.Close()
-	// A crash after completion: the finished record is already durable.
+	// A crash after completion. The client sees "done" before the
+	// worker has journaled the finished record, so wait for the worker
+	// to leave the job: only then is the record durable.
+	for deadline := time.Now().Add(10 * time.Second); s1.InFlight() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never left the finished job")
+		}
+	}
 	s1.Crash()
 
 	recoveredBefore := obs.CounterValue("serve.recovered")

@@ -34,6 +34,7 @@ import (
 	"irfusion/internal/journal"
 	"irfusion/internal/obs"
 	"irfusion/internal/parallel"
+	"irfusion/internal/plan"
 )
 
 // Service-level counters, registered in the process-global obs
@@ -101,9 +102,9 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// Resilience overrides the retry/backoff policy of the analysis
-	// degradation ladders. Zero-value fields take the core defaults;
+	// degradation ladders. Zero-value fields take the plan defaults;
 	// the Breakers field is always replaced by the server's shared set.
-	Resilience core.ResilienceOptions
+	Resilience plan.ResilienceOptions
 	// CacheBytes bounds the per-process artifact cache shared by all
 	// workers (ECO-loop requests hit it for warm starts and response
 	// reuse). 0 takes cache.DefaultMaxBytes; set DisableCache to turn
@@ -168,7 +169,7 @@ type Server struct {
 	queue    chan *Job
 	reg      *registry
 	start    time.Time
-	breakers *core.BreakerSet // per-rung breakers shared by all jobs
+	breakers *plan.BreakerSet // per-rung breakers shared by all jobs
 	cache    *cache.Cache     // per-process artifact cache; nil when disabled
 
 	journal     *journal.Journal // write-ahead job journal; nil when disabled
@@ -198,7 +199,7 @@ func New(cfg Config) *Server {
 		queue:      make(chan *Job, cfg.QueueDepth),
 		reg:        newRegistry(cfg.MaxJobs, cfg.Name),
 		start:      time.Now(),
-		breakers:   core.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		breakers:   plan.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
