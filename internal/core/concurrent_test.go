@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -76,10 +77,10 @@ func TestConcurrentNumericalAnalyzeManifestIsolation(t *testing.T) {
 
 // TestConcurrentFusedAnalyzeManifestIsolation is the fused-pipeline
 // counterpart: one tiny model is trained once, then each goroutine
-// analyzes with its own deserialized copy (model inference mutates
-// internal buffers, so concurrent users need their own instance —
-// the serving layer instead serializes a shared one) under its own
-// recorder, with a distinct rough-solve budget as the fingerprint.
+// analyzes with its own deserialized copy (each sets its own
+// Config.RoughIters; sharing one analyzer is TestPredictConcurrent)
+// under its own recorder, with a distinct rough-solve budget as the
+// fingerprint.
 func TestConcurrentFusedAnalyzeManifestIsolation(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epochs = 1
@@ -123,10 +124,10 @@ func TestConcurrentFusedAnalyzeManifestIsolation(t *testing.T) {
 				errs <- fmt.Errorf("run %d: %w", i, err)
 				return
 			}
-			// A fused analysis builds its sample (golden + rough solve)
-			// then runs inference: exactly two solves, the rough one at
-			// this goroutine's budget.
-			if len(m.Solves) != 2 {
+			// A fused analysis builds its label-free sample then runs
+			// inference: exactly one solve, the rough one at this
+			// goroutine's budget.
+			if len(m.Solves) != 1 {
 				errs <- fmt.Errorf("run %d: cross-talk: %d solves %+v", i, len(m.Solves), m.Solves)
 				return
 			}
@@ -155,6 +156,52 @@ func TestConcurrentFusedAnalyzeManifestIsolation(t *testing.T) {
 				}
 			}
 		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestPredictConcurrent pins that prediction is reentrant: 8 goroutines
+// each predict 3 samples on ONE analyzer, and every map must equal the
+// serial prediction bit for bit. Under -race this is the test that a
+// write to the shared model during inference (the per-call
+// SetTraining(false) PredictCtx used to make) fails.
+func TestPredictConcurrent(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Epochs = 1
+	train, test := tinySet(t, cfg, 2, 0)
+	res, err := Train(cfg, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := res.Analyzer
+	samples := append(train, test...)
+	want := make([][]float64, len(samples))
+	for i, s := range samples {
+		want[i] = a.Predict(s).Data
+	}
+
+	const n = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, n*len(samples))
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range samples {
+				i := (g + k) % len(samples)
+				got := a.Predict(samples[i]).Data
+				for p := range got {
+					if math.Float64bits(got[p]) != math.Float64bits(want[i][p]) {
+						errs <- fmt.Errorf("goroutine %d sample %d pixel %d: %v, serial %v", g, i, p, got[p], want[i][p])
+						break
+					}
+				}
+			}
+		}(g)
 	}
 	wg.Wait()
 	close(errs)

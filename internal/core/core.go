@@ -151,14 +151,19 @@ func (a *Analyzer) Predict(s *dataset.Sample) *grid.Map {
 // do not cross-talk. The dense forward pass is not interruptible; ctx
 // only selects the recorder here — cancellation takes effect at the
 // solver loops upstream (see AnalyzeCtx).
+//
+// It writes nothing to the analyzer or its model, so any number of
+// goroutines may predict on one analyzer at once. That rests on the
+// model being in eval mode, which is set where an analyzer is made
+// (Train, LoadAnalyzer, serve.New), not here. The sample needs no
+// label: the output takes its shape from the feature maps.
 func (a *Analyzer) PredictCtx(ctx context.Context, s *dataset.Sample) *grid.Map {
 	st := obs.ActiveOr(ctx).StartStage("ml.inference")
 	defer st.End()
-	x, _ := dataset.ToTensors([]*dataset.Sample{s})
-	a.Norm.Apply(x)
-	a.Model.SetTraining(false)
+	x := a.Norm.Apply(dataset.InputTensor([]*dataset.Sample{s}))
 	out := a.Model.Forward(nil, x)
-	m := grid.FromData(s.Golden.H, s.Golden.W, out.Data)
+	_, _, h, w := x.Dims4()
+	m := grid.FromData(h, w, out.Data)
 	inv := 1 / a.TargetScale
 	residual := a.Config.ResidualMode && a.Config.UseNumerical && s.RoughBottom != nil
 	for i, v := range m.Data {
@@ -182,9 +187,10 @@ func (a *Analyzer) Analyze(d *pgen.Design) (*grid.Map, time.Duration, error) {
 }
 
 // AnalyzeCtx is Analyze with cooperative cancellation and per-context
-// observability: the rough/golden solves stop early when ctx is
-// cancelled (solver.ErrCancelled), and all stage timers and solve
-// records report to the recorder bound to ctx, if any.
+// observability: the rough solve stops early when ctx is cancelled
+// (solver.ErrCancelled), and all stage timers and solve records report
+// to the recorder bound to ctx, if any. No converged solve runs: the
+// sample is the label-free dataset.BuildInferenceCtx.
 //
 // The rough solve of the numerical stage runs on a degradation
 // ladder: the configured budgeted PCG first, the random-walk solver
@@ -198,7 +204,7 @@ func (a *Analyzer) Analyze(d *pgen.Design) (*grid.Map, time.Duration, error) {
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*grid.Map, time.Duration, error) {
 	opts := a.Config.DatasetOptions()
 	opts.RoughSolver = a.RoughSolver(0)
-	s, err := dataset.BuildCtx(ctx, d, opts)
+	s, err := dataset.BuildInferenceCtx(ctx, d, opts)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -210,9 +216,9 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*grid.Map, t
 // RoughSolver builds the dataset.Options.RoughSolver hook that runs
 // the fused pipeline's rough solve on the degradation ladder
 // (plan.RoughLadder), with the given iteration budget (<= 0 uses the
-// config's RoughIters). Exported for callers that drive
-// dataset.BuildCtx themselves — the serving layer, which overrides the
-// budget per request.
+// config's RoughIters). Exported for callers that drive the dataset
+// build themselves — the serving layer, which overrides the budget per
+// request.
 func (a *Analyzer) RoughSolver(iters int) func(ctx context.Context, sys *circuit.System, x []float64) error {
 	if iters <= 0 {
 		iters = a.Config.RoughIters

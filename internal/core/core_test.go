@@ -475,16 +475,19 @@ func TestAnalyzerRunEmitsManifest(t *testing.T) {
 	if timed == 0 {
 		t.Fatalf("no stage with non-zero wall time in %d stages", len(m.Stages))
 	}
-	for _, want := range []string{"dataset.golden_solve", "ml.inference"} {
-		found := false
-		for _, st := range m.Stages {
-			if st.Name == want {
-				found = true
-			}
-		}
-		if !found {
+	// A fused analysis pays for the rough solve and one forward pass —
+	// never for a converged (label) solve.
+	stages := map[string]bool{}
+	for _, st := range m.Stages {
+		stages[st.Name] = true
+	}
+	for _, want := range []string{"dataset.rough_solve", "ml.inference"} {
+		if !stages[want] {
 			t.Errorf("stage %q missing from manifest", want)
 		}
+	}
+	if stages["dataset.golden_solve"] {
+		t.Error("Analyze ran a golden solve: the fused pipeline builds its sample without a label")
 	}
 
 	if len(m.Epochs) != cfg.Epochs {

@@ -106,6 +106,23 @@ func Build(d *pgen.Design, opts Options) (*Sample, error) {
 // numerical input as k budgeted iterations from a zero guess, and a
 // warm-started rough solve would shift that input distribution.
 func BuildCtx(ctx context.Context, d *pgen.Design, opts Options) (*Sample, error) {
+	return build(ctx, d, opts, true)
+}
+
+// BuildInferenceCtx is the build a fused analysis pays for: assembly,
+// the budgeted rough solve and the feature maps — everything the model
+// reads, and no label. The sample has a nil Golden, runs no converged
+// solve and neither reads nor writes the artifact cache (whose samples
+// carry labels); Analyzer.PredictCtx accepts it as it accepts a
+// labelled one.
+func BuildInferenceCtx(ctx context.Context, d *pgen.Design, opts Options) (*Sample, error) {
+	return build(ctx, d, opts, false)
+}
+
+// build is the one build body: the inference build, plus — when label
+// is set — the sample-cache lookup before it, the golden solve after
+// assembly, and the sample-cache store at the end.
+func build(ctx context.Context, d *pgen.Design, opts Options, label bool) (*Sample, error) {
 	rec := obs.ActiveOr(ctx)
 	// Fault-injection hook (faults.SiteDatasetBuild): latency/stall
 	// faults exercise the serving layer's timeout and cancellation
@@ -115,7 +132,10 @@ func BuildCtx(ctx context.Context, d *pgen.Design, opts Options) (*Sample, error
 			return nil, fmt.Errorf("dataset: %s: %w", d.Name, err)
 		}
 	}
-	cc := cache.ActiveOr(ctx)
+	var cc *cache.Cache
+	if label {
+		cc = cache.ActiveOr(ctx)
+	}
 	var fp string
 	if cc != nil {
 		fp = cache.DesignFingerprint(d)
@@ -147,17 +167,19 @@ func BuildCtx(ctx context.Context, d *pgen.Design, opts Options) (*Sample, error
 	}
 	st.End()
 
-	// Golden solve on the label ladder (plan.Golden): an exact cache hit,
-	// a warm start off a cached neighbor, or cold AMG-PCG from zero.
-	st = rec.StartStage("dataset.golden_solve")
-	gx := make([]float64, sys.N())
-	if err := plan.Golden(ctx, sys, gx, fp); err != nil {
-		return nil, fmt.Errorf("dataset: %s: golden solve: %w", d.Name, err)
+	s := &Sample{Name: d.Name, Class: d.Class}
+	if label {
+		// Golden solve on the label ladder (plan.Golden): an exact cache
+		// hit, a warm start off a cached neighbor, or cold AMG-PCG from
+		// zero.
+		st = rec.StartStage("dataset.golden_solve")
+		gx := make([]float64, sys.N())
+		if err := plan.Golden(ctx, sys, gx, fp); err != nil {
+			return nil, fmt.Errorf("dataset: %s: golden solve: %w", d.Name, err)
+		}
+		s.Golden = features.GoldenMap(nw, sys.FullDrops(gx), opts.H, opts.W)
+		st.End()
 	}
-	golden := features.GoldenMap(nw, sys.FullDrops(gx), opts.H, opts.W)
-	st.End()
-
-	s := &Sample{Name: d.Name, Class: d.Class, Golden: golden}
 
 	start := time.Now()
 	fs := &features.Set{}
@@ -345,26 +367,45 @@ func Oversample(samples []*Sample, fakeTimes, realTimes int) []*Sample {
 
 // ToTensors stacks samples into an input tensor [N,C,H,W] and a
 // target tensor [N,1,H,W]. All samples must share channel count and
-// resolution.
+// resolution, and carry a label.
 func ToTensors(samples []*Sample) (*nn.Tensor, *nn.Tensor) {
-	if len(samples) == 0 {
-		panic("dataset: ToTensors with no samples")
-	}
-	c := samples[0].Features.Channels()
-	h, w := samples[0].Golden.H, samples[0].Golden.W
-	x := nn.NewTensor(len(samples), c, h, w)
+	x := InputTensor(samples)
+	_, _, h, w := x.Dims4()
 	y := nn.NewTensor(len(samples), 1, h, w)
 	hw := h * w
 	for ni, s := range samples {
-		if s.Features.Channels() != c || s.Golden.H != h || s.Golden.W != w {
+		if s.Golden.H != h || s.Golden.W != w {
 			panic("dataset: inconsistent sample shapes")
-		}
-		for ci, m := range s.Features.Maps {
-			copy(x.Data[(ni*c+ci)*hw:(ni*c+ci+1)*hw], m.Data)
 		}
 		copy(y.Data[ni*hw:(ni+1)*hw], s.Golden.Data)
 	}
 	return x, y
+}
+
+// InputTensor stacks the samples' feature maps into the model input
+// [N,C,H,W], taking the resolution from the maps themselves, so it
+// serves labelled and label-free (BuildInferenceCtx) samples alike.
+func InputTensor(samples []*Sample) *nn.Tensor {
+	if len(samples) == 0 {
+		panic("dataset: InputTensor with no samples")
+	}
+	first := samples[0].Features
+	c := first.Channels()
+	h, w := first.Maps[0].H, first.Maps[0].W
+	x := nn.NewTensor(len(samples), c, h, w)
+	hw := h * w
+	for ni, s := range samples {
+		if s.Features.Channels() != c {
+			panic("dataset: inconsistent sample shapes")
+		}
+		for ci, m := range s.Features.Maps {
+			if m.H != h || m.W != w {
+				panic("dataset: inconsistent sample shapes")
+			}
+			copy(x.Data[(ni*c+ci)*hw:(ni*c+ci+1)*hw], m.Data)
+		}
+	}
+	return x
 }
 
 // Normalizer rescales feature channels to comparable magnitudes using

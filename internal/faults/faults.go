@@ -69,7 +69,7 @@ import (
 const (
 	SitePCG          = "solver.pcg"    // per-iteration hook in solver.PCGCtx
 	SiteAMGSetup     = "amg.setup"     // hierarchy construction in amg.BuildCtx
-	SiteDatasetBuild = "dataset.build" // start of dataset.BuildCtx
+	SiteDatasetBuild = "dataset.build" // start of a dataset build (BuildCtx, BuildInferenceCtx)
 	SiteFeatures     = "features.map"  // per-map hook in internal/features
 	SiteServeWorker  = "serve.worker"  // job execution in internal/serve workers
 	SiteCacheLookup  = "cache.lookup"  // exact-hit artifact lookup in internal/cache

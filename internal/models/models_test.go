@@ -296,3 +296,30 @@ func TestModelNamesStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalForwardMatchesTapedForward: in eval mode a nil tape selects
+// the inference kernels (pooled im2col buffer, statistics-free batch
+// norm); every registered model must produce the taped path's bits,
+// after a training step has moved the running statistics off their
+// initial values.
+func TestEvalForwardMatchesTapedForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, name := range Names() {
+		m, err := New(name, smallCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetTraining(true)
+		m.Forward(nil, randInput(rng, 2, 5, 16, 16))
+		m.SetTraining(false)
+		x := randInput(rng, 1, 5, 16, 16)
+		want := m.Forward(nn.NewTape(), x)
+		got := m.Forward(nil, x)
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Errorf("%s: element %d is %v on the nil-tape path, %v on the taped path", name, i, got.Data[i], want.Data[i])
+				break
+			}
+		}
+	}
+}

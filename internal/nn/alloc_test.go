@@ -5,6 +5,8 @@ package nn
 // rationale.
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"irfusion/internal/parallel"
@@ -67,4 +69,52 @@ func TestZeroAllocIm2colCol2im(t *testing.T) {
 	requireZeroAllocs(t, "col2im", func() {
 		col2im(cols, grad, ic, ih, iw, kh, kw, stride, pad, oh, ow)
 	})
+}
+
+// evalAllocBytes reports the heap bytes and objects one call of fn
+// allocates in steady state, averaged over 50 calls.
+func evalAllocBytes(fn func()) (bytes, objects float64) {
+	const runs = 50
+	fn() // warm: fills the column pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs, float64(after.Mallocs-before.Mallocs) / runs
+}
+
+// TestEvalConvAndBatchNormAllocateOnlyTheirOutput: with a nil tape,
+// Conv2D borrows its k·oh·ow column buffer and eval BatchNorm2d keeps
+// neither xhat nor statistics copies. What is left is the output
+// tensor (struct, shape, data); half the scratch size of slack lets a
+// garbage collection empty the pool once mid-measurement.
+func TestEvalConvAndBatchNormAllocateOnlyTheirOutput(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	pinSerialPool(t)
+	const ic, oc, h, w = 8, 4, 32, 32
+	x := NewTensor(1, ic, h, w)
+	for i := range x.Data {
+		x.Data[i] = float64(i%13) - 6
+	}
+	conv := NewConv2d(rand.New(rand.NewSource(1)), ic, oc, 3, 1, 1)
+	const scratch = ic * 3 * 3 * h * w * 8 // the column buffer, 8× the output
+	const slack = 512                      // tensor struct + shape slice
+
+	bytes, objects := evalAllocBytes(func() { conv.Forward(nil, x) })
+	if limit := float64(oc*h*w*8 + slack + scratch/2); bytes > limit || objects > 8 {
+		t.Errorf("eval Conv2D allocates %.0f B in %.1f objects per call, want <= %.0f B (output %d B, scratch %d B) in <= 8",
+			bytes, objects, limit, oc*h*w*8, scratch)
+	}
+
+	bn := NewBatchNorm2d(ic)
+	bn.SetTraining(false)
+	bytes, objects = evalAllocBytes(func() { bn.Forward(nil, x) })
+	if limit := float64(ic*h*w*8 + slack); bytes > limit || objects > 8 {
+		t.Errorf("eval BatchNorm2d allocates %.0f B in %.1f objects per call, want <= %.0f B (the output alone) in <= 8",
+			bytes, objects, limit)
+	}
 }

@@ -127,6 +127,24 @@ func (l *BatchNorm2d) Forward(tp *Tape, x *Tensor) *Tensor {
 	}
 	out := result(tp, x.Shape, x, l.Gamma, l.Beta)
 	hw := h * w
+	if tp == nil && !l.Training {
+		// Inference: nothing is recorded, so neither xhat nor copies of
+		// the running statistics are kept — the output is the only
+		// allocation, and the layer is only read (reentrant). Same
+		// arithmetic, in the same order, as the general path below.
+		for ni := 0; ni < n; ni++ {
+			for ci := 0; ci < c; ci++ {
+				base := (ni*c + ci) * hw
+				g, bta := l.Gamma.Data[ci], l.Beta.Data[ci]
+				mu, is := l.RunMean[ci], 1/math.Sqrt(l.RunVar[ci]+l.Eps)
+				for j, xv := range x.Data[base : base+hw] {
+					xh := (xv - mu) * is
+					out.Data[base+j] = g*xh + bta
+				}
+			}
+		}
+		return out
+	}
 	m := float64(n * hw)
 
 	mean := make([]float64, c)

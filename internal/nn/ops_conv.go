@@ -1,5 +1,23 @@
 package nn
 
+import "sync"
+
+// colsPool lends Conv2D its im2col column buffer. im2col overwrites
+// every element, so a borrowed buffer needs no zeroing, and a forward
+// pass stops allocating (and the collector stops sweeping) k·oh·ow
+// floats per convolution. Buffers too small for the asking conv are
+// dropped; the pool converges on the largest shape in use.
+var colsPool sync.Pool // of *[]float64
+
+func borrowCols(n int) *[]float64 {
+	if p, _ := colsPool.Get().(*[]float64); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	buf := make([]float64, n)
+	return &buf
+}
+
 // Conv2D applies a 2-D convolution (cross-correlation) with weights
 // w[OC, IC, KH, KW], optional bias b[OC] (nil to skip), the given
 // stride, and symmetric zero padding. Implemented as im2col + GEMM.
@@ -25,7 +43,9 @@ func Conv2D(tp *Tape, x, w, b *Tensor, stride, pad int) *Tensor {
 	}
 
 	k := ic * kh * kw
-	cols := make([]float64, k*oh*ow) // per-sample column buffer
+	colsBuf := borrowCols(k * oh * ow) // per-sample column buffer
+	defer colsPool.Put(colsBuf)
+	cols := *colsBuf
 	inputs := []*Tensor{x, w}
 	if b != nil {
 		inputs = append(inputs, b)
@@ -120,16 +140,29 @@ func im2colRange(img, cols []float64, ih, iw, kh, kw, stride, pad, oh, ow, start
 		dy := rem / kw
 		dx := rem % kw
 		dst := row * oh * ow
+		// At stride 1 the in-image part of an output row is one
+		// contiguous run of the source row: ox in [lo, hi) reads
+		// sx = ox+dx-pad in [0, iw); the run is empty (hi == lo) when
+		// the tap lies wholly in the padding.
+		lo := min(ow, max(0, pad-dx))
+		hi := max(lo, min(ow, iw+pad-dx))
 		for oy := 0; oy < oh; oy++ {
 			sy := oy*stride + dy - pad
 			if sy < 0 || sy >= ih {
-				for ox := 0; ox < ow; ox++ {
-					cols[dst] = 0
-					dst++
-				}
+				clear(cols[dst : dst+ow])
+				dst += ow
 				continue
 			}
 			srcBase := (c*ih + sy) * iw
+			if stride == 1 {
+				clear(cols[dst : dst+lo])
+				if hi > lo {
+					copy(cols[dst+lo:dst+hi], img[srcBase+lo+dx-pad:])
+				}
+				clear(cols[dst+hi : dst+ow])
+				dst += ow
+				continue
+			}
 			for ox := 0; ox < ow; ox++ {
 				sx := ox*stride + dx - pad
 				if sx < 0 || sx >= iw {

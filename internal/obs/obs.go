@@ -8,7 +8,7 @@
 //
 //   - A per-run Recorder of named counters, gauges, labeled solver
 //     convergence traces, per-epoch training records, and monotonic
-//     stage timers (wall time plus runtime.ReadMemStats allocation
+//     stage timers (wall time plus runtime/metrics allocation
 //     deltas). Every Recorder method is safe for concurrent use and
 //     safe on a nil receiver, so instrumented code calls it
 //     unconditionally: when no run is being observed, Active() returns
@@ -30,7 +30,7 @@ package obs
 
 import (
 	"math"
-	"runtime"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -102,7 +102,7 @@ func GlobalCounters() map[string]int64 {
 
 // StageRecord aggregates every completed timer of one stage name:
 // how often the stage ran, its total wall time, and the total heap
-// allocation it caused (process-global ReadMemStats deltas, so
+// allocation it caused (process-global runtime/metrics deltas, so
 // concurrent allocation from other goroutines is attributed too —
 // treat the byte counts as indicative, not exact).
 type StageRecord struct {
@@ -275,9 +275,18 @@ func (r *Recorder) StartStage(name string) *Stage {
 	if r == nil {
 		return nil
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return &Stage{r: r, name: name, start: time.Now(), alloc: ms.TotalAlloc, mallocs: ms.Mallocs}
+	alloc, mallocs := heapAllocs()
+	return &Stage{r: r, name: name, start: time.Now(), alloc: alloc, mallocs: mallocs}
+}
+
+// heapAllocs reads the process-wide cumulative heap allocation (bytes,
+// objects). runtime/metrics serves both without stopping the world,
+// which runtime.ReadMemStats does on every call: at two reads per stage
+// that paused every other worker's kernels some twenty times a request.
+func heapAllocs() (bytes, objects uint64) {
+	s := [2]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/heap/allocs:objects"}}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64(), s[1].Value.Uint64()
 }
 
 // End completes the stage and folds it into the recorder.
@@ -286,9 +295,8 @@ func (s *Stage) End() {
 		return
 	}
 	d := time.Since(s.start)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	s.r.recordStage(s.name, d, ms.TotalAlloc-s.alloc, ms.Mallocs-s.mallocs)
+	alloc, mallocs := heapAllocs()
+	s.r.recordStage(s.name, d, alloc-s.alloc, mallocs-s.mallocs)
 }
 
 func (r *Recorder) recordStage(name string, d time.Duration, alloc, mallocs uint64) {

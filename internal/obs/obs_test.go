@@ -104,6 +104,25 @@ func TestActiveSaveRestore(t *testing.T) {
 	}
 }
 
+// stageSink keeps TestStageReportsAllocation's buffer reachable so the
+// compiler cannot elide the allocation.
+var stageSink []byte
+
+// TestStageReportsAllocation pins the allocation deltas of a stage to
+// the runtime/metrics counters: a 1 MiB allocation inside the stage is
+// a large object, counted the moment it is made, so the record must
+// show at least that much and at least one object.
+func TestStageReportsAllocation(t *testing.T) {
+	r := NewRecorder()
+	st := r.StartStage("alloc")
+	stageSink = make([]byte, 1<<20)
+	st.End()
+	got := r.Manifest("test", nil).Stages[0]
+	if got.AllocBytes < 1<<20 || got.Mallocs < 1 {
+		t.Fatalf("stage allocating 1 MiB reported %d bytes in %d objects", got.AllocBytes, got.Mallocs)
+	}
+}
+
 func testManifest(t *testing.T) *Manifest {
 	t.Helper()
 	r := NewRecorder()

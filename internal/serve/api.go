@@ -722,9 +722,11 @@ func (s *Server) executeUncached(ctx context.Context, j *Job) (*AnalyzeResult, e
 	return out, nil
 }
 
-// executeFused runs the fused numerical+ML pipeline. The numerical
-// stage runs concurrently across jobs; inference on the shared model
-// instance is serialized by s.mlMu.
+// executeFused runs the fused numerical+ML pipeline: the label-free
+// sample build (assembly, the budgeted rough solve, feature maps — no
+// converged solve) and one forward pass. Nothing in it is serialized
+// across jobs: inference only reads the shared model (see
+// core.Analyzer.PredictCtx), so Config.Workers fused jobs run at once.
 func (s *Server) executeFused(ctx context.Context, req *AnalyzeRequest, d *pgen.Design) (*AnalyzeResult, error) {
 	al := s.cfg.Analyzer
 	cfg := al.Config
@@ -736,7 +738,7 @@ func (s *Server) executeFused(ctx context.Context, req *AnalyzeRequest, d *pgen.
 	// PCG → random walk → structure-only), sharing the server's
 	// circuit breakers, at this request's iteration budget.
 	opts.RoughSolver = al.RoughSolver(req.Iters)
-	sample, err := dataset.BuildCtx(ctx, d, opts)
+	sample, err := dataset.BuildInferenceCtx(ctx, d, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -744,20 +746,9 @@ func (s *Server) executeFused(ctx context.Context, req *AnalyzeRequest, d *pgen.
 		return nil, fmt.Errorf("%w before inference: %w", solver.ErrCancelled, err)
 	}
 	start := time.Now()
-	pred := s.predictLocked(ctx, sample)
+	pred := al.PredictCtx(ctx, sample)
 	rt := sample.NumericalTime + time.Since(start)
 	return newResult(req, d, pred, rt.Seconds()), nil
-}
-
-// predictLocked serializes inference on the shared model instance.
-// The unlock is deferred so a panicking forward pass (recovered by
-// executeProtected) cannot leave the mutex held and wedge every
-// subsequent fused job.
-func (s *Server) predictLocked(ctx context.Context, sample *dataset.Sample) *grid.Map {
-	s.mlMu.Lock()
-	defer s.mlMu.Unlock()
-	//irfusion:lock-ok serializing inference is this mutex's entire purpose; the model instance is not reentrant and PredictCtx honors ctx cancellation
-	return s.cfg.Analyzer.PredictCtx(ctx, sample)
 }
 
 // resilience returns the ladder policy for one job: the configured

@@ -1,0 +1,187 @@
+package serve
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+
+	"irfusion/internal/core"
+	"irfusion/internal/dataset"
+	"irfusion/internal/pgen"
+)
+
+// fusedRes is the die size and raster resolution of the fused tests.
+const fusedRes = 24
+
+// tinyAnalyzer trains the smallest fused pipeline that runs (two
+// designs, one epoch). Each test trains its own: serve.New writes the
+// server's breakers into the analyzer it is given.
+func tinyAnalyzer(t *testing.T) *core.Analyzer {
+	t.Helper()
+	cfg := core.Default(fusedRes)
+	cfg.Base, cfg.Depth, cfg.Epochs, cfg.UseAugmentation = 4, 2, 1, false
+	set, err := dataset.GenerateSet(1, 1, fusedRes, 70, cfg.DatasetOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Train(cfg, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Analyzer
+}
+
+func fusedBody(seed int64, extra string) string {
+	return pgenBody(seed, fusedRes, `"mode": "fused", "include_map": true`+extra)
+}
+
+// fusedReference is the map a direct Analyzer.AnalyzeCtx call returns
+// for the design pgenBody(seed, fusedRes, …) makes the server generate.
+func fusedReference(t *testing.T, a *core.Analyzer, seed int64) []float64 {
+	t.Helper()
+	d, err := pgen.Generate(pgen.DefaultConfig("request", pgen.Fake, fusedRes, fusedRes, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := a.AnalyzeCtx(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Data
+}
+
+// mapsDiffer reports the first pixel where got and want disagree by
+// more than 1e-9 V, or "" when they agree.
+func mapsDiffer(got, want []float64) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("map has %d pixels, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Abs(got[i]-want[i]) > 1e-9 {
+			return fmt.Sprintf("pixel %d: %v, direct AnalyzeCtx %v", i, got[i], want[i])
+		}
+	}
+	return ""
+}
+
+// TestFusedAnalyze is the passing path of fused serving, sync and
+// async: the served map is the direct pipeline's map, and the manifest
+// shows what a fused request pays for — the budgeted rough solve and
+// one forward pass, no converged solve — and stores: the response,
+// nothing else.
+func TestFusedAnalyze(t *testing.T) {
+	a := tinyAnalyzer(t)
+	s, ts := newTestServer(t, Config{Analyzer: a})
+	for i, async := range []bool{false, true} {
+		seed := int64(11 + i)
+		storesBefore := s.CacheStats().Stores
+		extra := ""
+		if async {
+			extra = `, "async": true`
+		}
+		code, b := post(t, ts, "/v1/analyze", fusedBody(seed, extra))
+		v := decodeJob(t, b)
+		if async {
+			if code != http.StatusAccepted {
+				t.Fatalf("async: status %d: %s", code, b)
+			}
+			v = waitStatus(t, ts, v.ID, Status.Terminal)
+		} else if code != http.StatusOK {
+			t.Fatalf("sync: status %d: %s", code, b)
+		}
+		if v.Status != StatusDone || v.Result == nil {
+			t.Fatalf("async=%t: status %q, error %q", async, v.Status, v.Error)
+		}
+		r := v.Result
+		if r.Mode != ModeFused || r.Resolution != fusedRes {
+			t.Errorf("async=%t: mode %q resolution %d, want fused/%d", async, r.Mode, r.Resolution, fusedRes)
+		}
+		if diff := mapsDiffer(r.Map, fusedReference(t, a, seed)); diff != "" {
+			t.Errorf("async=%t: %s", async, diff)
+		}
+
+		m := r.Manifest
+		if m == nil {
+			t.Fatalf("async=%t: no manifest", async)
+		}
+		stages := map[string]bool{}
+		for _, st := range m.Stages {
+			stages[st.Name] = true
+		}
+		for _, want := range []string{"dataset.rough_solve", "ml.inference"} {
+			if !stages[want] {
+				t.Errorf("async=%t: stage %q missing from the manifest", async, want)
+			}
+		}
+		if stages["dataset.golden_solve"] {
+			t.Errorf("async=%t: a fused request ran a golden solve", async)
+		}
+		for _, sv := range m.Solves {
+			if sv.Iterations > a.Config.RoughIters {
+				t.Errorf("async=%t: solve %q ran %d iterations, above the rough budget %d", async, sv.Label, sv.Iterations, a.Config.RoughIters)
+			}
+		}
+		if got := s.CacheStats().Stores - storesBefore; got != 1 {
+			t.Errorf("async=%t: the job stored %d cache entries, want 1 (the response)", async, got)
+		}
+	}
+}
+
+// TestFusedConcurrent keeps 16 fused requests over 4 decks in flight on
+// 4 workers sharing one model, with the cache off so every one of them
+// runs inference. Each map must equal its deck's serial reference;
+// under -race this is the end-to-end proof that the workers' forward
+// passes share the model without writing to it.
+func TestFusedConcurrent(t *testing.T) {
+	a := tinyAnalyzer(t)
+	_, ts := newTestServer(t, Config{Analyzer: a, Workers: 4, QueueDepth: 32, DisableCache: true})
+	const decks, requests = 4, 16
+	want := make([][]float64, decks)
+	for i := range want {
+		want[i] = fusedReference(t, a, int64(21+i))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, requests)
+	for i := 0; i < requests; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			deck := i % decks
+			code, v, err := postJob(ts, fusedBody(int64(21+deck), ""))
+			switch {
+			case err != nil:
+				errs <- fmt.Errorf("request %d: %w", i, err)
+			case code != http.StatusOK || v.Status != StatusDone || v.Result == nil:
+				errs <- fmt.Errorf("request %d: http %d, status %q, error %q", i, code, v.Status, v.Error)
+			default:
+				if diff := mapsDiffer(v.Result.Map, want[deck]); diff != "" {
+					errs <- fmt.Errorf("request %d (deck %d): %s", i, deck, diff)
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// postJob is post for goroutines other than the test's own: it returns
+// errors instead of calling t.Fatal.
+func postJob(ts *httptest.Server, body string) (int, JobView, error) {
+	var v JobView
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(body))
+	if err != nil {
+		return 0, v, err
+	}
+	defer resp.Body.Close()
+	err = json.NewDecoder(resp.Body).Decode(&v)
+	return resp.StatusCode, v, err
+}

@@ -70,9 +70,10 @@ type Config struct {
 	// ids and reports are exactly as before clustering existed.
 	Name string
 	// Workers is the number of job-queue workers — the number of
-	// analyses in flight at once. Each analysis additionally fans its
-	// numerical kernels out on the shared internal/parallel pool.
-	// Default 2.
+	// analyses in flight at once, in every mode: fused inference runs
+	// concurrently on the shared model too. Each analysis additionally
+	// fans its numerical and dense kernels out on the shared
+	// internal/parallel pool. Default 2.
 	Workers int
 	// QueueDepth bounds the number of queued (not yet running) jobs;
 	// submissions beyond it are rejected with 503. Default 16.
@@ -91,8 +92,9 @@ type Config struct {
 	// evicted beyond it. Default 256.
 	MaxJobs int
 	// Analyzer, when non-nil, enables "fused" mode with this trained
-	// pipeline. The model instance is shared, so the ML inference
-	// stage is serialized across jobs (the numerical stage is not).
+	// pipeline. The model instance is shared and only read: New puts it
+	// in eval mode once, after which inference is reentrant. Do not
+	// train or toggle the model while the server runs.
 	Analyzer *core.Analyzer
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// solve backend's circuit breaker: an open breaker makes the
@@ -180,8 +182,6 @@ type Server struct {
 	baseCtx    context.Context // parent of every job context
 	baseCancel context.CancelFunc
 
-	mlMu sync.Mutex // serializes fused-model inference
-
 	submitMu sync.Mutex // guards queue sends against Close
 	draining bool
 
@@ -217,6 +217,10 @@ func New(cfg Config) *Server {
 		res := cfg.Resilience
 		res.Breakers = s.breakers
 		cfg.Analyzer.Resilience = res
+		// Eval mode is what makes the workers' concurrent forward passes
+		// read-only; Train and LoadAnalyzer already leave it set, a
+		// hand-built analyzer may not.
+		cfg.Analyzer.Model.SetTraining(false)
 	}
 	s.routes()
 	if cfg.JournalDir != "" {
