@@ -108,7 +108,7 @@ func main() {
 	m := rec.Manifest("experiments", sc)
 	fmt.Fprint(os.Stderr, m.Summary())
 	if *manifest != "" {
-		if err := obs.FileSink(*manifest).Write(m); err != nil {
+		if err := m.WriteFile(*manifest); err != nil {
 			log.Fatalf("manifest: %v", err)
 		}
 		log.Printf("wrote %s", *manifest)

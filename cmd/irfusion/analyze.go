@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -11,23 +10,23 @@ import (
 	"irfusion/internal/cache"
 	"irfusion/internal/core"
 	"irfusion/internal/grid"
-	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
 	"irfusion/internal/serve"
-	"irfusion/internal/spice"
 )
 
-// cmdAnalyze runs one end-to-end IR-drop analysis with full
-// observability: every stage, solve, and kernel dispatch of the run is
-// recorded and can be exported as a JSON manifest (-manifest) or
-// inspected live (-debug-addr).
+// cmdAnalyze is the one CLI path from a design to an IR-drop map,
+// with full observability: every stage, solve, and kernel dispatch of
+// the run is recorded and can be exported as a JSON manifest
+// (-manifest) or inspected live (-debug-addr).
 //
-// Without -spice it generates a synthetic design first, so
-// `irfusion analyze -manifest out.json` works standalone. Without
-// -model-file it runs the pure numerical analyzer (converged AMG-PCG
-// by default, a budgeted rough solve with -iters); with -model-file it
-// runs the fused numerical+ML pipeline.
-func cmdAnalyze(args []string) error {
+// With -spice the deck is admitted exactly as POST /v1/analyze admits
+// it (serve.DeckDesign: linted, die size from the node names); without
+// it a synthetic design is generated first, so `irfusion analyze
+// -manifest out.json` works standalone. Without -model-file it runs
+// the pure numerical analyzer (converged AMG-PCG by default, a
+// budgeted rough solve with -iters); with -model-file it runs the
+// fused numerical+ML pipeline. It returns the last map it computed.
+func cmdAnalyze(args []string) (*grid.Map, error) {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	deck := fs.String("spice", "", "input SPICE file (default: generate a synthetic design)")
 	class := fs.String("class", "real", "generated design class: fake|real")
@@ -39,45 +38,41 @@ func cmdAnalyze(args []string) error {
 	format := fs.String("format", "auto", "SpMV storage format: auto|csr|sell")
 	modelFile := fs.String("model-file", "", "trained checkpoint: run the fused numerical+ML pipeline")
 	pgm := fs.String("pgm", "", "write the drop map as PGM")
-	resFlag := fs.Int("res", 0, "raster resolution (default: die size or model resolution)")
+	resFlag := fs.Int("res", 0, "raster resolution (default: die size or model resolution; also the die size of a deck whose node names carry no coordinates)")
 	useCache := fs.Bool("cache", false, "enable the process artifact cache (sized by IRFUSION_CACHE_BYTES/IRFUSION_CACHE_TTL)")
 	repeat := fs.Int("repeat", 1, "run the analysis N times under one manifest — with -cache, later runs hit or warm-start")
 	perturb := fs.Float64("perturb", 0, "ECO-style resistor perturbation fraction applied before each repeat after the first")
-	hitManifest := fs.String("hit-manifest", "", "with -cache: after the repeats, re-analyze the original design under a fresh recorder and write its manifest here — an exact cache hit, so zero solves; gate it with manifestcheck -allow-hit")
 	faultSpec := addFaultsFlag(fs)
 	of := addObsFlags(fs)
 	fs.Parse(args)
 	if err := applyFaults(*faultSpec); err != nil {
-		return err
+		return nil, err
 	}
 	switch *precision {
 	case "full", "mixed":
 	default:
-		return fmt.Errorf("-precision %q: want full or mixed", *precision)
+		return nil, fmt.Errorf("-precision %q: want full or mixed", *precision)
 	}
 	switch *format {
 	case "auto", "csr", "sell":
 	default:
-		return fmt.Errorf("-format %q: want auto, csr, or sell", *format)
+		return nil, fmt.Errorf("-format %q: want auto, csr, or sell", *format)
 	}
 	if *useCache {
 		prev := cache.SetActive(cache.NewFromEnv())
 		defer cache.SetActive(prev)
 	}
 
-	// Resolve the design: parse a deck or generate one.
+	// Resolve the design: admit a deck or generate one.
 	var d *pgen.Design
 	if *deck != "" {
-		f, err := os.Open(*deck)
+		text, err := os.ReadFile(*deck)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		nl, err := spice.Parse(f)
-		f.Close()
-		if err != nil {
-			return err
+		if d, err = serve.DeckDesign(*deck, string(text), *resFlag); err != nil {
+			return nil, err
 		}
-		d = &pgen.Design{Name: *deck, W: *size, H: *size, VDD: serve.PadVoltage(nl), Netlist: nl}
 	} else {
 		c := pgen.Fake
 		if *class == "real" {
@@ -86,14 +81,14 @@ func cmdAnalyze(args []string) error {
 		var err error
 		d, err = pgen.Generate(pgen.DefaultConfig("analyze", c, *size, *size, *seed))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		log.Printf("generated %s design %q (%dx%d, seed %d)", *class, d.Name, *size, *size, *seed)
 	}
 
 	res := *resFlag
 	if res == 0 {
-		res = *size
+		res = d.W
 	}
 
 	finish := of.start("analyze", map[string]any{
@@ -117,12 +112,12 @@ func cmdAnalyze(args []string) error {
 	if *modelFile != "" {
 		mf, err := os.Open(*modelFile)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		analyzer, err = core.LoadAnalyzer(mf)
 		mf.Close()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if *resFlag == 0 {
 			res = analyzer.Config.Resolution
@@ -170,42 +165,16 @@ func cmdAnalyze(args []string) error {
 		}
 		var err error
 		if m, err = runOne(cur); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
 	if *pgm != "" {
 		if err := os.WriteFile(*pgm, []byte(m.PGM()), 0o644); err != nil {
-			return err
+			return nil, err
 		}
 		log.Printf("wrote %s (%dx%d)", *pgm, m.W, m.H)
 	}
 
-	// A hit-only manifest: the original design one more time, under an
-	// isolated recorder, answered entirely from the artifact cache —
-	// zero solves by design, which is exactly what manifestcheck
-	// -allow-hit exists to gate.
-	if *hitManifest != "" {
-		if !*useCache || analyzer != nil {
-			return fmt.Errorf("-hit-manifest needs -cache and the numerical pipeline")
-		}
-		rec := obs.NewRecorder()
-		ctx := obs.WithRecorder(context.Background(), rec)
-		na := &core.NumericalAnalyzer{
-			Iters: *iters, Resolution: res, Precond: *precond,
-			Precision: *precision, Format: *format,
-		}
-		if _, _, _, err := na.AnalyzeCtx(ctx, d); err != nil {
-			return fmt.Errorf("hit-manifest run: %w", err)
-		}
-		hm := rec.Manifest("analyze-hit", map[string]any{"size": *size, "seed": *seed})
-		if hm.Cache == nil || hm.Cache.Hits == 0 {
-			return fmt.Errorf("hit-manifest run missed the cache (was the first run budgeted?)")
-		}
-		if err := obs.FileSink(*hitManifest).Write(hm); err != nil {
-			return fmt.Errorf("hit manifest: %w", err)
-		}
-		log.Printf("wrote %s (hit-only manifest)", *hitManifest)
-	}
-	return finish()
+	return m, finish()
 }

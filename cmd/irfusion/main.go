@@ -2,27 +2,26 @@
 // library:
 //
 //	irfusion gen      -out design.sp [-class real] [-size 64] [-seed 1] [-config cfg.json]
-//	irfusion solve    -spice design.sp [-iters 0] [-tol 1e-10] [-pgm drop.pgm]
-//	irfusion analyze  [-spice design.sp] [-iters 0] [-model-file model.bin] [-manifest run.json]
+//	irfusion analyze  [-spice design.sp] [-iters 0] [-model-file model.bin] [-pgm drop.pgm] [-manifest run.json]
+//	irfusion rehearse [cold degraded cache-chaos cache-hit mixed requeue restart]
 //	irfusion transient -spice design.sp [-h 1e-12] [-steps 100] [-burst 20]
 //	irfusion serve    [-addr localhost:8080] [-workers 2] [-queue 16] [-model-file model.bin]
 //	irfusion gateway  -shards a=http://h1:8080,b=http://h2:8080 [-addr localhost:8090]
 //	irfusion train    -model irfusion [-fake 8 -real 4 -epochs 10] -out model.bin
-//	irfusion predict  -spice design.sp -model-file model.bin [-pgm pred.pgm]
 //	irfusion models
 //
-// "solve" is the pure numerical flow (SPICE → MNA → AMG-PCG);
-// "analyze" is the instrumented end-to-end run (numerical or fused)
-// that can emit a JSON run manifest; "transient" integrates dynamic IR
-// drop over C cards; "predict" runs the fused pipeline with a trained
-// model.
+// "analyze" is the one path from a design to a map: SPICE → MNA →
+// AMG-PCG, converged or budgeted with -iters, and the fused
+// numerical+ML pipeline with -model-file; "rehearse" runs the
+// resilience and durability scenarios the CI gates on (see
+// rehearse.go); "transient" integrates dynamic IR drop over C cards.
 //
-// solve, analyze, train, and predict accept -manifest FILE to write a
+// analyze, train, serve, and gateway accept -manifest FILE to write a
 // structured run manifest (stage timings, convergence traces, pool
 // utilization) and -debug-addr ADDR to serve live expvar counters and
-// pprof profiles during the run. analyze and serve additionally accept
-// -faults SPEC to install a fault-injection profile (same grammar as
-// IRFUSION_FAULTS; see internal/faults) for degradation rehearsals.
+// pprof profiles during the run. analyze, serve, and gateway
+// additionally accept -faults SPEC to install a fault-injection
+// profile (same grammar as IRFUSION_FAULTS; see internal/faults).
 package main
 
 import (
@@ -30,16 +29,11 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
-	"irfusion/internal/amg"
 	"irfusion/internal/circuit"
 	"irfusion/internal/core"
 	"irfusion/internal/dataset"
-	"irfusion/internal/features"
 	"irfusion/internal/pgen"
-	"irfusion/internal/serve"
-	"irfusion/internal/solver"
 	"irfusion/internal/spice"
 )
 
@@ -53,14 +47,12 @@ func main() {
 	switch os.Args[1] {
 	case "gen":
 		err = cmdGen(os.Args[2:])
-	case "solve":
-		err = cmdSolve(os.Args[2:])
 	case "analyze":
-		err = cmdAnalyze(os.Args[2:])
+		_, err = cmdAnalyze(os.Args[2:])
+	case "rehearse":
+		os.Exit(cmdRehearse(os.Args[2:]))
 	case "train":
 		err = cmdTrain(os.Args[2:])
-	case "predict":
-		err = cmdPredict(os.Args[2:])
 	case "transient":
 		err = cmdTransient(os.Args[2:])
 	case "serve":
@@ -87,18 +79,18 @@ func usage() {
 
 commands:
   gen      generate a synthetic power-grid SPICE deck
-  solve    numerical IR-drop analysis (AMG-PCG)
-  analyze  instrumented end-to-end analysis; -manifest writes a JSON run manifest
+  analyze  IR-drop analysis of a deck or a generated design: numerical (AMG-PCG),
+           or fused numerical+ML with -model-file; -manifest writes a JSON run manifest
+  rehearse run the resilience and durability scenarios (all, or the named rows)
   transient dynamic IR-drop analysis (backward Euler over C cards)
   serve    long-lived HTTP analysis service (POST /v1/analyze; see docs/SERVING.md)
   gateway  cluster gateway routing a shard fleet by cache affinity (see docs/CLUSTER.md)
   train    train a fusion model on generated designs
-  predict  fused numerical+ML IR-drop prediction
   models   list registered model architectures
 
-solve, analyze, serve, train, and predict also take -manifest FILE and -debug-addr ADDR.
-analyze and serve also take -faults SPEC to inject failures and rehearse the
-degradation ladder (see docs/RESILIENCE.md).`)
+analyze, train, serve, and gateway also take -manifest FILE and -debug-addr ADDR.
+analyze, serve, and gateway also take -faults SPEC to inject failures
+(see docs/RESILIENCE.md).`)
 }
 
 func cmdGen(args []string) error {
@@ -158,104 +150,6 @@ func cmdGen(args []string) error {
 	return nil
 }
 
-func cmdSolve(args []string) error {
-	fs := flag.NewFlagSet("solve", flag.ExitOnError)
-	deck := fs.String("spice", "", "input SPICE file (required)")
-	iters := fs.Int("iters", 0, "iteration budget (0 = converge)")
-	tol := fs.Float64("tol", 1e-10, "relative residual tolerance")
-	pgm := fs.String("pgm", "", "write the bottom-layer drop map as PGM")
-	res := fs.Int("res", 0, "raster resolution (default: die size)")
-	of := addObsFlags(fs)
-	fs.Parse(args)
-	if *deck == "" {
-		return fmt.Errorf("solve: -spice is required")
-	}
-	finish := of.start("solve", map[string]any{
-		"spice": *deck, "iters": *iters, "tol": *tol,
-	})
-
-	f, err := os.Open(*deck)
-	if err != nil {
-		return err
-	}
-	nl, err := spice.Parse(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	nw, err := circuit.FromNetlist(nl)
-	if err != nil {
-		return err
-	}
-	sys, err := nw.Assemble()
-	if err != nil {
-		return err
-	}
-	log.Printf("system: %d unknowns, %d nonzeros, total load %.4g A",
-		sys.N(), sys.G.NNZ(), sys.TotalLoad())
-
-	start := time.Now()
-	h, err := amg.Build(sys.G, amg.DefaultOptions())
-	if err != nil {
-		return err
-	}
-	log.Printf("AMG setup: %d levels, operator complexity %.2f (%.1f ms)",
-		h.NumLevels(), h.OperatorComplexity(), float64(time.Since(start).Microseconds())/1000)
-
-	opts := solver.Options{Tol: *tol, MaxIter: 1000, Flexible: true, Record: true, Label: "solve"}
-	if *iters > 0 {
-		opts = solver.RoughOptions(*iters)
-		opts.Label = "solve"
-	}
-	x := make([]float64, sys.N())
-	t0 := time.Now()
-	resu, err := solver.PCG(sys.G, x, sys.I, h, opts)
-	if err != nil {
-		return err
-	}
-	log.Printf("AMG-PCG: %d iterations, relative residual %.3g (%.1f ms)",
-		resu.Iterations, resu.Residual, float64(time.Since(t0).Microseconds())/1000)
-
-	maxDrop, sum := 0.0, 0.0
-	for _, v := range x {
-		if v > maxDrop {
-			maxDrop = v
-		}
-		sum += v
-	}
-	log.Printf("worst-case IR drop: %.4g V, mean %.4g V", maxDrop, sum/float64(len(x)))
-
-	if *pgm != "" {
-		r := *res
-		if r == 0 {
-			r = dieSize(nw)
-		}
-		m := features.GoldenMap(nw, sys.FullDrops(x), r, r)
-		if err := os.WriteFile(*pgm, []byte(m.PGM()), 0o644); err != nil {
-			return err
-		}
-		log.Printf("wrote %s (%dx%d)", *pgm, r, r)
-	}
-	return finish()
-}
-
-// dieSize infers a raster size from node coordinates.
-func dieSize(nw *circuit.Network) int {
-	max := 0
-	for i := 0; i < nw.NumNodes(); i++ {
-		if !nw.HasMeta[i] {
-			continue
-		}
-		if nw.Meta[i].X > max {
-			max = nw.Meta[i].X
-		}
-		if nw.Meta[i].Y > max {
-			max = nw.Meta[i].Y
-		}
-	}
-	return max + 1
-}
-
 func cmdTrain(args []string) error {
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
 	model := fs.String("model", "irfusion", "model architecture")
@@ -299,56 +193,6 @@ func cmdTrain(args []string) error {
 		return err
 	}
 	log.Printf("wrote %s", *out)
-	return finish()
-}
-
-func cmdPredict(args []string) error {
-	fs := flag.NewFlagSet("predict", flag.ExitOnError)
-	deck := fs.String("spice", "", "input SPICE file (required)")
-	modelFile := fs.String("model-file", "", "trained checkpoint from 'irfusion train' (required)")
-	pgm := fs.String("pgm", "", "write the predicted drop map as PGM")
-	of := addObsFlags(fs)
-	fs.Parse(args)
-	if *deck == "" || *modelFile == "" {
-		return fmt.Errorf("predict: -spice and -model-file are required")
-	}
-	finish := of.start("predict", map[string]any{
-		"spice": *deck, "model_file": *modelFile,
-	})
-
-	mf, err := os.Open(*modelFile)
-	if err != nil {
-		return err
-	}
-	analyzer, err := core.LoadAnalyzer(mf)
-	mf.Close()
-	if err != nil {
-		return err
-	}
-
-	f, err := os.Open(*deck)
-	if err != nil {
-		return err
-	}
-	nl, err := spice.Parse(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	size := analyzer.Config.Resolution
-	d := &pgen.Design{Name: *deck, W: size, H: size, VDD: serve.PadVoltage(nl), Netlist: nl}
-	pred, rt, err := analyzer.Analyze(d)
-	if err != nil {
-		return err
-	}
-	log.Printf("predicted worst-case IR drop: %.4g V (runtime %.3fs)", pred.Max(), rt.Seconds())
-	fmt.Println(pred.ASCII(64))
-	if *pgm != "" {
-		if err := os.WriteFile(*pgm, []byte(pred.PGM()), 0o644); err != nil {
-			return err
-		}
-		log.Printf("wrote %s", *pgm)
-	}
 	return finish()
 }
 

@@ -1,0 +1,155 @@
+package main
+
+import (
+	"encoding/json"
+	"math"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"irfusion/internal/core"
+	"irfusion/internal/pgen"
+	"irfusion/internal/serve"
+	"irfusion/internal/spice"
+)
+
+// TestAnalyzeSpiceSizesTheDieFromTheDeck pins the 96-vs-64 bug:
+// `analyze -spice` used to rasterise every deck at -size (default 64),
+// clamping a 96 µm die's outer nodes into the last row and column. The
+// map must be 96×96 and equal, to 1e-9, both a direct numerical
+// analysis at resolution 96 and what a server returns for the deck.
+func TestAnalyzeSpiceSizesTheDieFromTheDeck(t *testing.T) {
+	const size = 96
+	gen, err := pgen.Generate(pgen.DefaultConfig("cli", pgen.Real, size, size, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deck := gen.Netlist.String()
+	path := filepath.Join(t.TempDir(), "d96.sp")
+	if err := os.WriteFile(path, []byte(deck), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := cmdAnalyze([]string{"-spice", path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.W != size || got.H != size {
+		t.Fatalf("analyze -spice rasterised a %d µm deck to %dx%d", size, got.W, got.H)
+	}
+
+	nl, err := spice.ParseString(deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, _, _, err := (&core.NumericalAnalyzer{Resolution: size}).Analyze(
+		&pgen.Design{Name: "direct", W: size, H: size, VDD: serve.PadVoltage(nl), Netlist: nl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(got.Max() - direct.Max()); d > 1e-9 {
+		t.Errorf("max drop differs from the direct analysis by %g", d)
+	}
+	if d := math.Abs(got.Mean() - direct.Mean()); d > 1e-9 {
+		t.Errorf("mean drop differs from the direct analysis by %g", d)
+	}
+
+	s := serve.New(serve.Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { closeServer(s, ts) })
+	body, err := json.Marshal(serve.AnalyzeRequest{Spice: deck, IncludeMap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := postJob(ts, string(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Status != serve.StatusDone || len(v.Result.Map) != size*size {
+		t.Fatalf("served job: status %q (error %q), %d map cells", v.Status, v.Error, len(v.Result.Map))
+	}
+	for i, want := range v.Result.Map {
+		if d := math.Abs(got.Data[i] - want); d > 1e-9 {
+			t.Fatalf("cell %d differs from the served map by %g", i, d)
+		}
+	}
+}
+
+// TestRehearseAll runs every row of the table, at 32 µm. The requeue
+// row is the only coverage of the mid-solve-panic → requeue → resume
+// path.
+func TestRehearseAll(t *testing.T) {
+	for _, r := range rehearsals {
+		t.Run(r.name, func(t *testing.T) {
+			m, err := r.steps(32, r.faults)
+			if err == nil {
+				err = r.check(m)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestRehearseBites: a gate that cannot fail is not a gate. Each row,
+// run without the fault profile or the step that distinguishes it,
+// must fail exactly its distinguishing expectation. The restart row is
+// exempt — without the parking fault it has no deterministic crash
+// point — and serve.TestServeRestartSkipsFinishedJobs is its negative.
+func TestRehearseBites(t *testing.T) {
+	noFaults := func(r *row) { r.faults = "" }
+	for _, tc := range []struct {
+		name  string
+		blunt func(*row)
+		lacks expectation
+	}{
+		{"degraded", noFaults, degraded},
+		{"cache-chaos", noFaults, staleCaught},
+		{"requeue", noFaults, resumedFrom("requeue")},
+		{"mixed", func(r *row) { r.steps = analysis{}.run }, mixedSolve},
+		{"cache-hit", func(r *row) { r.steps = analysis{cached: true}.run }, cacheHit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, ok := rowNamed(tc.name)
+			if !ok {
+				t.Fatal("no such row")
+			}
+			tc.blunt(&r)
+			m, err := r.steps(32, r.faults)
+			if err != nil {
+				t.Fatalf("blunted steps did not run to their end: %v", err)
+			}
+			requireLacks(t, r.check(m), tc.lacks)
+		})
+	}
+	t.Run("cold", func(t *testing.T) {
+		r, _ := rowNamed("cold")
+		m, err := r.steps(32, r.faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Solves = nil
+		requireLacks(t, r.check(m), solved)
+	})
+}
+
+func requireLacks(t *testing.T, err error, e expectation) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), e.what) {
+		t.Fatalf("check returned %v, want it to miss %q", err, e.what)
+	}
+}
+
+// TestRehearseSelectsRows: arguments pick rows, an unknown one is a
+// usage error.
+func TestRehearseSelectsRows(t *testing.T) {
+	if code := cmdRehearse([]string{"cold", "no-such-row"}); code != 2 {
+		t.Errorf("unknown row: exit %d, want 2", code)
+	}
+	if code := cmdRehearse([]string{"cold"}); code != 0 {
+		t.Errorf("rehearse cold: exit %d, want 0", code)
+	}
+}

@@ -58,7 +58,7 @@ func (o *obsFlags) start(kind string, config any) func() error {
 		m := rec.Manifest(kind, config)
 		fmt.Fprint(os.Stderr, m.Summary())
 		if *o.manifest != "" {
-			if err := obs.FileSink(*o.manifest).Write(m); err != nil {
+			if err := m.WriteFile(*o.manifest); err != nil {
 				return fmt.Errorf("manifest: %w", err)
 			}
 			log.Printf("wrote %s", *o.manifest)

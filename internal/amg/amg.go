@@ -1,7 +1,7 @@
 // Package amg implements aggregation-based algebraic multigrid in the
 // style used by the PowerRush power-grid simulator: a setup stage that
 // recursively coarsens the conductance matrix with (double) pairwise
-// aggregation, and cycling strategies — V-cycle, W-cycle, and the
+// aggregation, and cycling strategies — V-cycle and the
 // Krylov-accelerated K-cycle — that serve as a preconditioner for
 // conjugate gradients (see package solver).
 //
@@ -29,8 +29,6 @@ type Cycle int
 const (
 	// VCycle visits each coarse level once per cycle.
 	VCycle Cycle = iota
-	// WCycle recurses twice at every coarse level.
-	WCycle
 	// KCycle accelerates the coarse-level solve with (at most) two
 	// steps of flexible conjugate gradients, as proposed by Notay.
 	// This is the cycle PowerRush uses.
@@ -41,8 +39,6 @@ func (c Cycle) String() string {
 	switch c {
 	case VCycle:
 		return "V"
-	case WCycle:
-		return "W"
 	case KCycle:
 		return "K"
 	default:
@@ -60,10 +56,11 @@ type Options struct {
 	MaxCoarse int
 	// MaxLevels caps the hierarchy depth (0 means unlimited).
 	MaxLevels int
-	// PreSmooth and PostSmooth are the numbers of symmetric
-	// Gauss-Seidel sweeps before and after coarse-grid correction.
+	// PreSmooth and PostSmooth are the numbers of Gauss-Seidel sweeps
+	// before (forward) and after (backward) coarse-grid correction;
+	// the mirrored order keeps the cycle symmetric.
 	PreSmooth, PostSmooth int
-	// Cycle selects V, W, or K cycling.
+	// Cycle selects V or K cycling.
 	Cycle Cycle
 	// KTolerance is the K-cycle truncation threshold: the second FCG
 	// step is skipped when the first already reduced the coarse
@@ -72,24 +69,7 @@ type Options struct {
 	// Aggressive pairs two pairwise passes per level (aggregates of
 	// size up to 4), the "double pairwise aggregation" of PowerRush.
 	Aggressive bool
-	// Smoother selects the relaxation: GaussSeidel (default) or
-	// Chebyshev (polynomial, no sequential dependency).
-	Smoother Smoother
-	// ChebyshevDegree is the polynomial degree when Smoother is
-	// Chebyshev (default 2).
-	ChebyshevDegree int
 }
-
-// Smoother enumerates the relaxation schemes usable inside cycles.
-type Smoother int
-
-const (
-	// GaussSeidel runs forward sweeps before and backward sweeps
-	// after coarse-grid correction (keeping the cycle symmetric).
-	GaussSeidel Smoother = iota
-	// Chebyshev runs a fixed-degree Chebyshev polynomial smoother.
-	Chebyshev
-)
 
 // DefaultOptions returns the configuration used by the IR-Fusion
 // pipeline: K-cycle, double pairwise aggregation, one symmetric
@@ -113,10 +93,8 @@ type Level struct {
 	A *sparse.CSR
 	P *sparse.CSR // nil on the coarsest level
 
-	cheb *sparse.Chebyshev // when Options.Smoother == Chebyshev
-
 	// Workspace sized for this level.
-	r, tmp []float64
+	r []float64
 	// K-cycle workspace sized for the NEXT (coarser) level.
 	kc1, kv1, kr, kc2, kv2, krhs, kx []float64
 }
@@ -130,8 +108,8 @@ type Hierarchy struct {
 }
 
 // Clone returns a hierarchy sharing h's immutable setup products —
-// the level operators, prolongations, smoother coefficients, and the
-// coarse factorization — with freshly allocated cycling workspace, so
+// the level operators, prolongations, and the coarse factorization —
+// with freshly allocated cycling workspace, so
 // the clone can precondition a solve concurrently with h or any other
 // clone. Cloning reads only immutable fields, making it safe even
 // while another goroutine is mid-cycle on h. This is the contract the
@@ -151,9 +129,7 @@ func (h *Hierarchy) Clone() *Hierarchy {
 		n := lvl.A.Rows()
 		nl := &Level{
 			A: lvl.A, P: lvl.P,
-			cheb: lvl.cheb.Clone(),
-			r:    make([]float64, n),
-			tmp:  make([]float64, n),
+			r: make([]float64, n),
 		}
 		if i+1 < len(h.Levels) {
 			nc := h.Levels[i+1].A.Rows()
@@ -250,14 +226,6 @@ func BuildCtx(ctx context.Context, a *sparse.CSR, opts Options) (*Hierarchy, err
 	for i, lvl := range h.Levels {
 		n := lvl.A.Rows()
 		lvl.r = make([]float64, n)
-		lvl.tmp = make([]float64, n)
-		if opts.Smoother == Chebyshev && i < len(h.Levels)-1 {
-			deg := opts.ChebyshevDegree
-			if deg <= 0 {
-				deg = 2
-			}
-			lvl.cheb = sparse.NewChebyshev(lvl.A, deg, 10)
-		}
 		if i+1 < len(h.Levels) {
 			nc := h.Levels[i+1].A.Rows()
 			lvl.kc1 = make([]float64, nc)
@@ -356,11 +324,7 @@ func (h *Hierarchy) cycle(level int, x, b []float64) {
 	}
 	a := lvl.A
 	for s := 0; s < h.opts.PreSmooth; s++ {
-		if lvl.cheb != nil {
-			lvl.cheb.Smooth(x, b)
-		} else {
-			sparse.GaussSeidelForward(a, x, b)
-		}
+		sparse.GaussSeidelForward(a, x, b)
 	}
 	// Residual restriction: r_c = Pᵀ(b - A·x).
 	a.MulVec(lvl.r, x)
@@ -378,20 +342,13 @@ func (h *Hierarchy) cycle(level int, x, b []float64) {
 		h.coarse.Solve(lvl.kx, lvl.krhs)
 	case h.opts.Cycle == VCycle:
 		h.cycle(level+1, lvl.kx, lvl.krhs)
-	case h.opts.Cycle == WCycle:
-		h.cycle(level+1, lvl.kx, lvl.krhs)
-		h.cycle(level+1, lvl.kx, lvl.krhs)
 	default:
 		h.kcycleSolve(level+1, lvl)
 	}
 	// Prolongate and correct: x += P·x_c.
 	prolongAdd(lvl.P, x, lvl.kx)
 	for s := 0; s < h.opts.PostSmooth; s++ {
-		if lvl.cheb != nil {
-			lvl.cheb.Smooth(x, b)
-		} else {
-			sparse.GaussSeidelBackward(a, x, b)
-		}
+		sparse.GaussSeidelBackward(a, x, b)
 	}
 }
 

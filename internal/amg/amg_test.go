@@ -150,13 +150,6 @@ func TestVCycleSolves(t *testing.T) {
 	}
 }
 
-func TestWCycleSolves(t *testing.T) {
-	iters, rel := solveWith(t, WCycle, 24, 24, 200)
-	if rel >= 1e-8 {
-		t.Errorf("W-cycle did not converge: rel=%v after %d cycles", rel, iters)
-	}
-}
-
 func TestKCycleSolves(t *testing.T) {
 	iters, rel := solveWith(t, KCycle, 24, 24, 200)
 	if rel >= 1e-8 {
@@ -266,39 +259,10 @@ func TestBuildErrors(t *testing.T) {
 }
 
 func TestCycleString(t *testing.T) {
-	if VCycle.String() != "V" || WCycle.String() != "W" || KCycle.String() != "K" {
+	if VCycle.String() != "V" || KCycle.String() != "K" {
 		t.Error("Cycle String() values wrong")
 	}
 	if Cycle(9).String() != "Cycle(9)" {
 		t.Error("unknown cycle formatting wrong")
-	}
-}
-
-func TestChebyshevSmoothedCycleSolves(t *testing.T) {
-	a := laplacian2D(24, 24)
-	opts := DefaultOptions()
-	opts.Smoother = Chebyshev
-	opts.ChebyshevDegree = 2
-	h, err := Build(a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := a.Rows()
-	rng := rand.New(rand.NewSource(31))
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = rng.NormFloat64()
-	}
-	b := make([]float64, n)
-	a.MulVec(b, want)
-	x := make([]float64, n)
-	iters, rel := h.Solve(x, b, 1e-8, 300)
-	if rel >= 1e-8 {
-		t.Fatalf("Chebyshev-smoothed K-cycle did not converge: rel=%v after %d", rel, iters)
-	}
-	for i := range x {
-		if math.Abs(x[i]-want[i]) > 1e-5*(1+math.Abs(want[i])) {
-			t.Fatalf("solution wrong at %d", i)
-		}
 	}
 }

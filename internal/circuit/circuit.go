@@ -276,16 +276,6 @@ func (s *System) FullDrops(d []float64) []float64 {
 	return out
 }
 
-// FullVoltages converts a reduced drop solution to absolute node
-// voltages (VDD − drop).
-func (s *System) FullVoltages(d []float64) []float64 {
-	out := s.FullDrops(d)
-	for i := range out {
-		out[i] = s.VDD - out[i]
-	}
-	return out
-}
-
 // TotalLoad returns the summed current draw, a sanity metric.
 func (s *System) TotalLoad() float64 {
 	t := 0.0

@@ -57,16 +57,6 @@ func SplitNets(nl *spice.Netlist) (map[int]*spice.Netlist, error) {
 	return nets, nil
 }
 
-// NetIDs returns the sorted net ids present in a split result.
-func NetIDs(nets map[int]*spice.Netlist) []int {
-	out := make([]int, 0, len(nets))
-	for id := range nets {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // AnalyzeNets assembles every net of a deck independently and returns
 // the per-net systems, keyed by net id. Nets without pads (no V
 // cards) are skipped with their ids reported in the second return —

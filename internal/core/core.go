@@ -312,17 +312,6 @@ func LoadAnalyzer(r io.Reader) (*Analyzer, error) {
 	}, nil
 }
 
-// SaveModel serializes the trained weights and batch-norm state.
-func (a *Analyzer) SaveModel(w io.Writer) error {
-	return nn.SaveCheckpoint(w, a.Model.Params(), a.Model.State())
-}
-
-// LoadModel restores trained weights and batch-norm state into the
-// analyzer's model.
-func (a *Analyzer) LoadModel(r io.Reader) error {
-	return nn.LoadCheckpoint(r, a.Model.Params(), a.Model.State())
-}
-
 // TrainResult captures the training trajectory.
 type TrainResult struct {
 	Analyzer   *Analyzer

@@ -98,44 +98,6 @@ func TestPredictNonNegative(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	cfg := quickCfg()
-	cfg.Epochs = 2
-	train, test := tinySet(t, cfg, 2, 1)
-	res, err := Train(cfg, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1 := res.Analyzer.Predict(test[0])
-	var buf bytes.Buffer
-	if err := res.Analyzer.SaveModel(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Fresh analyzer with same architecture, random weights.
-	res2, err := Train(Config{
-		Resolution: cfg.Resolution, RoughIters: cfg.RoughIters,
-		ModelName: cfg.ModelName, Base: cfg.Base, Depth: cfg.Depth,
-		Seed: 99, UseNumerical: true, Hierarchical: true,
-		UseInception: true, UseCBAM: true, ResidualMode: cfg.ResidualMode,
-		Epochs: 1, BatchSize: 2, LearningRate: 1e-3,
-		OversampleFake: 1, OversampleReal: 1, CurriculumRamp: 0.5,
-	}, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2.Analyzer.Norm = res.Analyzer.Norm
-	res2.Analyzer.TargetScale = res.Analyzer.TargetScale
-	if err := res2.Analyzer.LoadModel(&buf); err != nil {
-		t.Fatal(err)
-	}
-	p2 := res2.Analyzer.Predict(test[0])
-	for i := range p1.Data {
-		if p1.Data[i] != p2.Data[i] {
-			t.Fatal("restored model predicts differently")
-		}
-	}
-}
-
 func TestAblationConfigsTrain(t *testing.T) {
 	base := quickCfg()
 	base.Epochs = 2

@@ -9,7 +9,6 @@ package grid
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -123,39 +122,6 @@ func (m *Map) Mean() float64 {
 	return s / float64(len(m.Data))
 }
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using
-// nearest-rank on a sorted copy.
-func (m *Map) Percentile(p float64) float64 {
-	s := append([]float64(nil), m.Data...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	idx := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return s[idx]
-}
-
-// Normalize rescales pixels to [0, 1] in place and returns the
-// (min, max) that were used. A constant map becomes all zeros.
-func (m *Map) Normalize() (float64, float64) {
-	mn, mx := m.Min(), m.Max()
-	if mx == mn { //irfusion:exact a constant map has exactly equal bounds; normalizing would divide by zero
-		m.Fill(0)
-		return mn, mx
-	}
-	inv := 1 / (mx - mn)
-	for i, v := range m.Data {
-		m.Data[i] = (v - mn) * inv
-	}
-	return mn, mx
-}
-
 // Rotate90 returns the map rotated clockwise by 90°·quarter (quarter
 // taken modulo 4; negative values rotate counter-clockwise).
 func (m *Map) Rotate90(quarter int) *Map {
@@ -188,28 +154,6 @@ func (m *Map) Rotate90(quarter int) *Map {
 		}
 		return out
 	}
-}
-
-// FlipH returns the map mirrored horizontally (left-right).
-func (m *Map) FlipH() *Map {
-	out := New(m.H, m.W)
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			out.Set(y, m.W-1-x, m.At(y, x))
-		}
-	}
-	return out
-}
-
-// FlipV returns the map mirrored vertically (top-bottom).
-func (m *Map) FlipV() *Map {
-	out := New(m.H, m.W)
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			out.Set(m.H-1-y, x, m.At(y, x))
-		}
-	}
-	return out
 }
 
 // Resize resamples the map to h×w with bilinear interpolation

@@ -63,38 +63,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	m := FromData(1, 10, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	if m.Percentile(0) != 1 || m.Percentile(100) != 10 {
-		t.Error("extreme percentiles wrong")
-	}
-	if got := m.Percentile(50); got != 5 {
-		t.Errorf("P50 = %v, want 5", got)
-	}
-	if got := m.Percentile(90); got != 9 {
-		t.Errorf("P90 = %v, want 9", got)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	m := FromData(1, 3, []float64{2, 4, 6})
-	mn, mx := m.Normalize()
-	if mn != 2 || mx != 6 {
-		t.Errorf("Normalize returned (%v,%v)", mn, mx)
-	}
-	want := []float64{0, 0.5, 1}
-	for i := range want {
-		if math.Abs(m.Data[i]-want[i]) > 1e-15 {
-			t.Errorf("Data[%d] = %v, want %v", i, m.Data[i], want[i])
-		}
-	}
-	c := FromData(1, 2, []float64{7, 7})
-	c.Normalize()
-	if c.Data[0] != 0 || c.Data[1] != 0 {
-		t.Error("constant map should normalize to zeros")
-	}
-}
-
 func TestRotate90Composition(t *testing.T) {
 	// Property: four quarter-turns are the identity; two quarter-turns
 	// equal a half-turn.
@@ -145,23 +113,17 @@ func TestRotateNegativeAndModulo(t *testing.T) {
 	}
 }
 
-func TestFlipsAreInvolutions(t *testing.T) {
-	err := quick.Check(func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := randomMap(1+rng.Intn(8), 1+rng.Intn(8), rng)
-		return mapsEqual(m, m.FlipH().FlipH()) && mapsEqual(m, m.FlipV().FlipV())
-	}, &quick.Config{MaxCount: 40})
-	if err != nil {
-		t.Error(err)
-	}
-}
-
 func TestFlipRotateRelation(t *testing.T) {
-	// FlipH ∘ FlipV == half-turn rotation.
+	// A half-turn rotation mirrors both axes.
 	rng := rand.New(rand.NewSource(10))
 	m := randomMap(6, 4, rng)
-	if !mapsEqual(m.FlipH().FlipV(), m.Rotate90(2)) {
-		t.Error("FlipH∘FlipV != Rotate180")
+	r := m.Rotate90(2)
+	for y := 0; y < m.H; y++ {
+		for x := 0; x < m.W; x++ {
+			if r.At(m.H-1-y, m.W-1-x) != m.At(y, x) {
+				t.Fatalf("Rotate180 moved (%d,%d) to the wrong pixel", y, x)
+			}
+		}
 	}
 }
 

@@ -34,10 +34,9 @@
 //     overwriting a pending cancel is a finding.
 //   - atomicmix: a variable accessed via sync/atomic anywhere may not
 //     be read or written directly anywhere else in the module.
-//   - sitedrift: fault-site, obs-counter, and manifestcheck-gate string
-//     literals must round-trip against their declaring registries —
-//     typos, dead sites, and gates matching no manifest field are
-//     findings (see sitedrift.go).
+//   - sitedrift: fault-site and obs-counter string literals must
+//     round-trip against their declaring registries — typos and dead
+//     sites are findings (see sitedrift.go).
 //
 // Directives are ordinary comments: //irfusion:hotpath and
 // //irfusion:hotpath-allow <rationale> in a function's doc comment;
@@ -152,7 +151,6 @@ func Analyze(l *Loader, pkgs []*Package) []Diagnostic {
 		r.checkLocksafe(p)
 		r.checkCtxleak(p)
 		r.checkAtomicMix(p)
-		r.checkManifestGates(p)
 	}
 	r.reportSiteDrift()
 	sort.Slice(r.diags, func(i, j int) bool {

@@ -172,8 +172,6 @@ func TestSiteDriftFixture(t *testing.T) {
 	requireFinding(t, diags, "sitedrift", "SiteUnlisted")
 	requireFinding(t, diags, "sitedrift", `knownSites entry "fix.ghost"`)
 	requireFinding(t, diags, "sitedrift", `counter "fix.no.such.counter"`)
-	requireFinding(t, diags, "sitedrift", `manifest section "no_such_section"`)
-	requireFinding(t, diags, "sitedrift", "flag -orphan has no entry")
 }
 
 func TestSiteDriftCleanFixture(t *testing.T) {

@@ -30,7 +30,7 @@ var sarifRules = []ruleMeta{
 	{"locksafe", "locks are released on every path and never held across blocking operations"},
 	{"ctxleak", "context cancel funcs are called on every path, deferred, or handed off"},
 	{"atomicmix", "a variable accessed via sync/atomic is never read or written directly"},
-	{"sitedrift", "fault-site, counter, and manifest-gate literals match their declaring registries"},
+	{"sitedrift", "fault-site and counter literals match their declaring registries"},
 	{"directive", "//irfusion: directives must be known and carry a rationale"},
 }
 

@@ -1,6 +1,6 @@
 package lint
 
-// sitedrift: cross-registry drift checking for the module's three
+// sitedrift: cross-registry drift checking for the module's two
 // string-keyed registries. Each registry has a single declaring home;
 // every literal that *uses* a key must match a declaration, and
 // declarations must not go dead:
@@ -18,24 +18,17 @@ package lint
 //     direction is deliberately unchecked: counters surface through
 //     the manifest and /metricsz generically, so "registered but
 //     never read by name" is the normal case, not drift.)
-//   - manifestcheck gates: a package that declares a gateSpec type
-//     and gates table (cmd/manifestcheck) is checked two ways — every
-//     gate's section must be a top-level JSON key of obs.Manifest,
-//     and every flag registered with a constant name must appear in
-//     the table. Renaming a manifest field or adding an undeclared
-//     gate flag fails lint instead of silently gating nothing.
 //
-// Detection keys on package *names* ("faults", "obs") and type names
-// (Injector, Manifest, gateSpec) rather than hard-coded import paths,
-// so the fixture self-tests can stand up miniature registries under
-// testdata without touching the real ones.
+// Detection keys on package *names* ("faults", "obs") and the type
+// name Injector rather than hard-coded import paths, so the fixture
+// self-tests can stand up miniature registries under testdata without
+// touching the real ones.
 
 import (
 	"go/ast"
 	"go/constant"
 	"go/token"
 	"go/types"
-	"reflect"
 	"sort"
 	"strings"
 )
@@ -170,70 +163,6 @@ func (r *Runner) checkFaultsRegistry(p *Package) {
 	}
 }
 
-// checkManifestGates runs on packages that declare a gateSpec type
-// and gates table (cmd/manifestcheck and its fixtures): sections must
-// be JSON keys of the imported obs.Manifest, and constant-named flag
-// registrations must appear in the table.
-func (r *Runner) checkManifestGates(p *Package) {
-	specObj, ok := p.Pkg.Scope().Lookup("gateSpec").(*types.TypeName)
-	if !ok {
-		return
-	}
-	spec, ok := specObj.Type().Underlying().(*types.Struct)
-	if !ok {
-		return
-	}
-	lit := packageVarLiteral(p, "gates")
-	if lit == nil {
-		return
-	}
-	tags := manifestJSONKeys(p.Pkg)
-	flags := map[string]bool{}
-	for _, elt := range lit.Elts {
-		entry, ok := unparen(elt.(ast.Expr)).(*ast.CompositeLit)
-		if !ok {
-			continue
-		}
-		fields := structLitFields(spec, entry)
-		if flagVal, ok := constString(p.Info, fields["flag"]); ok {
-			flags[flagVal] = true
-		}
-		section, ok := constString(p.Info, fields["section"])
-		if !ok {
-			continue
-		}
-		if tags != nil && !tags[section] {
-			flagName, _ := constString(p.Info, fields["flag"])
-			r.report(entry.Pos(), "sitedrift", "gate -%s inspects manifest section %q, which matches no top-level JSON key of obs.Manifest", flagName, section)
-		}
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
-			}
-			fn, ok := calleeFunc(p.Info, call)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" || recvTypeName(fn) != "" {
-				return true
-			}
-			switch fn.Name() {
-			case "Bool", "String", "Int", "Int64", "Uint", "Uint64", "Float64", "Duration":
-			default:
-				return true
-			}
-			name, ok := constString(p.Info, call.Args[0])
-			if !ok {
-				return true // table-driven registration; the table is the check
-			}
-			if !flags[name] {
-				r.report(call.Args[0].Pos(), "sitedrift", "flag -%s has no entry in the gates table; declare which manifest section it inspects", name)
-			}
-			return true
-		})
-	}
-}
-
 // declaredSites scans a package scope for exported Site* string
 // constants, returning value -> constant name. Cached per package.
 var siteDeclCache = map[*types.Package]map[string]string{}
@@ -292,56 +221,6 @@ func packageVarLiteral(p *Package, name string) *ast.CompositeLit {
 				}
 			}
 		}
-	}
-	return nil
-}
-
-// structLitFields maps a composite literal's elements to the struct's
-// field names, handling both keyed and positional forms.
-func structLitFields(st *types.Struct, lit *ast.CompositeLit) map[string]ast.Expr {
-	out := map[string]ast.Expr{}
-	for i, elt := range lit.Elts {
-		if kv, ok := elt.(*ast.KeyValueExpr); ok {
-			if id, ok := kv.Key.(*ast.Ident); ok {
-				out[id.Name] = kv.Value
-			}
-			continue
-		}
-		if i < st.NumFields() {
-			out[st.Field(i).Name()] = elt.(ast.Expr)
-		}
-	}
-	return out
-}
-
-// manifestJSONKeys collects the top-level JSON keys of the Manifest
-// struct from the directly imported package named "obs"; nil when no
-// such import exists (then the section check is skipped).
-func manifestJSONKeys(pkg *types.Package) map[string]bool {
-	for _, imp := range pkg.Imports() {
-		if imp.Name() != "obs" {
-			continue
-		}
-		tn, ok := imp.Scope().Lookup("Manifest").(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		keys := map[string]bool{}
-		for i := 0; i < st.NumFields(); i++ {
-			tag := reflect.StructTag(st.Tag(i)).Get("json")
-			name, _, _ := strings.Cut(tag, ",")
-			if name == "" {
-				name = st.Field(i).Name()
-			}
-			if name != "-" {
-				keys[name] = true
-			}
-		}
-		return keys
 	}
 	return nil
 }

@@ -1,14 +1,9 @@
 // Package faults (fixture) is a miniature fault registry that is
 // fully consistent: every declared site is fired and listed in
-// knownSites, the counter read is registered, and every gate names a
-// real manifest section and a table-declared flag.
+// knownSites, and the counter read is registered.
 package faults
 
-import (
-	"flag"
-
-	"irfusion/internal/obs"
-)
+import "irfusion/internal/obs"
 
 const (
 	SiteAlpha = "clean.alpha"
@@ -30,21 +25,4 @@ func use() int64 {
 	in.Fire(SiteBeta, "x")
 	obs.GlobalCounter("clean.counter").Inc()
 	return obs.CounterValue("clean.counter")
-}
-
-type gateSpec struct {
-	flag    string
-	section string
-	usage   string
-}
-
-var gates = []gateSpec{
-	{"degraded", "degradation", "requires a degradation record"},
-	{"shard", "shard", "requires the shard identity"},
-}
-
-func registerFlags() {
-	for _, g := range gates {
-		_ = flag.Bool(g.flag, false, g.usage)
-	}
 }

@@ -1,18 +1,13 @@
 // Package faults (fixture) is a miniature fault registry seeding
 // sitedrift violations: a typo'd Fire site, a dead declared site, a
-// constant missing from knownSites, a ghost knownSites entry, an
-// unregistered counter read, a gate naming a nonexistent manifest
-// section, and a flag registered outside the gates table. The package
-// is deliberately named faults — the sitedrift rule keys its registry
-// checks on that name, which is what lets this fixture exist without
-// touching the real internal/faults.
+// constant missing from knownSites, a ghost knownSites entry, and an
+// unregistered counter read. The package is deliberately named faults
+// — the sitedrift rule keys its registry checks on that name, which is
+// what lets this fixture exist without touching the real
+// internal/faults.
 package faults
 
-import (
-	"flag"
-
-	"irfusion/internal/obs"
-)
+import "irfusion/internal/obs"
 
 const (
 	SiteGood     = "fix.good"
@@ -35,22 +30,4 @@ func use() int64 {
 	in.Fire(SiteUnlisted, "")
 	in.Fire("fix.typo", "") // no such Site* constant
 	return obs.CounterValue("fix.no.such.counter")
-}
-
-type gateSpec struct {
-	flag    string
-	section string
-	usage   string
-}
-
-var gates = []gateSpec{
-	{"good", "cache", "inspects a real manifest section"},
-	{"drifty", "no_such_section", "inspects a section Manifest does not have"},
-}
-
-func registerFlags() {
-	for _, g := range gates {
-		_ = flag.Bool(g.flag, false, g.usage)
-	}
-	_ = flag.Bool("orphan", false, "registered outside the gates table")
 }

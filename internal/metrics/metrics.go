@@ -101,12 +101,6 @@ func MIRDE(pred, golden *grid.Map) float64 {
 	return sum / float64(n)
 }
 
-// MaxDropError returns |max(pred) − max(golden)|, the error of the
-// single worst-case value.
-func MaxDropError(pred, golden *grid.Map) float64 {
-	return math.Abs(pred.Max() - golden.Max())
-}
-
 // CC returns the Pearson correlation coefficient between the two
 // maps (an auxiliary fidelity metric; 1 is perfect).
 func CC(pred, golden *grid.Map) float64 {

@@ -65,14 +65,6 @@ func TestMIRDE(t *testing.T) {
 	}
 }
 
-func TestMaxDropError(t *testing.T) {
-	a := grid.FromData(1, 2, []float64{3, 7})
-	b := grid.FromData(1, 2, []float64{10, 2})
-	if MaxDropError(a, b) != 3 {
-		t.Errorf("MaxDropError = %v, want 3", MaxDropError(a, b))
-	}
-}
-
 func TestCCProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := grid.New(6, 6)
@@ -154,75 +146,5 @@ func TestBetterPredictionScoresBetter(t *testing.T) {
 	}
 	if MIRDE(small, g) >= MIRDE(large, g) {
 		t.Error("MIRDE ordering violated")
-	}
-}
-
-func TestSSIMIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := grid.New(16, 16)
-	for i := range g.Data {
-		g.Data[i] = rng.Float64()
-	}
-	if s := SSIM(g, g); math.Abs(s-1) > 1e-12 {
-		t.Errorf("SSIM(x,x) = %v, want 1", s)
-	}
-}
-
-func TestSSIMOrdersByCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := grid.New(20, 20)
-	for y := 0; y < 20; y++ {
-		for x := 0; x < 20; x++ {
-			g.Set(y, x, math.Sin(float64(x)/3)+math.Cos(float64(y)/4))
-		}
-	}
-	corrupt := func(noise float64) *grid.Map {
-		p := g.Clone()
-		for i := range p.Data {
-			p.Data[i] += noise * rng.NormFloat64()
-		}
-		return p
-	}
-	sSmall := SSIM(corrupt(0.05), g)
-	sBig := SSIM(corrupt(1.0), g)
-	if !(sSmall > sBig) {
-		t.Errorf("SSIM ordering violated: %v (small noise) vs %v (big noise)", sSmall, sBig)
-	}
-	if sSmall < 0.5 {
-		t.Errorf("lightly corrupted SSIM too low: %v", sSmall)
-	}
-}
-
-func TestSSIMStructureVsOffset(t *testing.T) {
-	// SSIM should penalize structural destruction (shuffled pixels)
-	// much harder than a constant luminance offset.
-	rng := rand.New(rand.NewSource(10))
-	g := grid.New(16, 16)
-	for y := 0; y < 16; y++ {
-		for x := 0; x < 16; x++ {
-			g.Set(y, x, float64(x+y))
-		}
-	}
-	offset := g.Clone()
-	for i := range offset.Data {
-		offset.Data[i] += 0.5
-	}
-	shuffled := g.Clone()
-	rng.Shuffle(len(shuffled.Data), func(i, j int) {
-		shuffled.Data[i], shuffled.Data[j] = shuffled.Data[j], shuffled.Data[i]
-	})
-	if SSIM(offset, g) <= SSIM(shuffled, g) {
-		t.Error("offset should preserve structure better than shuffling")
-	}
-}
-
-func TestSSIMTinyMapFallback(t *testing.T) {
-	a := grid.FromData(2, 2, []float64{1, 2, 3, 4})
-	if s := SSIM(a, a); s != 1 {
-		t.Errorf("tiny identical maps: SSIM = %v, want 1", s)
-	}
-	b := grid.FromData(2, 2, []float64{4, 3, 2, 1})
-	if s := SSIM(b, a); s >= 1 {
-		t.Errorf("tiny different maps should not score 1, got %v", s)
 	}
 }

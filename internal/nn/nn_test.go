@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -250,26 +249,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumConverges(t *testing.T) {
-	target := []float64{0.5, -0.5}
-	x := NewParam(2)
-	tt := NewTensor(2)
-	copy(tt.Data, target)
-	opt := NewSGD(0.05, 0.9)
-	for step := 0; step < 400; step++ {
-		tp := NewTape()
-		loss := MSELoss(tp, x, tt)
-		ZeroGrads([]*Tensor{x})
-		tp.Backward(loss)
-		opt.Step([]*Tensor{x})
-	}
-	for i := range target {
-		if math.Abs(x.Data[i]-target[i]) > 1e-3 {
-			t.Errorf("x[%d] = %v, want %v", i, x.Data[i], target[i])
-		}
-	}
-}
-
 func TestAdamGradClip(t *testing.T) {
 	x := NewParam(2)
 	x.Grad[0] = 300
@@ -280,48 +259,6 @@ func TestAdamGradClip(t *testing.T) {
 	norm := math.Sqrt(x.Grad[0]*x.Grad[0] + x.Grad[1]*x.Grad[1])
 	if math.Abs(norm-5) > 1e-9 {
 		t.Errorf("clipped norm %v, want 5", norm)
-	}
-}
-
-func TestSaveLoadParams(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	a := randParam(rng, 3, 4)
-	b := randParam(rng, 5)
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, []*Tensor{a, b}); err != nil {
-		t.Fatal(err)
-	}
-	a2 := NewParam(3, 4)
-	b2 := NewParam(5)
-	if err := LoadParams(&buf, []*Tensor{a2, b2}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Data {
-		if a2.Data[i] != a.Data[i] {
-			t.Fatal("param a not restored")
-		}
-	}
-	for i := range b.Data {
-		if b2.Data[i] != b.Data[i] {
-			t.Fatal("param b not restored")
-		}
-	}
-}
-
-func TestLoadParamsMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, []*Tensor{NewParam(2)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadParams(&buf, []*Tensor{NewParam(3)}); err == nil {
-		t.Error("expected size mismatch error")
-	}
-	var buf2 bytes.Buffer
-	if err := SaveParams(&buf2, []*Tensor{NewParam(2)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadParams(&buf2, []*Tensor{NewParam(2), NewParam(2)}); err == nil {
-		t.Error("expected count mismatch error")
 	}
 }
 
@@ -421,14 +358,6 @@ func TestConv2dParamsAndStateAccessors(t *testing.T) {
 	}
 }
 
-func TestGradNorm(t *testing.T) {
-	p := NewParam(2)
-	p.Grad[0], p.Grad[1] = 3, 4
-	if GradNorm([]*Tensor{p}) != 5 {
-		t.Errorf("GradNorm = %v, want 5", GradNorm([]*Tensor{p}))
-	}
-}
-
 func TestNeedsGrad(t *testing.T) {
 	if !NewParam(1).NeedsGrad() || NewTensor(1).NeedsGrad() {
 		t.Error("NeedsGrad flags wrong")
@@ -448,30 +377,5 @@ func TestParallelForCoversRange(t *testing.T) {
 		if h != 1 {
 			t.Fatalf("index %d visited %d times", i, h)
 		}
-	}
-}
-
-func TestLoadCheckpointStateMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	p := NewParam(2)
-	if err := SaveCheckpoint(&buf, []*Tensor{p}, [][]float64{{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	q := NewParam(2)
-	// Wrong state vector count.
-	if err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), []*Tensor{q}, [][]float64{{0, 0}, {0}}); err == nil {
-		t.Error("expected state count mismatch")
-	}
-	// Wrong state vector size.
-	if err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), []*Tensor{q}, [][]float64{{0}}); err == nil {
-		t.Error("expected state size mismatch")
-	}
-	// Correct restore.
-	state := [][]float64{{0, 0}}
-	if err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), []*Tensor{q}, state); err != nil {
-		t.Fatal(err)
-	}
-	if state[0][0] != 1 || state[0][1] != 2 {
-		t.Error("state not restored")
 	}
 }

@@ -103,23 +103,6 @@ func Scale(tp *Tape, x *Tensor, s float64) *Tensor {
 	return out
 }
 
-// AddScalar returns x + s for a constant s.
-func AddScalar(tp *Tape, x *Tensor, s float64) *Tensor {
-	out := result(tp, x.Shape, x)
-	for i := range out.Data {
-		out.Data[i] = x.Data[i] + s
-	}
-	if out.needsGrad {
-		tp.record(func() {
-			x.ensureGrad()
-			for i := range out.Grad {
-				x.Grad[i] += out.Grad[i]
-			}
-		})
-	}
-	return out
-}
-
 // ReLU returns max(x, 0).
 func ReLU(tp *Tape, x *Tensor) *Tensor {
 	out := result(tp, x.Shape, x)
@@ -134,31 +117,6 @@ func ReLU(tp *Tape, x *Tensor) *Tensor {
 			for i := range out.Grad {
 				if x.Data[i] > 0 {
 					x.Grad[i] += out.Grad[i]
-				}
-			}
-		})
-	}
-	return out
-}
-
-// LeakyReLU returns x when positive, alpha·x otherwise.
-func LeakyReLU(tp *Tape, x *Tensor, alpha float64) *Tensor {
-	out := result(tp, x.Shape, x)
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = alpha * v
-		}
-	}
-	if out.needsGrad {
-		tp.record(func() {
-			x.ensureGrad()
-			for i := range out.Grad {
-				if x.Data[i] > 0 {
-					x.Grad[i] += out.Grad[i]
-				} else {
-					x.Grad[i] += alpha * out.Grad[i]
 				}
 			}
 		})
@@ -386,37 +344,6 @@ func MSELoss(tp *Tape, pred, target *Tensor) *Tensor {
 			g := out.Grad[0] * 2 * inv
 			for i := range pred.Grad {
 				pred.Grad[i] += g * (pred.Data[i] - target.Data[i])
-			}
-		})
-	}
-	return out
-}
-
-// L1Loss returns mean(|pred − target|). target is a constant. The
-// subgradient at zero is taken as 0.
-func L1Loss(tp *Tape, pred, target *Tensor) *Tensor {
-	if !SameShape(pred, target) {
-		panic("nn: L1Loss shape mismatch")
-	}
-	out := result(tp, []int{1}, pred)
-	sum := 0.0
-	for i := range pred.Data {
-		sum += math.Abs(pred.Data[i] - target.Data[i])
-	}
-	inv := 1 / float64(pred.Size())
-	out.Data[0] = sum * inv
-	if out.needsGrad {
-		tp.record(func() {
-			pred.ensureGrad()
-			g := out.Grad[0] * inv
-			for i := range pred.Grad {
-				d := pred.Data[i] - target.Data[i]
-				switch {
-				case d > 0:
-					pred.Grad[i] += g
-				case d < 0:
-					pred.Grad[i] -= g
-				}
 			}
 		})
 	}

@@ -70,40 +70,6 @@ func (a *Adam) Step(params []*Tensor) {
 	}
 }
 
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR, Momentum float64
-	vel          [][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum}
-}
-
-// Step applies one update.
-func (s *SGD) Step(params []*Tensor) {
-	if s.vel == nil && s.Momentum > 0 {
-		s.vel = make([][]float64, len(params))
-		for i, p := range params {
-			s.vel[i] = make([]float64, len(p.Data))
-		}
-	}
-	for pi, p := range params {
-		if s.Momentum > 0 {
-			v := s.vel[pi]
-			for i, g := range p.Grad {
-				v[i] = s.Momentum*v[i] + g
-				p.Data[i] -= s.LR * v[i]
-			}
-		} else {
-			for i, g := range p.Grad {
-				p.Data[i] -= s.LR * g
-			}
-		}
-	}
-}
-
 // ZeroGrads clears the gradients of all parameters.
 func ZeroGrads(params []*Tensor) {
 	for _, p := range params {
@@ -111,13 +77,11 @@ func ZeroGrads(params []*Tensor) {
 	}
 }
 
-// GradNorm returns the global L2 norm of all parameter gradients.
-func GradNorm(params []*Tensor) float64 {
-	total := 0.0
+// NumParams counts scalar parameters.
+func NumParams(params []*Tensor) int {
+	n := 0
 	for _, p := range params {
-		for _, g := range p.Grad {
-			total += g * g
-		}
+		n += p.Size()
 	}
-	return math.Sqrt(total)
+	return n
 }

@@ -158,8 +158,8 @@ func (r *Recorder) Manifest(kind string, config any) *Manifest {
 }
 
 // Validate checks the invariants every manifest must satisfy —
-// the contract of SchemaVersion. It is the test used by the CI
-// schema smoke job (cmd/manifestcheck).
+// the contract of SchemaVersion. Every `irfusion rehearse` row runs
+// it before its own expectations.
 func (m *Manifest) Validate() error {
 	switch {
 	case m.Schema != SchemaVersion:
@@ -205,6 +205,7 @@ func (m *Manifest) Validate() error {
 		if len(d.Attempts) == 0 {
 			return fmt.Errorf("obs: degradation record for %s has no attempts", d.Component)
 		}
+		served := d.Rung == ""
 		for _, a := range d.Attempts {
 			if a.Rung == "" {
 				return fmt.Errorf("obs: degradation attempt missing rung: %+v", a)
@@ -212,6 +213,15 @@ func (m *Manifest) Validate() error {
 			if a.Skipped == "" && a.Attempt <= 0 {
 				return fmt.Errorf("obs: degradation attempt for %s not positive: %+v", d.Component, a)
 			}
+			if a.Skipped != "" && a.Error != "" {
+				return fmt.Errorf("obs: degradation attempt for %s both skipped and errored: %+v", d.Component, a)
+			}
+			if a.Rung == d.Rung {
+				served = true
+			}
+		}
+		if !served {
+			return fmt.Errorf("obs: degradation record for %s: serving rung %q never appears in its attempt trail", d.Component, d.Rung)
 		}
 	}
 	if c := m.Cache; c != nil {
@@ -364,20 +374,10 @@ func fmtBytes(n uint64) string {
 	}
 }
 
-// Sink receives completed manifests. Implementations: FileSink,
-// WriterSink, DiscardSink.
-type Sink interface {
-	Write(m *Manifest) error
-}
-
-// FileSink returns a sink that (re)creates path and writes the
-// manifest as indented JSON.
-func FileSink(path string) Sink { return fileSink(path) }
-
-type fileSink string
-
-func (f fileSink) Write(m *Manifest) error {
-	file, err := os.Create(string(f))
+// WriteFile (re)creates path and writes the manifest there as indented
+// JSON.
+func (m *Manifest) WriteFile(path string) error {
+	file, err := os.Create(path)
 	if err != nil {
 		return err
 	}
@@ -388,21 +388,6 @@ func (f fileSink) Write(m *Manifest) error {
 	return file.Close()
 }
 
-// WriterSink returns a sink that encodes manifests to w.
-func WriterSink(w io.Writer) Sink { return writerSink{w} }
-
-type writerSink struct{ w io.Writer }
-
-func (s writerSink) Write(m *Manifest) error { return m.Encode(s.w) }
-
-// DiscardSink returns a sink that drops manifests — the configured
-// default when no --manifest flag is given.
-func DiscardSink() Sink { return discardSink{} }
-
-type discardSink struct{}
-
-func (discardSink) Write(*Manifest) error { return nil }
-
 // DecodeManifest decodes a manifest from its JSON encoding (the
 // inverse of Encode).
 func DecodeManifest(r io.Reader) (*Manifest, error) {
@@ -411,19 +396,4 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 		return nil, fmt.Errorf("obs: decode manifest: %w", err)
 	}
 	return &m, nil
-}
-
-// ReadManifestFile decodes a manifest JSON file (the inverse of
-// FileSink, used by cmd/manifestcheck and tests).
-func ReadManifestFile(path string) (*Manifest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	m, err := DecodeManifest(f)
-	if err != nil {
-		return nil, fmt.Errorf("obs: %s: %w", path, err)
-	}
-	return m, nil
 }

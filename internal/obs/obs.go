@@ -20,9 +20,8 @@
 //     creation, so each run manifest reports the per-run delta.
 //
 //   - Run manifests (manifest.go): one structured JSON document per
-//     Analyzer/Trainer run, written through a pluggable Sink, plus an
-//     optional debug HTTP endpoint (debug.go) exposing expvar and
-//     pprof.
+//     Analyzer/Trainer run, plus an optional debug HTTP endpoint
+//     (debug.go) exposing expvar and pprof.
 //
 // obs imports only the standard library; every other internal package
 // may import it without creating a cycle.

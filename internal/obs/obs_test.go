@@ -221,9 +221,29 @@ func TestValidateRejectsBrokenManifests(t *testing.T) {
 				m.Stages[i].Seconds = 0
 			}
 		},
+		// The two attempt-trail invariants: each differs from the
+		// well-formed record below in one field.
+		"attempt-skipped-and-errored": func(m *Manifest) {
+			m.Degradations[0].Attempts[0].Error = "boom"
+		},
+		"serving-rung-not-in-trail": func(m *Manifest) {
+			m.Degradations[0].Rung = "numerical.randomwalk"
+		},
+	}
+	wellFormed := func() *Manifest {
+		m := testManifest(t)
+		m.Degradations = []Degradation{{Component: "core.numerical", Rung: "numerical.ssor", RungIndex: 1,
+			Attempts: []DegradationAttempt{
+				{Rung: "numerical.amg", Skipped: "breaker open"},
+				{Rung: "numerical.ssor", Attempt: 1},
+			}}}
+		return m
+	}
+	if err := wellFormed().Validate(); err != nil {
+		t.Fatalf("well-formed degradation record rejected: %v", err)
 	}
 	for name, f := range mut {
-		m := testManifest(t)
+		m := wellFormed()
 		f(m)
 		if err := m.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a broken manifest", name)
@@ -248,36 +268,26 @@ func TestNonFiniteValuesSanitized(t *testing.T) {
 func TestSinks(t *testing.T) {
 	m := testManifest(t)
 	path := filepath.Join(t.TempDir(), "m.json")
-	if err := FileSink(path).Write(m); err != nil {
+	if err := m.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadManifestFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	back, err := DecodeManifest(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := back.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriterSink(&buf).Write(m); err != nil {
-		t.Fatal(err)
+	if err := m.WriteFile(filepath.Join(t.TempDir(), "no", "such", "dir", "m.json")); err == nil {
+		t.Error("WriteFile must surface create errors")
 	}
-	if buf.Len() == 0 {
-		t.Error("writer sink wrote nothing")
-	}
-	if err := DiscardSink().Write(m); err != nil {
-		t.Error(err)
-	}
-	if err := FileSink(filepath.Join(t.TempDir(), "no", "such", "dir", "m.json")).Write(m); err == nil {
-		t.Error("file sink must surface create errors")
-	}
-	if _, err := ReadManifestFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("reading a missing manifest must fail")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	os.WriteFile(bad, []byte("not json"), 0o644)
-	if _, err := ReadManifestFile(bad); err == nil {
-		t.Error("reading garbage must fail")
+	if _, err := DecodeManifest(strings.NewReader("not json")); err == nil {
+		t.Error("decoding garbage must fail")
 	}
 }
 

@@ -15,7 +15,7 @@
 //
 //   - Worker count defaults to runtime.GOMAXPROCS(0) and can be
 //     overridden with the IRFUSION_WORKERS environment variable or
-//     programmatically with New / SetDefaultWorkers.
+//     programmatically with New / SetDefault.
 //   - Kernels fall back to their exact serial implementation when the
 //     problem is smaller than the pool's minimum-work threshold
 //     (default DefaultMinWork, overridable with the
@@ -371,16 +371,6 @@ func SetDefault(p *Pool) *Pool {
 	prev := Default()
 	defaultPool.Store(p)
 	return prev
-}
-
-// SetDefaultWorkers replaces the process-wide pool with one of n
-// workers (same resolution rules as New) and returns the previous
-// pool's worker count, making worker-count sweeps trivial:
-//
-//	prev := parallel.SetDefaultWorkers(4)
-//	defer parallel.SetDefaultWorkers(prev)
-func SetDefaultWorkers(n int) int {
-	return SetDefault(New(n)).Workers()
 }
 
 func envInt(name string, fallback int) int {

@@ -260,12 +260,11 @@ func TestDefaultPoolSwap(t *testing.T) {
 	if orig == nil {
 		t.Fatal("Default() returned nil")
 	}
-	prev := SetDefaultWorkers(3)
-	if prev != orig.Workers() {
-		t.Errorf("SetDefaultWorkers returned %d, want previous count %d", prev, orig.Workers())
+	if prev := SetDefault(New(3)); prev != orig {
+		t.Error("SetDefault did not return the previous pool")
 	}
 	if got := Default().Workers(); got != 3 {
-		t.Errorf("Default().Workers() = %d after SetDefaultWorkers(3)", got)
+		t.Errorf("Default().Workers() = %d after SetDefault(New(3))", got)
 	}
 	SetDefault(orig)
 	if Default() != orig {

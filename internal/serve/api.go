@@ -423,40 +423,49 @@ func (s *Server) prepare(req *AnalyzeRequest) (*pgen.Design, error) {
 		return d, nil
 	}
 
-	nl, err := spice.ParseString(req.Spice)
+	d, err := DeckDesign("request", req.Spice, req.Resolution)
+	if err != nil {
+		return nil, err
+	}
+	if d.W > s.cfg.MaxDesignSize {
+		return nil, fmt.Errorf("spice: die size %d exceeds limit %d", d.W, s.cfg.MaxDesignSize)
+	}
+	return d, nil
+}
+
+// DeckDesign admits a SPICE deck: parse it, lint it (floating nodes,
+// non-positive resistances, missing or disagreeing pads — a
+// *circuit.DeckError, so a bad deck costs a 400 here, not a mid-solve
+// 500 from a worker), size the die from the structured node names
+// (fallbackSize when they carry no coordinates) and take VDD from the
+// first pad. POST /v1/analyze and `irfusion analyze -spice` both build
+// their design here, so a deck rasterises to the same map through
+// either.
+func DeckDesign(name, deck string, fallbackSize int) (*pgen.Design, error) {
+	nl, err := spice.ParseString(deck)
 	if err != nil {
 		return nil, err
 	}
 	if len(nl.Elements) == 0 {
 		return nil, errors.New("spice: deck has no elements")
 	}
-	// Lint the deck before admitting it: floating nodes, non-positive
-	// resistances, missing or disagreeing pads. A bad deck costs a 400
-	// here, not a mid-solve 500 from a worker.
 	if err := circuit.ValidateNetlist(nl); err != nil {
 		return nil, err
 	}
 	size := InferDieSize(nl)
 	if size <= 0 {
-		size = req.Resolution
+		size = fallbackSize
 	}
 	if size <= 0 {
-		return nil, errors.New("spice: cannot infer die size from node names; set \"resolution\"")
+		return nil, errors.New("spice: cannot infer die size from node names; set a resolution")
 	}
-	if size > s.cfg.MaxDesignSize {
-		return nil, fmt.Errorf("spice: die size %d exceeds limit %d", size, s.cfg.MaxDesignSize)
-	}
-	return &pgen.Design{
-		Name: "request", W: size, H: size,
-		VDD:     PadVoltage(nl),
-		Netlist: nl,
-	}, nil
+	return &pgen.Design{Name: name, W: size, H: size, VDD: PadVoltage(nl), Netlist: nl}, nil
 }
 
 // InferDieSize derives the die extent (µm == pixels) from structured
-// node names, mirroring the CLI's behaviour. Exported so the cluster
-// gateway derives the same routing geometry for a SPICE deck that this
-// shard will derive when analyzing it.
+// node names. Exported so the cluster gateway derives the same routing
+// geometry for a SPICE deck that this shard will derive when analyzing
+// it.
 func InferDieSize(nl *spice.Netlist) int {
 	max := -1
 	for _, e := range nl.Elements {

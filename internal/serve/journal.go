@@ -119,7 +119,9 @@ func checkpointKey(req *AnalyzeRequest, fp string) string {
 // exists. No blob is the common case (the job died before its first
 // checkpoint, or never checkpoints); damage — CRC mismatch,
 // undecodable artifact — is counted and otherwise ignored: either way
-// the job simply solves cold.
+// the job simply solves cold. Restoring is not saving: the artifact
+// goes straight into the cache, past the checkpoint.save fault site, so
+// a save fault still installed cannot stall or drop recovery.
 func (s *Server) restoreCheckpoint(key string) bool {
 	data, err := s.journal.LoadBlob(key)
 	if errors.Is(err, journal.ErrNoBlob) {
@@ -134,7 +136,7 @@ func (s *Server) restoreCheckpoint(key string) bool {
 		cJournalErr.Inc()
 		return true
 	}
-	cache.StoreCheckpoint(s.baseCtx, s.cache, art)
+	s.cache.Put(cache.CheckpointKey(art.Fingerprint, art.Shape), art, art.SizeBytes(), cache.CheckpointTag(art.N))
 	return true
 }
 

@@ -145,6 +145,53 @@ func TestServeCrashRestartResumesJob(t *testing.T) {
 	}
 }
 
+// TestServeRecoveryPassesCheckpointSaveFault: restoring a blob is not
+// saving one. The parking profile stays installed when the second
+// incarnation starts, so by then every checkpoint.save stalls; New
+// must return all the same (recovery used to re-insert the blob
+// through cache.StoreCheckpoint and hung there for good) and the
+// recovered job must resume from the restored checkpoint. The second
+// incarnation takes no checkpoints of its own, so the profile cannot
+// park it.
+func TestServeRecoveryPassesCheckpointSaveFault(t *testing.T) {
+	withGlobalFaults(t, parkAfterFirstCheckpoint)
+	dir := t.TempDir()
+	s1 := New(Config{Workers: 1, JournalDir: dir, CheckpointEvery: 2})
+	ts1 := httptest.NewServer(s1.Handler())
+	code, b := post(t, ts1, "/v1/analyze", pgenBody(31, 32, `"async": true`))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", code, b)
+	}
+	id := decodeJob(t, b).ID
+	waitParked(t, s1, id)
+	s1.Crash()
+	ts1.Close()
+
+	started := make(chan *Server, 1)
+	go func() { started <- New(Config{Workers: 1, JournalDir: dir, CheckpointEvery: -1}) }()
+	var s2 *Server
+	select {
+	case s2 = <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("serve.New did not return: recovery stalled on the installed checkpoint.save fault")
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	t.Cleanup(func() {
+		ts2.Close()
+		if err := s2.Close(context.Background()); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	v := waitStatus(t, ts2, id, func(st Status) bool { return st == StatusDone })
+	if v.Result == nil || v.Result.Manifest == nil {
+		t.Fatalf("recovered job has no result/manifest: %+v", v)
+	}
+	rs := v.Result.Manifest.Resume
+	if rs == nil || rs.Outcome != obs.ResumeAccepted || rs.Iter <= 0 || rs.From != fromRestart {
+		t.Fatalf("resume section %+v, want the restored checkpoint resumed mid-solve from %q", rs, fromRestart)
+	}
+}
+
 // journalTypes replays a journal directory read-only-in-effect and
 // tallies its records by type.
 func journalTypes(t *testing.T, dir string) map[string]int {

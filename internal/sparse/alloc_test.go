@@ -107,19 +107,6 @@ func TestZeroAllocGaussSeidel(t *testing.T) {
 	})
 }
 
-func TestZeroAllocChebyshevSmooth(t *testing.T) {
-	pinSerialPool(t)
-	a := laplacian2D(16, 16)
-	n := a.Rows()
-	c := NewChebyshev(a, 4, 0)
-	x := make([]float64, n)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1
-	}
-	requireZeroAllocs(t, "Chebyshev.Smooth", func() { c.Smooth(x, b) })
-}
-
 // TestSpmvPartitionCache proves the partition cache makes the
 // parallel dispatch path allocation-stable: after the first multiply
 // fills the cache, repeated multiplies on a multi-worker pool no

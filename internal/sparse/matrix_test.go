@@ -345,7 +345,7 @@ func TestJacobiReducesResidual(t *testing.T) {
 		r[i] = b[i] - r[i]
 	}
 	before := Norm2(r)
-	JacobiSweeps(a, x, b, 2.0/3.0, 10, nil)
+	JacobiSweepsDiag(a, x, b, a.Diag(), 2.0/3.0, 10, make([]float64, n))
 	a.MulVec(r, x)
 	for i := range r {
 		r[i] = b[i] - r[i]

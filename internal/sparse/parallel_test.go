@@ -111,9 +111,9 @@ func TestRowPartitionCoversAndBalances(t *testing.T) {
 	}
 }
 
-// TestSmoothersUnderParallelPool runs the row-parallel smoothers with
-// a forced-parallel pool and checks they still reduce the residual
-// and match the serial result bitwise (both are elementwise updates).
+// TestSmoothersUnderParallelPool runs the row-parallel Jacobi smoother
+// with a forced-parallel pool and checks it matches the serial result
+// bitwise (the update is elementwise).
 func TestSmoothersUnderParallelPool(t *testing.T) {
 	a := laplacian2D(30, 30)
 	n := a.Rows()
@@ -128,25 +128,20 @@ func TestSmoothersUnderParallelPool(t *testing.T) {
 		smoother(x)
 		return x
 	}
-	jacobi := func(x []float64) { JacobiSweeps(a, x, b, 2.0/3.0, 5, nil) }
-	cheb := func(x []float64) { NewChebyshev(a, 4, 0).Smooth(x, b) }
+	diag := a.Diag()
+	jacobi := func(x []float64) { JacobiSweepsDiag(a, x, b, diag, 2.0/3.0, 5, make([]float64, n)) }
 
 	withPool(t, parallel.New(1))
 	serialJacobi := run(jacobi)
-	serialCheb := run(cheb)
 
 	p := parallel.New(4).SetMinWork(1)
 	parallel.SetDefault(p)
 	defer p.Close()
 	parJacobi := run(jacobi)
-	parCheb := run(cheb)
 
 	for i := 0; i < n; i++ {
 		if parJacobi[i] != serialJacobi[i] {
 			t.Fatalf("Jacobi x[%d]: parallel %x, serial %x", i, parJacobi[i], serialJacobi[i])
-		}
-		if parCheb[i] != serialCheb[i] {
-			t.Fatalf("Chebyshev x[%d]: parallel %x, serial %x", i, parCheb[i], serialCheb[i])
 		}
 	}
 }

@@ -4,32 +4,18 @@ package sparse
 // cycles. Each smoother performs in-place sweeps improving x for the
 // system A·x = b.
 //
-// Jacobi and Chebyshev have no sequential dependency between rows and
-// run on the shared worker pool; the Gauss-Seidel sweeps are
-// sequential by construction and stay single-threaded.
+// Jacobi has no sequential dependency between rows and runs on the
+// shared worker pool; the Gauss-Seidel sweeps are sequential by
+// construction and stay single-threaded.
 
 import "irfusion/internal/parallel"
 
-// JacobiSweeps performs k weighted-Jacobi sweeps with damping omega
-// (omega = 2/3 is the usual choice for Laplacian-like operators).
-// scratch must have length n or be nil (allocated internally). The
+// JacobiSweepsDiag performs k weighted-Jacobi sweeps with damping
+// omega (omega = 2/3 is the usual choice for Laplacian-like
+// operators). The caller supplies the extracted diagonal and a scratch
+// vector of length a.Rows(), so repeated sweeps allocate nothing. The
 // residual product and the update are both row-parallel and bitwise
 // identical at every worker count.
-//
-// JacobiSweeps extracts the diagonal on every call; steady-state
-// callers that already hold it should use JacobiSweepsDiag, the
-// allocation-free core.
-func JacobiSweeps(a *CSR, x, b []float64, omega float64, k int, scratch []float64) {
-	if scratch == nil {
-		scratch = make([]float64, a.Rows())
-	}
-	JacobiSweepsDiag(a, x, b, a.Diag(), omega, k, scratch)
-}
-
-// JacobiSweepsDiag is the allocation-free core of JacobiSweeps: the
-// caller supplies the extracted diagonal and a scratch vector of
-// length a.Rows(), so repeated sweeps (multigrid cycles) allocate
-// nothing in steady state.
 //
 //irfusion:hotpath
 func JacobiSweepsDiag(a *CSR, x, b, diag []float64, omega float64, k int, scratch []float64) {

@@ -256,14 +256,3 @@ func (nl *Netlist) Counts() (nr, ni, nv int) {
 	}
 	return
 }
-
-// CountCaps returns the number of C cards.
-func (nl *Netlist) CountCaps() int {
-	n := 0
-	for _, e := range nl.Elements {
-		if e.Type == Capacitor {
-			n++
-		}
-	}
-	return n
-}

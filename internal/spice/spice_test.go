@@ -180,9 +180,6 @@ func TestCapacitorCards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nl.CountCaps() != 2 {
-		t.Errorf("CountCaps = %d, want 2", nl.CountCaps())
-	}
 	if nl.Elements[0].Type != Capacitor || math.Abs(nl.Elements[0].Value-20e-15) > 1e-27 {
 		t.Errorf("C1 parsed wrong: %+v", nl.Elements[0])
 	}
