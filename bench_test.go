@@ -290,44 +290,6 @@ func BenchmarkSolverSpMVFormats(b *testing.B) {
 	})
 }
 
-// BenchmarkSolverConvergedPrecision races the two converged AMG-PCG
-// arithmetic paths on the same system: full float64 AMG-PCG against
-// the mixed-precision rung (float32 V-cycle inside float64 iterative
-// refinement). Both converge to 1e-10; the mixed row's win comes from
-// halved smoother/transfer memory traffic per cycle, paid back
-// against its extra refinement rounds.
-func BenchmarkSolverConvergedPrecision(b *testing.B) {
-	f := benchFixtures(b)
-	b.Run("full", func(b *testing.B) {
-		x := make([]float64, f.sys.N())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range x {
-				x[j] = 0
-			}
-			res, err := solver.PCG(f.sys.G, x, f.sys.I, f.hier, solver.DefaultOptions())
-			if err != nil || !res.Converged {
-				b.Fatalf("err=%v converged=%v", err, res.Converged)
-			}
-		}
-	})
-	b.Run("mixed", func(b *testing.B) {
-		x := make([]float64, f.sys.N())
-		h32 := amg.NewHierarchy32(f.hier)
-		ctx := context.Background()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range x {
-				x[j] = 0
-			}
-			res, err := solver.MPPCGCtx(ctx, f.sys.G, x, f.sys.I, h32, solver.DefaultOptions())
-			if err != nil || !res.Converged {
-				b.Fatalf("err=%v converged=%v", err, res.Converged)
-			}
-		}
-	})
-}
-
 // BenchmarkCheckpointOverhead prices crash durability: the same
 // converged AMG-PCG solve with checkpointing off versus snapshotting
 // every 8 iterations through the real serving-path sink (copy the

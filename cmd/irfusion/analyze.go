@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"irfusion/internal/cache"
@@ -34,7 +36,6 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 	seed := fs.Int64("seed", 1, "generator seed")
 	iters := fs.Int("iters", 0, "PCG iteration budget (0 = converge)")
 	precond := fs.String("precond", "amg", "preconditioner for budgeted solves: amg|ssor")
-	precision := fs.String("precision", "full", "converged-solve arithmetic: full|mixed (float32 V-cycle inside float64 refinement)")
 	format := fs.String("format", "auto", "SpMV storage format: auto|csr|sell")
 	modelFile := fs.String("model-file", "", "trained checkpoint: run the fused numerical+ML pipeline")
 	pgm := fs.String("pgm", "", "write the drop map as PGM")
@@ -48,15 +49,14 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 	if err := applyFaults(*faultSpec); err != nil {
 		return nil, err
 	}
-	switch *precision {
-	case "full", "mixed":
-	default:
-		return nil, fmt.Errorf("-precision %q: want full or mixed", *precision)
-	}
-	switch *format {
-	case "auto", "csr", "sell":
-	default:
-		return nil, fmt.Errorf("-format %q: want auto, csr, or sell", *format)
+	for _, f := range []struct{ name, value, allowed string }{
+		{"class", *class, "fake real"},
+		{"precond", *precond, "amg ssor"},
+		{"format", *format, "auto csr sell"},
+	} {
+		if !slices.Contains(strings.Fields(f.allowed), f.value) {
+			return nil, fmt.Errorf("-%s %q: want one of: %s", f.name, f.value, f.allowed)
+		}
 	}
 	if *useCache {
 		prev := cache.SetActive(cache.NewFromEnv())
@@ -98,7 +98,6 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 		"seed":       *seed,
 		"iters":      *iters,
 		"precond":    *precond,
-		"precision":  *precision,
 		"format":     *format,
 		"model_file": *modelFile,
 		"resolution": res,
@@ -138,10 +137,7 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 			}
 			log.Printf("fused pipeline: worst-case IR drop %.4g V (%.3fs)", m.Max(), rt.Seconds())
 		} else {
-			na := &core.NumericalAnalyzer{
-				Iters: *iters, Resolution: res, Precond: *precond,
-				Precision: *precision, Format: *format,
-			}
+			na := &core.NumericalAnalyzer{Iters: *iters, Resolution: res, Precond: *precond, Format: *format}
 			var resid float64
 			m, rt, resid, err = na.Analyze(dd)
 			if err != nil {

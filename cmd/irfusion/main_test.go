@@ -77,6 +77,23 @@ func TestAnalyzeSpiceSizesTheDieFromTheDeck(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRefusesMistypedValues: an enumerated flag set to anything
+// outside its set is an error naming the flag, before any work — not a
+// silent fall-through to the other value (`-class Real` used to
+// generate a fake design, `-precond AMG` to run SSOR).
+func TestAnalyzeRefusesMistypedValues(t *testing.T) {
+	for _, args := range [][]string{
+		{"-format", "ell"},
+		{"-class", "Real"},
+		{"-iters", "5", "-precond", "AMG"},
+	} {
+		flagName := args[len(args)-2]
+		if _, err := cmdAnalyze(args); err == nil || !strings.Contains(err.Error(), flagName) {
+			t.Errorf("analyze %v: error %v, want one naming %s", args, err, flagName)
+		}
+	}
+}
+
 // TestRehearseAll runs every row of the table, at 32 µm. The requeue
 // row is the only coverage of the mid-solve-panic → requeue → resume
 // path.
@@ -109,7 +126,6 @@ func TestRehearseBites(t *testing.T) {
 		{"degraded", noFaults, degraded},
 		{"cache-chaos", noFaults, staleCaught},
 		{"requeue", noFaults, resumedFrom("requeue")},
-		{"mixed", func(r *row) { r.steps = analysis{}.run }, mixedSolve},
 		{"cache-hit", func(r *row) { r.steps = analysis{cached: true}.run }, cacheHit},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -70,8 +70,6 @@ var rehearsals = []row{
 	// from the artifact cache.
 	{name: "cache-hit", steps: analysis{cached: true, prime: 1}.run,
 		expect: []expectation{cacheHit}},
-	{name: "mixed", steps: analysis{precision: "mixed"}.run,
-		expect: []expectation{solved, dispatched, mixedSolve}},
 	// A panic mid-solve: the worker requeues the job once and the retry
 	// resumes from the in-cache checkpoint.
 	{name: "requeue", faults: "solver.pcg:panic:label=numerical.amg,after=10,times=1", steps: requeue,
@@ -118,14 +116,6 @@ var (
 	}}
 	cacheHit = expectation{"an exact cache hit", func(m *obs.Manifest) bool {
 		return m.Cache != nil && m.Cache.Hits > 0
-	}}
-	mixedSolve = expectation{"a solve record with precision \"mixed\"", func(m *obs.Manifest) bool {
-		for _, s := range m.Solves {
-			if s.Precision == obs.PrecisionMixed {
-				return true
-			}
-		}
-		return false
 	}}
 )
 
@@ -215,10 +205,9 @@ func installFaults(spec string) (restore func()) {
 // solving the generated real-class die to convergence under one
 // recorder — what `irfusion analyze -size N -seed 3` runs.
 type analysis struct {
-	precision string // "mixed" asks for the mixed-precision rung
-	cached    bool   // give the run an artifact cache of its own
-	prime     int    // analyses run first, unrecorded, to fill that cache
-	repeats   int    // recorded analyses of the same die (0 means 1)
+	cached  bool // give the run an artifact cache of its own
+	prime   int  // analyses run first, unrecorded, to fill that cache
+	repeats int  // recorded analyses of the same die (0 means 1)
 }
 
 func (a analysis) run(size int, faultSpec string) (*obs.Manifest, error) {
@@ -231,7 +220,7 @@ func (a analysis) run(size int, faultSpec string) (*obs.Manifest, error) {
 	if a.cached {
 		ctx = cache.WithCache(ctx, cache.New(0, 0))
 	}
-	na := &core.NumericalAnalyzer{Resolution: size, Precision: a.precision}
+	na := &core.NumericalAnalyzer{Resolution: size}
 	for i := 0; i < a.prime; i++ {
 		if _, _, _, err := na.AnalyzeCtx(ctx, d); err != nil {
 			return nil, fmt.Errorf("priming analysis: %w", err)

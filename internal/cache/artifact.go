@@ -41,16 +41,6 @@ type SystemArtifact struct {
 	I           []float64      // current vector (right-hand side)
 	Golden      []float64      // converged solution, reduced indexing
 	Hier        *amg.Hierarchy // nil when the solve warm-started off a neighbor
-	// Precision tags the arithmetic path of the solve that produced
-	// Golden (obs.PrecisionFull / obs.PrecisionMixed; empty on
-	// artifacts stored before the tag existed). Hier is ALWAYS the
-	// float64 hierarchy — mixed-precision solves derive their float32
-	// shadow per solve (amg.NewHierarchy32) and never store it — so
-	// warm-start donation is deliberately precision-agnostic: the
-	// float64 residual guard and the converged-or-degrade rung
-	// mechanics hold regardless of which path produced the donor or
-	// runs the consumer. Pinned by TestWarmStartAcrossPrecisions.
-	Precision string
 }
 
 // SizeBytes estimates the artifact's memory footprint for the cache's

@@ -1,18 +1,19 @@
 package cache
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"testing"
 
 	"irfusion/internal/faults"
-	"irfusion/internal/obs"
 	"irfusion/internal/solver"
 )
 
 func testCheckpointArtifact(fp string) *CheckpointArtifact {
 	return &CheckpointArtifact{
 		Fingerprint: fp,
-		Shape:       CheckpointShape("amg", obs.PrecisionFull, "auto", 0),
+		Shape:       CheckpointShape("amg", "", "auto", 0),
 		N:           4,
 		State: solver.Checkpoint{
 			X:           []float64{1, 2, 3, 4},
@@ -22,7 +23,6 @@ func testCheckpointArtifact(fp string) *CheckpointArtifact {
 			Tol:         1e-8,
 			MaxIter:     500,
 			Label:       "numerical.amg",
-			Precision:   obs.PrecisionFull,
 		},
 	}
 }
@@ -43,7 +43,7 @@ func TestCheckpointStoreLookupDrop(t *testing.T) {
 	if LookupCheckpoint(ctx, c, "fp-other", art.Shape) != nil {
 		t.Error("foreign fingerprint found the checkpoint")
 	}
-	otherShape := CheckpointShape("ssor", obs.PrecisionFull, "auto", 0)
+	otherShape := CheckpointShape("ssor", "", "auto", 0)
 	if LookupCheckpoint(ctx, c, "fp-1", otherShape) != nil {
 		t.Error("foreign request shape found the checkpoint")
 	}
@@ -61,14 +61,18 @@ func TestCheckpointStoreLookupDrop(t *testing.T) {
 }
 
 // TestCheckpointShapeDefaults: empty request fields canonicalize to
-// the documented defaults so "amg, full, auto" spelled explicitly and
+// the documented defaults so "amg, auto" spelled explicitly and
 // implicitly share one checkpoint.
 func TestCheckpointShapeDefaults(t *testing.T) {
-	if got, want := CheckpointShape("", "", "", 0), CheckpointShape("amg", obs.PrecisionFull, "auto", 0); got != want {
+	if got, want := CheckpointShape("", "", "", 0), CheckpointShape("amg", "", "auto", 0); got != want {
 		t.Errorf("defaulted shape %q != explicit %q", got, want)
 	}
-	if CheckpointShape("amg", "full", "auto", 0) == CheckpointShape("amg", "full", "auto", 7) {
+	if CheckpointShape("amg", "", "auto", 0) == CheckpointShape("amg", "", "auto", 7) {
 		t.Error("iteration budget does not qualify the shape")
+	}
+	// The key of every blob already on disk.
+	if got, want := CheckpointShape("", "", "", 0), "precond=amg,prec=full,fmt=auto,iters=0"; got != want {
+		t.Errorf("default shape is %q; blobs on disk are keyed %q", got, want)
 	}
 }
 
@@ -115,8 +119,10 @@ func TestCheckpointFaults(t *testing.T) {
 	}
 }
 
-// TestCheckpointEncodeDecode: the gob round trip used by the durable
-// blob path preserves every field.
+// TestCheckpointEncodeDecode: the binary round trip used by the durable
+// blob path preserves every field, and the layout is the one already
+// on disk — a blob the PR 18 binary wrote decodes and re-encodes to the
+// same bytes.
 func TestCheckpointEncodeDecode(t *testing.T) {
 	art := testCheckpointArtifact("fp-enc")
 	data, err := EncodeCheckpoint(art)
@@ -140,6 +146,22 @@ func TestCheckpointEncodeDecode(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint([]byte("junk")); err == nil {
 		t.Error("junk decoded without error")
+	}
+
+	old, err := os.ReadFile("testdata/checkpoint_pr18.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err = DecodeCheckpoint(old)
+	if err != nil {
+		t.Fatalf("blob written by the previous release: %v", err)
+	}
+	if back.State.Iter != 12 || back.N != len(back.State.X) || back.Shape != CheckpointShape("amg", "", "auto", 0) {
+		t.Fatalf("previous release's blob decoded to iter %d, N %d, %d values, shape %q",
+			back.State.Iter, back.N, len(back.State.X), back.Shape)
+	}
+	if again, _ := EncodeCheckpoint(back); !bytes.Equal(again, old) {
+		t.Error("re-encoding the previous release's blob changed its bytes")
 	}
 }
 

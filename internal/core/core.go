@@ -583,15 +583,9 @@ type NumericalAnalyzer struct {
 	Iters      int
 	Resolution int
 	Precond    string
-	// Precision selects the arithmetic path of converged AMG solves:
-	// "mixed" prepends the mixed-precision rung (plan.RungAMGMP —
-	// float32 V-cycle inside float64 iterative refinement) ahead of the
-	// full-precision AMG rung, so a stagnating refinement falls back
-	// to full precision through the ordinary ladder mechanics with a
-	// degradation trail. Empty or "full" runs full precision only.
-	// Budgeted solves (Iters > 0) ignore it: their per-iteration
-	// progress is the quantity under study in the Fig-7 trade-off and
-	// the refinement loop has no comparable iteration budget.
+	// Precision selects nothing: every solve is float64, and AnalyzeCtx
+	// refuses any value but "" and "full". The field is there because
+	// the frozen _bench/layers.go sets it.
 	Precision string
 	// Format overrides the SpMV storage format of the PCG rungs
 	// ("auto", "csr", "sell"); empty keeps the solver default
@@ -602,14 +596,14 @@ type NumericalAnalyzer struct {
 	// means defaults (see plan.ResilienceOptions).
 	Resilience plan.ResilienceOptions
 	// CheckpointEvery enables solver checkpointing on converged cached
-	// analyses: every CheckpointEvery PCG iterations (every refinement
-	// round on the mixed rung) the solve snapshots its iterate into the
-	// artifact cache under fingerprint⊕shape, and the ladder gains a
-	// resume rung (plan.RungAMGResume) when a matching snapshot already
-	// exists — a crashed or handed-off solve continues from its last
-	// checkpoint instead of iteration 0. 0 disables checkpointing.
-	// Requires an active artifact cache; budgeted solves (Iters > 0)
-	// never checkpoint — they run cold by design.
+	// analyses: every CheckpointEvery PCG iterations the solve snapshots
+	// its iterate into the artifact cache under fingerprint⊕shape, and
+	// the ladder gains a resume rung (plan.RungAMGResume) when a
+	// matching snapshot already exists — a crashed or handed-off solve
+	// continues from its last checkpoint instead of iteration 0. 0
+	// disables checkpointing. Requires an active artifact cache;
+	// budgeted solves (Iters > 0) never checkpoint — they run cold by
+	// design.
 	CheckpointEvery int
 	// OnCheckpoint, when non-nil, additionally receives each stored
 	// checkpoint's cache key and binary encoding
@@ -641,6 +635,9 @@ func (n *NumericalAnalyzer) Analyze(d *pgen.Design) (*grid.Map, time.Duration, f
 // study in the Fig-7 trade-off, so caching would corrupt the
 // comparison.
 func (n *NumericalAnalyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*grid.Map, time.Duration, float64, error) {
+	if n.Precision != "" && n.Precision != "full" {
+		return nil, 0, 0, fmt.Errorf("core: precision %q: every solve is full precision", n.Precision)
+	}
 	rec := obs.ActiveOr(ctx)
 	start := time.Now()
 	st := rec.StartStage("numerical.assemble")
@@ -656,7 +653,7 @@ func (n *NumericalAnalyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*gr
 	st = rec.StartStage("numerical.solve")
 	x := make([]float64, sys.N())
 	res, err := plan.Numerical(ctx, sys, x, plan.Solve{
-		Iters: n.Iters, Precond: n.Precond, Precision: n.Precision, Format: n.Format,
+		Iters: n.Iters, Precond: n.Precond, Format: n.Format,
 		Fingerprint:     func() string { return cache.DesignFingerprint(d) },
 		CheckpointEvery: n.CheckpointEvery, OnCheckpoint: n.OnCheckpoint, Resilience: n.Resilience,
 	})

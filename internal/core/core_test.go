@@ -145,10 +145,15 @@ func TestNumericalAnalyzer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := &NumericalAnalyzer{Iters: 0, Resolution: 32}
+	// "full" is the only precision there is; anything else is refused,
+	// not quietly solved in float64 under another name.
+	golden := &NumericalAnalyzer{Iters: 0, Resolution: 32, Precision: "full"}
 	gm, _, gRes, err := golden.Analyze(d)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, _, _, err := (&NumericalAnalyzer{Resolution: 32, Precision: "half"}).Analyze(d); err == nil {
+		t.Error("an unknown precision was accepted")
 	}
 	if gRes > 1e-9 {
 		t.Errorf("golden solve residual %v", gRes)

@@ -112,21 +112,12 @@ type StageRecord struct {
 	Mallocs    uint64  `json:"mallocs"`
 }
 
-// Precision values of SolveRecord: full float64 arithmetic throughout,
-// or the mixed path (float32 V-cycle preconditioner inside a float64
-// iterative-refinement correction).
-const (
-	PrecisionFull  = "full"
-	PrecisionMixed = "mixed"
-)
-
 // SolveRecord is one labeled Krylov solve: iteration count, final
 // relative residual, and the full per-iteration residual history (the
-// convergence trace the fusion trade-off study reads). Format and
-// Precision say which SpMV storage format and arithmetic-precision
-// path produced the solve — optional keys of irfusion/run-manifest/v1
-// (absent on records from solvers that predate them, e.g. the random
-// walk), so their addition needs no schema-version bump.
+// convergence trace the fusion trade-off study reads). Format says
+// which SpMV storage format produced the solve — an optional key of
+// irfusion/run-manifest/v1 (absent on records of solvers without an
+// SpMV, e.g. the random walk).
 type SolveRecord struct {
 	Label      string    `json:"label"`
 	Iterations int       `json:"iterations"`
@@ -135,7 +126,6 @@ type SolveRecord struct {
 	Seconds    float64   `json:"seconds"`
 	History    []float64 `json:"history,omitempty"`
 	Format     string    `json:"format,omitempty"`
-	Precision  string    `json:"precision,omitempty"`
 }
 
 // DegradationAttempt is one try of one ladder rung: which rung, the

@@ -3,6 +3,7 @@ package plan_test
 import (
 	"context"
 	"math"
+	"os"
 	"slices"
 	"testing"
 	"time"
@@ -74,8 +75,9 @@ func servingRung(t *testing.T, rec *obs.Recorder, component, stage string) strin
 
 // TestSolvePathsAgree is the differential test over the rung table:
 // one fixed deck, solved down every path a rung list can take — cold,
-// exact hit, warm neighbour, resume from checkpoint, mixed precision,
-// SSOR as fallback and as the budgeted first rung, the random walk,
+// exact hit, warm neighbour, resume from checkpoint (one taken in this
+// process, one written to disk by the previous release), SSOR as
+// fallback and as the budgeted first rung, the random walk,
 // the fused rough ladder down to structure-only, and dataset.Build's
 // label ladder. Every path must name, in its manifest, the rung the
 // scenario was built to reach, that rung must be on the list the
@@ -111,15 +113,9 @@ func TestSolvePathsAgree(t *testing.T) {
 		}
 		return c
 	}
-	// checkpointed returns a cache holding only a mid-solve snapshot of
-	// d, as journal recovery reconstructs it from a blob.
-	checkpointed := func() *cache.Cache {
-		var blob []byte
-		req := plan.Solve{Fingerprint: func() string { return fp }, CheckpointEvery: 2,
-			OnCheckpoint: func(_ string, encoded []byte) { blob = encoded }}
-		if _, err := plan.Numerical(cache.WithCache(bg, cache.New(0, 0)), sys, make([]float64, sys.N()), req); err != nil {
-			t.Fatal(err)
-		}
+	// restored returns a cache holding only the mid-solve snapshot in
+	// blob, as journal recovery reconstructs it.
+	restored := func(blob []byte) *cache.Cache {
 		art, err := cache.DecodeCheckpoint(blob)
 		if err != nil {
 			t.Fatal(err)
@@ -127,6 +123,26 @@ func TestSolvePathsAgree(t *testing.T) {
 		c := cache.New(0, 0)
 		cache.StoreCheckpoint(bg, c, art)
 		return c
+	}
+	// checkpointed restores a snapshot of d's solve taken just now.
+	checkpointed := func() *cache.Cache {
+		var blob []byte
+		req := plan.Solve{Fingerprint: func() string { return fp }, CheckpointEvery: 2,
+			OnCheckpoint: func(_ string, encoded []byte) { blob = encoded }}
+		if _, err := plan.Numerical(cache.WithCache(bg, cache.New(0, 0)), sys, make([]float64, sys.N()), req); err != nil {
+			t.Fatal(err)
+		}
+		return restored(blob)
+	}
+	// parentBlob restores what the PR 18 binary left in a journal
+	// directory: a blob of this deck's solve at iteration 12, encoded by
+	// that binary. Its key and layout are durable formats.
+	parentBlob := func() *cache.Cache {
+		blob, err := os.ReadFile("../cache/testdata/checkpoint_pr18.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return restored(blob)
 	}
 	empty := func() *cache.Cache { return cache.New(0, 0) }
 
@@ -144,9 +160,9 @@ func TestSolvePathsAgree(t *testing.T) {
 		{name: "exact hit", cache: func() *cache.Cache { return solved(d) }, want: plan.RungHit},
 		{name: "warm neighbour", cache: func() *cache.Cache { return solved(neighbour) }, want: plan.RungAMGWarm},
 		{name: "resume", cache: checkpointed, want: plan.RungAMGResume},
+		{name: "resume from a blob the previous release wrote", cache: parentBlob, want: plan.RungAMGResume},
 		{name: "poisoned checkpoint goes cold", cache: checkpointed, faults: "checkpoint.restore:corrupt", want: plan.RungAMG},
 		{name: "stale hit goes cold", cache: func() *cache.Cache { return solved(d) }, faults: "cache.lookup:stale", want: plan.RungAMG},
-		{name: "mixed", req: plan.Solve{Precision: "mixed"}, want: plan.RungAMGMP},
 		{name: "ssor fallback", faults: "amg.setup:fail", want: plan.RungSSOR},
 		{name: "ssor-first budgeted", req: plan.Solve{Iters: 50, Precond: "ssor"}, want: plan.RungSSOR},
 		{name: "amg-first budgeted", req: plan.Solve{Iters: 50, Precond: "amg"}, want: plan.RungAMG},
@@ -165,8 +181,8 @@ func TestSolvePathsAgree(t *testing.T) {
 				c = p.cache()
 				ctx = cache.WithCache(ctx, c)
 			}
-			shape := cache.CheckpointShape(req.Precond, req.Precision, req.Format, req.Iters)
-			if list := plan.Rungs(req.Iters, req.Precond, req.Precision, c != nil); !slices.Contains(list, p.want) {
+			shape := cache.CheckpointShape(req.Precond, "", req.Format, req.Iters)
+			if list := plan.Rungs(req.Iters, req.Precond, c != nil); !slices.Contains(list, p.want) {
 				t.Fatalf("policy emits %v for this request; %s is not on it", list, p.want)
 			}
 			x := make([]float64, sys.N())
@@ -194,13 +210,9 @@ func TestSolvePathsAgree(t *testing.T) {
 			}
 		})
 	}
-	for _, cached := range []bool{false, true} {
-		for _, prec := range []string{"", "mixed"} {
-			for _, name := range plan.Rungs(0, "amg", prec, cached) {
-				if !reached[name] {
-					t.Errorf("policy can emit %s but no path above reaches it", name)
-				}
-			}
+	for _, name := range plan.Rungs(0, "amg", true) {
+		if !reached[name] {
+			t.Errorf("policy can emit %s but no path above reaches it", name)
 		}
 	}
 

@@ -22,7 +22,6 @@ import (
 const (
 	RungHit        = "numerical.hit"
 	RungAMG        = "numerical.amg"
-	RungAMGMP      = "numerical.amg.mp"
 	RungAMGWarm    = "numerical.amg.warm"
 	RungAMGResume  = "numerical.amg.resume"
 	RungSSOR       = "numerical.ssor"
@@ -34,18 +33,17 @@ const (
 
 // Rungs is the whole solve policy of the numerical analyzer: the
 // ordered rung names for a request with the given iteration budget
-// (<= 0 converges), preconditioner and precision, with or without an
-// artifact cache addressing the design.
+// (<= 0 converges) and preconditioner, with or without an artifact
+// cache addressing the design.
 //
 // Budgeted solves run cold — their per-iteration progress is the
-// quantity under study in the Fig-7 trade-off, so caching, resuming
-// and mixed precision would corrupt the comparison — and start at the
-// SSOR rung unless the full AMG K-cycle was asked for. Converged
-// solves try the cheapest answer first: an exact cached solution, a
-// checkpoint of this very solve, a warm start off an ECO neighbour —
-// each only if its lookup finds one — then the cold backends, most
-// capable first.
-func Rungs(iters int, precond, precision string, cached bool) []string {
+// quantity under study in the Fig-7 trade-off, so caching and resuming
+// would corrupt the comparison — and start at the SSOR rung unless the
+// full AMG K-cycle was asked for. Converged solves try the cheapest
+// answer first: an exact cached solution, a checkpoint of this very
+// solve, a warm start off an ECO neighbour — each only if its lookup
+// finds one — then the cold backends, most capable first.
+func Rungs(iters int, precond string, cached bool) []string {
 	if iters > 0 {
 		if precond != "amg" {
 			return []string{RungSSOR, RungRandomWalk}
@@ -55,9 +53,6 @@ func Rungs(iters int, precond, precision string, cached bool) []string {
 	var l []string
 	if cached {
 		l = append(l, RungHit, RungAMGResume, RungAMGWarm)
-	}
-	if precision == "mixed" {
-		l = append(l, RungAMGMP)
 	}
 	return append(l, RungAMG, RungSSOR, RungRandomWalk)
 }
@@ -90,12 +85,11 @@ type solveState struct {
 	opts         solver.Options // PCG configuration; an empty Label takes the rung name
 	mustConverge bool           // a cold AMG solve that stops short fails its rung
 
-	cache     *cache.Cache // nil: every cache rung declines
-	fp        string       // design fingerprint addressing the cache
-	shape     string       // checkpoint shape of this request
-	stage     string       // stage name on this solve's cache events
-	precision string       // arithmetic path tagged on the stored artifact
-	rec       *obs.Recorder
+	cache *cache.Cache // nil: every cache rung declines
+	fp    string       // design fingerprint addressing the cache
+	shape string       // checkpoint shape of this request
+	stage string       // stage name on this solve's cache events
+	rec   *obs.Recorder
 
 	// warmFirst keeps the dataset builder's cache-event trail: "warm" is
 	// recorded before the warm-started solve and a failed one adds
@@ -115,10 +109,7 @@ func newState(ctx context.Context, sys *circuit.System, x []float64, iters int, 
 	if converge {
 		opts = solver.DefaultOptions()
 	}
-	return &solveState{
-		sys: sys, x: x, iters: iters, opts: opts,
-		precision: obs.PrecisionFull, rec: obs.ActiveOr(ctx),
-	}
+	return &solveState{sys: sys, x: x, iters: iters, opts: opts, rec: obs.ActiveOr(ctx)}
 }
 
 // rung is one way of filling st.x. ready (optional) is the rung's cache
@@ -137,7 +128,6 @@ var rungTable = map[string]rung{
 	RungHit:        {ready: hitReady, run: hit},
 	RungAMGResume:  {ready: resumeReady, run: resume},
 	RungAMGWarm:    {ready: warmReady, run: warm},
-	RungAMGMP:      {run: amgMixed},
 	RungAMG:        {run: amgCold},
 	RungSSOR:       {run: ssor},
 	RungRough:      {run: ssor},
@@ -172,10 +162,7 @@ func (st *solveState) run(ctx context.Context, component string, names []string,
 	if st.cache != nil && st.res.Converged {
 		cache.StoreSystem(ctx, st.cache, st.stage, &cache.SystemArtifact{
 			Fingerprint: st.fp, N: st.sys.N(), G: st.sys.G, I: st.sys.I,
-			Golden: append([]float64(nil), st.x...),
-			// The float64 hierarchy and golden are stored either way;
-			// Precision only records which path produced them.
-			Hier: st.hier, Precision: st.precision,
+			Golden: append([]float64(nil), st.x...), Hier: st.hier,
 		})
 	}
 	return nil
@@ -328,26 +315,6 @@ func amgCold(ctx context.Context, st *solveState, name string) error {
 	return st.pcg(ctx, name, h, st.mustConverge)
 }
 
-// amgMixed builds (and publishes) the same float64 hierarchy, derives
-// the float32 shadow, and refines in float64. A stagnating refinement
-// (solver.ErrMPStagnation) classifies as structural, so the ladder
-// falls straight to the full-precision rung.
-func amgMixed(ctx context.Context, st *solveState, name string) error {
-	h, err := st.buildAMG(ctx)
-	if err != nil {
-		return err
-	}
-	sparse.Zero(st.x)
-	opts := st.opts
-	opts.Label = name
-	r, err := solver.MPPCGCtx(ctx, st.sys.G, st.x, st.sys.I, amg.NewHierarchy32(h), opts)
-	if err != nil {
-		return err
-	}
-	st.res = r
-	return nil
-}
-
 func ssor(ctx context.Context, st *solveState, name string) error {
 	sparse.Zero(st.x)
 	return st.pcg(ctx, name, solver.NewSSOR(st.sys.G, 2), false)
@@ -406,10 +373,9 @@ type Solve struct {
 	// iterations; <= 0 solves to convergence.
 	Iters int
 	// Precond ("amg" or "ssor") picks the first rung of a budgeted
-	// solve; Precision "mixed" prepends the mixed-precision rung to a
-	// converged one; Format overrides the SpMV storage format ("" keeps
-	// the solver default).
-	Precond, Precision, Format string
+	// solve; Format overrides the SpMV storage format ("" keeps the
+	// solver default).
+	Precond, Format string
 	// Fingerprint yields the design's content address
 	// (cache.DesignFingerprint). It is called only for a solve the
 	// artifact cache applies to — converged, with a cache resolved from
@@ -417,9 +383,8 @@ type Solve struct {
 	// keeps; every other solve runs cold and never pays for the hash.
 	Fingerprint func() string
 	// CheckpointEvery > 0 snapshots a cached solve into the artifact
-	// cache every that many PCG iterations (refinement rounds on the
-	// mixed rung); OnCheckpoint additionally receives each snapshot's
-	// key and binary encoding.
+	// cache every that many PCG iterations; OnCheckpoint additionally
+	// receives each snapshot's key and binary encoding.
 	CheckpointEvery int
 	OnCheckpoint    func(key string, encoded []byte)
 	Resilience      ResilienceOptions
@@ -434,12 +399,9 @@ func Numerical(ctx context.Context, sys *circuit.System, x []float64, s Solve) (
 	if s.Format != "" {
 		st.opts.Format = s.Format
 	}
-	if s.Precision == "mixed" {
-		st.precision = obs.PrecisionMixed
-	}
 	if cc := cache.ActiveOr(ctx); cc != nil && s.Iters <= 0 {
 		st.cache, st.fp = cc, s.Fingerprint()
-		st.shape = cache.CheckpointShape(s.Precond, s.Precision, s.Format, s.Iters)
+		st.shape = cache.CheckpointShape(s.Precond, "", s.Format, s.Iters)
 		if s.CheckpointEvery > 0 {
 			st.opts.CheckpointEvery = s.CheckpointEvery
 			st.opts.CheckpointSink = &cache.CheckpointWriter{
@@ -447,7 +409,7 @@ func Numerical(ctx context.Context, sys *circuit.System, x []float64, s Solve) (
 			}
 		}
 	}
-	names := Rungs(s.Iters, s.Precond, s.Precision, st.cache != nil)
+	names := Rungs(s.Iters, s.Precond, st.cache != nil)
 	if err := st.run(ctx, "core.numerical", names, s.Resilience); err != nil {
 		return st.res, err
 	}

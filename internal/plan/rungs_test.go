@@ -18,29 +18,25 @@ import (
 func TestRungsPolicy(t *testing.T) {
 	cold := []string{RungAMG, RungSSOR, RungRandomWalk}
 	cases := []struct {
-		name               string
-		iters              int
-		precond, precision string
-		cached             bool
-		want               []string
+		name    string
+		iters   int
+		precond string
+		cached  bool
+		want    []string
 	}{
 		{name: "converged, no cache", want: cold},
 		{name: "converged, ssor precond still opens with AMG", precond: "ssor", want: cold},
 		{name: "converged, cache", cached: true,
 			want: []string{RungHit, RungAMGResume, RungAMGWarm, RungAMG, RungSSOR, RungRandomWalk}},
-		{name: "mixed, no cache", precision: "mixed",
-			want: []string{RungAMGMP, RungAMG, RungSSOR, RungRandomWalk}},
-		{name: "mixed, cache", precision: "mixed", cached: true,
-			want: []string{RungHit, RungAMGResume, RungAMGWarm, RungAMGMP, RungAMG, RungSSOR, RungRandomWalk}},
 		{name: "budgeted, default precond starts at SSOR", iters: 5,
 			want: []string{RungSSOR, RungRandomWalk}},
 		{name: "budgeted ssor", iters: 5, precond: "ssor", want: []string{RungSSOR, RungRandomWalk}},
 		{name: "budgeted amg", iters: 5, precond: "amg", want: cold},
-		{name: "budgeted solves run cold and in full precision whatever else is on offer",
-			iters: 5, precond: "amg", precision: "mixed", cached: true, want: cold},
+		{name: "budgeted solves run cold whatever the cache has on offer",
+			iters: 5, precond: "amg", cached: true, want: cold},
 	}
 	for _, tc := range cases {
-		got := Rungs(tc.iters, tc.precond, tc.precision, tc.cached)
+		got := Rungs(tc.iters, tc.precond, tc.cached)
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("%s: Rungs = %v, want %v", tc.name, got, tc.want)
 		}
@@ -53,9 +49,7 @@ func TestEveryListedRungExists(t *testing.T) {
 	lists := [][]string{goldenRungs, fusedRoughRungs}
 	for _, iters := range []int{0, 3} {
 		for _, precond := range []string{"amg", "ssor"} {
-			for _, precision := range []string{"full", "mixed"} {
-				lists = append(lists, Rungs(iters, precond, precision, true))
-			}
+			lists = append(lists, Rungs(iters, precond, true))
 		}
 	}
 	listed := map[string]bool{}

@@ -78,11 +78,6 @@ type AnalyzeRequest struct {
 	// Precond selects the budgeted-solve preconditioner: "amg"
 	// (default) or "ssor". Ignored by fused mode.
 	Precond string `json:"precond,omitempty"`
-	// Precision selects the converged-solve arithmetic: "full"
-	// (default) or "mixed" (float32 V-cycle inside float64 iterative
-	// refinement; falls back to full precision on stagnation). Ignored
-	// by budgeted solves (iters > 0) and by fused mode.
-	Precision string `json:"precision,omitempty"`
 	// Format selects the SpMV storage format: "auto" (default;
 	// row-length-variance-driven), "csr", or "sell". A pure
 	// performance knob — every format computes bitwise-identical
@@ -369,13 +364,6 @@ func (s *Server) prepare(req *AnalyzeRequest) (*pgen.Design, error) {
 	default:
 		return nil, fmt.Errorf("unknown precond %q (want amg or ssor)", req.Precond)
 	}
-	switch req.Precision {
-	case "":
-		req.Precision = "full"
-	case "full", "mixed":
-	default:
-		return nil, fmt.Errorf("unknown precision %q (want full or mixed)", req.Precision)
-	}
 	switch req.Format {
 	case "":
 		req.Format = sparse.FormatAuto
@@ -520,12 +508,11 @@ func (s *Server) runJob(j *Job) {
 	rec.Add("serve.job", 1)
 	ctx := obs.WithRecorder(j.ctx, rec)
 	cfgMap := map[string]any{
-		"mode":      j.req.Mode,
-		"iters":     j.req.Iters,
-		"precond":   j.req.Precond,
-		"precision": j.req.Precision,
-		"format":    j.req.Format,
-		"design":    j.design.Name,
+		"mode":    j.req.Mode,
+		"iters":   j.req.Iters,
+		"precond": j.req.Precond,
+		"format":  j.req.Format,
+		"design":  j.design.Name,
 	}
 	if j.handoffFrom != "" {
 		// This job reached us through a gateway handoff after another
@@ -697,12 +684,11 @@ func responseKey(j *Job) string {
 		return ""
 	}
 	r := &j.req
-	// Precision and Format qualify the key even though both paths
-	// converge to the same answer: manifests differ (rung names,
-	// fallback trails), and a format-forced run must not satisfy an
-	// auto-format one.
-	return fmt.Sprintf("resp|%s|mode=%s,iters=%d,precond=%s,prec=%s,fmt=%s,res=%d,map=%t",
-		j.fp, r.Mode, r.Iters, r.Precond, r.Precision, r.Format, r.Resolution, r.IncludeMap)
+	// Format qualifies the key even though every format computes the
+	// same answer: a format-forced run must not satisfy an auto-format
+	// one.
+	return fmt.Sprintf("resp|%s|mode=%s,iters=%d,precond=%s,fmt=%s,res=%d,map=%t",
+		j.fp, r.Mode, r.Iters, r.Precond, r.Format, r.Resolution, r.IncludeMap)
 }
 
 // executeUncached dispatches the actual analysis of one job.
@@ -716,8 +702,7 @@ func (s *Server) executeUncached(ctx context.Context, j *Job) (*AnalyzeResult, e
 		res = d.W
 	}
 	na := &core.NumericalAnalyzer{
-		Iters: req.Iters, Resolution: res, Precond: req.Precond,
-		Precision: req.Precision, Format: req.Format,
+		Iters: req.Iters, Resolution: res, Precond: req.Precond, Format: req.Format,
 		Resilience:      s.resilience(),
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		OnCheckpoint:    s.checkpointNotify(j),

@@ -192,6 +192,51 @@ func TestServeRecoveryPassesCheckpointSaveFault(t *testing.T) {
 	}
 }
 
+// TestServeRecoversRetiredPrecisionRequest: a journal directory left by
+// the PR 18 binary may hold an accepted request that asks for mixed
+// precision (the record below is what that binary journaled for such a
+// request). The field is retired — a new submission with it
+// is a 400 — but the journaled job is still owed its answer: recovery
+// must re-run it to done, and the map must equal a fresh solve of the
+// same deck to 1e-9.
+func TestServeRecoversRetiredPrecisionRequest(t *testing.T) {
+	const accepted = `{"pgen":{"name":"","class":"fake","seed":31,"w":32,"h":32,"vdd":0,"num_pads":0,"cell_pitch":0,"background_amps":0,"hotspots":0,"hotspot_amps":0,"blockages":0},` +
+		`"mode":"numerical","precond":"amg","precision":"mixed","format":"auto","include_map":true}`
+	dir := t.TempDir()
+	j, _, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "job-000001"
+	if err := j.Append(context.Background(), journal.Record{Type: journal.TypeAccepted, JobID: id, Request: json.RawMessage(accepted)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 1, JournalDir: dir})
+	v := waitStatus(t, ts, id, Status.Terminal)
+	if v.Status != StatusDone || v.Result == nil {
+		t.Fatalf("recovered job ended %q (error %q)", v.Status, v.Error)
+	}
+
+	_, tsFresh := newTestServer(t, Config{Workers: 1})
+	code, b := post(t, tsFresh, "/v1/analyze", pgenBody(31, 32, `"include_map": true`))
+	if code != http.StatusOK {
+		t.Fatalf("fresh solve: status %d: %s", code, b)
+	}
+	fresh := decodeJob(t, b).Result.Map
+	if len(v.Result.Map) != len(fresh) || len(fresh) == 0 {
+		t.Fatalf("map lengths %d and %d", len(v.Result.Map), len(fresh))
+	}
+	for i := range fresh {
+		if d := math.Abs(v.Result.Map[i] - fresh[i]); d > 1e-9 {
+			t.Fatalf("cell %d differs from the fresh solve by %g", i, d)
+		}
+	}
+}
+
 // journalTypes replays a journal directory read-only-in-effect and
 // tallies its records by type.
 func journalTypes(t *testing.T, dir string) map[string]int {

@@ -127,11 +127,11 @@ type Config struct {
 	// SyncInterval, or SyncNone). Default SyncAlways.
 	JournalSync string
 	// CheckpointEvery is the solver checkpoint interval in PCG
-	// iterations (mixed-precision refinement rounds): every N-th
-	// iterate of a converged cached solve is snapshotted into the
-	// artifact cache — and, when the journal is enabled, persisted as a
-	// durable blob — so a crashed, panicked, or handed-off solve can
-	// resume instead of restarting. Default 32; negative disables.
+	// iterations: every N-th iterate of a converged cached solve is
+	// snapshotted into the artifact cache — and, when the journal is
+	// enabled, persisted as a durable blob — so a crashed, panicked, or
+	// handed-off solve can resume instead of restarting. Default 32;
+	// negative disables.
 	CheckpointEvery int
 }
 

@@ -205,6 +205,7 @@ func TestAnalyzeValidation(t *testing.T) {
 		{"bad mode", pgenBody(1, 24, `"mode": "quantum"`)},
 		{"fused without model", pgenBody(1, 24, `"mode": "fused"`)},
 		{"bad precond", pgenBody(1, 24, `"precond": "ilu"`)},
+		{"retired precision field", pgenBody(1, 24, `"precision": "full"`)},
 		{"negative iters", pgenBody(1, 24, `"iters": -1`)},
 		{"huge iters", pgenBody(1, 24, fmt.Sprintf(`"iters": %d`, maxIters+1))},
 		{"negative timeout", pgenBody(1, 24, `"timeout_ms": -5`)},

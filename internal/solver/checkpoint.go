@@ -1,14 +1,14 @@
 package solver
 
-// Solver checkpointing: a PCG (or mixed-precision refinement) run can
-// periodically snapshot its current iterate so a crashed or handed-off
-// solve resumes from the last snapshot instead of iteration 0. The
-// mechanism deliberately reuses the warm-start contract of the
-// artifact cache (docs/CACHING.md): a checkpoint's X is just an
-// initial guess, restored through flexible PCG — which tolerates a
-// different (even foreign) preconditioner — and validated by the same
-// residual-guard idea, so a corrupt or stale checkpoint degrades to a
-// cold solve, never to a wrong answer.
+// Solver checkpointing: a PCG run can periodically snapshot its
+// current iterate so a crashed or handed-off solve resumes from the
+// last snapshot instead of iteration 0. The mechanism deliberately
+// reuses the warm-start contract of the artifact cache
+// (docs/CACHING.md): a checkpoint's X is just an initial guess,
+// restored through flexible PCG — which tolerates a different (even
+// foreign) preconditioner — and validated by the same residual-guard
+// idea, so a corrupt or stale checkpoint degrades to a cold solve,
+// never to a wrong answer.
 
 // historyTailLen bounds the residual-history slice carried by one
 // checkpoint: enough to see the convergence trend on restore without
@@ -21,8 +21,7 @@ const historyTailLen = 8
 type Checkpoint struct {
 	// X is a copy of the iterate at snapshot time.
 	X []float64
-	// Iter is the completed-iteration count (for MPPCGCtx, the summed
-	// inner iterations across completed refinement rounds).
+	// Iter is the completed-iteration count.
 	Iter int
 	// Residual is the relative residual at snapshot time.
 	Residual float64
@@ -36,9 +35,6 @@ type Checkpoint struct {
 	Flexible bool
 	Label    string
 	Format   string
-	// Precision is the arithmetic path (obs.PrecisionFull or
-	// obs.PrecisionMixed) of the producing solve.
-	Precision string
 }
 
 // CheckpointSink receives checkpoints as a solve progresses. Save is
@@ -53,17 +49,16 @@ type CheckpointSink interface {
 // snapshot builds a Checkpoint from the current solve state, copying
 // x and the history tail so the sink's view is stable while the solve
 // keeps iterating.
-func snapshot(x []float64, iter int, rel float64, history []float64, opts Options, precision string) Checkpoint {
+func snapshot(x []float64, iter int, rel float64, history []float64, opts Options) Checkpoint {
 	cp := Checkpoint{
-		X:         append([]float64(nil), x...),
-		Iter:      iter,
-		Residual:  rel,
-		Tol:       opts.Tol,
-		MaxIter:   opts.MaxIter,
-		Flexible:  opts.Flexible,
-		Label:     opts.Label,
-		Format:    opts.Format,
-		Precision: precision,
+		X:        append([]float64(nil), x...),
+		Iter:     iter,
+		Residual: rel,
+		Tol:      opts.Tol,
+		MaxIter:  opts.MaxIter,
+		Flexible: opts.Flexible,
+		Label:    opts.Label,
+		Format:   opts.Format,
 	}
 	if n := len(history); n > 0 {
 		tail := n - historyTailLen

@@ -1,12 +1,6 @@
 package solver
 
-import (
-	"math"
-	"testing"
-
-	"irfusion/internal/amg"
-	"irfusion/internal/obs"
-)
+import "testing"
 
 // sinkRecorder collects every checkpoint a solve hands over.
 type sinkRecorder struct{ cps []Checkpoint }
@@ -55,9 +49,6 @@ func TestPCGCheckpointCadence(t *testing.T) {
 		if cp.Tol != 1e-10 || cp.MaxIter != 2000 || cp.Label != "ckpt-test" { //irfusion:exact options are echoed verbatim into the snapshot
 			t.Errorf("checkpoint %d options not echoed: %+v", i, cp)
 		}
-		if cp.Precision != obs.PrecisionFull {
-			t.Errorf("checkpoint %d precision %q", i, cp.Precision)
-		}
 	}
 	// Snapshots must be copies: the mid-solve iterate differs from the
 	// final one unless the copy aliased the live buffer.
@@ -98,42 +89,5 @@ func TestPCGCheckpointDisabled(t *testing.T) {
 	}
 	if len(sink.cps) != 0 {
 		t.Fatalf("checkpointing disabled but %d snapshots taken", len(sink.cps))
-	}
-}
-
-// TestMPPCGCheckpointsPerRound: the mixed-precision driver snapshots
-// once per completed refinement round (rounds, not inner iterations,
-// are its unit of progress), tagging the snapshots as mixed precision.
-func TestMPPCGCheckpointsPerRound(t *testing.T) {
-	a, _, b := randomSystem(24, 24, 13)
-	h, err := amg.Build(a, amg.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &sinkRecorder{}
-	x := make([]float64, len(b))
-	opts := DefaultOptions()
-	opts.CheckpointEvery = 1
-	opts.CheckpointSink = sink
-	res, err := MPPCGCtx(t.Context(), a, x, b, amg.NewHierarchy32(h), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("mixed solve did not converge (rel %v)", res.Residual)
-	}
-	if len(sink.cps) == 0 {
-		t.Fatal("no per-round checkpoints taken")
-	}
-	for i, cp := range sink.cps {
-		if cp.Precision != obs.PrecisionMixed {
-			t.Errorf("checkpoint %d precision %q, want %q", i, cp.Precision, obs.PrecisionMixed)
-		}
-		if cp.Iter <= 0 {
-			t.Errorf("checkpoint %d carries iteration count %d", i, cp.Iter)
-		}
-		if math.IsNaN(cp.Residual) || math.IsInf(cp.Residual, 0) {
-			t.Errorf("checkpoint %d residual %v", i, cp.Residual)
-		}
 	}
 }

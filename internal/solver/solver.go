@@ -214,10 +214,14 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 				Seconds:    time.Since(start).Seconds(),
 				History:    res.History,
 				Format:     op.Format(),
-				Precision:  obs.PrecisionFull,
 			})
 		}()
 	}
+	// Every exit reports the last relative residual computed, failed
+	// solves included. Deferred after the recorder's hook, so it runs
+	// first and the solve record carries the same number.
+	var rel float64
+	defer func() { res.Residual = rel }()
 	n := a.Rows()
 	if len(x) != n || len(b) != n {
 		return Result{}, errors.New("solver: dimension mismatch")
@@ -252,13 +256,12 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 			r[i] = b[i] - r[i]
 		}
 	})
-	rel := sparse.Norm2(r) / bn
+	rel = sparse.Norm2(r) / bn
 	if opts.Record {
 		res.History = append(res.History, rel)
 	}
 	if rel == 0 || (opts.Tol > 0 && rel < opts.Tol) { //irfusion:exact an exactly zero residual means the guess already solves the system; Tol=0 budget solves must not stop on merely-small residuals
 		res.Converged = true
-		res.Residual = rel
 		return res, nil
 	}
 
@@ -273,7 +276,6 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 			// r·M⁻¹r underflowed to exact zero: the residual is solved
 			// to beyond machine precision. Converged, not indefinite.
 			res.Converged = true
-			res.Residual = rel
 			return res, nil
 		}
 		return res, ErrIndefinite
@@ -287,17 +289,14 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 
 	for k := 0; k < opts.MaxIter; k++ {
 		if cerr := ctx.Err(); cerr != nil {
-			res.Residual = rel
 			return res, fmt.Errorf("%w after %d iterations: %w", ErrCancelled, res.Iterations, cerr)
 		}
 		if inj != nil {
 			if f := inj.Fire(faults.SitePCG, opts.Label); f != nil {
 				switch f.Action {
 				case faults.ActBreakdown:
-					res.Residual = rel
 					return res, fmt.Errorf("%w (injected at iteration %d)", ErrBreakdown, k)
 				case faults.ActIndefinite:
-					res.Residual = rel
 					return res, fmt.Errorf("%w (injected at iteration %d)", ErrIndefinite, k)
 				case faults.ActNaN:
 					r[0] = math.NaN()
@@ -322,7 +321,6 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 				// further progress is representable. Treat as converged
 				// at the current (sub-machine-precision) residual.
 				res.Converged = true
-				res.Residual = rel
 				return res, nil
 			}
 			return res, ErrIndefinite
@@ -338,14 +336,13 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 
 		rel = sparse.Norm2(r) / bn
 		if math.IsNaN(rel) || math.IsInf(rel, 0) {
-			res.Residual = rel
 			return res, ErrBreakdown
 		}
 		if opts.Record {
 			res.History = append(res.History, rel)
 		}
 		if opts.CheckpointSink != nil && opts.CheckpointEvery > 0 && res.Iterations%opts.CheckpointEvery == 0 {
-			opts.CheckpointSink.SaveCheckpoint(snapshot(x, res.Iterations, rel, res.History, opts, obs.PrecisionFull))
+			opts.CheckpointSink.SaveCheckpoint(snapshot(x, res.Iterations, rel, res.History, opts))
 		}
 		if rel == 0 || (opts.Tol > 0 && rel < opts.Tol) { //irfusion:exact an exactly zero residual is solved; Tol=0 budget solves must not stop on merely-small residuals
 			res.Converged = true
@@ -393,7 +390,6 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 		}
 		rz = rzNew
 	}
-	res.Residual = rel
 	if opts.Tol > 0 && rel < opts.Tol {
 		res.Converged = true
 	}

@@ -220,16 +220,24 @@ func TestPCGDimensionMismatch(t *testing.T) {
 	}
 }
 
+// TestPCGIndefiniteDetected: negative curvature ends the solve with
+// ErrIndefinite, and the failed solve still reports the residual it
+// had reached — the last entry of its history, here the zero guess's 1
+// — not a zero that reads as an exact answer in the solve record.
 func TestPCGIndefiniteDetected(t *testing.T) {
-	tr := sparse.NewTriplet(2, 2, 2)
-	tr.Add(0, 0, 1)
+	tr := sparse.NewTriplet(3, 3, 3)
+	tr.Add(0, 0, 2)
 	tr.Add(1, 1, -1)
+	tr.Add(2, 2, 3)
 	a := tr.ToCSR()
-	x := make([]float64, 2)
-	b := []float64{0, 1} // immediately probes the negative direction
-	_, err := CG(a, x, b, Options{Tol: 1e-12, MaxIter: 10})
+	x := make([]float64, 3)
+	b := []float64{0, 1, 0} // immediately probes the negative direction
+	res, err := CG(a, x, b, Options{Tol: 1e-12, MaxIter: 10, Record: true})
 	if err != ErrIndefinite {
 		t.Errorf("err = %v, want ErrIndefinite", err)
+	}
+	if len(res.History) == 0 || res.Residual != 1 || res.Residual != res.History[len(res.History)-1] { //irfusion:exact the zero guess's relative residual is exactly ‖b‖/‖b‖
+		t.Errorf("failed solve reports residual %g with history %v, want both to end at 1", res.Residual, res.History)
 	}
 }
 

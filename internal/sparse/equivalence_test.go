@@ -1,11 +1,8 @@
 // Property-based equivalence suite for the SELL-C-σ format: over
 // randomized generated power-grid systems, the SELL kernels must match
-// CSR bitwise in float64 (MulVec and MulVecAdd, every slice width,
-// every worker count, ragged tails included), and the float32 CSR32
-// kernel must be deterministic across worker counts and stay within a
-// stated error bound of the float64 truth. This is the harness that
-// pins the "formats are a pure performance knob" contract the solvers
-// rely on.
+// CSR bitwise (MulVec and MulVecAdd, every slice width, every worker
+// count, ragged tails included). This is the harness that pins the
+// "formats are a pure performance knob" contract the solvers rely on.
 package sparse_test
 
 import (
@@ -124,72 +121,5 @@ func TestSELLEquivalenceProperty(t *testing.T) {
 	}
 	if !raggedLanes {
 		t.Error("no case exercised ragged lanes (padding ratio > 1)")
-	}
-}
-
-// float32 error bound of one SpMV row: sequential accumulation of k
-// terms carries at most k roundings, each bounded by eps32 times the
-// running magnitude, so |computed − exact| ≤ k·eps32·Σ|aᵢⱼ·xⱼ|. The
-// factor 2 covers the final rounding of the float64 reference itself.
-func rowBound32(g *sparse.CSR, x32 []float32, row int) float64 {
-	const eps32 = 1.1920929e-7 // 2^-23
-	var absSum float64
-	k := 0
-	for p := g.RowPtr[row]; p < g.RowPtr[row+1]; p++ {
-		absSum += math.Abs(g.Val[p] * float64(x32[g.ColInd[p]]))
-		k++
-	}
-	return 2 * float64(k) * eps32 * absSum
-}
-
-// TestCSR32EquivalenceProperty is the float32 half: CSR32.MulVec must
-// be bitwise deterministic across worker counts (per-row sums are
-// sequential, so partitioning cannot move a single bit), and each row
-// must sit within the stated rounding bound of the float64 product
-// evaluated at the same (rounded) input.
-func TestCSR32EquivalenceProperty(t *testing.T) {
-	for _, pc := range propertyCases {
-		g := propertySystem(t, pc)
-		n := g.Rows()
-		m32 := sparse.NewCSR32(g)
-		rng := rand.New(rand.NewSource(pc.seed * 104729))
-
-		x32 := make([]float32, n)
-		for i := range x32 {
-			x32[i] = float32(rng.NormFloat64())
-		}
-		// Float64 reference at the SAME float32 input, so the bound
-		// measures kernel rounding, not input rounding.
-		x64 := make([]float64, n)
-		for i := range x64 {
-			x64[i] = float64(x32[i])
-		}
-		ref := make([]float64, n)
-		g.MulVec(ref, x64)
-
-		var serial []float32
-		for _, workers := range []int{1, 3, 8} {
-			prev := parallel.SetDefault(parallel.New(workers).SetMinWork(1))
-			y := make([]float32, n)
-			m32.MulVec(y, x32)
-			parallel.SetDefault(prev)
-
-			if serial == nil {
-				serial = y
-				for i := 0; i < n; i++ {
-					if d, b := math.Abs(float64(y[i])-ref[i]), rowBound32(g, x32, i); d > b {
-						t.Fatalf("%s: float32 row %d off by %g, bound %g (y32=%g, y64=%g)",
-							pc.name, i, d, b, y[i], ref[i])
-					}
-				}
-				continue
-			}
-			for i := 0; i < n; i++ {
-				if math.Float32bits(y[i]) != math.Float32bits(serial[i]) {
-					t.Fatalf("%s workers=%d: float32 row %d = %x, serial %x",
-						pc.name, workers, i, y[i], serial[i])
-				}
-			}
-		}
 	}
 }
