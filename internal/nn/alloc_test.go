@@ -13,7 +13,7 @@ import (
 	"irfusion/internal/race"
 )
 
-func pinSerialPool(t *testing.T) {
+func pinSerialPool(t testing.TB) {
 	t.Helper()
 	prev := parallel.SetDefault(parallel.New(1))
 	t.Cleanup(func() { parallel.SetDefault(prev) })
@@ -32,23 +32,23 @@ func requireZeroAllocs(t *testing.T, name string, fn func()) {
 
 func TestZeroAllocGEMMVariants(t *testing.T) {
 	pinSerialPool(t)
-	const m, k, n = 8, 12, 10
-	a := make([]float64, m*k)
-	b := make([]float64, k*n)
-	c := make([]float64, m*n)
-	at := make([]float64, k*m)
-	bt := make([]float64, n*k)
-	for i := range a {
-		a[i] = float64(i%7) - 3
+	// A shape inside one panel with row and k remainders, and the
+	// served 3×3 convolution over 8 channels at 64×64.
+	for _, s := range [][3]int{{9, 13, 10}, {8, 72, 4096}} {
+		m, k, n := s[0], s[1], s[2]
+		a := make([]float64, m*k)
+		b := make([]float64, k*n)
+		c := make([]float64, m*n)
+		for i := range a {
+			a[i] = float64(i%7) - 3
+		}
+		for i := range b {
+			b[i] = float64(i%5) - 2
+		}
+		requireZeroAllocs(t, "gemm", func() { gemm(a, b, c, m, k, n, false) })
+		requireZeroAllocs(t, "gemmTA", func() { gemmTA(a, b, c, m, k, n, false) })
+		requireZeroAllocs(t, "gemmTB", func() { gemmTB(a, b, c, m, k, n, false) })
 	}
-	for i := range b {
-		b[i] = float64(i%5) - 2
-	}
-	copy(at, a[:k*m])
-	copy(bt, b[:n*k])
-	requireZeroAllocs(t, "gemm", func() { gemm(a, b, c, m, k, n, false) })
-	requireZeroAllocs(t, "gemmTA", func() { gemmTA(at, b, c, m, k, n, false) })
-	requireZeroAllocs(t, "gemmTB", func() { gemmTB(a, bt, c, m, k, n, false) })
 }
 
 func TestZeroAllocIm2colCol2im(t *testing.T) {

@@ -20,6 +20,12 @@ var cForSerial = obs.GlobalCounter("parallel.for.serial")
 // work, so the cutoff is far below the pool's vector-element default.
 const gemmMinWork = 64
 
+// gemmPanel is the column-panel width of the blocked kernels: four
+// rows of C and four rows of B, 256 doubles each, are 16 KB — they stay
+// in L1 while the k/4 passes of one row quad run over them, and the
+// k×256 panel of B stays in L2 across the row quads.
+const gemmPanel = 256
+
 // parallelFor splits [0, n) across the shared worker pool and runs
 // fn(start, end) on each chunk concurrently; see gemmMinWork.
 //
@@ -37,92 +43,28 @@ func serialFor(n int) bool {
 }
 
 // gemm computes C = A·B (+C when accumulate) for row-major dense
-// matrices: A is m×k, B is k×n, C is m×n. The (i,k,j) loop order keeps
-// the inner loop streaming over B and C rows; rows of C are
-// parallelized across cores.
+// matrices: A is m×k, B is k×n, C is m×n.
+//
+// Contract of the three variants: every element of C is accumulated in
+// p order — ((c + a₀b₀) + a₁b₁) + … in gemm and gemmTA, c being the old
+// value when accumulate and +0 otherwise; c + ((0 + a₀b₀) + a₁b₁ + …)
+// in gemmTB. The blocking below changes which elements are in flight
+// together, never that order, so for finite inputs (and C not starting
+// at −0) the result is bit for bit the in-order triple loop's, at every
+// worker count. No multiplicand is skipped: 0·Inf is NaN, and a NaN or
+// Inf in a row of A or a column of B reaches every element it feeds.
 //
 //irfusion:hotpath
 func gemm(a []float64, b []float64, c []float64, m, k, n int, accumulate bool) {
-	cGemm.Inc()
-	if m <= 0 {
-		return
-	}
-	if serialFor(m) {
-		cForSerial.Inc()
-		gemmRange(a, b, c, k, n, accumulate, 0, m)
-		return
-	}
-	parallelFor(m, func(start, end int) {
-		gemmRange(a, b, c, k, n, accumulate, start, end)
-	})
-}
-
-// gemmRange is the serial C = A·B leaf over rows [start, end).
-//
-//irfusion:hotpath
-func gemmRange(a, b, c []float64, k, n int, accumulate bool, start, end int) {
-	for i := start; i < end; i++ {
-		ci := c[i*n : (i+1)*n]
-		if !accumulate {
-			for j := range ci {
-				ci[j] = 0
-			}
-		}
-		ai := a[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			av := ai[p]
-			if av == 0 { //irfusion:exact skipping exactly zero multiplicands changes no bits of the sum; near-zero values must still multiply
-				continue
-			}
-			bp := b[p*n : (p+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
-		}
-	}
+	gemmRows(false, a, b, c, k, 1, m, k, n, accumulate)
 }
 
 // gemmTA computes C = Aᵀ·B (+C when accumulate): A is k×m (so Aᵀ is
-// m×k), B is k×n, C is m×n.
+// m×k), B is k×n, C is m×n. It is gemm with A's strides swapped.
 //
 //irfusion:hotpath
 func gemmTA(a []float64, b []float64, c []float64, m, k, n int, accumulate bool) {
-	cGemm.Inc()
-	if m <= 0 {
-		return
-	}
-	if serialFor(m) {
-		cForSerial.Inc()
-		gemmTARange(a, b, c, m, k, n, accumulate, 0, m)
-		return
-	}
-	parallelFor(m, func(start, end int) {
-		gemmTARange(a, b, c, m, k, n, accumulate, start, end)
-	})
-}
-
-// gemmTARange is the serial C = Aᵀ·B leaf over rows [start, end).
-//
-//irfusion:hotpath
-func gemmTARange(a, b, c []float64, m, k, n int, accumulate bool, start, end int) {
-	for i := start; i < end; i++ {
-		ci := c[i*n : (i+1)*n]
-		if !accumulate {
-			for j := range ci {
-				ci[j] = 0
-			}
-		}
-		for p := 0; p < k; p++ {
-			av := a[p*m+i]
-			if av == 0 { //irfusion:exact skipping exactly zero multiplicands changes no bits of the sum; near-zero values must still multiply
-				continue
-			}
-			bp := b[p*n : (p+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
-		}
-	}
+	gemmRows(false, a, b, c, 1, m, m, k, n, accumulate)
 }
 
 // gemmTB computes C = A·Bᵀ (+C when accumulate): A is m×k, B is n×k,
@@ -130,38 +72,173 @@ func gemmTARange(a, b, c []float64, m, k, n int, accumulate bool, start, end int
 //
 //irfusion:hotpath
 func gemmTB(a []float64, b []float64, c []float64, m, k, n int, accumulate bool) {
+	gemmRows(true, a, b, c, k, 1, m, k, n, accumulate)
+}
+
+// gemmRows counts the call and hands rows [0, m) of C to the leaf of
+// the chosen variant (transB selects gemmTBRange), serially below
+// gemmMinWork rows and otherwise split on whole row quads, so no chunk
+// but the last meets a remainder row. A(i,p) is a[i*sai+p*sap].
+//
+//irfusion:hotpath
+func gemmRows(transB bool, a, b, c []float64, sai, sap, m, k, n int, accumulate bool) {
 	cGemm.Inc()
 	if m <= 0 {
 		return
 	}
-	if serialFor(m) {
+	pool := parallel.Default()
+	if pool.SerialForMin(m, gemmMinWork) {
 		cForSerial.Inc()
-		gemmTBRange(a, b, c, k, n, accumulate, 0, m)
+		gemmLeaf(transB, a, b, c, sai, sap, k, n, accumulate, 0, m)
 		return
 	}
-	parallelFor(m, func(start, end int) {
-		gemmTBRange(a, b, c, k, n, accumulate, start, end)
+	pool.ForMin((m+3)/4, gemmMinWork/4, func(lo, hi int) {
+		gemmLeaf(transB, a, b, c, sai, sap, k, n, accumulate, 4*lo, min(4*hi, m))
 	})
 }
 
-// gemmTBRange is the serial C = A·Bᵀ leaf over rows [start, end).
+// gemmLeaf runs rows [start, end) of C on the calling goroutine.
+//
+//irfusion:hotpath
+func gemmLeaf(transB bool, a, b, c []float64, sai, sap, k, n int, accumulate bool, start, end int) {
+	if transB {
+		gemmTBRange(a, b, c, k, n, accumulate, start, end)
+	} else {
+		gemmRange(a, b, c, sai, sap, k, n, accumulate, start, end)
+	}
+}
+
+// gemmRange is the serial C = A·B leaf over rows [start, end), A read
+// through its strides. It walks C in gemmPanel-wide column panels and
+// takes the rows of a panel four at a time (gemmQuad), the m%4
+// remainder one at a time (gemmRow).
+//
+//irfusion:hotpath
+func gemmRange(a, b, c []float64, sai, sap, k, n int, accumulate bool, start, end int) {
+	for j0 := 0; j0 < n; j0 += gemmPanel {
+		w := min(gemmPanel, n-j0)
+		i := start
+		for ; i+4 <= end; i += 4 {
+			c0, c1 := c[i*n+j0:][:w], c[(i+1)*n+j0:][:w]
+			c2, c3 := c[(i+2)*n+j0:][:w], c[(i+3)*n+j0:][:w]
+			if !accumulate {
+				clear(c0)
+				clear(c1)
+				clear(c2)
+				clear(c3)
+			}
+			gemmQuad(a[i*sai:], b[j0:], c0, c1, c2, c3, sai, sap, k, n)
+		}
+		for ; i < end; i++ {
+			ci := c[i*n+j0:][:w]
+			if !accumulate {
+				clear(ci)
+			}
+			gemmRow(a[i*sai:], b[j0:], ci, sap, k, n)
+		}
+	}
+}
+
+// gemmQuad adds four rows of A times a column panel of B (row stride
+// ldb, panel starting at b[0]) into the panel rows c0..c3. Four rows of
+// B are consumed per pass with the sixteen A scalars in locals: one
+// load of each B element and one load and store of each C element feed
+// sixteen multiply-adds, against two loads and a store for every one
+// in the plain i-p-j loop. Each cⱼ still receives its products in p
+// order — Go evaluates c + x₀ + x₁ + x₂ + x₃ left to right.
+//
+//irfusion:hotpath
+func gemmQuad(a, b, c0, c1, c2, c3 []float64, sai, sap, k, ldb int) {
+	w := len(c0)
+	c1, c2, c3 = c1[:w], c2[:w], c3[:w]
+	a1, a2, a3 := a[sai:], a[2*sai:], a[3*sai:]
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		q0, q1, q2, q3 := p*sap, (p+1)*sap, (p+2)*sap, (p+3)*sap
+		a00, a01, a02, a03 := a[q0], a[q1], a[q2], a[q3]
+		a10, a11, a12, a13 := a1[q0], a1[q1], a1[q2], a1[q3]
+		a20, a21, a22, a23 := a2[q0], a2[q1], a2[q2], a2[q3]
+		a30, a31, a32, a33 := a3[q0], a3[q1], a3[q2], a3[q3]
+		b0, b1 := b[p*ldb:][:w], b[(p+1)*ldb:][:w]
+		b2, b3 := b[(p+2)*ldb:][:w], b[(p+3)*ldb:][:w]
+		for j, v0 := range b0 {
+			v1, v2, v3 := b1[j], b2[j], b3[j]
+			c0[j] = c0[j] + a00*v0 + a01*v1 + a02*v2 + a03*v3
+			c1[j] = c1[j] + a10*v0 + a11*v1 + a12*v2 + a13*v3
+			c2[j] = c2[j] + a20*v0 + a21*v1 + a22*v2 + a23*v3
+			c3[j] = c3[j] + a30*v0 + a31*v1 + a32*v2 + a33*v3
+		}
+	}
+	for ; p < k; p++ {
+		q := p * sap
+		a0p, a1p, a2p, a3p := a[q], a1[q], a2[q], a3[q]
+		for j, v := range b[p*ldb:][:w] {
+			c0[j] += a0p * v
+			c1[j] += a1p * v
+			c2[j] += a2p * v
+			c3[j] += a3p * v
+		}
+	}
+}
+
+// gemmRow is gemmQuad for a single row of A and C.
+//
+//irfusion:hotpath
+func gemmRow(a, b, c []float64, sap, k, ldb int) {
+	w := len(c)
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		a0, a1, a2, a3 := a[p*sap], a[(p+1)*sap], a[(p+2)*sap], a[(p+3)*sap]
+		b0, b1 := b[p*ldb:][:w], b[(p+1)*ldb:][:w]
+		b2, b3 := b[(p+2)*ldb:][:w], b[(p+3)*ldb:][:w]
+		for j, v0 := range b0 {
+			c[j] = c[j] + a0*v0 + a1*b1[j] + a2*b2[j] + a3*b3[j]
+		}
+	}
+	for ; p < k; p++ {
+		ap := a[p*sap]
+		for j, v := range b[p*ldb:][:w] {
+			c[j] += ap * v
+		}
+	}
+}
+
+// gemmTBRange is the serial C = A·Bᵀ leaf over rows [start, end): dot
+// products of a row of A with rows of B, four rows of B at a time. The
+// four sums are independent chains, each in p order, so the add latency
+// that bounds a single chain is overlapped instead of reassociated. (A
+// sum started at +0 is never −0, so adding it to a cleared C stores it.)
 //
 //irfusion:hotpath
 func gemmTBRange(a, b, c []float64, k, n int, accumulate bool, start, end int) {
 	for i := start; i < end; i++ {
-		ai := a[i*k : (i+1)*k]
-		ci := c[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			bj := b[j*k : (j+1)*k]
+		ai := a[i*k:][:k]
+		ci := c[i*n:][:n]
+		if !accumulate {
+			clear(ci)
+		}
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0, b1 := b[j*k:][:k], b[(j+1)*k:][:k]
+			b2, b3 := b[(j+2)*k:][:k], b[(j+3)*k:][:k]
+			var s0, s1, s2, s3 float64
+			for p, av := range ai {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			ci[j] += s0
+			ci[j+1] += s1
+			ci[j+2] += s2
+			ci[j+3] += s3
+		}
+		for ; j < n; j++ {
 			sum := 0.0
-			for p := 0; p < k; p++ {
-				sum += ai[p] * bj[p]
+			for p, bv := range b[j*k:][:k] {
+				sum += ai[p] * bv
 			}
-			if accumulate {
-				ci[j] += sum
-			} else {
-				ci[j] = sum
-			}
+			ci[j] += sum
 		}
 	}
 }

@@ -3,8 +3,11 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
+
+	"irfusion/internal/parallel"
+	"irfusion/internal/race"
 )
 
 func TestTensorBasics(t *testing.T) {
@@ -47,67 +50,166 @@ func TestTensorPanics(t *testing.T) {
 	}
 }
 
-func TestGemmAgainstNaive(t *testing.T) {
-	err := quick.Check(func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, k, n := 1+rng.Intn(12), 1+rng.Intn(12), 1+rng.Intn(12)
-		a := make([]float64, m*k)
-		b := make([]float64, k*n)
-		for i := range a {
-			a[i] = rng.NormFloat64()
-		}
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		want := make([]float64, m*n)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
+// gemmRef is the in-order reference the blocked kernels must match bit
+// for bit: the plain i-p-j loop for C = A·B (A read through its
+// strides, which also covers Aᵀ), the plain dot product for C = A·Bᵀ.
+func gemmRef(transB bool, a, b, c []float64, sai, sap, m, k, n int, accumulate bool) {
+	if !accumulate {
+		clear(c[:m*n])
+	}
+	for i := 0; i < m; i++ {
+		ci := c[i*n:][:n]
+		if transB {
+			for j := range ci {
 				s := 0.0
 				for p := 0; p < k; p++ {
-					s += a[i*k+p] * b[p*n+j]
+					s += a[i*sai+p*sap] * b[j*k+p]
 				}
-				want[i*n+j] = s
+				ci[j] += s
 			}
+			continue
 		}
-		c := make([]float64, m*n)
-		gemm(a, b, c, m, k, n, false)
-		for i := range c {
-			if math.Abs(c[i]-want[i]) > 1e-10 {
-				return false
-			}
-		}
-		// Aᵀ path: build at = transpose(a), then gemmTA(at) == a·b.
-		at := make([]float64, k*m)
-		for i := 0; i < m; i++ {
-			for p := 0; p < k; p++ {
-				at[p*m+i] = a[i*k+p]
-			}
-		}
-		c2 := make([]float64, m*n)
-		gemmTA(at, b, c2, m, k, n, false)
-		for i := range c2 {
-			if math.Abs(c2[i]-want[i]) > 1e-10 {
-				return false
-			}
-		}
-		// Bᵀ path.
-		bt := make([]float64, n*k)
 		for p := 0; p < k; p++ {
-			for j := 0; j < n; j++ {
-				bt[j*k+p] = b[p*n+j]
+			av := a[i*sai+p*sap]
+			for j, bv := range b[p*n:][:n] {
+				ci[j] += av * bv
 			}
 		}
-		c3 := make([]float64, m*n)
-		gemmTB(a, bt, c3, m, k, n, false)
-		for i := range c3 {
-			if math.Abs(c3[i]-want[i]) > 1e-10 {
-				return false
+	}
+}
+
+// gemmVariants names the three kernels and which operand they read
+// transposed.
+var gemmVariants = []struct {
+	name           string
+	run            func(a, b, c []float64, m, k, n int, accumulate bool)
+	transA, transB bool
+}{
+	{"gemm", gemm, false, false},
+	{"gemmTA", gemmTA, true, false},
+	{"gemmTB", gemmTB, false, true},
+}
+
+func normalSlice(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+func firstBitDiff(got, want []float64) int {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestGemmAgainstNaive: over the shapes the blocking branches on (row
+// quads and their remainders, k quads and theirs, one panel, a panel
+// boundary, many panels), with and without accumulation into a
+// pre-filled C, at 1, 2, 3 and 8 workers once m reaches the parallel
+// cutoff, and over arbitrary row sub-ranges of the leaf, every variant
+// returns exactly the bits of the in-order reference.
+func TestGemmAgainstNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	pools := []*parallel.Pool{parallel.New(1), parallel.New(2), parallel.New(3), parallel.New(8)}
+	prev := parallel.SetDefault(pools[0])
+	defer func() {
+		parallel.SetDefault(prev)
+		for _, pool := range pools {
+			pool.Close()
+		}
+	}()
+	for _, m := range []int{1, 3, 4, 5, 8, 13, 64, 67} {
+		for _, k := range []int{1, 3, 4, 7, 72, 99} {
+			for _, n := range []int{1, 7, 255, 256, 257, 1024, 4096} {
+				if race.Enabled && m*k*n > 1<<23 {
+					continue // the four largest products take a minute under the detector and branch nowhere new
+				}
+				a, b, c0 := normalSlice(rng, m*k), normalSlice(rng, k*n), normalSlice(rng, m*n)
+				start := rng.Intn(m)
+				end := start + 1 + rng.Intn(m-start)
+				sweep := pools[:1] // below the cutoff no variant dispatches
+				if m >= gemmMinWork {
+					sweep = pools
+				}
+				for _, v := range gemmVariants {
+					sai, sap := k, 1 // A(i,p) = a[i*sai+p*sap]
+					if v.transA {
+						sai, sap = 1, m
+					}
+					for _, accumulate := range []bool{false, true} {
+						want := slices.Clone(c0)
+						gemmRef(v.transB, a, b, want, sai, sap, m, k, n, accumulate)
+						for _, pool := range sweep {
+							parallel.SetDefault(pool)
+							got := slices.Clone(c0)
+							v.run(a, b, got, m, k, n, accumulate)
+							if i := firstBitDiff(got, want); i >= 0 {
+								t.Fatalf("%s %dx%dx%d accumulate=%v workers=%d: c[%d] = %v, reference %v",
+									v.name, m, k, n, accumulate, pool.Workers(), i, got[i], want[i])
+							}
+						}
+						got := slices.Clone(c0)
+						gemmLeaf(v.transB, a, b, got, sai, sap, k, n, accumulate, start, end)
+						copy(want[:start*n], c0)
+						copy(want[end*n:], c0[end*n:])
+						if i := firstBitDiff(got, want); i >= 0 {
+							t.Fatalf("%s %dx%dx%d accumulate=%v rows [%d,%d): c[%d] = %v, reference %v",
+								v.name, m, k, n, accumulate, start, end, i, got[i], want[i])
+						}
+					}
+				}
 			}
 		}
-		return true
-	}, &quick.Config{MaxCount: 30})
-	if err != nil {
-		t.Error(err)
+	}
+}
+
+// TestGemmPropagatesNonFinite: IEEE semantics hold in every variant and
+// through a convolution — a zero weight next to an overflowed
+// activation is NaN (0·Inf), never a finite-looking value; a diverged
+// input must not hide (cf. metrics.TestNaNPropagation).
+func TestGemmPropagatesNonFinite(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name string
+		a, b []float64 // a is 1×2, b is 2×1
+		want float64
+	}{
+		{"0*Inf", []float64{0, 1}, []float64{inf, 2}, nan},
+		{"Inf*0", []float64{inf, 1}, []float64{0, 2}, nan},
+		{"0*NaN", []float64{0, 1}, []float64{nan, 2}, nan},
+		{"1*Inf", []float64{1, 1}, []float64{inf, 2}, inf},
+		{"Inf-Inf", []float64{1, -1}, []float64{inf, inf}, nan},
+		{"finite", []float64{0, 1}, []float64{5, 2}, 2},
+	} {
+		for _, v := range gemmVariants {
+			// m = n = 1, so A, Aᵀ, B and Bᵀ share one layout.
+			c := []float64{0}
+			v.run(tc.a, tc.b, c, 1, 2, 1, false)
+			if c[0] != tc.want && !(math.IsNaN(c[0]) && math.IsNaN(tc.want)) { //irfusion:exact Inf and small integers are exact
+				t.Errorf("%s %s: got %v, want %v", v.name, tc.name, c[0], tc.want)
+			}
+		}
+	}
+	// 3×3 identity kernel, pad 1: output (0,0) sums 1·Inf with zero
+	// weights times finite neighbours — Inf; its neighbours sum their
+	// own 1·1 with 0·Inf — NaN; nothing else sees the Inf.
+	x := FromSlice([]float64{inf, 1, 1, 1, 1, 1, 1, 1, 1}, 1, 1, 3, 3)
+	w := FromSlice([]float64{0, 0, 0, 0, 1, 0, 0, 0, 0}, 1, 1, 3, 3)
+	y := Conv2D(nil, x, w, nil, 1, 1)
+	for i, v := range y.Data {
+		switch oy, ox := i/3, i%3; {
+		case i == 0 && !math.IsInf(v, 1):
+			t.Errorf("conv output (0,0) = %v, want +Inf", v)
+		case i != 0 && oy <= 1 && ox <= 1 && !math.IsNaN(v):
+			t.Errorf("conv output (%d,%d) = %v, want NaN: a zero weight met the Inf", oy, ox, v)
+		case (oy > 1 || ox > 1) && v != 1: //irfusion:exact 1·1 plus zeros is exactly 1
+			t.Errorf("conv output (%d,%d) = %v, want 1", oy, ox, v)
+		}
 	}
 }
 
