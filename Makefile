@@ -72,8 +72,10 @@ loc: ## non-test Go lines per package and the total
 # from 22550 by the 77 lines internal/nn/gemm.go grew (total 22540 ->
 # 22617): the blocked GEMM kernels (gemmQuad, gemmRow, four-chain
 # gemmTBRange) that took fused_small p10 from 33.4 to 25.8 ms without
-# changing a bit.
-LOC_CEILING ?= 22627
+# changing a bit. Lowered by PR 22 to 22000 (total 22617 -> 21978): the
+# SELL-C-sigma format, sparse.Operator and the format knob at every
+# layer went.
+LOC_CEILING ?= 22000
 
 loc-check: ## fail when the non-test Go line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \
@@ -157,11 +159,11 @@ fuzz-smoke: ## short fuzz runs of the SPICE parser and the journal replay path
 	$(GO) test -fuzz=FuzzParseSPICE -fuzztime=$(FUZZTIME) -run='^$$' ./internal/spice
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) -run='^$$' ./internal/journal
 
-# Total-statement-coverage floor. Measured at 76.4% when recorded
-# (stable across repeat runs); the margin absorbs run-to-run noise
-# from timing-dependent serve paths. Raise it when new tests push
-# coverage up — never lower it to make a PR pass.
-COVERAGE_BASELINE ?= 75.8
+# Total-statement-coverage floor. Measured at 80.3% when last raised
+# (PR 22; 80.2% at PR 20); the margin absorbs run-to-run noise from
+# timing-dependent serve paths. Raise it when new tests push coverage
+# up — never lower it to make a PR pass.
+COVERAGE_BASELINE ?= 78
 COVER_PROFILE ?= /tmp/irfusion-cover.out
 
 cover-check: ## fail when total statement coverage drops below COVERAGE_BASELINE

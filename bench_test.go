@@ -259,37 +259,6 @@ func BenchmarkSolverSpMV(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverSpMVFormats races the storage formats on the same
-// conductance matrix and vector: the csr row is the baseline kernel,
-// the sell row the SELL-C-σ one (C-lane accumulators + int32 column
-// indices), computing bitwise-identical products. bench-check pins
-// sell ≥ 1.5× csr as the format speedup gate (bench.baseline
-// "ratios") — the machine-independent number the sparse-format
-// selection exists to win.
-func BenchmarkSolverSpMVFormats(b *testing.B) {
-	f := benchFixtures(b)
-	x := make([]float64, f.sys.N())
-	rng := rand.New(rand.NewSource(1))
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b.Run("csr", func(b *testing.B) {
-		y := make([]float64, f.sys.N())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f.sys.G.MulVec(y, x)
-		}
-	})
-	b.Run("sell", func(b *testing.B) {
-		s := f.sys.G.SELL()
-		y := make([]float64, f.sys.N())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.MulVec(y, x)
-		}
-	})
-}
-
 // BenchmarkCheckpointOverhead prices crash durability: the same
 // converged AMG-PCG solve with checkpointing off versus snapshotting
 // every 8 iterations through the real serving-path sink (copy the

@@ -34,9 +34,8 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 	class := fs.String("class", "real", "generated design class: fake|real")
 	size := fs.Int("size", 64, "generated die size in um (square)")
 	seed := fs.Int64("seed", 1, "generator seed")
-	iters := fs.Int("iters", 0, "PCG iteration budget (0 = converge)")
+	iters := fs.Int("iters", 0, "PCG iteration budget (0 = converge; with -model-file, 0 = the checkpoint's trained rough budget)")
 	precond := fs.String("precond", "amg", "preconditioner for budgeted solves: amg|ssor")
-	format := fs.String("format", "auto", "SpMV storage format: auto|csr|sell")
 	modelFile := fs.String("model-file", "", "trained checkpoint: run the fused numerical+ML pipeline")
 	pgm := fs.String("pgm", "", "write the drop map as PGM")
 	resFlag := fs.Int("res", 0, "raster resolution (default: die size or model resolution; also the die size of a deck whose node names carry no coordinates)")
@@ -52,7 +51,6 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 	for _, f := range []struct{ name, value, allowed string }{
 		{"class", *class, "fake real"},
 		{"precond", *precond, "amg ssor"},
-		{"format", *format, "auto csr sell"},
 	} {
 		if !slices.Contains(strings.Fields(f.allowed), f.value) {
 			return nil, fmt.Errorf("-%s %q: want one of: %s", f.name, f.value, f.allowed)
@@ -98,7 +96,6 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 		"seed":       *seed,
 		"iters":      *iters,
 		"precond":    *precond,
-		"format":     *format,
 		"model_file": *modelFile,
 		"resolution": res,
 		"cache":      *useCache,
@@ -121,7 +118,9 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 		if *resFlag == 0 {
 			res = analyzer.Config.Resolution
 		}
-		analyzer.Config.RoughIters = max(1, *iters)
+		if *iters > 0 {
+			analyzer.Config.RoughIters = *iters
+		}
 	}
 
 	runOne := func(dd *pgen.Design) (*grid.Map, error) {
@@ -137,7 +136,7 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 			}
 			log.Printf("fused pipeline: worst-case IR drop %.4g V (%.3fs)", m.Max(), rt.Seconds())
 		} else {
-			na := &core.NumericalAnalyzer{Iters: *iters, Resolution: res, Precond: *precond, Format: *format}
+			na := &core.NumericalAnalyzer{Iters: *iters, Resolution: res, Precond: *precond}
 			var resid float64
 			m, rt, resid, err = na.Analyze(dd)
 			if err != nil {

@@ -1,15 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"irfusion/internal/core"
+	"irfusion/internal/dataset"
 	"irfusion/internal/pgen"
 	"irfusion/internal/serve"
 	"irfusion/internal/spice"
@@ -83,7 +87,6 @@ func TestAnalyzeSpiceSizesTheDieFromTheDeck(t *testing.T) {
 // generate a fake design, `-precond AMG` to run SSOR).
 func TestAnalyzeRefusesMistypedValues(t *testing.T) {
 	for _, args := range [][]string{
-		{"-format", "ell"},
 		{"-class", "Real"},
 		{"-iters", "5", "-precond", "AMG"},
 	} {
@@ -91,6 +94,97 @@ func TestAnalyzeRefusesMistypedValues(t *testing.T) {
 		if _, err := cmdAnalyze(args); err == nil || !strings.Contains(err.Error(), flagName) {
 			t.Errorf("analyze %v: error %v, want one naming %s", args, err, flagName)
 		}
+	}
+}
+
+// TestAnalyzeRetiredFlags: -format went with the second sparse format
+// and -precision with the float32 stack; neither is tolerated under a
+// value that used to mean "default". The flag set exits the process,
+// so the test re-runs its own binary with the arguments in the
+// environment.
+func TestAnalyzeRetiredFlags(t *testing.T) {
+	const env = "IRFUSION_TEST_ANALYZE_ARGS"
+	if args := os.Getenv(env); args != "" {
+		cmdAnalyze(strings.Fields(args))
+		os.Exit(0) // the flag was accepted: the parent fails on the exit code
+	}
+	for _, args := range []string{"-format sell", "-format auto", "-precision full"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestAnalyzeRetiredFlags$")
+		cmd.Env = append(os.Environ(), env+"="+args)
+		out, err := cmd.CombinedOutput()
+		want := "flag provided but not defined: " + strings.Fields(args)[0]
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), want) {
+			t.Errorf("analyze %s: %v, want exit status 2 and %q; output:\n%s", args, err, want, out)
+		}
+	}
+}
+
+// TestAnalyzeFusedRoughBudget pins the CLI-vs-server bug: `analyze
+// -model-file` without -iters used to run the rough stage at one
+// iteration where the checkpoint was trained at Config.RoughIters,
+// while the server keeps the trained budget unless the request
+// overrides it. Without -iters the map must equal, bit for bit, what
+// the loaded analyzer returns on its own config; -iters 3 must still
+// override.
+func TestAnalyzeFusedRoughBudget(t *testing.T) {
+	const size = 24
+	cfg := core.Default(size)
+	cfg.Base, cfg.Depth, cfg.Epochs, cfg.UseAugmentation = 4, 2, 1, false
+	set, err := dataset.GenerateSet(1, 1, size, 70, cfg.DatasetOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained, err := core.Train(cfg, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := trained.Analyzer.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tiny.bin")
+	if err := os.WriteFile(path, ckpt.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := pgen.Generate(pgen.DefaultConfig("analyze", pgen.Real, size, size, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		iters int
+	}{
+		{"trained budget", nil, cfg.RoughIters},
+		{"-iters overrides", []string{"-iters", "3"}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			loaded, err := core.LoadAnalyzer(bytes.NewReader(ckpt.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.Config.RoughIters != cfg.RoughIters {
+				t.Fatalf("checkpoint carries rough budget %d, trained at %d", loaded.Config.RoughIters, cfg.RoughIters)
+			}
+			loaded.Config.RoughIters = tc.iters
+			want, _, err := loaded.Analyze(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cmdAnalyze(append([]string{"-model-file", path, "-size", "24", "-seed", "5"}, tc.args...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Data) != len(want.Data) {
+				t.Fatalf("map has %d cells, want %d", len(got.Data), len(want.Data))
+			}
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("cell %d: CLI %x, analyzer at %d rough iterations %x", i, got.Data[i], tc.iters, want.Data[i])
+				}
+			}
+		})
 	}
 }
 

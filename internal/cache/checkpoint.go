@@ -55,21 +55,19 @@ func CheckpointTag(n int) string { return "ckpt|n=" + fmt.Sprint(n) }
 
 // CheckpointShape canonicalizes the request fields that decide
 // whether a checkpoint is resumable by a solve: the preconditioner
-// family, the storage format, and the iteration budget. Two requests
-// with the same fingerprint and shape run the same solve, so one may
-// resume the other's checkpoint.
+// family and the iteration budget. Two requests with the same
+// fingerprint and shape run the same solve, so one may resume the
+// other's checkpoint.
 //
-// The constant "prec=full" segment keeps the key byte-for-byte what
-// blobs already on disk are stored under. The ignored second parameter
-// is there because the frozen _bench/layers.go passes four arguments.
-func CheckpointShape(precond, _, format string, iters int) string {
+// The constant "prec=full" and "fmt=auto" segments keep the key
+// byte-for-byte what blobs already on disk are stored under. The two
+// ignored parameters are there because the frozen _bench/layers.go
+// passes four arguments; they go with ROADMAP item 1(b).
+func CheckpointShape(precond, _, _ string, iters int) string {
 	if precond == "" {
 		precond = "amg"
 	}
-	if format == "" {
-		format = "auto"
-	}
-	return fmt.Sprintf("precond=%s,prec=full,fmt=%s,iters=%d", precond, format, iters)
+	return fmt.Sprintf("precond=%s,prec=full,fmt=auto,iters=%d", precond, iters)
 }
 
 // StoreCheckpoint stores art under its fingerprint⊕shape key. The
@@ -148,16 +146,20 @@ func DropCheckpoint(c *Cache, fp, shape string) {
 //
 //	"IRCK" 0x01 | fingerprint | shape | u64 N
 //	| X | u64 iter | f64 residual | historyTail
-//	| f64 tol | u64 maxIter | u8 flexible | label | format | "full"
+//	| f64 tol | u64 maxIter | u8 flexible | label | "auto" | "full"
 //
 // where strings are u64 length + bytes and float slices are u64
 // element count + IEEE 754 bits, all little-endian.
 var ckptMagic = []byte{'I', 'R', 'C', 'K', 1}
 
-// ckptReserved fills the last string slot of layout version 1, which
-// blobs already on disk carry: the encoder writes it, the decoder
-// reads past it.
-const ckptReserved = "full"
+// ckptReservedFormat and ckptReserved fill the last two string slots
+// of layout version 1 (once the storage format and the precision),
+// which blobs already on disk carry: the encoder writes them, the
+// decoder reads past them.
+const (
+	ckptReservedFormat = "auto"
+	ckptReserved       = "full"
+)
 
 const ckptMaxField = 1 << 30 // sanity bound on any decoded length
 
@@ -168,7 +170,7 @@ func EncodeCheckpoint(art *CheckpointArtifact) ([]byte, error) {
 	}
 	st := &art.State
 	size := len(ckptMagic) + 8*8 + 1 + // fixed fields, lengths folded below
-		len(art.Fingerprint) + len(art.Shape) + len(st.Label) + len(st.Format) + len(ckptReserved) +
+		len(art.Fingerprint) + len(art.Shape) + len(st.Label) + len(ckptReservedFormat) + len(ckptReserved) +
 		8*(len(st.X)+len(st.HistoryTail)) + 6*8
 	buf := make([]byte, 0, size)
 	buf = append(buf, ckptMagic...)
@@ -187,7 +189,7 @@ func EncodeCheckpoint(art *CheckpointArtifact) ([]byte, error) {
 		buf = append(buf, 0)
 	}
 	buf = appendString(buf, st.Label)
-	buf = appendString(buf, st.Format)
+	buf = appendString(buf, ckptReservedFormat)
 	buf = appendString(buf, ckptReserved)
 	return buf, nil
 }
@@ -214,8 +216,8 @@ func DecodeCheckpoint(data []byte) (*CheckpointArtifact, error) {
 	st.MaxIter = int(d.uint64())
 	st.Flexible = d.byte() != 0
 	st.Label = d.string()
-	st.Format = d.string()
-	d.string() // the reserved slot
+	d.string() // the two reserved slots
+	d.string()
 	if d.err == nil && len(d.buf) != 0 {
 		d.err = fmt.Errorf("%d trailing bytes", len(d.buf))
 	}

@@ -13,7 +13,7 @@ import (
 func testCheckpointArtifact(fp string) *CheckpointArtifact {
 	return &CheckpointArtifact{
 		Fingerprint: fp,
-		Shape:       CheckpointShape("amg", "", "auto", 0),
+		Shape:       CheckpointShape("amg", "", "", 0),
 		N:           4,
 		State: solver.Checkpoint{
 			X:           []float64{1, 2, 3, 4},
@@ -60,19 +60,24 @@ func TestCheckpointStoreLookupDrop(t *testing.T) {
 	}
 }
 
-// TestCheckpointShapeDefaults: empty request fields canonicalize to
-// the documented defaults so "amg, auto" spelled explicitly and
-// implicitly share one checkpoint.
+// TestCheckpointShapeDefaults: an empty preconditioner canonicalizes
+// to the documented default, the budget qualifies the shape, and the
+// retired precision and format arguments select nothing — every
+// spelling yields the key of the blobs already on disk.
 func TestCheckpointShapeDefaults(t *testing.T) {
-	if got, want := CheckpointShape("", "", "", 0), CheckpointShape("amg", "", "auto", 0); got != want {
-		t.Errorf("defaulted shape %q != explicit %q", got, want)
+	const onDisk = "precond=amg,prec=full,fmt=auto,iters=0"
+	for _, precond := range []string{"", "amg"} {
+		for _, format := range []string{"", "auto", "csr", "anything"} {
+			if got := CheckpointShape(precond, "mixed", format, 0); got != onDisk {
+				t.Errorf("shape(%q, format %q) is %q; blobs on disk are keyed %q", precond, format, got, onDisk)
+			}
+		}
 	}
-	if CheckpointShape("amg", "", "auto", 0) == CheckpointShape("amg", "", "auto", 7) {
+	if CheckpointShape("amg", "", "", 0) == CheckpointShape("amg", "", "", 7) {
 		t.Error("iteration budget does not qualify the shape")
 	}
-	// The key of every blob already on disk.
-	if got, want := CheckpointShape("", "", "", 0), "precond=amg,prec=full,fmt=auto,iters=0"; got != want {
-		t.Errorf("default shape is %q; blobs on disk are keyed %q", got, want)
+	if CheckpointShape("amg", "", "", 0) == CheckpointShape("ssor", "", "", 0) {
+		t.Error("preconditioner does not qualify the shape")
 	}
 }
 
@@ -156,7 +161,7 @@ func TestCheckpointEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("blob written by the previous release: %v", err)
 	}
-	if back.State.Iter != 12 || back.N != len(back.State.X) || back.Shape != CheckpointShape("amg", "", "auto", 0) {
+	if back.State.Iter != 12 || back.N != len(back.State.X) || back.Shape != CheckpointShape("amg", "", "", 0) {
 		t.Fatalf("previous release's blob decoded to iter %d, N %d, %d values, shape %q",
 			back.State.Iter, back.N, len(back.State.X), back.Shape)
 	}

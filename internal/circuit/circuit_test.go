@@ -11,6 +11,10 @@ import (
 	"irfusion/internal/spice"
 )
 
+// cgOpts is plain (unpreconditioned, non-flexible) CG at the
+// converged-solve tolerance: the reference solve of these tests.
+var cgOpts = solver.Options{Tol: 1e-10, MaxIter: 1000, Record: true}
+
 func mustNetwork(t *testing.T, deck string) *Network {
 	t.Helper()
 	nl, err := spice.ParseString(deck)
@@ -43,7 +47,7 @@ func TestChainAnalytic(t *testing.T) {
 		t.Fatalf("N = %d, want 2 (pad eliminated)", sys.N())
 	}
 	d := make([]float64, sys.N())
-	if _, err := solver.CG(sys.G, d, sys.I, solver.DefaultOptions()); err != nil {
+	if _, err := solver.PCG(sys.G, d, sys.I, nil, cgOpts); err != nil {
 		t.Fatal(err)
 	}
 	full := sys.FullDrops(d)
@@ -77,7 +81,7 @@ I1 n1_m1_1_0 0 0.1
 		t.Fatal(err)
 	}
 	d := make([]float64, sys.N())
-	if _, err := solver.CG(sys.G, d, sys.I, solver.DefaultOptions()); err != nil {
+	if _, err := solver.PCG(sys.G, d, sys.I, nil, cgOpts); err != nil {
 		t.Fatal(err)
 	}
 	got := sys.FullDrops(d)[nw.Names["n1_m1_1_0"]]
@@ -206,7 +210,7 @@ func TestSuperposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	d1 := make([]float64, sys1.N())
-	if _, err := solver.CG(sys1.G, d1, sys1.I, solver.DefaultOptions()); err != nil {
+	if _, err := solver.PCG(sys1.G, d1, sys1.I, nil, cgOpts); err != nil {
 		t.Fatal(err)
 	}
 	scaled := append([]float64(nil), sys1.I...)
@@ -214,7 +218,7 @@ func TestSuperposition(t *testing.T) {
 		scaled[i] *= 2
 	}
 	d2 := make([]float64, sys1.N())
-	if _, err := solver.CG(sys1.G, d2, scaled, solver.DefaultOptions()); err != nil {
+	if _, err := solver.PCG(sys1.G, d2, scaled, nil, cgOpts); err != nil {
 		t.Fatal(err)
 	}
 	for i := range d1 {
@@ -233,7 +237,7 @@ func TestDropsNonNegative(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := make([]float64, sys.N())
-	if _, err := solver.CG(sys.G, d, sys.I, solver.DefaultOptions()); err != nil {
+	if _, err := solver.PCG(sys.G, d, sys.I, nil, cgOpts); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range d {

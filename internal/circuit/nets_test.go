@@ -56,7 +56,7 @@ func TestAnalyzeNetsDualRail(t *testing.T) {
 	// VDD net: drop = 0.1 A × 2 Ω = 0.2 V. VSS net: bounce = 0.1 × 1.
 	solve := func(sys *System) []float64 {
 		x := make([]float64, sys.N())
-		if _, err := solver.CG(sys.G, x, sys.I, solver.DefaultOptions()); err != nil {
+		if _, err := solver.PCG(sys.G, x, sys.I, nil, cgOpts); err != nil {
 			t.Fatal(err)
 		}
 		return x

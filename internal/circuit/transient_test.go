@@ -61,7 +61,7 @@ func TestTransientRCChargeCurve(t *testing.T) {
 	}
 	// After 3τ the response should be near the static solution.
 	static := make([]float64, sys.N())
-	if _, err := solver.CG(sys.G, static, sys.I, solver.DefaultOptions()); err != nil {
+	if _, err := solver.PCG(sys.G, static, sys.I, nil, cgOpts); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(tr.Drops()[0]-static[0]) > 0.06*static[0] {
@@ -117,7 +117,7 @@ I1 n1_m1_2_0 0 0.1
 		t.Fatal(err)
 	}
 	static := make([]float64, sys.N())
-	if _, err := solver.CG(sys.G, static, sys.I, solver.DefaultOptions()); err != nil {
+	if _, err := solver.PCG(sys.G, static, sys.I, nil, cgOpts); err != nil {
 		t.Fatal(err)
 	}
 	for i := range static {

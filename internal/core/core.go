@@ -587,9 +587,9 @@ type NumericalAnalyzer struct {
 	// refuses any value but "" and "full". The field is there because
 	// the frozen _bench/layers.go sets it.
 	Precision string
-	// Format overrides the SpMV storage format of the PCG rungs
-	// ("auto", "csr", "sell"); empty keeps the solver default
-	// (automatic per-matrix selection).
+	// Format selects nothing either: CSR is the only storage format, and
+	// AnalyzeCtx refuses any value but "" and "auto". Shim for the frozen
+	// _bench/layers.go; goes with ROADMAP item 1(b).
 	Format string
 	// Resilience tunes retries/backoff and optionally carries the
 	// shared circuit-breaker set of a serving process. The zero value
@@ -638,6 +638,9 @@ func (n *NumericalAnalyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*gr
 	if n.Precision != "" && n.Precision != "full" {
 		return nil, 0, 0, fmt.Errorf("core: precision %q: every solve is full precision", n.Precision)
 	}
+	if n.Format != "" && n.Format != "auto" {
+		return nil, 0, 0, fmt.Errorf("core: format %q: CSR is the only storage format", n.Format)
+	}
 	rec := obs.ActiveOr(ctx)
 	start := time.Now()
 	st := rec.StartStage("numerical.assemble")
@@ -653,7 +656,7 @@ func (n *NumericalAnalyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*gr
 	st = rec.StartStage("numerical.solve")
 	x := make([]float64, sys.N())
 	res, err := plan.Numerical(ctx, sys, x, plan.Solve{
-		Iters: n.Iters, Precond: n.Precond, Format: n.Format,
+		Iters: n.Iters, Precond: n.Precond,
 		Fingerprint:     func() string { return cache.DesignFingerprint(d) },
 		CheckpointEvery: n.CheckpointEvery, OnCheckpoint: n.OnCheckpoint, Resilience: n.Resilience,
 	})

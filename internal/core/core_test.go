@@ -145,15 +145,18 @@ func TestNumericalAnalyzer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// "full" is the only precision there is; anything else is refused,
-	// not quietly solved in float64 under another name.
-	golden := &NumericalAnalyzer{Iters: 0, Resolution: 32, Precision: "full"}
+	// "full" is the only precision there is and "auto" the only format;
+	// anything else is refused, not quietly solved under another name.
+	golden := &NumericalAnalyzer{Iters: 0, Resolution: 32, Precision: "full", Format: "auto"}
 	gm, _, gRes, err := golden.Analyze(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := (&NumericalAnalyzer{Resolution: 32, Precision: "half"}).Analyze(d); err == nil {
 		t.Error("an unknown precision was accepted")
+	}
+	if _, _, _, err := (&NumericalAnalyzer{Resolution: 32, Format: "csr"}).Analyze(d); err == nil {
+		t.Error("a retired storage format was accepted")
 	}
 	if gRes > 1e-9 {
 		t.Errorf("golden solve residual %v", gRes)

@@ -114,10 +114,7 @@ type StageRecord struct {
 
 // SolveRecord is one labeled Krylov solve: iteration count, final
 // relative residual, and the full per-iteration residual history (the
-// convergence trace the fusion trade-off study reads). Format says
-// which SpMV storage format produced the solve — an optional key of
-// irfusion/run-manifest/v1 (absent on records of solvers without an
-// SpMV, e.g. the random walk).
+// convergence trace the fusion trade-off study reads).
 type SolveRecord struct {
 	Label      string    `json:"label"`
 	Iterations int       `json:"iterations"`
@@ -125,7 +122,6 @@ type SolveRecord struct {
 	Converged  bool      `json:"converged"`
 	Seconds    float64   `json:"seconds"`
 	History    []float64 `json:"history,omitempty"`
-	Format     string    `json:"format,omitempty"`
 }
 
 // DegradationAttempt is one try of one ladder rung: which rung, the

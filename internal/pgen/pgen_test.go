@@ -12,6 +12,10 @@ import (
 	"irfusion/internal/spice"
 )
 
+// cgOpts is plain (unpreconditioned, non-flexible) CG at the
+// converged-solve tolerance: the reference solve of these tests.
+var cgOpts = solver.Options{Tol: 1e-10, MaxIter: 1000, Record: true}
+
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := DefaultConfig("d0", Fake, 48, 48, 7)
 	d1, err := Generate(cfg)
@@ -276,7 +280,7 @@ func TestDualRail(t *testing.T) {
 	// Ground bounce equals IR drop for the mirrored geometry.
 	solve := func(sys *circuit.System) float64 {
 		x := make([]float64, sys.N())
-		if _, err := solver.CG(sys.G, x, sys.I, solver.DefaultOptions()); err != nil {
+		if _, err := solver.PCG(sys.G, x, sys.I, nil, cgOpts); err != nil {
 			t.Fatal(err)
 		}
 		mx := 0.0

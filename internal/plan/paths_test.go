@@ -181,7 +181,7 @@ func TestSolvePathsAgree(t *testing.T) {
 				c = p.cache()
 				ctx = cache.WithCache(ctx, c)
 			}
-			shape := cache.CheckpointShape(req.Precond, "", req.Format, req.Iters)
+			shape := cache.CheckpointShape(req.Precond, "", "", req.Iters)
 			if list := plan.Rungs(req.Iters, req.Precond, c != nil); !slices.Contains(list, p.want) {
 				t.Fatalf("policy emits %v for this request; %s is not on it", list, p.want)
 			}

@@ -373,9 +373,8 @@ type Solve struct {
 	// iterations; <= 0 solves to convergence.
 	Iters int
 	// Precond ("amg" or "ssor") picks the first rung of a budgeted
-	// solve; Format overrides the SpMV storage format ("" keeps the
-	// solver default).
-	Precond, Format string
+	// solve.
+	Precond string
 	// Fingerprint yields the design's content address
 	// (cache.DesignFingerprint). It is called only for a solve the
 	// artifact cache applies to — converged, with a cache resolved from
@@ -396,12 +395,9 @@ type Solve struct {
 func Numerical(ctx context.Context, sys *circuit.System, x []float64, s Solve) (solver.Result, error) {
 	st := newState(ctx, sys, x, s.Iters, s.Iters <= 0)
 	st.stage = "numerical.solve"
-	if s.Format != "" {
-		st.opts.Format = s.Format
-	}
 	if cc := cache.ActiveOr(ctx); cc != nil && s.Iters <= 0 {
 		st.cache, st.fp = cc, s.Fingerprint()
-		st.shape = cache.CheckpointShape(s.Precond, "", s.Format, s.Iters)
+		st.shape = cache.CheckpointShape(s.Precond, "", "", s.Iters)
 		if s.CheckpointEvery > 0 {
 			st.opts.CheckpointEvery = s.CheckpointEvery
 			st.opts.CheckpointSink = &cache.CheckpointWriter{

@@ -20,7 +20,6 @@ import (
 	"irfusion/internal/pgen"
 	"irfusion/internal/plan"
 	"irfusion/internal/solver"
-	"irfusion/internal/sparse"
 	"irfusion/internal/spice"
 )
 
@@ -78,11 +77,6 @@ type AnalyzeRequest struct {
 	// Precond selects the budgeted-solve preconditioner: "amg"
 	// (default) or "ssor". Ignored by fused mode.
 	Precond string `json:"precond,omitempty"`
-	// Format selects the SpMV storage format: "auto" (default;
-	// row-length-variance-driven), "csr", or "sell". A pure
-	// performance knob — every format computes bitwise-identical
-	// results.
-	Format string `json:"format,omitempty"`
 	// Resolution is the raster size of the returned map (numerical
 	// mode; default: the design's die size). Fused mode always
 	// rasters at the model's training resolution.
@@ -364,13 +358,6 @@ func (s *Server) prepare(req *AnalyzeRequest) (*pgen.Design, error) {
 	default:
 		return nil, fmt.Errorf("unknown precond %q (want amg or ssor)", req.Precond)
 	}
-	switch req.Format {
-	case "":
-		req.Format = sparse.FormatAuto
-	case sparse.FormatAuto, sparse.FormatCSR, sparse.FormatSELL:
-	default:
-		return nil, fmt.Errorf("unknown format %q (want auto, csr, or sell)", req.Format)
-	}
 	if req.Iters < 0 || req.Iters > maxIters {
 		return nil, fmt.Errorf("iters %d out of range [0, %d]", req.Iters, maxIters)
 	}
@@ -511,7 +498,6 @@ func (s *Server) runJob(j *Job) {
 		"mode":    j.req.Mode,
 		"iters":   j.req.Iters,
 		"precond": j.req.Precond,
-		"format":  j.req.Format,
 		"design":  j.design.Name,
 	}
 	if j.handoffFrom != "" {
@@ -684,11 +670,8 @@ func responseKey(j *Job) string {
 		return ""
 	}
 	r := &j.req
-	// Format qualifies the key even though every format computes the
-	// same answer: a format-forced run must not satisfy an auto-format
-	// one.
-	return fmt.Sprintf("resp|%s|mode=%s,iters=%d,precond=%s,fmt=%s,res=%d,map=%t",
-		j.fp, r.Mode, r.Iters, r.Precond, r.Format, r.Resolution, r.IncludeMap)
+	return fmt.Sprintf("resp|%s|mode=%s,iters=%d,precond=%s,res=%d,map=%t",
+		j.fp, r.Mode, r.Iters, r.Precond, r.Resolution, r.IncludeMap)
 }
 
 // executeUncached dispatches the actual analysis of one job.
@@ -702,7 +685,7 @@ func (s *Server) executeUncached(ctx context.Context, j *Job) (*AnalyzeResult, e
 		res = d.W
 	}
 	na := &core.NumericalAnalyzer{
-		Iters: req.Iters, Resolution: res, Precond: req.Precond, Format: req.Format,
+		Iters: req.Iters, Resolution: res, Precond: req.Precond,
 		Resilience:      s.resilience(),
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		OnCheckpoint:    s.checkpointNotify(j),

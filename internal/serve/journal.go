@@ -60,8 +60,8 @@ func (s *Server) recoverOrphans(fold *journal.Fold) {
 			continue // accepted record never made it; nothing to re-run
 		}
 		// Not the strict decoder of handleAnalyze: a record written by an
-		// earlier binary may carry a field since retired ("precision"),
-		// and its job is still owed an answer.
+		// earlier binary may carry a field since retired ("precision",
+		// "format"), and its job is still owed an answer.
 		var req AnalyzeRequest
 		if err := json.Unmarshal(st.Request, &req); err != nil {
 			s.journalAppend(s.baseCtx, journal.Record{
@@ -113,7 +113,7 @@ func (s *Server) recoverOrphans(fold *journal.Fold) {
 // request's solve writes: fingerprint ⊕ request shape, the same
 // expression plan.Numerical stores them under.
 func checkpointKey(req *AnalyzeRequest, fp string) string {
-	return cache.CheckpointKey(fp, cache.CheckpointShape(req.Precond, "", req.Format, req.Iters))
+	return cache.CheckpointKey(fp, cache.CheckpointShape(req.Precond, "", "", req.Iters))
 }
 
 // restoreCheckpoint reloads the checkpoint blob stored under key, if

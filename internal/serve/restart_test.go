@@ -193,22 +193,56 @@ func TestServeRecoveryPassesCheckpointSaveFault(t *testing.T) {
 }
 
 // TestServeRecoversRetiredPrecisionRequest: a journal directory left by
-// the PR 18 binary may hold an accepted request that asks for mixed
-// precision (the record below is what that binary journaled for such a
-// request). The field is retired — a new submission with it
-// is a 400 — but the journaled job is still owed its answer: recovery
-// must re-run it to done, and the map must equal a fresh solve of the
-// same deck to 1e-9.
+// an earlier binary may hold accepted requests carrying fields since
+// retired (the records below are what the PR 18 and PR 21 binaries
+// journaled for such requests). A new submission with either field is a
+// 400, but a journaled job is still owed its answer: recovery must
+// re-run it to done, and the map must equal a fresh solve of the same
+// deck to 1e-9. A forced-format job solves cold (the fmt=sell key its
+// blob was saved under is no longer derivable); an auto-format one
+// still finds the blob the earlier binary left — here the PR 18
+// fixture, keyed and laid out as that binary wrote it.
 func TestServeRecoversRetiredPrecisionRequest(t *testing.T) {
-	const accepted = `{"pgen":{"name":"","class":"fake","seed":31,"w":32,"h":32,"vdd":0,"num_pads":0,"cell_pitch":0,"background_amps":0,"hotspots":0,"hotspot_amps":0,"blockages":0},` +
-		`"mode":"numerical","precond":"amg","precision":"mixed","format":"auto","include_map":true}`
+	const pgenTail = `"vdd":0,"num_pads":0,"cell_pitch":0,"background_amps":0,"hotspots":0,"hotspot_amps":0,"blockages":0},`
+	blob, err := os.ReadFile("../cache/testdata/checkpoint_pr18.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := cache.DecodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		id, name, accepted, fresh string
+		resumes                   bool
+	}{
+		{id: "job-000001", name: "PR 18, precision mixed",
+			accepted: `{"pgen":{"name":"","class":"fake","seed":31,"w":32,"h":32,` + pgenTail +
+				`"mode":"numerical","precond":"amg","precision":"mixed","format":"auto","include_map":true}`,
+			fresh: pgenBody(31, 32, `"include_map": true`)},
+		{id: "job-000002", name: "PR 21, format sell",
+			accepted: `{"pgen":{"name":"","class":"fake","seed":33,"w":32,"h":32,` + pgenTail +
+				`"mode":"numerical","precond":"amg","format":"sell","include_map":true}`,
+			fresh: pgenBody(33, 32, `"include_map": true`)},
+		// The deck checkpoint_pr18.bin is a snapshot of (see
+		// plan.TestSolvePathsAgree).
+		{id: "job-000003", name: "PR 21, format auto, blob on disk",
+			accepted: `{"pgen":{"name":"","class":"real","seed":17,"w":24,"h":24,` + pgenTail +
+				`"mode":"numerical","precond":"amg","format":"auto","include_map":true}`,
+			fresh:   `{"pgen": {"class": "real", "w": 24, "h": 24, "seed": 17}, "include_map": true}`,
+			resumes: true},
+	}
 	dir := t.TempDir()
 	j, _, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const id = "job-000001"
-	if err := j.Append(context.Background(), journal.Record{Type: journal.TypeAccepted, JobID: id, Request: json.RawMessage(accepted)}); err != nil {
+	for _, r := range rows {
+		if err := j.Append(context.Background(), journal.Record{Type: journal.TypeAccepted, JobID: r.id, Request: json.RawMessage(r.accepted)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.SaveBlob(cache.CheckpointKey(art.Fingerprint, art.Shape), blob); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -216,24 +250,31 @@ func TestServeRecoversRetiredPrecisionRequest(t *testing.T) {
 	}
 
 	_, ts := newTestServer(t, Config{Workers: 1, JournalDir: dir})
-	v := waitStatus(t, ts, id, Status.Terminal)
-	if v.Status != StatusDone || v.Result == nil {
-		t.Fatalf("recovered job ended %q (error %q)", v.Status, v.Error)
-	}
-
 	_, tsFresh := newTestServer(t, Config{Workers: 1})
-	code, b := post(t, tsFresh, "/v1/analyze", pgenBody(31, 32, `"include_map": true`))
-	if code != http.StatusOK {
-		t.Fatalf("fresh solve: status %d: %s", code, b)
-	}
-	fresh := decodeJob(t, b).Result.Map
-	if len(v.Result.Map) != len(fresh) || len(fresh) == 0 {
-		t.Fatalf("map lengths %d and %d", len(v.Result.Map), len(fresh))
-	}
-	for i := range fresh {
-		if d := math.Abs(v.Result.Map[i] - fresh[i]); d > 1e-9 {
-			t.Fatalf("cell %d differs from the fresh solve by %g", i, d)
-		}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			v := waitStatus(t, ts, r.id, Status.Terminal)
+			if v.Status != StatusDone || v.Result == nil || v.Result.Manifest == nil {
+				t.Fatalf("recovered job ended %q (error %q)", v.Status, v.Error)
+			}
+			rs := v.Result.Manifest.Resume
+			if resumed := rs != nil && rs.Outcome == obs.ResumeAccepted && rs.Iter == art.State.Iter; resumed != r.resumes {
+				t.Errorf("resume section %+v; resumes from the blob on disk: want %t", rs, r.resumes)
+			}
+			code, b := post(t, tsFresh, "/v1/analyze", r.fresh)
+			if code != http.StatusOK {
+				t.Fatalf("fresh solve: status %d: %s", code, b)
+			}
+			fresh := decodeJob(t, b).Result.Map
+			if len(v.Result.Map) != len(fresh) || len(fresh) == 0 {
+				t.Fatalf("map lengths %d and %d", len(v.Result.Map), len(fresh))
+			}
+			for i := range fresh {
+				if d := math.Abs(v.Result.Map[i] - fresh[i]); d > 1e-9 {
+					t.Fatalf("cell %d differs from the fresh solve by %g", i, d)
+				}
+			}
+		})
 	}
 }
 

@@ -206,6 +206,8 @@ func TestAnalyzeValidation(t *testing.T) {
 		{"fused without model", pgenBody(1, 24, `"mode": "fused"`)},
 		{"bad precond", pgenBody(1, 24, `"precond": "ilu"`)},
 		{"retired precision field", pgenBody(1, 24, `"precision": "full"`)},
+		{"retired format field", pgenBody(1, 24, `"format": "auto"`)},
+		{"retired format field, forced", pgenBody(1, 24, `"format": "sell"`)},
 		{"negative iters", pgenBody(1, 24, `"iters": -1`)},
 		{"huge iters", pgenBody(1, 24, fmt.Sprintf(`"iters": %d`, maxIters+1))},
 		{"negative timeout", pgenBody(1, 24, `"timeout_ms": -5`)},

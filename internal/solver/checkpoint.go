@@ -28,13 +28,12 @@ type Checkpoint struct {
 	// HistoryTail is the last few recorded relative residuals (at most
 	// historyTailLen entries), newest last.
 	HistoryTail []float64
-	// Tol, MaxIter, Flexible, Label, Format mirror the Options of the
+	// Tol, MaxIter, Flexible, Label mirror the Options of the
 	// solve that produced the snapshot.
 	Tol      float64
 	MaxIter  int
 	Flexible bool
 	Label    string
-	Format   string
 }
 
 // CheckpointSink receives checkpoints as a solve progresses. Save is
@@ -58,7 +57,6 @@ func snapshot(x []float64, iter int, rel float64, history []float64, opts Option
 		MaxIter:  opts.MaxIter,
 		Flexible: opts.Flexible,
 		Label:    opts.Label,
-		Format:   opts.Format,
 	}
 	if n := len(history); n > 0 {
 		tail := n - historyTailLen

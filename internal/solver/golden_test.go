@@ -146,40 +146,6 @@ func TestPCGMatchesCholeskyOracle(t *testing.T) {
 			}
 		})
 	}
-
-	// Forcing the SELL-C-σ format must not move the answer either: the
-	// formats are bitwise-identical by contract, so the iterate
-	// sequence — and therefore the converged solution — is the same.
-	t.Run("amg-pcg-sell", func(t *testing.T) {
-		h, err := amg.Build(sys.G, amg.DefaultOptions())
-		if err != nil {
-			t.Fatalf("amg: %v", err)
-		}
-		want := make([]float64, sys.G.Rows())
-		base := solver.DefaultOptions()
-		base.Format = sparse.FormatCSR
-		if _, err := solver.PCG(sys.G, want, sys.I, h.Clone(), base); err != nil {
-			t.Fatalf("CSR PCG: %v", err)
-		}
-		x := make([]float64, sys.G.Rows())
-		forced := solver.DefaultOptions()
-		forced.Format = sparse.FormatSELL
-		res, err := solver.PCG(sys.G, x, sys.I, h.Clone(), forced)
-		if err != nil {
-			t.Fatalf("SELL PCG: %v", err)
-		}
-		if !res.Converged {
-			t.Fatalf("SELL-format PCG did not converge: %d iterations, residual %g", res.Iterations, res.Residual)
-		}
-		for i := range x {
-			if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("SELL-format solution differs at node %d: %x vs %x", i, x[i], want[i])
-			}
-		}
-		if e := relErr(x, oracle); e > 1e-8 {
-			t.Errorf("SELL-format AMG-PCG vs Cholesky relative error %g, want <= 1e-8", e)
-		}
-	})
 }
 
 // goldenSolution is the committed per-node oracle solution.

@@ -66,7 +66,7 @@ func TestRandomWalkMatchesPCG(t *testing.T) {
 		b[i] = rng.Float64() * 0.1
 	}
 	exact := make([]float64, n)
-	if _, err := CG(a, exact, b, DefaultOptions()); err != nil {
+	if _, err := PCG(a, exact, b, nil, Options{Tol: 1e-10, MaxIter: 1000}); err != nil {
 		t.Fatal(err)
 	}
 	rw, err := NewRandomWalk(a, b)

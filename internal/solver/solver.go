@@ -102,14 +102,6 @@ type Options struct {
 	// count, timing, and residual history under this label. Empty
 	// defaults to "pcg".
 	Label string
-	// Format selects the SpMV storage format the solve multiplies by:
-	// sparse.FormatAuto lets sparse.SelectFormat pick per matrix from
-	// its row-length variance, sparse.FormatSELL forces SELL-C-σ, and
-	// sparse.FormatCSR (or empty, the zero value) forces CSR. The
-	// formats produce bitwise-identical products, so this is purely a
-	// performance knob; the resolved format is reported in the solve
-	// record.
-	Format string
 	// CheckpointEvery, when positive and CheckpointSink is set, makes
 	// the iteration loop snapshot the solve (iterate, iteration count,
 	// residual history tail) every CheckpointEvery completed
@@ -123,28 +115,13 @@ type Options struct {
 
 // DefaultOptions returns a converged-solve configuration.
 func DefaultOptions() Options {
-	return Options{Tol: 1e-10, MaxIter: 1000, Flexible: true, Record: true, Format: sparse.FormatAuto}
+	return Options{Tol: 1e-10, MaxIter: 1000, Flexible: true, Record: true}
 }
 
 // RoughOptions returns the k-iteration rough-solve configuration used
 // by the fusion pipeline.
 func RoughOptions(iters int) Options {
-	return Options{Tol: 0, MaxIter: iters, Flexible: true, Record: true, Format: sparse.FormatAuto}
-}
-
-// resolveFormat maps Options.Format to the operator the solve
-// multiplies by. The conversion (if any) is cached on the matrix, so
-// repeated solves against one system resolve to the same operator
-// without rebuilding it.
-func resolveFormat(a *sparse.CSR, format string) sparse.Operator {
-	switch format {
-	case sparse.FormatSELL:
-		return a.SELL()
-	case sparse.FormatAuto:
-		return a.Operator()
-	default:
-		return a
-	}
+	return Options{Tol: 0, MaxIter: iters, Flexible: true, Record: true}
 }
 
 // Result reports the outcome of a solve.
@@ -198,7 +175,6 @@ func PCG(a *sparse.CSR, x, b []float64, m Preconditioner, opts Options) (Result,
 // ctx via obs.WithRecorder isolates this solve's records from
 // concurrent solves; without one the process-global recorder is used.
 func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner, opts Options) (res Result, err error) {
-	op := resolveFormat(a, opts.Format)
 	if rec := obs.ActiveOr(ctx); rec != nil {
 		label := opts.Label
 		if label == "" {
@@ -213,7 +189,6 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 				Converged:  res.Converged,
 				Seconds:    time.Since(start).Seconds(),
 				History:    res.History,
-				Format:     op.Format(),
 			})
 		}()
 	}
@@ -250,7 +225,7 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 	}
 
 	pool := parallel.Default()
-	op.MulVec(r, x)
+	a.MulVec(r, x)
 	pool.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r[i] = b[i] - r[i]
@@ -310,7 +285,7 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 				}
 			}
 		}
-		op.MulVec(ap, p)
+		a.MulVec(ap, p)
 		pap := sparse.Dot(p, ap)
 		if math.IsNaN(pap) || math.IsInf(pap, 0) {
 			return res, ErrBreakdown
@@ -394,12 +369,6 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 		res.Converged = true
 	}
 	return res, nil
-}
-
-// CG solves A·x = b with unpreconditioned conjugate gradients.
-func CG(a *sparse.CSR, x, b []float64, opts Options) (Result, error) {
-	opts.Flexible = false
-	return PCG(a, x, b, Identity{}, opts)
 }
 
 // RelResidual returns ‖b − A·x‖ / ‖b‖ (or the absolute residual norm

@@ -51,7 +51,7 @@ func randomSystem(nx, ny int, seed int64) (*sparse.CSR, []float64, []float64) {
 func TestCGConverges(t *testing.T) {
 	a, want, b := randomSystem(16, 16, 1)
 	x := make([]float64, len(b))
-	res, err := CG(a, x, b, Options{Tol: 1e-10, MaxIter: 2000, Record: true})
+	res, err := PCG(a, x, b, nil, Options{Tol: 1e-10, MaxIter: 2000, Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestJacobiPCGFasterThanCG(t *testing.T) {
 	scaled.MulVec(b, want)
 
 	x1 := make([]float64, n)
-	plain, err := CG(scaled, x1, b, Options{Tol: 1e-8, MaxIter: 5000})
+	plain, err := PCG(scaled, x1, b, nil, Options{Tol: 1e-8, MaxIter: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestAMGPCGFastest(t *testing.T) {
 		t.Fatal(err)
 	}
 	x2 := make([]float64, n)
-	resCG, err := CG(a, x2, b, Options{Tol: 1e-10, MaxIter: 5000})
+	resCG, err := PCG(a, x2, b, nil, Options{Tol: 1e-10, MaxIter: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestPCGZeroRHS(t *testing.T) {
 	for i := range x {
 		x[i] = 9
 	}
-	res, err := CG(a, x, make([]float64, a.Rows()), DefaultOptions())
+	res, err := PCG(a, x, make([]float64, a.Rows()), nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestPCGWarmStart(t *testing.T) {
 	a, want, b := randomSystem(16, 16, 6)
 	// Starting at the exact solution should converge in zero iterations.
 	x := append([]float64(nil), want...)
-	res, err := CG(a, x, b, Options{Tol: 1e-8, MaxIter: 100})
+	res, err := PCG(a, x, b, nil, Options{Tol: 1e-8, MaxIter: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestPCGWarmStart(t *testing.T) {
 
 func TestPCGDimensionMismatch(t *testing.T) {
 	a := laplacian2D(4, 4)
-	if _, err := CG(a, make([]float64, 3), make([]float64, 16), DefaultOptions()); err == nil {
+	if _, err := PCG(a, make([]float64, 3), make([]float64, 16), nil, DefaultOptions()); err == nil {
 		t.Error("expected dimension error")
 	}
 }
@@ -232,7 +232,7 @@ func TestPCGIndefiniteDetected(t *testing.T) {
 	a := tr.ToCSR()
 	x := make([]float64, 3)
 	b := []float64{0, 1, 0} // immediately probes the negative direction
-	res, err := CG(a, x, b, Options{Tol: 1e-12, MaxIter: 10, Record: true})
+	res, err := PCG(a, x, b, nil, Options{Tol: 1e-12, MaxIter: 10, Record: true})
 	if err != ErrIndefinite {
 		t.Errorf("err = %v, want ErrIndefinite", err)
 	}
@@ -290,7 +290,7 @@ func TestFlexibleMatchesStandardForLinearPreconditioner(t *testing.T) {
 func TestSSORPreconditionerAcceleratesCG(t *testing.T) {
 	a, _, b := randomSystem(16, 16, 8)
 	x1 := make([]float64, len(b))
-	plain, err := CG(a, x1, b, Options{Tol: 1e-8, MaxIter: 5000})
+	plain, err := PCG(a, x1, b, nil, Options{Tol: 1e-8, MaxIter: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}

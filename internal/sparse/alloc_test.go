@@ -50,17 +50,6 @@ func TestZeroAllocMulVec(t *testing.T) {
 	requireZeroAllocs(t, "CSR.MulVec", func() { a.MulVec(y, x) })
 }
 
-func TestZeroAllocMulVecAdd(t *testing.T) {
-	pinSerialPool(t)
-	a := laplacian2D(24, 24)
-	x := make([]float64, a.Cols())
-	y := make([]float64, a.Rows())
-	for i := range x {
-		x[i] = float64(i%5) + 1
-	}
-	requireZeroAllocs(t, "CSR.MulVecAdd", func() { a.MulVecAdd(y, x) })
-}
-
 func TestZeroAllocDotNormAxpy(t *testing.T) {
 	pinSerialPool(t)
 	n := 4096
@@ -105,31 +94,6 @@ func TestZeroAllocGaussSeidel(t *testing.T) {
 	requireZeroAllocs(t, "SymmetricGaussSeidel", func() {
 		SymmetricGaussSeidel(a, x, b, 1)
 	})
-}
-
-func TestZeroAllocSELLMulVec(t *testing.T) {
-	pinSerialPool(t)
-	a := laplacian2D(24, 24)
-	s := NewSELLCS(a, SellC, 0)
-	x := make([]float64, a.Cols())
-	y := make([]float64, a.Rows())
-	for i := range x {
-		x[i] = float64(i%7) - 3
-	}
-	requireZeroAllocs(t, "SELLCS.MulVec", func() { s.MulVec(y, x) })
-	requireZeroAllocs(t, "SELLCS.MulVecAdd", func() { s.MulVecAdd(y, x) })
-}
-
-func TestZeroAllocSELLGenericWidth(t *testing.T) {
-	pinSerialPool(t)
-	a := laplacian2D(17, 13) // ragged: 221 rows, no width divides it
-	s := NewSELLCS(a, 4, 0)
-	x := make([]float64, a.Cols())
-	y := make([]float64, a.Rows())
-	for i := range x {
-		x[i] = float64(i%5) + 1
-	}
-	requireZeroAllocs(t, "SELLCS.MulVec(C=4)", func() { s.MulVec(y, x) })
 }
 
 // TestSpmvPartitionCache proves the partition cache makes the

@@ -142,18 +142,7 @@ type CSR struct {
 	// count requested, which only changes when the worker pool is
 	// swapped.
 	part atomic.Pointer[csrPartition]
-
-	// sell caches the SELL-C-σ form of this matrix (CSR.SELL) and op
-	// the auto-selected Operator (CSR.Operator). Both depend only on
-	// the immutable sparsity structure plus Val, so one conversion per
-	// matrix serves every subsequent solve. Scale invalidates them.
-	sell atomic.Pointer[SELLCS]
-	op   atomic.Pointer[operatorBox]
 }
-
-// operatorBox wraps an Operator so the auto-selection cache can live
-// in an atomic.Pointer.
-type operatorBox struct{ op Operator }
 
 // csrPartition is one cached SpMV row partition.
 type csrPartition struct {
@@ -176,43 +165,16 @@ func (m *CSR) Cols() int { return m.ColsN }
 //irfusion:hotpath
 func (m *CSR) NNZ() int { return len(m.Val) }
 
-// Format identifies the storage format in solve records.
+// FormatAuto is the one format name durable artifacts still spell.
+// Shim for _bench/layers.go, which is frozen; it selects nothing and
+// goes with ROADMAP item 1(b).
+const FormatAuto = "auto"
+
+// Operator returns the matrix itself: CSR is the only storage format.
+// Shim for _bench/layers.go, which is frozen; goes with ROADMAP item 1(b).
 //
 //irfusion:hotpath
-func (m *CSR) Format() string { return FormatCSR }
-
-// SELL returns the SELL-C-σ form of the matrix (slice height SellC,
-// default σ), converting on first use and caching the result in the
-// matrix — so repeated solves against the same system pay for the
-// conversion once.
-//
-//irfusion:hotpath-allow one-time format conversion; steady state is a single atomic load
-func (m *CSR) SELL() *SELLCS {
-	if s := m.sell.Load(); s != nil {
-		return s
-	}
-	s := NewSELLCS(m, SellC, 0)
-	m.sell.Store(s)
-	return s
-}
-
-// Operator returns the SpMV operator SelectFormat picks for this
-// matrix — the SELL-C-σ form when the row-length distribution favors
-// it, the matrix itself otherwise. The choice (and any conversion) is
-// made on first use and cached.
-//
-//irfusion:hotpath-allow one-time format selection; steady state is a single atomic load
-func (m *CSR) Operator() Operator {
-	if b := m.op.Load(); b != nil {
-		return b.op
-	}
-	var op Operator = m
-	if SelectFormat(m) == FormatSELL {
-		op = m.SELL()
-	}
-	m.op.Store(&operatorBox{op: op})
-	return op
-}
+func (m *CSR) Operator() *CSR { return m }
 
 // At returns A[i,j] (zero when the entry is not stored). Binary search
 // within the row; intended for tests and diagnostics, not inner loops.
@@ -231,76 +193,46 @@ func (m *CSR) At(i, j int) float64 {
 // y and x must not alias: rows of y are written concurrently by the
 // shared worker pool while every worker reads all of x, so overlap
 // would be a data race even in exact arithmetic. Passing the same
-// slice for both panics; partially overlapping sub-slices are the
-// caller's responsibility and yield undefined results.
+// slice for both panics (the common mistake); partially overlapping
+// sub-slices cannot be detected without unsafe, are the caller's
+// responsibility and yield undefined results.
+//
+// Rows are partitioned by nnz (not by row count) across the worker
+// pool, so a few dense rows cannot serialize the sweep. Each y[i] is
+// accumulated by exactly one worker in column order, making the
+// result bitwise identical at every worker count, including the
+// serial fallback.
 //
 //irfusion:hotpath
 func (m *CSR) MulVec(y, x []float64) {
 	if len(x) != m.ColsN || len(y) != m.RowsN {
 		panic("sparse: MulVec dimension mismatch")
 	}
-	checkNoAlias("MulVec", y, x)
-	m.spmv(y, x, false)
-}
-
-// MulVecAdd computes y += A·x. The aliasing contract of MulVec
-// applies: y and x must not overlap.
-//
-//irfusion:hotpath
-func (m *CSR) MulVecAdd(y, x []float64) {
-	if len(x) != m.ColsN || len(y) != m.RowsN {
-		panic("sparse: MulVecAdd dimension mismatch")
-	}
-	checkNoAlias("MulVecAdd", y, x)
-	m.spmv(y, x, true)
-}
-
-// checkNoAlias panics when y and x share a backing array start — the
-// common aliasing mistake (passing the same slice twice). Overlap at
-// different offsets cannot be detected without unsafe and is instead
-// excluded by the documented contract.
-//
-//irfusion:hotpath
-func checkNoAlias(op string, y, x []float64) {
 	if len(y) > 0 && len(x) > 0 && &y[0] == &x[0] {
-		panic("sparse: " + op + ": y and x must not alias")
+		panic("sparse: MulVec: y and x must not alias")
 	}
-}
-
-// spmv is the shared SpMV kernel. Rows are partitioned by nnz (not by
-// row count) across the worker pool, so a few dense rows cannot
-// serialize the sweep. Each y[i] is accumulated by exactly one worker
-// in column order, making the result bitwise identical at every
-// worker count, including the serial fallback.
-//
-//irfusion:hotpath
-func (m *CSR) spmv(y, x []float64, add bool) {
 	pool := parallel.Default()
 	if pool.SerialFor(m.NNZ()) {
 		cDoSerial.Inc()
-		m.spmvRange(y, x, 0, m.RowsN, add)
+		m.spmvRange(y, x, 0, m.RowsN)
 		return
 	}
 	bounds := m.partition(pool.Workers() * 4)
 	pool.Do(len(bounds)-1, func(part int) {
-		m.spmvRange(y, x, bounds[part], bounds[part+1], add)
+		m.spmvRange(y, x, bounds[part], bounds[part+1])
 	})
 }
 
 // spmvRange is the serial SpMV leaf over rows [lo, hi).
 //
 //irfusion:hotpath
-func (m *CSR) spmvRange(y, x []float64, lo, hi int, add bool) {
+func (m *CSR) spmvRange(y, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		sum := 0.0
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
 			sum += m.Val[p] * x[m.ColInd[p]]
 		}
-		if add {
-			y[i] += sum
-		} else {
-			y[i] = sum
-		}
+		y[i] = sum
 	}
 }
 
@@ -435,10 +367,6 @@ func (m *CSR) Scale(s float64) {
 	for i := range m.Val {
 		m.Val[i] *= s
 	}
-	// The cached SELL form and operator copy Val; drop them so the
-	// next Operator/SELL call rebuilds from the scaled values.
-	m.sell.Store(nil)
-	m.op.Store(nil)
 }
 
 // Clone returns a deep copy.

@@ -136,26 +136,6 @@ func TestMulVecAgainstDense(t *testing.T) {
 	}
 }
 
-func TestMulVecAddAccumulates(t *testing.T) {
-	a := laplacian2D(3, 3)
-	x := make([]float64, 9)
-	for i := range x {
-		x[i] = float64(i)
-	}
-	y1 := make([]float64, 9)
-	a.MulVec(y1, x)
-	y2 := make([]float64, 9)
-	for i := range y2 {
-		y2[i] = 7
-	}
-	a.MulVecAdd(y2, x)
-	for i := range y2 {
-		if math.Abs(y2[i]-(y1[i]+7)) > 1e-13 {
-			t.Fatalf("MulVecAdd mismatch at %d", i)
-		}
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

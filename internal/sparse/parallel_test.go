@@ -20,22 +20,12 @@ func withPool(t *testing.T, p *parallel.Pool) {
 func TestMulVecAliasPanics(t *testing.T) {
 	a := laplacian2D(4, 4)
 	v := make([]float64, a.Rows())
-	for _, op := range []struct {
-		name string
-		call func()
-	}{
-		{"MulVec", func() { a.MulVec(v, v) }},
-		{"MulVecAdd", func() { a.MulVecAdd(v, v) }},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s with aliased y and x did not panic", op.name)
-				}
-			}()
-			op.call()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MulVec with aliased y and x did not panic")
+		}
+	}()
+	a.MulVec(v, v)
 }
 
 // TestMulVecParallelMatchesSerialBitwise: each row of y is summed in
@@ -53,28 +43,15 @@ func TestMulVecParallelMatchesSerialBitwise(t *testing.T) {
 	withPool(t, parallel.New(1))
 	serial := make([]float64, n)
 	a.MulVec(serial, x)
-	serialAdd := make([]float64, n)
-	for i := range serialAdd {
-		serialAdd[i] = float64(i)
-	}
-	a.MulVecAdd(serialAdd, x)
 
 	for _, w := range []int{2, 4, 8} {
 		p := parallel.New(w).SetMinWork(1)
 		parallel.SetDefault(p)
 		y := make([]float64, n)
 		a.MulVec(y, x)
-		yAdd := make([]float64, n)
-		for i := range yAdd {
-			yAdd[i] = float64(i)
-		}
-		a.MulVecAdd(yAdd, x)
 		for i := range y {
 			if y[i] != serial[i] {
 				t.Fatalf("workers=%d: MulVec y[%d] = %x, serial %x", w, i, y[i], serial[i])
-			}
-			if yAdd[i] != serialAdd[i] {
-				t.Fatalf("workers=%d: MulVecAdd y[%d] = %x, serial %x", w, i, yAdd[i], serialAdd[i])
 			}
 		}
 		p.Close()
