@@ -74,8 +74,10 @@ loc: ## non-test Go lines per package and the total
 # gemmTBRange) that took fused_small p10 from 33.4 to 25.8 ms without
 # changing a bit. Lowered by PR 22 to 22000 (total 22617 -> 21978): the
 # SELL-C-sigma format, sparse.Operator and the format knob at every
-# layer went.
-LOC_CEILING ?= 22000
+# layer went. Raised by PR 23 to 22100 by the 99 lines internal/serve
+# and internal/cluster grew (total 21978 -> 22077): the SHA-256 body
+# memo at both tiers that took eco_gateway p10 from 24.3 to 1.2 ms.
+LOC_CEILING ?= 22100
 
 loc-check: ## fail when the non-test Go line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \

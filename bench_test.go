@@ -9,15 +9,21 @@ package irfusion
 //	go test -bench=. -benchmem
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
 	"irfusion/internal/amg"
 	"irfusion/internal/cache"
 	"irfusion/internal/circuit"
+	"irfusion/internal/cluster"
 	"irfusion/internal/core"
 	"irfusion/internal/dataset"
 	"irfusion/internal/features"
@@ -26,6 +32,7 @@ import (
 	"irfusion/internal/obs"
 	"irfusion/internal/parallel"
 	"irfusion/internal/pgen"
+	"irfusion/internal/serve"
 	"irfusion/internal/solver"
 	"irfusion/internal/sparse"
 	"irfusion/internal/spice"
@@ -400,6 +407,56 @@ func BenchmarkCacheECOLoop(b *testing.B) {
 		ecoKey := cache.SystemKey(cache.DesignFingerprint(eco))
 		run(b, ctx, eco, func() { c.Drop(ecoKey) })
 	})
+}
+
+// BenchmarkAnalyzeRepeat is one round trip of a byte-identical
+// resubmission — a 128 µm deck already answered once — straight to a
+// server and through a gateway in front of it: the body is read,
+// hashed, found in the admission memo (and the routing memo) and
+// answered from the response memo. ns/op is what a repeat costs; B/op
+// what it allocates, client side included.
+func BenchmarkAnalyzeRepeat(b *testing.B) {
+	d, err := pgen.Generate(pgen.DefaultConfig("repeat", pgen.Real, 128, 128, 7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(serve.AnalyzeRequest{Spice: d.Netlist.String()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := serve.New(serve.Config{Name: "s0"})
+	shard := httptest.NewServer(srv.Handler())
+	gw, err := cluster.New(cluster.Config{Shards: []cluster.ShardSpec{{Name: "s0", URL: shard.URL}}, ProbeInterval: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	front := httptest.NewServer(gw.Handler())
+	defer func() {
+		front.Close()
+		_ = gw.Close(context.Background())
+		shard.Close()
+		_ = srv.Close(context.Background())
+	}()
+	post := func(url string) {
+		resp, err := http.Post(url+"/v1/analyze", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d, read %v", resp.StatusCode, err)
+		}
+	}
+	for _, row := range []struct{ name, url string }{{"direct", shard.URL}, {"gateway", front.URL}} {
+		post(row.url) // the first submission fills the memos
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				post(row.url)
+			}
+		})
+	}
 }
 
 func benchName(prefix string, k int) string {

@@ -63,7 +63,13 @@ var (
 	cRejected    = obs.GlobalCounter("cluster.rejected")
 	cProbes      = obs.GlobalCounter("cluster.probes")
 	cProbeFail   = obs.GlobalCounter("cluster.probe.failures")
+	cMemoHits    = obs.GlobalCounter("cluster.route.memo_hits")
+	cMemoMisses  = obs.GlobalCounter("cluster.route.memo_misses")
 )
+
+// The routing memo is a private cache.Cache of routeMemoBytes; an entry
+// (body digest → routing key) is accounted at routeBytes.
+const routeBytes, routeMemoBytes = 256, 4 << 20
 
 // ShardSpec names one shard and its base URL ("http://host:port").
 type ShardSpec struct {
@@ -166,6 +172,7 @@ type Gateway struct {
 	shards   map[string]*shardState
 	order    []string // shard names in config order, for status output
 	breakers *plan.BreakerSet
+	memo     *cache.Cache // body digest → routing key
 	mux      *http.ServeMux
 	start    time.Time
 
@@ -207,6 +214,7 @@ func New(cfg Config) (*Gateway, error) {
 		shards:     shards,
 		order:      names,
 		breakers:   plan.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		memo:       cache.New(routeMemoBytes, 0),
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
 		stopProbes: make(chan struct{}),
@@ -299,33 +307,37 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // handleAnalyze admission-checks the request at the edge, derives its
-// routing key, and forwards it along the ring with bounded handoff.
+// routing key — once per distinct body: the key is memoised under the
+// body's SHA-256, so a byte-identical resubmission is routed without
+// being decoded or parsed — and forwards the bytes along the ring with
+// bounded handoff. No digest travels with them: the shard hashes the
+// body itself rather than trust a header.
 func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	cRequests.Inc()
-	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
+	body, code, err := serve.ReadBody(w, r, g.cfg.MaxBodyBytes)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			// Oversized requests die here, at the edge — no shard sees
-			// a byte of them.
-			cRejected.Inc()
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", g.cfg.MaxBodyBytes)
+		if code == http.StatusRequestEntityTooLarge {
+			cRejected.Inc() // dies here, at the edge: no shard sees a byte of it
+		}
+		httpError(w, code, "%v", err)
+		return
+	}
+	sum := sha256.Sum256(body)
+	v, _ := g.memo.Get(string(sum[:]))
+	key, hit := v.(string)
+	if hit {
+		cMemoHits.Inc()
+	} else {
+		cMemoMisses.Inc()
+		req, err := serve.DecodeRequest(body)
+		if err == nil {
+			key, err = routingKey(req)
+		}
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	var req serve.AnalyzeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	key, err := routingKey(&req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		g.memo.Put(string(sum[:]), key, routeBytes, "route")
 	}
 	g.forward(w, r, key, body)
 }

@@ -1,15 +1,19 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"irfusion/internal/faults"
+	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
 	"irfusion/internal/serve"
 )
@@ -54,11 +58,16 @@ func TestGatewayAdmission413(t *testing.T) {
 // TestGatewayBadRequests covers edge admission of malformed bodies.
 func TestGatewayBadRequests(t *testing.T) {
 	f := newFleet(t, 1, serve.Config{Workers: 1}, Config{})
+	forwards := obs.CounterValue("cluster.forwards")
 	for _, body := range []string{
 		"{not json",
 		"{}",                               // neither spice nor pgen
 		`{"spice": "x", "pgen": {"w": 8}}`, // both
 		`{"spice": "R1 broken"}`,           // unparsable deck
+		// The shard's strict decoder, at the edge: these two used to cost
+		// a parse and a forward (the first) or pass here and fail there.
+		`{"pgen": {"class": "fake", "w": 16, "h": 16}, "format": "sell"}`,
+		`{"pgen": {"class": "fake", "w": 16, "h": 16}} trailing-garbage`,
 	} {
 		resp, err := http.Post(f.gwTS.URL+"/v1/analyze", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -71,6 +80,83 @@ func TestGatewayBadRequests(t *testing.T) {
 	}
 	if n := f.shards[0].analyzeHits.Load(); n != 0 {
 		t.Errorf("shard saw %d analyze calls for malformed requests", n)
+	}
+	if n := obs.CounterValue("cluster.forwards") - forwards; n != 0 {
+		t.Errorf("cluster.forwards advanced by %d for malformed requests", n)
+	}
+}
+
+// TestGatewayAdmitOnce is the gateway row of the admit-once table
+// (serve.TestAdmitOnceDifferential has the rest): one 48 µm deck sent
+// twice through a two-shard gateway. The repeat is routed from the
+// memo to the same shard, admitted from that shard's memo, and answers
+// bit for bit what a fresh standalone server answers.
+func TestGatewayAdmitOnce(t *testing.T) {
+	d, err := pgen.Generate(pgen.DefaultConfig("deck", pgen.Fake, 48, 48, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(serve.AnalyzeRequest{Spice: d.Netlist.String(), IncludeMap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(url string) (*http.Response, serve.JobView) {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/analyze", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, read %v: %s", resp.StatusCode, err, b)
+		}
+		return resp, decodeView(t, b)
+	}
+	fresh := serve.New(serve.Config{Workers: 1})
+	freshTS := httptest.NewServer(fresh.Handler())
+	defer func() {
+		freshTS.Close()
+		_ = fresh.Close(context.Background())
+	}()
+	_, want := send(freshTS.URL)
+
+	f := newFleet(t, 2, serve.Config{Workers: 1}, Config{})
+	hits, misses := obs.CounterValue("cluster.route.memo_hits"), obs.CounterValue("cluster.route.memo_misses")
+	r1, v1 := send(f.gwTS.URL)
+	r2, v2 := send(f.gwTS.URL)
+	if a, b := r1.Header.Get(serve.HeaderShard), r2.Header.Get(serve.HeaderShard); a == "" || a != b {
+		t.Fatalf("the repeat moved: shards %q then %q", a, b)
+	}
+	if h, m := obs.CounterValue("cluster.route.memo_hits")-hits, obs.CounterValue("cluster.route.memo_misses")-misses; h != 1 || m != 1 {
+		t.Errorf("routing memo: %d hits / %d misses, want 1 / 1", h, m)
+	}
+	if m := v2.Result.Manifest; m.Counters["serve.admit.hits"] != 1 || len(m.Solves) != 0 {
+		t.Errorf("the repeat: shard admit hits %d, %d solves; want 1 and 0", m.Counters["serve.admit.hits"], len(m.Solves))
+	}
+	fp := want.Result.Manifest.Config.(map[string]any)["fingerprint"]
+	for i, v := range []serve.JobView{v1, v2} {
+		got, w := *v.Result, *want.Result
+		if cfg := got.Manifest.Config.(map[string]any); cfg["fingerprint"] != fp || fp == nil {
+			t.Errorf("submission %d: manifest fingerprint %v, want %v", i+1, cfg["fingerprint"], fp)
+		}
+		got.Manifest, got.RuntimeSeconds, w.Manifest, w.RuntimeSeconds = nil, 0, nil, 0
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("submission %d through the gateway differs from the fresh server's answer", i+1)
+		}
+	}
+
+	// The status document carries the memo counters with the rest.
+	resp, err := http.Get(f.gwTS.URL + "/v1/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || st.Counters["cluster.route.memo_hits"] < 1 {
+		t.Errorf("GET /v1/cluster: decode %v, counters %v", err, st.Counters)
 	}
 }
 

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -155,52 +159,118 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	cRequests.Inc()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req AnalyzeRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+// admission is what admitting a request body yields, minus the design:
+// the normalised request with the deck text dropped, the design's name
+// and its content address — about 300 bytes, read-only once built. It
+// depends only on the bytes and on configuration fixed for the server's
+// life, so handleAnalyze memoises it in the artifact cache under the
+// body's SHA-256 (not a fast hash: bodies are untrusted, and a
+// collision would hand one client another's admission).
+type admission struct {
+	req  AnalyzeRequest
+	name string
+	fp   string // cache.DesignFingerprint; "" when caching is off
+}
+
+// admitBytes is the accounted size of one memoised admission.
+const admitBytes = 512
+
+// ReadBody reads a request body under the admission limit, sized from
+// Content-Length when the client sent one. On failure it returns the
+// status to answer with: 413 past the limit, 400 otherwise.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			cRejected.Inc()
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-			return
+			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", limit)
 		}
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+		return nil, http.StatusBadRequest, fmt.Errorf("read body: %w", err)
 	}
+	return buf.Bytes(), 0, nil
+}
 
-	design, err := s.prepare(&req)
+// DecodeRequest is the strict decoder of both front doors (this
+// handler and the cluster gateway): an unknown field is an error, and
+// so is anything but whitespace after the request object.
+func DecodeRequest(body []byte) (*AnalyzeRequest, error) {
+	req := new(AnalyzeRequest)
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return nil, fmt.Errorf("bad request body: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, errors.New("bad request body: data after the request object")
+	}
+	return req, nil
+}
+
+// admit is the slow admission, the only one: validate the decoded
+// request, build its design, fingerprint it.
+func (s *Server) admit(req *AnalyzeRequest) (*admission, *pgen.Design, error) {
+	design, err := s.prepare(req)
 	if err != nil {
-		var de *circuit.DeckError
-		if errors.As(err, &de) {
-			// Deck-lint failures carry the full machine-readable issue
-			// list, not just the first problem.
-			writeJSON(w, http.StatusBadRequest, map[string]any{
-				"error":  de.Error(),
-				"issues": de.Issues,
-			})
-			return
+		return nil, nil, err
+	}
+	adm := &admission{req: *req, name: design.Name}
+	adm.req.Spice = ""
+	if s.cache != nil {
+		adm.fp = cache.DesignFingerprint(design)
+	}
+	return adm, design, nil
+}
+
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	cRequests.Inc()
+	body, code, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		if code == http.StatusRequestEntityTooLarge {
+			cRejected.Inc()
 		}
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, code, "%v", err)
 		return
 	}
-
-	ctx, cancel := s.jobContext(req.TimeoutMS)
-	j := &Job{
-		req:         req,
-		submitted:   time.Now(),
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		status:      StatusQueued,
-		ctx:         ctx,
-		design:      design,
-		handoffFrom: r.Header.Get(HeaderHandoffFrom),
-		resumeFrom:  r.Header.Get(HeaderResumeFrom),
+	// Admit once: a byte-identical resubmission takes its admission from
+	// the memo and carries only its bytes, which runJob turns back into a
+	// design if — and only if — the response memo then misses. Only a
+	// successful admission is stored; a bad deck is linted every time.
+	sum := sha256.Sum256(body)
+	j := &Job{digest: hex.EncodeToString(sum[:])}
+	memo, _ := s.cache.Get("admit|" + j.digest)
+	if j.admission, j.admitHit = memo.(*admission); j.admitHit {
+		s.admitHits.Add(1)
+		j.body = body
+	} else {
+		s.admitMisses.Add(1)
+		req, err := DecodeRequest(body)
+		if err == nil {
+			j.admission, j.design, err = s.admit(req)
+		}
+		if err != nil {
+			var de *circuit.DeckError
+			if errors.As(err, &de) {
+				// Deck-lint failures carry the full machine-readable issue
+				// list, not just the first problem.
+				writeJSON(w, http.StatusBadRequest, map[string]any{
+					"error":  de.Error(),
+					"issues": de.Issues,
+				})
+				return
+			}
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		s.cache.Put("admit|"+j.digest, j.admission, admitBytes, "admit")
 	}
+
+	ctx, cancel := s.jobContext(j.req.TimeoutMS)
+	j.submitted, j.status = time.Now(), StatusQueued
+	j.ctx, j.cancel, j.done = ctx, cancel, make(chan struct{})
+	j.handoffFrom, j.resumeFrom = r.Header.Get(HeaderHandoffFrom), r.Header.Get(HeaderResumeFrom)
 	s.reg.add(j)
 
 	if !s.submit(j) {
@@ -211,12 +281,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "job queue full or server draining")
 		return
 	}
-	// Journal the acceptance only after the submit succeeded — a
-	// rejected submission needs no recovery — and before acknowledging
-	// the client, so an acknowledged job is always replayable.
-	s.journalAccepted(j)
+	// Journal the acceptance — the bytes the client sent, which is what
+	// replay re-admits — only after the submit succeeded (a rejected
+	// submission needs no recovery) and before acknowledging the client,
+	// so an acknowledged job is always replayable.
+	s.journalAppend(j.ctx, journal.Record{Type: journal.TypeAccepted, JobID: j.id, Request: body})
 
-	if req.Async {
+	if j.req.Async {
 		w.Header().Set("Location", "/v1/jobs/"+j.ID())
 		writeJSON(w, http.StatusAccepted, j.Snapshot())
 		return
@@ -322,9 +393,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
+	counters := obs.GlobalCounters()
+	counters["serve.admit.hits"], counters["serve.admit.misses"] = s.admitHits.Load(), s.admitMisses.Load()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"shard":    s.cfg.Name,
-		"counters": obs.GlobalCounters(),
+		"counters": counters,
 		"gauges": map[string]float64{
 			"serve.uptime_seconds": time.Since(s.start).Seconds(),
 			"serve.queue_len":      float64(len(s.queue)),
@@ -498,7 +571,18 @@ func (s *Server) runJob(j *Job) {
 		"mode":    j.req.Mode,
 		"iters":   j.req.Iters,
 		"precond": j.req.Precond,
-		"design":  j.design.Name,
+		"design":  j.name,
+	}
+	if j.digest != "" && s.cache != nil {
+		// The admission memo's verdict on this job's body, counted on the
+		// job's own recorder: the manifest says whether this request was
+		// admitted from its bytes alone.
+		name, outcome := "serve.admit.misses", obs.CacheMiss
+		if j.admitHit {
+			name, outcome = "serve.admit.hits", obs.CacheHit
+		}
+		rec.Add(name, 1)
+		rec.RecordCacheEvent(obs.CacheEvent{Stage: "serve.admit", Outcome: outcome, Key: cache.ShortKey(j.digest)})
 	}
 	if j.handoffFrom != "" {
 		// This job reached us through a gateway handoff after another
@@ -513,7 +597,6 @@ func (s *Server) runJob(j *Job) {
 		// cache.ActiveOr; record the content address in the manifest so
 		// cached runs are attributable to their design.
 		ctx = cache.WithCache(ctx, s.cache)
-		j.fp = cache.DesignFingerprint(j.design)
 		cfgMap["fingerprint"] = cache.ShortKey(j.fp)
 	}
 
@@ -538,6 +621,7 @@ func (s *Server) runJob(j *Job) {
 		}
 		// Queue full or draining: no retry slot; fail below as usual.
 	}
+	j.body = nil // the run is over: a retained job keeps no request bytes
 
 	manifest := rec.Manifest("serve.analyze", cfgMap)
 	manifest.Shard = s.cfg.Name
@@ -548,7 +632,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	if !j.req.OmitManifest {
 		if result == nil {
-			result = &AnalyzeResult{Mode: j.req.Mode, Design: j.design.Name}
+			result = &AnalyzeResult{Mode: j.req.Mode, Design: j.name}
 		}
 		result.Manifest = manifest
 	}
@@ -676,6 +760,18 @@ func responseKey(j *Job) string {
 
 // executeUncached dispatches the actual analysis of one job.
 func (s *Server) executeUncached(ctx context.Context, j *Job) (*AnalyzeResult, error) {
+	if j.design == nil {
+		// Admitted from the memo and the response memo missed (evicted,
+		// expired, or the first submission is still in flight): build the
+		// design from the retained bytes, as the first admission did.
+		req, err := DecodeRequest(j.body)
+		if err == nil {
+			j.design, err = s.prepare(req)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("serve: re-admit memoised body: %w", err)
+		}
+	}
 	req, d := &j.req, j.design
 	if req.Mode == ModeFused {
 		return s.executeFused(ctx, req, d)

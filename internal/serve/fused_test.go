@@ -127,8 +127,8 @@ func TestFusedAnalyze(t *testing.T) {
 				t.Errorf("async=%t: solve %q ran %d iterations, above the rough budget %d", async, sv.Label, sv.Iterations, a.Config.RoughIters)
 			}
 		}
-		if got := s.CacheStats().Stores - storesBefore; got != 1 {
-			t.Errorf("async=%t: the job stored %d cache entries, want 1 (the response)", async, got)
+		if got := s.CacheStats().Stores - storesBefore; got != 2 {
+			t.Errorf("async=%t: the job stored %d cache entries, want 2 (the admission and the response)", async, got)
 		}
 	}
 }

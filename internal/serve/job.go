@@ -39,10 +39,15 @@ func (s Status) Terminal() bool {
 // Job is one queued analysis. All exported accessors are safe for
 // concurrent use; the JSON view is produced by Snapshot.
 type Job struct {
-	id          string
-	req         AnalyzeRequest
+	id string
+	*admission
+	// design is nil while a job admitted from the memo has not needed it
+	// (a response-memo hit never does); body then holds the client's
+	// bytes to build it from, until the run ends.
 	design      *pgen.Design
-	fp          string // design fingerprint; set by runJob when caching is on
+	body        []byte
+	digest      string // hex SHA-256 of the body; "" for a journal-recovered job
+	admitHit    bool   // admitted from the memo
 	handoffFrom string // shard this job failed over from; "" normally
 	submitted   time.Time
 

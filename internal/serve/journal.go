@@ -70,7 +70,7 @@ func (s *Server) recoverOrphans(fold *journal.Fold) {
 			})
 			continue
 		}
-		design, err := s.prepare(&req)
+		adm, design, err := s.admit(&req)
 		if err != nil {
 			s.journalAppend(s.baseCtx, journal.Record{
 				Type: journal.TypeFailed, JobID: st.JobID,
@@ -80,7 +80,7 @@ func (s *Server) recoverOrphans(fold *journal.Fold) {
 		}
 		ctx, cancel := s.jobContext(req.TimeoutMS)
 		j := &Job{
-			req:        req,
+			admission:  adm,
 			submitted:  time.Now(),
 			cancel:     cancel,
 			done:       make(chan struct{}),
@@ -90,7 +90,7 @@ func (s *Server) recoverOrphans(fold *journal.Fold) {
 			resumeFrom: fromRestart,
 		}
 		if s.cache != nil {
-			j.hasBlob = s.restoreCheckpoint(checkpointKey(&req, cache.DesignFingerprint(design)))
+			j.hasBlob = s.restoreCheckpoint(checkpointKey(&adm.req, adm.fp))
 		}
 		s.reg.addWithID(j, st.JobID)
 		if !s.submit(j) {
@@ -154,22 +154,6 @@ func (s *Server) journalAppend(ctx context.Context, rec journal.Record) {
 	if err := s.journal.Append(ctx, rec); err != nil {
 		cJournalErr.Inc()
 	}
-}
-
-// journalAccepted records a job's admission, carrying the full request
-// body so replay can re-enqueue the job after a crash.
-func (s *Server) journalAccepted(j *Job) {
-	if s.journal == nil {
-		return
-	}
-	body, err := json.Marshal(&j.req)
-	if err != nil {
-		cJournalErr.Inc()
-		return
-	}
-	s.journalAppend(j.ctx, journal.Record{
-		Type: journal.TypeAccepted, JobID: j.id, Request: body,
-	})
 }
 
 // journalTerminal records a job's terminal transition. A finished job

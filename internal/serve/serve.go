@@ -187,6 +187,8 @@ type Server struct {
 
 	inflight atomic.Int64
 	workers  sync.WaitGroup
+
+	admitHits, admitMisses atomic.Int64 // admission-memo traffic, serve.admit.* on /metricsz
 }
 
 // New starts the worker goroutines and returns a ready service.

@@ -200,6 +200,8 @@ func TestAnalyzeValidation(t *testing.T) {
 	}{
 		{"malformed json", `{"pgen": `},
 		{"unknown field", `{"pgen": {"w": 24, "h": 24}, "bogus": 1}`},
+		{"trailing bytes", pgenBody(1, 24, "") + " trailing-garbage"},
+		{"two objects", pgenBody(1, 24, "") + pgenBody(2, 24, "")},
 		{"neither source", `{"mode": "numerical"}`},
 		{"both sources", `{"spice": "r1 a 0 1\n.end", "pgen": {"w": 24, "h": 24}}`},
 		{"bad mode", pgenBody(1, 24, `"mode": "quantum"`)},
