@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"irfusion/internal/amg"
 	"irfusion/internal/cache"
@@ -213,13 +214,37 @@ func BenchmarkFig8AblationStep(b *testing.B) {
 
 // --- Numerical substrate (Fig 3 stages) ------------------------------
 
+// benchSystem assembles the real-class pgen deck of the given die size
+// (seed 1001: the decks of EXPERIMENTS.md "AMG at its arithmetic
+// cost").
+func benchSystem(b *testing.B, die int) *circuit.System {
+	b.Helper()
+	d, err := pgen.Generate(pgen.DefaultConfig("bench", pgen.Real, die, die, 1001))
+	if err != nil {
+		b.Fatal(err)
+	}
+	nw, err := circuit.FromNetlist(d.Netlist)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := nw.Assemble()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sys
+}
+
 func BenchmarkSolverStageSetup(b *testing.B) {
-	f := benchFixtures(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := amg.Build(f.sys.G, amg.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
+	for _, die := range []int{48, 128} {
+		b.Run(benchName("die", die), func(b *testing.B) {
+			sys := benchSystem(b, die)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := amg.Build(sys.G, amg.DefaultOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -578,30 +603,45 @@ func BenchmarkParallelConvForward(b *testing.B) {
 // These quantify the solver design decisions: K- vs V-cycle, double
 // vs single pairwise aggregation, and flexible vs standard PCG.
 
+// BenchmarkAblationCycleType is the V-vs-K rule by one command: the
+// converged solve per cycle type over the die axis, with the iteration
+// count and the cost of one preconditioner application per arm (K is
+// two FCG steps on the first coarse level, V-cycles beneath).
 func BenchmarkAblationCycleType(b *testing.B) {
-	f := benchFixtures(b)
-	for _, cyc := range []amg.Cycle{amg.VCycle, amg.KCycle} {
-		b.Run(cyc.String(), func(b *testing.B) {
-			opts := amg.DefaultOptions()
-			opts.Cycle = cyc
-			h, err := amg.Build(f.sys.G, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			x := make([]float64, f.sys.N())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range x {
-					x[j] = 0
+	for _, die := range []int{48, 128, 256} {
+		sys := benchSystem(b, die)
+		for _, cyc := range []amg.Cycle{amg.VCycle, amg.KCycle} {
+			b.Run(fmt.Sprintf("die=%d/%v", die, cyc), func(b *testing.B) {
+				opts := amg.DefaultOptions()
+				opts.Cycle = cyc
+				h, err := amg.Build(sys.G, opts)
+				if err != nil {
+					b.Fatal(err)
 				}
-				res, err := solver.PCG(f.sys.G, x, f.sys.I, h,
-					solver.Options{Tol: 1e-10, MaxIter: 500, Flexible: true})
-				if err != nil || !res.Converged {
-					b.Fatalf("err=%v converged=%v", err, res.Converged)
+				x := make([]float64, sys.N())
+				var iters int
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := range x {
+						x[j] = 0
+					}
+					res, err := solver.PCG(sys.G, x, sys.I, h,
+						solver.Options{Tol: 1e-10, MaxIter: 500, Flexible: true})
+					if err != nil || !res.Converged {
+						b.Fatalf("err=%v converged=%v", err, res.Converged)
+					}
+					iters = res.Iterations
 				}
-				b.ReportMetric(float64(res.Iterations), "iters")
-			}
-		})
+				b.StopTimer()
+				const applies = 50
+				start := time.Now()
+				for i := 0; i < applies; i++ {
+					h.Apply(x, sys.I)
+				}
+				b.ReportMetric(float64(time.Since(start).Microseconds())/applies, "apply-µs")
+				b.ReportMetric(float64(iters), "iters")
+			})
+		}
 	}
 }
 

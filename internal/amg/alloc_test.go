@@ -1,7 +1,8 @@
 package amg
 
-// Zero-allocation regression guards for the cycle transfer kernels;
-// see internal/sparse/alloc_test.go for the pattern rationale.
+// Zero-allocation regression guards for the cycle kernels and the
+// preconditioner application built from them; see
+// internal/sparse/alloc_test.go for the pattern rationale.
 
 import (
 	"testing"
@@ -34,18 +35,55 @@ func TestZeroAllocTransferKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.Levels) < 2 || h.Levels[0].P == nil {
+	if len(h.Levels) < 2 {
 		t.Skip("hierarchy too shallow to exercise transfer kernels")
 	}
 	lvl := h.Levels[0]
 	fine := make([]float64, lvl.A.Rows())
-	coarse := make([]float64, lvl.P.Cols())
+	coarse := make([]float64, h.Levels[1].A.Rows())
 	for i := range fine {
 		fine[i] = float64(i%7) + 1
 	}
 	for i := range coarse {
 		coarse[i] = float64(i%5) + 1
 	}
-	requireZeroAllocs(t, "restrict", func() { restrict(lvl.P, coarse, fine) })
-	requireZeroAllocs(t, "prolongAdd", func() { prolongAdd(lvl.P, fine, coarse) })
+	requireZeroAllocs(t, "restrict", func() { restrict(lvl.agg, coarse, fine) })
+	requireZeroAllocs(t, "prolongAdd", func() { prolongAdd(lvl.agg, fine, coarse) })
+}
+
+func TestZeroAllocSweepKernels(t *testing.T) {
+	pinSerialPool(t)
+	a := laplacian2D(16, 16)
+	dpos, err := diagPositions(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := a.Rows()
+	x, r, b := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range b {
+		b[i] = float64(i%7) + 1
+	}
+	requireZeroAllocs(t, "sweepResidual", func() { sweepResidual(a, dpos, x, r, b) })
+	requireZeroAllocs(t, "sweepBackward", func() { sweepBackward(a, dpos, x, b) })
+}
+
+func TestZeroAllocApply(t *testing.T) {
+	pinSerialPool(t)
+	a := laplacian2D(40, 40)
+	for _, cyc := range []Cycle{VCycle, KCycle} {
+		opts := DefaultOptions()
+		opts.Cycle = cyc
+		h, err := Build(a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.NumLevels() < 3 {
+			t.Fatalf("%d levels: too shallow to run the accelerated level", h.NumLevels())
+		}
+		z, r := make([]float64, a.Rows()), make([]float64, a.Rows())
+		for i := range r {
+			r[i] = float64(i%5) - 2
+		}
+		requireZeroAllocs(t, cyc.String()+"-cycle Apply", func() { h.Apply(z, r) })
+	}
 }

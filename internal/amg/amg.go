@@ -29,9 +29,10 @@ type Cycle int
 const (
 	// VCycle visits each coarse level once per cycle.
 	VCycle Cycle = iota
-	// KCycle accelerates the coarse-level solve with (at most) two
-	// steps of flexible conjugate gradients, as proposed by Notay.
-	// This is the cycle PowerRush uses.
+	// KCycle accelerates the solve on the first coarse level with (at
+	// most) two steps of flexible conjugate gradients, as proposed by
+	// Notay and used by PowerRush, and runs V-cycles beneath it (see
+	// kDepth).
 	KCycle
 )
 
@@ -46,7 +47,16 @@ func (c Cycle) String() string {
 	}
 }
 
-// Options configures hierarchy construction and cycling.
+// kDepth is how many coarse levels KCycle accelerates (levels
+// 1..kDepth; V-cycles beneath). Accelerating all of them visits level
+// ℓ 2^ℓ times for an iteration count the first alone already buys:
+// 24/27/28/32 against 24/27/29/29 at 48/64/128/256 µm (DESIGN.md).
+const kDepth = 1
+
+// Options configures hierarchy construction and cycling. Each level
+// is smoothed by one forward Gauss-Seidel sweep before and one
+// backward sweep after the coarse-grid correction; the mirrored order
+// keeps the cycle symmetric.
 type Options struct {
 	// Strength is the strong-connection threshold β: the entry a_ij is
 	// a strong connection of i when -a_ij ≥ β·max_k(-a_ik).
@@ -56,10 +66,6 @@ type Options struct {
 	MaxCoarse int
 	// MaxLevels caps the hierarchy depth (0 means unlimited).
 	MaxLevels int
-	// PreSmooth and PostSmooth are the numbers of Gauss-Seidel sweeps
-	// before (forward) and after (backward) coarse-grid correction;
-	// the mirrored order keeps the cycle symmetric.
-	PreSmooth, PostSmooth int
 	// Cycle selects V or K cycling.
 	Cycle Cycle
 	// KTolerance is the K-cycle truncation threshold: the second FCG
@@ -72,15 +78,12 @@ type Options struct {
 }
 
 // DefaultOptions returns the configuration used by the IR-Fusion
-// pipeline: K-cycle, double pairwise aggregation, one symmetric
-// Gauss-Seidel sweep on each side.
+// pipeline: K-cycle, double pairwise aggregation.
 func DefaultOptions() Options {
 	return Options{
 		Strength:   0.25,
 		MaxCoarse:  64,
 		MaxLevels:  0,
-		PreSmooth:  1,
-		PostSmooth: 1,
 		Cycle:      KCycle,
 		KTolerance: 0.25,
 		Aggressive: true,
@@ -88,19 +91,25 @@ func DefaultOptions() Options {
 }
 
 // Level holds one level of the hierarchy: its operator, the
-// prolongation from the next-coarser level, and cycling workspace.
+// aggregation map onto the next-coarser level, and cycling workspace.
 type Level struct {
 	A *sparse.CSR
-	P *sparse.CSR // nil on the coarsest level
-
-	// Workspace sized for this level.
-	r []float64
-	// K-cycle workspace sized for the NEXT (coarser) level.
-	kc1, kv1, kr, kc2, kv2, krhs, kx []float64
+	// dpos[i] indexes row i's diagonal entry in A.ColInd/A.Val. Rows
+	// are column-sorted, so the strict lower triangle of row i is
+	// [RowPtr[i], dpos[i]) and the strict upper (dpos[i], RowPtr[i+1]).
+	dpos []int
+	// agg[i] is the coarse row fine row i belongs to: the prolongation
+	// is the 0/1 matrix P[i, agg[i]] = 1. Nil on the coarsest level.
+	agg []int
+	// Workspace: r is sized for this level; rc, xc (restricted residual,
+	// coarse correction) and the five FCG vectors k for the next, k
+	// only above an accelerated level.
+	r, rc, xc []float64
+	k         [5][]float64
 }
 
-// Hierarchy is a constructed AMG hierarchy, usable directly as a
-// stationary solver (Cycle) or as a preconditioner (Apply).
+// Hierarchy is a constructed AMG hierarchy, used as a preconditioner
+// (Apply).
 type Hierarchy struct {
 	Levels []*Level
 	coarse *sparse.DenseCholesky
@@ -108,8 +117,8 @@ type Hierarchy struct {
 }
 
 // Clone returns a hierarchy sharing h's immutable setup products —
-// the level operators, prolongations, and the coarse factorization —
-// with freshly allocated cycling workspace, so
+// the level operators, diagonal positions, aggregation maps, and the
+// coarse factorization — with freshly allocated cycling workspace, so
 // the clone can precondition a solve concurrently with h or any other
 // clone. Cloning reads only immutable fields, making it safe even
 // while another goroutine is mid-cycle on h. This is the contract the
@@ -126,24 +135,31 @@ func (h *Hierarchy) Clone() *Hierarchy {
 		opts:   h.opts,
 	}
 	for i, lvl := range h.Levels {
-		n := lvl.A.Rows()
-		nl := &Level{
-			A: lvl.A, P: lvl.P,
-			r: make([]float64, n),
-		}
-		if i+1 < len(h.Levels) {
-			nc := h.Levels[i+1].A.Rows()
-			nl.kc1 = make([]float64, nc)
-			nl.kv1 = make([]float64, nc)
-			nl.kr = make([]float64, nc)
-			nl.kc2 = make([]float64, nc)
-			nl.kv2 = make([]float64, nc)
-			nl.krhs = make([]float64, nc)
-			nl.kx = make([]float64, nc)
-		}
-		out.Levels[i] = nl
+		out.Levels[i] = &Level{A: lvl.A, dpos: lvl.dpos, agg: lvl.agg}
 	}
+	out.allocWorkspace()
 	return out
+}
+
+// allocWorkspace gives every level its cycling vectors.
+func (h *Hierarchy) allocWorkspace() {
+	for i, lvl := range h.Levels[:len(h.Levels)-1] {
+		nc := h.Levels[i+1].A.Rows()
+		lvl.r = make([]float64, lvl.A.Rows())
+		lvl.rc = make([]float64, nc)
+		lvl.xc = make([]float64, nc)
+		if h.accelerated(i + 1) {
+			for j := range lvl.k {
+				lvl.k[j] = make([]float64, nc)
+			}
+		}
+	}
+}
+
+// accelerated reports whether the solve on a coarse level runs the
+// two-step FCG; the coarsest level never does (it is solved exactly).
+func (h *Hierarchy) accelerated(level int) bool {
+	return h.opts.Cycle == KCycle && level <= kDepth && level < len(h.Levels)-1
 }
 
 // ErrEmptyMatrix is returned when Build receives a 0×0 matrix.
@@ -188,9 +204,6 @@ func BuildCtx(ctx context.Context, a *sparse.CSR, opts Options) (*Hierarchy, err
 	if opts.MaxCoarse <= 0 {
 		opts.MaxCoarse = 64
 	}
-	if opts.PreSmooth <= 0 && opts.PostSmooth <= 0 {
-		opts.PreSmooth, opts.PostSmooth = 1, 1
-	}
 	if opts.KTolerance <= 0 {
 		opts.KTolerance = 0.25
 	}
@@ -200,19 +213,23 @@ func BuildCtx(ctx context.Context, a *sparse.CSR, opts Options) (*Hierarchy, err
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("amg: setup cancelled after %d levels: %w", len(h.Levels), cerr)
 		}
-		lvl := &Level{A: cur}
+		dpos, err := diagPositions(cur)
+		if err != nil {
+			return nil, fmt.Errorf("%w: level %d: %w", ErrSetup, len(h.Levels), err)
+		}
+		lvl := &Level{A: cur, dpos: dpos}
 		h.Levels = append(h.Levels, lvl)
 		if cur.Rows() <= opts.MaxCoarse ||
 			(opts.MaxLevels > 0 && len(h.Levels) >= opts.MaxLevels) {
 			break
 		}
-		p := aggregate(cur, opts.Strength, opts.Aggressive)
-		if p == nil || p.Cols() >= cur.Rows() {
+		agg, next := coarsen(cur, opts.Strength, opts.Aggressive)
+		if agg == nil || next.Rows() >= cur.Rows() {
 			// Coarsening stalled; stop here and solve directly.
 			break
 		}
-		lvl.P = p
-		cur = sparse.TripleProduct(p, cur)
+		lvl.agg = agg
+		cur = next
 	}
 	// Factor the coarsest operator densely.
 	last := h.Levels[len(h.Levels)-1].A
@@ -221,22 +238,7 @@ func BuildCtx(ctx context.Context, a *sparse.CSR, opts Options) (*Hierarchy, err
 		return nil, fmt.Errorf("%w: coarsest-level factorization: %w", ErrSetup, err)
 	}
 	h.coarse = chol
-	// Allocate workspace.
-	//irfusion:ctx-ok workspace allocation after the last cancellation point is fast and must complete atomically once the hierarchy exists
-	for i, lvl := range h.Levels {
-		n := lvl.A.Rows()
-		lvl.r = make([]float64, n)
-		if i+1 < len(h.Levels) {
-			nc := h.Levels[i+1].A.Rows()
-			lvl.kc1 = make([]float64, nc)
-			lvl.kv1 = make([]float64, nc)
-			lvl.kr = make([]float64, nc)
-			lvl.kc2 = make([]float64, nc)
-			lvl.kv2 = make([]float64, nc)
-			lvl.krhs = make([]float64, nc)
-			lvl.kx = make([]float64, nc)
-		}
-	}
+	h.allocWorkspace()
 	if rec := obs.ActiveOr(ctx); rec != nil {
 		rec.SetGauge("amg.levels", float64(len(h.Levels)))
 		rec.SetGauge("amg.operator_complexity", h.OperatorComplexity())
@@ -247,6 +249,23 @@ func BuildCtx(ctx context.Context, a *sparse.CSR, opts Options) (*Hierarchy, err
 		}
 	}
 	return h, nil
+}
+
+// diagPositions locates every row's diagonal entry. A row without a
+// positive one cannot be smoothed (nor is the operator SPD).
+func diagPositions(a *sparse.CSR) ([]int, error) {
+	dpos := make([]int, a.RowsN)
+	for i := range dpos {
+		p := a.RowPtr[i]
+		for p < a.RowPtr[i+1] && a.ColInd[p] < i {
+			p++
+		}
+		if p == a.RowPtr[i+1] || a.ColInd[p] != i || !(a.Val[p] > 0) {
+			return nil, fmt.Errorf("row %d has no positive diagonal", i)
+		}
+		dpos[i] = p
+	}
+	return dpos, nil
 }
 
 // NumLevels returns the depth of the hierarchy.
@@ -262,107 +281,51 @@ func (h *Hierarchy) OperatorComplexity() float64 {
 	return float64(total) / float64(h.Levels[0].A.NNZ())
 }
 
-// Cycle performs one multigrid cycle for A·x = b, improving x in
-// place. x is used as the initial guess.
-func (h *Hierarchy) Cycle(x, b []float64) {
-	h.cycle(0, x, b)
-}
-
 // Apply uses one cycle from a zero initial guess as the
-// preconditioner application z = M⁻¹·r. It satisfies the
-// solver.Preconditioner contract. When a run recorder is active, each
-// application accumulates into the "amg.cycle" timing (gauge
-// amg.cycle.seconds / counter amg.cycle.count), separating cycle time
-// from the setup time reported by the "amg.setup" stage.
+// preconditioner application z = M⁻¹·r; z is output only. It
+// satisfies the solver.Preconditioner contract. When a run recorder is
+// active, each application accumulates into the "amg.cycle" timing
+// (gauge amg.cycle.seconds / counter amg.cycle.count), separating
+// cycle time from the setup time reported by the "amg.setup" stage.
 func (h *Hierarchy) Apply(z, r []float64) {
 	if rec := obs.Active(); rec != nil {
 		start := time.Now()
 		defer func() { rec.AddSeconds("amg.cycle", time.Since(start)) }()
 	}
-	sparse.Zero(z)
 	h.cycle(0, z, r)
 }
 
-// Solve iterates cycles until the relative residual drops below tol or
-// maxCycles is reached. It returns the number of cycles performed and
-// the final relative residual. Intended for stationary-solver use and
-// tests; production solves go through solver.PCG with Apply.
-func (h *Hierarchy) Solve(x, b []float64, tol float64, maxCycles int) (int, float64) {
-	n := len(b)
-	r := make([]float64, n)
-	bn := sparse.Norm2(b)
-	if bn == 0 { //irfusion:exact an exactly zero RHS norm means b is identically zero; the exact solution is zero
-		sparse.Zero(x)
-		return 0, 0
-	}
-	pool := parallel.Default()
-	residual := func() {
-		h.Levels[0].A.MulVec(r, x)
-		pool.For(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				r[i] = b[i] - r[i]
-			}
-		})
-	}
-	for k := 0; k < maxCycles; k++ {
-		residual()
-		rel := sparse.Norm2(r) / bn
-		if rel < tol {
-			return k, rel
-		}
-		h.Cycle(x, b)
-	}
-	residual()
-	return maxCycles, sparse.Norm2(r) / bn
-}
-
+// cycle overwrites x with one multigrid cycle on A_level·x = b from
+// the zero guess — the only guess a preconditioner application or an
+// FCG step ever starts from, which is what lets the pre-smoothing sweep
+// and the residual share one pass over the matrix (sweepResidual).
 func (h *Hierarchy) cycle(level int, x, b []float64) {
-	lvl := h.Levels[level]
 	if level == len(h.Levels)-1 {
 		h.coarse.Solve(x, b)
 		return
 	}
-	a := lvl.A
-	for s := 0; s < h.opts.PreSmooth; s++ {
-		sparse.GaussSeidelForward(a, x, b)
+	lvl := h.Levels[level]
+	sweepResidual(lvl.A, lvl.dpos, x, lvl.r, b)
+	restrict(lvl.agg, lvl.rc, lvl.r)
+	if h.accelerated(level + 1) {
+		h.fcgSolve(level+1, lvl)
+	} else {
+		h.cycle(level+1, lvl.xc, lvl.rc)
 	}
-	// Residual restriction: r_c = Pᵀ(b - A·x).
-	a.MulVec(lvl.r, x)
-	parallel.Default().For(len(lvl.r), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			lvl.r[i] = b[i] - lvl.r[i]
-		}
-	})
-	restrict(lvl.P, lvl.krhs, lvl.r)
-
-	sparse.Zero(lvl.kx)
-	switch {
-	case level+1 == len(h.Levels)-1:
-		// Next level is coarsest: solve exactly regardless of cycle type.
-		h.coarse.Solve(lvl.kx, lvl.krhs)
-	case h.opts.Cycle == VCycle:
-		h.cycle(level+1, lvl.kx, lvl.krhs)
-	default:
-		h.kcycleSolve(level+1, lvl)
-	}
-	// Prolongate and correct: x += P·x_c.
-	prolongAdd(lvl.P, x, lvl.kx)
-	for s := 0; s < h.opts.PostSmooth; s++ {
-		sparse.GaussSeidelBackward(a, x, b)
-	}
+	prolongAdd(lvl.agg, x, lvl.xc)
+	sweepBackward(lvl.A, lvl.dpos, x, b)
 }
 
-// kcycleSolve performs Notay's K-cycle coarse solve: up to two steps
-// of flexible conjugate gradients on A_c·x_c = rhs, preconditioned by
-// one multigrid cycle at the coarser level. Inputs and outputs live in
-// the parent level's k-workspace (parent.krhs -> parent.kx).
-func (h *Hierarchy) kcycleSolve(level int, parent *Level) {
+// fcgSolve performs Notay's K-cycle coarse solve: up to two steps
+// of flexible conjugate gradients on A_level·x = rhs, preconditioned by
+// one multigrid cycle at that level. Inputs and outputs live in
+// the parent level's workspace (parent.rc -> parent.xc).
+func (h *Hierarchy) fcgSolve(level int, parent *Level) {
 	ac := h.Levels[level].A
-	rhs, x := parent.krhs, parent.kx
-	c1, v1, r, c2, v2 := parent.kc1, parent.kv1, parent.kr, parent.kc2, parent.kv2
+	rhs, x := parent.rc, parent.xc
+	c1, v1, r, c2, v2 := parent.k[0], parent.k[1], parent.k[2], parent.k[3], parent.k[4]
 
 	// First FCG step.
-	sparse.Zero(c1)
 	h.cycle(level, c1, rhs)
 	ac.MulVec(v1, c1)
 	rho1 := sparse.Dot(c1, v1)
@@ -371,24 +334,15 @@ func (h *Hierarchy) kcycleSolve(level int, parent *Level) {
 		copy(x, c1)
 		return
 	}
-	pool := parallel.Default()
 	t := alpha1 / rho1
-	rhsNorm := sparse.Norm2(rhs)
-	pool.For(len(r), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r[i] = rhs[i] - t*v1[i]
-		}
-	})
-	if sparse.Norm2(r) <= h.opts.KTolerance*rhsNorm {
-		pool.For(len(x), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x[i] = t * c1[i]
-			}
-		})
+	copy(r, rhs)
+	sparse.Axpy(-t, v1, r)
+	sparse.Zero(x)
+	if sparse.Norm2(r) <= h.opts.KTolerance*sparse.Norm2(rhs) {
+		sparse.Axpy(t, c1, x)
 		return
 	}
 	// Second FCG step.
-	sparse.Zero(c2)
 	h.cycle(level, c2, r)
 	ac.MulVec(v2, c2)
 	gamma := sparse.Dot(c2, v1)
@@ -396,33 +350,66 @@ func (h *Hierarchy) kcycleSolve(level int, parent *Level) {
 	alpha2 := sparse.Dot(c2, r)
 	rho2 := beta - gamma*gamma/rho1
 	if rho2 <= 0 {
-		for i := range x {
-			x[i] = t * c1[i]
-		}
+		sparse.Axpy(t, c1, x)
 		return
 	}
-	w1 := alpha1/rho1 - gamma*alpha2/(rho1*rho2)
-	w2 := alpha2 / rho2
-	pool.For(len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] = w1*c1[i] + w2*c2[i]
-		}
-	})
+	sparse.Axpy(t-gamma*alpha2/(rho1*rho2), c1, x)
+	sparse.Axpy(alpha2/rho2, c2, x)
 }
 
-// restrict computes rc = Pᵀ·r without materializing Pᵀ: P is a 0/1
-// aggregation matrix with exactly one entry per row. The scatter into
-// rc races across fine rows of the same aggregate, so this stays
-// sequential (coarse vectors are small enough that it doesn't show in
-// profiles).
+// sweepResidual runs one forward Gauss-Seidel sweep on A·x = b from
+// the zero guess and leaves r = b − A·x. From zero the sweep reads
+// only the strict lower triangle (every x_j with j > i is still 0),
+// and once it has run (L+D)·x = b holds row by row, so the residual is
+// −U·x: one pass over A in all. x and r are output only.
 //
 //irfusion:hotpath
-func restrict(p *sparse.CSR, rc, r []float64) {
-	sparse.Zero(rc)
-	for i := 0; i < p.RowsN; i++ {
-		for q := p.RowPtr[i]; q < p.RowPtr[i+1]; q++ {
-			rc[p.ColInd[q]] += p.Val[q] * r[i]
+func sweepResidual(a *sparse.CSR, dpos []int, x, r, b []float64) {
+	rp, ci, v := a.RowPtr, a.ColInd, a.Val
+	for i, d := range dpos {
+		sum := b[i]
+		for p := rp[i]; p < d; p++ {
+			sum -= v[p] * x[ci[p]]
 		}
+		x[i] = sum / v[d]
+	}
+	for i, d := range dpos {
+		sum := 0.0
+		for p := d + 1; p < rp[i+1]; p++ {
+			sum -= v[p] * x[ci[p]]
+		}
+		r[i] = sum
+	}
+}
+
+// sweepBackward performs one backward Gauss-Seidel sweep on A·x = b,
+// walking each row's two triangles around the known diagonal position.
+//
+//irfusion:hotpath
+func sweepBackward(a *sparse.CSR, dpos []int, x, b []float64) {
+	rp, ci, v := a.RowPtr, a.ColInd, a.Val
+	for i := len(dpos) - 1; i >= 0; i-- {
+		d := dpos[i]
+		sum := b[i]
+		for p := rp[i]; p < d; p++ {
+			sum -= v[p] * x[ci[p]]
+		}
+		for p := d + 1; p < rp[i+1]; p++ {
+			sum -= v[p] * x[ci[p]]
+		}
+		x[i] = sum / v[d]
+	}
+}
+
+// restrict computes rc = Pᵀ·r through the aggregation map. The
+// scatter into rc races across fine rows of the same aggregate, so
+// this stays sequential.
+//
+//irfusion:hotpath
+func restrict(agg []int, rc, r []float64) {
+	sparse.Zero(rc)
+	for i, g := range agg {
+		rc[g] += r[i]
 	}
 }
 
@@ -435,28 +422,23 @@ var cForSerial = obs.GlobalCounter("parallel.for.serial")
 // the loop is row-parallel.
 //
 //irfusion:hotpath
-func prolongAdd(p *sparse.CSR, x, xc []float64) {
-	if p.RowsN == 0 {
-		return
-	}
+func prolongAdd(agg []int, x, xc []float64) {
 	pool := parallel.Default()
-	if pool.SerialFor(p.RowsN) {
+	if pool.SerialFor(len(agg)) {
 		cForSerial.Inc()
-		prolongAddRange(p, x, xc, 0, p.RowsN)
+		prolongAddRange(agg, x, xc, 0, len(agg))
 		return
 	}
-	pool.For(p.RowsN, func(lo, hi int) {
-		prolongAddRange(p, x, xc, lo, hi)
+	pool.For(len(agg), func(lo, hi int) {
+		prolongAddRange(agg, x, xc, lo, hi)
 	})
 }
 
 // prolongAddRange is the serial x += P·xc leaf over rows [lo, hi).
 //
 //irfusion:hotpath
-func prolongAddRange(p *sparse.CSR, x, xc []float64, lo, hi int) {
+func prolongAddRange(agg []int, x, xc []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		for q := p.RowPtr[i]; q < p.RowPtr[i+1]; q++ {
-			x[i] += p.Val[q] * xc[p.ColInd[q]]
-		}
+		x[i] += xc[agg[i]]
 	}
 }

@@ -60,6 +60,7 @@ func DesignFingerprint(d *pgen.Design) string {
 	if d == nil {
 		return ""
 	}
+	cFingerprint.Inc()
 	h := sha256.New()
 	fmt.Fprintf(h, "design w=%d h=%d vdd=%s\n", d.W, d.H, spice.FormatValue(d.VDD))
 	io.WriteString(h, Canonical(d.Netlist))

@@ -610,6 +610,10 @@ type NumericalAnalyzer struct {
 	// (cache.EncodeCheckpoint) — the durable-persistence hook the
 	// serving layer points at its journal's blob store.
 	OnCheckpoint func(key string, encoded []byte)
+	// Fingerprint is the analysed design's cache.DesignFingerprint when
+	// the caller already holds it (the server's admission does); empty
+	// means AnalyzeCtx computes it if the artifact cache applies.
+	Fingerprint string
 }
 
 // Analyze solves the design and rasterizes the bottom-layer drops,
@@ -657,7 +661,12 @@ func (n *NumericalAnalyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*gr
 	x := make([]float64, sys.N())
 	res, err := plan.Numerical(ctx, sys, x, plan.Solve{
 		Iters: n.Iters, Precond: n.Precond,
-		Fingerprint:     func() string { return cache.DesignFingerprint(d) },
+		Fingerprint: func() string {
+			if n.Fingerprint != "" {
+				return n.Fingerprint
+			}
+			return cache.DesignFingerprint(d)
+		},
 		CheckpointEvery: n.CheckpointEvery, OnCheckpoint: n.OnCheckpoint, Resilience: n.Resilience,
 	})
 	if err != nil {

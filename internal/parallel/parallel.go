@@ -65,9 +65,12 @@ var (
 
 const (
 	// DefaultMinWork is the default minimum problem size (loop
-	// iterations for For, vector elements for ReduceSum) below which
-	// kernels run serially.
-	DefaultMinWork = 2048
+	// iterations for For, vector elements for ReduceSum, stored entries
+	// for SpMV) below which kernels run serially: below it no kernel
+	// repaid a dispatch's channel hand-off and WaitGroup park on the
+	// 2-vCPU reference host (SpMV breaks even near 150k entries, dot and
+	// axpy near 400k elements; EXPERIMENTS.md "AMG at its arithmetic cost").
+	DefaultMinWork = 131072
 	// ReduceBlock is the fixed block size of deterministic
 	// reductions. It depends only on the problem size — never on the
 	// worker count — which is what makes ReduceSum reproducible

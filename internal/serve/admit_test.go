@@ -14,8 +14,8 @@ import (
 	"irfusion/internal/obs"
 )
 
-// admitCounts reads the server's admission-memo counters off /metricsz.
-func admitCounts(t *testing.T, ts *httptest.Server) (hits, misses int64) {
+// metricszCounters reads the counters /metricsz lists.
+func metricszCounters(t *testing.T, ts *httptest.Server) map[string]int64 {
 	t.Helper()
 	_, b := get(t, ts, "/metricsz")
 	var mz struct {
@@ -24,7 +24,14 @@ func admitCounts(t *testing.T, ts *httptest.Server) (hits, misses int64) {
 	if err := json.Unmarshal(b, &mz); err != nil {
 		t.Fatal(err)
 	}
-	return mz.Counters["serve.admit.hits"], mz.Counters["serve.admit.misses"]
+	return mz.Counters
+}
+
+// admitCounts reads the server's admission-memo counters off /metricsz.
+func admitCounts(t *testing.T, ts *httptest.Server) (hits, misses int64) {
+	t.Helper()
+	c := metricszCounters(t, ts)
+	return c["serve.admit.hits"], c["serve.admit.misses"]
 }
 
 // sameAnswer fails unless got carries, bit for bit, the answer want

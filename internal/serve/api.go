@@ -785,6 +785,7 @@ func (s *Server) executeUncached(ctx context.Context, j *Job) (*AnalyzeResult, e
 		Resilience:      s.resilience(),
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		OnCheckpoint:    s.checkpointNotify(j),
+		Fingerprint:     j.fp,
 	}
 	m, rt, resid, err := na.AnalyzeCtx(ctx, d)
 	if err != nil {

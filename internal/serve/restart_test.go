@@ -349,3 +349,63 @@ func TestServeJournalDisabledByDefault(t *testing.T) {
 		t.Error("healthz reports the journal enabled")
 	}
 }
+
+// TestServeFingerprintsOnce: a cold request canonicalises, sorts and
+// hashes its design once — at admission. The solve path takes that
+// fingerprint instead of recomputing it, so the stored system, the
+// checkpoint (cache entry and durable blob) and the memoised response
+// are all filed under the fingerprint the admission holds.
+func TestServeFingerprintsOnce(t *testing.T) {
+	const counter = "cache.fingerprint.calls"
+	s, ts := newTestServer(t, Config{Workers: 1})
+	before, listed := metricszCounters(t, ts)[counter]
+	if !listed {
+		t.Fatalf("/metricsz does not list %s", counter)
+	}
+	code, b := post(t, ts, "/v1/analyze", pgenBody(41, 32, ""))
+	if code != http.StatusOK {
+		t.Fatalf("cold request: status %d: %s", code, b)
+	}
+	if got := obs.CounterValue(counter) - before; got != 1 {
+		t.Errorf("one cold request moved %s by %d, want 1", counter, got)
+	}
+	j, _ := s.reg.get(decodeJob(t, b).ID)
+	if j == nil || j.fp == "" {
+		t.Fatal("finished job holds no admission fingerprint")
+	}
+	if _, ok := s.cache.Get(cache.SystemKey(j.fp)); !ok {
+		t.Error("no system artifact under the admission's fingerprint")
+	}
+	if _, ok := s.cache.Get(responseKey(j)); !ok {
+		t.Error("no memoised response under the admission's fingerprint")
+	}
+
+	// The checkpoint: park a second server's solve behind its first
+	// snapshot and look both stores up by the admission's fingerprint.
+	withGlobalFaults(t, parkAfterFirstCheckpoint)
+	s2 := New(Config{Workers: 1, JournalDir: t.TempDir(), CheckpointEvery: 2})
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	defer s2.Crash() // the parked solve ends no other way
+	before = obs.CounterValue(counter)
+	code, b = post(t, ts2, "/v1/analyze", pgenBody(42, 32, `"async": true`))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", code, b)
+	}
+	j, _ = s2.reg.get(decodeJob(t, b).ID)
+	key := checkpointKey(&j.req, j.fp)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := s2.journal.LoadBlob(key); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint blob under the admission's fingerprint before the deadline")
+		}
+	}
+	if _, ok := s2.cache.Get(key); !ok {
+		t.Error("no checkpoint cache entry under the admission's fingerprint")
+	}
+	if got := obs.CounterValue(counter) - before; got != 1 {
+		t.Errorf("one checkpointing cold request moved %s by %d, want 1", counter, got)
+	}
+}

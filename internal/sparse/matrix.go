@@ -1,18 +1,19 @@
 // Package sparse provides sparse-matrix primitives for power-grid
 // analysis: triplet (COO) assembly, compressed sparse row (CSR) storage,
-// matrix-vector products, Galerkin triple products, classic smoothers,
-// and Cholesky factorizations (dense and sparse) used as direct solvers
+// matrix-vector products, classic smoothers, and Cholesky
+// factorizations (dense and sparse) used as direct solvers
 // and multigrid coarse-level solvers.
 //
 // All matrices hold float64 entries. The package is written for the
 // symmetric positive-definite (SPD) systems that arise from modified
 // nodal analysis of resistive power grids, but the general routines
-// (assembly, SpMV, transpose, products) work for arbitrary sparsity.
+// (assembly, SpMV, transpose) work for arbitrary sparsity.
 package sparse
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -104,7 +105,11 @@ func (t *Triplet) ToCSR() *CSR {
 		for p := lo; p < hi; p++ {
 			row = append(row, ent{colBuf[p], valBuf[p]})
 		}
-		sort.Slice(row, func(a, b int) bool { return row[a].j < row[b].j })
+		// The generic sort, not sort.Slice: no reflect swapper per row.
+		// Neither is stable; duplicates are summed in the order sort.Slice
+		// left them only because the standard library generates both from
+		// one pdqsort template (go1.24; TestToCSRKeepsSortSliceOrdering).
+		slices.SortFunc(row, func(a, b ent) int { return a.j - b.j })
 		// Merge duplicates.
 		for k := 0; k < len(row); {
 			j := row[k].j
@@ -321,47 +326,6 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// Mul returns the product A·B as a new CSR matrix (classical
-// Gustavson row-by-row sparse matrix multiply).
-func (m *CSR) Mul(b *CSR) *CSR {
-	if m.ColsN != b.RowsN {
-		panic("sparse: Mul dimension mismatch")
-	}
-	out := &CSR{RowsN: m.RowsN, ColsN: b.ColsN}
-	out.RowPtr = make([]int, 1, m.RowsN+1)
-	marker := make([]int, b.ColsN)
-	for i := range marker {
-		marker[i] = -1
-	}
-	acc := make([]float64, b.ColsN)
-	var cols []int
-	for i := 0; i < m.RowsN; i++ {
-		cols = cols[:0]
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			k := m.ColInd[p]
-			av := m.Val[p]
-			for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
-				j := b.ColInd[q]
-				if marker[j] != i {
-					marker[j] = i
-					acc[j] = 0
-					cols = append(cols, j)
-				}
-				acc[j] += av * b.Val[q]
-			}
-		}
-		sort.Ints(cols)
-		for _, j := range cols {
-			if acc[j] != 0 { //irfusion:exact drop only products that cancel to exactly zero; rounding residue must stay stored
-				out.ColInd = append(out.ColInd, j)
-				out.Val = append(out.Val, acc[j])
-			}
-		}
-		out.RowPtr = append(out.RowPtr, len(out.ColInd))
-	}
-	return out
-}
-
 // Scale multiplies every stored entry by s in place.
 func (m *CSR) Scale(s float64) {
 	for i := range m.Val {
@@ -416,13 +380,6 @@ func (m *CSR) Dense() []float64 {
 		}
 	}
 	return d
-}
-
-// TripleProduct computes the Galerkin product Pᵀ·A·P used to form
-// multigrid coarse operators.
-func TripleProduct(p *CSR, a *CSR) *CSR {
-	pt := p.Transpose()
-	return pt.Mul(a.Mul(p))
 }
 
 // Dot returns the inner product of two equal-length vectors. Above

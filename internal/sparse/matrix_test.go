@@ -177,52 +177,6 @@ func TestTransposeEntries(t *testing.T) {
 	}
 }
 
-func TestMulAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 20; trial++ {
-		m, k, n := 1+rng.Intn(12), 1+rng.Intn(12), 1+rng.Intn(12)
-		ta := NewTriplet(m, k, 20)
-		tb := NewTriplet(k, n, 20)
-		for q := 0; q < 20; q++ {
-			ta.Add(rng.Intn(m), rng.Intn(k), rng.NormFloat64())
-			tb.Add(rng.Intn(k), rng.Intn(n), rng.NormFloat64())
-		}
-		a, b := ta.ToCSR(), tb.ToCSR()
-		c := a.Mul(b)
-		da, db := a.Dense(), b.Dense()
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				want := 0.0
-				for q := 0; q < k; q++ {
-					want += da[i*k+q] * db[q*n+j]
-				}
-				if math.Abs(c.At(i, j)-want) > 1e-10*(1+math.Abs(want)) {
-					t.Fatalf("C[%d,%d] = %v, want %v", i, j, c.At(i, j), want)
-				}
-			}
-		}
-	}
-}
-
-func TestTripleProductSymmetry(t *testing.T) {
-	// PᵀAP of an SPD A must stay symmetric.
-	rng := rand.New(rand.NewSource(3))
-	a := randomSPD(40, rng)
-	// Piecewise-constant aggregation prolongator 40 -> 10.
-	tp := NewTriplet(40, 10, 40)
-	for i := 0; i < 40; i++ {
-		tp.Add(i, i/4, 1)
-	}
-	p := tp.ToCSR()
-	ac := TripleProduct(p, a)
-	if ac.Rows() != 10 || ac.Cols() != 10 {
-		t.Fatalf("coarse shape = %dx%d", ac.Rows(), ac.Cols())
-	}
-	if !ac.IsSymmetric(1e-12) {
-		t.Error("Galerkin product lost symmetry")
-	}
-}
-
 func TestIsSymmetric(t *testing.T) {
 	a := laplacian2D(4, 5)
 	if !a.IsSymmetric(1e-14) {
