@@ -77,7 +77,14 @@ loc: ## non-test Go lines per package and the total
 # layer went. Raised by PR 23 to 22100 by the 99 lines internal/serve
 # and internal/cluster grew (total 21978 -> 22077): the SHA-256 body
 # memo at both tiers that took eco_gateway p10 from 24.3 to 1.2 ms.
-LOC_CEILING ?= 22100
+# Raised by PR 25 to 22200 (total 22091 -> 22149): the deck front end in
+# one walk. internal/spice 258 -> 293 (the ASCII field splitter, the
+# aliasing contract in the package comment), internal/cache 1016 -> 1039
+# (the arena canonicaliser behind all four entry points),
+# internal/circuit 748 -> 725 (one walk where ValidateNetlist and
+# FromNetlist were two, one flat BFS where there were two), serve 1713
+# -> 1725, pgen +5, core +3, dataset +3 (the design carries its network).
+LOC_CEILING ?= 22200
 
 loc-check: ## fail when the non-test Go line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \
@@ -157,8 +164,9 @@ docs-check: ## fail when any doc link or file:line anchor no longer resolves
 
 FUZZTIME ?= 30s
 
-fuzz-smoke: ## short fuzz runs of the SPICE parser and the journal replay path
+fuzz-smoke: ## short fuzz runs of the SPICE parser (alone and against the parser it replaced) and the journal replay path
 	$(GO) test -fuzz=FuzzParseSPICE -fuzztime=$(FUZZTIME) -run='^$$' ./internal/spice
+	$(GO) test -fuzz=FuzzParseDifferential -fuzztime=$(FUZZTIME) -run='^$$' ./internal/spice
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) -run='^$$' ./internal/journal
 
 # Total-statement-coverage floor. Measured at 80.3% when last raised

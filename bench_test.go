@@ -343,6 +343,49 @@ func BenchmarkSpiceParse(b *testing.B) {
 	}
 }
 
+// BenchmarkDeckFrontEnd is what a deck the service has not seen byte
+// for byte costs before any solve, hop by hop, on the 128 µm real-class
+// deck the cold_numerical workload sends: one scan (parse), the whole
+// admission (admit: serve.DeckDesign = parse + lint and network in one
+// walk + die size), one canonical walk per digest (fingerprint,
+// routing — the gateway's), and stamping G from the admitted network
+// (assemble). bench-check gates their allocs/op strictly: the
+// allocation is what the front end's cost under load is made of.
+func BenchmarkDeckFrontEnd(b *testing.B) {
+	gen, err := pgen.Generate(pgen.DefaultConfig("bench", pgen.Real, 128, 128, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	deck := gen.Netlist.String()
+	d, err := serve.DeckDesign("request", deck, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, hop := range []struct {
+		name string
+		run  func() error
+	}{
+		{"parse", func() error { _, err := spice.ParseString(deck); return err }},
+		{"admit", func() error { _, err := serve.DeckDesign("request", deck, 0); return err }},
+		{"fingerprint", func() error { cache.DesignFingerprint(d); return nil }},
+		{"routing", func() error { cache.RoutingFingerprint(d); return nil }},
+		{"assemble", func() error { _, err := d.Network.Assemble(); return err }},
+	} {
+		b.Run(hop.name, func(b *testing.B) {
+			b.ReportAllocs()
+			if hop.name == "parse" {
+				b.SetBytes(int64(len(deck)))
+			}
+			b.ResetTimer() // the deck was generated above, outside every loop
+			for i := 0; i < b.N; i++ {
+				if err := hop.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkMNAAssemble(b *testing.B) {
 	f := benchFixtures(b)
 	b.ResetTimer()

@@ -33,7 +33,9 @@ const warmScanLimit = 8
 // AMG hierarchy. All fields are treated as immutable once stored;
 // consumers copy Golden before solving on it and never use Hier
 // directly (always Hierarchy.Clone, which shares setup but not
-// workspace).
+// workspace). It holds numbers only — G, I, Golden, Hier — never the
+// circuit.Network or a node name: those alias the request's deck text
+// (see package spice) and would pin it for the entry's lifetime.
 type SystemArtifact struct {
 	Fingerprint string
 	N           int            // reduced system dimension

@@ -1,11 +1,13 @@
 package cache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"irfusion/internal/pgen"
@@ -24,21 +26,51 @@ import (
 // canonicalizer of the repository: fingerprinting, dataset caching,
 // and the serving layer all key off it.
 func Canonical(nl *spice.Netlist) string {
+	var b strings.Builder
+	canonicalTo(&b, nl, true)
+	return b.String()
+}
+
+// canonicalTo is the one canonicaliser: it streams the canonical form
+// of nl (value-free when values is false) to w. Every card is appended
+// to one arena, the cards' spans are sorted by their bytes — the order
+// sort.Strings gives the lines — and the lines are written out joined
+// by newlines, so nothing is materialised per card and nothing twice.
+func canonicalTo(w io.Writer, nl *spice.Netlist, values bool) {
 	if nl == nil {
-		return ""
+		return
 	}
-	lines := make([]string, 0, len(nl.Elements))
-	for _, e := range nl.Elements {
+	size := 0
+	for i := range nl.Elements {
+		size += len(nl.Elements[i].NodeA) + len(nl.Elements[i].NodeB) + 32 // type, separators, a float's 24 bytes at most
+	}
+	arena := make([]byte, 0, size)
+	spans := make([][2]int, len(nl.Elements))
+	for i := range nl.Elements {
+		e := &nl.Elements[i]
 		a, b := e.NodeA, e.NodeB
 		// R and C cards are undirected; I and V cards are polarized,
 		// so their node order is meaning-bearing and preserved.
 		if (e.Type == spice.Resistor || e.Type == spice.Capacitor) && b < a {
 			a, b = b, a
 		}
-		lines = append(lines, e.Type.String()+" "+a+" "+b+" "+spice.FormatValue(e.Value))
+		lo := len(arena)
+		arena = append(append(append(append(append(arena, e.Type.String()...), ' '), a...), ' '), b...)
+		if values { // spice.FormatValue's rendering, appended in place
+			arena = strconv.AppendFloat(append(arena, ' '), e.Value, 'g', -1, 64)
+		}
+		spans[i] = [2]int{lo, len(arena)}
+		arena = append(arena, '\n')
 	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
+	slices.SortFunc(spans, func(x, y [2]int) int {
+		return bytes.Compare(arena[x[0]:x[1]], arena[y[0]:y[1]])
+	})
+	for i, sp := range spans {
+		if i == len(spans)-1 {
+			sp[1]-- // no newline after the last line
+		}
+		w.Write(arena[sp[0] : sp[1]+1]) // a hash or a strings.Builder: cannot fail
+	}
 }
 
 // Fingerprint returns the content address of a netlist: the SHA-256 of
@@ -46,8 +78,9 @@ func Canonical(nl *spice.Netlist) string {
 // element order, naming, whitespace, or value spelling share a
 // fingerprint; any electrical change produces a new one.
 func Fingerprint(nl *spice.Netlist) string {
-	sum := sha256.Sum256([]byte(Canonical(nl)))
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	canonicalTo(h, nl, true)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // DesignFingerprint extends Fingerprint with the generator metadata
@@ -63,7 +96,7 @@ func DesignFingerprint(d *pgen.Design) string {
 	cFingerprint.Inc()
 	h := sha256.New()
 	fmt.Fprintf(h, "design w=%d h=%d vdd=%s\n", d.W, d.H, spice.FormatValue(d.VDD))
-	io.WriteString(h, Canonical(d.Netlist))
+	canonicalTo(h, d.Netlist, true)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -77,21 +110,9 @@ func DesignFingerprint(d *pgen.Design) string {
 // touches only resistor values, so a design and all of its ECO
 // neighbors share one topology while their DesignFingerprints diverge.
 func CanonicalTopology(nl *spice.Netlist) string {
-	if nl == nil {
-		return ""
-	}
-	lines := make([]string, 0, len(nl.Elements))
-	for _, e := range nl.Elements {
-		a, b := e.NodeA, e.NodeB
-		// Same node-pair normalization as Canonical: R and C are
-		// undirected, I and V are polarized.
-		if (e.Type == spice.Resistor || e.Type == spice.Capacitor) && b < a {
-			a, b = b, a
-		}
-		lines = append(lines, e.Type.String()+" "+a+" "+b)
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
+	var b strings.Builder
+	canonicalTo(&b, nl, false)
+	return b.String()
 }
 
 // RoutingFingerprint is the cluster-routing companion of
@@ -110,7 +131,7 @@ func RoutingFingerprint(d *pgen.Design) string {
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "route w=%d h=%d vdd=%s\n", d.W, d.H, spice.FormatValue(d.VDD))
-	io.WriteString(h, CanonicalTopology(d.Netlist))
+	canonicalTo(h, d.Netlist, false)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

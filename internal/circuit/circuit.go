@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"irfusion/internal/obs"
 	"irfusion/internal/sparse"
 	"irfusion/internal/spice"
 )
@@ -73,79 +74,88 @@ func (nw *Network) Layers() []int {
 	return out
 }
 
+// cNetworks counts network builds (one name interning each): a request
+// that moves it twice has walked its deck twice.
+var cNetworks = obs.GlobalCounter("circuit.networks")
+
 // FromNetlist builds the network: creates the node hash table,
 // classifies elements, and validates PG conventions (current and
 // voltage sources must have one terminal at ground; resistors must not
-// touch ground; resistances must be positive).
+// touch ground; resistances must be positive). It is the fail-fast face
+// of Admit's walk: the first malformed element is the error, and pads
+// and connectivity are left to Assemble.
 func FromNetlist(nl *spice.Netlist) (*Network, error) {
-	nw := &Network{Names: make(map[string]int)}
-	intern := func(name string) int {
-		if idx, ok := nw.Names[name]; ok {
-			return idx
-		}
-		idx := len(nw.NodeList)
-		nw.Names[name] = idx
-		nw.NodeList = append(nw.NodeList, name)
-		meta, err := spice.ParseNode(name)
-		nw.Meta = append(nw.Meta, meta)
-		nw.HasMeta = append(nw.HasMeta, err == nil)
-		return idx
-	}
-	for _, e := range nl.Elements {
-		switch e.Type {
-		case spice.Resistor:
-			if e.NodeA == spice.Ground || e.NodeB == spice.Ground {
-				return nil, fmt.Errorf("circuit: resistor %s touches ground", e.Name)
-			}
-			if e.Value <= 0 {
-				return nil, fmt.Errorf("circuit: resistor %s has non-positive value %g", e.Name, e.Value)
-			}
-			a, b := intern(e.NodeA), intern(e.NodeB)
-			if a == b {
-				continue // degenerate self-loop contributes nothing
-			}
-			isVia := nw.HasMeta[a] && nw.HasMeta[b] && nw.Meta[a].Layer != nw.Meta[b].Layer
-			nw.Resistors = append(nw.Resistors, Resistor{A: a, B: b, Ohms: e.Value, IsVia: isVia})
-		case spice.CurrentSource:
-			node, err := gndPartner(e)
-			if err != nil {
-				return nil, err
-			}
-			nw.Loads = append(nw.Loads, Load{Node: intern(node), Amps: e.Value})
-		case spice.VoltageSource:
-			node, err := gndPartner(e)
-			if err != nil {
-				return nil, err
-			}
-			nw.Pads = append(nw.Pads, Pad{Node: intern(node), Volts: e.Value})
-		case spice.Capacitor:
-			if e.Value < 0 {
-				return nil, fmt.Errorf("circuit: capacitor %s has negative value %g", e.Name, e.Value)
-			}
-			switch {
-			case e.NodeA == spice.Ground && e.NodeB == spice.Ground:
-				return nil, fmt.Errorf("circuit: capacitor %s shorted to ground", e.Name)
-			case e.NodeB == spice.Ground:
-				nw.Capacitors = append(nw.Capacitors, Cap{A: intern(e.NodeA), B: -1, Farads: e.Value})
-			case e.NodeA == spice.Ground:
-				nw.Capacitors = append(nw.Capacitors, Cap{A: intern(e.NodeB), B: -1, Farads: e.Value})
-			default:
-				nw.Capacitors = append(nw.Capacitors, Cap{A: intern(e.NodeA), B: intern(e.NodeB), Farads: e.Value})
-			}
-		}
+	nw, issues := build(nl, false)
+	if len(issues) > 0 {
+		return nil, errors.New("circuit: " + issues[0].Detail)
 	}
 	return nw, nil
 }
 
-func gndPartner(e spice.Element) (string, error) {
+// intern returns the index of a node name, adding it to the node table
+// (and decoding its structured name, once) the first time it is seen.
+func (nw *Network) intern(name string) int {
+	if idx, ok := nw.Names[name]; ok {
+		return idx
+	}
+	idx := len(nw.NodeList)
+	nw.Names[name] = idx
+	nw.NodeList = append(nw.NodeList, name)
+	meta, err := spice.ParseNode(name)
+	nw.Meta = append(nw.Meta, meta)
+	nw.HasMeta = append(nw.HasMeta, err == nil)
+	return idx
+}
+
+func gndPartner(e *spice.Element) (string, bool) {
 	switch {
 	case e.NodeA == spice.Ground && e.NodeB != spice.Ground:
-		return e.NodeB, nil
+		return e.NodeB, true
 	case e.NodeB == spice.Ground && e.NodeA != spice.Ground:
-		return e.NodeA, nil
+		return e.NodeA, true
 	default:
-		return "", fmt.Errorf("circuit: source %s must connect one node to ground", e.Name)
+		return "", false
 	}
+}
+
+// reachable marks every node with a resistive path to a pad:
+// breadth-first from the pads over a flat adjacency (neighbours of node
+// v are adj[off[v]:off[v+1]]). A node left unmarked makes the reduced
+// matrix singular.
+func (nw *Network) reachable() []bool {
+	n := nw.NumNodes()
+	off := make([]int, n+2)
+	for _, r := range nw.Resistors {
+		off[r.A+2]++
+		off[r.B+2]++
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	adj := make([]int, 2*len(nw.Resistors))
+	for _, r := range nw.Resistors { // off[v+1] walks from v's start to its end
+		adj[off[r.A+1]], adj[off[r.B+1]] = r.B, r.A
+		off[r.A+1]++
+		off[r.B+1]++
+	}
+	seen := make([]bool, n)
+	queue := make([]int, 0, n)
+	for _, p := range nw.Pads {
+		if !seen[p.Node] {
+			seen[p.Node] = true
+			queue = append(queue, p.Node)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, o := range adj[off[v]:off[v+1]] {
+			if !seen[o] {
+				seen[o] = true
+				queue = append(queue, o)
+			}
+		}
+	}
+	return seen
 }
 
 // System is the reduced SPD linear system over non-pad nodes, in the
@@ -197,35 +207,8 @@ func (nw *Network) Assemble() (*System, error) {
 	}
 	m := len(unknown)
 
-	// Connectivity: BFS from pads over resistors; every node must be
-	// reached, otherwise the reduced matrix is singular.
-	adj := make([][]int, n)
-	for ri, r := range nw.Resistors {
-		adj[r.A] = append(adj[r.A], ri)
-		adj[r.B] = append(adj[r.B], ri)
-	}
-	visited := make([]bool, n)
-	queue := make([]int, 0, n)
-	for _, p := range nw.Pads {
-		if !visited[p.Node] {
-			visited[p.Node] = true
-			queue = append(queue, p.Node)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, ri := range adj[v] {
-			r := nw.Resistors[ri]
-			o := r.A + r.B - v
-			if !visited[o] {
-				visited[o] = true
-				queue = append(queue, o)
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if !visited[i] {
+	for i, ok := range nw.reachable() {
+		if !ok {
 			return nil, fmt.Errorf("%w: e.g. node %s", ErrFloatingNodes, nw.NodeList[i])
 		}
 	}

@@ -7,13 +7,13 @@ import (
 	"irfusion/internal/spice"
 )
 
-// Deck validation: a pre-solve linter over the raw netlist. The
-// assembly path (FromNetlist/Assemble) fails fast on the first
-// malformed element, and deeper pathologies — no pads, floating
-// nodes — only used to surface mid-solve as solver.ErrIndefinite.
-// ValidateNetlist instead collects *every* problem up front into a
-// structured DeckError, which the serving layer maps to a 400 with a
-// machine-readable issue list instead of a cryptic 500.
+// Deck validation: a pre-solve linter riding the walk that builds the
+// network. FromNetlist fails fast on the first malformed element, and
+// deeper pathologies — no pads, floating nodes — only used to surface
+// mid-solve as solver.ErrIndefinite. Admit instead collects *every*
+// problem up front into a structured DeckError, which the serving layer
+// maps to a 400 with a machine-readable issue list instead of a cryptic
+// 500, and hands a clean deck's network on so nobody builds it twice.
 
 // Deck-issue codes. Stable strings — clients and tests match on them.
 const (
@@ -62,147 +62,141 @@ func (e *DeckError) Error() string {
 // detached region of thousands of nodes doesn't flood the response.
 const maxFloatingReported = 5
 
-// ValidateNetlist lints a parsed deck before any matrix is stamped,
-// collecting every finding: malformed elements (ground-touching or
-// non-positive resistors, ungrounded sources, bad capacitors), pad
-// problems (none, non-positive voltage, disagreeing voltages), and
-// connectivity (nodes with no resistive path to any pad, i.e. a
-// singular reduced system). Returns nil when the deck is clean;
-// otherwise a *DeckError listing all issues.
+// Admit lints a parsed deck and builds its network in one element walk,
+// before any matrix is stamped, collecting every finding: malformed
+// elements (ground-touching or non-positive resistors, ungrounded
+// sources, bad capacitors), pad problems (none, non-positive voltage,
+// disagreeing voltages), and connectivity (nodes with no resistive path
+// to any pad, i.e. a singular reduced system — over the nodes Assemble
+// will see, capacitor terminals included). A clean deck yields the
+// network FromNetlist would build; otherwise the error is a *DeckError
+// listing all issues.
+func Admit(nl *spice.Netlist) (*Network, error) {
+	nw, issues := build(nl, true)
+	if len(issues) > 0 {
+		return nil, &DeckError{Issues: issues}
+	}
+	return nw, nil
+}
+
+// ValidateNetlist is Admit for callers that only want the verdict.
 func ValidateNetlist(nl *spice.Netlist) error {
+	_, err := Admit(nl)
+	return err
+}
+
+// build is the one element walk. With lint set it skips every malformed
+// element and keeps going, then checks pads and connectivity; without,
+// it stops at the first finding and accepts any pad voltage.
+func build(nl *spice.Netlist, lint bool) (*Network, []DeckIssue) {
 	var issues []DeckIssue
-	add := func(code, element, node, detail string) {
-		issues = append(issues, DeckIssue{Code: code, Element: element, Node: node, Detail: detail})
+	add := func(code, element, node, format string, args ...any) {
+		issues = append(issues, DeckIssue{Code: code, Element: element, Node: node, Detail: fmt.Sprintf(format, args...)})
 	}
-	if len(nl.Elements) == 0 {
+	if lint && len(nl.Elements) == 0 {
 		add(IssueNoElements, "", "", "deck has no elements")
-		return &DeckError{Issues: issues}
+		return nil, issues
 	}
-
-	// Node interning over the well-formed subset, mirroring
-	// FromNetlist but never bailing out.
-	names := map[string]int{}
-	var nodes []string
-	intern := func(name string) int {
-		if idx, ok := names[name]; ok {
-			return idx
+	cNetworks.Inc()
+	nr, ni, nv := nl.Counts()
+	nodes := len(nl.Elements)/2 + len(nl.Elements)/8 // a hint: a grid deck has ~0.56 nodes per card
+	nw := &Network{
+		Names:     make(map[string]int, nodes),
+		NodeList:  make([]string, 0, nodes),
+		Meta:      make([]spice.Node, 0, nodes),
+		HasMeta:   make([]bool, 0, nodes),
+		Resistors: make([]Resistor, 0, nr),
+		Loads:     make([]Load, 0, ni),
+		Pads:      make([]Pad, 0, nv),
+	}
+	for i := range nl.Elements {
+		if len(issues) > 0 && !lint {
+			return nil, issues
 		}
-		idx := len(nodes)
-		names[name] = idx
-		nodes = append(nodes, name)
-		return idx
-	}
-	type edge struct{ a, b int }
-	var edges []edge
-	var padNodes []int
-	var padVolts []float64
-
-	for _, e := range nl.Elements {
+		e, found := &nl.Elements[i], len(issues)
 		switch e.Type {
 		case spice.Resistor:
-			bad := false
 			if e.NodeA == spice.Ground || e.NodeB == spice.Ground {
-				add(IssueGroundResistor, e.Name, "", fmt.Sprintf("resistor %s touches ground", e.Name))
-				bad = true
+				add(IssueGroundResistor, e.Name, "", "resistor %s touches ground", e.Name)
 			}
 			if e.Value <= 0 {
-				add(IssueBadResistance, e.Name, "", fmt.Sprintf("resistor %s has non-positive value %g", e.Name, e.Value))
-				bad = true
+				add(IssueBadResistance, e.Name, "", "resistor %s has non-positive value %g", e.Name, e.Value)
 			}
-			if bad {
+			if len(issues) > found {
 				continue
 			}
-			a, b := intern(e.NodeA), intern(e.NodeB)
-			if a != b {
-				edges = append(edges, edge{a, b})
+			a, b := nw.intern(e.NodeA), nw.intern(e.NodeB)
+			if a == b {
+				continue // degenerate self-loop contributes nothing
 			}
+			isVia := nw.HasMeta[a] && nw.HasMeta[b] && nw.Meta[a].Layer != nw.Meta[b].Layer
+			nw.Resistors = append(nw.Resistors, Resistor{A: a, B: b, Ohms: e.Value, IsVia: isVia})
 		case spice.CurrentSource:
-			if _, err := gndPartner(e); err != nil {
-				add(IssueUngroundedSrc, e.Name, "", fmt.Sprintf("current source %s must connect one node to ground", e.Name))
-				continue
+			if node, ok := gndPartner(e); !ok {
+				add(IssueUngroundedSrc, e.Name, "", "current source %s must connect one node to ground", e.Name)
+			} else {
+				nw.Loads = append(nw.Loads, Load{Node: nw.intern(node), Amps: e.Value})
 			}
-			node, _ := gndPartner(e)
-			intern(node)
 		case spice.VoltageSource:
-			node, err := gndPartner(e)
-			if err != nil {
-				add(IssueUngroundedSrc, e.Name, "", fmt.Sprintf("voltage source %s must connect one node to ground", e.Name))
-				continue
+			if node, ok := gndPartner(e); !ok {
+				add(IssueUngroundedSrc, e.Name, "", "voltage source %s must connect one node to ground", e.Name)
+			} else if lint && e.Value <= 0 {
+				add(IssueZeroPad, e.Name, node, "pad %s at non-positive voltage %g", e.Name, e.Value)
+			} else {
+				nw.Pads = append(nw.Pads, Pad{Node: nw.intern(node), Volts: e.Value})
 			}
-			if e.Value <= 0 {
-				add(IssueZeroPad, e.Name, node, fmt.Sprintf("pad %s at non-positive voltage %g", e.Name, e.Value))
-				continue
-			}
-			padNodes = append(padNodes, intern(node))
-			padVolts = append(padVolts, e.Value)
 		case spice.Capacitor:
 			if e.Value < 0 {
-				add(IssueNegativeCap, e.Name, "", fmt.Sprintf("capacitor %s has negative value %g", e.Name, e.Value))
+				add(IssueNegativeCap, e.Name, "", "capacitor %s has negative value %g", e.Name, e.Value)
 			}
 			if e.NodeA == spice.Ground && e.NodeB == spice.Ground {
-				add(IssueShortedCap, e.Name, "", fmt.Sprintf("capacitor %s shorted to ground", e.Name))
+				add(IssueShortedCap, e.Name, "", "capacitor %s shorted to ground", e.Name)
 			}
-		}
-	}
-
-	if len(padNodes) == 0 {
-		add(IssueNoPads, "", "", "deck has no power pads (grounded voltage sources at positive voltage)")
-	} else {
-		vdd := padVolts[0]
-		for i, v := range padVolts[1:] {
-			if v != vdd { //irfusion:exact pads must be stamped with bit-identical supply voltages; any difference is a netlist authoring error
-				add(IssuePadMismatch, "", nodes[padNodes[i+1]],
-					fmt.Sprintf("pads at different voltages (%g vs %g)", v, vdd))
-				break
-			}
-		}
-		// Connectivity: BFS from the pads over well-formed resistors.
-		// Unreached nodes make the reduced MNA system singular — the
-		// failure that otherwise surfaces mid-solve as ErrIndefinite.
-		adj := make([][]int, len(nodes))
-		for _, ed := range edges {
-			adj[ed.a] = append(adj[ed.a], ed.b)
-			adj[ed.b] = append(adj[ed.b], ed.a)
-		}
-		visited := make([]bool, len(nodes))
-		queue := make([]int, 0, len(nodes))
-		for _, p := range padNodes {
-			if !visited[p] {
-				visited[p] = true
-				queue = append(queue, p)
-			}
-		}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, o := range adj[v] {
-				if !visited[o] {
-					visited[o] = true
-					queue = append(queue, o)
-				}
-			}
-		}
-		floating := 0
-		for i := range nodes {
-			if visited[i] {
+			if len(issues) > found {
 				continue
 			}
-			floating++
-			if floating <= maxFloatingReported {
-				add(IssueFloatingNode, "", nodes[i],
-					fmt.Sprintf("node %s has no resistive path to any pad", nodes[i]))
+			c := Cap{B: -1, Farads: e.Value}
+			switch {
+			case e.NodeB == spice.Ground:
+				c.A = nw.intern(e.NodeA)
+			case e.NodeA == spice.Ground:
+				c.A = nw.intern(e.NodeB)
+			default:
+				c.A, c.B = nw.intern(e.NodeA), nw.intern(e.NodeB)
 			}
-		}
-		if floating > maxFloatingReported {
-			add(IssueFloatingNode, "", "",
-				fmt.Sprintf("%d further nodes have no resistive path to any pad", floating-maxFloatingReported))
+			nw.Capacitors = append(nw.Capacitors, c)
 		}
 	}
-
-	if len(issues) == 0 {
-		return nil
+	if !lint {
+		return nw, issues
 	}
-	return &DeckError{Issues: issues}
+	if len(nw.Pads) == 0 {
+		add(IssueNoPads, "", "", "deck has no power pads (grounded voltage sources at positive voltage)")
+		return nw, issues
+	}
+	vdd := nw.Pads[0].Volts
+	for _, p := range nw.Pads[1:] {
+		if p.Volts != vdd { //irfusion:exact pads must be stamped with bit-identical supply voltages; any difference is a netlist authoring error
+			add(IssuePadMismatch, "", nw.NodeList[p.Node], "pads at different voltages (%g vs %g)", p.Volts, vdd)
+			break
+		}
+	}
+	// Connectivity over the well-formed elements. Unreached nodes make
+	// the reduced MNA system singular — the failure that otherwise
+	// surfaces mid-solve as ErrIndefinite.
+	floating := 0
+	for i, ok := range nw.reachable() {
+		if ok {
+			continue
+		}
+		if floating++; floating <= maxFloatingReported {
+			add(IssueFloatingNode, "", nw.NodeList[i], "node %s has no resistive path to any pad", nw.NodeList[i])
+		}
+	}
+	if floating > maxFloatingReported {
+		add(IssueFloatingNode, "", "", "%d further nodes have no resistive path to any pad", floating-maxFloatingReported)
+	}
+	return nw, issues
 }
 
 // Codes returns the distinct issue codes in order of first

@@ -149,17 +149,39 @@ func TestValidateNetlistFloatingCap(t *testing.T) {
 
 // TestValidateAgreesWithAssemble: any deck the validator passes must
 // assemble and reduce without error — the validator is a strict
-// superset of the assembly-time checks for these constructions.
+// superset of the assembly-time checks for these constructions — and
+// one whose only fault is a node nothing but a capacitor names (which
+// Assemble cannot reach from a pad) must not pass.
 func TestValidateAgreesWithAssemble(t *testing.T) {
-	nl := cleanDeck()
-	if err := ValidateNetlist(nl); err != nil {
-		t.Fatal(err)
+	capTo := func(a, b string) *spice.Netlist {
+		nl := cleanDeck()
+		nl.Elements = append(nl.Elements, spice.Element{Type: spice.Capacitor, Name: "c1", NodeA: a, NodeB: b, Value: 1e-12})
+		return nl
 	}
-	nw, err := FromNetlist(nl)
-	if err != nil {
-		t.Fatalf("validator passed but FromNetlist failed: %v", err)
-	}
-	if _, err := nw.Assemble(); err != nil {
-		t.Fatalf("validator passed but Assemble failed: %v", err)
+	for _, tc := range []struct {
+		name   string
+		nl     *spice.Netlist
+		floats bool // Assemble must fail on node z, and so must the validator
+	}{
+		{"clean", cleanDeck(), false},
+		{"decap between connected nodes", capTo("a", "b"), false},
+		{"decap to ground", capTo("b", spice.Ground), false},
+		{"decap to a node nothing else names", capTo("b", "z"), true},
+		{"grounded decap on such a node", capTo(spice.Ground, "z"), true},
+	} {
+		nw, err := FromNetlist(tc.nl)
+		if err != nil {
+			t.Fatalf("%s: FromNetlist failed: %v", tc.name, err)
+		}
+		if _, err := nw.Assemble(); tc.floats != errors.Is(err, ErrFloatingNodes) {
+			t.Errorf("%s: Assemble: %v", tc.name, err)
+		}
+		err = ValidateNetlist(tc.nl)
+		var de *DeckError
+		if !tc.floats && err != nil {
+			t.Errorf("%s: validator flags a deck that assembles: %v", tc.name, err)
+		} else if tc.floats && (!errors.As(err, &de) || de.Summary() != IssueFloatingNode || de.Issues[0].Node != "z") {
+			t.Errorf("%s: validator says %v, want one %s naming z", tc.name, err, IssueFloatingNode)
+		}
 	}
 }

@@ -648,9 +648,12 @@ func (n *NumericalAnalyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*gr
 	rec := obs.ActiveOr(ctx)
 	start := time.Now()
 	st := rec.StartStage("numerical.assemble")
-	nw, err := circuit.FromNetlist(d.Netlist)
-	if err != nil {
-		return nil, 0, 0, err
+	nw := d.Network
+	if nw == nil { // a design that was not admitted from a deck carries no network
+		var err error
+		if nw, err = circuit.FromNetlist(d.Netlist); err != nil {
+			return nil, 0, 0, err
+		}
 	}
 	sys, err := nw.Assemble()
 	if err != nil {

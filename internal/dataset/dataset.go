@@ -157,9 +157,12 @@ func build(ctx context.Context, d *pgen.Design, opts Options, label bool) (*Samp
 		}
 	}
 	st := rec.StartStage("dataset.assemble")
-	nw, err := circuit.FromNetlist(d.Netlist)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: %s: %w", d.Name, err)
+	nw := d.Network
+	if nw == nil { // a design that was not admitted from a deck carries no network
+		var err error
+		if nw, err = circuit.FromNetlist(d.Netlist); err != nil {
+			return nil, fmt.Errorf("dataset: %s: %w", d.Name, err)
+		}
 	}
 	sys, err := nw.Assemble()
 	if err != nil {

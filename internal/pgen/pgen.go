@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"irfusion/internal/circuit"
 	"irfusion/internal/spice"
 )
 
@@ -134,6 +135,10 @@ type Design struct {
 	W, H    int // pixels (µm)
 	VDD     float64
 	Netlist *spice.Netlist
+	// Network is Netlist's network when whoever made the design already
+	// built it (serve.DeckDesign does, linting the deck in the same walk);
+	// nil means a consumer builds its own. Never edit Netlist under it.
+	Network *circuit.Network
 	// CurrentBlobs records the hotspot centers (for tests/inspection).
 	CurrentBlobs [][2]int
 }
@@ -163,7 +168,7 @@ func Perturb(d *Design, frac float64, seed int64) *Design {
 	}
 	out := *d
 	out.Name = fmt.Sprintf("%s_eco_s%d_n%d", d.Name, seed, changed)
-	out.Netlist = nl
+	out.Netlist, out.Network = nl, nil
 	return &out
 }
 

@@ -481,13 +481,15 @@ func (s *Server) prepare(req *AnalyzeRequest) (*pgen.Design, error) {
 	return d, nil
 }
 
-// DeckDesign admits a SPICE deck: parse it, lint it (floating nodes,
+// DeckDesign admits a SPICE deck in one walk: parse it, then lint it and
+// build its network together (circuit.Admit: floating nodes,
 // non-positive resistances, missing or disagreeing pads — a
 // *circuit.DeckError, so a bad deck costs a 400 here, not a mid-solve
-// 500 from a worker), size the die from the structured node names
-// (fallbackSize when they carry no coordinates) and take VDD from the
-// first pad. POST /v1/analyze and `irfusion analyze -spice` both build
-// their design here, so a deck rasterises to the same map through
+// 500 from a worker), size the die from the network's structured node
+// names (fallbackSize when they carry no coordinates) and take VDD from
+// the first pad. The design carries the network, so the analysis under
+// it builds none. POST /v1/analyze and `irfusion analyze -spice` both
+// build their design here, so a deck rasterises to the same map through
 // either.
 func DeckDesign(name, deck string, fallbackSize int) (*pgen.Design, error) {
 	nl, err := spice.ParseString(deck)
@@ -497,17 +499,23 @@ func DeckDesign(name, deck string, fallbackSize int) (*pgen.Design, error) {
 	if len(nl.Elements) == 0 {
 		return nil, errors.New("spice: deck has no elements")
 	}
-	if err := circuit.ValidateNetlist(nl); err != nil {
+	nw, err := circuit.Admit(nl)
+	if err != nil {
 		return nil, err
 	}
-	size := InferDieSize(nl)
+	size := 0
+	for i, n := range nw.Meta { // what InferDieSize reads, once per distinct node
+		if nw.HasMeta[i] {
+			size = max(size, n.X+1, n.Y+1)
+		}
+	}
 	if size <= 0 {
 		size = fallbackSize
 	}
 	if size <= 0 {
 		return nil, errors.New("spice: cannot infer die size from node names; set a resolution")
 	}
-	return &pgen.Design{Name: name, W: size, H: size, VDD: PadVoltage(nl), Netlist: nl}, nil
+	return &pgen.Design{Name: name, W: size, H: size, VDD: nw.Pads[0].Volts, Netlist: nl, Network: nw}, nil
 }
 
 // InferDieSize derives the die extent (µm == pixels) from structured
@@ -552,6 +560,7 @@ func (s *Server) runJob(j *Job) {
 		// terminal transition the journal must learn about, or replay
 		// would resurrect the cancelled job.
 		s.journalTerminal(j, journal.TypeCancelled, "cancelled before start")
+		j.body, j.design = nil, nil
 		return
 	}
 	s.inflight.Add(1)
@@ -621,7 +630,9 @@ func (s *Server) runJob(j *Job) {
 		}
 		// Queue full or draining: no retry slot; fail below as usual.
 	}
-	j.body = nil // the run is over: a retained job keeps no request bytes
+	// The run is over: a retained job keeps its result and manifest, not
+	// the request bytes nor the parsed deck (whose strings pin the text).
+	j.body, j.design = nil, nil
 
 	manifest := rec.Manifest("serve.analyze", cfgMap)
 	manifest.Shard = s.cfg.Name

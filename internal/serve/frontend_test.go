@@ -1,0 +1,204 @@
+package serve
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"irfusion/internal/circuit"
+)
+
+// spiceBody wraps a deck into an analyze request.
+func spiceBody(deck, extra string) string {
+	if extra != "" {
+		extra = ", " + extra
+	}
+	return `{"spice": ` + mustJSON(deck) + extra + `}`
+}
+
+// capOnlyDecks name node n1_m1_5_5 from nothing but a capacitor: no
+// resistive path to the pad, so Assemble cannot reduce the system.
+var capOnlyDecks = map[string]string{
+	"two-terminal": "V1 n1_m1_0_0 0 1.0\nR1 n1_m1_0_0 n1_m1_1_0 1\nI1 n1_m1_1_0 0 0.01\nC1 n1_m1_1_0 n1_m1_5_5 1e-12\n",
+	"grounded":     "V1 n1_m1_0_0 0 1.0\nR1 n1_m1_0_0 n1_m1_1_0 1\nI1 n1_m1_1_0 0 0.01\nC1 0 n1_m1_5_5 1e-12\n",
+}
+
+// TestAnalyzeCapacitorOnlyNode400: such a deck used to lint clean, take a
+// queue slot, get journaled and fail mid-job with a 500 (the validator
+// never interned capacitor terminals; FromNetlist did). One walk lints
+// the nodes Assemble will see: 400, floating-node, the node named,
+// nothing journaled. A decap between two connected nodes still passes.
+func TestAnalyzeCapacitorOnlyNode400(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{Workers: 1, JournalDir: dir})
+	ts := httptest.NewServer(s.Handler())
+	for name, deck := range capOnlyDecks {
+		code, b := post(t, ts, "/v1/analyze", spiceBody(deck, ""))
+		var resp struct {
+			Issues []circuit.DeckIssue `json:"issues"`
+		}
+		if err := json.Unmarshal(b, &resp); err != nil || code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%v), want a 400 with issues: %s", name, code, err, b)
+		}
+		if len(resp.Issues) != 1 || resp.Issues[0].Code != circuit.IssueFloatingNode || resp.Issues[0].Node != "n1_m1_5_5" {
+			t.Errorf("%s: issues %+v, want one %s naming n1_m1_5_5", name, resp.Issues, circuit.IssueFloatingNode)
+		}
+	}
+	ts.Close()
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := journalTypes(t, dir); len(got) != 0 {
+		t.Errorf("a rejected deck was journaled: %v", got)
+	}
+
+	_, ts2 := newTestServer(t, Config{Workers: 1})
+	ok := strings.Replace(capOnlyDecks["two-terminal"], "n1_m1_5_5", "n1_m1_0_0", 1)
+	if code, b := post(t, ts2, "/v1/analyze", spiceBody(ok, "")); code != http.StatusOK {
+		t.Errorf("decap between connected nodes: status %d: %s", code, b)
+	}
+}
+
+// TestFinishedJobReleasesDeck: the registry retains finished jobs
+// (MaxJobs of them), so a finished job must hold neither its request
+// bytes nor its parsed deck — done, failed or cancelled, running or still
+// queued when cancelled, admitted cold or from the memo — while GET
+// /v1/jobs/{id} still returns the full result and manifest. (That a job
+// requeued after a panic keeps what its retry needs is
+// TestServeWorkerPanicRequeuedOnce; the failed row here passes through
+// that branch before it fails.)
+func TestFinishedJobReleasesDeck(t *testing.T) {
+	deck := genDeck(t, 24, 61)
+	for _, tc := range []struct {
+		name, faults string
+		run          func(t *testing.T, s *Server, ts *httptest.Server) []string
+	}{
+		{"done", "", func(t *testing.T, s *Server, ts *httptest.Server) []string {
+			var ids []string
+			// Cold, a byte-identical repeat (admitted from the memo, answered
+			// from the response memo: no design is ever built), and a repeat
+			// whose response entry is gone (the worker re-admits the bytes).
+			for i, drop := range []bool{false, false, true} {
+				if drop {
+					j, _ := s.reg.get(ids[0])
+					s.cache.Drop(responseKey(j))
+				}
+				code, b := post(t, ts, "/v1/analyze", spiceBody(deck, `"include_map": true`))
+				if code != http.StatusOK {
+					t.Fatalf("request %d: status %d: %s", i, code, b)
+				}
+				ids = append(ids, decodeJob(t, b).ID)
+			}
+			code, b := post(t, ts, "/v1/analyze", spiceBody(deck, `"async": true, "iters": 3`))
+			if code != http.StatusAccepted {
+				t.Fatalf("async: status %d: %s", code, b)
+			}
+			ids = append(ids, decodeJob(t, b).ID)
+			waitStatus(t, ts, ids[3], Status.Terminal)
+			for _, id := range ids {
+				_, b := get(t, ts, "/v1/jobs/"+id)
+				v := decodeJob(t, b)
+				if v.Status != StatusDone || v.Result == nil || v.Result.Manifest == nil || v.Result.MaxDropVolts <= 0 {
+					t.Errorf("job %s after release: status %q, result %+v", id, v.Status, v.Result)
+				}
+			}
+			if _, b := get(t, ts, "/v1/jobs/"+ids[0]); len(decodeJob(t, b).Result.Map) != 24*24 {
+				t.Errorf("released job lost its map")
+			}
+			return ids
+		}},
+		{"failed", "serve.worker:panic:times=2", func(t *testing.T, s *Server, ts *httptest.Server) []string {
+			code, b := post(t, ts, "/v1/analyze", spiceBody(deck, ""))
+			if v := decodeJob(t, b); code != http.StatusInternalServerError || v.Status != StatusFailed || v.Result.Manifest == nil {
+				t.Fatalf("status %d, job %+v", code, v)
+			}
+			return []string{decodeJob(t, b).ID}
+		}},
+		{"cancelled", "serve.worker:stall", func(t *testing.T, s *Server, ts *httptest.Server) []string {
+			var ids []string
+			for i := 0; i < 2; i++ { // one parks on the worker, one waits in the queue
+				code, b := post(t, ts, "/v1/analyze", spiceBody(deck, `"async": true`))
+				if code != http.StatusAccepted {
+					t.Fatalf("status %d: %s", code, b)
+				}
+				ids = append(ids, decodeJob(t, b).ID)
+				if i == 0 {
+					waitStatus(t, ts, ids[0], func(st Status) bool { return st == StatusRunning })
+				}
+			}
+			for _, id := range []string{ids[1], ids[0]} {
+				del(t, ts, "/v1/jobs/"+id)
+				if v := waitStatus(t, ts, id, Status.Terminal); v.Status != StatusCancelled {
+					t.Fatalf("job %s: status %q", id, v.Status)
+				}
+			}
+			return ids
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.faults != "" {
+				withGlobalFaults(t, tc.faults)
+			}
+			s := New(Config{Workers: 1})
+			ts := httptest.NewServer(s.Handler())
+			ids := tc.run(t, s, ts)
+			// Close drains the workers: every job has left runJob, and the
+			// reads below are ordered after its writes.
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := s.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range ids {
+				if j, _ := s.reg.get(id); j.body != nil || j.design != nil {
+					t.Errorf("finished job %s (%s) retains body: %t, design: %t", id, j.Status(), j.body != nil, j.design != nil)
+				}
+			}
+		})
+	}
+}
+
+// TestServeBuildsNetworkOnce counts the front end's "once": a cold
+// request — numerical or fused — interns its deck's node names once
+// (circuit.networks) and canonicalises it once (cache.fingerprint.calls);
+// a byte-identical repeat does neither; a memo-admitted job whose
+// response entry was dropped re-admits its bytes (one more network) and
+// takes its fingerprint from the memo.
+func TestServeBuildsNetworkOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, Analyzer: tinyAnalyzer(t)})
+	moved := func(step func()) (networks, fingerprints int64) {
+		before := metricszCounters(t, ts)
+		step()
+		after := metricszCounters(t, ts)
+		return after["circuit.networks"] - before["circuit.networks"],
+			after["cache.fingerprint.calls"] - before["cache.fingerprint.calls"]
+	}
+	deck := genDeck(t, fusedRes, 62)
+	for _, mode := range []string{ModeNumerical, ModeFused} {
+		body := spiceBody(deck, `"mode": "`+mode+`"`)
+		var id string
+		send := func() {
+			code, b := post(t, ts, "/v1/analyze", body)
+			if code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", mode, code, b)
+			}
+			id = decodeJob(t, b).ID
+		}
+		if nw, fp := moved(send); nw != 1 || fp != 1 {
+			t.Errorf("%s, cold: %d network builds and %d fingerprints, want 1 and 1", mode, nw, fp)
+		}
+		if nw, fp := moved(send); nw != 0 || fp != 0 {
+			t.Errorf("%s, byte-identical repeat: %d network builds and %d fingerprints, want none", mode, nw, fp)
+		}
+		j, _ := s.reg.get(id)
+		s.cache.Drop(responseKey(j))
+		if nw, fp := moved(send); nw != 1 || fp != 0 {
+			t.Errorf("%s, repeat without its response entry: %d network builds and %d fingerprints, want 1 and 0", mode, nw, fp)
+		}
+	}
+}

@@ -43,7 +43,8 @@ type Job struct {
 	*admission
 	// design is nil while a job admitted from the memo has not needed it
 	// (a response-memo hit never does); body then holds the client's
-	// bytes to build it from, until the run ends.
+	// bytes to build it from. runJob drops both when the run ends: the
+	// registry retains finished jobs, and a parsed deck pins its text.
 	design      *pgen.Design
 	body        []byte
 	digest      string // hex SHA-256 of the body; "" for a journal-recovered job

@@ -219,6 +219,8 @@ func TestAnalyzeValidation(t *testing.T) {
 		{"bad spice", `{"spice": "r1 a\n"}`},
 		{"empty spice deck", `{"spice": "* empty\n.end"}`},
 		{"spice without coordinates", `{"spice": "rx a b 1\nv1 a 0 1\ni1 b 0 0.1\n.end"}`},
+		{"capacitor-only node", spiceBody(capOnlyDecks["two-terminal"], "")},
+		{"capacitor-only node, grounded decap", spiceBody(capOnlyDecks["grounded"], "")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,6 +4,12 @@
 // voltage-source cards for power pads. Node names follow the
 // convention n<net>_m<layer>_<x>_<y> giving every node a metal layer
 // and 2-D coordinates, which the feature stage relies on.
+//
+// A parsed deck aliases its text: ParseString copies nothing, so every
+// Element's Name, NodeA and NodeB (and a circuit.Network's NodeList and
+// Names built from them) are substrings that keep the whole deck alive.
+// Nothing that outlives the request may hold one — clone the string
+// (strings.Clone) or keep indices and numbers instead.
 package spice
 
 import (
@@ -12,6 +18,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // ElemType identifies a SPICE card type.
@@ -76,28 +83,20 @@ func (n Node) String() string {
 
 // ParseNode decodes a canonical node name n<net>_m<layer>_<x>_<y>.
 func ParseNode(s string) (Node, error) {
-	parts := strings.Split(s, "_")
-	if len(parts) != 4 || len(parts[0]) < 2 || parts[0][0] != 'n' ||
-		len(parts[1]) < 2 || parts[1][0] != 'm' {
+	net, rest, _ := strings.Cut(s, "_")
+	layer, rest, _ := strings.Cut(rest, "_")
+	x, y, _ := strings.Cut(rest, "_")
+	if strings.Count(s, "_") != 3 || len(net) < 2 || net[0] != 'n' || len(layer) < 2 || layer[0] != 'm' {
 		return Node{}, fmt.Errorf("spice: node %q does not match n<net>_m<layer>_<x>_<y>", s)
 	}
-	net, err := strconv.Atoi(parts[0][1:])
-	if err != nil {
-		return Node{}, fmt.Errorf("spice: node %q: bad net id: %w", s, err)
+	var v [4]int
+	for i, p := range [...]struct{ what, digits string }{{"net id", net[1:]}, {"layer", layer[1:]}, {"x", x}, {"y", y}} {
+		var err error
+		if v[i], err = strconv.Atoi(p.digits); err != nil {
+			return Node{}, fmt.Errorf("spice: node %q: bad %s: %w", s, p.what, err)
+		}
 	}
-	layer, err := strconv.Atoi(parts[1][1:])
-	if err != nil {
-		return Node{}, fmt.Errorf("spice: node %q: bad layer: %w", s, err)
-	}
-	x, err := strconv.Atoi(parts[2])
-	if err != nil {
-		return Node{}, fmt.Errorf("spice: node %q: bad x: %w", s, err)
-	}
-	y, err := strconv.Atoi(parts[3])
-	if err != nil {
-		return Node{}, fmt.Errorf("spice: node %q: bad y: %w", s, err)
-	}
-	return Node{Net: net, Layer: layer, X: x, Y: y}, nil
+	return Node{Net: v[0], Layer: v[1], X: v[2], Y: v[3]}, nil
 }
 
 // suffixes maps SPICE engineering suffixes to multipliers. "meg" must
@@ -159,34 +158,47 @@ func FormatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// Parse reads a deck. Lines starting with '*' or '$' are comments;
-// '.end' (and any other dot directive) ends/skips; blank lines are
-// ignored. The first comment line, if any, becomes the title.
+// Parse reads a whole deck from r and hands it to ParseString.
 func Parse(r io.Reader) (*Netlist, error) {
-	nl := &Netlist{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
+	var b strings.Builder
+	if _, err := io.Copy(&b, r); err != nil {
+		return nil, err
+	}
+	return ParseString(b.String())
+}
+
+// ParseString parses a deck in one scan of s. Lines starting with '*'
+// or '$' are comments; '.end' ends the deck and any other dot directive
+// is skipped; blank lines are ignored. The first line, if a comment,
+// becomes the title. Nothing is copied: the title and every element's
+// name and node names are substrings of s.
+func ParseString(s string) (*Netlist, error) {
+	nl := &Netlist{Elements: make([]Element, 0, strings.Count(s, "\n")+1)}
+	for lineNo := 1; s != ""; lineNo++ {
+		line := s
+		if i := strings.IndexByte(s, '\n'); i >= 0 {
+			line, s = s[:i], s[i+1:]
+		} else {
+			s = ""
+		}
+		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
 		switch line[0] {
 		case '*', '$':
-			if nl.Title == "" && lineNo == 1 {
+			if lineNo == 1 {
 				nl.Title = strings.TrimSpace(strings.TrimLeft(line, "*$ "))
 			}
 			continue
 		case '.':
 			if strings.EqualFold(line, ".end") {
-				return nl, sc.Err()
+				return nl, nil
 			}
 			continue // ignore other directives (.op, .option, ...)
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 {
+		fields, n := fields4(line)
+		if n < 4 {
 			return nil, fmt.Errorf("spice: line %d: expected 'name nodeA nodeB value', got %q", lineNo, line)
 		}
 		var typ ElemType
@@ -214,12 +226,35 @@ func Parse(r io.Reader) (*Netlist, error) {
 			Value: val,
 		})
 	}
-	return nl, sc.Err()
+	return nl, nil
 }
 
-// ParseString parses a deck held in a string.
-func ParseString(s string) (*Netlist, error) {
-	return Parse(strings.NewReader(s))
+// fields4 returns the first four whitespace-separated fields of a card
+// and how many it found (at most four), as strings.Fields would: an
+// ASCII splitter, and strings.Fields itself once a byte >= 0x80 shows
+// up before the fourth field ends (Unicode spaces separate fields too).
+func fields4(line string) (f [4]string, n int) {
+	start := -1
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case c >= utf8.RuneSelf:
+			return f, copy(f[:], strings.Fields(line))
+		case c == ' ' || c-'\t' < 5: // \t \n \v \f \r
+			if start >= 0 {
+				f[n], start = line[start:i], -1
+				if n++; n == 4 {
+					return f, n
+				}
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		f[n] = line[start:]
+		n++
+	}
+	return f, n
 }
 
 // Write emits the deck in canonical form, terminated by ".end".

@@ -1,7 +1,11 @@
 package spice
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -188,5 +192,178 @@ func TestCapacitorCards(t *testing.T) {
 	}
 	if ElemType(99).String() != "ElemType(99)" {
 		t.Error("unknown ElemType formatting wrong")
+	}
+}
+
+// refParse is the bufio.Scanner parser ParseString replaced (PR 25),
+// kept verbatim as the oracle of the differential tests: same title,
+// same elements, same error text on every deck.
+func refParse(r io.Reader) (*Netlist, error) {
+	nl := &Netlist{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		switch line[0] {
+		case '*', '$':
+			if nl.Title == "" && lineNo == 1 {
+				nl.Title = strings.TrimSpace(strings.TrimLeft(line, "*$ "))
+			}
+			continue
+		case '.':
+			if strings.EqualFold(line, ".end") {
+				return nl, sc.Err()
+			}
+			continue // ignore other directives (.op, .option, ...)
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 4 {
+			return nil, fmt.Errorf("spice: line %d: expected 'name nodeA nodeB value', got %q", lineNo, line)
+		}
+		var typ ElemType
+		switch c := line[0] | 0x20; c { // ASCII lower-case
+		case 'r':
+			typ = Resistor
+		case 'i':
+			typ = CurrentSource
+		case 'v':
+			typ = VoltageSource
+		case 'c':
+			typ = Capacitor
+		default:
+			return nil, fmt.Errorf("spice: line %d: unsupported element %q", lineNo, fields[0])
+		}
+		val, err := ParseValue(fields[3])
+		if err != nil {
+			return nil, fmt.Errorf("spice: line %d: %w", lineNo, err)
+		}
+		nl.Elements = append(nl.Elements, Element{
+			Type:  typ,
+			Name:  fields[0],
+			NodeA: fields[1],
+			NodeB: fields[2],
+			Value: val,
+		})
+	}
+	return nl, sc.Err()
+}
+
+// DiffParse holds ParseString to refParse on one deck. Exported for the
+// external test package, whose corpus comes from pgen.
+func DiffParse(t testing.TB, deck string) {
+	t.Helper()
+	want, wantErr := refParse(strings.NewReader(deck))
+	got, gotErr := ParseString(deck)
+	if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
+		t.Fatalf("error %v, reference %v\ndeck: %.200q", gotErr, wantErr, deck)
+	}
+	if wantErr != nil {
+		if got != nil {
+			t.Fatalf("error %v with a non-nil netlist", gotErr)
+		}
+		return
+	}
+	if got.Title != want.Title || len(got.Elements) != len(want.Elements) {
+		t.Fatalf("title %q, %d elements; reference %q, %d\ndeck: %.200q",
+			got.Title, len(got.Elements), want.Title, len(want.Elements), deck)
+	}
+	for i, e := range want.Elements {
+		// Bitwise on the value, so a NaN the grammar lets through ("nan")
+		// compares equal to itself.
+		g := got.Elements[i]
+		if g.Type != e.Type || g.Name != e.Name || g.NodeA != e.NodeA || g.NodeB != e.NodeB ||
+			math.Float64bits(g.Value) != math.Float64bits(e.Value) {
+			t.Fatalf("element %d: %+v, reference %+v\ndeck: %.200q", i, g, e, deck)
+		}
+	}
+}
+
+func TestParseDifferential(t *testing.T) {
+	long := "R1 a b 1 " + strings.Repeat("x", 2<<20) + "\nR2 c d 2\n"
+	for _, deck := range []string{
+		sampleDeck,
+		"R1 a b 1\n.end\nR2 c d 2\n", // .END mid-deck
+		"R1 a b 1\n.EnD\nR2 c d 2\n",
+		"R1 a b\n", "Q1 a b 1\n", "R1 a b zz\n", "R1 a b 1 2 3\n", "rx a\n", "x1 a b 1\n", "r1 a b 1e999\n",
+		"rX a b 1\nIY c 0 2\nvZ d 0 3\n.end\n",
+		"C1 n1_m1_0_0 0 20f\nc2 n1_m1_1_0 n1_m1_2_0 1p\n",
+		"", "\n", "\n\n", ".end", "* only a title", "$ dollar title\nR1 a b 1",
+		"\n* not a title: line 2\nR1 a b 1\n",
+		"*\n* an empty title on line 1 stays empty\nR1 a b 1\n",
+		"R1 a b 1\r\nR2 c d 2\r\n.end\r\n",              // CRLF
+		"R1 a b 1\r\r\n",                                // one CR ends the line; the rest is space
+		"R1 a b 1\nR2 c d 2",                            // last line without newline
+		"R1 a b 1\nR2 c d",                              // ... and short
+		"\tR1\ta\vb\f4e-3\t\n \v\f\r\n",                 // tabs, VT, FF
+		"R1 a\u0085b c 1\n",                             // U+0085 NEL separates fields
+		"R1\u00a0a\u00a0b\u00a01\n",                     // U+00A0 NBSP too
+		"R1 a b\u2028c 1\n",                             // U+2028 LINE SEPARATOR too
+		"\u00a0R1 a b 1\u2028\n",                        // ... and all are trimmed at the ends
+		"\u00a0\u0085\n\u2028* comment after a space\n", // a line of Unicode space only is blank
+		"R1 a b 1\u00e9trailing\n",                      // a non-space rune inside the fourth field
+		"R1 a b 1 \u00a0 x\n",                           // high bytes after the fourth field
+		"R\u00e9 n\xff a 1\n",                           // invalid UTF-8 is a field byte
+		"\xffR1 a b 1\n",                                // unsupported element, quoted through %q
+		"R1 a b\u00a0\n",                                // three fields once the space is trimmed
+		"r1 a b 1e5K\nR2 A B 3MEG\ni1 x 0 -0\nr3 a b nan\n",
+		"R1 a b 1\x00\nR2\x00 c d 2\n",             // NUL is not a space
+		"R1 a b 1\n  .option post\n  * indented\n", // directives and comments after leading space
+		long,
+	} {
+		DiffParse(t, deck)
+	}
+}
+
+// refParseNode is the strings.Split decoder ParseNode replaced (PR 25).
+func refParseNode(s string) (Node, error) {
+	parts := strings.Split(s, "_")
+	if len(parts) != 4 || len(parts[0]) < 2 || parts[0][0] != 'n' ||
+		len(parts[1]) < 2 || parts[1][0] != 'm' {
+		return Node{}, fmt.Errorf("spice: node %q does not match n<net>_m<layer>_<x>_<y>", s)
+	}
+	net, err := strconv.Atoi(parts[0][1:])
+	if err != nil {
+		return Node{}, fmt.Errorf("spice: node %q: bad net id: %w", s, err)
+	}
+	layer, err := strconv.Atoi(parts[1][1:])
+	if err != nil {
+		return Node{}, fmt.Errorf("spice: node %q: bad layer: %w", s, err)
+	}
+	x, err := strconv.Atoi(parts[2])
+	if err != nil {
+		return Node{}, fmt.Errorf("spice: node %q: bad x: %w", s, err)
+	}
+	y, err := strconv.Atoi(parts[3])
+	if err != nil {
+		return Node{}, fmt.Errorf("spice: node %q: bad y: %w", s, err)
+	}
+	return Node{Net: net, Layer: layer, X: x, Y: y}, nil
+}
+
+func TestParseNodeDifferential(t *testing.T) {
+	for _, name := range []string{
+		"n1_m1_0_0", "n12_m4_127000_64000", "n1_m1_-5_-7", "n1_m1_+5_7",
+		"n_m1_0_0", "n1_m_0_0", "n1_m1_0_0_9", "n1_m1_0_0_", "_n1_m1_0_0", "n1_m1_0_", "n1_m1__0",
+		"n1_m1_0", "n1_m1", "n1", "", "0", "_", "___", "____",
+		"x1_m1_0_0", "n1_x1_0_0", "nx_m1_0_0", "n1_mx_0_0", "n1_m1_a_0", "n1_m1_0_b",
+		"n1_m1_99999999999999999999_0", "n99999999999999999999_m1_0_0", "n1_m1_0_\xff", "n1_m1_0_0 ",
+	} {
+		DiffParseNode(t, name)
+	}
+}
+
+// DiffParseNode holds ParseNode to refParseNode on one name: equal Node,
+// equal error text.
+func DiffParseNode(t testing.TB, name string) {
+	t.Helper()
+	want, wantErr := refParseNode(name)
+	got, gotErr := ParseNode(name)
+	if got != want || (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
+		t.Errorf("ParseNode(%q) = %+v, %v; reference %+v, %v", name, got, gotErr, want, wantErr)
 	}
 }
