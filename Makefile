@@ -84,7 +84,20 @@ loc: ## non-test Go lines per package and the total
 # internal/circuit 748 -> 725 (one walk where ValidateNetlist and
 # FromNetlist were two, one flat BFS where there were two), serve 1713
 # -> 1725, pgen +5, core +3, dataset +3 (the design carries its network).
-LOC_CEILING ?= 22200
+# Raised by PR 26 to 22330, the most its issue allowed (total 22149 ->
+# 22330): fused inference on a tape that owns the pass's memory.
+# internal/nn 1976 -> 2059 (the inference tape and its lend/panel/Reset
+# +55, ForwardReLU +33, the AvgPool3x3Same interior path +20; the panel
+# loop costs what im2col, im2colRange and the column pool gave back;
+# paid down by sharing Conv2D's and conv1x1's bias loops, dropping
+# (*Tape).Len and moving FromSlice to the tests that use it),
+# internal/features 378 -> 416 (the typed heap's sifts),
+# internal/core 694 -> 736 (the idle-tape list that replaced the
+# sync.Pool the driver found unsteady, ErrNonFinitePrediction and its
+# scan), internal/serve 1725 -> 1734 (the same scan),
+# internal/models 821 -> 823 (the ownership rule on Model.Forward),
+# cmd/benchcheck 254 -> 261 (bytes_per_op).
+LOC_CEILING ?= 22330
 
 loc-check: ## fail when the non-test Go line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \

@@ -100,9 +100,17 @@ func benchModelInference(b *testing.B, name string) {
 	}
 	m.SetTraining(false)
 	x, _ := dataset.ToTensors([]*dataset.Sample{f.sample})
+	// As served (core.PredictCtx): one inference tape, reset per pass;
+	// the pass before the timer sizes its block. What the tape saves is
+	// bytes, so B/op is reported and gated beside allocs/op.
+	tp := nn.NewEvalTape()
+	m.Forward(tp, x)
+	tp.Reset()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Forward(nil, x)
+		m.Forward(tp, x)
+		tp.Reset()
 	}
 }
 

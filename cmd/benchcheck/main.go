@@ -58,7 +58,8 @@ type Run struct {
 // Tolerance is the regression band. NsFactor multiplies the baseline
 // ns/op to get the failure threshold; allocations fail when measured >
 // baseline*AllocFactor + AllocSlack (the additive slack absorbs
-// one-time setup amortized over small -benchtime counts).
+// one-time setup amortized over small -benchtime counts). Rows that
+// record bytes_per_op gate B/op by AllocFactor too.
 type Tolerance struct {
 	NsFactor    float64 `json:"ns_factor"`
 	AllocFactor float64 `json:"alloc_factor"`
@@ -78,6 +79,7 @@ type Ratio struct {
 type Measure struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 }
 
 func main() {
@@ -178,7 +180,7 @@ func runBench(r Run) (string, error) {
 // benchLine matches one `go test -bench -benchmem` result row, e.g.
 //
 //	BenchmarkCacheECOLoop/hit-8   20   1414317 ns/op   988081 B/op   7737 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+[\d.]+ [A-Za-z/]+)*?\s+(\d+) allocs/op`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+[\d.]+ [A-Za-z/]+)*?\s+(\d+) B/op\s+(\d+) allocs/op`)
 
 func parseBench(out string) map[string]Measure {
 	res := map[string]Measure{}
@@ -188,11 +190,12 @@ func parseBench(out string) map[string]Measure {
 			continue
 		}
 		ns, err1 := strconv.ParseFloat(m[2], 64)
-		allocs, err2 := strconv.ParseInt(m[3], 10, 64)
-		if err1 != nil || err2 != nil {
+		bytes, err2 := strconv.ParseInt(m[3], 10, 64)
+		allocs, err3 := strconv.ParseInt(m[4], 10, 64)
+		if err1 != nil || err2 != nil || err3 != nil {
 			continue
 		}
-		res[m[1]] = Measure{NsPerOp: ns, AllocsPerOp: allocs}
+		res[m[1]] = Measure{NsPerOp: ns, AllocsPerOp: allocs, BytesPerOp: bytes}
 	}
 	return res
 }
@@ -227,6 +230,10 @@ func gate(bl *Baseline, measured map[string]Measure) []string {
 		if now.AllocsPerOp > allocCap {
 			failures = append(failures, fmt.Sprintf("%s: %d allocs/op exceeds baseline %d (cap %d)",
 				name, now.AllocsPerOp, base.AllocsPerOp, allocCap))
+		}
+		if bytesCap := int64(float64(base.BytesPerOp) * bl.Tolerance.AllocFactor); base.BytesPerOp > 0 && now.BytesPerOp > bytesCap {
+			failures = append(failures, fmt.Sprintf("%s: %d B/op exceeds baseline %d (cap %d)",
+				name, now.BytesPerOp, base.BytesPerOp, bytesCap))
 		}
 	}
 	// Baseline entries the pinned runs no longer produce are stale —

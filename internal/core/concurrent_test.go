@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -165,10 +167,15 @@ func TestConcurrentFusedAnalyzeManifestIsolation(t *testing.T) {
 }
 
 // TestPredictConcurrent pins that prediction is reentrant: 8 goroutines
-// each predict 3 samples on ONE analyzer, and every map must equal the
+// each predict 20 times on ONE analyzer, and every map must equal the
 // serial prediction bit for bit. Under -race this is the test that a
 // write to the shared model during inference (the per-call
-// SetTraining(false) PredictCtx used to make) fails.
+// SetTraining(false) PredictCtx used to make) fails. The passes run on
+// inference tapes borrowed from evalTapes: the maps are compared only
+// after every goroutine is done, so one that still aliased a tape's
+// block would have been overwritten by a later pass; 8 borrowers are
+// more than the list keeps on most hosts, so tapes are also made and
+// dropped under the others' feet, across two collections midway.
 func TestPredictConcurrent(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epochs = 1
@@ -184,28 +191,93 @@ func TestPredictConcurrent(t *testing.T) {
 		want[i] = a.Predict(s).Data
 	}
 
-	const n = 8
+	const n, rounds = 8, 20
 	var wg sync.WaitGroup
-	errs := make(chan error, n*len(samples))
+	got := make([][][]float64, n)
 	for g := 0; g < n; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for k := range samples {
-				i := (g + k) % len(samples)
-				got := a.Predict(samples[i]).Data
-				for p := range got {
-					if math.Float64bits(got[p]) != math.Float64bits(want[i][p]) {
-						errs <- fmt.Errorf("goroutine %d sample %d pixel %d: %v, serial %v", g, i, p, got[p], want[i][p])
-						break
-					}
+			for k := 0; k < rounds; k++ {
+				if g == 0 && k == rounds/2 {
+					runtime.GC()
+					runtime.GC()
 				}
+				got[g] = append(got[g], a.PredictCtx(context.Background(), samples[(g+k)%len(samples)]).Data)
 			}
 		}(g)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	for g := range got {
+		for k, m := range got[g] {
+			i := (g + k) % len(samples)
+			for p := range m {
+				if math.Float64bits(m[p]) != math.Float64bits(want[i][p]) {
+					t.Errorf("goroutine %d round %d sample %d pixel %d: %v, serial %v", g, k, i, p, m[p], want[i][p])
+					break
+				}
+			}
+		}
+	}
+}
+
+// TestEvalTapesSurviveCollections: the idle tape a pass returns is the
+// one the next pass borrows, however many collections run in between —
+// a sync.Pool dropped it, and the re-grown block (a 17 MB heap pass and
+// a new 9 MB block at 64 px) made request cost follow GC timing.
+func TestEvalTapesSurviveCollections(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Epochs = 1
+	train, _ := tinySet(t, cfg, 2, 0)
+	res, err := Train(cfg, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(evalTapes) > 0 { // other tests' tapes
+		<-evalTapes
+	}
+	res.Analyzer.Predict(train[0])
+	if len(evalTapes) != 1 {
+		t.Fatalf("%d idle tapes after one serial pass, want 1", len(evalTapes))
+	}
+	first := <-evalTapes
+	evalTapes <- first
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		runtime.GC()
+		res.Analyzer.Predict(train[0])
+	}
+	if len(evalTapes) != 1 {
+		t.Fatalf("%d idle tapes after serial passes, want 1", len(evalTapes))
+	}
+	if tp := <-evalTapes; tp != first {
+		t.Error("a collection cost the idle tape: the next pass made a new one")
+	} else {
+		evalTapes <- tp
+	}
+}
+
+// TestAnalyzeFailsOnNonFinitePrediction: NaN in the head's bias makes
+// every predicted pixel NaN; AnalyzeCtx reports it instead of returning
+// the map.
+func TestAnalyzeFailsOnNonFinitePrediction(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Epochs = 1
+	train, _ := tinySet(t, cfg, 2, 0)
+	res, err := Train(cfg, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := pgen.Generate(pgen.DefaultConfig("nan", pgen.Fake, 24, 24, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := res.Analyzer.AnalyzeCtx(context.Background(), d); err != nil {
+		t.Fatalf("healthy analyzer: %v", err)
+	}
+	params := res.Analyzer.Model.Params()
+	params[len(params)-1].Data[0] = math.NaN()
+	if m, _, err := res.Analyzer.AnalyzeCtx(context.Background(), d); !errors.Is(err, ErrNonFinitePrediction) || m != nil {
+		t.Errorf("poisoned analyzer: map %v, error %v; want no map and ErrNonFinitePrediction", m != nil, err)
 	}
 }

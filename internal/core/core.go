@@ -11,7 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"irfusion/internal/cache"
@@ -139,6 +141,36 @@ type Analyzer struct {
 	Resilience plan.ResilienceOptions
 }
 
+// evalTapes holds the idle inference tapes, each the owner of one
+// forward pass's activations (one block, ~9 MB at 64 px and proportional
+// to Resolution², plus Conv2D's column panel): at most one per core,
+// for the life of the process. A sync.Pool drops idle tapes at
+// collections, so how many passes re-grew a block followed GC timing.
+var evalTapes = make(chan *nn.Tape, runtime.GOMAXPROCS(0))
+
+// borrowTape takes an idle tape or makes one, the caller's alone until
+// returnTape resets it: the pass's result dies there.
+func borrowTape() *nn.Tape {
+	select {
+	case tp := <-evalTapes:
+		return tp
+	default:
+		return nn.NewEvalTape()
+	}
+}
+
+func returnTape(tp *nn.Tape) {
+	tp.Reset()
+	select {
+	case evalTapes <- tp:
+	default: // more passes in flight than cores: the collector takes it
+	}
+}
+
+// ErrNonFinitePrediction fails an analysis whose predicted map holds NaN
+// or ±Inf (a poisoned checkpoint or input; encoding/json refuses it).
+var ErrNonFinitePrediction = errors.New("core: non-finite value in the predicted map")
+
 // Predict runs the ML stage on a prepared sample and returns the
 // predicted IR-drop map in volts (clamped non-negative). In residual
 // mode the model output corrects the rasterized rough solution.
@@ -156,17 +188,20 @@ func (a *Analyzer) Predict(s *dataset.Sample) *grid.Map {
 // goroutines may predict on one analyzer at once. That rests on the
 // model being in eval mode, which is set where an analyzer is made
 // (Train, LoadAnalyzer, serve.New), not here. The sample needs no
-// label: the output takes its shape from the feature maps.
+// label: the output takes its shape from the feature maps. A NaN the
+// model produces stays NaN in the map (callers that serve it check).
 func (a *Analyzer) PredictCtx(ctx context.Context, s *dataset.Sample) *grid.Map {
 	st := obs.ActiveOr(ctx).StartStage("ml.inference")
 	defer st.End()
 	x := a.Norm.Apply(dataset.InputTensor([]*dataset.Sample{s}))
-	out := a.Model.Forward(nil, x)
 	_, _, h, w := x.Dims4()
-	m := grid.FromData(h, w, out.Data)
+	m := grid.New(h, w)
+	// The tape owns the result: its one plane is scaled out before return.
+	tp := borrowTape()
+	out := a.Model.Forward(tp, x)
 	inv := 1 / a.TargetScale
 	residual := a.Config.ResidualMode && a.Config.UseNumerical && s.RoughBottom != nil
-	for i, v := range m.Data {
+	for i, v := range out.Data {
 		v *= inv
 		if residual {
 			v += s.RoughBottom.Data[i]
@@ -176,6 +211,7 @@ func (a *Analyzer) PredictCtx(ctx context.Context, s *dataset.Sample) *grid.Map 
 		}
 		m.Data[i] = v
 	}
+	returnTape(tp)
 	return m
 }
 
@@ -210,6 +246,11 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*grid.Map, t
 	}
 	start := time.Now()
 	pred := a.PredictCtx(ctx, s)
+	for _, v := range pred.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, 0, ErrNonFinitePrediction
+		}
+	}
 	return pred, s.NumericalTime + time.Since(start), nil
 }
 
@@ -441,8 +482,9 @@ func Train(cfg Config, train []*dataset.Sample) (*TrainResult, error) {
 			for i := range y.Data {
 				y.Data[i] *= targetScale
 			}
-			pred := model.Forward(nil, x)
-			total += nn.MSELoss(nil, pred, y).Data[0]
+			tp := borrowTape()
+			total += nn.MSELoss(nil, model.Forward(tp, x), y).Data[0]
+			returnTape(tp)
 		}
 		return total / float64(len(validation))
 	}

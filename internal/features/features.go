@@ -10,7 +10,6 @@
 package features
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -298,10 +297,11 @@ func ShortestPathResistanceMap(nw *circuit.Network, h, w int) *grid.Map {
 		adj[r.A] = append(adj[r.A], edgeTo{r.B, r.Ohms})
 		adj[r.B] = append(adj[r.B], edgeTo{r.A, r.Ohms})
 	}
-	acc := make([]float64, n)
+	acc, dist := make([]float64, n), make([]float64, n)
+	var q pq
 	cnt := 0
 	for _, p := range nw.Pads {
-		dist := dijkstra(adj, p.Node)
+		q = dijkstra(adj, p.Node, dist, q)
 		for i, d := range dist {
 			if !math.IsInf(d, 1) {
 				acc[i] += d
@@ -329,40 +329,78 @@ type pqItem struct {
 	dist float64
 }
 
+// pq is a binary min-heap on dist. up and down sift exactly as
+// container/heap's do — same comparisons, same swaps — so items leave
+// in the order they did when the heap was boxed through that package,
+// equal distances included.
 type pq []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+//irfusion:hotpath
+func (q pq) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
 }
 
-func dijkstra(adj [][]edgeTo, src int) []float64 {
-	dist := make([]float64, len(adj))
+//irfusion:hotpath
+func (q pq) down(i, n int) {
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].dist < q[j].dist {
+			j = j2
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+}
+
+func (q *pq) push(it pqItem) {
+	*q = append(*q, it)
+	q.up(len(*q) - 1)
+}
+
+func (q *pq) pop() pqItem {
+	old := *q
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*q = old[:n]
+	return old[n]
+}
+
+// dijkstra fills dist with the shortest-path resistance from src to
+// every node (+Inf where unreachable), working in q's storage, which it
+// returns emptied for the next source.
+func dijkstra(adj [][]edgeTo, src int, dist []float64, q pq) pq {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	q := &pq{{src, 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
+	q = append(q[:0], pqItem{src, 0})
+	for len(q) > 0 {
+		it := q.pop()
 		if it.dist > dist[it.node] {
 			continue
 		}
 		for _, e := range adj[it.node] {
 			if nd := it.dist + e.ohms; nd < dist[e.to] {
 				dist[e.to] = nd
-				heap.Push(q, pqItem{e.to, nd})
+				q.push(pqItem{e.to, nd})
 			}
 		}
 	}
-	return dist
+	return q
 }
 
 // Filter returns a new set containing only the maps whose name

@@ -17,6 +17,8 @@ type Model interface {
 	Name() string
 	// Forward maps an input feature tensor [N,C,H,W] to a drop map
 	// [N,1,H,W]. H and W must be divisible by 2^Depth of the model.
+	// Ownership: on an inference tape (nn.NewEvalTape) the result belongs
+	// to tp and dies at tp.Reset(); on any other tape it is the caller's.
 	Forward(tp *nn.Tape, x *nn.Tensor) *nn.Tensor
 	// Params returns all trainable tensors in a stable order.
 	Params() []*nn.Tensor
@@ -48,7 +50,7 @@ func newConvBNReLU(rng *rand.Rand, in, out, k, stride, pad int) *convBNReLU {
 }
 
 func (b *convBNReLU) forward(tp *nn.Tape, x *nn.Tensor) *nn.Tensor {
-	return nn.ReLU(tp, b.bn.Forward(tp, b.conv.Forward(tp, x)))
+	return b.bn.ForwardReLU(tp, b.conv.Forward(tp, x))
 }
 
 func (b *convBNReLU) params() []*nn.Tensor {
@@ -73,7 +75,7 @@ func newRectBNReLU(rng *rand.Rand, in, out, kh, kw, padH, padW int) *rectBNReLU 
 }
 
 func (b *rectBNReLU) forward(tp *nn.Tape, x *nn.Tensor) *nn.Tensor {
-	return nn.ReLU(tp, b.bn.Forward(tp, b.conv.Forward(tp, x)))
+	return b.bn.ForwardReLU(tp, b.conv.Forward(tp, x))
 }
 
 func (b *rectBNReLU) params() []*nn.Tensor {

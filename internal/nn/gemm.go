@@ -10,7 +10,7 @@ import (
 // atomic add against the O(m·k·n) flops each call performs.
 var cGemm = obs.GlobalCounter("nn.gemm_calls")
 
-// cForSerial accounts the serial fast paths of the GEMM/im2col kernels
+// cForSerial accounts the serial fast paths of the GEMM/col2im kernels
 // under the pool's own elementwise-serial counter, keeping
 // pool-utilization numbers honest (same idiom as package sparse).
 var cForSerial = obs.GlobalCounter("parallel.for.serial")
@@ -104,37 +104,39 @@ func gemmLeaf(transB bool, a, b, c []float64, sai, sap, k, n int, accumulate boo
 	if transB {
 		gemmTBRange(a, b, c, k, n, accumulate, start, end)
 	} else {
-		gemmRange(a, b, c, sai, sap, k, n, accumulate, start, end)
+		gemmRange(a, b, c, sai, sap, k, n, n, n, accumulate, start, end)
 	}
 }
 
 // gemmRange is the serial C = A·B leaf over rows [start, end), A read
-// through its strides. It walks C in gemmPanel-wide column panels and
-// takes the rows of a panel four at a time (gemmQuad), the m%4
-// remainder one at a time (gemmRow).
+// through its strides, B and C through their row strides ldb and ldc
+// (both n for whole matrices; Conv2D multiplies one column panel of a
+// wider C). It walks C in gemmPanel-wide column panels and takes the
+// rows of a panel four at a time (gemmQuad), the m%4 remainder one at a
+// time (gemmRow).
 //
 //irfusion:hotpath
-func gemmRange(a, b, c []float64, sai, sap, k, n int, accumulate bool, start, end int) {
+func gemmRange(a, b, c []float64, sai, sap, k, n, ldb, ldc int, accumulate bool, start, end int) {
 	for j0 := 0; j0 < n; j0 += gemmPanel {
 		w := min(gemmPanel, n-j0)
 		i := start
 		for ; i+4 <= end; i += 4 {
-			c0, c1 := c[i*n+j0:][:w], c[(i+1)*n+j0:][:w]
-			c2, c3 := c[(i+2)*n+j0:][:w], c[(i+3)*n+j0:][:w]
+			c0, c1 := c[i*ldc+j0:][:w], c[(i+1)*ldc+j0:][:w]
+			c2, c3 := c[(i+2)*ldc+j0:][:w], c[(i+3)*ldc+j0:][:w]
 			if !accumulate {
 				clear(c0)
 				clear(c1)
 				clear(c2)
 				clear(c3)
 			}
-			gemmQuad(a[i*sai:], b[j0:], c0, c1, c2, c3, sai, sap, k, n)
+			gemmQuad(a[i*sai:], b[j0:], c0, c1, c2, c3, sai, sap, k, ldb)
 		}
 		for ; i < end; i++ {
-			ci := c[i*n+j0:][:w]
+			ci := c[i*ldc+j0:][:w]
 			if !accumulate {
 				clear(ci)
 			}
-			gemmRow(a[i*sai:], b[j0:], ci, sap, k, n)
+			gemmRow(a[i*sai:], b[j0:], ci, sap, k, ldb)
 		}
 	}
 }

@@ -68,6 +68,7 @@ func Pad2D(tp *Tape, x *Tensor, padH, padW int) *Tensor {
 	n, c, h, w := x.Dims4()
 	oh, ow := h+2*padH, w+2*padW
 	out := result(tp, []int{n, c, oh, ow}, x)
+	clear(out.Data)
 	for nc := 0; nc < n*c; nc++ {
 		for y := 0; y < h; y++ {
 			src := nc*h*w + y*w
@@ -127,10 +128,10 @@ func (l *BatchNorm2d) Forward(tp *Tape, x *Tensor) *Tensor {
 	}
 	out := result(tp, x.Shape, x, l.Gamma, l.Beta)
 	hw := h * w
-	if tp == nil && !l.Training {
+	if !tp.recording() && !l.Training {
 		// Inference: nothing is recorded, so neither xhat nor copies of
 		// the running statistics are kept — the output is the only
-		// allocation, and the layer is only read (reentrant). Same
+		// tensor made, and the layer is only read (reentrant). Same
 		// arithmetic, in the same order, as the general path below.
 		for ni := 0; ni < n; ni++ {
 			for ci := 0; ci < c; ci++ {
@@ -269,6 +270,39 @@ func (l *BatchNorm2d) Forward(tp *Tape, x *Tensor) *Tensor {
 		})
 	}
 	return out
+}
+
+// ForwardReLU is ReLU(tp, l.Forward(tp, x)). In inference — nothing
+// recorded, running statistics — it is one pass that overwrites x and
+// returns it, with the arithmetic of Forward's inference loop and of
+// ReLU per element, so the same bits. x must therefore be a tensor the
+// caller has just made and nothing else reads: a convolution's output.
+func (l *BatchNorm2d) ForwardReLU(tp *Tape, x *Tensor) *Tensor {
+	if tp.recording() || l.Training {
+		return ReLU(tp, l.Forward(tp, x))
+	}
+	n, c, h, w := x.Dims4()
+	if c != len(l.RunMean) {
+		panic("nn: BatchNorm2d channel mismatch")
+	}
+	hw := h * w
+	for ni := 0; ni < n; ni++ {
+		for ci := 0; ci < c; ci++ {
+			bnReLU(x.Data[(ni*c+ci)*hw:][:hw], l.Gamma.Data[ci], l.Beta.Data[ci],
+				l.RunMean[ci], 1/math.Sqrt(l.RunVar[ci]+l.Eps))
+		}
+	}
+	return x
+}
+
+// bnReLU is ForwardReLU's epilogue over one channel plane, in place.
+//
+//irfusion:hotpath
+func bnReLU(plane []float64, g, bta, mu, is float64) {
+	for j, xv := range plane {
+		xh := (xv - mu) * is
+		plane[j] = max(g*xh+bta, 0)
+	}
 }
 
 // SetTraining toggles train/eval mode.

@@ -376,9 +376,9 @@ func TestNilTapeSkipsRecording(t *testing.T) {
 	if y.needsGrad {
 		t.Error("nil tape must not mark outputs as differentiable")
 	}
-	var tp *Tape
-	if tp.Len() != 0 {
-		t.Error("nil tape Len should be 0")
+	etp := NewEvalTape()
+	if y := ReLU(etp, x); y.needsGrad || len(etp.steps) != 0 {
+		t.Error("an inference tape must neither record nor mark outputs as differentiable")
 	}
 }
 

@@ -1,26 +1,13 @@
 package nn
 
-import "sync"
-
-// colsPool lends Conv2D its im2col column buffer. im2col overwrites
-// every element, so a borrowed buffer needs no zeroing, and a forward
-// pass stops allocating (and the collector stops sweeping) k·oh·ow
-// floats per convolution. Buffers too small for the asking conv are
-// dropped; the pool converges on the largest shape in use.
-var colsPool sync.Pool // of *[]float64
-
-func borrowCols(n int) *[]float64 {
-	if p, _ := colsPool.Get().(*[]float64); p != nil && cap(*p) >= n {
-		*p = (*p)[:n]
-		return p
-	}
-	buf := make([]float64, n)
-	return &buf
-}
-
 // Conv2D applies a 2-D convolution (cross-correlation) with weights
 // w[OC, IC, KH, KW], optional bias b[OC] (nil to skip), the given
-// stride, and symmetric zero padding. Implemented as im2col + GEMM.
+// stride, and symmetric zero padding. Implemented as im2col + GEMM, one
+// panel of output rows at a time: the k × oh·ow column matrix is never
+// whole unless Backward will need it, and the panel being multiplied
+// (at most k × gemmPanel floats once ow <= gemmPanel) stays in cache
+// between its unroll and its last row quad. Every output element still
+// receives its k products in p order, so the panel width moves no bit.
 func Conv2D(tp *Tape, x, w, b *Tensor, stride, pad int) *Tensor {
 	n, ic, ih, iw := x.Dims4()
 	oc, wic, kh, kw := w.Dims4()
@@ -42,54 +29,48 @@ func Conv2D(tp *Tape, x, w, b *Tensor, stride, pad int) *Tensor {
 		return conv1x1(tp, x, w, b)
 	}
 
-	k := ic * kh * kw
-	colsBuf := borrowCols(k * oh * ow) // per-sample column buffer
-	defer colsPool.Put(colsBuf)
-	cols := *colsBuf
+	k, hw := ic*kh*kw, oh*ow
+	rows := min(oh, max(1, gemmPanel/ow)) // output rows per panel
+	cols := tp.panel(k * rows * ow)
 	inputs := []*Tensor{x, w}
 	if b != nil {
 		inputs = append(inputs, b)
 	}
 	out := result(tp, []int{n, oc, oh, ow}, inputs...)
 
-	// Forward per sample to bound the buffer size.
-	var colsPerSample [][]float64
+	var colsPerSample [][]float64 // the whole matrices, for dW in Backward
 	keepCols := out.needsGrad && w.needsGrad
 	for ni := 0; ni < n; ni++ {
-		im2col(x.Data[ni*ic*ih*iw:(ni+1)*ic*ih*iw], cols, ic, ih, iw, kh, kw, stride, pad, oh, ow)
-		gemm(w.Data, cols, out.Data[ni*oc*oh*ow:(ni+1)*oc*oh*ow], oc, k, oh*ow, false)
+		img := x.Data[ni*ic*ih*iw : (ni+1)*ic*ih*iw]
+		o := out.Data[ni*oc*hw : (ni+1)*oc*hw]
+		var kept []float64
 		if keepCols {
-			colsPerSample = append(colsPerSample, append([]float64(nil), cols...))
+			kept = make([]float64, k*hw)
+			colsPerSample = append(colsPerSample, kept)
 		}
-	}
-	if b != nil {
-		hw := oh * ow
-		for ni := 0; ni < n; ni++ {
-			for c := 0; c < oc; c++ {
-				base := (ni*oc + c) * hw
-				bv := b.Data[c]
-				for j := 0; j < hw; j++ {
-					out.Data[base+j] += bv
+		cGemm.Inc() // one k × hw product per sample, whatever the panelling
+		cForSerial.Inc()
+		for oy := 0; oy < oh; oy += rows {
+			r := min(rows, oh-oy)
+			pw := r * ow
+			im2colRows(img, cols, ic, ih, iw, kh, kw, stride, pad, ow, oy, r)
+			gemmRange(w.Data, cols, o[oy*ow:], k, 1, k, pw, pw, hw, false, 0, oc)
+			if keepCols {
+				for p := 0; p < k; p++ {
+					copy(kept[p*hw+oy*ow:][:pw], cols[p*pw:])
 				}
 			}
 		}
 	}
+	if b != nil {
+		addBias(out.Data, b.Data, n*oc, hw)
+	}
 
 	if out.needsGrad {
 		tp.record(func() {
-			hw := oh * ow
 			if b != nil && b.needsGrad {
 				b.ensureGrad()
-				for ni := 0; ni < n; ni++ {
-					for c := 0; c < oc; c++ {
-						base := (ni*oc + c) * hw
-						sum := 0.0
-						for j := 0; j < hw; j++ {
-							sum += out.Grad[base+j]
-						}
-						b.Grad[c] += sum
-					}
-				}
+				biasGrad(out.Grad, b.Grad, n*oc, hw)
 			}
 			colBuf := make([]float64, k*hw)
 			for ni := 0; ni < n; ni++ {
@@ -111,66 +92,72 @@ func Conv2D(tp *Tape, x, w, b *Tensor, stride, pad int) *Tensor {
 	return out
 }
 
-// im2col unrolls input patches into columns: cols[k, oh*ow] with
-// k = ic*kh*kw.
-//
-//irfusion:hotpath
-func im2col(img, cols []float64, ic, ih, iw, kh, kw, stride, pad, oh, ow int) {
-	rows := ic * kh * kw
-	if rows <= 0 {
-		return
+// addBias adds b[c] to plane nc of out[planes, hw], c = nc mod len(b).
+func addBias(out, b []float64, planes, hw int) {
+	for nc := 0; nc < planes; nc++ {
+		bv := b[nc%len(b)]
+		for j := nc * hw; j < (nc+1)*hw; j++ {
+			out[j] += bv
+		}
 	}
-	if serialFor(rows) {
-		cForSerial.Inc()
-		im2colRange(img, cols, ih, iw, kh, kw, stride, pad, oh, ow, 0, rows)
-		return
-	}
-	parallelFor(rows, func(start, end int) {
-		im2colRange(img, cols, ih, iw, kh, kw, stride, pad, oh, ow, start, end)
-	})
 }
 
-// im2colRange unrolls patch rows [start, end) into columns.
+// biasGrad is addBias's adjoint: db[c] += the sum of each plane of
+// channel c of gradOut, plane by plane.
+func biasGrad(gradOut, db []float64, planes, hw int) {
+	for nc := 0; nc < planes; nc++ {
+		sum := 0.0
+		for j := nc * hw; j < (nc+1)*hw; j++ {
+			sum += gradOut[j]
+		}
+		db[nc%len(db)] += sum
+	}
+}
+
+// im2colRows unrolls the input patches of output rows [oy0, oy0+r)
+// into cols[k, r*ow], k = ic*kh*kw: row (c, dy, dx) holds, for each of
+// those output pixels, the input pixel its tap (dy, dx) of channel c
+// reads, zero in the padding. Every element of cols is written.
 //
 //irfusion:hotpath
-func im2colRange(img, cols []float64, ih, iw, kh, kw, stride, pad, oh, ow, start, end int) {
-	for row := start; row < end; row++ {
-		c := row / (kh * kw)
-		rem := row % (kh * kw)
-		dy := rem / kw
-		dx := rem % kw
-		dst := row * oh * ow
-		// At stride 1 the in-image part of an output row is one
-		// contiguous run of the source row: ox in [lo, hi) reads
-		// sx = ox+dx-pad in [0, iw); the run is empty (hi == lo) when
-		// the tap lies wholly in the padding.
-		lo := min(ow, max(0, pad-dx))
-		hi := max(lo, min(ow, iw+pad-dx))
-		for oy := 0; oy < oh; oy++ {
-			sy := oy*stride + dy - pad
-			if sy < 0 || sy >= ih {
-				clear(cols[dst : dst+ow])
-				dst += ow
-				continue
-			}
-			srcBase := (c*ih + sy) * iw
-			if stride == 1 {
-				clear(cols[dst : dst+lo])
-				if hi > lo {
-					copy(cols[dst+lo:dst+hi], img[srcBase+lo+dx-pad:])
+func im2colRows(img, cols []float64, ic, ih, iw, kh, kw, stride, pad, ow, oy0, r int) {
+	dst := 0
+	for c := 0; c < ic; c++ {
+		for dy := 0; dy < kh; dy++ {
+			for dx := 0; dx < kw; dx++ {
+				// At stride 1 the in-image part of an output row is one
+				// contiguous run of the source row: ox in [lo, hi) reads
+				// sx = ox+dx-pad in [0, iw); the run is empty (hi == lo)
+				// when the tap lies wholly in the padding.
+				lo := min(ow, max(0, pad-dx))
+				hi := max(lo, min(ow, iw+pad-dx))
+				for oy := oy0; oy < oy0+r; oy++ {
+					sy := oy*stride + dy - pad
+					if sy < 0 || sy >= ih {
+						clear(cols[dst : dst+ow])
+						dst += ow
+						continue
+					}
+					srcBase := (c*ih + sy) * iw
+					if stride == 1 {
+						clear(cols[dst : dst+lo])
+						if hi > lo {
+							copy(cols[dst+lo:dst+hi], img[srcBase+lo+dx-pad:])
+						}
+						clear(cols[dst+hi : dst+ow])
+						dst += ow
+						continue
+					}
+					for ox := 0; ox < ow; ox++ {
+						sx := ox*stride + dx - pad
+						if sx < 0 || sx >= iw {
+							cols[dst] = 0
+						} else {
+							cols[dst] = img[srcBase+sx]
+						}
+						dst++
+					}
 				}
-				clear(cols[dst+hi : dst+ow])
-				dst += ow
-				continue
-			}
-			for ox := 0; ox < ow; ox++ {
-				sx := ox*stride + dx - pad
-				if sx < 0 || sx >= iw {
-					cols[dst] = 0
-				} else {
-					cols[dst] = img[srcBase+sx]
-				}
-				dst++
 			}
 		}
 	}
@@ -235,7 +222,10 @@ func MaxPool2x2(tp *Tape, x *Tensor) *Tensor {
 		panic("nn: MaxPool2x2 input too small")
 	}
 	out := result(tp, []int{n, c, oh, ow}, x)
-	argmax := make([]int32, out.Size())
+	var argmax []int32 // Backward's routing; inference keeps none
+	if out.needsGrad {
+		argmax = make([]int32, out.Size())
+	}
 	parallelFor(n*c, func(lo, hi int) {
 		for nc := lo; nc < hi; nc++ {
 			inBase := nc * h * w
@@ -254,7 +244,9 @@ func MaxPool2x2(tp *Tape, x *Tensor) *Tensor {
 						best, bi = v, i0+w+1
 					}
 					out.Data[outBase+oy*ow+ox] = best
-					argmax[outBase+oy*ow+ox] = int32(bi)
+					if argmax != nil {
+						argmax[outBase+oy*ow+ox] = int32(bi)
+					}
 				}
 			}
 		}
@@ -386,7 +378,10 @@ func GlobalMaxPool(tp *Tape, x *Tensor) *Tensor {
 	n, c, h, w := x.Dims4()
 	out := result(tp, []int{n, c, 1, 1}, x)
 	hw := h * w
-	arg := make([]int, n*c)
+	var arg []int
+	if out.needsGrad {
+		arg = make([]int, n*c)
+	}
 	for nc := 0; nc < n*c; nc++ {
 		base := nc * hw
 		best, bi := x.Data[base], base
@@ -396,7 +391,9 @@ func GlobalMaxPool(tp *Tape, x *Tensor) *Tensor {
 			}
 		}
 		out.Data[nc] = best
-		arg[nc] = bi
+		if arg != nil {
+			arg[nc] = bi
+		}
 	}
 	if out.needsGrad {
 		tp.record(func() {
@@ -418,6 +415,7 @@ func ChannelMean(tp *Tape, x *Tensor) *Tensor {
 	inv := 1 / float64(c)
 	for ni := 0; ni < n; ni++ {
 		oBase := ni * hw
+		clear(out.Data[oBase : oBase+hw])
 		for ci := 0; ci < c; ci++ {
 			base := (ni*c + ci) * hw
 			for j := 0; j < hw; j++ {
@@ -451,7 +449,10 @@ func ChannelMax(tp *Tape, x *Tensor) *Tensor {
 	n, c, h, w := x.Dims4()
 	out := result(tp, []int{n, 1, h, w}, x)
 	hw := h * w
-	arg := make([]int, n*hw)
+	var arg []int
+	if out.needsGrad {
+		arg = make([]int, n*hw)
+	}
 	for ni := 0; ni < n; ni++ {
 		oBase := ni * hw
 		for j := 0; j < hw; j++ {
@@ -464,7 +465,9 @@ func ChannelMax(tp *Tape, x *Tensor) *Tensor {
 				}
 			}
 			out.Data[oBase+j] = best
-			arg[oBase+j] = bi
+			if arg != nil {
+				arg[oBase+j] = bi
+			}
 		}
 	}
 	if out.needsGrad {
@@ -544,30 +547,13 @@ func conv1x1(tp *Tape, x, w, b *Tensor) *Tensor {
 		gemm(wmat, x.Data[ni*ic*hw:(ni+1)*ic*hw], out.Data[ni*oc*hw:(ni+1)*oc*hw], oc, ic, hw, false)
 	}
 	if b != nil {
-		for ni := 0; ni < n; ni++ {
-			for c := 0; c < oc; c++ {
-				base := (ni*oc + c) * hw
-				bv := b.Data[c]
-				for j := 0; j < hw; j++ {
-					out.Data[base+j] += bv
-				}
-			}
-		}
+		addBias(out.Data, b.Data, n*oc, hw)
 	}
 	if out.needsGrad {
 		tp.record(func() {
 			if b != nil && b.needsGrad {
 				b.ensureGrad()
-				for ni := 0; ni < n; ni++ {
-					for c := 0; c < oc; c++ {
-						base := (ni*oc + c) * hw
-						sum := 0.0
-						for j := 0; j < hw; j++ {
-							sum += out.Grad[base+j]
-						}
-						b.Grad[c] += sum
-					}
-				}
+				biasGrad(out.Grad, b.Grad, n*oc, hw)
 			}
 			for ni := 0; ni < n; ni++ {
 				gradOut := out.Grad[ni*oc*hw : (ni+1)*oc*hw]

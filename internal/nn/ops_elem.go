@@ -103,13 +103,12 @@ func Scale(tp *Tape, x *Tensor, s float64) *Tensor {
 	return out
 }
 
-// ReLU returns max(x, 0).
+// ReLU returns max(x, 0): NaN stays NaN (a poisoned activation must
+// reach the output, not be rectified to a plausible zero), −0 becomes +0.
 func ReLU(tp *Tape, x *Tensor) *Tensor {
 	out := result(tp, x.Shape, x)
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		}
+		out.Data[i] = max(v, 0)
 	}
 	if out.needsGrad {
 		tp.record(func() {

@@ -5,6 +5,10 @@
 // batch-norm, channel/spatial attention primitives), losses, and the
 // Adam optimizer. Everything is deterministic given a seeded
 // *rand.Rand and runs multi-threaded on the CPU.
+//
+// Every op takes the Tape that owns the pass. Its output comes from
+// result(): zeroed only on a recording tape, otherwise holding what an
+// earlier pass left — an op must write every element and read none first.
 package nn
 
 import (
@@ -42,15 +46,6 @@ func NewParam(shape ...int) *Tensor {
 	t := NewTensor(shape...)
 	t.needsGrad = true
 	t.Grad = make([]float64, len(t.Data))
-	return t
-}
-
-// FromSlice wraps data (not copied) in a tensor of the given shape.
-func FromSlice(data []float64, shape ...int) *Tensor {
-	t := &Tensor{Shape: append([]int(nil), shape...), Data: data}
-	if len(data) != t.Size() {
-		panic("nn: FromSlice size mismatch")
-	}
 	return t
 }
 

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -152,7 +153,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // client gone is the only failure; nothing to do
+	// The status line is out: a failure here — the client gone, a value
+	// encoding/json refuses (NaN, ±Inf) — can only cut the body short, so
+	// handlers keep those out of v (core.ErrNonFinitePrediction).
+	_ = enc.Encode(v)
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -833,6 +837,11 @@ func (s *Server) executeFused(ctx context.Context, req *AnalyzeRequest, d *pgen.
 	start := time.Now()
 	pred := al.PredictCtx(ctx, sample)
 	rt := sample.NumericalTime + time.Since(start)
+	for _, v := range pred.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, core.ErrNonFinitePrediction
+		}
+	}
 	return newResult(req, d, pred, rt.Seconds()), nil
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,9 +11,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"irfusion/internal/core"
 	"irfusion/internal/dataset"
+	"irfusion/internal/journal"
 	"irfusion/internal/pgen"
 )
 
@@ -184,4 +187,79 @@ func postJob(ts *httptest.Server, body string) (int, JobView, error) {
 	defer resp.Body.Close()
 	err = json.NewDecoder(resp.Body).Decode(&v)
 	return resp.StatusCode, v, err
+}
+
+// TestFusedNonFinitePredictionFails: a checkpoint with NaN in the
+// head's bias predicts an all-NaN map. That is a failed job — a 500
+// whose body is the job with core.ErrNonFinitePrediction's text, sync
+// and async — not a 200 with the empty body encoding/json leaves when
+// it refuses NaN after the status line; nothing reaches the response
+// memo, the journal records the failure, and a healthy copy of the same
+// analyzer answers the same bodies.
+func TestFusedNonFinitePredictionFails(t *testing.T) {
+	var ckpt bytes.Buffer
+	if err := tinyAnalyzer(t).Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	load := func() *core.Analyzer {
+		a, err := core.LoadAnalyzer(bytes.NewReader(ckpt.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	poisoned := load()
+	params := poisoned.Model.Params()
+	params[len(params)-1].Data[0] = math.NaN() // the head's bias
+
+	dir := t.TempDir()
+	s := New(Config{Analyzer: poisoned, JournalDir: dir})
+	ts := httptest.NewServer(s.Handler())
+	bodies := []string{fusedBody(31, ""), fusedBody(32, `, "async": true`)}
+	for i, body := range bodies {
+		code, b := post(t, ts, "/v1/analyze", body)
+		if len(b) == 0 {
+			t.Fatalf("body %d: status %d with an empty body", i, code)
+		}
+		v := decodeJob(t, b)
+		if i == 1 {
+			if code != http.StatusAccepted {
+				t.Fatalf("async: status %d: %s", code, b)
+			}
+			v = waitStatus(t, ts, v.ID, Status.Terminal)
+		} else if code != http.StatusInternalServerError {
+			t.Errorf("sync: status %d, want 500: %s", code, b)
+		}
+		if v.Status != StatusFailed || !strings.Contains(v.Error, core.ErrNonFinitePrediction.Error()) {
+			t.Errorf("body %d: status %q, error %q; want failed with %q", i, v.Status, v.Error, core.ErrNonFinitePrediction)
+		}
+		if v.Result != nil && v.Result.Map != nil {
+			t.Errorf("body %d: a failed job carries a map", i)
+		}
+	}
+	if st := s.CacheStats(); st.Stores != 2 {
+		t.Errorf("%d cache stores, want 2: the two admissions and no response", st.Stores)
+	}
+	ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := journalTypes(t, dir)[journal.TypeFailed]; got != 2 {
+		t.Errorf("journal holds %d failed records, want 2", got)
+	}
+
+	healthy := load()
+	_, ts2 := newTestServer(t, Config{Analyzer: healthy})
+	for i, body := range bodies {
+		code, b := post(t, ts2, "/v1/analyze", strings.Replace(body, `, "async": true`, "", 1))
+		v := decodeJob(t, b)
+		if code != http.StatusOK || v.Status != StatusDone || v.Result == nil {
+			t.Fatalf("healthy analyzer, body %d: status %d %q: %s", i, code, v.Status, v.Error)
+		}
+		if diff := mapsDiffer(v.Result.Map, fusedReference(t, healthy, int64(31+i))); diff != "" {
+			t.Errorf("healthy analyzer, body %d: %s", i, diff)
+		}
+	}
 }
