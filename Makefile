@@ -8,7 +8,7 @@ GO ?= go
 # machines and miniature test grids.
 RACE_ENV = IRFUSION_WORKERS=4 IRFUSION_PAR_THRESHOLD=1
 
-.PHONY: all fmt fmt-check vet lint lint-rebaseline build test race loc loc-check bench bench-smoke bench-check bench-rebaseline bench-quick rehearse fuzz-smoke chaos-smoke cluster-smoke docs-check cover-check
+.PHONY: all fmt fmt-check vet cross lint lint-rebaseline build test race loc loc-check bench bench-smoke bench-check bench-rebaseline bench-quick rehearse fuzz-smoke chaos-smoke cluster-smoke docs-check cover-check
 
 all: fmt-check vet lint build test
 
@@ -41,6 +41,18 @@ fmt-check: ## fail when any file is not gofmt-clean
 vet:
 	$(GO) vet ./...
 
+# The amd64 GEMM leaf is assembly (internal/nn/gemm_amd64.s); every
+# other architecture runs the Go loop through gemm_other.go, which no
+# amd64 build compiles. Vet the tree and compile the two test binaries
+# that reach the leaf for arm64 — compile only, nothing is run, no
+# emulator and no download is needed — so the fallback cannot rot.
+CROSS_OUT ?= /tmp
+
+cross: ## vet and compile-only for arm64: the GEMM fallback file builds
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) test -c -o $(CROSS_OUT)/irfusion-nn-arm64.test ./internal/nn
+	GOARCH=arm64 $(GO) test -c -o $(CROSS_OUT)/irfusion-models-arm64.test ./internal/models
+
 build:
 	$(GO) build ./...
 
@@ -55,12 +67,13 @@ race:
 	$(RACE_ENV) $(GO) test -race -count=2 -run 'TestCacheConcurrent' ./internal/cache/
 	$(RACE_ENV) $(GO) test -race -count=3 ./internal/serve ./internal/journal
 
-# Non-test Go lines, per package and in total. The total is the number
-# "less code" claims are held to: tests, the benchmark (_bench) and the
-# linter's fixtures do not count.
-LOC_FIND = find . -name '*.go' -not -name '*_test.go' -not -path './_bench/*' -not -path './internal/lint/testdata/*'
+# Non-test source lines, per package and in total: Go and, from PR 28
+# on, assembly — it is code and may not hide from the ratchet. The total
+# is the number "less code" claims are held to: tests, the benchmark
+# (_bench) and the linter's fixtures do not count.
+LOC_FIND = find . \( -name '*.go' -o -name '*.s' \) -not -name '*_test.go' -not -path './_bench/*' -not -path './internal/lint/testdata/*'
 
-loc: ## non-test Go lines per package and the total
+loc: ## non-test Go and assembly lines per package and the total
 	@$(LOC_FIND) | xargs -n1 dirname | sort -u | while read d; do \
 		printf '%7d %s\n' "$$($(LOC_FIND) -path "$$d/*" -not -path "$$d/*/*" | xargs cat | wc -l)" "$$d"; \
 	done
@@ -97,11 +110,23 @@ loc: ## non-test Go lines per package and the total
 # scan), internal/serve 1725 -> 1734 (the same scan),
 # internal/models 821 -> 823 (the ownership rule on Model.Forward),
 # cmd/benchcheck 254 -> 261 (bytes_per_op).
-LOC_CEILING ?= 22330
+# Raised by PR 28 to 22571, exactly what landed (total 22330 -> 22571,
+# +241 of the +260 its issue allowed), and from this PR on the total
+# counts assembly: the AVX2 leaf under gemmQuad that took fused_small
+# p10 from 17.4 to 10.6 ms without changing a bit. internal/nn 2059 ->
+# 2285: gemm_amd64.s 0 -> 133 (the kernel and its two macros 91, the
+# CPUID and XGETBV helpers 18, the contract 24), gemm_amd64.go 0 -> 35
+# (the declarations and the CPUID/XCR0 decision), gemm_other.go 0 -> 10
+# (every other GOARCH), gemm.go 246 -> 294 (the dispatch and its bounds
+# check 20, Kernel 11, the per-architecture bit contract and the leaf
+# comments 17); internal/serve 1734 -> 1739 and cmd/irfusion 1185 ->
+# 1195 (gemm_kernel on /healthz, in fused job manifests and in the CLI
+# manifests' config).
+LOC_CEILING ?= 22571
 
-loc-check: ## fail when the non-test Go line total exceeds LOC_CEILING
+loc-check: ## fail when the non-test Go + assembly line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \
-	echo "non-test Go lines: $$total (ceiling $(LOC_CEILING))"; \
+	echo "non-test Go + assembly lines: $$total (ceiling $(LOC_CEILING))"; \
 	if [ "$$total" -gt "$(LOC_CEILING)" ]; then \
 		echo "$$total lines exceed the $(LOC_CEILING)-line ceiling; see 'make loc' for the per-package breakdown"; exit 1; \
 	fi
@@ -177,10 +202,11 @@ docs-check: ## fail when any doc link or file:line anchor no longer resolves
 
 FUZZTIME ?= 30s
 
-fuzz-smoke: ## short fuzz runs of the SPICE parser (alone and against the parser it replaced) and the journal replay path
+fuzz-smoke: ## short fuzz runs of the SPICE parser (alone and against the parser it replaced), the journal replay path, and the vector GEMM leaf against the Go leaf
 	$(GO) test -fuzz=FuzzParseSPICE -fuzztime=$(FUZZTIME) -run='^$$' ./internal/spice
 	$(GO) test -fuzz=FuzzParseDifferential -fuzztime=$(FUZZTIME) -run='^$$' ./internal/spice
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) -run='^$$' ./internal/journal
+	$(GO) test -fuzz=FuzzGemmQuadLeaves -fuzztime=$(FUZZTIME) -run='^$$' ./internal/nn
 
 # Total-statement-coverage floor. Measured at 80.3% when last raised
 # (PR 22; 80.2% at PR 20); the margin absorbs run-to-run noise from

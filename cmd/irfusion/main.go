@@ -33,6 +33,7 @@ import (
 	"irfusion/internal/circuit"
 	"irfusion/internal/core"
 	"irfusion/internal/dataset"
+	"irfusion/internal/nn"
 	"irfusion/internal/pgen"
 	"irfusion/internal/spice"
 )
@@ -170,7 +171,10 @@ func cmdTrain(args []string) error {
 		cfg.UseNumerical = false
 		cfg.Hierarchical = false
 	}
-	finish := of.start("train", cfg)
+	finish := of.start("train", struct {
+		core.Config
+		GemmKernel string `json:"gemm_kernel"`
+	}{cfg, nn.Kernel()})
 	log.Printf("generating %d fake + %d real designs at %dx%d...", *nFake, *nReal, *size, *size)
 	train, err := dataset.GenerateSet(*nFake, *nReal, *size, *seed, cfg.DatasetOptions())
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 
 	"irfusion/internal/core"
 	"irfusion/internal/dataset"
+	"irfusion/internal/nn"
 	"irfusion/internal/pgen"
 	"irfusion/internal/serve"
 	"irfusion/internal/spice"
@@ -172,9 +173,15 @@ func TestAnalyzeFusedRoughBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cmdAnalyze(append([]string{"-model-file", path, "-size", "24", "-seed", "5"}, tc.args...))
+			manifest := filepath.Join(t.TempDir(), "run.json")
+			got, err := cmdAnalyze(append([]string{"-model-file", path, "-size", "24", "-seed", "5", "-manifest", manifest}, tc.args...))
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The manifest says which GEMM leaf its inference time was taken on.
+			var m struct{ Config map[string]any }
+			if raw, err := os.ReadFile(manifest); err != nil || json.Unmarshal(raw, &m) != nil || m.Config["gemm_kernel"] != nn.Kernel() {
+				t.Errorf("manifest config gemm_kernel = %v (read error %v), the process multiplies with %q", m.Config["gemm_kernel"], err, nn.Kernel())
 			}
 			if len(got.Data) != len(want.Data) {
 				t.Fatalf("map has %d cells, want %d", len(got.Data), len(want.Data))

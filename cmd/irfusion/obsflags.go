@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 
+	"irfusion/internal/nn"
 	"irfusion/internal/obs"
 	"irfusion/internal/parallel"
 )
@@ -33,8 +34,13 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 // requested) and returns a finish function that deactivates it,
 // prints the end-of-run summary table to stderr, and writes the
 // manifest when -manifest was given. config is embedded verbatim in
-// the manifest's "config" field.
+// the manifest's "config" field; a map also gets the GEMM leaf of this
+// process (gemm_kernel) beside the caller's keys, because the stage
+// times of two manifests compare only when it agrees.
 func (o *obsFlags) start(kind string, config any) func() error {
+	if m, ok := config.(map[string]any); ok {
+		m["gemm_kernel"] = nn.Kernel()
+	}
 	rec := obs.NewRecorder()
 	pool := parallel.Default()
 	rec.SetGauge("pool.workers", float64(pool.Workers()))

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"irfusion/internal/nn"
@@ -17,6 +18,14 @@ import (
 // trained bit: a kernel change that reorders one summation, at any
 // worker count, changes a hash. Do not re-record them to make a kernel
 // change pass — that change has a different contract and must say so.
+//
+// They are amd64 facts. The language lets a compiler fuse x*y + z into
+// one rounding, and the arm64 compiler does (the GEMM leaf compiles to
+// FMADDD there), so on other architectures the kernels agree with
+// their own in-order reference (nn.TestGemmAgainstNaive runs
+// everywhere) but not with these values. On amd64 both GEMM leaves
+// produce them: the process's leaf here, the other one through
+// nn.TestGemmLeavesAgreeOnModels on the same fixtures.
 var goldenForward = map[string]uint64{
 	"contestwinner": 0xfb8590d79c324d3d,
 	"iredge":        0xe7102becda51e662,
@@ -49,6 +58,9 @@ func bitsHash(vecs ...[]float64) uint64 {
 // forEachPoolSize runs fn with the shared pool forced to 1, 2, 3 and 8
 // workers and every kernel above the serial cutoff dispatching.
 func forEachPoolSize(t *testing.T, fn func(t *testing.T)) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the recorded hashes are amd64 bits: the %s compiler may fuse a multiply and an add into one rounding (FMA)", runtime.GOARCH)
+	}
 	for _, workers := range []int{1, 2, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			prev := parallel.SetDefault(parallel.New(workers).SetMinWork(1))

@@ -209,8 +209,13 @@ func backward(tp *Tape, out, x, w, b *Tensor, seed []float64) (dw, dx, db []floa
 // TestConv2DMatchesWholeImageReference: the panel loop against
 // refConv2D on a nil tape, on an inference tape (twice, block and panel
 // poisoned in between) and on a recording tape, where the gradients —
-// dW is the product with the kept columns — must agree as well.
+// dW is the product with the kept columns — must agree as well, on
+// every GEMM leaf the machine has.
 func TestConv2DMatchesWholeImageReference(t *testing.T) {
+	ForEachLeaf(t, conv2DMatchesWholeImageReference)
+}
+
+func conv2DMatchesWholeImageReference(t *testing.T) {
 	cases := []convCase{
 		{3, 5, 10, 8, 3, 3, 1, 1, 1, false},   // ow 8: the image is one panel
 		{3, 4, 40, 8, 3, 3, 1, 1, 1, false},   // 32-row panels, oh not a multiple

@@ -1,6 +1,9 @@
 package nn
 
-import "math"
+import (
+	"math"
+	"testing"
+)
 
 // Poison fills everything an inference tape will lend or use as
 // scratch — its block and its column panel — with NaN, so an op that
@@ -24,4 +27,17 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 		panic("nn: FromSlice size mismatch")
 	}
 	return t
+}
+
+// ForEachLeaf runs fn as a subtest on every GEMM leaf this machine has:
+// the one the process selected and, where that is the vector leaf, the
+// Go leaf as well. Tests that pin bits run under it so that both leaves
+// are held to the same recorded values.
+func ForEachLeaf(t *testing.T, fn func(t *testing.T)) {
+	t.Run("leaf="+Kernel(), fn)
+	if useAVX2 {
+		useAVX2 = false
+		defer func() { useAVX2 = true }()
+		t.Run("leaf=go", fn)
+	}
 }

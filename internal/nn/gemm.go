@@ -26,6 +26,17 @@ const gemmMinWork = 64
 // k×256 panel of B stays in L2 across the row quads.
 const gemmPanel = 256
 
+// Kernel names the GEMM leaf this process multiplies with: "avx2" where
+// the processor and operating system support it (gemm_amd64.go), "go"
+// everywhere else. A latency is only comparable to another taken on the
+// same leaf, so /healthz and the run manifests report it.
+func Kernel() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
+
 // parallelFor splits [0, n) across the shared worker pool and runs
 // fn(start, end) on each chunk concurrently; see gemmMinWork.
 //
@@ -53,6 +64,13 @@ func serialFor(n int) bool {
 // at −0) the result is bit for bit the in-order triple loop's, at every
 // worker count. No multiplicand is skipped: 0·Inf is NaN, and a NaN or
 // Inf in a row of A or a column of B reaches every element it feeds.
+//
+// Pinned bits are per architecture. The language lets a compiler fuse
+// x*y + z into one rounding: the amd64 compiler does not, the arm64
+// compiler does — in these kernels and in the in-order loop alike, so
+// the paragraph above holds on each, but the hashes recorded in
+// models/golden_test.go are amd64's. On amd64 both leaves of gemmQuad
+// produce them.
 //
 //irfusion:hotpath
 func gemm(a []float64, b []float64, c []float64, m, k, n int, accumulate bool) {
@@ -142,19 +160,49 @@ func gemmRange(a, b, c []float64, sai, sap, k, n, ldb, ldc int, accumulate bool,
 }
 
 // gemmQuad adds four rows of A times a column panel of B (row stride
-// ldb, panel starting at b[0]) into the panel rows c0..c3. Four rows of
-// B are consumed per pass with the sixteen A scalars in locals: one
-// load of each B element and one load and store of each C element feed
-// sixteen multiply-adds, against two loads and a store for every one
-// in the plain i-p-j loop. Each cⱼ still receives its products in p
-// order — Go evaluates c + x₀ + x₁ + x₂ + x₃ left to right.
+// ldb, panel starting at b[0]) into the panel rows c0..c3. Where the
+// processor has AVX2 the k&^3 × w&^3 body goes to gemmQuadAVX2, whose
+// every lane runs gemmQuadGo's expression for one column — multiply,
+// round, add, round, in p order — and gemmQuadGo finishes the p
+// remainder over those columns and then the remaining columns over all
+// of k, so each element still receives its products in p order and the
+// bits are gemmQuadGo's alone. The leaf is chosen from what the machine
+// reports (useAVX2), never by a caller: gemmQuadGo is the
+// specification, the oracle of the differential tests, and the only
+// leaf on every other architecture.
 //
 //irfusion:hotpath
 func gemmQuad(a, b, c0, c1, c2, c3 []float64, sai, sap, k, ldb int) {
 	w := len(c0)
+	k4, w4 := k&^3, w&^3
+	if !useAVX2 || k4 == 0 || w4 == 0 {
+		gemmQuadGo(a, b, c0, c1, c2, c3, sai, sap, 0, k, ldb)
+		return
+	}
+	c1, c2, c3 = c1[:w], c2[:w], c3[:w]
+	_, _ = a[3*sai+(k4-1)*sap], b[(k4-1)*ldb+w4-1] // the last elements the kernel reads: it checks no bound itself
+	gemmQuadAVX2(&a[0], &b[0], &c0[0], &c1[0], &c2[0], &c3[0], sai, sap, k4, ldb, w4)
+	if k4 < k {
+		gemmQuadGo(a, b, c0[:w4], c1, c2, c3, sai, sap, k4, k, ldb)
+	}
+	if w4 < w {
+		gemmQuadGo(a, b[w4:], c0[w4:], c1[w4:], c2[w4:], c3[w4:], sai, sap, 0, k, ldb)
+	}
+}
+
+// gemmQuadGo is gemmQuad for products [p0, k) in portable Go. Four rows
+// of B are consumed per pass with the sixteen A scalars in locals: one
+// load of each B element and one load and store of each C element feed
+// sixteen multiply-adds, against two loads and a store for every one
+// in the plain i-p-j loop. Each cⱼ receives its products in p order —
+// Go evaluates c + x₀ + x₁ + x₂ + x₃ left to right.
+//
+//irfusion:hotpath
+func gemmQuadGo(a, b, c0, c1, c2, c3 []float64, sai, sap, p0, k, ldb int) {
+	w := len(c0)
 	c1, c2, c3 = c1[:w], c2[:w], c3[:w]
 	a1, a2, a3 := a[sai:], a[2*sai:], a[3*sai:]
-	p := 0
+	p := p0
 	for ; p+4 <= k; p += 4 {
 		q0, q1, q2, q3 := p*sap, (p+1)*sap, (p+2)*sap, (p+3)*sap
 		a00, a01, a02, a03 := a[q0], a[q1], a[q2], a[q3]

@@ -21,7 +21,8 @@ var servedGemmShapes = []struct{ m, k, n, calls int }{
 	{1, 2, 8, 2}, {1, 4, 16, 2}, {1, 8, 2, 2}, {1, 8, 32, 2}, {1, 16, 4, 2}, {1, 32, 8, 2},
 }
 
-// BenchmarkGemmServedShapes times each variant, and the in-order
+// BenchmarkGemmServedShapes times each variant, gemm again on the Go
+// leaf where the process runs the vector leaf, and the in-order
 // reference, on every served shape. GF/s is 2·m·k·n over the time;
 // MB/op is computed, not measured: A, B and C touched once each.
 func BenchmarkGemmServedShapes(b *testing.B) {
@@ -41,6 +42,13 @@ func BenchmarkGemmServedShapes(b *testing.B) {
 		}
 		for _, v := range gemmVariants {
 			run(v.name, func() { v.run(x, y, c, m, k, n, false) })
+		}
+		if useAVX2 {
+			// The same call on the Go leaf: gemm over gemm/go is what
+			// the vector leaf buys on this shape.
+			useAVX2 = false
+			run("gemm/go", func() { gemm(x, y, c, m, k, n, false) })
+			useAVX2 = true
 		}
 		run("reference", func() { gemmRef(false, x, y, c, k, 1, m, k, n, false) })
 	}

@@ -107,14 +107,26 @@ func firstBitDiff(got, want []float64) int {
 	return -1
 }
 
+// sameFloats reports the first index where got and want differ, or -1:
+// bits must agree, except that any NaN matches any NaN (no leaf
+// promises which payload survives where two meet).
+func sameFloats(got, want []float64) int {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
 // TestGemmAgainstNaive: over the shapes the blocking branches on (row
 // quads and their remainders, k quads and theirs, one panel, a panel
 // boundary, many panels), with and without accumulation into a
 // pre-filled C, at 1, 2, 3 and 8 workers once m reaches the parallel
 // cutoff, and over arbitrary row sub-ranges of the leaf, every variant
-// returns exactly the bits of the in-order reference.
+// returns exactly the bits of the in-order reference — on every leaf
+// the machine has.
 func TestGemmAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
 	pools := []*parallel.Pool{parallel.New(1), parallel.New(2), parallel.New(3), parallel.New(8)}
 	prev := parallel.SetDefault(pools[0])
 	defer func() {
@@ -123,6 +135,11 @@ func TestGemmAgainstNaive(t *testing.T) {
 			pool.Close()
 		}
 	}()
+	ForEachLeaf(t, func(t *testing.T) { gemmAgainstNaive(t, pools) })
+}
+
+func gemmAgainstNaive(t *testing.T, pools []*parallel.Pool) {
+	rng := rand.New(rand.NewSource(21))
 	for _, m := range []int{1, 3, 4, 5, 8, 13, 64, 67} {
 		for _, k := range []int{1, 3, 4, 7, 72, 99} {
 			for _, n := range []int{1, 7, 255, 256, 257, 1024, 4096} {
@@ -174,7 +191,7 @@ func TestGemmAgainstNaive(t *testing.T) {
 // input must not hide (cf. metrics.TestNaNPropagation).
 func TestGemmPropagatesNonFinite(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
-	for _, tc := range []struct {
+	cases := []struct {
 		name string
 		a, b []float64 // a is 1×2, b is 2×1
 		want float64
@@ -185,13 +202,48 @@ func TestGemmPropagatesNonFinite(t *testing.T) {
 		{"1*Inf", []float64{1, 1}, []float64{inf, 2}, inf},
 		{"Inf-Inf", []float64{1, -1}, []float64{inf, inf}, nan},
 		{"finite", []float64{0, 1}, []float64{5, 2}, 2},
-	} {
+	}
+	same := func(x, y float64) bool { return x == y || math.IsNaN(x) && math.IsNaN(y) } //irfusion:exact Inf and small integers are exact
+	for _, tc := range cases {
 		for _, v := range gemmVariants {
 			// m = n = 1, so A, Aᵀ, B and Bᵀ share one layout.
 			c := []float64{0}
 			v.run(tc.a, tc.b, c, 1, 2, 1, false)
-			if c[0] != tc.want && !(math.IsNaN(c[0]) && math.IsNaN(tc.want)) { //irfusion:exact Inf and small integers are exact
+			if !same(c[0], tc.want) {
 				t.Errorf("%s %s: got %v, want %v", v.name, tc.name, c[0], tc.want)
+			}
+		}
+	}
+	// The same two products inside a 6×6×7 multiplication, zeros
+	// elsewhere, placed in the body the vector leaf takes (rows 0-3,
+	// p 0-3, columns 0-3) and in each remainder around it. Element
+	// (r, q) is the case's value; every other element is whatever the
+	// in-order loop makes of a zero meeting the Inf or NaN.
+	const m, k, n = 6, 6, 7
+	for _, tc := range cases {
+		for _, v := range gemmVariants {
+			for _, at := range [][3]int{{1, 0, 2}, {1, 4, 2}, {1, 0, 6}, {5, 0, 2}, {5, 4, 6}} {
+				r, p0, q := at[0], at[1], at[2]
+				a, b := make([]float64, m*k), make([]float64, k*n)
+				sai, sap := k, 1
+				if v.transA {
+					sai, sap = 1, m
+				}
+				sbp, sbj := n, 1
+				if v.transB {
+					sbp, sbj = 1, k
+				}
+				a[r*sai+p0*sap], a[r*sai+(p0+1)*sap] = tc.a[0], tc.a[1]
+				b[p0*sbp+q*sbj], b[(p0+1)*sbp+q*sbj] = tc.b[0], tc.b[1]
+				got, want := make([]float64, m*n), make([]float64, m*n)
+				v.run(a, b, got, m, k, n, false)
+				gemmRef(v.transB, a, b, want, sai, sap, m, k, n, false)
+				if !same(got[r*n+q], tc.want) {
+					t.Errorf("%s %s at (%d,%d,%d): got %v, want %v", v.name, tc.name, r, p0, q, got[r*n+q], tc.want)
+				}
+				if i := sameFloats(got, want); i >= 0 {
+					t.Errorf("%s %s at (%d,%d,%d): c[%d] = %v, in-order loop %v", v.name, tc.name, r, p0, q, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -21,6 +21,7 @@ import (
 	"irfusion/internal/faults"
 	"irfusion/internal/grid"
 	"irfusion/internal/journal"
+	"irfusion/internal/nn"
 	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
 	"irfusion/internal/plan"
@@ -379,6 +380,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"queue_cap":      s.cfg.QueueDepth,
 		"pool_workers":   pw,
 		"pool_min_work":  pm,
+		"gemm_kernel":    nn.Kernel(),
 		"fused_model":    s.cfg.Analyzer != nil,
 		"cache_enabled":  s.cache != nil,
 		"cache_entries":  s.cache.Len(),
@@ -585,6 +587,9 @@ func (s *Server) runJob(j *Job) {
 		"iters":   j.req.Iters,
 		"precond": j.req.Precond,
 		"design":  j.name,
+	}
+	if j.req.Mode == ModeFused {
+		cfgMap["gemm_kernel"] = nn.Kernel() // which GEMM leaf the inference time below was taken on
 	}
 	if j.digest != "" && s.cache != nil {
 		// The admission memo's verdict on this job's body, counted on the

@@ -16,6 +16,7 @@ import (
 	"irfusion/internal/core"
 	"irfusion/internal/dataset"
 	"irfusion/internal/journal"
+	"irfusion/internal/nn"
 	"irfusion/internal/pgen"
 )
 
@@ -112,6 +113,9 @@ func TestFusedAnalyze(t *testing.T) {
 		m := r.Manifest
 		if m == nil {
 			t.Fatalf("async=%t: no manifest", async)
+		}
+		if cfg, _ := m.Config.(map[string]any); cfg["gemm_kernel"] != nn.Kernel() {
+			t.Errorf("async=%t: manifest config gemm_kernel = %v, want %q beside mode and iters", async, cfg["gemm_kernel"], nn.Kernel())
 		}
 		stages := map[string]bool{}
 		for _, st := range m.Stages {

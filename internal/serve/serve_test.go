@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"irfusion/internal/nn"
 )
 
 // newTestServer boots a service plus an httptest front end and tears
@@ -415,6 +417,9 @@ func TestHealthzAndMetricsz(t *testing.T) {
 	}
 	if h["workers"].(float64) != 3 || h["queue_cap"].(float64) != 5 {
 		t.Errorf("healthz sizing wrong: %v", h)
+	}
+	if h["gemm_kernel"] != nn.Kernel() {
+		t.Errorf("healthz gemm_kernel = %v, the process multiplies with %q", h["gemm_kernel"], nn.Kernel())
 	}
 
 	// Run one job so serve counters are non-zero.
