@@ -35,7 +35,6 @@ import (
 	"irfusion/internal/pgen"
 	"irfusion/internal/serve"
 	"irfusion/internal/solver"
-	"irfusion/internal/sparse"
 	"irfusion/internal/spice"
 )
 
@@ -256,6 +255,11 @@ func BenchmarkSolverStageSetup(b *testing.B) {
 	}
 }
 
+// BenchmarkSolverConverged times a converged solve per preconditioner
+// on the fixture die, and AMG-PCG on the 512 µm die (96 130 unknowns,
+// 348 764 stored entries, past SpMV's measured parallel break-even):
+// the row a proposal to parallelise the numerical stage again has to
+// beat (EXPERIMENTS.md "One serial numerical core").
 func BenchmarkSolverConverged(b *testing.B) {
 	f := benchFixtures(b)
 	pres := map[string]solver.Preconditioner{
@@ -265,23 +269,35 @@ func BenchmarkSolverConverged(b *testing.B) {
 		"AMGKPC":   f.hier,
 	}
 	for name, pre := range pres {
-		b.Run(name, func(b *testing.B) {
-			x := make([]float64, f.sys.N())
-			opts := solver.Options{Tol: 1e-10, MaxIter: 20000, Flexible: name == "AMGKPC"}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range x {
-					x[j] = 0
-				}
-				res, err := solver.PCG(f.sys.G, x, f.sys.I, pre, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Converged {
-					b.Fatal("did not converge")
-				}
+		b.Run(name, func(b *testing.B) { benchConverged(b, f.sys, pre, name == "AMGKPC") })
+	}
+	b.Run(benchName("die", 512), func(b *testing.B) {
+		b.Run("AMGKPC", func(b *testing.B) {
+			sys := benchSystem(b, 512)
+			h, err := amg.Build(sys.G, amg.DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
 			}
+			benchConverged(b, sys, h, true)
 		})
+	})
+}
+
+func benchConverged(b *testing.B, sys *circuit.System, pre solver.Preconditioner, flexible bool) {
+	x := make([]float64, sys.N())
+	opts := solver.Options{Tol: 1e-10, MaxIter: 20000, Flexible: flexible}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range x {
+			x[j] = 0
+		}
+		res, err := solver.PCG(sys.G, x, sys.I, pre, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Converged {
+			b.Fatal("did not converge")
+		}
 	}
 }
 
@@ -540,11 +556,11 @@ func benchName(prefix string, k int) string {
 }
 
 // --- Parallel kernel scaling (serial vs worker-pool execution) --------
-// Each benchmark sweeps the shared pool across 1/2/4/8 workers; the
-// workers=1 row is the bitwise-exact serial baseline. Speedups track
-// physical cores — on a single-core runner the rows mainly expose
-// dispatch overhead. The threshold is forced to 1 so the parallel
-// path engages even on the miniature benchmark grid.
+// The pool serves nn's row-parallel GEMM only (the numerical stage is
+// serial; BenchmarkSolverConverged/die=512 is its row). The benchmark
+// sweeps the shared pool across 1/2/4/8 workers; the workers=1 row is
+// the bitwise-exact serial baseline. Speedups track physical cores —
+// on a single-core runner the rows mainly expose dispatch overhead.
 
 // benchAtWorkers runs body once per worker count with the default
 // pool swapped accordingly. Each row also reports the pool
@@ -556,80 +572,25 @@ func benchName(prefix string, k int) string {
 // The workers=1 rows report pool-util 0 by construction (the
 // single-worker pool is the serial baseline).
 func benchAtWorkers(b *testing.B, body func(b *testing.B)) {
-	dispatchCounters := []string{
-		"parallel.for.parallel", "parallel.for.serial",
-		"parallel.do.parallel", "parallel.do.serial",
-	}
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(benchName("workers", w), func(b *testing.B) {
-			pool := parallel.New(w).SetMinWork(1)
+			pool := parallel.New(w)
 			prev := parallel.SetDefault(pool)
 			defer func() {
 				parallel.SetDefault(prev)
 				pool.Close()
 			}()
-			before := make(map[string]int64, len(dispatchCounters))
-			for _, name := range dispatchCounters {
-				before[name] = obs.CounterValue(name)
-			}
+			par0 := obs.CounterValue("parallel.for.parallel")
+			ser0 := obs.CounterValue("parallel.for.serial")
 			body(b)
-			par := (obs.CounterValue("parallel.for.parallel") - before["parallel.for.parallel"]) +
-				(obs.CounterValue("parallel.do.parallel") - before["parallel.do.parallel"])
-			ser := (obs.CounterValue("parallel.for.serial") - before["parallel.for.serial"]) +
-				(obs.CounterValue("parallel.do.serial") - before["parallel.do.serial"])
+			par := obs.CounterValue("parallel.for.parallel") - par0
+			ser := obs.CounterValue("parallel.for.serial") - ser0
 			if total := par + ser; total > 0 {
 				b.ReportMetric(float64(par)/float64(total), "pool-util")
 				b.ReportMetric(float64(par)/float64(b.N), "par-kernels/op")
 			}
 		})
 	}
-}
-
-func BenchmarkParallelSpMV(b *testing.B) {
-	f := benchFixtures(b)
-	benchAtWorkers(b, func(b *testing.B) {
-		x := make([]float64, f.sys.N())
-		y := make([]float64, f.sys.N())
-		rng := rand.New(rand.NewSource(1))
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f.sys.G.MulVec(y, x)
-		}
-	})
-}
-
-func BenchmarkParallelPCGRough(b *testing.B) {
-	f := benchFixtures(b)
-	benchAtWorkers(b, func(b *testing.B) {
-		pre := solver.NewSSOR(f.sys.G, 2)
-		x := make([]float64, f.sys.N())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range x {
-				x[j] = 0
-			}
-			if _, err := solver.PCG(f.sys.G, x, f.sys.I, pre, solver.RoughOptions(10)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkParallelJacobiSmoother(b *testing.B) {
-	f := benchFixtures(b)
-	benchAtWorkers(b, func(b *testing.B) {
-		n := f.sys.N()
-		x := make([]float64, n)
-		scratch := make([]float64, n)
-		diag := f.sys.G.Diag()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sparse.JacobiSweepsDiag(f.sys.G, x, f.sys.I, diag, 2.0/3.0, 4, scratch)
-		}
-	})
 }
 
 func BenchmarkParallelConvForward(b *testing.B) {

@@ -60,9 +60,7 @@ func main() {
 	}
 
 	rec := obs.NewRecorder()
-	pool := parallel.Default()
-	rec.SetGauge("pool.workers", float64(pool.Workers()))
-	rec.SetGauge("pool.min_work", float64(pool.MinWork()))
+	rec.SetGauge("pool.workers", float64(parallel.Default().Workers()))
 	obs.SetActive(rec)
 	if *debug != "" {
 		if _, addr, err := obs.ServeDebug(*debug); err != nil {

@@ -42,9 +42,7 @@ func (o *obsFlags) start(kind string, config any) func() error {
 		m["gemm_kernel"] = nn.Kernel()
 	}
 	rec := obs.NewRecorder()
-	pool := parallel.Default()
-	rec.SetGauge("pool.workers", float64(pool.Workers()))
-	rec.SetGauge("pool.min_work", float64(pool.MinWork()))
+	rec.SetGauge("pool.workers", float64(parallel.Default().Workers()))
 	prev := obs.SetActive(rec)
 	var srv *http.Server
 	if *o.debugAddr != "" {

@@ -54,18 +54,18 @@ type expectation struct {
 
 var rehearsals = []row{
 	{name: "cold", steps: analysis{}.run,
-		expect: []expectation{solved, dispatched}},
+		expect: []expectation{solved}},
 	// Every AMG-rung solve breaks down; the ladder must serve from SSOR
 	// and the degradation trail must say so.
 	{name: "degraded", faults: "solver.pcg:breakdown:label=numerical.amg", steps: analysis{}.run,
-		expect: []expectation{solved, dispatched, degraded}},
+		expect: []expectation{solved, degraded}},
 	// Repeat 2's lookup returns a poisoned solution the residual guard
 	// must reject, repeat 3 loses its entry to an eviction race, every
 	// neighbour search pays injected latency; the cache must still
 	// serve and re-store.
 	{name: "cache-chaos", faults: "cache.lookup:stale:times=1;cache.lookup:evict:times=1,after=1;cache.delta:latency:delay=5ms",
 		steps:  analysis{cached: true, repeats: 4}.run,
-		expect: []expectation{solved, dispatched, cacheServed, staleCaught}},
+		expect: []expectation{solved, cacheServed, staleCaught}},
 	// The one manifest with no solve in it: an exact repeat answered
 	// from the artifact cache.
 	{name: "cache-hit", steps: analysis{cached: true, prime: 1}.run,
@@ -73,12 +73,12 @@ var rehearsals = []row{
 	// A panic mid-solve: the worker requeues the job once and the retry
 	// resumes from the in-cache checkpoint.
 	{name: "requeue", faults: "solver.pcg:panic:label=numerical.amg,after=10,times=1", steps: requeue,
-		expect: []expectation{solved, dispatched, resumedFrom("requeue")}},
+		expect: []expectation{solved, resumedFrom("requeue")}},
 	// A hard crash with the solve parked just after its first durable
 	// checkpoint: the next incarnation replays the journal and resumes
 	// the orphan from the blob.
 	{name: "restart", faults: "checkpoint.save:stall:after=1", steps: restart,
-		expect: []expectation{solved, dispatched, resumedFrom("restart")}},
+		expect: []expectation{solved, resumedFrom("restart")}},
 }
 
 var (
@@ -89,15 +89,6 @@ var (
 			}
 		}
 		return false
-	}}
-	dispatched = expectation{"parallel.* kernel dispatch counters", func(m *obs.Manifest) bool {
-		var n int64
-		for name, v := range m.Counters {
-			if strings.HasPrefix(name, "parallel.") {
-				n += v
-			}
-		}
-		return n > 0
 	}}
 	degraded = expectation{"a degradation record showing a fallback, retry, or breaker skip", func(m *obs.Manifest) bool {
 		for i := range m.Degradations {

@@ -7,15 +7,8 @@ package amg
 import (
 	"testing"
 
-	"irfusion/internal/parallel"
 	"irfusion/internal/race"
 )
-
-func pinSerialPool(t *testing.T) {
-	t.Helper()
-	prev := parallel.SetDefault(parallel.New(1))
-	t.Cleanup(func() { parallel.SetDefault(prev) })
-}
 
 func requireZeroAllocs(t *testing.T, name string, fn func()) {
 	t.Helper()
@@ -29,7 +22,6 @@ func requireZeroAllocs(t *testing.T, name string, fn func()) {
 }
 
 func TestZeroAllocTransferKernels(t *testing.T) {
-	pinSerialPool(t)
 	a := laplacian2D(16, 16)
 	h, err := Build(a, DefaultOptions())
 	if err != nil {
@@ -52,7 +44,6 @@ func TestZeroAllocTransferKernels(t *testing.T) {
 }
 
 func TestZeroAllocSweepKernels(t *testing.T) {
-	pinSerialPool(t)
 	a := laplacian2D(16, 16)
 	dpos, err := diagPositions(a)
 	if err != nil {
@@ -68,7 +59,6 @@ func TestZeroAllocSweepKernels(t *testing.T) {
 }
 
 func TestZeroAllocApply(t *testing.T) {
-	pinSerialPool(t)
 	a := laplacian2D(40, 40)
 	for _, cyc := range []Cycle{VCycle, KCycle} {
 		opts := DefaultOptions()

@@ -19,7 +19,6 @@ import (
 
 	"irfusion/internal/faults"
 	"irfusion/internal/obs"
-	"irfusion/internal/parallel"
 	"irfusion/internal/sparse"
 )
 
@@ -413,32 +412,11 @@ func restrict(agg []int, rc, r []float64) {
 	}
 }
 
-// cForSerial accounts the serial fast paths of the cycle kernels
-// under the pool's own elementwise-serial counter, keeping
-// pool-utilization numbers honest (same idiom as package sparse).
-var cForSerial = obs.GlobalCounter("parallel.for.serial")
-
-// prolongAdd computes x += P·xc. Each fine row i writes only x[i], so
-// the loop is row-parallel.
+// prolongAdd computes x += P·xc through the aggregation map.
 //
 //irfusion:hotpath
 func prolongAdd(agg []int, x, xc []float64) {
-	pool := parallel.Default()
-	if pool.SerialFor(len(agg)) {
-		cForSerial.Inc()
-		prolongAddRange(agg, x, xc, 0, len(agg))
-		return
-	}
-	pool.For(len(agg), func(lo, hi int) {
-		prolongAddRange(agg, x, xc, lo, hi)
-	})
-}
-
-// prolongAddRange is the serial x += P·xc leaf over rows [lo, hi).
-//
-//irfusion:hotpath
-func prolongAddRange(agg []int, x, xc []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		x[i] += xc[agg[i]]
+	for i, g := range agg {
+		x[i] += xc[g]
 	}
 }

@@ -236,7 +236,7 @@ func (w *hotpathWalker) call(call *ast.CallExpr) {
 	}
 
 	// Walk the callee expression itself (a receiver chain like
-	// parallel.Default().SerialFor contains a nested call to check).
+	// parallel.Default().SerialForMin contains a nested call to check).
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 		w.expr(sel.X)
 	}

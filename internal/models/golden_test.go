@@ -56,14 +56,14 @@ func bitsHash(vecs ...[]float64) uint64 {
 }
 
 // forEachPoolSize runs fn with the shared pool forced to 1, 2, 3 and 8
-// workers and every kernel above the serial cutoff dispatching.
+// workers, so every GEMM above nn's serial cutoff dispatches.
 func forEachPoolSize(t *testing.T, fn func(t *testing.T)) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("the recorded hashes are amd64 bits: the %s compiler may fuse a multiply and an add into one rounding (FMA)", runtime.GOARCH)
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			prev := parallel.SetDefault(parallel.New(workers).SetMinWork(1))
+			prev := parallel.SetDefault(parallel.New(workers))
 			defer func() { parallel.SetDefault(prev).Close() }()
 			fn(t)
 		})

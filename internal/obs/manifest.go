@@ -147,10 +147,10 @@ func (r *Recorder) Manifest(kind string, config any) *Manifest {
 	}
 
 	// Derived pool-utilization gauge from the well-known parallel.*
-	// counters (see internal/parallel): the fraction of kernel
-	// dispatches that actually ran on the worker pool.
-	par := m.Counters["parallel.for.parallel"] + m.Counters["parallel.do.parallel"]
-	ser := m.Counters["parallel.for.serial"] + m.Counters["parallel.do.serial"]
+	// counters (see internal/parallel): the fraction of ForMin loops
+	// that actually ran on the worker pool.
+	par := m.Counters["parallel.for.parallel"]
+	ser := m.Counters["parallel.for.serial"]
 	if par+ser > 0 {
 		m.Gauges["pool.parallel_fraction"] = float64(par) / float64(par+ser)
 	}
@@ -325,8 +325,8 @@ func (m *Manifest) Summary() string {
 		fmt.Fprintf(&b, "resume: %s from %s at iteration %d (key %s)\n",
 			rs.Outcome, orDash(rs.From), rs.Iter, orDash(rs.CheckpointKey))
 	}
-	par := m.Counters["parallel.for.parallel"] + m.Counters["parallel.do.parallel"]
-	ser := m.Counters["parallel.for.serial"] + m.Counters["parallel.do.serial"]
+	par := m.Counters["parallel.for.parallel"]
+	ser := m.Counters["parallel.for.serial"]
 	if par+ser > 0 {
 		fmt.Fprintf(&b, "pool: %d kernel dispatches, %.1f%% parallel, %d helper tasks\n",
 			par+ser, 100*float64(par)/float64(par+ser), m.Counters["parallel.tasks"])

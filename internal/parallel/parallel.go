@@ -1,38 +1,29 @@
-// Package parallel provides the shared worker pool behind every
-// multi-threaded numerical kernel in this repository: sparse
-// matrix-vector products, multigrid smoothers, the PCG reduction
-// kernels, and the dense GEMM / im2col loops of the neural stage.
+// Package parallel provides the worker pool behind the row-parallel
+// GEMM loops of the neural stage (package nn).
+//
+// The numerical stage (packages sparse, solver and amg) does not use
+// it: every kernel of an AMG-PCG solve is one serial loop. A dispatch
+// costs about 170 µs of kernel time on the 2-vCPU reference host, SpMV
+// breaks even only past ~150k stored entries, and the largest die the
+// service admits (256 µm) has 87 116; a converged solve at 256, 384
+// and 512 µm ran no faster on two workers than on one, with the same
+// solution bits (EXPERIMENTS.md "One serial numerical core", the
+// size-axis table). A future pool proposal for the solver has
+// BenchmarkSolverConverged's die=512 row to beat.
 //
 // The pool keeps a fixed set of persistent goroutines alive for the
-// lifetime of the process, so hot solver loops pay no goroutine
-// spawn cost per kernel call. Work is handed out through an atomic
-// chunk counter (work stealing between the caller and the pool
-// workers), which makes nested parallel calls deadlock-free: the
-// calling goroutine always participates and can finish the job alone
-// if every worker is busy.
+// lifetime of the process, so hot loops pay no goroutine spawn cost per
+// call. Work is handed out through an atomic chunk counter (work
+// stealing between the caller and the pool workers), which makes
+// nested parallel calls deadlock-free: the calling goroutine always
+// participates and can finish the job alone if every worker is busy.
 //
-// # Sizing and knobs
-//
-//   - Worker count defaults to runtime.GOMAXPROCS(0) and can be
-//     overridden with the IRFUSION_WORKERS environment variable or
-//     programmatically with New / SetDefault.
-//   - Kernels fall back to their exact serial implementation when the
-//     problem is smaller than the pool's minimum-work threshold
-//     (default DefaultMinWork, overridable with the
-//     IRFUSION_PAR_THRESHOLD environment variable or SetMinWork), so
-//     tiny grids and coarse multigrid levels never pay dispatch
-//     overhead.
-//
-// # Determinism
-//
-// Elementwise loops (For) partition work by index and are bitwise
-// deterministic at every worker count. Floating-point reductions
-// (ReduceSum) use a fixed block size that is independent of the
-// worker count, with block partials accumulated in block order, so a
-// reduction over n elements returns the same bits at 2, 4, or 8
-// workers and across repeated runs. A pool with a single worker (or a
-// below-threshold problem) runs the plain serial loop, reproducing
-// the pre-parallel seed results bit-for-bit.
+// The worker count defaults to runtime.GOMAXPROCS(0) and can be
+// overridden with the IRFUSION_WORKERS environment variable or
+// programmatically with New / SetDefault. ForMin partitions work by
+// index, so elementwise loops are bitwise deterministic at every worker
+// count; below the caller's threshold it runs fn(0, n) on the calling
+// goroutine.
 package parallel
 
 import (
@@ -50,56 +41,35 @@ import (
 // behind the worker-pool utilization reported in run manifests and
 // the bench_test worker-sweep metrics:
 //
-//	parallel.for.parallel  For/ForMin kernels dispatched to the pool
-//	parallel.for.serial    For/ForMin kernels on the serial fallback
-//	parallel.do.parallel   Do/ReduceSum kernels dispatched to the pool
-//	parallel.do.serial     Do/ReduceSum kernels on the serial fallback
+//	parallel.for.parallel  ForMin loops dispatched to the pool
+//	parallel.for.serial    ForMin loops on the serial fallback
 //	parallel.tasks         helper tasks accepted by pool workers
 var (
 	cForParallel = obs.GlobalCounter("parallel.for.parallel")
 	cForSerial   = obs.GlobalCounter("parallel.for.serial")
-	cDoParallel  = obs.GlobalCounter("parallel.do.parallel")
-	cDoSerial    = obs.GlobalCounter("parallel.do.serial")
 	cTasks       = obs.GlobalCounter("parallel.tasks")
 )
 
 const (
-	// DefaultMinWork is the default minimum problem size (loop
-	// iterations for For, vector elements for ReduceSum, stored entries
-	// for SpMV) below which kernels run serially: below it no kernel
-	// repaid a dispatch's channel hand-off and WaitGroup park on the
-	// 2-vCPU reference host (SpMV breaks even near 150k entries, dot and
-	// axpy near 400k elements; EXPERIMENTS.md "AMG at its arithmetic cost").
-	DefaultMinWork = 131072
-	// ReduceBlock is the fixed block size of deterministic
-	// reductions. It depends only on the problem size — never on the
-	// worker count — which is what makes ReduceSum reproducible
-	// across pool configurations.
-	ReduceBlock = 4096
 	// MaxWorkers caps the pool size; worker counts are inputs from
 	// env vars and options, and a runaway value must not fork-bomb
 	// the scheduler. Oversubscription beyond NumCPU is allowed (it is
 	// useful for scaling tests on small machines).
 	MaxWorkers = 1024
 
-	// chunksPerWorker oversubscribes For chunks relative to workers
-	// so an unlucky chunk (e.g. dense rows of a CSR matrix) does not
-	// leave the rest of the pool idle.
+	// chunksPerWorker oversubscribes ForMin chunks relative to workers
+	// so an unlucky chunk does not leave the rest of the pool idle.
 	chunksPerWorker = 4
 )
 
-// envWorkers and envMinWork names of the process-wide knobs.
-const (
-	envWorkers = "IRFUSION_WORKERS"
-	envMinWork = "IRFUSION_PAR_THRESHOLD"
-)
+// envWorkers names the process-wide worker-count knob.
+const envWorkers = "IRFUSION_WORKERS"
 
 // Pool is a fixed-size set of persistent worker goroutines. A Pool of
 // one worker executes everything on the calling goroutine. The zero
 // value is not usable; construct with New.
 type Pool struct {
 	workers int
-	minWork int
 	tasks   chan func()
 	closed  atomic.Bool
 }
@@ -119,10 +89,7 @@ func New(workers int) *Pool {
 	if workers > MaxWorkers {
 		workers = MaxWorkers
 	}
-	p := &Pool{workers: workers, minWork: envInt(envMinWork, DefaultMinWork)}
-	if p.minWork < 1 {
-		p.minWork = 1
-	}
+	p := &Pool{workers: workers}
 	if workers > 1 {
 		p.tasks = make(chan func())
 		for i := 0; i < workers-1; i++ {
@@ -143,37 +110,14 @@ func worker(tasks chan func()) {
 //irfusion:hotpath
 func (p *Pool) Workers() int { return p.workers }
 
-// MinWork returns the serial-fallback threshold.
-//
-//irfusion:hotpath
-func (p *Pool) MinWork() int { return p.minWork }
-
-// SerialFor reports whether a For of n iterations would run on the
+// SerialForMin reports whether ForMin(n, minWork, …) would run on the
 // calling goroutine. Hot kernels branch on it to run their plain
 // serial loop directly — skipping the closure construction a pool
 // dispatch needs — which is what keeps their serial steady state
 // allocation-free (see the //irfusion:hotpath contract).
 //
 //irfusion:hotpath
-func (p *Pool) SerialFor(n int) bool { return p.serial() || n < p.minWork }
-
-// SerialForMin is SerialFor with an explicit threshold, matching
-// ForMin.
-//
-//irfusion:hotpath
 func (p *Pool) SerialForMin(n, minWork int) bool { return p.serial() || n < minWork }
-
-// SetMinWork sets the serial-fallback threshold (clamped to >= 1) and
-// returns the pool for chaining. Not safe to call concurrently with
-// kernel dispatch; intended for configuration at construction time
-// and in tests.
-func (p *Pool) SetMinWork(n int) *Pool {
-	if n < 1 {
-		n = 1
-	}
-	p.minWork = n
-	return p
-}
 
 // Close releases the pool's worker goroutines. The pool remains
 // usable afterwards but runs everything on the calling goroutine.
@@ -218,20 +162,12 @@ submit:
 	wg.Wait()
 }
 
-// For runs fn over contiguous sub-ranges covering [0, n), in parallel
-// when n is at least the pool threshold. Each index is visited
-// exactly once; fn must be safe to call concurrently on disjoint
-// ranges. Elementwise updates are bitwise identical at every worker
-// count.
-//
-//irfusion:hotpath-allow closures and chunk bookkeeping allocate only on the parallel dispatch path; kernels use SerialFor to skip it entirely when serial
-func (p *Pool) For(n int, fn func(lo, hi int)) {
-	p.ForMin(n, p.minWork, fn)
-}
-
-// ForMin is For with an explicit serial-fallback threshold, for
-// kernels whose per-index cost differs wildly from the vector-op
-// default (e.g. GEMM rows, where each index is O(k·n) flops).
+// ForMin runs fn over contiguous sub-ranges covering [0, n), in
+// parallel when n is at least minWork, the caller's serial-fallback
+// threshold (for GEMM rows, where each index is O(k·n) flops). Each
+// index is visited exactly once; fn must be safe to call concurrently
+// on disjoint ranges. Elementwise updates are bitwise identical at
+// every worker count.
 //
 //irfusion:hotpath-allow closures and chunk bookkeeping allocate only on the parallel dispatch path; kernels use SerialForMin to skip it entirely when serial
 func (p *Pool) ForMin(n, minWork int, fn func(lo, hi int)) {
@@ -272,84 +208,14 @@ func (p *Pool) ForMin(n, minWork int, fn func(lo, hi int)) {
 	p.run(helpers, runner)
 }
 
-// Do runs fn(0) … fn(k-1), in parallel when the pool has workers to
-// spare. Unlike For it applies no size threshold: callers use Do when
-// they have already partitioned the work into balanced tasks (e.g.
-// nnz-balanced CSR row ranges).
-//
-//irfusion:hotpath-allow closures allocate only on the parallel dispatch path; serial callers hit the plain loop
-func (p *Pool) Do(k int, fn func(i int)) {
-	if k <= 0 {
-		return
-	}
-	if p.serial() || k == 1 {
-		cDoSerial.Inc()
-		for i := 0; i < k; i++ {
-			fn(i)
-		}
-		return
-	}
-	cDoParallel.Inc()
-	var next int64
-	runner := func() {
-		for {
-			i := int(atomic.AddInt64(&next, 1)) - 1
-			if i >= k {
-				return
-			}
-			fn(i)
-		}
-	}
-	helpers := p.workers - 1
-	if helpers > k-1 {
-		helpers = k - 1
-	}
-	p.run(helpers, runner)
-}
-
-// ReduceSum computes the sum of fn over [0, n) split into fixed-size
-// blocks: fn(lo, hi) must return the partial sum of its range.
-// Because the block partitioning depends only on n (see ReduceBlock)
-// and the block partials are accumulated in block order, the result
-// is bitwise reproducible across runs and across every parallel
-// worker count. Below the threshold — or on a single-worker pool —
-// it degenerates to the plain serial accumulation fn(0, n),
-// preserving the seed's serial results bit-for-bit.
-//
-//irfusion:hotpath-allow the block-partial buffer allocates only on the parallel dispatch path; kernels use SerialFor to skip it entirely when serial
-func (p *Pool) ReduceSum(n int, fn func(lo, hi int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if p.serial() || n < p.minWork {
-		cDoSerial.Inc()
-		return fn(0, n)
-	}
-	blocks := (n + ReduceBlock - 1) / ReduceBlock
-	partial := make([]float64, blocks)
-	p.Do(blocks, func(b int) {
-		lo := b * ReduceBlock
-		hi := lo + ReduceBlock
-		if hi > n {
-			hi = n
-		}
-		partial[b] = fn(lo, hi)
-	})
-	sum := 0.0
-	for _, v := range partial {
-		sum += v
-	}
-	return sum
-}
-
-// defaultPool holds the process-wide pool used by the numerical
-// kernels. It is created lazily on first use so that env knobs set by
-// a test harness before any kernel call are honoured.
+// defaultPool holds the process-wide pool. It is created lazily on
+// first use so that env knobs set by a test harness before any kernel
+// call are honoured.
 var defaultPool atomic.Pointer[Pool]
 
 // Default returns the process-wide pool, creating it from the
-// environment (IRFUSION_WORKERS, IRFUSION_PAR_THRESHOLD, falling back
-// to GOMAXPROCS) on first use.
+// environment (IRFUSION_WORKERS, falling back to GOMAXPROCS) on first
+// use.
 //
 //irfusion:hotpath-allow one-time pool construction on first use; steady state is a single atomic load
 func Default() *Pool {

@@ -1,8 +1,6 @@
 package parallel
 
 import (
-	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,7 +9,6 @@ import (
 
 func TestWorkerCountClamping(t *testing.T) {
 	t.Setenv(envWorkers, "")
-	t.Setenv(envMinWork, "")
 	auto := New(0)
 	defer auto.Close()
 	if got, want := auto.Workers(), runtime.GOMAXPROCS(0); got != want {
@@ -40,11 +37,11 @@ func TestWorkerCountClamping(t *testing.T) {
 }
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
-	p := New(4).SetMinWork(1)
+	p := New(4)
 	defer p.Close()
 	const n = 10_000
 	visits := make([]int32, n)
-	p.For(n, func(lo, hi int) {
+	p.ForMin(n, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&visits[i], 1)
 		}
@@ -58,14 +55,10 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 
 func TestEnvKnobs(t *testing.T) {
 	t.Setenv(envWorkers, "5")
-	t.Setenv(envMinWork, "123")
 	p := New(0)
 	defer p.Close()
 	if p.Workers() != 5 {
 		t.Errorf("Workers() = %d with %s=5", p.Workers(), envWorkers)
-	}
-	if p.MinWork() != 123 {
-		t.Errorf("MinWork() = %d with %s=123", p.MinWork(), envMinWork)
 	}
 	t.Setenv(envWorkers, "not-a-number")
 	q := New(0)
@@ -76,33 +69,36 @@ func TestEnvKnobs(t *testing.T) {
 }
 
 func TestForSerialFallbackBelowThreshold(t *testing.T) {
-	p := New(8).SetMinWork(1000)
+	p := New(8)
 	defer p.Close()
 	var calls int32
-	p.For(999, func(lo, hi int) {
+	p.ForMin(999, 1000, func(lo, hi int) {
 		atomic.AddInt32(&calls, 1)
 		if lo != 0 || hi != 999 {
 			t.Errorf("serial fallback got range [%d,%d), want [0,999)", lo, hi)
 		}
 	})
 	if calls != 1 {
-		t.Errorf("below-threshold For made %d calls, want 1 serial call", calls)
+		t.Errorf("below-threshold ForMin made %d calls, want 1 serial call", calls)
+	}
+	if !p.SerialForMin(999, 1000) || p.SerialForMin(1000, 1000) {
+		t.Error("SerialForMin disagrees with ForMin's threshold")
 	}
 	// At the threshold the parallel path engages and splits the range.
 	calls = 0
-	p.For(1000, func(lo, hi int) { atomic.AddInt32(&calls, 1) })
+	p.ForMin(1000, 1000, func(lo, hi int) { atomic.AddInt32(&calls, 1) })
 	if calls < 2 {
-		t.Errorf("at-threshold For made %d calls, want a parallel split", calls)
+		t.Errorf("at-threshold ForMin made %d calls, want a parallel split", calls)
 	}
 }
 
 func TestPoolReuseAcrossCalls(t *testing.T) {
-	p := New(4).SetMinWork(1)
+	p := New(4)
 	defer p.Close()
 	const n = 4096
 	x := make([]float64, n)
 	for round := 0; round < 50; round++ {
-		p.For(n, func(lo, hi int) {
+		p.ForMin(n, 1, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				x[i]++
 			}
@@ -116,7 +112,7 @@ func TestPoolReuseAcrossCalls(t *testing.T) {
 	// Goroutine count must not grow with use: workers are persistent.
 	before := runtime.NumGoroutine()
 	for round := 0; round < 100; round++ {
-		p.For(n, func(lo, hi int) {})
+		p.ForMin(n, 1, func(lo, hi int) {})
 	}
 	if after := runtime.NumGoroutine(); after > before+4 {
 		t.Errorf("goroutines grew from %d to %d across reused dispatches", before, after)
@@ -124,7 +120,7 @@ func TestPoolReuseAcrossCalls(t *testing.T) {
 }
 
 func TestConcurrentCallersShareOnePool(t *testing.T) {
-	p := New(4).SetMinWork(1)
+	p := New(4)
 	defer p.Close()
 	var wg sync.WaitGroup
 	var total int64
@@ -132,7 +128,7 @@ func TestConcurrentCallersShareOnePool(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.For(1000, func(lo, hi int) {
+			p.ForMin(1000, 1, func(lo, hi int) {
 				atomic.AddInt64(&total, int64(hi-lo))
 			})
 		}()
@@ -144,12 +140,12 @@ func TestConcurrentCallersShareOnePool(t *testing.T) {
 }
 
 func TestNestedForDoesNotDeadlock(t *testing.T) {
-	p := New(4).SetMinWork(1)
+	p := New(4)
 	defer p.Close()
 	var total int64
-	p.For(64, func(lo, hi int) {
+	p.ForMin(64, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p.For(32, func(l, h int) {
+			p.ForMin(32, 1, func(l, h int) {
 				atomic.AddInt64(&total, int64(h-l))
 			})
 		}
@@ -159,97 +155,11 @@ func TestNestedForDoesNotDeadlock(t *testing.T) {
 	}
 }
 
-func TestDoRunsEachTaskOnce(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	const k = 137
-	visits := make([]int32, k)
-	p.Do(k, func(i int) { atomic.AddInt32(&visits[i], 1) })
-	for i, v := range visits {
-		if v != 1 {
-			t.Fatalf("task %d ran %d times", i, v)
-		}
-	}
-}
-
-func TestReduceSumMatchesSerialWithinTolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const n = 3 * ReduceBlock / 2
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	serial := 0.0
-	for _, v := range x {
-		serial += v
-	}
-	p := New(4).SetMinWork(1)
-	defer p.Close()
-	got := p.ReduceSum(n, func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += x[i]
-		}
-		return s
-	})
-	if math.Abs(got-serial) > 1e-9*math.Max(1, math.Abs(serial)) {
-		t.Errorf("ReduceSum = %v, serial = %v", got, serial)
-	}
-}
-
-// TestReduceSumDeterministicAcrossWorkers is the core reproducibility
-// guarantee: the parallel reduction returns identical bits at every
-// parallel worker count and across repeated runs, and a single-worker
-// pool reproduces the plain serial accumulation exactly.
-func TestReduceSumDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const n = 5*ReduceBlock + 311
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64() * math.Exp(10*rng.Float64()-5)
-	}
-	sum := func(p *Pool) float64 {
-		return p.ReduceSum(n, func(lo, hi int) float64 {
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += x[i]
-			}
-			return s
-		})
-	}
-
-	ref := math.NaN()
-	for _, w := range []int{2, 3, 4, 8} {
-		p := New(w).SetMinWork(1)
-		for run := 0; run < 5; run++ {
-			got := sum(p)
-			if math.IsNaN(ref) {
-				ref = got
-				continue
-			}
-			if got != ref {
-				t.Errorf("workers=%d run=%d: ReduceSum = %x, want %x", w, run, got, ref)
-			}
-		}
-		p.Close()
-	}
-
-	serial := 0.0
-	for _, v := range x {
-		serial += v
-	}
-	p1 := New(1)
-	defer p1.Close()
-	if got := sum(p1); got != serial {
-		t.Errorf("single-worker ReduceSum = %x, want exact serial %x", got, serial)
-	}
-}
-
 func TestCloseFallsBackToSerial(t *testing.T) {
-	p := New(4).SetMinWork(1)
+	p := New(4)
 	p.Close()
 	var calls int32
-	p.For(5000, func(lo, hi int) { atomic.AddInt32(&calls, 1) })
+	p.ForMin(5000, 1, func(lo, hi int) { atomic.AddInt32(&calls, 1) })
 	if calls != 1 {
 		t.Errorf("closed pool made %d calls, want 1 serial call", calls)
 	}

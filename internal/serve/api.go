@@ -23,6 +23,7 @@ import (
 	"irfusion/internal/journal"
 	"irfusion/internal/nn"
 	"irfusion/internal/obs"
+	"irfusion/internal/parallel"
 	"irfusion/internal/pgen"
 	"irfusion/internal/plan"
 	"irfusion/internal/solver"
@@ -369,7 +370,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	pw, pm := s.poolInfo()
 	writeJSON(w, code, map[string]any{
 		"status":         status,
 		"shard":          s.cfg.Name,
@@ -378,8 +378,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"in_flight":      s.InFlight(),
 		"queue_len":      len(s.queue),
 		"queue_cap":      s.cfg.QueueDepth,
-		"pool_workers":   pw,
-		"pool_min_work":  pm,
+		"pool_workers":   parallel.Default().Workers(),
 		"gemm_kernel":    nn.Kernel(),
 		"fused_model":    s.cfg.Analyzer != nil,
 		"cache_enabled":  s.cache != nil,

@@ -11,10 +11,10 @@
 //	GET    /metricsz      obs global counters and serve gauges as JSON
 //
 // Requests are admitted into a bounded job queue executed by a fixed
-// set of workers; the numerical kernels of every worker share the
-// process-wide internal/parallel pool, so worker concurrency controls
-// how many analyses are in flight while the pool controls how many
-// CPUs each one uses. Each job runs under a context.Context carrying
+// set of workers, so worker concurrency controls how many analyses are
+// in flight; the numerical stage of each runs serially, and only the
+// GEMM loops of fused inference use the process-wide internal/parallel
+// pool. Each job runs under a context.Context carrying
 // its own obs.Recorder: cancellation (client disconnect, DELETE, or
 // per-request timeout) stops the PCG iteration loop mid-solve via
 // solver.PCGCtx, and the per-request run manifest — including the
@@ -33,7 +33,6 @@ import (
 	"irfusion/internal/core"
 	"irfusion/internal/journal"
 	"irfusion/internal/obs"
-	"irfusion/internal/parallel"
 	"irfusion/internal/plan"
 )
 
@@ -71,8 +70,8 @@ type Config struct {
 	Name string
 	// Workers is the number of job-queue workers — the number of
 	// analyses in flight at once, in every mode: fused inference runs
-	// concurrently on the shared model too. Each analysis additionally
-	// fans its numerical and dense kernels out on the shared
+	// concurrently on the shared model too. A fused analysis
+	// additionally fans its GEMM loops out on the shared
 	// internal/parallel pool. Default 2.
 	Workers int
 	// QueueDepth bounds the number of queued (not yet running) jobs;
@@ -344,10 +343,4 @@ func (s *Server) Crash() {
 	if s.journal != nil {
 		_ = s.journal.Close() // release the fd; appends were already suppressed
 	}
-}
-
-// pool exposes the shared worker pool for /healthz reporting.
-func (s *Server) poolInfo() (workers, minWork int) {
-	p := parallel.Default()
-	return p.Workers(), p.MinWork()
 }

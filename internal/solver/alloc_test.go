@@ -6,16 +6,9 @@ package solver
 import (
 	"testing"
 
-	"irfusion/internal/parallel"
 	"irfusion/internal/race"
 	"irfusion/internal/sparse"
 )
-
-func pinSerialPool(t *testing.T) {
-	t.Helper()
-	prev := parallel.SetDefault(parallel.New(1))
-	t.Cleanup(func() { parallel.SetDefault(prev) })
-}
 
 func requireZeroAllocs(t *testing.T, name string, fn func()) {
 	t.Helper()
@@ -40,21 +33,43 @@ func allocTestSystem() (*sparse.CSR, []float64, []float64) {
 }
 
 func TestZeroAllocIdentityApply(t *testing.T) {
-	pinSerialPool(t)
 	_, z, r := allocTestSystem()
 	requireZeroAllocs(t, "Identity.Apply", func() { Identity{}.Apply(z, r) })
 }
 
 func TestZeroAllocJacobiApply(t *testing.T) {
-	pinSerialPool(t)
 	a, z, r := allocTestSystem()
 	j := NewJacobi(a)
 	requireZeroAllocs(t, "Jacobi.Apply", func() { j.Apply(z, r) })
 }
 
 func TestZeroAllocSSORApply(t *testing.T) {
-	pinSerialPool(t)
 	a, z, r := allocTestSystem()
 	s := NewSSOR(a, 1)
 	requireZeroAllocs(t, "SSOR.Apply", func() { s.Apply(z, r) })
+}
+
+// TestPCGAllocsIndependentOfIterations: a solve allocates its work
+// vectors once, and no iteration allocates anything. A kernel that
+// builds a closure per call (as the pool dispatch did) makes the count
+// grow with MaxIter.
+func TestPCGAllocsIndependentOfIterations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	a, _, b := allocTestSystem()
+	m := NewJacobi(a)
+	x := make([]float64, len(b))
+	allocs := func(iters int) float64 {
+		opts := Options{MaxIter: iters, Flexible: true}
+		return testing.AllocsPerRun(20, func() {
+			sparse.Zero(x)
+			if res, err := PCG(a, x, b, m, opts); err != nil || res.Iterations != iters {
+				t.Fatalf("MaxIter %d: %d iterations, err %v", iters, res.Iterations, err)
+			}
+		})
+	}
+	if few, many := allocs(5), allocs(50); few != many {
+		t.Errorf("Jacobi-PCG allocates %v per solve at MaxIter 5 and %v at 50", few, many)
+	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"irfusion/internal/faults"
 	"irfusion/internal/obs"
-	"irfusion/internal/parallel"
 	"irfusion/internal/sparse"
 )
 
@@ -31,11 +30,6 @@ type Identity struct{}
 //
 //irfusion:hotpath
 func (Identity) Apply(z, r []float64) { copy(z, r) }
-
-// cForSerial accounts the serial fast paths of the preconditioner
-// kernels under the pool's own elementwise-serial counter, keeping
-// pool-utilization numbers honest (same idiom as package sparse).
-var cForSerial = obs.GlobalCounter("parallel.for.serial")
 
 // Jacobi is diagonal scaling, the cheapest nontrivial preconditioner
 // and a classic baseline against AMG.
@@ -59,27 +53,8 @@ func NewJacobi(a *sparse.CSR) *Jacobi {
 //
 //irfusion:hotpath
 func (j *Jacobi) Apply(z, r []float64) {
-	n := len(r)
-	if n == 0 {
-		return
-	}
-	pool := parallel.Default()
-	if pool.SerialFor(n) {
-		cForSerial.Inc()
-		jacobiApplyRange(z, r, j.InvDiag, 0, n)
-		return
-	}
-	pool.For(n, func(lo, hi int) {
-		jacobiApplyRange(z, r, j.InvDiag, lo, hi)
-	})
-}
-
-// jacobiApplyRange is the serial z = D⁻¹·r leaf over [lo, hi).
-//
-//irfusion:hotpath
-func jacobiApplyRange(z, r, invDiag []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		z[i] = invDiag[i] * r[i]
+	for i := range r {
+		z[i] = j.InvDiag[i] * r[i]
 	}
 }
 
@@ -151,11 +126,9 @@ var ErrBreakdown = errors.New("solver: numerical breakdown (non-finite value)")
 // PCG solves A·x = b with preconditioned conjugate gradients. x holds
 // the initial guess on entry and the solution on return.
 //
-// All vector kernels run on the shared worker pool. Inner products
-// use the pool's deterministic blocked reduction, so the residual
-// history is bitwise reproducible run-to-run and across parallel
-// worker counts; a single-worker pool reproduces the serial seed
-// results exactly.
+// Every vector kernel is a serial loop and every inner product sums in
+// index order, so the residual history is bitwise reproducible
+// run-to-run and independent of IRFUSION_WORKERS.
 //
 // When a run recorder is active (obs.Active), the outcome — iteration
 // count, wall time, final residual, and the recorded history — is
@@ -224,13 +197,10 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 		return Result{Converged: true}, nil
 	}
 
-	pool := parallel.Default()
 	a.MulVec(r, x)
-	pool.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r[i] = b[i] - r[i]
-		}
-	})
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
 	rel = sparse.Norm2(r) / bn
 	if opts.Record {
 		res.History = append(res.History, rel)
@@ -328,15 +298,12 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 		var rzNew float64
 		var beta float64
 		if opts.Flexible {
-			// Polak-Ribière: β = z·(r − r_prev) / (z_prev·r_prev).
-			// Deterministic blocked reduction, same scheme as Dot.
-			num := pool.ReduceSum(n, func(lo, hi int) float64 {
-				s := 0.0
-				for i := lo; i < hi; i++ {
-					s += z[i] * (r[i] - rPrev[i])
-				}
-				return s
-			})
+			// Polak-Ribière: β = z·(r − r_prev) / (z_prev·r_prev),
+			// summed in index order like Dot.
+			num := 0.0
+			for i := range z {
+				num += z[i] * (r[i] - rPrev[i])
+			}
 			rzNew = sparse.Dot(r, z)
 			beta = num / rz
 			if beta < 0 {
@@ -346,11 +313,9 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 			rzNew = sparse.Dot(r, z)
 			beta = rzNew / rz
 		}
-		pool.For(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				p[i] = z[i] + beta*p[i]
-			}
-		})
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
 		if math.IsNaN(rzNew) || math.IsInf(rzNew, 0) {
 			return res, ErrBreakdown
 		}
@@ -377,11 +342,9 @@ func RelResidual(a *sparse.CSR, x, b []float64) float64 {
 	n := a.Rows()
 	r := make([]float64, n)
 	a.MulVec(r, x)
-	parallel.Default().For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r[i] = b[i] - r[i]
-		}
-	})
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
 	bn := sparse.Norm2(b)
 	if bn == 0 { //irfusion:exact a zero right-hand side switches to the absolute residual; no tolerance is meaningful here
 		return sparse.Norm2(r)

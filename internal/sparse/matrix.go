@@ -7,7 +7,8 @@
 // All matrices hold float64 entries. The package is written for the
 // symmetric positive-definite (SPD) systems that arise from modified
 // nodal analysis of resistive power grids, but the general routines
-// (assembly, SpMV, transpose) work for arbitrary sparsity.
+// (assembly, SpMV, transpose) work for arbitrary sparsity. Every
+// kernel is one serial loop; package parallel's comment says why.
 package sparse
 
 import (
@@ -15,21 +16,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
-
-	"irfusion/internal/obs"
-	"irfusion/internal/parallel"
-)
-
-// Serial fast paths of the hot kernels (taken before any pool
-// dispatch, so the pool's own counters never see them) account under
-// the shared serial-kernel counters, keeping the pool-utilization
-// numbers in run manifests and benchmarks honest. Reduction-style
-// kernels (SpMV, Dot) count as do.serial, elementwise kernels (Axpy)
-// as for.serial, matching the pool's own classification.
-var (
-	cDoSerial  = obs.GlobalCounter("parallel.do.serial")
-	cForSerial = obs.GlobalCounter("parallel.for.serial")
 )
 
 // Triplet accumulates matrix entries in coordinate form. Duplicate
@@ -130,29 +116,11 @@ func (t *Triplet) ToCSR() *CSR {
 
 // CSR is a compressed-sparse-row matrix. Within each row, column
 // indices are strictly increasing.
-//
-// The sparsity structure (RowPtr, ColInd) is treated as immutable
-// once assembled: the parallel SpMV caches its nnz-balanced row
-// partition in the matrix (see partition), so callers that mutate the
-// structure of a matrix that has already been multiplied get stale
-// partitions. Mutating Val in place (Scale) is fine.
 type CSR struct {
 	RowsN, ColsN int
 	RowPtr       []int
 	ColInd       []int
 	Val          []float64
-
-	// part caches the nnz-balanced row partition of the parallel SpMV
-	// so steady-state multiplies allocate nothing. Keyed by the part
-	// count requested, which only changes when the worker pool is
-	// swapped.
-	part atomic.Pointer[csrPartition]
-}
-
-// csrPartition is one cached SpMV row partition.
-type csrPartition struct {
-	parts  int
-	bounds []int
 }
 
 // Rows returns the number of rows.
@@ -193,20 +161,13 @@ func (m *CSR) At(i, j int) float64 {
 }
 
 // MulVec computes y = A·x. y must have length Rows and x length Cols;
-// y is fully overwritten.
+// y is fully overwritten. Each y[i] is accumulated in column order.
 //
-// y and x must not alias: rows of y are written concurrently by the
-// shared worker pool while every worker reads all of x, so overlap
-// would be a data race even in exact arithmetic. Passing the same
-// slice for both panics (the common mistake); partially overlapping
-// sub-slices cannot be detected without unsafe, are the caller's
-// responsibility and yield undefined results.
-//
-// Rows are partitioned by nnz (not by row count) across the worker
-// pool, so a few dense rows cannot serialize the sweep. Each y[i] is
-// accumulated by exactly one worker in column order, making the
-// result bitwise identical at every worker count, including the
-// serial fallback.
+// y and x must not alias: a row written early would be read by the
+// rows after it. Passing the same slice for both panics (the common
+// mistake); partially overlapping sub-slices cannot be detected
+// without unsafe, are the caller's responsibility and yield undefined
+// results.
 //
 //irfusion:hotpath
 func (m *CSR) MulVec(y, x []float64) {
@@ -216,72 +177,13 @@ func (m *CSR) MulVec(y, x []float64) {
 	if len(y) > 0 && len(x) > 0 && &y[0] == &x[0] {
 		panic("sparse: MulVec: y and x must not alias")
 	}
-	pool := parallel.Default()
-	if pool.SerialFor(m.NNZ()) {
-		cDoSerial.Inc()
-		m.spmvRange(y, x, 0, m.RowsN)
-		return
-	}
-	bounds := m.partition(pool.Workers() * 4)
-	pool.Do(len(bounds)-1, func(part int) {
-		m.spmvRange(y, x, bounds[part], bounds[part+1])
-	})
-}
-
-// spmvRange is the serial SpMV leaf over rows [lo, hi).
-//
-//irfusion:hotpath
-func (m *CSR) spmvRange(y, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range y {
 		sum := 0.0
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
 			sum += m.Val[p] * x[m.ColInd[p]]
 		}
 		y[i] = sum
 	}
-}
-
-// partition returns the nnz-balanced row partition for the given part
-// count, computing it on first use and caching it in the matrix. The
-// part count only changes when the worker pool is swapped, so steady
-// state is one atomic load — which is what keeps the parallel SpMV
-// allocation-free per call.
-//
-//irfusion:hotpath-allow partition construction runs once per pool size; steady state is a single atomic load
-func (m *CSR) partition(parts int) []int {
-	if p := m.part.Load(); p != nil && p.parts == parts {
-		return p.bounds
-	}
-	bounds := m.rowPartition(parts)
-	m.part.Store(&csrPartition{parts: parts, bounds: bounds})
-	return bounds
-}
-
-// rowPartition splits the row range into at most parts contiguous
-// pieces of roughly equal nnz, using binary search over the RowPtr
-// prefix sums. The returned boundaries b satisfy b[0] = 0,
-// b[len(b)-1] = Rows, and are strictly increasing.
-func (m *CSR) rowPartition(parts int) []int {
-	n := m.RowsN
-	if parts > n {
-		parts = n
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	nnz := m.NNZ()
-	b := make([]int, 1, parts+1)
-	for t := 1; t < parts; t++ {
-		target := int(int64(nnz) * int64(t) / int64(parts))
-		r := sort.SearchInts(m.RowPtr, target)
-		if r >= n {
-			break
-		}
-		if r > b[len(b)-1] {
-			b = append(b, r)
-		}
-	}
-	return append(b, n)
 }
 
 // Diag extracts the diagonal into a new slice (zero where absent).
@@ -382,39 +284,16 @@ func (m *CSR) Dense() []float64 {
 	return d
 }
 
-// Dot returns the inner product of two equal-length vectors. Above
-// the pool threshold it uses the deterministic blocked reduction of
-// the worker pool: the summation order depends only on the vector
-// length, so results are bitwise reproducible across runs and across
-// parallel worker counts (see parallel.Pool.ReduceSum). The serial
-// fast path runs the same plain accumulation ReduceSum degenerates to
-// below threshold, so it is bitwise identical — it just skips the
-// closure the pool dispatch would construct.
+// Dot returns the inner product of two equal-length vectors, summed
+// in index order.
 //
 //irfusion:hotpath
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("sparse: Dot length mismatch")
 	}
-	if len(a) == 0 {
-		return 0
-	}
-	pool := parallel.Default()
-	if pool.SerialFor(len(a)) {
-		cDoSerial.Inc()
-		return dotRange(a, b, 0, len(a))
-	}
-	return pool.ReduceSum(len(a), func(lo, hi int) float64 {
-		return dotRange(a, b, lo, hi)
-	})
-}
-
-// dotRange is the serial inner-product leaf over [lo, hi).
-//
-//irfusion:hotpath
-func dotRange(a, b []float64, lo, hi int) float64 {
 	s := 0.0
-	for i := lo; i < hi; i++ {
+	for i := range a {
 		s += a[i] * b[i]
 	}
 	return s
@@ -427,30 +306,11 @@ func Norm2(v []float64) float64 {
 	return math.Sqrt(Dot(v, v))
 }
 
-// Axpy computes y += alpha·x. Elementwise, so parallel execution is
-// bitwise identical to serial at every worker count.
+// Axpy computes y += alpha·x.
 //
 //irfusion:hotpath
 func Axpy(alpha float64, x, y []float64) {
-	if len(x) == 0 {
-		return
-	}
-	pool := parallel.Default()
-	if pool.SerialFor(len(x)) {
-		cForSerial.Inc()
-		axpyRange(alpha, x, y, 0, len(x))
-		return
-	}
-	pool.For(len(x), func(lo, hi int) {
-		axpyRange(alpha, x, y, lo, hi)
-	})
-}
-
-// axpyRange is the serial y += alpha·x leaf over [lo, hi).
-//
-//irfusion:hotpath
-func axpyRange(alpha float64, x, y []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range x {
 		y[i] += alpha * x[i]
 	}
 }

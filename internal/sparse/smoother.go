@@ -2,48 +2,8 @@ package sparse
 
 // Smoothers: the classic stationary iterations used inside multigrid
 // cycles. Each smoother performs in-place sweeps improving x for the
-// system A·x = b.
-//
-// Jacobi has no sequential dependency between rows and runs on the
-// shared worker pool; the Gauss-Seidel sweeps are sequential by
-// construction and stay single-threaded.
-
-import "irfusion/internal/parallel"
-
-// JacobiSweepsDiag performs k weighted-Jacobi sweeps with damping
-// omega (omega = 2/3 is the usual choice for Laplacian-like
-// operators). The caller supplies the extracted diagonal and a scratch
-// vector of length a.Rows(), so repeated sweeps allocate nothing. The
-// residual product and the update are both row-parallel and bitwise
-// identical at every worker count.
-//
-//irfusion:hotpath
-func JacobiSweepsDiag(a *CSR, x, b, diag []float64, omega float64, k int, scratch []float64) {
-	n := a.Rows()
-	pool := parallel.Default()
-	for s := 0; s < k; s++ {
-		a.MulVec(scratch, x)
-		if pool.SerialFor(n) {
-			cForSerial.Inc()
-			jacobiUpdateRange(x, b, diag, scratch, omega, 0, n)
-			continue
-		}
-		pool.For(n, func(lo, hi int) {
-			jacobiUpdateRange(x, b, diag, scratch, omega, lo, hi)
-		})
-	}
-}
-
-// jacobiUpdateRange applies the damped Jacobi update on rows [lo, hi).
-//
-//irfusion:hotpath
-func jacobiUpdateRange(x, b, diag, scratch []float64, omega float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if diag[i] != 0 { //irfusion:exact a stored zero diagonal marks a row the sweep must skip; a tiny nonzero must still divide
-			x[i] += omega * (b[i] - scratch[i]) / diag[i]
-		}
-	}
-}
+// system A·x = b; the Gauss-Seidel sweeps are sequential by
+// construction.
 
 // GaussSeidelForward performs one forward Gauss-Seidel sweep.
 //
