@@ -9,26 +9,20 @@ GO ?= go
 # (sparse, solver, amg) is serial and reads no pool setting.
 RACE_ENV = IRFUSION_WORKERS=4
 
-.PHONY: all fmt fmt-check vet cross lint lint-rebaseline build test race loc loc-check bench bench-smoke bench-check bench-rebaseline bench-quick rehearse fuzz-smoke chaos-smoke cluster-smoke docs-check cover-check
+.PHONY: all fmt fmt-check vet cross lint build test race loc loc-check bench bench-smoke bench-check bench-rebaseline bench-quick rehearse fuzz-smoke chaos-smoke cluster-smoke docs-check cover-check
 
 all: fmt-check vet lint build test
 
 # The project's own static-analysis pass (internal/lint): hotpath
 # no-allocation discipline, context propagation, hook resolution,
-# %w wrapping, float equality, goroutine containment, and the four
-# CFG-based dataflow rules (locksafe, ctxleak, atomicmix, sitedrift —
-# see docs/LINTING.md). Findings not recorded in lint.baseline fail
-# the build, a SARIF copy is written for code-scanning upload, and the
-# run fails if analysis wall clock exceeds 3x the committed
-# lint.budget seconds. Rebaseline only for reviewed, accepted findings
-# with `make lint-rebaseline`.
-LINT_SARIF ?= /tmp/irfusionlint.sarif
-
+# %w wrapping, float equality, goroutine containment, fault-site
+# registry drift (sitedrift), and the two rules on a control-flow graph
+# (locksafe, ctxleak) — see docs/LINTING.md. Every finding fails the
+# build; a finding is accepted only by a line waiver with a rationale
+# in the source. The output is one `file:line: rule: message` line per
+# finding, which CI's problem matcher turns into diff annotations.
 lint:
-	$(GO) run ./cmd/irfusionlint -baseline lint.baseline -budget lint.budget -sarif $(LINT_SARIF)
-
-lint-rebaseline: ## rewrite lint.baseline from current findings (review the diff before committing)
-	$(GO) run ./cmd/irfusionlint -update-baseline
+	$(GO) run ./cmd/irfusionlint
 
 fmt: ## rewrite sources with gofmt
 	gofmt -w .
@@ -129,7 +123,14 @@ loc: ## non-test Go and assembly lines per package and the total
 # internal/parallel 386 -> 252, internal/sparse 820 -> 640,
 # internal/solver 637 -> 600, internal/amg 611 -> 589, internal/serve
 # 1739 -> 1731, cmd/irfusion 1195 -> 1184, cmd/experiments 666 -> 664.
-LOC_CEILING ?= 22200
+# Lowered to 21550 (total 22177 -> 21534) when irfusionlint was cut to
+# the size of what it catches. internal/lint 3076 -> 2593 (atomicmix, the
+# counter half of sitedrift, ctxleak's two lostcancel shapes, the
+# baseline and SARIF writers went), cmd/irfusionlint 213 -> 44 (-C is
+# its only flag), cmd/benchcheck 261 -> 267 (custom metric units, a run
+# with no rows fails), cmd/irfusion 1184 -> 1186 and internal/obs
+# 956 -> 957 (the three go-ok waivers that replaced lint.baseline).
+LOC_CEILING ?= 21550
 
 loc-check: ## fail when the non-test Go + assembly line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \

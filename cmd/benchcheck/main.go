@@ -103,12 +103,15 @@ func main() {
 		if err != nil {
 			log.Fatalf("benchcheck: bench %q: %v", r.Bench, err)
 		}
-		for name, m := range parseBench(out) {
+		// A run whose rows all fail to parse would drop out of the gate
+		// (and out of -update) without a word; fail it instead.
+		rows := parseBench(out)
+		if len(rows) == 0 {
+			log.Fatalf("benchcheck: bench %q produced no result rows — check its regex and the row format", r.Bench)
+		}
+		for name, m := range rows {
 			measured[name] = m
 		}
-	}
-	if len(measured) == 0 {
-		log.Fatalf("benchcheck: no benchmark results parsed — check the runs[].bench regexes")
 	}
 
 	if *update {
@@ -180,7 +183,10 @@ func runBench(r Run) (string, error) {
 // benchLine matches one `go test -bench -benchmem` result row, e.g.
 //
 //	BenchmarkCacheECOLoop/hit-8   20   1414317 ns/op   988081 B/op   7737 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+[\d.]+ [A-Za-z/]+)*?\s+(\d+) B/op\s+(\d+) allocs/op`)
+//
+// Custom b.ReportMetric columns between ns/op and B/op may have any
+// unit without spaces: op-complexity, par-kernels/op, apply-µs.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+[\d.]+ \S+)*?\s+(\d+) B/op\s+(\d+) allocs/op`)
 
 func parseBench(out string) map[string]Measure {
 	res := map[string]Measure{}

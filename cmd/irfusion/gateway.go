@@ -74,6 +74,7 @@ func cmdGateway(args []string) error {
 	}
 	httpSrv := &http.Server{Handler: gw.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
+	//irfusion:go-ok the listener lives as long as the process; Shutdown below ends it and errc joins it
 	go func() { errc <- httpSrv.Serve(ln) }()
 	log.Printf("gateway on http://%s routing %d shards; POST /v1/analyze, GET /v1/cluster",
 		ln.Addr(), len(shards))

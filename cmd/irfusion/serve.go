@@ -92,6 +92,7 @@ func cmdServe(args []string) error {
 	}
 	httpSrv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
+	//irfusion:go-ok the listener lives as long as the process; Shutdown below ends it and errc joins it
 	go func() { errc <- httpSrv.Serve(ln) }()
 	log.Printf("serving on http://%s (workers=%d queue=%d); POST /v1/analyze, GET /healthz",
 		ln.Addr(), *workers, *queue)

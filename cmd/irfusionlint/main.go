@@ -1,36 +1,18 @@
 // Command irfusionlint runs the project's static-analysis pass (see
-// internal/lint) over the module tree and reports findings as
-// file:line: rule: message lines, a JSON report (-json), or SARIF for
-// code-scanning upload (-sarif).
+// internal/lint) over the module tree and prints each finding as one
+// `file:line: rule: message` line — the lines CI's problem matcher
+// (.github/irfusionlint-matcher.json) turns into annotations on the
+// diff. A finding is accepted only by a line waiver in the source.
 //
-// Exit status: 0 when clean (after baseline filtering), 1 when
-// findings remain or the wall-clock budget is exceeded, 2 on
-// load/usage errors. CI runs it via `make lint` with the committed
-// lint.baseline and lint.budget.
-//
-// Baseline maintenance: -update-baseline rewrites the module's
-// lint.baseline (or the file named by -baseline) from the current
-// findings in one command — review the diff before committing; the
-// baseline accepts findings, it does not fix them.
-//
-// Budget: -budget FILE reads a committed number of seconds and fails
-// the run when the analysis wall clock exceeds -budget-factor (default
-// 3) times it — a cheap regression tripwire for the linter's own
-// performance on 1-CPU CI runners. -write-budget re-measures and
-// rewrites the file.
+// Exit status: 0 when clean, 1 when there are findings, 2 on load or
+// usage errors. CI runs it via `make lint`.
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
-	"time"
 
 	"irfusion/internal/lint"
 )
@@ -39,175 +21,24 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// report is the -json envelope: the findings plus the run metadata CI
-// dashboards want without reparsing text output.
-type report struct {
-	Findings       []lint.Diagnostic `json:"findings"`
-	Total          int               `json:"total"`     // before baseline filtering
-	Baselined      int               `json:"baselined"` // absorbed by the baseline
-	ByRule         map[string]int    `json:"by_rule,omitempty"`
-	ElapsedSeconds float64           `json:"elapsed_seconds"`
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("irfusionlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	modRoot := fs.String("C", ".", "module root to lint (directory containing go.mod)")
-	jsonOut := fs.Bool("json", false, "emit a JSON report object (findings, counts, timing) instead of text lines")
-	baselinePath := fs.String("baseline", "", "baseline file of accepted findings to filter out")
-	writeBaseline := fs.Bool("write-baseline", false, "write current findings to -baseline and exit 0")
-	updateBaseline := fs.Bool("update-baseline", false, "rewrite the baseline (default: <modroot>/lint.baseline) from current findings and exit 0")
-	sarifPath := fs.String("sarif", "", "also write post-baseline findings as SARIF 2.1.0 to this file")
-	budgetPath := fs.String("budget", "", "committed wall-clock budget file (seconds); fail when analysis exceeds -budget-factor times it")
-	budgetFactor := fs.Float64("budget-factor", 3, "multiplier applied to the committed budget seconds")
-	writeBudget := fs.Bool("write-budget", false, "write the measured analysis seconds to -budget and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *writeBudget && *budgetPath == "" {
-		fmt.Fprintln(stderr, "irfusionlint: -write-budget requires -budget")
-		return 2
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(stderr, "irfusionlint: -write-baseline requires -baseline")
-		return 2
-	}
-
-	start := time.Now()
 	diags, err := lint.Run(*modRoot)
-	elapsed := time.Since(start)
 	if err != nil {
 		fmt.Fprintln(stderr, "irfusionlint:", err)
 		return 2
 	}
-
-	if *writeBudget {
-		if err := writeBudgetFile(*budgetPath, elapsed.Seconds()); err != nil {
-			fmt.Fprintln(stderr, "irfusionlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "irfusionlint: wrote budget %.2fs to %s\n", elapsed.Seconds(), *budgetPath)
-		return 0
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
-
-	if *writeBaseline || *updateBaseline {
-		path := *baselinePath
-		if path == "" {
-			path = filepath.Join(*modRoot, "lint.baseline")
-		}
-		if err := lint.WriteBaseline(path, diags); err != nil {
-			fmt.Fprintln(stderr, "irfusionlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "irfusionlint: wrote %d findings to %s\n", len(diags), path)
-		return 0
-	}
-
-	total := len(diags)
-	if *baselinePath != "" {
-		b, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "irfusionlint:", err)
-			return 2
-		}
-		diags = b.Filter(diags)
-	}
-
-	if *sarifPath != "" {
-		f, err := os.Create(*sarifPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "irfusionlint:", err)
-			return 2
-		}
-		werr := lint.WriteSARIF(f, diags)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(stderr, "irfusionlint:", werr)
-			return 2
-		}
-	}
-
-	if *jsonOut {
-		rep := report{
-			Findings:       diags,
-			Total:          total,
-			Baselined:      total - len(diags),
-			ElapsedSeconds: elapsed.Seconds(),
-		}
-		if rep.Findings == nil {
-			rep.Findings = []lint.Diagnostic{}
-		}
-		if len(diags) > 0 {
-			rep.ByRule = map[string]int{}
-			for _, d := range diags {
-				rep.ByRule[d.Rule]++
-			}
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(stderr, "irfusionlint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
-	}
-
-	status := 0
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "irfusionlint: %d finding(s)\n", len(diags))
-		status = 1
+		return 1
 	}
-	if *budgetPath != "" {
-		committed, err := readBudgetFile(*budgetPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "irfusionlint:", err)
-			return 2
-		}
-		limit := committed * *budgetFactor
-		if elapsed.Seconds() > limit {
-			fmt.Fprintf(stderr, "irfusionlint: analysis took %.2fs, over budget %.2fs (%.2fs committed x %.1f); investigate or re-run -write-budget\n",
-				elapsed.Seconds(), limit, committed, *budgetFactor)
-			status = 1
-		}
-	}
-	return status
-}
-
-// readBudgetFile reads the committed seconds: '#' comments and blank
-// lines ignored, first remaining line is the number.
-func readBudgetFile(path string) (float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		v, err := strconv.ParseFloat(line, 64)
-		if err != nil || v <= 0 {
-			return 0, fmt.Errorf("budget file %s: bad seconds value %q", path, line)
-		}
-		return v, nil
-	}
-	if err := sc.Err(); err != nil {
-		return 0, err
-	}
-	return 0, fmt.Errorf("budget file %s: no seconds value", path)
-}
-
-func writeBudgetFile(path string, seconds float64) error {
-	content := fmt.Sprintf("# irfusionlint wall-clock budget, in seconds, measured on a warm\n"+
-		"# build cache. `make lint` fails when analysis exceeds this value\n"+
-		"# times the -budget-factor (default 3). Regenerate with\n"+
-		"# `go run ./cmd/irfusionlint -budget lint.budget -write-budget`.\n%.2f\n", seconds)
-	return os.WriteFile(path, []byte(content), 0o644)
+	return 0
 }

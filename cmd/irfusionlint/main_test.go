@@ -4,103 +4,97 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"irfusion/internal/lint"
 )
 
-// The one-command rebaseline contract: -update-baseline followed by a
-// plain run against the written baseline is clean, exit 0. Exercises
-// the full pipeline (real tree analysis, SARIF and JSON emission, and
-// the budget gate wiring) in two runs.
-func TestUpdateBaselineThenCleanRun(t *testing.T) {
-	tmp := t.TempDir()
-	bl := filepath.Join(tmp, "lint.baseline")
-
+// The real tree lints clean through the command: exit 0, no output.
+func TestCleanRun(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-C", "../..", "-baseline", bl, "-update-baseline"}, &out, &errOut); code != 0 {
-		t.Fatalf("-update-baseline exit %d\nstderr: %s", code, errOut.String())
-	}
-	if _, err := os.Stat(bl); err != nil {
-		t.Fatalf("baseline not written: %v", err)
-	}
-
-	sarif := filepath.Join(tmp, "lint.sarif")
-	budget := filepath.Join(tmp, "lint.budget")
-	// Generous committed value: this asserts the gate is wired, the
-	// real perf budget lives in the repo's committed lint.budget.
-	if err := os.WriteFile(budget, []byte("# test budget\n600\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errOut.Reset()
-	code := run([]string{"-C", "../..", "-baseline", bl, "-sarif", sarif, "-budget", budget, "-json"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("run against fresh baseline exit %d\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
-	}
-
-	var rep report
-	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
-		t.Fatalf("-json output does not decode: %v", err)
-	}
-	if len(rep.Findings) != 0 {
-		t.Errorf("findings after rebaseline: %v", rep.Findings)
-	}
-	if rep.Baselined != rep.Total {
-		t.Errorf("baselined %d != total %d", rep.Baselined, rep.Total)
-	}
-	if rep.ElapsedSeconds <= 0 {
-		t.Errorf("elapsed_seconds %v, want > 0", rep.ElapsedSeconds)
-	}
-
-	data, err := os.ReadFile(sarif)
-	if err != nil {
-		t.Fatalf("SARIF not written: %v", err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Results []any `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &log); err != nil {
-		t.Fatalf("SARIF does not decode: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 || len(log.Runs[0].Results) != 0 {
-		t.Errorf("unexpected SARIF shape: version=%q runs=%d", log.Version, len(log.Runs))
+	if code := run([]string{"-C", "../.."}, &out, &errOut); code != 0 || out.Len() != 0 {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
 	}
 }
 
-func TestBudgetFileRoundTrip(t *testing.T) {
-	tmp := t.TempDir()
-	path := filepath.Join(tmp, "lint.budget")
-	if err := writeBudgetFile(path, 2.37); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readBudgetFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 2.37 {
-		t.Errorf("round trip %v, want 2.37", got)
-	}
-	for _, bad := range []string{"", "# only comments\n", "zero\n", "-1\n", "0\n"} {
-		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := readBudgetFile(path); err == nil {
-			t.Errorf("readBudgetFile accepted %q", bad)
-		}
-	}
-}
-
+// -C is the only flag: the retired baseline, budget, JSON and SARIF
+// flags are usage errors, as is a directory without go.mod.
 func TestUsageErrors(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-write-baseline"}, &out, &errOut); code != 2 {
-		t.Errorf("-write-baseline without -baseline: exit %d, want 2", code)
+	for _, args := range [][]string{
+		{"-baseline", "lint.baseline"}, {"-update-baseline"}, {"-budget", "lint.budget"},
+		{"-json"}, {"-sarif", "lint.sarif"}, {"-C", t.TempDir()},
+	} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
 	}
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-write-budget"}, &out, &errOut); code != 2 {
-		t.Errorf("-write-budget without -budget: exit %d, want 2", code)
+}
+
+// TestMatcherParsesDiagnostics holds the output format and CI's problem
+// matcher together: every line the command prints must parse, with
+// file, line, rule and message landing in the matcher's fields, and
+// the summary line on stderr must not.
+func TestMatcherParsesDiagnostics(t *testing.T) {
+	raw, err := os.ReadFile("../../.github/irfusionlint-matcher.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		ProblemMatcher []struct {
+			Pattern []struct {
+				Regexp                    string
+				File, Line, Code, Message int
+			}
+		}
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.ProblemMatcher) != 1 || len(m.ProblemMatcher[0].Pattern) != 1 {
+		t.Fatalf("want one matcher with one pattern: %s", raw)
+	}
+	pat := m.ProblemMatcher[0].Pattern[0]
+	re := regexp.MustCompile(pat.Regexp)
+
+	// A module holding one unwaived go statement: exit 1, one finding.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module probe\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := "package probe\n\nfunc Spawn(ch chan int) {\n\tgo func() { ch <- 1 }()\n}\n"
+	if err := os.WriteFile(filepath.Join(dir, "probe.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut strings.Builder
+	if code := run([]string{"-C", dir}, &out, &errOut); code != 1 {
+		t.Fatalf("exit %d, want 1\nstderr: %s", code, errOut.String())
+	}
+	if re.MatchString(strings.TrimSpace(errOut.String())) {
+		t.Errorf("matcher annotates the summary line %q", errOut.String())
+	}
+	diags, err := lint.Run(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := out.String(), diags[0].String()+"\n"; len(diags) != 1 || got != want {
+		t.Fatalf("stdout %q, want the one finding %q", got, want)
+	}
+	// The finding, and one whose path has directories and whose message
+	// has colons of its own.
+	diags = append(diags, lint.Diagnostic{File: "internal/serve/api.go", Line: 190, Rule: "ctxleak",
+		Message: "cancel func from context.WithCancel (line 184) is overwritten: see a.go:3: x"})
+	for _, d := range diags {
+		g := re.FindStringSubmatch(d.String())
+		if g == nil {
+			t.Errorf("matcher does not parse %q", d)
+			continue
+		}
+		if g[pat.File] != d.File || g[pat.Line] != strconv.Itoa(d.Line) || g[pat.Code] != d.Rule || g[pat.Message] != d.Message {
+			t.Errorf("%q parsed as file %q line %q rule %q message %q", d, g[pat.File], g[pat.Line], g[pat.Code], g[pat.Message])
+		}
 	}
 }

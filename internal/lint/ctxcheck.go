@@ -83,7 +83,7 @@ func (r *Runner) checkCtxLoops(p *Package, fd *ast.FuncDecl, ctxParam types.Obje
 		if r.referencesObject(p, body, ctxParam) {
 			return false
 		}
-		if waived(r.loader.Fset, r.ctxOK, n.Pos()) {
+		if r.waived("ctx-ok", n.Pos()) {
 			return false
 		}
 		r.report(n.Pos(), "ctxcheck",
@@ -150,7 +150,7 @@ func (r *Runner) checkCtxDropped(p *Package, fd *ast.FuncDecl) {
 		if !r.hasCtxSibling(fn) {
 			return true
 		}
-		if waived(r.loader.Fset, r.ctxOK, call.Pos()) {
+		if r.waived("ctx-ok", call.Pos()) {
 			return true
 		}
 		r.report(call.Pos(), "ctxcheck",

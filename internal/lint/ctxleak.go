@@ -2,50 +2,44 @@ package lint
 
 // ctxleak: flow-sensitive tracking of the cancel funcs returned by
 // context.WithCancel / WithTimeout / WithDeadline (and their *Cause
-// variants). A cancel func that is not called on every path out of
-// the function, not deferred, and not handed off (stored, passed,
-// returned, or captured) leaks its context: the child stays
-// registered on the parent until the parent itself ends — for a
-// server's base context, that is a per-request memory leak.
+// variants). A cancel func that is never called leaks its context:
+// the child stays registered on the parent until the parent itself
+// ends — for a server's base context, that is a per-request memory
+// leak.
 //
-// Three findings:
+// One finding: the variable holding a still-pending cancel is
+// overwritten by a new WithX call — the shape of the serve bug this
+// rule was built to catch (WithCancel assigned, then conditionally
+// replaced by WithTimeout, abandoning the first context; the deferred
+// cancel covers only the second). go vet's lostcancel check, which
+// `make vet` runs, does not report it. The other two shapes — a
+// cancel discarded at the binding, or not called on some path to the
+// return — are lostcancel's and are left to it.
 //
-//   - the cancel func is discarded outright (`ctx, _ := ...`);
-//   - the variable holding a still-pending cancel is overwritten by a
-//     new WithX call (the exact shape of the serve bug this rule was
-//     built to catch: WithCancel assigned, then conditionally
-//     replaced by WithTimeout, abandoning the first context);
-//   - a pending cancel survives to function exit on some path.
-//
-// Any other use of the variable — passed as an argument, stored in a
-// struct, returned, captured by a function literal — counts as a
-// handoff and ends tracking: responsibility moved somewhere this
-// intraprocedural rule cannot see. Reviewed exceptions use the
-// existing //irfusion:ctx-ok <rationale> line waiver.
+// A cancel is pending from its WithX call until it is called,
+// deferred, or handed off — passed as an argument, stored, returned,
+// or captured by a function literal: responsibility moved somewhere
+// this intraprocedural rule cannot see. Reviewed exceptions use the
+// //irfusion:ctx-ok <rationale> line waiver.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
-type cancelState int
-
-const (
-	cancelPending cancelState = iota + 1
-	cancelResolved
-)
-
+// cancelInfo records where a pending cancel func came from.
 type cancelInfo struct {
-	state cancelState
-	pos   token.Pos // the WithX call that produced the func
-	fn    string    // "WithCancel", "WithTimeout", ...
+	pos token.Pos // the WithX call that produced the func
+	fn  string    // "WithCancel", "WithTimeout", ...
 }
 
-// ctxFact maps each tracked cancel variable to its state.
+// ctxFact maps each cancel variable that is pending on some path to
+// the call that made it.
 type ctxFact map[types.Object]cancelInfo
 
+// joinCancels is the union: pending on either path is pending after
+// the merge (the earliest WithX wins a tie, for determinism).
 func joinCancels(a, b ctxFact) ctxFact {
 	if len(a) == 0 {
 		return b
@@ -58,20 +52,9 @@ func joinCancels(a, b ctxFact) ctxFact {
 		out[o] = v
 	}
 	for o, v := range b {
-		old, ok := out[o]
-		if !ok {
+		if old, ok := out[o]; !ok || v.pos < old.pos {
 			out[o] = v
-			continue
 		}
-		// Must-resolve semantics: pending on either path wins the merge.
-		merged := old
-		if v.state == cancelPending && old.state != cancelPending {
-			merged = v
-		}
-		if v.state == merged.state && v.pos < merged.pos {
-			merged = v
-		}
-		out[o] = merged
 	}
 	return out
 }
@@ -110,6 +93,7 @@ func (r *Runner) ctxleakBody(p *Package, body *ast.BlockStmt, term func(*ast.Exp
 	}
 	in := forwardSolve(c, ctxFact{}, joinCancels, equalCancels, transfer)
 
+	// Reporting pass: one replay of every reached block.
 	for _, blk := range c.blocks {
 		fact, reached := in[blk]
 		if !reached {
@@ -118,24 +102,6 @@ func (r *Runner) ctxleakBody(p *Package, body *ast.BlockStmt, term func(*ast.Exp
 		for _, n := range blk.nodes {
 			fact = r.cancelTransfer(p, fact, n, true)
 		}
-	}
-
-	exit, reached := in[c.exit]
-	if !reached {
-		return
-	}
-	pending := make([]cancelInfo, 0, len(exit))
-	for _, v := range exit {
-		if v.state == cancelPending {
-			pending = append(pending, v)
-		}
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i].pos < pending[j].pos })
-	for _, v := range pending {
-		if waived(r.loader.Fset, r.ctxOK, v.pos) {
-			continue
-		}
-		r.report(v.pos, "ctxleak", "the cancel func returned by context.%s is not called on every path; call it on each exit or defer it", v.fn)
 	}
 }
 
@@ -187,13 +153,7 @@ func (r *Runner) cancelBind(p *Package, fact ctxFact, as *ast.AssignStmt, report
 		return fact, true
 	}
 	id, ok := as.Lhs[1].(*ast.Ident)
-	if !ok {
-		return fact, true
-	}
-	if id.Name == "_" {
-		if report && !waived(r.loader.Fset, r.ctxOK, call.Pos()) {
-			r.report(call.Pos(), "ctxleak", "the cancel func returned by context.%s is discarded; assign it and call or defer it", withName)
-		}
+	if !ok || id.Name == "_" {
 		return fact, true
 	}
 	obj := p.Info.Defs[id]
@@ -203,8 +163,7 @@ func (r *Runner) cancelBind(p *Package, fact ctxFact, as *ast.AssignStmt, report
 	if obj == nil {
 		return fact, true
 	}
-	if old, held := fact[obj]; held && old.state == cancelPending && report &&
-		!waived(r.loader.Fset, r.ctxOK, call.Pos()) {
+	if old, pending := fact[obj]; pending && report && !r.waived("ctx-ok", call.Pos()) {
 		r.report(call.Pos(), "ctxleak", "cancel func from context.%s (line %d) is overwritten before being called; the abandoned context stays alive until its parent ends",
 			old.fn, r.loader.Fset.Position(old.pos).Line)
 	}
@@ -212,13 +171,13 @@ func (r *Runner) cancelBind(p *Package, fact ctxFact, as *ast.AssignStmt, report
 	for o, v := range fact {
 		nf[o] = v
 	}
-	nf[obj] = cancelInfo{state: cancelPending, pos: call.Pos(), fn: withName}
+	nf[obj] = cancelInfo{pos: call.Pos(), fn: withName}
 	return nf, true
 }
 
-// resolveCancelUses marks every tracked cancel variable mentioned
+// resolveCancelUses drops every pending cancel variable mentioned
 // anywhere under n (including inside function literals — a capture is
-// a handoff) as resolved.
+// a handoff) from fact.
 func resolveCancelUses(info *types.Info, fact ctxFact, n ast.Node) ctxFact {
 	if len(fact) == 0 || n == nil {
 		return fact
@@ -233,7 +192,7 @@ func resolveCancelUses(info *types.Info, fact ctxFact, n ast.Node) ctxFact {
 		if obj == nil {
 			return true
 		}
-		if v, tracked := fact[obj]; tracked && v.state == cancelPending {
+		if _, pending := fact[obj]; pending {
 			if !copied {
 				nf := make(ctxFact, len(fact))
 				for o, w := range fact {
@@ -241,8 +200,7 @@ func resolveCancelUses(info *types.Info, fact ctxFact, n ast.Node) ctxFact {
 				}
 				fact, copied = nf, true
 			}
-			v.state = cancelResolved
-			fact[obj] = v
+			delete(fact, obj)
 		}
 		return true
 	})

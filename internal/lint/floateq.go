@@ -22,7 +22,7 @@ func (r *Runner) checkFloatEq(p *Package) {
 			if !isFloat(p, be.X) && !isFloat(p, be.Y) {
 				return true
 			}
-			if waived(r.loader.Fset, r.exact, be.Pos()) {
+			if r.waived("exact", be.Pos()) {
 				return true
 			}
 			r.report(be.Pos(), "floateq",

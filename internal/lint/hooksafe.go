@@ -71,7 +71,7 @@ func (r *Runner) hooksafeCall(p *Package, fd *ast.FuncDecl, call *ast.CallExpr, 
 			"%s: %s.FromContext may return nil and skips the global fallback; resolve hooks with %s.ActiveOr",
 			fd.Name.Name, fn.Pkg().Name(), fn.Pkg().Name())
 	case "Active":
-		if hasCtx && !waived(r.loader.Fset, r.ctxOK, call.Pos()) {
+		if hasCtx && !r.waived("ctx-ok", call.Pos()) {
 			r.report(call.Pos(), "hooksafe",
 				"%s receives a context but reads the global %s.Active(); use %s.ActiveOr(ctx) so context-bound hooks are honored (or waive with //irfusion:ctx-ok <why>)",
 				fd.Name.Name, fn.Pkg().Name(), fn.Pkg().Name())

@@ -19,30 +19,29 @@
 //   - floateq: float ==/!= needs an //irfusion:exact annotation with a
 //     rationale; unannotated exact comparison is almost always a bug
 //     in numerical code.
-//   - nogo: goroutines are spawned only inside internal/parallel and
-//     internal/serve, the two packages that own lifecycle management.
+//   - nogo: goroutines are spawned only inside internal/parallel,
+//     internal/serve and internal/cluster, the packages that own
+//     lifecycle management.
+//   - sitedrift: every fault site fired is a declared Site* constant,
+//     every declared site is fired, and knownSites lists exactly the
+//     declared sites (see sitedrift.go).
 //
-// Four flow-sensitive rules run on an intraprocedural CFG (cfg.go)
+// Two flow-sensitive rules run on an intraprocedural CFG (cfg.go)
 // with a forward dataflow solver:
 //
 //   - locksafe: every sync.Mutex/RWMutex Lock is released on all paths
 //     out of the function, and no lock is held across a blocking
 //     operation (channel op, select without default, Wait, a ...Ctx
 //     solver call, fsync-class I/O) unless annotated.
-//   - ctxleak: cancel funcs from context.WithCancel/WithTimeout/... are
-//     called on every path, deferred, or handed off; discarding or
-//     overwriting a pending cancel is a finding.
-//   - atomicmix: a variable accessed via sync/atomic anywhere may not
-//     be read or written directly anywhere else in the module.
-//   - sitedrift: fault-site and obs-counter string literals must
-//     round-trip against their declaring registries — typos and dead
-//     sites are findings (see sitedrift.go).
+//   - ctxleak: a cancel func from context.WithCancel/WithTimeout/... is
+//     not overwritten by another WithX call while still pending (the
+//     dropped and discarded shapes are go vet's lostcancel check).
 //
 // Directives are ordinary comments: //irfusion:hotpath and
 // //irfusion:hotpath-allow <rationale> in a function's doc comment;
-// //irfusion:exact <rationale>, //irfusion:ctx-ok <rationale>, and
-// //irfusion:lock-ok <rationale> on (or on the line before) the
-// statement they waive.
+// //irfusion:exact, ctx-ok, lock-ok and go-ok <rationale> on (or on
+// the line before) the statement they waive. A line waiver is the one
+// way to accept a finding.
 package lint
 
 import (
@@ -56,23 +55,18 @@ import (
 )
 
 // Diagnostic is one finding. File is module-relative with forward
-// slashes so baselines and CI output are machine-independent.
+// slashes so CI output is machine-independent.
 type Diagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
+	File    string
+	Line    int
+	Rule    string
+	Message string
 }
 
+// String is the one output format, file:line: rule: message — the
+// shape CI's problem matcher (.github/irfusionlint-matcher.json) reads.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", d.File, d.Line, d.Rule, d.Message)
-}
-
-// Key is the baseline identity of a finding. It deliberately excludes
-// the line number so unrelated edits above a baselined finding don't
-// invalidate the baseline.
-func (d Diagnostic) Key() string {
-	return d.File + "|" + d.Rule + "|" + d.Message
 }
 
 // funcClass is the hotpath classification of a function, attached via
@@ -96,23 +90,20 @@ type Runner struct {
 	loader *Loader
 	pkgs   []*Package
 
-	class  map[types.Object]funcClass // function directive classes, all packages
-	exact  map[string]map[int]bool    // file -> lines waived by //irfusion:exact
-	ctxOK  map[string]map[int]bool    // file -> lines waived by //irfusion:ctx-ok
-	lockOK map[string]map[int]bool    // file -> lines waived by //irfusion:lock-ok
-
-	// atomicmix cross-package state (collectAtomic fills, checkAtomicMix
-	// reads).
-	atomicObjs map[types.Object]token.Pos // first atomic access per object
-	atomicOK   map[*ast.Ident]bool        // idents inside atomic calls
+	class   map[types.Object]funcClass // function directive classes, all packages
+	waivers map[waiver]bool            // lines waived by exact/ctx-ok/lock-ok/go-ok
 
 	// sitedrift cross-package state (collectSiteDrift fills,
-	// reportSiteDrift reads).
-	siteFired    map[*types.Package]map[string]bool // registry pkg -> fired sites
-	counterRegs  map[string]bool                    // obs.GlobalCounter names
-	counterReads []litUse                           // obs.CounterValue call sites
+	// reportSiteDrift reads): registry package -> fired sites.
+	siteFired map[*types.Package]map[string]bool
 
 	diags []Diagnostic
+}
+
+// waiver is one line covered by one line-waiver directive.
+type waiver struct {
+	directive, file string
+	line            int
 }
 
 // Analyze runs every rule over pkgs (directives are collected from all
@@ -120,25 +111,16 @@ type Runner struct {
 // the findings sorted by file, line, rule.
 func Analyze(l *Loader, pkgs []*Package) []Diagnostic {
 	r := &Runner{
-		loader:      l,
-		pkgs:        pkgs,
-		class:       map[types.Object]funcClass{},
-		exact:       map[string]map[int]bool{},
-		ctxOK:       map[string]map[int]bool{},
-		lockOK:      map[string]map[int]bool{},
-		atomicObjs:  map[types.Object]token.Pos{},
-		atomicOK:    map[*ast.Ident]bool{},
-		siteFired:   map[*types.Package]map[string]bool{},
-		counterRegs: map[string]bool{},
+		loader:    l,
+		pkgs:      pkgs,
+		class:     map[types.Object]funcClass{},
+		waivers:   map[waiver]bool{},
+		siteFired: map[*types.Package]map[string]bool{},
 	}
-	// Collection phases first: directives and the module-wide registries
-	// (atomic objects, fired fault sites, counter names) must be complete
-	// before any package is checked.
+	// Collection phases first: directives and the fired fault sites must
+	// be complete before any package is checked.
 	for _, p := range pkgs {
 		r.collectDirectives(p)
-	}
-	for _, p := range pkgs {
-		r.collectAtomic(p)
 		r.collectSiteDrift(p)
 	}
 	for _, p := range pkgs {
@@ -150,7 +132,6 @@ func Analyze(l *Loader, pkgs []*Package) []Diagnostic {
 		r.checkNoGo(p)
 		r.checkLocksafe(p)
 		r.checkCtxleak(p)
-		r.checkAtomicMix(p)
 	}
 	r.reportSiteDrift()
 	sort.Slice(r.diags, func(i, j int) bool {
@@ -204,13 +185,12 @@ func (r *Runner) relFile(name string) string {
 
 // collectDirectives extracts every //irfusion: directive in p: function
 // classes from doc comments into r.class (keyed by the *types.Func so
-// call sites in other packages resolve), and line waivers for exact and
-// ctx-ok. Malformed directives are findings themselves (rule
-// "directive") — a waiver without a rationale is indistinguishable
-// from a silenced check.
+// call sites in other packages resolve), and the line waivers.
+// Malformed directives are findings themselves (rule "directive") — a
+// waiver without a rationale is indistinguishable from a silenced
+// check.
 func (r *Runner) collectDirectives(p *Package) {
 	for _, f := range p.Files {
-		fname := r.loader.Fset.Position(f.Pos()).Filename
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				rest, ok := strings.CutPrefix(c.Text, "//irfusion:")
@@ -218,36 +198,23 @@ func (r *Runner) collectDirectives(p *Package) {
 					continue
 				}
 				name, rationale, _ := strings.Cut(rest, " ")
-				rationale = strings.TrimSpace(rationale)
 				switch name {
 				case "hotpath":
 					// Rationale optional: the contract is the directive.
-				case "hotpath-allow", "exact", "ctx-ok", "lock-ok":
-					if rationale == "" {
+					continue
+				case "hotpath-allow", "exact", "ctx-ok", "lock-ok", "go-ok":
+					if strings.TrimSpace(rationale) == "" {
 						r.report(c.Pos(), "directive", "//irfusion:%s requires a rationale", name)
 					}
 				default:
 					r.report(c.Pos(), "directive", "unknown directive //irfusion:%s", name)
 					continue
 				}
-				if name == "exact" || name == "ctx-ok" || name == "lock-ok" {
-					// The waiver covers its own line (inline comment)
-					// and the next line (directive on the preceding
-					// line).
-					line := r.loader.Fset.Position(c.Pos()).Line
-					m := r.exact
-					switch name {
-					case "ctx-ok":
-						m = r.ctxOK
-					case "lock-ok":
-						m = r.lockOK
-					}
-					if m[fname] == nil {
-						m[fname] = map[int]bool{}
-					}
-					m[fname][line] = true
-					m[fname][line+1] = true
-				}
+				// A line waiver covers its own line (inline comment) and
+				// the next line (directive on the preceding line).
+				pos := r.loader.Fset.Position(c.Pos())
+				r.waivers[waiver{name, pos.Filename, pos.Line}] = true
+				r.waivers[waiver{name, pos.Filename, pos.Line + 1}] = true
 			}
 		}
 		for _, decl := range f.Decls {
@@ -281,9 +248,9 @@ func (r *Runner) collectDirectives(p *Package) {
 
 // waived reports whether the statement at pos carries the given
 // line-waiver directive (same line or the line before).
-func waived(fset *token.FileSet, m map[string]map[int]bool, pos token.Pos) bool {
-	p := fset.Position(pos)
-	return m[p.Filename][p.Line]
+func (r *Runner) waived(directive string, pos token.Pos) bool {
+	p := r.loader.Fset.Position(pos)
+	return r.waivers[waiver{directive, p.Filename, p.Line}]
 }
 
 // callee resolves the object a call expression invokes: a *types.Func

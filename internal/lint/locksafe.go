@@ -116,7 +116,7 @@ func (r *Runner) locksafeBody(p *Package, body *ast.BlockStmt, term func(*ast.Ex
 	sort.Strings(keys)
 	for _, k := range keys {
 		pos := exit[k]
-		if released[k] || waived(r.loader.Fset, r.lockOK, pos) {
+		if released[k] || r.waived("lock-ok", pos) {
 			continue
 		}
 		r.report(pos, "locksafe", "%s is not released on every path out of the function; unlock on each exit or defer the unlock", lockCallName(k))
@@ -199,7 +199,7 @@ func (r *Runner) lockWalk(p *Package, fact lockFact, n ast.Node, report bool) lo
 // lockBlocked reports a blocking operation reached with locks held,
 // unless waived by //irfusion:lock-ok at the operation's line.
 func (r *Runner) lockBlocked(fact lockFact, pos token.Pos, what string, report bool) {
-	if !report || len(fact) == 0 || waived(r.loader.Fset, r.lockOK, pos) {
+	if !report || len(fact) == 0 || r.waived("lock-ok", pos) {
 		return
 	}
 	keys := make([]string, 0, len(fact))

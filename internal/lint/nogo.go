@@ -15,16 +15,18 @@ var goroutinePackages = map[string]bool{
 
 // checkNoGo flags go statements outside the packages that own
 // goroutine lifecycles. Code that needs concurrency routes it through
-// parallel.Pool (compute) or the serve job queue (requests).
+// parallel.Pool (compute) or the serve job queue (requests); a
+// goroutine whose lifetime is the process's (an HTTP listener's Serve
+// loop) carries //irfusion:go-ok <why>.
 func (r *Runner) checkNoGo(p *Package) {
 	if goroutinePackages[p.Path] {
 		return
 	}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok {
+			if g, ok := n.(*ast.GoStmt); ok && !r.waived("go-ok", g.Pos()) {
 				r.report(g.Pos(), "nogo",
-					"go statement outside internal/parallel, internal/serve, and internal/cluster; route concurrency through the worker pool or the job queue")
+					"go statement outside internal/parallel, internal/serve, and internal/cluster; route concurrency through the worker pool or the job queue, or annotate //irfusion:go-ok <why>")
 			}
 			return true
 		})

@@ -1,6 +1,7 @@
 // Package ctxleakclean seeds the sanctioned cancel-func patterns the
 // ctxleak rule must accept: defer, per-path calls, storage handoff,
-// and capture by a function literal.
+// capture by a function literal, and a rebinding after the first
+// cancel was called — the case a purely syntactic rule would flag.
 package ctxleakclean
 
 import (
@@ -43,6 +44,19 @@ func Handoff() (*Stopper, context.Context) {
 func Captured() error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer func() { cancel() }()
+	return work(ctx)
+}
+
+// Rebind cancels the first context before the variable is reused.
+func Rebind() error {
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := work(ctx); err != nil {
+		cancel()
+		return err
+	}
+	cancel()
+	ctx, cancel = context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
 	return work(ctx)
 }
 

@@ -1,6 +1,7 @@
-// Package ctxleakfix seeds ctxleak violations: the cancel overwritten
-// by a second WithX call (the serve bug shape), a path that drops a
-// pending cancel, and an outright discarded cancel.
+// Package ctxleakfix seeds the one ctxleak violation: the cancel
+// overwritten by a second WithX call (the serve bug shape). A cancel
+// dropped on a path or discarded at the binding is go vet's lostcancel
+// finding, not this rule's.
 package ctxleakfix
 
 import (
@@ -16,21 +17,5 @@ func Overwrite(timeout time.Duration) context.Context {
 		ctx, cancel = context.WithTimeout(context.Background(), timeout)
 	}
 	defer cancel()
-	return ctx
-}
-
-// DropOnPath never cancels on the failure path.
-func DropOnPath(fail bool) error {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	if fail {
-		return ctx.Err()
-	}
-	cancel()
-	return nil
-}
-
-// Discard throws the cancel func away at the binding.
-func Discard() context.Context {
-	ctx, _ := context.WithCancel(context.Background())
 	return ctx
 }

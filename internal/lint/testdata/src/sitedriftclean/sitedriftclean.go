@@ -1,9 +1,7 @@
 // Package faults (fixture) is a miniature fault registry that is
 // fully consistent: every declared site is fired and listed in
-// knownSites, and the counter read is registered.
+// knownSites.
 package faults
-
-import "irfusion/internal/obs"
 
 const (
 	SiteAlpha = "clean.alpha"
@@ -19,10 +17,8 @@ type Injector struct{}
 
 func (in *Injector) Fire(site, label string) {}
 
-func use() int64 {
+func use() {
 	in := &Injector{}
 	in.Fire(SiteAlpha, "")
 	in.Fire(SiteBeta, "x")
-	obs.GlobalCounter("clean.counter").Inc()
-	return obs.CounterValue("clean.counter")
 }

@@ -1,13 +1,10 @@
 // Package faults (fixture) is a miniature fault registry seeding
 // sitedrift violations: a typo'd Fire site, a dead declared site, a
-// constant missing from knownSites, a ghost knownSites entry, and an
-// unregistered counter read. The package is deliberately named faults
-// — the sitedrift rule keys its registry checks on that name, which is
-// what lets this fixture exist without touching the real
-// internal/faults.
+// constant missing from knownSites, and a ghost knownSites entry. The
+// package is deliberately named faults — the sitedrift rule keys its
+// registry checks on that name, which is what lets this fixture exist
+// without touching the real internal/faults.
 package faults
-
-import "irfusion/internal/obs"
 
 const (
 	SiteGood     = "fix.good"
@@ -24,10 +21,9 @@ type Injector struct{}
 
 func (in *Injector) Fire(site, label string) {}
 
-func use() int64 {
+func use() {
 	in := &Injector{}
 	in.Fire(SiteGood, "")
 	in.Fire(SiteUnlisted, "")
 	in.Fire("fix.typo", "") // no such Site* constant
-	return obs.CounterValue("fix.no.such.counter")
 }

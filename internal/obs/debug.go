@@ -44,6 +44,7 @@ func ServeDebug(addr string) (*http.Server, string, error) {
 	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	//irfusion:go-ok the debug listener runs until the caller closes the returned server
 	go srv.Serve(ln)
 	return srv, ln.Addr().String(), nil
 }
