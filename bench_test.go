@@ -30,8 +30,6 @@ import (
 	"irfusion/internal/features"
 	"irfusion/internal/models"
 	"irfusion/internal/nn"
-	"irfusion/internal/obs"
-	"irfusion/internal/parallel"
 	"irfusion/internal/pgen"
 	"irfusion/internal/serve"
 	"irfusion/internal/solver"
@@ -553,62 +551,6 @@ func BenchmarkAnalyzeRepeat(b *testing.B) {
 
 func benchName(prefix string, k int) string {
 	return fmt.Sprintf("%s=%d", prefix, k)
-}
-
-// --- Parallel kernel scaling (serial vs worker-pool execution) --------
-// The pool serves nn's row-parallel GEMM only (the numerical stage is
-// serial; BenchmarkSolverConverged/die=512 is its row). The benchmark
-// sweeps the shared pool across 1/2/4/8 workers; the workers=1 row is
-// the bitwise-exact serial baseline. Speedups track physical cores —
-// on a single-core runner the rows mainly expose dispatch overhead.
-
-// benchAtWorkers runs body once per worker count with the default
-// pool swapped accordingly. Each row also reports the pool
-// utilization observed through the obs dispatch counters:
-//
-//	pool-util       fraction of kernel dispatches that ran on the pool
-//	par-kernels/op  parallel kernel dispatches per benchmark iteration
-//
-// The workers=1 rows report pool-util 0 by construction (the
-// single-worker pool is the serial baseline).
-func benchAtWorkers(b *testing.B, body func(b *testing.B)) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(benchName("workers", w), func(b *testing.B) {
-			pool := parallel.New(w)
-			prev := parallel.SetDefault(pool)
-			defer func() {
-				parallel.SetDefault(prev)
-				pool.Close()
-			}()
-			par0 := obs.CounterValue("parallel.for.parallel")
-			ser0 := obs.CounterValue("parallel.for.serial")
-			body(b)
-			par := obs.CounterValue("parallel.for.parallel") - par0
-			ser := obs.CounterValue("parallel.for.serial") - ser0
-			if total := par + ser; total > 0 {
-				b.ReportMetric(float64(par)/float64(total), "pool-util")
-				b.ReportMetric(float64(par)/float64(b.N), "par-kernels/op")
-			}
-		})
-	}
-}
-
-func BenchmarkParallelConvForward(b *testing.B) {
-	f := benchFixtures(b)
-	benchAtWorkers(b, func(b *testing.B) {
-		m, err := models.New("irfusion", models.Config{
-			InChannels: f.sample.Features.Channels(), Base: 8, Depth: 2, Seed: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.SetTraining(false)
-		x, _ := dataset.ToTensors([]*dataset.Sample{f.sample})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Forward(nil, x)
-		}
-	})
 }
 
 // --- Design-choice ablation benches (DESIGN.md §5) --------------------

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"irfusion/internal/obs"
-	"irfusion/internal/parallel"
 )
 
 func main() {
@@ -60,7 +59,6 @@ func main() {
 	}
 
 	rec := obs.NewRecorder()
-	rec.SetGauge("pool.workers", float64(parallel.Default().Workers()))
 	obs.SetActive(rec)
 	if *debug != "" {
 		if _, addr, err := obs.ServeDebug(*debug); err != nil {

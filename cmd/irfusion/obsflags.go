@@ -9,7 +9,6 @@ import (
 
 	"irfusion/internal/nn"
 	"irfusion/internal/obs"
-	"irfusion/internal/parallel"
 )
 
 // obsFlags carries the observability flags shared by every analysis
@@ -42,7 +41,6 @@ func (o *obsFlags) start(kind string, config any) func() error {
 		m["gemm_kernel"] = nn.Kernel()
 	}
 	rec := obs.NewRecorder()
-	rec.SetGauge("pool.workers", float64(parallel.Default().Workers()))
 	prev := obs.SetActive(rec)
 	var srv *http.Server
 	if *o.debugAddr != "" {

@@ -123,6 +123,21 @@ func (f *fleet) shard(name string) *fleetShard {
 	return nil
 }
 
+// waitInFlight waits until the named shard is running exactly one job
+// and fails the test if it is not within the deadline, so a test that
+// acts "mid-job" knows the job reached the shard and started.
+func (f *fleet) waitInFlight(name string) {
+	f.t.Helper()
+	sh := f.shard(name)
+	deadline := time.Now().Add(30 * time.Second)
+	for sh.svc.InFlight() != 1 {
+		if time.Now().After(deadline) {
+			f.t.Fatalf("shard %s has %d jobs in flight, want 1", name, sh.svc.InFlight())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // postAnalyze POSTs req through the gateway and returns the full
 // response with its body read.
 func (f *fleet) postAnalyze(req *serve.AnalyzeRequest) (*http.Response, []byte) {
@@ -270,7 +285,7 @@ func TestFleetFailoverMidJob(t *testing.T) {
 		resp, body, err := f.tryPostAnalyze(req)
 		ch <- outcome{resp, body, err}
 	}()
-	time.Sleep(250 * time.Millisecond) // let the job reach the owner and start
+	f.waitInFlight(owner)
 	f.kill(owner)
 
 	out := <-ch
@@ -398,6 +413,7 @@ func TestFleetDrain(t *testing.T) {
 	defer faults.SetActive(prevInj)
 
 	req := &serve.AnalyzeRequest{Pgen: &pgen.Config{Class: pgen.Fake, W: 16, H: 16, Seed: 9}}
+	owner := f.gw.Ring().Shard(mustKey(t, req))
 	type outcome struct {
 		resp *http.Response
 		body []byte
@@ -408,7 +424,7 @@ func TestFleetDrain(t *testing.T) {
 		resp, body, err := f.tryPostAnalyze(req)
 		ch <- outcome{resp, body, err}
 	}()
-	time.Sleep(100 * time.Millisecond) // in flight before the drain starts
+	f.waitInFlight(owner) // in flight before the drain starts
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -34,7 +34,7 @@
 // SyncEvery has elapsed since the last sync — amortizing the fsync
 // over bursts without needing a background goroutine (the goroutine
 // containment rule of this repository confines `go` statements to the
-// parallel/serve/cluster packages; the lazy sync keeps journal out of
+// serve and cluster packages; the lazy sync keeps journal out of
 // that set by design) — and SyncNone leaves flushing to the OS.
 package journal
 

@@ -17,10 +17,7 @@ var hotpathStdlib = map[string]bool{
 // marked //irfusion:hotpath:
 //
 //   - no make/new/append, no slice/map composite literals, no &T{...}
-//   - no function literals, except as direct arguments to an
-//     //irfusion:hotpath-allow callee (the parallel-dispatch idiom:
-//     the closure is only evaluated on the parallel branch); such
-//     closure bodies are still held to the call discipline
+//   - no function literals
 //   - no string concatenation and no implicit interface boxing at call
 //     arguments — except inside panic(...) arguments, where the
 //     allocation happens once on the way down
@@ -50,15 +47,12 @@ func (r *Runner) checkHotpath(p *Package) {
 	}
 }
 
-// hotpathWalker walks one hotpath function body. relaxed is true
-// inside a dispatch closure passed to a hotpath-allow callee (alloc
-// checks off, call discipline still on); inPanic is true inside
-// panic(...) arguments.
+// hotpathWalker walks one hotpath function body. inPanic is true
+// inside panic(...) arguments.
 type hotpathWalker struct {
 	r       *Runner
 	p       *Package
 	fn      string
-	relaxed bool
 	inPanic bool
 }
 
@@ -157,14 +151,10 @@ func (w *hotpathWalker) expr(e ast.Expr) {
 	case *ast.CallExpr:
 		w.call(e)
 	case *ast.FuncLit:
-		// A function literal reached outside a hotpath-allow dispatch
-		// argument: the closure itself allocates.
-		if !w.relaxed {
-			w.report(e.Pos(), "function literal allocates a closure")
-		}
+		w.report(e.Pos(), "function literal allocates a closure")
 		w.stmtList(e.Body.List)
 	case *ast.CompositeLit:
-		if !w.relaxed && !w.inPanic {
+		if !w.inPanic {
 			if t, ok := w.p.Info.Types[e]; ok {
 				switch t.Type.Underlying().(type) {
 				case *types.Slice, *types.Map:
@@ -177,7 +167,7 @@ func (w *hotpathWalker) expr(e ast.Expr) {
 		}
 	case *ast.UnaryExpr:
 		if e.Op == token.AND {
-			if _, ok := unparen(e.X).(*ast.CompositeLit); ok && !w.relaxed && !w.inPanic {
+			if _, ok := unparen(e.X).(*ast.CompositeLit); ok && !w.inPanic {
 				w.report(e.Pos(), "address of composite literal escapes to the heap")
 			}
 		}
@@ -236,7 +226,7 @@ func (w *hotpathWalker) call(call *ast.CallExpr) {
 	}
 
 	// Walk the callee expression itself (a receiver chain like
-	// parallel.Default().SerialForMin contains a nested call to check).
+	// obs.ActiveOr(ctx).Add contains a nested call to check).
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 		w.expr(sel.X)
 	}
@@ -264,10 +254,9 @@ func (w *hotpathWalker) call(call *ast.CallExpr) {
 		return
 	}
 
-	allowedDispatch := false
 	switch obj := obj.(type) {
 	case *types.Func:
-		allowedDispatch = w.checkCallee(call, obj)
+		w.checkCallee(call, obj)
 	case *types.Var:
 		w.report(call.Pos(), "call through function value %q cannot be verified; hoist it to a named //irfusion:hotpath function", obj.Name())
 	case nil:
@@ -277,52 +266,34 @@ func (w *hotpathWalker) call(call *ast.CallExpr) {
 	w.checkBoxing(call, obj)
 
 	for _, a := range call.Args {
-		if fl, ok := unparen(a).(*ast.FuncLit); ok && allowedDispatch {
-			// The dispatch-closure idiom: the hotpath-allow callee's
-			// rationale covers the closure allocation (it is only
-			// evaluated on the parallel branch), but the body still may
-			// not call out of the hotpath call graph.
-			prevRelaxed, prevPanic := w.relaxed, w.inPanic
-			w.relaxed, w.inPanic = true, false
-			w.stmtList(fl.Body.List)
-			w.relaxed, w.inPanic = prevRelaxed, prevPanic
-			continue
-		}
 		w.expr(a)
 	}
 }
 
 // checkCallee enforces the call discipline for a resolved static
-// callee and reports whether it is a hotpath-allow function (whose
-// function-literal arguments are the sanctioned dispatch closures).
-func (w *hotpathWalker) checkCallee(call *ast.CallExpr, fn *types.Func) bool {
+// callee.
+func (w *hotpathWalker) checkCallee(call *ast.CallExpr, fn *types.Func) {
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		if types.IsInterface(sig.Recv().Type()) {
 			w.report(call.Pos(), "dynamic interface call %s.%s cannot be verified", sig.Recv().Type(), fn.Name())
-			return false
+			return
 		}
 	}
 	pkg := fn.Pkg()
 	if pkg == nil {
 		// Universe-scope methods (error.Error) are dynamic.
 		w.report(call.Pos(), "dynamic call %s cannot be verified", fn.Name())
-		return false
+		return
 	}
 	if w.r.isModulePath(pkg.Path()) {
-		switch w.r.class[fn] {
-		case classHotpath:
-			return false
-		case classHotpathAllow:
-			return true
-		default:
+		if c := w.r.class[fn]; c != classHotpath && c != classHotpathAllow {
 			w.report(call.Pos(), "calls %s, which is neither //irfusion:hotpath nor //irfusion:hotpath-allow", funcName(fn))
-			return false
 		}
+		return
 	}
 	if !hotpathStdlib[pkg.Path()] {
 		w.report(call.Pos(), "calls %s.%s from non-allowlisted package %s", pkg.Name(), fn.Name(), pkg.Path())
 	}
-	return false
 }
 
 // checkConversion flags conversions that allocate: to string (from

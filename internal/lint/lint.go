@@ -19,9 +19,8 @@
 //   - floateq: float ==/!= needs an //irfusion:exact annotation with a
 //     rationale; unannotated exact comparison is almost always a bug
 //     in numerical code.
-//   - nogo: goroutines are spawned only inside internal/parallel,
-//     internal/serve and internal/cluster, the packages that own
-//     lifecycle management.
+//   - nogo: goroutines are spawned only inside internal/serve and
+//     internal/cluster, the packages that own lifecycle management.
 //   - sitedrift: every fault site fired is a declared Site* constant,
 //     every declared site is fired, and knownSites lists exactly the
 //     declared sites (see sitedrift.go).
@@ -80,7 +79,7 @@ const (
 	classHotpath
 	// classHotpathAllow: callable from hotpath code without being
 	// checked itself; the directive's rationale documents why (e.g.
-	// "allocates only on the parallel dispatch path").
+	// "frames are built on the job-lifecycle path").
 	classHotpathAllow
 )
 

@@ -68,6 +68,17 @@ func TestHotpathFixture(t *testing.T) {
 	requireFinding(t, diags, "hotpath", "neither //irfusion:hotpath nor //irfusion:hotpath-allow")
 	requireFinding(t, diags, "hotpath", "function literal allocates a closure")
 	requireFinding(t, diags, "hotpath", "call through function value")
+	// A closure passed to a hotpath-allow callee allocates like any
+	// other, and is the only thing wrong with Scale.
+	var scale []Diagnostic
+	for _, d := range diags {
+		if strings.Contains(d.Message, "hotpathfix.Scale:") {
+			scale = append(scale, d)
+		}
+	}
+	if len(scale) != 1 || !strings.Contains(scale[0].Message, "function literal allocates a closure") {
+		t.Errorf("want one closure finding in Scale, got %v", scale)
+	}
 }
 
 func TestCtxFixture(t *testing.T) {

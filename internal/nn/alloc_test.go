@@ -9,15 +9,8 @@ import (
 	"runtime"
 	"testing"
 
-	"irfusion/internal/parallel"
 	"irfusion/internal/race"
 )
-
-func pinSerialPool(t testing.TB) {
-	t.Helper()
-	prev := parallel.SetDefault(parallel.New(1))
-	t.Cleanup(func() { parallel.SetDefault(prev) })
-}
 
 func requireZeroAllocs(t *testing.T, name string, fn func()) {
 	t.Helper()
@@ -31,7 +24,6 @@ func requireZeroAllocs(t *testing.T, name string, fn func()) {
 }
 
 func TestZeroAllocGEMMVariants(t *testing.T) {
-	pinSerialPool(t)
 	// A shape inside one panel with row and k remainders, and the
 	// served 3×3 convolution over 8 channels at 64×64.
 	for _, s := range [][3]int{{9, 13, 10}, {8, 72, 4096}} {
@@ -52,7 +44,6 @@ func TestZeroAllocGEMMVariants(t *testing.T) {
 }
 
 func TestZeroAllocIm2colCol2im(t *testing.T) {
-	pinSerialPool(t)
 	const ic, ih, iw = 3, 9, 9
 	const kh, kw, stride, pad = 3, 3, 1, 1
 	oh := (ih+2*pad-kh)/stride + 1
@@ -94,7 +85,6 @@ func TestEvalConvAndBatchNormAllocateOnlyTheirOutput(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	pinSerialPool(t)
 	const ic, oc, h, w = 8, 4, 32, 32
 	x := NewTensor(1, ic, h, w)
 	for i := range x.Data {

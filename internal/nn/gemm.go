@@ -1,24 +1,11 @@
 package nn
 
-import (
-	"irfusion/internal/obs"
-	"irfusion/internal/parallel"
-)
+import "irfusion/internal/obs"
 
 // cGemm counts dense GEMM kernel calls (nn.gemm_calls in manifests):
 // the dominant cost driver of the ML stage, cheap to count with one
 // atomic add against the O(m·k·n) flops each call performs.
 var cGemm = obs.GlobalCounter("nn.gemm_calls")
-
-// cForSerial accounts the serial fast paths of the GEMM/col2im kernels
-// under the pool's own elementwise-serial counter, keeping
-// pool-utilization numbers honest (same idiom as package sparse).
-var cForSerial = obs.GlobalCounter("parallel.for.serial")
-
-// gemmMinWork is the serial cutoff of the row-parallel kernels. The
-// indices here are GEMM/im2col rows carrying substantial per-index
-// work, so the cutoff is far below the pool's vector-element default.
-const gemmMinWork = 64
 
 // gemmPanel is the column-panel width of the blocked kernels: four
 // rows of C and four rows of B, 256 doubles each, are 16 KB — they stay
@@ -37,22 +24,6 @@ func Kernel() string {
 	return "go"
 }
 
-// parallelFor splits [0, n) across the shared worker pool and runs
-// fn(start, end) on each chunk concurrently; see gemmMinWork.
-//
-//irfusion:hotpath-allow thin wrapper over ForMin; closures allocate only on the parallel dispatch path
-func parallelFor(n int, fn func(start, end int)) {
-	parallel.Default().ForMin(n, gemmMinWork, fn)
-}
-
-// serialFor reports whether parallelFor would run serially; hot
-// kernels branch on it to skip the closure a dispatch constructs.
-//
-//irfusion:hotpath
-func serialFor(n int) bool {
-	return parallel.Default().SerialForMin(n, gemmMinWork)
-}
-
 // gemm computes C = A·B (+C when accumulate) for row-major dense
 // matrices: A is m×k, B is k×n, C is m×n.
 //
@@ -61,9 +32,9 @@ func serialFor(n int) bool {
 // value when accumulate and +0 otherwise; c + ((0 + a₀b₀) + a₁b₁ + …)
 // in gemmTB. The blocking below changes which elements are in flight
 // together, never that order, so for finite inputs (and C not starting
-// at −0) the result is bit for bit the in-order triple loop's, at every
-// worker count. No multiplicand is skipped: 0·Inf is NaN, and a NaN or
-// Inf in a row of A or a column of B reaches every element it feeds.
+// at −0) the result is bit for bit the in-order triple loop's. No
+// multiplicand is skipped: 0·Inf is NaN, and a NaN or Inf in a row of A
+// or a column of B reaches every element it feeds.
 //
 // Pinned bits are per architecture. The language lets a compiler fuse
 // x*y + z into one rounding: the amd64 compiler does not, the arm64
@@ -94,28 +65,16 @@ func gemmTB(a []float64, b []float64, c []float64, m, k, n int, accumulate bool)
 }
 
 // gemmRows counts the call and hands rows [0, m) of C to the leaf of
-// the chosen variant (transB selects gemmTBRange), serially below
-// gemmMinWork rows and otherwise split on whole row quads, so no chunk
-// but the last meets a remainder row. A(i,p) is a[i*sai+p*sap].
+// the chosen variant (transB selects gemmTBRange). A(i,p) is
+// a[i*sai+p*sap].
 //
 //irfusion:hotpath
 func gemmRows(transB bool, a, b, c []float64, sai, sap, m, k, n int, accumulate bool) {
 	cGemm.Inc()
-	if m <= 0 {
-		return
-	}
-	pool := parallel.Default()
-	if pool.SerialForMin(m, gemmMinWork) {
-		cForSerial.Inc()
-		gemmLeaf(transB, a, b, c, sai, sap, k, n, accumulate, 0, m)
-		return
-	}
-	pool.ForMin((m+3)/4, gemmMinWork/4, func(lo, hi int) {
-		gemmLeaf(transB, a, b, c, sai, sap, k, n, accumulate, 4*lo, min(4*hi, m))
-	})
+	gemmLeaf(transB, a, b, c, sai, sap, k, n, accumulate, 0, m)
 }
 
-// gemmLeaf runs rows [start, end) of C on the calling goroutine.
+// gemmLeaf runs rows [start, end) of C.
 //
 //irfusion:hotpath
 func gemmLeaf(transB bool, a, b, c []float64, sai, sap, k, n int, accumulate bool, start, end int) {

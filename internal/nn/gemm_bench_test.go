@@ -26,7 +26,6 @@ var servedGemmShapes = []struct{ m, k, n, calls int }{
 // reference, on every served shape. GF/s is 2·m·k·n over the time;
 // MB/op is computed, not measured: A, B and C touched once each.
 func BenchmarkGemmServedShapes(b *testing.B) {
-	pinSerialPool(b)
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range servedGemmShapes {
 		m, k, n := s.m, s.k, s.n

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"irfusion/internal/parallel"
 	"irfusion/internal/race"
 )
 
@@ -122,23 +121,14 @@ func sameFloats(got, want []float64) int {
 // TestGemmAgainstNaive: over the shapes the blocking branches on (row
 // quads and their remainders, k quads and theirs, one panel, a panel
 // boundary, many panels), with and without accumulation into a
-// pre-filled C, at 1, 2, 3 and 8 workers once m reaches the parallel
-// cutoff, and over arbitrary row sub-ranges of the leaf, every variant
-// returns exactly the bits of the in-order reference — on every leaf
-// the machine has.
+// pre-filled C, and over arbitrary row sub-ranges of the leaf, every
+// variant returns exactly the bits of the in-order reference — on every
+// leaf the machine has.
 func TestGemmAgainstNaive(t *testing.T) {
-	pools := []*parallel.Pool{parallel.New(1), parallel.New(2), parallel.New(3), parallel.New(8)}
-	prev := parallel.SetDefault(pools[0])
-	defer func() {
-		parallel.SetDefault(prev)
-		for _, pool := range pools {
-			pool.Close()
-		}
-	}()
-	ForEachLeaf(t, func(t *testing.T) { gemmAgainstNaive(t, pools) })
+	ForEachLeaf(t, gemmAgainstNaive)
 }
 
-func gemmAgainstNaive(t *testing.T, pools []*parallel.Pool) {
+func gemmAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, m := range []int{1, 3, 4, 5, 8, 13, 64, 67} {
 		for _, k := range []int{1, 3, 4, 7, 72, 99} {
@@ -149,10 +139,6 @@ func gemmAgainstNaive(t *testing.T, pools []*parallel.Pool) {
 				a, b, c0 := normalSlice(rng, m*k), normalSlice(rng, k*n), normalSlice(rng, m*n)
 				start := rng.Intn(m)
 				end := start + 1 + rng.Intn(m-start)
-				sweep := pools[:1] // below the cutoff no variant dispatches
-				if m >= gemmMinWork {
-					sweep = pools
-				}
 				for _, v := range gemmVariants {
 					sai, sap := k, 1 // A(i,p) = a[i*sai+p*sap]
 					if v.transA {
@@ -161,16 +147,13 @@ func gemmAgainstNaive(t *testing.T, pools []*parallel.Pool) {
 					for _, accumulate := range []bool{false, true} {
 						want := slices.Clone(c0)
 						gemmRef(v.transB, a, b, want, sai, sap, m, k, n, accumulate)
-						for _, pool := range sweep {
-							parallel.SetDefault(pool)
-							got := slices.Clone(c0)
-							v.run(a, b, got, m, k, n, accumulate)
-							if i := firstBitDiff(got, want); i >= 0 {
-								t.Fatalf("%s %dx%dx%d accumulate=%v workers=%d: c[%d] = %v, reference %v",
-									v.name, m, k, n, accumulate, pool.Workers(), i, got[i], want[i])
-							}
-						}
 						got := slices.Clone(c0)
+						v.run(a, b, got, m, k, n, accumulate)
+						if i := firstBitDiff(got, want); i >= 0 {
+							t.Fatalf("%s %dx%dx%d accumulate=%v: c[%d] = %v, reference %v",
+								v.name, m, k, n, accumulate, i, got[i], want[i])
+						}
+						got = slices.Clone(c0)
 						gemmLeaf(v.transB, a, b, got, sai, sap, k, n, accumulate, start, end)
 						copy(want[:start*n], c0)
 						copy(want[end*n:], c0[end*n:])
@@ -515,21 +498,5 @@ func TestConv2dParamsAndStateAccessors(t *testing.T) {
 func TestNeedsGrad(t *testing.T) {
 	if !NewParam(1).NeedsGrad() || NewTensor(1).NeedsGrad() {
 		t.Error("NeedsGrad flags wrong")
-	}
-}
-
-func TestParallelForCoversRange(t *testing.T) {
-	// Large n exercises the multi-worker path; verify exact coverage.
-	n := 10000
-	hits := make([]int32, n)
-	parallelFor(n, func(start, end int) {
-		for i := start; i < end; i++ {
-			hits[i]++
-		}
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
-		}
 	}
 }

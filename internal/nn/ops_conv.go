@@ -49,7 +49,6 @@ func Conv2D(tp *Tape, x, w, b *Tensor, stride, pad int) *Tensor {
 			colsPerSample = append(colsPerSample, kept)
 		}
 		cGemm.Inc() // one k × hw product per sample, whatever the panelling
-		cForSerial.Inc()
 		for oy := 0; oy < oh; oy += rows {
 			r := min(rows, oh-oy)
 			pw := r * ow
@@ -168,27 +167,7 @@ func im2colRows(img, cols []float64, ic, ih, iw, kh, kw, stride, pad, ow, oy0, r
 //
 //irfusion:hotpath
 func col2im(cols, img []float64, ic, ih, iw, kh, kw, stride, pad, oh, ow int) {
-	if ic <= 0 {
-		return
-	}
-	// Parallelize over channels: rows of the same channel write to
-	// disjoint channel planes only if we group by c.
-	if serialFor(ic) {
-		cForSerial.Inc()
-		col2imRange(cols, img, ih, iw, kh, kw, stride, pad, oh, ow, 0, ic)
-		return
-	}
-	parallelFor(ic, func(cStart, cEnd int) {
-		col2imRange(cols, img, ih, iw, kh, kw, stride, pad, oh, ow, cStart, cEnd)
-	})
-}
-
-// col2imRange scatters the columns of channels [cStart, cEnd) back
-// into their image planes.
-//
-//irfusion:hotpath
-func col2imRange(cols, img []float64, ih, iw, kh, kw, stride, pad, oh, ow, cStart, cEnd int) {
-	for c := cStart; c < cEnd; c++ {
+	for c := 0; c < ic; c++ {
 		for dy := 0; dy < kh; dy++ {
 			for dx := 0; dx < kw; dx++ {
 				row := (c*kh+dy)*kw + dx
@@ -226,31 +205,29 @@ func MaxPool2x2(tp *Tape, x *Tensor) *Tensor {
 	if out.needsGrad {
 		argmax = make([]int32, out.Size())
 	}
-	parallelFor(n*c, func(lo, hi int) {
-		for nc := lo; nc < hi; nc++ {
-			inBase := nc * h * w
-			outBase := nc * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					i0 := inBase + (2*oy)*w + 2*ox
-					best, bi := x.Data[i0], i0
-					if v := x.Data[i0+1]; v > best {
-						best, bi = v, i0+1
-					}
-					if v := x.Data[i0+w]; v > best {
-						best, bi = v, i0+w
-					}
-					if v := x.Data[i0+w+1]; v > best {
-						best, bi = v, i0+w+1
-					}
-					out.Data[outBase+oy*ow+ox] = best
-					if argmax != nil {
-						argmax[outBase+oy*ow+ox] = int32(bi)
-					}
+	for nc := 0; nc < n*c; nc++ {
+		inBase := nc * h * w
+		outBase := nc * oh * ow
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				i0 := inBase + (2*oy)*w + 2*ox
+				best, bi := x.Data[i0], i0
+				if v := x.Data[i0+1]; v > best {
+					best, bi = v, i0+1
+				}
+				if v := x.Data[i0+w]; v > best {
+					best, bi = v, i0+w
+				}
+				if v := x.Data[i0+w+1]; v > best {
+					best, bi = v, i0+w+1
+				}
+				out.Data[outBase+oy*ow+ox] = best
+				if argmax != nil {
+					argmax[outBase+oy*ow+ox] = int32(bi)
 				}
 			}
 		}
-	})
+	}
 	if out.needsGrad {
 		tp.record(func() {
 			x.ensureGrad()
@@ -270,18 +247,16 @@ func AvgPool2x2(tp *Tape, x *Tensor) *Tensor {
 		panic("nn: AvgPool2x2 input too small")
 	}
 	out := result(tp, []int{n, c, oh, ow}, x)
-	parallelFor(n*c, func(lo, hi int) {
-		for nc := lo; nc < hi; nc++ {
-			inBase := nc * h * w
-			outBase := nc * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					i0 := inBase + (2*oy)*w + 2*ox
-					out.Data[outBase+oy*ow+ox] = 0.25 * (x.Data[i0] + x.Data[i0+1] + x.Data[i0+w] + x.Data[i0+w+1])
-				}
+	for nc := 0; nc < n*c; nc++ {
+		inBase := nc * h * w
+		outBase := nc * oh * ow
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				i0 := inBase + (2*oy)*w + 2*ox
+				out.Data[outBase+oy*ow+ox] = 0.25 * (x.Data[i0] + x.Data[i0+1] + x.Data[i0+w] + x.Data[i0+w+1])
 			}
 		}
-	})
+	}
 	if out.needsGrad {
 		tp.record(func() {
 			x.ensureGrad()
@@ -310,22 +285,20 @@ func Upsample2x(tp *Tape, x *Tensor) *Tensor {
 	n, c, h, w := x.Dims4()
 	oh, ow := 2*h, 2*w
 	out := result(tp, []int{n, c, oh, ow}, x)
-	parallelFor(n*c, func(lo, hi int) {
-		for nc := lo; nc < hi; nc++ {
-			inBase := nc * h * w
-			outBase := nc * oh * ow
-			for y := 0; y < h; y++ {
-				for xx := 0; xx < w; xx++ {
-					v := x.Data[inBase+y*w+xx]
-					d := outBase + (2*y)*ow + 2*xx
-					out.Data[d] = v
-					out.Data[d+1] = v
-					out.Data[d+ow] = v
-					out.Data[d+ow+1] = v
-				}
+	for nc := 0; nc < n*c; nc++ {
+		inBase := nc * h * w
+		outBase := nc * oh * ow
+		for y := 0; y < h; y++ {
+			for xx := 0; xx < w; xx++ {
+				v := x.Data[inBase+y*w+xx]
+				d := outBase + (2*y)*ow + 2*xx
+				out.Data[d] = v
+				out.Data[d+1] = v
+				out.Data[d+ow] = v
+				out.Data[d+ow+1] = v
 			}
 		}
-	})
+	}
 	if out.needsGrad {
 		tp.record(func() {
 			x.ensureGrad()

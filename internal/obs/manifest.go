@@ -80,9 +80,8 @@ type Host struct {
 // Manifest freezes the recorder into a manifest of the given kind
 // ("analyze", "solve", "train", "experiments", ...) with an optional
 // configuration payload. Global counters are reported as deltas since
-// NewRecorder, merged with the per-run counters (names are
-// namespaced by convention: "parallel.*" global, everything else
-// per-run). The recorder remains usable afterwards.
+// NewRecorder, merged with the per-run counters (a name is counted in
+// one of the two, never both). The recorder remains usable afterwards.
 func (r *Recorder) Manifest(kind string, config any) *Manifest {
 	m := &Manifest{
 		Schema: SchemaVersion,
@@ -144,15 +143,6 @@ func (r *Recorder) Manifest(kind string, config any) *Manifest {
 	if r.resume != nil {
 		rs := *r.resume
 		m.Resume = &rs
-	}
-
-	// Derived pool-utilization gauge from the well-known parallel.*
-	// counters (see internal/parallel): the fraction of ForMin loops
-	// that actually ran on the worker pool.
-	par := m.Counters["parallel.for.parallel"]
-	ser := m.Counters["parallel.for.serial"]
-	if par+ser > 0 {
-		m.Gauges["pool.parallel_fraction"] = float64(par) / float64(par+ser)
 	}
 	return m
 }
@@ -325,17 +315,9 @@ func (m *Manifest) Summary() string {
 		fmt.Fprintf(&b, "resume: %s from %s at iteration %d (key %s)\n",
 			rs.Outcome, orDash(rs.From), rs.Iter, orDash(rs.CheckpointKey))
 	}
-	par := m.Counters["parallel.for.parallel"]
-	ser := m.Counters["parallel.for.serial"]
-	if par+ser > 0 {
-		fmt.Fprintf(&b, "pool: %d kernel dispatches, %.1f%% parallel, %d helper tasks\n",
-			par+ser, 100*float64(par)/float64(par+ser), m.Counters["parallel.tasks"])
-	}
 	var rest []string
 	for _, name := range sortedKeys(m.Counters) {
-		if !strings.HasPrefix(name, "parallel.") {
-			rest = append(rest, fmt.Sprintf("%s=%d", name, m.Counters[name]))
-		}
+		rest = append(rest, fmt.Sprintf("%s=%d", name, m.Counters[name]))
 	}
 	if len(rest) > 0 {
 		fmt.Fprintf(&b, "counters: %s\n", strings.Join(rest, " "))

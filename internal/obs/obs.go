@@ -1,8 +1,7 @@
 // Package obs is the dependency-free observability layer of the
 // IR-Fusion pipeline. It makes the fused numerical+ML run measurable
 // instead of a black box: where the wall time goes stage by stage, how
-// the PCG residual actually converged, what the AMG setup produced,
-// and what the shared worker pool (package parallel) contributed.
+// the PCG residual actually converged, and what the AMG setup produced.
 //
 // The package has three parts:
 //
@@ -15,8 +14,8 @@
 //     nil and the instrumentation reduces to a pointer test.
 //
 //   - Process-wide global counters (GlobalCounter): single atomic
-//     adds, cheap enough to stay permanently enabled inside the hot
-//     kernels of package parallel. A Recorder snapshots the globals at
+//     adds, cheap enough to stay permanently enabled inside hot
+//     kernels (nn.gemm_calls). A Recorder snapshots the globals at
 //     creation, so each run manifest reports the per-run delta.
 //
 //   - Run manifests (manifest.go): one structured JSON document per

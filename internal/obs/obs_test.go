@@ -53,7 +53,7 @@ func TestGlobalCounterRegistry(t *testing.T) {
 }
 
 // TestRecorderConcurrent hammers one recorder from many goroutines;
-// the CI race job (-race with a wide pool) is the real assertion.
+// the CI race job is the real assertion.
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder()
 	g := GlobalCounter("test.concurrent.global")
@@ -126,8 +126,7 @@ func TestStageReportsAllocation(t *testing.T) {
 func testManifest(t *testing.T) *Manifest {
 	t.Helper()
 	r := NewRecorder()
-	GlobalCounter("parallel.for.parallel").Add(3)
-	GlobalCounter("parallel.for.serial").Add(1)
+	GlobalCounter("test.manifest.global").Add(3)
 	st := r.StartStage("solve")
 	time.Sleep(2 * time.Millisecond)
 	st.End()
@@ -161,11 +160,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if back.Kind != "analyze" || len(back.Solves) != 1 || len(back.Solves[0].History) != 4 {
 		t.Errorf("round trip lost data: %+v", back)
 	}
-	if back.Counters["parallel.for.parallel"] != 3 {
+	if back.Counters["test.manifest.global"] != 3 {
 		t.Errorf("global counter delta lost: %v", back.Counters)
-	}
-	if f := back.Gauges["pool.parallel_fraction"]; f != 0.75 {
-		t.Errorf("pool.parallel_fraction = %v, want 0.75", f)
 	}
 	if back.Epochs[0].ValLoss == nil || *back.Epochs[0].ValLoss != 0.5 {
 		t.Error("val loss lost")
@@ -293,7 +289,7 @@ func TestSinks(t *testing.T) {
 
 func TestSummary(t *testing.T) {
 	s := testManifest(t).Summary()
-	for _, want := range []string{"analyze", "solve", "golden", "pool:", "designs=2", "training: 1 epochs"} {
+	for _, want := range []string{"analyze", "solve", "golden", "designs=2", "test.manifest.global=3", "training: 1 epochs"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
 		}

@@ -23,7 +23,6 @@ import (
 	"irfusion/internal/journal"
 	"irfusion/internal/nn"
 	"irfusion/internal/obs"
-	"irfusion/internal/parallel"
 	"irfusion/internal/pgen"
 	"irfusion/internal/plan"
 	"irfusion/internal/solver"
@@ -378,7 +377,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"in_flight":      s.InFlight(),
 		"queue_len":      len(s.queue),
 		"queue_cap":      s.cfg.QueueDepth,
-		"pool_workers":   parallel.Default().Workers(),
 		"gemm_kernel":    nn.Kernel(),
 		"fused_model":    s.cfg.Analyzer != nil,
 		"cache_enabled":  s.cache != nil,

@@ -12,14 +12,12 @@
 //
 // Requests are admitted into a bounded job queue executed by a fixed
 // set of workers, so worker concurrency controls how many analyses are
-// in flight; the numerical stage of each runs serially, and only the
-// GEMM loops of fused inference use the process-wide internal/parallel
-// pool. Each job runs under a context.Context carrying
-// its own obs.Recorder: cancellation (client disconnect, DELETE, or
-// per-request timeout) stops the PCG iteration loop mid-solve via
-// solver.PCGCtx, and the per-request run manifest — including the
-// partial residual history of a cancelled solve — is attached to the
-// job result. Shutdown drains in-flight solves before returning.
+// in flight, each on its worker's goroutine from deck to map. Each job
+// runs under a context.Context carrying its own obs.Recorder:
+// cancellation (client disconnect, DELETE, or per-request timeout)
+// stops the PCG iteration loop mid-solve via solver.PCGCtx, and the
+// per-request run manifest — including the partial residual history of
+// a cancelled solve — is attached to the job result. Shutdown drains in-flight solves before returning.
 package serve
 
 import (
@@ -70,9 +68,7 @@ type Config struct {
 	Name string
 	// Workers is the number of job-queue workers — the number of
 	// analyses in flight at once, in every mode: fused inference runs
-	// concurrently on the shared model too. A fused analysis
-	// additionally fans its GEMM loops out on the shared
-	// internal/parallel pool. Default 2.
+	// concurrently on the shared model too. Default 2.
 	Workers int
 	// QueueDepth bounds the number of queued (not yet running) jobs;
 	// submissions beyond it are rejected with 503. Default 16.

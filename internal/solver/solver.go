@@ -128,7 +128,7 @@ var ErrBreakdown = errors.New("solver: numerical breakdown (non-finite value)")
 //
 // Every vector kernel is a serial loop and every inner product sums in
 // index order, so the residual history is bitwise reproducible
-// run-to-run and independent of IRFUSION_WORKERS.
+// run-to-run and on any core count.
 //
 // When a run recorder is active (obs.Active), the outcome — iteration
 // count, wall time, final residual, and the recorded history — is
@@ -350,18 +350,6 @@ func RelResidual(a *sparse.CSR, x, b []float64) float64 {
 		return sparse.Norm2(r)
 	}
 	return sparse.Norm2(r) / bn
-}
-
-// MaxAbsDiff returns max_i |a_i − b_i|, a convenience for comparing a
-// rough solution against golden.
-func MaxAbsDiff(a, b []float64) float64 {
-	m := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // SSOR is a symmetric-Gauss-Seidel (SSOR-type) preconditioner: each

@@ -251,12 +251,6 @@ func TestRelResidual(t *testing.T) {
 	}
 }
 
-func TestMaxAbsDiff(t *testing.T) {
-	if d := MaxAbsDiff([]float64{1, 2, 3}, []float64{1, 5, 2}); d != 3 {
-		t.Errorf("MaxAbsDiff = %v, want 3", d)
-	}
-}
-
 func TestFlexibleMatchesStandardForLinearPreconditioner(t *testing.T) {
 	// With a fixed (linear) preconditioner, flexible and standard PCG
 	// should follow nearly identical trajectories.

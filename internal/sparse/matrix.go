@@ -8,7 +8,9 @@
 // symmetric positive-definite (SPD) systems that arise from modified
 // nodal analysis of resistive power grids, but the general routines
 // (assembly, SpMV, transpose) work for arbitrary sparsity. Every
-// kernel is one serial loop; package parallel's comment says why.
+// kernel is one serial loop: on two cores a worker-pool SpMV broke even
+// only past ~150k stored entries, and the largest die the service
+// admits has 87 116 (EXPERIMENTS.md "One serial numerical core").
 package sparse
 
 import (
