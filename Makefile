@@ -134,7 +134,17 @@ loc: ## non-test Go and assembly lines per package and the total
 # cmd/irfusion 1186 -> 1184, cmd/experiments 664 -> 662, and
 # internal/sparse 640 -> 642 (the serial-kernel rationale the pool's
 # package comment carried).
-LOC_CEILING ?= 21150
+# Lowered to 21050 (total 21143 -> 21044) when the context became the
+# only way to find a recorder or a cache: internal/obs 938 -> 880
+# (Active/SetActive/ActiveOr, the manifest's global-counter merge,
+# AddSeconds), internal/cache 1039 -> 1005 (its global slot),
+# internal/core 736 -> 723 and internal/dataset 582 -> 576 (the
+# ctx-less wrappers), internal/features 416 -> 408 (the feature.*
+# gauges), internal/amg 589 -> 582 (amg.cycle); the front ends grew by
+# the ctx they now pass: the root facade 132 -> 138, cmd/experiments
+# 662 -> 670, cmd/irfusion 1184 -> 1188, the examples +2 each, and
+# internal/lint 2561 -> 2564 (hooksafe's rules 1 and 2 name faults).
+LOC_CEILING ?= 21050
 
 loc-check: ## fail when the non-test Go + assembly line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \

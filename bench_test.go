@@ -76,7 +76,7 @@ func benchFixtures(b *testing.B) *fixtures {
 			panic(err)
 		}
 		fix.hier = h
-		s, err := dataset.Build(d, dataset.DefaultOptions(benchRes, benchRes))
+		s, err := dataset.BuildCtx(context.Background(), d, dataset.DefaultOptions(benchRes, benchRes))
 		if err != nil {
 			panic(err)
 		}
@@ -182,7 +182,7 @@ func BenchmarkFig7FusionNumericalStage(b *testing.B) {
 	opts := dataset.DefaultOptions(benchRes, benchRes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dataset.Build(f.design, opts); err != nil {
+		if _, err := dataset.BuildCtx(context.Background(), f.design, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -426,6 +426,29 @@ func BenchmarkStructureFeatures(b *testing.B) {
 	}
 }
 
+// BenchmarkStructureFeatureMaps times each structural map of
+// BenchmarkStructureFeatures alone: the per-channel cost of the
+// feature stage, which no manifest reports.
+func BenchmarkStructureFeatureMaps(b *testing.B) {
+	f := benchFixtures(b)
+	for _, m := range []struct {
+		name  string
+		build func()
+	}{
+		{"current", func() { features.CurrentMaps(f.nw, benchRes, benchRes) }},
+		{"eff_dist", func() { features.EffectiveDistanceMap(f.nw, benchRes, benchRes) }},
+		{"pdn_density", func() { features.DensityMap(f.nw, benchRes, benchRes) }},
+		{"resistance", func() { features.ResistanceMap(f.nw, benchRes, benchRes) }},
+		{"sp_resistance", func() { features.ShortestPathResistanceMap(f.nw, benchRes, benchRes) }},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.build()
+			}
+		})
+	}
+}
+
 func BenchmarkDesignGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := pgen.Generate(pgen.DefaultConfig("g", pgen.Real, benchRes, benchRes, int64(i))); err != nil {
@@ -441,7 +464,7 @@ func BenchmarkEndToEndNumerical(b *testing.B) {
 	na := &core.NumericalAnalyzer{Iters: 0, Resolution: benchRes}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := na.Analyze(f.design); err != nil {
+		if _, _, _, err := na.AnalyzeCtx(context.Background(), f.design); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -27,6 +28,8 @@ type env_ struct {
 
 	// Trained analyzers cached across experiments (name -> analyzer).
 	analyzers map[string]*core.Analyzer
+
+	ctx context.Context // carries the run recorder
 }
 
 // fullOpts returns the fused-pipeline dataset options. The rough
@@ -53,8 +56,8 @@ func isBasicChannel(name string) bool {
 }
 
 // prepare generates designs and builds the shared sample sets.
-func prepare(sc scale) (*env_, error) {
-	e := &env_{sc: sc, analyzers: map[string]*core.Analyzer{}}
+func prepare(ctx context.Context, sc scale) (*env_, error) {
+	e := &env_{sc: sc, analyzers: map[string]*core.Analyzer{}, ctx: ctx}
 
 	gen := func(name string, class pgen.Class, seed int64) (*pgen.Design, error) {
 		return pgen.Generate(pgen.DefaultConfig(name, class, sc.Res, sc.Res, seed))
@@ -82,19 +85,19 @@ func prepare(sc scale) (*env_, error) {
 	}
 
 	var err error
-	e.fullTrain, err = buildSamples(e.trainDesigns, e.fullOpts())
+	e.fullTrain, err = e.buildSamples(e.trainDesigns, e.fullOpts())
 	if err != nil {
 		return nil, err
 	}
-	e.fullTest, err = buildSamples(e.testDesigns, e.fullOpts())
+	e.fullTest, err = e.buildSamples(e.testDesigns, e.fullOpts())
 	if err != nil {
 		return nil, err
 	}
-	bt, err := buildSamples(e.trainDesigns, e.basicOpts())
+	bt, err := e.buildSamples(e.trainDesigns, e.basicOpts())
 	if err != nil {
 		return nil, err
 	}
-	bs, err := buildSamples(e.testDesigns, e.basicOpts())
+	bs, err := e.buildSamples(e.testDesigns, e.basicOpts())
 	if err != nil {
 		return nil, err
 	}
@@ -103,10 +106,10 @@ func prepare(sc scale) (*env_, error) {
 	return e, nil
 }
 
-func buildSamples(designs []*pgen.Design, opts dataset.Options) ([]*dataset.Sample, error) {
+func (e *env_) buildSamples(designs []*pgen.Design, opts dataset.Options) ([]*dataset.Sample, error) {
 	out := make([]*dataset.Sample, 0, len(designs))
 	for _, d := range designs {
-		s, err := dataset.Build(d, opts)
+		s, err := dataset.BuildCtx(e.ctx, d, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +145,7 @@ func (e *env_) trainModel(name string) (*core.Analyzer, error) {
 		train = e.basicTrain
 	}
 	log.Printf("training %s on %d designs (%d epochs)...", name, len(train), cfg.Epochs)
-	res, err := core.Train(cfg, train)
+	res, err := core.Train(e.ctx, cfg, train)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +167,7 @@ func (e *env_) trainSweepModel() (*core.Analyzer, error) {
 	for _, k := range []int{1, 2, 4, 7, 10} {
 		opts := e.fullOpts()
 		opts.RoughIters = k
-		s, err := buildSamples(e.trainDesigns, opts)
+		s, err := e.buildSamples(e.trainDesigns, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +180,7 @@ func (e *env_) trainSweepModel() (*core.Analyzer, error) {
 	cfg.OversampleFake = 1
 	cfg.OversampleReal = 2
 	log.Printf("training irfusion-sweep on %d mixed-budget samples (%d epochs)...", len(train), cfg.Epochs)
-	res, err := core.Train(cfg, train)
+	res, err := core.Train(e.ctx, cfg, train)
 	if err != nil {
 		return nil, err
 	}

@@ -24,8 +24,8 @@ func runFig6(e *env_, outDir string) error {
 	}
 	idx := 0
 	golden := e.fullTest[idx].Golden
-	predM := maunet.Predict(e.basicTest[idx])
-	predF := ours.Predict(e.fullTest[idx])
+	predM := maunet.PredictCtx(e.ctx, e.basicTest[idx])
+	predF := ours.PredictCtx(e.ctx, e.fullTest[idx])
 
 	dump := func(name string, m *grid.Map) error {
 		if err := os.WriteFile(filepath.Join(outDir, "fig6_"+name+".pgm"), []byte(m.PGM()), 0o644); err != nil {

@@ -36,7 +36,7 @@ func runFig7(e *env_, outDir string) error {
 		var numReps, fusReps []metrics.Report
 		na := &core.NumericalAnalyzer{Iters: k, Resolution: e.sc.Res}
 		for di, d := range e.testDesigns {
-			m, rt, _, err := na.Analyze(d)
+			m, rt, _, err := na.AnalyzeCtx(e.ctx, d)
 			if err != nil {
 				return err
 			}
@@ -47,11 +47,11 @@ func runFig7(e *env_, outDir string) error {
 		// Fusion with rough features rebuilt at budget k.
 		opts := e.fullOpts()
 		opts.RoughIters = k
-		samples, err := buildSamples(e.testDesigns, opts)
+		samples, err := e.buildSamples(e.testDesigns, opts)
 		if err != nil {
 			return err
 		}
-		fusReps = ours.Evaluate(samples)
+		fusReps = ours.Evaluate(e.ctx, samples)
 		numAvg := metrics.Average(numReps)
 		fusAvg := metrics.Average(fusReps)
 		curve = append(curve, point{numAvg.MAE, numAvg.F1, fusAvg.MAE, fusAvg.F1})

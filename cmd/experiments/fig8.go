@@ -49,21 +49,21 @@ func runFig8(e *env_, outDir string) error {
 		if ab.rebuildData {
 			opts := cfg.DatasetOptions()
 			var err error
-			train, err = buildSamples(e.trainDesigns, opts)
+			train, err = e.buildSamples(e.trainDesigns, opts)
 			if err != nil {
 				return err
 			}
-			test, err = buildSamples(e.testDesigns, opts)
+			test, err = e.buildSamples(e.testDesigns, opts)
 			if err != nil {
 				return err
 			}
 		}
 		log.Printf("training %s...", ab.label)
-		res, err := core.Train(cfg, train)
+		res, err := core.Train(e.ctx, cfg, train)
 		if err != nil {
 			return fmt.Errorf("%s: %w", ab.key, err)
 		}
-		avg := metrics.Average(res.Analyzer.Evaluate(test))
+		avg := metrics.Average(res.Analyzer.Evaluate(e.ctx, test))
 		if ab.key == "full" {
 			fullRep = avg
 		}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -59,7 +60,6 @@ func main() {
 	}
 
 	rec := obs.NewRecorder()
-	obs.SetActive(rec)
 	if *debug != "" {
 		if _, addr, err := obs.ServeDebug(*debug); err != nil {
 			log.Printf("debug server: %v", err)
@@ -68,7 +68,7 @@ func main() {
 		}
 	}
 
-	env, err := prepare(sc)
+	env, err := prepare(obs.WithRecorder(context.Background(), rec), sc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,8 +100,13 @@ func main() {
 			log.Fatalf("unknown experiment %q", name)
 		}
 	}
-	obs.SetActive(nil)
+	// One process, one run: the manifest carries the process counters.
 	m := rec.Manifest("experiments", sc)
+	for name, v := range obs.GlobalCounters() {
+		if v != 0 {
+			m.Counters[name] += v
+		}
+	}
 	fmt.Fprint(os.Stderr, m.Summary())
 	if *manifest != "" {
 		if err := m.WriteFile(*manifest); err != nil {

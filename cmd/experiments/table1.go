@@ -39,7 +39,7 @@ func runTable1(e *env_, outDir string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", row.key, err)
 		}
-		avg := metrics.Average(a.Evaluate(e.testSetFor(row.key)))
+		avg := metrics.Average(a.Evaluate(e.ctx, e.testSetFor(row.key)))
 		results[row.key] = avg
 		log.Printf("%-18s %10.2f %6.2f %10.3f %12.2f %6.3f",
 			row.label, avg.MAE*1e4, avg.F1, avg.Runtime, avg.MIRDE*1e4, avg.CC)

@@ -56,11 +56,6 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 			return nil, fmt.Errorf("-%s %q: want one of: %s", f.name, f.value, f.allowed)
 		}
 	}
-	if *useCache {
-		prev := cache.SetActive(cache.NewFromEnv())
-		defer cache.SetActive(prev)
-	}
-
 	// Resolve the design: admit a deck or generate one.
 	var d *pgen.Design
 	if *deck != "" {
@@ -89,7 +84,7 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 		res = d.W
 	}
 
-	finish := of.start("analyze", map[string]any{
+	ctx, finish := of.start("analyze", map[string]any{
 		"spice":      *deck,
 		"class":      *class,
 		"size":       *size,
@@ -102,6 +97,9 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 		"repeat":     *repeat,
 		"perturb":    *perturb,
 	})
+	if *useCache {
+		ctx = cache.WithCache(ctx, cache.NewFromEnv())
+	}
 
 	// Load the fused pipeline once; it is reused across repeats.
 	var analyzer *core.Analyzer
@@ -130,7 +128,7 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 			err error
 		)
 		if analyzer != nil {
-			m, rt, err = analyzer.Analyze(dd)
+			m, rt, err = analyzer.AnalyzeCtx(ctx, dd)
 			if err != nil {
 				return nil, err
 			}
@@ -138,7 +136,7 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 		} else {
 			na := &core.NumericalAnalyzer{Iters: *iters, Resolution: res, Precond: *precond}
 			var resid float64
-			m, rt, resid, err = na.Analyze(dd)
+			m, rt, resid, err = na.AnalyzeCtx(ctx, dd)
 			if err != nil {
 				return nil, err
 			}

@@ -48,7 +48,7 @@ func cmdGateway(args []string) error {
 		return err
 	}
 
-	finish := of.start("gateway", map[string]any{
+	_, finish := of.start("gateway", map[string]any{
 		"addr": *addr, "shards": *shardList, "vnodes": *vnodes,
 		"max_body": *maxBody, "handoffs": *handoffs,
 		"probe_interval": probeInterval.String(),

@@ -171,17 +171,17 @@ func cmdTrain(args []string) error {
 		cfg.UseNumerical = false
 		cfg.Hierarchical = false
 	}
-	finish := of.start("train", struct {
+	ctx, finish := of.start("train", struct {
 		core.Config
 		GemmKernel string `json:"gemm_kernel"`
 	}{cfg, nn.Kernel()})
 	log.Printf("generating %d fake + %d real designs at %dx%d...", *nFake, *nReal, *size, *size)
-	train, err := dataset.GenerateSet(*nFake, *nReal, *size, *seed, cfg.DatasetOptions())
+	train, err := dataset.GenerateSet(ctx, *nFake, *nReal, *size, *seed, cfg.DatasetOptions())
 	if err != nil {
 		return err
 	}
 	log.Printf("training %s (%s)...", *model, cfg.Describe())
-	res, err := core.Train(cfg, train)
+	res, err := core.Train(ctx, cfg, train)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -15,6 +16,7 @@ import (
 	"irfusion/internal/core"
 	"irfusion/internal/dataset"
 	"irfusion/internal/nn"
+	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
 	"irfusion/internal/serve"
 	"irfusion/internal/spice"
@@ -49,7 +51,7 @@ func TestAnalyzeSpiceSizesTheDieFromTheDeck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, _, _, err := (&core.NumericalAnalyzer{Resolution: size}).Analyze(
+	direct, _, _, err := (&core.NumericalAnalyzer{Resolution: size}).AnalyzeCtx(context.Background(),
 		&pgen.Design{Name: "direct", W: size, H: size, VDD: serve.PadVoltage(nl), Netlist: nl})
 	if err != nil {
 		t.Fatal(err)
@@ -132,11 +134,11 @@ func TestAnalyzeFusedRoughBudget(t *testing.T) {
 	const size = 24
 	cfg := core.Default(size)
 	cfg.Base, cfg.Depth, cfg.Epochs, cfg.UseAugmentation = 4, 2, 1, false
-	set, err := dataset.GenerateSet(1, 1, size, 70, cfg.DatasetOptions())
+	set, err := dataset.GenerateSet(context.Background(), 1, 1, size, 70, cfg.DatasetOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	trained, err := core.Train(cfg, set)
+	trained, err := core.Train(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +171,7 @@ func TestAnalyzeFusedRoughBudget(t *testing.T) {
 				t.Fatalf("checkpoint carries rough budget %d, trained at %d", loaded.Config.RoughIters, cfg.RoughIters)
 			}
 			loaded.Config.RoughIters = tc.iters
-			want, _, err := loaded.Analyze(d)
+			want, _, err := loaded.AnalyzeCtx(context.Background(), d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,6 +194,34 @@ func TestAnalyzeFusedRoughBudget(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAnalyzeCacheManifest pins what `analyze -cache -manifest` writes
+// now that the cache and the recorder reach the pipeline through the
+// context: a valid manifest whose cache section shows the repeat hit,
+// and the process's global counters joined at finish.
+func TestAnalyzeCacheManifest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.json")
+	if _, err := cmdAnalyze([]string{"-size", "24", "-seed", "3", "-cache", "-repeat", "2", "-manifest", path}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.DecodeManifest(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("manifest invalid: %v", err)
+	}
+	if m.Cache == nil || m.Cache.Stores == 0 || m.Cache.Hits == 0 {
+		t.Errorf("cache section %+v, want the first run's store and the repeat's hit", m.Cache)
+	}
+	if m.Counters["circuit.networks"] <= 0 {
+		t.Errorf("process counter circuit.networks missing: %v", m.Counters)
 	}
 }
 

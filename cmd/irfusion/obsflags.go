@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -29,19 +30,18 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 	}
 }
 
-// start activates a run recorder (and the debug server when
-// requested) and returns a finish function that deactivates it,
-// prints the end-of-run summary table to stderr, and writes the
+// start creates the run recorder (and the debug server when
+// requested) and returns a context carrying it, plus a finish function
+// that prints the end-of-run summary table to stderr and writes the
 // manifest when -manifest was given. config is embedded verbatim in
 // the manifest's "config" field; a map also gets the GEMM leaf of this
 // process (gemm_kernel) beside the caller's keys, because the stage
 // times of two manifests compare only when it agrees.
-func (o *obsFlags) start(kind string, config any) func() error {
+func (o *obsFlags) start(kind string, config any) (context.Context, func() error) {
 	if m, ok := config.(map[string]any); ok {
 		m["gemm_kernel"] = nn.Kernel()
 	}
 	rec := obs.NewRecorder()
-	prev := obs.SetActive(rec)
 	var srv *http.Server
 	if *o.debugAddr != "" {
 		s, addr, err := obs.ServeDebug(*o.debugAddr)
@@ -52,12 +52,18 @@ func (o *obsFlags) start(kind string, config any) func() error {
 			log.Printf("debug server at http://%s/debug/vars and /debug/pprof/", addr)
 		}
 	}
-	return func() error {
-		obs.SetActive(prev)
+	return obs.WithRecorder(context.Background(), rec), func() error {
 		if srv != nil {
 			defer srv.Close()
 		}
+		// A CLI process is one run: its manifest carries the process's
+		// global counters (nn.gemm_calls, circuit.networks, cache.*).
 		m := rec.Manifest(kind, config)
+		for name, v := range obs.GlobalCounters() {
+			if v != 0 {
+				m.Counters[name] += v
+			}
+		}
 		fmt.Fprint(os.Stderr, m.Summary())
 		if *o.manifest != "" {
 			if err := m.WriteFile(*o.manifest); err != nil {

@@ -78,7 +78,7 @@ func cmdServe(args []string) error {
 		log.Printf("fused mode enabled: %s (%s)", *modelFile, analyzer.Config.Describe())
 	}
 
-	finish := of.start("serve", map[string]any{
+	_, finish := of.start("serve", map[string]any{
 		"addr": *addr, "name": *name, "workers": *workers, "queue": *queue,
 		"max_body": *maxBody, "max_size": *maxSize,
 		"timeout": timeout.String(), "model_file": *modelFile,

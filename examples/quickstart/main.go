@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	const size = 32
 
@@ -30,7 +32,7 @@ func main() {
 
 	// 2. Golden numerical analysis (converged AMG-PCG).
 	golden := &core.NumericalAnalyzer{Resolution: size}
-	gMap, gTime, residual, err := golden.Analyze(design)
+	gMap, gTime, residual, err := golden.AnalyzeCtx(ctx, design)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,12 +44,12 @@ func main() {
 	cfg := core.Default(size)
 	cfg.Base, cfg.Depth, cfg.Epochs = 4, 2, 6
 	cfg.LearningRate = 5e-3
-	train, err := dataset.GenerateSet(4, 2, size, 7, cfg.DatasetOptions())
+	train, err := dataset.GenerateSet(ctx, 4, 2, size, 7, cfg.DatasetOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("training IR-Fusion on %d designs...\n", len(train))
-	res, err := core.Train(cfg, train)
+	res, err := core.Train(ctx, cfg, train)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func main() {
 		res.NumParams, res.TrainTime.Round(0), res.EpochLoss[0], res.FinalLoss)
 
 	// 4. Fused analysis of the quickstart design.
-	pred, fTime, err := res.Analyzer.Analyze(design)
+	pred, fTime, err := res.Analyzer.AnalyzeCtx(ctx, design)
 	if err != nil {
 		log.Fatal(err)
 	}

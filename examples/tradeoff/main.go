@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	const size = 32
 
@@ -30,13 +32,13 @@ func main() {
 	for _, k := range []int{1, 2, 4, 8} {
 		opts := cfg.DatasetOptions()
 		opts.RoughIters = k
-		s, err := dataset.GenerateSet(4, 2, size, 21, opts)
+		s, err := dataset.GenerateSet(ctx, 4, 2, size, 21, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
 		train = append(train, s...)
 	}
-	res, err := core.Train(cfg, train)
+	res, err := core.Train(ctx, cfg, train)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 	goldenOpts := cfg.DatasetOptions()
-	goldenSample, err := dataset.Build(design, goldenOpts)
+	goldenSample, err := dataset.BuildCtx(ctx, design, goldenOpts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,17 +57,17 @@ func main() {
 	fmt.Printf("\n%5s %18s %12s %18s %12s\n", "iters", "numerical MAE", "num. F1", "fusion MAE", "fusion F1")
 	for k := 1; k <= 8; k++ {
 		na := &core.NumericalAnalyzer{Iters: k, Resolution: size}
-		nm, _, _, err := na.Analyze(design)
+		nm, _, _, err := na.AnalyzeCtx(ctx, design)
 		if err != nil {
 			log.Fatal(err)
 		}
 		opts := cfg.DatasetOptions()
 		opts.RoughIters = k
-		s, err := dataset.Build(design, opts)
+		s, err := dataset.BuildCtx(ctx, design, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fp := res.Analyzer.Predict(s)
+		fp := res.Analyzer.PredictCtx(ctx, s)
 		fmt.Printf("%5d %18.4g %12.2f %18.4g %12.2f\n",
 			k, metrics.MAE(nm, golden), metrics.F1(nm, golden),
 			metrics.MAE(fp, golden), metrics.F1(fp, golden))

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	const size = 32
 
@@ -27,7 +29,7 @@ func main() {
 	cfg.LearningRate = 5e-3
 
 	fmt.Println("building dataset (6 fake + 2 real train, 2 real test)...")
-	all, err := dataset.GenerateSet(6, 4, size, 11, cfg.DatasetOptions())
+	all, err := dataset.GenerateSet(ctx, 6, 4, size, 11, cfg.DatasetOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func main() {
 	}
 
 	fmt.Println("\ntraining IR-Fusion...")
-	fusion, err := core.Train(cfg, train)
+	fusion, err := core.Train(ctx, cfg, train)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,27 +63,27 @@ func main() {
 	cfgB.ModelName = "pgau"
 	cfgB.UseNumerical = false
 	cfgB.Hierarchical = false
-	trainB, err := dataset.GenerateSet(6, 2, size, 11, cfgB.DatasetOptions())
+	trainB, err := dataset.GenerateSet(ctx, 6, 2, size, 11, cfgB.DatasetOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("training PGAU baseline (no numerical features)...")
-	baseline, err := core.Train(cfgB, trainB)
+	baseline, err := core.Train(ctx, cfgB, trainB)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Evaluate on the held-out real designs.
 	fmt.Println("\nheld-out evaluation:")
-	fRep := metrics.Average(fusion.Analyzer.Evaluate(test))
+	fRep := metrics.Average(fusion.Analyzer.Evaluate(ctx, test))
 	fmt.Printf("  IR-Fusion: %s\n", fRep)
 	// The baseline needs matching (basic) features for its inputs;
 	// seed 13 regenerates the same two held-out designs (11+2).
-	testB, err := dataset.GenerateSet(0, 2, size, 13, cfgB.DatasetOptions())
+	testB, err := dataset.GenerateSet(ctx, 0, 2, size, 13, cfgB.DatasetOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	bRep := metrics.Average(baseline.Analyzer.Evaluate(testB))
+	bRep := metrics.Average(baseline.Analyzer.Evaluate(ctx, testB))
 	fmt.Printf("  PGAU:      %s\n", bRep)
 
 	f, err := os.CreateTemp("", "irfusion-*.ckpt")

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"irfusion/internal/faults"
 	"irfusion/internal/obs"
@@ -183,10 +182,10 @@ func Build(a *sparse.CSR, opts Options) (*Hierarchy, error) {
 // faults.SiteAMGSetup), which surfaces as an error wrapping ErrSetup
 // exactly like a real construction failure would, and the coarsening
 // loop checks ctx between levels so a cancelled request does not pay
-// for a full setup. The recorder is resolved with obs.ActiveOr(ctx),
-// so concurrent serving requests keep isolated manifests.
+// for a full setup. The recorder is the one bound to ctx, so
+// concurrent serving requests keep isolated manifests.
 func BuildCtx(ctx context.Context, a *sparse.CSR, opts Options) (*Hierarchy, error) {
-	st := obs.ActiveOr(ctx).StartStage("amg.setup")
+	st := obs.FromContext(ctx).StartStage("amg.setup")
 	defer st.End()
 	if f := faults.ActiveOr(ctx).Fire(faults.SiteAMGSetup, ""); f != nil && f.Action == faults.ActFail {
 		return nil, fmt.Errorf("%w: %w", ErrSetup, f.Error())
@@ -238,7 +237,7 @@ func BuildCtx(ctx context.Context, a *sparse.CSR, opts Options) (*Hierarchy, err
 	}
 	h.coarse = chol
 	h.allocWorkspace()
-	if rec := obs.ActiveOr(ctx); rec != nil {
+	if rec := obs.FromContext(ctx); rec != nil {
 		rec.SetGauge("amg.levels", float64(len(h.Levels)))
 		rec.SetGauge("amg.operator_complexity", h.OperatorComplexity())
 		//irfusion:ctx-ok per-level gauge reporting on a finished hierarchy does no cancellable work
@@ -282,15 +281,9 @@ func (h *Hierarchy) OperatorComplexity() float64 {
 
 // Apply uses one cycle from a zero initial guess as the
 // preconditioner application z = M⁻¹·r; z is output only. It
-// satisfies the solver.Preconditioner contract. When a run recorder is
-// active, each application accumulates into the "amg.cycle" timing
-// (gauge amg.cycle.seconds / counter amg.cycle.count), separating
-// cycle time from the setup time reported by the "amg.setup" stage.
+// satisfies the solver.Preconditioner contract; the wall time of its
+// applications is part of the enclosing solve's SolveRecord.
 func (h *Hierarchy) Apply(z, r []float64) {
-	if rec := obs.Active(); rec != nil {
-		start := time.Now()
-		defer func() { rec.AddSeconds("amg.cycle", time.Since(start)) }()
-	}
 	h.cycle(0, z, r)
 }
 

@@ -120,7 +120,7 @@ func StoreSystem(ctx context.Context, c *Cache, stage string, art *SystemArtifac
 		return
 	}
 	c.Put(SystemKey(art.Fingerprint), art, art.SizeBytes(), SystemTag(art.N))
-	obs.ActiveOr(ctx).RecordCacheEvent(obs.CacheEvent{
+	obs.FromContext(ctx).RecordCacheEvent(obs.CacheEvent{
 		Stage: stage, Outcome: obs.CacheStore, Key: ShortKey(art.Fingerprint),
 	})
 }

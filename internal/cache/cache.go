@@ -16,12 +16,11 @@
 //
 // The cache itself is a byte-bounded LRU with per-entry TTL. Every
 // operation is safe on a nil *Cache (a nil cache is simply "caching
-// off"), and the package follows the same context-or-global resolution
-// pattern as internal/obs and internal/faults: context-aware code
-// resolves the cache with ActiveOr(ctx), serving processes bind a
-// per-process cache with WithCache, and the CLI opts in by installing
-// a process-global cache with SetActive. The default global is nil, so
-// nothing is cached unless a caller asks for it.
+// off"), and like internal/obs the package is reached only through the
+// context: code resolves the cache with FromContext(ctx), and a caller
+// that wants caching binds one with WithCache — a server once per
+// process, `irfusion analyze -cache` once per run. Nothing is cached
+// unless a caller asks for it.
 package cache
 
 import (
@@ -37,8 +36,8 @@ import (
 )
 
 // Process-wide cache counters, registered in the obs global registry
-// so they surface in run manifests (as per-run deltas), /metricsz, and
-// the expvar debug endpoint.
+// so they surface in /metricsz, the expvar debug endpoint and a CLI
+// run's manifest.
 var (
 	cHit   = obs.GlobalCounter("cache.hit")
 	cMiss  = obs.GlobalCounter("cache.miss")
@@ -284,54 +283,21 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.bytes -= e.bytes
 }
 
-// activeCache is the process-global cache, nil by default: nothing is
-// cached unless a front end opts in with SetActive or a server binds
-// a cache into its job contexts with WithCache.
-var activeCache atomic.Pointer[Cache]
-
-// Active returns the process-global cache, or nil when caching is
-// off. Context-holding code must use ActiveOr instead (enforced by
-// the hooksafe lint rule) so a context-bound cache is not ignored.
-func Active() *Cache { return activeCache.Load() }
-
-// SetActive installs c (which may be nil) as the process-global cache
-// and returns the previous one, enabling save/restore in tests and
-// CLI runs:
-//
-//	prev := cache.SetActive(cache.NewFromEnv())
-//	defer cache.SetActive(prev)
-func SetActive(c *Cache) *Cache {
-	prev := activeCache.Load()
-	activeCache.Store(c)
-	return prev
-}
-
 // ctxKey is the private context key for a bound Cache.
 type ctxKey struct{}
 
 // WithCache returns a copy of ctx carrying c — how a serving process
-// shares one per-process cache across all worker jobs while keeping
-// the process-global slot untouched.
+// shares one per-process cache across all worker jobs.
 func WithCache(ctx context.Context, c *Cache) context.Context {
 	return context.WithValue(ctx, ctxKey{}, c)
 }
 
-// FromContext returns the cache bound to ctx, or nil when none is
-// bound (or ctx is nil).
+// FromContext returns the cache bound to ctx, or nil (caching off)
+// when none is bound or ctx is nil.
 func FromContext(ctx context.Context) *Cache {
 	if ctx == nil {
 		return nil
 	}
 	c, _ := ctx.Value(ctxKey{}).(*Cache)
 	return c
-}
-
-// ActiveOr resolves the cache for a context-aware call: the
-// context-bound cache when present, otherwise the process-global
-// Active() one (which is usually nil — caching is opt-in).
-func ActiveOr(ctx context.Context) *Cache {
-	if c := FromContext(ctx); c != nil {
-		return c
-	}
-	return Active()
 }

@@ -186,24 +186,15 @@ func TestCacheNilSafety(t *testing.T) {
 }
 
 func TestCacheResolution(t *testing.T) {
-	prev := SetActive(nil)
-	defer SetActive(prev)
-
-	if got := ActiveOr(context.Background()); got != nil {
-		t.Fatalf("ActiveOr with no cache = %v, want nil", got)
-	}
-	global := New(0, 0)
-	SetActive(global)
-	if got := ActiveOr(context.Background()); got != global {
-		t.Fatal("ActiveOr did not fall back to the global cache")
-	}
 	bound := New(0, 0)
-	ctx := WithCache(context.Background(), bound)
-	if got := ActiveOr(ctx); got != bound {
-		t.Fatal("context-bound cache did not win over the global")
+	if got := FromContext(WithCache(context.Background(), bound)); got != bound {
+		t.Fatal("FromContext did not return the bound cache")
 	}
 	if got := FromContext(context.Background()); got != nil {
 		t.Fatalf("FromContext on bare ctx = %v", got)
+	}
+	if got := FromContext(nil); got != nil {
+		t.Fatalf("FromContext(nil) = %v", got)
 	}
 }
 

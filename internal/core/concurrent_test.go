@@ -87,7 +87,7 @@ func TestConcurrentFusedAnalyzeManifestIsolation(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epochs = 1
 	train, _ := tinySet(t, cfg, 2, 0)
-	res, err := Train(cfg, train)
+	res, err := Train(context.Background(), cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestPredictConcurrent(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epochs = 1
 	train, test := tinySet(t, cfg, 2, 0)
-	res, err := Train(cfg, train)
+	res, err := Train(context.Background(), cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestPredictConcurrent(t *testing.T) {
 	samples := append(train, test...)
 	want := make([][]float64, len(samples))
 	for i, s := range samples {
-		want[i] = a.Predict(s).Data
+		want[i] = a.PredictCtx(context.Background(), s).Data
 	}
 
 	const n, rounds = 8, 20
@@ -229,14 +229,14 @@ func TestEvalTapesSurviveCollections(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epochs = 1
 	train, _ := tinySet(t, cfg, 2, 0)
-	res, err := Train(cfg, train)
+	res, err := Train(context.Background(), cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for len(evalTapes) > 0 { // other tests' tapes
 		<-evalTapes
 	}
-	res.Analyzer.Predict(train[0])
+	res.Analyzer.PredictCtx(context.Background(), train[0])
 	if len(evalTapes) != 1 {
 		t.Fatalf("%d idle tapes after one serial pass, want 1", len(evalTapes))
 	}
@@ -245,7 +245,7 @@ func TestEvalTapesSurviveCollections(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		runtime.GC()
 		runtime.GC()
-		res.Analyzer.Predict(train[0])
+		res.Analyzer.PredictCtx(context.Background(), train[0])
 	}
 	if len(evalTapes) != 1 {
 		t.Fatalf("%d idle tapes after serial passes, want 1", len(evalTapes))
@@ -264,7 +264,7 @@ func TestAnalyzeFailsOnNonFinitePrediction(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epochs = 1
 	train, _ := tinySet(t, cfg, 2, 0)
-	res, err := Train(cfg, train)
+	res, err := Train(context.Background(), cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,18 +171,14 @@ func returnTape(tp *nn.Tape) {
 // or ±Inf (a poisoned checkpoint or input; encoding/json refuses it).
 var ErrNonFinitePrediction = errors.New("core: non-finite value in the predicted map")
 
-// Predict runs the ML stage on a prepared sample and returns the
+// PredictCtx runs the ML stage on a prepared sample and returns the
 // predicted IR-drop map in volts (clamped non-negative). In residual
-// mode the model output corrects the rasterized rough solution.
-func (a *Analyzer) Predict(s *dataset.Sample) *grid.Map {
-	return a.PredictCtx(context.Background(), s)
-}
-
-// PredictCtx is Predict reporting to the recorder resolved from ctx
-// (obs.ActiveOr), so concurrent predictions with per-context recorders
-// do not cross-talk. The dense forward pass is not interruptible; ctx
-// only selects the recorder here — cancellation takes effect at the
-// solver loops upstream (see AnalyzeCtx).
+// mode the model output corrects the rasterized rough solution. The
+// ml.inference stage is timed on the recorder bound to ctx, so
+// concurrent predictions with per-context recorders do not cross-talk.
+// The dense forward pass is not interruptible; ctx only selects the
+// recorder here — cancellation takes effect at the solver loops
+// upstream (see AnalyzeCtx).
 //
 // It writes nothing to the analyzer or its model, so any number of
 // goroutines may predict on one analyzer at once. That rests on the
@@ -191,7 +187,7 @@ func (a *Analyzer) Predict(s *dataset.Sample) *grid.Map {
 // label: the output takes its shape from the feature maps. A NaN the
 // model produces stays NaN in the map (callers that serve it check).
 func (a *Analyzer) PredictCtx(ctx context.Context, s *dataset.Sample) *grid.Map {
-	st := obs.ActiveOr(ctx).StartStage("ml.inference")
+	st := obs.FromContext(ctx).StartStage("ml.inference")
 	defer st.End()
 	x := a.Norm.Apply(dataset.InputTensor([]*dataset.Sample{s}))
 	_, _, h, w := x.Dims4()
@@ -215,18 +211,13 @@ func (a *Analyzer) PredictCtx(ctx context.Context, s *dataset.Sample) *grid.Map 
 	return m
 }
 
-// Analyze runs the complete pipeline on a raw design: rough solve,
+// AnalyzeCtx runs the complete pipeline on a raw design: rough solve,
 // feature extraction, ML refinement. It returns the predicted map and
-// the wall-clock runtime (numerical stage + inference).
-func (a *Analyzer) Analyze(d *pgen.Design) (*grid.Map, time.Duration, error) {
-	return a.AnalyzeCtx(context.Background(), d)
-}
-
-// AnalyzeCtx is Analyze with cooperative cancellation and per-context
-// observability: the rough solve stops early when ctx is cancelled
-// (solver.ErrCancelled), and all stage timers and solve records report
-// to the recorder bound to ctx, if any. No converged solve runs: the
-// sample is the label-free dataset.BuildInferenceCtx.
+// the wall-clock runtime (numerical stage + inference). The rough
+// solve stops early when ctx is cancelled (solver.ErrCancelled), and
+// all stage timers and solve records report to the recorder bound to
+// ctx, if any. No converged solve runs: the sample is the label-free
+// dataset.BuildInferenceCtx.
 //
 // The rough solve of the numerical stage runs on a degradation
 // ladder: the configured budgeted PCG first, the random-walk solver
@@ -271,11 +262,11 @@ func (a *Analyzer) RoughSolver(iters int) func(ctx context.Context, sys *circuit
 
 // Evaluate scores the analyzer on prepared samples, charging the
 // numerical stage plus inference to the runtime.
-func (a *Analyzer) Evaluate(samples []*dataset.Sample) []metrics.Report {
+func (a *Analyzer) Evaluate(ctx context.Context, samples []*dataset.Sample) []metrics.Report {
 	reports := make([]metrics.Report, 0, len(samples))
 	for _, s := range samples {
 		start := time.Now()
-		pred := a.Predict(s)
+		pred := a.PredictCtx(ctx, s)
 		infer := time.Since(start)
 		r := metrics.Evaluate(pred, s.Golden)
 		r.Runtime = (s.NumericalTime + infer).Seconds()
@@ -366,8 +357,9 @@ type TrainResult struct {
 }
 
 // Train runs the augmented-curriculum training loop of the paper on
-// prepared samples and returns a ready Analyzer.
-func Train(cfg Config, train []*dataset.Sample) (*TrainResult, error) {
+// prepared samples and returns a ready Analyzer. Each epoch is recorded
+// on the recorder bound to ctx.
+func Train(ctx context.Context, cfg Config, train []*dataset.Sample) (*TrainResult, error) {
 	if len(train) == 0 {
 		return nil, errors.New("core: no training samples")
 	}
@@ -489,7 +481,7 @@ func Train(cfg Config, train []*dataset.Sample) (*TrainResult, error) {
 		return total / float64(len(validation))
 	}
 
-	rec := obs.Active()
+	rec := obs.FromContext(ctx)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		epochStart := time.Now()
 		opt.LR = schedule.Rate(epoch, cfg.Epochs)
@@ -643,9 +635,9 @@ type NumericalAnalyzer struct {
 	// the ladder gains a resume rung (plan.RungAMGResume) when a
 	// matching snapshot already exists — a crashed or handed-off solve
 	// continues from its last checkpoint instead of iteration 0. 0
-	// disables checkpointing. Requires an active artifact cache;
-	// budgeted solves (Iters > 0) never checkpoint — they run cold by
-	// design.
+	// disables checkpointing. Requires an artifact cache bound to the
+	// context; budgeted solves (Iters > 0) never checkpoint — they run
+	// cold by design.
 	CheckpointEvery int
 	// OnCheckpoint, when non-nil, additionally receives each stored
 	// checkpoint's cache key and binary encoding
@@ -658,20 +650,15 @@ type NumericalAnalyzer struct {
 	Fingerprint string
 }
 
-// Analyze solves the design and rasterizes the bottom-layer drops,
-// returning the map, runtime, and the relative residual reached.
-func (n *NumericalAnalyzer) Analyze(d *pgen.Design) (*grid.Map, time.Duration, float64, error) {
-	return n.AnalyzeCtx(context.Background(), d)
-}
-
-// AnalyzeCtx is Analyze with cooperative cancellation (the PCG loop
-// stops early with solver.ErrCancelled when ctx is cancelled) and
-// per-context observability via obs.ActiveOr. The solve runs on the
-// degradation ladder; when every rung fails the error wraps
-// plan.ErrLadderExhausted.
+// AnalyzeCtx solves the design and rasterizes the bottom-layer drops,
+// returning the map, runtime, and the relative residual reached. The
+// PCG loop stops early with solver.ErrCancelled when ctx is cancelled,
+// and stages and solves report to the recorder bound to ctx. The solve
+// runs on the degradation ladder; when every rung fails the error
+// wraps plan.ErrLadderExhausted.
 //
 // Converged analyses (Iters <= 0) are addressed by design fingerprint
-// in the artifact cache resolved by cache.ActiveOr, which lets the
+// in the artifact cache bound to ctx (cache.FromContext), which lets the
 // ladder open with the cache rungs: an exact hit reuses the cached
 // golden solution after a one-SpMV residual guard, a neighbor within
 // cache.DefaultWarmDelta warm-starts the solve under the donor's
@@ -687,7 +674,7 @@ func (n *NumericalAnalyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*gr
 	if n.Format != "" && n.Format != "auto" {
 		return nil, 0, 0, fmt.Errorf("core: format %q: CSR is the only storage format", n.Format)
 	}
-	rec := obs.ActiveOr(ctx)
+	rec := obs.FromContext(ctx)
 	start := time.Now()
 	st := rec.StartStage("numerical.assemble")
 	nw := d.Network

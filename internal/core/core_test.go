@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ func quickCfg() Config {
 // tinySet builds a small train/test split once per test run.
 func tinySet(t *testing.T, cfg Config, nFake, nReal int) ([]*dataset.Sample, []*dataset.Sample) {
 	t.Helper()
-	all, err := dataset.GenerateSet(nFake, nReal+1, 32, 50, cfg.DatasetOptions())
+	all, err := dataset.GenerateSet(context.Background(), nFake, nReal+1, 32, 50, cfg.DatasetOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func tinySet(t *testing.T, cfg Config, nFake, nReal int) ([]*dataset.Sample, []*
 func TestTrainProducesWorkingAnalyzer(t *testing.T) {
 	cfg := quickCfg()
 	train, test := tinySet(t, cfg, 3, 1)
-	res, err := Train(cfg, train)
+	res, err := Train(context.Background(), cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestTrainProducesWorkingAnalyzer(t *testing.T) {
 	if res.EpochLoss[len(res.EpochLoss)-1] >= res.EpochLoss[0] {
 		t.Errorf("loss did not improve: %v", res.EpochLoss)
 	}
-	reports := res.Analyzer.Evaluate(test)
+	reports := res.Analyzer.Evaluate(context.Background(), test)
 	if len(reports) != 1 {
 		t.Fatal("expected one report")
 	}
@@ -71,12 +72,12 @@ func TestFusionBeatsItsOwnRoughInput(t *testing.T) {
 	cfg.RoughIters = 1
 	cfg.Epochs = 12
 	train, test := tinySet(t, cfg, 4, 2)
-	res, err := Train(cfg, train)
+	res, err := Train(context.Background(), cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := test[0]
-	pred := res.Analyzer.Predict(s)
+	pred := res.Analyzer.PredictCtx(context.Background(), s)
 	mlMAE := metrics.MAE(pred, s.Golden)
 	roughMAE := metrics.MAE(s.RoughBottom, s.Golden)
 	if mlMAE >= roughMAE {
@@ -88,11 +89,11 @@ func TestPredictNonNegative(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epochs = 2
 	train, test := tinySet(t, cfg, 2, 1)
-	res, err := Train(cfg, train)
+	res, err := Train(context.Background(), cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := res.Analyzer.Predict(test[0])
+	pred := res.Analyzer.PredictCtx(context.Background(), test[0])
 	if pred.Min() < 0 {
 		t.Error("predicted drops must be clamped non-negative")
 	}
@@ -112,11 +113,11 @@ func TestAblationConfigsTrain(t *testing.T) {
 	for name, mut := range variants {
 		cfg := mut(base)
 		train, test := tinySet(t, cfg, 2, 1)
-		res, err := Train(cfg, train)
+		res, err := Train(context.Background(), cfg, train)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if rep := res.Analyzer.Evaluate(test); len(rep) != 1 {
+		if rep := res.Analyzer.Evaluate(context.Background(), test); len(rep) != 1 {
 			t.Fatalf("%s: evaluation failed", name)
 		}
 	}
@@ -129,11 +130,11 @@ func TestAllRegisteredModelsTrain(t *testing.T) {
 	for _, name := range ModelNames() {
 		cfg := base
 		cfg.ModelName = name
-		res, err := Train(cfg, train)
+		res, err := Train(context.Background(), cfg, train)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		reports := res.Analyzer.Evaluate(test)
+		reports := res.Analyzer.Evaluate(context.Background(), test)
 		if reports[0].MAE < 0 {
 			t.Fatalf("%s: bad report", name)
 		}
@@ -148,14 +149,14 @@ func TestNumericalAnalyzer(t *testing.T) {
 	// "full" is the only precision there is and "auto" the only format;
 	// anything else is refused, not quietly solved under another name.
 	golden := &NumericalAnalyzer{Iters: 0, Resolution: 32, Precision: "full", Format: "auto"}
-	gm, _, gRes, err := golden.Analyze(d)
+	gm, _, gRes, err := golden.AnalyzeCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := (&NumericalAnalyzer{Resolution: 32, Precision: "half"}).Analyze(d); err == nil {
+	if _, _, _, err := (&NumericalAnalyzer{Resolution: 32, Precision: "half"}).AnalyzeCtx(context.Background(), d); err == nil {
 		t.Error("an unknown precision was accepted")
 	}
-	if _, _, _, err := (&NumericalAnalyzer{Resolution: 32, Format: "csr"}).Analyze(d); err == nil {
+	if _, _, _, err := (&NumericalAnalyzer{Resolution: 32, Format: "csr"}).AnalyzeCtx(context.Background(), d); err == nil {
 		t.Error("a retired storage format was accepted")
 	}
 	if gRes > 1e-9 {
@@ -164,7 +165,7 @@ func TestNumericalAnalyzer(t *testing.T) {
 	prev := 1e18
 	for _, k := range []int{1, 3, 10} {
 		na := &NumericalAnalyzer{Iters: k, Resolution: 32}
-		m, rt, _, err := na.Analyze(d)
+		m, rt, _, err := na.AnalyzeCtx(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +184,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epochs = 2
 	train, _ := tinySet(t, cfg, 2, 1)
-	res, err := Train(cfg, train)
+	res, err := Train(context.Background(), cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, rt, err := res.Analyzer.Analyze(d)
+	pred, rt, err := res.Analyzer.AnalyzeCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +205,13 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(quickCfg(), nil); err == nil {
+	if _, err := Train(context.Background(), quickCfg(), nil); err == nil {
 		t.Error("expected error for empty training set")
 	}
 	cfg := quickCfg()
 	cfg.ModelName = "bogus"
 	train, _ := tinySet(t, cfg, 1, 0)
-	if _, err := Train(cfg, train); err == nil {
+	if _, err := Train(context.Background(), cfg, train); err == nil {
 		t.Error("expected error for unknown model")
 	}
 }
@@ -228,11 +229,11 @@ func TestAnalyzerCheckpointRoundTrip(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epochs = 2
 	train, test := tinySet(t, cfg, 2, 1)
-	res, err := Train(cfg, train)
+	res, err := Train(context.Background(), cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := res.Analyzer.Predict(test[0])
+	want := res.Analyzer.PredictCtx(context.Background(), test[0])
 	var buf bytes.Buffer
 	if err := res.Analyzer.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -241,7 +242,7 @@ func TestAnalyzerCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := restored.Predict(test[0])
+	got := restored.PredictCtx(context.Background(), test[0])
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
 			t.Fatalf("restored analyzer differs at pixel %d: %v vs %v", i, got.Data[i], want.Data[i])
@@ -263,11 +264,11 @@ func TestHotspotWeightedTraining(t *testing.T) {
 	cfg.Epochs = 3
 	cfg.HotspotWeight = 4
 	train, test := tinySet(t, cfg, 2, 1)
-	res, err := Train(cfg, train)
+	res, err := Train(context.Background(), cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := res.Analyzer.Evaluate(test); rep[0].MAE < 0 {
+	if rep := res.Analyzer.Evaluate(context.Background(), test); rep[0].MAE < 0 {
 		t.Fatal("evaluation failed")
 	}
 }
@@ -302,12 +303,12 @@ func TestResidualModeTrainsAndImproves(t *testing.T) {
 	cfg.RoughIters = 4
 	cfg.Epochs = 8
 	train, test := tinySet(t, cfg, 4, 2)
-	res, err := Train(cfg, train)
+	res, err := Train(context.Background(), cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := test[0]
-	pred := res.Analyzer.Predict(s)
+	pred := res.Analyzer.PredictCtx(context.Background(), s)
 	mlMAE := metrics.MAE(pred, s.Golden)
 	roughMAE := metrics.MAE(s.RoughBottom, s.Golden)
 	if mlMAE >= roughMAE {
@@ -323,7 +324,7 @@ func TestResidualModeRequiresNumerical(t *testing.T) {
 	train, _ := tinySet(t, cfg, 2, 0)
 	// Without the numerical stage, residual mode silently degrades to
 	// direct prediction (residual := ResidualMode && UseNumerical).
-	if _, err := Train(cfg, train); err != nil {
+	if _, err := Train(context.Background(), cfg, train); err != nil {
 		t.Fatalf("direct fallback failed: %v", err)
 	}
 }
@@ -333,7 +334,7 @@ func TestResidualModeCheckpointRoundTrip(t *testing.T) {
 	cfg.ResidualMode = true
 	cfg.Epochs = 2
 	train, test := tinySet(t, cfg, 2, 1)
-	res, err := Train(cfg, train)
+	res, err := Train(context.Background(), cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,8 +349,8 @@ func TestResidualModeCheckpointRoundTrip(t *testing.T) {
 	if !restored.Config.ResidualMode {
 		t.Fatal("residual flag lost in checkpoint")
 	}
-	a := res.Analyzer.Predict(test[0])
-	b := restored.Predict(test[0])
+	a := res.Analyzer.PredictCtx(context.Background(), test[0])
+	b := restored.PredictCtx(context.Background(), test[0])
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("restored residual analyzer differs")
@@ -363,7 +364,7 @@ func TestCosineLRAndValidationTraining(t *testing.T) {
 	cfg.CosineLR = true
 	cfg.ValidationFraction = 0.25
 	train, test := tinySet(t, cfg, 4, 2)
-	res, err := Train(cfg, train)
+	res, err := Train(context.Background(), cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func TestCosineLRAndValidationTraining(t *testing.T) {
 	if best != res.BestEpoch {
 		t.Errorf("BestEpoch = %d, argmin(ValLoss) = %d", res.BestEpoch, best)
 	}
-	if rep := res.Analyzer.Evaluate(test); rep[0].MAE < 0 {
+	if rep := res.Analyzer.Evaluate(context.Background(), test); rep[0].MAE < 0 {
 		t.Fatal("evaluation failed")
 	}
 }
@@ -392,7 +393,7 @@ func TestValidationWithoutFractionDisabled(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epochs = 2
 	train, _ := tinySet(t, cfg, 2, 1)
-	res, err := Train(cfg, train)
+	res, err := Train(context.Background(), cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,20 +406,21 @@ func TestValidationWithoutFractionDisabled(t *testing.T) {
 }
 
 // TestAnalyzerRunEmitsManifest drives the full pipeline (train, then
-// analyze a fresh design) under an active run recorder and checks the
-// resulting manifest carries the signals the observability layer
-// promises: validated schema, non-zero stage timings, per-epoch
-// training records, a convergence trace, and worker-pool counters.
+// analyze a fresh design) with a run recorder bound to the context and
+// checks the resulting manifest carries the signals the observability
+// layer promises: validated schema, non-zero stage timings, per-epoch
+// training records and a convergence trace. The GEMM kernels count on
+// the process-global nn.gemm_calls, never in the manifest.
 func TestAnalyzerRunEmitsManifest(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epochs = 2
 	train, _ := tinySet(t, cfg, 2, 1)
 
 	rec := obs.NewRecorder()
-	prev := obs.SetActive(rec)
-	defer obs.SetActive(prev)
+	ctx := obs.WithRecorder(context.Background(), rec)
+	gemm := obs.CounterValue("nn.gemm_calls")
 
-	res, err := Train(cfg, train)
+	res, err := Train(ctx, cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,10 +428,9 @@ func TestAnalyzerRunEmitsManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := res.Analyzer.Analyze(d); err != nil {
+	if _, _, err := res.Analyzer.AnalyzeCtx(ctx, d); err != nil {
 		t.Fatal(err)
 	}
-	obs.SetActive(prev)
 
 	m := rec.Manifest("analyze", cfg)
 	if err := m.Validate(); err != nil {
@@ -474,8 +475,11 @@ func TestAnalyzerRunEmitsManifest(t *testing.T) {
 		t.Fatalf("no solve with a non-empty residual history (%d solves)", len(m.Solves))
 	}
 
-	if m.Counters["nn.gemm_calls"] == 0 {
-		t.Error("global counter nn.gemm_calls missing from manifest")
+	if obs.CounterValue("nn.gemm_calls") == gemm {
+		t.Error("global counter nn.gemm_calls did not move")
+	}
+	if _, ok := m.Counters["nn.gemm_calls"]; ok {
+		t.Errorf("global counter nn.gemm_calls in a recorder's manifest: %v", m.Counters)
 	}
 
 	var buf bytes.Buffer

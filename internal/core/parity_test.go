@@ -19,13 +19,13 @@ func TestTrainServeRoughParity(t *testing.T) {
 	cfg := Default(24)
 	a := &Analyzer{Config: cfg}
 
-	trained, err := dataset.Build(d, cfg.DatasetOptions())
+	trained, err := dataset.BuildCtx(context.Background(), d, cfg.DatasetOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := cfg.DatasetOptions()
 	opts.RoughSolver = a.RoughSolver(0)
-	served, err := dataset.Build(d, opts)
+	served, err := dataset.BuildCtx(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

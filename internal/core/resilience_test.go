@@ -158,7 +158,7 @@ func TestFusedLadderStructureOnly(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epochs = 1
 	train, _ := tinySet(t, cfg, 2, 0)
-	res, err := Train(cfg, train)
+	res, err := Train(context.Background(), cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}

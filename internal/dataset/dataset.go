@@ -74,24 +74,17 @@ type Sample struct {
 	RoughBottom *grid.Map
 }
 
-// Build prepares a sample from a generated design: assemble, solve
+// BuildCtx prepares a sample from a generated design: assemble, solve
 // golden, rough-solve for numerical features, extract feature maps.
-// Each step reports a stage timer to the active run recorder
+// Each step reports a stage timer to the recorder bound to ctx
 // (dataset.assemble, dataset.golden_solve, dataset.features.structure,
 // dataset.rough_solve, dataset.features.numerical), and the golden and
-// rough solves contribute labeled convergence traces.
-func Build(d *pgen.Design, opts Options) (*Sample, error) {
-	return BuildCtx(context.Background(), d, opts)
-}
-
-// BuildCtx is Build with cooperative cancellation and per-context
-// observability: the golden and rough solves run through solver.PCGCtx
-// so a cancelled context stops them mid-iteration, and every stage
-// timer and convergence trace reports to the recorder resolved from
-// ctx (obs.ActiveOr), keeping concurrent builds isolated when each
-// carries its own recorder.
+// rough solves contribute labeled convergence traces; concurrent builds
+// stay isolated when each carries its own recorder. The solves run
+// through solver.PCGCtx, so a cancelled context stops them
+// mid-iteration.
 //
-// When an artifact cache is active (cache.ActiveOr), BuildCtx serves
+// When an artifact cache is bound to ctx (cache.FromContext), BuildCtx serves
 // repeated designs from it: an exact fingerprint hit on a previously
 // built sample short-circuits the whole build (RoughSolver must be
 // nil, since hook output is not content-addressed), an exact hit on
@@ -123,7 +116,7 @@ func BuildInferenceCtx(ctx context.Context, d *pgen.Design, opts Options) (*Samp
 // is set — the sample-cache lookup before it, the golden solve after
 // assembly, and the sample-cache store at the end.
 func build(ctx context.Context, d *pgen.Design, opts Options, label bool) (*Sample, error) {
-	rec := obs.ActiveOr(ctx)
+	rec := obs.FromContext(ctx)
 	// Fault-injection hook (faults.SiteDatasetBuild): latency/stall
 	// faults exercise the serving layer's timeout and cancellation
 	// paths without touching the numerical code.
@@ -134,7 +127,7 @@ func build(ctx context.Context, d *pgen.Design, opts Options, label bool) (*Samp
 	}
 	var cc *cache.Cache
 	if label {
-		cc = cache.ActiveOr(ctx)
+		cc = cache.FromContext(ctx)
 	}
 	var fp string
 	if cc != nil {
@@ -520,15 +513,16 @@ func (c Curriculum) Subset(samples []*Sample, epoch, totalEpochs int, rng *rand.
 
 // GenerateSet produces nFake fake and nReal real designs at the given
 // die size and builds samples for each. Seeds derive from seedBase so
-// the whole set is reproducible.
-func GenerateSet(nFake, nReal, size int, seedBase int64, opts Options) ([]*Sample, error) {
+// the whole set is reproducible. Every build reports to the recorder
+// bound to ctx.
+func GenerateSet(ctx context.Context, nFake, nReal, size int, seedBase int64, opts Options) ([]*Sample, error) {
 	var out []*Sample
 	for i := 0; i < nFake; i++ {
 		d, err := pgen.Generate(pgen.DefaultConfig(fmt.Sprintf("fake%02d", i), pgen.Fake, size, size, seedBase+int64(i)))
 		if err != nil {
 			return nil, err
 		}
-		s, err := Build(d, opts)
+		s, err := BuildCtx(ctx, d, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -539,7 +533,7 @@ func GenerateSet(nFake, nReal, size int, seedBase int64, opts Options) ([]*Sampl
 		if err != nil {
 			return nil, err
 		}
-		s, err := Build(d, opts)
+		s, err := BuildCtx(ctx, d, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -17,7 +18,7 @@ func buildSample(t *testing.T, class pgen.Class, seed int64, opts Options) *Samp
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Build(d, opts)
+	s, err := BuildCtx(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestCurriculumRampsIn(t *testing.T) {
 
 func TestGenerateSetMix(t *testing.T) {
 	opts := DefaultOptions(48, 48)
-	set, err := GenerateSet(2, 1, 48, 100, opts)
+	set, err := GenerateSet(context.Background(), 2, 1, 48, 100, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestRoughTensorEmptyPanics(t *testing.T) {
 
 func TestGenerateSetPropagatesErrors(t *testing.T) {
 	opts := DefaultOptions(4, 4) // die too small -> generator error
-	if _, err := GenerateSet(1, 0, 4, 1, opts); err == nil {
+	if _, err := GenerateSet(context.Background(), 1, 0, 4, 1, opts); err == nil {
 		t.Error("expected generator error for tiny die")
 	}
 }

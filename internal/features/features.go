@@ -13,34 +13,24 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"irfusion/internal/circuit"
 	"irfusion/internal/faults"
 	"irfusion/internal/grid"
-	"irfusion/internal/obs"
 )
 
-// timedMap builds one named feature map, accumulating its
-// rasterization time under "feature.<name>" when a run recorder is
-// active (gauge feature.<name>.seconds, counter feature.<name>.count).
-//
-// Fault-injection hook (faults.SiteFeatures, labeled by map name):
-// latency faults slow individual map extractions to exercise
-// timeout budgets. This site has no context, so only the
-// process-global injector reaches it and stall faults must not be
-// configured here (they would block forever).
-func timedMap(rec *obs.Recorder, name string, build func() *grid.Map) *grid.Map {
+// faultedMap builds one named feature map behind the fault-injection
+// hook faults.SiteFeatures (labeled by map name): latency faults slow
+// individual map extractions to exercise timeout budgets. This site
+// has no context, so only the process-global injector reaches it and
+// stall faults must not be configured here (they would block forever).
+// The maps' time is measured by the caller's stages
+// (dataset.features.structure, dataset.features.numerical).
+func faultedMap(name string, build func() *grid.Map) *grid.Map {
 	if f := faults.Active().Fire(faults.SiteFeatures, name); f != nil && f.Action == faults.ActLatency {
 		f.Sleep(context.Background())
 	}
-	if rec == nil {
-		return build()
-	}
-	start := time.Now()
-	m := build()
-	rec.AddSeconds("feature."+name, time.Since(start))
-	return m
+	return build()
 }
 
 // Set is an ordered collection of named feature maps, ready to be
@@ -118,12 +108,11 @@ func rasterizeNodes(nw *circuit.Network, pick func(node int) (float64, bool), h,
 // into one map per metal layer — the hierarchical numerical features
 // of the paper. fullDrops must come from System.FullDrops.
 func NumericalFeatures(nw *circuit.Network, fullDrops []float64, h, w int) *Set {
-	rec := obs.Active()
 	s := &Set{}
 	for _, layer := range nw.Layers() {
 		l := layer
 		name := fmt.Sprintf("num_drop_m%d", l)
-		m := timedMap(rec, name, func() *grid.Map {
+		m := faultedMap(name, func() *grid.Map {
 			return rasterizeNodes(nw, func(n int) (float64, bool) {
 				if nw.Meta[n].Layer != l {
 					return 0, false
@@ -157,11 +146,20 @@ func GoldenMap(nw *circuit.Network, fullDrops []float64, h, w int) *grid.Map {
 // layers in proportion to their conductance contribution), effective
 // distance, PDN density, resistance, and shortest-path resistance.
 func StructureFeatures(nw *circuit.Network, h, w int) *Set {
-	rec := obs.Active()
+	s := CurrentMaps(nw, h, w)
+	s.Add("eff_dist", faultedMap("eff_dist", func() *grid.Map { return EffectiveDistanceMap(nw, h, w) }))
+	s.Add("pdn_density", faultedMap("pdn_density", func() *grid.Map { return DensityMap(nw, h, w) }))
+	s.Add("resistance", faultedMap("resistance", func() *grid.Map { return ResistanceMap(nw, h, w) }))
+	s.Add("sp_resistance", faultedMap("sp_resistance", func() *grid.Map { return ShortestPathResistanceMap(nw, h, w) }))
+	return s
+}
+
+// CurrentMaps returns the per-layer current maps (current_m<layer>):
+// the load current raster allocated to each metal layer in proportion
+// to its conductance contribution.
+func CurrentMaps(nw *circuit.Network, h, w int) *Set {
 	s := &Set{}
 	layers := nw.Layers()
-
-	start := time.Now()
 	// Load current raster (bottom-layer attachment points).
 	loadMap := grid.New(h, w)
 	for _, l := range nw.Loads {
@@ -191,12 +189,6 @@ func StructureFeatures(nw *circuit.Network, h, w int) *Set {
 		}
 		s.Add(fmt.Sprintf("current_m%d", layer), loadMap.Clone().Scale(share))
 	}
-	rec.AddSeconds("feature.current", time.Since(start))
-
-	s.Add("eff_dist", timedMap(rec, "eff_dist", func() *grid.Map { return EffectiveDistanceMap(nw, h, w) }))
-	s.Add("pdn_density", timedMap(rec, "pdn_density", func() *grid.Map { return DensityMap(nw, h, w) }))
-	s.Add("resistance", timedMap(rec, "resistance", func() *grid.Map { return ResistanceMap(nw, h, w) }))
-	s.Add("sp_resistance", timedMap(rec, "sp_resistance", func() *grid.Map { return ShortestPathResistanceMap(nw, h, w) }))
 	return s
 }
 

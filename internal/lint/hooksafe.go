@@ -5,30 +5,32 @@ import (
 	"go/types"
 )
 
-// hookPackages are the packages whose process/context hooks must be
-// resolved through their nil-safe resolvers. Maps package path to the
-// hook type names constructed there.
+// hookPackages are the packages whose hooks travel in a context. Maps
+// package path to the hook type names constructed there.
 var hookPackages = map[string][]string{
 	"irfusion/internal/obs":    {"Recorder"},
 	"irfusion/internal/faults": {"Injector"},
 	"irfusion/internal/cache":  {"Cache"},
 }
 
-// checkHooksafe enforces the hook-resolution discipline for the
-// observability recorder and the fault injector:
+// globalHookPackage is the one hook package that also keeps a
+// process-global slot (one -faults spec arms a whole process); obs and
+// cache are found only through the context.
+const globalHookPackage = "irfusion/internal/faults"
+
+// checkHooksafe enforces the hook-resolution discipline:
 //
-//  1. obs.FromContext / faults.FromContext may only be called inside
-//     their own packages — callers must use ActiveOr, which folds in
-//     the process-global fallback; raw FromContext invites "recorder
-//     bound but global ignored" split-brain behavior.
-//  2. obs.Active / faults.Active may not be called from a function
-//     that receives a context: the context may carry a bound hook
-//     (serving isolation), and reading the global silently ignores
-//     it. This is exactly the manifest cross-talk bug class; use
-//     ActiveOr(ctx). Waivable with //irfusion:ctx-ok.
-//  3. The hook structs (obs.Recorder, faults.Injector) may not be
-//     composite-literal-constructed outside their home packages —
-//     the constructors establish the nil-safety invariants.
+//  1. faults.FromContext may only be called inside its own package —
+//     callers must use ActiveOr, which folds in the process-global
+//     fallback; raw FromContext ignores an injector armed for the
+//     whole process.
+//  2. faults.Active may not be called from a function that receives a
+//     context: the context may carry a bound injector, and reading the
+//     global silently ignores it; use ActiveOr(ctx). Waivable with
+//     //irfusion:ctx-ok.
+//  3. The hook structs (obs.Recorder, faults.Injector, cache.Cache)
+//     may not be composite-literal-constructed outside their home
+//     packages — the constructors establish the nil-safety invariants.
 func (r *Runner) checkHooksafe(p *Package) {
 	if _, isHome := hookPackages[p.Path]; isHome {
 		return
@@ -62,7 +64,7 @@ func (r *Runner) hooksafeCall(p *Package, fd *ast.FuncDecl, call *ast.CallExpr, 
 	if !ok || fn.Pkg() == nil {
 		return
 	}
-	if _, isHook := hookPackages[fn.Pkg().Path()]; !isHook {
+	if fn.Pkg().Path() != globalHookPackage {
 		return
 	}
 	switch fn.Name() {

@@ -226,7 +226,7 @@ func (w *hotpathWalker) call(call *ast.CallExpr) {
 	}
 
 	// Walk the callee expression itself (a receiver chain like
-	// obs.ActiveOr(ctx).Add contains a nested call to check).
+	// obs.FromContext(ctx).Add contains a nested call to check).
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 		w.expr(sel.X)
 	}

@@ -11,9 +11,10 @@
 //   - ctxcheck: exported ...Ctx functions must observe their context
 //     inside loops, and context-holding code may not silently drop a
 //     context by calling the non-Ctx variant of a function.
-//   - hooksafe: observability and fault hooks must be resolved through
-//     their nil-safe resolvers (ActiveOr), never via FromContext or by
-//     hand-rolled construction.
+//   - hooksafe: the fault injector, the one hook with a process-global
+//     slot, is resolved through faults.ActiveOr, never via FromContext
+//     or the bare global in context-holding code; no hook (recorder,
+//     injector, cache) is hand-rolled as a composite literal.
 //   - errwrap: fmt.Errorf with an error argument must wrap with %w so
 //     errors.Is/As-driven classification keeps working.
 //   - floateq: float ==/!= needs an //irfusion:exact annotation with a
@@ -268,7 +269,7 @@ func callee(info *types.Info, call *ast.CallExpr) (obj types.Object, isConv bool
 		if sel, ok := info.Selections[fun]; ok {
 			return sel.Obj(), false
 		}
-		// Package-qualified reference (obs.ActiveOr): no Selection
+		// Package-qualified reference (obs.FromContext): no Selection
 		// entry, the Sel ident resolves directly.
 		return info.Uses[fun.Sel], false
 	case *ast.IndexExpr:

@@ -90,7 +90,7 @@ func TestCtxFixture(t *testing.T) {
 func TestHooksafeFixture(t *testing.T) {
 	diags := loadFixture(t, "hooksafefix")
 	requireFinding(t, diags, "hooksafe", "FromContext may return nil")
-	requireFinding(t, diags, "hooksafe", "reads the global obs.Active()")
+	requireFinding(t, diags, "hooksafe", "reads the global faults.Active()")
 	requireFinding(t, diags, "hooksafe", "construct obs.Recorder through its package constructor")
 }
 

@@ -6,13 +6,14 @@ package hooksafefix
 import (
 	"context"
 
+	"irfusion/internal/faults"
 	"irfusion/internal/obs"
 )
 
-// Observe resolves its recorder the two forbidden ways.
-func Observe(ctx context.Context) int64 {
-	r := obs.FromContext(ctx)
-	g := obs.Active()
+// Inject resolves its injector the two forbidden ways.
+func Inject(ctx context.Context) int64 {
+	r := faults.FromContext(ctx)
+	g := faults.Active()
 	if r != nil || g != nil {
 		return 1
 	}

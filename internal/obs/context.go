@@ -2,44 +2,28 @@ package obs
 
 import "context"
 
-// Recorder-in-context plumbing. The process-global Active() recorder
-// is the right model for a CLI run — one run at a time, instrumented
-// code anywhere in the call tree reports to it. A serving process
-// breaks that model: many analyses run concurrently and each needs its
-// own recorder, or their manifests cross-talk. WithRecorder binds a
-// recorder to a context.Context; the context-aware entry points
-// (solver.PCGCtx, dataset.BuildCtx, core's *Ctx methods) resolve their
-// recorder with ActiveOr, preferring the context-bound recorder and
-// falling back to the global one, so CLI flows keep working unchanged
-// while concurrent callers stay isolated.
+// Recorder-in-context plumbing. The context is the only way
+// instrumented code finds a recorder: a CLI run binds one recorder for
+// the whole process, a serving process binds one per request, and the
+// context-aware entry points (solver.PCGCtx, dataset.BuildCtx, core's
+// *Ctx methods) report to whatever FromContext returns — so concurrent
+// requests never see each other's numbers.
 
 // ctxKey is the private context key for a bound Recorder.
 type ctxKey struct{}
 
-// WithRecorder returns a copy of ctx carrying r. A nil r is allowed
-// and means "explicitly unobserved": ActiveOr will still fall back to
-// the global recorder, so pass a fresh Recorder to isolate a run.
+// WithRecorder returns a copy of ctx carrying r. A nil r means
+// "unobserved".
 func WithRecorder(ctx context.Context, r *Recorder) context.Context {
 	return context.WithValue(ctx, ctxKey{}, r)
 }
 
 // FromContext returns the recorder bound to ctx, or nil when none is
-// bound (or ctx is nil).
+// bound (or ctx is nil). Every Recorder method is nil-safe.
 func FromContext(ctx context.Context) *Recorder {
 	if ctx == nil {
 		return nil
 	}
 	r, _ := ctx.Value(ctxKey{}).(*Recorder)
 	return r
-}
-
-// ActiveOr resolves the recorder for a context-aware call: the
-// context-bound recorder when present, otherwise the process-global
-// Active() recorder (which may be nil — every Recorder method is
-// nil-safe).
-func ActiveOr(ctx context.Context) *Recorder {
-	if r := FromContext(ctx); r != nil {
-		return r
-	}
-	return Active()
 }

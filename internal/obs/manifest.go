@@ -79,9 +79,9 @@ type Host struct {
 
 // Manifest freezes the recorder into a manifest of the given kind
 // ("analyze", "solve", "train", "experiments", ...) with an optional
-// configuration payload. Global counters are reported as deltas since
-// NewRecorder, merged with the per-run counters (a name is counted in
-// one of the two, never both). The recorder remains usable afterwards.
+// configuration payload. Its counters are what the recorder counted,
+// nothing of the process's global counters. The recorder remains
+// usable afterwards.
 func (r *Recorder) Manifest(kind string, config any) *Manifest {
 	m := &Manifest{
 		Schema: SchemaVersion,
@@ -103,15 +103,10 @@ func (r *Recorder) Manifest(kind string, config any) *Manifest {
 	}
 	m.Start = r.start
 	m.WallSeconds = time.Since(r.start).Seconds()
-	for name, now := range GlobalCounters() {
-		if d := now - r.base[name]; d != 0 {
-			m.Counters[name] = d
-		}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for name, v := range r.counters {
-		m.Counters[name] += v
+		m.Counters[name] = v
 	}
 	for name, v := range r.gauges {
 		m.Gauges[name] = sanitize(v)
@@ -162,7 +157,7 @@ func (m *Manifest) Validate() error {
 		return errors.New("obs: manifest wall_seconds not positive")
 	case len(m.Stages) == 0:
 		return errors.New("obs: manifest has no stages")
-	case len(m.Counters) == 0:
+	case m.Counters == nil:
 		return errors.New("obs: manifest has no counters")
 	}
 	timed := false

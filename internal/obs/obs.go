@@ -10,13 +10,14 @@
 //     stage timers (wall time plus runtime/metrics allocation
 //     deltas). Every Recorder method is safe for concurrent use and
 //     safe on a nil receiver, so instrumented code calls it
-//     unconditionally: when no run is being observed, Active() returns
-//     nil and the instrumentation reduces to a pointer test.
+//     unconditionally: when no run is being observed, FromContext
+//     returns nil and the instrumentation reduces to a pointer test.
 //
 //   - Process-wide global counters (GlobalCounter): single atomic
 //     adds, cheap enough to stay permanently enabled inside hot
-//     kernels (nn.gemm_calls). A Recorder snapshots the globals at
-//     creation, so each run manifest reports the per-run delta.
+//     kernels (nn.gemm_calls). They describe the process, not a run:
+//     /metricsz and expvar read them, and a CLI front end (one process,
+//     one run) adds them to its manifest at finish.
 //
 //   - Run manifests (manifest.go): one structured JSON document per
 //     Analyzer/Trainer run, plus an optional debug HTTP endpoint
@@ -182,7 +183,6 @@ type EpochRecord struct {
 // concurrent use and no-ops on a nil receiver.
 type Recorder struct {
 	start time.Time
-	base  map[string]int64 // global-counter snapshot at creation
 
 	mu         sync.Mutex
 	counters   map[string]int64
@@ -196,12 +196,10 @@ type Recorder struct {
 	resume     *ResumeSection
 }
 
-// NewRecorder returns a recorder whose manifest will report global
-// counters as deltas from this moment.
+// NewRecorder returns an empty recorder whose run starts now.
 func NewRecorder() *Recorder {
 	return &Recorder{
 		start:    time.Now(),
-		base:     GlobalCounters(),
 		counters: map[string]int64{},
 		gauges:   map[string]float64{},
 		stages:   map[string]*StageRecord{},
@@ -225,20 +223,6 @@ func (r *Recorder) SetGauge(name string, v float64) {
 	}
 	r.mu.Lock()
 	r.gauges[name] = v
-	r.mu.Unlock()
-}
-
-// AddSeconds accumulates a duration into the gauge "<name>.seconds"
-// and bumps the counter "<name>.count" — the idiom for hot
-// sub-stage timings (AMG cycles, per-map rasterization) that are too
-// frequent for individual stage records.
-func (r *Recorder) AddSeconds(name string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.gauges[name+".seconds"] += d.Seconds()
-	r.counters[name+".count"]++
 	r.mu.Unlock()
 }
 
@@ -427,27 +411,6 @@ func sanitize(v float64) float64 {
 	default:
 		return v
 	}
-}
-
-// active is the process-wide recorder instrumented code reports to.
-var active atomic.Pointer[Recorder]
-
-// Active returns the recorder of the run in progress, or nil when
-// nothing is being observed. Instrumented hot paths call
-// obs.Active() and skip all work on nil — that pointer test is the
-// whole cost of disabled observability.
-func Active() *Recorder { return active.Load() }
-
-// SetActive installs r (which may be nil) as the process-wide
-// recorder and returns the previous one, enabling save/restore in
-// tests:
-//
-//	prev := obs.SetActive(obs.NewRecorder())
-//	defer obs.SetActive(prev)
-func SetActive(r *Recorder) *Recorder {
-	prev := active.Load()
-	active.Store(r)
-	return prev
 }
 
 // sortedKeys returns the keys of a map in sorted order (manifest

@@ -19,7 +19,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
 	r.Add("x", 1)
 	r.SetGauge("g", 1)
-	r.AddSeconds("s", time.Second)
 	r.RecordSolve(SolveRecord{Label: "x"})
 	r.RecordEpoch(EpochRecord{})
 	st := r.StartStage("stage")
@@ -65,7 +64,6 @@ func TestRecorderConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				r.Add("hits", 1)
 				r.SetGauge(fmt.Sprintf("gauge%d", w), float64(i))
-				r.AddSeconds("work", time.Microsecond)
 				st := r.StartStage("stage")
 				st.End()
 				r.RecordSolve(SolveRecord{Label: "s", Iterations: i, History: []float64{1, 0.5}})
@@ -79,28 +77,16 @@ func TestRecorderConcurrent(t *testing.T) {
 	if m.Counters["hits"] != 1600 {
 		t.Errorf("hits = %d, want 1600", m.Counters["hits"])
 	}
-	if m.Counters["work.count"] != 1600 {
-		t.Errorf("work.count = %d, want 1600", m.Counters["work.count"])
-	}
 	if len(m.Solves) != 1600 || len(m.Epochs) != 1600 {
 		t.Errorf("solves/epochs = %d/%d, want 1600 each", len(m.Solves), len(m.Epochs))
 	}
 	if len(m.Stages) != 1 || m.Stages[0].Count != 1600 {
 		t.Errorf("stage aggregation wrong: %+v", m.Stages)
 	}
-	if m.Counters["test.concurrent.global"] != 1600 {
-		t.Errorf("global delta = %d, want 1600", m.Counters["test.concurrent.global"])
-	}
-}
-
-func TestActiveSaveRestore(t *testing.T) {
-	r := NewRecorder()
-	prev := SetActive(r)
-	if Active() != r {
-		t.Fatal("Active() did not return the installed recorder")
-	}
-	if got := SetActive(prev); got != r {
-		t.Fatal("SetActive did not return the previous recorder")
+	// A manifest carries what its recorder counted; the process's
+	// global counters never leak in.
+	if _, ok := m.Counters["test.concurrent.global"]; ok {
+		t.Errorf("global counter in a recorder's manifest: %v", m.Counters)
 	}
 }
 
@@ -160,8 +146,11 @@ func TestManifestRoundTrip(t *testing.T) {
 	if back.Kind != "analyze" || len(back.Solves) != 1 || len(back.Solves[0].History) != 4 {
 		t.Errorf("round trip lost data: %+v", back)
 	}
-	if back.Counters["test.manifest.global"] != 3 {
-		t.Errorf("global counter delta lost: %v", back.Counters)
+	if back.Counters["designs"] != 2 {
+		t.Errorf("recorder counter lost: %v", back.Counters)
+	}
+	if _, ok := back.Counters["test.manifest.global"]; ok {
+		t.Errorf("global counter in a recorder's manifest: %v", back.Counters)
 	}
 	if back.Epochs[0].ValLoss == nil || *back.Epochs[0].ValLoss != 0.5 {
 		t.Error("val loss lost")
@@ -238,6 +227,12 @@ func TestValidateRejectsBrokenManifests(t *testing.T) {
 	if err := wellFormed().Validate(); err != nil {
 		t.Fatalf("well-formed degradation record rejected: %v", err)
 	}
+	// counters is a required key, but a run may count nothing of its own.
+	empty := wellFormed()
+	empty.Counters = map[string]int64{}
+	if err := empty.Validate(); err != nil {
+		t.Errorf("manifest with an empty counters map rejected: %v", err)
+	}
 	for name, f := range mut {
 		m := wellFormed()
 		f(m)
@@ -289,7 +284,7 @@ func TestSinks(t *testing.T) {
 
 func TestSummary(t *testing.T) {
 	s := testManifest(t).Summary()
-	for _, want := range []string{"analyze", "solve", "golden", "designs=2", "test.manifest.global=3", "training: 1 epochs"} {
+	for _, want := range []string{"analyze", "solve", "golden", "designs=2", "training: 1 epochs"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
 		}

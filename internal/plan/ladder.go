@@ -128,7 +128,7 @@ func classifyError(err error) (retryable, abort bool) {
 // RunLadder tries each rung in order under the resilience policy and
 // returns the name and index of the rung that served. Every attempt,
 // backoff, and breaker skip is recorded as a Degradation on the
-// recorder resolved from ctx (obs.ActiveOr) — including clean
+// recorder bound to ctx (obs.FromContext) — including clean
 // first-rung successes, so a manifest always says how the answer was
 // produced. On cancellation the context error is returned unwrapped
 // of ladder semantics (callers and serve already classify it); when
@@ -139,7 +139,7 @@ func RunLadder(ctx context.Context, component string, rungs []LadderRung, o Resi
 	if len(rungs) == 0 {
 		return "", 0, fmt.Errorf("%w: %s: no rungs configured", ErrLadderExhausted, component)
 	}
-	rec := obs.ActiveOr(ctx)
+	rec := obs.FromContext(ctx)
 	rng := rand.New(rand.NewSource(o.JitterSeed))
 	deg := obs.Degradation{Component: component}
 	var lastErr error

@@ -109,7 +109,7 @@ func newState(ctx context.Context, sys *circuit.System, x []float64, iters int, 
 	if converge {
 		opts = solver.DefaultOptions()
 	}
-	return &solveState{sys: sys, x: x, iters: iters, opts: opts, rec: obs.ActiveOr(ctx)}
+	return &solveState{sys: sys, x: x, iters: iters, opts: opts, rec: obs.FromContext(ctx)}
 }
 
 // rung is one way of filling st.x. ready (optional) is the rung's cache
@@ -395,7 +395,7 @@ type Solve struct {
 func Numerical(ctx context.Context, sys *circuit.System, x []float64, s Solve) (solver.Result, error) {
 	st := newState(ctx, sys, x, s.Iters, s.Iters <= 0)
 	st.stage = "numerical.solve"
-	if cc := cache.ActiveOr(ctx); cc != nil && s.Iters <= 0 {
+	if cc := cache.FromContext(ctx); cc != nil && s.Iters <= 0 {
 		st.cache, st.fp = cc, s.Fingerprint()
 		st.shape = cache.CheckpointShape(s.Precond, "", "", s.Iters)
 		if s.CheckpointEvery > 0 {
@@ -428,7 +428,7 @@ func Golden(ctx context.Context, sys *circuit.System, x []float64, fp string) er
 	st.opts = solver.Options{Tol: goldenTol, MaxIter: goldenMaxIter, Flexible: true, Record: true, Label: "golden"}
 	st.mustConverge, st.warmFirst = true, true
 	st.stage = "dataset.golden_solve"
-	st.cache, st.fp = cache.ActiveOr(ctx), fp
+	st.cache, st.fp = cache.FromContext(ctx), fp
 	return st.run(ctx, "dataset.golden", goldenRungs, ResilienceOptions{})
 }
 

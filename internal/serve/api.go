@@ -609,7 +609,7 @@ func (s *Server) runJob(j *Job) {
 	if s.cache != nil {
 		// Bind the per-process cache into the job context so the whole
 		// pipeline underneath (core, dataset) resolves it with
-		// cache.ActiveOr; record the content address in the manifest so
+		// cache.FromContext; record the content address in the manifest so
 		// cached runs are attributable to their design.
 		ctx = cache.WithCache(ctx, s.cache)
 		cfgMap["fingerprint"] = cache.ShortKey(j.fp)
@@ -731,7 +731,7 @@ func (s *Server) executeProtected(ctx context.Context, j *Job) (result *AnalyzeR
 // (the caller still attaches the manifest with the partial history).
 func (s *Server) execute(ctx context.Context, j *Job) (*AnalyzeResult, error) {
 	key := responseKey(j)
-	rec := obs.ActiveOr(ctx)
+	rec := obs.FromContext(ctx)
 	if key != "" {
 		lookupStart := time.Now()
 		st := rec.StartStage("serve.cache.lookup")

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -76,6 +78,81 @@ func TestConcurrentRequestsNoManifestCrossTalk(t *testing.T) {
 				}
 			}
 		}(int64(i + 1))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestMixedConcurrentRequestsOwnManifests keeps 16 mixed requests in
+// flight on 4 workers with the cache on — numerical cold, numerical
+// repeats of those bodies, and fused — and checks that every manifest
+// counts only what its own recorder counted: the job and its admission
+// verdict, none of the process-global kernel, network, cache or job
+// counters its neighbours also move.
+func TestMixedConcurrentRequestsOwnManifests(t *testing.T) {
+	const n = 16
+	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: n, Analyzer: tinyAnalyzer(t)})
+	bodies := make([]string, n)
+	for i := range bodies {
+		switch i % 3 {
+		case 0:
+			bodies[i] = fusedBody(int64(100+i), "")
+		case 1:
+			bodies[i] = pgenBody(int64(200+i), fusedRes, "")
+		case 2:
+			bodies[i] = bodies[i-1] // a repeat of the cold numerical body before it
+		}
+	}
+	globals := []string{"nn.", "circuit.", "cache.hit", "cache.miss", "cache.store", "cache.evict", "serve.jobs."}
+	// check returns every way request i's manifest is not its own.
+	check := func(i int, body string) error {
+		code, b := post(t, ts, "/v1/analyze", body)
+		if code != http.StatusOK {
+			return fmt.Errorf("status %d: %s", code, b)
+		}
+		v := decodeJob(t, b)
+		if v.Status != StatusDone || v.Result == nil || v.Result.Manifest == nil {
+			return fmt.Errorf("status %q, error %q, no manifest", v.Status, v.Error)
+		}
+		m := v.Result.Manifest
+		errs := []error{m.Validate()}
+		for k, c := range m.Counters {
+			for _, g := range globals {
+				if strings.HasPrefix(k, g) {
+					errs = append(errs, fmt.Errorf("process counter %s=%d in the manifest", k, c))
+				}
+			}
+		}
+		verdict := m.Counters["serve.admit.hits"] + m.Counters["serve.admit.misses"]
+		if len(m.Counters) != 2 || m.Counters["serve.job"] != 1 || verdict != 1 {
+			errs = append(errs, fmt.Errorf("counters %v, want serve.job=1 and one serve.admit verdict", m.Counters))
+		}
+		if i%3 == 0 {
+			ran := map[string]int64{}
+			for _, st := range m.Stages {
+				ran[st.Name] = st.Count
+			}
+			for _, name := range []string{"dataset.features.structure", "dataset.rough_solve", "dataset.features.numerical", "ml.inference"} {
+				if ran[name] != 1 {
+					errs = append(errs, fmt.Errorf("fused stage %s ran %d times, want 1", name, ran[name]))
+				}
+			}
+		}
+		return errors.Join(errs...)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i, body := range bodies {
+		wg.Add(1)
+		go func(i int, body string) {
+			defer wg.Done()
+			if err := check(i, body); err != nil {
+				errs <- fmt.Errorf("request %d: %w", i, err)
+			}
+		}(i, body)
 	}
 	wg.Wait()
 	close(errs)

@@ -30,11 +30,11 @@ func tinyAnalyzer(t *testing.T) *core.Analyzer {
 	t.Helper()
 	cfg := core.Default(fusedRes)
 	cfg.Base, cfg.Depth, cfg.Epochs, cfg.UseAugmentation = 4, 2, 1, false
-	set, err := dataset.GenerateSet(1, 1, fusedRes, 70, cfg.DatasetOptions())
+	set, err := dataset.GenerateSet(context.Background(), 1, 1, fusedRes, 70, cfg.DatasetOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Train(cfg, set)
+	res, err := core.Train(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}

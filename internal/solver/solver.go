@@ -73,7 +73,7 @@ type Options struct {
 	// Record keeps the relative residual after every iteration.
 	Record bool
 	// Label names the solve in observability output: when a run
-	// recorder is active (obs.Active), PCG reports its iteration
+	// recorder is bound to the context (PCGCtx), PCG reports its iteration
 	// count, timing, and residual history under this label. Empty
 	// defaults to "pcg".
 	Label string
@@ -130,9 +130,9 @@ var ErrBreakdown = errors.New("solver: numerical breakdown (non-finite value)")
 // index order, so the residual history is bitwise reproducible
 // run-to-run and on any core count.
 //
-// When a run recorder is active (obs.Active), the outcome — iteration
-// count, wall time, final residual, and the recorded history — is
-// reported as a SolveRecord under opts.Label.
+// PCG reports to no recorder; PCGCtx reports the outcome — iteration
+// count, wall time, final residual, and the recorded history — as a
+// SolveRecord under opts.Label to the recorder bound to its context.
 func PCG(a *sparse.CSR, x, b []float64, m Preconditioner, opts Options) (Result, error) {
 	return PCGCtx(context.Background(), a, x, b, m, opts)
 }
@@ -144,11 +144,11 @@ func PCG(a *sparse.CSR, x, b []float64, m Preconditioner, opts Options) (Result,
 // partial residual history) is still reported to the run recorder, so
 // a cancelled request's manifest shows how far the solve got.
 //
-// The recorder is resolved with obs.ActiveOr(ctx): a recorder bound to
-// ctx via obs.WithRecorder isolates this solve's records from
-// concurrent solves; without one the process-global recorder is used.
+// The recorder is the one bound to ctx with obs.WithRecorder, which
+// isolates this solve's records from concurrent solves; without one
+// nothing is recorded.
 func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner, opts Options) (res Result, err error) {
-	if rec := obs.ActiveOr(ctx); rec != nil {
+	if rec := obs.FromContext(ctx); rec != nil {
 		label := opts.Label
 		if label == "" {
 			label = "pcg"

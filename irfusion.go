@@ -14,13 +14,15 @@
 //	cfg := irfusion.DefaultConfig(64)
 //	train, _ := irfusion.GenerateTrainingSet(8, 4, 64, 1, cfg.DatasetOptions())
 //	res, _ := irfusion.Train(cfg, train)
-//	drops, runtime, _ := res.Analyzer.Analyze(design)
+//	drops, runtime, _ := res.Analyzer.AnalyzeCtx(ctx, design)
 //
 // The executables under cmd/ (irfusion, experiments) and the
 // runnable programs under examples/ demonstrate the full surface.
 package irfusion
 
 import (
+	"context"
+
 	"irfusion/internal/circuit"
 	"irfusion/internal/core"
 	"irfusion/internal/dataset"
@@ -76,8 +78,10 @@ const (
 func DefaultConfig(resolution int) Config { return core.Default(resolution) }
 
 // Train runs the augmented-curriculum training loop on prepared
-// samples.
-func Train(cfg Config, train []*Sample) (*TrainResult, error) { return core.Train(cfg, train) }
+// samples, recording nothing.
+func Train(cfg Config, train []*Sample) (*TrainResult, error) {
+	return core.Train(context.Background(), cfg, train)
+}
 
 // LoadAnalyzer restores an Analyzer saved with Analyzer.Save.
 var LoadAnalyzer = core.LoadAnalyzer
@@ -93,12 +97,14 @@ func DesignConfig(name string, class DesignClass, w, h int, seed int64) pgen.Con
 var GenerateDesign = pgen.Generate
 
 // GenerateTrainingSet produces nFake fake plus nReal real designs and
-// builds ML-ready samples for each.
-var GenerateTrainingSet = dataset.GenerateSet
+// builds ML-ready samples for each, recording nothing.
+func GenerateTrainingSet(nFake, nReal, size int, seedBase int64, opts dataset.Options) ([]*Sample, error) {
+	return dataset.GenerateSet(context.Background(), nFake, nReal, size, seedBase, opts)
+}
 
 // BuildSample prepares one design for the ML stage (golden solve,
 // rough solve, feature extraction).
-var BuildSample = dataset.Build
+var BuildSample = dataset.BuildCtx
 
 // Evaluate computes the contest metrics of a prediction against the
 // golden map.

@@ -6,6 +6,7 @@ package irfusion
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"irfusion/internal/metrics"
@@ -40,7 +41,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, runtime, err := res.Analyzer.Analyze(design)
+	pred, runtime, err := res.Analyzer.AnalyzeCtx(context.Background(), design)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 	// Compare against the golden numerical solution.
 	na := &NumericalAnalyzer{Resolution: 32}
-	golden, _, residual, err := na.Analyze(design)
+	golden, _, residual, err := na.AnalyzeCtx(context.Background(), design)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +90,8 @@ func TestFacadeCheckpointing(t *testing.T) {
 		t.Fatal(err)
 	}
 	sample := train[0]
-	a := res.Analyzer.Predict(sample)
-	b := restored.Predict(sample)
+	a := res.Analyzer.PredictCtx(context.Background(), sample)
+	b := restored.PredictCtx(context.Background(), sample)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("restored analyzer predicts differently")
@@ -116,7 +117,7 @@ func TestFacadeModelZoo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := metrics.Average(res.Analyzer.Evaluate(train))
+	rep := metrics.Average(res.Analyzer.Evaluate(context.Background(), train))
 	if rep.MAE < 0 || rep.F1 < 0 {
 		t.Error("baseline evaluation failed")
 	}
@@ -128,7 +129,7 @@ func TestFacadeBuildSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := facadeConfig()
-	s, err := BuildSample(design, cfg.DatasetOptions())
+	s, err := BuildSample(context.Background(), design, cfg.DatasetOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
