@@ -144,7 +144,17 @@ loc: ## non-test Go and assembly lines per package and the total
 # the ctx they now pass: the root facade 132 -> 138, cmd/experiments
 # 662 -> 670, cmd/irfusion 1184 -> 1188, the examples +2 each, and
 # internal/lint 2561 -> 2564 (hooksafe's rules 1 and 2 name faults).
-LOC_CEILING ?= 21050
+# Lowered to 20650 (total 21044 -> 20621) when the offline path became
+# the size of what its callers run: the label build went cold and
+# training kept only the knobs a program sets. internal/core 723 -> 623
+# (the validation hold-out, best-epoch restore, LR schedule and loss
+# switch), internal/dataset 576 -> 481 (the sample memo), internal/nn
+# 2217 -> 2105 (the LR schedules, AddWeighted, Tanh), internal/obs 880 ->
+# 836 (the stage allocation deltas, EpochRecord.ValLoss), internal/models
+# 823 -> 797 (LossModel, IRPnet's Kirchhoff loss), internal/plan 853 ->
+# 843 (the label ladder's cache rungs), cmd/report 69 -> 42 and
+# internal/report 97 -> 88 (-fill).
+LOC_CEILING ?= 20650
 
 loc-check: ## fail when the non-test Go + assembly line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \

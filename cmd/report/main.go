@@ -1,9 +1,7 @@
 // Command report renders the CSV artifacts of cmd/experiments into
-// markdown tables and (optionally) substitutes them into a document's
-// <!-- TAG --> placeholders:
+// markdown tables on stdout:
 //
-//	go run ./cmd/report -in results/full                     # print tables
-//	go run ./cmd/report -in results/full -fill EXPERIMENTS.md # rewrite in place
+//	go run ./cmd/report -in results/full
 package main
 
 import (
@@ -17,20 +15,11 @@ import (
 	"irfusion/internal/report"
 )
 
-// tagFor maps artifact basenames to EXPERIMENTS.md placeholder tags.
-var tagFor = map[string]string{
-	"table1.csv": "TABLE1",
-	"fig7.csv":   "FIG7",
-	"fig8.csv":   "FIG8",
-}
-
 func main() {
 	log.SetFlags(0)
 	in := flag.String("in", "results/full", "directory with experiment CSVs")
-	fill := flag.String("fill", "", "markdown file whose <!-- TAG --> placeholders to fill in place")
 	flag.Parse()
 
-	tables := map[string]string{}
 	entries, err := os.ReadDir(*in)
 	if err != nil {
 		log.Fatal(err)
@@ -48,22 +37,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", e.Name(), err)
 		}
-		if tag, ok := tagFor[e.Name()]; ok {
-			tables[tag] = md
-		}
-		if *fill == "" {
-			fmt.Printf("### %s\n\n%s\n", e.Name(), md)
-		}
-	}
-	if *fill != "" {
-		doc, err := os.ReadFile(*fill)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out := report.Fill(string(doc), tables)
-		if err := os.WriteFile(*fill, []byte(out), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("filled %d tables into %s", len(tables), *fill)
+		fmt.Printf("### %s\n\n%s\n", e.Name(), md)
 	}
 }

@@ -54,17 +54,9 @@ type Config struct {
 
 	// Training hyperparameters.
 	Epochs         int
-	BatchSize      int
 	LearningRate   float64
 	OversampleFake int
 	OversampleReal int
-	CurriculumRamp float64
-	// HotspotWeight, when positive, re-weights the training loss so a
-	// pixel at the golden maximum counts (1 + HotspotWeight)× as much
-	// as a zero-drop pixel — the re-weighting analogue of PGAU's
-	// label-distribution smoothing, emphasizing the worst-case region
-	// that MIRDE and F1 score.
-	HotspotWeight float64
 	// ResidualMode makes the model predict a *correction* to the
 	// rasterized rough solution instead of the absolute drop map, so
 	// the fused prediction is rough + correction. This realizes the
@@ -72,14 +64,22 @@ type Config struct {
 	// begin training from a point much closer to the target label".
 	// It requires UseNumerical and is ignored otherwise.
 	ResidualMode bool
-	// CosineLR anneals the learning rate to LearningRate/20 with a
-	// cosine schedule instead of keeping it constant.
-	CosineLR bool
-	// ValidationFraction, when positive, holds out that fraction of
-	// the training designs for per-epoch validation; the returned
-	// analyzer carries the weights of the best validation epoch.
-	ValidationFraction float64
 }
+
+// The training constants every program trains with.
+const (
+	// batchSize is the minibatch size of a training step.
+	batchSize = 4
+	// curriculumRamp is the fraction of the epochs over which the
+	// curriculum mixes in the hard (real) designs.
+	curriculumRamp = 0.5
+	// hotspotWeight re-weights the training loss so a pixel at the
+	// golden maximum counts (1 + hotspotWeight)× as much as a zero-drop
+	// pixel — the re-weighting analogue of PGAU's label-distribution
+	// smoothing, emphasizing the worst-case region that MIRDE and F1
+	// score. Every model, IRPnet included, trains on this loss.
+	hotspotWeight = 2
+)
 
 // Default returns the full IR-Fusion configuration at the given
 // raster resolution.
@@ -98,12 +98,9 @@ func Default(resolution int) Config {
 		UseAugmentation: true,
 		UseCurriculum:   true,
 		Epochs:          30,
-		BatchSize:       4,
 		LearningRate:    2e-3,
 		OversampleFake:  2,
 		OversampleReal:  5,
-		CurriculumRamp:  0.5,
-		HotspotWeight:   2,
 		ResidualMode:    true,
 	}
 }
@@ -275,7 +272,9 @@ func (a *Analyzer) Evaluate(ctx context.Context, samples []*dataset.Sample) []me
 	return reports
 }
 
-// checkpointData is the single-blob on-disk form of an Analyzer.
+// checkpointData is the single-blob on-disk form of an Analyzer. gob
+// matches fields by name and skips the ones this Config no longer has,
+// so checkpoints that carry retired Config fields still load.
 type checkpointData struct {
 	Config      Config
 	NormNames   []string
@@ -348,8 +347,6 @@ func LoadAnalyzer(r io.Reader) (*Analyzer, error) {
 type TrainResult struct {
 	Analyzer   *Analyzer
 	EpochLoss  []float64
-	ValLoss    []float64 // per-epoch validation loss (when enabled)
-	BestEpoch  int       // epoch whose weights the analyzer carries
 	FinalLoss  float64
 	NumParams  int
 	TrainTime  time.Duration
@@ -365,23 +362,6 @@ func Train(ctx context.Context, cfg Config, train []*dataset.Sample) (*TrainResu
 	}
 	start := time.Now()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	// Optional validation hold-out, split before augmentation so a
-	// rotated copy of a validation design never leaks into training.
-	var validation []*dataset.Sample
-	if cfg.ValidationFraction > 0 && len(train) > 1 {
-		shuffled := append([]*dataset.Sample(nil), train...)
-		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		nVal := int(cfg.ValidationFraction * float64(len(shuffled)))
-		if nVal < 1 {
-			nVal = 1
-		}
-		if nVal >= len(shuffled) {
-			nVal = len(shuffled) - 1
-		}
-		validation = shuffled[:nVal]
-		train = shuffled[nVal:]
-	}
 
 	working := train
 	if cfg.UseAugmentation {
@@ -432,59 +412,12 @@ func Train(ctx context.Context, cfg Config, train []*dataset.Sample) (*TrainResu
 	opt := nn.NewAdam(cfg.LearningRate)
 	opt.GradClip = 5
 
-	cur := dataset.Curriculum{Ramp: cfg.CurriculumRamp}
-	batchSize := cfg.BatchSize
-	if batchSize < 1 {
-		batchSize = 1
-	}
+	cur := dataset.Curriculum{Ramp: curriculumRamp}
 	res := &TrainResult{NumParams: nn.NumParams(params), NumSamples: len(working)}
-
-	var schedule nn.LRSchedule = nn.ConstantLR{Base: cfg.LearningRate}
-	if cfg.CosineLR {
-		schedule = nn.CosineLR{Base: cfg.LearningRate, Min: cfg.LearningRate / 20}
-	}
-
-	// Best-epoch bookkeeping for validation runs.
-	bestVal := 0.0
-	var bestParams [][]float64
-	var bestState [][]float64
-	snapshotBest := func() {
-		bestParams = bestParams[:0]
-		for _, p := range params {
-			bestParams = append(bestParams, append([]float64(nil), p.Data...))
-		}
-		bestState = bestState[:0]
-		for _, s := range model.State() {
-			bestState = append(bestState, append([]float64(nil), s...))
-		}
-	}
-	valLoss := func() float64 {
-		model.SetTraining(false)
-		defer model.SetTraining(true)
-		total := 0.0
-		for _, s := range validation {
-			x, y := dataset.ToTensors([]*dataset.Sample{s})
-			norm.Apply(x)
-			if residual {
-				rough := dataset.RoughTensor([]*dataset.Sample{s})
-				for i := range y.Data {
-					y.Data[i] -= rough.Data[i]
-				}
-			}
-			for i := range y.Data {
-				y.Data[i] *= targetScale
-			}
-			tp := borrowTape()
-			total += nn.MSELoss(nil, model.Forward(tp, x), y).Data[0]
-			returnTape(tp)
-		}
-		return total / float64(len(validation))
-	}
 
 	rec := obs.FromContext(ctx)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		epochStart := time.Now()
-		opt.LR = schedule.Rate(epoch, cfg.Epochs)
 		subset := working
 		if cfg.UseCurriculum {
 			subset = cur.Subset(working, epoch, cfg.Epochs, rng)
@@ -510,19 +443,7 @@ func Train(ctx context.Context, cfg Config, train []*dataset.Sample) (*TrainResu
 				y.Data[i] *= targetScale
 			}
 			tp := nn.NewTape()
-			pred := model.Forward(tp, x)
-			var loss *nn.Tensor
-			switch {
-			case cfg.HotspotWeight > 0:
-				w := hotspotWeights(y, cfg.HotspotWeight)
-				loss = nn.WeightedMSELoss(tp, pred, y, w)
-			default:
-				if lm, ok := model.(models.LossModel); ok {
-					loss = lm.Loss(tp, pred, y)
-				} else {
-					loss = nn.MSELoss(tp, pred, y)
-				}
-			}
+			loss := nn.WeightedMSELoss(tp, model.Forward(tp, x), y, hotspotWeights(y))
 			nn.ZeroGrads(params)
 			tp.Backward(loss)
 			opt.Step(params)
@@ -532,22 +453,10 @@ func Train(ctx context.Context, cfg Config, train []*dataset.Sample) (*TrainResu
 		if batches > 0 {
 			res.EpochLoss = append(res.EpochLoss, epochLoss/float64(batches))
 		}
-		var epochVal *float64
-		if len(validation) > 0 {
-			vl := valLoss()
-			res.ValLoss = append(res.ValLoss, vl)
-			epochVal = &vl
-			if len(res.ValLoss) == 1 || vl < bestVal {
-				bestVal = vl
-				res.BestEpoch = epoch
-				snapshotBest()
-			}
-		}
 		if rec != nil && batches > 0 {
 			rec.RecordEpoch(obs.EpochRecord{
 				Epoch:   epoch,
 				Loss:    epochLoss / float64(batches),
-				ValLoss: epochVal,
 				LR:      opt.LR,
 				Samples: len(subset),
 				Batches: batches,
@@ -558,26 +467,17 @@ func Train(ctx context.Context, cfg Config, train []*dataset.Sample) (*TrainResu
 	if n := len(res.EpochLoss); n > 0 {
 		res.FinalLoss = res.EpochLoss[n-1]
 	}
-	if bestParams != nil {
-		for i, p := range params {
-			copy(p.Data, bestParams[i])
-		}
-		for i, s := range model.State() {
-			copy(s, bestState[i])
-		}
-	} else {
-		res.BestEpoch = cfg.Epochs - 1
-	}
 	model.SetTraining(false)
 	res.Analyzer = &Analyzer{Config: cfg, Model: model, Norm: norm, TargetScale: targetScale}
 	res.TrainTime = time.Since(start)
 	return res, nil
 }
 
-// hotspotWeights builds the per-pixel loss weights 1 + hw·(|y|/max|y|)
-// for a (scaled) target batch. Magnitudes are used so residual-mode
-// targets (signed corrections) still get emphasis where the action is.
-func hotspotWeights(y *nn.Tensor, hw float64) *nn.Tensor {
+// hotspotWeights builds the per-pixel loss weights
+// 1 + hotspotWeight·(|y|/max|y|) for a (scaled) target batch. Magnitudes
+// are used so residual-mode targets (signed corrections) still get
+// emphasis where the action is.
+func hotspotWeights(y *nn.Tensor) *nn.Tensor {
 	w := nn.NewTensor(y.Shape...)
 	maxY := 0.0
 	for _, v := range y.Data {
@@ -596,7 +496,7 @@ func hotspotWeights(y *nn.Tensor, hw float64) *nn.Tensor {
 		if v < 0 {
 			v = -v
 		}
-		w.Data[i] = 1 + hw*v/maxY
+		w.Data[i] = 1 + hotspotWeight*v/maxY
 	}
 	return w
 }

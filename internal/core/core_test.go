@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
+	"slices"
 	"strings"
 	"testing"
 
@@ -259,23 +261,9 @@ func TestLoadAnalyzerGarbage(t *testing.T) {
 	}
 }
 
-func TestHotspotWeightedTraining(t *testing.T) {
-	cfg := quickCfg()
-	cfg.Epochs = 3
-	cfg.HotspotWeight = 4
-	train, test := tinySet(t, cfg, 2, 1)
-	res, err := Train(context.Background(), cfg, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := res.Analyzer.Evaluate(context.Background(), test); rep[0].MAE < 0 {
-		t.Fatal("evaluation failed")
-	}
-}
-
 func TestHotspotWeights(t *testing.T) {
 	y := nnTensorFrom([]float64{0, 0.5, 1})
-	w := hotspotWeights(y, 2)
+	w := hotspotWeights(y)
 	want := []float64{1, 2, 3}
 	for i := range want {
 		if w.Data[i] != want[i] {
@@ -283,7 +271,7 @@ func TestHotspotWeights(t *testing.T) {
 		}
 	}
 	z := nnTensorFrom([]float64{0, 0, 0})
-	wz := hotspotWeights(z, 2)
+	wz := hotspotWeights(z)
 	for _, v := range wz.Data {
 		if v != 1 {
 			t.Error("zero target should give unit weights")
@@ -358,50 +346,102 @@ func TestResidualModeCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCosineLRAndValidationTraining(t *testing.T) {
-	cfg := quickCfg()
-	cfg.Epochs = 5
-	cfg.CosineLR = true
-	cfg.ValidationFraction = 0.25
-	train, test := tinySet(t, cfg, 4, 2)
-	res, err := Train(context.Background(), cfg, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.ValLoss) != cfg.Epochs {
-		t.Fatalf("val losses %d, want %d", len(res.ValLoss), cfg.Epochs)
-	}
-	if res.BestEpoch < 0 || res.BestEpoch >= cfg.Epochs {
-		t.Fatalf("best epoch %d out of range", res.BestEpoch)
-	}
-	// Best epoch must be the argmin of ValLoss.
-	best := 0
-	for i, v := range res.ValLoss {
-		if v < res.ValLoss[best] {
-			best = i
-		}
-	}
-	if best != res.BestEpoch {
-		t.Errorf("BestEpoch = %d, argmin(ValLoss) = %d", res.BestEpoch, best)
-	}
-	if rep := res.Analyzer.Evaluate(context.Background(), test); rep[0].MAE < 0 {
-		t.Fatal("evaluation failed")
-	}
+// parentConfig is Config as the previous release encoded it, with the
+// five training fields it no longer has.
+type parentConfig struct {
+	Resolution, RoughIters int
+	ModelName              string
+	Base, Depth            int
+	Seed                   int64
+
+	UseNumerical, Hierarchical, UseInception, UseCBAM, UseAugmentation, UseCurriculum bool
+
+	Epochs         int
+	BatchSize      int
+	LearningRate   float64
+	OversampleFake int
+	OversampleReal int
+	CurriculumRamp float64
+	HotspotWeight  float64
+	ResidualMode   bool
+	CosineLR       bool
+
+	ValidationFraction float64
 }
 
-func TestValidationWithoutFractionDisabled(t *testing.T) {
+// TestLoadAnalyzerReadsParentCheckpoint: a checkpoint the previous
+// release wrote, whose Config carries BatchSize, CurriculumRamp,
+// HotspotWeight, CosineLR and ValidationFraction, still loads — the
+// retired fields are skipped, every other field, weight and batch-norm
+// statistic arrives bit for bit.
+func TestLoadAnalyzerReadsParentCheckpoint(t *testing.T) {
 	cfg := quickCfg()
-	cfg.Epochs = 2
-	train, _ := tinySet(t, cfg, 2, 1)
-	res, err := Train(context.Background(), cfg, train)
+	const inChannels = 5
+	model, err := cfg.buildModel(inChannels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.ValLoss) != 0 {
-		t.Error("validation should be off by default")
+	type parentCheckpoint struct {
+		Config      parentConfig
+		NormNames   []string
+		NormScale   []float64
+		TargetScale float64
+		InChannels  int
+		Params      [][]float64
+		State       [][]float64
 	}
-	if res.BestEpoch != cfg.Epochs-1 {
-		t.Errorf("BestEpoch = %d, want final epoch", res.BestEpoch)
+	old := parentCheckpoint{
+		Config: parentConfig{
+			Resolution: cfg.Resolution, RoughIters: cfg.RoughIters, ModelName: cfg.ModelName,
+			Base: cfg.Base, Depth: cfg.Depth, Seed: cfg.Seed,
+			UseNumerical: true, Hierarchical: true, UseInception: true, UseCBAM: true,
+			UseAugmentation: true, UseCurriculum: true,
+			Epochs: cfg.Epochs, BatchSize: 8, LearningRate: cfg.LearningRate,
+			OversampleFake: 2, OversampleReal: 5, CurriculumRamp: 0.25, HotspotWeight: 4,
+			ResidualMode: true, CosineLR: true, ValidationFraction: 0.2,
+		},
+		NormNames:   []string{"a", "b", "c", "d", "e"},
+		NormScale:   []float64{1, 0.5, 0.25, 2, 4},
+		TargetScale: 37.5,
+		InChannels:  inChannels,
+	}
+	for i, p := range model.Params() {
+		w := make([]float64, len(p.Data))
+		for j := range w {
+			w[j] = float64(i+1) * (float64(j) - 0.3) / 7
+		}
+		old.Params = append(old.Params, w)
+	}
+	for i, s := range model.State() {
+		v := make([]float64, len(s))
+		for j := range v {
+			v[j] = float64(i) + float64(j)/3
+		}
+		old.State = append(old.State, v)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	a, err := LoadAnalyzer(&buf)
+	if err != nil {
+		t.Fatalf("parent-layout checkpoint does not load: %v", err)
+	}
+	if a.Config != cfg {
+		t.Errorf("config = %+v, want %+v", a.Config, cfg)
+	}
+	if a.TargetScale != old.TargetScale || !slices.Equal(a.Norm.Scale, old.NormScale) || !slices.Equal(a.Norm.Names, old.NormNames) {
+		t.Error("normalizer or target scale lost")
+	}
+	for i, p := range a.Model.Params() {
+		if !slices.Equal(p.Data, old.Params[i]) {
+			t.Fatalf("param tensor %d differs from the checkpoint", i)
+		}
+	}
+	for i, s := range a.Model.State() {
+		if !slices.Equal(s, old.State[i]) {
+			t.Fatalf("state vector %d differs from the checkpoint", i)
+		}
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"irfusion/internal/cache"
 	"irfusion/internal/circuit"
 	"irfusion/internal/faults"
 	"irfusion/internal/features"
@@ -82,39 +81,23 @@ type Sample struct {
 // rough solves contribute labeled convergence traces; concurrent builds
 // stay isolated when each carries its own recorder. The solves run
 // through solver.PCGCtx, so a cancelled context stops them
-// mid-iteration.
-//
-// When an artifact cache is bound to ctx (cache.FromContext), BuildCtx serves
-// repeated designs from it: an exact fingerprint hit on a previously
-// built sample short-circuits the whole build (RoughSolver must be
-// nil, since hook output is not content-addressed), an exact hit on
-// the system artifact reuses the converged golden solution after a
-// one-SpMV residual guard, and a near-miss within cache.DefaultWarmDelta
-// warm-starts the golden solve from the neighbor's solution with the
-// neighbor's cloned AMG hierarchy as preconditioner — skipping AMG
-// setup, the dominant cost. Every cache interaction lands in the run
-// manifest's cache section; any guard failure, fault injection, or
-// warm-start stall falls back to the cold path. Rough solves always
-// run cold from zero: the paper's fusion semantics define the model's
-// numerical input as k budgeted iterations from a zero guess, and a
-// warm-started rough solve would shift that input distribution.
+// mid-iteration. Every build runs cold: the label is one AMG-PCG solve
+// from zero (plan.Golden), and an artifact cache bound to ctx is
+// neither read nor written.
 func BuildCtx(ctx context.Context, d *pgen.Design, opts Options) (*Sample, error) {
 	return build(ctx, d, opts, true)
 }
 
 // BuildInferenceCtx is the build a fused analysis pays for: assembly,
 // the budgeted rough solve and the feature maps — everything the model
-// reads, and no label. The sample has a nil Golden, runs no converged
-// solve and neither reads nor writes the artifact cache (whose samples
-// carry labels); Analyzer.PredictCtx accepts it as it accepts a
-// labelled one.
+// reads, and no label. The sample has a nil Golden and runs no converged
+// solve; Analyzer.PredictCtx accepts it as it accepts a labelled one.
 func BuildInferenceCtx(ctx context.Context, d *pgen.Design, opts Options) (*Sample, error) {
 	return build(ctx, d, opts, false)
 }
 
 // build is the one build body: the inference build, plus — when label
-// is set — the sample-cache lookup before it, the golden solve after
-// assembly, and the sample-cache store at the end.
+// is set — the golden solve after assembly.
 func build(ctx context.Context, d *pgen.Design, opts Options, label bool) (*Sample, error) {
 	rec := obs.FromContext(ctx)
 	// Fault-injection hook (faults.SiteDatasetBuild): latency/stall
@@ -123,30 +106,6 @@ func build(ctx context.Context, d *pgen.Design, opts Options, label bool) (*Samp
 	if f := faults.ActiveOr(ctx).Fire(faults.SiteDatasetBuild, ""); f != nil {
 		if err := f.Sleep(ctx); err != nil {
 			return nil, fmt.Errorf("dataset: %s: %w", d.Name, err)
-		}
-	}
-	var cc *cache.Cache
-	if label {
-		cc = cache.FromContext(ctx)
-	}
-	var fp string
-	if cc != nil {
-		fp = cache.DesignFingerprint(d)
-		if opts.RoughSolver == nil {
-			lookupStart := time.Now()
-			if v, ok := cc.Get(sampleKey(fp, opts)); ok {
-				if prev, ok := v.(*Sample); ok {
-					rec.RecordCacheEvent(obs.CacheEvent{
-						Stage: "dataset.sample", Outcome: obs.CacheHit, Key: cache.ShortKey(fp),
-					})
-					out := cloneSample(prev)
-					out.NumericalTime = time.Since(lookupStart)
-					return out, nil
-				}
-			}
-			rec.RecordCacheEvent(obs.CacheEvent{
-				Stage: "dataset.sample", Outcome: obs.CacheMiss, Key: cache.ShortKey(fp),
-			})
 		}
 	}
 	st := rec.StartStage("dataset.assemble")
@@ -165,12 +124,9 @@ func build(ctx context.Context, d *pgen.Design, opts Options, label bool) (*Samp
 
 	s := &Sample{Name: d.Name, Class: d.Class}
 	if label {
-		// Golden solve on the label ladder (plan.Golden): an exact cache
-		// hit, a warm start off a cached neighbor, or cold AMG-PCG from
-		// zero.
 		st = rec.StartStage("dataset.golden_solve")
 		gx := make([]float64, sys.N())
-		if err := plan.Golden(ctx, sys, gx, fp); err != nil {
+		if err := plan.Golden(ctx, sys, gx); err != nil {
 			return nil, fmt.Errorf("dataset: %s: golden solve: %w", d.Name, err)
 		}
 		s.Golden = features.GoldenMap(nw, sys.FullDrops(gx), opts.H, opts.W)
@@ -210,58 +166,7 @@ func build(ctx context.Context, d *pgen.Design, opts Options, label bool) (*Samp
 	}
 	s.NumericalTime = time.Since(start)
 	s.Features = fs
-	if cc != nil && fp != "" && opts.RoughSolver == nil {
-		cc.Put(sampleKey(fp, opts), cloneSample(s), sampleSizeBytes(s), "sample")
-		rec.RecordCacheEvent(obs.CacheEvent{
-			Stage: "dataset.sample", Outcome: obs.CacheStore, Key: cache.ShortKey(fp),
-		})
-	}
 	return s, nil
-}
-
-// sampleKey is the cache key of a finished sample: the design
-// fingerprint qualified by every Options field that shapes the output,
-// so ablation variants and resolution changes never collide.
-func sampleKey(fp string, o Options) string {
-	return fmt.Sprintf("sample|%s|h=%d,w=%d,ri=%d,num=%t,hier=%t",
-		fp, o.H, o.W, o.RoughIters, o.IncludeNumerical, o.Hierarchical)
-}
-
-// cloneSample deep-copies a sample's maps so cached state and caller
-// state can never alias (callers are free to mutate what they get).
-func cloneSample(s *Sample) *Sample {
-	out := *s
-	if s.Features != nil {
-		fs := &features.Set{}
-		for i, m := range s.Features.Maps {
-			fs.Add(s.Features.Names[i], m.Clone())
-		}
-		out.Features = fs
-	}
-	if s.Golden != nil {
-		out.Golden = s.Golden.Clone()
-	}
-	if s.RoughBottom != nil {
-		out.RoughBottom = s.RoughBottom.Clone()
-	}
-	return &out
-}
-
-// sampleSizeBytes estimates a sample's footprint for cache accounting.
-func sampleSizeBytes(s *Sample) int64 {
-	var sz int64 = 256
-	if s.Golden != nil {
-		sz += int64(len(s.Golden.Data)) * 8
-	}
-	if s.RoughBottom != nil {
-		sz += int64(len(s.RoughBottom.Data)) * 8
-	}
-	if s.Features != nil {
-		for _, m := range s.Features.Maps {
-			sz += int64(len(m.Data)) * 8
-		}
-	}
-	return sz
 }
 
 // collapseLayers merges per-layer maps (names with a _m<layer>

@@ -7,9 +7,13 @@ import (
 	"strings"
 	"testing"
 
+	"irfusion/internal/cache"
+	"irfusion/internal/circuit"
 	"irfusion/internal/grid"
 	"irfusion/internal/metrics"
+	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
+	"irfusion/internal/plan"
 )
 
 func buildSample(t *testing.T, class pgen.Class, seed int64, opts Options) *Sample {
@@ -339,5 +343,62 @@ func TestGenerateSetPropagatesErrors(t *testing.T) {
 	opts := DefaultOptions(4, 4) // die too small -> generator error
 	if _, err := GenerateSet(context.Background(), 1, 0, 4, 1, opts); err == nil {
 		t.Error("expected generator error for tiny die")
+	}
+}
+
+// TestBuildUncachedRecordsNothing: a build is cold whether or not an
+// artifact cache is bound. A cache that holds the design's converged
+// solve is neither read nor written — no cache event, no lookup, no
+// store — and the sample is the unbound build's, bit for bit.
+func TestBuildUncachedRecordsNothing(t *testing.T) {
+	d, err := pgen.Generate(pgen.DefaultConfig("cacheds", pgen.Real, 24, 24, 19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions(16, 16)
+	want, err := BuildCtx(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Seed the cache with the exact solve a label lookup would hit.
+	c := cache.New(0, 0)
+	nw, err := circuit.FromNetlist(d.Netlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := nw.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := plan.Solve{Fingerprint: func() string { return cache.DesignFingerprint(d) }}
+	if _, err := plan.Numerical(cache.WithCache(context.Background(), c), sys, make([]float64, sys.N()), solve); err != nil {
+		t.Fatal(err)
+	}
+	seeded := c.Stats()
+
+	for range 2 {
+		rec := obs.NewRecorder()
+		got, err := BuildCtx(cache.WithCache(obs.WithRecorder(context.Background(), rec), c), d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := rec.Manifest("test", nil); m.Cache != nil {
+			t.Fatalf("build with a bound cache recorded cache events: %+v", m.Cache.Events)
+		}
+		if st := c.Stats(); st.Hits != seeded.Hits || st.Misses != seeded.Misses || st.Stores != seeded.Stores {
+			t.Fatalf("build touched the bound cache: %+v after seeding, %+v after the build", seeded, st)
+		}
+		maps := [][2]*grid.Map{{want.Golden, got.Golden}, {want.RoughBottom, got.RoughBottom}}
+		for i := range want.Features.Maps {
+			maps = append(maps, [2]*grid.Map{want.Features.Maps[i], got.Features.Maps[i]})
+		}
+		for _, m := range maps {
+			for i := range m[0].Data {
+				if math.Float64bits(m[0].Data[i]) != math.Float64bits(m[1].Data[i]) {
+					t.Fatalf("bound-cache sample differs from the unbound build at element %d: %v vs %v", i, m[1].Data[i], m[0].Data[i])
+				}
+			}
+		}
 	}
 }

@@ -29,13 +29,6 @@ type Model interface {
 	SetTraining(bool)
 }
 
-// LossModel is implemented by models with a custom training loss
-// (IRPnet's Kirchhoff-constrained loss).
-type LossModel interface {
-	Model
-	Loss(tp *nn.Tape, pred, target *nn.Tensor) *nn.Tensor
-}
-
 // convBNReLU is the conv → batch-norm → ReLU unit used everywhere.
 type convBNReLU struct {
 	conv *nn.Conv2d

@@ -7,9 +7,9 @@ import (
 )
 
 // irpnet is the pyramid model of IRPnet: a strided-conv encoder, a
-// pyramid-pooling context module capturing global features, a
-// decoder, and a Kirchhoff-law-constrained training loss that
-// penalizes non-physical roughness of the predicted potential field.
+// pyramid-pooling context module capturing global features, and a
+// decoder. It trains on the same hotspot-weighted loss as every other
+// model (core.Train).
 type irpnet struct {
 	cfg Config
 
@@ -23,34 +23,25 @@ type irpnet struct {
 	up1    *convBNReLU
 	up2    *convBNReLU
 	head   *nn.Conv2d
-
-	lap *nn.Tensor // fixed 5-point Laplacian kernel (not trained)
-	// KirchhoffWeight balances the physics term in the loss.
-	KirchhoffWeight float64
 }
 
 // NewIRPNet builds IRPnet.
 func NewIRPNet(cfg Config) Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	b := cfg.Base
-	m := &irpnet{
-		cfg:             cfg,
-		stem:            newConvBNReLU(rng, cfg.InChannels, b, 3, 1, 1),
-		down1:           newConvBNReLU(rng, b, 2*b, 3, 2, 1),
-		down2:           newConvBNReLU(rng, 2*b, 4*b, 3, 2, 1),
-		pyrIdn:          newConvBNReLU(rng, 4*b, b, 1, 1, 0),
-		pyrMid:          newConvBNReLU(rng, 4*b, b, 1, 1, 0),
-		pyrGlb:          newConvBNReLU(rng, 4*b, b, 1, 1, 0),
-		fuse:            newConvBNReLU(rng, 4*b+3*b, 4*b, 3, 1, 1),
-		up1:             newConvBNReLU(rng, 4*b, 2*b, 3, 1, 1),
-		up2:             newConvBNReLU(rng, 2*b, b, 3, 1, 1),
-		head:            nn.NewConv2d(rng, b, 1, 1, 1, 0),
-		KirchhoffWeight: 0.05,
+	return &irpnet{
+		cfg:    cfg,
+		stem:   newConvBNReLU(rng, cfg.InChannels, b, 3, 1, 1),
+		down1:  newConvBNReLU(rng, b, 2*b, 3, 2, 1),
+		down2:  newConvBNReLU(rng, 2*b, 4*b, 3, 2, 1),
+		pyrIdn: newConvBNReLU(rng, 4*b, b, 1, 1, 0),
+		pyrMid: newConvBNReLU(rng, 4*b, b, 1, 1, 0),
+		pyrGlb: newConvBNReLU(rng, 4*b, b, 1, 1, 0),
+		fuse:   newConvBNReLU(rng, 4*b+3*b, 4*b, 3, 1, 1),
+		up1:    newConvBNReLU(rng, 4*b, 2*b, 3, 1, 1),
+		up2:    newConvBNReLU(rng, 2*b, b, 3, 1, 1),
+		head:   nn.NewConv2d(rng, b, 1, 1, 1, 0),
 	}
-	lap := nn.NewTensor(1, 1, 3, 3)
-	copy(lap.Data, []float64{0, 1, 0, 1, -4, 1, 0, 1, 0})
-	m.lap = lap
-	return m
 }
 
 // Name implements Model.
@@ -72,16 +63,6 @@ func (m *irpnet) Forward(tp *nn.Tape, x *nn.Tensor) *nn.Tensor {
 	h = m.up1.forward(tp, nn.Upsample2x(tp, h))
 	h = m.up2.forward(tp, nn.Upsample2x(tp, h))
 	return m.head.Forward(tp, h)
-}
-
-// Loss implements LossModel: MSE plus the Kirchhoff smoothness term
-// λ·mean(∇²pred)², reflecting that away from sources the discrete
-// potential field satisfies a Laplace-like equation.
-func (m *irpnet) Loss(tp *nn.Tape, pred, target *nn.Tensor) *nn.Tensor {
-	mse := nn.MSELoss(tp, pred, target)
-	lap := nn.Conv2D(tp, pred, m.lap, nil, 1, 1)
-	phys := nn.Mean(tp, nn.Mul(tp, lap, lap))
-	return nn.AddWeighted(tp, mse, 1, phys, m.KirchhoffWeight)
 }
 
 // Params implements Model.

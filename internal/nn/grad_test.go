@@ -73,9 +73,6 @@ func TestGradElementwise(t *testing.T) {
 	checkGrad(t, "Scale", []*Tensor{x}, func(tp *Tape) *Tensor {
 		return Mean(tp, Scale(tp, x, -2.5))
 	})
-	checkGrad(t, "AddWeighted", []*Tensor{x, y}, func(tp *Tape) *Tensor {
-		return Mean(tp, Mul(tp, AddWeighted(tp, x, 0.7, y, -1.3), x))
-	})
 }
 
 func TestGradActivations(t *testing.T) {
@@ -92,9 +89,6 @@ func TestGradActivations(t *testing.T) {
 	})
 	checkGrad(t, "Sigmoid", []*Tensor{x}, func(tp *Tape) *Tensor {
 		return Mean(tp, Sigmoid(tp, x))
-	})
-	checkGrad(t, "Tanh", []*Tensor{x}, func(tp *Tape) *Tensor {
-		return Mean(tp, Tanh(tp, x))
 	})
 }
 

@@ -141,24 +141,6 @@ func Sigmoid(tp *Tape, x *Tensor) *Tensor {
 	return out
 }
 
-// Tanh returns tanh(x).
-func Tanh(tp *Tape, x *Tensor) *Tensor {
-	out := result(tp, x.Shape, x)
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	if out.needsGrad {
-		tp.record(func() {
-			x.ensureGrad()
-			for i := range out.Grad {
-				th := out.Data[i]
-				x.Grad[i] += out.Grad[i] * (1 - th*th)
-			}
-		})
-	}
-	return out
-}
-
 // MulChannel multiplies x[N,C,H,W] by a per-channel gate s[N,C,1,1]
 // (the channel-attention product of CBAM).
 func MulChannel(tp *Tape, x, s *Tensor) *Tensor {
@@ -343,34 +325,6 @@ func MSELoss(tp *Tape, pred, target *Tensor) *Tensor {
 			g := out.Grad[0] * 2 * inv
 			for i := range pred.Grad {
 				pred.Grad[i] += g * (pred.Data[i] - target.Data[i])
-			}
-		})
-	}
-	return out
-}
-
-// AddWeighted returns a·x + b·y, a fused op used for loss mixing.
-func AddWeighted(tp *Tape, x *Tensor, a float64, y *Tensor, b float64) *Tensor {
-	if !SameShape(x, y) {
-		panic("nn: AddWeighted shape mismatch")
-	}
-	out := result(tp, x.Shape, x, y)
-	for i := range out.Data {
-		out.Data[i] = a*x.Data[i] + b*y.Data[i]
-	}
-	if out.needsGrad {
-		tp.record(func() {
-			if x.needsGrad {
-				x.ensureGrad()
-				for i := range out.Grad {
-					x.Grad[i] += a * out.Grad[i]
-				}
-			}
-			if y.needsGrad {
-				y.ensureGrad()
-				for i := range out.Grad {
-					y.Grad[i] += b * out.Grad[i]
-				}
 			}
 		})
 	}

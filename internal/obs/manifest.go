@@ -267,17 +267,16 @@ func (m *Manifest) Encode(w io.Writer) error {
 }
 
 // Summary renders the human-readable end-of-run table printed by the
-// CLI front ends: per-stage wall times and allocations, solver
-// convergence, training trajectory, and worker-pool utilization.
+// CLI front ends: per-stage wall times, solver convergence, the
+// resilience and cache trails, training trajectory, and counters.
 func (m *Manifest) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "── run manifest: %s (%.2fs wall, go %s, %d CPU) ──\n",
 		m.Kind, m.WallSeconds, m.Host.GoVersion, m.Host.NumCPU)
 	if len(m.Stages) > 0 {
-		fmt.Fprintf(&b, "%-28s %7s %12s %12s\n", "stage", "count", "wall", "alloc")
+		fmt.Fprintf(&b, "%-28s %7s %12s\n", "stage", "count", "wall")
 		for _, s := range m.Stages {
-			fmt.Fprintf(&b, "%-28s %7d %12s %12s\n",
-				s.Name, s.Count, fmtSeconds(s.Seconds), fmtBytes(s.AllocBytes))
+			fmt.Fprintf(&b, "%-28s %7d %12s\n", s.Name, s.Count, fmtSeconds(s.Seconds))
 		}
 	}
 	if len(m.Solves) > 0 {
@@ -335,19 +334,6 @@ func fmtSeconds(s float64) string {
 		return fmt.Sprintf("%.2fms", s*1e3)
 	default:
 		return fmt.Sprintf("%.2fs", s)
-	}
-}
-
-func fmtBytes(n uint64) string {
-	switch {
-	case n < 1<<10:
-		return fmt.Sprintf("%dB", n)
-	case n < 1<<20:
-		return fmt.Sprintf("%.1fKB", float64(n)/(1<<10))
-	case n < 1<<30:
-		return fmt.Sprintf("%.1fMB", float64(n)/(1<<20))
-	default:
-		return fmt.Sprintf("%.2fGB", float64(n)/(1<<30))
 	}
 }
 

@@ -7,8 +7,7 @@
 //
 //   - A per-run Recorder of named counters, gauges, labeled solver
 //     convergence traces, per-epoch training records, and monotonic
-//     stage timers (wall time plus runtime/metrics allocation
-//     deltas). Every Recorder method is safe for concurrent use and
+//     wall-clock stage timers. Every Recorder method is safe for concurrent use and
 //     safe on a nil receiver, so instrumented code calls it
 //     unconditionally: when no run is being observed, FromContext
 //     returns nil and the instrumentation reduces to a pointer test.
@@ -29,7 +28,6 @@ package obs
 
 import (
 	"math"
-	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -99,17 +97,12 @@ func GlobalCounters() map[string]int64 {
 	return out
 }
 
-// StageRecord aggregates every completed timer of one stage name:
-// how often the stage ran, its total wall time, and the total heap
-// allocation it caused (process-global runtime/metrics deltas, so
-// concurrent allocation from other goroutines is attributed too —
-// treat the byte counts as indicative, not exact).
+// StageRecord aggregates every completed timer of one stage name: how
+// often the stage ran and its total wall time.
 type StageRecord struct {
-	Name       string  `json:"name"`
-	Count      int64   `json:"count"`
-	Seconds    float64 `json:"seconds"`
-	AllocBytes uint64  `json:"alloc_bytes"`
-	Mallocs    uint64  `json:"mallocs"`
+	Name    string  `json:"name"`
+	Count   int64   `json:"count"`
+	Seconds float64 `json:"seconds"`
 }
 
 // SolveRecord is one labeled Krylov solve: iteration count, final
@@ -169,13 +162,12 @@ func (d *Degradation) Degraded() bool {
 // EpochRecord is one training epoch: loss trajectory, learning rate,
 // curriculum subset size, and timing.
 type EpochRecord struct {
-	Epoch   int      `json:"epoch"`
-	Loss    float64  `json:"loss"`
-	ValLoss *float64 `json:"val_loss,omitempty"`
-	LR      float64  `json:"lr"`
-	Samples int      `json:"samples"`
-	Batches int      `json:"batches"`
-	Seconds float64  `json:"seconds"`
+	Epoch   int     `json:"epoch"`
+	Loss    float64 `json:"loss"`
+	LR      float64 `json:"lr"`
+	Samples int     `json:"samples"`
+	Batches int     `json:"batches"`
+	Seconds float64 `json:"seconds"`
 }
 
 // Recorder accumulates the observations of one run. The zero value is
@@ -229,32 +221,18 @@ func (r *Recorder) SetGauge(name string, v float64) {
 // Stage is an in-flight stage timer returned by StartStage. End
 // completes it; a nil Stage (from a nil Recorder) is inert.
 type Stage struct {
-	r       *Recorder
-	name    string
-	start   time.Time
-	alloc   uint64
-	mallocs uint64
+	r     *Recorder
+	name  string
+	start time.Time
 }
 
-// StartStage begins a named stage timer, snapshotting wall clock and
-// allocation statistics. Stages of the same name aggregate into one
-// StageRecord (count, total seconds, total allocation).
+// StartStage begins a named stage timer. Stages of the same name
+// aggregate into one StageRecord (count, total seconds).
 func (r *Recorder) StartStage(name string) *Stage {
 	if r == nil {
 		return nil
 	}
-	alloc, mallocs := heapAllocs()
-	return &Stage{r: r, name: name, start: time.Now(), alloc: alloc, mallocs: mallocs}
-}
-
-// heapAllocs reads the process-wide cumulative heap allocation (bytes,
-// objects). runtime/metrics serves both without stopping the world,
-// which runtime.ReadMemStats does on every call: at two reads per stage
-// that paused every other worker's kernels some twenty times a request.
-func heapAllocs() (bytes, objects uint64) {
-	s := [2]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/heap/allocs:objects"}}
-	metrics.Read(s[:])
-	return s[0].Value.Uint64(), s[1].Value.Uint64()
+	return &Stage{r: r, name: name, start: time.Now()}
 }
 
 // End completes the stage and folds it into the recorder.
@@ -262,12 +240,10 @@ func (s *Stage) End() {
 	if s == nil {
 		return
 	}
-	d := time.Since(s.start)
-	alloc, mallocs := heapAllocs()
-	s.r.recordStage(s.name, d, alloc-s.alloc, mallocs-s.mallocs)
+	s.r.recordStage(s.name, time.Since(s.start))
 }
 
-func (r *Recorder) recordStage(name string, d time.Duration, alloc, mallocs uint64) {
+func (r *Recorder) recordStage(name string, d time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	sr, ok := r.stages[name]
@@ -278,8 +254,6 @@ func (r *Recorder) recordStage(name string, d time.Duration, alloc, mallocs uint
 	}
 	sr.Count++
 	sr.Seconds += d.Seconds()
-	sr.AllocBytes += alloc
-	sr.Mallocs += mallocs
 }
 
 // RecordSolve appends a labeled solver convergence trace. The history
@@ -387,10 +361,6 @@ func (r *Recorder) RecordEpoch(e EpochRecord) {
 		return
 	}
 	e.Loss = sanitize(e.Loss)
-	if e.ValLoss != nil {
-		v := sanitize(*e.ValLoss)
-		e.ValLoss = &v
-	}
 	r.mu.Lock()
 	r.epochs = append(r.epochs, e)
 	r.mu.Unlock()

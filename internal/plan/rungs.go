@@ -58,13 +58,18 @@ func Rungs(iters int, precond string, cached bool) []string {
 }
 
 // The fixed rung lists of the other two consumers: dataset's
-// must-converge label solve and the fused pipeline's rough solve,
-// which always serves — structure-only leaves the rough solution at
-// zero and lets the ML stage work from structural features alone.
+// must-converge label solve, which is one cold AMG-PCG rung, and the
+// fused pipeline's rough solve, which always serves — structure-only
+// leaves the rough solution at zero and lets the ML stage work from
+// structural features alone.
 var (
-	goldenRungs     = []string{RungHit, RungAMGWarm, RungAMG}
+	goldenRungs     = []string{RungAMG}
 	fusedRoughRungs = []string{RungRough, RungRoughRW, RungStructOnly}
 )
+
+// cacheStage is the stage name on every cache event of a solve: only
+// the numerical analyzer's converged solves consult the artifact cache.
+const cacheStage = "numerical.solve"
 
 // Golden labels converge to goldenTol within goldenMaxIter iterations.
 const (
@@ -88,14 +93,7 @@ type solveState struct {
 	cache *cache.Cache // nil: every cache rung declines
 	fp    string       // design fingerprint addressing the cache
 	shape string       // checkpoint shape of this request
-	stage string       // stage name on this solve's cache events
 	rec   *obs.Recorder
-
-	// warmFirst keeps the dataset builder's cache-event trail: "warm" is
-	// recorded before the warm-started solve and a failed one adds
-	// "stale". Without it (core) "warm" is recorded once the solve
-	// converged and a failure shows in the degradation trail only.
-	warmFirst bool
 
 	donor *cache.SystemArtifact     // found by hitReady / warmReady
 	delta float64                   // matrix delta to a warm-start donor
@@ -160,7 +158,7 @@ func (st *solveState) run(ctx context.Context, component string, names []string,
 		return err
 	}
 	if st.cache != nil && st.res.Converged {
-		cache.StoreSystem(ctx, st.cache, st.stage, &cache.SystemArtifact{
+		cache.StoreSystem(ctx, st.cache, cacheStage, &cache.SystemArtifact{
 			Fingerprint: st.fp, N: st.sys.N(), G: st.sys.G, I: st.sys.I,
 			Golden: append([]float64(nil), st.x...), Hier: st.hier,
 		})
@@ -170,7 +168,7 @@ func (st *solveState) run(ctx context.Context, component string, names []string,
 
 func (st *solveState) cacheEvent(outcome, key string, delta float64) {
 	st.rec.RecordCacheEvent(obs.CacheEvent{
-		Stage: st.stage, Outcome: outcome, Key: cache.ShortKey(key), Delta: delta,
+		Stage: cacheStage, Outcome: outcome, Key: cache.ShortKey(key), Delta: delta,
 	})
 }
 
@@ -242,20 +240,16 @@ func warmReady(ctx context.Context, st *solveState) bool {
 // warm continues from the donor's golden solution, preconditioned by
 // the donor's cloned hierarchy — skipping AMG setup, the dominant
 // cost. A guess or foreign preconditioner that does not carry the
-// solve home fails the rung and the ladder goes cold.
+// solve home fails the rung and the ladder goes cold; the "warm" cache
+// event is recorded only once the solve converged, so a failure shows
+// in the degradation trail alone.
 func warm(ctx context.Context, st *solveState, name string) error {
 	copy(st.x, st.donor.Golden)
-	if st.warmFirst {
-		st.cacheEvent(obs.CacheWarm, st.donor.Fingerprint, st.delta)
+	if err := st.pcg(ctx, name, st.donor.Hier.Clone(), true); err != nil {
+		return err
 	}
-	err := st.pcg(ctx, name, st.donor.Hier.Clone(), true)
-	switch {
-	case err == nil && !st.warmFirst:
-		st.cacheEvent(obs.CacheWarm, st.donor.Fingerprint, st.delta)
-	case err != nil && st.warmFirst && ctx.Err() == nil:
-		st.cacheEvent(obs.CacheStale, st.fp, 0)
-	}
-	return err
+	st.cacheEvent(obs.CacheWarm, st.donor.Fingerprint, st.delta)
+	return nil
 }
 
 // resumeReady looks for a snapshot of this very solve: same design,
@@ -394,7 +388,6 @@ type Solve struct {
 // wraps ErrLadderExhausted.
 func Numerical(ctx context.Context, sys *circuit.System, x []float64, s Solve) (solver.Result, error) {
 	st := newState(ctx, sys, x, s.Iters, s.Iters <= 0)
-	st.stage = "numerical.solve"
 	if cc := cache.FromContext(ctx); cc != nil && s.Iters <= 0 {
 		st.cache, st.fp = cc, s.Fingerprint()
 		st.shape = cache.CheckpointShape(s.Precond, "", "", s.Iters)
@@ -419,16 +412,13 @@ func Numerical(ctx context.Context, sys *circuit.System, x []float64, s Solve) (
 }
 
 // Golden solves sys into x to label accuracy for the dataset builder:
-// an exact cached solution, a warm start off a cached neighbour, or a
-// cold AMG-PCG solve — and nothing rougher, a label that did not
-// converge is an error. fp addresses the design in the artifact cache
-// resolved from ctx (no cache: cold).
-func Golden(ctx context.Context, sys *circuit.System, x []float64, fp string) error {
+// one cold AMG-PCG solve from zero, retried as the ladder retries, and
+// nothing rougher — a label that did not converge is an error. It never
+// consults the artifact cache.
+func Golden(ctx context.Context, sys *circuit.System, x []float64) error {
 	st := newState(ctx, sys, x, 0, true)
 	st.opts = solver.Options{Tol: goldenTol, MaxIter: goldenMaxIter, Flexible: true, Record: true, Label: "golden"}
-	st.mustConverge, st.warmFirst = true, true
-	st.stage = "dataset.golden_solve"
-	st.cache, st.fp = cache.FromContext(ctx), fp
+	st.mustConverge = true
 	return st.run(ctx, "dataset.golden", goldenRungs, ResilienceOptions{})
 }
 

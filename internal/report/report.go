@@ -86,12 +86,3 @@ func looksNumeric(s string) bool {
 	}
 	return true
 }
-
-// Fill replaces <!-- TAG --> placeholders in a markdown document with
-// rendered tables. Missing tags are left untouched.
-func Fill(doc string, tables map[string]string) string {
-	for tag, table := range tables {
-		doc = strings.ReplaceAll(doc, "<!-- "+tag+" -->", table)
-	}
-	return doc
-}

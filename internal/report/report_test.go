@@ -51,14 +51,3 @@ func TestLooksNumeric(t *testing.T) {
 		}
 	}
 }
-
-func TestFill(t *testing.T) {
-	doc := "before\n<!-- T1 -->\nafter\n<!-- T2 -->\n"
-	out := Fill(doc, map[string]string{"T1": "|a|\n", "MISSING": "x"})
-	if !strings.Contains(out, "|a|") {
-		t.Error("T1 not substituted")
-	}
-	if !strings.Contains(out, "<!-- T2 -->") {
-		t.Error("unknown tags must be preserved")
-	}
-}
