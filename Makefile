@@ -154,7 +154,15 @@ loc: ## non-test Go and assembly lines per package and the total
 # 823 -> 797 (LossModel, IRPnet's Kirchhoff loss), internal/plan 853 ->
 # 843 (the label ladder's cache rungs), cmd/report 69 -> 42 and
 # internal/report 97 -> 88 (-fill).
-LOC_CEILING ?= 20650
+# Raised to 20687, exactly what landed (total 20621 -> 20658,
+# +37 of the +40 allowed for it): the canonical fingerprint at
+# two-thirds its cost. internal/cache 1005 -> 1042 (fingerprint.go
+# 145 -> 182): the word-keyed MSD line sort, its comparator and word
+# reader, and the 256-slot value memo, net of Canonical,
+# CanonicalTopology and Fingerprint (only tests called them) and their
+# comments, about 40 lines; internal/journal 626 -> 626 (the exact
+# segment-name check).
+LOC_CEILING ?= 20687
 
 loc-check: ## fail when the non-test Go + assembly line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \
@@ -232,9 +240,10 @@ docs-check: ## fail when any doc link or file:line anchor no longer resolves
 
 FUZZTIME ?= 30s
 
-fuzz-smoke: ## short fuzz runs of the SPICE parser (alone and against the parser it replaced), the journal replay path, and the vector GEMM leaf against the Go leaf
+fuzz-smoke: ## short fuzz runs of the SPICE parser (alone and against the parser it replaced), the canonicaliser against the one it replaced, the journal replay path, and the vector GEMM leaf against the Go leaf
 	$(GO) test -fuzz=FuzzParseSPICE -fuzztime=$(FUZZTIME) -run='^$$' ./internal/spice
 	$(GO) test -fuzz=FuzzParseDifferential -fuzztime=$(FUZZTIME) -run='^$$' ./internal/spice
+	$(GO) test -fuzz=FuzzCanonicalDifferential -fuzztime=$(FUZZTIME) -run='^$$' ./internal/cache
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) -run='^$$' ./internal/journal
 	$(GO) test -fuzz=FuzzGemmQuadLeaves -fuzztime=$(FUZZTIME) -run='^$$' ./internal/nn
 

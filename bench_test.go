@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -403,6 +404,25 @@ func BenchmarkDeckFrontEnd(b *testing.B) {
 				if err := hop.run(); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+	// fingerprint-shared-prefix: a chain of R cards, shuffled, whose node
+	// names all share a 120-byte stem, at N and 2N cards. A sort that
+	// rescans the stem on every comparison, or goes quadratic on it,
+	// shows in the ratio of the two rows.
+	stem := strings.Repeat("n1_m1_stem_", 11)[:120]
+	for _, n := range []int{4096, 8192} {
+		nl := &spice.Netlist{}
+		for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
+			a, z := fmt.Sprintf("%s%d", stem, i), fmt.Sprintf("%s%d", stem, i+1)
+			nl.Elements = append(nl.Elements, spice.Element{Type: spice.Resistor, Name: "R", NodeA: a, NodeB: z, Value: float64(1 + i%4)})
+		}
+		d := &pgen.Design{W: 128, H: 128, VDD: 1.1, Netlist: nl}
+		b.Run(fmt.Sprintf("fingerprint-shared-prefix/cards=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cache.DesignFingerprint(d)
 			}
 		})
 	}

@@ -44,7 +44,7 @@ var (
 	cStore = obs.GlobalCounter("cache.store")
 	cEvict = obs.GlobalCounter("cache.evict")
 	// cFingerprint counts DesignFingerprint computations — canonicalise,
-	// sort, hash, about 3 ms at 128 µm: a cold request pays exactly one.
+	// sort, hash, about 2.3 ms at 128 µm: a cold request pays exactly one.
 	cFingerprint = obs.GlobalCounter("cache.fingerprint.calls")
 )
 

@@ -1,41 +1,29 @@
 package cache
 
 import (
-	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
-	"strings"
 
 	"irfusion/internal/pgen"
 	"irfusion/internal/spice"
 )
 
-// Canonical renders a netlist in canonical form: one line per element,
-// `<type> <nodeA> <nodeB> <value>`, sorted lexicographically. The
-// rendering deliberately drops everything electrically irrelevant —
-// the deck title, element names, original line order, whitespace, and
-// engineering-suffix spellings (values are normalized through
-// spice.FormatValue, and suffixes were already resolved by
-// spice.ParseValue) — and orders the node pair of symmetric two-pin
-// elements (R and C) lexicographically, so any two decks that describe
-// the same network canonicalize identically. This is the single shared
-// canonicalizer of the repository: fingerprinting, dataset caching,
-// and the serving layer all key off it.
-func Canonical(nl *spice.Netlist) string {
-	var b strings.Builder
-	canonicalTo(&b, nl, true)
-	return b.String()
-}
-
 // canonicalTo is the one canonicaliser: it streams the canonical form
-// of nl (value-free when values is false) to w. Every card is appended
-// to one arena, the cards' spans are sorted by their bytes — the order
-// sort.Strings gives the lines — and the lines are written out joined
-// by newlines, so nothing is materialised per card and nothing twice.
+// of nl to w — one line per element, `<type> <nodeA> <nodeB> <value>`
+// (no value when values is false), sorted bytewise, joined by newlines.
+// It drops what is electrically irrelevant (title, element names, card
+// order, whitespace, value spelling: values render as spice.FormatValue
+// renders them) and orders the nodes of undirected R and C cards, so
+// decks that describe the same network canonicalize identically. Cards
+// go into one arena, sorted there by sortLines; a value is rendered once
+// and then copied while its slot in a 256-slot table keyed by its bits,
+// which lives and dies with the call, still holds it.
 func canonicalTo(w io.Writer, nl *spice.Netlist, values bool) {
 	if nl == nil {
 		return
@@ -45,50 +33,114 @@ func canonicalTo(w io.Writer, nl *spice.Netlist, values bool) {
 		size += len(nl.Elements[i].NodeA) + len(nl.Elements[i].NodeB) + 32 // type, separators, a float's 24 bytes at most
 	}
 	arena := make([]byte, 0, size)
-	spans := make([][2]int, len(nl.Elements))
+	lines := make([]line, len(nl.Elements))
+	var memo [256]line // arena[lo:hi] renders the value whose bits are key; hi == 0: empty
 	for i := range nl.Elements {
 		e := &nl.Elements[i]
 		a, b := e.NodeA, e.NodeB
-		// R and C cards are undirected; I and V cards are polarized,
-		// so their node order is meaning-bearing and preserved.
 		if (e.Type == spice.Resistor || e.Type == spice.Capacitor) && b < a {
 			a, b = b, a
 		}
 		lo := len(arena)
 		arena = append(append(append(append(append(arena, e.Type.String()...), ' '), a...), ' '), b...)
-		if values { // spice.FormatValue's rendering, appended in place
-			arena = strconv.AppendFloat(append(arena, ' '), e.Value, 'g', -1, 64)
+		if values {
+			arena = append(arena, ' ')
+			bits := math.Float64bits(e.Value)
+			if m := &memo[bits*0x9e3779b97f4a7c15>>56]; m.hi > 0 && m.key == bits {
+				arena = append(arena, arena[m.lo:m.hi]...)
+			} else {
+				v := len(arena)
+				arena = strconv.AppendFloat(arena, e.Value, 'g', -1, 64)
+				*m = line{bits, v, len(arena)}
+			}
 		}
-		spans[i] = [2]int{lo, len(arena)}
+		lines[i] = line{lo: lo, hi: len(arena)}
 		arena = append(arena, '\n')
 	}
-	slices.SortFunc(spans, func(x, y [2]int) int {
-		return bytes.Compare(arena[x[0]:x[1]], arena[y[0]:y[1]])
-	})
-	for i, sp := range spans {
-		if i == len(spans)-1 {
-			sp[1]-- // no newline after the last line
+	sortLines(arena, lines)
+	for i, l := range lines {
+		if i < len(lines)-1 {
+			l.hi++ // the newline
 		}
-		w.Write(arena[sp[0] : sp[1]+1]) // a hash or a strings.Builder: cannot fail
+		w.Write(arena[l.lo:l.hi]) // a hash or a strings.Builder: cannot fail
 	}
 }
 
-// Fingerprint returns the content address of a netlist: the SHA-256 of
-// its canonical form, in lower-case hex. Decks differing only in
-// element order, naming, whitespace, or value spelling share a
-// fingerprint; any electrical change produces a new one.
-func Fingerprint(nl *spice.Netlist) string {
-	h := sha256.New()
-	canonicalTo(h, nl, true)
-	return hex.EncodeToString(h.Sum(nil))
+// line is arena[lo:hi]; key is the word of it that sortLines is at.
+type line struct {
+	key    uint64
+	lo, hi int
 }
 
-// DesignFingerprint extends Fingerprint with the generator metadata
-// that shapes downstream artifacts but lives outside the deck: the
-// grid dimensions (which set feature-map geometry) and the nominal
-// supply voltage (which sets the drop reference). Two designs with the
-// same electrical network but different rasterization targets must not
-// share cached feature maps.
+// sortLines puts lines in bytes.Compare order — sort.Strings order — by
+// an MSD sort on big-endian 8-byte words. Each level sorts a run of
+// lines tied on every earlier word by the word at off, zero-padded past
+// a line's end; of lines tied on it too, those ending inside the word
+// are prefixes of the rest and go first, by length, and the rest go on
+// to the next word. A shared prefix is read once per level, not once per
+// comparison; each level is one pdqsort, O(n log n) on any deck.
+func sortLines(arena []byte, lines []line) {
+	type run struct {
+		lines []line
+		off   int
+	}
+	for todo := []run{{lines, 0}}; len(todo) > 0; {
+		r := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		for k, l := range r.lines {
+			r.lines[k].key = word(arena[l.lo:l.hi], r.off)
+		}
+		slices.SortFunc(r.lines, byKey)
+		for rest := r.lines; len(rest) > 0; {
+			n := 1
+			for n < len(rest) && rest[n].key == rest[0].key {
+				n++
+			}
+			tied, ends := rest[:n], 0 // tied[:ends] end inside the word
+			rest = rest[n:]
+			for k, l := range tied {
+				if l.hi-l.lo <= r.off+8 {
+					tied[ends], tied[k] = l, tied[ends]
+					ends++
+				}
+			}
+			slices.SortFunc(tied[:ends], func(x, y line) int { return (x.hi - x.lo) - (y.hi - y.lo) })
+			if n-ends > 1 {
+				todo = append(todo, run{tied[ends:], r.off + 8})
+			}
+		}
+	}
+}
+
+// byKey is cmp.Compare on the keys, written to compile without branches.
+func byKey(x, y line) int {
+	lt, gt := 0, 0
+	if x.key < y.key {
+		lt = 1
+	}
+	if x.key > y.key {
+		gt = 1
+	}
+	return gt - lt
+}
+
+// word returns the 8 bytes of s from off on as a big-endian integer,
+// zero past the end of s.
+func word(s []byte, off int) uint64 {
+	if off+8 <= len(s) {
+		return binary.BigEndian.Uint64(s[off:])
+	}
+	var b [8]byte
+	copy(b[:], s[off:])
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// DesignFingerprint returns the content address of a design: the
+// SHA-256, in lower-case hex, of its canonical netlist and the metadata
+// that shapes downstream artifacts but lives outside the deck: the grid
+// dimensions (feature-map geometry) and the nominal supply voltage (the
+// drop reference). Decks differing only in element order, naming,
+// whitespace, or value spelling share it; any electrical change re-keys.
 func DesignFingerprint(d *pgen.Design) string {
 	if d == nil {
 		return ""
@@ -100,31 +152,16 @@ func DesignFingerprint(d *pgen.Design) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// CanonicalTopology renders a netlist in the value-free variant of the
-// canonical form: one line per element, `<type> <nodeA> <nodeB>`,
-// sorted lexicographically, with every element value dropped. Two
-// decks that describe the same network shape — the same elements
-// between the same nodes — canonicalize identically even when their
-// component values differ. This is exactly the equivalence class of an
-// ECO value edit: pgen.Perturb (and a real engineering-change resize)
-// touches only resistor values, so a design and all of its ECO
-// neighbors share one topology while their DesignFingerprints diverge.
-func CanonicalTopology(nl *spice.Netlist) string {
-	var b strings.Builder
-	canonicalTo(&b, nl, false)
-	return b.String()
-}
-
 // RoutingFingerprint is the cluster-routing companion of
 // DesignFingerprint: the SHA-256 of the design's geometry plus its
-// value-free canonical topology. The gateway consistent-hashes this
-// key so that a design and its ECO neighbors — identical topology,
+// value-free canonical form, which an ECO value edit (pgen.Perturb, or a
+// real engineering-change resize) keeps. The gateway consistent-hashes
+// this key so that a design and its ECO neighbors — identical topology,
 // edited values, distinct DesignFingerprints — land on the same shard,
 // the one whose artifact cache holds their warm-start donors. Any
 // topology change (an added strap, a moved pad, a different die size)
-// produces a new routing key and may move the design to another shard,
-// which is correct: a topology edit is outside the warm-start delta
-// budget anyway.
+// produces a new routing key, which is correct: a topology edit is
+// outside the warm-start delta budget anyway.
 func RoutingFingerprint(d *pgen.Design) string {
 	if d == nil {
 		return ""

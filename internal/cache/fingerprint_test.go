@@ -3,6 +3,7 @@ package cache
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -103,7 +104,21 @@ func parseFP(t *testing.T, deck string) string {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return Fingerprint(nl)
+	return fingerprint(nl)
+}
+
+// canonical is the canonical form canonicalTo streams, as a string.
+func canonical(nl *spice.Netlist, values bool) string {
+	var b strings.Builder
+	canonicalTo(&b, nl, values)
+	return b.String()
+}
+
+// fingerprint is the SHA-256 of nl's canonical form, in lower-case hex.
+func fingerprint(nl *spice.Netlist) string {
+	h := sha256.New()
+	canonicalTo(h, nl, true)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestFingerprintGeneratedShuffle shuffles a realistic generated deck
@@ -113,7 +128,7 @@ func TestFingerprintGeneratedShuffle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Fingerprint(d.Netlist)
+	want := fingerprint(d.Netlist)
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		shuffled := &spice.Netlist{
@@ -123,7 +138,7 @@ func TestFingerprintGeneratedShuffle(t *testing.T) {
 		rng.Shuffle(len(shuffled.Elements), func(i, j int) {
 			shuffled.Elements[i], shuffled.Elements[j] = shuffled.Elements[j], shuffled.Elements[i]
 		})
-		if got := Fingerprint(shuffled); got != want {
+		if got := fingerprint(shuffled); got != want {
 			t.Fatalf("trial %d: shuffle changed fingerprint", trial)
 		}
 	}
@@ -256,7 +271,33 @@ func TestCanonicalMatchesReference(t *testing.T) {
 			el(spice.Resistor, "a", "b", -2.2250738585072014e-308), el(spice.Resistor, "a", "b", 0.1+0.2),
 		}},
 		"an element type the parser never makes": {Elements: []spice.Element{el(spice.ElemType(7), "a", "b", 1), el(spice.Resistor, "a", "b", 1)}},
+		// "R ab c 1", "R ab cdx" and "R abcdefgh hij 1", "R abcdefgh hijkl"
+		// fill one and two words exactly; the others end one byte short
+		// of a word boundary or one past it.
+		"lines of exactly 8 and 16 bytes": {Elements: []spice.Element{
+			el(spice.Resistor, "ab", "c", 1), el(spice.Resistor, "ab", "c", 10), el(spice.Resistor, "ab", "cdx", 0),
+			el(spice.Resistor, "ab", "cd", 0), el(spice.Resistor, "ab", "cdxy", 0), el(spice.Resistor, "a", "c", 1),
+			el(spice.Resistor, "abcdefgh", "hij", 1), el(spice.Resistor, "abcdefgh", "hijkl", 2), el(spice.Resistor, "abcdefgh", "hijk", 2),
+			el(spice.Resistor, "abcdefgh", "hijklm", 2), el(spice.Resistor, "abcdefgh", "hij", 10),
+		}},
+		// Value-free, these lines are equal up to trailing NUL bytes. The
+		// sort pads a word past a line's end with zero bytes, so they tie
+		// on every word and only their lengths order them.
+		"lines equal up to trailing NUL bytes": {Elements: []spice.Element{
+			el(spice.CurrentSource, "a", "b\x00\x00\x00", 1), el(spice.CurrentSource, "a", "b", 1), el(spice.CurrentSource, "a", "b\x00", 1),
+			el(spice.CurrentSource, "a", "b"+strings.Repeat("\x00", 11), 1), el(spice.CurrentSource, "a", "b"+strings.Repeat("\x00", 10), 1),
+			el(spice.CurrentSource, "a", "b"+strings.Repeat("\x00", 20), 1), el(spice.CurrentSource, "a", "b\x00\x00\x00", 1),
+			el(spice.Resistor, "\x00", "", 0), el(spice.Resistor, "", "", 0), el(spice.Resistor, "", "\x00\x00", 0),
+		}},
 	}
+	// 500 cards sharing a 64-byte prefix: "R " and a 62-byte node name stem.
+	stem, rng := strings.Repeat("n1_m1_", 10)+"x_", rand.New(rand.NewSource(3))
+	shared := &spice.Netlist{}
+	for i := 0; i < 500; i++ {
+		a, b := fmt.Sprintf("%s%d", stem, rng.Intn(300)), fmt.Sprintf("%s%d", stem, rng.Intn(300))
+		shared.Elements = append(shared.Elements, el(spice.Resistor, a, b, float64(rng.Intn(4))/2))
+	}
+	decks["500 cards sharing a 64-byte prefix"] = shared
 	for _, seed := range []int64{1, 2} {
 		d, err := pgen.Generate(pgen.DefaultConfig("ref", pgen.Real, 32, 32, seed))
 		if err != nil {
@@ -266,17 +307,80 @@ func TestCanonicalMatchesReference(t *testing.T) {
 		decks[d.Name+" eco"] = pgen.Perturb(d, 0.3, seed).Netlist
 	}
 	for name, nl := range decks {
-		if got, want := Canonical(nl), refCanonical(nl, true); got != want {
-			t.Errorf("%s: Canonical differs from the reference:\n got %q\nwant %q", name, got, want)
+		if got, want := canonical(nl, true), refCanonical(nl, true); got != want {
+			t.Errorf("%s: canonical form differs from the reference:\n got %q\nwant %q", name, got, want)
 		}
-		if got, want := CanonicalTopology(nl), refCanonical(nl, false); got != want {
-			t.Errorf("%s: CanonicalTopology differs from the reference:\n got %q\nwant %q", name, got, want)
+		if got, want := canonical(nl, false), refCanonical(nl, false); got != want {
+			t.Errorf("%s: value-free canonical form differs from the reference:\n got %q\nwant %q", name, got, want)
 		}
 		sum := sha256.Sum256([]byte(refCanonical(nl, true)))
-		if got, want := Fingerprint(nl), hex.EncodeToString(sum[:]); got != want {
-			t.Errorf("%s: Fingerprint %s, reference %s", name, got, want)
+		if got, want := fingerprint(nl), hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: fingerprint %s, reference %s", name, got, want)
 		}
 	}
+}
+
+// FuzzCanonicalDifferential holds canonicalTo to refCanonical on
+// element lists decoded from the fuzzer's bytes: every element type,
+// unknown ones included; node names holding NUL, 0x01, space and
+// newline, built on stems that share prefixes across the 8- and 16-byte
+// word boundaries and that are prefixes of one another; duplicate cards;
+// and the value extremes of TestCanonicalMatchesReference.
+func FuzzCanonicalDifferential(f *testing.F) {
+	f.Add([]byte("\x00\x12\x34\x01\x07\x00\x31\x45\x02"))
+	f.Add([]byte("\x03\x23\x11\x22\x33\x05\x18\x44\x55\x66\x07\x00\x03\x07\x01"))
+	f.Add([]byte(strings.Repeat("\x01\x59\x00\x01\x6a\x02\x03\x04", 8)))
+	// I cards "n n\0\0\0", "n n", "n n" and nine NULs: equal up to trailing NULs.
+	f.Add([]byte("\x01\x02\x32\x00\x00\x00\x00\x01\x02\x02\x00\x01\x02\x92\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nl := fuzzNetlist(data)
+		for _, values := range []bool{true, false} {
+			if got, want := canonical(nl, values), refCanonical(nl, values); got != want {
+				t.Fatalf("values=%v: canonical form differs from the reference:\n got %q\nwant %q", values, got, want)
+			}
+		}
+	})
+}
+
+// fuzzNetlist decodes up to 64 cards from data. A card is an op byte
+// (its low three bits pick the type, 7 repeats an earlier card), one
+// name per node, and a value byte; a name is a stem byte (the low
+// nibble picks the stem, the high one the number of tail bytes) and its
+// tail, each byte one of fuzzAlphabet.
+func fuzzNetlist(data []byte) *spice.Netlist {
+	stems := []string{"", "0", "n", "n1_m1_", "n1_m1_1", "n1_m1_12", "n1_m1_123456789", "n1_m1_1234567890",
+		strings.Repeat("p", 13), strings.Repeat("p", 14), strings.Repeat("p", 15), strings.Repeat("p", 22)}
+	const fuzzAlphabet = "\x00\x01 \n0_1amz~"
+	values := []float64{0.5, 1, 2000, 1e-320, 1e21, 1e20, math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(),
+		-2.2250738585072014e-308, 0.1 + 0.2, 5.0004533497343075e-05}
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	name := func() string {
+		c := next()
+		b := []byte(stems[(c&15)%len(stems)])
+		for k := (c >> 4) % 10; k > 0; k-- {
+			b = append(b, fuzzAlphabet[next()%len(fuzzAlphabet)])
+		}
+		return string(b)
+	}
+	nl := &spice.Netlist{}
+	for len(data) > 0 && len(nl.Elements) < 64 {
+		op := next()
+		if op&7 == 7 && len(nl.Elements) > 0 {
+			nl.Elements = append(nl.Elements, nl.Elements[next()%len(nl.Elements)])
+			continue
+		}
+		e := spice.Element{Type: spice.ElemType(op & 7), Name: "x", NodeA: name(), NodeB: name()}
+		e.Value = values[next()%len(values)]
+		nl.Elements = append(nl.Elements, e)
+	}
+	return nl
 }
 
 // TestFingerprintGoldenDigests pins the two design digests to values

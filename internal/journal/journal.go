@@ -209,7 +209,7 @@ type segment struct {
 	seq  int
 }
 
-// listSegments returns the journal's segment files in sequence order.
+// listSegments returns the files named as openSegment names, in sequence order.
 func listSegments(dir string) ([]segment, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -221,7 +221,7 @@ func listSegments(dir string) ([]segment, error) {
 			continue
 		}
 		var seq int
-		if _, err := fmt.Sscanf(e.Name(), "journal-%06d.wal", &seq); err == nil && seq > 0 {
+		if _, err := fmt.Sscanf(e.Name(), "journal-%06d.wal", &seq); err == nil && seq > 0 && e.Name() == fmt.Sprintf("journal-%06d.wal", seq) {
 			segs = append(segs, segment{name: e.Name(), seq: seq})
 		}
 	}

@@ -1,7 +1,9 @@
 package journal
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -201,6 +203,75 @@ func TestJournalMidSegmentCorruption(t *testing.T) {
 	}
 	if fi.Size() != sizeBefore {
 		t.Errorf("non-final segment was truncated (%d → %d bytes)", sizeBefore, fi.Size())
+	}
+}
+
+// TestJournalIgnoresStrayNames: a backup or editor copy beside the log
+// is not a segment, even where fmt.Sscanf would accept its name
+// (trailing text, fewer digits). Only the real segment replays, the
+// accepted record a copy holds enqueues nothing, and no copy is
+// truncated, continued or sized as the final segment.
+func TestJournalIgnoresStrayNames(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, j, Record{Type: TypeAccepted, JobID: "job-000001", Request: []byte(`{"a":1}`)})
+	mustAppend(t, j, Record{Type: TypeFinished, JobID: "job-000001"})
+	j.Close()
+
+	accepted, err := json.Marshal(Record{Type: TypeAccepted, JobID: "job-stray", Request: []byte(`{"b":2}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := encodeFrame(accepted)
+	strays := map[string][]byte{
+		"journal-000001.wal.bak": frame,
+		"journal-000001.wal~":    frame,
+		"journal-1.wal":          frame,
+		// Sorts last by sequence and ends torn: as a segment it would be
+		// truncated and continued.
+		"journal-000002.walx": append(append([]byte(nil), frame...), frame[:len(frame)/2]...),
+	}
+	for name, raw := range strays {
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fold := NewFold()
+	j, stats, err := Open(dir, Options{}, fold.Add)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, j, Record{Type: TypeStarted, JobID: "job-000002"})
+	j.Close()
+	if stats.Segments != 1 || stats.Records != 2 || stats.TornBytes != 0 || stats.Corrupt != 0 {
+		t.Errorf("replay stats %+v, want the one real segment's 2 clean records", stats)
+	}
+	if fold.Len() != 1 || len(fold.Orphans()) != 0 {
+		t.Errorf("folded %d jobs with orphans %+v, want job-000001 finished and nothing to re-enqueue", fold.Len(), fold.Orphans())
+	}
+	for name, want := range strays {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s changed: %d bytes, was %d", name, len(got), len(want))
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(strays)+1 {
+		t.Errorf("%d files in the journal directory, want the real segment and the %d strays", len(entries), len(strays))
+	}
+	recs, _ := replayAll(t, dir)
+	if len(recs) != 3 || recs[2].JobID != "job-000002" {
+		t.Errorf("replayed %d records, want the append after reopening on the real segment", len(recs))
 	}
 }
 
