@@ -162,7 +162,17 @@ loc: ## non-test Go and assembly lines per package and the total
 # CanonicalTopology and Fingerprint (only tests called them) and their
 # comments, about 40 lines; internal/journal 626 -> 626 (the exact
 # segment-name check).
-LOC_CEILING ?= 20687
+# Lowered to 20400 (total 20658 -> 20364) when the degradation ladder
+# went to one attempt per rung: internal/plan 843 -> 521 (retries,
+# backoff, jitter, ResilienceOptions and the circuit breaker with its
+# named set), internal/serve 1725 -> 1649 (the shard's breakers,
+# Resilience and breaker fields, the resume-from header, and
+# executeFused's copy of core.Analyzer.AnalyzeCtx), internal/obs 836 ->
+# 826 (attempt number, backoff, skip), internal/core 623 -> 618 (the two
+# Resilience fields, net of the cancel check AnalyzeCtx took over);
+# internal/cluster 857 -> 976, where the breaker now lives, one per
+# shard (breaker.go, 118 lines).
+LOC_CEILING ?= 20400
 
 loc-check: ## fail when the non-test Go + assembly line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \

@@ -90,7 +90,7 @@ var (
 		}
 		return false
 	}}
-	degraded = expectation{"a degradation record showing a fallback, retry, or breaker skip", func(m *obs.Manifest) bool {
+	degraded = expectation{"a degradation record showing a failed rung and the fallback that served", func(m *obs.Manifest) bool {
 		for i := range m.Degradations {
 			if m.Degradations[i].Degraded() {
 				return true

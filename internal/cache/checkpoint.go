@@ -13,13 +13,13 @@ import (
 
 // Checkpoint artifacts: mid-solve snapshots keyed by design
 // fingerprint ⊕ request shape, living in the same byte-bounded
-// artifact cache as system artifacts. They power two recovery paths:
-// a restarted serving process reloads journaled checkpoint blobs into
-// its cache, and a cluster ring-successor picks up the donor shard's
-// checkpoint when the fleet shares a cache — either way the resume
-// rung (plan.RungAMGResume) finds the snapshot by key, validates it
-// with a residual guard, and continues the solve from Iter instead of
-// iteration 0.
+// artifact cache as system artifacts. They power two recovery paths,
+// both within one serving process's cache: a job requeued after a
+// worker panic finds the snapshot its first run left, and a restarted
+// process reloads journaled checkpoint blobs into its cache. Either way
+// the resume rung (plan.RungAMGResume) finds the snapshot by key,
+// validates it with a residual guard, and continues the solve from Iter
+// instead of iteration 0.
 
 // CheckpointGuardFactor relaxes the resume residual guard relative to
 // the checkpoint's own recorded residual: a mid-solve iterate is far

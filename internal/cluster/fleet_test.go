@@ -318,7 +318,7 @@ func TestFleetFailoverMidJob(t *testing.T) {
 	// straight to the successor, first attempt, no failed forward —
 	// and warm-starts off the failed-over job's artifacts.
 	f.gw.ProbeNow(context.Background())
-	if state := f.gw.Breakers().States()[owner]; state != "open" {
+	if state := f.gw.breakerStates()[owner]; state != "open" {
 		t.Fatalf("dead shard's breaker is %q, want open", state)
 	}
 	resp, body := f.postAnalyze(&serve.AnalyzeRequest{Spice: eco})

@@ -14,8 +14,8 @@
 // follow-up request, and gateways can be scaled or restarted freely.
 //
 // Health is probe-driven: a background loop GETs every shard's
-// /healthz on a fixed interval and feeds the results into a
-// plan.BreakerSet keyed by shard name. An open breaker takes the shard
+// /healthz on a fixed interval and feeds the results into each shard's
+// circuit breaker (breaker.go). An open breaker takes the shard
 // out of rotation (requests skip to the ring successor) until the
 // cooldown elapses and a half-open probe closes it again. Forwarding
 // failures — a dropped connection or an injected cluster.forward
@@ -48,7 +48,6 @@ import (
 	"irfusion/internal/faults"
 	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
-	"irfusion/internal/plan"
 	"irfusion/internal/serve"
 	"irfusion/internal/spice"
 )
@@ -141,8 +140,9 @@ func (c Config) withDefaults() Config {
 
 // shardState is the gateway's live view of one shard.
 type shardState struct {
-	name string
-	url  string
+	name    string
+	url     string
+	breaker *breaker
 
 	mu        sync.Mutex
 	healthy   bool
@@ -167,14 +167,13 @@ func (s *shardState) probeView() (healthy bool, errMsg string, at time.Time) {
 // Gateway is the cluster front end. Construct with New, mount Handler
 // on an http.Server, stop with Close.
 type Gateway struct {
-	cfg      Config
-	ring     *Ring
-	shards   map[string]*shardState
-	order    []string // shard names in config order, for status output
-	breakers *plan.BreakerSet
-	memo     *cache.Cache // body digest → routing key
-	mux      *http.ServeMux
-	start    time.Time
+	cfg    Config
+	ring   *Ring
+	shards map[string]*shardState
+	order  []string     // shard names in config order, for status output
+	memo   *cache.Cache // body digest → routing key
+	mux    *http.ServeMux
+	start  time.Time
 
 	mu       sync.Mutex // guards draining against inflight.Add
 	draining bool
@@ -205,7 +204,10 @@ func New(cfg Config) (*Gateway, error) {
 		if _, dup := shards[sp.Name]; dup {
 			return nil, fmt.Errorf("cluster: duplicate shard name %q", sp.Name)
 		}
-		shards[sp.Name] = &shardState{name: sp.Name, url: strings.TrimRight(sp.URL, "/")}
+		shards[sp.Name] = &shardState{
+			name: sp.Name, url: strings.TrimRight(sp.URL, "/"),
+			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		}
 		names = append(names, sp.Name)
 	}
 	g := &Gateway{
@@ -213,7 +215,6 @@ func New(cfg Config) (*Gateway, error) {
 		ring:       NewRing(names, cfg.VNodes),
 		shards:     shards,
 		order:      names,
-		breakers:   plan.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		memo:       cache.New(routeMemoBytes, 0),
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
@@ -232,9 +233,6 @@ func (g *Gateway) Handler() http.Handler { return g.mux }
 
 // Ring exposes the routing ring (for status output and tests).
 func (g *Gateway) Ring() *Ring { return g.ring }
-
-// Breakers exposes the per-shard breaker set (for status and tests).
-func (g *Gateway) Breakers() *plan.BreakerSet { return g.breakers }
 
 func (g *Gateway) routes() {
 	g.mux.HandleFunc("POST /v1/analyze", g.track(g.handleAnalyze))
@@ -387,8 +385,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, bo
 			break
 		}
 		sh := g.shards[name]
-		br := g.breakers.Get(name)
-		if !br.Allow() {
+		if !sh.breaker.allow() {
 			continue // breaker open: out of rotation until cooldown
 		}
 		attempts++
@@ -401,7 +398,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, bo
 			// Transport-level failure: the shard is unreachable or the
 			// connection died mid-request. Penalize its breaker and hand
 			// the request to the ring successor.
-			br.Record(false)
+			sh.breaker.record(false)
 			cForwardFail.Inc()
 			prev = name
 			tried = append(tried, name)
@@ -418,7 +415,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, bo
 			tried = append(tried, name)
 			continue
 		}
-		br.Record(true)
+		sh.breaker.record(true)
 		g.relay(w, resp, name, attempts)
 		return
 	}
@@ -455,10 +452,6 @@ func (g *Gateway) send(r *http.Request, sh *shardState, body []byte, attempt int
 	req.Header.Set(serve.HeaderRouteAttempt, strconv.Itoa(attempt))
 	if prev != "" {
 		req.Header.Set(serve.HeaderHandoffFrom, prev)
-		// When the fleet shares a checkpoint-bearing cache, the successor
-		// may resume the donor's partial solve; name the donor so the
-		// resumed manifest records whose iterations it inherited.
-		req.Header.Set(serve.HeaderResumeFrom, prev)
 	}
 	return g.cfg.Client.Do(req)
 }
@@ -504,6 +497,16 @@ func (g *Gateway) handleJobProxy(w http.ResponseWriter, r *http.Request) {
 	g.relay(w, resp, name, 1)
 }
 
+// breakerStates snapshots every shard's breaker position, for the
+// status endpoints.
+func (g *Gateway) breakerStates() map[string]string {
+	out := make(map[string]string, len(g.order))
+	for _, name := range g.order {
+		out[name] = g.shards[name].breaker.position()
+	}
+	return out
+}
+
 // shardOfJob extracts the shard name from a prefixed job id
 // ("shard2-job-000123" → "shard2").
 func shardOfJob(id string) (string, bool) {
@@ -530,7 +533,7 @@ func (g *Gateway) probeLoop() {
 }
 
 // ProbeNow probes every shard's /healthz once, synchronously, feeding
-// the results into the breaker set. The background loop calls it on
+// the results into the shards' breakers. The background loop calls it on
 // its interval; tests call it directly for deterministic state.
 func (g *Gateway) ProbeNow(ctx context.Context) {
 	for _, name := range g.order {
@@ -547,13 +550,12 @@ func (g *Gateway) probeShard(ctx context.Context, sh *shardState) {
 	// Probes feed the breaker directly, without the Allow gate: a
 	// failed probe counts toward opening it, and a successful probe is
 	// authoritative liveness evidence that closes it immediately
-	// (Reset) instead of waiting out the cooldown for a half-open
+	// (reset) instead of waiting out the cooldown for a half-open
 	// admission.
-	br := g.breakers.Get(sh.name)
 	if healthy {
-		br.Reset()
+		sh.breaker.reset()
 	} else {
-		br.Record(false)
+		sh.breaker.record(false)
 	}
 	sh.setProbe(healthy, errMsg)
 }
@@ -619,7 +621,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"uptime_seconds": time.Since(g.start).Seconds(),
 		"shards":         len(g.order),
 		"shards_healthy": healthy,
-		"breakers":       g.breakers.States(),
+		"breakers":       g.breakerStates(),
 	})
 }
 
@@ -640,7 +642,7 @@ func (g *Gateway) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 			"cluster.uptime_seconds": time.Since(g.start).Seconds(),
 			"cluster.shards":         float64(len(g.order)),
 		},
-		"breakers": g.breakers.States(),
+		"breakers": g.breakerStates(),
 	})
 }
 
@@ -676,7 +678,6 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		status = "draining"
 	}
-	states := g.breakers.States()
 	shards := make([]ShardStatus, 0, len(g.order))
 	for _, name := range g.order {
 		sh := g.shards[name]
@@ -685,7 +686,7 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 			Name:                name,
 			URL:                 sh.url,
 			Healthy:             healthy,
-			Breaker:             states[name],
+			Breaker:             sh.breaker.position(),
 			LastProbeError:      lastErr,
 			LastProbeAgeSeconds: -1,
 		}

@@ -188,7 +188,7 @@ func TestGatewayAllBreakersOpen(t *testing.T) {
 		_ = gw.Close(ctx)
 	}()
 	gw.ProbeNow(context.Background())
-	for name, state := range gw.Breakers().States() {
+	for name, state := range gw.breakerStates() {
 		if state != "open" {
 			t.Fatalf("breaker %s is %q after failed probe, want open", name, state)
 		}
@@ -244,7 +244,7 @@ func TestGatewayProbeFaultSites(t *testing.T) {
 	ctx := faults.WithInjector(context.Background(),
 		faults.MustParse("cluster.probe:fail:label=shard0;cluster.probe:latency:delay=10ms,label=shard1"))
 	f.gw.ProbeNow(ctx)
-	states := f.gw.Breakers().States()
+	states := f.gw.breakerStates()
 	if states["shard0"] != "open" {
 		t.Errorf("shard0 breaker %q after injected probe failure, want open", states["shard0"])
 	}
@@ -256,7 +256,7 @@ func TestGatewayProbeFaultSites(t *testing.T) {
 	// probe is authoritative and closes the breaker (Reset) without
 	// waiting out the hour-long cooldown.
 	f.gw.ProbeNow(context.Background())
-	states = f.gw.Breakers().States()
+	states = f.gw.breakerStates()
 	for name, st := range states {
 		if st != "closed" {
 			t.Errorf("breaker %s stuck %q after healthy probe", name, st)

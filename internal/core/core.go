@@ -27,6 +27,7 @@ import (
 	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
 	"irfusion/internal/plan"
+	"irfusion/internal/solver"
 )
 
 // Config assembles every knob of the pipeline. Zero values are filled
@@ -132,10 +133,6 @@ type Analyzer struct {
 	Model       models.Model
 	Norm        *dataset.Normalizer
 	TargetScale float64
-	// Resilience tunes the rough-solve degradation ladder used by
-	// AnalyzeCtx (retries/backoff, shared circuit breakers). The zero
-	// value means defaults. Not serialized with the checkpoint.
-	Resilience plan.ResilienceOptions
 }
 
 // evalTapes holds the idle inference tapes, each the owner of one
@@ -214,7 +211,8 @@ func (a *Analyzer) PredictCtx(ctx context.Context, s *dataset.Sample) *grid.Map 
 // solve stops early when ctx is cancelled (solver.ErrCancelled), and
 // all stage timers and solve records report to the recorder bound to
 // ctx, if any. No converged solve runs: the sample is the label-free
-// dataset.BuildInferenceCtx.
+// dataset.BuildInferenceCtx. A context cancelled by the time the sample
+// is built fails with solver.ErrCancelled instead of running inference.
 //
 // The rough solve of the numerical stage runs on a degradation
 // ladder: the configured budgeted PCG first, the random-walk solver
@@ -232,6 +230,9 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*grid.Map, t
 	if err != nil {
 		return nil, 0, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, 0, fmt.Errorf("%w before inference: %w", solver.ErrCancelled, err)
+	}
 	start := time.Now()
 	pred := a.PredictCtx(ctx, s)
 	for _, v := range pred.Data {
@@ -246,14 +247,13 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*grid.Map, t
 // the fused pipeline's rough solve on the degradation ladder
 // (plan.RoughLadder), with the given iteration budget (<= 0 uses the
 // config's RoughIters). Exported for callers that drive the dataset
-// build themselves — the serving layer, which overrides the budget per
-// request.
+// build themselves.
 func (a *Analyzer) RoughSolver(iters int) func(ctx context.Context, sys *circuit.System, x []float64) error {
 	if iters <= 0 {
 		iters = a.Config.RoughIters
 	}
 	return func(ctx context.Context, sys *circuit.System, x []float64) error {
-		return plan.RoughLadder(ctx, sys, x, iters, a.Resilience)
+		return plan.RoughLadder(ctx, sys, x, iters)
 	}
 }
 
@@ -509,10 +509,9 @@ func hotspotWeights(y *nn.Tensor) *nn.Tensor {
 //
 // Solves run on the degradation ladder of internal/plan (plan.Rungs is
 // the policy: cache hit → resume → warm start → AMG-PCG → SSOR-PCG →
-// random walk, as the request and the cache allow) governed by
-// Resilience: a failing backend is retried with backoff when the
-// failure looks transient, abandoned for the next rung otherwise, and
-// the outcome is recorded in the run manifest's degradation section.
+// random walk, as the request and the cache allow): a failing backend
+// is abandoned for the next rung, and the outcome is recorded in the
+// run manifest's degradation section.
 type NumericalAnalyzer struct {
 	Iters      int
 	Resolution int
@@ -525,10 +524,6 @@ type NumericalAnalyzer struct {
 	// AnalyzeCtx refuses any value but "" and "auto". Shim for the frozen
 	// _bench/layers.go; goes with ROADMAP item 1(b).
 	Format string
-	// Resilience tunes retries/backoff and optionally carries the
-	// shared circuit-breaker set of a serving process. The zero value
-	// means defaults (see plan.ResilienceOptions).
-	Resilience plan.ResilienceOptions
 	// CheckpointEvery enables solver checkpointing on converged cached
 	// analyses: every CheckpointEvery PCG iterations the solve snapshots
 	// its iterate into the artifact cache under fingerprint⊕shape, and
@@ -599,7 +594,7 @@ func (n *NumericalAnalyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*gr
 			}
 			return cache.DesignFingerprint(d)
 		},
-		CheckpointEvery: n.CheckpointEvery, OnCheckpoint: n.OnCheckpoint, Resilience: n.Resilience,
+		CheckpointEvery: n.CheckpointEvery, OnCheckpoint: n.OnCheckpoint,
 	})
 	if err != nil {
 		return nil, 0, 0, err

@@ -10,8 +10,8 @@ import (
 // checkErrwrap flags fmt.Errorf calls that receive an error-typed
 // argument but whose (constant) format string contains no %w verb.
 // Such a wrap flattens the cause to text: errors.Is/As stop seeing it,
-// which breaks the retry classification in plan.RunLadder and the
-// error_kind mapping in the serve layer. %v on non-error values (a
+// which breaks the degradation ladder's cancellation test (plan.aborts)
+// and the error_kind mapping in the serve layer. %v on non-error values (a
 // recovered panic payload, say) is fine and not flagged.
 func (r *Runner) checkErrwrap(p *Package) {
 	errType := types.Universe.Lookup("error").Type()

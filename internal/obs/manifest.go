@@ -35,9 +35,8 @@ type Manifest struct {
 	Epochs      []EpochRecord      `json:"epochs,omitempty"`
 	// Degradations is the resilience trail: one record per laddered
 	// operation saying which backend rung produced the answer, with
-	// every retry, backoff, and breaker skip along the way. Optional
-	// key of irfusion/run-manifest/v1 (absent = no laddered
-	// operation ran).
+	// every rung that failed before it. Optional key of
+	// irfusion/run-manifest/v1 (absent = no laddered operation ran).
 	Degradations []Degradation `json:"degradation,omitempty"`
 	// Cache is the artifact-cache trail: per-stage hit/miss/warm-start
 	// events with aggregate tallies. Optional key of
@@ -194,12 +193,6 @@ func (m *Manifest) Validate() error {
 		for _, a := range d.Attempts {
 			if a.Rung == "" {
 				return fmt.Errorf("obs: degradation attempt missing rung: %+v", a)
-			}
-			if a.Skipped == "" && a.Attempt <= 0 {
-				return fmt.Errorf("obs: degradation attempt for %s not positive: %+v", d.Component, a)
-			}
-			if a.Skipped != "" && a.Error != "" {
-				return fmt.Errorf("obs: degradation attempt for %s both skipped and errored: %+v", d.Component, a)
 			}
 			if a.Rung == d.Rung {
 				served = true

@@ -117,26 +117,22 @@ type SolveRecord struct {
 	History    []float64 `json:"history,omitempty"`
 }
 
-// DegradationAttempt is one try of one ladder rung: which rung, the
-// 1-based attempt number on that rung, the error that ended it (empty
-// on success), the backoff slept before retrying, and — when the rung
-// was never tried at all — why it was skipped (e.g. "breaker-open").
+// DegradationAttempt is the one try of one ladder rung: which rung,
+// and the error that ended it (empty on success). Older manifests also
+// carry "attempt", "backoff_seconds" and "skipped" keys in each
+// attempt; decoding ignores them, so those manifests still validate.
 type DegradationAttempt struct {
-	Rung           string  `json:"rung"`
-	Attempt        int     `json:"attempt"`
-	Error          string  `json:"error,omitempty"`
-	BackoffSeconds float64 `json:"backoff_seconds,omitempty"`
-	Skipped        string  `json:"skipped,omitempty"`
+	Rung  string `json:"rung"`
+	Error string `json:"error,omitempty"`
 }
 
 // Degradation records how one laddered operation produced its answer:
 // the component that ran the ladder, the rung that finally served
 // (empty when the ladder was exhausted), its index (0 = the preferred
-// backend, >0 = a fallback), and the full attempt trail including
-// retries, backoffs, and breaker skips. A served response therefore
-// always says *how* its answer was produced — the manifest contract
-// the resilience layer adds to irfusion/run-manifest/v1 (optional
-// key, no version bump).
+// backend, >0 = a fallback), and the attempt trail, one entry per rung
+// tried. A served response therefore always says *how* its answer was
+// produced — the manifest contract the resilience layer adds to
+// irfusion/run-manifest/v1 (optional key, no version bump).
 type Degradation struct {
 	Component string               `json:"component"`
 	Rung      string               `json:"rung,omitempty"`
@@ -152,7 +148,7 @@ func (d *Degradation) Degraded() bool {
 		return true
 	}
 	for _, a := range d.Attempts {
-		if a.Error != "" || a.Skipped != "" {
+		if a.Error != "" {
 			return true
 		}
 	}
@@ -329,9 +325,10 @@ const (
 )
 
 // ResumeSection records a checkpoint-resume attempt of one run: where
-// the checkpoint came from ("restart", "requeue", or a donor shard
-// name), its cache key (abbreviated), how far the donor solve had
-// gotten, and whether the residual guard accepted it. Optional key of
+// the checkpoint came from ("restart" or "requeue"; empty when the
+// request itself found its checkpoint in the cache), its cache key
+// (abbreviated), how far the donor solve had gotten, and whether the
+// residual guard accepted it. Optional key of
 // irfusion/run-manifest/v1 (absent = no resume was attempted), so its
 // addition needs no schema-version bump.
 type ResumeSection struct {

@@ -188,8 +188,8 @@ func TestValidateRejectsBrokenManifests(t *testing.T) {
 		},
 		// The two attempt-trail invariants: each differs from the
 		// well-formed record below in one field.
-		"attempt-skipped-and-errored": func(m *Manifest) {
-			m.Degradations[0].Attempts[0].Error = "boom"
+		"attempt-missing-rung": func(m *Manifest) {
+			m.Degradations[0].Attempts[0].Rung = ""
 		},
 		"serving-rung-not-in-trail": func(m *Manifest) {
 			m.Degradations[0].Rung = "numerical.randomwalk"
@@ -199,8 +199,8 @@ func TestValidateRejectsBrokenManifests(t *testing.T) {
 		m := testManifest(t)
 		m.Degradations = []Degradation{{Component: "core.numerical", Rung: "numerical.ssor", RungIndex: 1,
 			Attempts: []DegradationAttempt{
-				{Rung: "numerical.amg", Skipped: "breaker open"},
-				{Rung: "numerical.ssor", Attempt: 1},
+				{Rung: "numerical.amg", Error: "boom"},
+				{Rung: "numerical.ssor"},
 			}}}
 		return m
 	}
@@ -219,6 +219,49 @@ func TestValidateRejectsBrokenManifests(t *testing.T) {
 		if err := m.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a broken manifest", name)
 		}
+	}
+}
+
+// TestDecodesParentDegradationRecord: a manifest written before the
+// ladder lost its retries and breakers — attempt numbers, a backoff, a
+// breaker skip — still decodes and validates under the same schema.
+func TestDecodesParentDegradationRecord(t *testing.T) {
+	var buf bytes.Buffer
+	if err := testManifest(t).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["degradation"] = json.RawMessage(`[
+	 {"component": "core.numerical", "rung": "numerical.amg", "rung_index": 0, "attempts": [
+	  {"rung": "numerical.amg", "attempt": 1,
+	   "error": "solver: numerical breakdown (non-finite value) (injected at iteration 0)",
+	   "backoff_seconds": 0.00401165},
+	  {"rung": "numerical.amg", "attempt": 2}]},
+	 {"component": "core.numerical", "rung": "numerical.ssor", "rung_index": 1, "attempts": [
+	  {"rung": "numerical.amg", "attempt": 0, "skipped": "breaker-open"},
+	  {"rung": "numerical.ssor", "attempt": 1}]}]`)
+	b, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := DecodeManifest(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("parent-format degradation record rejected: %v", err)
+	}
+	if m.Schema != SchemaVersion || len(m.Degradations) != 2 {
+		t.Fatalf("decoded %q with %d degradation records", m.Schema, len(m.Degradations))
+	}
+	if d := m.Degradations[0]; len(d.Attempts) != 2 || d.Attempts[0].Error == "" || !d.Degraded() {
+		t.Errorf("retried record decoded as %+v", d)
+	}
+	if d := m.Degradations[1]; d.Rung != "numerical.ssor" || d.RungIndex != 1 || d.Attempts[0].Rung != "numerical.amg" {
+		t.Errorf("breaker-skip record decoded as %+v", d)
 	}
 }
 

@@ -1,8 +1,8 @@
 package plan
 
 // Regression tests for error-wrapping identity: the degradation
-// ladder's classification (and the serving layer's error_kind mapping
-// on top of it) is driven entirely by errors.Is, so every wrap site on
+// ladder's abort test (and the serving layer's error_kind mapping on
+// top of it) is driven entirely by errors.Is, so every wrap site on
 // the failure paths must use %w. These tests pin the contract by
 // pushing sentinel errors through the same multi-level wrap chains the
 // pipeline produces and asserting the identities survive.
@@ -23,18 +23,16 @@ import (
 // serving layer classifies on ErrLadderExhausted while diagnostics and
 // tests still see the root cause.
 func TestLadderExhaustedPreservesBreakdown(t *testing.T) {
-	rungs := []LadderRung{
-		{Name: "a", Run: func(context.Context) error {
+	rungs := []ladderRung{
+		{name: "a", run: func(context.Context) error {
 			return fmt.Errorf("rung a: solve failed: %w",
 				fmt.Errorf("%w (injected at iteration 3)", solver.ErrBreakdown))
 		}},
-		{Name: "b", Run: func(context.Context) error {
+		{name: "b", run: func(context.Context) error {
 			return fmt.Errorf("rung b: %w", solver.ErrIndefinite)
 		}},
 	}
-	_, _, err := RunLadder(context.Background(), "test", rungs, ResilienceOptions{
-		MaxAttempts: 1,
-	})
+	err := runLadder(context.Background(), "test", rungs)
 	if err == nil {
 		t.Fatal("want error from fully failing ladder")
 	}
@@ -53,16 +51,16 @@ func TestLadderExhaustedPreservesBreakdown(t *testing.T) {
 // not ErrLadderExhausted, for its 4xx/504 mapping.
 func TestLadderAbortPreservesCancellation(t *testing.T) {
 	inner := fmt.Errorf("%w after 7 iterations: %w", solver.ErrCancelled, context.Canceled)
-	rungs := []LadderRung{
-		{Name: "a", Run: func(context.Context) error {
+	rungs := []ladderRung{
+		{name: "a", run: func(context.Context) error {
 			return fmt.Errorf("numerical.amg: %w", inner)
 		}},
-		{Name: "b", Run: func(context.Context) error {
+		{name: "b", run: func(context.Context) error {
 			t.Error("ladder must not fall through after cancellation")
 			return nil
 		}},
 	}
-	_, _, err := RunLadder(context.Background(), "test", rungs, ResilienceOptions{})
+	err := runLadder(context.Background(), "test", rungs)
 	if err == nil {
 		t.Fatal("want cancellation error")
 	}
@@ -79,12 +77,12 @@ func TestLadderAbortPreservesCancellation(t *testing.T) {
 // ladder's abort return, which is what lets callers distinguish
 // timeout from explicit cancel without string matching.
 func TestDeadlineSurvivesLadderAsTimeout(t *testing.T) {
-	rungs := []LadderRung{
-		{Name: "a", Run: func(context.Context) error {
+	rungs := []ladderRung{
+		{name: "a", run: func(context.Context) error {
 			return fmt.Errorf("%w mid-solve: %w", solver.ErrCancelled, context.DeadlineExceeded)
 		}},
 	}
-	_, _, err := RunLadder(context.Background(), "test", rungs, ResilienceOptions{})
+	err := runLadder(context.Background(), "test", rungs)
 	if err == nil {
 		t.Fatal("want deadline error")
 	}
@@ -94,36 +92,6 @@ func TestDeadlineSurvivesLadderAsTimeout(t *testing.T) {
 	var te interface{ Timeout() bool }
 	if !errors.As(err, &te) || !te.Timeout() {
 		t.Errorf("errors.As timeout identity lost; err = %v", err)
-	}
-}
-
-// TestRetryClassificationThroughWrapping proves classifyError sees
-// breakdown through the wrap chains real backends produce: the ladder
-// must retry (MaxAttempts times) on wrapped ErrBreakdown but move on
-// immediately for structural failures.
-func TestRetryClassificationThroughWrapping(t *testing.T) {
-	calls := 0
-	rungs := []LadderRung{
-		{Name: "flaky", Run: func(context.Context) error {
-			calls++
-			return fmt.Errorf("attempt %d: %w", calls,
-				fmt.Errorf("inner: %w", solver.ErrBreakdown))
-		}},
-		{Name: "fallback", Run: func(context.Context) error { return nil }},
-	}
-	name, idx, err := RunLadder(context.Background(), "test", rungs, ResilienceOptions{
-		MaxAttempts: 3,
-		BackoffBase: 1, // nanoseconds; keep the test fast
-		BackoffMax:  1,
-	})
-	if err != nil {
-		t.Fatalf("fallback rung should have served: %v", err)
-	}
-	if name != "fallback" || idx != 1 {
-		t.Errorf("served by %q (index %d), want fallback/1", name, idx)
-	}
-	if calls != 3 {
-		t.Errorf("flaky rung tried %d times, want 3 (wrapped breakdown must classify as retryable)", calls)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"os"
 	"slices"
 	"testing"
-	"time"
 
 	"irfusion/internal/cache"
 	"irfusion/internal/circuit"
@@ -101,7 +100,6 @@ func TestSolvePathsAgree(t *testing.T) {
 
 	neighbour := pgen.Perturb(d, 0.01, 5)
 	bg := withFaults(context.Background(), "")
-	fast := plan.ResilienceOptions{BackoffBase: 10 * time.Microsecond, BackoffMax: 50 * time.Microsecond}
 
 	// solved returns a cache that has seen a converged solve of x.
 	solved := func(x *pgen.Design) *cache.Cache {
@@ -174,7 +172,6 @@ func TestSolvePathsAgree(t *testing.T) {
 			rec := obs.NewRecorder()
 			ctx := withFaults(obs.WithRecorder(bg, rec), p.faults)
 			req := p.req
-			req.Resilience = fast
 			req.Fingerprint = func() string { return fp }
 			var c *cache.Cache
 			if p.cache != nil {
@@ -258,7 +255,7 @@ func TestSolvePathsAgree(t *testing.T) {
 			ctx := withFaults(obs.WithRecorder(bg, rec), p.faults)
 			x := make([]float64, sys.N())
 			x[0] = 1 // a rung must not trust what it is handed
-			if err := plan.RoughLadder(ctx, sys, x, 4, fast); err != nil {
+			if err := plan.RoughLadder(ctx, sys, x, 4); err != nil {
 				t.Fatal(err)
 			}
 			if got := servingRung(t, rec, "core.fused.rough", ""); got != p.want {

@@ -17,8 +17,7 @@ import (
 
 // Rung names. They double as the obs solve labels of the numerical
 // stage, so a manifest's convergence traces say which backend
-// produced them, and as the circuit-breaker names in a serving
-// process.
+// produced them.
 const (
 	RungHit        = "numerical.hit"
 	RungAMG        = "numerical.amg"
@@ -139,11 +138,11 @@ var rungTable = map[string]rung{
 // ladder — no attempt in the trail, no shift of the serving rung's
 // index, because missing the cache is not a degradation — and an exact
 // hit is not a solve at all, so it serves on the spot with no
-// degradation record and no circuit breaker. The rungs that remain run
-// on the degradation ladder, and when one converges for an addressed
-// design its reusable products go to the artifact cache.
-func (st *solveState) run(ctx context.Context, component string, names []string, o ResilienceOptions) error {
-	var ladder []LadderRung
+// degradation record. The rungs that remain run on the degradation
+// ladder, and when one converges for an addressed design its reusable
+// products go to the artifact cache.
+func (st *solveState) run(ctx context.Context, component string, names []string) error {
+	var ladder []ladderRung
 	for _, name := range names {
 		r := rungTable[name]
 		if r.ready != nil && !r.ready(ctx, st) {
@@ -152,9 +151,9 @@ func (st *solveState) run(ctx context.Context, component string, names []string,
 		if name == RungHit {
 			return r.run(ctx, st, name)
 		}
-		ladder = append(ladder, LadderRung{Name: name, Run: func(ctx context.Context) error { return r.run(ctx, st, name) }})
+		ladder = append(ladder, ladderRung{name: name, run: func(ctx context.Context) error { return r.run(ctx, st, name) }})
 	}
-	if _, _, err := RunLadder(ctx, component, ladder, o); err != nil {
+	if err := runLadder(ctx, component, ladder); err != nil {
 		return err
 	}
 	if st.cache != nil && st.res.Converged {
@@ -380,7 +379,6 @@ type Solve struct {
 	// receives each snapshot's key and binary encoding.
 	CheckpointEvery int
 	OnCheckpoint    func(key string, encoded []byte)
-	Resilience      ResilienceOptions
 }
 
 // Numerical solves sys into x on the full ladder chosen by Rungs and
@@ -399,7 +397,7 @@ func Numerical(ctx context.Context, sys *circuit.System, x []float64, s Solve) (
 		}
 	}
 	names := Rungs(s.Iters, s.Precond, st.cache != nil)
-	if err := st.run(ctx, "core.numerical", names, s.Resilience); err != nil {
+	if err := st.run(ctx, "core.numerical", names); err != nil {
 		return st.res, err
 	}
 	if st.cache != nil && st.res.Converged {
@@ -412,14 +410,14 @@ func Numerical(ctx context.Context, sys *circuit.System, x []float64, s Solve) (
 }
 
 // Golden solves sys into x to label accuracy for the dataset builder:
-// one cold AMG-PCG solve from zero, retried as the ladder retries, and
-// nothing rougher — a label that did not converge is an error. It never
-// consults the artifact cache.
+// one cold AMG-PCG solve from zero, on a one-rung ladder, and nothing
+// rougher — a label that did not converge is an error. It never consults
+// the artifact cache.
 func Golden(ctx context.Context, sys *circuit.System, x []float64) error {
 	st := newState(ctx, sys, x, 0, true)
 	st.opts = solver.Options{Tol: goldenTol, MaxIter: goldenMaxIter, Flexible: true, Record: true, Label: "golden"}
 	st.mustConverge = true
-	return st.run(ctx, "dataset.golden", goldenRungs, ResilienceOptions{})
+	return st.run(ctx, "dataset.golden", goldenRungs)
 }
 
 // Rough fills x with the fusion pipeline's numerical input — iters
@@ -436,6 +434,6 @@ func Rough(ctx context.Context, sys *circuit.System, x []float64, iters int) err
 // finally structure-only. The ladder always serves, so a fused
 // analysis degrades rather than fails when the numerical backends
 // misbehave.
-func RoughLadder(ctx context.Context, sys *circuit.System, x []float64, iters int, o ResilienceOptions) error {
-	return newState(ctx, sys, x, iters, false).run(ctx, "core.fused.rough", fusedRoughRungs, o)
+func RoughLadder(ctx context.Context, sys *circuit.System, x []float64, iters int) error {
+	return newState(ctx, sys, x, iters, false).run(ctx, "core.fused.rough", fusedRoughRungs)
 }

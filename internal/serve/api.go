@@ -9,15 +9,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"irfusion/internal/cache"
 	"irfusion/internal/circuit"
 	"irfusion/internal/core"
-	"irfusion/internal/dataset"
 	"irfusion/internal/faults"
 	"irfusion/internal/grid"
 	"irfusion/internal/journal"
@@ -57,12 +54,6 @@ const (
 	// receiving shard records it in the job's run manifest (counter
 	// serve.handoff, config key handoff_from).
 	HeaderHandoffFrom = "X-Irfusion-Handoff-From"
-	// HeaderResumeFrom names where a resumable checkpoint for this
-	// request may have come from (the donor shard on a gateway handoff).
-	// When the solve actually resumes from a checkpoint, the value is
-	// recorded as the manifest resume section's "from" — proving whose
-	// iterations the resumed solve inherited.
-	HeaderResumeFrom = "X-Irfusion-Resume-From"
 )
 
 // AnalyzeRequest is the body of POST /v1/analyze. Exactly one of
@@ -275,7 +266,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.jobContext(j.req.TimeoutMS)
 	j.submitted, j.status = time.Now(), StatusQueued
 	j.ctx, j.cancel, j.done = ctx, cancel, make(chan struct{})
-	j.handoffFrom, j.resumeFrom = r.Header.Get(HeaderHandoffFrom), r.Header.Get(HeaderResumeFrom)
+	j.handoffFrom = r.Header.Get(HeaderHandoffFrom)
 	s.reg.add(j)
 
 	if !s.submit(j) {
@@ -317,27 +308,16 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		code := http.StatusInternalServerError
 		switch {
 		case v.ErrorKind == errKindExhausted:
-			// Every degradation rung failed (or was breaker-skipped):
-			// the request was valid, the backends are unhealthy. Tell
-			// the client when a retry has a chance — after the breaker
-			// cooldown, when probes re-admit traffic.
-			w.Header().Set("Retry-After", s.retryAfterSeconds())
+			// Every degradation rung failed: the request was valid, the
+			// backends are unhealthy. Like a full queue, a 503 a client
+			// may retry.
+			w.Header().Set("Retry-After", "1")
 			code = http.StatusServiceUnavailable
 		case errors.Is(ctx.Err(), context.DeadlineExceeded):
 			code = http.StatusGatewayTimeout
 		}
 		writeJSON(w, code, v)
 	}
-}
-
-// retryAfterSeconds renders the breaker cooldown as a Retry-After
-// value (at least 1 second).
-func (s *Server) retryAfterSeconds() string {
-	secs := int(s.cfg.BreakerCooldown / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -382,7 +362,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"cache_enabled":  s.cache != nil,
 		"cache_entries":  s.cache.Len(),
 		"jobs":           s.reg.counts(),
-		"breakers":       s.breakers.States(),
 		"fault_spec":     faults.Active().Spec(),
 		"journal": map[string]any{
 			"enabled":         s.journal != nil,
@@ -407,8 +386,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 			"serve.in_flight":      float64(s.InFlight()),
 			"serve.workers":        float64(s.cfg.Workers),
 		},
-		"breakers": s.breakers.States(),
-		"cache":    s.CacheStats(),
+		"cache": s.CacheStats(),
 	})
 }
 
@@ -799,7 +777,6 @@ func (s *Server) executeUncached(ctx context.Context, j *Job) (*AnalyzeResult, e
 	}
 	na := &core.NumericalAnalyzer{
 		Iters: req.Iters, Resolution: res, Precond: req.Precond,
-		Resilience:      s.resilience(),
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		OnCheckpoint:    s.checkpointNotify(j),
 		Fingerprint:     j.fp,
@@ -813,46 +790,20 @@ func (s *Server) executeUncached(ctx context.Context, j *Job) (*AnalyzeResult, e
 	return out, nil
 }
 
-// executeFused runs the fused numerical+ML pipeline: the label-free
-// sample build (assembly, the budgeted rough solve, feature maps — no
-// converged solve) and one forward pass. Nothing in it is serialized
-// across jobs: inference only reads the shared model (see
-// core.Analyzer.PredictCtx), so Config.Workers fused jobs run at once.
+// executeFused runs the fused numerical+ML pipeline at this request's
+// rough budget: core.Analyzer.AnalyzeCtx on a shallow copy of the
+// server's analyzer, whose model it only reads (see PredictCtx), so
+// Config.Workers fused jobs run at once.
 func (s *Server) executeFused(ctx context.Context, req *AnalyzeRequest, d *pgen.Design) (*AnalyzeResult, error) {
-	al := s.cfg.Analyzer
-	cfg := al.Config
+	al := *s.cfg.Analyzer
 	if req.Iters > 0 {
-		cfg.RoughIters = req.Iters
+		al.Config.RoughIters = req.Iters
 	}
-	opts := cfg.DatasetOptions()
-	// The rough solve runs on the fused degradation ladder (budgeted
-	// PCG → random walk → structure-only), sharing the server's
-	// circuit breakers, at this request's iteration budget.
-	opts.RoughSolver = al.RoughSolver(req.Iters)
-	sample, err := dataset.BuildInferenceCtx(ctx, d, opts)
+	pred, rt, err := al.AnalyzeCtx(ctx, d)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("%w before inference: %w", solver.ErrCancelled, err)
-	}
-	start := time.Now()
-	pred := al.PredictCtx(ctx, sample)
-	rt := sample.NumericalTime + time.Since(start)
-	for _, v := range pred.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, core.ErrNonFinitePrediction
-		}
-	}
 	return newResult(req, d, pred, rt.Seconds()), nil
-}
-
-// resilience returns the ladder policy for one job: the configured
-// retry/backoff overrides plus the server's shared breaker set.
-func (s *Server) resilience() plan.ResilienceOptions {
-	res := s.cfg.Resilience
-	res.Breakers = s.breakers
-	return res
 }
 
 // newResult summarizes a predicted map into the response payload.

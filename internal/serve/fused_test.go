@@ -24,8 +24,7 @@ import (
 const fusedRes = 24
 
 // tinyAnalyzer trains the smallest fused pipeline that runs (two
-// designs, one epoch). Each test trains its own: serve.New writes the
-// server's breakers into the analyzer it is given.
+// designs, one epoch).
 func tinyAnalyzer(t *testing.T) *core.Analyzer {
 	t.Helper()
 	cfg := core.Default(fusedRes)

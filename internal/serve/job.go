@@ -53,10 +53,9 @@ type Job struct {
 	submitted   time.Time
 
 	// resumeFrom is the provenance recorded when this job's solve
-	// resumes from a checkpoint: "restart" (journal replay), "requeue"
-	// (post-panic retry), or a shard name (gateway handoff header).
-	// Written before (re-)submission; the queue handoff orders it
-	// before the worker's read.
+	// resumes from a checkpoint: "restart" (journal replay) or "requeue"
+	// (post-panic retry). Written before (re-)submission; the queue
+	// handoff orders it before the worker's read.
 	resumeFrom string
 	// hasBlob reports a checkpoint blob of this job's solve on disk —
 	// saved by its notify hook, or found by recovery. Written and read

@@ -21,8 +21,9 @@ import (
 // derives it — a blob can never be durable yet unknown to the journal.
 
 // Provenance values recorded in a manifest's resume section
-// (obs.ResumeSection.From) by this layer. A gateway handoff carries a
-// shard name in HeaderResumeFrom instead.
+// (obs.ResumeSection.From) by this layer. A gateway handoff carries
+// none: every server has its own cache, so a ring successor can only
+// resume a checkpoint of its own.
 const (
 	fromRestart = "restart" // re-enqueued by journal replay after a process restart
 	fromRequeue = "requeue" // re-enqueued on the same process after a worker panic
@@ -177,8 +178,7 @@ func (s *Server) journalTerminal(j *Job, typ, detail string) {
 // checkpointNotify returns the durable-persistence hook handed to the
 // core analyzer for job j: each solver checkpoint replaces the solve's
 // blob. Nil when the journal is off — checkpoints then live only in
-// the in-process cache (still enough for same-process requeue and
-// shared-cache cluster handoff).
+// the in-process cache (still enough for same-process requeue).
 func (s *Server) checkpointNotify(j *Job) func(key string, encoded []byte) {
 	if s.journal == nil {
 		return nil

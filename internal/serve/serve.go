@@ -31,7 +31,6 @@ import (
 	"irfusion/internal/core"
 	"irfusion/internal/journal"
 	"irfusion/internal/obs"
-	"irfusion/internal/plan"
 )
 
 // Service-level counters, registered in the process-global obs
@@ -91,17 +90,6 @@ type Config struct {
 	// in eval mode once, after which inference is reentrant. Do not
 	// train or toggle the model while the server runs.
 	Analyzer *core.Analyzer
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// solve backend's circuit breaker: an open breaker makes the
-	// degradation ladder skip that rung without attempting it until
-	// BreakerCooldown elapses (then a single probe decides). Breakers
-	// are shared across all jobs of the server. Defaults 3 and 5s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// Resilience overrides the retry/backoff policy of the analysis
-	// degradation ladders. Zero-value fields take the plan defaults;
-	// the Breakers field is always replaced by the server's shared set.
-	Resilience plan.ResilienceOptions
 	// CacheBytes bounds the per-process artifact cache shared by all
 	// workers (ECO-loop requests hit it for warm starts and response
 	// reuse). 0 takes cache.DefaultMaxBytes; set DisableCache to turn
@@ -146,12 +134,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 256
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 32
 	}
@@ -161,13 +143,12 @@ func (c Config) withDefaults() Config {
 // Server is the analysis service. Construct with New, mount Handler
 // on an http.Server (or use httptest in tests), and stop with Close.
 type Server struct {
-	cfg      Config
-	mux      *http.ServeMux
-	queue    chan *Job
-	reg      *registry
-	start    time.Time
-	breakers *plan.BreakerSet // per-rung breakers shared by all jobs
-	cache    *cache.Cache     // per-process artifact cache; nil when disabled
+	cfg   Config
+	mux   *http.ServeMux
+	queue chan *Job
+	reg   *registry
+	start time.Time
+	cache *cache.Cache // per-process artifact cache; nil when disabled
 
 	journal     *journal.Journal // write-ahead job journal; nil when disabled
 	journalErr  string           // journal open failure; serving continues without durability
@@ -196,7 +177,6 @@ func New(cfg Config) *Server {
 		queue:      make(chan *Job, cfg.QueueDepth),
 		reg:        newRegistry(cfg.MaxJobs, cfg.Name),
 		start:      time.Now(),
-		breakers:   plan.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
@@ -208,12 +188,6 @@ func New(cfg Config) *Server {
 		s.cache = cache.New(cfg.CacheBytes, cfg.CacheTTL)
 	}
 	if cfg.Analyzer != nil {
-		// The fused pipeline's rough-solve ladder shares the server's
-		// breakers: a backend that keeps failing across jobs is skipped
-		// instead of re-attempted on every request.
-		res := cfg.Resilience
-		res.Breakers = s.breakers
-		cfg.Analyzer.Resilience = res
 		// Eval mode is what makes the workers' concurrent forward passes
 		// read-only; Train and LoadAnalyzer already leave it set, a
 		// hand-built analyzer may not.

@@ -421,9 +421,11 @@ func TestHealthzAndMetricsz(t *testing.T) {
 	if h["gemm_kernel"] != nn.Kernel() {
 		t.Errorf("healthz gemm_kernel = %v, the process multiplies with %q", h["gemm_kernel"], nn.Kernel())
 	}
-	for _, gone := range []string{"pool_workers", "pool_min_work"} {
+	// No worker pool, and no solve-backend breakers: a shard's ladder
+	// tries each rung once per request.
+	for _, gone := range []string{"pool_workers", "pool_min_work", "breakers"} {
 		if _, ok := h[gone]; ok {
-			t.Errorf("healthz still reports %s: there is no worker pool", gone)
+			t.Errorf("healthz still reports %s", gone)
 		}
 	}
 
@@ -438,6 +440,7 @@ func TestHealthzAndMetricsz(t *testing.T) {
 	var m struct {
 		Counters map[string]int64   `json:"counters"`
 		Gauges   map[string]float64 `json:"gauges"`
+		Breakers json.RawMessage    `json:"breakers"`
 	}
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
@@ -447,6 +450,9 @@ func TestHealthzAndMetricsz(t *testing.T) {
 	}
 	if m.Gauges["serve.workers"] != 3 {
 		t.Errorf("serve.workers gauge = %v", m.Gauges["serve.workers"])
+	}
+	if m.Breakers != nil {
+		t.Errorf("metricsz still reports breakers: %s", m.Breakers)
 	}
 	_ = s
 }
