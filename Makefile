@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt fmt-check vet cross lint build test race loc loc-check bench bench-smoke bench-check bench-rebaseline bench-quick rehearse fuzz-smoke chaos-smoke cluster-smoke docs-check cover-check
+.PHONY: all fmt fmt-check vet cross lint build test race loc loc-check bench bench-smoke bench-check bench-rebaseline bench-quick rehearse fuzz-smoke cluster-smoke docs-check cover-check
 
 all: fmt-check vet lint build test
 
@@ -172,7 +172,15 @@ loc: ## non-test Go and assembly lines per package and the total
 # Resilience fields, net of the cancel check AnalyzeCtx took over);
 # internal/cluster 857 -> 976, where the breaker now lives, one per
 # shard (breaker.go, 118 lines).
-LOC_CEILING ?= 20400
+# Lowered to 20200 (total 20364 -> 20185) when the rung census found no
+# admitted deck that reaches a fallback rung: internal/solver 588 -> 449
+# (the random-walk solver), internal/plan 521 -> 464 (the random-walk
+# and structure-only rungs and SSOR behind AMG-PCG), internal/core 618
+# -> 613 and internal/dataset 481 -> 479 (their comments); net of
+# internal/circuit 725 -> 741 (the non-finite-value finding),
+# cmd/irfusion 1188 -> 1195 (the exhausted rehearsal row) and
+# internal/cache 1042 -> 1043.
+LOC_CEILING ?= 20200
 
 loc-check: ## fail when the non-test Go + assembly line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \
@@ -227,15 +235,6 @@ bench-quick: ## vet + quick run of the end-to-end benchmark (_bench): every entr
 # `go run ./cmd/irfusion rehearse <row>` runs one.
 rehearse: ## resilience and durability scenarios, gated on their run manifests
 	$(GO) run ./cmd/irfusion rehearse
-
-# The chaos profile kills every AMG-rung PCG solve with a numerical
-# breakdown. The suite must stay green — the degradation ladder absorbs
-# the fault by falling to SSOR-PCG. (That the fault bites end to end is
-# the `degraded` row of `make rehearse`.) -count=1 because the profile
-# is read at package init, which the test cache does not key on: a
-# warm cache would answer from the fault-free run.
-chaos-smoke: ## full test suite under an injected mid-ladder failure
-	IRFUSION_FAULTS='solver.pcg:breakdown:label=numerical.amg' $(GO) test -count=1 ./...
 
 # Cluster rehearsal: the in-process shard fleet behind the gateway
 # (internal/cluster fleet_test.go) — routing determinism, cache-warm

@@ -687,18 +687,3 @@ func BenchmarkAblationFlexiblePCG(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkRandomWalkNode measures the single-node Monte-Carlo
-// estimate (the capability that distinguishes random-walk solvers).
-func BenchmarkRandomWalkNode(b *testing.B) {
-	f := benchFixtures(b)
-	rw, err := solver.NewRandomWalk(f.sys.G, f.sys.I)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rw.Node(i%f.sys.N(), 100, rng)
-	}
-}

@@ -3,7 +3,7 @@
 //
 //	irfusion gen      -out design.sp [-class real] [-size 64] [-seed 1] [-config cfg.json]
 //	irfusion analyze  [-spice design.sp] [-iters 0] [-model-file model.bin] [-pgm drop.pgm] [-manifest run.json]
-//	irfusion rehearse [cold degraded cache-chaos cache-hit requeue restart]
+//	irfusion rehearse [cold exhausted cache-chaos cache-hit requeue restart]
 //	irfusion transient -spice design.sp [-h 1e-12] [-steps 100] [-burst 20]
 //	irfusion serve    [-addr localhost:8080] [-workers 2] [-queue 16] [-model-file model.bin]
 //	irfusion gateway  -shards a=http://h1:8080,b=http://h2:8080 [-addr localhost:8090]

@@ -254,7 +254,7 @@ func TestRehearseBites(t *testing.T) {
 		blunt func(*row)
 		lacks expectation
 	}{
-		{"degraded", noFaults, degraded},
+		{"exhausted", noFaults, exhausted},
 		{"cache-chaos", noFaults, staleCaught},
 		{"requeue", noFaults, resumedFrom("requeue")},
 		{"cache-hit", func(r *row) { r.steps = analysis{cached: true}.run }, cacheHit},

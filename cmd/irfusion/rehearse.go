@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -19,6 +20,7 @@ import (
 	"irfusion/internal/faults"
 	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
+	"irfusion/internal/plan"
 	"irfusion/internal/serve"
 )
 
@@ -55,10 +57,11 @@ type expectation struct {
 var rehearsals = []row{
 	{name: "cold", steps: analysis{}.run,
 		expect: []expectation{solved}},
-	// Every AMG-rung solve breaks down; the ladder must serve from SSOR
-	// and the degradation trail must say so.
-	{name: "degraded", faults: "solver.pcg:breakdown:label=numerical.amg", steps: analysis{}.run,
-		expect: []expectation{solved, degraded}},
+	// Every AMG-rung solve breaks down; nothing stands behind the one
+	// cold rung, so the analysis must fail with the ladder exhausted and
+	// the degradation trail must say why.
+	{name: "exhausted", faults: "solver.pcg:breakdown:label=numerical.amg", steps: analysis{fails: plan.ErrLadderExhausted}.run,
+		expect: []expectation{exhausted}},
 	// Repeat 2's lookup returns a poisoned solution the residual guard
 	// must reject, repeat 3 loses its entry to an eviction race, every
 	// neighbour search pays injected latency; the cache must still
@@ -90,13 +93,13 @@ var (
 		}
 		return false
 	}}
-	degraded = expectation{"a degradation record showing a failed rung and the fallback that served", func(m *obs.Manifest) bool {
-		for i := range m.Degradations {
-			if m.Degradations[i].Degraded() {
-				return true
-			}
+	exhausted = expectation{"one exhausted core.numerical record whose only attempt is numerical.amg's injected failure", func(m *obs.Manifest) bool {
+		if len(m.Degradations) != 1 {
+			return false
 		}
-		return false
+		d := m.Degradations[0]
+		return d.Component == "core.numerical" && d.Exhausted && len(d.Attempts) == 1 &&
+			d.Attempts[0].Rung == plan.RungAMG && strings.Contains(d.Attempts[0].Error, "injected")
 	}}
 	cacheServed = expectation{"a cache section with a store and a hit, warm start, or stale rejection", func(m *obs.Manifest) bool {
 		c := m.Cache
@@ -196,9 +199,10 @@ func installFaults(spec string) (restore func()) {
 // solving the generated real-class die to convergence under one
 // recorder — what `irfusion analyze -size N -seed 3` runs.
 type analysis struct {
-	cached  bool // give the run an artifact cache of its own
-	prime   int  // analyses run first, unrecorded, to fill that cache
-	repeats int  // recorded analyses of the same die (0 means 1)
+	cached  bool  // give the run an artifact cache of its own
+	prime   int   // analyses run first, unrecorded, to fill that cache
+	repeats int   // recorded analyses of the same die (0 means 1)
+	fails   error // an analysis error wrapping this ends the run; the row's expectations judge its manifest
 }
 
 func (a analysis) run(size int, faultSpec string) (*obs.Manifest, error) {
@@ -221,6 +225,9 @@ func (a analysis) run(size int, faultSpec string) (*obs.Manifest, error) {
 	ctx = obs.WithRecorder(ctx, rec)
 	for i := 0; i < max(1, a.repeats); i++ {
 		if _, _, _, err := na.AnalyzeCtx(ctx, d); err != nil {
+			if a.fails != nil && errors.Is(err, a.fails) {
+				break
+			}
 			return rec.Manifest("rehearse", nil), fmt.Errorf("analysis %d: %w", i+1, err)
 		}
 	}

@@ -165,8 +165,8 @@ var ErrEmptyMatrix = errors.New("amg: empty matrix")
 
 // ErrSetup wraps every hierarchy-construction failure (including
 // injected ones), so callers can classify "the AMG backend is
-// unavailable" with errors.Is and fall back to a cheaper
-// preconditioner (see the degradation ladder in internal/core).
+// unavailable" with errors.Is (see the degradation ladder in
+// internal/plan).
 var ErrSetup = errors.New("amg: setup failed")
 
 // Build runs the setup stage: recursive pairwise aggregation and

@@ -131,7 +131,8 @@ func StoreSystem(ctx context.Context, c *Cache, stage string, art *SystemArtifac
 // if eviction won the race) and reports a miss, ActFail reports a
 // miss without touching the entry, and ActStale returns a copy whose
 // golden solution is poisoned — the caller's residual guard must
-// catch it, which is exactly what the chaos CI job verifies.
+// catch it, which is exactly what `irfusion rehearse cache-chaos`
+// verifies.
 func LookupSystem(ctx context.Context, c *Cache, fp string) *SystemArtifact {
 	if c == nil || fp == "" {
 		return nil

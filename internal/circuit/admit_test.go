@@ -3,6 +3,7 @@ package circuit
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -26,6 +27,9 @@ func refFromNetlist(nl *spice.Netlist) (*Network, error) {
 		return idx
 	}
 	for _, e := range nl.Elements {
+		if detail := refNonFinite(e); detail != "" {
+			return nil, errors.New("circuit: " + detail)
+		}
 		switch e.Type {
 		case spice.Resistor:
 			if e.NodeA == spice.Ground || e.NodeB == spice.Ground {
@@ -71,6 +75,20 @@ func refFromNetlist(nl *spice.Netlist) (*Network, error) {
 	return nw, nil
 }
 
+// refNonFinite is the one rule both reference walks gained since they
+// were copied: an element value that is not finite, or a positive
+// resistance whose conductance is not, is a non-finite-value finding.
+// It returns the finding's detail, or "" for a finite element.
+func refNonFinite(e spice.Element) string {
+	switch {
+	case math.IsNaN(e.Value) || math.IsInf(e.Value, 0):
+		return fmt.Sprintf("%s has non-finite value %g", e.Name, e.Value)
+	case e.Type == spice.Resistor && e.Value > 0 && math.IsInf(1/e.Value, 0):
+		return fmt.Sprintf("resistor %s value %g has non-finite conductance", e.Name, e.Value)
+	}
+	return ""
+}
+
 func refGndPartner(e spice.Element) (string, error) {
 	switch {
 	case e.NodeA == spice.Ground && e.NodeB != spice.Ground:
@@ -114,6 +132,10 @@ func refValidate(nl *spice.Netlist) error {
 	var padVolts []float64
 
 	for _, e := range nl.Elements {
+		if detail := refNonFinite(e); detail != "" {
+			add(IssueNonFinite, e.Name, "", detail)
+			continue
+		}
 		switch e.Type {
 		case spice.Resistor:
 			bad := false
@@ -226,9 +248,10 @@ func capc(name, a, b string, farads float64) spice.Element {
 }
 
 // lintDecks is every deck validate_test.go builds, by name, plus
-// capacitor constructions. capOnly marks the decks holding a node only a
-// capacitor names — the one intended difference from refValidate, which
-// never interned capacitor terminals (PR 25's first satellite).
+// capacitor constructions and the non-finite cards. capOnly marks the
+// decks holding a node only a capacitor names — the one intended
+// difference from refValidate, which never interned capacitor
+// terminals.
 func lintDecks() []struct {
 	name    string
 	nl      *spice.Netlist
@@ -243,7 +266,7 @@ func lintDecks() []struct {
 	for i := 0; i < 8; i++ {
 		island = append(island, res(fmt.Sprintf("rf%d", i), fmt.Sprintf("f%d", i), fmt.Sprintf("f%d", i+1), 1))
 	}
-	return []struct {
+	decks := []struct {
 		name    string
 		nl      *spice.Netlist
 		capOnly bool
@@ -278,6 +301,56 @@ func lintDecks() []struct {
 		{"cap-only-node", with(capc("c1", "b", "z", 1e-12)), true},
 		{"cap-only-node-grounded", with(capc("c1", spice.Ground, "z", 1e-12)), true},
 		{"cap-only-pair", with(capc("c1", "y", "z", 1e-12)), true},
+		{"non-finite-amid-issues", with(res("rgnd", "a", spice.Ground, math.Inf(1)), res("rneg", "a", "b", -1)), false},
+	}
+	for _, c := range nonFiniteCards() {
+		decks = append(decks, struct {
+			name    string
+			nl      *spice.Netlist
+			capOnly bool
+		}{"non-finite " + c.name, with(c.card), false})
+	}
+	return decks
+}
+
+// nonFiniteCards are cards whose value, or whose conductance, is not
+// finite: each one makes the clean deck a non-finite-value finding.
+// ParseValue yields the first three from "1e308k" and "1e-300f".
+func nonFiniteCards() []struct {
+	name string
+	card spice.Element
+} {
+	inf := math.Inf(1)
+	return []struct {
+		name string
+		card spice.Element
+	}{
+		{"load +Inf", isrc("i2", "b", inf)},
+		{"resistor 1e-315", res("r2", "a", "b", 1e-315)},
+		{"resistor +Inf to an island", res("r2", "b", "z", inf)},
+		{"resistor NaN", res("r2", "a", "b", math.NaN())},
+		{"pad -Inf", vsrc("v2", "a", -inf)},
+		{"capacitor +Inf", capc("c1", "a", "b", inf)},
+	}
+}
+
+// TestAdmitRejectsNonFiniteValues: a value that overflowed, or a
+// resistance whose conductance did, is one non-finite-value finding
+// naming the card, and the card is left out of the network — so the
+// island an infinite resistor would have joined to the grid is not
+// reported either. FromNetlist fails on it.
+func TestAdmitRejectsNonFiniteValues(t *testing.T) {
+	for _, c := range nonFiniteCards() {
+		nl := cleanDeck()
+		nl.Elements = append(nl.Elements, c.card)
+		_, err := Admit(nl)
+		var de *DeckError
+		if !errors.As(err, &de) || len(de.Issues) != 1 || de.Issues[0].Code != IssueNonFinite || de.Issues[0].Element != c.card.Name {
+			t.Errorf("%s: Admit: %v, want one %s naming %s", c.name, err, IssueNonFinite, c.card.Name)
+		}
+		if _, err := FromNetlist(nl); err == nil {
+			t.Errorf("%s: FromNetlist accepted the deck", c.name)
+		}
 	}
 }
 
@@ -376,6 +449,8 @@ func TestFromNetlistMessages(t *testing.T) {
 		{spice.Element{Type: spice.VoltageSource, Name: "v2", NodeA: "a", NodeB: "b"}, "circuit: voltage source v2 must connect one node to ground"},
 		{capc("c1", "a", "b", -2), "circuit: capacitor c1 has negative value -2"},
 		{capc("c1", spice.Ground, spice.Ground, 1), "circuit: capacitor c1 shorted to ground"},
+		{isrc("i1", "a", math.Inf(1)), "circuit: i1 has non-finite value +Inf"},
+		{res("r1", "a", "b", 1e-315), "circuit: resistor r1 value 1e-315 has non-finite conductance"},
 	} {
 		// The bad card first, then a second bad one that must not be reported.
 		nl := &spice.Netlist{Elements: []spice.Element{vsrc("v1", "a", 1.1), tc.e, res("r9", "a", "b", -1)}}

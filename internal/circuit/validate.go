@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"irfusion/internal/spice"
@@ -27,6 +28,7 @@ const (
 	IssueShortedCap     = "capacitor-shorted"
 	IssueFloatingNode   = "floating-node"
 	IssueNoElements     = "empty-deck"
+	IssueNonFinite      = "non-finite-value"
 )
 
 // DeckIssue is one validation finding.
@@ -64,13 +66,13 @@ const maxFloatingReported = 5
 
 // Admit lints a parsed deck and builds its network in one element walk,
 // before any matrix is stamped, collecting every finding: malformed
-// elements (ground-touching or non-positive resistors, ungrounded
-// sources, bad capacitors), pad problems (none, non-positive voltage,
-// disagreeing voltages), and connectivity (nodes with no resistive path
-// to any pad, i.e. a singular reduced system — over the nodes Assemble
-// will see, capacitor terminals included). A clean deck yields the
-// network FromNetlist would build; otherwise the error is a *DeckError
-// listing all issues.
+// elements (non-finite values, ground-touching or non-positive
+// resistors, ungrounded sources, bad capacitors), pad problems (none,
+// non-positive voltage, disagreeing voltages), and connectivity (nodes
+// with no resistive path to any pad, i.e. a singular reduced system —
+// over the nodes Assemble will see, capacitor terminals included). A
+// clean deck yields the network FromNetlist would build; otherwise the
+// error is a *DeckError listing all issues.
 func Admit(nl *spice.Netlist) (*Network, error) {
 	nw, issues := build(nl, true)
 	if len(issues) > 0 {
@@ -114,6 +116,18 @@ func build(nl *spice.Netlist, lint bool) (*Network, []DeckIssue) {
 			return nil, issues
 		}
 		e, found := &nl.Elements[i], len(issues)
+		// A value that overflowed (ParseValue("1e308k") is +Inf), or a
+		// resistance whose conductance 1/R — what Assemble stamps — did,
+		// would reach the solver as Inf or NaN, or (R = +Inf, 1/R = 0) as
+		// an edge the connectivity walk counts and the matrix does not.
+		if !finite(e.Value) {
+			add(IssueNonFinite, e.Name, "", "%s has non-finite value %g", e.Name, e.Value)
+			continue
+		}
+		if e.Type == spice.Resistor && e.Value > 0 && !finite(1/e.Value) {
+			add(IssueNonFinite, e.Name, "", "resistor %s value %g has non-finite conductance", e.Name, e.Value)
+			continue
+		}
 		switch e.Type {
 		case spice.Resistor:
 			if e.NodeA == spice.Ground || e.NodeB == spice.Ground {
@@ -198,6 +212,8 @@ func build(nl *spice.Netlist, lint bool) (*Network, []DeckIssue) {
 	}
 	return nw, issues
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Codes returns the distinct issue codes in order of first
 // appearance, a convenience for tests and log lines.

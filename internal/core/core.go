@@ -214,15 +214,10 @@ func (a *Analyzer) PredictCtx(ctx context.Context, s *dataset.Sample) *grid.Map 
 // dataset.BuildInferenceCtx. A context cancelled by the time the sample
 // is built fails with solver.ErrCancelled instead of running inference.
 //
-// The rough solve of the numerical stage runs on a degradation
-// ladder: the configured budgeted PCG first, the random-walk solver
-// when that fails, and finally a structure-only rung that leaves the
-// rough solution at zero — the fused inference then works from
-// structural features alone (and, in residual mode, predicts the
-// whole drop rather than a correction), exactly the
-// imprecision-tolerance the paper's ML stage is trained to absorb.
-// The ladder always serves, so a fused analysis degrades rather than
-// fails when the numerical backends misbehave.
+// The rough solve of the numerical stage runs on a one-rung ladder
+// (plan.RoughLadder), so the manifest records which rung served; a
+// rough solve that fails fails the analysis with
+// plan.ErrLadderExhausted, before any inference.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*grid.Map, time.Duration, error) {
 	opts := a.Config.DatasetOptions()
 	opts.RoughSolver = a.RoughSolver(0)
@@ -508,10 +503,10 @@ func hotspotWeights(y *nn.Tensor) *nn.Tensor {
 // the Fig-7 comparison is engine-for-engine fair.
 //
 // Solves run on the degradation ladder of internal/plan (plan.Rungs is
-// the policy: cache hit → resume → warm start → AMG-PCG → SSOR-PCG →
-// random walk, as the request and the cache allow): a failing backend
-// is abandoned for the next rung, and the outcome is recorded in the
-// run manifest's degradation section.
+// the policy: cache hit → resume → warm start, as the request and the
+// cache allow, then the one cold rung): a failing cache rung is
+// abandoned for the next, a failing cold rung exhausts the ladder, and
+// the outcome is recorded in the run manifest's degradation section.
 type NumericalAnalyzer struct {
 	Iters      int
 	Resolution int

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
-	"irfusion/internal/dataset"
 	"irfusion/internal/faults"
 	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
@@ -13,8 +13,8 @@ import (
 
 // withFaults scopes a test's fault profile to its context. An empty
 // spec binds an injector that never fires, so a test that asserts the
-// undisturbed path stays true when the whole suite runs under a
-// process-wide chaos profile (make chaos-smoke).
+// undisturbed path stays true when the process runs under an
+// IRFUSION_FAULTS profile.
 func withFaults(ctx context.Context, spec string) context.Context {
 	if spec == "" {
 		spec = "amg.setup:fail:p=0"
@@ -23,126 +23,80 @@ func withFaults(ctx context.Context, spec string) context.Context {
 }
 
 // TestLadderFaultClasses is the table-driven heart of the resilience
-// suite: each injected fault class must land the numerical analyzer
-// on the expected rung, with the expected degradation record in the
-// manifest — one attempt per rung tried, whatever the fault.
+// suite: with no fault the numerical analyzer is served by cold
+// AMG-PCG, its one cold rung, and each injected fault class on that
+// rung exhausts the ladder — ErrLadderExhausted, no map, and one
+// exhausted degradation record with exactly the rungs tried, one
+// attempt each, whatever the fault.
 func TestLadderFaultClasses(t *testing.T) {
 	d, err := pgen.Generate(pgen.DefaultConfig("ladder", pgen.Fake, 24, 24, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
+	amgOnly := []string{plan.RungAMG}
 	cases := []struct {
-		name     string
-		spec     string // per-request injector spec
-		wantRung string
-		wantIdx  int // also the number of failed attempts before it
+		name  string
+		spec  string   // per-request injector spec
+		tried []string // the rungs an exhausted ladder tried; nil: AMG serves
 	}{
-		{
-			name:     "no faults serves the AMG rung cleanly",
-			spec:     "",
-			wantRung: plan.RungAMG,
-			wantIdx:  0,
-		},
-		{
-			name:     "persistent AMG-solve breakdown degrades to SSOR",
-			spec:     "solver.pcg:breakdown:label=" + plan.RungAMG,
-			wantRung: plan.RungSSOR,
-			wantIdx:  1,
-		},
-		{
-			// A breakdown is not retried: the same deterministic solve
-			// would break down again, so the one the fault spent is the
-			// AMG rung's only attempt.
-			name:     "transient breakdown falls through to SSOR",
-			spec:     "solver.pcg:breakdown:label=" + plan.RungAMG + ",times=1",
-			wantRung: plan.RungSSOR,
-			wantIdx:  1,
-		},
-		{
-			name:     "AMG setup failure falls through without retry",
-			spec:     "amg.setup:fail",
-			wantRung: plan.RungSSOR,
-			wantIdx:  1,
-		},
-		{
-			// One attempt each on AMG and SSOR, then the Monte-Carlo rung
-			// (no PCG) serves.
-			name:     "indefinite operator on both PCG rungs reaches the random walk",
-			spec:     "solver.pcg:indefinite",
-			wantRung: plan.RungRandomWalk,
-			wantIdx:  2,
-		},
-		{
-			name:     "NaN poisoning surfaces as breakdown and degrades",
-			spec:     "solver.pcg:nan:label=" + plan.RungAMG,
-			wantRung: plan.RungSSOR,
-			wantIdx:  1,
-		},
+		{name: "no faults serves the AMG rung cleanly"},
+		{name: "persistent AMG-solve breakdown exhausts the ladder",
+			spec: "solver.pcg:breakdown:label=" + plan.RungAMG, tried: amgOnly},
+		// A breakdown is not retried: the same deterministic solve would
+		// break down again, so the one the fault spent is the AMG rung's
+		// only attempt.
+		{name: "transient breakdown is not retried",
+			spec: "solver.pcg:breakdown:label=" + plan.RungAMG + ",times=1", tried: amgOnly},
+		{name: "AMG setup failure falls through without retry", spec: "amg.setup:fail", tried: amgOnly},
+		{name: "NaN poisoning surfaces as breakdown and exhausts",
+			spec: "solver.pcg:nan:label=" + plan.RungAMG, tried: amgOnly},
 	}
-	cold := plan.Rungs(0, "", false)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := obs.NewRecorder()
-			ctx := obs.WithRecorder(context.Background(), rec)
-			ctx = withFaults(ctx, tc.spec)
+			ctx := withFaults(obs.WithRecorder(context.Background(), rec), tc.spec)
 			na := &NumericalAnalyzer{Resolution: 24}
 			m, _, _, err := na.AnalyzeCtx(ctx, d)
-			if err != nil {
-				t.Fatalf("AnalyzeCtx: %v", err)
-			}
-			if m == nil || m.Max() <= 0 {
-				t.Fatalf("degraded analysis returned an empty drop map")
-			}
 			man := rec.Manifest("test.ladder", nil)
 			if err := man.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			if len(man.Degradations) != 1 {
-				t.Fatalf("want 1 degradation record, got %+v", man.Degradations)
+			if len(man.Degradations) != 1 || man.Degradations[0].Component != "core.numerical" {
+				t.Fatalf("want one core.numerical degradation record, got %+v", man.Degradations)
 			}
 			deg := man.Degradations[0]
-			if deg.Component != "core.numerical" {
-				t.Errorf("component %q", deg.Component)
-			}
-			if deg.Rung != tc.wantRung || deg.RungIndex != tc.wantIdx {
-				t.Errorf("served by rung %q (index %d), want %q (index %d); attempts: %+v",
-					deg.Rung, deg.RungIndex, tc.wantRung, tc.wantIdx, deg.Attempts)
-			}
-			if deg.Exhausted {
-				t.Errorf("record marked exhausted: %+v", deg)
-			}
-			if len(deg.Attempts) != tc.wantIdx+1 {
-				t.Errorf("want %d attempts, got %+v", tc.wantIdx+1, deg.Attempts)
-			}
-			for i, a := range deg.Attempts[:min(len(deg.Attempts)-1, len(cold))] {
-				if a.Rung != cold[i] || a.Error == "" {
-					t.Errorf("attempt %d should be the failed rung %s: %+v", i, cold[i], a)
+			if tc.tried == nil {
+				if err != nil || m == nil || m.Max() <= 0 {
+					t.Fatalf("AnalyzeCtx: %v, want a drop map", err)
 				}
-			}
-			last := deg.Attempts[len(deg.Attempts)-1]
-			if last.Rung != tc.wantRung || last.Error != "" {
-				t.Errorf("final attempt should be the clean serve: %+v", last)
-			}
-			// The winning solve trace carries the rung label (the
-			// manifest says which backend produced the numbers).
-			found := false
-			for _, s := range man.Solves {
-				if s.Label == tc.wantRung {
-					found = true
+				if deg.Rung != plan.RungAMG || deg.RungIndex != 0 || deg.Exhausted || len(deg.Attempts) != 1 || deg.Attempts[0].Error != "" {
+					t.Errorf("degradation record %+v, want %s served cleanly at index 0", deg, plan.RungAMG)
 				}
+				if len(man.Solves) != 1 || man.Solves[0].Label != plan.RungAMG {
+					t.Errorf("want one solve labeled %q, got %+v", plan.RungAMG, man.Solves)
+				}
+				return
 			}
-			if !found {
-				t.Errorf("no solve labeled %q in %+v", tc.wantRung, man.Solves)
+			if !errors.Is(err, plan.ErrLadderExhausted) || m != nil {
+				t.Fatalf("AnalyzeCtx: map %v, error %v; want no map and %v", m != nil, err, plan.ErrLadderExhausted)
+			}
+			if !deg.Exhausted || deg.Rung != "" || len(deg.Attempts) != len(tc.tried) {
+				t.Fatalf("degradation record %+v, want exhausted after %v", deg, tc.tried)
+			}
+			for i, a := range deg.Attempts {
+				if a.Rung != tc.tried[i] || a.Error == "" {
+					t.Errorf("attempt %d is %+v, want the failed rung %s", i, a, tc.tried[i])
+				}
 			}
 		})
 	}
 }
 
-// TestFusedLadderStructureOnly drives the real core.fused.rough ladder
-// down every rung: with both numerical backends of the fused pipeline
-// failing, the analysis still serves — from structural features alone,
-// with the rough map at zero — and the manifest says so.
-func TestFusedLadderStructureOnly(t *testing.T) {
+// TestFusedLadderExhausted drives the real core.fused.rough ladder into
+// a failure: its one rung, the budgeted rough solve, sees an indefinite
+// operator, so the fused analysis fails with ErrLadderExhausted, before
+// any inference, and the manifest keeps the exhausted record.
+func TestFusedLadderExhausted(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epochs = 1
 	train, _ := tinySet(t, cfg, 2, 0)
@@ -150,22 +104,15 @@ func TestFusedLadderStructureOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := res.Analyzer
-	d, err := pgen.Generate(pgen.DefaultConfig("struct-only", pgen.Fake, 24, 24, 9))
+	d, err := pgen.Generate(pgen.DefaultConfig("exhausted", pgen.Fake, 24, 24, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder()
-	// The budgeted PCG rung sees an indefinite operator; the random walk
-	// honours only "fail".
-	ctx := withFaults(obs.WithRecorder(context.Background(), rec),
-		"solver.pcg:indefinite:label="+plan.RungRough+";solver.pcg:fail:label="+plan.RungRoughRW)
-	m, _, err := a.AnalyzeCtx(ctx, d)
-	if err != nil {
-		t.Fatalf("fused analyze under faults: %v", err)
-	}
-	if m == nil {
-		t.Fatal("no prediction")
+	ctx := withFaults(obs.WithRecorder(context.Background(), rec), "solver.pcg:indefinite:label="+plan.RungRough)
+	m, _, err := res.Analyzer.AnalyzeCtx(ctx, d)
+	if !errors.Is(err, plan.ErrLadderExhausted) || m != nil {
+		t.Fatalf("fused analyze: map %v, error %v; want no map and %v", m != nil, err, plan.ErrLadderExhausted)
 	}
 	man := rec.Manifest("test.fused", nil)
 	if err := man.Validate(); err != nil {
@@ -175,21 +122,8 @@ func TestFusedLadderStructureOnly(t *testing.T) {
 		t.Fatalf("want one degradation record, got %+v", man.Degradations)
 	}
 	deg := man.Degradations[0]
-	if deg.Component != "core.fused.rough" || deg.Rung != plan.RungStructOnly || deg.RungIndex != 2 || len(deg.Attempts) != 3 {
-		t.Fatalf("degradation record %+v, want %s served at index 2 after one attempt on each numerical rung",
-			deg, plan.RungStructOnly)
-	}
-
-	// The sample the prediction was made from carries a zero rough map.
-	opts := a.Config.DatasetOptions()
-	opts.RoughSolver = a.RoughSolver(0)
-	s, err := dataset.BuildInferenceCtx(ctx, d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range s.RoughBottom.Data {
-		if v != 0 { //irfusion:exact structure-only stores literal zeros
-			t.Fatalf("structure-only left a non-zero rough map: %v", v)
-		}
+	if deg.Component != "core.fused.rough" || !deg.Exhausted || len(deg.Attempts) != 1 ||
+		deg.Attempts[0].Rung != plan.RungRough || deg.Attempts[0].Error == "" {
+		t.Fatalf("degradation record %+v, want core.fused.rough exhausted after one failed %s attempt", deg, plan.RungRough)
 	}
 }

@@ -41,10 +41,8 @@ type Options struct {
 	// solve (plan.Rough): it must fill x (length sys.N()) with an
 	// approximate solution of sys.G·x = sys.I, or return an error to
 	// fail the build. core.Analyzer.RoughSolver uses this hook to run
-	// the same solve on a degradation ladder that falls back to cheaper
-	// backends — including a structure-only rung that leaves x zero,
-	// which flows through feature extraction as all-zero numerical
-	// channels (the model's input shape never changes).
+	// the same solve on the fused pipeline's ladder, which records the
+	// serving rung in the manifest.
 	RoughSolver func(ctx context.Context, sys *circuit.System, x []float64) error
 }
 

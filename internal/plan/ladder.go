@@ -7,15 +7,17 @@
 // solve that builds training samples and the one that serves requests
 // are the same code.
 //
-// The ladder: IR-Fusion's premise is tolerance to imprecision — a
-// deliberately rough numerical solve is repaired by the ML stage — so
-// when a solve backend misbehaves the pipeline should *degrade* to a
-// cheaper/stochastic backend, not die. The ladder tries each rung
-// once, in order, and leaves a Degradation record in the run manifest
-// saying exactly how the answer was produced. A failed rung is never
-// tried again: every backend is a deterministic serial function of its
-// input and resets its iterate before it runs, so a second attempt
-// would repeat the first bit for bit.
+// The ladder tries each rung once, in order, and leaves a Degradation
+// record in the run manifest saying exactly how the answer was
+// produced. The rungs ahead of a list's last are the cache's (an exact
+// hit, a resume, a warm start); a failed one falls to the next. The
+// last rung is the one cold backend the request asked for: the rung
+// census (census_test.go) finds no admitted deck that it fails, so no
+// fallback stands behind it, and its failure exhausts the ladder — a
+// 503 carrying the trail when served. A failed rung is never tried
+// again: every backend is a deterministic serial function of its input
+// and resets its iterate before it runs, so a second attempt would
+// repeat the first bit for bit.
 package plan
 
 import (
@@ -31,7 +33,7 @@ import (
 // ladder failed. The serving layer maps it to a structured 503.
 var ErrLadderExhausted = errors.New("plan: degradation ladder exhausted")
 
-// ladderRung is one backend of a degradation ladder.
+// ladderRung is one rung of a degradation ladder.
 type ladderRung struct {
 	name string
 	run  func(ctx context.Context) error
@@ -40,7 +42,7 @@ type ladderRung struct {
 // aborts reports whether a rung failure ends the whole ladder:
 // cancellation and deadlines are the caller's doing, and nothing
 // downstream can help. Every other failure — breakdown, an indefinite
-// operator, AMG setup, a non-walkable matrix — falls to the next rung.
+// operator, AMG setup, a rejected checkpoint — falls to the next rung.
 func aborts(err error) bool {
 	return errors.Is(err, solver.ErrCancelled) ||
 		errors.Is(err, context.Canceled) ||

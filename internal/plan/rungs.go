@@ -3,13 +3,10 @@ package plan
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"time"
 
 	"irfusion/internal/amg"
 	"irfusion/internal/cache"
 	"irfusion/internal/circuit"
-	"irfusion/internal/faults"
 	"irfusion/internal/obs"
 	"irfusion/internal/solver"
 	"irfusion/internal/sparse"
@@ -19,51 +16,49 @@ import (
 // stage, so a manifest's convergence traces say which backend
 // produced them.
 const (
-	RungHit        = "numerical.hit"
-	RungAMG        = "numerical.amg"
-	RungAMGWarm    = "numerical.amg.warm"
-	RungAMGResume  = "numerical.amg.resume"
-	RungSSOR       = "numerical.ssor"
-	RungRandomWalk = "numerical.randomwalk"
-	RungRough      = "rough"
-	RungRoughRW    = "rough.randomwalk"
-	RungStructOnly = "rough.structure-only"
+	RungHit       = "numerical.hit"
+	RungAMG       = "numerical.amg"
+	RungAMGWarm   = "numerical.amg.warm"
+	RungAMGResume = "numerical.amg.resume"
+	RungSSOR      = "numerical.ssor"
+	RungRough     = "rough"
 )
 
 // Rungs is the whole solve policy of the numerical analyzer: the
 // ordered rung names for a request with the given iteration budget
 // (<= 0 converges) and preconditioner, with or without an artifact
-// cache addressing the design.
+// cache addressing the design. Every list ends in exactly one cold
+// rung: the rung census (census_test.go) finds no admitted deck that
+// a cold rung fails, so nothing stands behind it, and a request whose
+// cold rung fails exhausts the ladder.
 //
 // Budgeted solves run cold — their per-iteration progress is the
 // quantity under study in the Fig-7 trade-off, so caching and resuming
-// would corrupt the comparison — and start at the SSOR rung unless the
-// full AMG K-cycle was asked for. Converged solves try the cheapest
-// answer first: an exact cached solution, a checkpoint of this very
-// solve, a warm start off an ECO neighbour — each only if its lookup
-// finds one — then the cold backends, most capable first.
+// would corrupt the comparison — on the SSOR rung unless the full AMG
+// K-cycle was asked for. Converged solves try the cheapest answer
+// first: an exact cached solution, a checkpoint of this very solve, a
+// warm start off an ECO neighbour — each only if its lookup finds one —
+// then cold AMG-PCG.
 func Rungs(iters int, precond string, cached bool) []string {
 	if iters > 0 {
 		if precond != "amg" {
-			return []string{RungSSOR, RungRandomWalk}
+			return []string{RungSSOR}
 		}
-		return []string{RungAMG, RungSSOR, RungRandomWalk}
+		return []string{RungAMG}
 	}
 	var l []string
 	if cached {
 		l = append(l, RungHit, RungAMGResume, RungAMGWarm)
 	}
-	return append(l, RungAMG, RungSSOR, RungRandomWalk)
+	return append(l, RungAMG)
 }
 
 // The fixed rung lists of the other two consumers: dataset's
-// must-converge label solve, which is one cold AMG-PCG rung, and the
-// fused pipeline's rough solve, which always serves — structure-only
-// leaves the rough solution at zero and lets the ML stage work from
-// structural features alone.
+// must-converge label solve and the fused pipeline's rough solve, one
+// cold rung each.
 var (
 	goldenRungs     = []string{RungAMG}
-	fusedRoughRungs = []string{RungRough, RungRoughRW, RungStructOnly}
+	fusedRoughRungs = []string{RungRough}
 )
 
 // cacheStage is the stage name on every cache event of a solve: only
@@ -85,7 +80,6 @@ type solveState struct {
 	res  solver.Result
 	hier *amg.Hierarchy // built for exactly sys.G by a rung of this solve; nil otherwise
 
-	iters        int            // > 0: budgeted solve
 	opts         solver.Options // PCG configuration; an empty Label takes the rung name
 	mustConverge bool           // a cold AMG solve that stops short fails its rung
 
@@ -106,7 +100,7 @@ func newState(ctx context.Context, sys *circuit.System, x []float64, iters int, 
 	if converge {
 		opts = solver.DefaultOptions()
 	}
-	return &solveState{sys: sys, x: x, iters: iters, opts: opts, rec: obs.FromContext(ctx)}
+	return &solveState{sys: sys, x: x, opts: opts, rec: obs.FromContext(ctx)}
 }
 
 // rung is one way of filling st.x. ready (optional) is the rung's cache
@@ -118,19 +112,16 @@ type rung struct {
 }
 
 // rungTable is every backend there is. The budgeted rough solve is the
-// SSOR rung under the fusion pipeline's label, and the random walk
-// serves both ladders — which is what keeps the solve that builds
-// training samples and the one that serves requests the same code.
+// SSOR rung under the fusion pipeline's label — which is what keeps the
+// solve that builds training samples and the one that serves requests
+// the same code.
 var rungTable = map[string]rung{
-	RungHit:        {ready: hitReady, run: hit},
-	RungAMGResume:  {ready: resumeReady, run: resume},
-	RungAMGWarm:    {ready: warmReady, run: warm},
-	RungAMG:        {run: amgCold},
-	RungSSOR:       {run: ssor},
-	RungRough:      {run: ssor},
-	RungRandomWalk: {run: randomWalk},
-	RungRoughRW:    {run: randomWalk},
-	RungStructOnly: {run: structureOnly},
+	RungHit:       {ready: hitReady, run: hit},
+	RungAMGResume: {ready: resumeReady, run: resume},
+	RungAMGWarm:   {ready: warmReady, run: warm},
+	RungAMG:       {run: amgCold},
+	RungSSOR:      {run: ssor},
+	RungRough:     {run: ssor},
 }
 
 // run serves the solve from the named rungs. Lookups come first, in
@@ -313,60 +304,12 @@ func ssor(ctx context.Context, st *solveState, name string) error {
 	return st.pcg(ctx, name, solver.NewSSOR(st.sys.G, 2), false)
 }
 
-// randomWalk is the last numerical rung: the Monte-Carlo solver of
-// Qian/Nassif/Sapatnekar, which needs no preconditioner setup and no
-// Krylov recurrence — it survives faults that break both PCG backends.
-// The estimate is rough by construction; that is exactly the regime
-// the fusion pipeline tolerates. Reported to the run recorder as a
-// solve record (walks as "iterations") under the rung name.
-func randomWalk(ctx context.Context, st *solveState, name string) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w: %w", solver.ErrCancelled, err)
-	}
-	// Fault hook: the walk has no Krylov recurrence to break down, so
-	// of the solver.pcg actions it honors only "fail" — which is how a
-	// chaos spec exhausts a whole ladder (PCG rungs ignore "fail").
-	if f := faults.ActiveOr(ctx).Fire(faults.SitePCG, name); f != nil && f.Action == faults.ActFail {
-		return f.Error()
-	}
-	rw, err := solver.NewRandomWalk(st.sys.G, st.sys.I)
-	if err != nil {
-		return err
-	}
-	sparse.Zero(st.x)
-	// Walks per node scale with the iteration budget (a budgeted
-	// analyzer wants a fast estimate) but stay bounded.
-	walks := 64
-	if st.iters > 0 {
-		walks = min(8*st.iters, 64)
-	}
-	start := time.Now()
-	rw.Solve(st.x, walks, rand.New(rand.NewSource(1)))
-	st.res = solver.Result{Iterations: walks, Residual: solver.RelResidual(st.sys.G, st.x, st.sys.I)}
-	st.rec.RecordSolve(obs.SolveRecord{
-		Label:      name,
-		Iterations: walks,
-		Residual:   st.res.Residual,
-		Seconds:    time.Since(start).Seconds(),
-	})
-	return nil
-}
-
-func structureOnly(ctx context.Context, st *solveState, _ string) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w: %w", solver.ErrCancelled, err)
-	}
-	sparse.Zero(st.x)
-	return nil
-}
-
 // Solve is a numerical analysis request as the solve path sees it.
 type Solve struct {
 	// Iters > 0 is a budgeted rough solve of exactly that many PCG
 	// iterations; <= 0 solves to convergence.
 	Iters int
-	// Precond ("amg" or "ssor") picks the first rung of a budgeted
-	// solve.
+	// Precond ("amg" or "ssor") picks the rung of a budgeted solve.
 	Precond string
 	// Fingerprint yields the design's content address
 	// (cache.DesignFingerprint). It is called only for a solve the
@@ -381,9 +324,9 @@ type Solve struct {
 	OnCheckpoint    func(key string, encoded []byte)
 }
 
-// Numerical solves sys into x on the full ladder chosen by Rungs and
-// returns the serving rung's result. When every rung fails the error
-// wraps ErrLadderExhausted.
+// Numerical solves sys into x on the ladder chosen by Rungs and returns
+// the serving rung's result. When every rung fails the error wraps
+// ErrLadderExhausted.
 func Numerical(ctx context.Context, sys *circuit.System, x []float64, s Solve) (solver.Result, error) {
 	st := newState(ctx, sys, x, s.Iters, s.Iters <= 0)
 	if cc := cache.FromContext(ctx); cc != nil && s.Iters <= 0 {
@@ -422,18 +365,16 @@ func Golden(ctx context.Context, sys *circuit.System, x []float64) error {
 
 // Rough fills x with the fusion pipeline's numerical input — iters
 // SSOR-PCG iterations from a zero guess (paper §III) — as the bare
-// rough rung: no fallbacks, no degradation record. Rough solves always
-// run cold; a warm-started one would shift the model's input
-// distribution.
+// rough rung: no ladder, no degradation record. Rough solves always run
+// cold; a warm-started one would shift the model's input distribution.
 func Rough(ctx context.Context, sys *circuit.System, x []float64, iters int) error {
 	return ssor(ctx, newState(ctx, sys, x, iters, false), RungRough)
 }
 
-// RoughLadder is Rough on the fused pipeline's degradation ladder:
-// the same rung first, the random-walk solver when it fails, and
-// finally structure-only. The ladder always serves, so a fused
-// analysis degrades rather than fails when the numerical backends
-// misbehave.
+// RoughLadder is Rough on the fused pipeline's one-rung ladder: the
+// same solve, with a core.fused.rough record in the manifest. A rough
+// solve that fails exhausts the ladder, and the error wraps
+// ErrLadderExhausted.
 func RoughLadder(ctx context.Context, sys *circuit.System, x []float64, iters int) error {
 	return newState(ctx, sys, x, iters, false).run(ctx, "core.fused.rough", fusedRoughRungs)
 }

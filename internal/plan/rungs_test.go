@@ -16,7 +16,7 @@ import (
 // rung names out. Reading this replaces reading the analyzer to learn
 // the ladder order.
 func TestRungsPolicy(t *testing.T) {
-	cold := []string{RungAMG, RungSSOR, RungRandomWalk}
+	cold := []string{RungAMG}
 	cases := []struct {
 		name    string
 		iters   int
@@ -25,12 +25,11 @@ func TestRungsPolicy(t *testing.T) {
 		want    []string
 	}{
 		{name: "converged, no cache", want: cold},
-		{name: "converged, ssor precond still opens with AMG", precond: "ssor", want: cold},
+		{name: "converged, ssor precond still runs AMG", precond: "ssor", want: cold},
 		{name: "converged, cache", cached: true,
-			want: []string{RungHit, RungAMGResume, RungAMGWarm, RungAMG, RungSSOR, RungRandomWalk}},
-		{name: "budgeted, default precond starts at SSOR", iters: 5,
-			want: []string{RungSSOR, RungRandomWalk}},
-		{name: "budgeted ssor", iters: 5, precond: "ssor", want: []string{RungSSOR, RungRandomWalk}},
+			want: []string{RungHit, RungAMGResume, RungAMGWarm, RungAMG}},
+		{name: "budgeted, default precond runs SSOR", iters: 5, want: []string{RungSSOR}},
+		{name: "budgeted ssor", iters: 5, precond: "ssor", want: []string{RungSSOR}},
 		{name: "budgeted amg", iters: 5, precond: "amg", want: cold},
 		{name: "budgeted solves run cold whatever the cache has on offer",
 			iters: 5, precond: "amg", cached: true, want: cold},

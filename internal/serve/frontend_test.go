@@ -63,6 +63,54 @@ func TestAnalyzeCapacitorOnlyNode400(t *testing.T) {
 	}
 }
 
+// overflowDeck is a generated deck whose first card of the given type
+// letter carries value instead of its own.
+func overflowDeck(t *testing.T, letter, value string) string {
+	t.Helper()
+	lines := strings.Split(genDeck(t, 24, 71), "\n")
+	for i, l := range lines {
+		if strings.HasPrefix(l, letter) {
+			f := strings.Fields(l)
+			f[len(f)-1] = value
+			lines[i] = strings.Join(f, " ")
+			break
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
+// TestAnalyzeNonFiniteValue400: a value that overflows when parsed used
+// to pass admission and reach the solver. A load of 1e308k (+Inf) or a
+// resistor of 1e-300f (conductance +Inf) made a map of NaNs, which the
+// encoder refused after the 200 status line: an empty body. A resistor
+// of 1e308k (conductance 0) is an edge the connectivity walk counted and
+// the matrix did not. Each is a 400 carrying non-finite-value, and
+// nothing is journaled.
+func TestAnalyzeNonFiniteValue400(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{Workers: 1, JournalDir: dir})
+	ts := httptest.NewServer(s.Handler())
+	for _, tc := range []struct{ letter, value string }{{"I", "1e308k"}, {"R", "1e-300f"}, {"R", "1e308k"}} {
+		code, b := post(t, ts, "/v1/analyze", spiceBody(overflowDeck(t, tc.letter, tc.value), ""))
+		var resp struct {
+			Issues []circuit.DeckIssue `json:"issues"`
+		}
+		if err := json.Unmarshal(b, &resp); err != nil || code != http.StatusBadRequest {
+			t.Fatalf("%s %s: status %d (%v), want a 400 with issues: %.200s", tc.letter, tc.value, code, err, b)
+		}
+		if len(resp.Issues) == 0 || resp.Issues[0].Code != circuit.IssueNonFinite {
+			t.Errorf("%s %s: issues %+v, want %s first", tc.letter, tc.value, resp.Issues, circuit.IssueNonFinite)
+		}
+	}
+	ts.Close()
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := journalTypes(t, dir); len(got) != 0 {
+		t.Errorf("a rejected deck was journaled: %v", got)
+	}
+}
+
 // TestFinishedJobReleasesDeck: the registry retains finished jobs
 // (MaxJobs of them), so a finished job must hold neither its request
 // bytes nor its parsed deck — done, failed or cancelled, running or still

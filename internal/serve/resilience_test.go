@@ -16,8 +16,8 @@ import (
 )
 
 // withGlobalFaults installs a process-global fault injector for one
-// test and restores the previous one (the suite may itself be running
-// under an IRFUSION_FAULTS chaos profile).
+// test and restores the previous one (the process may itself be running
+// under an IRFUSION_FAULTS profile).
 func withGlobalFaults(t *testing.T, spec string) {
 	t.Helper()
 	prev := faults.Active()
@@ -25,79 +25,54 @@ func withGlobalFaults(t *testing.T, spec string) {
 	t.Cleanup(func() { faults.SetActive(prev) })
 }
 
-// TestServeDegradesOnAMGSetupFault is the headline acceptance path: an
-// injected AMG setup failure must not fail the request — the ladder
-// falls to SSOR-PCG, the response is a 200, and the manifest records
-// which rung served.
-func TestServeDegradesOnAMGSetupFault(t *testing.T) {
-	withGlobalFaults(t, "amg.setup:fail")
-	_, ts := newTestServer(t, Config{Workers: 1})
-	code, b := post(t, ts, "/v1/analyze", pgenBody(21, 24, ""))
-	if code != http.StatusOK {
-		t.Fatalf("status %d, want 200 despite AMG fault: %s", code, b)
-	}
-	v := decodeJob(t, b)
-	if v.Status != StatusDone {
-		t.Fatalf("status %q, error %q", v.Status, v.Error)
-	}
-	m := v.Result.Manifest
-	if m == nil {
-		t.Fatal("no manifest")
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("manifest invalid: %v", err)
-	}
-	if len(m.Degradations) != 1 {
-		t.Fatalf("degradation records: %+v", m.Degradations)
-	}
-	deg := m.Degradations[0]
-	if deg.Rung != plan.RungSSOR || deg.RungIndex != 1 || deg.Exhausted {
-		t.Errorf("served by %q (index %d, exhausted %v), want %q at index 1",
-			deg.Rung, deg.RungIndex, deg.Exhausted, plan.RungSSOR)
-	}
-	if !deg.Degraded() {
-		t.Error("record does not report degradation")
-	}
-}
-
-// TestServeLadderExhausted503: when every rung of the ladder fails the
-// request must come back as a structured 503 with the Retry-After a
-// full queue sends and the (exhausted) degradation trail in the
-// manifest — never a panic, never a bare 500.
+// TestServeLadderExhausted503: when the one cold rung of a request's
+// ladder fails — AMG setup on a converged solve, an indefinite operator
+// on a budgeted SSOR solve — the request must come back as a structured
+// 503 with the Retry-After a full queue sends and the exhausted
+// one-attempt trail in the manifest — never a 200 from a fallback,
+// never a panic, never a bare 500.
 func TestServeLadderExhausted503(t *testing.T) {
-	// precond=ssor with a budget gives the two-rung ladder
-	// [numerical.ssor, numerical.randomwalk]; the labeled clauses kill
-	// both (the walk honors only the "fail" action).
-	withGlobalFaults(t,
-		"solver.pcg:indefinite:label="+plan.RungSSOR+
-			";solver.pcg:fail:label="+plan.RungRandomWalk)
-	_, ts := newTestServer(t, Config{Workers: 1})
-	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json",
-		strings.NewReader(pgenBody(22, 24, `"iters": 4, "precond": "ssor"`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503: %s", resp.StatusCode, b)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "1" {
-		t.Errorf("Retry-After %q, want %q", got, "1")
-	}
-	v := decodeJob(t, b)
-	if v.Status != StatusFailed || v.ErrorKind != errKindExhausted {
-		t.Fatalf("status %q kind %q, want failed/%s (error %q)", v.Status, v.ErrorKind, errKindExhausted, v.Error)
-	}
-	if v.Result == nil || v.Result.Manifest == nil {
-		t.Fatal("exhausted job lost its manifest")
-	}
-	degs := v.Result.Manifest.Degradations
-	if len(degs) != 1 || !degs[0].Exhausted || len(degs[0].Attempts) != 2 {
-		t.Fatalf("degradation records: %+v", degs)
+	for _, tc := range []struct {
+		name, faults, extra, rung string
+	}{
+		{"converged", "amg.setup:fail", "", plan.RungAMG},
+		{"budgeted ssor", "solver.pcg:indefinite:label=" + plan.RungSSOR, `"iters": 4, "precond": "ssor"`, plan.RungSSOR},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			withGlobalFaults(t, tc.faults)
+			_, ts := newTestServer(t, Config{Workers: 1})
+			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(pgenBody(22, 24, tc.extra)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("status %d, want 503: %s", resp.StatusCode, b)
+			}
+			if got := resp.Header.Get("Retry-After"); got != "1" {
+				t.Errorf("Retry-After %q, want %q", got, "1")
+			}
+			v := decodeJob(t, b)
+			if v.Status != StatusFailed || v.ErrorKind != errKindExhausted {
+				t.Fatalf("status %q kind %q, want failed/%s (error %q)", v.Status, v.ErrorKind, errKindExhausted, v.Error)
+			}
+			if v.Result == nil || v.Result.Manifest == nil {
+				t.Fatal("exhausted job lost its manifest")
+			}
+			m := v.Result.Manifest
+			if err := m.Validate(); err != nil {
+				t.Fatalf("manifest invalid: %v", err)
+			}
+			degs := m.Degradations
+			if len(degs) != 1 || !degs[0].Exhausted || len(degs[0].Attempts) != 1 ||
+				degs[0].Attempts[0].Rung != tc.rung || degs[0].Attempts[0].Error == "" {
+				t.Fatalf("degradation records %+v, want one exhausted after a failed %s attempt", degs, tc.rung)
+			}
+		})
 	}
 }
 

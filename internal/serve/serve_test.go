@@ -150,8 +150,7 @@ func TestAnalyzeSyncNumerical(t *testing.T) {
 	}
 	// The solve ran on the degradation ladder: the manifest must carry
 	// at least one numerical-rung solve and exactly one degradation
-	// record naming the rung that served. (Deliberately tolerant of an
-	// injected mid-ladder fault, so chaos runs of this suite pass.)
+	// record naming the rung that served.
 	if len(r.Manifest.Solves) == 0 {
 		t.Fatal("no solves in manifest")
 	}
