@@ -52,16 +52,12 @@ func runFig6(e *env_, outDir string) error {
 	log.Printf("(c) IR-Fusion  MAE=%.3g  F1=%.2f\n%s",
 		metrics.MAE(predF, golden), metrics.F1(predF, golden), predF.ASCII(48))
 
-	f, err := os.Create(filepath.Join(outDir, "fig6_metrics.csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fprintRow(f, "method", "mae_1e-4V", "f1", "mirde_1e-4V")
+	var tab table
+	tab.row("method", "mae_1e-4V", "f1", "mirde_1e-4V")
 	for name, p := range map[string]*grid.Map{"maunet": predM, "irfusion": predF} {
-		fprintRow(f, name, fmt.Sprintf("%.3f", metrics.MAE(p, golden)*1e4),
+		tab.row(name, fmt.Sprintf("%.3f", metrics.MAE(p, golden)*1e4),
 			fmt.Sprintf("%.3f", metrics.F1(p, golden)),
 			fmt.Sprintf("%.3f", metrics.MIRDE(p, golden)*1e4))
 	}
-	return nil
+	return tab.write(outDir, "fig6_metrics")
 }

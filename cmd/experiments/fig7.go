@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 
 	"irfusion/internal/core"
 	"irfusion/internal/metrics"
@@ -20,12 +18,8 @@ func runFig7(e *env_, outDir string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(outDir, "fig7.csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fprintRow(f, "iters", "numerical_mae_1e-4V", "numerical_f1", "fusion_mae_1e-4V", "fusion_f1",
+	var tab table
+	tab.row("iters", "numerical_mae_1e-4V", "numerical_f1", "fusion_mae_1e-4V", "fusion_f1",
 		"numerical_runtime_s", "fusion_runtime_s")
 
 	log.Printf("%5s %16s %14s %16s %12s", "iters", "PowerRush MAE", "PowerRush F1", "IR-Fusion MAE", "IR-Fusion F1")
@@ -57,7 +51,7 @@ func runFig7(e *env_, outDir string) error {
 		curve = append(curve, point{numAvg.MAE, numAvg.F1, fusAvg.MAE, fusAvg.F1})
 		log.Printf("%5d %16.2f %14.2f %16.2f %12.2f",
 			k, numAvg.MAE*1e4, numAvg.F1, fusAvg.MAE*1e4, fusAvg.F1)
-		fprintRow(f, k, fmt.Sprintf("%.3f", numAvg.MAE*1e4), fmt.Sprintf("%.3f", numAvg.F1),
+		tab.row(k, fmt.Sprintf("%.3f", numAvg.MAE*1e4), fmt.Sprintf("%.3f", numAvg.F1),
 			fmt.Sprintf("%.3f", fusAvg.MAE*1e4), fmt.Sprintf("%.3f", fusAvg.F1),
 			fmt.Sprintf("%.4f", numAvg.Runtime), fmt.Sprintf("%.4f", fusAvg.Runtime))
 	}
@@ -86,5 +80,5 @@ func runFig7(e *env_, outDir string) error {
 		log.Printf("shape check: numerical never reaches fusion@2 MAE (%.3g) within 10 iterations",
 			curve[1].fusMAE)
 	}
-	return nil
+	return tab.write(outDir, "fig7")
 }

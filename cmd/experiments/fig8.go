@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 
 	"irfusion/internal/core"
 	"irfusion/internal/metrics"
@@ -33,12 +31,8 @@ var ablations = []ablation{
 // technique removed and report the MAE increase and F1 decrease
 // ratios relative to the full model.
 func runFig8(e *env_, outDir string) error {
-	f, err := os.Create(filepath.Join(outDir, "fig8.csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fprintRow(f, "variant", "mae_1e-4V", "f1", "mae_increase_pct", "f1_decrease_pct")
+	var tab table
+	tab.row("variant", "mae_1e-4V", "f1", "mae_increase_pct", "f1_decrease_pct")
 
 	var fullRep metrics.Report
 	log.Printf("%-18s %10s %6s %10s %10s", "Variant", "MAE(1e-4V)", "F1", "ΔMAE(%)", "ΔF1(%)")
@@ -76,8 +70,8 @@ func runFig8(e *env_, outDir string) error {
 			dF1 = (fullRep.F1 - avg.F1) / fullRep.F1 * 100
 		}
 		log.Printf("%-18s %10.2f %6.2f %+10.1f %+10.1f", ab.label, avg.MAE*1e4, avg.F1, dMAE, dF1)
-		fprintRow(f, ab.label, fmt.Sprintf("%.3f", avg.MAE*1e4), fmt.Sprintf("%.3f", avg.F1),
+		tab.row(ab.label, fmt.Sprintf("%.3f", avg.MAE*1e4), fmt.Sprintf("%.3f", avg.F1),
 			fmt.Sprintf("%.1f", dMAE), fmt.Sprintf("%.1f", dF1))
 	}
-	return nil
+	return tab.write(outDir, "fig8")
 }

@@ -8,7 +8,8 @@
 //	-exp all      everything above, reusing trained models
 //
 // Modes: -mode quick (CI-sized, ~1 min) or -mode full (the default
-// experiment scale). CSVs and PGM images land in -out.
+// experiment scale). CSVs, their markdown tables (table1.md,
+// fig6_metrics.md, fig7.md, fig8.md) and PGM images land in -out.
 package main
 
 import (
@@ -18,6 +19,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"irfusion/internal/obs"
@@ -152,12 +154,57 @@ func scaleFor(mode string) scale {
 	}
 }
 
-func fprintRow(w *os.File, cols ...interface{}) {
+// table is one experiment's rows, header first. write stores them as
+// name.csv and, beside it, as the markdown table name.md.
+type table [][]string
+
+func (t *table) row(cols ...any) {
+	r := make([]string, len(cols))
 	for i, c := range cols {
-		if i > 0 {
-			fmt.Fprint(w, ",")
-		}
-		fmt.Fprintf(w, "%v", c)
+		r[i] = fmt.Sprint(c)
 	}
-	fmt.Fprintln(w)
+	*t = append(*t, r)
+}
+
+func (t table) write(dir, name string) error {
+	var csv strings.Builder
+	for _, r := range t {
+		csv.WriteString(strings.Join(r, ",") + "\n")
+	}
+	if err := os.WriteFile(filepath.Join(dir, name+".csv"), []byte(csv.String()), 0o644); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(dir, name+".md"), []byte(t.markdown()), 0o644)
+}
+
+// markdown renders the table for EXPERIMENTS.md: a column whose every
+// data cell looks numeric is right-aligned.
+func (t table) markdown() string {
+	var b strings.Builder
+	line := func(cells []string) { b.WriteString("| " + strings.Join(cells, " | ") + " |\n") }
+	line(t[0])
+	b.WriteString("|")
+	for c := range t[0] {
+		numeric := len(t) > 1
+		for _, r := range t[1:] {
+			numeric = numeric && looksNumeric(r[c])
+		}
+		if numeric {
+			b.WriteString("---:|")
+		} else {
+			b.WriteString("---|")
+		}
+	}
+	b.WriteString("\n")
+	for _, r := range t[1:] {
+		line(r)
+	}
+	return b.String()
+}
+
+// looksNumeric reports whether a cell is a number (it right-aligns its
+// column).
+func looksNumeric(s string) bool {
+	_, err := strconv.ParseFloat(s, 64)
+	return err == nil
 }

@@ -59,3 +59,31 @@ func TestAblationListCoversFig8(t *testing.T) {
 		t.Error("architecture ablations must not rebuild data")
 	}
 }
+
+func TestTableMarkdown(t *testing.T) {
+	var tab table
+	tab.row("method", "mae", "f1")
+	tab.row("IREDGe", 17.392, "0.108")
+	tab.row("IR-Fusion", "15.704", 0.186)
+	want := "| method | mae | f1 |\n|---|---:|---:|\n| IREDGe | 17.392 | 0.108 |\n| IR-Fusion | 15.704 | 0.186 |\n"
+	if got := tab.markdown(); got != want {
+		t.Errorf("markdown:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func TestLooksNumeric(t *testing.T) {
+	for s, want := range map[string]bool{
+		"1":     true,
+		"-2.5":  true,
+		"+3":    true,
+		"1.2.3": false,
+		"12e3":  true,
+		"abc":   false,
+		"":      false,
+		"1-2":   false,
+	} {
+		if looksNumeric(s) != want {
+			t.Errorf("looksNumeric(%q) = %v, want %v", s, !want, want)
+		}
+	}
+}

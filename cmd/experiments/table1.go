@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 
 	"irfusion/internal/metrics"
 )
@@ -25,12 +23,8 @@ var table1Order = []struct {
 // runTable1 trains every model and prints the main-results table:
 // MAE, F1, Runtime, MIRDE averaged over the real test designs.
 func runTable1(e *env_, outDir string) error {
-	f, err := os.Create(filepath.Join(outDir, "table1.csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fprintRow(f, "method", "mae_1e-4V", "f1", "runtime_s", "mirde_1e-4V", "cc")
+	var tab table
+	tab.row("method", "mae_1e-4V", "f1", "runtime_s", "mirde_1e-4V", "cc")
 
 	log.Printf("%-18s %10s %6s %10s %12s %6s", "Methods", "MAE(1e-4V)", "F1", "Runtime(s)", "MIRDE(1e-4V)", "CC")
 	results := map[string]metrics.Report{}
@@ -43,7 +37,7 @@ func runTable1(e *env_, outDir string) error {
 		results[row.key] = avg
 		log.Printf("%-18s %10.2f %6.2f %10.3f %12.2f %6.3f",
 			row.label, avg.MAE*1e4, avg.F1, avg.Runtime, avg.MIRDE*1e4, avg.CC)
-		fprintRow(f, row.label, fmt.Sprintf("%.3f", avg.MAE*1e4), fmt.Sprintf("%.3f", avg.F1),
+		tab.row(row.label, fmt.Sprintf("%.3f", avg.MAE*1e4), fmt.Sprintf("%.3f", avg.F1),
 			fmt.Sprintf("%.4f", avg.Runtime), fmt.Sprintf("%.3f", avg.MIRDE*1e4), fmt.Sprintf("%.3f", avg.CC))
 	}
 
@@ -64,5 +58,5 @@ func runTable1(e *env_, outDir string) error {
 	}
 	log.Printf("shape check: IR-Fusion MAE %.3g vs best baseline %.3g (want lower); F1 %.2f vs %.2f (want higher)",
 		ours.MAE, bestBaselineMAE, ours.F1, bestBaselineF1)
-	return nil
+	return tab.write(outDir, "table1")
 }

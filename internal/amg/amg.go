@@ -160,14 +160,14 @@ func (h *Hierarchy) accelerated(level int) bool {
 	return h.opts.Cycle == KCycle && level <= kDepth && level < len(h.Levels)-1
 }
 
-// ErrEmptyMatrix is returned when Build receives a 0×0 matrix.
-var ErrEmptyMatrix = errors.New("amg: empty matrix")
+// errEmptyMatrix is returned when Build receives a 0×0 matrix.
+var errEmptyMatrix = errors.New("amg: empty matrix")
 
-// ErrSetup wraps every hierarchy-construction failure (including
+// errSetup wraps every hierarchy-construction failure (including
 // injected ones), so callers can classify "the AMG backend is
 // unavailable" with errors.Is (see the degradation ladder in
 // internal/plan).
-var ErrSetup = errors.New("amg: setup failed")
+var errSetup = errors.New("amg: setup failed")
 
 // Build runs the setup stage: recursive pairwise aggregation and
 // Galerkin coarse-operator construction, stopping at MaxCoarse where
@@ -179,7 +179,7 @@ func Build(a *sparse.CSR, opts Options) (*Hierarchy, error) {
 // BuildCtx is Build with context plumbing for the fault-injection
 // harness and cooperative cancellation: an injector resolved from ctx
 // (or the process-global one) may fail the setup on demand (site
-// faults.SiteAMGSetup), which surfaces as an error wrapping ErrSetup
+// faults.SiteAMGSetup), which surfaces as an error wrapping errSetup
 // exactly like a real construction failure would, and the coarsening
 // loop checks ctx between levels so a cancelled request does not pay
 // for a full setup. The recorder is the one bound to ctx, so
@@ -188,10 +188,10 @@ func BuildCtx(ctx context.Context, a *sparse.CSR, opts Options) (*Hierarchy, err
 	st := obs.FromContext(ctx).StartStage("amg.setup")
 	defer st.End()
 	if f := faults.ActiveOr(ctx).Fire(faults.SiteAMGSetup, ""); f != nil && f.Action == faults.ActFail {
-		return nil, fmt.Errorf("%w: %w", ErrSetup, f.Error())
+		return nil, fmt.Errorf("%w: %w", errSetup, f.Error())
 	}
 	if a.Rows() == 0 {
-		return nil, ErrEmptyMatrix
+		return nil, errEmptyMatrix
 	}
 	if a.Rows() != a.Cols() {
 		return nil, errors.New("amg: matrix must be square")
@@ -213,7 +213,7 @@ func BuildCtx(ctx context.Context, a *sparse.CSR, opts Options) (*Hierarchy, err
 		}
 		dpos, err := diagPositions(cur)
 		if err != nil {
-			return nil, fmt.Errorf("%w: level %d: %w", ErrSetup, len(h.Levels), err)
+			return nil, fmt.Errorf("%w: level %d: %w", errSetup, len(h.Levels), err)
 		}
 		lvl := &Level{A: cur, dpos: dpos}
 		h.Levels = append(h.Levels, lvl)
@@ -233,7 +233,7 @@ func BuildCtx(ctx context.Context, a *sparse.CSR, opts Options) (*Hierarchy, err
 	last := h.Levels[len(h.Levels)-1].A
 	chol, err := sparse.NewDenseCholesky(last.Dense(), last.Rows())
 	if err != nil {
-		return nil, fmt.Errorf("%w: coarsest-level factorization: %w", ErrSetup, err)
+		return nil, fmt.Errorf("%w: coarsest-level factorization: %w", errSetup, err)
 	}
 	h.coarse = chol
 	h.allocWorkspace()

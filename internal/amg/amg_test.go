@@ -388,8 +388,8 @@ func TestBuildRejectsMissingDiagonal(t *testing.T) {
 	tr.Add(1, 2, -1)
 	tr.Add(2, 1, -1)
 	tr.Add(2, 2, 2)
-	if _, err := Build(tr.ToCSR(), DefaultOptions()); !errors.Is(err, ErrSetup) {
-		t.Errorf("Build on a row without a diagonal: %v, want ErrSetup", err)
+	if _, err := Build(tr.ToCSR(), DefaultOptions()); !errors.Is(err, errSetup) {
+		t.Errorf("Build on a row without a diagonal: %v, want errSetup", err)
 	}
 }
 

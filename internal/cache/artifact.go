@@ -45,10 +45,10 @@ type SystemArtifact struct {
 	Hier        *amg.Hierarchy // nil when the solve warm-started off a neighbor
 }
 
-// SizeBytes estimates the artifact's memory footprint for the cache's
+// sizeBytes estimates the artifact's memory footprint for the cache's
 // byte accounting: matrix storage, the dense vectors, and the
 // hierarchy's operator chain (approximated via operator complexity).
-func (a *SystemArtifact) SizeBytes() int64 {
+func (a *SystemArtifact) sizeBytes() int64 {
 	if a == nil {
 		return 0
 	}
@@ -67,10 +67,10 @@ func (a *SystemArtifact) SizeBytes() int64 {
 // fp.
 func SystemKey(fp string) string { return "sys|" + fp }
 
-// SystemTag groups system artifacts of the same reduced dimension, so
+// systemTag groups system artifacts of the same reduced dimension, so
 // a neighbor search only delta-checks matrices that could possibly be
 // close.
-func SystemTag(n int) string { return "sys|n=" + strconv.Itoa(n) }
+func systemTag(n int) string { return "sys|n=" + strconv.Itoa(n) }
 
 // Delta returns the fraction of matrix entries at which a and b
 // differ — structurally (an entry stored in one but not the other) or
@@ -119,7 +119,7 @@ func StoreSystem(ctx context.Context, c *Cache, stage string, art *SystemArtifac
 	if c == nil || art == nil || art.Fingerprint == "" {
 		return
 	}
-	c.Put(SystemKey(art.Fingerprint), art, art.SizeBytes(), SystemTag(art.N))
+	c.Put(SystemKey(art.Fingerprint), art, art.sizeBytes(), systemTag(art.N))
 	obs.FromContext(ctx).RecordCacheEvent(obs.CacheEvent{
 		Stage: stage, Outcome: obs.CacheStore, Key: ShortKey(art.Fingerprint),
 	})
@@ -190,7 +190,7 @@ func FindWarmStart(ctx context.Context, c *Cache, g *sparse.CSR, maxDelta float6
 	// Snapshot candidates under the cache lock, delta-check outside it:
 	// the merge walks are O(nnz) each and must not serialize workers.
 	var cands []*SystemArtifact
-	c.ScanTag(SystemTag(g.Rows()), warmScanLimit, func(_ string, v any) bool {
+	c.scanTag(systemTag(g.Rows()), warmScanLimit, func(_ string, v any) bool {
 		if art, ok := v.(*SystemArtifact); ok && art.Hier != nil && len(art.Golden) > 0 {
 			cands = append(cands, art)
 		}

@@ -51,8 +51,8 @@ var (
 // Default sizing used by NewFromEnv when the environment does not say
 // otherwise.
 const (
-	DefaultMaxBytes = 256 << 20 // 256 MiB
-	DefaultTTL      = time.Hour
+	defaultMaxBytes = 256 << 20 // 256 MiB
+	defaultTTL      = time.Hour
 )
 
 // Cache is a size-bounded LRU + TTL store of content-addressed
@@ -82,14 +82,14 @@ type entry struct {
 }
 
 // New returns a cache bounded to maxBytes of accounted artifact size
-// (<= 0 means DefaultMaxBytes) whose entries expire ttl after their
-// store (<= 0 means DefaultTTL).
+// (<= 0 means defaultMaxBytes) whose entries expire ttl after their
+// store (<= 0 means defaultTTL).
 func New(maxBytes int64, ttl time.Duration) *Cache {
 	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBytes
+		maxBytes = defaultMaxBytes
 	}
 	if ttl <= 0 {
-		ttl = DefaultTTL
+		ttl = defaultTTL
 	}
 	return &Cache{
 		maxBytes: maxBytes,
@@ -149,7 +149,7 @@ func (c *Cache) Get(key string) (any, bool) {
 
 // Put stores value under key, accounting bytes toward the size bound
 // and evicting least-recently-used entries until the cache fits. The
-// tag groups comparable entries for ScanTag (neighbor search). A
+// tag groups comparable entries for scanTag (neighbor search). A
 // value larger than the whole bound is still admitted — it simply
 // evicts everything else and will be the next victim.
 func (c *Cache) Put(key string, value any, bytes int64, tag string) {
@@ -192,12 +192,12 @@ func (c *Cache) Drop(key string) {
 	}
 }
 
-// ScanTag visits live entries carrying tag in most-recently-used
+// scanTag visits live entries carrying tag in most-recently-used
 // order, calling fn until it returns false or limit matches were
 // seen (limit <= 0 means unlimited). The callback runs under the
 // cache lock, so it must be cheap and must not call back into the
 // cache; copy what you need and compute outside.
-func (c *Cache) ScanTag(tag string, limit int, fn func(key string, value any) bool) {
+func (c *Cache) scanTag(tag string, limit int, fn func(key string, value any) bool) {
 	if c == nil {
 		return
 	}

@@ -133,37 +133,37 @@ func TestCacheScanTag(t *testing.T) {
 	c.Put("d", 4, 10, "x")
 
 	var keys []string
-	c.ScanTag("x", 0, func(k string, _ any) bool {
+	c.scanTag("x", 0, func(k string, _ any) bool {
 		keys = append(keys, k)
 		return true
 	})
 	// MRU order: most recent Put first, tag "y" skipped.
 	if fmt.Sprint(keys) != "[d c a]" {
-		t.Fatalf("ScanTag order = %v, want [d c a]", keys)
+		t.Fatalf("scanTag order = %v, want [d c a]", keys)
 	}
 
 	keys = nil
-	c.ScanTag("x", 2, func(k string, _ any) bool {
+	c.scanTag("x", 2, func(k string, _ any) bool {
 		keys = append(keys, k)
 		return true
 	})
 	if len(keys) != 2 {
-		t.Fatalf("ScanTag limit=2 visited %v", keys)
+		t.Fatalf("scanTag limit=2 visited %v", keys)
 	}
 
 	keys = nil
-	c.ScanTag("x", 0, func(k string, _ any) bool {
+	c.scanTag("x", 0, func(k string, _ any) bool {
 		keys = append(keys, k)
 		return false
 	})
 	if len(keys) != 1 {
-		t.Fatalf("ScanTag early-stop visited %v", keys)
+		t.Fatalf("scanTag early-stop visited %v", keys)
 	}
 
 	// Expired entries are collected during the scan, not visited.
 	clk.advance(2 * time.Minute)
 	visited := 0
-	c.ScanTag("x", 0, func(string, any) bool { visited++; return true })
+	c.scanTag("x", 0, func(string, any) bool { visited++; return true })
 	if visited != 0 || c.Len() != 1 { // only the "y" entry remains un-collected
 		t.Fatalf("after expiry: visited=%d len=%d", visited, c.Len())
 	}
@@ -176,7 +176,7 @@ func TestCacheNilSafety(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	c.Drop("a")
-	c.ScanTag("t", 0, func(string, any) bool { t.Fatal("nil cache scanned"); return false })
+	c.scanTag("t", 0, func(string, any) bool { t.Fatal("nil cache scanned"); return false })
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil stats = %+v", st)
 	}
@@ -208,7 +208,7 @@ func TestNewFromEnv(t *testing.T) {
 	t.Setenv("IRFUSION_CACHE_BYTES", "not-a-number")
 	t.Setenv("IRFUSION_CACHE_TTL", "")
 	c = NewFromEnv()
-	if c.maxBytes != DefaultMaxBytes || c.ttl != DefaultTTL {
+	if c.maxBytes != defaultMaxBytes || c.ttl != defaultTTL {
 		t.Fatalf("NewFromEnv fallback: maxBytes=%d ttl=%v", c.maxBytes, c.ttl)
 	}
 }
@@ -235,7 +235,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 				case 2:
 					c.Get(key)
 				case 3:
-					c.ScanTag("churn", 4, func(string, any) bool { return true })
+					c.scanTag("churn", 4, func(string, any) bool { return true })
 				case 4:
 					if i%17 == 0 {
 						c.Drop(key)

@@ -38,7 +38,7 @@ type CheckpointArtifact struct {
 	State       solver.Checkpoint
 }
 
-// SizeBytes estimates the artifact's cache footprint.
+// sizeBytes estimates the artifact's cache footprint.
 func (a *CheckpointArtifact) SizeBytes() int64 {
 	if a == nil {
 		return 0

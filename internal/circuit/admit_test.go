@@ -109,7 +109,7 @@ func refValidate(nl *spice.Netlist) error {
 		issues = append(issues, DeckIssue{Code: code, Element: element, Node: node, Detail: detail})
 	}
 	if len(nl.Elements) == 0 {
-		add(IssueNoElements, "", "", "deck has no elements")
+		add(issueNoElements, "", "", "deck has no elements")
 		return &DeckError{Issues: issues}
 	}
 
@@ -144,7 +144,7 @@ func refValidate(nl *spice.Netlist) error {
 				bad = true
 			}
 			if e.Value <= 0 {
-				add(IssueBadResistance, e.Name, "", fmt.Sprintf("resistor %s has non-positive value %g", e.Name, e.Value))
+				add(issueBadResistance, e.Name, "", fmt.Sprintf("resistor %s has non-positive value %g", e.Name, e.Value))
 				bad = true
 			}
 			if bad {
@@ -156,7 +156,7 @@ func refValidate(nl *spice.Netlist) error {
 			}
 		case spice.CurrentSource:
 			if _, err := refGndPartner(e); err != nil {
-				add(IssueUngroundedSrc, e.Name, "", fmt.Sprintf("current source %s must connect one node to ground", e.Name))
+				add(issueUngroundedSrc, e.Name, "", fmt.Sprintf("current source %s must connect one node to ground", e.Name))
 				continue
 			}
 			node, _ := refGndPartner(e)
@@ -164,32 +164,32 @@ func refValidate(nl *spice.Netlist) error {
 		case spice.VoltageSource:
 			node, err := refGndPartner(e)
 			if err != nil {
-				add(IssueUngroundedSrc, e.Name, "", fmt.Sprintf("voltage source %s must connect one node to ground", e.Name))
+				add(issueUngroundedSrc, e.Name, "", fmt.Sprintf("voltage source %s must connect one node to ground", e.Name))
 				continue
 			}
 			if e.Value <= 0 {
-				add(IssueZeroPad, e.Name, node, fmt.Sprintf("pad %s at non-positive voltage %g", e.Name, e.Value))
+				add(issueZeroPad, e.Name, node, fmt.Sprintf("pad %s at non-positive voltage %g", e.Name, e.Value))
 				continue
 			}
 			padNodes = append(padNodes, intern(node))
 			padVolts = append(padVolts, e.Value)
 		case spice.Capacitor:
 			if e.Value < 0 {
-				add(IssueNegativeCap, e.Name, "", fmt.Sprintf("capacitor %s has negative value %g", e.Name, e.Value))
+				add(issueNegativeCap, e.Name, "", fmt.Sprintf("capacitor %s has negative value %g", e.Name, e.Value))
 			}
 			if e.NodeA == spice.Ground && e.NodeB == spice.Ground {
-				add(IssueShortedCap, e.Name, "", fmt.Sprintf("capacitor %s shorted to ground", e.Name))
+				add(issueShortedCap, e.Name, "", fmt.Sprintf("capacitor %s shorted to ground", e.Name))
 			}
 		}
 	}
 
 	if len(padNodes) == 0 {
-		add(IssueNoPads, "", "", "deck has no power pads (grounded voltage sources at positive voltage)")
+		add(issueNoPads, "", "", "deck has no power pads (grounded voltage sources at positive voltage)")
 	} else {
 		vdd := padVolts[0]
 		for i, v := range padVolts[1:] {
 			if v != vdd { //irfusion:exact pads must be stamped with bit-identical supply voltages; any difference is a netlist authoring error
-				add(IssuePadMismatch, "", nodes[padNodes[i+1]],
+				add(issuePadMismatch, "", nodes[padNodes[i+1]],
 					fmt.Sprintf("pads at different voltages (%g vs %g)", v, vdd))
 				break
 			}
@@ -419,7 +419,7 @@ func TestAdmitDifferential(t *testing.T) {
 				t.Fatalf("reference flags the deck: %v", err)
 			}
 			ref, _ := refFromNetlist(row.nl)
-			if _, err := ref.Assemble(); !errors.Is(err, ErrFloatingNodes) {
+			if _, err := ref.Assemble(); !errors.Is(err, errFloatingNodes) {
 				t.Fatalf("reference network assembles: %v", err)
 			}
 			_, err := Admit(row.nl)

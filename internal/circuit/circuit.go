@@ -175,16 +175,16 @@ type System struct {
 	VDD     float64 // pad voltage (all pads must agree)
 }
 
-// ErrFloatingNodes indicates nodes with no resistive path to any pad.
-var ErrFloatingNodes = errors.New("circuit: network has nodes with no path to a power pad")
+// errFloatingNodes indicates nodes with no resistive path to any pad.
+var errFloatingNodes = errors.New("circuit: network has nodes with no path to a power pad")
 
-// ErrNoPads indicates the deck has no voltage sources.
-var ErrNoPads = errors.New("circuit: network has no power pads")
+// errNoPads indicates the deck has no voltage sources.
+var errNoPads = errors.New("circuit: network has no power pads")
 
 // Assemble stamps and reduces the MNA system.
 func (nw *Network) Assemble() (*System, error) {
 	if len(nw.Pads) == 0 {
-		return nil, ErrNoPads
+		return nil, errNoPads
 	}
 	n := nw.NumNodes()
 	isPad := make([]bool, n)
@@ -209,7 +209,7 @@ func (nw *Network) Assemble() (*System, error) {
 
 	for i, ok := range nw.reachable() {
 		if !ok {
-			return nil, fmt.Errorf("%w: e.g. node %s", ErrFloatingNodes, nw.NodeList[i])
+			return nil, fmt.Errorf("%w: e.g. node %s", errFloatingNodes, nw.NodeList[i])
 		}
 	}
 

@@ -110,8 +110,8 @@ func TestLayers(t *testing.T) {
 
 func TestNoPadsError(t *testing.T) {
 	nw := mustNetwork(t, "R1 n1_m1_0_0 n1_m1_1_0 1\nI1 n1_m1_1_0 0 0.1\n.end\n")
-	if _, err := nw.Assemble(); !errors.Is(err, ErrNoPads) {
-		t.Errorf("err = %v, want ErrNoPads", err)
+	if _, err := nw.Assemble(); !errors.Is(err, errNoPads) {
+		t.Errorf("err = %v, want errNoPads", err)
 	}
 }
 
@@ -123,8 +123,8 @@ I1 n1_m1_6_5 0 0.1
 .end
 `
 	nw := mustNetwork(t, deck)
-	if _, err := nw.Assemble(); !errors.Is(err, ErrFloatingNodes) {
-		t.Errorf("err = %v, want ErrFloatingNodes", err)
+	if _, err := nw.Assemble(); !errors.Is(err, errFloatingNodes) {
+		t.Errorf("err = %v, want errFloatingNodes", err)
 	}
 }
 

@@ -7,12 +7,12 @@ import (
 	"irfusion/internal/spice"
 )
 
-// SplitNets partitions a deck by power net (the n<id> prefix of the
+// splitNets partitions a deck by power net (the n<id> prefix of the
 // node naming convention), enabling dual-rail analysis: the VDD net
 // solves for IR drop, the VSS/ground net for ground bounce — each an
 // independent SPD system. Cards bridging two nets are rejected;
 // ground-terminated cards join their node's net.
-func SplitNets(nl *spice.Netlist) (map[int]*spice.Netlist, error) {
+func splitNets(nl *spice.Netlist) (map[int]*spice.Netlist, error) {
 	nets := map[int]*spice.Netlist{}
 	get := func(id int) *spice.Netlist {
 		if n, ok := nets[id]; ok {
@@ -62,7 +62,7 @@ func SplitNets(nl *spice.Netlist) (map[int]*spice.Netlist, error) {
 // cards) are skipped with their ids reported in the second return —
 // signal or clock nets sometimes ride along in PG decks.
 func AnalyzeNets(nl *spice.Netlist) (map[int]*System, []int, error) {
-	nets, err := SplitNets(nl)
+	nets, err := splitNets(nl)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -26,7 +26,7 @@ func TestSplitNets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets, err := SplitNets(nl)
+	nets, err := splitNets(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSplitNetsRejectsBridges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SplitNets(nl); err == nil {
+	if _, err := splitNets(nl); err == nil {
 		t.Error("expected bridge error")
 	}
 }
@@ -105,7 +105,7 @@ func TestSplitNetsRejectsUnparseable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SplitNets(nl); err == nil {
+	if _, err := splitNets(nl); err == nil {
 		t.Error("expected parse error for non-conventional node name")
 	}
 }
@@ -115,7 +115,7 @@ func TestSplitNetsGeneratedDesignSingleNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets, err := SplitNets(nl)
+	nets, err := splitNets(nl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,14 +40,14 @@ type Transient struct {
 	t    float64
 }
 
-// ErrNoTimeStep indicates a non-positive step size.
-var ErrNoTimeStep = errors.New("circuit: transient step size must be positive")
+// errNoTimeStep indicates a non-positive step size.
+var errNoTimeStep = errors.New("circuit: transient step size must be positive")
 
 // NewTransient prepares a backward-Euler integrator with step h
 // seconds, starting from the zero-drop (fully charged) state.
 func NewTransient(sys *System, h float64) (*Transient, error) {
 	if h <= 0 {
-		return nil, ErrNoTimeStep
+		return nil, errNoTimeStep
 	}
 	nw := sys.Network
 	m := sys.N()

@@ -190,8 +190,8 @@ I1 n1_m1_2_0 0 0.01
 
 func TestTransientErrors(t *testing.T) {
 	_, sys := transientSystem(t, rcDeck)
-	if _, err := NewTransient(sys, 0); err != ErrNoTimeStep {
-		t.Errorf("err = %v, want ErrNoTimeStep", err)
+	if _, err := NewTransient(sys, 0); err != errNoTimeStep {
+		t.Errorf("err = %v, want errNoTimeStep", err)
 	}
 	tr, err := NewTransient(sys, 1e-4)
 	if err != nil {

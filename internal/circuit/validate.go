@@ -18,16 +18,16 @@ import (
 
 // Deck-issue codes. Stable strings — clients and tests match on them.
 const (
-	IssueNoPads         = "no-pads"
-	IssueZeroPad        = "zero-pad-voltage"
-	IssuePadMismatch    = "pad-voltage-mismatch"
-	IssueBadResistance  = "nonpositive-resistance"
+	issueNoPads         = "no-pads"
+	issueZeroPad        = "zero-pad-voltage"
+	issuePadMismatch    = "pad-voltage-mismatch"
+	issueBadResistance  = "nonpositive-resistance"
 	IssueGroundResistor = "resistor-touches-ground"
-	IssueUngroundedSrc  = "ungrounded-source"
-	IssueNegativeCap    = "negative-capacitance"
-	IssueShortedCap     = "capacitor-shorted"
+	issueUngroundedSrc  = "ungrounded-source"
+	issueNegativeCap    = "negative-capacitance"
+	issueShortedCap     = "capacitor-shorted"
 	IssueFloatingNode   = "floating-node"
-	IssueNoElements     = "empty-deck"
+	issueNoElements     = "empty-deck"
 	IssueNonFinite      = "non-finite-value"
 )
 
@@ -96,7 +96,7 @@ func build(nl *spice.Netlist, lint bool) (*Network, []DeckIssue) {
 		issues = append(issues, DeckIssue{Code: code, Element: element, Node: node, Detail: fmt.Sprintf(format, args...)})
 	}
 	if lint && len(nl.Elements) == 0 {
-		add(IssueNoElements, "", "", "deck has no elements")
+		add(issueNoElements, "", "", "deck has no elements")
 		return nil, issues
 	}
 	cNetworks.Inc()
@@ -134,7 +134,7 @@ func build(nl *spice.Netlist, lint bool) (*Network, []DeckIssue) {
 				add(IssueGroundResistor, e.Name, "", "resistor %s touches ground", e.Name)
 			}
 			if e.Value <= 0 {
-				add(IssueBadResistance, e.Name, "", "resistor %s has non-positive value %g", e.Name, e.Value)
+				add(issueBadResistance, e.Name, "", "resistor %s has non-positive value %g", e.Name, e.Value)
 			}
 			if len(issues) > found {
 				continue
@@ -147,24 +147,24 @@ func build(nl *spice.Netlist, lint bool) (*Network, []DeckIssue) {
 			nw.Resistors = append(nw.Resistors, Resistor{A: a, B: b, Ohms: e.Value, IsVia: isVia})
 		case spice.CurrentSource:
 			if node, ok := gndPartner(e); !ok {
-				add(IssueUngroundedSrc, e.Name, "", "current source %s must connect one node to ground", e.Name)
+				add(issueUngroundedSrc, e.Name, "", "current source %s must connect one node to ground", e.Name)
 			} else {
 				nw.Loads = append(nw.Loads, Load{Node: nw.intern(node), Amps: e.Value})
 			}
 		case spice.VoltageSource:
 			if node, ok := gndPartner(e); !ok {
-				add(IssueUngroundedSrc, e.Name, "", "voltage source %s must connect one node to ground", e.Name)
+				add(issueUngroundedSrc, e.Name, "", "voltage source %s must connect one node to ground", e.Name)
 			} else if lint && e.Value <= 0 {
-				add(IssueZeroPad, e.Name, node, "pad %s at non-positive voltage %g", e.Name, e.Value)
+				add(issueZeroPad, e.Name, node, "pad %s at non-positive voltage %g", e.Name, e.Value)
 			} else {
 				nw.Pads = append(nw.Pads, Pad{Node: nw.intern(node), Volts: e.Value})
 			}
 		case spice.Capacitor:
 			if e.Value < 0 {
-				add(IssueNegativeCap, e.Name, "", "capacitor %s has negative value %g", e.Name, e.Value)
+				add(issueNegativeCap, e.Name, "", "capacitor %s has negative value %g", e.Name, e.Value)
 			}
 			if e.NodeA == spice.Ground && e.NodeB == spice.Ground {
-				add(IssueShortedCap, e.Name, "", "capacitor %s shorted to ground", e.Name)
+				add(issueShortedCap, e.Name, "", "capacitor %s shorted to ground", e.Name)
 			}
 			if len(issues) > found {
 				continue
@@ -185,13 +185,13 @@ func build(nl *spice.Netlist, lint bool) (*Network, []DeckIssue) {
 		return nw, issues
 	}
 	if len(nw.Pads) == 0 {
-		add(IssueNoPads, "", "", "deck has no power pads (grounded voltage sources at positive voltage)")
+		add(issueNoPads, "", "", "deck has no power pads (grounded voltage sources at positive voltage)")
 		return nw, issues
 	}
 	vdd := nw.Pads[0].Volts
 	for _, p := range nw.Pads[1:] {
 		if p.Volts != vdd { //irfusion:exact pads must be stamped with bit-identical supply voltages; any difference is a netlist authoring error
-			add(IssuePadMismatch, "", nw.NodeList[p.Node], "pads at different voltages (%g vs %g)", p.Volts, vdd)
+			add(issuePadMismatch, "", nw.NodeList[p.Node], "pads at different voltages (%g vs %g)", p.Volts, vdd)
 			break
 		}
 	}

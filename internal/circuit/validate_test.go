@@ -54,10 +54,10 @@ func TestValidateNetlistCollectsAllIssues(t *testing.T) {
 		t.Fatalf("error is %T, want *DeckError", err)
 	}
 	want := map[string]bool{
-		IssueBadResistance:  true,
+		issueBadResistance:  true,
 		IssueGroundResistor: true,
-		IssueUngroundedSrc:  true,
-		IssueZeroPad:        true,
+		issueUngroundedSrc:  true,
+		issueZeroPad:        true,
 		IssueFloatingNode:   true,
 	}
 	got := map[string]bool{}
@@ -97,8 +97,8 @@ func TestValidateNetlistNoPads(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("got %v", err)
 	}
-	if cs := de.Codes(); len(cs) != 1 || cs[0] != IssueNoPads {
-		t.Fatalf("codes %v, want [%s]", cs, IssueNoPads)
+	if cs := de.Codes(); len(cs) != 1 || cs[0] != issueNoPads {
+		t.Fatalf("codes %v, want [%s]", cs, issueNoPads)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestValidateNetlistPadMismatch(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("got %v", err)
 	}
-	if cs := de.Codes(); len(cs) != 1 || cs[0] != IssuePadMismatch {
-		t.Fatalf("codes %v, want [%s]", cs, IssuePadMismatch)
+	if cs := de.Codes(); len(cs) != 1 || cs[0] != issuePadMismatch {
+		t.Fatalf("codes %v, want [%s]", cs, issuePadMismatch)
 	}
 }
 
@@ -121,8 +121,8 @@ func TestValidateNetlistEmptyDeck(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("got %v", err)
 	}
-	if cs := de.Codes(); len(cs) != 1 || cs[0] != IssueNoElements {
-		t.Fatalf("codes %v, want [%s]", cs, IssueNoElements)
+	if cs := de.Codes(); len(cs) != 1 || cs[0] != issueNoElements {
+		t.Fatalf("codes %v, want [%s]", cs, issueNoElements)
 	}
 }
 
@@ -173,7 +173,7 @@ func TestValidateAgreesWithAssemble(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: FromNetlist failed: %v", tc.name, err)
 		}
-		if _, err := nw.Assemble(); tc.floats != errors.Is(err, ErrFloatingNodes) {
+		if _, err := nw.Assemble(); tc.floats != errors.Is(err, errFloatingNodes) {
 			t.Errorf("%s: Assemble: %v", tc.name, err)
 		}
 		err = ValidateNetlist(tc.nl)

@@ -109,7 +109,7 @@ func TestGatewayCountsBreakerTrips(t *testing.T) {
 		return body.Counters["cluster.breaker.trips"]
 	}
 	before := trips("/metricsz")
-	gw.ProbeNow(context.Background())
+	gw.probeNow(context.Background())
 	if st := gw.breakerStates()["s0"]; st != breakerOpen {
 		t.Fatalf("breaker %q after a failed probe at threshold 1, want open", st)
 	}

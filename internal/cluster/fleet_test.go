@@ -39,7 +39,7 @@ type fleet struct {
 }
 
 // newFleet boots n shards named shard0..shard{n-1} plus a gateway.
-// The background probe loop is disabled — tests drive ProbeNow for
+// The background probe loop is disabled — tests drive probeNow for
 // deterministic breaker state — and one initial sweep marks every
 // shard healthy.
 func newFleet(t *testing.T, n int, scfg serve.Config, gcfg Config) *fleet {
@@ -62,7 +62,7 @@ func newFleet(t *testing.T, n int, scfg serve.Config, gcfg Config) *fleet {
 	}
 	gcfg.Shards = specs
 	if gcfg.ProbeInterval == 0 {
-		gcfg.ProbeInterval = -1 // manual ProbeNow only
+		gcfg.ProbeInterval = -1 // manual probeNow only
 	}
 	gw, err := New(gcfg)
 	if err != nil {
@@ -70,7 +70,7 @@ func newFleet(t *testing.T, n int, scfg serve.Config, gcfg Config) *fleet {
 	}
 	f.gw = gw
 	f.gwTS = httptest.NewServer(gw.Handler())
-	gw.ProbeNow(context.Background())
+	gw.probeNow(context.Background())
 	t.Cleanup(func() {
 		f.gwTS.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -212,7 +212,7 @@ func TestFleetWarmAffinity(t *testing.T) {
 	if mustKey(t, ecoReq) != key {
 		t.Fatal("ECO neighbor has a different routing key")
 	}
-	owner := f.gw.Ring().Shard(key)
+	owner := f.gw.ring.Shard(key)
 
 	resp, body := f.postAnalyze(baseReq)
 	if resp.StatusCode != http.StatusOK {
@@ -265,7 +265,7 @@ func TestFleetFailoverMidJob(t *testing.T) {
 		Config{BreakerThreshold: 1, BreakerCooldown: time.Hour})
 	base, eco := ecoPair(t, 33)
 	req := &serve.AnalyzeRequest{Spice: base}
-	succ := f.gw.Ring().Successors(mustKey(t, req))
+	succ := f.gw.ring.successors(mustKey(t, req))
 	owner, backup := succ[0], succ[1]
 
 	// Stretch the first executed job with an injected worker delay so
@@ -317,7 +317,7 @@ func TestFleetFailoverMidJob(t *testing.T) {
 	// and remaps the dead shard's keys: the ECO neighbor now routes
 	// straight to the successor, first attempt, no failed forward —
 	// and warm-starts off the failed-over job's artifacts.
-	f.gw.ProbeNow(context.Background())
+	f.gw.probeNow(context.Background())
 	if state := f.gw.breakerStates()[owner]; state != "open" {
 		t.Fatalf("dead shard's breaker is %q, want open", state)
 	}
@@ -346,7 +346,7 @@ func TestFleetJobProxy(t *testing.T) {
 		Pgen:  &pgen.Config{Class: pgen.Fake, W: 16, H: 16, Seed: 4},
 		Async: true,
 	}
-	owner := f.gw.Ring().Shard(mustKey(t, req))
+	owner := f.gw.ring.Shard(mustKey(t, req))
 	resp, body := f.postAnalyze(req)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async submit: status %d: %s", resp.StatusCode, body)
@@ -413,7 +413,7 @@ func TestFleetDrain(t *testing.T) {
 	defer faults.SetActive(prevInj)
 
 	req := &serve.AnalyzeRequest{Pgen: &pgen.Config{Class: pgen.Fake, W: 16, H: 16, Seed: 9}}
-	owner := f.gw.Ring().Shard(mustKey(t, req))
+	owner := f.gw.ring.Shard(mustKey(t, req))
 	type outcome struct {
 		resp *http.Response
 		body []byte
@@ -485,7 +485,7 @@ func TestFleetClusterStatus(t *testing.T) {
 			Shards []string `json:"shards"`
 		} `json:"ring"`
 		Counters map[string]int64 `json:"counters"`
-		Shards   []ShardStatus    `json:"shards"`
+		Shards   []shardStatus    `json:"shards"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 		t.Fatal(err)

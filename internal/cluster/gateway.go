@@ -95,7 +95,7 @@ type Config struct {
 	MaxHandoffs int
 	// ProbeInterval is the health-probe period. 0 means the 1s
 	// default; negative disables the background loop entirely (tests
-	// drive probes synchronously with ProbeNow).
+	// drive probes synchronously with probeNow).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds each shard health probe. Default 500ms.
 	ProbeTimeout time.Duration
@@ -168,7 +168,7 @@ func (s *shardState) probeView() (healthy bool, errMsg string, at time.Time) {
 // on an http.Server, stop with Close.
 type Gateway struct {
 	cfg    Config
-	ring   *Ring
+	ring   *ring
 	shards map[string]*shardState
 	order  []string     // shard names in config order, for status output
 	memo   *cache.Cache // body digest → routing key
@@ -212,7 +212,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:        cfg,
-		ring:       NewRing(names, cfg.VNodes),
+		ring:       newRing(names, cfg.VNodes),
 		shards:     shards,
 		order:      names,
 		memo:       cache.New(routeMemoBytes, 0),
@@ -230,9 +230,6 @@ func New(cfg Config) (*Gateway, error) {
 
 // Handler returns the gateway's HTTP handler tree.
 func (g *Gateway) Handler() http.Handler { return g.mux }
-
-// Ring exposes the routing ring (for status output and tests).
-func (g *Gateway) Ring() *Ring { return g.ring }
 
 func (g *Gateway) routes() {
 	g.mux.HandleFunc("POST /v1/analyze", g.track(g.handleAnalyze))
@@ -380,7 +377,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, bo
 	attempts := 0
 	prev := "" // shard whose failure the next attempt inherits
 	var tried []string
-	for _, name := range g.ring.Successors(key) {
+	for _, name := range g.ring.successors(key) {
 		if attempts >= maxAttempts {
 			break
 		}
@@ -527,15 +524,15 @@ func (g *Gateway) probeLoop() {
 		case <-g.stopProbes:
 			return
 		case <-t.C:
-			g.ProbeNow(context.Background())
+			g.probeNow(context.Background())
 		}
 	}
 }
 
-// ProbeNow probes every shard's /healthz once, synchronously, feeding
+// probeNow probes every shard's /healthz once, synchronously, feeding
 // the results into the shards' breakers. The background loop calls it on
 // its interval; tests call it directly for deterministic state.
-func (g *Gateway) ProbeNow(ctx context.Context) {
+func (g *Gateway) probeNow(ctx context.Context) {
 	for _, name := range g.order {
 		g.probeShard(ctx, g.shards[name])
 	}
@@ -646,8 +643,8 @@ func (g *Gateway) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ShardStatus is one shard's entry in the GET /v1/cluster response.
-type ShardStatus struct {
+// shardStatus is one shard's entry in the GET /v1/cluster response.
+type shardStatus struct {
 	Name    string `json:"name"`
 	URL     string `json:"url"`
 	Healthy bool   `json:"healthy"`
@@ -678,11 +675,11 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		status = "draining"
 	}
-	shards := make([]ShardStatus, 0, len(g.order))
+	shards := make([]shardStatus, 0, len(g.order))
 	for _, name := range g.order {
 		sh := g.shards[name]
 		healthy, lastErr, at := sh.probeView()
-		st := ShardStatus{
+		st := shardStatus{
 			Name:                name,
 			URL:                 sh.url,
 			Healthy:             healthy,
@@ -709,7 +706,7 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 			counters[name] = v
 		}
 	}
-	ringShards := g.ring.Shards()
+	ringShards := append([]string(nil), g.ring.shards...)
 	sort.Strings(ringShards)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":         status,

@@ -187,7 +187,7 @@ func TestGatewayAllBreakersOpen(t *testing.T) {
 		defer cancel()
 		_ = gw.Close(ctx)
 	}()
-	gw.ProbeNow(context.Background())
+	gw.probeNow(context.Background())
 	for name, state := range gw.breakerStates() {
 		if state != "open" {
 			t.Fatalf("breaker %s is %q after failed probe, want open", name, state)
@@ -243,7 +243,7 @@ func TestGatewayProbeFaultSites(t *testing.T) {
 
 	ctx := faults.WithInjector(context.Background(),
 		faults.MustParse("cluster.probe:fail:label=shard0;cluster.probe:latency:delay=10ms,label=shard1"))
-	f.gw.ProbeNow(ctx)
+	f.gw.probeNow(ctx)
 	states := f.gw.breakerStates()
 	if states["shard0"] != "open" {
 		t.Errorf("shard0 breaker %q after injected probe failure, want open", states["shard0"])
@@ -255,7 +255,7 @@ func TestGatewayProbeFaultSites(t *testing.T) {
 	// A clean sweep (no injector) heals both immediately: a healthy
 	// probe is authoritative and closes the breaker (Reset) without
 	// waiting out the hour-long cooldown.
-	f.gw.ProbeNow(context.Background())
+	f.gw.probeNow(context.Background())
 	states = f.gw.breakerStates()
 	for name, st := range states {
 		if st != "closed" {
@@ -270,7 +270,7 @@ func TestGatewayProbeFaultSites(t *testing.T) {
 func TestGatewayForwardFaultSite(t *testing.T) {
 	f := newFleet(t, 2, serve.Config{Workers: 1}, Config{BreakerThreshold: 3})
 	req := &serve.AnalyzeRequest{Pgen: &pgen.Config{Class: pgen.Fake, W: 16, H: 16, Seed: 11}}
-	succ := f.gw.Ring().Successors(mustKey(t, req))
+	succ := f.gw.ring.successors(mustKey(t, req))
 
 	prevInj := faults.Active()
 	faults.SetActive(faults.MustParse("cluster.forward:fail:label=" + succ[0] + ",times=1"))

@@ -13,14 +13,14 @@ import (
 // (N×64 points, binary-searched per request).
 const DefaultVNodes = 64
 
-// Ring is a consistent-hash ring over named shards. Keys and shard
+// ring is a consistent-hash ring over named shards. Keys and shard
 // positions hash through SHA-256, so placement is deterministic across
 // processes, platforms, and releases — a pinned (deck, ring) pair maps
 // to a pinned shard forever, which the routing-stability regression
 // test relies on. The ring is immutable after New; membership changes
 // are handled by breaker state at the gateway, not by ring mutation,
 // so routing stays stable while a shard is merely unhealthy.
-type Ring struct {
+type ring struct {
 	points []ringPoint
 	shards []string
 }
@@ -30,14 +30,14 @@ type ringPoint struct {
 	shard int // index into shards
 }
 
-// NewRing places each shard at vnodes positions (DefaultVNodes when
+// newRing places each shard at vnodes positions (DefaultVNodes when
 // vnodes <= 0). Shard names must be unique; order does not matter —
 // placement depends only on the name strings.
-func NewRing(shards []string, vnodes int) *Ring {
+func newRing(shards []string, vnodes int) *ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{
+	r := &ring{
 		shards: append([]string(nil), shards...),
 		points: make([]ringPoint, 0, len(shards)*vnodes),
 	}
@@ -62,24 +62,21 @@ func hashPoint(s string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// Shards returns the member names in construction order.
-func (r *Ring) Shards() []string { return append([]string(nil), r.shards...) }
-
 // Shard returns the owner of key: the shard whose ring point is the
 // first at or clockwise of the key's hash. Empty ring returns "".
-func (r *Ring) Shard(key string) string {
-	succ := r.Successors(key)
+func (r *ring) Shard(key string) string {
+	succ := r.successors(key)
 	if len(succ) == 0 {
 		return ""
 	}
 	return succ[0]
 }
 
-// Successors returns every shard in ring order starting at key's
+// successors returns every shard in ring order starting at key's
 // owner, deduplicated — the gateway's failover order. The first entry
 // is the primary; each later entry is the next distinct shard
 // clockwise, so handoff after a shard failure walks this list.
-func (r *Ring) Successors(key string) []string {
+func (r *ring) successors(key string) []string {
 	if len(r.points) == 0 {
 		return nil
 	}

@@ -214,10 +214,10 @@ func isDigits(s string) bool {
 	return true
 }
 
-// Rotate returns a copy of the sample with every map rotated
+// rotate returns a copy of the sample with every map rotated
 // clockwise by 90°·quarter — the paper's augmentation treats each
 // rotation as a new design.
-func (s *Sample) Rotate(quarter int) *Sample {
+func (s *Sample) rotate(quarter int) *Sample {
 	fs := &features.Set{}
 	for i, m := range s.Features.Maps {
 		fs.Add(s.Features.Names[i], m.Rotate90(quarter))
@@ -242,7 +242,7 @@ func Augment(samples []*Sample) []*Sample {
 	for _, s := range samples {
 		out = append(out, s)
 		for q := 1; q <= 3; q++ {
-			out = append(out, s.Rotate(q))
+			out = append(out, s.rotate(q))
 		}
 	}
 	return out

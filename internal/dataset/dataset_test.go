@@ -109,7 +109,7 @@ func TestRoughBottomApproximatesGolden(t *testing.T) {
 
 func TestRotatePreservesMetricsStructure(t *testing.T) {
 	s := buildSample(t, pgen.Fake, 4, DefaultOptions(48, 48))
-	r := s.Rotate(1)
+	r := s.rotate(1)
 	if r.Golden.Max() != s.Golden.Max() {
 		t.Error("rotation changed golden max")
 	}
@@ -122,7 +122,7 @@ func TestRotatePreservesMetricsStructure(t *testing.T) {
 	if !strings.Contains(r.Name, "rot90") {
 		t.Errorf("rotated name %q", r.Name)
 	}
-	back := r.Rotate(3)
+	back := r.rotate(3)
 	for i := range back.Golden.Data {
 		if back.Golden.Data[i] != s.Golden.Data[i] {
 			t.Fatal("rot90 then rot270 must restore the map")
@@ -164,7 +164,7 @@ func TestOversample(t *testing.T) {
 
 func TestToTensors(t *testing.T) {
 	s := buildSample(t, pgen.Fake, 6, DefaultOptions(48, 48))
-	x, y := ToTensors([]*Sample{s, s.Rotate(2)})
+	x, y := ToTensors([]*Sample{s, s.rotate(2)})
 	if x.Dim(0) != 2 || x.Dim(1) != s.Features.Channels() || x.Dim(2) != 48 || x.Dim(3) != 48 {
 		t.Errorf("x shape %v", x.Shape)
 	}
@@ -309,7 +309,7 @@ func TestFilterFeatures(t *testing.T) {
 
 func TestRoughTensor(t *testing.T) {
 	s := buildSample(t, pgen.Fake, 10, DefaultOptions(48, 48))
-	r := RoughTensor([]*Sample{s, s.Rotate(1)})
+	r := RoughTensor([]*Sample{s, s.rotate(1)})
 	if r.Dim(0) != 2 || r.Dim(1) != 1 || r.Dim(2) != 48 || r.Dim(3) != 48 {
 		t.Fatalf("shape %v", r.Shape)
 	}

@@ -374,21 +374,14 @@ func WithInjector(ctx context.Context, in *Injector) context.Context {
 	return context.WithValue(ctx, ctxKey{}, in)
 }
 
-// FromContext returns the injector bound to ctx, or nil.
-func FromContext(ctx context.Context) *Injector {
-	if ctx == nil {
-		return nil
-	}
-	in, _ := ctx.Value(ctxKey{}).(*Injector)
-	return in
-}
-
 // ActiveOr resolves the injector for a context-aware call site: the
 // context-bound injector when present, otherwise the process-global
 // one. Either may be nil; every Injector method is nil-safe.
 func ActiveOr(ctx context.Context) *Injector {
-	if in := FromContext(ctx); in != nil {
-		return in
+	if ctx != nil {
+		if in, _ := ctx.Value(ctxKey{}).(*Injector); in != nil {
+			return in
+		}
 	}
 	return Active()
 }

@@ -180,8 +180,8 @@ func TestContextResolution(t *testing.T) {
 	if got := ActiveOr(ctx); got != bound {
 		t.Fatalf("ActiveOr did not prefer the context-bound injector")
 	}
-	if got := FromContext(nil); got != nil {
-		t.Fatalf("FromContext(nil) = %v", got)
+	if got := ActiveOr(nil); got != global {
+		t.Fatalf("ActiveOr(nil) = %v, want the global", got)
 	}
 }
 

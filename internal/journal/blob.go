@@ -26,9 +26,9 @@ const blobDir = "checkpoints"
 // ErrNoBlob is returned by LoadBlob when no blob exists under the key.
 var ErrNoBlob = errors.New("journal: no checkpoint blob")
 
-// ErrBlobCorrupt is returned by LoadBlob when the stored blob fails
+// errBlobCorrupt is returned by LoadBlob when the stored blob fails
 // its CRC or key check — the caller should fall back to a cold solve.
-var ErrBlobCorrupt = errors.New("journal: checkpoint blob corrupt")
+var errBlobCorrupt = errors.New("journal: checkpoint blob corrupt")
 
 // blobPath maps a checkpoint key (free-form text) onto a filename via
 // FNV-1a, with the key itself stored inside the blob for verification.
@@ -81,7 +81,7 @@ func (j *Journal) SaveBlob(key string, data []byte) error {
 }
 
 // LoadBlob reads and verifies the blob stored under key. Missing blobs
-// return ErrNoBlob; CRC or key mismatches return ErrBlobCorrupt.
+// return ErrNoBlob; CRC or key mismatches return errBlobCorrupt.
 func (j *Journal) LoadBlob(key string) ([]byte, error) {
 	raw, err := os.ReadFile(j.blobPath(key))
 	if err != nil {
@@ -91,26 +91,26 @@ func (j *Journal) LoadBlob(key string) ([]byte, error) {
 		return nil, fmt.Errorf("journal: read blob: %w", err)
 	}
 	if len(raw) < frameHeader {
-		return nil, fmt.Errorf("%w: short frame", ErrBlobCorrupt)
+		return nil, fmt.Errorf("%w: short frame", errBlobCorrupt)
 	}
 	length := binary.BigEndian.Uint32(raw[0:4])
 	want := binary.BigEndian.Uint32(raw[4:8])
 	if int(length) != len(raw)-frameHeader {
-		return nil, fmt.Errorf("%w: length mismatch", ErrBlobCorrupt)
+		return nil, fmt.Errorf("%w: length mismatch", errBlobCorrupt)
 	}
 	body := raw[frameHeader:]
 	if crc32.ChecksumIEEE(body) != want {
-		return nil, fmt.Errorf("%w: crc mismatch", ErrBlobCorrupt)
+		return nil, fmt.Errorf("%w: crc mismatch", errBlobCorrupt)
 	}
 	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: missing key header", ErrBlobCorrupt)
+		return nil, fmt.Errorf("%w: missing key header", errBlobCorrupt)
 	}
 	keyLen := binary.BigEndian.Uint32(body[0:4])
 	if int(keyLen) > len(body)-4 {
-		return nil, fmt.Errorf("%w: key length out of range", ErrBlobCorrupt)
+		return nil, fmt.Errorf("%w: key length out of range", errBlobCorrupt)
 	}
 	if string(body[4:4+keyLen]) != key {
-		return nil, fmt.Errorf("%w: key mismatch (hash collision or tampering)", ErrBlobCorrupt)
+		return nil, fmt.Errorf("%w: key mismatch (hash collision or tampering)", errBlobCorrupt)
 	}
 	return body[4+keyLen:], nil
 }

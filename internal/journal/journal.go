@@ -30,7 +30,7 @@
 //
 // The Sync option selects when appends reach the disk platter:
 // SyncAlways fsyncs after every append (a crashed process loses
-// nothing it acknowledged), SyncInterval fsyncs lazily when at least
+// nothing it acknowledged), syncInterval fsyncs lazily when at least
 // SyncEvery has elapsed since the last sync — amortizing the fsync
 // over bursts without needing a background goroutine (the goroutine
 // containment rule of this repository confines `go` statements to the
@@ -97,7 +97,7 @@ func (r *Record) Terminal() bool {
 // Sync policies of Options.Sync.
 const (
 	SyncAlways   = "always"   // fsync after every append
-	SyncInterval = "interval" // fsync lazily, at most once per SyncEvery
+	syncInterval = "interval" // fsync lazily, at most once per SyncEvery
 	SyncNone     = "none"     // never fsync; the OS flushes on its schedule
 )
 
@@ -111,7 +111,7 @@ type Options struct {
 	// Default SyncAlways: a job journal is small-volume and its whole
 	// point is surviving a crash.
 	Sync string
-	// SyncEvery is the lazy-sync period of SyncInterval. Default 100ms.
+	// SyncEvery is the lazy-sync period of syncInterval. Default 100ms.
 	SyncEvery time.Duration
 }
 
@@ -143,8 +143,8 @@ const frameHeader = 8
 // it is treated as corruption rather than an allocation request.
 const maxPayload = 8 << 20
 
-// ErrClosed is returned by Append after Close.
-var ErrClosed = errors.New("journal: closed")
+// errClosed is returned by Append after Close.
+var errClosed = errors.New("journal: closed")
 
 // Journal is an open write-ahead journal. All methods are safe for
 // concurrent use.
@@ -157,7 +157,7 @@ type Journal struct {
 	seq      int   // sequence number of the open segment
 	size     int64 // bytes written to the open segment
 	lastSync time.Time
-	dirty    bool // unsynced appends outstanding (SyncInterval)
+	dirty    bool // unsynced appends outstanding (syncInterval)
 	closed   bool
 }
 
@@ -339,7 +339,7 @@ func (j *Journal) Append(ctx context.Context, rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if j.size > 0 && j.size+int64(len(frame)) > j.opts.SegmentBytes {
 		if err := j.rotateLocked(); err != nil {
@@ -383,7 +383,7 @@ func (j *Journal) syncLocked() error {
 	switch j.opts.Sync {
 	case SyncNone:
 		return nil
-	case SyncInterval:
+	case syncInterval:
 		j.dirty = true
 		if time.Since(j.lastSync) < j.opts.SyncEvery {
 			return nil
@@ -408,14 +408,14 @@ func (j *Journal) rotateLocked() error {
 	return j.openSegment(j.seq + 1)
 }
 
-// Sync forces outstanding appends to disk regardless of policy.
-func (j *Journal) Sync() error {
+// sync forces outstanding appends to disk regardless of policy.
+func (j *Journal) sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		return ErrClosed
+		return errClosed
 	}
-	//irfusion:lock-ok Sync must exclude concurrent appends so the durability point it reports covers every acknowledged record
+	//irfusion:lock-ok sync must exclude concurrent appends so the durability point it reports covers every acknowledged record
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: fsync: %w", err)
 	}
@@ -428,7 +428,7 @@ func (j *Journal) Sync() error {
 func (j *Journal) Dir() string { return j.dir }
 
 // Close syncs and closes the journal. Further Appends return
-// ErrClosed.
+// errClosed.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -436,7 +436,7 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	//irfusion:lock-ok final fsync must run after closed is set and before the fd closes; appends are already fenced off by ErrClosed
+	//irfusion:lock-ok final fsync must run after closed is set and before the fd closes; appends are already fenced off by errClosed
 	if err := j.f.Sync(); err != nil {
 		j.f.Close()
 		return fmt.Errorf("journal: fsync on close: %w", err)

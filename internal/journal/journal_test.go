@@ -55,8 +55,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(context.Background(), Record{Type: TypeStarted}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("append after close: %v, want ErrClosed", err)
+	if err := j.Append(context.Background(), Record{Type: TypeStarted}); !errors.Is(err, errClosed) {
+		t.Fatalf("append after close: %v, want errClosed", err)
 	}
 
 	recs, stats := replayAll(t, dir)
@@ -275,12 +275,12 @@ func TestJournalIgnoresStrayNames(t *testing.T) {
 	}
 }
 
-// TestJournalSyncPolicies: every policy accepts appends; Sync flushes
+// TestJournalSyncPolicies: every policy accepts appends; sync flushes
 // on demand; an unknown policy string falls back to fsync-per-append
 // behaviour via withDefaults validation at the serve layer (here we
 // just pin that the three named policies work).
 func TestJournalSyncPolicies(t *testing.T) {
-	for _, policy := range []string{SyncAlways, SyncInterval, SyncNone} {
+	for _, policy := range []string{SyncAlways, syncInterval, SyncNone} {
 		t.Run(policy, func(t *testing.T) {
 			dir := t.TempDir()
 			j, _, err := Open(dir, Options{Sync: policy, SyncEvery: time.Hour}, nil)
@@ -289,7 +289,7 @@ func TestJournalSyncPolicies(t *testing.T) {
 			}
 			mustAppend(t, j, Record{Type: TypeAccepted, JobID: "job-000001"})
 			mustAppend(t, j, Record{Type: TypeFinished, JobID: "job-000001"})
-			if err := j.Sync(); err != nil {
+			if err := j.sync(); err != nil {
 				t.Fatalf("explicit sync: %v", err)
 			}
 			j.Close()
@@ -409,8 +409,8 @@ func TestBlobRoundTrip(t *testing.T) {
 	if err := os.WriteFile(j.blobPath(key), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.LoadBlob(key); !errors.Is(err, ErrBlobCorrupt) {
-		t.Fatalf("corrupt blob: %v, want ErrBlobCorrupt", err)
+	if _, err := j.LoadBlob(key); !errors.Is(err, errBlobCorrupt) {
+		t.Fatalf("corrupt blob: %v, want errBlobCorrupt", err)
 	}
 
 	if err := j.SaveBlob(key, []byte("state-v3")); err != nil {

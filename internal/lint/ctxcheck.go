@@ -17,7 +17,7 @@ import (
 //     variant of a function whose package also defines a FooCtx
 //     sibling: that silently drops cancellation and recorder
 //     isolation. Waivable per line with //irfusion:ctx-ok.
-func (r *Runner) checkCtx(p *Package) {
+func (r *runner) checkCtx(p *modPkg) {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -38,7 +38,7 @@ func (r *Runner) checkCtx(p *Package) {
 
 // contextParam returns the object of fd's context.Context parameter,
 // or nil when fd doesn't take one.
-func contextParam(p *Package, fd *ast.FuncDecl) types.Object {
+func contextParam(p *modPkg, fd *ast.FuncDecl) types.Object {
 	for _, field := range fd.Type.Params.List {
 		for _, name := range field.Names {
 			obj := p.Info.Defs[name]
@@ -63,7 +63,7 @@ func isContextType(t types.Type) bool {
 // function body. Nested loops are not separately checked: observing
 // ctx once per outer iteration is the granularity the runtime
 // promises.
-func (r *Runner) checkCtxLoops(p *Package, fd *ast.FuncDecl, ctxParam types.Object) {
+func (r *runner) checkCtxLoops(p *modPkg, fd *ast.FuncDecl, ctxParam types.Object) {
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
 		var body *ast.BlockStmt
@@ -96,7 +96,7 @@ func (r *Runner) checkCtxLoops(p *Package, fd *ast.FuncDecl, ctxParam types.Obje
 
 // loopCallsModule reports whether body contains a call to a
 // module-internal function.
-func (r *Runner) loopCallsModule(p *Package, body ast.Node) bool {
+func (r *runner) loopCallsModule(p *modPkg, body ast.Node) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -117,7 +117,7 @@ func (r *Runner) loopCallsModule(p *Package, body ast.Node) bool {
 
 // referencesObject reports whether any identifier under n resolves to
 // obj.
-func (r *Runner) referencesObject(p *Package, n ast.Node, obj types.Object) bool {
+func (r *runner) referencesObject(p *modPkg, n ast.Node, obj types.Object) bool {
 	found := false
 	ast.Inspect(n, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok && p.Info.Uses[id] == obj {
@@ -130,7 +130,7 @@ func (r *Runner) referencesObject(p *Package, n ast.Node, obj types.Object) bool
 
 // checkCtxDropped flags calls to Foo from context-holding code when
 // Foo's own package defines FooCtx.
-func (r *Runner) checkCtxDropped(p *Package, fd *ast.FuncDecl) {
+func (r *runner) checkCtxDropped(p *modPkg, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -162,7 +162,7 @@ func (r *Runner) checkCtxDropped(p *Package, fd *ast.FuncDecl) {
 
 // hasCtxSibling reports whether fn's package (or receiver type)
 // defines a fn.Name()+"Ctx" variant.
-func (r *Runner) hasCtxSibling(fn *types.Func) bool {
+func (r *runner) hasCtxSibling(fn *types.Func) bool {
 	want := fn.Name() + "Ctx"
 	sig, _ := fn.Type().(*types.Signature)
 	if sig != nil && sig.Recv() != nil {

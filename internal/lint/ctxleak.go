@@ -71,7 +71,7 @@ func equalCancels(a, b ctxFact) bool {
 	return true
 }
 
-func (r *Runner) checkCtxleak(p *Package) {
+func (r *runner) checkCtxleak(p *modPkg) {
 	term := terminalChecker(p.Info)
 	for _, f := range p.Files {
 		funcBodies(f, func(body *ast.BlockStmt) {
@@ -80,7 +80,7 @@ func (r *Runner) checkCtxleak(p *Package) {
 	}
 }
 
-func (r *Runner) ctxleakBody(p *Package, body *ast.BlockStmt, term func(*ast.ExprStmt) bool) {
+func (r *runner) ctxleakBody(p *modPkg, body *ast.BlockStmt, term func(*ast.ExprStmt) bool) {
 	if !usesContextWith(p.Info, body) {
 		return
 	}
@@ -107,7 +107,7 @@ func (r *Runner) ctxleakBody(p *Package, body *ast.BlockStmt, term func(*ast.Exp
 
 // cancelTransfer applies one CFG node's effects to fact. fact is
 // copy-on-write: the solver may have joined it into other blocks.
-func (r *Runner) cancelTransfer(p *Package, fact ctxFact, n ast.Node, report bool) ctxFact {
+func (r *runner) cancelTransfer(p *modPkg, fact ctxFact, n ast.Node, report bool) ctxFact {
 	switch n := n.(type) {
 	case *ast.SelectStmt:
 		// Comm statements are not CFG nodes; scan them here for uses
@@ -135,7 +135,7 @@ func (r *Runner) cancelTransfer(p *Package, fact ctxFact, n ast.Node, report boo
 // cancelBind handles `ctx, cancel := context.WithX(...)` (and `=`).
 // handled is false when the assignment is not a WithX binding, in
 // which case the caller falls through to generic use-scanning.
-func (r *Runner) cancelBind(p *Package, fact ctxFact, as *ast.AssignStmt, report bool) (ctxFact, bool) {
+func (r *runner) cancelBind(p *modPkg, fact ctxFact, as *ast.AssignStmt, report bool) (ctxFact, bool) {
 	if len(as.Rhs) != 1 {
 		return fact, false
 	}

@@ -13,7 +13,7 @@ import (
 // which breaks the degradation ladder's cancellation test (plan.aborts)
 // and the error_kind mapping in the serve layer. %v on non-error values (a
 // recovered panic payload, say) is fine and not flagged.
-func (r *Runner) checkErrwrap(p *Package) {
+func (r *runner) checkErrwrap(p *modPkg) {
 	errType := types.Universe.Lookup("error").Type()
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

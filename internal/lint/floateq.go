@@ -12,7 +12,7 @@ import (
 // numerical code almost every float equality is either a bug (values
 // that differ by rounding) or a deliberate exact-zero sentinel test —
 // the directive forces the distinction into the source.
-func (r *Runner) checkFloatEq(p *Package) {
+func (r *runner) checkFloatEq(p *modPkg) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			be, ok := n.(*ast.BinaryExpr)
@@ -32,7 +32,7 @@ func (r *Runner) checkFloatEq(p *Package) {
 	}
 }
 
-func isFloat(p *Package, e ast.Expr) bool {
+func isFloat(p *modPkg, e ast.Expr) bool {
 	tv, ok := p.Info.Types[e]
 	if !ok || tv.Type == nil {
 		return false

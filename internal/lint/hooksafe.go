@@ -20,18 +20,14 @@ const globalHookPackage = "irfusion/internal/faults"
 
 // checkHooksafe enforces the hook-resolution discipline:
 //
-//  1. faults.FromContext may only be called inside its own package —
-//     callers must use ActiveOr, which folds in the process-global
-//     fallback; raw FromContext ignores an injector armed for the
-//     whole process.
-//  2. faults.Active may not be called from a function that receives a
+//  1. faults.Active may not be called from a function that receives a
 //     context: the context may carry a bound injector, and reading the
 //     global silently ignores it; use ActiveOr(ctx). Waivable with
 //     //irfusion:ctx-ok.
-//  3. The hook structs (obs.Recorder, faults.Injector, cache.Cache)
+//  2. The hook structs (obs.Recorder, faults.Injector, cache.Cache)
 //     may not be composite-literal-constructed outside their home
 //     packages — the constructors establish the nil-safety invariants.
-func (r *Runner) checkHooksafe(p *Package) {
+func (r *runner) checkHooksafe(p *modPkg) {
 	if _, isHome := hookPackages[p.Path]; isHome {
 		return
 	}
@@ -55,7 +51,7 @@ func (r *Runner) checkHooksafe(p *Package) {
 	}
 }
 
-func (r *Runner) hooksafeCall(p *Package, fd *ast.FuncDecl, call *ast.CallExpr, hasCtx bool) {
+func (r *runner) hooksafeCall(p *modPkg, fd *ast.FuncDecl, call *ast.CallExpr, hasCtx bool) {
 	obj, isConv := callee(p.Info, call)
 	if isConv {
 		return
@@ -64,24 +60,14 @@ func (r *Runner) hooksafeCall(p *Package, fd *ast.FuncDecl, call *ast.CallExpr, 
 	if !ok || fn.Pkg() == nil {
 		return
 	}
-	if fn.Pkg().Path() != globalHookPackage {
-		return
-	}
-	switch fn.Name() {
-	case "FromContext":
+	if fn.Pkg().Path() == globalHookPackage && fn.Name() == "Active" && hasCtx && !r.waived("ctx-ok", call.Pos()) {
 		r.report(call.Pos(), "hooksafe",
-			"%s: %s.FromContext may return nil and skips the global fallback; resolve hooks with %s.ActiveOr",
+			"%s receives a context but reads the global %s.Active(); use %s.ActiveOr(ctx) so context-bound hooks are honored (or waive with //irfusion:ctx-ok <why>)",
 			fd.Name.Name, fn.Pkg().Name(), fn.Pkg().Name())
-	case "Active":
-		if hasCtx && !r.waived("ctx-ok", call.Pos()) {
-			r.report(call.Pos(), "hooksafe",
-				"%s receives a context but reads the global %s.Active(); use %s.ActiveOr(ctx) so context-bound hooks are honored (or waive with //irfusion:ctx-ok <why>)",
-				fd.Name.Name, fn.Pkg().Name(), fn.Pkg().Name())
-		}
 	}
 }
 
-func (r *Runner) hooksafeLit(p *Package, lit *ast.CompositeLit) {
+func (r *runner) hooksafeLit(p *modPkg, lit *ast.CompositeLit) {
 	tv, ok := p.Info.Types[lit]
 	if !ok {
 		return

@@ -30,7 +30,7 @@ var hotpathStdlib = map[string]bool{
 // the directive's rationale is the review record for them — and the
 // AllocsPerRun regression tests provide the runtime counterpart for
 // representative entry points.
-func (r *Runner) checkHotpath(p *Package) {
+func (r *runner) checkHotpath(p *modPkg) {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -50,8 +50,8 @@ func (r *Runner) checkHotpath(p *Package) {
 // hotpathWalker walks one hotpath function body. inPanic is true
 // inside panic(...) arguments.
 type hotpathWalker struct {
-	r       *Runner
-	p       *Package
+	r       *runner
+	p       *modPkg
 	fn      string
 	inPanic bool
 }

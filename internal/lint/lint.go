@@ -12,9 +12,9 @@
 //     inside loops, and context-holding code may not silently drop a
 //     context by calling the non-Ctx variant of a function.
 //   - hooksafe: the fault injector, the one hook with a process-global
-//     slot, is resolved through faults.ActiveOr, never via FromContext
-//     or the bare global in context-holding code; no hook (recorder,
-//     injector, cache) is hand-rolled as a composite literal.
+//     slot, is resolved through faults.ActiveOr, never via the bare
+//     global in context-holding code; no hook (recorder, injector,
+//     cache) is hand-rolled as a composite literal.
 //   - errwrap: fmt.Errorf with an error argument must wrap with %w so
 //     errors.Is/As-driven classification keeps working.
 //   - floateq: float ==/!= needs an //irfusion:exact annotation with a
@@ -25,6 +25,10 @@
 //   - sitedrift: every fault site fired is a declared Site* constant,
 //     every declared site is fired, and knownSites lists exactly the
 //     declared sites (see sitedrift.go).
+//   - exportuse: an exported name under internal/ is named by another
+//     package's code (_bench included) or by a test outside its own
+//     package-x tests, implements an interface, or is a type a used
+//     name's signature or exported fields name.
 //
 // Two flow-sensitive rules run on an intraprocedural CFG (cfg.go)
 // with a forward dataflow solver:
@@ -49,6 +53,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -84,11 +89,11 @@ const (
 	classHotpathAllow
 )
 
-// Runner holds the cross-package state the rules share: the directive
+// runner holds the cross-package state the rules share: the directive
 // maps and the loaded packages. Rules are methods on it.
-type Runner struct {
-	loader *Loader
-	pkgs   []*Package
+type runner struct {
+	loader *loader
+	pkgs   []*modPkg
 
 	class   map[types.Object]funcClass // function directive classes, all packages
 	waivers map[waiver]bool            // lines waived by exact/ctx-ok/lock-ok/go-ok
@@ -106,11 +111,11 @@ type waiver struct {
 	line            int
 }
 
-// Analyze runs every rule over pkgs (directives are collected from all
+// analyze runs every rule over pkgs (directives are collected from all
 // of them first, so cross-package hotpath calls resolve) and returns
 // the findings sorted by file, line, rule.
-func Analyze(l *Loader, pkgs []*Package) []Diagnostic {
-	r := &Runner{
+func analyze(l *loader, pkgs []*modPkg) []Diagnostic {
+	r := &runner{
 		loader:    l,
 		pkgs:      pkgs,
 		class:     map[types.Object]funcClass{},
@@ -134,6 +139,7 @@ func Analyze(l *Loader, pkgs []*Package) []Diagnostic {
 		r.checkCtxleak(p)
 	}
 	r.reportSiteDrift()
+	r.checkExportUse()
 	sort.Slice(r.diags, func(i, j int) bool {
 		a, b := r.diags[i], r.diags[j]
 		if a.File != b.File {
@@ -153,19 +159,25 @@ func Analyze(l *Loader, pkgs []*Package) []Diagnostic {
 // Run is the one-call entry point used by cmd/irfusionlint: load the
 // module tree rooted at modRoot and analyze it.
 func Run(modRoot string) ([]Diagnostic, error) {
-	l, err := NewLoader(modRoot)
+	l, err := newLoader(modRoot)
 	if err != nil {
 		return nil, err
 	}
-	pkgs, err := l.LoadTree()
+	pkgs, err := l.loadTree()
 	if err != nil {
 		return nil, err
 	}
-	return Analyze(l, pkgs), nil
+	// _bench is a caller of the tree (exportuse), not a package to check.
+	if _, err := os.Stat(filepath.Join(l.ModRoot, "_bench")); err == nil {
+		if _, err := l.loadDir(filepath.Join(l.ModRoot, "_bench")); err != nil {
+			return nil, err
+		}
+	}
+	return analyze(l, pkgs), nil
 }
 
 // report records a finding at pos.
-func (r *Runner) report(pos token.Pos, rule, format string, args ...any) {
+func (r *runner) report(pos token.Pos, rule, format string, args ...any) {
 	p := r.loader.Fset.Position(pos)
 	r.diags = append(r.diags, Diagnostic{
 		File:    r.relFile(p.Filename),
@@ -176,7 +188,7 @@ func (r *Runner) report(pos token.Pos, rule, format string, args ...any) {
 }
 
 // relFile rewrites an absolute filename as module-relative.
-func (r *Runner) relFile(name string) string {
+func (r *runner) relFile(name string) string {
 	if rel, err := filepath.Rel(r.loader.ModRoot, name); err == nil && !strings.HasPrefix(rel, "..") {
 		return filepath.ToSlash(rel)
 	}
@@ -189,7 +201,7 @@ func (r *Runner) relFile(name string) string {
 // Malformed directives are findings themselves (rule "directive") — a
 // waiver without a rationale is indistinguishable from a silenced
 // check.
-func (r *Runner) collectDirectives(p *Package) {
+func (r *runner) collectDirectives(p *modPkg) {
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -248,7 +260,7 @@ func (r *Runner) collectDirectives(p *Package) {
 
 // waived reports whether the statement at pos carries the given
 // line-waiver directive (same line or the line before).
-func (r *Runner) waived(directive string, pos token.Pos) bool {
+func (r *runner) waived(directive string, pos token.Pos) bool {
 	p := r.loader.Fset.Position(pos)
 	return r.waivers[waiver{directive, p.Filename, p.Line}]
 }
@@ -292,7 +304,7 @@ func unparen(e ast.Expr) ast.Expr {
 
 // isModulePath reports whether path belongs to the module under
 // analysis.
-func (r *Runner) isModulePath(path string) bool {
+func (r *runner) isModulePath(path string) bool {
 	return path == r.loader.ModPath || strings.HasPrefix(path, r.loader.ModPath+"/")
 }
 

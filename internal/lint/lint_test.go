@@ -16,15 +16,15 @@ const modRoot = "../.."
 // the full rule set over it.
 func loadFixture(t *testing.T, name string) []Diagnostic {
 	t.Helper()
-	l, err := NewLoader(modRoot)
+	l, err := newLoader(modRoot)
 	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
+		t.Fatalf("newLoader: %v", err)
 	}
-	p, err := l.LoadDir(filepath.Join("testdata", "src", name))
+	p, err := l.loadDir(filepath.Join("testdata", "src", name))
 	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", name, err)
+		t.Fatalf("loadDir(%s): %v", name, err)
 	}
-	return Analyze(l, []*Package{p})
+	return analyze(l, []*modPkg{p})
 }
 
 // requireFinding asserts at least one diagnostic of the given rule
@@ -89,7 +89,6 @@ func TestCtxFixture(t *testing.T) {
 
 func TestHooksafeFixture(t *testing.T) {
 	diags := loadFixture(t, "hooksafefix")
-	requireFinding(t, diags, "hooksafe", "FromContext may return nil")
 	requireFinding(t, diags, "hooksafe", "reads the global faults.Active()")
 	requireFinding(t, diags, "hooksafe", "construct obs.Recorder through its package constructor")
 }
@@ -165,6 +164,55 @@ func TestSiteDriftCleanFixture(t *testing.T) {
 	forbidRule(t, loadFixture(t, "sitedriftclean"), "sitedrift")
 }
 
+// TestExportUseFixture: of lib's exports only the in-package-only and
+// the in-package-test-only names are findings. Shape (named in Used's
+// signature) and String (fmt.Stringer) have no caller by name, so
+// dropping either exemption adds a finding and breaks the count.
+func TestExportUseFixture(t *testing.T) {
+	l, err := newLoader(modRoot)
+	if err != nil {
+		t.Fatalf("newLoader: %v", err)
+	}
+	var pkgs []*modPkg
+	for _, dir := range []string{"exportusefix", "exportusefix/lib"} {
+		p, err := l.loadDir(filepath.Join("testdata", "src", dir))
+		if err != nil {
+			t.Fatalf("loadDir(%s): %v", dir, err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	diags := analyze(l, pkgs)
+	requireFinding(t, diags, "exportuse", "lib.InPackageOnly is exported")
+	requireFinding(t, diags, "exportuse", "lib.InTestOnly is exported")
+	requireCount(t, diags, "exportuse", 2)
+}
+
+// TestLoadTreeRootIsTheImportedPackage: the module root is loaded once,
+// under the module path, and importing the module path returns that
+// same package, so its objects are identical at every use.
+func TestLoadTreeRootIsTheImportedPackage(t *testing.T) {
+	l, err := newLoader(modRoot)
+	if err != nil {
+		t.Fatalf("newLoader: %v", err)
+	}
+	if _, err := l.loadTree(); err != nil {
+		t.Fatalf("loadTree: %v", err)
+	}
+	var roots []*modPkg
+	for _, p := range l.pkgs {
+		if p.Dir == l.ModRoot {
+			roots = append(roots, p)
+		}
+	}
+	if len(roots) != 1 || roots[0].Path != l.ModPath {
+		t.Fatalf("want one root package %q, got %d", l.ModPath, len(roots))
+	}
+	imp, err := l.Import(l.ModPath)
+	if err != nil || imp != roots[0].Pkg {
+		t.Fatalf("Import(%q) = %p, %v; the tree's root is %p", l.ModPath, imp, err, roots[0].Pkg)
+	}
+}
+
 func TestCleanFixture(t *testing.T) {
 	diags := loadFixture(t, "cleanfix")
 	if len(diags) != 0 {
@@ -188,19 +236,19 @@ func TestRepoIsLintClean(t *testing.T) {
 }
 
 // TestAnalyzeConcurrently runs two analyses at once, each on its own
-// loader: the rules must keep no state outside their Runner (under
+// loader: the rules must keep no state outside their runner (under
 // -race this fails on any package-level cache).
 func TestAnalyzeConcurrently(t *testing.T) {
 	names := []string{"sitedriftfix", "sitedriftclean"}
-	loaders := make([]*Loader, len(names))
-	pkgs := make([]*Package, len(names))
+	loaders := make([]*loader, len(names))
+	pkgs := make([]*modPkg, len(names))
 	for i, name := range names {
-		l, err := NewLoader(modRoot)
+		l, err := newLoader(modRoot)
 		if err != nil {
-			t.Fatalf("NewLoader: %v", err)
+			t.Fatalf("newLoader: %v", err)
 		}
-		if pkgs[i], err = l.LoadDir(filepath.Join("testdata", "src", name)); err != nil {
-			t.Fatalf("LoadDir(%s): %v", name, err)
+		if pkgs[i], err = l.loadDir(filepath.Join("testdata", "src", name)); err != nil {
+			t.Fatalf("loadDir(%s): %v", name, err)
 		}
 		loaders[i] = l
 	}
@@ -210,7 +258,7 @@ func TestAnalyzeConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			diags[i] = Analyze(loaders[i], []*Package{pkgs[i]})
+			diags[i] = analyze(loaders[i], []*modPkg{pkgs[i]})
 		}(i)
 	}
 	wg.Wait()

@@ -15,10 +15,10 @@ import (
 	"strings"
 )
 
-// Package is one type-checked package of the module under analysis,
+// modPkg is one type-checked package of the module under analysis,
 // carrying everything a rule needs: the parsed syntax, the type-checked
 // package object, and the full types.Info side tables.
-type Package struct {
+type modPkg struct {
 	// Path is the import path ("irfusion/internal/sparse"). Fixture
 	// packages under testdata get a synthetic path derived the same
 	// way; nothing imports them, so the path only has to be unique.
@@ -30,7 +30,7 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Loader parses and type-checks module packages from source and
+// loader parses and type-checks module packages from source and
 // satisfies every external (standard library) import through the
 // compiler's export data, which is orders of magnitude faster than
 // source-checking the stdlib and needs no third-party machinery.
@@ -38,23 +38,23 @@ type Package struct {
 // Object identity is the load-bearing property: a *types.Func obtained
 // from a call site in package A resolves to the same object as the
 // definition in package B, as long as both were checked by the same
-// Loader. The directive maps and all cross-package rule checks depend
-// on this, which is why one Loader must load the whole tree.
-type Loader struct {
+// loader. The directive maps and all cross-package rule checks depend
+// on this, which is why one loader must load the whole tree.
+type loader struct {
 	Fset *token.FileSet
 	// ModRoot is the absolute path of the module root (the directory
 	// holding go.mod); ModPath is the module path declared there.
 	ModRoot string
 	ModPath string
 
-	pkgs    map[string]*Package // loaded module packages by import path
-	std     types.Importer      // export-data importer for non-module imports
-	loading map[string]bool     // import-cycle detection
+	pkgs    map[string]*modPkg // loaded module packages by import path
+	std     types.Importer     // export-data importer for non-module imports
+	loading map[string]bool    // import-cycle detection
 }
 
-// NewLoader creates a loader rooted at modRoot, which must contain a
+// newLoader creates a loader rooted at modRoot, which must contain a
 // go.mod file.
-func NewLoader(modRoot string) (*Loader, error) {
+func newLoader(modRoot string) (*loader, error) {
 	abs, err := filepath.Abs(modRoot)
 	if err != nil {
 		return nil, err
@@ -74,11 +74,11 @@ func NewLoader(modRoot string) (*Loader, error) {
 	if modPath == "" {
 		return nil, fmt.Errorf("lint: no module directive in %s/go.mod", abs)
 	}
-	return &Loader{
+	return &loader{
 		Fset:    token.NewFileSet(),
 		ModRoot: abs,
 		ModPath: modPath,
-		pkgs:    map[string]*Package{},
+		pkgs:    map[string]*modPkg{},
 		std:     importer.Default(),
 		loading: map[string]bool{},
 	}, nil
@@ -87,7 +87,7 @@ func NewLoader(modRoot string) (*Loader, error) {
 // Import implements types.Importer: module-internal paths are loaded
 // from source (so rules get syntax and directives for them too), and
 // everything else is delegated to the export-data importer.
-func (l *Loader) Import(path string) (*types.Package, error) {
+func (l *loader) Import(path string) (*types.Package, error) {
 	if dir, ok := l.moduleDir(path); ok {
 		p, err := l.load(path, dir)
 		if err != nil {
@@ -100,7 +100,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 
 // moduleDir maps a module-internal import path to its source
 // directory; ok is false for external imports.
-func (l *Loader) moduleDir(path string) (string, bool) {
+func (l *loader) moduleDir(path string) (string, bool) {
 	if path == l.ModPath {
 		return l.ModRoot, true
 	}
@@ -110,11 +110,11 @@ func (l *Loader) moduleDir(path string) (string, bool) {
 	return "", false
 }
 
-// LoadDir loads the package in dir (absolute or relative to the
+// loadDir loads the package in dir (absolute or relative to the
 // process working directory), deriving its import path from its
-// position under the module root. This is how the fixture self-tests
-// load testdata packages that the tree walk deliberately skips.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
+// position under the module root (the root's is the module path). The
+// fixture self-tests load testdata packages with it, and Run _bench.
+func (l *loader) loadDir(dir string) (*modPkg, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -123,14 +123,18 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	if err != nil || strings.HasPrefix(rel, "..") {
 		return nil, fmt.Errorf("lint: %s is outside module root %s", abs, l.ModRoot)
 	}
-	return l.load(l.ModPath+"/"+filepath.ToSlash(rel), abs)
+	path := l.ModPath
+	if rel != "." {
+		path += "/" + filepath.ToSlash(rel)
+	}
+	return l.load(path, abs)
 }
 
-// LoadTree loads every package of the module except testdata, vendor,
+// loadTree loads every package of the module except testdata, vendor,
 // and hidden/underscore directories, returning them sorted by import
 // path.
-func (l *Loader) LoadTree() ([]*Package, error) {
-	var pkgs []*Package
+func (l *loader) loadTree() ([]*modPkg, error) {
+	var pkgs []*modPkg
 	err := filepath.WalkDir(l.ModRoot, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -143,7 +147,7 @@ func (l *Loader) LoadTree() ([]*Package, error) {
 			name == "testdata" || name == "vendor") {
 			return filepath.SkipDir
 		}
-		p, err := l.LoadDir(path)
+		p, err := l.loadDir(path)
 		if err != nil {
 			if isNoGo(err) {
 				return nil
@@ -161,7 +165,7 @@ func (l *Loader) LoadTree() ([]*Package, error) {
 }
 
 // load parses and type-checks one module package, caching the result.
-func (l *Loader) load(path, dir string) (*Package, error) {
+func (l *loader) load(path, dir string) (*modPkg, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
 	}
@@ -197,7 +201,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Files: files, Pkg: tpkg, Info: info}
+	p := &modPkg{Path: path, Dir: dir, Files: files, Pkg: tpkg, Info: info}
 	l.pkgs[path] = p
 	return p, nil
 }

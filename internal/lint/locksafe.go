@@ -70,7 +70,7 @@ func equalLocks(a, b lockFact) bool {
 	return true
 }
 
-func (r *Runner) checkLocksafe(p *Package) {
+func (r *runner) checkLocksafe(p *modPkg) {
 	term := terminalChecker(p.Info)
 	for _, f := range p.Files {
 		funcBodies(f, func(body *ast.BlockStmt) {
@@ -79,7 +79,7 @@ func (r *Runner) checkLocksafe(p *Package) {
 	}
 }
 
-func (r *Runner) locksafeBody(p *Package, body *ast.BlockStmt, term func(*ast.ExprStmt) bool) {
+func (r *runner) locksafeBody(p *modPkg, body *ast.BlockStmt, term func(*ast.ExprStmt) bool) {
 	if !usesSyncLocks(p.Info, body) {
 		return
 	}
@@ -127,7 +127,7 @@ func (r *Runner) locksafeBody(p *Package, body *ast.BlockStmt, term func(*ast.Ex
 // blocking-under-lock violations when report is set. fact is treated
 // as immutable (copy-on-write) because the solver may join it into
 // other blocks.
-func (r *Runner) lockTransfer(p *Package, fact lockFact, n ast.Node, report bool) lockFact {
+func (r *runner) lockTransfer(p *modPkg, fact lockFact, n ast.Node, report bool) lockFact {
 	switch n := n.(type) {
 	case *ast.DeferStmt:
 		// Deferred calls run at exit; deferredUnlocks accounts for them.
@@ -151,7 +151,7 @@ func (r *Runner) lockTransfer(p *Package, fact lockFact, n ast.Node, report bool
 // lockWalk scans one simple statement or expression for lock
 // operations and blocking operations, in pre-order (a good-enough
 // approximation of evaluation order for these effects).
-func (r *Runner) lockWalk(p *Package, fact lockFact, n ast.Node, report bool) lockFact {
+func (r *runner) lockWalk(p *modPkg, fact lockFact, n ast.Node, report bool) lockFact {
 	ast.Inspect(n, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.FuncLit:
@@ -198,7 +198,7 @@ func (r *Runner) lockWalk(p *Package, fact lockFact, n ast.Node, report bool) lo
 
 // lockBlocked reports a blocking operation reached with locks held,
 // unless waived by //irfusion:lock-ok at the operation's line.
-func (r *Runner) lockBlocked(fact lockFact, pos token.Pos, what string, report bool) {
+func (r *runner) lockBlocked(fact lockFact, pos token.Pos, what string, report bool) {
 	if !report || len(fact) == 0 || r.waived("lock-ok", pos) {
 		return
 	}
@@ -288,7 +288,7 @@ func lockCallName(key string) string {
 
 // blockingCallDesc describes why a call can block indefinitely, or ""
 // when it cannot (as far as this rule models).
-func (r *Runner) blockingCallDesc(info *types.Info, call *ast.CallExpr) string {
+func (r *runner) blockingCallDesc(info *types.Info, call *ast.CallExpr) string {
 	fn, ok := calleeFunc(info, call)
 	if !ok || fn.Pkg() == nil {
 		return ""

@@ -16,7 +16,7 @@ var goroutinePackages = map[string]bool{
 // the serve job queue (one request per worker); a
 // goroutine whose lifetime is the process's (an HTTP listener's Serve
 // loop) carries //irfusion:go-ok <why>.
-func (r *Runner) checkNoGo(p *Package) {
+func (r *runner) checkNoGo(p *modPkg) {
 	if goroutinePackages[p.Path] {
 		return
 	}

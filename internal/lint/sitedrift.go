@@ -25,7 +25,7 @@ import (
 // collectSiteDrift gathers p's Fire sites, checking each against the
 // callee package's Site* constants inline. Runs for every package
 // before reportSiteDrift draws the module-wide conclusions.
-func (r *Runner) collectSiteDrift(p *Package) {
+func (r *runner) collectSiteDrift(p *modPkg) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -56,7 +56,7 @@ func (r *Runner) collectSiteDrift(p *Package) {
 
 // reportSiteDrift draws the module-wide conclusions after every
 // package has been collected: dead fault sites and knownSites drift.
-func (r *Runner) reportSiteDrift() {
+func (r *runner) reportSiteDrift() {
 	for _, p := range r.pkgs {
 		if p.Pkg.Name() == "faults" {
 			r.checkFaultsRegistry(p)
@@ -67,8 +67,8 @@ func (r *Runner) reportSiteDrift() {
 // checkFaultsRegistry enforces the registry-side contracts of a
 // faults package in the analyzed set: no dead sites, and a knownSites
 // map that lists exactly the Site* constants. Map order does not leak
-// into the output: Analyze sorts the findings.
-func (r *Runner) checkFaultsRegistry(p *Package) {
+// into the output: analyze sorts the findings.
+func (r *runner) checkFaultsRegistry(p *modPkg) {
 	decls := declaredSites(p.Pkg)
 	if len(decls) == 0 {
 		return
@@ -107,7 +107,7 @@ func (r *Runner) checkFaultsRegistry(p *Package) {
 // declaredSites scans a package scope for exported Site* string
 // constants, returning value -> constant name. One scope of a few
 // dozen names per Fire call site; nothing is cached, so concurrent
-// Analyze calls share no state.
+// analyze calls share no state.
 func declaredSites(pkg *types.Package) map[string]string {
 	m := map[string]string{}
 	scope := pkg.Scope()
@@ -126,7 +126,7 @@ func declaredSites(pkg *types.Package) map[string]string {
 
 // knownSitesLiteral finds the composite literal the package-level
 // knownSites var is initialized with, nil when absent or not a literal.
-func knownSitesLiteral(p *Package) *ast.CompositeLit {
+func knownSitesLiteral(p *modPkg) *ast.CompositeLit {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)

@@ -1,6 +1,6 @@
-// Package hooksafefix seeds hooksafe violations: raw FromContext use,
-// the global Active() read inside a context-holding function, and
-// hand-rolled hook construction.
+// Package hooksafefix seeds hooksafe violations: the global Active()
+// read inside a context-holding function, and hand-rolled hook
+// construction.
 package hooksafefix
 
 import (
@@ -10,11 +10,9 @@ import (
 	"irfusion/internal/obs"
 )
 
-// Inject resolves its injector the two forbidden ways.
+// Inject resolves its injector the forbidden way.
 func Inject(ctx context.Context) int64 {
-	r := faults.FromContext(ctx)
-	g := faults.Active()
-	if r != nil || g != nil {
+	if g := faults.Active(); g != nil {
 		return 1
 	}
 	return 0

@@ -98,7 +98,7 @@ func TestDegenerateMaps(t *testing.T) {
 			if got := MIRDE(tc.pred, tc.golden); got != tc.mirde {
 				t.Errorf("MIRDE = %g, want %g", got, tc.mirde)
 			}
-			if got := CC(tc.pred, tc.golden); got != tc.cc {
+			if got := cc(tc.pred, tc.golden); got != tc.cc {
 				t.Errorf("CC = %g, want %g", got, tc.cc)
 			}
 		})
@@ -122,7 +122,7 @@ func TestNaNPropagation(t *testing.T) {
 		if got := MIRDE(p, golden); !math.IsNaN(got) {
 			t.Errorf("MIRDE = %g, want NaN", got)
 		}
-		if got := CC(p, golden); !math.IsNaN(got) {
+		if got := cc(p, golden); !math.IsNaN(got) {
 			t.Errorf("CC = %g, want NaN", got)
 		}
 	})
@@ -138,7 +138,7 @@ func TestNaNPropagation(t *testing.T) {
 
 	t.Run("NaN pred pixel is never hot", func(t *testing.T) {
 		p := withNaN(pred, 0) // pixel 0 was a TP, now NaN >= thresh is false
-		c := Classify(p, golden)
+		c := classify(p, golden)
 		if c.TP != 1 || c.FN != 1 || c.FP != 0 || c.TN != 2 {
 			t.Errorf("confusion %+v, want TP=1 FN=1 FP=0 TN=2", c)
 		}
@@ -146,7 +146,7 @@ func TestNaNPropagation(t *testing.T) {
 
 	t.Run("NaN golden pixel drops out of hotspot", func(t *testing.T) {
 		g := withNaN(golden, 1) // pixel 1 was hotspot; NaN >= thresh is false
-		c := Classify(pred, g)
+		c := classify(pred, g)
 		// pred pixel 1 still clears the threshold, so it becomes an FP.
 		if c.TP != 1 || c.FP != 1 || c.FN != 0 || c.TN != 2 {
 			t.Errorf("confusion %+v, want TP=1 FP=1 FN=0 TN=2", c)

@@ -11,28 +11,28 @@ import (
 	"irfusion/internal/grid"
 )
 
-// HotspotFraction is the contest threshold: pixels at or above this
+// hotspotFraction is the contest threshold: pixels at or above this
 // fraction of the golden maximum are hotspot positives.
-const HotspotFraction = 0.9
+const hotspotFraction = 0.9
 
 // MAE returns the mean absolute error between prediction and golden.
 func MAE(pred, golden *grid.Map) float64 {
 	return grid.MAE(pred, golden)
 }
 
-// Confusion counts hotspot classifications: both maps are thresholded
-// at HotspotFraction × max(golden), per the contest definition.
-type Confusion struct {
+// confusion counts hotspot classifications: both maps are thresholded
+// at hotspotFraction × max(golden), per the contest definition.
+type confusion struct {
 	TP, FP, TN, FN int
 }
 
-// Classify computes the hotspot confusion matrix.
-func Classify(pred, golden *grid.Map) Confusion {
+// classify computes the hotspot confusion matrix.
+func classify(pred, golden *grid.Map) confusion {
 	if pred.H != golden.H || pred.W != golden.W {
 		panic("metrics: shape mismatch")
 	}
-	thresh := HotspotFraction * golden.Max()
-	var c Confusion
+	thresh := hotspotFraction * golden.Max()
+	var c confusion
 	for i := range golden.Data {
 		gp := golden.Data[i] >= thresh
 		pp := pred.Data[i] >= thresh
@@ -50,16 +50,16 @@ func Classify(pred, golden *grid.Map) Confusion {
 	return c
 }
 
-// Precision returns TP/(TP+FP), 0 when undefined.
-func (c Confusion) Precision() float64 {
+// precision returns TP/(TP+FP), 0 when undefined.
+func (c confusion) precision() float64 {
 	if c.TP+c.FP == 0 {
 		return 0
 	}
 	return float64(c.TP) / float64(c.TP+c.FP)
 }
 
-// Recall returns TP/(TP+FN), 0 when undefined.
-func (c Confusion) Recall() float64 {
+// recall returns TP/(TP+FN), 0 when undefined.
+func (c confusion) recall() float64 {
 	if c.TP+c.FN == 0 {
 		return 0
 	}
@@ -67,8 +67,8 @@ func (c Confusion) Recall() float64 {
 }
 
 // F1 returns the harmonic mean of precision and recall.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
+func (c confusion) F1() float64 {
+	p, r := c.precision(), c.recall()
 	if p+r == 0 { //irfusion:exact precision and recall are exactly zero only when there are no positives at all; guard the division
 		return 0
 	}
@@ -77,7 +77,7 @@ func (c Confusion) F1() float64 {
 
 // F1 is a convenience wrapper computing the hotspot F1 directly.
 func F1(pred, golden *grid.Map) float64 {
-	return Classify(pred, golden).F1()
+	return classify(pred, golden).F1()
 }
 
 // MIRDE returns the maximum-IR-drop-region error: the mean absolute
@@ -87,7 +87,7 @@ func MIRDE(pred, golden *grid.Map) float64 {
 	if pred.H != golden.H || pred.W != golden.W {
 		panic("metrics: shape mismatch")
 	}
-	thresh := HotspotFraction * golden.Max()
+	thresh := hotspotFraction * golden.Max()
 	sum, n := 0.0, 0
 	for i := range golden.Data {
 		if golden.Data[i] >= thresh {
@@ -101,9 +101,9 @@ func MIRDE(pred, golden *grid.Map) float64 {
 	return sum / float64(n)
 }
 
-// CC returns the Pearson correlation coefficient between the two
+// cc returns the Pearson correlation coefficient between the two
 // maps (an auxiliary fidelity metric; 1 is perfect).
-func CC(pred, golden *grid.Map) float64 {
+func cc(pred, golden *grid.Map) float64 {
 	if pred.H != golden.H || pred.W != golden.W {
 		panic("metrics: shape mismatch")
 	}
@@ -137,7 +137,7 @@ func Evaluate(pred, golden *grid.Map) Report {
 		MAE:   MAE(pred, golden),
 		F1:    F1(pred, golden),
 		MIRDE: MIRDE(pred, golden),
-		CC:    CC(pred, golden),
+		CC:    cc(pred, golden),
 	}
 }
 

@@ -20,12 +20,12 @@ func TestMAEZeroForIdentical(t *testing.T) {
 func TestClassifyKnown(t *testing.T) {
 	golden := grid.FromData(1, 4, []float64{10, 9.5, 5, 1}) // thresh = 9
 	pred := grid.FromData(1, 4, []float64{9.2, 1, 9.5, 2})
-	c := Classify(pred, golden)
+	c := classify(pred, golden)
 	// pixel0: g+ p+ TP; pixel1: g+ p- FN; pixel2: g- p+ FP; pixel3: TN
 	if c.TP != 1 || c.FN != 1 || c.FP != 1 || c.TN != 1 {
 		t.Errorf("confusion %+v", c)
 	}
-	if math.Abs(c.Precision()-0.5) > 1e-12 || math.Abs(c.Recall()-0.5) > 1e-12 {
+	if math.Abs(c.precision()-0.5) > 1e-12 || math.Abs(c.recall()-0.5) > 1e-12 {
 		t.Error("P/R wrong")
 	}
 	if math.Abs(c.F1()-0.5) > 1e-12 {
@@ -50,8 +50,8 @@ func TestF1EdgeCases(t *testing.T) {
 	if F1(miss, g) != 0 {
 		t.Error("all-miss should be F1 = 0")
 	}
-	var c Confusion
-	if c.F1() != 0 || c.Precision() != 0 || c.Recall() != 0 {
+	var c confusion
+	if c.F1() != 0 || c.precision() != 0 || c.recall() != 0 {
 		t.Error("empty confusion must score 0")
 	}
 }
@@ -71,15 +71,15 @@ func TestCCProperties(t *testing.T) {
 	for i := range g.Data {
 		g.Data[i] = rng.NormFloat64()
 	}
-	if math.Abs(CC(g, g)-1) > 1e-12 {
+	if math.Abs(cc(g, g)-1) > 1e-12 {
 		t.Error("self-correlation must be 1")
 	}
 	neg := g.Clone().Scale(-1)
-	if math.Abs(CC(neg, g)+1) > 1e-12 {
+	if math.Abs(cc(neg, g)+1) > 1e-12 {
 		t.Error("negated map must correlate -1")
 	}
 	flat := grid.New(6, 6)
-	if CC(flat, g) != 0 {
+	if cc(flat, g) != 0 {
 		t.Error("constant map correlation must be 0")
 	}
 }
@@ -95,7 +95,7 @@ func TestCCInvariantToAffine(t *testing.T) {
 		for i := range scaled.Data {
 			scaled.Data[i] += 3
 		}
-		return math.Abs(CC(scaled, g)-1) < 1e-9
+		return math.Abs(cc(scaled, g)-1) < 1e-9
 	}, &quick.Config{MaxCount: 20})
 	if err != nil {
 		t.Error(err)

@@ -25,8 +25,8 @@ type irpnet struct {
 	head   *nn.Conv2d
 }
 
-// NewIRPNet builds IRPnet.
-func NewIRPNet(cfg Config) Model {
+// newIRPNet builds IRPnet.
+func newIRPNet(cfg Config) Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	b := cfg.Base
 	return &irpnet{
@@ -98,8 +98,8 @@ type contestWinner struct {
 	head   *nn.Conv2d
 }
 
-// NewContestWinner builds the contest-winner baseline.
-func NewContestWinner(cfg Config) Model {
+// newContestWinner builds the contest-winner baseline.
+func newContestWinner(cfg Config) Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	b := cfg.Base
 	return &contestWinner{

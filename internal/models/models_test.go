@@ -129,7 +129,7 @@ func TestModelTrainsOnIdentityTask(t *testing.T) {
 }
 
 func TestAblatedVariantsDiffer(t *testing.T) {
-	full := NewIRFusionNet(smallCfg())
+	full := newIRFusionNet(smallCfg())
 	noInc := NewIRFusionNetAblated(smallCfg(), false, true, true)
 	noCBAM := NewIRFusionNetAblated(smallCfg(), true, true, false)
 	nFull := nn.NumParams(full.Params())
@@ -204,7 +204,7 @@ func TestInceptionRequiresDivisibleBase(t *testing.T) {
 			t.Fatal("expected panic for Base not divisible by 4")
 		}
 	}()
-	NewIRFusionNet(Config{InChannels: 3, Base: 6, Depth: 2, Seed: 1})
+	newIRFusionNet(Config{InChannels: 3, Base: 6, Depth: 2, Seed: 1})
 }
 
 func TestStateVectorsPresent(t *testing.T) {

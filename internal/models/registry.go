@@ -5,18 +5,18 @@ import (
 	"sort"
 )
 
-// Builder constructs a model from a configuration.
-type Builder func(Config) Model
+// builder constructs a model from a configuration.
+type builder func(Config) Model
 
 // registry maps model names to builders.
-var registry = map[string]Builder{
-	"iredge":        NewIREDGe,
-	"mavirec":       NewMAVIREC,
-	"irpnet":        NewIRPNet,
-	"pgau":          NewPGAU,
-	"maunet":        NewMAUnet,
-	"contestwinner": NewContestWinner,
-	"irfusion":      NewIRFusionNet,
+var registry = map[string]builder{
+	"iredge":        newIREDGe,
+	"mavirec":       newMAVIREC,
+	"irpnet":        newIRPNet,
+	"pgau":          newPGAU,
+	"maunet":        newMAUnet,
+	"contestwinner": newContestWinner,
+	"irfusion":      newIRFusionNet,
 }
 
 // Names returns the registered model names, sorted.

@@ -20,12 +20,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the configuration used by the experiment
-// harness at reduced scale.
-func DefaultConfig(inChannels int) Config {
-	return Config{InChannels: inChannels, Base: 8, Depth: 3, Seed: 1}
-}
-
 // stage is any encoder/decoder block.
 type stage interface {
 	forward(tp *nn.Tape, x *nn.Tensor) *nn.Tensor
@@ -215,10 +209,10 @@ func (u *unet) State() [][]float64 {
 	return st
 }
 
-// NewIRFusionNet builds the paper's Inception Attention U-Net:
+// newIRFusionNet builds the paper's Inception Attention U-Net:
 // Inception-A/B/C encoder, attention-gated skips, CBAM decoder,
 // regression head.
-func NewIRFusionNet(cfg Config) Model {
+func newIRFusionNet(cfg Config) Model {
 	return newUnet("IR-Fusion", cfg, unetOpts{
 		useInception: true, useAttnGate: true, useCBAM: true,
 	})
@@ -239,25 +233,25 @@ func NewIRFusionNetAblated(cfg Config, inception, attnGate, cbamOn bool) Model {
 	})
 }
 
-// NewIREDGe builds the plain encoder-decoder U-Net of IREDGe.
-func NewIREDGe(cfg Config) Model {
+// newIREDGe builds the plain encoder-decoder U-Net of IREDGe.
+func newIREDGe(cfg Config) Model {
 	return newUnet("IREDGe", cfg, unetOpts{})
 }
 
-// NewMAVIREC builds MAVIREC's heavier (triple-conv stage) U-Net —
+// newMAVIREC builds MAVIREC's heavier (triple-conv stage) U-Net —
 // the static-analysis collapse of its 3-D architecture.
-func NewMAVIREC(cfg Config) Model {
+func newMAVIREC(cfg Config) Model {
 	return newUnet("MAVIREC", cfg, unetOpts{tripleConv: true})
 }
 
-// NewPGAU builds the attention U-Net of PGAU (attention-gated skips,
+// newPGAU builds the attention U-Net of PGAU (attention-gated skips,
 // no Inception, no CBAM).
-func NewPGAU(cfg Config) Model {
+func newPGAU(cfg Config) Model {
 	return newUnet("PGAU", cfg, unetOpts{useAttnGate: true})
 }
 
-// NewMAUnet builds the multiscale attention U-Net of MAUnet:
+// newMAUnet builds the multiscale attention U-Net of MAUnet:
 // multiscale input injection plus SE channel attention in the decoder.
-func NewMAUnet(cfg Config) Model {
+func newMAUnet(cfg Config) Model {
 	return newUnet("MAUnet", cfg, unetOpts{multiScaleInput: true, useSE: true})
 }

@@ -77,7 +77,7 @@ func evalAllocBytes(fn func()) (bytes, objects float64) {
 }
 
 // TestEvalConvAndBatchNormAllocateOnlyTheirOutput: on the heap (nil
-// tape) Conv2D allocates its output and one column panel — never the
+// tape) conv2D allocates its output and one column panel — never the
 // k·oh·ow matrix — and eval BatchNorm2d keeps neither xhat nor
 // statistics copies; on an inference tape in steady state both allocate
 // the tensor header and no float at all.
@@ -96,7 +96,7 @@ func TestEvalConvAndBatchNormAllocateOnlyTheirOutput(t *testing.T) {
 
 	bytes, objects := evalAllocBytes(func() { conv.Forward(nil, x) })
 	if limit := float64(oc*h*w*8 + panel + slack); bytes > limit || objects > 8 {
-		t.Errorf("eval Conv2D allocates %.0f B in %.1f objects per call, want <= %.0f B (output %d B, panel %d B) in <= 8",
+		t.Errorf("eval conv2D allocates %.0f B in %.1f objects per call, want <= %.0f B (output %d B, panel %d B) in <= 8",
 			bytes, objects, limit, oc*h*w*8, panel)
 	}
 

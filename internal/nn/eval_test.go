@@ -104,7 +104,7 @@ func TestIm2colRowCopyMatchesPerElement(t *testing.T) {
 	}
 }
 
-// refConv2D is Conv2D as it stood before the panel loop — unroll the
+// refConv2D is conv2D as it stood before the panel loop — unroll the
 // whole image, one GEMM per sample, keep a copy of the columns for
 // Backward — with the pool dispatch of im2col left out (it split rows,
 // never sums).
@@ -176,7 +176,7 @@ func refConv2D(tp *Tape, x, w, b *Tensor, stride, pad int) *Tensor {
 }
 
 // convCase is one convolution shape; padH != padW goes through
-// conv2DRect (Pad2D, then an unpadded convolution).
+// conv2DRect (pad2D, then an unpadded convolution).
 type convCase struct {
 	ic, oc, ih, iw, kh, kw, stride, padH, padW int
 	poisoned                                   bool // an Inf weight over a zero pixel, and a NaN pixel
@@ -186,12 +186,12 @@ func (c convCase) String() string {
 	return fmt.Sprintf("ic%d oc%d %dx%d k%dx%d s%d p%d,%d", c.ic, c.oc, c.ih, c.iw, c.kh, c.kw, c.stride, c.padH, c.padW)
 }
 
-// run applies the case with conv standing for Conv2D.
+// run applies the case with conv standing for conv2D.
 func (c convCase) run(conv func(tp *Tape, x, w, b *Tensor, stride, pad int) *Tensor, tp *Tape, x, w, b *Tensor) *Tensor {
 	if c.padH == c.padW {
 		return conv(tp, x, w, b, c.stride, c.padH)
 	}
-	return conv(tp, Pad2D(tp, x, c.padH, c.padW), w, b, c.stride, 0)
+	return conv(tp, pad2D(tp, x, c.padH, c.padW), w, b, c.stride, 0)
 }
 
 // backward seeds out.Grad and replays the tape, returning dW, dx, db.
@@ -252,12 +252,12 @@ func conv2DMatchesWholeImageReference(t *testing.T) {
 		}
 
 		want := c.run(refConv2D, nil, x, w, b)
-		if got := c.run(Conv2D, nil, x, w, b); !bitwiseEqual(got.Data, want.Data) {
+		if got := c.run(conv2D, nil, x, w, b); !bitwiseEqual(got.Data, want.Data) {
 			t.Errorf("%v: nil-tape output differs from the whole-image reference", c)
 		}
 		tp := NewEvalTape()
 		for pass := 0; pass < 3; pass++ {
-			if got := c.run(Conv2D, tp, x, w, b); !bitwiseEqual(got.Data, want.Data) {
+			if got := c.run(conv2D, tp, x, w, b); !bitwiseEqual(got.Data, want.Data) {
 				t.Errorf("%v: inference-tape pass %d differs from the whole-image reference", c, pass)
 			}
 			tp.Reset()
@@ -267,7 +267,7 @@ func conv2DMatchesWholeImageReference(t *testing.T) {
 
 		x.needsGrad = true
 		rtp, gtp := NewTape(), NewTape()
-		ref, got := c.run(refConv2D, rtp, x, w, b), c.run(Conv2D, gtp, x, w, b)
+		ref, got := c.run(refConv2D, rtp, x, w, b), c.run(conv2D, gtp, x, w, b)
 		if !bitwiseEqual(got.Data, want.Data) || !bitwiseEqual(ref.Data, want.Data) {
 			t.Errorf("%v: recording-tape output differs from the whole-image reference", c)
 		}
@@ -282,7 +282,7 @@ func conv2DMatchesWholeImageReference(t *testing.T) {
 	}
 }
 
-// TestEvalKernelsMatchTapedPath: nil-tape and inference-tape Conv2D and
+// TestEvalKernelsMatchTapedPath: nil-tape and inference-tape conv2D and
 // eval BatchNorm2d reproduce the recording path's bits.
 func TestEvalKernelsMatchTapedPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
@@ -294,10 +294,10 @@ func TestEvalKernelsMatchTapedPath(t *testing.T) {
 	etp := NewEvalTape()
 	for pass := 0; pass < 2; pass++ {
 		if got := conv.Forward(nil, x); !bitwiseEqual(got.Data, want.Data) {
-			t.Errorf("Conv2D pass %d: nil-tape output differs from the taped output", pass)
+			t.Errorf("conv2D pass %d: nil-tape output differs from the taped output", pass)
 		}
 		if got := conv.Forward(etp, x); !bitwiseEqual(got.Data, want.Data) {
-			t.Errorf("Conv2D pass %d: inference-tape output differs from the taped output", pass)
+			t.Errorf("conv2D pass %d: inference-tape output differs from the taped output", pass)
 		}
 		etp.Reset()
 	}
@@ -367,7 +367,7 @@ func TestForwardReLUMatchesUnfused(t *testing.T) {
 				t.Errorf("training=%t: ForwardReLU on a recording tape overwrote its input", training)
 			}
 			for _, p := range []*Tensor{bn.Gamma, bn.Beta} {
-				p.ZeroGrad()
+				p.zeroGrad()
 			}
 			x.ensureGrad()
 			copy(y.Grad, randomSlice(rand.New(rand.NewSource(28)), len(y.Data)))

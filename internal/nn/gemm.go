@@ -45,7 +45,8 @@ func Kernel() string {
 //
 //irfusion:hotpath
 func gemm(a []float64, b []float64, c []float64, m, k, n int, accumulate bool) {
-	gemmRows(false, a, b, c, k, 1, m, k, n, accumulate)
+	cGemm.Inc()
+	gemmRange(a, b, c, k, 1, m, k, n, n, n, accumulate)
 }
 
 // gemmTA computes C = Aᵀ·B (+C when accumulate): A is k×m (so Aᵀ is
@@ -53,7 +54,8 @@ func gemm(a []float64, b []float64, c []float64, m, k, n int, accumulate bool) {
 //
 //irfusion:hotpath
 func gemmTA(a []float64, b []float64, c []float64, m, k, n int, accumulate bool) {
-	gemmRows(false, a, b, c, 1, m, m, k, n, accumulate)
+	cGemm.Inc()
+	gemmRange(a, b, c, 1, m, m, k, n, n, n, accumulate)
 }
 
 // gemmTB computes C = A·Bᵀ (+C when accumulate): A is m×k, B is n×k,
@@ -61,43 +63,23 @@ func gemmTA(a []float64, b []float64, c []float64, m, k, n int, accumulate bool)
 //
 //irfusion:hotpath
 func gemmTB(a []float64, b []float64, c []float64, m, k, n int, accumulate bool) {
-	gemmRows(true, a, b, c, k, 1, m, k, n, accumulate)
-}
-
-// gemmRows counts the call and hands rows [0, m) of C to the leaf of
-// the chosen variant (transB selects gemmTBRange). A(i,p) is
-// a[i*sai+p*sap].
-//
-//irfusion:hotpath
-func gemmRows(transB bool, a, b, c []float64, sai, sap, m, k, n int, accumulate bool) {
 	cGemm.Inc()
-	gemmLeaf(transB, a, b, c, sai, sap, k, n, accumulate, 0, m)
+	gemmTBRange(a, b, c, m, k, n, accumulate)
 }
 
-// gemmLeaf runs rows [start, end) of C.
-//
-//irfusion:hotpath
-func gemmLeaf(transB bool, a, b, c []float64, sai, sap, k, n int, accumulate bool, start, end int) {
-	if transB {
-		gemmTBRange(a, b, c, k, n, accumulate, start, end)
-	} else {
-		gemmRange(a, b, c, sai, sap, k, n, n, n, accumulate, start, end)
-	}
-}
-
-// gemmRange is the serial C = A·B leaf over rows [start, end), A read
-// through its strides, B and C through their row strides ldb and ldc
-// (both n for whole matrices; Conv2D multiplies one column panel of a
+// gemmRange is the serial C = A·B leaf over the m rows of C, A(i,p)
+// read at a[i*sai+p*sap] (gemmTA swaps the strides), B and C through their row strides ldb and ldc
+// (both n for whole matrices; conv2D multiplies one column panel of a
 // wider C). It walks C in gemmPanel-wide column panels and takes the
 // rows of a panel four at a time (gemmQuad), the m%4 remainder one at a
 // time (gemmRow).
 //
 //irfusion:hotpath
-func gemmRange(a, b, c []float64, sai, sap, k, n, ldb, ldc int, accumulate bool, start, end int) {
+func gemmRange(a, b, c []float64, sai, sap, m, k, n, ldb, ldc int, accumulate bool) {
 	for j0 := 0; j0 < n; j0 += gemmPanel {
 		w := min(gemmPanel, n-j0)
-		i := start
-		for ; i+4 <= end; i += 4 {
+		i := 0
+		for ; i+4 <= m; i += 4 {
 			c0, c1 := c[i*ldc+j0:][:w], c[(i+1)*ldc+j0:][:w]
 			c2, c3 := c[(i+2)*ldc+j0:][:w], c[(i+3)*ldc+j0:][:w]
 			if !accumulate {
@@ -108,7 +90,7 @@ func gemmRange(a, b, c []float64, sai, sap, k, n, ldb, ldc int, accumulate bool,
 			}
 			gemmQuad(a[i*sai:], b[j0:], c0, c1, c2, c3, sai, sap, k, ldb)
 		}
-		for ; i < end; i++ {
+		for ; i < m; i++ {
 			ci := c[i*ldc+j0:][:w]
 			if !accumulate {
 				clear(ci)
@@ -219,8 +201,8 @@ func gemmRow(a, b, c []float64, sap, k, ldb int) {
 // sum started at +0 is never −0, so adding it to a cleared C stores it.)
 //
 //irfusion:hotpath
-func gemmTBRange(a, b, c []float64, k, n int, accumulate bool, start, end int) {
-	for i := start; i < end; i++ {
+func gemmTBRange(a, b, c []float64, m, k, n int, accumulate bool) {
+	for i := 0; i < m; i++ {
 		ai := a[i*k:][:k]
 		ci := c[i*n:][:n]
 		if !accumulate {

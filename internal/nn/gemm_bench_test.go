@@ -9,7 +9,7 @@ import (
 // servedGemmShapes are the distinct (m, k, n) of the 58 GEMM calls one
 // nil-tape forward pass of the served model issues (irfusion, Base 8,
 // Depth 3, 14 feature channels, 64×64 raster), with their call counts;
-// collected once by printing from gemmRows. m is the convolution's
+// collected once by printing every call's shape. m is the convolution's
 // output channels, k its input channels × taps, n the output pixels;
 // the last six are the CBAM channel-attention Linear layers (A·Bᵀ).
 var servedGemmShapes = []struct{ m, k, n, calls int }{

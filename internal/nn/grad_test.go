@@ -17,7 +17,7 @@ func checkGrad(t *testing.T, name string, checked []*Tensor, forward func(tp *Ta
 		t.Fatalf("%s: loss not scalar", name)
 	}
 	for _, x := range checked {
-		x.ZeroGrad()
+		x.zeroGrad()
 	}
 	tp.Backward(loss)
 
@@ -62,16 +62,16 @@ func TestGradElementwise(t *testing.T) {
 	y := randParam(rng, 2, 3, 4, 4)
 
 	checkGrad(t, "Add", []*Tensor{x, y}, func(tp *Tape) *Tensor {
-		return Mean(tp, Mul(tp, Add(tp, x, y), Add(tp, x, y)))
+		return mean(tp, mul(tp, Add(tp, x, y), Add(tp, x, y)))
 	})
-	checkGrad(t, "Sub", []*Tensor{x, y}, func(tp *Tape) *Tensor {
-		return Mean(tp, Mul(tp, Sub(tp, x, y), Sub(tp, x, y)))
+	checkGrad(t, "sub", []*Tensor{x, y}, func(tp *Tape) *Tensor {
+		return mean(tp, mul(tp, sub(tp, x, y), sub(tp, x, y)))
 	})
-	checkGrad(t, "Mul", []*Tensor{x, y}, func(tp *Tape) *Tensor {
-		return Mean(tp, Mul(tp, x, y))
+	checkGrad(t, "mul", []*Tensor{x, y}, func(tp *Tape) *Tensor {
+		return mean(tp, mul(tp, x, y))
 	})
-	checkGrad(t, "Scale", []*Tensor{x}, func(tp *Tape) *Tensor {
-		return Mean(tp, Scale(tp, x, -2.5))
+	checkGrad(t, "scale", []*Tensor{x}, func(tp *Tape) *Tensor {
+		return mean(tp, scale(tp, x, -2.5))
 	})
 }
 
@@ -85,10 +85,10 @@ func TestGradActivations(t *testing.T) {
 		}
 	}
 	checkGrad(t, "ReLU", []*Tensor{x}, func(tp *Tape) *Tensor {
-		return Mean(tp, ReLU(tp, x))
+		return mean(tp, ReLU(tp, x))
 	})
 	checkGrad(t, "Sigmoid", []*Tensor{x}, func(tp *Tape) *Tensor {
-		return Mean(tp, Sigmoid(tp, x))
+		return mean(tp, Sigmoid(tp, x))
 	})
 }
 
@@ -110,10 +110,10 @@ func TestGradBroadcastMuls(t *testing.T) {
 	sc := randParam(rng, 2, 3, 1, 1)
 	sp := randParam(rng, 2, 1, 4, 4)
 	checkGrad(t, "MulChannel", []*Tensor{x, sc}, func(tp *Tape) *Tensor {
-		return Mean(tp, MulChannel(tp, x, sc))
+		return mean(tp, MulChannel(tp, x, sc))
 	})
 	checkGrad(t, "MulSpatial", []*Tensor{x, sp}, func(tp *Tape) *Tensor {
-		return Mean(tp, MulSpatial(tp, x, sp))
+		return mean(tp, MulSpatial(tp, x, sp))
 	})
 }
 
@@ -126,7 +126,7 @@ func TestGradConcat(t *testing.T) {
 		w.Data[i] = rng.NormFloat64()
 	}
 	checkGrad(t, "Concat", []*Tensor{a, b}, func(tp *Tape) *Tensor {
-		return Mean(tp, Mul(tp, Concat(tp, a, b), w))
+		return mean(tp, mul(tp, Concat(tp, a, b), w))
 	})
 }
 
@@ -135,15 +135,15 @@ func TestGradConv2D(t *testing.T) {
 	x := randParam(rng, 2, 3, 6, 6)
 	w := randParam(rng, 4, 3, 3, 3)
 	b := randParam(rng, 4)
-	checkGrad(t, "Conv2D-same", []*Tensor{x, w, b}, func(tp *Tape) *Tensor {
-		return Mean(tp, Mul(tp, Conv2D(tp, x, w, b, 1, 1), Conv2D(tp, x, w, b, 1, 1)))
+	checkGrad(t, "conv2D-same", []*Tensor{x, w, b}, func(tp *Tape) *Tensor {
+		return mean(tp, mul(tp, conv2D(tp, x, w, b, 1, 1), conv2D(tp, x, w, b, 1, 1)))
 	})
-	checkGrad(t, "Conv2D-stride2", []*Tensor{x, w, b}, func(tp *Tape) *Tensor {
-		return Mean(tp, Conv2D(tp, x, w, b, 2, 1))
+	checkGrad(t, "conv2D-stride2", []*Tensor{x, w, b}, func(tp *Tape) *Tensor {
+		return mean(tp, conv2D(tp, x, w, b, 2, 1))
 	})
 	w1 := randParam(rng, 2, 3, 1, 1)
-	checkGrad(t, "Conv2D-1x1", []*Tensor{x, w1}, func(tp *Tape) *Tensor {
-		return Mean(tp, Conv2D(tp, x, w1, nil, 1, 0))
+	checkGrad(t, "conv2D-1x1", []*Tensor{x, w1}, func(tp *Tape) *Tensor {
+		return mean(tp, conv2D(tp, x, w1, nil, 1, 0))
 	})
 }
 
@@ -152,21 +152,21 @@ func TestGradConvRect(t *testing.T) {
 	x := randParam(rng, 1, 2, 6, 6)
 	w := randParam(rng, 3, 2, 1, 5)
 	b := randParam(rng, 3)
-	checkGrad(t, "Conv2D-1x5", []*Tensor{x, w, b}, func(tp *Tape) *Tensor {
-		return Mean(tp, conv2DRect(tp, x, w, b, 1, 0, 2))
+	checkGrad(t, "conv2D-1x5", []*Tensor{x, w, b}, func(tp *Tape) *Tensor {
+		return mean(tp, conv2DRect(tp, x, w, b, 1, 0, 2))
 	})
 	w2 := randParam(rng, 3, 2, 5, 1)
-	checkGrad(t, "Conv2D-5x1", []*Tensor{x, w2, b}, func(tp *Tape) *Tensor {
-		return Mean(tp, conv2DRect(tp, x, w2, b, 1, 2, 0))
+	checkGrad(t, "conv2D-5x1", []*Tensor{x, w2, b}, func(tp *Tape) *Tensor {
+		return mean(tp, conv2DRect(tp, x, w2, b, 1, 2, 0))
 	})
 }
 
 func TestGradPad2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	x := randParam(rng, 1, 2, 3, 4)
-	checkGrad(t, "Pad2D", []*Tensor{x}, func(tp *Tape) *Tensor {
-		p := Pad2D(tp, x, 1, 2)
-		return Mean(tp, Mul(tp, p, p))
+	checkGrad(t, "pad2D", []*Tensor{x}, func(tp *Tape) *Tensor {
+		p := pad2D(tp, x, 1, 2)
+		return mean(tp, mul(tp, p, p))
 	})
 }
 
@@ -178,26 +178,26 @@ func TestGradPooling(t *testing.T) {
 		x.Data[i] += float64(i) * 1e-3
 	}
 	checkGrad(t, "MaxPool2x2", []*Tensor{x}, func(tp *Tape) *Tensor {
-		return Mean(tp, Mul(tp, MaxPool2x2(tp, x), MaxPool2x2(tp, x)))
+		return mean(tp, mul(tp, MaxPool2x2(tp, x), MaxPool2x2(tp, x)))
 	})
 	checkGrad(t, "AvgPool2x2", []*Tensor{x}, func(tp *Tape) *Tensor {
-		return Mean(tp, Mul(tp, AvgPool2x2(tp, x), AvgPool2x2(tp, x)))
+		return mean(tp, mul(tp, AvgPool2x2(tp, x), AvgPool2x2(tp, x)))
 	})
 	checkGrad(t, "GlobalAvgPool", []*Tensor{x}, func(tp *Tape) *Tensor {
 		g := GlobalAvgPool(tp, x)
-		return Mean(tp, Mul(tp, g, g))
+		return mean(tp, mul(tp, g, g))
 	})
 	checkGrad(t, "GlobalMaxPool", []*Tensor{x}, func(tp *Tape) *Tensor {
 		g := GlobalMaxPool(tp, x)
-		return Mean(tp, Mul(tp, g, g))
+		return mean(tp, mul(tp, g, g))
 	})
 	checkGrad(t, "ChannelMean", []*Tensor{x}, func(tp *Tape) *Tensor {
 		g := ChannelMean(tp, x)
-		return Mean(tp, Mul(tp, g, g))
+		return mean(tp, mul(tp, g, g))
 	})
 	checkGrad(t, "ChannelMax", []*Tensor{x}, func(tp *Tape) *Tensor {
 		g := ChannelMax(tp, x)
-		return Mean(tp, Mul(tp, g, g))
+		return mean(tp, mul(tp, g, g))
 	})
 }
 
@@ -206,7 +206,7 @@ func TestGradUpsample(t *testing.T) {
 	x := randParam(rng, 1, 3, 4, 4)
 	checkGrad(t, "Upsample2x", []*Tensor{x}, func(tp *Tape) *Tensor {
 		u := Upsample2x(tp, x)
-		return Mean(tp, Mul(tp, u, u))
+		return mean(tp, mul(tp, u, u))
 	})
 }
 
@@ -217,7 +217,7 @@ func TestGradLinear(t *testing.T) {
 	b := randParam(rng, 4)
 	checkGrad(t, "Linear", []*Tensor{x, w, b}, func(tp *Tape) *Tensor {
 		y := Linear(tp, x, w, b)
-		return Mean(tp, Mul(tp, y, y))
+		return mean(tp, mul(tp, y, y))
 	})
 }
 
@@ -231,7 +231,7 @@ func TestGradBatchNormTraining(t *testing.T) {
 	// change outputs in training mode.
 	checkGrad(t, "BatchNorm-train", []*Tensor{x, bn.Gamma, bn.Beta}, func(tp *Tape) *Tensor {
 		y := bn.Forward(tp, x)
-		return Mean(tp, Mul(tp, y, y))
+		return mean(tp, mul(tp, y, y))
 	})
 }
 
@@ -244,7 +244,7 @@ func TestGradBatchNormEval(t *testing.T) {
 	bn.SetTraining(false)
 	checkGrad(t, "BatchNorm-eval", []*Tensor{x, bn.Gamma, bn.Beta}, func(tp *Tape) *Tensor {
 		y := bn.Forward(tp, x)
-		return Mean(tp, Mul(tp, y, y))
+		return mean(tp, mul(tp, y, y))
 	})
 }
 
@@ -262,7 +262,7 @@ func TestGradDeepComposite(t *testing.T) {
 		up := Upsample2x(tp, down)
 		cat := Concat(tp, up, h)
 		out := conv2.Forward(tp, cat)
-		return Mean(tp, Mul(tp, out, out))
+		return mean(tp, mul(tp, out, out))
 	})
 }
 
@@ -271,7 +271,7 @@ func TestGradAvgPool3x3Same(t *testing.T) {
 	x := randParam(rng, 1, 2, 5, 5)
 	checkGrad(t, "AvgPool3x3Same", []*Tensor{x}, func(tp *Tape) *Tensor {
 		p := AvgPool3x3Same(tp, x)
-		return Mean(tp, Mul(tp, p, p))
+		return mean(tp, mul(tp, p, p))
 	})
 }
 
@@ -280,7 +280,7 @@ func TestGradBroadcastHW(t *testing.T) {
 	x := randParam(rng, 2, 3, 1, 1)
 	checkGrad(t, "BroadcastHW", []*Tensor{x}, func(tp *Tape) *Tensor {
 		b := BroadcastHW(tp, x, 4, 5)
-		return Mean(tp, Mul(tp, b, b))
+		return mean(tp, mul(tp, b, b))
 	})
 }
 

@@ -15,7 +15,7 @@ type Conv2d struct {
 // for odd kernels when pad is kh/2.
 func NewConv2d(rng *rand.Rand, inC, outC, k, stride, pad int) *Conv2d {
 	w := NewParam(outC, inC, k, k)
-	w.HeInit(rng, inC*k*k)
+	w.heInit(rng, inC*k*k)
 	b := NewParam(outC)
 	return &Conv2d{W: w, B: b, Stride: stride, Pad: pad}
 }
@@ -24,14 +24,14 @@ func NewConv2d(rng *rand.Rand, inC, outC, k, stride, pad int) *Conv2d {
 // (kh×kw), used by Inception's 1×7 / 7×1 factorized branches.
 func NewConv2dRect(rng *rand.Rand, inC, outC, kh, kw, stride, padH, padW int) *Conv2dRect {
 	w := NewParam(outC, inC, kh, kw)
-	w.HeInit(rng, inC*kh*kw)
+	w.heInit(rng, inC*kh*kw)
 	b := NewParam(outC)
 	return &Conv2dRect{W: w, B: b, Stride: stride, PadH: padH, PadW: padW}
 }
 
 // Forward applies the convolution.
 func (l *Conv2d) Forward(tp *Tape, x *Tensor) *Tensor {
-	return Conv2D(tp, x, l.W, l.B, l.Stride, l.Pad)
+	return conv2D(tp, x, l.W, l.B, l.Stride, l.Pad)
 }
 
 // Params returns the trainable tensors.
@@ -57,14 +57,14 @@ func (l *Conv2dRect) Params() []*Tensor { return []*Tensor{l.W, l.B} }
 // kernels are small and this path is used sparingly (Inception B/C).
 func conv2DRect(tp *Tape, x, w, b *Tensor, stride, padH, padW int) *Tensor {
 	if padH == padW {
-		return Conv2D(tp, x, w, b, stride, padH)
+		return conv2D(tp, x, w, b, stride, padH)
 	}
-	padded := Pad2D(tp, x, padH, padW)
-	return Conv2D(tp, padded, w, b, stride, 0)
+	padded := pad2D(tp, x, padH, padW)
+	return conv2D(tp, padded, w, b, stride, 0)
 }
 
-// Pad2D zero-pads the spatial dims by (padH, padW) on each side.
-func Pad2D(tp *Tape, x *Tensor, padH, padW int) *Tensor {
+// pad2D zero-pads the spatial dims by (padH, padW) on each side.
+func pad2D(tp *Tape, x *Tensor, padH, padW int) *Tensor {
 	n, c, h, w := x.Dims4()
 	oh, ow := h+2*padH, w+2*padW
 	out := result(tp, []int{n, c, oh, ow}, x)

@@ -121,9 +121,8 @@ func sameFloats(got, want []float64) int {
 // TestGemmAgainstNaive: over the shapes the blocking branches on (row
 // quads and their remainders, k quads and theirs, one panel, a panel
 // boundary, many panels), with and without accumulation into a
-// pre-filled C, and over arbitrary row sub-ranges of the leaf, every
-// variant returns exactly the bits of the in-order reference — on every
-// leaf the machine has.
+// pre-filled C, every variant returns exactly the bits of the in-order
+// reference — on every leaf the machine has.
 func TestGemmAgainstNaive(t *testing.T) {
 	ForEachLeaf(t, gemmAgainstNaive)
 }
@@ -137,8 +136,6 @@ func gemmAgainstNaive(t *testing.T) {
 					continue // the four largest products take a minute under the detector and branch nowhere new
 				}
 				a, b, c0 := normalSlice(rng, m*k), normalSlice(rng, k*n), normalSlice(rng, m*n)
-				start := rng.Intn(m)
-				end := start + 1 + rng.Intn(m-start)
 				for _, v := range gemmVariants {
 					sai, sap := k, 1 // A(i,p) = a[i*sai+p*sap]
 					if v.transA {
@@ -152,14 +149,6 @@ func gemmAgainstNaive(t *testing.T) {
 						if i := firstBitDiff(got, want); i >= 0 {
 							t.Fatalf("%s %dx%dx%d accumulate=%v: c[%d] = %v, reference %v",
 								v.name, m, k, n, accumulate, i, got[i], want[i])
-						}
-						got = slices.Clone(c0)
-						gemmLeaf(v.transB, a, b, got, sai, sap, k, n, accumulate, start, end)
-						copy(want[:start*n], c0)
-						copy(want[end*n:], c0[end*n:])
-						if i := firstBitDiff(got, want); i >= 0 {
-							t.Fatalf("%s %dx%dx%d accumulate=%v rows [%d,%d): c[%d] = %v, reference %v",
-								v.name, m, k, n, accumulate, start, end, i, got[i], want[i])
 						}
 					}
 				}
@@ -235,7 +224,7 @@ func TestGemmPropagatesNonFinite(t *testing.T) {
 	// own 1·1 with 0·Inf — NaN; nothing else sees the Inf.
 	x := FromSlice([]float64{inf, 1, 1, 1, 1, 1, 1, 1, 1}, 1, 1, 3, 3)
 	w := FromSlice([]float64{0, 0, 0, 0, 1, 0, 0, 0, 0}, 1, 1, 3, 3)
-	y := Conv2D(nil, x, w, nil, 1, 1)
+	y := conv2D(nil, x, w, nil, 1, 1)
 	for i, v := range y.Data {
 		switch oy, ox := i/3, i%3; {
 		case i == 0 && !math.IsInf(v, 1):
@@ -271,7 +260,7 @@ func TestConv2DKnownValues(t *testing.T) {
 		0, 1, 0,
 		0, 0, 0,
 	}, 1, 1, 3, 3)
-	y := Conv2D(nil, x, w, nil, 1, 1)
+	y := conv2D(nil, x, w, nil, 1, 1)
 	for i := range y.Data {
 		if y.Data[i] != x.Data[i] {
 			t.Fatalf("identity kernel changed data: %v", y.Data)
@@ -279,7 +268,7 @@ func TestConv2DKnownValues(t *testing.T) {
 	}
 	// Sum kernel, valid padding.
 	ws := FromSlice([]float64{1, 1, 1, 1, 1, 1, 1, 1, 1}, 1, 1, 3, 3)
-	y2 := Conv2D(nil, x, ws, nil, 1, 0)
+	y2 := conv2D(nil, x, ws, nil, 1, 0)
 	if y2.Size() != 1 || y2.Data[0] != 45 {
 		t.Fatalf("sum kernel: got %v, want [45]", y2.Data)
 	}
@@ -425,7 +414,7 @@ func TestBackwardRequiresScalar(t *testing.T) {
 	}()
 	tp := NewTape()
 	x := NewParam(2)
-	y := Scale(tp, x, 2)
+	y := scale(tp, x, 2)
 	tp.Backward(y)
 }
 
@@ -496,7 +485,7 @@ func TestConv2dParamsAndStateAccessors(t *testing.T) {
 }
 
 func TestNeedsGrad(t *testing.T) {
-	if !NewParam(1).NeedsGrad() || NewTensor(1).NeedsGrad() {
-		t.Error("NeedsGrad flags wrong")
+	if !NewParam(1).needsGrad || NewTensor(1).needsGrad {
+		t.Error("needsGrad flags wrong")
 	}
 }

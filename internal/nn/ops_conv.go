@@ -1,6 +1,6 @@
 package nn
 
-// Conv2D applies a 2-D convolution (cross-correlation) with weights
+// conv2D applies a 2-D convolution (cross-correlation) with weights
 // w[OC, IC, KH, KW], optional bias b[OC] (nil to skip), the given
 // stride, and symmetric zero padding. Implemented as im2col + GEMM, one
 // panel of output rows at a time: the k × oh·ow column matrix is never
@@ -8,22 +8,22 @@ package nn
 // (at most k × gemmPanel floats once ow <= gemmPanel) stays in cache
 // between its unroll and its last row quad. Every output element still
 // receives its k products in p order, so the panel width moves no bit.
-func Conv2D(tp *Tape, x, w, b *Tensor, stride, pad int) *Tensor {
+func conv2D(tp *Tape, x, w, b *Tensor, stride, pad int) *Tensor {
 	n, ic, ih, iw := x.Dims4()
 	oc, wic, kh, kw := w.Dims4()
 	if wic != ic {
-		panic("nn: Conv2D channel mismatch")
+		panic("nn: conv2D channel mismatch")
 	}
 	if b != nil && (len(b.Shape) != 1 || b.Shape[0] != oc) {
-		panic("nn: Conv2D bias must be [OC]")
+		panic("nn: conv2D bias must be [OC]")
 	}
 	if stride < 1 {
-		panic("nn: Conv2D stride must be >= 1")
+		panic("nn: conv2D stride must be >= 1")
 	}
 	oh := (ih+2*pad-kh)/stride + 1
 	ow := (iw+2*pad-kw)/stride + 1
 	if oh <= 0 || ow <= 0 {
-		panic("nn: Conv2D output collapsed to zero size")
+		panic("nn: conv2D output collapsed to zero size")
 	}
 	if kh == 1 && kw == 1 && stride == 1 && pad == 0 {
 		return conv1x1(tp, x, w, b)
@@ -53,7 +53,7 @@ func Conv2D(tp *Tape, x, w, b *Tensor, stride, pad int) *Tensor {
 			r := min(rows, oh-oy)
 			pw := r * ow
 			im2colRows(img, cols, ic, ih, iw, kh, kw, stride, pad, ow, oy, r)
-			gemmRange(w.Data, cols, o[oy*ow:], k, 1, k, pw, pw, hw, false, 0, oc)
+			gemmRange(w.Data, cols, o[oy*ow:], k, 1, oc, k, pw, pw, hw, false)
 			if keepCols {
 				for p := 0; p < k; p++ {
 					copy(kept[p*hw+oy*ow:][:pw], cols[p*pw:])

@@ -4,7 +4,7 @@ import "math"
 
 // Add returns x + y elementwise (same shapes).
 func Add(tp *Tape, x, y *Tensor) *Tensor {
-	if !SameShape(x, y) {
+	if !sameShape(x, y) {
 		panic("nn: Add shape mismatch")
 	}
 	out := result(tp, x.Shape, x, y)
@@ -30,10 +30,10 @@ func Add(tp *Tape, x, y *Tensor) *Tensor {
 	return out
 }
 
-// Sub returns x − y elementwise.
-func Sub(tp *Tape, x, y *Tensor) *Tensor {
-	if !SameShape(x, y) {
-		panic("nn: Sub shape mismatch")
+// sub returns x − y elementwise.
+func sub(tp *Tape, x, y *Tensor) *Tensor {
+	if !sameShape(x, y) {
+		panic("nn: sub shape mismatch")
 	}
 	out := result(tp, x.Shape, x, y)
 	for i := range out.Data {
@@ -58,10 +58,10 @@ func Sub(tp *Tape, x, y *Tensor) *Tensor {
 	return out
 }
 
-// Mul returns x ⊙ y elementwise.
-func Mul(tp *Tape, x, y *Tensor) *Tensor {
-	if !SameShape(x, y) {
-		panic("nn: Mul shape mismatch")
+// mul returns x ⊙ y elementwise.
+func mul(tp *Tape, x, y *Tensor) *Tensor {
+	if !sameShape(x, y) {
+		panic("nn: mul shape mismatch")
 	}
 	out := result(tp, x.Shape, x, y)
 	for i := range out.Data {
@@ -86,8 +86,8 @@ func Mul(tp *Tape, x, y *Tensor) *Tensor {
 	return out
 }
 
-// Scale returns s·x for a constant s.
-func Scale(tp *Tape, x *Tensor, s float64) *Tensor {
+// scale returns s·x for a constant s.
+func scale(tp *Tape, x *Tensor, s float64) *Tensor {
 	out := result(tp, x.Shape, x)
 	for i := range out.Data {
 		out.Data[i] = s * x.Data[i]
@@ -284,8 +284,8 @@ func Concat(tp *Tape, xs ...*Tensor) *Tensor {
 	return out
 }
 
-// Mean reduces the tensor to its scalar average.
-func Mean(tp *Tape, x *Tensor) *Tensor {
+// mean reduces the tensor to its scalar average.
+func mean(tp *Tape, x *Tensor) *Tensor {
 	out := result(tp, []int{1}, x)
 	sum := 0.0
 	for _, v := range x.Data {
@@ -308,7 +308,7 @@ func Mean(tp *Tape, x *Tensor) *Tensor {
 // MSELoss returns mean((pred − target)²). target is treated as a
 // constant.
 func MSELoss(tp *Tape, pred, target *Tensor) *Tensor {
-	if !SameShape(pred, target) {
+	if !sameShape(pred, target) {
 		panic("nn: MSELoss shape mismatch")
 	}
 	out := result(tp, []int{1}, pred)
@@ -335,7 +335,7 @@ func MSELoss(tp *Tape, pred, target *Tensor) *Tensor {
 // per-element weight tensor — used to emphasize hotspot pixels (the
 // label-distribution-smoothing idea of PGAU applied as re-weighting).
 func WeightedMSELoss(tp *Tape, pred, target, w *Tensor) *Tensor {
-	if !SameShape(pred, target) || !SameShape(pred, w) {
+	if !sameShape(pred, target) || !sameShape(pred, w) {
 		panic("nn: WeightedMSELoss shape mismatch")
 	}
 	out := result(tp, []int{1}, pred)

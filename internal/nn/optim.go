@@ -73,7 +73,7 @@ func (a *Adam) Step(params []*Tensor) {
 // ZeroGrads clears the gradients of all parameters.
 func ZeroGrads(params []*Tensor) {
 	for _, p := range params {
-		p.ZeroGrad()
+		p.zeroGrad()
 	}
 }
 

@@ -16,7 +16,7 @@ type Tape struct {
 	eval  bool      // inference tape: record is a no-op, result lends
 	block []float64 // what an inference tape lends from
 	used  int       // floats asked for since Reset, overflow included
-	cols  []float64 // Conv2D's column panel (recording tapes keep one too)
+	cols  []float64 // conv2D's column panel (recording tapes keep one too)
 }
 
 // NewTape returns an empty recording tape.
@@ -61,7 +61,7 @@ func (t *Tape) lend(n int) []float64 {
 	return t.block[start:t.used:t.used]
 }
 
-// panel returns Conv2D's n-float column panel, contents unspecified.
+// panel returns conv2D's n-float column panel, contents unspecified.
 // The tape keeps it between convolutions; a nil tape makes one.
 func (t *Tape) panel(n int) []float64 {
 	if t == nil {

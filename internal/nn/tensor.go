@@ -61,9 +61,6 @@ func (t *Tensor) Size() int {
 // Dim returns Shape[i].
 func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 
-// NeedsGrad reports whether this tensor participates in autodiff.
-func (t *Tensor) NeedsGrad() bool { return t.needsGrad }
-
 // ensureGrad allocates the gradient buffer when missing.
 func (t *Tensor) ensureGrad() {
 	if t.Grad == nil {
@@ -71,8 +68,8 @@ func (t *Tensor) ensureGrad() {
 	}
 }
 
-// ZeroGrad clears the gradient buffer.
-func (t *Tensor) ZeroGrad() {
+// zeroGrad clears the gradient buffer.
+func (t *Tensor) zeroGrad() {
 	for i := range t.Grad {
 		t.Grad[i] = 0
 	}
@@ -108,9 +105,9 @@ func (t *Tensor) Fill(v float64) {
 	}
 }
 
-// HeInit fills the tensor with He-normal random values appropriate
+// heInit fills the tensor with He-normal random values appropriate
 // for ReLU networks, using fanIn as the scaling denominator.
-func (t *Tensor) HeInit(rng *rand.Rand, fanIn int) {
+func (t *Tensor) heInit(rng *rand.Rand, fanIn int) {
 	std := math.Sqrt(2 / float64(fanIn))
 	for i := range t.Data {
 		t.Data[i] = rng.NormFloat64() * std
@@ -140,8 +137,8 @@ func (t *Tensor) Dims4() (n, c, h, w int) {
 	return t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3]
 }
 
-// SameShape reports whether two tensors have identical shapes.
-func SameShape(a, b *Tensor) bool {
+// sameShape reports whether two tensors have identical shapes.
+func sameShape(a, b *Tensor) bool {
 	if len(a.Shape) != len(b.Shape) {
 		return false
 	}

@@ -11,10 +11,10 @@ import (
 	"time"
 )
 
-// SchemaVersion identifies the manifest layout. Bump only when a
+// schemaVersion identifies the manifest layout. Bump only when a
 // required key changes meaning or disappears; adding optional keys is
 // backward compatible and does not bump the version.
-const SchemaVersion = "irfusion/run-manifest/v1"
+const schemaVersion = "irfusion/run-manifest/v1"
 
 // Manifest is the structured record of one pipeline run — the JSON
 // document behind the --manifest flag of cmd/irfusion and
@@ -83,7 +83,7 @@ type Host struct {
 // usable afterwards.
 func (r *Recorder) Manifest(kind string, config any) *Manifest {
 	m := &Manifest{
-		Schema: SchemaVersion,
+		Schema: schemaVersion,
 		Kind:   kind,
 		Config: config,
 		Host: Host{
@@ -142,12 +142,12 @@ func (r *Recorder) Manifest(kind string, config any) *Manifest {
 }
 
 // Validate checks the invariants every manifest must satisfy —
-// the contract of SchemaVersion. Every `irfusion rehearse` row runs
+// the contract of schemaVersion. Every `irfusion rehearse` row runs
 // it before its own expectations.
 func (m *Manifest) Validate() error {
 	switch {
-	case m.Schema != SchemaVersion:
-		return fmt.Errorf("obs: manifest schema %q, want %q", m.Schema, SchemaVersion)
+	case m.Schema != schemaVersion:
+		return fmt.Errorf("obs: manifest schema %q, want %q", m.Schema, schemaVersion)
 	case m.Kind == "":
 		return errors.New("obs: manifest kind missing")
 	case m.Start.IsZero():

@@ -27,7 +27,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 	}
 	st.End() // must not panic
 	m := r.Manifest("test", nil)
-	if m.Schema != SchemaVersion {
+	if m.Schema != schemaVersion {
 		t.Errorf("nil-recorder manifest schema %q", m.Schema)
 	}
 }
@@ -139,7 +139,7 @@ func TestManifestRoundTrip(t *testing.T) {
 
 // TestManifestSchemaStability pins the required top-level JSON keys.
 // Renaming or removing any of these is a schema break and must bump
-// SchemaVersion (and this test).
+// schemaVersion (and this test).
 func TestManifestSchemaStability(t *testing.T) {
 	var buf bytes.Buffer
 	if err := testManifest(t).Encode(&buf); err != nil {
@@ -157,7 +157,7 @@ func TestManifestSchemaStability(t *testing.T) {
 			t.Errorf("manifest missing required key %q", key)
 		}
 	}
-	if raw["schema"] != SchemaVersion {
+	if raw["schema"] != schemaVersion {
 		t.Errorf("schema = %v", raw["schema"])
 	}
 	stage := raw["stages"].([]any)[0].(map[string]any)
@@ -254,7 +254,7 @@ func TestDecodesParentDegradationRecord(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatalf("parent-format degradation record rejected: %v", err)
 	}
-	if m.Schema != SchemaVersion || len(m.Degradations) != 2 {
+	if m.Schema != schemaVersion || len(m.Degradations) != 2 {
 		t.Fatalf("decoded %q with %d degradation records", m.Schema, len(m.Degradations))
 	}
 	if d := m.Degradations[0]; len(d.Attempts) != 2 || d.Attempts[0].Error == "" || !d.Degraded() {

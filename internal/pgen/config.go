@@ -47,7 +47,7 @@ func (c Config) MarshalJSON() ([]byte, error) {
 	}
 	for _, l := range c.Layers {
 		dir := "horizontal"
-		if l.Dir == Vertical {
+		if l.Dir == vertical {
 			dir = "vertical"
 		}
 		out.Layers = append(out.Layers, layerSpecJSON{
@@ -82,9 +82,9 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		var dir Direction
 		switch l.Dir {
 		case "horizontal", "h", "":
-			dir = Horizontal
+			dir = horizontal
 		case "vertical", "v":
-			dir = Vertical
+			dir = vertical
 		default:
 			return fmt.Errorf("pgen: unknown direction %q", l.Dir)
 		}

@@ -50,10 +50,10 @@ func (c Class) String() string {
 type Direction int
 
 const (
-	// Horizontal straps run along x at fixed y.
-	Horizontal Direction = iota
-	// Vertical straps run along y at fixed x.
-	Vertical
+	// horizontal straps run along x at fixed y.
+	horizontal Direction = iota
+	// vertical straps run along y at fixed x.
+	vertical
 )
 
 // LayerSpec describes one metal layer of the PG stack.
@@ -75,7 +75,7 @@ type Config struct {
 	W, H int
 	// VDD is the pad voltage.
 	VDD float64
-	// Layers is the stack, bottom first. If nil, DefaultStack is used.
+	// Layers is the stack, bottom first. If nil, defaultStack is used.
 	Layers []LayerSpec
 	// NumPads is the number of VDD pads on the top layer.
 	NumPads int
@@ -91,15 +91,15 @@ type Config struct {
 	Blockages int
 }
 
-// DefaultStack returns a five-layer stack patterned after the contest
+// defaultStack returns a five-layer stack patterned after the contest
 // designs (m1 cell rails up to a coarse m9 mesh).
-func DefaultStack() []LayerSpec {
+func defaultStack() []LayerSpec {
 	return []LayerSpec{
-		{Layer: 1, Dir: Horizontal, Pitch: 2, RPerUm: 0.8, ViaOhms: 2.0, ViaEvery: 1},
-		{Layer: 4, Dir: Vertical, Pitch: 4, RPerUm: 0.4, ViaOhms: 1.0, ViaEvery: 1},
-		{Layer: 7, Dir: Horizontal, Pitch: 8, RPerUm: 0.2, ViaOhms: 0.5, ViaEvery: 1},
-		{Layer: 8, Dir: Vertical, Pitch: 12, RPerUm: 0.1, ViaOhms: 0.25, ViaEvery: 1},
-		{Layer: 9, Dir: Horizontal, Pitch: 16, RPerUm: 0.05, ViaOhms: 0.25, ViaEvery: 1},
+		{Layer: 1, Dir: horizontal, Pitch: 2, RPerUm: 0.8, ViaOhms: 2.0, ViaEvery: 1},
+		{Layer: 4, Dir: vertical, Pitch: 4, RPerUm: 0.4, ViaOhms: 1.0, ViaEvery: 1},
+		{Layer: 7, Dir: horizontal, Pitch: 8, RPerUm: 0.2, ViaOhms: 0.5, ViaEvery: 1},
+		{Layer: 8, Dir: vertical, Pitch: 12, RPerUm: 0.1, ViaOhms: 0.25, ViaEvery: 1},
+		{Layer: 9, Dir: horizontal, Pitch: 16, RPerUm: 0.05, ViaOhms: 0.25, ViaEvery: 1},
 	}
 }
 
@@ -113,7 +113,7 @@ func DefaultConfig(name string, class Class, w, h int, seed int64) Config {
 		W:              w,
 		H:              h,
 		VDD:            1.05,
-		Layers:         DefaultStack(),
+		Layers:         defaultStack(),
 		NumPads:        4,
 		CellPitch:      2,
 		BackgroundAmps: 5e-5,
@@ -186,7 +186,7 @@ func Generate(cfg Config) (*Design, error) {
 		return nil, fmt.Errorf("pgen: die %dx%d too small", cfg.W, cfg.H)
 	}
 	if cfg.Layers == nil {
-		cfg.Layers = DefaultStack()
+		cfg.Layers = defaultStack()
 	}
 	if len(cfg.Layers) < 2 {
 		return nil, fmt.Errorf("pgen: need at least 2 layers, got %d", len(cfg.Layers))
@@ -226,7 +226,7 @@ func Generate(cfg Config) (*Design, error) {
 			return nil, fmt.Errorf("pgen: layer m%d has pitch %d", ls.Layer, ls.Pitch)
 		}
 		limit := cfg.H
-		if ls.Dir == Vertical {
+		if ls.Dir == vertical {
 			limit = cfg.W
 		}
 		offset := ls.Pitch / 2
@@ -305,7 +305,7 @@ func Generate(cfg Config) (*Design, error) {
 		for _, cl := range coords[li] {
 			for _, ch := range coords[li+1] {
 				var x, y int
-				if lo.Dir == Horizontal { // lo at y=cl, hi vertical at x=ch
+				if lo.Dir == horizontal { // lo at y=cl, hi vertical at x=ch
 					x, y = ch, cl
 				} else { // lo vertical at x=cl, hi horizontal at y=ch
 					x, y = cl, ch
@@ -339,12 +339,12 @@ func Generate(cfg Config) (*Design, error) {
 	}
 	for _, c := range coords[0] {
 		limit := cfg.W
-		if bot.Dir == Vertical {
+		if bot.Dir == vertical {
 			limit = cfg.H
 		}
 		for p := cfg.CellPitch / 2; p < limit; p += cfg.CellPitch {
 			var x, y int
-			if bot.Dir == Horizontal {
+			if bot.Dir == horizontal {
 				x, y = p, c
 			} else {
 				x, y = c, p
@@ -505,7 +505,7 @@ func dedupeSorted(v []int) []int {
 
 // posAlong returns the coordinate that varies along a strap.
 func posAlong(d Direction, x, y int) int {
-	if d == Horizontal {
+	if d == horizontal {
 		return x
 	}
 	return y
@@ -513,7 +513,7 @@ func posAlong(d Direction, x, y int) int {
 
 // xyFrom reconstructs (x, y) from a strap coordinate and position.
 func xyFrom(d Direction, coord, pos int) (int, int) {
-	if d == Horizontal {
+	if d == horizontal {
 		return pos, coord
 	}
 	return coord, pos

@@ -171,7 +171,7 @@ func TestGenerateErrors(t *testing.T) {
 		t.Error("expected error for tiny die")
 	}
 	cfg := DefaultConfig("x", Fake, 32, 32, 0)
-	cfg.Layers = []LayerSpec{{Layer: 1, Dir: Horizontal, Pitch: 2, RPerUm: 1, ViaOhms: 1}}
+	cfg.Layers = []LayerSpec{{Layer: 1, Dir: horizontal, Pitch: 2, RPerUm: 1, ViaOhms: 1}}
 	if _, err := Generate(cfg); err == nil {
 		t.Error("expected error for single-layer stack")
 	}
@@ -181,7 +181,7 @@ func TestGenerateErrors(t *testing.T) {
 		t.Error("expected error for zero pads")
 	}
 	cfg = DefaultConfig("z", Fake, 32, 32, 0)
-	cfg.Layers[1].Dir = Horizontal // same as layer below
+	cfg.Layers[1].Dir = horizontal // same as layer below
 	if _, err := Generate(cfg); err == nil {
 		t.Error("expected error for parallel adjacent layers")
 	}

@@ -289,7 +289,7 @@ func TestServeRecoversMemoAdmittedJob(t *testing.T) {
 			waitParked(t, s1, ids[0])
 		}
 	}
-	if j, _ := s1.reg.get(ids[1]); !j.admitHit || j.design != nil || j.Status() != StatusQueued {
+	if j, _ := s1.reg.get(ids[1]); !j.admitHit || j.design != nil || j.Status() != statusQueued {
 		t.Fatalf("second submission: memo hit %t, design built %t, status %q", j.admitHit, j.design != nil, j.Status())
 	}
 	s1.Crash()

@@ -235,7 +235,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// design if — and only if — the response memo then misses. Only a
 	// successful admission is stored; a bad deck is linted every time.
 	sum := sha256.Sum256(body)
-	j := &Job{digest: hex.EncodeToString(sum[:])}
+	j := &job{digest: hex.EncodeToString(sum[:])}
 	memo, _ := s.cache.Get("admit|" + j.digest)
 	if j.admission, j.admitHit = memo.(*admission); j.admitHit {
 		s.admitHits.Add(1)
@@ -264,7 +264,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx, cancel := s.jobContext(j.req.TimeoutMS)
-	j.submitted, j.status = time.Now(), StatusQueued
+	j.submitted, j.status = time.Now(), statusQueued
 	j.ctx, j.cancel, j.done = ctx, cancel, make(chan struct{})
 	j.handoffFrom = r.Header.Get(HeaderHandoffFrom)
 	s.reg.add(j)
@@ -272,7 +272,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !s.submit(j) {
 		cancel()
 		cRejected.Inc()
-		j.finalize(StatusFailed, "queue full or server draining", nil)
+		j.finalize(statusFailed, "queue full or server draining", nil)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "job queue full or server draining")
 		return
@@ -285,7 +285,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	if j.req.Async {
 		w.Header().Set("Location", "/v1/jobs/"+j.ID())
-		writeJSON(w, http.StatusAccepted, j.Snapshot())
+		writeJSON(w, http.StatusAccepted, j.snapshot())
 		return
 	}
 
@@ -294,15 +294,15 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-j.Done():
 	case <-r.Context().Done():
-		j.Cancel()
+		j.abort()
 		<-j.Done()
 		return // client is gone; nothing to write
 	}
-	v := j.Snapshot()
+	v := j.snapshot()
 	switch v.Status {
 	case StatusDone:
 		writeJSON(w, http.StatusOK, v)
-	case StatusCancelled:
+	case statusCancelled:
 		writeJSON(w, http.StatusConflict, v)
 	default:
 		code := http.StatusInternalServerError
@@ -327,7 +327,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.Snapshot())
+	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
 func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
@@ -337,8 +337,8 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	j.Cancel()
-	writeJSON(w, http.StatusOK, j.Snapshot())
+	j.abort()
+	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -386,7 +386,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 			"serve.in_flight":      float64(s.InFlight()),
 			"serve.workers":        float64(s.cfg.Workers),
 		},
-		"cache": s.CacheStats(),
+		"cache": s.cacheStats(),
 	})
 }
 
@@ -535,7 +535,7 @@ func PadVoltage(nl *spice.Netlist) float64 {
 // runJob executes one admitted job on a worker goroutine, with a
 // per-job obs.Recorder bound into the job context so concurrent jobs
 // produce isolated run manifests.
-func (s *Server) runJob(j *Job) {
+func (s *Server) runJob(j *job) {
 	if !j.markRunning() {
 		// Cancelled while queued; already finalized under j.mu. Still a
 		// terminal transition the journal must learn about, or replay
@@ -639,12 +639,12 @@ func (s *Server) runJob(j *Job) {
 		s.journalTerminal(j, journal.TypeFinished, "")
 	case j.cancelled.Load():
 		cCancelled.Inc()
-		j.finalizeKind(StatusCancelled, err.Error(), errKindCancelled, result)
+		j.finalizeKind(statusCancelled, err.Error(), errKindCancelled, result)
 		s.journalTerminal(j, journal.TypeCancelled, err.Error())
 	default:
 		cFailed.Inc()
 		kind, msg := failureKind(err)
-		j.finalizeKind(StatusFailed, msg, kind, result)
+		j.finalizeKind(statusFailed, msg, kind, result)
 		s.journalTerminal(j, journal.TypeFailed, kind)
 	}
 }
@@ -678,7 +678,7 @@ var errWorkerPanic = errors.New("serve: worker panic")
 // the worker goroutine — losing a worker would silently shrink service
 // capacity until the queue wedges. Recovered panics increment the
 // serve.panics counter and surface as a 500 with errKindPanic.
-func (s *Server) executeProtected(ctx context.Context, j *Job) (result *AnalyzeResult, err error) {
+func (s *Server) executeProtected(ctx context.Context, j *job) (result *AnalyzeResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			cPanics.Inc()
@@ -707,7 +707,7 @@ func (s *Server) executeProtected(ctx context.Context, j *Job) (result *AnalyzeR
 // inputs — with a fresh manifest recording the hit. On cancellation
 // the returned error wraps solver.ErrCancelled and the result is nil
 // (the caller still attaches the manifest with the partial history).
-func (s *Server) execute(ctx context.Context, j *Job) (*AnalyzeResult, error) {
+func (s *Server) execute(ctx context.Context, j *job) (*AnalyzeResult, error) {
 	key := responseKey(j)
 	rec := obs.FromContext(ctx)
 	if key != "" {
@@ -744,7 +744,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (*AnalyzeResult, error) {
 // responseKey is the response-layer cache key of a job: the design
 // fingerprint qualified by every request field that shapes the
 // result. Empty when response caching does not apply.
-func responseKey(j *Job) string {
+func responseKey(j *job) string {
 	if j.fp == "" {
 		return ""
 	}
@@ -754,7 +754,7 @@ func responseKey(j *Job) string {
 }
 
 // executeUncached dispatches the actual analysis of one job.
-func (s *Server) executeUncached(ctx context.Context, j *Job) (*AnalyzeResult, error) {
+func (s *Server) executeUncached(ctx context.Context, j *job) (*AnalyzeResult, error) {
 	if j.design == nil {
 		// Admitted from the memo and the response memo missed (evicted,
 		// expired, or the first submission is still in flight): build the

@@ -61,7 +61,7 @@ func TestServeCacheResponseHit(t *testing.T) {
 			t.Fatalf("served map differs from computed at %d", i)
 		}
 	}
-	if st := s.CacheStats(); st.Hits < 1 || st.Stores < 1 || st.Entries < 1 {
+	if st := s.cacheStats(); st.Hits < 1 || st.Stores < 1 || st.Entries < 1 {
 		t.Fatalf("server cache stats = %+v, want hits/stores/entries >= 1", st)
 	}
 
@@ -128,7 +128,7 @@ func TestServeCacheDisabled(t *testing.T) {
 	if oc := cacheOutcomes(t, v.Result.Manifest, "serve.analyze"); len(oc) != 0 {
 		t.Fatalf("disabled cache recorded response events: %v", oc)
 	}
-	st := s.CacheStats()
+	st := s.cacheStats()
 	if st.Entries != 0 || st.Stores != 0 || st.Hits != 0 {
 		t.Fatalf("disabled cache accumulated stats: %+v", st)
 	}

@@ -162,19 +162,18 @@ func TestMixedConcurrentRequestsOwnManifests(t *testing.T) {
 }
 
 // TestSixteenConcurrentInFlight verifies the service actually holds
-// ≥16 analyses in flight at once: 16 workers each pick up a
-// long-running budgeted solve, the test observes in-flight == 16,
-// then cancels everything and checks each job stopped mid-solve.
+// ≥16 analyses in flight at once: 16 workers each pick up a converged
+// solve that parks at its first checkpoint, the test observes
+// in-flight == 16 and 16 parked solves, then cancels everything and
+// checks each job stopped mid-solve.
 func TestSixteenConcurrentInFlight(t *testing.T) {
 	const n = 16
-	s, ts := newTestServer(t, Config{Workers: n, QueueDepth: 2 * n})
+	withGlobalFaults(t, stallCheckpoints)
+	s, ts := newTestServer(t, Config{Workers: n, QueueDepth: 2 * n, CheckpointEvery: 2})
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		// Same seed for every job: solve duration is strongly
-		// seed-dependent, and this test needs all 16 still in flight
-		// when the cancellations land. Job identity comes from the id,
-		// not the design.
-		code, b := post(t, ts, "/v1/analyze", slowBody(5))
+		// Job identity comes from the id, not the design.
+		code, b := post(t, ts, "/v1/analyze", pgenBody(5, 64, `"async": true`))
 		if code != http.StatusAccepted {
 			t.Fatalf("job %d: status %d: %s", i, code, b)
 		}
@@ -187,9 +186,7 @@ func TestSixteenConcurrentInFlight(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// All n are executing concurrently; let the solves accumulate a
-	// few iterations, then cancel the lot.
-	time.Sleep(150 * time.Millisecond)
+	waitStalled(t, n)
 	for _, id := range ids {
 		if code, b := del(t, ts, "/v1/jobs/"+id); code != http.StatusOK {
 			t.Fatalf("cancel %s: status %d: %s", id, code, b)
@@ -197,7 +194,7 @@ func TestSixteenConcurrentInFlight(t *testing.T) {
 	}
 	for _, id := range ids {
 		v := waitStatus(t, ts, id, Status.Terminal)
-		if v.Status != StatusCancelled {
+		if v.Status != statusCancelled {
 			t.Errorf("%s: status %q, want cancelled (error %q)", id, v.Status, v.Error)
 			continue
 		}
@@ -205,8 +202,8 @@ func TestSixteenConcurrentInFlight(t *testing.T) {
 			t.Errorf("%s: missing partial manifest", id)
 			continue
 		}
-		if it := v.Result.Manifest.Solves[0].Iterations; it >= maxIters {
-			t.Errorf("%s: ran the full budget, cancellation did not stop the loop", id)
+		if it := v.Result.Manifest.Solves[0].Iterations; it != 2 {
+			t.Errorf("%s: ran %d iterations, want the 2 before its parked checkpoint", id, it)
 		}
 	}
 }

@@ -161,7 +161,7 @@ func TestFinishedJobReleasesDeck(t *testing.T) {
 		}},
 		{"failed", "serve.worker:panic:times=2", func(t *testing.T, s *Server, ts *httptest.Server) []string {
 			code, b := post(t, ts, "/v1/analyze", spiceBody(deck, ""))
-			if v := decodeJob(t, b); code != http.StatusInternalServerError || v.Status != StatusFailed || v.Result.Manifest == nil {
+			if v := decodeJob(t, b); code != http.StatusInternalServerError || v.Status != statusFailed || v.Result.Manifest == nil {
 				t.Fatalf("status %d, job %+v", code, v)
 			}
 			return []string{decodeJob(t, b).ID}
@@ -175,12 +175,12 @@ func TestFinishedJobReleasesDeck(t *testing.T) {
 				}
 				ids = append(ids, decodeJob(t, b).ID)
 				if i == 0 {
-					waitStatus(t, ts, ids[0], func(st Status) bool { return st == StatusRunning })
+					waitStatus(t, ts, ids[0], func(st Status) bool { return st == statusRunning })
 				}
 			}
 			for _, id := range []string{ids[1], ids[0]} {
 				del(t, ts, "/v1/jobs/"+id)
-				if v := waitStatus(t, ts, id, Status.Terminal); v.Status != StatusCancelled {
+				if v := waitStatus(t, ts, id, Status.Terminal); v.Status != statusCancelled {
 					t.Fatalf("job %s: status %q", id, v.Status)
 				}
 			}

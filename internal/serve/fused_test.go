@@ -83,7 +83,7 @@ func TestFusedAnalyze(t *testing.T) {
 	s, ts := newTestServer(t, Config{Analyzer: a})
 	for i, async := range []bool{false, true} {
 		seed := int64(11 + i)
-		storesBefore := s.CacheStats().Stores
+		storesBefore := s.cacheStats().Stores
 		extra := ""
 		if async {
 			extra = `, "async": true`
@@ -133,7 +133,7 @@ func TestFusedAnalyze(t *testing.T) {
 				t.Errorf("async=%t: solve %q ran %d iterations, above the rough budget %d", async, sv.Label, sv.Iterations, a.Config.RoughIters)
 			}
 		}
-		if got := s.CacheStats().Stores - storesBefore; got != 2 {
+		if got := s.cacheStats().Stores - storesBefore; got != 2 {
 			t.Errorf("async=%t: the job stored %d cache entries, want 2 (the admission and the response)", async, got)
 		}
 	}
@@ -233,14 +233,14 @@ func TestFusedNonFinitePredictionFails(t *testing.T) {
 		} else if code != http.StatusInternalServerError {
 			t.Errorf("sync: status %d, want 500: %s", code, b)
 		}
-		if v.Status != StatusFailed || !strings.Contains(v.Error, core.ErrNonFinitePrediction.Error()) {
+		if v.Status != statusFailed || !strings.Contains(v.Error, core.ErrNonFinitePrediction.Error()) {
 			t.Errorf("body %d: status %q, error %q; want failed with %q", i, v.Status, v.Error, core.ErrNonFinitePrediction)
 		}
 		if v.Result != nil && v.Result.Map != nil {
 			t.Errorf("body %d: a failed job carries a map", i)
 		}
 	}
-	if st := s.CacheStats(); st.Stores != 2 {
+	if st := s.cacheStats(); st.Stores != 2 {
 		t.Errorf("%d cache stores, want 2: the two admissions and no response", st.Stores)
 	}
 	ts.Close()

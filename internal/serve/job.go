@@ -16,29 +16,29 @@ import (
 type Status string
 
 const (
-	// StatusQueued: accepted into the bounded queue, not yet picked up
+	// statusQueued: accepted into the bounded queue, not yet picked up
 	// by a worker.
-	StatusQueued Status = "queued"
-	// StatusRunning: a worker is executing the analysis.
-	StatusRunning Status = "running"
+	statusQueued Status = "queued"
+	// statusRunning: a worker is executing the analysis.
+	statusRunning Status = "running"
 	// StatusDone: finished successfully; Result is populated.
 	StatusDone Status = "done"
-	// StatusFailed: finished with an error (including timeouts).
-	StatusFailed Status = "failed"
-	// StatusCancelled: cancelled by DELETE /v1/jobs/{id}, a client
+	// statusFailed: finished with an error (including timeouts).
+	statusFailed Status = "failed"
+	// statusCancelled: cancelled by DELETE /v1/jobs/{id}, a client
 	// disconnect on a synchronous request, or server shutdown before
 	// the job completed.
-	StatusCancelled Status = "cancelled"
+	statusCancelled Status = "cancelled"
 )
 
 // Terminal reports whether the status is final.
 func (s Status) Terminal() bool {
-	return s == StatusDone || s == StatusFailed || s == StatusCancelled
+	return s == StatusDone || s == statusFailed || s == statusCancelled
 }
 
-// Job is one queued analysis. All exported accessors are safe for
-// concurrent use; the JSON view is produced by Snapshot.
-type Job struct {
+// job is one queued analysis. Its capitalized accessors are safe for
+// concurrent use; the JSON view is produced by snapshot.
+type job struct {
 	id string
 	*admission
 	// design is nil while a job admitted from the memo has not needed it
@@ -69,7 +69,7 @@ type Job struct {
 	ctx       context.Context // job lifetime (timeout + server shutdown)
 	cancel    context.CancelFunc
 	done      chan struct{}
-	cancelled atomic.Bool // requested via Cancel (vs timeout/failure)
+	cancelled atomic.Bool // requested via abort (vs timeout/failure)
 
 	mu       sync.Mutex
 	status   Status
@@ -91,38 +91,38 @@ const (
 )
 
 // ID returns the job's identifier.
-func (j *Job) ID() string { return j.id }
+func (j *job) ID() string { return j.id }
 
 // Done returns a channel closed when the job reaches a terminal
 // status.
-func (j *Job) Done() <-chan struct{} { return j.done }
+func (j *job) Done() <-chan struct{} { return j.done }
 
 // Status returns the current lifecycle state.
-func (j *Job) Status() Status {
+func (j *job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.status
 }
 
-// Cancel requests cancellation: a queued job is finalized immediately
+// abort requests cancellation: a queued job is finalized immediately
 // (the worker will skip it), a running job has its context cancelled
 // and finalizes when the solver notices. Cancelling a terminal job is
 // a no-op. It reports whether the cancellation request took effect.
-func (j *Job) Cancel() bool {
+func (j *job) abort() bool {
 	j.mu.Lock()
 	if j.status.Terminal() {
 		j.mu.Unlock()
 		return false
 	}
 	j.cancelled.Store(true)
-	if j.status == StatusQueued {
+	if j.status == statusQueued {
 		// Not yet started: finalize atomically with the queued check,
 		// under the same mutex markRunning takes. Checking here and
 		// finalizing after unlocking would race a worker picking the
 		// job up in the window — the worker would then run (and
 		// complete) a job this call already finalized as "cancelled
 		// before start", silently dropping its result and manifest.
-		j.finalizeLocked(StatusCancelled, "cancelled before start", errKindCancelled, nil)
+		j.finalizeLocked(statusCancelled, "cancelled before start", errKindCancelled, nil)
 		j.mu.Unlock()
 		j.cancel()
 		return true
@@ -136,44 +136,44 @@ func (j *Job) Cancel() bool {
 // after a worker panic. It returns false when the job is no longer
 // running (cancelled or otherwise finalized during the run), in which
 // case the caller must not resubmit it.
-func (j *Job) requeueForRetry() bool {
+func (j *job) requeueForRetry() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != StatusRunning {
+	if j.status != statusRunning {
 		return false
 	}
-	j.status = StatusQueued
+	j.status = statusQueued
 	return true
 }
 
 // markRunning transitions queued → running. It returns false when the
 // job was cancelled while waiting in the queue.
-func (j *Job) markRunning() bool {
+func (j *job) markRunning() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != StatusQueued {
+	if j.status != statusQueued {
 		return false
 	}
-	j.status = StatusRunning
+	j.status = statusRunning
 	j.started = time.Now()
 	return true
 }
 
 // finalize moves the job to a terminal status exactly once and closes
 // Done.
-func (j *Job) finalize(status Status, errMsg string, result *AnalyzeResult) {
+func (j *job) finalize(status Status, errMsg string, result *AnalyzeResult) {
 	j.finalizeKind(status, errMsg, "", result)
 }
 
 // finalizeKind is finalize carrying a machine-readable error kind.
-func (j *Job) finalizeKind(status Status, errMsg, kind string, result *AnalyzeResult) {
+func (j *job) finalizeKind(status Status, errMsg, kind string, result *AnalyzeResult) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.finalizeLocked(status, errMsg, kind, result)
 }
 
 // finalizeLocked is the terminal transition; j.mu must be held.
-func (j *Job) finalizeLocked(status Status, errMsg, kind string, result *AnalyzeResult) {
+func (j *job) finalizeLocked(status Status, errMsg, kind string, result *AnalyzeResult) {
 	if j.status.Terminal() {
 		return
 	}
@@ -197,8 +197,8 @@ type JobView struct {
 	Result      *AnalyzeResult `json:"result,omitempty"`
 }
 
-// Snapshot returns a consistent JSON view of the job.
-func (j *Job) Snapshot() JobView {
+// snapshot returns a consistent JSON view of the job.
+func (j *job) snapshot() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := JobView{
@@ -229,7 +229,7 @@ type registry struct {
 	next   int64
 	cap    int
 	prefix string // shard-name job-id prefix; "" when standalone
-	jobs   map[string]*Job
+	jobs   map[string]*job
 	order  []string // insertion order for eviction
 }
 
@@ -242,11 +242,11 @@ func newRegistry(capacity int, shard string) *registry {
 	if shard != "" {
 		prefix = shard + "-"
 	}
-	return &registry{cap: capacity, prefix: prefix, jobs: make(map[string]*Job)}
+	return &registry{cap: capacity, prefix: prefix, jobs: make(map[string]*job)}
 }
 
 // add registers a new job under a fresh id.
-func (r *registry) add(j *Job) string {
+func (r *registry) add(j *job) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.next++
@@ -261,7 +261,7 @@ func (r *registry) add(j *Job) string {
 // addWithID registers a journal-recovered job under its original id
 // (so clients polling a pre-crash job id find it again) and bumps the
 // id counter past the recovered number so fresh ids never collide.
-func (r *registry) addWithID(j *Job, id string) {
+func (r *registry) addWithID(j *job, id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	j.id = id
@@ -276,7 +276,7 @@ func (r *registry) addWithID(j *Job, id string) {
 }
 
 // get looks a job up by id.
-func (r *registry) get(id string) (*Job, bool) {
+func (r *registry) get(id string) (*job, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	j, ok := r.jobs[id]

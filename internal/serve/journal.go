@@ -80,12 +80,12 @@ func (s *Server) recoverOrphans(fold *journal.Fold) {
 			continue
 		}
 		ctx, cancel := s.jobContext(req.TimeoutMS)
-		j := &Job{
+		j := &job{
 			admission:  adm,
 			submitted:  time.Now(),
 			cancel:     cancel,
 			done:       make(chan struct{}),
-			status:     StatusQueued,
+			status:     statusQueued,
 			ctx:        ctx,
 			design:     design,
 			resumeFrom: fromRestart,
@@ -96,7 +96,7 @@ func (s *Server) recoverOrphans(fold *journal.Fold) {
 		s.reg.addWithID(j, st.JobID)
 		if !s.submit(j) {
 			cancel()
-			j.finalizeKind(StatusFailed, "recovery: queue full", "", nil)
+			j.finalizeKind(statusFailed, "recovery: queue full", "", nil)
 			s.journalAppend(s.baseCtx, journal.Record{
 				Type: journal.TypeFailed, JobID: st.JobID, Detail: "recovery: queue full",
 			})
@@ -165,7 +165,7 @@ func (s *Server) journalAppend(ctx context.Context, rec journal.Record) {
 // first to finish takes it from the other, which then re-solves cold
 // if the process crashes before it checkpoints again. Failed and
 // cancelled jobs leave their blob to the next job of that key.
-func (s *Server) journalTerminal(j *Job, typ, detail string) {
+func (s *Server) journalTerminal(j *job, typ, detail string) {
 	s.journalAppend(j.ctx, journal.Record{Type: typ, JobID: j.id, Detail: detail})
 	if typ != journal.TypeFinished || !j.hasBlob || s.crashed.Load() {
 		return
@@ -179,7 +179,7 @@ func (s *Server) journalTerminal(j *Job, typ, detail string) {
 // core analyzer for job j: each solver checkpoint replaces the solve's
 // blob. Nil when the journal is off — checkpoints then live only in
 // the in-process cache (still enough for same-process requeue).
-func (s *Server) checkpointNotify(j *Job) func(key string, encoded []byte) {
+func (s *Server) checkpointNotify(j *job) func(key string, encoded []byte) {
 	if s.journal == nil {
 		return nil
 	}

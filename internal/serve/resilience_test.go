@@ -57,7 +57,7 @@ func TestServeLadderExhausted503(t *testing.T) {
 				t.Errorf("Retry-After %q, want %q", got, "1")
 			}
 			v := decodeJob(t, b)
-			if v.Status != StatusFailed || v.ErrorKind != errKindExhausted {
+			if v.Status != statusFailed || v.ErrorKind != errKindExhausted {
 				t.Fatalf("status %q kind %q, want failed/%s (error %q)", v.Status, v.ErrorKind, errKindExhausted, v.Error)
 			}
 			if v.Result == nil || v.Result.Manifest == nil {
@@ -93,7 +93,7 @@ func TestServeWorkerPanicRecovered(t *testing.T) {
 		t.Fatalf("status %d, want 500: %s", code, b)
 	}
 	v := decodeJob(t, b)
-	if v.Status != StatusFailed || v.ErrorKind != errKindPanic {
+	if v.Status != statusFailed || v.ErrorKind != errKindPanic {
 		t.Fatalf("status %q kind %q (error %q)", v.Status, v.ErrorKind, v.Error)
 	}
 	if v.Result == nil || v.Result.Manifest == nil {
@@ -175,14 +175,14 @@ func TestServeDeckValidation400(t *testing.T) {
 }
 
 // TestCancelCompletionRaceKeepsResult is the regression test for the
-// DELETE vs in-flight-completion race: Cancel's queued-check and
+// DELETE vs in-flight-completion race: abort's queued-check and
 // finalize used to happen outside one critical section, so a worker
 // could pick the job up in between — it would then run to completion
-// while Cancel finalized the job as "cancelled before start", dropping
+// while abort finalized the job as "cancelled before start", dropping
 // the worker's result and manifest. Run under -race.
 func TestCancelCompletionRaceKeepsResult(t *testing.T) {
 	for i := 0; i < 500; i++ {
-		j := &Job{status: StatusQueued, done: make(chan struct{}), cancel: func() {}}
+		j := &job{status: statusQueued, done: make(chan struct{}), cancel: func() {}}
 		var ran atomic.Bool
 		var wg sync.WaitGroup
 		wg.Add(2)
@@ -195,16 +195,16 @@ func TestCancelCompletionRaceKeepsResult(t *testing.T) {
 		}()
 		go func() { // the DELETE handler
 			defer wg.Done()
-			j.Cancel()
+			j.abort()
 		}()
 		wg.Wait()
-		v := j.Snapshot()
+		v := j.snapshot()
 		if ran.Load() {
 			if v.Result == nil || v.Result.Manifest == nil {
 				t.Fatalf("iteration %d: worker ran but its result was dropped (status %q, error %q)",
 					i, v.Status, v.Error)
 			}
-		} else if v.Status != StatusCancelled {
+		} else if v.Status != statusCancelled {
 			t.Fatalf("iteration %d: job neither ran nor cancelled: %q", i, v.Status)
 		}
 	}

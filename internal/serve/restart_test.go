@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -8,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -46,6 +48,31 @@ func waitParked(t *testing.T, s *Server, id string) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("no checkpoint blob appeared under the derived key before the deadline")
+}
+
+// stallCheckpoints parks every converged cached solve at its first
+// checkpoint store: by then it has iterated CheckpointEvery times, and
+// it can neither advance nor finish until its context is cancelled.
+const stallCheckpoints = "checkpoint.save:stall"
+
+// waitStalled blocks until n goroutines sit in a stall fault
+// (faults.(*Fault).Sleep) — with stallCheckpoints installed, until n
+// solves are parked mid-solve. Like waitParked it observes a stable
+// state, not a window.
+func waitStalled(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		got := bytes.Count(buf[:runtime.Stack(buf, true)], []byte("internal/faults.(*Fault).Sleep("))
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d solves parked at a checkpoint before the deadline", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestServeCrashRestartResumesJob is the end-to-end durability check:

@@ -145,7 +145,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
-	queue chan *Job
+	queue chan *job
 	reg   *registry
 	start time.Time
 	cache *cache.Cache // per-process artifact cache; nil when disabled
@@ -174,7 +174,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		mux:        http.NewServeMux(),
-		queue:      make(chan *Job, cfg.QueueDepth),
+		queue:      make(chan *job, cfg.QueueDepth),
 		reg:        newRegistry(cfg.MaxJobs, cfg.Name),
 		start:      time.Now(),
 		baseCtx:    ctx,
@@ -213,15 +213,12 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Name returns the configured shard identity ("" when standalone).
 func (s *Server) Name() string { return s.cfg.Name }
 
-// Workers returns the configured worker concurrency.
-func (s *Server) Workers() int { return s.cfg.Workers }
-
 // InFlight returns the number of jobs currently executing.
 func (s *Server) InFlight() int { return int(s.inflight.Load()) }
 
-// CacheStats snapshots the per-process artifact cache (zero stats
+// cacheStats snapshots the per-process artifact cache (zero stats
 // when caching is disabled).
-func (s *Server) CacheStats() cache.Stats { return s.cache.Stats() }
+func (s *Server) cacheStats() cache.Stats { return s.cache.Stats() }
 
 // worker drains the job queue until Close closes it.
 func (s *Server) worker() {
@@ -234,7 +231,7 @@ func (s *Server) worker() {
 // submit admits a job into the bounded queue. It returns false when
 // the queue is full or the server is draining — the caller answers
 // 503 in both cases.
-func (s *Server) submit(j *Job) bool {
+func (s *Server) submit(j *job) bool {
 	s.submitMu.Lock()
 	defer s.submitMu.Unlock()
 	if s.draining {

@@ -282,25 +282,23 @@ func slowBody(seed int64) string {
 }
 
 func TestCancelStopsSolveMidIteration(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	code, b := post(t, ts, "/v1/analyze", slowBody(5))
+	// The solve parks at its first checkpoint, so the cancellation
+	// demonstrably lands mid-solve, not before the loop starts.
+	withGlobalFaults(t, stallCheckpoints)
+	_, ts := newTestServer(t, Config{Workers: 1, CheckpointEvery: 2})
+	code, b := post(t, ts, "/v1/analyze", pgenBody(5, 64, `"async": true`))
 	if code != http.StatusAccepted {
 		t.Fatalf("status %d: %s", code, b)
 	}
 	id := decodeJob(t, b).ID
-	waitStatus(t, ts, id, func(s Status) bool { return s == StatusRunning })
-	// Let the PCG loop accumulate iterations so the cancellation
-	// demonstrably lands mid-solve, not before the loop starts. The
-	// window must cover system assembly too ("running" flips before
-	// it), which race-instrumented builds stretch considerably.
-	time.Sleep(750 * time.Millisecond)
+	waitStalled(t, 1)
 
 	code, b = del(t, ts, "/v1/jobs/"+id)
 	if code != http.StatusOK {
 		t.Fatalf("cancel status %d: %s", code, b)
 	}
 	final := waitStatus(t, ts, id, Status.Terminal)
-	if final.Status != StatusCancelled {
+	if final.Status != statusCancelled {
 		t.Fatalf("status %q, want cancelled (error %q)", final.Status, final.Error)
 	}
 	if final.Result == nil || final.Result.Manifest == nil {
@@ -310,10 +308,10 @@ func TestCancelStopsSolveMidIteration(t *testing.T) {
 	if len(solves) != 1 {
 		t.Fatalf("manifest solves = %+v, want exactly one", solves)
 	}
-	// Early return: strictly fewer iterations than the budget, with a
-	// partial residual history recorded up to the cancellation point.
-	if solves[0].Iterations <= 0 || solves[0].Iterations >= maxIters {
-		t.Errorf("cancelled solve ran %d iterations, want mid-solve stop", solves[0].Iterations)
+	// Early return at the parked checkpoint, with a partial residual
+	// history recorded up to the cancellation point.
+	if solves[0].Iterations != 2 {
+		t.Errorf("cancelled solve ran %d iterations, want the 2 before its parked checkpoint", solves[0].Iterations)
 	}
 	h := solves[0].History
 	if len(h) == 0 || len(h) > maxIters {
@@ -335,7 +333,7 @@ func TestTimeoutFailsSolveWithPartialManifest(t *testing.T) {
 		t.Fatalf("status %d, want 504: %s", code, b)
 	}
 	v := decodeJob(t, b)
-	if v.Status != StatusFailed {
+	if v.Status != statusFailed {
 		t.Fatalf("status %q, want failed", v.Status)
 	}
 	if v.Result == nil || v.Result.Manifest == nil || len(v.Result.Manifest.Solves) != 1 {
@@ -354,7 +352,7 @@ func TestQueueFullRejects(t *testing.T) {
 		t.Fatalf("job 1: status %d: %s", code, b)
 	}
 	id1 := decodeJob(t, b).ID
-	waitStatus(t, ts, id1, func(s Status) bool { return s == StatusRunning })
+	waitStatus(t, ts, id1, func(s Status) bool { return s == statusRunning })
 	// ...then the single queue slot...
 	code, b = post(t, ts, "/v1/analyze", slowBody(8))
 	if code != http.StatusAccepted {
@@ -379,7 +377,7 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 		t.Fatalf("status %d: %s", code, b)
 	}
 	id1 := decodeJob(t, b).ID
-	waitStatus(t, ts, id1, func(s Status) bool { return s == StatusRunning })
+	waitStatus(t, ts, id1, func(s Status) bool { return s == statusRunning })
 
 	code, b = post(t, ts, "/v1/analyze", slowBody(11))
 	if code != http.StatusAccepted {
@@ -391,7 +389,7 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 		t.Fatalf("cancel status %d: %s", code, b)
 	}
 	v := decodeJob(t, b)
-	if v.Status != StatusCancelled {
+	if v.Status != statusCancelled {
 		t.Fatalf("queued cancel status %q, want cancelled immediately", v.Status)
 	}
 	if v.StartedAt != nil {
@@ -466,7 +464,7 @@ func TestGracefulCloseDrainsInFlight(t *testing.T) {
 		t.Fatalf("status %d: %s", code, b)
 	}
 	id := decodeJob(t, b).ID
-	waitStatus(t, ts, id, func(st Status) bool { return st == StatusRunning || st.Terminal() })
+	waitStatus(t, ts, id, func(st Status) bool { return st == statusRunning || st.Terminal() })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -509,7 +507,7 @@ func TestForcedCloseCancelsInFlight(t *testing.T) {
 		t.Fatalf("status %d: %s", code, b)
 	}
 	id := decodeJob(t, b).ID
-	waitStatus(t, ts, id, func(st Status) bool { return st == StatusRunning })
+	waitStatus(t, ts, id, func(st Status) bool { return st == statusRunning })
 
 	// A context that is already expired forces immediate cancellation
 	// of the in-flight solve; Close must still wait for the worker.

@@ -5,9 +5,9 @@ import (
 	"math"
 )
 
-// ErrNotPositiveDefinite is returned when a Cholesky factorization
+// errNotPositiveDefinite is returned when a Cholesky factorization
 // encounters a non-positive pivot.
-var ErrNotPositiveDefinite = errors.New("sparse: matrix is not positive definite")
+var errNotPositiveDefinite = errors.New("sparse: matrix is not positive definite")
 
 // DenseCholesky holds the lower-triangular factor of a dense SPD
 // matrix. It backs the coarsest level of the AMG hierarchy, where the
@@ -27,7 +27,7 @@ func NewDenseCholesky(a []float64, n int) (*DenseCholesky, error) {
 			d -= l[j*n+k] * l[j*n+k]
 		}
 		if d <= 0 {
-			return nil, ErrNotPositiveDefinite
+			return nil, errNotPositiveDefinite
 		}
 		d = math.Sqrt(d)
 		l[j*n+j] = d
@@ -206,7 +206,7 @@ func NewCholesky(a *CSR) (*Cholesky, error) {
 			next[j]++
 		}
 		if d <= 0 {
-			return nil, ErrNotPositiveDefinite
+			return nil, errNotPositiveDefinite
 		}
 		val[colPtr[k]] = math.Sqrt(d)
 	}

@@ -39,8 +39,8 @@ func TestDenseCholeskyRejectsIndefinite(t *testing.T) {
 		1, 2,
 		2, 1, // eigenvalues 3 and -1
 	}
-	if _, err := NewDenseCholesky(a, 2); err != ErrNotPositiveDefinite {
-		t.Errorf("err = %v, want ErrNotPositiveDefinite", err)
+	if _, err := NewDenseCholesky(a, 2); err != errNotPositiveDefinite {
+		t.Errorf("err = %v, want errNotPositiveDefinite", err)
 	}
 }
 
@@ -158,8 +158,8 @@ func TestSparseCholeskyRejectsIndefinite(t *testing.T) {
 	tr.Add(0, 1, 2)
 	tr.Add(1, 0, 2)
 	tr.Add(1, 1, 1)
-	if _, err := NewCholesky(tr.ToCSR()); err != ErrNotPositiveDefinite {
-		t.Errorf("err = %v, want ErrNotPositiveDefinite", err)
+	if _, err := NewCholesky(tr.ToCSR()); err != errNotPositiveDefinite {
+		t.Errorf("err = %v, want errNotPositiveDefinite", err)
 	}
 }
 

@@ -202,8 +202,8 @@ func (m *CSR) Diag() []float64 {
 	return d
 }
 
-// Transpose returns Aᵀ in CSR form.
-func (m *CSR) Transpose() *CSR {
+// transpose returns Aᵀ in CSR form.
+func (m *CSR) transpose() *CSR {
 	t := &CSR{RowsN: m.ColsN, ColsN: m.RowsN}
 	count := make([]int, m.ColsN+1)
 	for _, j := range m.ColInd {
@@ -252,7 +252,7 @@ func (m *CSR) IsSymmetric(tol float64) bool {
 	if m.RowsN != m.ColsN {
 		return false
 	}
-	t := m.Transpose()
+	t := m.transpose()
 	if t.NNZ() != m.NNZ() {
 		return false
 	}
@@ -315,16 +315,6 @@ func Axpy(alpha float64, x, y []float64) {
 	for i := range x {
 		y[i] += alpha * x[i]
 	}
-}
-
-// Copy copies src into dst (lengths must match).
-//
-//irfusion:hotpath
-func Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("sparse: Copy length mismatch")
-	}
-	copy(dst, src)
 }
 
 // Zero sets every element of v to zero.

@@ -145,7 +145,7 @@ func TestTransposeInvolution(t *testing.T) {
 			tr.Add(rng.Intn(rows), rng.Intn(cols), rng.NormFloat64())
 		}
 		a := tr.ToCSR()
-		tt := a.Transpose().Transpose()
+		tt := a.transpose().transpose()
 		if tt.RowsN != a.RowsN || tt.ColsN != a.ColsN || tt.NNZ() != a.NNZ() {
 			return false
 		}
@@ -168,7 +168,7 @@ func TestTransposeEntries(t *testing.T) {
 	tr.Add(0, 2, 5)
 	tr.Add(1, 0, -2)
 	tr.Add(1, 2, 1)
-	at := tr.ToCSR().Transpose()
+	at := tr.ToCSR().transpose()
 	if at.Rows() != 3 || at.Cols() != 2 {
 		t.Fatalf("transpose shape = %dx%d, want 3x2", at.Rows(), at.Cols())
 	}
