@@ -3,16 +3,16 @@
 
 GO ?= go
 
-.PHONY: all fmt fmt-check vet cross lint build test race loc loc-check bench bench-smoke bench-check bench-rebaseline bench-quick rehearse fuzz-smoke cluster-smoke docs-check cover-check
+.PHONY: all fmt fmt-check vet cross lint build test race loc loc-check bench bench-smoke bench-check bench-rebaseline bench-quick fuzz-smoke docs-check cover-check
 
 all: fmt-check vet lint build test
 
-# The project's own static-analysis pass (internal/lint): hotpath
-# no-allocation discipline, context propagation, hook resolution,
-# %w wrapping, float equality, goroutine containment, fault-site
-# registry drift (sitedrift), exported names with no caller outside
-# their package (exportuse), and the two rules on a control-flow graph
-# (locksafe, ctxleak) — see docs/LINTING.md. Every finding fails the
+# The project's own static-analysis pass (internal/lint), nine rules:
+# hotpath no-allocation discipline, context propagation, hook
+# construction, %w wrapping, float equality, goroutine containment,
+# exported names with no caller outside their package (exportuse),
+# and the two rules on a control-flow graph (locksafe, ctxleak) —
+# see docs/LINTING.md. Every finding fails the
 # build; a finding is accepted only by a line waiver with a rationale
 # in the source. The output is one `file:line: rule: message` line per
 # finding, which CI's problem matcher turns into diff annotations.
@@ -186,7 +186,16 @@ loc: ## non-test Go and assembly lines per package and the total
 # for by internal/report and cmd/report 130 -> 0, cmd/experiments 670
 # -> 695 (the markdown tables it now writes), the GEMM row range and
 # gemmRows (internal/nn 2105 -> 2084), and the names no caller needed.
-LOC_CEILING ?= 20200
+# Lowered to 19300 (total 20179 -> 19263) when fault injection became a
+# typed test fixture: cmd/irfusion 1195 -> 734 (the rehearse harness
+# and the -faults flag), internal/lint 2716 -> 2503 (sitedrift and
+# hooksafe's global-read check), internal/faults 387 -> 206 (the spec
+# grammar, its seeded probability, the site registry and the env var),
+# internal/features 408 -> 387, internal/dataset 479 -> 470,
+# internal/cache 1043 -> 1022, internal/cluster 970 -> 963,
+# internal/solver 449 -> 447 and internal/serve 1646 -> 1645 (the
+# sites and actions no test armed, fault_spec on /healthz).
+LOC_CEILING ?= 19300
 
 loc-check: ## fail when the non-test Go + assembly line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \
@@ -230,25 +239,6 @@ bench-rebaseline: ## rewrite bench.baseline's measurements from this machine
 bench-quick: ## vet + quick run of the end-to-end benchmark (_bench): every entry point, every answer check
 	$(GO) vet ./_bench
 	$(GO) run ./_bench -quick
-
-# The scenario table of cmd/irfusion/rehearse.go, every row: a cold
-# analysis, the AMG rung broken (the ladder must degrade and say so),
-# the artifact cache under stale/evict/latency faults, an exact cache
-# hit, and the two crash recoveries — a mid-solve panic requeued on the
-# same server, and a hard crash recovered by the next incarnation from
-# the journal. Each row's manifest must validate and meet the row's
-# expectations; the fault profiles live in the table, nowhere else.
-# `go run ./cmd/irfusion rehearse <row>` runs one.
-rehearse: ## resilience and durability scenarios, gated on their run manifests
-	$(GO) run ./cmd/irfusion rehearse
-
-# Cluster rehearsal: the in-process shard fleet behind the gateway
-# (internal/cluster fleet_test.go) — routing determinism, cache-warm
-# affinity, ring remap on shard kill, mid-job failover with handoff
-# provenance, and graceful drain — all under the race detector,
-# because every one of those paths is goroutine-heavy by construction.
-cluster-smoke: ## gateway + 3-shard fleet rehearsal under -race
-	$(GO) test -race -count=1 ./internal/cluster/
 
 docs-check: ## fail when any doc link or file:line anchor no longer resolves
 	$(GO) run ./cmd/docscheck README.md docs

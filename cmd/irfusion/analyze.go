@@ -42,12 +42,8 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 	useCache := fs.Bool("cache", false, "enable the process artifact cache (sized by IRFUSION_CACHE_BYTES/IRFUSION_CACHE_TTL)")
 	repeat := fs.Int("repeat", 1, "run the analysis N times under one manifest — with -cache, later runs hit or warm-start")
 	perturb := fs.Float64("perturb", 0, "ECO-style resistor perturbation fraction applied before each repeat after the first")
-	faultSpec := addFaultsFlag(fs)
 	of := addObsFlags(fs)
 	fs.Parse(args)
-	if err := applyFaults(*faultSpec); err != nil {
-		return nil, err
-	}
 	for _, f := range []struct{ name, value, allowed string }{
 		{"class", *class, "fake real"},
 		{"precond", *precond, "amg ssor"},

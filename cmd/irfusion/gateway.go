@@ -36,12 +36,8 @@ func cmdGateway(args []string) error {
 	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive probe/forward failures that open a shard's breaker")
 	breakerCooldown := fs.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open retry")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget for in-flight forwards")
-	faultSpec := addFaultsFlag(fs)
 	of := addObsFlags(fs)
 	fs.Parse(args)
-	if err := applyFaults(*faultSpec); err != nil {
-		return err
-	}
 
 	shards, err := parseShards(*shardList)
 	if err != nil {

@@ -3,7 +3,6 @@
 //
 //	irfusion gen      -out design.sp [-class real] [-size 64] [-seed 1] [-config cfg.json]
 //	irfusion analyze  [-spice design.sp] [-iters 0] [-model-file model.bin] [-pgm drop.pgm] [-manifest run.json]
-//	irfusion rehearse [cold exhausted cache-chaos cache-hit requeue restart]
 //	irfusion transient -spice design.sp [-h 1e-12] [-steps 100] [-burst 20]
 //	irfusion serve    [-addr localhost:8080] [-workers 2] [-queue 16] [-model-file model.bin]
 //	irfusion gateway  -shards a=http://h1:8080,b=http://h2:8080 [-addr localhost:8090]
@@ -12,16 +11,13 @@
 //
 // "analyze" is the one path from a design to a map: SPICE → MNA →
 // AMG-PCG, converged or budgeted with -iters, and the fused
-// numerical+ML pipeline with -model-file; "rehearse" runs the
-// resilience and durability scenarios the CI gates on (see
-// rehearse.go); "transient" integrates dynamic IR drop over C cards.
+// numerical+ML pipeline with -model-file; "transient" integrates
+// dynamic IR drop over C cards.
 //
 // analyze, train, serve, and gateway accept -manifest FILE to write a
 // structured run manifest (stage timings, convergence traces, pool
 // utilization) and -debug-addr ADDR to serve live expvar counters and
-// pprof profiles during the run. analyze, serve, and gateway
-// additionally accept -faults SPEC to install a fault-injection
-// profile (same grammar as IRFUSION_FAULTS; see internal/faults).
+// pprof profiles during the run.
 package main
 
 import (
@@ -50,8 +46,6 @@ func main() {
 		err = cmdGen(os.Args[2:])
 	case "analyze":
 		_, err = cmdAnalyze(os.Args[2:])
-	case "rehearse":
-		os.Exit(cmdRehearse(os.Args[2:]))
 	case "train":
 		err = cmdTrain(os.Args[2:])
 	case "transient":
@@ -82,16 +76,13 @@ commands:
   gen      generate a synthetic power-grid SPICE deck
   analyze  IR-drop analysis of a deck or a generated design: numerical (AMG-PCG),
            or fused numerical+ML with -model-file; -manifest writes a JSON run manifest
-  rehearse run the resilience and durability scenarios (all, or the named rows)
   transient dynamic IR-drop analysis (backward Euler over C cards)
   serve    long-lived HTTP analysis service (POST /v1/analyze; see docs/SERVING.md)
   gateway  cluster gateway routing a shard fleet by cache affinity (see docs/CLUSTER.md)
   train    train a fusion model on generated designs
   models   list registered model architectures
 
-analyze, train, serve, and gateway also take -manifest FILE and -debug-addr ADDR.
-analyze, serve, and gateway also take -faults SPEC to inject failures
-(see docs/RESILIENCE.md).`)
+analyze, train, serve, and gateway also take -manifest FILE and -debug-addr ADDR.`)
 }
 
 func cmdGen(args []string) error {

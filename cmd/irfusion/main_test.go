@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -15,9 +16,11 @@ import (
 
 	"irfusion/internal/core"
 	"irfusion/internal/dataset"
+	"irfusion/internal/faults"
 	"irfusion/internal/nn"
 	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
+	"irfusion/internal/plan"
 	"irfusion/internal/serve"
 	"irfusion/internal/spice"
 )
@@ -65,13 +68,21 @@ func TestAnalyzeSpiceSizesTheDieFromTheDeck(t *testing.T) {
 
 	s := serve.New(serve.Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { closeServer(s, ts) })
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close(context.Background())
+	})
 	body, err := json.Marshal(serve.AnalyzeRequest{Spice: deck, IncludeMap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := postJob(ts, string(body))
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var v serve.JobView
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 		t.Fatal(err)
 	}
 	if v.Status != serve.StatusDone || len(v.Result.Map) != size*size {
@@ -100,9 +111,10 @@ func TestAnalyzeRefusesMistypedValues(t *testing.T) {
 	}
 }
 
-// TestAnalyzeRetiredFlags: -format went with the second sparse format
-// and -precision with the float32 stack; neither is tolerated under a
-// value that used to mean "default". The flag set exits the process,
+// TestAnalyzeRetiredFlags: -format went with the second sparse format,
+// -precision with the float32 stack and -faults with the fault spec
+// grammar; none is tolerated, not even under a value that used to mean
+// "default". The flag set exits the process,
 // so the test re-runs its own binary with the arguments in the
 // environment.
 func TestAnalyzeRetiredFlags(t *testing.T) {
@@ -111,7 +123,7 @@ func TestAnalyzeRetiredFlags(t *testing.T) {
 		cmdAnalyze(strings.Fields(args))
 		os.Exit(0) // the flag was accepted: the parent fails on the exit code
 	}
-	for _, args := range []string{"-format sell", "-format auto", "-precision full"} {
+	for _, args := range []string{"-format sell", "-format auto", "-precision full", "-faults amg.setup:fail"} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestAnalyzeRetiredFlags$")
 		cmd.Env = append(os.Environ(), env+"="+args)
 		out, err := cmd.CombinedOutput()
@@ -225,78 +237,91 @@ func TestAnalyzeCacheManifest(t *testing.T) {
 	}
 }
 
-// TestRehearseAll runs every row of the table, at 32 µm. The requeue
-// row is the only coverage of the mid-solve-panic → requeue → resume
-// path.
+// TestRehearseAll keeps the analysis rows of the scenario table the
+// retired `irfusion rehearse` subcommand ran, under their row names,
+// now driven through `analyze -manifest` at 32 µm. Each row arms its
+// faults on the process slot the CLI's context falls back to; a row
+// that succeeds must return the undisturbed map and write a valid
+// manifest meeting the row's check, a row that must fail must fail
+// with its error. The serving rows (requeue, restart) are served-job
+// scenarios and live in internal/serve.
 func TestRehearseAll(t *testing.T) {
-	for _, r := range rehearsals {
-		t.Run(r.name, func(t *testing.T) {
-			m, err := r.steps(32, r.faults)
-			if err == nil {
-				err = r.check(m)
+	args := []string{"-size", "32", "-seed", "3"}
+	cold, err := cmdAnalyze(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		rules   []faults.Rule
+		flags   []string
+		wantErr error
+		check   func(m *obs.Manifest) string // what the manifest lacks, or ""
+	}{
+		{name: "cold", check: func(m *obs.Manifest) string {
+			for _, s := range m.Solves {
+				if s.Iterations > 0 && len(s.History) > 0 {
+					return ""
+				}
+			}
+			return "a solve with iterations > 0 and a residual history"
+		}},
+		// Every AMG-rung solve breaks down and nothing stands behind the
+		// one cold rung: the analysis fails with the ladder exhausted.
+		{name: "exhausted", rules: []faults.Rule{{Site: faults.SitePCG, Action: faults.ActBreakdown, Label: plan.RungAMG}},
+			wantErr: plan.ErrLadderExhausted},
+		// The repeat is answered from the artifact cache: a hit, and no
+		// second solve.
+		{name: "cache-hit", flags: []string{"-cache", "-repeat", "2"}, check: func(m *obs.Manifest) string {
+			if m.Cache == nil || m.Cache.Hits == 0 || len(m.Solves) != 1 {
+				return "an exact hit on the repeat and the first run's solve alone"
+			}
+			return ""
+		}},
+		// Repeat 2's lookup returns a poisoned solution the residual
+		// guard must reject; its recomputed solution is re-stored and
+		// repeat 3 hits it.
+		{name: "cache-chaos", rules: []faults.Rule{{Site: faults.SiteCacheLookup, Action: faults.ActStale, Times: 1}},
+			flags: []string{"-cache", "-repeat", "3"}, check: func(m *obs.Manifest) string {
+				if c := m.Cache; c == nil || c.Stale == 0 || c.Stores < 2 || c.Hits == 0 {
+					return "the poisoned entry rejected as stale, its solution re-stored and then hit"
+				}
+				return ""
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faults.SetActive(faults.New(tc.rules...))
+			t.Cleanup(func() { faults.SetActive(nil) })
+			path := filepath.Join(t.TempDir(), "run.json")
+			got, err := cmdAnalyze(append(append([]string{"-manifest", path}, args...), tc.flags...))
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) || !strings.Contains(err.Error(), "injected") {
+					t.Fatalf("analyze: %v, want the injected failure wrapped in %v", err, tc.wantErr)
+				}
+				return
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-		})
-	}
-}
-
-// TestRehearseBites: a gate that cannot fail is not a gate. Each row,
-// run without the fault profile or the step that distinguishes it,
-// must fail exactly its distinguishing expectation. The restart row is
-// exempt — without the parking fault it has no deterministic crash
-// point — and serve.TestServeRestartSkipsFinishedJobs is its negative.
-func TestRehearseBites(t *testing.T) {
-	noFaults := func(r *row) { r.faults = "" }
-	for _, tc := range []struct {
-		name  string
-		blunt func(*row)
-		lacks expectation
-	}{
-		{"exhausted", noFaults, exhausted},
-		{"cache-chaos", noFaults, staleCaught},
-		{"requeue", noFaults, resumedFrom("requeue")},
-		{"cache-hit", func(r *row) { r.steps = analysis{cached: true}.run }, cacheHit},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r, ok := rowNamed(tc.name)
-			if !ok {
-				t.Fatal("no such row")
+			for i := range cold.Data {
+				if d := math.Abs(got.Data[i] - cold.Data[i]); d > 1e-8 {
+					t.Fatalf("cell %d differs from the undisturbed map by %g", i, d)
+				}
 			}
-			tc.blunt(&r)
-			m, err := r.steps(32, r.faults)
+			raw, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("blunted steps did not run to their end: %v", err)
+				t.Fatal(err)
 			}
-			requireLacks(t, r.check(m), tc.lacks)
+			m, err := obs.DecodeManifest(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Validate(); err != nil {
+				t.Fatalf("manifest invalid: %v", err)
+			}
+			if lack := tc.check(m); lack != "" {
+				t.Errorf("manifest lacks %s: cache %+v, %d solves", lack, m.Cache, len(m.Solves))
+			}
 		})
-	}
-	t.Run("cold", func(t *testing.T) {
-		r, _ := rowNamed("cold")
-		m, err := r.steps(32, r.faults)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Solves = nil
-		requireLacks(t, r.check(m), solved)
-	})
-}
-
-func requireLacks(t *testing.T, err error, e expectation) {
-	t.Helper()
-	if err == nil || !strings.Contains(err.Error(), e.what) {
-		t.Fatalf("check returned %v, want it to miss %q", err, e.what)
-	}
-}
-
-// TestRehearseSelectsRows: arguments pick rows, an unknown one is a
-// usage error.
-func TestRehearseSelectsRows(t *testing.T) {
-	if code := cmdRehearse([]string{"cold", "no-such-row"}); code != 2 {
-		t.Errorf("unknown row: exit %d, want 2", code)
-	}
-	if code := cmdRehearse([]string{"cold"}); code != 0 {
-		t.Errorf("rehearse cold: exit %d, want 0", code)
 	}
 }

@@ -43,12 +43,8 @@ func cmdServe(args []string) error {
 	journalDir := fs.String("journal-dir", "", "write-ahead job journal directory (enables crash recovery; empty = off)")
 	journalSync := fs.String("journal-sync", "", "journal fsync policy: always (default), interval, or none")
 	ckptEvery := fs.Int("checkpoint-every", 0, "solver checkpoint interval in PCG iterations (0 = default 32, negative = off)")
-	faultSpec := addFaultsFlag(fs)
 	of := addObsFlags(fs)
 	fs.Parse(args)
-	if err := applyFaults(*faultSpec); err != nil {
-		return err
-	}
 
 	cfg := serve.Config{
 		Name:            *name,

@@ -127,12 +127,9 @@ func StoreSystem(ctx context.Context, c *Cache, stage string, art *SystemArtifac
 
 // LookupSystem returns the system artifact stored under fingerprint
 // fp, or nil on a miss. The faults site cache.lookup fires on every
-// lookup that found an entry: ActEvict drops the entry mid-lookup (as
-// if eviction won the race) and reports a miss, ActFail reports a
-// miss without touching the entry, and ActStale returns a copy whose
-// golden solution is poisoned — the caller's residual guard must
-// catch it, which is exactly what `irfusion rehearse cache-chaos`
-// verifies.
+// lookup that found an entry: ActStale returns a copy whose golden
+// solution is poisoned — the caller's residual guard must catch it,
+// which core's TestAnalyzeCacheStaleGuard verifies.
 func LookupSystem(ctx context.Context, c *Cache, fp string) *SystemArtifact {
 	if c == nil || fp == "" {
 		return nil
@@ -145,21 +142,13 @@ func LookupSystem(ctx context.Context, c *Cache, fp string) *SystemArtifact {
 	if !ok {
 		return nil
 	}
-	if f := faults.ActiveOr(ctx).Fire(faults.SiteCacheLookup, ""); f != nil {
-		switch f.Action {
-		case faults.ActEvict:
-			c.Drop(SystemKey(fp))
-			return nil
-		case faults.ActFail:
-			return nil
-		case faults.ActStale:
-			stale := *art
-			stale.Golden = append([]float64(nil), art.Golden...)
-			for i := range stale.Golden {
-				stale.Golden[i] += 1 + float64(i%3)
-			}
-			return &stale
+	if f := faults.ActiveOr(ctx).Fire(faults.SiteCacheLookup, ""); f != nil && f.Action == faults.ActStale {
+		stale := *art
+		stale.Golden = append([]float64(nil), art.Golden...)
+		for i := range stale.Golden {
+			stale.Golden[i] += 1 + float64(i%3)
 		}
+		return &stale
 	}
 	return art
 }
@@ -168,24 +157,14 @@ func LookupSystem(ctx context.Context, c *Cache, fp string) *SystemArtifact {
 // neighbor whose matrix delta is at most maxDelta (<= 0 means
 // DefaultWarmDelta) and which carries both a golden solution and a
 // matching hierarchy. It returns the best donor with its delta, or
-// (nil, 0, nil) when no candidate qualifies — the cold path. The
-// faults site cache.delta fires once per search: latency/stall faults
-// sleep cooperatively (a cancelled context surfaces as the returned
-// error), and ActFail abandons the search, forcing the cold path.
+// (nil, 0, nil) when no candidate qualifies — the cold path. A
+// cancelled context surfaces as the returned error.
 func FindWarmStart(ctx context.Context, c *Cache, g *sparse.CSR, maxDelta float64) (*SystemArtifact, float64, error) {
 	if c == nil || g == nil {
 		return nil, 0, nil
 	}
 	if maxDelta <= 0 {
 		maxDelta = DefaultWarmDelta
-	}
-	if f := faults.ActiveOr(ctx).Fire(faults.SiteCacheDelta, ""); f != nil {
-		if f.Action == faults.ActFail {
-			return nil, 0, nil
-		}
-		if err := f.Sleep(ctx); err != nil {
-			return nil, 0, err
-		}
 	}
 	// Snapshot candidates under the cache lock, delta-check outside it:
 	// the merge walks are O(nnz) each and must not serialize workers.

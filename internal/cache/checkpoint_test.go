@@ -89,7 +89,7 @@ func TestCheckpointFaults(t *testing.T) {
 	art := testCheckpointArtifact("fp-f")
 
 	c := New(0, 0)
-	ctx := faults.WithInjector(context.Background(), faults.MustParse("checkpoint.save:fail"))
+	ctx := faults.WithInjector(context.Background(), faults.New(faults.Rule{Site: faults.SiteCheckpointSave, Action: faults.ActFail}))
 	StoreCheckpoint(ctx, c, art)
 	if c.Len() != 0 {
 		t.Fatal("ActFail store still cached the checkpoint")
@@ -97,12 +97,12 @@ func TestCheckpointFaults(t *testing.T) {
 
 	c = New(0, 0)
 	StoreCheckpoint(context.Background(), c, art)
-	ctx = faults.WithInjector(context.Background(), faults.MustParse("checkpoint.restore:fail"))
+	ctx = faults.WithInjector(context.Background(), faults.New(faults.Rule{Site: faults.SiteCheckpointRestore, Action: faults.ActFail}))
 	if LookupCheckpoint(ctx, c, "fp-f", art.Shape) != nil {
 		t.Error("ActFail lookup still returned the checkpoint")
 	}
 
-	ctx = faults.WithInjector(context.Background(), faults.MustParse("checkpoint.restore:corrupt"))
+	ctx = faults.WithInjector(context.Background(), faults.New(faults.Rule{Site: faults.SiteCheckpointRestore, Action: faults.ActCorrupt}))
 	bad := LookupCheckpoint(ctx, c, "fp-f", art.Shape)
 	if bad == nil {
 		t.Fatal("ActCorrupt lookup returned nothing")

@@ -268,12 +268,11 @@ func TestFleetFailoverMidJob(t *testing.T) {
 	succ := f.gw.ring.successors(mustKey(t, req))
 	owner, backup := succ[0], succ[1]
 
-	// Stretch the first executed job with an injected worker delay so
-	// the kill lands mid-run; the retried job on the successor is not
-	// delayed (times=1).
-	prevInj := faults.Active()
-	faults.SetActive(faults.MustParse("serve.worker:latency:delay=750ms,times=1"))
-	defer faults.SetActive(prevInj)
+	// Park the first executed job on an injected worker stall: only the
+	// kill's force-cancel releases it, so the kill always lands mid-job.
+	// The retried job on the successor is not parked (Times: 1).
+	faults.SetActive(faults.New(faults.Rule{Site: faults.SiteServeWorker, Action: faults.ActStall, Times: 1}))
+	t.Cleanup(func() { faults.SetActive(nil) })
 
 	type outcome struct {
 		resp *http.Response
@@ -408,9 +407,8 @@ func TestFleetJobProxy(t *testing.T) {
 func TestFleetDrain(t *testing.T) {
 	f := newFleet(t, 2, serve.Config{Workers: 1}, Config{})
 
-	prevInj := faults.Active()
-	faults.SetActive(faults.MustParse("serve.worker:latency:delay=300ms,times=1"))
-	defer faults.SetActive(prevInj)
+	faults.SetActive(faults.New(faults.Rule{Site: faults.SiteServeWorker, Action: faults.ActLatency, Delay: 300 * time.Millisecond, Times: 1}))
+	t.Cleanup(func() { faults.SetActive(nil) })
 
 	req := &serve.AnalyzeRequest{Pgen: &pgen.Config{Class: pgen.Fake, W: 16, H: 16, Seed: 9}}
 	owner := f.gw.ring.Shard(mustKey(t, req))

@@ -429,15 +429,8 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, bo
 // dropped connection without touching the network.
 func (g *Gateway) send(r *http.Request, sh *shardState, body []byte, attempt int, prev string) (*http.Response, error) {
 	ctx := r.Context()
-	if f := faults.ActiveOr(ctx).Fire(faults.SiteClusterForward, sh.name); f != nil {
-		switch f.Action {
-		case faults.ActFail:
-			return nil, f.Error()
-		case faults.ActLatency, faults.ActStall:
-			if err := f.Sleep(ctx); err != nil {
-				return nil, err
-			}
-		}
+	if f := faults.ActiveOr(ctx).Fire(faults.SiteClusterForward, sh.name); f != nil && f.Action == faults.ActFail {
+		return nil, f.Error()
 	}
 	req, err := http.NewRequestWithContext(ctx, r.Method, sh.url+r.URL.Path, bytes.NewReader(body))
 	if err != nil {

@@ -241,8 +241,9 @@ func TestGatewayProbeFaultSites(t *testing.T) {
 	f := newFleet(t, 2, serve.Config{Workers: 1},
 		Config{BreakerThreshold: 1, BreakerCooldown: time.Hour, ProbeTimeout: 5 * time.Millisecond})
 
-	ctx := faults.WithInjector(context.Background(),
-		faults.MustParse("cluster.probe:fail:label=shard0;cluster.probe:latency:delay=10ms,label=shard1"))
+	ctx := faults.WithInjector(context.Background(), faults.New(
+		faults.Rule{Site: faults.SiteClusterProbe, Action: faults.ActFail, Label: "shard0"},
+		faults.Rule{Site: faults.SiteClusterProbe, Action: faults.ActLatency, Label: "shard1", Delay: 10 * time.Millisecond}))
 	f.gw.probeNow(ctx)
 	states := f.gw.breakerStates()
 	if states["shard0"] != "open" {
@@ -272,9 +273,8 @@ func TestGatewayForwardFaultSite(t *testing.T) {
 	req := &serve.AnalyzeRequest{Pgen: &pgen.Config{Class: pgen.Fake, W: 16, H: 16, Seed: 11}}
 	succ := f.gw.ring.successors(mustKey(t, req))
 
-	prevInj := faults.Active()
-	faults.SetActive(faults.MustParse("cluster.forward:fail:label=" + succ[0] + ",times=1"))
-	defer faults.SetActive(prevInj)
+	faults.SetActive(faults.New(faults.Rule{Site: faults.SiteClusterForward, Action: faults.ActFail, Label: succ[0], Times: 1}))
+	t.Cleanup(func() { faults.SetActive(nil) })
 
 	resp, body := f.postAnalyze(req)
 	if resp.StatusCode != http.StatusOK {

@@ -114,20 +114,16 @@ func TestAnalyzeCacheWarmStart(t *testing.T) {
 
 // TestAnalyzeCacheStaleGuard proves the residual guard: a poisoned
 // lookup (injected via the cache.lookup stale fault) must be rejected,
-// dropped, and recomputed — never served.
+// dropped, recomputed and re-stored — never served.
 func TestAnalyzeCacheStaleGuard(t *testing.T) {
 	d := cacheTestDesign(t)
 	c := cache.New(0, 0)
 	cold, _ := analyzeWithCache(t, c, d)
 
-	in, err := faults.Parse("cache.lookup:stale")
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := obs.NewRecorder()
 	ctx := obs.WithRecorder(context.Background(), rec)
 	ctx = cache.WithCache(ctx, c)
-	ctx = faults.WithInjector(ctx, in)
+	ctx = faults.WithInjector(ctx, faults.New(faults.Rule{Site: faults.SiteCacheLookup, Action: faults.ActStale}))
 	na := &NumericalAnalyzer{Iters: 0, Resolution: 24}
 	m, _, _, err := na.AnalyzeCtx(ctx, d)
 	if err != nil {
@@ -139,6 +135,9 @@ func TestAnalyzeCacheStaleGuard(t *testing.T) {
 	}
 	if mf.Cache.Hits != 0 {
 		t.Fatalf("poisoned entry served as a hit: %+v", mf.Cache)
+	}
+	if mf.Cache.Stores == 0 {
+		t.Fatalf("recomputed solution not re-stored: %+v", mf.Cache)
 	}
 	if diff := mapMaxDiff(cold, m); diff > cache.GuardTol {
 		t.Fatalf("post-stale recompute differs from cold by %g", diff)

@@ -116,7 +116,7 @@ func TestAnalyzeResumeGuardRejectsCorrupt(t *testing.T) {
 	rec := obs.NewRecorder()
 	ctx2 := obs.WithRecorder(context.Background(), rec)
 	ctx2 = cache.WithCache(ctx2, c2)
-	ctx2 = faults.WithInjector(ctx2, faults.MustParse("checkpoint.restore:corrupt:times=1"))
+	ctx2 = faults.WithInjector(ctx2, faults.New(faults.Rule{Site: faults.SiteCheckpointRestore, Action: faults.ActCorrupt, Times: 1}))
 	na2 := &NumericalAnalyzer{Resolution: 24}
 	m, _, _, err := na2.AnalyzeCtx(ctx2, d)
 	if err != nil {

@@ -11,17 +11,6 @@ import (
 	"irfusion/internal/plan"
 )
 
-// withFaults scopes a test's fault profile to its context. An empty
-// spec binds an injector that never fires, so a test that asserts the
-// undisturbed path stays true when the process runs under an
-// IRFUSION_FAULTS profile.
-func withFaults(ctx context.Context, spec string) context.Context {
-	if spec == "" {
-		spec = "amg.setup:fail:p=0"
-	}
-	return faults.WithInjector(ctx, faults.MustParse(spec))
-}
-
 // TestLadderFaultClasses is the table-driven heart of the resilience
 // suite: with no fault the numerical analyzer is served by cold
 // AMG-PCG, its one cold rung, and each injected fault class on that
@@ -36,25 +25,29 @@ func TestLadderFaultClasses(t *testing.T) {
 	amgOnly := []string{plan.RungAMG}
 	cases := []struct {
 		name  string
-		spec  string   // per-request injector spec
-		tried []string // the rungs an exhausted ladder tried; nil: AMG serves
+		fault faults.Rule // the request's one fault; none when Site is empty
+		tried []string    // the rungs an exhausted ladder tried; nil: AMG serves
 	}{
 		{name: "no faults serves the AMG rung cleanly"},
 		{name: "persistent AMG-solve breakdown exhausts the ladder",
-			spec: "solver.pcg:breakdown:label=" + plan.RungAMG, tried: amgOnly},
+			fault: faults.Rule{Site: faults.SitePCG, Action: faults.ActBreakdown, Label: plan.RungAMG}, tried: amgOnly},
 		// A breakdown is not retried: the same deterministic solve would
 		// break down again, so the one the fault spent is the AMG rung's
 		// only attempt.
 		{name: "transient breakdown is not retried",
-			spec: "solver.pcg:breakdown:label=" + plan.RungAMG + ",times=1", tried: amgOnly},
-		{name: "AMG setup failure falls through without retry", spec: "amg.setup:fail", tried: amgOnly},
+			fault: faults.Rule{Site: faults.SitePCG, Action: faults.ActBreakdown, Label: plan.RungAMG, Times: 1}, tried: amgOnly},
+		{name: "AMG setup failure falls through without retry",
+			fault: faults.Rule{Site: faults.SiteAMGSetup, Action: faults.ActFail}, tried: amgOnly},
 		{name: "NaN poisoning surfaces as breakdown and exhausts",
-			spec: "solver.pcg:nan:label=" + plan.RungAMG, tried: amgOnly},
+			fault: faults.Rule{Site: faults.SitePCG, Action: faults.ActNaN, Label: plan.RungAMG}, tried: amgOnly},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := obs.NewRecorder()
-			ctx := withFaults(obs.WithRecorder(context.Background(), rec), tc.spec)
+			ctx := obs.WithRecorder(context.Background(), rec)
+			if tc.fault.Site != "" {
+				ctx = faults.WithInjector(ctx, faults.New(tc.fault))
+			}
 			na := &NumericalAnalyzer{Resolution: 24}
 			m, _, _, err := na.AnalyzeCtx(ctx, d)
 			man := rec.Manifest("test.ladder", nil)
@@ -109,7 +102,8 @@ func TestFusedLadderExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder()
-	ctx := withFaults(obs.WithRecorder(context.Background(), rec), "solver.pcg:indefinite:label="+plan.RungRough)
+	ctx := faults.WithInjector(obs.WithRecorder(context.Background(), rec),
+		faults.New(faults.Rule{Site: faults.SitePCG, Action: faults.ActIndefinite, Label: plan.RungRough}))
 	m, _, err := res.Analyzer.AnalyzeCtx(ctx, d)
 	if !errors.Is(err, plan.ErrLadderExhausted) || m != nil {
 		t.Fatalf("fused analyze: map %v, error %v; want no map and %v", m != nil, err, plan.ErrLadderExhausted)

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"irfusion/internal/circuit"
-	"irfusion/internal/faults"
 	"irfusion/internal/features"
 	"irfusion/internal/grid"
 	"irfusion/internal/nn"
@@ -98,14 +97,6 @@ func BuildInferenceCtx(ctx context.Context, d *pgen.Design, opts Options) (*Samp
 // is set — the golden solve after assembly.
 func build(ctx context.Context, d *pgen.Design, opts Options, label bool) (*Sample, error) {
 	rec := obs.FromContext(ctx)
-	// Fault-injection hook (faults.SiteDatasetBuild): latency/stall
-	// faults exercise the serving layer's timeout and cancellation
-	// paths without touching the numerical code.
-	if f := faults.ActiveOr(ctx).Fire(faults.SiteDatasetBuild, ""); f != nil {
-		if err := f.Sleep(ctx); err != nil {
-			return nil, fmt.Errorf("dataset: %s: %w", d.Name, err)
-		}
-	}
 	st := rec.StartStage("dataset.assemble")
 	nw := d.Network
 	if nw == nil { // a design that was not admitted from a deck carries no network

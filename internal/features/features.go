@@ -10,28 +10,12 @@
 package features
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"irfusion/internal/circuit"
-	"irfusion/internal/faults"
 	"irfusion/internal/grid"
 )
-
-// faultedMap builds one named feature map behind the fault-injection
-// hook faults.SiteFeatures (labeled by map name): latency faults slow
-// individual map extractions to exercise timeout budgets. This site
-// has no context, so only the process-global injector reaches it and
-// stall faults must not be configured here (they would block forever).
-// The maps' time is measured by the caller's stages
-// (dataset.features.structure, dataset.features.numerical).
-func faultedMap(name string, build func() *grid.Map) *grid.Map {
-	if f := faults.Active().Fire(faults.SiteFeatures, name); f != nil && f.Action == faults.ActLatency {
-		f.Sleep(context.Background())
-	}
-	return build()
-}
 
 // Set is an ordered collection of named feature maps, ready to be
 // stacked into the channel dimension of a model input.
@@ -109,18 +93,13 @@ func rasterizeNodes(nw *circuit.Network, pick func(node int) (float64, bool), h,
 // of the paper. fullDrops must come from System.FullDrops.
 func NumericalFeatures(nw *circuit.Network, fullDrops []float64, h, w int) *Set {
 	s := &Set{}
-	for _, layer := range nw.Layers() {
-		l := layer
-		name := fmt.Sprintf("num_drop_m%d", l)
-		m := faultedMap(name, func() *grid.Map {
-			return rasterizeNodes(nw, func(n int) (float64, bool) {
-				if nw.Meta[n].Layer != l {
-					return 0, false
-				}
-				return fullDrops[n], true
-			}, h, w, 0)
-		})
-		s.Add(name, m)
+	for _, l := range nw.Layers() {
+		s.Add(fmt.Sprintf("num_drop_m%d", l), rasterizeNodes(nw, func(n int) (float64, bool) {
+			if nw.Meta[n].Layer != l {
+				return 0, false
+			}
+			return fullDrops[n], true
+		}, h, w, 0))
 	}
 	return s
 }
@@ -147,10 +126,10 @@ func GoldenMap(nw *circuit.Network, fullDrops []float64, h, w int) *grid.Map {
 // distance, PDN density, resistance, and shortest-path resistance.
 func StructureFeatures(nw *circuit.Network, h, w int) *Set {
 	s := CurrentMaps(nw, h, w)
-	s.Add("eff_dist", faultedMap("eff_dist", func() *grid.Map { return EffectiveDistanceMap(nw, h, w) }))
-	s.Add("pdn_density", faultedMap("pdn_density", func() *grid.Map { return DensityMap(nw, h, w) }))
-	s.Add("resistance", faultedMap("resistance", func() *grid.Map { return ResistanceMap(nw, h, w) }))
-	s.Add("sp_resistance", faultedMap("sp_resistance", func() *grid.Map { return ShortestPathResistanceMap(nw, h, w) }))
+	s.Add("eff_dist", EffectiveDistanceMap(nw, h, w))
+	s.Add("pdn_density", DensityMap(nw, h, w))
+	s.Add("resistance", ResistanceMap(nw, h, w))
+	s.Add("sp_resistance", ShortestPathResistanceMap(nw, h, w))
 	return s
 }
 

@@ -312,12 +312,12 @@ func TestJournalAppendFaults(t *testing.T) {
 	}
 	mustAppend(t, j, Record{Type: TypeAccepted, JobID: "job-000001"})
 
-	ctx := faults.WithInjector(context.Background(), faults.MustParse("journal.append:fail:times=1"))
+	ctx := faults.WithInjector(context.Background(), faults.New(faults.Rule{Site: faults.SiteJournalAppend, Action: faults.ActFail, Times: 1}))
 	if err := j.Append(ctx, Record{Type: TypeStarted, JobID: "job-000001"}); err == nil {
 		t.Fatal("ActFail append did not error")
 	}
 
-	ctx = faults.WithInjector(context.Background(), faults.MustParse("journal.append:torn:times=1"))
+	ctx = faults.WithInjector(context.Background(), faults.New(faults.Rule{Site: faults.SiteJournalAppend, Action: faults.ActTorn, Times: 1}))
 	if err := j.Append(ctx, Record{Type: TypeFinished, JobID: "job-000001"}); err == nil {
 		t.Fatal("ActTorn append did not error")
 	}

@@ -11,10 +11,8 @@
 //   - ctxcheck: exported ...Ctx functions must observe their context
 //     inside loops, and context-holding code may not silently drop a
 //     context by calling the non-Ctx variant of a function.
-//   - hooksafe: the fault injector, the one hook with a process-global
-//     slot, is resolved through faults.ActiveOr, never via the bare
-//     global in context-holding code; no hook (recorder, injector,
-//     cache) is hand-rolled as a composite literal.
+//   - hooksafe: no hook (recorder, injector, cache) is hand-rolled as
+//     a composite literal.
 //   - errwrap: fmt.Errorf with an error argument must wrap with %w so
 //     errors.Is/As-driven classification keeps working.
 //   - floateq: float ==/!= needs an //irfusion:exact annotation with a
@@ -22,9 +20,6 @@
 //     in numerical code.
 //   - nogo: goroutines are spawned only inside internal/serve and
 //     internal/cluster, the packages that own lifecycle management.
-//   - sitedrift: every fault site fired is a declared Site* constant,
-//     every declared site is fired, and knownSites lists exactly the
-//     declared sites (see sitedrift.go).
 //   - exportuse: an exported name under internal/ is named by another
 //     package's code (_bench included) or by a test outside its own
 //     package-x tests, implements an interface, or is a type a used
@@ -98,10 +93,6 @@ type runner struct {
 	class   map[types.Object]funcClass // function directive classes, all packages
 	waivers map[waiver]bool            // lines waived by exact/ctx-ok/lock-ok/go-ok
 
-	// sitedrift cross-package state (collectSiteDrift fills,
-	// reportSiteDrift reads): registry package -> fired sites.
-	siteFired map[*types.Package]map[string]bool
-
 	diags []Diagnostic
 }
 
@@ -116,17 +107,15 @@ type waiver struct {
 // the findings sorted by file, line, rule.
 func analyze(l *loader, pkgs []*modPkg) []Diagnostic {
 	r := &runner{
-		loader:    l,
-		pkgs:      pkgs,
-		class:     map[types.Object]funcClass{},
-		waivers:   map[waiver]bool{},
-		siteFired: map[*types.Package]map[string]bool{},
+		loader:  l,
+		pkgs:    pkgs,
+		class:   map[types.Object]funcClass{},
+		waivers: map[waiver]bool{},
 	}
-	// Collection phases first: directives and the fired fault sites must
-	// be complete before any package is checked.
+	// Directives first: they must be complete before any package is
+	// checked.
 	for _, p := range pkgs {
 		r.collectDirectives(p)
-		r.collectSiteDrift(p)
 	}
 	for _, p := range pkgs {
 		r.checkHotpath(p)
@@ -138,7 +127,6 @@ func analyze(l *loader, pkgs []*modPkg) []Diagnostic {
 		r.checkLocksafe(p)
 		r.checkCtxleak(p)
 	}
-	r.reportSiteDrift()
 	r.checkExportUse()
 	sort.Slice(r.diags, func(i, j int) bool {
 		a, b := r.diags[i], r.diags[j]

@@ -1,22 +1,8 @@
-// Package hooksafefix seeds hooksafe violations: the global Active()
-// read inside a context-holding function, and hand-rolled hook
+// Package hooksafefix seeds a hooksafe violation: hand-rolled hook
 // construction.
 package hooksafefix
 
-import (
-	"context"
-
-	"irfusion/internal/faults"
-	"irfusion/internal/obs"
-)
-
-// Inject resolves its injector the forbidden way.
-func Inject(ctx context.Context) int64 {
-	if g := faults.Active(); g != nil {
-		return 1
-	}
-	return 0
-}
+import "irfusion/internal/obs"
 
 // makeRecorder builds a Recorder by hand instead of the constructor.
 func makeRecorder() *obs.Recorder {

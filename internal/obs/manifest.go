@@ -142,8 +142,8 @@ func (r *Recorder) Manifest(kind string, config any) *Manifest {
 }
 
 // Validate checks the invariants every manifest must satisfy —
-// the contract of schemaVersion. Every `irfusion rehearse` row runs
-// it before its own expectations.
+// the contract of schemaVersion. Every cmd/irfusion TestRehearseAll
+// row runs it before its own expectations.
 func (m *Manifest) Validate() error {
 	switch {
 	case m.Schema != schemaVersion:

@@ -142,7 +142,7 @@ func TestRungCensus(t *testing.T) {
 	served := func(t *testing.T, solve func(ctx context.Context) error) obs.Degradation {
 		t.Helper()
 		rec := obs.NewRecorder()
-		if err := solve(withFaults(obs.WithRecorder(context.Background(), rec), "")); err != nil {
+		if err := solve(obs.WithRecorder(context.Background(), rec)); err != nil {
 			t.Fatal(err)
 		}
 		degs := rec.Manifest("census", nil).Degradations

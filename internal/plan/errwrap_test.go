@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"testing"
 
+	"irfusion/internal/circuit"
 	"irfusion/internal/faults"
+	"irfusion/internal/pgen"
 	"irfusion/internal/solver"
 )
 
@@ -95,23 +97,27 @@ func TestDeadlineSurvivesLadderAsTimeout(t *testing.T) {
 	}
 }
 
-// TestFaultsParseErrorWraps pins the %w fix in the faults spec parser:
-// the clause-level wrap must expose the parameter-level cause to
-// errors.Is/errors.As, not flatten it to text.
-func TestFaultsParseErrorWraps(t *testing.T) {
-	sentinel := errors.New("probe")
-	wrapped := fmt.Errorf("faults: clause %q: %w", "x", sentinel)
-	if !errors.Is(wrapped, sentinel) {
-		t.Fatal("wrap idiom lost the cause")
+// TestInjectedBreakdownErrorWraps pushes a real failure through the
+// real chain: a breakdown injected into the AMG rung's PCG leaves the
+// solver wrapped with %w, then the ladder's exhaustion wrap, and both
+// sentinels must survive to the caller.
+func TestInjectedBreakdownErrorWraps(t *testing.T) {
+	d, err := pgen.Generate(pgen.DefaultConfig("wrap", pgen.Fake, 16, 16, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The real parser path: a bad probability must produce a chain,
-	// not a flattened string (we can only assert non-nil structure
-	// here since the inner error is unexported, but Unwrap must work).
-	_, err := faults.Parse("solver.pcg:breakdown:p=2.0")
-	if err == nil {
-		t.Fatal("want error for out-of-range probability")
+	nw, err := circuit.FromNetlist(d.Netlist)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if errors.Unwrap(err) == nil {
-		t.Errorf("clause error does not wrap its cause: %v", err)
+	sys, err := nw.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := faults.WithInjector(context.Background(),
+		faults.New(faults.Rule{Site: faults.SitePCG, Action: faults.ActBreakdown, Label: RungAMG}))
+	_, err = Numerical(ctx, sys, make([]float64, sys.N()), Solve{})
+	if !errors.Is(err, ErrLadderExhausted) || !errors.Is(err, solver.ErrBreakdown) {
+		t.Fatalf("err = %v; want it to wrap both ErrLadderExhausted and solver.ErrBreakdown", err)
 	}
 }

@@ -39,16 +39,6 @@ func maxDiff(a, b []float64) float64 {
 	return m
 }
 
-// withFaults scopes a fault profile to ctx. An empty spec binds an
-// injector that never fires, so a path that must run undisturbed stays
-// undisturbed when the process runs under an IRFUSION_FAULTS profile.
-func withFaults(ctx context.Context, spec string) context.Context {
-	if spec == "" {
-		spec = "amg.setup:fail:p=0"
-	}
-	return faults.WithInjector(ctx, faults.MustParse(spec))
-}
-
 // servingRung returns the rung the manifest names for component. An
 // exact hit is not a solve and leaves no degradation record: it is
 // named by the hit event of the solve's stage.
@@ -97,7 +87,7 @@ func TestSolvePathsAgree(t *testing.T) {
 	ch.Solve(ref, sys.I)
 
 	neighbour := pgen.Perturb(d, 0.01, 5)
-	bg := withFaults(context.Background(), "")
+	bg := context.Background()
 
 	// solved returns a cache that has seen a converged solve of x.
 	solved := func(x *pgen.Design) *cache.Cache {
@@ -143,11 +133,11 @@ func TestSolvePathsAgree(t *testing.T) {
 	empty := func() *cache.Cache { return cache.New(0, 0) }
 
 	paths := []struct {
-		name   string
-		req    plan.Solve
-		cache  func() *cache.Cache // nil: no artifact cache
-		faults string
-		want   string
+		name  string
+		req   plan.Solve
+		cache func() *cache.Cache // nil: no artifact cache
+		fault faults.Rule         // none when Site is empty
+		want  string
 	}{
 		{name: "cold", want: plan.RungAMG},
 		{name: "cold, cache miss", cache: empty, want: plan.RungAMG},
@@ -155,8 +145,8 @@ func TestSolvePathsAgree(t *testing.T) {
 		{name: "warm neighbour", cache: func() *cache.Cache { return solved(neighbour) }, want: plan.RungAMGWarm},
 		{name: "resume", cache: checkpointed, want: plan.RungAMGResume},
 		{name: "resume from a blob the previous release wrote", cache: parentBlob, want: plan.RungAMGResume},
-		{name: "poisoned checkpoint goes cold", cache: checkpointed, faults: "checkpoint.restore:corrupt", want: plan.RungAMG},
-		{name: "stale hit goes cold", cache: func() *cache.Cache { return solved(d) }, faults: "cache.lookup:stale", want: plan.RungAMG},
+		{name: "poisoned checkpoint goes cold", cache: checkpointed, fault: faults.Rule{Site: faults.SiteCheckpointRestore, Action: faults.ActCorrupt}, want: plan.RungAMG},
+		{name: "stale hit goes cold", cache: func() *cache.Cache { return solved(d) }, fault: faults.Rule{Site: faults.SiteCacheLookup, Action: faults.ActStale}, want: plan.RungAMG},
 		{name: "ssor-first budgeted", req: plan.Solve{Iters: 50, Precond: "ssor"}, want: plan.RungSSOR},
 		{name: "amg-first budgeted", req: plan.Solve{Iters: 50, Precond: "amg"}, want: plan.RungAMG},
 	}
@@ -164,7 +154,10 @@ func TestSolvePathsAgree(t *testing.T) {
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
 			rec := obs.NewRecorder()
-			ctx := withFaults(obs.WithRecorder(bg, rec), p.faults)
+			ctx := obs.WithRecorder(bg, rec)
+			if p.fault.Site != "" {
+				ctx = faults.WithInjector(ctx, faults.New(p.fault))
+			}
 			req := p.req
 			req.Fingerprint = func() string { return fp }
 			var c *cache.Cache
@@ -221,7 +214,7 @@ func TestSolvePathsAgree(t *testing.T) {
 		}
 	})
 	t.Run("a label that cannot converge is an error", func(t *testing.T) {
-		_, err := dataset.BuildCtx(withFaults(bg, "amg.setup:fail"), d, dataset.DefaultOptions(24, 24))
+		_, err := dataset.BuildCtx(faults.WithInjector(bg, faults.New(faults.Rule{Site: faults.SiteAMGSetup, Action: faults.ActFail})), d, dataset.DefaultOptions(24, 24))
 		if err == nil {
 			t.Fatal("label solve degraded below AMG-PCG instead of failing")
 		}

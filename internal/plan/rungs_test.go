@@ -7,7 +7,6 @@ import (
 
 	"irfusion/internal/cache"
 	"irfusion/internal/circuit"
-	"irfusion/internal/faults"
 	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
 )
@@ -87,7 +86,7 @@ func TestCacheLookupsLeaveNoTrail(t *testing.T) {
 	}
 	req := Solve{Fingerprint: func() string { return cache.DesignFingerprint(d) }}
 	c := cache.New(0, 0)
-	base := cache.WithCache(faults.WithInjector(context.Background(), faults.MustParse("amg.setup:fail:p=0")), c)
+	base := cache.WithCache(context.Background(), c)
 
 	rec := obs.NewRecorder()
 	if _, err := Numerical(obs.WithRecorder(base, rec), sys, make([]float64, sys.N()), req); err != nil {

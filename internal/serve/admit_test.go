@@ -292,7 +292,7 @@ func TestServeRecoversMemoAdmittedJob(t *testing.T) {
 	if j, _ := s1.reg.get(ids[1]); !j.admitHit || j.design != nil || j.Status() != statusQueued {
 		t.Fatalf("second submission: memo hit %t, design built %t, status %q", j.admitHit, j.design != nil, j.Status())
 	}
-	s1.Crash()
+	s1.crash()
 	ts1.Close()
 	faults.SetActive(nil)
 	if recs := journalTypes(t, dir); recs["accepted"] != 2 {

@@ -362,7 +362,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"cache_enabled":  s.cache != nil,
 		"cache_entries":  s.cache.Len(),
 		"jobs":           s.reg.counts(),
-		"fault_spec":     faults.Active().Spec(),
 		"journal": map[string]any{
 			"enabled":         s.journal != nil,
 			"error":           s.journalErr,

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"irfusion/internal/circuit"
+	"irfusion/internal/faults"
 )
 
 // spiceBody wraps a deck into an analyze request.
@@ -122,10 +123,11 @@ func TestAnalyzeNonFiniteValue400(t *testing.T) {
 func TestFinishedJobReleasesDeck(t *testing.T) {
 	deck := genDeck(t, 24, 61)
 	for _, tc := range []struct {
-		name, faults string
-		run          func(t *testing.T, s *Server, ts *httptest.Server) []string
+		name  string
+		fault faults.Rule // none when Site is empty
+		run   func(t *testing.T, s *Server, ts *httptest.Server) []string
 	}{
-		{"done", "", func(t *testing.T, s *Server, ts *httptest.Server) []string {
+		{"done", faults.Rule{}, func(t *testing.T, s *Server, ts *httptest.Server) []string {
 			var ids []string
 			// Cold, a byte-identical repeat (admitted from the memo, answered
 			// from the response memo: no design is ever built), and a repeat
@@ -159,14 +161,14 @@ func TestFinishedJobReleasesDeck(t *testing.T) {
 			}
 			return ids
 		}},
-		{"failed", "serve.worker:panic:times=2", func(t *testing.T, s *Server, ts *httptest.Server) []string {
+		{"failed", faults.Rule{Site: faults.SiteServeWorker, Action: faults.ActPanic, Times: 2}, func(t *testing.T, s *Server, ts *httptest.Server) []string {
 			code, b := post(t, ts, "/v1/analyze", spiceBody(deck, ""))
 			if v := decodeJob(t, b); code != http.StatusInternalServerError || v.Status != statusFailed || v.Result.Manifest == nil {
 				t.Fatalf("status %d, job %+v", code, v)
 			}
 			return []string{decodeJob(t, b).ID}
 		}},
-		{"cancelled", "serve.worker:stall", func(t *testing.T, s *Server, ts *httptest.Server) []string {
+		{"cancelled", faults.Rule{Site: faults.SiteServeWorker, Action: faults.ActStall}, func(t *testing.T, s *Server, ts *httptest.Server) []string {
 			var ids []string
 			for i := 0; i < 2; i++ { // one parks on the worker, one waits in the queue
 				code, b := post(t, ts, "/v1/analyze", spiceBody(deck, `"async": true`))
@@ -188,8 +190,8 @@ func TestFinishedJobReleasesDeck(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.faults != "" {
-				withGlobalFaults(t, tc.faults)
+			if tc.fault.Site != "" {
+				withGlobalFaults(t, tc.fault)
 			}
 			s := New(Config{Workers: 1})
 			ts := httptest.NewServer(s.Handler())

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -15,14 +16,13 @@ import (
 	"irfusion/internal/plan"
 )
 
-// withGlobalFaults installs a process-global fault injector for one
-// test and restores the previous one (the process may itself be running
-// under an IRFUSION_FAULTS profile).
-func withGlobalFaults(t *testing.T, spec string) {
+// withGlobalFaults arms rules process-wide for one test — the only way
+// to reach a server's worker contexts, which descend from the server,
+// not from the test — and disarms them when the test ends.
+func withGlobalFaults(t *testing.T, rules ...faults.Rule) {
 	t.Helper()
-	prev := faults.Active()
-	faults.SetActive(faults.MustParse(spec))
-	t.Cleanup(func() { faults.SetActive(prev) })
+	faults.SetActive(faults.New(rules...))
+	t.Cleanup(func() { faults.SetActive(nil) })
 }
 
 // TestServeLadderExhausted503: when the one cold rung of a request's
@@ -33,13 +33,17 @@ func withGlobalFaults(t *testing.T, spec string) {
 // never a panic, never a bare 500.
 func TestServeLadderExhausted503(t *testing.T) {
 	for _, tc := range []struct {
-		name, faults, extra, rung string
+		name  string
+		fault faults.Rule
+		extra string
+		rung  string
 	}{
-		{"converged", "amg.setup:fail", "", plan.RungAMG},
-		{"budgeted ssor", "solver.pcg:indefinite:label=" + plan.RungSSOR, `"iters": 4, "precond": "ssor"`, plan.RungSSOR},
+		{"converged", faults.Rule{Site: faults.SiteAMGSetup, Action: faults.ActFail}, "", plan.RungAMG},
+		{"budgeted ssor", faults.Rule{Site: faults.SitePCG, Action: faults.ActIndefinite, Label: plan.RungSSOR},
+			`"iters": 4, "precond": "ssor"`, plan.RungSSOR},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			withGlobalFaults(t, tc.faults)
+			withGlobalFaults(t, tc.fault)
 			_, ts := newTestServer(t, Config{Workers: 1})
 			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(pgenBody(22, 24, tc.extra)))
 			if err != nil {
@@ -83,7 +87,7 @@ func TestServeLadderExhausted503(t *testing.T) {
 // goroutine: the next request on the same single-worker server has to
 // succeed.
 func TestServeWorkerPanicRecovered(t *testing.T) {
-	withGlobalFaults(t, "serve.worker:panic:times=2")
+	withGlobalFaults(t, faults.Rule{Site: faults.SiteServeWorker, Action: faults.ActPanic, Times: 2})
 	_, ts := newTestServer(t, Config{Workers: 1})
 	before := obs.GlobalCounters()["serve.panics"]
 	beforeRq := obs.GlobalCounters()["serve.requeues"]
@@ -105,7 +109,7 @@ func TestServeWorkerPanicRecovered(t *testing.T) {
 	if got := obs.GlobalCounters()["serve.requeues"]; got != beforeRq+1 {
 		t.Errorf("serve.requeues %d, want %d (exactly one retry per job)", got, beforeRq+1)
 	}
-	// times=2: the injector is spent; the lone worker must still be
+	// Times: 2 — the injector is spent; the lone worker must still be
 	// alive to serve this.
 	code, b = post(t, ts, "/v1/analyze", pgenBody(25, 24, `"iters": 3, "precond": "ssor"`))
 	if code != http.StatusOK {
@@ -116,26 +120,72 @@ func TestServeWorkerPanicRecovered(t *testing.T) {
 // TestServeWorkerPanicRequeuedOnce: a single injected panic must be
 // invisible to the client — the job is requeued, the retry (injector
 // spent) succeeds, and the response is a 200 with serve.requeues
-// incremented. This is the regression test for the requeue-once path.
+// incremented. A panic before the solve retries from scratch; a panic
+// mid-solve, after checkpoints exist, must resume the retry from the
+// in-cache checkpoint and still return the undisturbed server's map.
+// This is the regression test for the requeue-once path and the only
+// test of panic → requeue → resume.
 func TestServeWorkerPanicRequeuedOnce(t *testing.T) {
-	withGlobalFaults(t, "serve.worker:panic:times=1")
-	_, ts := newTestServer(t, Config{Workers: 1})
-	beforePanics := obs.GlobalCounters()["serve.panics"]
-	beforeRq := obs.GlobalCounters()["serve.requeues"]
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		fault  faults.Rule
+		body   string
+		resume bool // the retry must resume from a checkpoint, not re-solve
+	}{
+		{"worker panic", Config{Workers: 1},
+			faults.Rule{Site: faults.SiteServeWorker, Action: faults.ActPanic, Times: 1},
+			pgenBody(26, 24, `"iters": 3, "precond": "ssor"`), false},
+		{"mid-solve panic resumes", Config{Workers: 1, JournalDir: t.TempDir(), CheckpointEvery: 4},
+			faults.Rule{Site: faults.SitePCG, Action: faults.ActPanic, Label: plan.RungAMG, After: 10, Times: 1},
+			pgenBody(3, 32, `"include_map": true`), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cold []float64
+			if tc.resume {
+				_, tsCold := newTestServer(t, Config{Workers: 1})
+				code, b := post(t, tsCold, "/v1/analyze", tc.body)
+				if v := decodeJob(t, b); code != http.StatusOK || v.Result == nil {
+					t.Fatalf("cold solve: status %d: %s", code, b)
+				} else {
+					cold = v.Result.Map
+				}
+			}
+			withGlobalFaults(t, tc.fault)
+			_, ts := newTestServer(t, tc.cfg)
+			beforePanics := obs.GlobalCounters()["serve.panics"]
+			beforeRq := obs.GlobalCounters()["serve.requeues"]
 
-	code, b := post(t, ts, "/v1/analyze", pgenBody(26, 24, `"iters": 3, "precond": "ssor"`))
-	if code != http.StatusOK {
-		t.Fatalf("status %d, want 200 (panic should have been retried): %s", code, b)
-	}
-	v := decodeJob(t, b)
-	if v.Status != StatusDone {
-		t.Fatalf("status %q, error %q", v.Status, v.Error)
-	}
-	if got := obs.GlobalCounters()["serve.panics"]; got != beforePanics+1 {
-		t.Errorf("serve.panics %d, want %d", got, beforePanics+1)
-	}
-	if got := obs.GlobalCounters()["serve.requeues"]; got != beforeRq+1 {
-		t.Errorf("serve.requeues %d, want %d", got, beforeRq+1)
+			code, b := post(t, ts, "/v1/analyze", tc.body)
+			if code != http.StatusOK {
+				t.Fatalf("status %d, want 200 (panic should have been retried): %s", code, b)
+			}
+			v := decodeJob(t, b)
+			if v.Status != StatusDone {
+				t.Fatalf("status %q, error %q", v.Status, v.Error)
+			}
+			if got := obs.GlobalCounters()["serve.panics"]; got != beforePanics+1 {
+				t.Errorf("serve.panics %d, want %d", got, beforePanics+1)
+			}
+			if got := obs.GlobalCounters()["serve.requeues"]; got != beforeRq+1 {
+				t.Errorf("serve.requeues %d, want %d", got, beforeRq+1)
+			}
+			if !tc.resume {
+				return
+			}
+			if len(v.Result.Map) != len(cold) || len(cold) == 0 {
+				t.Fatalf("requeued map has %d cells, the cold map %d", len(v.Result.Map), len(cold))
+			}
+			for i, c := range cold {
+				if d := math.Abs(v.Result.Map[i] - c); d > 1e-8 {
+					t.Fatalf("requeued map differs from the cold map by %g at cell %d (tol 1e-8)", d, i)
+				}
+			}
+			rs := v.Result.Manifest.Resume
+			if rs == nil || rs.Outcome != obs.ResumeAccepted || rs.Iter <= 0 || rs.From != "requeue" {
+				t.Fatalf("resume record %+v, want a checkpoint accepted at iteration > 0 from requeue", rs)
+			}
+		})
 	}
 }
 

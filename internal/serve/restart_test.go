@@ -19,15 +19,15 @@ import (
 	"irfusion/internal/obs"
 )
 
-// parkAfterFirstCheckpoint is the fault profile that ends a process
+// parkAfterFirstCheckpoint is the fault that ends a process
 // image at a known point instead of racing a timer: the first
 // checkpoint is stored and its blob saved normally, the second
 // checkpoint's store stalls until the job's context is cancelled — so
 // from the moment the first blob is durable the solve cannot advance,
-// finish, or write anything more until Crash() takes the server down.
-// The profile belongs to the process that dies: remove it before
+// finish, or write anything more until crash() takes the server down.
+// The fault belongs to the process that dies: remove it before
 // starting the next incarnation.
-const parkAfterFirstCheckpoint = "checkpoint.save:stall:after=1"
+var parkAfterFirstCheckpoint = faults.Rule{Site: faults.SiteCheckpointSave, Action: faults.ActStall, After: 1}
 
 // waitParked blocks until the job's first checkpoint blob can be loaded
 // under the key recovery will derive from the journaled request. With
@@ -53,7 +53,7 @@ func waitParked(t *testing.T, s *Server, id string) {
 // stallCheckpoints parks every converged cached solve at its first
 // checkpoint store: by then it has iterated CheckpointEvery times, and
 // it can neither advance nor finish until its context is cancelled.
-const stallCheckpoints = "checkpoint.save:stall"
+var stallCheckpoints = faults.Rule{Site: faults.SiteCheckpointSave, Action: faults.ActStall}
 
 // waitStalled blocks until n goroutines sit in a stall fault
 // (faults.(*Fault).Sleep) — with stallCheckpoints installed, until n
@@ -103,7 +103,7 @@ func TestServeCrashRestartResumesJob(t *testing.T) {
 	recoveredBefore := obs.CounterValue("serve.recovered")
 
 	// First incarnation: managed by hand, because the only way out of
-	// this server is Crash() — the cleanup-path Close would flush state
+	// this server is crash() — the cleanup-path Close would flush state
 	// a real crash never flushes.
 	s1 := New(Config{Workers: 1, JournalDir: dir, CheckpointEvery: 2})
 	ts1 := httptest.NewServer(s1.Handler())
@@ -113,7 +113,7 @@ func TestServeCrashRestartResumesJob(t *testing.T) {
 	}
 	id := decodeJob(t, b).ID
 	waitParked(t, s1, id)
-	s1.Crash()
+	s1.crash()
 	ts1.Close()
 	faults.SetActive(nil)
 	// The image holds what a kill -9 leaves: a blob the journal never
@@ -191,7 +191,7 @@ func TestServeRecoveryPassesCheckpointSaveFault(t *testing.T) {
 	}
 	id := decodeJob(t, b).ID
 	waitParked(t, s1, id)
-	s1.Crash()
+	s1.crash()
 	ts1.Close()
 
 	started := make(chan *Server, 1)
@@ -340,7 +340,7 @@ func TestServeRestartSkipsFinishedJobs(t *testing.T) {
 			t.Fatal("worker never left the finished job")
 		}
 	}
-	s1.Crash()
+	s1.crash()
 
 	recoveredBefore := obs.CounterValue("serve.recovered")
 	s2, _ := newTestServer(t, Config{Workers: 1, JournalDir: dir})
@@ -413,7 +413,7 @@ func TestServeFingerprintsOnce(t *testing.T) {
 	s2 := New(Config{Workers: 1, JournalDir: t.TempDir(), CheckpointEvery: 2})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	defer s2.Crash() // the parked solve ends no other way
+	defer s2.crash() // the parked solve ends no other way
 	before = obs.CounterValue(counter)
 	code, b = post(t, ts2, "/v1/analyze", pgenBody(42, 32, `"async": true`))
 	if code != http.StatusAccepted {

@@ -153,7 +153,7 @@ type Server struct {
 	journal     *journal.Journal // write-ahead job journal; nil when disabled
 	journalErr  string           // journal open failure; serving continues without durability
 	replayStats journal.ReplayStats
-	crashed     atomic.Bool // Crash() suppresses journal writes to simulate a hard kill
+	crashed     atomic.Bool // crash() suppresses journal writes to simulate a hard kill
 
 	baseCtx    context.Context // parent of every job context
 	baseCancel context.CancelFunc
@@ -289,14 +289,14 @@ func (s *Server) closeJournal() {
 	}
 }
 
-// Crash simulates a hard process kill for restart testing: journal
+// crash simulates a hard process kill for restart testing: journal
 // writes are suppressed first (a dying process never writes its
 // terminal records — that asymmetry is exactly what replay recovers
 // from), then every in-flight context is cancelled and the call
 // returns once the workers have exited. The journal directory is left
 // holding exactly what a kill -9 mid-solve would: accepted, started,
 // and checkpoint records with no terminal record after them.
-func (s *Server) Crash() {
+func (s *Server) crash() {
 	s.crashed.Store(true)
 	s.submitMu.Lock()
 	already := s.draining

@@ -227,8 +227,8 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 	}
 
 	// Fault-injection hook (faults.SitePCG): resolved once, one nil
-	// check per iteration when injection is disabled. NaN/Inf faults
-	// poison the residual vector so the solver's own non-finite
+	// check per iteration when injection is disabled. A NaN fault
+	// poisons the residual vector so the solver's own non-finite
 	// detection path — not a shortcut — produces the ErrBreakdown.
 	inj := faults.ActiveOr(ctx)
 
@@ -245,11 +245,9 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 					return res, fmt.Errorf("%w (injected at iteration %d)", ErrIndefinite, k)
 				case faults.ActNaN:
 					r[0] = math.NaN()
-				case faults.ActInf:
-					r[0] = math.Inf(1)
 				case faults.ActPanic:
 					// Die mid-iteration like a real crash would: the
-					// restart-recovery tests use this (after= selects the
+					// requeue tests use this (Rule.After selects the
 					// iteration) to kill a solve after checkpoints exist.
 					panic(fmt.Sprintf("faults: injected panic at %s iteration %d", faults.SitePCG, k))
 				}
