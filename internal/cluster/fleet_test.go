@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -45,7 +46,6 @@ type fleet struct {
 func newFleet(t *testing.T, n int, scfg serve.Config, gcfg Config) *fleet {
 	t.Helper()
 	f := &fleet{t: t}
-	specs := make([]ShardSpec, 0, n)
 	for i := 0; i < n; i++ {
 		cfg := scfg
 		cfg.Name = fmt.Sprintf("shard%d", i)
@@ -58,26 +58,10 @@ func newFleet(t *testing.T, n int, scfg serve.Config, gcfg Config) *fleet {
 			inner.ServeHTTP(w, r)
 		}))
 		f.shards = append(f.shards, sh)
-		specs = append(specs, ShardSpec{Name: cfg.Name, URL: sh.ts.URL})
 	}
-	gcfg.Shards = specs
-	if gcfg.ProbeInterval == 0 {
-		gcfg.ProbeInterval = -1 // manual probeNow only
-	}
-	gw, err := New(gcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.gw = gw
-	f.gwTS = httptest.NewServer(gw.Handler())
-	gw.probeNow(context.Background())
 	t.Cleanup(func() {
-		f.gwTS.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		if err := gw.Close(ctx); err != nil {
-			t.Errorf("gateway Close: %v", err)
-		}
 		for _, sh := range f.shards {
 			if sh.killed.Load() {
 				continue
@@ -88,7 +72,35 @@ func newFleet(t *testing.T, n int, scfg serve.Config, gcfg Config) *fleet {
 			}
 		}
 	})
+	f.gw, f.gwTS = f.addGateway(gcfg)
 	return f
+}
+
+// addGateway puts one more gateway in front of the fleet's shards and
+// sweeps its probes once. Cleanup closes it before the shards.
+func (f *fleet) addGateway(gcfg Config) (*Gateway, *httptest.Server) {
+	f.t.Helper()
+	for _, sh := range f.shards {
+		gcfg.Shards = append(gcfg.Shards, ShardSpec{Name: sh.name, URL: sh.ts.URL})
+	}
+	if gcfg.ProbeInterval == 0 {
+		gcfg.ProbeInterval = -1 // manual probeNow only
+	}
+	gw, err := New(gcfg)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	gw.probeNow(context.Background())
+	f.t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := gw.Close(ctx); err != nil {
+			f.t.Errorf("gateway Close: %v", err)
+		}
+	})
+	return gw, ts
 }
 
 // kill takes a shard down hard, mid-whatever-it-is-doing: live
@@ -164,6 +176,22 @@ func (f *fleet) tryPostAnalyze(req *serve.AnalyzeRequest) (*http.Response, []byt
 		return nil, nil, err
 	}
 	return resp, body, nil
+}
+
+// postBody POSTs body to url's /v1/analyze and returns the response
+// with its body read.
+func postBody(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/analyze", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, b
 }
 
 func decodeView(t *testing.T, body []byte) serve.JobView {

@@ -32,10 +32,12 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net/http"
 	"sort"
@@ -67,7 +69,7 @@ var (
 )
 
 // The routing memo is a private cache.Cache of routeMemoBytes; an entry
-// (body digest → routing key) is accounted at routeBytes.
+// (seeded 64-bit body hash → routing key) is accounted at routeBytes.
 const routeBytes, routeMemoBytes = 256, 4 << 20
 
 // ShardSpec names one shard and its base URL ("http://host:port").
@@ -171,7 +173,8 @@ type Gateway struct {
 	ring   *ring
 	shards map[string]*shardState
 	order  []string     // shard names in config order, for status output
-	memo   *cache.Cache // body digest → routing key
+	memo   *cache.Cache // routeMemoKey(body) → routing key
+	seed   maphash.Seed // this process's secret routing-memo seed
 	mux    *http.ServeMux
 	start  time.Time
 
@@ -216,6 +219,7 @@ func New(cfg Config) (*Gateway, error) {
 		shards:     shards,
 		order:      names,
 		memo:       cache.New(routeMemoBytes, 0),
+		seed:       maphash.MakeSeed(),
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
 		stopProbes: make(chan struct{}),
@@ -302,8 +306,8 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // handleAnalyze admission-checks the request at the edge, derives its
-// routing key — once per distinct body: the key is memoised under the
-// body's SHA-256, so a byte-identical resubmission is routed without
+// routing key — once per distinct body: the key is memoised under
+// routeMemoKey, so a byte-identical resubmission is routed without
 // being decoded or parsed — and forwards the bytes along the ring with
 // bounded handoff. No digest travels with them: the shard hashes the
 // body itself rather than trust a header.
@@ -317,8 +321,8 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, "%v", err)
 		return
 	}
-	sum := sha256.Sum256(body)
-	v, _ := g.memo.Get(string(sum[:]))
+	mk := g.routeMemoKey(body)
+	v, _ := g.memo.Get(string(mk[:]))
 	key, hit := v.(string)
 	if hit {
 		cMemoHits.Inc()
@@ -332,9 +336,20 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		g.memo.Put(string(sum[:]), key, routeBytes, "route")
+		g.memo.Put(string(mk[:]), key, routeBytes, "route")
 	}
 	g.forward(w, r, key, body)
+}
+
+// routeMemoKey is the routing memo's key for a body: its 64-bit
+// maphash under the gateway's per-process seed, one pass at memory
+// speed. A collision can only pick a shard, never hand out an answer:
+// the body goes to the colliding entry's shard, which admits it itself
+// (under its SHA-256) and answers or rejects it on its own. The seed
+// never leaves the process, so a client cannot aim a collision.
+func (g *Gateway) routeMemoKey(body []byte) (k [8]byte) {
+	binary.LittleEndian.PutUint64(k[:], maphash.Bytes(g.seed, body))
+	return k
 }
 
 // routingKey derives the consistent-hash key of an analysis request.

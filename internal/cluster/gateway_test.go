@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -212,25 +213,120 @@ func TestGatewayAllBreakersOpen(t *testing.T) {
 	}
 }
 
-// TestGatewayRoutingDeterminism: the same deck, submitted repeatedly,
-// must keep landing on the same shard.
+// TestGatewayRoutingDeterminism: the same request, submitted
+// repeatedly through either of two gateways over the same shards, keeps
+// landing on the same shard, on a routing-memo miss and on a hit alike.
+// Each gateway seeds its memo's hash afresh, so this holds only while
+// placement depends on the request and never on the seed.
 func TestGatewayRoutingDeterminism(t *testing.T) {
 	f := newFleet(t, 3, serve.Config{Workers: 1}, Config{})
-	req := &serve.AnalyzeRequest{Pgen: &pgen.Config{Class: pgen.Fake, W: 16, H: 16, Seed: 7}}
-	want := ""
-	for i := 0; i < 3; i++ {
-		resp, body := f.postAnalyze(req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
+	_, second := f.addGateway(Config{})
+	deck, _ := ecoPair(t, 7)
+	for _, req := range []serve.AnalyzeRequest{
+		{Pgen: &pgen.Config{Class: pgen.Fake, W: 16, H: 16, Seed: 7}},
+		{Spice: deck},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got := resp.Header.Get(serve.HeaderShard)
-		if want == "" {
-			want = got
-		}
-		if got != want {
-			t.Fatalf("submission %d landed on %q, earlier ones on %q", i, got, want)
+		want := ""
+		for g, url := range []string{f.gwTS.URL, second.URL} {
+			for hit := int64(0); hit <= 1; hit++ { // a memo miss, then a hit
+				hits := obs.CounterValue("cluster.route.memo_hits")
+				resp, b := postBody(t, url, body)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("gateway %d: status %d: %s", g, resp.StatusCode, b)
+				}
+				if n := obs.CounterValue("cluster.route.memo_hits") - hits; n != hit {
+					t.Fatalf("gateway %d: %d memo hits, want %d", g, n, hit)
+				}
+				got := resp.Header.Get(serve.HeaderShard)
+				if want == "" {
+					want = got
+				}
+				if got != want {
+					t.Fatalf("gateway %d, memo hits %d: landed on %q, earlier submissions on %q", g, hit, got, want)
+				}
+			}
 		}
 	}
+}
+
+// TestGatewayRouteMemoIsAdvisory pins what a routing-memo hit may do:
+// pick a shard and nothing else. An entry planted under a body's memo
+// key stands in for a 64-bit hash collision with another body.
+func TestGatewayRouteMemoIsAdvisory(t *testing.T) {
+	f := newFleet(t, 2, serve.Config{Workers: 1}, Config{})
+	shardCalls := func() (n int64) {
+		for _, sh := range f.shards {
+			n += sh.analyzeHits.Load()
+		}
+		return n
+	}
+
+	// (a) A body the shard's strict decoder rejects, memoised as if it
+	// were a valid request: it is forwarded undecoded, and the shard
+	// answers it with its own 400.
+	valid := &serve.AnalyzeRequest{Pgen: &pgen.Config{Class: pgen.Fake, W: 16, H: 16}}
+	bad := []byte(`{"pgen": {"class": "fake", "w": 16, "h": 16}, "format": "sell"}`)
+	plantRoute(f.gw, bad, mustKey(t, valid))
+	hits := obs.CounterValue("cluster.route.memo_hits")
+	resp, b := postBody(t, f.gwTS.URL, bad)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("colliding invalid body: status %d, want the shard's 400: %s", resp.StatusCode, b)
+	}
+	if resp.Header.Get(serve.HeaderShard) == "" || shardCalls() != 1 {
+		t.Errorf("colliding invalid body: shard header %q, %d shard calls; want the shard's own 400 from 1 call",
+			resp.Header.Get(serve.HeaderShard), shardCalls())
+	}
+	if n := obs.CounterValue("cluster.route.memo_hits") - hits; n != 1 {
+		t.Errorf("colliding invalid body: %d memo hits, want 1", n)
+	}
+
+	// (b) A valid deck memoised under a key that lands on the other
+	// shard: it is answered there, bit for bit what its own shard
+	// answers through a gateway whose memo is empty.
+	d, err := pgen.Generate(pgen.DefaultConfig("deck", pgen.Fake, 48, 48, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := serve.AnalyzeRequest{Spice: d.Netlist.String(), IncludeMap: true}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := f.gw.ring.successors(mustKey(t, &req))[0]
+	stray := ""
+	for i := 0; stray == ""; i++ {
+		if k := fmt.Sprintf("stray-%d", i); f.gw.ring.successors(k)[0] != home {
+			stray = k
+		}
+	}
+	_, clean := f.addGateway(Config{})
+	resp, b = postBody(t, clean.URL, body)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(serve.HeaderShard) != home {
+		t.Fatalf("clean route: status %d from %q, want 200 from %q: %s", resp.StatusCode, resp.Header.Get(serve.HeaderShard), home, b)
+	}
+	want := decodeView(t, b)
+	plantRoute(f.gw, body, stray)
+	resp, b = postBody(t, f.gwTS.URL, body)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(serve.HeaderShard) == home {
+		t.Fatalf("colliding deck: status %d from %q, want 200 from the shard other than %q: %s",
+			resp.StatusCode, resp.Header.Get(serve.HeaderShard), home, b)
+	}
+	g, w := *decodeView(t, b).Result, *want.Result
+	g.Manifest, g.RuntimeSeconds, w.Manifest, w.RuntimeSeconds = nil, 0, nil, 0
+	if len(w.Map) == 0 || !reflect.DeepEqual(g, w) {
+		t.Errorf("colliding deck: the answer from the other shard differs from its own shard's")
+	}
+}
+
+// plantRoute memoises key as body's routing key, as a body whose hash
+// collides with body's would find it.
+func plantRoute(g *Gateway, body []byte, key string) {
+	mk := g.routeMemoKey(body)
+	g.memo.Put(string(mk[:]), key, routeBytes, "route")
 }
 
 // TestGatewayProbeFaultSites drives the new cluster.probe fault site:
