@@ -195,7 +195,7 @@ loc: ## non-test Go and assembly lines per package and the total
 # internal/cache 1043 -> 1022, internal/cluster 970 -> 963,
 # internal/solver 449 -> 447 and internal/serve 1646 -> 1645 (the
 # sites and actions no test armed, fault_spec on /healthz).
-LOC_CEILING ?= 19300
+LOC_CEILING ?= 19200
 
 loc-check: ## fail when the non-test Go + assembly line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \

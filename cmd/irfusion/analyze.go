@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"irfusion/internal/cache"
 	"irfusion/internal/core"
 	"irfusion/internal/grid"
 	"irfusion/internal/pgen"
@@ -27,7 +26,7 @@ import (
 // -manifest out.json` works standalone. Without -model-file it runs
 // the pure numerical analyzer (converged AMG-PCG by default, a
 // budgeted rough solve with -iters); with -model-file it runs the
-// fused numerical+ML pipeline. It returns the last map it computed.
+// fused numerical+ML pipeline. It returns the map it computed.
 func cmdAnalyze(args []string) (*grid.Map, error) {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	deck := fs.String("spice", "", "input SPICE file (default: generate a synthetic design)")
@@ -39,9 +38,6 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 	modelFile := fs.String("model-file", "", "trained checkpoint: run the fused numerical+ML pipeline")
 	pgm := fs.String("pgm", "", "write the drop map as PGM")
 	resFlag := fs.Int("res", 0, "raster resolution (default: die size or model resolution; also the die size of a deck whose node names carry no coordinates)")
-	useCache := fs.Bool("cache", false, "enable the process artifact cache (sized by IRFUSION_CACHE_BYTES/IRFUSION_CACHE_TTL)")
-	repeat := fs.Int("repeat", 1, "run the analysis N times under one manifest — with -cache, later runs hit or warm-start")
-	perturb := fs.Float64("perturb", 0, "ECO-style resistor perturbation fraction applied before each repeat after the first")
 	of := addObsFlags(fs)
 	fs.Parse(args)
 	for _, f := range []struct{ name, value, allowed string }{
@@ -89,22 +85,19 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 		"precond":    *precond,
 		"model_file": *modelFile,
 		"resolution": res,
-		"cache":      *useCache,
-		"repeat":     *repeat,
-		"perturb":    *perturb,
 	})
-	if *useCache {
-		ctx = cache.WithCache(ctx, cache.NewFromEnv())
-	}
 
-	// Load the fused pipeline once; it is reused across repeats.
-	var analyzer *core.Analyzer
+	var (
+		m   *grid.Map
+		rt  time.Duration
+		err error
+	)
 	if *modelFile != "" {
 		mf, err := os.Open(*modelFile)
 		if err != nil {
 			return nil, err
 		}
-		analyzer, err = core.LoadAnalyzer(mf)
+		analyzer, err := core.LoadAnalyzer(mf)
 		mf.Close()
 		if err != nil {
 			return nil, err
@@ -115,47 +108,18 @@ func cmdAnalyze(args []string) (*grid.Map, error) {
 		if *iters > 0 {
 			analyzer.Config.RoughIters = *iters
 		}
-	}
-
-	runOne := func(dd *pgen.Design) (*grid.Map, error) {
-		var (
-			m   *grid.Map
-			rt  time.Duration
-			err error
-		)
-		if analyzer != nil {
-			m, rt, err = analyzer.AnalyzeCtx(ctx, dd)
-			if err != nil {
-				return nil, err
-			}
-			log.Printf("fused pipeline: worst-case IR drop %.4g V (%.3fs)", m.Max(), rt.Seconds())
-		} else {
-			na := &core.NumericalAnalyzer{Iters: *iters, Resolution: res, Precond: *precond}
-			var resid float64
-			m, rt, resid, err = na.AnalyzeCtx(ctx, dd)
-			if err != nil {
-				return nil, err
-			}
-			log.Printf("numerical: worst-case IR drop %.4g V, relative residual %.3g (%.3fs)",
-				m.Max(), resid, rt.Seconds())
-		}
-		return m, nil
-	}
-
-	var m *grid.Map
-	cur := d
-	for r := 0; r < max(1, *repeat); r++ {
-		if r > 0 && *perturb > 0 {
-			// Each repeat perturbs the ORIGINAL design, modeling a string
-			// of independent ECO candidates evaluated against a baseline —
-			// every variant stays within -perturb of the cached donor.
-			cur = pgen.Perturb(d, *perturb, *seed+int64(r))
-			log.Printf("repeat %d: perturbed design %q (frac %g)", r+1, cur.Name, *perturb)
-		}
-		var err error
-		if m, err = runOne(cur); err != nil {
+		if m, rt, err = analyzer.AnalyzeCtx(ctx, d); err != nil {
 			return nil, err
 		}
+		log.Printf("fused pipeline: worst-case IR drop %.4g V (%.3fs)", m.Max(), rt.Seconds())
+	} else {
+		na := &core.NumericalAnalyzer{Iters: *iters, Resolution: res, Precond: *precond}
+		var resid float64
+		if m, rt, resid, err = na.AnalyzeCtx(ctx, d); err != nil {
+			return nil, err
+		}
+		log.Printf("numerical: worst-case IR drop %.4g V, relative residual %.3g (%.3fs)",
+			m.Max(), resid, rt.Seconds())
 	}
 
 	if *pgm != "" {

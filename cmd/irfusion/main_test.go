@@ -112,8 +112,9 @@ func TestAnalyzeRefusesMistypedValues(t *testing.T) {
 }
 
 // TestAnalyzeRetiredFlags: -format went with the second sparse format,
-// -precision with the float32 stack and -faults with the fault spec
-// grammar; none is tolerated, not even under a value that used to mean
+// -precision with the float32 stack, -faults with the fault spec
+// grammar, and -cache, -repeat and -perturb with the one-shot process
+// cache; none is tolerated, not even under a value that used to mean
 // "default". The flag set exits the process,
 // so the test re-runs its own binary with the arguments in the
 // environment.
@@ -123,7 +124,8 @@ func TestAnalyzeRetiredFlags(t *testing.T) {
 		cmdAnalyze(strings.Fields(args))
 		os.Exit(0) // the flag was accepted: the parent fails on the exit code
 	}
-	for _, args := range []string{"-format sell", "-format auto", "-precision full", "-faults amg.setup:fail"} {
+	for _, args := range []string{"-format sell", "-format auto", "-precision full", "-faults amg.setup:fail",
+		"-cache", "-repeat 2", "-perturb 0.01"} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestAnalyzeRetiredFlags$")
 		cmd.Env = append(os.Environ(), env+"="+args)
 		out, err := cmd.CombinedOutput()
@@ -209,34 +211,6 @@ func TestAnalyzeFusedRoughBudget(t *testing.T) {
 	}
 }
 
-// TestAnalyzeCacheManifest pins what `analyze -cache -manifest` writes
-// now that the cache and the recorder reach the pipeline through the
-// context: a valid manifest whose cache section shows the repeat hit,
-// and the process's global counters joined at finish.
-func TestAnalyzeCacheManifest(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.json")
-	if _, err := cmdAnalyze([]string{"-size", "24", "-seed", "3", "-cache", "-repeat", "2", "-manifest", path}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := obs.DecodeManifest(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("manifest invalid: %v", err)
-	}
-	if m.Cache == nil || m.Cache.Stores == 0 || m.Cache.Hits == 0 {
-		t.Errorf("cache section %+v, want the first run's store and the repeat's hit", m.Cache)
-	}
-	if m.Counters["circuit.networks"] <= 0 {
-		t.Errorf("process counter circuit.networks missing: %v", m.Counters)
-	}
-}
-
 // TestRehearseAll keeps the analysis rows of the scenario table the
 // retired `irfusion rehearse` subcommand ran, under their row names,
 // now driven through `analyze -manifest` at 32 µm. Each row arms its
@@ -254,11 +228,14 @@ func TestRehearseAll(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		rules   []faults.Rule
-		flags   []string
 		wantErr error
 		check   func(m *obs.Manifest) string // what the manifest lacks, or ""
 	}{
 		{name: "cold", check: func(m *obs.Manifest) string {
+			// The process's global counters are joined at finish.
+			if m.Counters["circuit.networks"] <= 0 {
+				return "the process counter circuit.networks"
+			}
 			for _, s := range m.Solves {
 				if s.Iterations > 0 && len(s.History) > 0 {
 					return ""
@@ -270,30 +247,12 @@ func TestRehearseAll(t *testing.T) {
 		// one cold rung: the analysis fails with the ladder exhausted.
 		{name: "exhausted", rules: []faults.Rule{{Site: faults.SitePCG, Action: faults.ActBreakdown, Label: plan.RungAMG}},
 			wantErr: plan.ErrLadderExhausted},
-		// The repeat is answered from the artifact cache: a hit, and no
-		// second solve.
-		{name: "cache-hit", flags: []string{"-cache", "-repeat", "2"}, check: func(m *obs.Manifest) string {
-			if m.Cache == nil || m.Cache.Hits == 0 || len(m.Solves) != 1 {
-				return "an exact hit on the repeat and the first run's solve alone"
-			}
-			return ""
-		}},
-		// Repeat 2's lookup returns a poisoned solution the residual
-		// guard must reject; its recomputed solution is re-stored and
-		// repeat 3 hits it.
-		{name: "cache-chaos", rules: []faults.Rule{{Site: faults.SiteCacheLookup, Action: faults.ActStale, Times: 1}},
-			flags: []string{"-cache", "-repeat", "3"}, check: func(m *obs.Manifest) string {
-				if c := m.Cache; c == nil || c.Stale == 0 || c.Stores < 2 || c.Hits == 0 {
-					return "the poisoned entry rejected as stale, its solution re-stored and then hit"
-				}
-				return ""
-			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			faults.SetActive(faults.New(tc.rules...))
 			t.Cleanup(func() { faults.SetActive(nil) })
 			path := filepath.Join(t.TempDir(), "run.json")
-			got, err := cmdAnalyze(append(append([]string{"-manifest", path}, args...), tc.flags...))
+			got, err := cmdAnalyze(append([]string{"-manifest", path}, args...))
 			if tc.wantErr != nil {
 				if !errors.Is(err, tc.wantErr) || !strings.Contains(err.Error(), "injected") {
 					t.Fatalf("analyze: %v, want the injected failure wrapped in %v", err, tc.wantErr)

@@ -10,12 +10,11 @@ import (
 	"irfusion/internal/sparse"
 )
 
-// GuardTol is the relative-residual bound an exact-hit golden solution
-// must satisfy against the freshly assembled system before it is
-// reused. Golden solves converge to 1e-10, and reassembly of an
-// identical deck is deterministic, so a healthy entry passes with two
-// orders of margin; a stale or corrupted one fails the single SpMV
-// check and is dropped.
+// GuardTol is the relative residual at which a reused iterate counts
+// as a solution of the freshly assembled system: the floor of the
+// resume rung's checkpoint guard, and the agreement every reuse path
+// is tested to against a cold solve. Golden solves converge to 1e-10,
+// two orders of margin below it.
 const GuardTol = 1e-8
 
 // DefaultWarmDelta is the matrix-delta fraction below which a cached
@@ -29,20 +28,21 @@ const warmScanLimit = 8
 
 // SystemArtifact caches the reusable numerical products of one
 // design's analysis: the assembled system, its converged ("golden")
-// solution, and — when it was built against exactly this matrix — the
-// AMG hierarchy. All fields are treated as immutable once stored;
-// consumers copy Golden before solving on it and never use Hier
-// directly (always Hierarchy.Clone, which shares setup but not
-// workspace). It holds numbers only — G, I, Golden, Hier — never the
-// circuit.Network or a node name: those alias the request's deck text
-// (see package spice) and would pin it for the entry's lifetime.
+// solution, and the AMG hierarchy built against exactly this matrix —
+// together a warm-start donor (StoreSystem keeps nothing less). All
+// fields are treated as immutable once stored; consumers copy Golden
+// before solving on it and never use Hier directly (always
+// Hierarchy.Clone, which shares setup but not workspace). It holds
+// numbers only — G, I, Golden, Hier — never the circuit.Network or a
+// node name: those alias the request's deck text (see package spice)
+// and would pin it for the entry's lifetime.
 type SystemArtifact struct {
 	Fingerprint string
 	N           int            // reduced system dimension
 	G           *sparse.CSR    // conductance matrix
 	I           []float64      // current vector (right-hand side)
 	Golden      []float64      // converged solution, reduced indexing
-	Hier        *amg.Hierarchy // nil when the solve warm-started off a neighbor
+	Hier        *amg.Hierarchy // built for exactly G
 }
 
 // sizeBytes estimates the artifact's memory footprint for the cache's
@@ -114,9 +114,11 @@ func Delta(a, b *sparse.CSR) float64 {
 }
 
 // StoreSystem stores art under its fingerprint key and records a
-// store event (attributed to stage) on the context's recorder.
+// store event (attributed to stage) on the context's recorder. An
+// artifact without a hierarchy could never donate a warm start, so it
+// is refused: it would only take a place in the neighbour search.
 func StoreSystem(ctx context.Context, c *Cache, stage string, art *SystemArtifact) {
-	if c == nil || art == nil || art.Fingerprint == "" {
+	if c == nil || art == nil || art.Fingerprint == "" || art.Hier == nil {
 		return
 	}
 	c.Put(SystemKey(art.Fingerprint), art, art.sizeBytes(), systemTag(art.N))
@@ -125,40 +127,15 @@ func StoreSystem(ctx context.Context, c *Cache, stage string, art *SystemArtifac
 	})
 }
 
-// LookupSystem returns the system artifact stored under fingerprint
-// fp, or nil on a miss. The faults site cache.lookup fires on every
-// lookup that found an entry: ActStale returns a copy whose golden
-// solution is poisoned — the caller's residual guard must catch it,
-// which core's TestAnalyzeCacheStaleGuard verifies.
-func LookupSystem(ctx context.Context, c *Cache, fp string) *SystemArtifact {
-	if c == nil || fp == "" {
-		return nil
-	}
-	v, ok := c.Get(SystemKey(fp))
-	if !ok {
-		return nil
-	}
-	art, ok := v.(*SystemArtifact)
-	if !ok {
-		return nil
-	}
-	if f := faults.ActiveOr(ctx).Fire(faults.SiteCacheLookup, ""); f != nil && f.Action == faults.ActStale {
-		stale := *art
-		stale.Golden = append([]float64(nil), art.Golden...)
-		for i := range stale.Golden {
-			stale.Golden[i] += 1 + float64(i%3)
-		}
-		return &stale
-	}
-	return art
-}
-
 // FindWarmStart scans cached artifacts of g's shape for the closest
 // neighbor whose matrix delta is at most maxDelta (<= 0 means
-// DefaultWarmDelta) and which carries both a golden solution and a
-// matching hierarchy. It returns the best donor with its delta, or
-// (nil, 0, nil) when no candidate qualifies — the cold path. A
-// cancelled context surfaces as the returned error.
+// DefaultWarmDelta); a stored design finds itself at delta 0. It
+// returns the best donor with its delta, or (nil, 0, nil) when no
+// candidate qualifies — the cold path. A cancelled context surfaces as
+// the returned error. The faults site cache.lookup fires on the donor
+// picked: ActStale returns a copy whose golden solution is poisoned —
+// the warm rung must still converge to the cold answer, which core's
+// TestAnalyzeCacheStaleGuard verifies.
 func FindWarmStart(ctx context.Context, c *Cache, g *sparse.CSR, maxDelta float64) (*SystemArtifact, float64, error) {
 	if c == nil || g == nil {
 		return nil, 0, nil
@@ -170,7 +147,7 @@ func FindWarmStart(ctx context.Context, c *Cache, g *sparse.CSR, maxDelta float6
 	// the merge walks are O(nnz) each and must not serialize workers.
 	var cands []*SystemArtifact
 	c.scanTag(systemTag(g.Rows()), warmScanLimit, func(_ string, v any) bool {
-		if art, ok := v.(*SystemArtifact); ok && art.Hier != nil && len(art.Golden) > 0 {
+		if art, ok := v.(*SystemArtifact); ok {
 			cands = append(cands, art)
 		}
 		return true
@@ -188,6 +165,14 @@ func FindWarmStart(ctx context.Context, c *Cache, g *sparse.CSR, maxDelta float6
 	}
 	if best == nil {
 		return nil, 0, nil
+	}
+	if f := faults.ActiveOr(ctx).Fire(faults.SiteCacheLookup, ""); f != nil && f.Action == faults.ActStale {
+		stale := *best
+		stale.Golden = append([]float64(nil), best.Golden...)
+		for i := range stale.Golden {
+			stale.Golden[i] += 1 + float64(i%3)
+		}
+		return &stale, bestDelta, nil
 	}
 	return best, bestDelta, nil
 }

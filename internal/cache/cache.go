@@ -8,26 +8,24 @@
 // names and whitespace dropped, values normalized, symmetric node
 // pairs ordered — and hashed, so two decks that describe the same
 // electrical network map to the same key regardless of element order
-// or formatting. On top of exact hits, artifact.go implements the
-// delta-solve path: a cached neighbor whose conductance matrix differs
-// in less than a configured fraction of entries donates its converged
-// solution (as a PCG warm start) and its AMG hierarchy (as a
-// preconditioner), skipping the dominant setup cost.
+// or formatting. artifact.go implements the one solution-reuse path,
+// the warm start: a cached solve whose conductance matrix differs from
+// the request's in at most a configured fraction of entries — none, for
+// a repeat — donates its converged solution (as a PCG initial guess)
+// and its AMG hierarchy (as a preconditioner), skipping the dominant
+// setup cost.
 //
 // The cache itself is a byte-bounded LRU with per-entry TTL. Every
 // operation is safe on a nil *Cache (a nil cache is simply "caching
 // off"), and like internal/obs the package is reached only through the
 // context: code resolves the cache with FromContext(ctx), and a caller
 // that wants caching binds one with WithCache — a server once per
-// process, `irfusion analyze -cache` once per run. Nothing is cached
-// unless a caller asks for it.
+// process. Nothing is cached unless a caller asks for it.
 package cache
 
 import (
 	"container/list"
 	"context"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,8 +46,7 @@ var (
 	cFingerprint = obs.GlobalCounter("cache.fingerprint.calls")
 )
 
-// Default sizing used by NewFromEnv when the environment does not say
-// otherwise.
+// Default sizing used by New for a bound or TTL it is not given.
 const (
 	defaultMaxBytes = 256 << 20 // 256 MiB
 	defaultTTL      = time.Hour
@@ -100,25 +97,6 @@ func New(maxBytes int64, ttl time.Duration) *Cache {
 	}
 }
 
-// NewFromEnv builds a cache sized by the IRFUSION_CACHE_BYTES and
-// IRFUSION_CACHE_TTL environment variables (bytes and a Go duration),
-// falling back to the package defaults when unset or malformed.
-func NewFromEnv() *Cache {
-	maxBytes := int64(0)
-	if s := os.Getenv("IRFUSION_CACHE_BYTES"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil && v > 0 {
-			maxBytes = v
-		}
-	}
-	ttl := time.Duration(0)
-	if s := os.Getenv("IRFUSION_CACHE_TTL"); s != "" {
-		if v, err := time.ParseDuration(s); err == nil && v > 0 {
-			ttl = v
-		}
-	}
-	return New(maxBytes, ttl)
-}
-
 // Get returns the live value stored under key, refreshing its LRU
 // position. Expired entries are removed and count as misses.
 func (c *Cache) Get(key string) (any, bool) {
@@ -149,7 +127,8 @@ func (c *Cache) Get(key string) (any, bool) {
 
 // Put stores value under key, accounting bytes toward the size bound
 // and evicting least-recently-used entries until the cache fits. The
-// tag groups comparable entries for scanTag (neighbor search). A
+// tag groups comparable entries for scanTag (neighbor search); an
+// entry nothing scans for takes the empty tag. A
 // value larger than the whole bound is still admitted — it simply
 // evicts everything else and will be the next victim.
 func (c *Cache) Put(key string, value any, bytes int64, tag string) {

@@ -198,21 +198,6 @@ func TestCacheResolution(t *testing.T) {
 	}
 }
 
-func TestNewFromEnv(t *testing.T) {
-	t.Setenv("IRFUSION_CACHE_BYTES", "4096")
-	t.Setenv("IRFUSION_CACHE_TTL", "90s")
-	c := NewFromEnv()
-	if c.maxBytes != 4096 || c.ttl != 90*time.Second {
-		t.Fatalf("NewFromEnv: maxBytes=%d ttl=%v", c.maxBytes, c.ttl)
-	}
-	t.Setenv("IRFUSION_CACHE_BYTES", "not-a-number")
-	t.Setenv("IRFUSION_CACHE_TTL", "")
-	c = NewFromEnv()
-	if c.maxBytes != defaultMaxBytes || c.ttl != defaultTTL {
-		t.Fatalf("NewFromEnv fallback: maxBytes=%d ttl=%v", c.maxBytes, c.ttl)
-	}
-}
-
 // TestCacheConcurrentChurn hammers one small cache from many
 // goroutines mixing every operation; run under -race (the Makefile's
 // race target does) it proves the locking discipline, and the final

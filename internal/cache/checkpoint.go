@@ -50,9 +50,6 @@ func (a *CheckpointArtifact) SizeBytes() int64 {
 // under request shape.
 func CheckpointKey(fp, shape string) string { return "ckpt|" + fp + "|" + shape }
 
-// CheckpointTag groups checkpoint artifacts of one dimension.
-func CheckpointTag(n int) string { return "ckpt|n=" + fmt.Sprint(n) }
-
 // CheckpointShape canonicalizes the request fields that decide
 // whether a checkpoint is resumable by a solve: the preconditioner
 // family and the iteration budget. Two requests with the same
@@ -87,7 +84,7 @@ func StoreCheckpoint(ctx context.Context, c *Cache, art *CheckpointArtifact) {
 			return
 		}
 	}
-	c.Put(CheckpointKey(art.Fingerprint, art.Shape), art, art.SizeBytes(), CheckpointTag(art.N))
+	c.Put(CheckpointKey(art.Fingerprint, art.Shape), art, art.SizeBytes(), "")
 }
 
 // LookupCheckpoint returns the checkpoint cached for fp under shape,
@@ -112,7 +109,7 @@ func LookupCheckpoint(ctx context.Context, c *Cache, fp, shape string) *Checkpoi
 		case faults.ActFail:
 			return nil
 		case faults.ActCorrupt:
-			// Same poisoning scheme as LookupSystem's stale fault: shift
+			// Same poisoning scheme as FindWarmStart's stale fault: shift
 			// the iterate so the recomputed residual explodes past the
 			// guard while every value stays finite.
 			bad := *art

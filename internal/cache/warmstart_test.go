@@ -7,6 +7,7 @@ import (
 
 	"irfusion/internal/amg"
 	"irfusion/internal/circuit"
+	"irfusion/internal/faults"
 	"irfusion/internal/pgen"
 	"irfusion/internal/solver"
 	"irfusion/internal/sparse"
@@ -183,13 +184,14 @@ func TestFindWarmStartThresholds(t *testing.T) {
 		t.Fatalf("identical design: nb=%v delta=%g err=%v", nb, got, err)
 	}
 
-	// Donors without a hierarchy (warm-chain artifacts) never donate.
+	// An artifact without a hierarchy could never donate: it is not
+	// stored at all.
 	c2 := New(0, 0)
 	StoreSystem(ctx, c2, "test", &SystemArtifact{
 		Fingerprint: "x", N: f.sys.N(), G: f.sys.G, I: f.sys.I, Golden: f.golden,
 	})
-	if nb, _, _ := FindWarmStart(ctx, c2, f.sys.G, 0); nb != nil {
-		t.Fatal("hierarchy-less artifact donated a warm start")
+	if c2.Len() != 0 {
+		t.Fatal("hierarchy-less artifact was stored")
 	}
 }
 
@@ -217,35 +219,33 @@ func TestDelta(t *testing.T) {
 	}
 }
 
-// TestLookupSystemGuard exercises the store/lookup round trip and the
-// poisoned-entry path: a stale golden vector must fail the residual
-// guard that every consumer runs before reuse.
-func TestLookupSystemGuard(t *testing.T) {
+// TestFindWarmStartStaleFault: the cache.lookup stale fault hands the
+// caller a copy of the donor whose golden solution fails the residual
+// guard, and leaves the stored artifact as it was.
+func TestFindWarmStartStaleFault(t *testing.T) {
 	f := buildWarmFixture(t)
 	c := New(0, 0)
-	ctx := context.Background()
-	fp := DesignFingerprint(f.design)
-	StoreSystem(ctx, c, "test", &SystemArtifact{
-		Fingerprint: fp, N: f.sys.N(), G: f.sys.G, I: f.sys.I,
+	art := &SystemArtifact{
+		Fingerprint: DesignFingerprint(f.design), N: f.sys.N(), G: f.sys.G, I: f.sys.I,
 		Golden: f.golden, Hier: f.hier,
-	})
-	art := LookupSystem(ctx, c, fp)
-	if art == nil {
-		t.Fatal("stored artifact not found")
 	}
-	if r := solver.RelResidual(f.sys.G, art.Golden, f.sys.I); r > GuardTol {
-		t.Fatalf("healthy artifact fails the guard: %g", r)
+	StoreSystem(context.Background(), c, "test", art)
+	ctx := faults.WithInjector(context.Background(), faults.New(faults.Rule{Site: faults.SiteCacheLookup, Action: faults.ActStale}))
+	stale, delta, err := FindWarmStart(ctx, c, f.sys.G, 0)
+	if err != nil || stale == nil || stale == art || delta != 0 {
+		t.Fatalf("stale lookup: donor %p (stored %p), delta %g, err %v; want a copy at delta 0", stale, art, delta, err)
 	}
-	// A corrupted golden vector must fail the same guard.
-	bad := append([]float64(nil), art.Golden...)
-	bad[len(bad)/2] += 1
-	if r := solver.RelResidual(f.sys.G, bad, f.sys.I); r <= GuardTol {
-		t.Fatalf("poisoned artifact passes the guard: %g", r)
+	if r := solver.RelResidual(f.sys.G, stale.Golden, f.sys.I); r <= GuardTol {
+		t.Fatalf("poisoned donor passes the guard: %g", r)
 	}
-	if LookupSystem(ctx, c, "no-such-fp") != nil {
-		t.Fatal("miss returned an artifact")
+	healthy, _, _ := FindWarmStart(context.Background(), c, f.sys.G, 0)
+	if healthy != art {
+		t.Fatal("the stale fault replaced the stored artifact")
 	}
-	if LookupSystem(ctx, nil, fp) != nil {
-		t.Fatal("nil cache returned an artifact")
+	if r := solver.RelResidual(f.sys.G, healthy.Golden, f.sys.I); r > GuardTol {
+		t.Fatalf("healthy donor fails the guard: %g", r)
+	}
+	if nb, _, _ := FindWarmStart(ctx, nil, f.sys.G, 0); nb != nil {
+		t.Fatal("nil cache returned a donor")
 	}
 }

@@ -549,11 +549,11 @@ type NumericalAnalyzer struct {
 //
 // Converged analyses (Iters <= 0) are addressed by design fingerprint
 // in the artifact cache bound to ctx (cache.FromContext), which lets the
-// ladder open with the cache rungs: an exact hit reuses the cached
-// golden solution after a one-SpMV residual guard, a neighbor within
-// cache.DefaultWarmDelta warm-starts the solve under the donor's
-// cloned hierarchy, and either one failing degrades to the cold AMG
-// rung via the usual ladder mechanics. Budgeted analyses (Iters > 0)
+// ladder open with the cache rungs: a checkpoint of this solve resumes
+// it, and the closest cached solve within cache.DefaultWarmDelta — the
+// design itself at delta 0 — warm-starts it under the donor's cloned
+// hierarchy; either one failing degrades to the cold AMG rung via the
+// usual ladder mechanics. Budgeted analyses (Iters > 0)
 // always run cold: their per-iteration progress is the quantity under
 // study in the Fig-7 trade-off, so caching would corrupt the
 // comparison.

@@ -32,7 +32,7 @@ const (
 	SitePCG         = "solver.pcg"   // per-iteration hook in solver.PCGCtx
 	SiteAMGSetup    = "amg.setup"    // hierarchy construction in amg.BuildCtx
 	SiteServeWorker = "serve.worker" // job execution in internal/serve workers
-	SiteCacheLookup = "cache.lookup" // exact-hit artifact lookup in internal/cache
+	SiteCacheLookup = "cache.lookup" // warm-start donor lookup in internal/cache
 
 	// Cluster sites fire in the gateway (internal/cluster), labeled
 	// with the target shard's name: cluster.probe simulates a dead or

@@ -9,12 +9,12 @@
 //
 // The ladder tries each rung once, in order, and leaves a Degradation
 // record in the run manifest saying exactly how the answer was
-// produced. The rungs ahead of a list's last are the cache's (an exact
-// hit, a resume, a warm start); a failed one falls to the next. The
-// last rung is the one cold backend the request asked for: the rung
-// census (census_test.go) finds no admitted deck that it fails, so no
-// fallback stands behind it, and its failure exhausts the ladder — a
-// 503 carrying the trail when served. A failed rung is never tried
+// produced. The rungs ahead of a list's last are the cache's (a resume,
+// a warm start); a failed one falls to the next. The last rung is the
+// one cold backend the request asked for: the rung census
+// (census_test.go) finds no admitted deck that it fails, so no fallback
+// stands behind it, and its failure exhausts the ladder — a 503
+// carrying the trail when served. A failed rung is never tried
 // again: every backend is a deterministic serial function of its input
 // and resets its iterate before it runs, so a second attempt would
 // repeat the first bit for bit.

@@ -16,7 +16,6 @@ import (
 // stage, so a manifest's convergence traces say which backend
 // produced them.
 const (
-	RungHit       = "numerical.hit"
 	RungAMG       = "numerical.amg"
 	RungAMGWarm   = "numerical.amg.warm"
 	RungAMGResume = "numerical.amg.resume"
@@ -36,9 +35,9 @@ const (
 // quantity under study in the Fig-7 trade-off, so caching and resuming
 // would corrupt the comparison — on the SSOR rung unless the full AMG
 // K-cycle was asked for. Converged solves try the cheapest answer
-// first: an exact cached solution, a checkpoint of this very solve, a
-// warm start off an ECO neighbour — each only if its lookup finds one —
-// then cold AMG-PCG.
+// first: a checkpoint of this very solve, then a warm start off the
+// closest cached solve — the design itself at delta 0, an ECO neighbour
+// otherwise — each only if its lookup finds one, then cold AMG-PCG.
 func Rungs(iters int, precond string, cached bool) []string {
 	if iters > 0 {
 		if precond != "amg" {
@@ -48,7 +47,7 @@ func Rungs(iters int, precond string, cached bool) []string {
 	}
 	var l []string
 	if cached {
-		l = append(l, RungHit, RungAMGResume, RungAMGWarm)
+		l = append(l, RungAMGResume, RungAMGWarm)
 	}
 	return append(l, RungAMG)
 }
@@ -88,7 +87,7 @@ type solveState struct {
 	shape string       // checkpoint shape of this request
 	rec   *obs.Recorder
 
-	donor *cache.SystemArtifact     // found by hitReady / warmReady
+	donor *cache.SystemArtifact     // found by warmReady
 	delta float64                   // matrix delta to a warm-start donor
 	ckpt  *cache.CheckpointArtifact // found by resumeReady
 }
@@ -116,7 +115,6 @@ type rung struct {
 // solve that builds training samples and the one that serves requests
 // the same code.
 var rungTable = map[string]rung{
-	RungHit:       {ready: hitReady, run: hit},
 	RungAMGResume: {ready: resumeReady, run: resume},
 	RungAMGWarm:   {ready: warmReady, run: warm},
 	RungAMG:       {run: amgCold},
@@ -127,11 +125,13 @@ var rungTable = map[string]rung{
 // run serves the solve from the named rungs. Lookups come first, in
 // list order: a rung whose ready hook finds nothing is left off the
 // ladder — no attempt in the trail, no shift of the serving rung's
-// index, because missing the cache is not a degradation — and an exact
-// hit is not a solve at all, so it serves on the spot with no
-// degradation record. The rungs that remain run on the degradation
-// ladder, and when one converges for an addressed design its reusable
-// products go to the artifact cache.
+// index, because missing the cache is not a degradation. The rungs
+// that remain run on the degradation ladder. When one converges for an
+// addressed design having built a hierarchy for exactly this matrix —
+// a cold or a resumed solve — the solve goes to the artifact cache as a
+// warm-start donor; a warm-started solve has no hierarchy of its own to
+// give and stores nothing, so it never pushes its donor out of the
+// neighbour search.
 func (st *solveState) run(ctx context.Context, component string, names []string) error {
 	var ladder []ladderRung
 	for _, name := range names {
@@ -139,15 +139,12 @@ func (st *solveState) run(ctx context.Context, component string, names []string)
 		if r.ready != nil && !r.ready(ctx, st) {
 			continue
 		}
-		if name == RungHit {
-			return r.run(ctx, st, name)
-		}
 		ladder = append(ladder, ladderRung{name: name, run: func(ctx context.Context) error { return r.run(ctx, st, name) }})
 	}
 	if err := runLadder(ctx, component, ladder); err != nil {
 		return err
 	}
-	if st.cache != nil && st.res.Converged {
+	if st.cache != nil && st.res.Converged && st.hier != nil {
 		cache.StoreSystem(ctx, st.cache, cacheStage, &cache.SystemArtifact{
 			Fingerprint: st.fp, N: st.sys.N(), G: st.sys.G, I: st.sys.I,
 			Golden: append([]float64(nil), st.x...), Hier: st.hier,
@@ -191,33 +188,11 @@ func (st *solveState) buildAMG(ctx context.Context) (*amg.Hierarchy, error) {
 	return h, err
 }
 
-// hitReady is the guarded exact lookup: the cached golden solution
-// must still satisfy the freshly assembled system to GuardTol (one
-// SpMV); a stale or poisoned entry is dropped, never served.
-func hitReady(ctx context.Context, st *solveState) bool {
-	art := cache.LookupSystem(ctx, st.cache, st.fp)
-	if art == nil || art.N != st.sys.N() {
-		return false
-	}
-	r := solver.RelResidual(st.sys.G, art.Golden, st.sys.I)
-	if r > cache.GuardTol {
-		st.cache.Drop(cache.SystemKey(st.fp))
-		st.cacheEvent(obs.CacheStale, st.fp, 0)
-		return false
-	}
-	st.donor, st.res = art, solver.Result{Residual: r, Converged: true}
-	return true
-}
-
-func hit(_ context.Context, st *solveState, _ string) error {
-	copy(st.x, st.donor.Golden)
-	st.cacheEvent(obs.CacheHit, st.fp, 0)
-	return nil
-}
-
-// warmReady looks for an ECO neighbour within cache.DefaultWarmDelta.
-// A search cut short by cancellation reads as "no donor"; the next
-// rung's first context check ends the ladder.
+// warmReady looks for the closest cached solve within
+// cache.DefaultWarmDelta: a repeat of a cached design finds itself at
+// delta 0, an ECO edit its neighbour. A search cut short by
+// cancellation reads as "no donor"; the next rung's first context check
+// ends the ladder.
 func warmReady(ctx context.Context, st *solveState) bool {
 	nb, delta, err := cache.FindWarmStart(ctx, st.cache, st.sys.G, 0)
 	if err != nil || nb == nil {
@@ -229,10 +204,13 @@ func warmReady(ctx context.Context, st *solveState) bool {
 
 // warm continues from the donor's golden solution, preconditioned by
 // the donor's cloned hierarchy — skipping AMG setup, the dominant
-// cost. A guess or foreign preconditioner that does not carry the
-// solve home fails the rung and the ladder goes cold; the "warm" cache
-// event is recorded only once the solve converged, so a failure shows
-// in the degradation trail alone.
+// cost. At delta 0 the golden solution already meets the tolerance, so
+// PCG stops at iteration 0 and hands it back unchanged. The rung must
+// converge, so a stale donor costs iterations, never the answer; a
+// guess or foreign preconditioner that does not carry the solve home
+// fails the rung and the ladder goes cold. The "warm" cache event is
+// recorded only once the solve converged, so a failure shows in the
+// degradation trail alone.
 func warm(ctx context.Context, st *solveState, name string) error {
 	copy(st.x, st.donor.Golden)
 	if err := st.pcg(ctx, name, st.donor.Hier.Clone(), true); err != nil {
@@ -314,8 +292,8 @@ type Solve struct {
 	// Fingerprint yields the design's content address
 	// (cache.DesignFingerprint). It is called only for a solve the
 	// artifact cache applies to — converged, with a cache resolved from
-	// ctx — which the cache then serves, warm-starts, resumes and
-	// keeps; every other solve runs cold and never pays for the hash.
+	// ctx — which the cache then resumes, warm-starts and keeps; every
+	// other solve runs cold and never pays for the hash.
 	Fingerprint func() string
 	// CheckpointEvery > 0 snapshots a cached solve into the artifact
 	// cache every that many PCG iterations; OnCheckpoint additionally

@@ -188,10 +188,10 @@ func TestAdmitOnceDifferential(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("repeat after drop: status %d: %s", code, b)
 	}
-	// The solve is answered by the exact-hit rung from the system
-	// artifact, as it is without the memo: same map, and for a residual
-	// that rung's own reading of it (the true residual of the cached
-	// solution, where PCG reports its recurrence's).
+	// The solve is a warm start at delta 0 off the system artifact, as
+	// it is without the memo: same map, and for a residual PCG's
+	// reading at iteration 0 (the true residual of the cached solution,
+	// where a cold solve reports its recurrence's).
 	if v.Result.Residual <= 0 || v.Result.Residual > cache.GuardTol {
 		t.Errorf("repeat after drop: residual %g outside (0, %g]", v.Result.Residual, cache.GuardTol)
 	}

@@ -140,7 +140,7 @@ func (s *Server) restoreCheckpoint(key string) bool {
 		cJournalErr.Inc()
 		return true
 	}
-	s.cache.Put(cache.CheckpointKey(art.Fingerprint, art.Shape), art, art.SizeBytes(), cache.CheckpointTag(art.N))
+	s.cache.Put(cache.CheckpointKey(art.Fingerprint, art.Shape), art, art.SizeBytes(), "")
 	return true
 }
 
