@@ -195,7 +195,13 @@ loc: ## non-test Go and assembly lines per package and the total
 # internal/cache 1043 -> 1022, internal/cluster 970 -> 963,
 # internal/solver 449 -> 447 and internal/serve 1646 -> 1645 (the
 # sites and actions no test armed, fault_spec on /healthz).
-LOC_CEILING ?= 19200
+# Lowered to 19150 (total 19181 -> 19121) when the shard's admission
+# memo and response memo became one entry per body: internal/serve
+# 1645 -> 1610 (the admit| and fingerprint-keyed resp| entries, the
+# lazy re-admission branch, the serve.admit counters and Config.MaxJobs),
+# internal/journal 626 -> 603 (the interval sync policy and SyncEvery),
+# internal/cluster 978 -> 976 (Config.Client).
+LOC_CEILING ?= 19150
 
 loc-check: ## fail when the non-test Go + assembly line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \

@@ -41,7 +41,7 @@ func cmdServe(args []string) error {
 	cacheBytes := fs.Int64("cache-bytes", 0, "artifact-cache size bound in bytes (0 = default)")
 	cacheTTL := fs.Duration("cache-ttl", 0, "artifact-cache entry lifetime (0 = default)")
 	journalDir := fs.String("journal-dir", "", "write-ahead job journal directory (enables crash recovery; empty = off)")
-	journalSync := fs.String("journal-sync", "", "journal fsync policy: always (default), interval, or none")
+	journalSync := fs.String("journal-sync", "", "journal fsync policy: always (default) or none")
 	ckptEvery := fs.Int("checkpoint-every", 0, "solver checkpoint interval in PCG iterations (0 = default 32, negative = off)")
 	of := addObsFlags(fs)
 	fs.Parse(args)

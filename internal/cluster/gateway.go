@@ -106,10 +106,6 @@ type Config struct {
 	// half-open probe). Defaults 3 and 5s — the serve-layer defaults.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Client overrides the forwarding HTTP client. The default has no
-	// overall timeout: analysis requests legitimately run for minutes,
-	// and the per-request context still propagates cancellation.
-	Client *http.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -133,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	return c
 }
@@ -172,7 +165,11 @@ type Gateway struct {
 	cfg    Config
 	ring   *ring
 	shards map[string]*shardState
-	order  []string     // shard names in config order, for status output
+	order  []string // shard names in config order, for status output
+	// client forwards, probes and fetches. It has no overall timeout:
+	// analysis requests legitimately run for minutes, and each request's
+	// context still propagates cancellation.
+	client *http.Client
 	memo   *cache.Cache // routeMemoKey(body) → routing key
 	seed   maphash.Seed // this process's secret routing-memo seed
 	mux    *http.ServeMux
@@ -218,6 +215,7 @@ func New(cfg Config) (*Gateway, error) {
 		ring:       newRing(names, cfg.VNodes),
 		shards:     shards,
 		order:      names,
+		client:     &http.Client{},
 		memo:       cache.New(routeMemoBytes, 0),
 		seed:       maphash.MakeSeed(),
 		mux:        http.NewServeMux(),
@@ -458,7 +456,7 @@ func (g *Gateway) send(r *http.Request, sh *shardState, body []byte, attempt int
 	if prev != "" {
 		req.Header.Set(serve.HeaderHandoffFrom, prev)
 	}
-	return g.cfg.Client.Do(req)
+	return g.client.Do(req)
 }
 
 // relay copies a shard response to the client, stamping which shard
@@ -590,7 +588,7 @@ func (g *Gateway) probeOnce(ctx context.Context, sh *shardState) (bool, string) 
 	if err != nil {
 		return false, err.Error()
 	}
-	resp, err := g.cfg.Client.Do(req)
+	resp, err := g.client.Do(req)
 	if err != nil {
 		return false, err.Error()
 	}
@@ -738,7 +736,7 @@ func (g *Gateway) fetchJSON(ctx context.Context, sh *shardState, path string) (j
 	if err != nil {
 		return nil, fmt.Errorf("cluster: build status request: %w", err)
 	}
-	resp, err := g.cfg.Client.Do(req)
+	resp, err := g.client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: fetch %s: %w", path, err)
 	}

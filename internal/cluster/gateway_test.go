@@ -90,7 +90,7 @@ func TestGatewayBadRequests(t *testing.T) {
 // TestGatewayAdmitOnce is the gateway row of the admit-once table
 // (serve.TestAdmitOnceDifferential has the rest): one 48 µm deck sent
 // twice through a two-shard gateway. The repeat is routed from the
-// memo to the same shard, admitted from that shard's memo, and answers
+// memo to the same shard, answered from that shard's memo, and answers
 // bit for bit what a fresh standalone server answers.
 func TestGatewayAdmitOnce(t *testing.T) {
 	d, err := pgen.Generate(pgen.DefaultConfig("deck", pgen.Fake, 48, 48, 23))
@@ -132,8 +132,9 @@ func TestGatewayAdmitOnce(t *testing.T) {
 	if h, m := obs.CounterValue("cluster.route.memo_hits")-hits, obs.CounterValue("cluster.route.memo_misses")-misses; h != 1 || m != 1 {
 		t.Errorf("routing memo: %d hits / %d misses, want 1 / 1", h, m)
 	}
-	if m := v2.Result.Manifest; m.Counters["serve.admit.hits"] != 1 || len(m.Solves) != 0 {
-		t.Errorf("the repeat: shard admit hits %d, %d solves; want 1 and 0", m.Counters["serve.admit.hits"], len(m.Solves))
+	m := v2.Result.Manifest
+	if hit := m.Cache != nil && len(m.Cache.Events) == 1 && m.Cache.Events[0].Stage == "serve.analyze" && m.Cache.Events[0].Outcome == obs.CacheHit; !hit || len(m.Solves) != 0 {
+		t.Errorf("the repeat: shard cache %+v, %d solves; want one serve.analyze hit and no solve", m.Cache, len(m.Solves))
 	}
 	fp := want.Result.Manifest.Config.(map[string]any)["fingerprint"]
 	for i, v := range []serve.JobView{v1, v2} {

@@ -30,12 +30,7 @@
 //
 // The Sync option selects when appends reach the disk platter:
 // SyncAlways fsyncs after every append (a crashed process loses
-// nothing it acknowledged), syncInterval fsyncs lazily when at least
-// SyncEvery has elapsed since the last sync — amortizing the fsync
-// over bursts without needing a background goroutine (the goroutine
-// containment rule of this repository confines `go` statements to the
-// serve and cluster packages; the lazy sync keeps journal out of
-// that set by design) — and SyncNone leaves flushing to the OS.
+// nothing it acknowledged) and SyncNone leaves flushing to the OS.
 package journal
 
 import (
@@ -96,9 +91,8 @@ func (r *Record) Terminal() bool {
 
 // Sync policies of Options.Sync.
 const (
-	SyncAlways   = "always"   // fsync after every append
-	syncInterval = "interval" // fsync lazily, at most once per SyncEvery
-	SyncNone     = "none"     // never fsync; the OS flushes on its schedule
+	SyncAlways = "always" // fsync after every append
+	SyncNone   = "none"   // never fsync; the OS flushes on its schedule
 )
 
 // Options tunes a journal. The zero value takes the defaults noted on
@@ -107,12 +101,10 @@ type Options struct {
 	// SegmentBytes bounds one segment file; appends that would exceed
 	// it rotate to a fresh segment. Default 1 MiB.
 	SegmentBytes int64
-	// Sync is the fsync policy (SyncAlways/SyncInterval/SyncNone).
-	// Default SyncAlways: a job journal is small-volume and its whole
-	// point is surviving a crash.
+	// Sync is the fsync policy (SyncAlways or SyncNone). Default
+	// SyncAlways: a job journal is small-volume and its whole point is
+	// surviving a crash.
 	Sync string
-	// SyncEvery is the lazy-sync period of syncInterval. Default 100ms.
-	SyncEvery time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -121,9 +113,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Sync == "" {
 		o.Sync = SyncAlways
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 100 * time.Millisecond
 	}
 	return o
 }
@@ -152,13 +141,11 @@ type Journal struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	f        *os.File
-	seq      int   // sequence number of the open segment
-	size     int64 // bytes written to the open segment
-	lastSync time.Time
-	dirty    bool // unsynced appends outstanding (syncInterval)
-	closed   bool
+	mu     sync.Mutex
+	f      *os.File
+	seq    int   // sequence number of the open segment
+	size   int64 // bytes written to the open segment
+	closed bool
 }
 
 // Open opens (creating if needed) the journal in dir, replays every
@@ -183,7 +170,7 @@ func Open(dir string, opts Options, replay func(Record)) (*Journal, ReplayStats,
 			return nil, stats, err
 		}
 	}
-	j := &Journal{dir: dir, opts: opts, lastSync: time.Now()}
+	j := &Journal{dir: dir, opts: opts}
 	// Continue the last segment when it has room, else start the next.
 	seq := 1
 	if len(segs) > 0 {
@@ -380,20 +367,12 @@ func encodeFrame(payload []byte) []byte {
 
 // syncLocked applies the sync policy after an append; j.mu held.
 func (j *Journal) syncLocked() error {
-	switch j.opts.Sync {
-	case SyncNone:
+	if j.opts.Sync == SyncNone {
 		return nil
-	case syncInterval:
-		j.dirty = true
-		if time.Since(j.lastSync) < j.opts.SyncEvery {
-			return nil
-		}
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: fsync: %w", err)
 	}
-	j.lastSync = time.Now()
-	j.dirty = false
 	return nil
 }
 
@@ -419,8 +398,6 @@ func (j *Journal) sync() error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: fsync: %w", err)
 	}
-	j.lastSync = time.Now()
-	j.dirty = false
 	return nil
 }
 

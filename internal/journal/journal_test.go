@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"irfusion/internal/faults"
 )
@@ -278,12 +277,12 @@ func TestJournalIgnoresStrayNames(t *testing.T) {
 // TestJournalSyncPolicies: every policy accepts appends; sync flushes
 // on demand; an unknown policy string falls back to fsync-per-append
 // behaviour via withDefaults validation at the serve layer (here we
-// just pin that the three named policies work).
+// just pin that the two named policies work).
 func TestJournalSyncPolicies(t *testing.T) {
-	for _, policy := range []string{SyncAlways, syncInterval, SyncNone} {
+	for _, policy := range []string{SyncAlways, SyncNone} {
 		t.Run(policy, func(t *testing.T) {
 			dir := t.TempDir()
-			j, _, err := Open(dir, Options{Sync: policy, SyncEvery: time.Hour}, nil)
+			j, _, err := Open(dir, Options{Sync: policy}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

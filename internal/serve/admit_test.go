@@ -12,6 +12,8 @@ import (
 	"irfusion/internal/cache"
 	"irfusion/internal/faults"
 	"irfusion/internal/obs"
+	"irfusion/internal/pgen"
+	"irfusion/internal/plan"
 )
 
 // metricszCounters reads the counters /metricsz lists.
@@ -25,13 +27,6 @@ func metricszCounters(t *testing.T, ts *httptest.Server) map[string]int64 {
 		t.Fatal(err)
 	}
 	return mz.Counters
-}
-
-// admitCounts reads the server's admission-memo counters off /metricsz.
-func admitCounts(t *testing.T, ts *httptest.Server) (hits, misses int64) {
-	t.Helper()
-	c := metricszCounters(t, ts)
-	return c["serve.admit.hits"], c["serve.admit.misses"]
 }
 
 // sameAnswer fails unless got carries, bit for bit, the answer want
@@ -55,36 +50,54 @@ func sameAnswer(t *testing.T, row string, got, want *AnalyzeResult) {
 	}
 }
 
-// admittedFromMemo asserts what the manifest of a memo-admitted job
-// says: its own admit counter and event, its own fingerprint, and
-// whether the response memo then answered (the slow admission ran on
-// the worker exactly when it did not).
-func admittedFromMemo(t *testing.T, row string, m *obs.Manifest, fp any, responseHit bool) {
+// answeredFromMemo asserts what the manifest of a memo-hit job says:
+// one serve.analyze hit and nothing else, no solve, and the fingerprint
+// of the admission the memo holds.
+func answeredFromMemo(t *testing.T, row string, m *obs.Manifest, fp any) {
 	t.Helper()
 	if m == nil {
 		t.Fatalf("%s: no manifest", row)
 	}
-	if m.Counters["serve.admit.hits"] != 1 || m.Counters["serve.admit.misses"] != 0 {
-		t.Errorf("%s: admit counters %d hit / %d miss, want 1 / 0", row, m.Counters["serve.admit.hits"], m.Counters["serve.admit.misses"])
-	}
-	if oc := cacheOutcomes(t, m, "serve.admit"); oc[obs.CacheHit] != 1 || len(oc) != 1 {
-		t.Errorf("%s: serve.admit events %v, want one hit", row, oc)
-	}
-	oc := cacheOutcomes(t, m, "serve.analyze")
-	if responseHit && (oc[obs.CacheHit] != 1 || len(oc) != 1 || len(m.Solves) != 0) {
+	if oc := cacheOutcomes(t, m, "serve.analyze"); oc[obs.CacheHit] != 1 || len(oc) != 1 || len(m.Solves) != 0 {
 		t.Errorf("%s: serve.analyze events %v and %d solves, want one hit and no solve", row, oc, len(m.Solves))
-	}
-	if !responseHit && (oc[obs.CacheMiss] != 1 || oc[obs.CacheStore] != 1) {
-		t.Errorf("%s: serve.analyze events %v, want miss+store", row, oc)
 	}
 	if cfg, _ := m.Config.(map[string]any); cfg["fingerprint"] != fp || fp == nil {
 		t.Errorf("%s: manifest fingerprint %v, want %v", row, cfg["fingerprint"], fp)
 	}
 }
 
+// warmAtDeltaZero asserts the answer to another body of an analysed
+// design and request shape: the memo missed, the body was admitted in
+// full (its own fingerprint is the design's), and the solve was a warm
+// start at delta 0 off the stored system — the fresh map bit for bit,
+// and for a residual PCG's reading at iteration 0 (the true residual of
+// the cached solution, where a cold solve reports its recurrence's).
+func warmAtDeltaZero(t *testing.T, row string, got, want *AnalyzeResult, fp any) {
+	t.Helper()
+	if oc := cacheOutcomes(t, got.Manifest, "serve.analyze"); oc[obs.CacheMiss] != 1 || oc[obs.CacheStore] != 1 || len(oc) != 2 {
+		t.Errorf("%s: serve.analyze events %v, want miss+store", row, oc)
+	}
+	if cfg, _ := got.Manifest.Config.(map[string]any); cfg["fingerprint"] != fp {
+		t.Errorf("%s: manifest fingerprint %v, want %v", row, cfg["fingerprint"], fp)
+	}
+	if d := got.Manifest.Degradations; len(d) != 1 || d[0].Rung != plan.RungAMGWarm {
+		t.Errorf("%s: served by %+v, want the warm rung", row, d)
+	}
+	if got.Residual <= 0 || got.Residual > cache.GuardTol {
+		t.Errorf("%s: residual %g outside (0, %g]", row, got.Residual, cache.GuardTol)
+	}
+	warm := *got
+	warm.Residual = want.Residual
+	sameAnswer(t, row, &warm, want)
+}
+
 // TestAdmitOnceDifferential sends one 48 µm deck every way a repeat
 // can arrive and holds each answer to the fresh server's, bit for bit.
-// (The two-shard gateway row is cluster.TestGatewayAdmitOnce.)
+// A byte-identical body is answered from the memo with one cache
+// lookup; any other body is admitted in full and solved as a fresh
+// server solves it, warm-started at delta 0 when its unknowns are
+// numbered as the stored system's. (The two-shard gateway row is
+// cluster.TestGatewayAdmitOnce.)
 func TestAdmitOnceDifferential(t *testing.T) {
 	deck := genDeck(t, 48, 23)
 	body := `{"spice": ` + mustJSON(deck) + `, "include_map": true}`
@@ -104,33 +117,39 @@ func TestAdmitOnceDifferential(t *testing.T) {
 		t.Fatalf("first submission: status %d: %s", code, b)
 	}
 	sameAnswer(t, "first submission", first.Result, want)
-	if oc := cacheOutcomes(t, first.Result.Manifest, "serve.admit"); oc[obs.CacheMiss] != 1 || len(oc) != 1 {
-		t.Errorf("first submission: serve.admit events %v, want one miss", oc)
-	}
-	if hits, misses := admitCounts(t, ts); hits != 0 || misses != 1 {
-		t.Fatalf("after one submission: %d hits / %d misses", hits, misses)
+	if oc := cacheOutcomes(t, first.Result.Manifest, "serve.analyze"); oc[obs.CacheMiss] != 1 || oc[obs.CacheStore] != 1 || len(oc) != 2 {
+		t.Errorf("first submission: serve.analyze events %v, want miss+store", oc)
 	}
 
-	// (2) the repeat.
+	// (2) the repeat: one memo lookup, and it hits.
+	hitsBefore := s.cacheStats().Hits
 	code, b = post(t, ts, "/v1/analyze", body)
 	v := decodeJob(t, b)
 	if code != http.StatusOK || v.ID == first.ID {
 		t.Fatalf("repeat: status %d, job %q (first was %q)", code, v.ID, first.ID)
 	}
 	sameAnswer(t, "repeat", v.Result, want)
-	admittedFromMemo(t, "repeat", v.Result.Manifest, fp, true)
+	answeredFromMemo(t, "repeat", v.Result.Manifest, fp)
+	if got := s.cacheStats().Hits - hitsBefore; got != 1 {
+		t.Errorf("repeat: %d cache hits, want exactly 1", got)
+	}
 
-	// (4) an async body twice; the second is the repeat.
+	// (4) an async body twice: another body of the design, then its
+	// byte-identical repeat, which returns the first one's answer.
 	async := `{"spice": ` + mustJSON(deck) + `, "include_map": true, "async": true}`
+	var asyncFirst *AnalyzeResult
 	for i, row := range []string{"async first", "async repeat"} {
 		code, b = post(t, ts, "/v1/analyze", async)
 		if code != http.StatusAccepted {
 			t.Fatalf("%s: status %d, want 202: %s", row, code, b)
 		}
 		v = waitStatus(t, ts, decodeJob(t, b).ID, func(st Status) bool { return st == StatusDone })
-		sameAnswer(t, row, v.Result, want)
-		if i == 1 {
-			admittedFromMemo(t, row, v.Result.Manifest, fp, true)
+		if i == 0 {
+			warmAtDeltaZero(t, row, v.Result, want, fp)
+			asyncFirst = v.Result
+		} else {
+			sameAnswer(t, row, v.Result, asyncFirst)
+			answeredFromMemo(t, row, v.Result.Manifest, fp)
 		}
 	}
 
@@ -150,61 +169,61 @@ func TestAdmitOnceDifferential(t *testing.T) {
 		t.Fatalf("handed-off repeat: status %d, decode %v", resp.StatusCode, err)
 	}
 	sameAnswer(t, "handed-off repeat", v.Result, want)
-	admittedFromMemo(t, "handed-off repeat", v.Result.Manifest, fp, true)
+	answeredFromMemo(t, "handed-off repeat", v.Result.Manifest, fp)
 	if m := v.Result.Manifest; m.Counters["serve.handoff"] != 1 || m.Config.(map[string]any)["handoff_from"] != "shard9" {
 		t.Errorf("handed-off repeat: manifest does not record the handoff: %v", m.Config)
 	}
 
-	// (7) the same network, cards in reverse order: other bytes, so the
-	// memo misses, and the fingerprint finds the response all the same.
+	// (3) the repeat after its memo entry went: admitted in full, and a
+	// warm start at delta 0.
+	j, _ := s.reg.get(first.ID)
+	s.cache.Drop(memoKey(j.digest))
+	code, b = post(t, ts, "/v1/analyze", body)
+	if code != http.StatusOK {
+		t.Fatalf("repeat after drop: status %d: %s", code, b)
+	}
+	warmAtDeltaZero(t, "repeat after drop", decodeJob(t, b).Result, want, fp)
+
+	// (7), last because its cold solve replaces the stored system under
+	// the design's fingerprint: the same network, cards in reverse order.
+	// Other bytes, so the memo misses, and the admission finds the
+	// design's fingerprint. The unknowns are numbered in card order, so no
+	// stored system is within the warm-start delta of this matrix: the
+	// solve is cold, and its answer is the fresh server's answer to these
+	// bytes (the map differs from the original deck's in the last bits).
 	cards := strings.Split(strings.TrimSuffix(strings.TrimSpace(deck), ".end"), "\n")
 	for i, k := 0, len(cards)-1; i < k; i, k = i+1, k-1 {
 		cards[i], cards[k] = cards[k], cards[i]
 	}
-	hitsBefore, missesBefore := admitCounts(t, ts)
-	code, b = post(t, ts, "/v1/analyze", `{"spice": `+mustJSON(strings.Join(cards, "\n")+"\n.end\n")+`, "include_map": true}`)
+	reordered := `{"spice": ` + mustJSON(strings.Join(cards, "\n")+"\n.end\n") + `, "include_map": true}`
+	_, tsFresh = newTestServer(t, Config{Workers: 1})
+	code, b = post(t, tsFresh, "/v1/analyze", reordered)
+	if code != http.StatusOK {
+		t.Fatalf("reordered deck, fresh server: status %d: %s", code, b)
+	}
+	wantReordered := decodeJob(t, b).Result
+	code, b = post(t, ts, "/v1/analyze", reordered)
 	v = decodeJob(t, b)
 	if code != http.StatusOK {
 		t.Fatalf("reordered deck: status %d: %s", code, b)
 	}
-	sameAnswer(t, "reordered deck", v.Result, want)
-	if hits, misses := admitCounts(t, ts); hits != hitsBefore || misses != missesBefore+1 {
-		t.Errorf("reordered deck: admit counters moved %d hits / %d misses, want 0 / 1", hits-hitsBefore, misses-missesBefore)
-	}
-	if oc := cacheOutcomes(t, v.Result.Manifest, "serve.analyze"); oc[obs.CacheHit] != 1 {
-		t.Errorf("reordered deck: serve.analyze events %v, want a hit through the fingerprint", oc)
+	sameAnswer(t, "reordered deck", v.Result, wantReordered)
+	if oc := cacheOutcomes(t, v.Result.Manifest, "serve.analyze"); oc[obs.CacheMiss] != 1 || oc[obs.CacheStore] != 1 || len(oc) != 2 {
+		t.Errorf("reordered deck: serve.analyze events %v, want miss+store", oc)
 	}
 	if got := v.Result.Manifest.Config.(map[string]any)["fingerprint"]; got != fp {
 		t.Errorf("reordered deck: fingerprint %v, want %v", got, fp)
 	}
-
-	// (3), last because it re-stores the response: the repeat after its
-	// response entry went. Memo hit, response miss, so the worker builds
-	// the design from the bytes and solves.
-	j, _ := s.reg.get(first.ID)
-	s.cache.Drop(responseKey(j))
-	code, b = post(t, ts, "/v1/analyze", body)
-	v = decodeJob(t, b)
-	if code != http.StatusOK {
-		t.Fatalf("repeat after drop: status %d: %s", code, b)
+	if d := v.Result.Manifest.Degradations; len(d) != 1 || d[0].Rung != plan.RungAMG {
+		t.Errorf("reordered deck: served by %+v, want the cold rung", d)
 	}
-	// The solve is a warm start at delta 0 off the system artifact, as
-	// it is without the memo: same map, and for a residual PCG's
-	// reading at iteration 0 (the true residual of the cached solution,
-	// where a cold solve reports its recurrence's).
-	if v.Result.Residual <= 0 || v.Result.Residual > cache.GuardTol {
-		t.Errorf("repeat after drop: residual %g outside (0, %g]", v.Result.Residual, cache.GuardTol)
-	}
-	v.Result.Residual = want.Residual
-	sameAnswer(t, "repeat after drop", v.Result, want)
-	admittedFromMemo(t, "repeat after drop", v.Result.Manifest, fp, false)
 }
 
-// TestAdmitMemoSkipsFailures: only a successful admission is memoised.
+// TestAdmitMemoSkipsFailures: only a finished job is memoised.
 // A bad deck is linted again on every submission and gets the same 400
 // and issue list each time; an oversize body is 413 before any digest.
 func TestAdmitMemoSkipsFailures(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxBodyBytes: 4096})
+	s, ts := newTestServer(t, Config{Workers: 1, MaxBodyBytes: 4096})
 	bad := `{"spice": ` + mustJSON("v1 a 0 1.1\nr1 a b 2\nrbad b 0 1\nrfloat p q 3\ni1 b 0 0.01\n.end") + `, "resolution": 24}`
 	var answers [2]string
 	for i := range answers {
@@ -220,16 +239,16 @@ func TestAdmitMemoSkipsFailures(t *testing.T) {
 	if code, b := post(t, ts, "/v1/analyze", `{"spice": "`+strings.Repeat("* pad\\n", 1000)+`"}`); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversize body: status %d, want 413: %s", code, b)
 	}
-	if hits, misses := admitCounts(t, ts); hits != 0 || misses != 2 {
-		t.Errorf("admit counters %d hits / %d misses, want 0 / 2", hits, misses)
+	if st := s.cacheStats(); st.Hits != 0 || st.Misses != 2 || st.Stores != 0 || st.Entries != 0 {
+		t.Errorf("cache stats %+v, want two memo misses and nothing stored", st)
 	}
 }
 
 // TestAdmitConcurrentSameBody posts one body from 16 goroutines at
 // once: whichever of them find the memo filled, 16 jobs end done with
-// one answer. Run under -race.
+// one answer, each manifest holding one verdict. Run under -race.
 func TestAdmitConcurrentSameBody(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 16})
+	s, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 16})
 	body := `{"spice": ` + mustJSON(genDeck(t, 24, 5)) + `}`
 	views := make([]JobView, 16)
 	var wg sync.WaitGroup
@@ -247,6 +266,7 @@ func TestAdmitConcurrentSameBody(t *testing.T) {
 	}
 	wg.Wait()
 	ids := map[string]bool{}
+	var hits, misses int64
 	for i, v := range views {
 		if v.Status != StatusDone || v.Result == nil {
 			t.Fatalf("job %d ended %q", i, v.Status)
@@ -255,17 +275,23 @@ func TestAdmitConcurrentSameBody(t *testing.T) {
 		if math.Float64bits(v.Result.MaxDropVolts) != math.Float64bits(views[0].Result.MaxDropVolts) {
 			t.Errorf("job %d answered %g, job 0 %g", i, v.Result.MaxDropVolts, views[0].Result.MaxDropVolts)
 		}
+		oc := cacheOutcomes(t, v.Result.Manifest, "serve.analyze")
+		hits, misses = hits+int64(oc[obs.CacheHit]), misses+int64(oc[obs.CacheMiss])
+		if oc[obs.CacheHit]+oc[obs.CacheMiss] != 1 || (oc[obs.CacheHit] == 1 && len(v.Result.Manifest.Solves) != 0) {
+			t.Errorf("job %d: serve.analyze events %v, %d solves; want one verdict, no solve on a hit", i, oc, len(v.Result.Manifest.Solves))
+		}
 	}
-	if hits, misses := admitCounts(t, ts); len(ids) != 16 || hits+misses != 16 {
-		t.Errorf("%d distinct jobs, %d hits + %d misses, want 16 and 16", len(ids), hits, misses)
+	if len(ids) != 16 || hits+misses != 16 || misses == 0 || s.cacheStats().Hits < hits {
+		t.Errorf("%d distinct jobs, %d hits + %d misses (cache hits %d), want 16, 16, the first a miss", len(ids), hits, misses, s.cacheStats().Hits)
 	}
 }
 
 // TestServeRecoversMemoAdmittedJob: the accepted record of a job
-// admitted from the memo holds the client's bytes like any other, so a
-// crash before the job starts loses nothing. The first submission parks
-// the only worker; the second, of the same body, is admitted from the
-// memo and is still queued, without a design, when the server dies.
+// answered from the memo holds the client's bytes like any other, so a
+// crash before the job starts loses nothing. The first submission
+// finishes and fills the memo; a second design parks the only worker;
+// the repeat of the first body is a memo hit and is still queued,
+// carrying no design, when the server dies.
 func TestServeRecoversMemoAdmittedJob(t *testing.T) {
 	_, tsCold := newTestServer(t, Config{Workers: 1})
 	code, b := post(t, tsCold, "/v1/analyze", pgenBody(37, 32, `"include_map": true`))
@@ -274,29 +300,33 @@ func TestServeRecoversMemoAdmittedJob(t *testing.T) {
 	}
 	cold := decodeJob(t, b).Result.Map
 
-	withGlobalFaults(t, parkAfterFirstCheckpoint)
 	dir := t.TempDir()
 	s1 := New(Config{Workers: 1, JournalDir: dir, CheckpointEvery: 2})
 	ts1 := httptest.NewServer(s1.Handler())
 	body := pgenBody(37, 32, `"async": true, "include_map": true`)
+	if code, b = post(t, ts1, "/v1/analyze", body); code != http.StatusAccepted {
+		t.Fatalf("first submission: status %d: %s", code, b)
+	}
+	waitStatus(t, ts1, decodeJob(t, b).ID, func(st Status) bool { return st == StatusDone })
+	withGlobalFaults(t, parkAfterFirstCheckpoint)
 	var ids [2]string
-	for i := range ids {
-		if code, b = post(t, ts1, "/v1/analyze", body); code != http.StatusAccepted {
-			t.Fatalf("submission %d: status %d: %s", i+1, code, b)
+	for i, bd := range []string{pgenBody(38, 32, `"async": true`), body} {
+		if code, b = post(t, ts1, "/v1/analyze", bd); code != http.StatusAccepted {
+			t.Fatalf("submission %d: status %d: %s", i+2, code, b)
 		}
 		ids[i] = decodeJob(t, b).ID
 		if i == 0 {
 			waitParked(t, s1, ids[0])
 		}
 	}
-	if j, _ := s1.reg.get(ids[1]); !j.admitHit || j.design != nil || j.Status() != statusQueued {
-		t.Fatalf("second submission: memo hit %t, design built %t, status %q", j.admitHit, j.design != nil, j.Status())
+	if j, _ := s1.reg.get(ids[1]); j.memo == nil || j.design != nil || j.Status() != statusQueued {
+		t.Fatalf("repeat: memo hit %t, design built %t, status %q", j.memo != nil, j.design != nil, j.Status())
 	}
 	s1.crash()
 	ts1.Close()
 	faults.SetActive(nil)
-	if recs := journalTypes(t, dir); recs["accepted"] != 2 {
-		t.Fatalf("crashed journal holds %v, want two accepted records", recs)
+	if recs := journalTypes(t, dir); recs["accepted"] != 3 || recs["finished"] != 1 {
+		t.Fatalf("crashed journal holds %v, want three accepted records and one finished", recs)
 	}
 
 	recoveredBefore := obs.CounterValue("serve.recovered")
@@ -312,5 +342,49 @@ func TestServeRecoversMemoAdmittedJob(t *testing.T) {
 		if d := math.Abs(v.Result.Map[i] - cold[i]); d > 1e-9 {
 			t.Fatalf("cell %d differs from the fresh solve by %g", i, d)
 		}
+	}
+}
+
+// TestServeRecoveredJobMemoises: a job recovery finishes files its
+// answer under the digest of its journaled bytes — the client's body —
+// so a byte-identical repeat to the restarted server is a memo hit with
+// no solve. (The journal's encoder compacts the request, so the body
+// here is json.Marshal's, as a program's would be.)
+func TestServeRecoveredJobMemoises(t *testing.T) {
+	raw, err := json.Marshal(AnalyzeRequest{Pgen: &pgen.Config{Class: pgen.Fake, W: 32, H: 32, Seed: 39}, Async: true, IncludeMap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(raw)
+	withGlobalFaults(t, parkAfterFirstCheckpoint)
+	dir := t.TempDir()
+	s1 := New(Config{Workers: 1, JournalDir: dir, CheckpointEvery: 2})
+	ts1 := httptest.NewServer(s1.Handler())
+	code, b := post(t, ts1, "/v1/analyze", body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submission: status %d: %s", code, b)
+	}
+	id := decodeJob(t, b).ID
+	waitParked(t, s1, id)
+	s1.crash()
+	ts1.Close()
+	faults.SetActive(nil)
+
+	s2, ts2 := newTestServer(t, Config{Workers: 1, JournalDir: dir, CheckpointEvery: 2})
+	recovered := waitStatus(t, ts2, id, func(st Status) bool { return st == StatusDone })
+	if m := recovered.Result.Manifest; m == nil || len(m.Solves) == 0 {
+		t.Fatalf("recovered job did not solve: %+v", recovered.Result)
+	}
+	hitsBefore := s2.cacheStats().Hits
+	code, b = post(t, ts2, "/v1/analyze", body)
+	if code != http.StatusAccepted {
+		t.Fatalf("repeat: status %d: %s", code, b)
+	}
+	v := waitStatus(t, ts2, decodeJob(t, b).ID, func(st Status) bool { return st == StatusDone })
+	fp := recovered.Result.Manifest.Config.(map[string]any)["fingerprint"]
+	answeredFromMemo(t, "repeat of the recovered job", v.Result.Manifest, fp)
+	sameAnswer(t, "repeat of the recovered job", v.Result, recovered.Result)
+	if got := s2.cacheStats().Hits - hitsBefore; got != 1 {
+		t.Errorf("repeat: %d cache hits, want exactly 1", got)
 	}
 }

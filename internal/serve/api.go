@@ -157,19 +157,27 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // admission is what admitting a request body yields, minus the design:
 // the normalised request with the deck text dropped, the design's name
-// and its content address — about 300 bytes, read-only once built. It
-// depends only on the bytes and on configuration fixed for the server's
-// life, so handleAnalyze memoises it in the artifact cache under the
-// body's SHA-256 (not a fast hash: bodies are untrusted, and a
-// collision would hand one client another's admission).
+// and its content address — about 300 bytes, read-only once built.
 type admission struct {
 	req  AnalyzeRequest
 	name string
 	fp   string // cache.DesignFingerprint; "" when caching is off
 }
 
-// admitBytes is the accounted size of one memoised admission.
-const admitBytes = 512
+// memoEntry is what the server remembers of a body whose job finished:
+// its admission and its answer (manifest dropped: a manifest describes
+// one run). Every analysis mode is deterministic in the admission, so a
+// byte-identical body is answered from the entry without being decoded,
+// parsed, fingerprinted or solved. It is filed under the body's SHA-256
+// (not a fast hash: bodies are untrusted, and a collision would hand
+// one client another's answer).
+type memoEntry struct {
+	adm *admission
+	res *AnalyzeResult
+}
+
+// memoKey is the artifact-cache key of a body's memo entry.
+func memoKey(digest string) string { return "memo|" + digest }
 
 // ReadBody reads a request body under the admission limit, sized from
 // Content-Length when the client sent one. On failure it returns the
@@ -230,18 +238,16 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, "%v", err)
 		return
 	}
-	// Admit once: a byte-identical resubmission takes its admission from
-	// the memo and carries only its bytes, which runJob turns back into a
-	// design if — and only if — the response memo then misses. Only a
-	// successful admission is stored; a bad deck is linted every time.
+	// One lookup per body: a byte-identical resubmission of a body whose
+	// job finished carries its admission and its answer from the memo;
+	// any other body is admitted in full. Only a finished job is stored,
+	// so a bad deck is linted every time.
 	sum := sha256.Sum256(body)
 	j := &job{digest: hex.EncodeToString(sum[:])}
-	memo, _ := s.cache.Get("admit|" + j.digest)
-	if j.admission, j.admitHit = memo.(*admission); j.admitHit {
-		s.admitHits.Add(1)
-		j.body = body
+	if v, ok := s.cache.Get(memoKey(j.digest)); ok {
+		e := v.(*memoEntry)
+		j.admission, j.memo = e.adm, e.res
 	} else {
-		s.admitMisses.Add(1)
 		req, err := DecodeRequest(body)
 		if err == nil {
 			j.admission, j.design, err = s.admit(req)
@@ -260,7 +266,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		s.cache.Put("admit|"+j.digest, j.admission, admitBytes, "admit")
 	}
 
 	ctx, cancel := s.jobContext(j.req.TimeoutMS)
@@ -374,11 +379,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	counters := obs.GlobalCounters()
-	counters["serve.admit.hits"], counters["serve.admit.misses"] = s.admitHits.Load(), s.admitMisses.Load()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"shard":    s.cfg.Name,
-		"counters": counters,
+		"counters": obs.GlobalCounters(),
 		"gauges": map[string]float64{
 			"serve.uptime_seconds": time.Since(s.start).Seconds(),
 			"serve.queue_len":      float64(len(s.queue)),
@@ -540,7 +543,7 @@ func (s *Server) runJob(j *job) {
 		// terminal transition the journal must learn about, or replay
 		// would resurrect the cancelled job.
 		s.journalTerminal(j, journal.TypeCancelled, "cancelled before start")
-		j.body, j.design = nil, nil
+		j.design = nil
 		return
 	}
 	s.inflight.Add(1)
@@ -564,17 +567,6 @@ func (s *Server) runJob(j *job) {
 	}
 	if j.req.Mode == ModeFused {
 		cfgMap["gemm_kernel"] = nn.Kernel() // which GEMM leaf the inference time below was taken on
-	}
-	if j.digest != "" && s.cache != nil {
-		// The admission memo's verdict on this job's body, counted on the
-		// job's own recorder: the manifest says whether this request was
-		// admitted from its bytes alone.
-		name, outcome := "serve.admit.misses", obs.CacheMiss
-		if j.admitHit {
-			name, outcome = "serve.admit.hits", obs.CacheHit
-		}
-		rec.Add(name, 1)
-		rec.RecordCacheEvent(obs.CacheEvent{Stage: "serve.admit", Outcome: outcome, Key: cache.ShortKey(j.digest)})
 	}
 	if j.handoffFrom != "" {
 		// This job reached us through a gateway handoff after another
@@ -614,8 +606,8 @@ func (s *Server) runJob(j *job) {
 		// Queue full or draining: no retry slot; fail below as usual.
 	}
 	// The run is over: a retained job keeps its result and manifest, not
-	// the request bytes nor the parsed deck (whose strings pin the text).
-	j.body, j.design = nil, nil
+	// the parsed deck (whose strings pin the text).
+	j.design = nil
 
 	manifest := rec.Manifest("serve.analyze", cfgMap)
 	manifest.Shard = s.cfg.Name
@@ -698,74 +690,44 @@ func (s *Server) executeProtected(ctx context.Context, j *job) (result *AnalyzeR
 	return s.execute(ctx, j)
 }
 
-// execute runs the analysis of one job under ctx, consulting the
-// response layer of the artifact cache first: an identical request
-// (same design fingerprint, mode, budget, preconditioner, resolution,
-// and map flag) is answered from the cached result of the original
-// computation — every analysis mode here is deterministic in those
-// inputs — with a fresh manifest recording the hit. On cancellation
+// execute runs the analysis of one job under ctx. A job admitted from
+// the memo is answered with a copy of the stored result and a fresh
+// manifest recording the hit; any other job runs, and its result is
+// memoised under its body's digest when it succeeds. On cancellation
 // the returned error wraps solver.ErrCancelled and the result is nil
 // (the caller still attaches the manifest with the partial history).
 func (s *Server) execute(ctx context.Context, j *job) (*AnalyzeResult, error) {
-	key := responseKey(j)
-	rec := obs.FromContext(ctx)
-	if key != "" {
-		lookupStart := time.Now()
-		st := rec.StartStage("serve.cache.lookup")
-		v, ok := s.cache.Get(key)
-		st.End()
-		if ok {
-			if prev, ok := v.(*AnalyzeResult); ok {
-				rec.RecordCacheEvent(obs.CacheEvent{
-					Stage: "serve.analyze", Outcome: obs.CacheHit, Key: cache.ShortKey(j.fp),
-				})
-				out := *prev // Map is never mutated after finalize, so sharing it is safe
-				out.RuntimeSeconds = time.Since(lookupStart).Seconds()
-				return &out, nil
-			}
-		}
-		rec.RecordCacheEvent(obs.CacheEvent{
-			Stage: "serve.analyze", Outcome: obs.CacheMiss, Key: cache.ShortKey(j.fp),
-		})
+	if s.cache == nil {
+		return s.executeUncached(ctx, j)
 	}
+	rec := obs.FromContext(ctx)
+	record := func(outcome string) {
+		rec.RecordCacheEvent(obs.CacheEvent{Stage: "serve.analyze", Outcome: outcome, Key: cache.ShortKey(j.digest)})
+	}
+	if j.memo != nil {
+		start, st := time.Now(), rec.StartStage("serve.memo")
+		record(obs.CacheHit)
+		out := *j.memo // Map is never mutated after finalize, so sharing it is safe
+		st.End()
+		out.RuntimeSeconds = time.Since(start).Seconds()
+		return &out, nil
+	}
+	record(obs.CacheMiss)
 	out, err := s.executeUncached(ctx, j)
-	if err == nil && out != nil && key != "" {
+	if err == nil {
 		stored := *out
 		stored.Manifest = nil // manifests describe one run; never replay them
-		s.cache.Put(key, &stored, int64(len(stored.Map))*8+512, "resp")
-		rec.RecordCacheEvent(obs.CacheEvent{
-			Stage: "serve.analyze", Outcome: obs.CacheStore, Key: cache.ShortKey(j.fp),
-		})
+		s.cache.Put(memoKey(j.digest), &memoEntry{adm: j.admission, res: &stored}, int64(len(stored.Map))*8+memoBytes, "memo")
+		record(obs.CacheStore)
 	}
 	return out, err
 }
 
-// responseKey is the response-layer cache key of a job: the design
-// fingerprint qualified by every request field that shapes the
-// result. Empty when response caching does not apply.
-func responseKey(j *job) string {
-	if j.fp == "" {
-		return ""
-	}
-	r := &j.req
-	return fmt.Sprintf("resp|%s|mode=%s,iters=%d,precond=%s,res=%d,map=%t",
-		j.fp, r.Mode, r.Iters, r.Precond, r.Resolution, r.IncludeMap)
-}
+// memoBytes is the accounted size of one memo entry beside its map.
+const memoBytes = 1024
 
 // executeUncached dispatches the actual analysis of one job.
 func (s *Server) executeUncached(ctx context.Context, j *job) (*AnalyzeResult, error) {
-	if j.design == nil {
-		// Admitted from the memo and the response memo missed (evicted,
-		// expired, or the first submission is still in flight): build the
-		// design from the retained bytes, as the first admission did.
-		req, err := DecodeRequest(j.body)
-		if err == nil {
-			j.design, err = s.prepare(req)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("serve: re-admit memoised body: %w", err)
-		}
-	}
 	req, d := &j.req, j.design
 	if req.Mode == ModeFused {
 		return s.executeFused(ctx, req, d)

@@ -22,7 +22,7 @@ func cacheOutcomes(t *testing.T, m *obs.Manifest, stage string) map[string]int {
 	return out
 }
 
-// TestServeCacheResponseHit proves the per-process response cache: a
+// TestServeCacheResponseHit proves the per-process body memo: a
 // repeated identical request is answered from the cached result of the
 // first run, attributed in the fresh manifest, and visible in both
 // /healthz and /metricsz.
@@ -57,7 +57,7 @@ func TestServeCacheResponseHit(t *testing.T) {
 		t.Fatalf("served map length %d != computed %d", len(r2.Map), len(r1.Map))
 	}
 	for i := range r1.Map {
-		if r2.Map[i] != r1.Map[i] { //irfusion:exact a response-cache hit serves the stored bits
+		if r2.Map[i] != r1.Map[i] { //irfusion:exact a memo hit serves the stored bits
 			t.Fatalf("served map differs from computed at %d", i)
 		}
 	}
@@ -95,9 +95,9 @@ func TestServeCacheResponseHit(t *testing.T) {
 	}
 }
 
-// TestServeCacheKeyedByRequestShape proves the response key folds in
-// every result-shaping field: the same design at a different iteration
-// budget must not be served the converged result.
+// TestServeCacheKeyedByRequestShape proves the memo is keyed by the
+// whole body: the same design at a different iteration budget must not
+// be served the converged result.
 func TestServeCacheKeyedByRequestShape(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	if code, b := post(t, ts, "/v1/analyze", pgenBody(4, 32, "")); code != 200 {

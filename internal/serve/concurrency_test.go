@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
 	"irfusion/internal/plan"
 )
@@ -89,9 +90,9 @@ func TestConcurrentRequestsNoManifestCrossTalk(t *testing.T) {
 // TestMixedConcurrentRequestsOwnManifests keeps 16 mixed requests in
 // flight on 4 workers with the cache on — numerical cold, numerical
 // repeats of those bodies, and fused — and checks that every manifest
-// counts only what its own recorder counted: the job and its admission
-// verdict, none of the process-global kernel, network, cache or job
-// counters its neighbours also move.
+// counts only what its own recorder counted: the job, and one memo
+// verdict among its cache events — none of the process-global kernel,
+// network, cache or job counters its neighbours also move.
 func TestMixedConcurrentRequestsOwnManifests(t *testing.T) {
 	const n = 16
 	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: n, Analyzer: tinyAnalyzer(t)})
@@ -126,9 +127,11 @@ func TestMixedConcurrentRequestsOwnManifests(t *testing.T) {
 				}
 			}
 		}
-		verdict := m.Counters["serve.admit.hits"] + m.Counters["serve.admit.misses"]
-		if len(m.Counters) != 2 || m.Counters["serve.job"] != 1 || verdict != 1 {
-			errs = append(errs, fmt.Errorf("counters %v, want serve.job=1 and one serve.admit verdict", m.Counters))
+		if len(m.Counters) != 1 || m.Counters["serve.job"] != 1 {
+			errs = append(errs, fmt.Errorf("counters %v, want serve.job=1 alone", m.Counters))
+		}
+		if oc := cacheOutcomes(t, m, "serve.analyze"); oc[obs.CacheHit]+oc[obs.CacheMiss] != 1 {
+			errs = append(errs, fmt.Errorf("serve.analyze events %v, want one memo verdict", oc))
 		}
 		if i%3 == 0 {
 			ran := map[string]int64{}

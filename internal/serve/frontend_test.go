@@ -113,9 +113,9 @@ func TestAnalyzeNonFiniteValue400(t *testing.T) {
 }
 
 // TestFinishedJobReleasesDeck: the registry retains finished jobs
-// (MaxJobs of them), so a finished job must hold neither its request
-// bytes nor its parsed deck — done, failed or cancelled, running or still
-// queued when cancelled, admitted cold or from the memo — while GET
+// (maxJobs of them), so a finished job must not hold its parsed deck —
+// done, failed or cancelled, running or still queued when cancelled,
+// admitted cold or answered from the memo — while GET
 // /v1/jobs/{id} still returns the full result and manifest. (That a job
 // requeued after a panic keeps what its retry needs is
 // TestServeWorkerPanicRequeuedOnce; the failed row here passes through
@@ -129,13 +129,13 @@ func TestFinishedJobReleasesDeck(t *testing.T) {
 	}{
 		{"done", faults.Rule{}, func(t *testing.T, s *Server, ts *httptest.Server) []string {
 			var ids []string
-			// Cold, a byte-identical repeat (admitted from the memo, answered
-			// from the response memo: no design is ever built), and a repeat
-			// whose response entry is gone (the worker re-admits the bytes).
+			// Cold, a byte-identical repeat (answered from the memo: no
+			// design is ever built), and a repeat whose memo entry is gone
+			// (admitted in full).
 			for i, drop := range []bool{false, false, true} {
 				if drop {
 					j, _ := s.reg.get(ids[0])
-					s.cache.Drop(responseKey(j))
+					s.cache.Drop(memoKey(j.digest))
 				}
 				code, b := post(t, ts, "/v1/analyze", spiceBody(deck, `"include_map": true`))
 				if code != http.StatusOK {
@@ -205,8 +205,8 @@ func TestFinishedJobReleasesDeck(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, id := range ids {
-				if j, _ := s.reg.get(id); j.body != nil || j.design != nil {
-					t.Errorf("finished job %s (%s) retains body: %t, design: %t", id, j.Status(), j.body != nil, j.design != nil)
+				if j, _ := s.reg.get(id); j.design != nil {
+					t.Errorf("finished job %s (%s) retains its design", id, j.Status())
 				}
 			}
 		})
@@ -216,9 +216,8 @@ func TestFinishedJobReleasesDeck(t *testing.T) {
 // TestServeBuildsNetworkOnce counts the front end's "once": a cold
 // request — numerical or fused — interns its deck's node names once
 // (circuit.networks) and canonicalises it once (cache.fingerprint.calls);
-// a byte-identical repeat does neither; a memo-admitted job whose
-// response entry was dropped re-admits its bytes (one more network) and
-// takes its fingerprint from the memo.
+// a byte-identical repeat does neither; a repeat whose memo entry was
+// dropped is admitted in full (one more network and fingerprint).
 func TestServeBuildsNetworkOnce(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, Analyzer: tinyAnalyzer(t)})
 	moved := func(step func()) (networks, fingerprints int64) {
@@ -246,9 +245,9 @@ func TestServeBuildsNetworkOnce(t *testing.T) {
 			t.Errorf("%s, byte-identical repeat: %d network builds and %d fingerprints, want none", mode, nw, fp)
 		}
 		j, _ := s.reg.get(id)
-		s.cache.Drop(responseKey(j))
-		if nw, fp := moved(send); nw != 1 || fp != 0 {
-			t.Errorf("%s, repeat without its response entry: %d network builds and %d fingerprints, want 1 and 0", mode, nw, fp)
+		s.cache.Drop(memoKey(j.digest))
+		if nw, fp := moved(send); nw != 1 || fp != 1 {
+			t.Errorf("%s, repeat without its memo entry: %d network builds and %d fingerprints, want 1 and 1", mode, nw, fp)
 		}
 	}
 }

@@ -133,8 +133,8 @@ func TestFusedAnalyze(t *testing.T) {
 				t.Errorf("async=%t: solve %q ran %d iterations, above the rough budget %d", async, sv.Label, sv.Iterations, a.Config.RoughIters)
 			}
 		}
-		if got := s.cacheStats().Stores - storesBefore; got != 2 {
-			t.Errorf("async=%t: the job stored %d cache entries, want 2 (the admission and the response)", async, got)
+		if got := s.cacheStats().Stores - storesBefore; got != 1 {
+			t.Errorf("async=%t: the job stored %d cache entries, want 1 (its memo entry)", async, got)
 		}
 	}
 }
@@ -240,8 +240,8 @@ func TestFusedNonFinitePredictionFails(t *testing.T) {
 			t.Errorf("body %d: a failed job carries a map", i)
 		}
 	}
-	if st := s.cacheStats(); st.Stores != 2 {
-		t.Errorf("%d cache stores, want 2: the two admissions and no response", st.Stores)
+	if st := s.cacheStats(); st.Stores != 0 {
+		t.Errorf("%d cache stores, want none: a failed job is not memoised", st.Stores)
 	}
 	ts.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

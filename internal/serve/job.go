@@ -41,14 +41,13 @@ func (s Status) Terminal() bool {
 type job struct {
 	id string
 	*admission
-	// design is nil while a job admitted from the memo has not needed it
-	// (a response-memo hit never does); body then holds the client's
-	// bytes to build it from. runJob drops both when the run ends: the
-	// registry retains finished jobs, and a parsed deck pins its text.
+	// A job carries either the memoised answer of a byte-identical
+	// earlier body (memo) or the design to analyse. runJob drops the
+	// design when the run ends: the registry retains finished jobs, and a
+	// parsed deck pins its text.
+	memo        *AnalyzeResult
 	design      *pgen.Design
-	body        []byte
-	digest      string // hex SHA-256 of the body; "" for a journal-recovered job
-	admitHit    bool   // admitted from the memo
+	digest      string // hex SHA-256 of the request body, the memo key
 	handoffFrom string // shard this job failed over from; "" normally
 	submitted   time.Time
 

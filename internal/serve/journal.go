@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -80,8 +82,14 @@ func (s *Server) recoverOrphans(fold *journal.Fold) {
 			continue
 		}
 		ctx, cancel := s.jobContext(req.TimeoutMS)
+		// The accepted record holds the client's body, so the recovered
+		// job files its answer under the memo key a repeat of that body
+		// looks up (json.Marshal compacted it: a body sent with
+		// insignificant whitespace repeats under another key).
+		sum := sha256.Sum256(st.Request)
 		j := &job{
 			admission:  adm,
+			digest:     hex.EncodeToString(sum[:]),
 			submitted:  time.Now(),
 			cancel:     cancel,
 			done:       make(chan struct{}),

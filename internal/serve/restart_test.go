@@ -379,9 +379,9 @@ func TestServeJournalDisabledByDefault(t *testing.T) {
 
 // TestServeFingerprintsOnce: a cold request canonicalises, sorts and
 // hashes its design once — at admission. The solve path takes that
-// fingerprint instead of recomputing it, so the stored system, the
-// checkpoint (cache entry and durable blob) and the memoised response
-// are all filed under the fingerprint the admission holds.
+// fingerprint instead of recomputing it, so the stored system and the
+// checkpoint (cache entry and durable blob) are filed under the
+// fingerprint the admission holds, and the memo entry carries it.
 func TestServeFingerprintsOnce(t *testing.T) {
 	const counter = "cache.fingerprint.calls"
 	s, ts := newTestServer(t, Config{Workers: 1})
@@ -403,8 +403,8 @@ func TestServeFingerprintsOnce(t *testing.T) {
 	if _, ok := s.cache.Get(cache.SystemKey(j.fp)); !ok {
 		t.Error("no system artifact under the admission's fingerprint")
 	}
-	if _, ok := s.cache.Get(responseKey(j)); !ok {
-		t.Error("no memoised response under the admission's fingerprint")
+	if e, ok := s.cache.Get(memoKey(j.digest)); !ok || e.(*memoEntry).adm.fp != j.fp {
+		t.Error("no memo entry holding the admission's fingerprint")
 	}
 
 	// The checkpoint: park a second server's solve behind its first

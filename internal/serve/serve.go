@@ -57,6 +57,10 @@ var (
 	cJournalErr = obs.GlobalCounter("serve.journal.errors")
 )
 
+// maxJobs bounds the job registry; the oldest finished jobs are
+// evicted beyond it.
+const maxJobs = 256
+
 // Config sizes the service. Zero values take the documented defaults.
 type Config struct {
 	// Name is the shard identity of this server in a cluster: it
@@ -82,9 +86,6 @@ type Config struct {
 	// DefaultTimeout bounds each job's context when the request does
 	// not set timeout_ms. Zero means no default timeout.
 	DefaultTimeout time.Duration
-	// MaxJobs bounds the job registry; the oldest finished jobs are
-	// evicted beyond it. Default 256.
-	MaxJobs int
 	// Analyzer, when non-nil, enables "fused" mode with this trained
 	// pipeline. The model instance is shared and only read: New puts it
 	// in eval mode once, after which inference is reentrant. Do not
@@ -106,8 +107,8 @@ type Config struct {
 	// directory to re-enqueue orphaned jobs (resuming their solves from
 	// the last checkpoint). Empty disables journaling.
 	JournalDir string
-	// JournalSync is the journal fsync policy (journal.SyncAlways,
-	// SyncInterval, or SyncNone). Default SyncAlways.
+	// JournalSync is the journal fsync policy (journal.SyncAlways or
+	// SyncNone). Default SyncAlways.
 	JournalSync string
 	// CheckpointEvery is the solver checkpoint interval in PCG
 	// iterations: every N-th iterate of a converged cached solve is
@@ -130,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDesignSize <= 0 {
 		c.MaxDesignSize = 256
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 256
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 32
@@ -163,8 +161,6 @@ type Server struct {
 
 	inflight atomic.Int64
 	workers  sync.WaitGroup
-
-	admitHits, admitMisses atomic.Int64 // admission-memo traffic, serve.admit.* on /metricsz
 }
 
 // New starts the worker goroutines and returns a ready service.
@@ -175,7 +171,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		mux:        http.NewServeMux(),
 		queue:      make(chan *job, cfg.QueueDepth),
-		reg:        newRegistry(cfg.MaxJobs, cfg.Name),
+		reg:        newRegistry(maxJobs, cfg.Name),
 		start:      time.Now(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
