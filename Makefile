@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt fmt-check vet cross lint build test race loc loc-check bench bench-smoke bench-check bench-rebaseline bench-quick fuzz-smoke docs-check cover-check
+.PHONY: all fmt fmt-check vet cross lint build test race loc loc-check bench bench-smoke bench-check bench-rebaseline bench-quick fuzz-smoke docs-check cover-check paper-check
 
 all: fmt-check vet lint build test
 
@@ -201,7 +201,16 @@ loc: ## non-test Go and assembly lines per package and the total
 # lazy re-admission branch, the serve.admit counters and Config.MaxJobs),
 # internal/journal 626 -> 603 (the interval sync policy and SyncEvery),
 # internal/cluster 978 -> 976 (Config.Client).
-LOC_CEILING ?= 19150
+# Lowered to 19100 (total 19121 -> 19095) when every server flag and
+# config field with no caller became a constant: cmd/irfusion 698 ->
+# 618 (17 flags of serve, gateway and gen, and one listen/drain routine
+# where serve and gateway had one each), internal/cluster 976 -> 958
+# (VNodes, MaxHandoffs), internal/pgen 746 -> 731 (ReadConfig,
+# WriteConfig), internal/amg 582 -> 568 (Strength, MaxCoarse, MaxLevels,
+# KTolerance), internal/serve 1610 -> 1601 (DefaultTimeout, CacheBytes,
+# CacheTTL); net of cmd/experiments 695 -> 805, the paper gate
+# (gate.go and the -real check).
+LOC_CEILING ?= 19100
 
 loc-check: ## fail when the non-test Go + assembly line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \
@@ -245,6 +254,27 @@ bench-rebaseline: ## rewrite bench.baseline's measurements from this machine
 bench-quick: ## vet + quick run of the end-to-end benchmark (_bench): every entry point, every answer check
 	$(GO) vet ./_bench
 	$(GO) run ./_bench -quick
+
+# The paper gate: cmd/experiments -mode quick at seeds 1, 2 and 3, as
+# three processes at once (about 2 min on 2 CPUs). Each run judges the
+# paper's claims on its own numbers and exits 1 when a gated one fails
+# (cmd/experiments/gate.go); the target prints every seed's verdict
+# table, and each run's log and artifacts stay under PAPER_OUT.
+PAPER_OUT ?= /tmp/irfusion-paper
+
+paper-check: ## cmd/experiments -mode quick at seeds 1-3; fails when a gated paper claim fails
+	$(GO) build -o $(PAPER_OUT)/experiments ./cmd/experiments
+	@pids=""; for s in 1 2 3; do \
+		mkdir -p $(PAPER_OUT)/seed$$s; \
+		$(PAPER_OUT)/experiments -mode quick -seed $$s -out $(PAPER_OUT)/seed$$s > $(PAPER_OUT)/seed$$s/log 2>&1 & \
+		pids="$$pids $$!"; \
+	done; \
+	fail=0; s=0; for p in $$pids; do \
+		s=$$((s + 1)); \
+		if wait $$p; then echo "seed $$s: gate passed"; else echo "seed $$s: gate FAILED"; fail=1; tail -n 5 $(PAPER_OUT)/seed$$s/log; fi; \
+		cat $(PAPER_OUT)/seed$$s/gate.md 2>/dev/null; \
+	done; \
+	exit $$fail
 
 docs-check: ## fail when any doc link or file:line anchor no longer resolves
 	$(GO) run ./cmd/docscheck README.md docs

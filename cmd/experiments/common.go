@@ -30,6 +30,9 @@ type env_ struct {
 	analyzers map[string]*core.Analyzer
 
 	ctx context.Context // carries the run recorder
+
+	// verdicts collects the paper-gate rows of every experiment run.
+	verdicts []verdict
 }
 
 // fullOpts returns the fused-pipeline dataset options. The rough

@@ -8,6 +8,10 @@ import (
 	"irfusion/internal/metrics"
 )
 
+// fig7Point is one budget of the sweep: the MAE of the numerical
+// solve and of fusion.
+type fig7Point struct{ numMAE, fusMAE float64 }
+
 // runFig7 reproduces the trade-off study: for solver iteration
 // budgets k = 1..10, compare the pure numerical simulator
 // (PowerRush-style budgeted PCG) against IR-Fusion whose rough stage
@@ -23,8 +27,7 @@ func runFig7(e *env_, outDir string) error {
 		"numerical_runtime_s", "fusion_runtime_s")
 
 	log.Printf("%5s %16s %14s %16s %12s", "iters", "PowerRush MAE", "PowerRush F1", "IR-Fusion MAE", "IR-Fusion F1")
-	type point struct{ numMAE, numF1, fusMAE, fusF1 float64 }
-	var curve []point
+	var curve []fig7Point
 	for k := 1; k <= 10; k++ {
 		// Pure numerical at budget k.
 		var numReps, fusReps []metrics.Report
@@ -48,7 +51,7 @@ func runFig7(e *env_, outDir string) error {
 		fusReps = ours.Evaluate(e.ctx, samples)
 		numAvg := metrics.Average(numReps)
 		fusAvg := metrics.Average(fusReps)
-		curve = append(curve, point{numAvg.MAE, numAvg.F1, fusAvg.MAE, fusAvg.F1})
+		curve = append(curve, fig7Point{numAvg.MAE, fusAvg.MAE})
 		log.Printf("%5d %16.2f %14.2f %16.2f %12.2f",
 			k, numAvg.MAE*1e4, numAvg.F1, fusAvg.MAE*1e4, fusAvg.F1)
 		tab.row(k, fmt.Sprintf("%.3f", numAvg.MAE*1e4), fmt.Sprintf("%.3f", numAvg.F1),
@@ -56,29 +59,6 @@ func runFig7(e *env_, outDir string) error {
 			fmt.Sprintf("%.4f", numAvg.Runtime), fmt.Sprintf("%.4f", fusAvg.Runtime))
 	}
 
-	// Shape checks from §IV-C: fusion F1 above numerical F1 at every
-	// budget, and fusion reaching at small k the MAE that the pure
-	// numerical method needs many more iterations for.
-	f1OK := true
-	for _, p := range curve {
-		if p.fusF1 < p.numF1 {
-			f1OK = false
-		}
-	}
-	crossover := -1
-	for k, p := range curve {
-		if p.numMAE <= curve[1].fusMAE {
-			crossover = k + 1
-			break
-		}
-	}
-	log.Printf("shape check: fusion F1 >= numerical F1 at all k: %v", f1OK)
-	if crossover > 0 {
-		log.Printf("shape check: numerical needs %d iterations to reach fusion@2 MAE (%.3g)",
-			crossover, curve[1].fusMAE)
-	} else {
-		log.Printf("shape check: numerical never reaches fusion@2 MAE (%.3g) within 10 iterations",
-			curve[1].fusMAE)
-	}
+	e.verdicts = append(e.verdicts, fig7Verdicts(curve)...)
 	return tab.write(outDir, "fig7")
 }

@@ -35,6 +35,7 @@ func runFig8(e *env_, outDir string) error {
 	tab.row("variant", "mae_1e-4V", "f1", "mae_increase_pct", "f1_decrease_pct")
 
 	var fullRep metrics.Report
+	var maes []float64
 	log.Printf("%-18s %10s %6s %10s %10s", "Variant", "MAE(1e-4V)", "F1", "ΔMAE(%)", "ΔF1(%)")
 	for _, ab := range ablations {
 		cfg := ab.mutate(e.baseConfig())
@@ -58,6 +59,7 @@ func runFig8(e *env_, outDir string) error {
 			return fmt.Errorf("%s: %w", ab.key, err)
 		}
 		avg := metrics.Average(res.Analyzer.Evaluate(e.ctx, test))
+		maes = append(maes, avg.MAE)
 		if ab.key == "full" {
 			fullRep = avg
 		}
@@ -73,5 +75,6 @@ func runFig8(e *env_, outDir string) error {
 		tab.row(ab.label, fmt.Sprintf("%.3f", avg.MAE*1e4), fmt.Sprintf("%.3f", avg.F1),
 			fmt.Sprintf("%.1f", dMAE), fmt.Sprintf("%.1f", dF1))
 	}
+	e.verdicts = append(e.verdicts, fig8Verdicts(maes)...)
 	return tab.write(outDir, "fig8")
 }

@@ -10,10 +10,16 @@
 // Modes: -mode quick (CI-sized, ~1 min) or -mode full (the default
 // experiment scale). CSVs, their markdown tables (table1.md,
 // fig6_metrics.md, fig7.md, fig8.md) and PGM images land in -out.
+//
+// The run ends with the paper gate (gate.go): each experiment judges
+// the paper's claims on its own numbers, the verdicts are logged and
+// written as gate.csv and gate.md, and the command exits 1 when a
+// gated claim fails.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -41,19 +47,9 @@ func main() {
 	)
 	flag.Parse()
 
-	sc := scaleFor(*mode)
-	if *fake > 0 {
-		sc.Fake = *fake
-	}
-	if *realN > 1 {
-		sc.RealTrain = *realN / 2
-		sc.RealTest = *realN - *realN/2
-	}
-	if *res > 0 {
-		sc.Res = *res
-	}
-	if *epoch > 0 {
-		sc.Epochs = *epoch
+	sc, err := scaleFor(*mode).override(*fake, *realN, *res, *epoch)
+	if err != nil {
+		log.Fatal(err)
 	}
 	sc.Seed = *seed
 
@@ -102,6 +98,10 @@ func main() {
 			log.Fatalf("unknown experiment %q", name)
 		}
 	}
+	failed, err := judge(env.verdicts, *out)
+	if err != nil {
+		log.Fatal(err)
+	}
 	// One process, one run: the manifest carries the process counters.
 	m := rec.Manifest("experiments", sc)
 	for name, v := range obs.GlobalCounters() {
@@ -117,6 +117,9 @@ func main() {
 		log.Printf("wrote %s", *manifest)
 	}
 	log.Printf("artifacts written to %s", mustAbs(*out))
+	if failed > 0 {
+		log.Fatalf("paper gate: %d gated claims failed", failed)
+	}
 }
 
 func mustAbs(p string) string {
@@ -152,6 +155,32 @@ func scaleFor(mode string) scale {
 	default:
 		return scale{Res: 32, Fake: 6, RealTrain: 2, RealTest: 2, Epochs: 8, Base: 4, Depth: 2, LR: 5e-3}
 	}
+}
+
+// override applies the command-line overrides, 0 keeping the mode's
+// value. Real designs split into train and test halves, so -real needs
+// at least 2; a negative count is an error too.
+func (sc scale) override(fake, realN, res, epochs int) (scale, error) {
+	if fake < 0 || realN < 0 || res < 0 || epochs < 0 {
+		return sc, fmt.Errorf("overrides must be non-negative: -fake %d -real %d -res %d -epochs %d", fake, realN, res, epochs)
+	}
+	if realN == 1 {
+		return sc, errors.New("-real 1: the real designs split into train and test, so it needs at least 2")
+	}
+	if fake > 0 {
+		sc.Fake = fake
+	}
+	if realN > 0 {
+		sc.RealTrain = realN / 2
+		sc.RealTest = realN - realN/2
+	}
+	if res > 0 {
+		sc.Res = res
+	}
+	if epochs > 0 {
+		sc.Epochs = epochs
+	}
+	return sc, nil
 }
 
 // table is one experiment's rows, header first. write stores them as

@@ -41,22 +41,6 @@ func runTable1(e *env_, outDir string) error {
 			fmt.Sprintf("%.4f", avg.Runtime), fmt.Sprintf("%.3f", avg.MIRDE*1e4), fmt.Sprintf("%.3f", avg.CC))
 	}
 
-	// Shape check mirroring the paper's headline: IR-Fusion best on
-	// the accuracy metrics.
-	ours := results["irfusion"]
-	bestBaselineMAE, bestBaselineF1 := 1e18, 0.0
-	for k, r := range results {
-		if k == "irfusion" {
-			continue
-		}
-		if r.MAE < bestBaselineMAE {
-			bestBaselineMAE = r.MAE
-		}
-		if r.F1 > bestBaselineF1 {
-			bestBaselineF1 = r.F1
-		}
-	}
-	log.Printf("shape check: IR-Fusion MAE %.3g vs best baseline %.3g (want lower); F1 %.2f vs %.2f (want higher)",
-		ours.MAE, bestBaselineMAE, ours.F1, bestBaselineF1)
+	e.verdicts = append(e.verdicts, table1Verdicts(results)...)
 	return tab.write(outDir, "table1")
 }

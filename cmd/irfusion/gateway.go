@@ -1,16 +1,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"log"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"irfusion/internal/cluster"
@@ -28,14 +21,7 @@ func cmdGateway(args []string) error {
 	addr := fs.String("addr", "localhost:8090", "listen address")
 	shardList := fs.String("shards", "",
 		"comma-separated shard fleet, name=url pairs (e.g. 'a=http://host1:8080,b=http://host2:8080')")
-	vnodes := fs.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per shard on the hash ring")
-	maxBody := fs.Int64("max-body", 8<<20, "request-body admission limit in bytes (set at or below the shards' limit)")
-	handoffs := fs.Int("handoffs", 0, "max ring-successor retries per request (0 = all successors)")
 	probeInterval := fs.Duration("probe-interval", time.Second, "shard health-probe period")
-	probeTimeout := fs.Duration("probe-timeout", 500*time.Millisecond, "per-probe timeout")
-	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive probe/forward failures that open a shard's breaker")
-	breakerCooldown := fs.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open retry")
-	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget for in-flight forwards")
 	of := addObsFlags(fs)
 	fs.Parse(args)
 
@@ -45,54 +31,17 @@ func cmdGateway(args []string) error {
 	}
 
 	_, finish := of.start("gateway", map[string]any{
-		"addr": *addr, "shards": *shardList, "vnodes": *vnodes,
-		"max_body": *maxBody, "handoffs": *handoffs,
+		"addr": *addr, "shards": *shardList,
 		"probe_interval": probeInterval.String(),
 	})
 
-	gw, err := cluster.New(cluster.Config{
-		Shards:           shards,
-		VNodes:           *vnodes,
-		MaxBodyBytes:     *maxBody,
-		MaxHandoffs:      *handoffs,
-		ProbeInterval:    *probeInterval,
-		ProbeTimeout:     *probeTimeout,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-	})
+	gw, err := cluster.New(cluster.Config{Shards: shards, ProbeInterval: *probeInterval})
 	if err != nil {
 		return err
 	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
+	banner := fmt.Sprintf("routing %d shards; POST /v1/analyze, GET /v1/cluster", len(shards))
+	if err := listenAndDrain("gateway", *addr, gw.Handler(), gw.Close, banner); err != nil {
 		return err
-	}
-	httpSrv := &http.Server{Handler: gw.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	errc := make(chan error, 1)
-	//irfusion:go-ok the listener lives as long as the process; Shutdown below ends it and errc joins it
-	go func() { errc <- httpSrv.Serve(ln) }()
-	log.Printf("gateway on http://%s routing %d shards; POST /v1/analyze, GET /v1/cluster",
-		ln.Addr(), len(shards))
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		log.Printf("%s: draining (budget %s)...", s, *drain)
-	case err := <-errc:
-		return fmt.Errorf("gateway: %w", err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("http shutdown: %v", err)
-	}
-	if err := gw.Close(ctx); err != nil {
-		log.Printf("drain incomplete: %v", err)
-	} else {
-		log.Printf("drained cleanly")
 	}
 	return finish()
 }

@@ -1,10 +1,10 @@
 // Command irfusion is the command-line front end of the IR-Fusion
 // library:
 //
-//	irfusion gen      -out design.sp [-class real] [-size 64] [-seed 1] [-config cfg.json]
+//	irfusion gen      -out design.sp [-class real] [-size 64] [-seed 1]
 //	irfusion analyze  [-spice design.sp] [-iters 0] [-model-file model.bin] [-pgm drop.pgm] [-manifest run.json]
 //	irfusion transient -spice design.sp [-h 1e-12] [-steps 100] [-burst 20]
-//	irfusion serve    [-addr localhost:8080] [-workers 2] [-queue 16] [-model-file model.bin]
+//	irfusion serve    [-addr localhost:8080] [-workers 2] [-model-file model.bin]
 //	irfusion gateway  -shards a=http://h1:8080,b=http://h2:8080 [-addr localhost:8090]
 //	irfusion train    -model irfusion [-fake 8 -real 4 -epochs 10] -out model.bin
 //	irfusion models
@@ -91,40 +91,13 @@ func cmdGen(args []string) error {
 	class := fs.String("class", "fake", "design class: fake|real")
 	size := fs.Int("size", 64, "die size in um (square)")
 	seed := fs.Int64("seed", 1, "generator seed")
-	configIn := fs.String("config", "", "JSON generator config (overrides other flags)")
-	configOut := fs.String("dump-config", "", "write the effective generator config as JSON")
 	fs.Parse(args)
 
-	var cfg pgen.Config
-	if *configIn != "" {
-		f, err := os.Open(*configIn)
-		if err != nil {
-			return err
-		}
-		cfg, err = pgen.ReadConfig(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		c := pgen.Fake
-		if *class == "real" {
-			c = pgen.Real
-		}
-		cfg = pgen.DefaultConfig("cli", c, *size, *size, *seed)
+	c := pgen.Fake
+	if *class == "real" {
+		c = pgen.Real
 	}
-	if *configOut != "" {
-		f, err := os.Create(*configOut)
-		if err != nil {
-			return err
-		}
-		err = pgen.WriteConfig(f, cfg)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		log.Printf("wrote %s", *configOut)
-	}
+	cfg := pgen.DefaultConfig("cli", c, *size, *size, *seed)
 	d, err := pgen.Generate(cfg)
 	if err != nil {
 		return err

@@ -11,8 +11,8 @@ import "irfusion/internal/sparse"
 //
 // It returns (nil, nil) when no coarsening is possible (every node
 // isolated).
-func coarsen(a *sparse.CSR, strength float64, aggressive bool) ([]int, *sparse.CSR) {
-	agg, n1 := pairwise(a, strength)
+func coarsen(a *sparse.CSR, aggressive bool) ([]int, *sparse.CSR) {
+	agg, n1 := pairwise(a)
 	if agg == nil {
 		return nil, nil
 	}
@@ -20,7 +20,7 @@ func coarsen(a *sparse.CSR, strength float64, aggressive bool) ([]int, *sparse.C
 	if !aggressive {
 		return agg, a1
 	}
-	agg2, n2 := pairwise(a1, strength)
+	agg2, n2 := pairwise(a1)
 	if agg2 == nil || n2 >= n1 {
 		return agg, a1
 	}
@@ -100,7 +100,7 @@ func galerkin(a *sparse.CSR, agg []int, nAgg int) *sparse.CSR {
 // strong negative couplings. It returns each node's aggregate and the
 // number of aggregates, or (nil, 0) when no pair could be formed at all
 // and the pass would not coarsen.
-func pairwise(a *sparse.CSR, strength float64) ([]int, int) {
+func pairwise(a *sparse.CSR) ([]int, int) {
 	n := a.Rows()
 	assign := make([]int, n)
 	for i := range assign {

@@ -51,25 +51,28 @@ func (c Cycle) String() string {
 // 24/27/28/32 against 24/27/29/29 at 48/64/128/256 µm (DESIGN.md).
 const kDepth = 1
 
+// The hierarchy's fixed parameters: the paper's only solver knob is the
+// PCG iteration budget, so nothing sets these.
+const (
+	// strength is the strong-connection threshold β: the entry a_ij is
+	// a strong connection of i when -a_ij ≥ β·max_k(-a_ik).
+	strength = 0.25
+	// maxCoarse is the size at which coarsening stops and a dense
+	// Cholesky factorization solves the coarsest level exactly.
+	maxCoarse = 64
+	// kTolerance is the K-cycle truncation threshold: the second FCG
+	// step is skipped when the first already reduced the coarse
+	// residual below kTolerance times its input norm.
+	kTolerance = 0.25
+)
+
 // Options configures hierarchy construction and cycling. Each level
 // is smoothed by one forward Gauss-Seidel sweep before and one
 // backward sweep after the coarse-grid correction; the mirrored order
 // keeps the cycle symmetric.
 type Options struct {
-	// Strength is the strong-connection threshold β: the entry a_ij is
-	// a strong connection of i when -a_ij ≥ β·max_k(-a_ik).
-	Strength float64
-	// MaxCoarse is the size at which coarsening stops and a dense
-	// Cholesky factorization solves the coarsest level exactly.
-	MaxCoarse int
-	// MaxLevels caps the hierarchy depth (0 means unlimited).
-	MaxLevels int
 	// Cycle selects V or K cycling.
 	Cycle Cycle
-	// KTolerance is the K-cycle truncation threshold: the second FCG
-	// step is skipped when the first already reduced the coarse
-	// residual below KTolerance times its input norm.
-	KTolerance float64
 	// Aggressive pairs two pairwise passes per level (aggregates of
 	// size up to 4), the "double pairwise aggregation" of PowerRush.
 	Aggressive bool
@@ -78,14 +81,7 @@ type Options struct {
 // DefaultOptions returns the configuration used by the IR-Fusion
 // pipeline: K-cycle, double pairwise aggregation.
 func DefaultOptions() Options {
-	return Options{
-		Strength:   0.25,
-		MaxCoarse:  64,
-		MaxLevels:  0,
-		Cycle:      KCycle,
-		KTolerance: 0.25,
-		Aggressive: true,
-	}
+	return Options{Cycle: KCycle, Aggressive: true}
 }
 
 // Level holds one level of the hierarchy: its operator, the
@@ -170,7 +166,7 @@ var errEmptyMatrix = errors.New("amg: empty matrix")
 var errSetup = errors.New("amg: setup failed")
 
 // Build runs the setup stage: recursive pairwise aggregation and
-// Galerkin coarse-operator construction, stopping at MaxCoarse where
+// Galerkin coarse-operator construction, stopping at maxCoarse where
 // a dense Cholesky factorization is prepared.
 func Build(a *sparse.CSR, opts Options) (*Hierarchy, error) {
 	return BuildCtx(context.Background(), a, opts)
@@ -196,15 +192,6 @@ func BuildCtx(ctx context.Context, a *sparse.CSR, opts Options) (*Hierarchy, err
 	if a.Rows() != a.Cols() {
 		return nil, errors.New("amg: matrix must be square")
 	}
-	if opts.Strength <= 0 {
-		opts.Strength = 0.25
-	}
-	if opts.MaxCoarse <= 0 {
-		opts.MaxCoarse = 64
-	}
-	if opts.KTolerance <= 0 {
-		opts.KTolerance = 0.25
-	}
 	h := &Hierarchy{opts: opts}
 	cur := a
 	for {
@@ -217,11 +204,10 @@ func BuildCtx(ctx context.Context, a *sparse.CSR, opts Options) (*Hierarchy, err
 		}
 		lvl := &Level{A: cur, dpos: dpos}
 		h.Levels = append(h.Levels, lvl)
-		if cur.Rows() <= opts.MaxCoarse ||
-			(opts.MaxLevels > 0 && len(h.Levels) >= opts.MaxLevels) {
+		if cur.Rows() <= maxCoarse {
 			break
 		}
-		agg, next := coarsen(cur, opts.Strength, opts.Aggressive)
+		agg, next := coarsen(cur, opts.Aggressive)
 		if agg == nil || next.Rows() >= cur.Rows() {
 			// Coarsening stalled; stop here and solve directly.
 			break
@@ -330,7 +316,7 @@ func (h *Hierarchy) fcgSolve(level int, parent *Level) {
 	copy(r, rhs)
 	sparse.Axpy(-t, v1, r)
 	sparse.Zero(x)
-	if sparse.Norm2(r) <= h.opts.KTolerance*sparse.Norm2(rhs) {
+	if sparse.Norm2(r) <= kTolerance*sparse.Norm2(rhs) {
 		sparse.Axpy(t, c1, x)
 		return
 	}

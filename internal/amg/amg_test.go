@@ -46,7 +46,7 @@ func TestBuildHierarchyShape(t *testing.T) {
 	if h.NumLevels() < 2 {
 		t.Fatalf("expected multilevel hierarchy, got %d levels", h.NumLevels())
 	}
-	// Sizes must strictly decrease and end at/below MaxCoarse.
+	// Sizes must strictly decrease and end at/below maxCoarse.
 	for i := 1; i < h.NumLevels(); i++ {
 		if h.Levels[i].A.Rows() >= h.Levels[i-1].A.Rows() {
 			t.Fatalf("level %d did not coarsen: %d -> %d", i,
@@ -54,8 +54,8 @@ func TestBuildHierarchyShape(t *testing.T) {
 		}
 	}
 	last := h.Levels[h.NumLevels()-1].A.Rows()
-	if last > DefaultOptions().MaxCoarse {
-		t.Errorf("coarsest level size %d exceeds MaxCoarse", last)
+	if last > maxCoarse {
+		t.Errorf("coarsest level size %d exceeds maxCoarse", last)
 	}
 	if oc := h.OperatorComplexity(); oc < 1 || oc > 3 {
 		t.Errorf("operator complexity %v outside sane range [1,3]", oc)
@@ -82,7 +82,7 @@ func TestAggregationPartition(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nx, ny := 4+rng.Intn(12), 4+rng.Intn(12)
 		a := laplacian2D(nx, ny)
-		agg, ac := coarsen(a, 0.25, true)
+		agg, ac := coarsen(a, true)
 		if agg == nil {
 			return false
 		}
@@ -110,8 +110,8 @@ func TestAggregationPartition(t *testing.T) {
 
 func TestAggressiveCoarsensFaster(t *testing.T) {
 	a := laplacian2D(32, 32)
-	_, ad := coarsen(a, 0.25, true)
-	_, as := coarsen(a, 0.25, false)
+	_, ad := coarsen(a, true)
+	_, as := coarsen(a, false)
 	if ad.Rows() >= as.Rows() {
 		t.Errorf("double pairwise (%d aggregates) should coarsen harder than single (%d)",
 			ad.Rows(), as.Rows())
@@ -255,7 +255,7 @@ func TestSolveZeroRHS(t *testing.T) {
 }
 
 func TestBuildSmallMatrixSingleLevel(t *testing.T) {
-	a := laplacian2D(4, 4) // 16 nodes < MaxCoarse
+	a := laplacian2D(4, 4) // 16 nodes < maxCoarse
 	h, err := Build(a, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +458,7 @@ func TestGalerkinMatchesDensePtAP(t *testing.T) {
 	// The maps Build uses: one and two pairwise passes on a grid.
 	a := laplacian2D(12, 9)
 	for _, aggressive := range []bool{false, true} {
-		agg, ac := coarsen(a, 0.25, aggressive)
+		agg, ac := coarsen(a, aggressive)
 		want := checkGalerkin(t, "pairwise", a, agg, ac.Rows())
 		if !slices.Equal(ac.RowPtr, want.RowPtr) || !slices.Equal(ac.ColInd, want.ColInd) {
 			t.Errorf("aggressive=%v: composed coarsening has a different pattern than PᵀAP of the composed map", aggressive)

@@ -516,7 +516,7 @@ func TestFleetClusterStatus(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 		t.Fatal(err)
 	}
-	if view.Status != "ok" || view.Ring.VNodes != DefaultVNodes || len(view.Ring.Shards) != 3 {
+	if view.Status != "ok" || view.Ring.VNodes != vnodesPerShard || len(view.Ring.Shards) != 3 {
 		t.Fatalf("cluster view header wrong: %+v", view)
 	}
 	if view.Counters["cluster.probes"] == 0 {

@@ -85,16 +85,11 @@ type Config struct {
 	// shard is skipped by breaker state, never removed from the ring,
 	// so key placement stays stable across incidents.
 	Shards []ShardSpec
-	// VNodes is the virtual-node count per shard (DefaultVNodes).
-	VNodes int
 	// MaxBodyBytes is the gateway's own admission limit, enforced
 	// before any shard is contacted. Default 8 MiB (the serve
 	// default); set it at or below the shards' limit so oversized
 	// requests die at the edge.
 	MaxBodyBytes int64
-	// MaxHandoffs bounds how many ring successors a failed request may
-	// be retried on. Default: all of them (len(Shards)-1).
-	MaxHandoffs int
 	// ProbeInterval is the health-probe period. 0 means the 1s
 	// default; negative disables the background loop entirely (tests
 	// drive probes synchronously with probeNow).
@@ -109,14 +104,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxHandoffs <= 0 || c.MaxHandoffs > len(c.Shards)-1 {
-		c.MaxHandoffs = len(c.Shards) - 1
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
@@ -212,7 +201,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:        cfg,
-		ring:       newRing(names, cfg.VNodes),
+		ring:       newRing(names),
 		shards:     shards,
 		order:      names,
 		client:     &http.Client{},
@@ -383,17 +372,13 @@ func routingKey(req *serve.AnalyzeRequest) (string, error) {
 
 // forward walks the ring successors of key, skipping shards with open
 // breakers, and retries on the next distinct shard after a transport
-// failure or a 503 — up to MaxHandoffs handoffs. The first shard to
-// produce any other response wins.
+// failure or a 503, until every successor has had its one attempt.
+// The first shard to produce any other response wins.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) {
-	maxAttempts := g.cfg.MaxHandoffs + 1
 	attempts := 0
 	prev := "" // shard whose failure the next attempt inherits
 	var tried []string
 	for _, name := range g.ring.successors(key) {
-		if attempts >= maxAttempts {
-			break
-		}
 		sh := g.shards[name]
 		if !sh.breaker.allow() {
 			continue // breaker open: out of rotation until cooldown
@@ -718,7 +703,7 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 		"status":         status,
 		"uptime_seconds": time.Since(g.start).Seconds(),
 		"ring": map[string]any{
-			"vnodes": g.cfg.VNodes,
+			"vnodes": vnodesPerShard,
 			"shards": ringShards,
 		},
 		"counters": counters,

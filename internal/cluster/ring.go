@@ -7,11 +7,11 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the number of virtual nodes each shard contributes
+// vnodesPerShard is the number of virtual nodes each shard contributes
 // to the ring. 64 points per shard keeps the key-space split within a
 // few percent of even for small fleets while the ring stays tiny
 // (N×64 points, binary-searched per request).
-const DefaultVNodes = 64
+const vnodesPerShard = 64
 
 // ring is a consistent-hash ring over named shards. Keys and shard
 // positions hash through SHA-256, so placement is deterministic across
@@ -30,19 +30,16 @@ type ringPoint struct {
 	shard int // index into shards
 }
 
-// newRing places each shard at vnodes positions (DefaultVNodes when
-// vnodes <= 0). Shard names must be unique; order does not matter —
-// placement depends only on the name strings.
-func newRing(shards []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// newRing places each shard at vnodesPerShard positions. Shard names
+// must be unique; order does not matter — placement depends only on the
+// name strings.
+func newRing(shards []string) *ring {
 	r := &ring{
 		shards: append([]string(nil), shards...),
-		points: make([]ringPoint, 0, len(shards)*vnodes),
+		points: make([]ringPoint, 0, len(shards)*vnodesPerShard),
 	}
 	for i, name := range r.shards {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < vnodesPerShard; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:  hashPoint(name + "#" + strconv.Itoa(v)),
 				shard: i,

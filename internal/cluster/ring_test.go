@@ -11,8 +11,8 @@ import (
 // TestRingDeterminism pins that placement depends only on the shard
 // name strings — never on construction order or process state.
 func TestRingDeterminism(t *testing.T) {
-	a := newRing([]string{"s0", "s1", "s2"}, 64)
-	b := newRing([]string{"s2", "s0", "s1"}, 64)
+	a := newRing([]string{"s0", "s1", "s2"})
+	b := newRing([]string{"s2", "s0", "s1"})
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		if a.Shard(key) != b.Shard(key) {
@@ -24,7 +24,7 @@ func TestRingDeterminism(t *testing.T) {
 // TestRingSuccessors checks the failover order: every shard exactly
 // once, primary first.
 func TestRingSuccessors(t *testing.T) {
-	r := newRing([]string{"s0", "s1", "s2"}, 64)
+	r := newRing([]string{"s0", "s1", "s2"})
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		succ := r.successors(key)
@@ -42,7 +42,7 @@ func TestRingSuccessors(t *testing.T) {
 			seen[s] = true
 		}
 	}
-	if newRing(nil, 4).Shard("x") != "" {
+	if newRing(nil).Shard("x") != "" {
 		t.Fatal("empty ring must return no owner")
 	}
 }
@@ -52,8 +52,8 @@ func TestRingSuccessors(t *testing.T) {
 // by one shard moves only a minority of keys (ideally ~1/N).
 func TestRingBalanceAndRemap(t *testing.T) {
 	const keys = 2000
-	three := newRing([]string{"s0", "s1", "s2"}, 64)
-	four := newRing([]string{"s0", "s1", "s2", "s3"}, 64)
+	three := newRing([]string{"s0", "s1", "s2"})
+	four := newRing([]string{"s0", "s1", "s2", "s3"})
 	counts := map[string]int{}
 	moved := 0
 	for i := 0; i < keys; i++ {
@@ -87,7 +87,7 @@ func TestRingBalanceAndRemap(t *testing.T) {
 // reshuffled every deployed fleet's cache affinity and needs a
 // deliberate migration story, not a baseline bump.
 func TestRoutingStabilityPinned(t *testing.T) {
-	r := newRing([]string{"shard0", "shard1", "shard2"}, 64)
+	r := newRing([]string{"shard0", "shard1", "shard2"})
 
 	// Pinned generator request: class fake, 16×16, seed 1.
 	pgKey, err := routingKey(&serve.AnalyzeRequest{

@@ -3,12 +3,11 @@ package pgen
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
-// JSON (de)serialization of generator configurations, so experiment
-// setups can be versioned and shared as plain files
-// (irfusion gen -config stack.json).
+// JSON (de)serialization of generator configurations: a /v1/analyze
+// request carries its design as a "pgen" object, and clients build one
+// with json.Marshal.
 
 // configJSON mirrors Config with string enums for readability.
 type configJSON struct {
@@ -94,18 +93,4 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		})
 	}
 	return nil
-}
-
-// WriteConfig serializes a generator configuration as indented JSON.
-func WriteConfig(w io.Writer, c Config) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c)
-}
-
-// ReadConfig parses a generator configuration from JSON.
-func ReadConfig(r io.Reader) (Config, error) {
-	var c Config
-	err := json.NewDecoder(r).Decode(&c)
-	return c, err
 }

@@ -1,9 +1,8 @@
 package pgen
 
 import (
-	"bytes"
+	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 
 	"irfusion/internal/amg"
@@ -217,12 +216,12 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg := DefaultConfig("json", Real, 48, 48, 11)
-	var buf bytes.Buffer
-	if err := WriteConfig(&buf, cfg); err != nil {
+	raw, err := json.Marshal(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadConfig(&buf)
-	if err != nil {
+	var back Config
+	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
 	d1, err := Generate(cfg)
@@ -239,14 +238,15 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 }
 
 func TestConfigJSONErrors(t *testing.T) {
-	if _, err := ReadConfig(strings.NewReader(`{"class":"weird"}`)); err == nil {
-		t.Error("expected unknown-class error")
-	}
-	if _, err := ReadConfig(strings.NewReader(`{"layers":[{"dir":"diagonal"}]}`)); err == nil {
-		t.Error("expected unknown-direction error")
-	}
-	if _, err := ReadConfig(strings.NewReader(`not json`)); err == nil {
-		t.Error("expected parse error")
+	for body, want := range map[string]string{
+		`{"class":"weird"}`:               "unknown-class error",
+		`{"layers":[{"dir":"diagonal"}]}`: "unknown-direction error",
+		`not json`:                        "parse error",
+	} {
+		var c Config
+		if err := json.Unmarshal([]byte(body), &c); err == nil {
+			t.Errorf("%s: expected %s", body, want)
+		}
 	}
 }
 

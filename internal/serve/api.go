@@ -83,7 +83,7 @@ type AnalyzeRequest struct {
 	Async bool `json:"async,omitempty"`
 	// TimeoutMS bounds the job's wall time; on expiry the solver
 	// stops mid-iteration and the job fails with a partial manifest.
-	// 0 uses the server's default timeout.
+	// 0 uses the server's 2-minute default.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// IncludeMap returns the full row-major drop map (resolution²
 	// float64s) in the result, not just its summary statistics.
@@ -122,22 +122,18 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metricsz", s.handleMetricsz)
 }
 
-// jobContext derives a job's context from the server base context: a
-// timeout context when the request or the server default bounds the
-// job, a plain cancel context otherwise. Built in a single step so
-// exactly one cancel func exists per job — the old two-step form
-// (WithCancel, then conditionally reassigning from WithTimeout)
-// abandoned its first context, leaving it registered on baseCtx for
-// the life of the server.
+// jobContext derives a job's context from the server base context,
+// bounded by the request's timeout_ms or else defaultTimeout. Built in
+// a single step so exactly one cancel func exists per job — the old
+// two-step form (WithCancel, then conditionally reassigning from
+// WithTimeout) abandoned its first context, leaving it registered on
+// baseCtx for the life of the server.
 func (s *Server) jobContext(timeoutMS int) (context.Context, context.CancelFunc) {
-	timeout := s.cfg.DefaultTimeout
+	timeout := defaultTimeout
 	if timeoutMS > 0 {
 		timeout = time.Duration(timeoutMS) * time.Millisecond
 	}
-	if timeout > 0 {
-		return context.WithTimeout(s.baseCtx, timeout)
-	}
-	return context.WithCancel(s.baseCtx)
+	return context.WithTimeout(s.baseCtx, timeout)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -61,6 +61,10 @@ var (
 // evicted beyond it.
 const maxJobs = 256
 
+// defaultTimeout bounds each job's context when the request does not
+// set timeout_ms.
+const defaultTimeout = 2 * time.Minute
+
 // Config sizes the service. Zero values take the documented defaults.
 type Config struct {
 	// Name is the shard identity of this server in a cluster: it
@@ -83,23 +87,14 @@ type Config struct {
 	// request may ask for, bounding per-job memory and CPU. Default
 	// 256.
 	MaxDesignSize int
-	// DefaultTimeout bounds each job's context when the request does
-	// not set timeout_ms. Zero means no default timeout.
-	DefaultTimeout time.Duration
 	// Analyzer, when non-nil, enables "fused" mode with this trained
 	// pipeline. The model instance is shared and only read: New puts it
 	// in eval mode once, after which inference is reentrant. Do not
 	// train or toggle the model while the server runs.
 	Analyzer *core.Analyzer
-	// CacheBytes bounds the per-process artifact cache shared by all
-	// workers (ECO-loop requests hit it for warm starts and response
-	// reuse). 0 takes cache.DefaultMaxBytes; set DisableCache to turn
-	// caching off entirely.
-	CacheBytes int64
-	// CacheTTL bounds cached-artifact age. 0 takes cache.DefaultTTL.
-	CacheTTL time.Duration
-	// DisableCache turns the artifact cache off: every request runs
-	// the full cold path.
+	// DisableCache turns the per-process artifact cache off: every
+	// request runs the full cold path. The cache, when on, has the
+	// cache package's default size and entry lifetime.
 	DisableCache bool
 	// JournalDir enables the write-ahead job journal: every job
 	// lifecycle transition is appended there, solver checkpoints are
@@ -181,7 +176,7 @@ func New(cfg Config) *Server {
 		// is that worker B's ECO re-check warm-starts off worker A's
 		// solve. Cached hierarchies are cloned per use (see amg.Clone),
 		// so sharing is race-free.
-		s.cache = cache.New(cfg.CacheBytes, cfg.CacheTTL)
+		s.cache = cache.New(0, 0)
 	}
 	if cfg.Analyzer != nil {
 		// Eval mode is what makes the workers' concurrent forward passes
