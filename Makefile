@@ -210,7 +210,17 @@ loc: ## non-test Go and assembly lines per package and the total
 # KTolerance), internal/serve 1610 -> 1601 (DefaultTimeout, CacheBytes,
 # CacheTTL); net of cmd/experiments 695 -> 805, the paper gate
 # (gate.go and the -real check).
-LOC_CEILING ?= 19100
+# Lowered to 18500 (total 19095 -> 18453) when mid-solve checkpoints
+# went and a requeued or recovered job re-runs its solve: internal/cache
+# 983 -> 739 (the checkpoint store, lookup, decoder and writer),
+# internal/serve 1601 -> 1474 (blob recovery and drop, the notify hook,
+# CheckpointEvery, DisableCache and the uncached fork), internal/plan
+# 442 -> 369 (the resume rung), internal/obs 826 -> 764 (the resume
+# section), internal/solver 447 -> 387 (the snapshot sink), internal/journal
+# 603 -> 549 (LoadBlob, DropBlob), internal/core 613 -> 600,
+# internal/faults 206 -> 199 (two sites, one action), cmd/irfusion
+# 618 -> 616 (-checkpoint-every).
+LOC_CEILING ?= 18500
 
 loc-check: ## fail when the non-test Go + assembly line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \

@@ -314,45 +314,6 @@ func BenchmarkSolverSpMV(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointOverhead prices crash durability: the same
-// converged AMG-PCG solve with checkpointing off versus snapshotting
-// every 8 iterations through the real serving-path sink (copy the
-// iterate, store into an artifact cache, gob-encode for the durable
-// blob, hand the bytes to the notify hook). The bench.baseline ratio
-// gate holds off/on ≥ 0.95 — checkpointing may cost at most ~5% of
-// the solve.
-func BenchmarkCheckpointOverhead(b *testing.B) {
-	f := benchFixtures(b)
-	run := func(b *testing.B, opts solver.Options) {
-		x := make([]float64, f.sys.N())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range x {
-				x[j] = 0
-			}
-			res, err := solver.PCG(f.sys.G, x, f.sys.I, f.hier, opts)
-			if err != nil || !res.Converged {
-				b.Fatalf("err=%v converged=%v", err, res.Converged)
-			}
-		}
-	}
-	b.Run("off", func(b *testing.B) {
-		run(b, solver.DefaultOptions())
-	})
-	b.Run("on", func(b *testing.B) {
-		sink := &cache.CheckpointWriter{
-			Cache:       cache.New(0, 0),
-			Fingerprint: "bench-ckpt",
-			Shape:       cache.CheckpointShape("amg", "full", "auto", 0),
-			Notify:      func(string, []byte) {},
-		}
-		opts := solver.DefaultOptions()
-		opts.CheckpointEvery = 8
-		opts.CheckpointSink = sink
-		run(b, opts)
-	})
-}
-
 // --- Front end and features ------------------------------------------
 
 func BenchmarkSpiceParse(b *testing.B) {

@@ -34,16 +34,14 @@ func cmdServe(args []string) error {
 	modelFile := fs.String("model-file", "", "trained checkpoint enabling fused mode")
 	journalDir := fs.String("journal-dir", "", "write-ahead job journal directory (enables crash recovery; empty = off)")
 	journalSync := fs.String("journal-sync", "", "journal fsync policy: always (default) or none")
-	ckptEvery := fs.Int("checkpoint-every", 0, "solver checkpoint interval in PCG iterations (0 = default 32, negative = off)")
 	of := addObsFlags(fs)
 	fs.Parse(args)
 
 	cfg := serve.Config{
-		Name:            *name,
-		Workers:         *workers,
-		JournalDir:      *journalDir,
-		JournalSync:     *journalSync,
-		CheckpointEvery: *ckptEvery,
+		Name:        *name,
+		Workers:     *workers,
+		JournalDir:  *journalDir,
+		JournalSync: *journalSync,
 	}
 	if *modelFile != "" {
 		f, err := os.Open(*modelFile)

@@ -11,9 +11,8 @@ import (
 )
 
 // GuardTol is the relative residual at which a reused iterate counts
-// as a solution of the freshly assembled system: the floor of the
-// resume rung's checkpoint guard, and the agreement every reuse path
-// is tested to against a cold solve. Golden solves converge to 1e-10,
+// as a solution of the freshly assembled system: the agreement every
+// reuse path is tested to against a cold solve. Golden solves converge to 1e-10,
 // two orders of margin below it.
 const GuardTol = 1e-8
 

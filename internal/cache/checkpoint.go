@@ -1,145 +1,18 @@
 package cache
 
 import (
-	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 
-	"irfusion/internal/faults"
 	"irfusion/internal/solver"
 )
 
-// Checkpoint artifacts: mid-solve snapshots keyed by design
-// fingerprint ⊕ request shape, living in the same byte-bounded
-// artifact cache as system artifacts. They power two recovery paths,
-// both within one serving process's cache: a job requeued after a
-// worker panic finds the snapshot its first run left, and a restarted
-// process reloads journaled checkpoint blobs into its cache. Either way
-// the resume rung (plan.RungAMGResume) finds the snapshot by key,
-// validates it with a residual guard, and continues the solve from Iter
-// instead of iteration 0.
-
-// CheckpointGuardFactor relaxes the resume residual guard relative to
-// the checkpoint's own recorded residual: a mid-solve iterate is far
-// from converged by construction, so the guard cannot demand GuardTol
-// — instead the recomputed residual must land within this factor of
-// what the snapshot claims (plus float slack). A corrupt or foreign
-// iterate recomputes orders of magnitude off and is rejected.
-const CheckpointGuardFactor = 2.0
-
-// CheckpointArtifact is one cached solver snapshot plus the identity
-// needed to match it to a future request.
-type CheckpointArtifact struct {
-	Fingerprint string // design fingerprint the solve belongs to
-	Shape       string // request shape (see CheckpointShape)
-	N           int    // iterate length (reduced system dimension)
-	State       solver.Checkpoint
-}
-
-// sizeBytes estimates the artifact's cache footprint.
-func (a *CheckpointArtifact) SizeBytes() int64 {
-	if a == nil {
-		return 0
-	}
-	return 256 + int64(len(a.State.X)+len(a.State.HistoryTail))*8
-}
-
-// CheckpointKey is the cache key of the checkpoint for fingerprint fp
-// under request shape.
-func CheckpointKey(fp, shape string) string { return "ckpt|" + fp + "|" + shape }
-
-// CheckpointShape canonicalizes the request fields that decide
-// whether a checkpoint is resumable by a solve: the preconditioner
-// family and the iteration budget. Two requests with the same
-// fingerprint and shape run the same solve, so one may resume the
-// other's checkpoint.
-//
-// The constant "prec=full" and "fmt=auto" segments keep the key
-// byte-for-byte what blobs already on disk are stored under. The two
-// ignored parameters are there because the frozen _bench/layers.go
-// passes four arguments; they go with ROADMAP item 1(b).
-func CheckpointShape(precond, _, _ string, iters int) string {
-	if precond == "" {
-		precond = "amg"
-	}
-	return fmt.Sprintf("precond=%s,prec=full,fmt=auto,iters=%d", precond, iters)
-}
-
-// StoreCheckpoint stores art under its fingerprint⊕shape key. The
-// faults site checkpoint.save fires on every store: latency faults
-// sleep cooperatively (simulating slow durable media — a cancelled
-// context abandons the store), ActFail drops the snapshot silently
-// (the solve must still complete; it just loses resumability).
-func StoreCheckpoint(ctx context.Context, c *Cache, art *CheckpointArtifact) {
-	if c == nil || art == nil || art.Fingerprint == "" {
-		return
-	}
-	if f := faults.ActiveOr(ctx).Fire(faults.SiteCheckpointSave, art.State.Label); f != nil {
-		if f.Action == faults.ActFail {
-			return
-		}
-		if err := f.Sleep(ctx); err != nil {
-			return
-		}
-	}
-	c.Put(CheckpointKey(art.Fingerprint, art.Shape), art, art.SizeBytes(), "")
-}
-
-// LookupCheckpoint returns the checkpoint cached for fp under shape,
-// or nil. The faults site checkpoint.restore fires on every lookup
-// that found an entry: ActFail reports a miss, ActCorrupt returns a
-// copy whose iterate is poisoned — the resume rung's residual guard
-// must reject it and fall through to the cold ladder.
-func LookupCheckpoint(ctx context.Context, c *Cache, fp, shape string) *CheckpointArtifact {
-	if c == nil || fp == "" {
-		return nil
-	}
-	v, ok := c.Get(CheckpointKey(fp, shape))
-	if !ok {
-		return nil
-	}
-	art, ok := v.(*CheckpointArtifact)
-	if !ok {
-		return nil
-	}
-	if f := faults.ActiveOr(ctx).Fire(faults.SiteCheckpointRestore, art.State.Label); f != nil {
-		switch f.Action {
-		case faults.ActFail:
-			return nil
-		case faults.ActCorrupt:
-			// Same poisoning scheme as FindWarmStart's stale fault: shift
-			// the iterate so the recomputed residual explodes past the
-			// guard while every value stays finite.
-			bad := *art
-			bad.State.X = append([]float64(nil), art.State.X...)
-			for i := range bad.State.X {
-				bad.State.X[i] += 1 + float64(i%3)
-			}
-			return &bad
-		}
-	}
-	return art
-}
-
-// DropCheckpoint removes the checkpoint cached for fp under shape —
-// called after the solve it belonged to completes, so a finished
-// job's snapshot cannot shadow a later identical request.
-func DropCheckpoint(c *Cache, fp, shape string) {
-	if c == nil || fp == "" {
-		return
-	}
-	c.Drop(CheckpointKey(fp, shape))
-}
-
-// Durable encoding: a hand-rolled little-endian binary format rather
-// than gob, because EncodeCheckpoint sits on the solve's checkpoint
-// cadence — the snapshot copy plus this encode is the entire
-// per-interval overhead, and gob's reflection walk was the dominant
-// term (BenchmarkCheckpointOverhead gates the total at <5% of the
-// solve). The journal's blob store holds the bytes opaquely; cache
-// stays the single owner of the artifact schema.
+// Checkpoint encoding: the layout of the mid-solve snapshots an older
+// release kept. No solve takes or restores one any more; these names
+// stay, bytes unchanged, only because the frozen _bench/layers.go
+// encodes one snapshot to time a journal blob save. They go with
+// ROADMAP item 1(b).
 //
 //	"IRCK" 0x01 | fingerprint | shape | u64 N
 //	| X | u64 iter | f64 residual | historyTail
@@ -150,15 +23,35 @@ func DropCheckpoint(c *Cache, fp, shape string) {
 var ckptMagic = []byte{'I', 'R', 'C', 'K', 1}
 
 // ckptReservedFormat and ckptReserved fill the last two string slots
-// of layout version 1 (once the storage format and the precision),
-// which blobs already on disk carry: the encoder writes them, the
-// decoder reads past them.
+// of layout version 1 (once the storage format and the precision).
 const (
 	ckptReservedFormat = "auto"
 	ckptReserved       = "full"
 )
 
-const ckptMaxField = 1 << 30 // sanity bound on any decoded length
+// CheckpointArtifact is one solver snapshot plus the identity an older
+// release matched it by.
+type CheckpointArtifact struct {
+	Fingerprint string // design fingerprint the solve belongs to
+	Shape       string // request shape (see CheckpointShape)
+	N           int    // iterate length (reduced system dimension)
+	State       solver.Checkpoint
+}
+
+// CheckpointKey is the key of the checkpoint for fingerprint fp under
+// request shape.
+func CheckpointKey(fp, shape string) string { return "ckpt|" + fp + "|" + shape }
+
+// CheckpointShape canonicalizes the request fields a checkpoint was
+// keyed by: the preconditioner family and the iteration budget. The
+// constant "prec=full" and "fmt=auto" segments and the two ignored
+// parameters keep the key and the call of _bench/layers.go as they were.
+func CheckpointShape(precond, _, _ string, iters int) string {
+	if precond == "" {
+		precond = "amg"
+	}
+	return fmt.Sprintf("precond=%s,prec=full,fmt=auto,iters=%d", precond, iters)
+}
 
 // EncodeCheckpoint serializes art for durable storage.
 func EncodeCheckpoint(art *CheckpointArtifact) ([]byte, error) {
@@ -191,39 +84,6 @@ func EncodeCheckpoint(art *CheckpointArtifact) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeCheckpoint is the inverse of EncodeCheckpoint. Arbitrary or
-// damaged bytes return an error, never a panic — restart recovery
-// feeds journaled blobs straight in.
-func DecodeCheckpoint(data []byte) (*CheckpointArtifact, error) {
-	d := &ckptDecoder{buf: data}
-	magic := d.bytes(len(ckptMagic))
-	if d.err == nil && !bytes.Equal(magic, ckptMagic) {
-		d.err = fmt.Errorf("bad magic")
-	}
-	art := &CheckpointArtifact{}
-	art.Fingerprint = d.string()
-	art.Shape = d.string()
-	art.N = int(d.uint64())
-	st := &art.State
-	st.X = d.floats()
-	st.Iter = int(d.uint64())
-	st.Residual = d.float64()
-	st.HistoryTail = d.floats()
-	st.Tol = d.float64()
-	st.MaxIter = int(d.uint64())
-	st.Flexible = d.byte() != 0
-	st.Label = d.string()
-	d.string() // the two reserved slots
-	d.string()
-	if d.err == nil && len(d.buf) != 0 {
-		d.err = fmt.Errorf("%d trailing bytes", len(d.buf))
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("cache: decode checkpoint: %w", d.err)
-	}
-	return art, nil
-}
-
 func appendString(buf []byte, s string) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s)))
 	return append(buf, s...)
@@ -235,107 +95,4 @@ func appendFloats(buf []byte, v []float64) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 	}
 	return buf
-}
-
-// ckptDecoder consumes the encoded buffer front to back; the first
-// failure sticks and every later read returns zero values.
-type ckptDecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *ckptDecoder) bytes(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || n > ckptMaxField || n > len(d.buf) {
-		d.err = fmt.Errorf("truncated (want %d bytes, have %d)", n, len(d.buf))
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
-}
-
-func (d *ckptDecoder) uint64() uint64 {
-	b := d.bytes(8)
-	if d.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *ckptDecoder) byte() byte {
-	b := d.bytes(1)
-	if d.err != nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *ckptDecoder) float64() float64 { return math.Float64frombits(d.uint64()) }
-
-func (d *ckptDecoder) string() string {
-	n := d.uint64()
-	if d.err == nil && n > ckptMaxField {
-		d.err = fmt.Errorf("absurd string length %d", n)
-		return ""
-	}
-	return string(d.bytes(int(n)))
-}
-
-func (d *ckptDecoder) floats() []float64 {
-	n := d.uint64()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > ckptMaxField/8 || int(n)*8 > len(d.buf) {
-		d.err = fmt.Errorf("absurd float count %d for %d remaining bytes", n, len(d.buf))
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.float64()
-	}
-	return out
-}
-
-// CheckpointWriter adapts the cache to solver.CheckpointSink: each
-// snapshot the solver hands over is stored under Fingerprint⊕Shape
-// (replacing the previous one — only the newest snapshot matters) and
-// optionally forwarded to Notify, which the serving layer uses to
-// persist the snapshot durably (journal blob + checkpoint record).
-type CheckpointWriter struct {
-	Ctx         context.Context // faults/obs resolution context of the solve
-	Cache       *Cache
-	Fingerprint string
-	Shape       string
-	// Notify, when non-nil, receives the cache key and the encoded
-	// artifact after each store — the durable-persistence hook.
-	Notify func(key string, encoded []byte)
-}
-
-// SaveCheckpoint implements solver.CheckpointSink.
-func (w *CheckpointWriter) SaveCheckpoint(cp solver.Checkpoint) {
-	if w == nil || w.Fingerprint == "" {
-		return
-	}
-	ctx := w.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	art := &CheckpointArtifact{
-		Fingerprint: w.Fingerprint,
-		Shape:       w.Shape,
-		N:           len(cp.X),
-		State:       cp,
-	}
-	StoreCheckpoint(ctx, w.Cache, art)
-	if w.Notify != nil {
-		encoded, err := EncodeCheckpoint(art)
-		if err != nil {
-			return // never let persistence trouble touch the solve
-		}
-		w.Notify(CheckpointKey(w.Fingerprint, w.Shape), encoded)
-	}
 }

@@ -216,8 +216,8 @@ func TestRoutingFingerprintECOInvariance(t *testing.T) {
 // refCanonical is the canonicaliser canonicalTo replaced (PR 25) — one
 // concatenated string per card, sort.Strings, strings.Join — kept as the
 // oracle: the canonical bytes of every netlist must not move, because
-// every durable key (checkpoint blobs, journal recovery, the admit|,
-// sys| and resp| entries) is a hash of them.
+// every durable key (journal recovery, the admit|, sys| and resp|
+// entries) is a hash of them.
 func refCanonical(nl *spice.Netlist, values bool) string {
 	if nl == nil {
 		return ""
@@ -385,8 +385,8 @@ func fuzzNetlist(data []byte) *spice.Netlist {
 
 // TestFingerprintGoldenDigests pins the two design digests to values
 // recorded at PR 24 (commit 3d62989), before the canonicaliser was
-// rewritten. Checkpoint blob keys, journal recovery and every cache entry
-// derive from them: never re-record these for a speed change.
+// rewritten. Journal recovery and every cache entry derive from them:
+// never re-record these for a speed change.
 func TestFingerprintGoldenDigests(t *testing.T) {
 	for _, g := range []struct {
 		size            int

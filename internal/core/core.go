@@ -503,9 +503,9 @@ func hotspotWeights(y *nn.Tensor) *nn.Tensor {
 // the Fig-7 comparison is engine-for-engine fair.
 //
 // Solves run on the degradation ladder of internal/plan (plan.Rungs is
-// the policy: cache hit → resume → warm start, as the request and the
-// cache allow, then the one cold rung): a failing cache rung is
-// abandoned for the next, a failing cold rung exhausts the ladder, and
+// the policy: a warm start, as the request and the cache allow, then
+// the one cold rung): a failing warm rung is abandoned for the cold
+// one, a failing cold rung exhausts the ladder, and
 // the outcome is recorded in the run manifest's degradation section.
 type NumericalAnalyzer struct {
 	Iters      int
@@ -519,21 +519,10 @@ type NumericalAnalyzer struct {
 	// AnalyzeCtx refuses any value but "" and "auto". Shim for the frozen
 	// _bench/layers.go; goes with ROADMAP item 1(b).
 	Format string
-	// CheckpointEvery enables solver checkpointing on converged cached
-	// analyses: every CheckpointEvery PCG iterations the solve snapshots
-	// its iterate into the artifact cache under fingerprint⊕shape, and
-	// the ladder gains a resume rung (plan.RungAMGResume) when a
-	// matching snapshot already exists — a crashed or handed-off solve
-	// continues from its last checkpoint instead of iteration 0. 0
-	// disables checkpointing. Requires an artifact cache bound to the
-	// context; budgeted solves (Iters > 0) never checkpoint — they run
-	// cold by design.
+	// CheckpointEvery selects nothing: no solve takes snapshots, and any
+	// value is ignored. Shim for the frozen _bench/layers.go; goes with
+	// ROADMAP item 1(b).
 	CheckpointEvery int
-	// OnCheckpoint, when non-nil, additionally receives each stored
-	// checkpoint's cache key and binary encoding
-	// (cache.EncodeCheckpoint) — the durable-persistence hook the
-	// serving layer points at its journal's blob store.
-	OnCheckpoint func(key string, encoded []byte)
 	// Fingerprint is the analysed design's cache.DesignFingerprint when
 	// the caller already holds it (the server's admission does); empty
 	// means AnalyzeCtx computes it if the artifact cache applies.
@@ -549,14 +538,13 @@ type NumericalAnalyzer struct {
 //
 // Converged analyses (Iters <= 0) are addressed by design fingerprint
 // in the artifact cache bound to ctx (cache.FromContext), which lets the
-// ladder open with the cache rungs: a checkpoint of this solve resumes
-// it, and the closest cached solve within cache.DefaultWarmDelta — the
-// design itself at delta 0 — warm-starts it under the donor's cloned
-// hierarchy; either one failing degrades to the cold AMG rung via the
-// usual ladder mechanics. Budgeted analyses (Iters > 0)
-// always run cold: their per-iteration progress is the quantity under
-// study in the Fig-7 trade-off, so caching would corrupt the
-// comparison.
+// ladder open with the warm rung: the closest cached solve within
+// cache.DefaultWarmDelta — the design itself at delta 0 — warm-starts
+// it under the donor's cloned hierarchy; a failing warm start degrades
+// to the cold AMG rung via the usual ladder mechanics. Budgeted
+// analyses (Iters > 0) always run cold: their per-iteration progress
+// is the quantity under study in the Fig-7 trade-off, so caching would
+// corrupt the comparison.
 func (n *NumericalAnalyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*grid.Map, time.Duration, float64, error) {
 	if n.Precision != "" && n.Precision != "full" {
 		return nil, 0, 0, fmt.Errorf("core: precision %q: every solve is full precision", n.Precision)
@@ -589,7 +577,6 @@ func (n *NumericalAnalyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*gr
 			}
 			return cache.DesignFingerprint(d)
 		},
-		CheckpointEvery: n.CheckpointEvery, OnCheckpoint: n.OnCheckpoint,
 	})
 	if err != nil {
 		return nil, 0, 0, err

@@ -43,15 +43,9 @@ const (
 	SiteClusterProbe   = "cluster.probe"   // shard health probe in the gateway
 	SiteClusterForward = "cluster.forward" // request forward in the gateway
 
-	// Durability sites fire in the crash-recovery layer:
-	// journal.append at every write-ahead journal append (labeled with
-	// the record type), checkpoint.save when a solver checkpoint is
-	// persisted, and checkpoint.restore when a cached/journaled
-	// checkpoint is loaded for a resume — ActCorrupt there poisons the
-	// restored iterate so the resume residual guard must reject it.
-	SiteJournalAppend     = "journal.append"     // WAL append in internal/journal
-	SiteCheckpointSave    = "checkpoint.save"    // checkpoint persistence in internal/cache
-	SiteCheckpointRestore = "checkpoint.restore" // checkpoint restore in internal/cache
+	// The durability site fires in the crash-recovery layer at every
+	// write-ahead journal append, labeled with the record type.
+	SiteJournalAppend = "journal.append" // WAL append in internal/journal
 )
 
 // Actions a fired fault can request. The call site interprets them;
@@ -66,7 +60,6 @@ const (
 	ActPanic      = "panic"      // panic inside the instrumented goroutine
 	ActStale      = "stale"      // serve a corrupted copy of a cache entry (guards must catch it)
 	ActTorn       = "torn"       // tear a journal append mid-frame, as if the process crashed
-	ActCorrupt    = "corrupt"    // poison a restored checkpoint (the resume guard must catch it)
 )
 
 // Rule is one fault a test arms: Action at Site, only for arrivals

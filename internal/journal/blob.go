@@ -4,31 +4,21 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"os"
 	"path/filepath"
 )
 
-// Checkpoint blobs: the (possibly megabytes-large) solver state of an
-// in-flight job is stored beside the log under <dir>/checkpoints/, one
-// file per key, written atomically (temp file + rename + fsync) so a
-// crash mid-save leaves either the previous blob or none — never a
-// half-written one. The log never names a blob: the serving layer
-// derives the key from the journaled request. The blob payload is
-// opaque bytes (cache.EncodeCheckpoint's binary form), framed with the
-// owning key and a CRC so a restart can verify integrity and key
-// identity before trusting it.
+// Checkpoint blobs: one file per key under <dir>/checkpoints/,
+// written atomically (temp file + rename + fsync) so a crash mid-save
+// leaves either the previous blob or none. Nothing reads them: no
+// solve resumes from a snapshot any more, and a checkpoints/ directory
+// an older release left is inert. SaveBlob stays, bytes unchanged,
+// only because the frozen _bench/layers.go times one save; it goes
+// with ROADMAP item 1(b).
 
 // blobDir is the subdirectory holding checkpoint blobs.
 const blobDir = "checkpoints"
-
-// ErrNoBlob is returned by LoadBlob when no blob exists under the key.
-var ErrNoBlob = errors.New("journal: no checkpoint blob")
-
-// errBlobCorrupt is returned by LoadBlob when the stored blob fails
-// its CRC or key check — the caller should fall back to a cold solve.
-var errBlobCorrupt = errors.New("journal: checkpoint blob corrupt")
 
 // blobPath maps a checkpoint key (free-form text) onto a filename via
 // FNV-1a, with the key itself stored inside the blob for verification.
@@ -76,49 +66,6 @@ func (j *Journal) SaveBlob(key string, data []byte) error {
 	if err := os.Rename(tmpName, j.blobPath(key)); err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("journal: publish blob: %w", err)
-	}
-	return nil
-}
-
-// LoadBlob reads and verifies the blob stored under key. Missing blobs
-// return ErrNoBlob; CRC or key mismatches return errBlobCorrupt.
-func (j *Journal) LoadBlob(key string) ([]byte, error) {
-	raw, err := os.ReadFile(j.blobPath(key))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%w: %s", ErrNoBlob, key)
-		}
-		return nil, fmt.Errorf("journal: read blob: %w", err)
-	}
-	if len(raw) < frameHeader {
-		return nil, fmt.Errorf("%w: short frame", errBlobCorrupt)
-	}
-	length := binary.BigEndian.Uint32(raw[0:4])
-	want := binary.BigEndian.Uint32(raw[4:8])
-	if int(length) != len(raw)-frameHeader {
-		return nil, fmt.Errorf("%w: length mismatch", errBlobCorrupt)
-	}
-	body := raw[frameHeader:]
-	if crc32.ChecksumIEEE(body) != want {
-		return nil, fmt.Errorf("%w: crc mismatch", errBlobCorrupt)
-	}
-	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: missing key header", errBlobCorrupt)
-	}
-	keyLen := binary.BigEndian.Uint32(body[0:4])
-	if int(keyLen) > len(body)-4 {
-		return nil, fmt.Errorf("%w: key length out of range", errBlobCorrupt)
-	}
-	if string(body[4:4+keyLen]) != key {
-		return nil, fmt.Errorf("%w: key mismatch (hash collision or tampering)", errBlobCorrupt)
-	}
-	return body[4+keyLen:], nil
-}
-
-// DropBlob removes the blob stored under key (no-op when absent).
-func (j *Journal) DropBlob(key string) error {
-	if err := os.Remove(j.blobPath(key)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("journal: drop blob: %w", err)
 	}
 	return nil
 }

@@ -3,9 +3,8 @@
 // survives process crashes. A serving process appends one record per
 // lifecycle transition (accepted, started, requeued, finished,
 // cancelled, failed); after a crash, replaying the journal tells the
-// restarted process exactly which jobs were in flight. Where their
-// solves left off is in the checkpoint blobs beside the log (blob.go),
-// found by a key the accepted record's request determines.
+// restarted process exactly which jobs were in flight, and the
+// accepted record's request is enough to run each one again.
 //
 // # On-disk format
 //

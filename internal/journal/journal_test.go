@@ -371,8 +371,9 @@ func TestFoldOrphans(t *testing.T) {
 	}
 }
 
-// TestBlobRoundTrip: blobs survive save/load, replace on re-save, and
-// report missing and corrupt states distinctly.
+// TestBlobRoundTrip: a saved blob is published whole under its key,
+// a re-save replaces it, no temp file is left beside it, and an empty
+// key is refused.
 func TestBlobRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := Open(dir, Options{}, nil)
@@ -382,47 +383,25 @@ func TestBlobRoundTrip(t *testing.T) {
 	defer j.Close()
 
 	const key = "ckpt|fingerprint|precond=amg"
-	if _, err := j.LoadBlob(key); !errors.Is(err, ErrNoBlob) {
-		t.Fatalf("missing blob: %v, want ErrNoBlob", err)
+	for _, state := range []string{"state-v1", "state-v2"} {
+		if err := j.SaveBlob(key, []byte(state)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := j.SaveBlob(key, []byte("state-v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.SaveBlob(key, []byte("state-v2")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := j.LoadBlob(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "state-v2" {
-		t.Fatalf("blob %q, want the re-saved state-v2", got)
-	}
-
-	// Bit rot must be detected by the CRC.
 	raw, err := os.ReadFile(j.blobPath(key))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)-1] ^= 0x01
-	if err := os.WriteFile(j.blobPath(key), raw, 0o644); err != nil {
+	body := append(append([]byte{0, 0, 0, byte(len(key))}, key...), "state-v2"...)
+	if !bytes.Equal(raw, encodeFrame(body)) {
+		t.Fatalf("published blob %q, want the framed re-saved state-v2", raw)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, blobDir))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.LoadBlob(key); !errors.Is(err, errBlobCorrupt) {
-		t.Fatalf("corrupt blob: %v, want errBlobCorrupt", err)
-	}
-
-	if err := j.SaveBlob(key, []byte("state-v3")); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.DropBlob(key); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.DropBlob(key); err != nil {
-		t.Fatal(err) // dropping a missing blob is a no-op
-	}
-	if _, err := j.LoadBlob(key); !errors.Is(err, ErrNoBlob) {
-		t.Fatalf("dropped blob: %v, want ErrNoBlob", err)
+	if len(entries) != 1 {
+		t.Fatalf("blob dir holds %d files, want the one published blob and no temp file", len(entries))
 	}
 	if err := j.SaveBlob("", nil); err == nil {
 		t.Fatal("empty blob key accepted")

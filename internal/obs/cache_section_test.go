@@ -27,7 +27,7 @@ func TestCacheSectionTallies(t *testing.T) {
 		CacheEvent{Stage: "numerical.solve", Outcome: CacheStore, Key: "abc"},
 		CacheEvent{Stage: "numerical.solve", Outcome: CacheHit, Key: "abc"},
 		CacheEvent{Stage: "numerical.solve", Outcome: CacheWarm, Key: "abc", Delta: 0.01},
-		CacheEvent{Stage: "numerical.solve", Outcome: CacheStale, Key: "abc"},
+		CacheEvent{Stage: "numerical.solve", Outcome: cacheStale, Key: "abc"},
 	)
 	c := m.Cache
 	if c == nil {

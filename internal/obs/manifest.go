@@ -48,11 +48,6 @@ type Manifest struct {
 	// key of irfusion/run-manifest/v1 (absent = standalone process), so
 	// its addition needs no schema-version bump.
 	Shard string `json:"shard,omitempty"`
-	// Resume records the run's checkpoint-resume attempt: provenance,
-	// checkpoint key, donor progress, and the residual-guard verdict.
-	// Optional key of irfusion/run-manifest/v1 (absent = no resume
-	// attempted), so its addition needs no schema-version bump.
-	Resume *ResumeSection `json:"resume,omitempty"`
 }
 
 // CacheSection aggregates the run's artifact-cache interactions for
@@ -126,17 +121,13 @@ func (r *Recorder) Manifest(kind string, config any) *Manifest {
 				cs.Misses++
 			case CacheWarm:
 				cs.WarmStarts++
-			case CacheStale:
+			case cacheStale:
 				cs.Stale++
 			case CacheStore:
 				cs.Stores++
 			}
 		}
 		m.Cache = cs
-	}
-	if r.resume != nil {
-		rs := *r.resume
-		m.Resume = &rs
 	}
 	return m
 }
@@ -221,7 +212,7 @@ func (m *Manifest) Validate() error {
 				misses++
 			case CacheWarm:
 				warms++
-			case CacheStale:
+			case cacheStale:
 				stale++
 			case CacheStore:
 				stores++
@@ -234,19 +225,6 @@ func (m *Manifest) Validate() error {
 			return fmt.Errorf("obs: cache tallies %d/%d/%d/%d/%d disagree with events %d/%d/%d/%d/%d",
 				c.Hits, c.Misses, c.WarmStarts, c.Stale, c.Stores,
 				hits, misses, warms, stale, stores)
-		}
-	}
-	if rs := m.Resume; rs != nil {
-		switch rs.Outcome {
-		case ResumeAccepted, ResumeRejected:
-		default:
-			return fmt.Errorf("obs: resume section has unknown outcome %q", rs.Outcome)
-		}
-		if rs.Iter < 0 {
-			return fmt.Errorf("obs: resume section has negative iter %d", rs.Iter)
-		}
-		if rs.Outcome == ResumeAccepted && rs.Iter == 0 {
-			return errors.New("obs: resume accepted a checkpoint at iteration 0 (nothing to resume)")
 		}
 	}
 	return nil
@@ -298,10 +276,6 @@ func (m *Manifest) Summary() string {
 		fmt.Fprintf(&b, "cache: %d hit(s), %d miss(es), %d warm start(s), %d stale, %d store(s)\n",
 			c.Hits, c.Misses, c.WarmStarts, c.Stale, c.Stores)
 	}
-	if rs := m.Resume; rs != nil {
-		fmt.Fprintf(&b, "resume: %s from %s at iteration %d (key %s)\n",
-			rs.Outcome, orDash(rs.From), rs.Iter, orDash(rs.CheckpointKey))
-	}
 	var rest []string
 	for _, name := range sortedKeys(m.Counters) {
 		rest = append(rest, fmt.Sprintf("%s=%d", name, m.Counters[name]))
@@ -345,7 +319,8 @@ func (m *Manifest) WriteFile(path string) error {
 }
 
 // DecodeManifest decodes a manifest from its JSON encoding (the
-// inverse of Encode).
+// inverse of Encode). Keys it does not know — the resume section an
+// older release wrote — are ignored.
 func DecodeManifest(r io.Reader) (*Manifest, error) {
 	var m Manifest
 	if err := json.NewDecoder(r).Decode(&m); err != nil {

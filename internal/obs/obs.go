@@ -181,7 +181,6 @@ type Recorder struct {
 	epochs     []EpochRecord
 	degrads    []Degradation
 	cacheEvts  []CacheEvent
-	resume     *ResumeSection
 }
 
 // NewRecorder returns an empty recorder whose run starts now.
@@ -287,8 +286,11 @@ const (
 	CacheHit   = "hit"   // exact fingerprint hit, guard passed
 	CacheMiss  = "miss"  // no usable entry; cold path taken
 	CacheWarm  = "warm"  // neighbor warm start (delta-solve) taken
-	CacheStale = "stale" // cached state rejected by a guard; cold fallback
 	CacheStore = "store" // freshly computed artifact stored
+	// cacheStale (cached state rejected by a guard) is recorded by no
+	// stage since the resume rung went; manifests an older release
+	// wrote still carry it and still validate.
+	cacheStale = "stale"
 )
 
 // CacheEvent records one artifact-cache interaction of a pipeline
@@ -310,45 +312,6 @@ func (r *Recorder) RecordCacheEvent(e CacheEvent) {
 	e.Delta = sanitize(e.Delta)
 	r.mu.Lock()
 	r.cacheEvts = append(r.cacheEvts, e)
-	r.mu.Unlock()
-}
-
-// Resume outcomes, the vocabulary of ResumeSection.Outcome.
-const (
-	// ResumeAccepted: the checkpoint passed the residual guard and the
-	// solve continued from its iterate.
-	ResumeAccepted = "resumed"
-	// ResumeRejected: the checkpoint failed the residual guard
-	// (corrupt, stale, or foreign); the solve fell through to the cold
-	// ladder.
-	ResumeRejected = "guard-rejected"
-)
-
-// ResumeSection records a checkpoint-resume attempt of one run: where
-// the checkpoint came from ("restart" or "requeue"; empty when the
-// request itself found its checkpoint in the cache), its cache key
-// (abbreviated), how far the donor solve had gotten, and whether the
-// residual guard accepted it. Optional key of
-// irfusion/run-manifest/v1 (absent = no resume was attempted), so its
-// addition needs no schema-version bump.
-type ResumeSection struct {
-	From          string  `json:"from,omitempty"`
-	CheckpointKey string  `json:"checkpoint_key,omitempty"`
-	Iter          int     `json:"iter"`
-	Residual      float64 `json:"residual,omitempty"`
-	Outcome       string  `json:"outcome"`
-}
-
-// RecordResume records the run's checkpoint-resume attempt (last
-// write wins — a run attempts at most one resume, but a guard
-// rejection followed by a cold solve keeps the rejection record).
-func (r *Recorder) RecordResume(rs ResumeSection) {
-	if r == nil {
-		return
-	}
-	rs.Residual = sanitize(rs.Residual)
-	r.mu.Lock()
-	r.resume = &rs
 	r.mu.Unlock()
 }
 

@@ -224,7 +224,9 @@ func TestValidateRejectsBrokenManifests(t *testing.T) {
 
 // TestDecodesParentDegradationRecord: a manifest written before the
 // ladder lost its retries and breakers — attempt numbers, a backoff, a
-// breaker skip — still decodes and validates under the same schema.
+// breaker skip — and before solves stopped resuming from checkpoints —
+// a resume section, a stale cache event — still decodes and validates
+// under the same schema.
 func TestDecodesParentDegradationRecord(t *testing.T) {
 	var buf bytes.Buffer
 	if err := testManifest(t).Encode(&buf); err != nil {
@@ -243,6 +245,8 @@ func TestDecodesParentDegradationRecord(t *testing.T) {
 	 {"component": "core.numerical", "rung": "numerical.ssor", "rung_index": 1, "attempts": [
 	  {"rung": "numerical.amg", "attempt": 0, "skipped": "breaker-open"},
 	  {"rung": "numerical.ssor", "attempt": 1}]}]`)
+	raw["resume"] = json.RawMessage(`{"from": "restart", "checkpoint_key": "ckpt|3f2a|precond=amg", "iter": 12, "residual": 0.0012, "outcome": "guard-rejected"}`)
+	raw["cache"] = json.RawMessage(`{"events": [{"stage": "checkpoint.restore", "outcome": "stale", "key": "ckpt|3f2a"}], "hits": 0, "misses": 0, "warm_starts": 0, "stale": 1, "stores": 0}`)
 	b, err := json.Marshal(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -262,6 +266,9 @@ func TestDecodesParentDegradationRecord(t *testing.T) {
 	}
 	if d := m.Degradations[1]; d.Rung != "numerical.ssor" || d.RungIndex != 1 || d.Attempts[0].Rung != "numerical.amg" {
 		t.Errorf("breaker-skip record decoded as %+v", d)
+	}
+	if m.Cache == nil || m.Cache.Stale != 1 {
+		t.Errorf("parent cache section decoded as %+v", m.Cache)
 	}
 }
 

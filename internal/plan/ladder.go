@@ -9,8 +9,8 @@
 //
 // The ladder tries each rung once, in order, and leaves a Degradation
 // record in the run manifest saying exactly how the answer was
-// produced. The rungs ahead of a list's last are the cache's (a resume,
-// a warm start); a failed one falls to the next. The last rung is the
+// produced. The rung ahead of a list's last is the cache's warm start;
+// when it fails the solve falls to the next. The last rung is the
 // one cold backend the request asked for: the rung census
 // (census_test.go) finds no admitted deck that it fails, so no fallback
 // stands behind it, and its failure exhausts the ladder — a 503
@@ -42,7 +42,7 @@ type ladderRung struct {
 // aborts reports whether a rung failure ends the whole ladder:
 // cancellation and deadlines are the caller's doing, and nothing
 // downstream can help. Every other failure — breakdown, an indefinite
-// operator, AMG setup, a rejected checkpoint — falls to the next rung.
+// operator, AMG setup — falls to the next rung.
 func aborts(err error) bool {
 	return errors.Is(err, solver.ErrCancelled) ||
 		errors.Is(err, context.Canceled) ||

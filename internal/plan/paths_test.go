@@ -3,7 +3,6 @@ package plan_test
 import (
 	"context"
 	"math"
-	"os"
 	"slices"
 	"testing"
 
@@ -53,8 +52,7 @@ func servingRung(t *testing.T, rec *obs.Recorder, component string) string {
 
 // TestSolvePathsAgree is the differential test over the rung table:
 // one fixed deck, solved down every path a rung list can take — cold,
-// a repeat (a warm start at delta 0), warm neighbour, resume from checkpoint (one taken in this
-// process, one written to disk by the previous release), each budgeted
+// a repeat (a warm start at delta 0), warm neighbour, each budgeted
 // rung, the fused rough ladder, and dataset.Build's one-rung label
 // ladder. Every path must name, in its manifest, the rung the
 // scenario was built to reach, that rung must be on the list the
@@ -89,37 +87,6 @@ func TestSolvePathsAgree(t *testing.T) {
 		}
 		return c
 	}
-	// restored returns a cache holding only the mid-solve snapshot in
-	// blob, as journal recovery reconstructs it.
-	restored := func(blob []byte) *cache.Cache {
-		art, err := cache.DecodeCheckpoint(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := cache.New(0, 0)
-		cache.StoreCheckpoint(bg, c, art)
-		return c
-	}
-	// checkpointed restores a snapshot of d's solve taken just now.
-	checkpointed := func() *cache.Cache {
-		var blob []byte
-		req := plan.Solve{Fingerprint: func() string { return fp }, CheckpointEvery: 2,
-			OnCheckpoint: func(_ string, encoded []byte) { blob = encoded }}
-		if _, err := plan.Numerical(cache.WithCache(bg, cache.New(0, 0)), sys, make([]float64, sys.N()), req); err != nil {
-			t.Fatal(err)
-		}
-		return restored(blob)
-	}
-	// parentBlob restores what the PR 18 binary left in a journal
-	// directory: a blob of this deck's solve at iteration 12, encoded by
-	// that binary. Its key and layout are durable formats.
-	parentBlob := func() *cache.Cache {
-		blob, err := os.ReadFile("../cache/testdata/checkpoint_pr18.bin")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return restored(blob)
-	}
 	empty := func() *cache.Cache { return cache.New(0, 0) }
 
 	paths := []struct {
@@ -134,9 +101,6 @@ func TestSolvePathsAgree(t *testing.T) {
 		// An exact hit is a warm start at delta 0.
 		{name: "exact hit", cache: func() *cache.Cache { return solved(d) }, want: plan.RungAMGWarm},
 		{name: "warm neighbour", cache: func() *cache.Cache { return solved(neighbour) }, want: plan.RungAMGWarm},
-		{name: "resume", cache: checkpointed, want: plan.RungAMGResume},
-		{name: "resume from a blob the previous release wrote", cache: parentBlob, want: plan.RungAMGResume},
-		{name: "poisoned checkpoint goes cold", cache: checkpointed, fault: faults.Rule{Site: faults.SiteCheckpointRestore, Action: faults.ActCorrupt}, want: plan.RungAMG},
 		{name: "stale donor still converges", cache: func() *cache.Cache { return solved(d) }, fault: faults.Rule{Site: faults.SiteCacheLookup, Action: faults.ActStale}, want: plan.RungAMGWarm},
 		{name: "ssor-first budgeted", req: plan.Solve{Iters: 50, Precond: "ssor"}, want: plan.RungSSOR},
 		{name: "amg-first budgeted", req: plan.Solve{Iters: 50, Precond: "amg"}, want: plan.RungAMG},
@@ -156,7 +120,6 @@ func TestSolvePathsAgree(t *testing.T) {
 				c = p.cache()
 				ctx = cache.WithCache(ctx, c)
 			}
-			shape := cache.CheckpointShape(req.Precond, "", "", req.Iters)
 			if list := plan.Rungs(req.Iters, req.Precond, c != nil); !slices.Contains(list, p.want) {
 				t.Fatalf("policy emits %v for this request; %s is not on it", list, p.want)
 			}
@@ -182,9 +145,6 @@ func TestSolvePathsAgree(t *testing.T) {
 				}
 				if nb, _, _ := cache.FindWarmStart(bg, c, sys.G, 0); built && (nb == nil || nb.Fingerprint != fp) {
 					t.Error("converged solve of an addressed design was not kept")
-				}
-				if cache.LookupCheckpoint(bg, c, fp, shape) != nil {
-					t.Error("finished solve left its checkpoint behind")
 				}
 			}
 		})

@@ -16,11 +16,10 @@ import (
 // stage, so a manifest's convergence traces say which backend
 // produced them.
 const (
-	RungAMG       = "numerical.amg"
-	RungAMGWarm   = "numerical.amg.warm"
-	RungAMGResume = "numerical.amg.resume"
-	RungSSOR      = "numerical.ssor"
-	RungRough     = "rough"
+	RungAMG     = "numerical.amg"
+	RungAMGWarm = "numerical.amg.warm"
+	RungSSOR    = "numerical.ssor"
+	RungRough   = "rough"
 )
 
 // Rungs is the whole solve policy of the numerical analyzer: the
@@ -32,12 +31,12 @@ const (
 // cold rung fails exhausts the ladder.
 //
 // Budgeted solves run cold — their per-iteration progress is the
-// quantity under study in the Fig-7 trade-off, so caching and resuming
-// would corrupt the comparison — on the SSOR rung unless the full AMG
+// quantity under study in the Fig-7 trade-off, so warm-starting would
+// corrupt the comparison — on the SSOR rung unless the full AMG
 // K-cycle was asked for. Converged solves try the cheapest answer
-// first: a checkpoint of this very solve, then a warm start off the
-// closest cached solve — the design itself at delta 0, an ECO neighbour
-// otherwise — each only if its lookup finds one, then cold AMG-PCG.
+// first: a warm start off the closest cached solve — the design itself
+// at delta 0, an ECO neighbour otherwise — only if its lookup finds
+// one, then cold AMG-PCG.
 func Rungs(iters int, precond string, cached bool) []string {
 	if iters > 0 {
 		if precond != "amg" {
@@ -47,7 +46,7 @@ func Rungs(iters int, precond string, cached bool) []string {
 	}
 	var l []string
 	if cached {
-		l = append(l, RungAMGResume, RungAMGWarm)
+		l = append(l, RungAMGWarm)
 	}
 	return append(l, RungAMG)
 }
@@ -84,12 +83,10 @@ type solveState struct {
 
 	cache *cache.Cache // nil: every cache rung declines
 	fp    string       // design fingerprint addressing the cache
-	shape string       // checkpoint shape of this request
 	rec   *obs.Recorder
 
-	donor *cache.SystemArtifact     // found by warmReady
-	delta float64                   // matrix delta to a warm-start donor
-	ckpt  *cache.CheckpointArtifact // found by resumeReady
+	donor *cache.SystemArtifact // found by warmReady
+	delta float64               // matrix delta to a warm-start donor
 }
 
 // newState prepares a solve of sys into x: to convergence, or budgeted
@@ -115,11 +112,10 @@ type rung struct {
 // solve that builds training samples and the one that serves requests
 // the same code.
 var rungTable = map[string]rung{
-	RungAMGResume: {ready: resumeReady, run: resume},
-	RungAMGWarm:   {ready: warmReady, run: warm},
-	RungAMG:       {run: amgCold},
-	RungSSOR:      {run: ssor},
-	RungRough:     {run: ssor},
+	RungAMGWarm: {ready: warmReady, run: warm},
+	RungAMG:     {run: amgCold},
+	RungSSOR:    {run: ssor},
+	RungRough:   {run: ssor},
 }
 
 // run serves the solve from the named rungs. Lookups come first, in
@@ -128,10 +124,10 @@ var rungTable = map[string]rung{
 // index, because missing the cache is not a degradation. The rungs
 // that remain run on the degradation ladder. When one converges for an
 // addressed design having built a hierarchy for exactly this matrix —
-// a cold or a resumed solve — the solve goes to the artifact cache as a
-// warm-start donor; a warm-started solve has no hierarchy of its own to
-// give and stores nothing, so it never pushes its donor out of the
-// neighbour search.
+// a cold solve — the solve goes to the artifact cache as a warm-start
+// donor; a warm-started solve has no hierarchy of its own to give and
+// stores nothing, so it never pushes its donor out of the neighbour
+// search.
 func (st *solveState) run(ctx context.Context, component string, names []string) error {
 	var ladder []ladderRung
 	for _, name := range names {
@@ -220,54 +216,6 @@ func warm(ctx context.Context, st *solveState, name string) error {
 	return nil
 }
 
-// resumeReady looks for a snapshot of this very solve: same design,
-// same request shape.
-func resumeReady(ctx context.Context, st *solveState) bool {
-	cp := cache.LookupCheckpoint(ctx, st.cache, st.fp, st.shape)
-	if cp == nil || cp.N != st.sys.N() || cp.State.Iter <= 0 {
-		return false
-	}
-	st.ckpt = cp
-	return true
-}
-
-// resume re-validates the checkpoint against the freshly assembled
-// system — the recomputed relative residual must land within
-// CheckpointGuardFactor of what the snapshot recorded (or under
-// cache.GuardTol outright) — then continues PCG from the checkpointed
-// iterate under a freshly built hierarchy (flexible PCG tolerates the
-// preconditioner change). A rejection drops the poisoned snapshot and
-// fails the rung, so the ladder falls through to the cold rungs with a
-// recorded trail; either way the manifest's resume section says what
-// happened.
-func resume(ctx context.Context, st *solveState, name string) error {
-	cp := st.ckpt
-	key := cache.ShortKey(cache.CheckpointKey(cp.Fingerprint, cp.Shape))
-	record := func(residual float64, resumeOutcome, cacheOutcome string) {
-		st.rec.RecordResume(obs.ResumeSection{
-			CheckpointKey: key, Iter: cp.State.Iter, Residual: residual, Outcome: resumeOutcome,
-		})
-		st.rec.RecordCacheEvent(obs.CacheEvent{Stage: "checkpoint.restore", Outcome: cacheOutcome, Key: key})
-	}
-	guard := max(cp.State.Residual*cache.CheckpointGuardFactor, cache.GuardTol)
-	if got := solver.RelResidual(st.sys.G, cp.State.X, st.sys.I); got > guard {
-		record(got, obs.ResumeRejected, obs.CacheStale)
-		cache.DropCheckpoint(st.cache, cp.Fingerprint, cp.Shape)
-		return fmt.Errorf("plan: checkpoint residual %g exceeds guard %g (recorded %g at iteration %d)",
-			got, guard, cp.State.Residual, cp.State.Iter)
-	}
-	h, err := st.buildAMG(ctx)
-	if err != nil {
-		return err
-	}
-	copy(st.x, cp.State.X)
-	if err := st.pcg(ctx, name, h, true); err != nil {
-		return err
-	}
-	record(cp.State.Residual, obs.ResumeAccepted, obs.CacheHit)
-	return nil
-}
-
 func amgCold(ctx context.Context, st *solveState, name string) error {
 	h, err := st.buildAMG(ctx)
 	if err != nil {
@@ -292,14 +240,9 @@ type Solve struct {
 	// Fingerprint yields the design's content address
 	// (cache.DesignFingerprint). It is called only for a solve the
 	// artifact cache applies to — converged, with a cache resolved from
-	// ctx — which the cache then resumes, warm-starts and keeps; every
-	// other solve runs cold and never pays for the hash.
+	// ctx — which the cache then warm-starts and keeps; every other
+	// solve runs cold and never pays for the hash.
 	Fingerprint func() string
-	// CheckpointEvery > 0 snapshots a cached solve into the artifact
-	// cache every that many PCG iterations; OnCheckpoint additionally
-	// receives each snapshot's key and binary encoding.
-	CheckpointEvery int
-	OnCheckpoint    func(key string, encoded []byte)
 }
 
 // Numerical solves sys into x on the ladder chosen by Rungs and returns
@@ -309,25 +252,9 @@ func Numerical(ctx context.Context, sys *circuit.System, x []float64, s Solve) (
 	st := newState(ctx, sys, x, s.Iters, s.Iters <= 0)
 	if cc := cache.FromContext(ctx); cc != nil && s.Iters <= 0 {
 		st.cache, st.fp = cc, s.Fingerprint()
-		st.shape = cache.CheckpointShape(s.Precond, "", "", s.Iters)
-		if s.CheckpointEvery > 0 {
-			st.opts.CheckpointEvery = s.CheckpointEvery
-			st.opts.CheckpointSink = &cache.CheckpointWriter{
-				Ctx: ctx, Cache: cc, Fingerprint: st.fp, Shape: st.shape, Notify: s.OnCheckpoint,
-			}
-		}
 	}
-	names := Rungs(s.Iters, s.Precond, st.cache != nil)
-	if err := st.run(ctx, "core.numerical", names); err != nil {
-		return st.res, err
-	}
-	if st.cache != nil && st.res.Converged {
-		// The solve is done; its mid-flight snapshot must not shadow a
-		// later identical request (the golden artifact is strictly
-		// better).
-		cache.DropCheckpoint(st.cache, st.fp, st.shape)
-	}
-	return st.res, nil
+	err := st.run(ctx, "core.numerical", Rungs(s.Iters, s.Precond, st.cache != nil))
+	return st.res, err
 }
 
 // Golden solves sys into x to label accuracy for the dataset builder:

@@ -26,8 +26,7 @@ func TestRungsPolicy(t *testing.T) {
 	}{
 		{name: "converged, no cache", want: cold},
 		{name: "converged, ssor precond still runs AMG", precond: "ssor", want: cold},
-		{name: "converged, cache", cached: true,
-			want: []string{RungAMGResume, RungAMGWarm, RungAMG}},
+		{name: "converged, cache", cached: true, want: []string{RungAMGWarm, RungAMG}},
 		{name: "budgeted, default precond runs SSOR", iters: 5, want: []string{RungSSOR}},
 		{name: "budgeted ssor", iters: 5, precond: "ssor", want: []string{RungSSOR}},
 		{name: "budgeted amg", iters: 5, precond: "amg", want: cold},
@@ -70,9 +69,8 @@ func TestEveryListedRungExists(t *testing.T) {
 // TestCacheLookupsLeaveNoTrail: a cache rung that finds nothing leaves
 // no attempt and does not push the serving rung's index — a cache miss
 // is not a fallback. A repeat of the cached design is a warm start at
-// delta 0: the resume lookup that missed is not in its trail, and PCG
-// hands the cached solution back at iteration 0, bit for bit, storing
-// nothing.
+// delta 0 at index 0, and PCG hands the cached solution back at
+// iteration 0, bit for bit, storing nothing.
 func TestCacheLookupsLeaveNoTrail(t *testing.T) {
 	d, err := pgen.Generate(pgen.DefaultConfig("trail", pgen.Real, 16, 16, 3))
 	if err != nil {

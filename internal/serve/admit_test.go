@@ -301,14 +301,14 @@ func TestServeRecoversMemoAdmittedJob(t *testing.T) {
 	cold := decodeJob(t, b).Result.Map
 
 	dir := t.TempDir()
-	s1 := New(Config{Workers: 1, JournalDir: dir, CheckpointEvery: 2})
+	s1 := New(Config{Workers: 1, JournalDir: dir})
 	ts1 := httptest.NewServer(s1.Handler())
 	body := pgenBody(37, 32, `"async": true, "include_map": true`)
 	if code, b = post(t, ts1, "/v1/analyze", body); code != http.StatusAccepted {
 		t.Fatalf("first submission: status %d: %s", code, b)
 	}
 	waitStatus(t, ts1, decodeJob(t, b).ID, func(st Status) bool { return st == StatusDone })
-	withGlobalFaults(t, parkAfterFirstCheckpoint)
+	withGlobalFaults(t, parkMidSolve)
 	var ids [2]string
 	for i, bd := range []string{pgenBody(38, 32, `"async": true`), body} {
 		if code, b = post(t, ts1, "/v1/analyze", bd); code != http.StatusAccepted {
@@ -316,7 +316,7 @@ func TestServeRecoversMemoAdmittedJob(t *testing.T) {
 		}
 		ids[i] = decodeJob(t, b).ID
 		if i == 0 {
-			waitParked(t, s1, ids[0])
+			waitStalled(t, 1)
 		}
 	}
 	if j, _ := s1.reg.get(ids[1]); j.memo == nil || j.design != nil || j.Status() != statusQueued {
@@ -330,7 +330,7 @@ func TestServeRecoversMemoAdmittedJob(t *testing.T) {
 	}
 
 	recoveredBefore := obs.CounterValue("serve.recovered")
-	_, ts2 := newTestServer(t, Config{Workers: 1, JournalDir: dir, CheckpointEvery: 2})
+	_, ts2 := newTestServer(t, Config{Workers: 1, JournalDir: dir})
 	if got := obs.CounterValue("serve.recovered") - recoveredBefore; got != 2 {
 		t.Fatalf("serve.recovered advanced by %d, want 2", got)
 	}
@@ -356,21 +356,21 @@ func TestServeRecoveredJobMemoises(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := string(raw)
-	withGlobalFaults(t, parkAfterFirstCheckpoint)
+	withGlobalFaults(t, parkMidSolve)
 	dir := t.TempDir()
-	s1 := New(Config{Workers: 1, JournalDir: dir, CheckpointEvery: 2})
+	s1 := New(Config{Workers: 1, JournalDir: dir})
 	ts1 := httptest.NewServer(s1.Handler())
 	code, b := post(t, ts1, "/v1/analyze", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("submission: status %d: %s", code, b)
 	}
 	id := decodeJob(t, b).ID
-	waitParked(t, s1, id)
+	waitStalled(t, 1)
 	s1.crash()
 	ts1.Close()
 	faults.SetActive(nil)
 
-	s2, ts2 := newTestServer(t, Config{Workers: 1, JournalDir: dir, CheckpointEvery: 2})
+	s2, ts2 := newTestServer(t, Config{Workers: 1, JournalDir: dir})
 	recovered := waitStatus(t, ts2, id, func(st Status) bool { return st == StatusDone })
 	if m := recovered.Result.Manifest; m == nil || len(m.Solves) == 0 {
 		t.Fatalf("recovered job did not solve: %+v", recovered.Result)

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -216,11 +217,8 @@ func (s *Server) admit(req *AnalyzeRequest) (*admission, *pgen.Design, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	adm := &admission{req: *req, name: design.Name}
+	adm := &admission{req: *req, name: design.Name, fp: cache.DesignFingerprint(design)}
 	adm.req.Spice = ""
-	if s.cache != nil {
-		adm.fp = cache.DesignFingerprint(design)
-	}
 	return adm, design, nil
 }
 
@@ -360,7 +358,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"queue_cap":      s.cfg.QueueDepth,
 		"gemm_kernel":    nn.Kernel(),
 		"fused_model":    s.cfg.Analyzer != nil,
-		"cache_enabled":  s.cache != nil,
 		"cache_entries":  s.cache.Len(),
 		"jobs":           s.reg.counts(),
 		"journal": map[string]any{
@@ -413,8 +410,10 @@ func (s *Server) prepare(req *AnalyzeRequest) (*pgen.Design, error) {
 	if req.Iters < 0 || req.Iters > maxIters {
 		return nil, fmt.Errorf("iters %d out of range [0, %d]", req.Iters, maxIters)
 	}
-	if req.TimeoutMS < 0 {
-		return nil, errors.New("timeout_ms must be non-negative")
+	// The bound keeps jobContext's conversion to a time.Duration from
+	// overflowing into a deadline already past.
+	if maxMS := int64(math.MaxInt64 / time.Millisecond); req.TimeoutMS < 0 || int64(req.TimeoutMS) > maxMS {
+		return nil, fmt.Errorf("timeout_ms %d out of range [0, %d]", req.TimeoutMS, maxMS)
 	}
 	if req.Resolution < 0 || req.Resolution > s.cfg.MaxDesignSize {
 		return nil, fmt.Errorf("resolution %d out of range [0, %d]", req.Resolution, s.cfg.MaxDesignSize)
@@ -571,26 +570,23 @@ func (s *Server) runJob(j *job) {
 		rec.Add("serve.handoff", 1)
 		cfgMap["handoff_from"] = j.handoffFrom
 	}
-	if s.cache != nil {
-		// Bind the per-process cache into the job context so the whole
-		// pipeline underneath (core, dataset) resolves it with
-		// cache.FromContext; record the content address in the manifest so
-		// cached runs are attributable to their design.
-		ctx = cache.WithCache(ctx, s.cache)
-		cfgMap["fingerprint"] = cache.ShortKey(j.fp)
-	}
+	// Bind the per-process cache into the job context so the whole
+	// pipeline underneath (core, dataset) resolves it with
+	// cache.FromContext; record the content address in the manifest so
+	// cached runs are attributable to their design.
+	ctx = cache.WithCache(ctx, s.cache)
+	cfgMap["fingerprint"] = cache.ShortKey(j.fp)
 
 	result, err := s.executeProtected(ctx, j)
 
 	// Requeue-once after a worker panic: the job goes back into the
 	// queue (journaled, so even a crash between here and the retry keeps
-	// it recoverable) and the retry resumes from the checkpoint instead
-	// of iteration 0. Only the first panic earns a retry — a second one
-	// fails the job for real, so a deterministically-crashing request
-	// cannot loop forever.
+	// it recoverable) and the retry re-runs the solve the way any request
+	// does. Only the first panic earns a retry — a second one fails the
+	// job for real, so a deterministically-crashing request cannot loop
+	// forever.
 	if errors.Is(err, errWorkerPanic) && !j.cancelled.Load() && j.ctx.Err() == nil &&
 		j.requeues.Add(1) == 1 && j.requeueForRetry() {
-		j.resumeFrom = fromRequeue
 		s.journalAppend(j.ctx, journal.Record{
 			Type: journal.TypeRequeued, JobID: j.id, Detail: err.Error(),
 		})
@@ -607,11 +603,6 @@ func (s *Server) runJob(j *job) {
 
 	manifest := rec.Manifest("serve.analyze", cfgMap)
 	manifest.Shard = s.cfg.Name
-	if manifest.Resume != nil && manifest.Resume.From == "" {
-		// The core layer records that a resume happened but cannot know
-		// where the checkpoint came from; the serving layer can.
-		manifest.Resume.From = j.resumeFrom
-	}
 	if !j.req.OmitManifest {
 		if result == nil {
 			result = &AnalyzeResult{Mode: j.req.Mode, Design: j.name}
@@ -693,9 +684,6 @@ func (s *Server) executeProtected(ctx context.Context, j *job) (result *AnalyzeR
 // the returned error wraps solver.ErrCancelled and the result is nil
 // (the caller still attaches the manifest with the partial history).
 func (s *Server) execute(ctx context.Context, j *job) (*AnalyzeResult, error) {
-	if s.cache == nil {
-		return s.executeUncached(ctx, j)
-	}
 	rec := obs.FromContext(ctx)
 	record := func(outcome string) {
 		rec.RecordCacheEvent(obs.CacheEvent{Stage: "serve.analyze", Outcome: outcome, Key: cache.ShortKey(j.digest)})
@@ -709,7 +697,7 @@ func (s *Server) execute(ctx context.Context, j *job) (*AnalyzeResult, error) {
 		return &out, nil
 	}
 	record(obs.CacheMiss)
-	out, err := s.executeUncached(ctx, j)
+	out, err := s.analyze(ctx, j)
 	if err == nil {
 		stored := *out
 		stored.Manifest = nil // manifests describe one run; never replay them
@@ -722,8 +710,8 @@ func (s *Server) execute(ctx context.Context, j *job) (*AnalyzeResult, error) {
 // memoBytes is the accounted size of one memo entry beside its map.
 const memoBytes = 1024
 
-// executeUncached dispatches the actual analysis of one job.
-func (s *Server) executeUncached(ctx context.Context, j *job) (*AnalyzeResult, error) {
+// analyze dispatches the actual analysis of one job.
+func (s *Server) analyze(ctx context.Context, j *job) (*AnalyzeResult, error) {
 	req, d := &j.req, j.design
 	if req.Mode == ModeFused {
 		return s.executeFused(ctx, req, d)
@@ -733,10 +721,7 @@ func (s *Server) executeUncached(ctx context.Context, j *job) (*AnalyzeResult, e
 		res = d.W
 	}
 	na := &core.NumericalAnalyzer{
-		Iters: req.Iters, Resolution: res, Precond: req.Precond,
-		CheckpointEvery: s.cfg.CheckpointEvery,
-		OnCheckpoint:    s.checkpointNotify(j),
-		Fingerprint:     j.fp,
+		Iters: req.Iters, Resolution: res, Precond: req.Precond, Fingerprint: j.fp,
 	}
 	m, rt, resid, err := na.AnalyzeCtx(ctx, d)
 	if err != nil {

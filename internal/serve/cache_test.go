@@ -71,13 +71,12 @@ func TestServeCacheResponseHit(t *testing.T) {
 		t.Fatalf("healthz status %d", code)
 	}
 	var hz struct {
-		CacheEnabled bool `json:"cache_enabled"`
-		CacheEntries int  `json:"cache_entries"`
+		CacheEntries int `json:"cache_entries"`
 	}
 	if err := json.Unmarshal(hb, &hz); err != nil {
 		t.Fatal(err)
 	}
-	if !hz.CacheEnabled || hz.CacheEntries < 1 {
+	if hz.CacheEntries < 1 {
 		t.Fatalf("healthz cache view = %+v", hz)
 	}
 	_, mb := get(t, ts, "/metricsz")
@@ -110,36 +109,5 @@ func TestServeCacheKeyedByRequestShape(t *testing.T) {
 	v := decodeJob(t, b)
 	if oc := cacheOutcomes(t, v.Result.Manifest, "serve.analyze"); oc[obs.CacheHit] != 0 {
 		t.Fatalf("budgeted request hit the converged entry: %v", oc)
-	}
-}
-
-// TestServeCacheDisabled pins the opt-out: with DisableCache set the
-// server runs every request cold, reports the cache as off, and
-// records no response-layer cache events.
-func TestServeCacheDisabled(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, DisableCache: true})
-	body := pgenBody(4, 32, "")
-	post(t, ts, "/v1/analyze", body)
-	code, b := post(t, ts, "/v1/analyze", body)
-	if code != 200 {
-		t.Fatalf("status %d: %s", code, b)
-	}
-	v := decodeJob(t, b)
-	if oc := cacheOutcomes(t, v.Result.Manifest, "serve.analyze"); len(oc) != 0 {
-		t.Fatalf("disabled cache recorded response events: %v", oc)
-	}
-	st := s.cacheStats()
-	if st.Entries != 0 || st.Stores != 0 || st.Hits != 0 {
-		t.Fatalf("disabled cache accumulated stats: %+v", st)
-	}
-	var hz struct {
-		CacheEnabled bool `json:"cache_enabled"`
-	}
-	_, hb := get(t, ts, "/healthz")
-	if err := json.Unmarshal(hb, &hz); err != nil {
-		t.Fatal(err)
-	}
-	if hz.CacheEnabled {
-		t.Fatal("healthz reports the disabled cache as enabled")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"irfusion/internal/dataset"
 	"irfusion/internal/journal"
 	"irfusion/internal/nn"
+	"irfusion/internal/obs"
 	"irfusion/internal/pgen"
 )
 
@@ -140,13 +142,14 @@ func TestFusedAnalyze(t *testing.T) {
 }
 
 // TestFusedConcurrent keeps 16 fused requests over 4 decks in flight on
-// 4 workers sharing one model, with the cache off so every one of them
-// runs inference. Each map must equal its deck's serial reference;
+// 4 workers sharing one model. Every body is distinct (its own
+// timeout_ms), so each misses the response memo, and fused mode reuses
+// no artifact: every one of them runs inference. Each map must equal its deck's serial reference;
 // under -race this is the end-to-end proof that the workers' forward
 // passes share the model without writing to it.
 func TestFusedConcurrent(t *testing.T) {
 	a := tinyAnalyzer(t)
-	_, ts := newTestServer(t, Config{Analyzer: a, Workers: 4, QueueDepth: 32, DisableCache: true})
+	_, ts := newTestServer(t, Config{Analyzer: a, Workers: 4, QueueDepth: 32})
 	const decks, requests = 4, 16
 	want := make([][]float64, decks)
 	for i := range want {
@@ -159,12 +162,14 @@ func TestFusedConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			deck := i % decks
-			code, v, err := postJob(ts, fusedBody(int64(21+deck), ""))
+			code, v, err := postJob(ts, fusedBody(int64(21+deck), fmt.Sprintf(`, "timeout_ms": %d`, 60000+i)))
 			switch {
 			case err != nil:
 				errs <- fmt.Errorf("request %d: %w", i, err)
 			case code != http.StatusOK || v.Status != StatusDone || v.Result == nil:
 				errs <- fmt.Errorf("request %d: http %d, status %q, error %q", i, code, v.Status, v.Error)
+			case slices.ContainsFunc(v.Result.Manifest.Stages, func(st obs.StageRecord) bool { return st.Name == "serve.memo" }):
+				errs <- fmt.Errorf("request %d: answered from the memo, not by inference", i)
 			default:
 				if diff := mapsDiffer(v.Result.Map, want[deck]); diff != "" {
 					errs <- fmt.Errorf("request %d (deck %d): %s", i, deck, diff)

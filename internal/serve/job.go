@@ -51,16 +51,6 @@ type job struct {
 	handoffFrom string // shard this job failed over from; "" normally
 	submitted   time.Time
 
-	// resumeFrom is the provenance recorded when this job's solve
-	// resumes from a checkpoint: "restart" (journal replay) or "requeue"
-	// (post-panic retry). Written before (re-)submission; the queue
-	// handoff orders it before the worker's read.
-	resumeFrom string
-	// hasBlob reports a checkpoint blob of this job's solve on disk —
-	// saved by its notify hook, or found by recovery. Written and read
-	// on the goroutine running the job (or across a queue handoff), so
-	// no lock is needed.
-	hasBlob bool
 	// requeues counts post-panic retries; only the first panic earns
 	// one.
 	requeues atomic.Int32

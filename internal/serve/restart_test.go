@@ -19,46 +19,18 @@ import (
 	"irfusion/internal/obs"
 )
 
-// parkAfterFirstCheckpoint is the fault that ends a process
-// image at a known point instead of racing a timer: the first
-// checkpoint is stored and its blob saved normally, the second
-// checkpoint's store stalls until the job's context is cancelled — so
-// from the moment the first blob is durable the solve cannot advance,
-// finish, or write anything more until crash() takes the server down.
-// The fault belongs to the process that dies: remove it before
-// starting the next incarnation.
-var parkAfterFirstCheckpoint = faults.Rule{Site: faults.SiteCheckpointSave, Action: faults.ActStall, After: 1}
-
-// waitParked blocks until the job's first checkpoint blob can be loaded
-// under the key recovery will derive from the journaled request. With
-// parkAfterFirstCheckpoint installed that state is stable, so the wait
-// observes an event, not a window.
-func waitParked(t *testing.T, s *Server, id string) {
-	t.Helper()
-	j, ok := s.reg.get(id)
-	if !ok {
-		t.Fatalf("job %s not registered", id)
-	}
-	key := checkpointKey(&j.req, cache.DesignFingerprint(j.design))
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := s.journal.LoadBlob(key); err == nil {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("no checkpoint blob appeared under the derived key before the deadline")
-}
-
-// stallCheckpoints parks every converged cached solve at its first
-// checkpoint store: by then it has iterated CheckpointEvery times, and
-// it can neither advance nor finish until its context is cancelled.
-var stallCheckpoints = faults.Rule{Site: faults.SiteCheckpointSave, Action: faults.ActStall}
+// parkMidSolve is the fault that ends a process image, or holds a
+// worker busy, at a known point instead of racing a timer: two PCG
+// iterations run, and every later one stalls until its job's context is
+// cancelled — so from then on a solve can neither advance nor finish
+// nor write anything more. A crash test removes it before starting the
+// next incarnation.
+var parkMidSolve = faults.Rule{Site: faults.SitePCG, Action: faults.ActStall, After: 2}
 
 // waitStalled blocks until n goroutines sit in a stall fault
-// (faults.(*Fault).Sleep) — with stallCheckpoints installed, until n
-// solves are parked mid-solve. Like waitParked it observes a stable
-// state, not a window.
+// (faults.(*Fault).Sleep) — with parkMidSolve installed, until n
+// solves are parked mid-solve. It observes a stable state, not a
+// window.
 func waitStalled(t *testing.T, n int) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
@@ -69,153 +41,161 @@ func waitStalled(t *testing.T, n int) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d solves parked at a checkpoint before the deadline", got, n)
+			t.Fatalf("%d of %d solves parked mid-solve before the deadline", got, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestServeCrashRestartResumesJob is the end-to-end durability check:
-// an acknowledged async job survives a hard crash (no shutdown
-// hooks, on-disk image only), is re-enqueued under its original id by
-// the restarted process, resumes from its last durable checkpoint,
-// and produces the same map a never-crashed solve produces, to the
-// cache guard tolerance.
-func TestServeCrashRestartResumesJob(t *testing.T) {
+// manifestKeys returns the top-level keys of the manifest in a job
+// view's JSON, so a test can see a key the decoded obs.Manifest drops.
+func manifestKeys(t *testing.T, body []byte) map[string]json.RawMessage {
+	t.Helper()
+	var v struct {
+		Result struct {
+			Manifest map[string]json.RawMessage `json:"manifest"`
+		} `json:"result"`
+	}
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatal(err)
+	}
+	return v.Result.Manifest
+}
+
+// sameMap fails unless got is the undisturbed server's map want, cell
+// for cell, to tol.
+func sameMap(t *testing.T, got, want []float64, tol float64) {
+	t.Helper()
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("map has %d cells, the undisturbed map %d", len(got), len(want))
+	}
+	for i := range want {
+		if d := math.Abs(got[i] - want[i]); d > tol {
+			t.Fatalf("cell %d differs from the undisturbed map by %g (tol %g)", i, d, tol)
+		}
+	}
+}
+
+// TestServeCrashRestartRerunsJob is the end-to-end durability check:
+// an acknowledged async job survives a hard crash mid-solve (no
+// shutdown hooks, on-disk image only), is re-enqueued once under its
+// original id by the restarted process, re-runs its solve, and produces
+// the map a never-crashed server produces, to 1e-8. Nothing resumes:
+// the manifest has no resume section, and no process writes a
+// checkpoints/ directory.
+func TestServeCrashRestartRerunsJob(t *testing.T) {
 	body := pgenBody(31, 32, `"async": true, "include_map": true`)
 
-	// Cold reference map from an undisturbed server — computed before
-	// any fault is installed so it costs full price, no shortcuts.
+	// Reference map from an undisturbed server — computed before any
+	// fault is installed.
 	_, tsCold := newTestServer(t, Config{Workers: 1})
 	code, b := post(t, tsCold, "/v1/analyze", pgenBody(31, 32, `"include_map": true`))
 	if code != http.StatusOK {
 		t.Fatalf("cold solve: status %d: %s", code, b)
 	}
-	coldView := decodeJob(t, b)
-	if coldView.Result == nil || len(coldView.Result.Map) == 0 {
-		t.Fatal("cold solve returned no map")
-	}
-	cold := coldView.Result
+	cold := decodeJob(t, b).Result
 
-	withGlobalFaults(t, parkAfterFirstCheckpoint)
+	withGlobalFaults(t, parkMidSolve)
 
 	dir := t.TempDir()
 	recoveredBefore := obs.CounterValue("serve.recovered")
+	requeuesBefore := obs.CounterValue("serve.requeues")
 
 	// First incarnation: managed by hand, because the only way out of
 	// this server is crash() — the cleanup-path Close would flush state
 	// a real crash never flushes.
-	s1 := New(Config{Workers: 1, JournalDir: dir, CheckpointEvery: 2})
+	s1 := New(Config{Workers: 1, JournalDir: dir})
 	ts1 := httptest.NewServer(s1.Handler())
 	code, b = post(t, ts1, "/v1/analyze", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", code, b)
 	}
 	id := decodeJob(t, b).ID
-	waitParked(t, s1, id)
+	waitStalled(t, 1)
 	s1.crash()
 	ts1.Close()
 	faults.SetActive(nil)
-	// The image holds what a kill -9 leaves: a blob the journal never
-	// names — no record type mentions checkpoints any more.
-	if recs := journalTypes(t, dir); recs["checkpoint"] != 0 || recs[journal.TypeAccepted] != 1 {
-		t.Fatalf("crashed journal holds %v, want one accepted record and no checkpoint records", recs)
+	if recs := journalTypes(t, dir); recs[journal.TypeAccepted] != 1 || recs[journal.TypeStarted] != 1 || len(recs) != 2 {
+		t.Fatalf("crashed journal holds %v, want one accepted and one started record", recs)
 	}
 
 	// Second incarnation on the same journal directory: replay must
 	// find the orphan and finish it.
-	s2, ts2 := newTestServer(t, Config{Workers: 1, JournalDir: dir, CheckpointEvery: 2})
+	s2, ts2 := newTestServer(t, Config{Workers: 1, JournalDir: dir})
 	if s2.replayStats.Records == 0 {
 		t.Fatal("restarted server replayed no journal records")
 	}
 	if got := obs.CounterValue("serve.recovered") - recoveredBefore; got != 1 {
 		t.Fatalf("serve.recovered advanced by %d, want 1", got)
 	}
+	if got := obs.CounterValue("serve.requeues") - requeuesBefore; got != 1 {
+		t.Fatalf("serve.requeues advanced by %d, want 1", got)
+	}
 
 	v := waitStatus(t, ts2, id, func(st Status) bool { return st == StatusDone })
 	if v.ID != id {
 		t.Fatalf("recovered job kept id %q, want original %q", v.ID, id)
 	}
-	if v.Result == nil || v.Result.Manifest == nil {
-		t.Fatalf("recovered job has no result/manifest: %+v", v)
+	_, b = get(t, ts2, "/v1/jobs/"+id)
+	if _, ok := manifestKeys(t, b)["resume"]; ok {
+		t.Error("recovered job's manifest has a resume section")
 	}
-	mf := v.Result.Manifest
-	if mf.Resume == nil {
-		t.Fatal("recovered job's manifest has no resume section")
-	}
-	if mf.Resume.From != fromRestart {
-		t.Errorf("resume provenance %q, want %q", mf.Resume.From, fromRestart)
-	}
-	if mf.Resume.Outcome != obs.ResumeAccepted || mf.Resume.Iter <= 0 {
-		t.Errorf("resume section %+v, want an accepted mid-solve resume", mf.Resume)
-	}
-
-	if len(v.Result.Map) != len(cold.Map) {
-		t.Fatalf("map length %d, want %d", len(v.Result.Map), len(cold.Map))
-	}
-	var maxDiff float64
-	for i := range cold.Map {
-		if d := math.Abs(v.Result.Map[i] - cold.Map[i]); d > maxDiff {
-			maxDiff = d
-		}
-	}
-	if maxDiff > 1e-8 {
-		t.Fatalf("resumed map differs from cold map by %g (tol 1e-8)", maxDiff)
-	}
-	// The finished job took its blob with it (drain first: a job turns
-	// "done" before its worker has journaled the terminal record).
-	if err := s2.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if ents, _ := os.ReadDir(filepath.Join(dir, "checkpoints")); len(ents) != 0 {
-		t.Errorf("finished job left %d file(s) in checkpoints/", len(ents))
+	sameMap(t, v.Result.Map, cold.Map, 1e-8)
+	if _, err := os.Stat(filepath.Join(dir, "checkpoints")); !os.IsNotExist(err) {
+		t.Errorf("a checkpoints/ directory was written (stat: %v)", err)
 	}
 }
 
-// TestServeRecoveryPassesCheckpointSaveFault: restoring a blob is not
-// saving one. The parking profile stays installed when the second
-// incarnation starts, so by then every checkpoint.save stalls; New
-// must return all the same (recovery used to re-insert the blob
-// through cache.StoreCheckpoint and hung there for good) and the
-// recovered job must resume from the restored checkpoint. The second
-// incarnation takes no checkpoints of its own, so the profile cannot
-// park it.
-func TestServeRecoveryPassesCheckpointSaveFault(t *testing.T) {
-	withGlobalFaults(t, parkAfterFirstCheckpoint)
+// TestServeRecoversParentJournal: a journal directory the previous
+// release left (testdata/parent_journal, written by that release's
+// server with a 2-iteration checkpoint interval, crashed mid-solve)
+// holds one orphan — accepted and started, no terminal record — and
+// the snapshot blob that release saved under checkpoints/. This server
+// finishes the orphan under its original id by re-running the solve,
+// never reads or removes the blob, and answers with the map a fresh
+// server gives the same body, to 1e-8.
+func TestServeRecoversParentJournal(t *testing.T) {
 	dir := t.TempDir()
-	s1 := New(Config{Workers: 1, JournalDir: dir, CheckpointEvery: 2})
-	ts1 := httptest.NewServer(s1.Handler())
-	code, b := post(t, ts1, "/v1/analyze", pgenBody(31, 32, `"async": true`))
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: status %d: %s", code, b)
-	}
-	id := decodeJob(t, b).ID
-	waitParked(t, s1, id)
-	s1.crash()
-	ts1.Close()
-
-	started := make(chan *Server, 1)
-	go func() { started <- New(Config{Workers: 1, JournalDir: dir, CheckpointEvery: -1}) }()
-	var s2 *Server
-	select {
-	case s2 = <-started:
-	case <-time.After(5 * time.Second):
-		t.Fatal("serve.New did not return: recovery stalled on the installed checkpoint.save fault")
-	}
-	ts2 := httptest.NewServer(s2.Handler())
-	t.Cleanup(func() {
-		ts2.Close()
-		if err := s2.Close(context.Background()); err != nil {
-			t.Errorf("Close: %v", err)
+	for _, name := range []string{"journal-000001.wal", "checkpoints/83dbbc354ef9084f.ckpt"} {
+		data, err := os.ReadFile(filepath.Join("testdata/parent_journal", name))
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	v := waitStatus(t, ts2, id, func(st Status) bool { return st == StatusDone })
-	if v.Result == nil || v.Result.Manifest == nil {
-		t.Fatalf("recovered job has no result/manifest: %+v", v)
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rs := v.Result.Manifest.Resume
-	if rs == nil || rs.Outcome != obs.ResumeAccepted || rs.Iter <= 0 || rs.From != fromRestart {
-		t.Fatalf("resume section %+v, want the restored checkpoint resumed mid-solve from %q", rs, fromRestart)
+	blob := filepath.Join(dir, "checkpoints/83dbbc354ef9084f.ckpt")
+	before, err := os.ReadFile(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	recoveredBefore := obs.CounterValue("serve.recovered")
+	_, ts := newTestServer(t, Config{Workers: 1, JournalDir: dir})
+	if got := obs.CounterValue("serve.recovered") - recoveredBefore; got != 1 {
+		t.Fatalf("serve.recovered advanced by %d, want 1", got)
+	}
+	v := waitStatus(t, ts, "job-000001", Status.Terminal)
+	if v.Status != StatusDone || v.Result == nil {
+		t.Fatalf("orphan ended %q (error %q)", v.Status, v.Error)
+	}
+	_, b := get(t, ts, "/v1/jobs/job-000001")
+	if _, ok := manifestKeys(t, b)["resume"]; ok {
+		t.Error("recovered job's manifest has a resume section")
+	}
+
+	_, tsFresh := newTestServer(t, Config{Workers: 1})
+	code, b := post(t, tsFresh, "/v1/analyze", pgenBody(43, 32, `"include_map": true`))
+	if code != http.StatusOK {
+		t.Fatalf("fresh solve: status %d: %s", code, b)
+	}
+	sameMap(t, v.Result.Map, decodeJob(t, b).Result.Map, 1e-8)
+	if after, err := os.ReadFile(blob); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("the parent's blob was touched (read error %v)", err)
 	}
 }
 
@@ -225,23 +205,11 @@ func TestServeRecoveryPassesCheckpointSaveFault(t *testing.T) {
 // journaled for such requests). A new submission with either field is a
 // 400, but a journaled job is still owed its answer: recovery must
 // re-run it to done, and the map must equal a fresh solve of the same
-// deck to 1e-9. A forced-format job solves cold (the fmt=sell key its
-// blob was saved under is no longer derivable); an auto-format one
-// still finds the blob the earlier binary left — here the PR 18
-// fixture, keyed and laid out as that binary wrote it.
+// deck to 1e-9.
 func TestServeRecoversRetiredPrecisionRequest(t *testing.T) {
 	const pgenTail = `"vdd":0,"num_pads":0,"cell_pitch":0,"background_amps":0,"hotspots":0,"hotspot_amps":0,"blockages":0},`
-	blob, err := os.ReadFile("../cache/testdata/checkpoint_pr18.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err := cache.DecodeCheckpoint(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rows := []struct {
 		id, name, accepted, fresh string
-		resumes                   bool
 	}{
 		{id: "job-000001", name: "PR 18, precision mixed",
 			accepted: `{"pgen":{"name":"","class":"fake","seed":31,"w":32,"h":32,` + pgenTail +
@@ -251,13 +219,10 @@ func TestServeRecoversRetiredPrecisionRequest(t *testing.T) {
 			accepted: `{"pgen":{"name":"","class":"fake","seed":33,"w":32,"h":32,` + pgenTail +
 				`"mode":"numerical","precond":"amg","format":"sell","include_map":true}`,
 			fresh: pgenBody(33, 32, `"include_map": true`)},
-		// The deck checkpoint_pr18.bin is a snapshot of (see
-		// plan.TestSolvePathsAgree).
-		{id: "job-000003", name: "PR 21, format auto, blob on disk",
+		{id: "job-000003", name: "PR 21, format auto",
 			accepted: `{"pgen":{"name":"","class":"real","seed":17,"w":24,"h":24,` + pgenTail +
 				`"mode":"numerical","precond":"amg","format":"auto","include_map":true}`,
-			fresh:   `{"pgen": {"class": "real", "w": 24, "h": 24, "seed": 17}, "include_map": true}`,
-			resumes: true},
+			fresh: `{"pgen": {"class": "real", "w": 24, "h": 24, "seed": 17}, "include_map": true}`},
 	}
 	dir := t.TempDir()
 	j, _, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone}, nil)
@@ -268,9 +233,6 @@ func TestServeRecoversRetiredPrecisionRequest(t *testing.T) {
 		if err := j.Append(context.Background(), journal.Record{Type: journal.TypeAccepted, JobID: r.id, Request: json.RawMessage(r.accepted)}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := j.SaveBlob(cache.CheckpointKey(art.Fingerprint, art.Shape), blob); err != nil {
-		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -283,10 +245,6 @@ func TestServeRecoversRetiredPrecisionRequest(t *testing.T) {
 			v := waitStatus(t, ts, r.id, Status.Terminal)
 			if v.Status != StatusDone || v.Result == nil || v.Result.Manifest == nil {
 				t.Fatalf("recovered job ended %q (error %q)", v.Status, v.Error)
-			}
-			rs := v.Result.Manifest.Resume
-			if resumed := rs != nil && rs.Outcome == obs.ResumeAccepted && rs.Iter == art.State.Iter; resumed != r.resumes {
-				t.Errorf("resume section %+v; resumes from the blob on disk: want %t", rs, r.resumes)
 			}
 			code, b := post(t, tsFresh, "/v1/analyze", r.fresh)
 			if code != http.StatusOK {
@@ -379,9 +337,9 @@ func TestServeJournalDisabledByDefault(t *testing.T) {
 
 // TestServeFingerprintsOnce: a cold request canonicalises, sorts and
 // hashes its design once — at admission. The solve path takes that
-// fingerprint instead of recomputing it, so the stored system and the
-// checkpoint (cache entry and durable blob) are filed under the
-// fingerprint the admission holds, and the memo entry carries it.
+// fingerprint instead of recomputing it, so the stored system is filed
+// under the fingerprint the admission holds, and the memo entry carries
+// it; a journaled solve parked mid-flight has still hashed once.
 func TestServeFingerprintsOnce(t *testing.T) {
 	const counter = "cache.fingerprint.calls"
 	s, ts := newTestServer(t, Config{Workers: 1})
@@ -407,10 +365,10 @@ func TestServeFingerprintsOnce(t *testing.T) {
 		t.Error("no memo entry holding the admission's fingerprint")
 	}
 
-	// The checkpoint: park a second server's solve behind its first
-	// snapshot and look both stores up by the admission's fingerprint.
-	withGlobalFaults(t, parkAfterFirstCheckpoint)
-	s2 := New(Config{Workers: 1, JournalDir: t.TempDir(), CheckpointEvery: 2})
+	// A journaled cold request parked mid-solve: admission, journal
+	// records and the solve so far have hashed the design once.
+	withGlobalFaults(t, parkMidSolve)
+	s2 := New(Config{Workers: 1, JournalDir: t.TempDir()})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 	defer s2.crash() // the parked solve ends no other way
@@ -419,20 +377,8 @@ func TestServeFingerprintsOnce(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", code, b)
 	}
-	j, _ = s2.reg.get(decodeJob(t, b).ID)
-	key := checkpointKey(&j.req, j.fp)
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
-		if _, err := s2.journal.LoadBlob(key); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint blob under the admission's fingerprint before the deadline")
-		}
-	}
-	if _, ok := s2.cache.Get(key); !ok {
-		t.Error("no checkpoint cache entry under the admission's fingerprint")
-	}
+	waitStalled(t, 1)
 	if got := obs.CounterValue(counter) - before; got != 1 {
-		t.Errorf("one checkpointing cold request moved %s by %d, want 1", counter, got)
+		t.Errorf("one journaled cold request parked mid-solve moved %s by %d, want 1", counter, got)
 	}
 }

@@ -92,26 +92,14 @@ type Config struct {
 	// in eval mode once, after which inference is reentrant. Do not
 	// train or toggle the model while the server runs.
 	Analyzer *core.Analyzer
-	// DisableCache turns the per-process artifact cache off: every
-	// request runs the full cold path. The cache, when on, has the
-	// cache package's default size and entry lifetime.
-	DisableCache bool
 	// JournalDir enables the write-ahead job journal: every job
-	// lifecycle transition is appended there, solver checkpoints are
-	// persisted as blobs beside it, and a restarted server replays the
-	// directory to re-enqueue orphaned jobs (resuming their solves from
-	// the last checkpoint). Empty disables journaling.
+	// lifecycle transition is appended there, and a restarted server
+	// replays the directory to re-enqueue orphaned jobs, which re-run
+	// their solves. Empty disables journaling.
 	JournalDir string
 	// JournalSync is the journal fsync policy (journal.SyncAlways or
 	// SyncNone). Default SyncAlways.
 	JournalSync string
-	// CheckpointEvery is the solver checkpoint interval in PCG
-	// iterations: every N-th iterate of a converged cached solve is
-	// snapshotted into the artifact cache — and, when the journal is
-	// enabled, persisted as a durable blob — so a crashed, panicked, or
-	// handed-off solve can resume instead of restarting. Default 32;
-	// negative disables.
-	CheckpointEvery int
 }
 
 func (c Config) withDefaults() Config {
@@ -127,9 +115,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxDesignSize <= 0 {
 		c.MaxDesignSize = 256
 	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 32
-	}
 	return c
 }
 
@@ -141,7 +126,7 @@ type Server struct {
 	queue chan *job
 	reg   *registry
 	start time.Time
-	cache *cache.Cache // per-process artifact cache; nil when disabled
+	cache *cache.Cache // per-process artifact cache
 
 	journal     *journal.Journal // write-ahead job journal; nil when disabled
 	journalErr  string           // journal open failure; serving continues without durability
@@ -163,20 +148,19 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		mux:        http.NewServeMux(),
-		queue:      make(chan *job, cfg.QueueDepth),
-		reg:        newRegistry(maxJobs, cfg.Name),
-		start:      time.Now(),
-		baseCtx:    ctx,
-		baseCancel: cancel,
-	}
-	if !cfg.DisableCache {
+		cfg:   cfg,
+		mux:   http.NewServeMux(),
+		queue: make(chan *job, cfg.QueueDepth),
+		reg:   newRegistry(maxJobs, cfg.Name),
+		start: time.Now(),
 		// One cache per server, shared by every worker: the whole point
 		// is that worker B's ECO re-check warm-starts off worker A's
 		// solve. Cached hierarchies are cloned per use (see amg.Clone),
-		// so sharing is race-free.
-		s.cache = cache.New(0, 0)
+		// so sharing is race-free. It has the cache package's default
+		// size and entry lifetime.
+		cache:      cache.New(0, 0),
+		baseCtx:    ctx,
+		baseCancel: cancel,
 	}
 	if cfg.Analyzer != nil {
 		// Eval mode is what makes the workers' concurrent forward passes
@@ -285,8 +269,8 @@ func (s *Server) closeJournal() {
 // terminal records — that asymmetry is exactly what replay recovers
 // from), then every in-flight context is cancelled and the call
 // returns once the workers have exited. The journal directory is left
-// holding exactly what a kill -9 mid-solve would: accepted, started,
-// and checkpoint records with no terminal record after them.
+// holding exactly what a kill -9 mid-solve would: accepted and started
+// records with no terminal record after them.
 func (s *Server) crash() {
 	s.crashed.Store(true)
 	s.submitMu.Lock()

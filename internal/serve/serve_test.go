@@ -214,6 +214,7 @@ func TestAnalyzeValidation(t *testing.T) {
 		{"negative iters", pgenBody(1, 24, `"iters": -1`)},
 		{"huge iters", pgenBody(1, 24, fmt.Sprintf(`"iters": %d`, maxIters+1))},
 		{"negative timeout", pgenBody(1, 24, `"timeout_ms": -5`)},
+		{"overflowing timeout", pgenBody(1, 24, `"timeout_ms": 10000000000000`)},
 		{"die too large", pgenBody(1, 128, "")},
 		{"resolution too large", pgenBody(1, 24, `"resolution": 1024`)},
 		{"zero die", `{"pgen": {"w": 0, "h": 0}}`},
@@ -282,10 +283,10 @@ func slowBody(seed int64) string {
 }
 
 func TestCancelStopsSolveMidIteration(t *testing.T) {
-	// The solve parks at its first checkpoint, so the cancellation
+	// The solve parks at its third PCG iteration, so the cancellation
 	// demonstrably lands mid-solve, not before the loop starts.
-	withGlobalFaults(t, stallCheckpoints)
-	_, ts := newTestServer(t, Config{Workers: 1, CheckpointEvery: 2})
+	withGlobalFaults(t, parkMidSolve)
+	_, ts := newTestServer(t, Config{Workers: 1})
 	code, b := post(t, ts, "/v1/analyze", pgenBody(5, 64, `"async": true`))
 	if code != http.StatusAccepted {
 		t.Fatalf("status %d: %s", code, b)
@@ -308,10 +309,10 @@ func TestCancelStopsSolveMidIteration(t *testing.T) {
 	if len(solves) != 1 {
 		t.Fatalf("manifest solves = %+v, want exactly one", solves)
 	}
-	// Early return at the parked checkpoint, with a partial residual
+	// Early return at the parked iteration, with a partial residual
 	// history recorded up to the cancellation point.
 	if solves[0].Iterations != 2 {
-		t.Errorf("cancelled solve ran %d iterations, want the 2 before its parked checkpoint", solves[0].Iterations)
+		t.Errorf("cancelled solve ran %d iterations, want the 2 before its parked iteration", solves[0].Iterations)
 	}
 	h := solves[0].History
 	if len(h) == 0 || len(h) > maxIters {

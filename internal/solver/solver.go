@@ -77,15 +77,6 @@ type Options struct {
 	// count, timing, and residual history under this label. Empty
 	// defaults to "pcg".
 	Label string
-	// CheckpointEvery, when positive and CheckpointSink is set, makes
-	// the iteration loop snapshot the solve (iterate, iteration count,
-	// residual history tail) every CheckpointEvery completed
-	// iterations, so a crashed or handed-off solve can resume from the
-	// last snapshot instead of iteration 0 (see checkpoint.go).
-	CheckpointEvery int
-	// CheckpointSink receives the periodic snapshots. Nil disables
-	// checkpointing regardless of CheckpointEvery.
-	CheckpointSink CheckpointSink
 }
 
 // DefaultOptions returns a converged-solve configuration.
@@ -248,8 +239,12 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 				case faults.ActPanic:
 					// Die mid-iteration like a real crash would: the
 					// requeue tests use this (Rule.After selects the
-					// iteration) to kill a solve after checkpoints exist.
+					// iteration) to kill a solve part-way through.
 					panic(fmt.Sprintf("faults: injected panic at %s iteration %d", faults.SitePCG, k))
+				case faults.ActStall:
+					// Park mid-solve until the caller gives up: the serving
+					// tests hold a worker busy this way.
+					return res, fmt.Errorf("%w after %d iterations: %w", ErrCancelled, res.Iterations, f.Sleep(ctx))
 				}
 			}
 		}
@@ -283,9 +278,6 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 		}
 		if opts.Record {
 			res.History = append(res.History, rel)
-		}
-		if opts.CheckpointSink != nil && opts.CheckpointEvery > 0 && res.Iterations%opts.CheckpointEvery == 0 {
-			opts.CheckpointSink.SaveCheckpoint(snapshot(x, res.Iterations, rel, res.History, opts))
 		}
 		if rel == 0 || (opts.Tol > 0 && rel < opts.Tol) { //irfusion:exact an exactly zero residual is solved; Tol=0 budget solves must not stop on merely-small residuals
 			res.Converged = true
