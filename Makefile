@@ -49,7 +49,7 @@ build:
 test: build
 	$(GO) test ./...
 
-# The durability suites (crash/restart, requeue, journal replay) are
+# The durability suites (crash/restart, journal replay) are
 # the ones whose failures depended on scheduling; they run three times
 # over so a 1-in-N interleaving has three chances to show.
 race:
@@ -220,7 +220,15 @@ loc: ## non-test Go and assembly lines per package and the total
 # 603 -> 549 (LoadBlob, DropBlob), internal/core 613 -> 600,
 # internal/faults 206 -> 199 (two sites, one action), cmd/irfusion
 # 618 -> 616 (-checkpoint-every).
-LOC_CEILING ?= 18500
+# Lowered to 18400 (total 18453 -> 18387) when a job became one attempt
+# and two journal records: internal/serve 1474 -> 1435 (the started and
+# requeued appends, the requeue-once retry, requeueForRetry, the
+# requeues field and serve.requeues), internal/journal 549 -> 533
+# (TypeStarted, TypeRequeued, JobState.LastType and Terminal, Fold.Len,
+# Journal.Dir), internal/obs 764 -> 758 (the stale tally),
+# internal/solver 387 -> 382 (the solver.pcg panic only the requeue
+# test armed).
+LOC_CEILING ?= 18400
 
 loc-check: ## fail when the non-test Go + assembly line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \

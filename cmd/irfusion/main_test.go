@@ -217,8 +217,8 @@ func TestAnalyzeFusedRoughBudget(t *testing.T) {
 // faults on the process slot the CLI's context falls back to; a row
 // that succeeds must return the undisturbed map and write a valid
 // manifest meeting the row's check, a row that must fail must fail
-// with its error. The serving rows (requeue, restart) are served-job
-// scenarios and live in internal/serve.
+// with its error. The serving row (restart) is a served-job scenario
+// and lives in internal/serve.
 func TestRehearseAll(t *testing.T) {
 	args := []string{"-size", "32", "-seed", "3"}
 	cold, err := cmdAnalyze(args)

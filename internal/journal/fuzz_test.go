@@ -55,7 +55,7 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("stats.Records %d != %d records delivered", stats1.Records, len(first))
 		}
 		// The journal must accept appends after any recovery.
-		if err := j.Append(context.Background(), Record{Type: TypeStarted, JobID: "post-recovery"}); err != nil {
+		if err := j.Append(context.Background(), Record{Type: TypeAccepted, JobID: "post-recovery"}); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		j.Close()

@@ -27,16 +27,15 @@ func TestCacheSectionTallies(t *testing.T) {
 		CacheEvent{Stage: "numerical.solve", Outcome: CacheStore, Key: "abc"},
 		CacheEvent{Stage: "numerical.solve", Outcome: CacheHit, Key: "abc"},
 		CacheEvent{Stage: "numerical.solve", Outcome: CacheWarm, Key: "abc", Delta: 0.01},
-		CacheEvent{Stage: "numerical.solve", Outcome: cacheStale, Key: "abc"},
 	)
 	c := m.Cache
 	if c == nil {
 		t.Fatal("manifest with cache events has no cache section")
 	}
-	if c.Hits != 1 || c.Misses != 1 || c.WarmStarts != 1 || c.Stale != 1 || c.Stores != 1 {
+	if c.Hits != 1 || c.Misses != 1 || c.WarmStarts != 1 || c.Stores != 1 {
 		t.Fatalf("tallies = %+v", c)
 	}
-	if len(c.Events) != 5 || c.Events[3].Delta != 0.01 {
+	if len(c.Events) != 4 || c.Events[3].Delta != 0.01 {
 		t.Fatalf("events = %+v", c.Events)
 	}
 	if err := m.Validate(); err != nil {

@@ -57,7 +57,6 @@ type CacheSection struct {
 	Hits       int          `json:"hits"`
 	Misses     int          `json:"misses"`
 	WarmStarts int          `json:"warm_starts"`
-	Stale      int          `json:"stale"`
 	Stores     int          `json:"stores"`
 	Events     []CacheEvent `json:"events"`
 }
@@ -121,8 +120,6 @@ func (r *Recorder) Manifest(kind string, config any) *Manifest {
 				cs.Misses++
 			case CacheWarm:
 				cs.WarmStarts++
-			case cacheStale:
-				cs.Stale++
 			case CacheStore:
 				cs.Stores++
 			}
@@ -197,7 +194,7 @@ func (m *Manifest) Validate() error {
 		if len(c.Events) == 0 {
 			return fmt.Errorf("obs: cache section present but has no events")
 		}
-		var hits, misses, warms, stale, stores int
+		var hits, misses, warms, stores int
 		for _, e := range c.Events {
 			if e.Stage == "" {
 				return fmt.Errorf("obs: cache event missing stage: %+v", e)
@@ -212,19 +209,16 @@ func (m *Manifest) Validate() error {
 				misses++
 			case CacheWarm:
 				warms++
-			case cacheStale:
-				stale++
+			case cacheStale: // an older release's outcome: valid, and counted in no tally
 			case CacheStore:
 				stores++
 			default:
 				return fmt.Errorf("obs: cache event for %s has unknown outcome %q", e.Stage, e.Outcome)
 			}
 		}
-		if hits != c.Hits || misses != c.Misses || warms != c.WarmStarts ||
-			stale != c.Stale || stores != c.Stores {
-			return fmt.Errorf("obs: cache tallies %d/%d/%d/%d/%d disagree with events %d/%d/%d/%d/%d",
-				c.Hits, c.Misses, c.WarmStarts, c.Stale, c.Stores,
-				hits, misses, warms, stale, stores)
+		if hits != c.Hits || misses != c.Misses || warms != c.WarmStarts || stores != c.Stores {
+			return fmt.Errorf("obs: cache tallies %d/%d/%d/%d disagree with events %d/%d/%d/%d",
+				c.Hits, c.Misses, c.WarmStarts, c.Stores, hits, misses, warms, stores)
 		}
 	}
 	return nil
@@ -273,8 +267,8 @@ func (m *Manifest) Summary() string {
 		fmt.Fprintf(&b, "training: %d epochs, loss %.4g → %.4g\n", n, first.Loss, last.Loss)
 	}
 	if c := m.Cache; c != nil {
-		fmt.Fprintf(&b, "cache: %d hit(s), %d miss(es), %d warm start(s), %d stale, %d store(s)\n",
-			c.Hits, c.Misses, c.WarmStarts, c.Stale, c.Stores)
+		fmt.Fprintf(&b, "cache: %d hit(s), %d miss(es), %d warm start(s), %d store(s)\n",
+			c.Hits, c.Misses, c.WarmStarts, c.Stores)
 	}
 	var rest []string
 	for _, name := range sortedKeys(m.Counters) {
@@ -319,8 +313,8 @@ func (m *Manifest) WriteFile(path string) error {
 }
 
 // DecodeManifest decodes a manifest from its JSON encoding (the
-// inverse of Encode). Keys it does not know — the resume section an
-// older release wrote — are ignored.
+// inverse of Encode). Keys it does not know — the resume section and
+// the cache section's stale tally an older release wrote — are ignored.
 func DecodeManifest(r io.Reader) (*Manifest, error) {
 	var m Manifest
 	if err := json.NewDecoder(r).Decode(&m); err != nil {

@@ -267,7 +267,7 @@ func TestDecodesParentDegradationRecord(t *testing.T) {
 	if d := m.Degradations[1]; d.Rung != "numerical.ssor" || d.RungIndex != 1 || d.Attempts[0].Rung != "numerical.amg" {
 		t.Errorf("breaker-skip record decoded as %+v", d)
 	}
-	if m.Cache == nil || m.Cache.Stale != 1 {
+	if c := m.Cache; c == nil || len(c.Events) != 1 || c.Events[0].Outcome != cacheStale {
 		t.Errorf("parent cache section decoded as %+v", m.Cache)
 	}
 }

@@ -543,13 +543,7 @@ func (s *Server) runJob(j *job) {
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	requeued := false
-	defer func() {
-		if !requeued {
-			j.cancel() // release the context's timer resources
-		}
-	}()
-	s.journalAppend(j.ctx, journal.Record{Type: journal.TypeStarted, JobID: j.id})
+	defer j.cancel() // release the context's timer resources
 
 	rec := obs.NewRecorder()
 	rec.Add("serve.job", 1)
@@ -579,24 +573,6 @@ func (s *Server) runJob(j *job) {
 
 	result, err := s.executeProtected(ctx, j)
 
-	// Requeue-once after a worker panic: the job goes back into the
-	// queue (journaled, so even a crash between here and the retry keeps
-	// it recoverable) and the retry re-runs the solve the way any request
-	// does. Only the first panic earns a retry — a second one fails the
-	// job for real, so a deterministically-crashing request cannot loop
-	// forever.
-	if errors.Is(err, errWorkerPanic) && !j.cancelled.Load() && j.ctx.Err() == nil &&
-		j.requeues.Add(1) == 1 && j.requeueForRetry() {
-		s.journalAppend(j.ctx, journal.Record{
-			Type: journal.TypeRequeued, JobID: j.id, Detail: err.Error(),
-		})
-		if s.submit(j) {
-			cRequeues.Inc()
-			requeued = true
-			return
-		}
-		// Queue full or draining: no retry slot; fail below as usual.
-	}
 	// The run is over: a retained job keeps its result and manifest, not
 	// the parsed deck (whose strings pin the text).
 	j.design = nil

@@ -116,10 +116,7 @@ func TestAnalyzeNonFiniteValue400(t *testing.T) {
 // (maxJobs of them), so a finished job must not hold its parsed deck —
 // done, failed or cancelled, running or still queued when cancelled,
 // admitted cold or answered from the memo — while GET
-// /v1/jobs/{id} still returns the full result and manifest. (That a job
-// requeued after a panic keeps what its retry needs is
-// TestServeWorkerPanicRequeuedOnce; the failed row here passes through
-// that branch before it fails.)
+// /v1/jobs/{id} still returns the full result and manifest.
 func TestFinishedJobReleasesDeck(t *testing.T) {
 	deck := genDeck(t, 24, 61)
 	for _, tc := range []struct {
@@ -161,7 +158,7 @@ func TestFinishedJobReleasesDeck(t *testing.T) {
 			}
 			return ids
 		}},
-		{"failed", faults.Rule{Site: faults.SiteServeWorker, Action: faults.ActPanic, Times: 2}, func(t *testing.T, s *Server, ts *httptest.Server) []string {
+		{"failed", faults.Rule{Site: faults.SiteServeWorker, Action: faults.ActPanic, Times: 1}, func(t *testing.T, s *Server, ts *httptest.Server) []string {
 			code, b := post(t, ts, "/v1/analyze", spiceBody(deck, ""))
 			if v := decodeJob(t, b); code != http.StatusInternalServerError || v.Status != statusFailed || v.Result.Manifest == nil {
 				t.Fatalf("status %d, job %+v", code, v)

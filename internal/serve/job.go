@@ -51,10 +51,6 @@ type job struct {
 	handoffFrom string // shard this job failed over from; "" normally
 	submitted   time.Time
 
-	// requeues counts post-panic retries; only the first panic earns
-	// one.
-	requeues atomic.Int32
-
 	ctx       context.Context // job lifetime (timeout + server shutdown)
 	cancel    context.CancelFunc
 	done      chan struct{}
@@ -118,20 +114,6 @@ func (j *job) abort() bool {
 	}
 	j.mu.Unlock()
 	j.cancel()
-	return true
-}
-
-// requeueForRetry transitions running → queued for the one-shot retry
-// after a worker panic. It returns false when the job is no longer
-// running (cancelled or otherwise finalized during the run), in which
-// case the caller must not resubmit it.
-func (j *job) requeueForRetry() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status != statusRunning {
-		return false
-	}
-	j.status = statusQueued
 	return true
 }
 
@@ -247,21 +229,27 @@ func (r *registry) add(j *job) string {
 	return id
 }
 
-// addWithID registers a journal-recovered job under its original id
-// (so clients polling a pre-crash job id find it again) and bumps the
-// id counter past the recovered number so fresh ids never collide.
+// addWithID registers a journal-recovered job under its original id,
+// so clients polling a pre-crash job id find it again.
 func (r *registry) addWithID(j *job, id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	j.id = id
 	r.jobs[id] = j
 	r.order = append(r.order, id)
+	r.evictLocked()
+}
+
+// advancePast bumps the id counter past a journaled job id, so a fresh
+// id never repeats one the journal already holds.
+func (r *registry) advancePast(id string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if i := strings.LastIndex(id, "job-"); i >= 0 {
 		if n, err := strconv.ParseInt(id[i+len("job-"):], 10, 64); err == nil && n > r.next {
 			r.next = n
 		}
 	}
-	r.evictLocked()
 }
 
 // get looks a job up by id.

@@ -79,17 +79,15 @@ func TestServeLadderExhausted503(t *testing.T) {
 	}
 }
 
-// TestServeWorkerPanicRecovered: a panicking analysis earns exactly
-// one requeue, so only a *repeated* panic costs the client a 500 —
-// with the manifest attached, serve.panics bumped twice, and exactly
-// one requeue recorded — and neither panic may kill the worker
-// goroutine: the next request on the same single-worker server has to
-// succeed.
+// TestServeWorkerPanicRecovered: a job gets one attempt, so one
+// panicking analysis costs the client a 500 — with the manifest
+// attached and serve.panics bumped once — and the panic may not kill
+// the worker goroutine: the next request on the same single-worker
+// server has to succeed.
 func TestServeWorkerPanicRecovered(t *testing.T) {
-	withGlobalFaults(t, faults.Rule{Site: faults.SiteServeWorker, Action: faults.ActPanic, Times: 2})
+	withGlobalFaults(t, faults.Rule{Site: faults.SiteServeWorker, Action: faults.ActPanic, Times: 1})
 	_, ts := newTestServer(t, Config{Workers: 1})
 	before := obs.GlobalCounters()["serve.panics"]
-	beforeRq := obs.GlobalCounters()["serve.requeues"]
 
 	code, b := post(t, ts, "/v1/analyze", pgenBody(24, 24, `"iters": 3, "precond": "ssor"`))
 	if code != http.StatusInternalServerError {
@@ -102,80 +100,14 @@ func TestServeWorkerPanicRecovered(t *testing.T) {
 	if v.Result == nil || v.Result.Manifest == nil {
 		t.Fatal("panicked job lost its manifest")
 	}
-	if got := obs.GlobalCounters()["serve.panics"]; got != before+2 {
-		t.Errorf("serve.panics %d, want %d (first panic requeues, second fails)", got, before+2)
+	if got := obs.GlobalCounters()["serve.panics"]; got != before+1 {
+		t.Errorf("serve.panics %d, want %d (one panic, no retry)", got, before+1)
 	}
-	if got := obs.GlobalCounters()["serve.requeues"]; got != beforeRq+1 {
-		t.Errorf("serve.requeues %d, want %d (exactly one retry per job)", got, beforeRq+1)
-	}
-	// Times: 2 — the injector is spent; the lone worker must still be
+	// Times: 1 — the injector is spent; the lone worker must still be
 	// alive to serve this.
 	code, b = post(t, ts, "/v1/analyze", pgenBody(25, 24, `"iters": 3, "precond": "ssor"`))
 	if code != http.StatusOK {
 		t.Fatalf("post-panic request status %d, want 200: %s", code, b)
-	}
-}
-
-// TestServeWorkerPanicRequeuedOnce: a single injected panic must be
-// invisible to the client — the job is requeued, the retry (injector
-// spent) succeeds, and the response is a 200 with serve.requeues
-// incremented. A panic before the solve and a panic mid-solve both
-// re-run the solve on retry; the mid-solve row's retry has no resume
-// section in its manifest and returns the undisturbed server's map to
-// 1e-8. This is the regression test for the requeue-once path.
-func TestServeWorkerPanicRequeuedOnce(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		cfg      Config
-		fault    faults.Rule
-		body     string
-		midSolve bool // the panic lands inside PCG; compare the map
-	}{
-		{"worker panic", Config{Workers: 1},
-			faults.Rule{Site: faults.SiteServeWorker, Action: faults.ActPanic, Times: 1},
-			pgenBody(26, 24, `"iters": 3, "precond": "ssor"`), false},
-		{"mid-solve panic reruns", Config{Workers: 1, JournalDir: t.TempDir()},
-			faults.Rule{Site: faults.SitePCG, Action: faults.ActPanic, Label: plan.RungAMG, After: 10, Times: 1},
-			pgenBody(3, 32, `"include_map": true`), true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var cold []float64
-			if tc.midSolve {
-				_, tsCold := newTestServer(t, Config{Workers: 1})
-				code, b := post(t, tsCold, "/v1/analyze", tc.body)
-				if v := decodeJob(t, b); code != http.StatusOK || v.Result == nil {
-					t.Fatalf("cold solve: status %d: %s", code, b)
-				} else {
-					cold = v.Result.Map
-				}
-			}
-			withGlobalFaults(t, tc.fault)
-			_, ts := newTestServer(t, tc.cfg)
-			beforePanics := obs.GlobalCounters()["serve.panics"]
-			beforeRq := obs.GlobalCounters()["serve.requeues"]
-
-			code, b := post(t, ts, "/v1/analyze", tc.body)
-			if code != http.StatusOK {
-				t.Fatalf("status %d, want 200 (panic should have been retried): %s", code, b)
-			}
-			v := decodeJob(t, b)
-			if v.Status != StatusDone {
-				t.Fatalf("status %q, error %q", v.Status, v.Error)
-			}
-			if got := obs.GlobalCounters()["serve.panics"]; got != beforePanics+1 {
-				t.Errorf("serve.panics %d, want %d", got, beforePanics+1)
-			}
-			if got := obs.GlobalCounters()["serve.requeues"]; got != beforeRq+1 {
-				t.Errorf("serve.requeues %d, want %d", got, beforeRq+1)
-			}
-			if !tc.midSolve {
-				return
-			}
-			if _, ok := manifestKeys(t, b)["resume"]; ok {
-				t.Error("requeued job's manifest has a resume section")
-			}
-			sameMap(t, v.Result.Map, cold, 1e-8)
-		})
 	}
 }
 

@@ -44,10 +44,6 @@ var (
 	cCancelled = obs.GlobalCounter("serve.jobs.cancelled")
 	cRejected  = obs.GlobalCounter("serve.jobs.rejected")
 	cPanics    = obs.GlobalCounter("serve.panics")
-	// cRequeues counts jobs re-enqueued after a worker panic (one
-	// retry per job before failing for real) and jobs re-enqueued by
-	// journal replay after a restart.
-	cRequeues = obs.GlobalCounter("serve.requeues")
 	// cRecovered counts orphaned jobs re-enqueued from the journal at
 	// startup.
 	cRecovered = obs.GlobalCounter("serve.recovered")
@@ -269,8 +265,8 @@ func (s *Server) closeJournal() {
 // terminal records — that asymmetry is exactly what replay recovers
 // from), then every in-flight context is cancelled and the call
 // returns once the workers have exited. The journal directory is left
-// holding exactly what a kill -9 mid-solve would: accepted and started
-// records with no terminal record after them.
+// holding exactly what a kill -9 mid-solve would: an accepted record
+// with no terminal record after it.
 func (s *Server) crash() {
 	s.crashed.Store(true)
 	s.submitMu.Lock()

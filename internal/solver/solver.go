@@ -236,11 +236,6 @@ func PCGCtx(ctx context.Context, a *sparse.CSR, x, b []float64, m Preconditioner
 					return res, fmt.Errorf("%w (injected at iteration %d)", ErrIndefinite, k)
 				case faults.ActNaN:
 					r[0] = math.NaN()
-				case faults.ActPanic:
-					// Die mid-iteration like a real crash would: the
-					// requeue tests use this (Rule.After selects the
-					// iteration) to kill a solve part-way through.
-					panic(fmt.Sprintf("faults: injected panic at %s iteration %d", faults.SitePCG, k))
 				case faults.ActStall:
 					// Park mid-solve until the caller gives up: the serving
 					// tests hold a worker busy this way.
