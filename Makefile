@@ -228,7 +228,16 @@ loc: ## non-test Go and assembly lines per package and the total
 # Journal.Dir), internal/obs 764 -> 758 (the stale tally),
 # internal/solver 387 -> 382 (the solver.pcg panic only the requeue
 # test armed).
-LOC_CEILING ?= 18400
+# Lowered to 18285, the new total (18399 -> 18285), when each shard's
+# two health states in the gateway became one record: internal/cluster
+# 958 -> 839 (breaker.go's half-open machine, its cooldown and clock
+# hook, the probe view's own mutex, the disable-the-probe-loop branch
+# and Config's MaxBodyBytes, ProbeTimeout, BreakerThreshold and
+# BreakerCooldown); net of internal/serve 1435 -> 1440 (the body limit
+# the gateway shares, serve.MaxBodyBytes, and the exported
+# ErrKindExhausted the gateway reads to relay an exhausted ladder's
+# 503).
+LOC_CEILING ?= 18285
 
 loc-check: ## fail when the non-test Go + assembly line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \

@@ -514,7 +514,7 @@ func BenchmarkAnalyzeRepeat(b *testing.B) {
 	}
 	srv := serve.New(serve.Config{Name: "s0"})
 	shard := httptest.NewServer(srv.Handler())
-	gw, err := cluster.New(cluster.Config{Shards: []cluster.ShardSpec{{Name: "s0", URL: shard.URL}}, ProbeInterval: -1})
+	gw, err := cluster.New(cluster.Config{Shards: []cluster.ShardSpec{{Name: "s0", URL: shard.URL}}, ProbeInterval: time.Hour})
 	if err != nil {
 		b.Fatal(err)
 	}

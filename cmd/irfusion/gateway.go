@@ -13,15 +13,15 @@ import (
 // of `irfusion serve -name ...` shards (see docs/CLUSTER.md and
 // internal/cluster). It admission-checks requests at the edge, routes
 // each deck to the shard owning its cache fingerprint on a consistent
-// ring, probes shard health into per-shard circuit breakers, and
-// hands failed forwards to the ring successor. SIGINT/SIGTERM trigger
+// ring, probes shard health to take failing shards out of rotation,
+// and hands failed forwards to the ring successor. SIGINT/SIGTERM trigger
 // a graceful drain of in-flight forwards.
 func cmdGateway(args []string) error {
 	fs := flag.NewFlagSet("gateway", flag.ExitOnError)
 	addr := fs.String("addr", "localhost:8090", "listen address")
 	shardList := fs.String("shards", "",
 		"comma-separated shard fleet, name=url pairs (e.g. 'a=http://host1:8080,b=http://host2:8080')")
-	probeInterval := fs.Duration("probe-interval", time.Second, "shard health-probe period")
+	probeInterval := fs.Duration("probe-interval", time.Second, "shard health-probe period; <= 0 means the 1s default")
 	of := addObsFlags(fs)
 	fs.Parse(args)
 

@@ -40,9 +40,9 @@ type fleet struct {
 }
 
 // newFleet boots n shards named shard0..shard{n-1} plus a gateway.
-// The background probe loop is disabled — tests drive probeNow for
-// deterministic breaker state — and one initial sweep marks every
-// shard healthy.
+// The background probe loop waits an hour unless gcfg says otherwise —
+// tests drive probeNow for deterministic shard health — and one
+// initial sweep marks every shard healthy.
 func newFleet(t *testing.T, n int, scfg serve.Config, gcfg Config) *fleet {
 	t.Helper()
 	f := &fleet{t: t}
@@ -84,7 +84,7 @@ func (f *fleet) addGateway(gcfg Config) (*Gateway, *httptest.Server) {
 		gcfg.Shards = append(gcfg.Shards, ShardSpec{Name: sh.name, URL: sh.ts.URL})
 	}
 	if gcfg.ProbeInterval == 0 {
-		gcfg.ProbeInterval = -1 // manual probeNow only
+		gcfg.ProbeInterval = time.Hour // manual probeNow only
 	}
 	gw, err := New(gcfg)
 	if err != nil {
@@ -285,12 +285,11 @@ func TestFleetWarmAffinity(t *testing.T) {
 // TestFleetFailoverMidJob is the second half of the acceptance
 // scenario: the owning shard is killed mid-solve, the gateway retries
 // on the ring successor, the job completes there with the handoff
-// recorded in its manifest, and — after one probe sweep opens the dead
-// shard's breaker — its keys are remapped to the successor without
-// another failed attempt.
+// recorded in its manifest, and — once probe sweeps take the dead
+// shard out of rotation — its keys are remapped to the successor
+// without another failed attempt.
 func TestFleetFailoverMidJob(t *testing.T) {
-	f := newFleet(t, 3, serve.Config{Workers: 1},
-		Config{BreakerThreshold: 1, BreakerCooldown: time.Hour})
+	f := newFleet(t, 3, serve.Config{Workers: 1}, Config{})
 	base, eco := ecoPair(t, 33)
 	req := &serve.AnalyzeRequest{Spice: base}
 	succ := f.gw.ring.successors(mustKey(t, req))
@@ -340,11 +339,13 @@ func TestFleetFailoverMidJob(t *testing.T) {
 		t.Fatalf("manifest handoff_from = %v, want %q", cfg, owner)
 	}
 
-	// One probe sweep notices the corpse (threshold 1 → breaker opens)
-	// and remaps the dead shard's keys: the ECO neighbor now routes
-	// straight to the successor, first attempt, no failed forward —
-	// and warm-starts off the failed-over job's artifacts.
-	f.gw.probeNow(context.Background())
+	// Probe sweeps notice the corpse (failureLimit failures → breaker
+	// opens) and remap the dead shard's keys: the ECO neighbor now
+	// routes straight to the successor, first attempt, no failed
+	// forward — and warm-starts off the failed-over job's artifacts.
+	for i := 0; i < failureLimit; i++ {
+		f.gw.probeNow(context.Background())
+	}
 	if state := f.gw.breakerStates()[owner]; state != "open" {
 		t.Fatalf("dead shard's breaker is %q, want open", state)
 	}
@@ -361,6 +362,35 @@ func TestFleetFailoverMidJob(t *testing.T) {
 	m = decodeView(t, body).Result.Manifest
 	if m.Cache == nil || m.Cache.WarmStarts+m.Cache.Hits == 0 {
 		t.Fatalf("remapped ECO request found no warm artifacts on the successor: %+v", m.Cache)
+	}
+}
+
+// TestFleetLadderExhaustedNotHandedOff: a request whose solve ladder
+// is exhausted on its owner answers the owner's 503 with error_kind
+// ladder-exhausted after one attempt. The pipeline is deterministic,
+// so the ring successor, which would fail the same way, gets no job.
+func TestFleetLadderExhaustedNotHandedOff(t *testing.T) {
+	f := newFleet(t, 3, serve.Config{Workers: 1}, Config{})
+	faults.SetActive(faults.New(faults.Rule{Site: faults.SiteAMGSetup, Action: faults.ActFail}))
+	t.Cleanup(func() { faults.SetActive(nil) })
+	req := &serve.AnalyzeRequest{Pgen: &pgen.Config{Class: pgen.Fake, W: 16, H: 16, Seed: 5}}
+	succ := f.gw.ring.successors(mustKey(t, req))
+
+	resp, body := f.postAnalyze(req)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503: %s", resp.StatusCode, body)
+	}
+	if v := decodeView(t, body); v.ErrorKind != serve.ErrKindExhausted {
+		t.Errorf("error_kind %q, want %q: %s", v.ErrorKind, serve.ErrKindExhausted, body)
+	}
+	if got := resp.Header.Get(serve.HeaderRouteAttempt); got != "1" {
+		t.Errorf("route attempts %q, want 1", got)
+	}
+	if got := resp.Header.Get(serve.HeaderShard); got != succ[0] {
+		t.Errorf("answered by %q, want the owner %q", got, succ[0])
+	}
+	if n := f.shard(succ[1]).analyzeHits.Load(); n != 0 {
+		t.Errorf("ring successor %s got %d jobs, want 0", succ[1], n)
 	}
 }
 

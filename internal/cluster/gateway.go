@@ -14,18 +14,18 @@
 // follow-up request, and gateways can be scaled or restarted freely.
 //
 // Health is probe-driven: a background loop GETs every shard's
-// /healthz on a fixed interval and feeds the results into each shard's
-// circuit breaker (breaker.go). An open breaker takes the shard
-// out of rotation (requests skip to the ring successor) until the
-// cooldown elapses and a half-open probe closes it again. Forwarding
-// failures — a dropped connection or an injected cluster.forward
-// fault — also count against the breaker, and trigger a bounded
-// handoff: the request is retried on the next distinct shard clockwise
-// on the ring, with the origin shard's name attached in the
-// serve.HeaderHandoffFrom header so the completing shard's run
-// manifest records the failover. Analysis requests are deterministic
-// and side-effect-free per shard, which is what makes blind re-send
-// safe.
+// /healthz on a fixed interval into the shard's one health record, a
+// count of consecutive failures. A failed forward — a dropped
+// connection or an injected cluster.forward fault — counts too.
+// failureLimit failures in a row take the shard out of rotation
+// (requests skip to the ring successor) until a probe succeeds. A
+// failed forward, or a 503 from a full queue or a drain, is handed to
+// the next distinct shard clockwise on the ring, with the origin
+// shard's name in the serve.HeaderHandoffFrom header so the completing
+// shard's run manifest records the failover. Analysis requests are
+// deterministic and side-effect-free per shard, which is what makes
+// blind re-send safe, and also why a 503 for an exhausted solve ladder
+// is relayed, not handed off.
 package cluster
 
 import (
@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -57,20 +58,29 @@ import (
 // Gateway-level counters, in the process-global obs registry so they
 // surface in /metricsz and GET /v1/cluster.
 var (
-	cRequests    = obs.GlobalCounter("cluster.http.requests")
-	cForwards    = obs.GlobalCounter("cluster.forwards")
-	cForwardFail = obs.GlobalCounter("cluster.forward.failures")
-	cHandoffs    = obs.GlobalCounter("cluster.handoffs")
-	cRejected    = obs.GlobalCounter("cluster.rejected")
-	cProbes      = obs.GlobalCounter("cluster.probes")
-	cProbeFail   = obs.GlobalCounter("cluster.probe.failures")
-	cMemoHits    = obs.GlobalCounter("cluster.route.memo_hits")
-	cMemoMisses  = obs.GlobalCounter("cluster.route.memo_misses")
+	cRequests     = obs.GlobalCounter("cluster.http.requests")
+	cForwards     = obs.GlobalCounter("cluster.forwards")
+	cForwardFail  = obs.GlobalCounter("cluster.forward.failures")
+	cHandoffs     = obs.GlobalCounter("cluster.handoffs")
+	cRejected     = obs.GlobalCounter("cluster.rejected")
+	cProbes       = obs.GlobalCounter("cluster.probes")
+	cProbeFail    = obs.GlobalCounter("cluster.probe.failures")
+	cBreakerTrips = obs.GlobalCounter("cluster.breaker.trips") // shards taken out of rotation
+	cMemoHits     = obs.GlobalCounter("cluster.route.memo_hits")
+	cMemoMisses   = obs.GlobalCounter("cluster.route.memo_misses")
 )
 
-// The routing memo is a private cache.Cache of routeMemoBytes; an entry
-// (seeded 64-bit body hash → routing key) is accounted at routeBytes.
-const routeBytes, routeMemoBytes = 256, 4 << 20
+const (
+	// The routing memo is a private cache.Cache of routeMemoBytes; an
+	// entry (seeded 64-bit body hash → routing key) is accounted at
+	// routeBytes.
+	routeBytes, routeMemoBytes = 256, 4 << 20
+	// failureLimit consecutive failed probes or forwards take a shard
+	// out of rotation.
+	failureLimit = 3
+	// probeTimeout bounds each health probe and status fetch.
+	probeTimeout = 500 * time.Millisecond
+)
 
 // ShardSpec names one shard and its base URL ("http://host:port").
 type ShardSpec struct {
@@ -78,83 +88,78 @@ type ShardSpec struct {
 	URL  string
 }
 
-// Config sizes the gateway. Zero values take the documented defaults.
+// Config is the fleet and its probe period.
 type Config struct {
 	// Shards is the fleet membership: unique names, reachable base
-	// URLs. The ring is built once from these names; an unhealthy
-	// shard is skipped by breaker state, never removed from the ring,
-	// so key placement stays stable across incidents.
+	// URLs. The ring is built once from these names; a shard out of
+	// rotation is skipped, never removed from the ring, so key
+	// placement stays stable across incidents.
 	Shards []ShardSpec
-	// MaxBodyBytes is the gateway's own admission limit, enforced
-	// before any shard is contacted. Default 8 MiB (the serve
-	// default); set it at or below the shards' limit so oversized
-	// requests die at the edge.
-	MaxBodyBytes int64
-	// ProbeInterval is the health-probe period. 0 means the 1s
-	// default; negative disables the background loop entirely (tests
-	// drive probes synchronously with probeNow).
+	// ProbeInterval is the health-probe period; ≤ 0 means 1s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds each shard health probe. Default 500ms.
-	ProbeTimeout time.Duration
-	// BreakerThreshold and BreakerCooldown configure the per-shard
-	// circuit breakers (consecutive failures to open; time until a
-	// half-open probe). Defaults 3 and 5s — the serve-layer defaults.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 500 * time.Millisecond
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
-	return c
-}
-
-// shardState is the gateway's live view of one shard.
+// shardState is the gateway's one health record of a shard: routing,
+// /healthz, /metricsz and GET /v1/cluster all read it.
 type shardState struct {
-	name    string
-	url     string
-	breaker *breaker
+	name string
+	url  string
 
 	mu        sync.Mutex
-	healthy   bool
-	lastErr   string
+	failures  int    // consecutive failed probes and forwards
+	lastErr   string // the last probe's error; "" when it succeeded
 	lastProbe time.Time
 }
 
-func (s *shardState) setProbe(healthy bool, errMsg string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.healthy = healthy
-	s.lastErr = errMsg
-	s.lastProbe = time.Now()
+// fail counts one failed probe or forward; the failureLimit-th in a
+// row takes the shard out of rotation.
+func (s *shardState) fail() {
+	s.failures++
+	if s.failures == failureLimit {
+		cBreakerTrips.Inc()
+	}
 }
 
-func (s *shardState) probeView() (healthy bool, errMsg string, at time.Time) {
+// forwarded records a forward's transport outcome. A success ends a
+// failure streak, but only a probe brings back a shard that is out.
+func (s *shardState) forwarded(err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.healthy, s.lastErr, s.lastProbe
+	if err != nil {
+		s.fail()
+	} else if s.failures < failureLimit {
+		s.failures = 0
+	}
+}
+
+// probed records a probe's outcome: a healthy probe puts the shard
+// back in rotation at once.
+func (s *shardState) probed(errMsg string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lastErr, s.lastProbe = errMsg, time.Now()
+	if errMsg == "" {
+		s.failures = 0
+	} else {
+		s.fail()
+	}
+}
+
+// view snapshots the record: whether the shard is in rotation, and
+// its last probe's verdict, error and time (zero before the first).
+func (s *shardState) view() (inRotation, healthy bool, errMsg string, at time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failures < failureLimit, !s.lastProbe.IsZero() && s.lastErr == "", s.lastErr, s.lastProbe
 }
 
 // Gateway is the cluster front end. Construct with New, mount Handler
 // on an http.Server, stop with Close.
 type Gateway struct {
-	cfg    Config
-	ring   *ring
-	shards map[string]*shardState
-	order  []string // shard names in config order, for status output
+	interval time.Duration // probe period
+	ring     *ring
+	shards   map[string]*shardState
+	order    []string // shard names in config order, for status output
 	// client forwards, probes and fetches. It has no overall timeout:
 	// analysis requests legitimately run for minutes, and each request's
 	// context still propagates cancellation.
@@ -173,12 +178,14 @@ type Gateway struct {
 }
 
 // New validates the fleet spec, builds the ring, and starts the probe
-// loop (unless ProbeInterval is negative).
+// loop.
 func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("cluster: no shards configured")
 	}
-	cfg = cfg.withDefaults()
+	if cfg.ProbeInterval <= 0 {
+		cfg.ProbeInterval = time.Second
+	}
 	names := make([]string, 0, len(cfg.Shards))
 	shards := make(map[string]*shardState, len(cfg.Shards))
 	for _, sp := range cfg.Shards {
@@ -193,14 +200,11 @@ func New(cfg Config) (*Gateway, error) {
 		if _, dup := shards[sp.Name]; dup {
 			return nil, fmt.Errorf("cluster: duplicate shard name %q", sp.Name)
 		}
-		shards[sp.Name] = &shardState{
-			name: sp.Name, url: strings.TrimRight(sp.URL, "/"),
-			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		}
+		shards[sp.Name] = &shardState{name: sp.Name, url: strings.TrimRight(sp.URL, "/")}
 		names = append(names, sp.Name)
 	}
 	g := &Gateway{
-		cfg:        cfg,
+		interval:   cfg.ProbeInterval,
 		ring:       newRing(names),
 		shards:     shards,
 		order:      names,
@@ -212,10 +216,8 @@ func New(cfg Config) (*Gateway, error) {
 		stopProbes: make(chan struct{}),
 	}
 	g.routes()
-	if cfg.ProbeInterval > 0 {
-		g.probes.Add(1)
-		go g.probeLoop()
-	}
+	g.probes.Add(1)
+	go g.probeLoop()
 	return g, nil
 }
 
@@ -300,7 +302,7 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 // body itself rather than trust a header.
 func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	cRequests.Inc()
-	body, code, err := serve.ReadBody(w, r, g.cfg.MaxBodyBytes)
+	body, code, err := serve.ReadBody(w, r, serve.MaxBodyBytes)
 	if err != nil {
 		if code == http.StatusRequestEntityTooLarge {
 			cRejected.Inc() // dies here, at the edge: no shard sees a byte of it
@@ -370,18 +372,21 @@ func routingKey(req *serve.AnalyzeRequest) (string, error) {
 	}), nil
 }
 
-// forward walks the ring successors of key, skipping shards with open
-// breakers, and retries on the next distinct shard after a transport
-// failure or a 503, until every successor has had its one attempt.
-// The first shard to produce any other response wins.
+// forward walks the ring successors of key, skipping shards out of
+// rotation, and hands the request to the next one after a transport
+// failure or a 503 that a successor could answer (a full queue, a
+// drain), until every successor has had its one attempt. The first
+// shard to produce any other response wins, and so does a 503 for an
+// exhausted solve ladder: the pipeline is deterministic, so every
+// successor would fail the same way.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) {
 	attempts := 0
 	prev := "" // shard whose failure the next attempt inherits
 	var tried []string
 	for _, name := range g.ring.successors(key) {
 		sh := g.shards[name]
-		if !sh.breaker.allow() {
-			continue // breaker open: out of rotation until cooldown
+		if in, _, _, _ := sh.view(); !in {
+			continue
 		}
 		attempts++
 		if attempts > 1 {
@@ -390,36 +395,45 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		cForwards.Inc()
 		resp, err := g.send(r, sh, body, attempts, prev)
 		if err != nil {
-			// Transport-level failure: the shard is unreachable or the
-			// connection died mid-request. Penalize its breaker and hand
-			// the request to the ring successor.
-			sh.breaker.record(false)
+			// The shard is unreachable or the connection died
+			// mid-request: count it against the shard.
+			sh.forwarded(err)
 			cForwardFail.Inc()
-			prev = name
-			tried = append(tried, name)
-			continue
+		} else if resp.StatusCode != http.StatusServiceUnavailable {
+			sh.forwarded(nil)
+			g.relay(w, resp, name, attempts)
+			return
+		} else if exhausted(resp) {
+			g.relay(w, resp, name, attempts)
+			return
 		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			// The shard is alive but shedding load (queue full,
-			// draining, or its solve ladder is exhausted). Hand off
-			// without a breaker penalty — liveness probes own that
-			// signal, and a saturated queue recovers on its own.
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			prev = name
-			tried = append(tried, name)
-			continue
-		}
-		sh.breaker.record(true)
-		g.relay(w, resp, name, attempts)
-		return
+		// A 503 takes no penalty: the shard is alive and shedding
+		// load, and the probes own its liveness.
+		prev = name
+		tried = append(tried, name)
 	}
 	cRejected.Inc()
-	w.Header().Set("Retry-After", g.retryAfterSeconds())
+	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(g.interval.Seconds()))))
 	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 		"error": "no shard available for this key",
 		"tried": tried,
 	})
+}
+
+// exhausted reports whether a 503 is a failed job whose solve ladder
+// was exhausted. It reads the body and leaves resp ready to relay, or
+// closed when the answer is no.
+func exhausted(resp *http.Response) bool {
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var v struct {
+		ErrorKind string `json:"error_kind"`
+	}
+	if err != nil || json.Unmarshal(b, &v) != nil || v.ErrorKind != serve.ErrKindExhausted {
+		return false
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(b))
+	return true
 }
 
 // send issues one forward attempt. The cluster.forward fault site
@@ -485,12 +499,21 @@ func (g *Gateway) handleJobProxy(w http.ResponseWriter, r *http.Request) {
 	g.relay(w, resp, name, 1)
 }
 
-// breakerStates snapshots every shard's breaker position, for the
-// status endpoints.
+// breaker names a shard's rotation as the status endpoints report it.
+func breaker(inRotation bool) string {
+	if inRotation {
+		return "closed"
+	}
+	return "open"
+}
+
+// breakerStates snapshots every shard's breaker, for the status
+// endpoints.
 func (g *Gateway) breakerStates() map[string]string {
 	out := make(map[string]string, len(g.order))
 	for _, name := range g.order {
-		out[name] = g.shards[name].breaker.position()
+		in, _, _, _ := g.shards[name].view()
+		out[name] = breaker(in)
 	}
 	return out
 }
@@ -508,7 +531,7 @@ func shardOfJob(id string) (string, bool) {
 // probeLoop drives periodic health probes until Close.
 func (g *Gateway) probeLoop() {
 	defer g.probes.Done()
-	t := time.NewTicker(g.cfg.ProbeInterval)
+	t := time.NewTicker(g.interval)
 	defer t.Stop()
 	for {
 		select {
@@ -520,71 +543,58 @@ func (g *Gateway) probeLoop() {
 	}
 }
 
-// probeNow probes every shard's /healthz once, synchronously, feeding
-// the results into the shards' breakers. The background loop calls it on
-// its interval; tests call it directly for deterministic state.
+// probeNow probes every shard's /healthz once, synchronously, into
+// the shards' health records. The background loop calls it on its
+// interval; tests call it directly for deterministic state.
 func (g *Gateway) probeNow(ctx context.Context) {
 	for _, name := range g.order {
-		g.probeShard(ctx, g.shards[name])
+		sh := g.shards[name]
+		cProbes.Inc()
+		errMsg := g.probeOnce(ctx, sh)
+		if errMsg != "" {
+			cProbeFail.Inc()
+		}
+		sh.probed(errMsg)
 	}
 }
 
-func (g *Gateway) probeShard(ctx context.Context, sh *shardState) {
-	cProbes.Inc()
-	healthy, errMsg := g.probeOnce(ctx, sh)
-	if !healthy {
-		cProbeFail.Inc()
-	}
-	// Probes feed the breaker directly, without the Allow gate: a
-	// failed probe counts toward opening it, and a successful probe is
-	// authoritative liveness evidence that closes it immediately
-	// (reset) instead of waiting out the cooldown for a half-open
-	// admission.
-	if healthy {
-		sh.breaker.reset()
-	} else {
-		sh.breaker.record(false)
-	}
-	sh.setProbe(healthy, errMsg)
-}
-
-// probeOnce performs one health probe. The cluster.probe fault site
-// fires first (labeled with the shard name): ActFail fails the probe
-// outright, and ActLatency sleeps — a delay at or past ProbeTimeout
-// counts as a probe timeout, simulating a wedged shard without a slow
-// test server.
-func (g *Gateway) probeOnce(ctx context.Context, sh *shardState) (bool, string) {
+// probeOnce performs one health probe and returns its error, "" when
+// the shard is healthy. The cluster.probe fault site fires first
+// (labeled with the shard name): ActFail fails the probe outright, and
+// ActLatency sleeps — a delay at or past probeTimeout counts as a probe
+// timeout, simulating a wedged shard without a slow test server.
+func (g *Gateway) probeOnce(ctx context.Context, sh *shardState) string {
 	if f := faults.ActiveOr(ctx).Fire(faults.SiteClusterProbe, sh.name); f != nil {
 		switch f.Action {
 		case faults.ActFail:
-			return false, f.Error().Error()
+			return f.Error().Error()
 		case faults.ActLatency, faults.ActStall:
 			if err := f.Sleep(ctx); err != nil {
-				return false, err.Error()
+				return err.Error()
 			}
-			if f.Delay >= g.cfg.ProbeTimeout {
-				return false, fmt.Sprintf("probe exceeded %v budget (injected %v delay)", g.cfg.ProbeTimeout, f.Delay)
+			if f.Delay >= probeTimeout {
+				return fmt.Sprintf("probe exceeded %v budget (injected %v delay)", probeTimeout, f.Delay)
 			}
 		}
 	}
-	pctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, sh.url+"/healthz", nil)
 	if err != nil {
-		return false, err.Error()
+		return err.Error()
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {
-		return false, err.Error()
+		return err.Error()
 	}
 	defer resp.Body.Close()
 	_, _ = io.Copy(io.Discard, resp.Body) // drain for connection reuse
 	if resp.StatusCode != http.StatusOK {
 		// A draining shard answers 503: reachable, but it must leave
 		// rotation, so the probe counts as unhealthy.
-		return false, fmt.Sprintf("healthz status %d", resp.StatusCode)
+		return fmt.Sprintf("healthz status %d", resp.StatusCode)
 	}
-	return true, ""
+	return ""
 }
 
 // handleHealthz reports the gateway's own liveness plus a one-line
@@ -599,7 +609,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	healthy := 0
 	for _, name := range g.order {
-		if h, _, _ := g.shards[name].probeView(); h {
+		if _, h, _, _ := g.shards[name].view(); h {
 			healthy++
 		}
 	}
@@ -613,8 +623,8 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetricsz reports the gateway's cluster.* counters and breaker
-// states. Shard metrics are aggregated by GET /v1/cluster, not here —
+// handleMetricsz reports the gateway's cluster.* counters and shard
+// breakers. Shard metrics are aggregated by GET /v1/cluster, not here —
 // this endpoint describes the gateway process itself.
 func (g *Gateway) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	counters := map[string]int64{}
@@ -654,9 +664,9 @@ type shardStatus struct {
 	FetchError string `json:"fetch_error,omitempty"`
 }
 
-// handleCluster aggregates the fleet: ring membership, per-shard
-// breaker state and probe history, and each shard's live /healthz and
-// /metricsz documents.
+// handleCluster aggregates the fleet: ring membership, each shard's
+// health record, and each shard's live /healthz and /metricsz
+// documents.
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 	cRequests.Inc()
 	g.mu.Lock()
@@ -669,12 +679,12 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 	shards := make([]shardStatus, 0, len(g.order))
 	for _, name := range g.order {
 		sh := g.shards[name]
-		healthy, lastErr, at := sh.probeView()
+		in, healthy, lastErr, at := sh.view()
 		st := shardStatus{
 			Name:                name,
 			URL:                 sh.url,
 			Healthy:             healthy,
-			Breaker:             sh.breaker.position(),
+			Breaker:             breaker(in),
 			LastProbeError:      lastErr,
 			LastProbeAgeSeconds: -1,
 		}
@@ -715,7 +725,7 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 // timeout. A shard answering 503 (draining) still returns its body —
 // that state is exactly what the operator wants to see.
 func (g *Gateway) fetchJSON(ctx context.Context, sh *shardState, path string) (json.RawMessage, error) {
-	fctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
+	fctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(fctx, http.MethodGet, sh.url+path, nil)
 	if err != nil {
@@ -734,15 +744,4 @@ func (g *Gateway) fetchJSON(ctx context.Context, sh *shardState, path string) (j
 		return nil, fmt.Errorf("cluster: %s returned invalid JSON", path)
 	}
 	return json.RawMessage(b), nil
-}
-
-// retryAfterSeconds renders the breaker cooldown as a Retry-After
-// value (at least 1 second) — the soonest a rejected request could
-// find a half-open shard.
-func (g *Gateway) retryAfterSeconds() string {
-	secs := int(g.cfg.BreakerCooldown / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
 }

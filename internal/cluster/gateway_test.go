@@ -28,7 +28,7 @@ func TestNewValidation(t *testing.T) {
 		{Shards: []ShardSpec{{Name: "bad-job-name", URL: "http://x"}}},
 	}
 	for i, cfg := range cases {
-		cfg.ProbeInterval = -1
+		cfg.ProbeInterval = time.Hour
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: config %+v accepted", i, cfg)
 		}
@@ -36,18 +36,22 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestGatewayAdmission413 pins the edge-admission contract: a request
-// past the gateway's body limit dies at the gateway with 413 — no
-// shard sees a byte of it.
+// one byte past the shards' 8 MiB body limit dies at the gateway with
+// 413 — no shard sees a byte of it.
 func TestGatewayAdmission413(t *testing.T) {
-	f := newFleet(t, 2, serve.Config{Workers: 1}, Config{MaxBodyBytes: 1024})
-	big := `{"spice": "` + strings.Repeat("* padding\\n", 200) + `"}`
+	f := newFleet(t, 2, serve.Config{Workers: 1}, Config{})
+	big := `{"spice": "` + strings.Repeat("*", serve.MaxBodyBytes-12) + `"}`
+	requests := obs.CounterValue("serve.http.requests")
 	resp, err := http.Post(f.gwTS.URL+"/v1/analyze", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", resp.StatusCode)
+		t.Fatalf("status %d, want 413 for a %d-byte body", resp.StatusCode, len(big))
+	}
+	if n := obs.CounterValue("serve.http.requests") - requests; n != 0 {
+		t.Errorf("serve.http.requests moved by %d for an oversized request", n)
 	}
 	for _, sh := range f.shards {
 		if n := sh.analyzeHits.Load(); n != 0 {
@@ -163,36 +167,25 @@ func TestGatewayAdmitOnce(t *testing.T) {
 }
 
 // TestGatewayAllBreakersOpen pins the no-capacity behaviour: when
-// every shard's breaker is open the gateway answers 503 with a
-// Retry-After hinting at the breaker cooldown — without attempting a
-// single doomed forward.
+// every shard is out of rotation the gateway answers 503 with a
+// Retry-After of one probe interval, the soonest a probe could bring a
+// shard back — without attempting a single doomed forward.
 func TestGatewayAllBreakersOpen(t *testing.T) {
-	// Two shards that were never alive: closed ports, probe once to
-	// open both breakers (threshold 1).
+	// Two shards that were never alive: closed ports, probed until both
+	// are out of rotation.
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close() // the address is now guaranteed-refused
-	gw, err := New(Config{
-		Shards: []ShardSpec{
-			{Name: "s0", URL: dead.URL},
-			{Name: "s1", URL: dead.URL},
-		},
-		ProbeInterval:    -1,
-		ProbeTimeout:     200 * time.Millisecond,
-		BreakerThreshold: 1,
-		BreakerCooldown:  7 * time.Second,
+	gw := newGatewayT(t, Config{
+		Shards:        []ShardSpec{{Name: "s0", URL: dead.URL}, {Name: "s1", URL: dead.URL}},
+		ProbeInterval: 7 * time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < failureLimit; i++ {
+		gw.probeNow(context.Background())
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = gw.Close(ctx)
-	}()
-	gw.probeNow(context.Background())
+	forwards := obs.CounterValue("cluster.forwards")
 	for name, state := range gw.breakerStates() {
 		if state != "open" {
-			t.Fatalf("breaker %s is %q after failed probe, want open", name, state)
+			t.Fatalf("breaker %s is %q after %d failed probes, want open", name, state, failureLimit)
 		}
 	}
 
@@ -210,7 +203,10 @@ func TestGatewayAllBreakersOpen(t *testing.T) {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
 	}
 	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Fatalf("Retry-After %q, want the 7s breaker cooldown", got)
+		t.Errorf("Retry-After %q, want the 7s probe interval", got)
+	}
+	if n := obs.CounterValue("cluster.forwards") - forwards; n != 0 {
+		t.Errorf("%d forwards to shards out of rotation", n)
 	}
 }
 
@@ -330,18 +326,19 @@ func plantRoute(g *Gateway, body []byte, key string) {
 	g.memo.Put(string(mk[:]), key, routeBytes, "route")
 }
 
-// TestGatewayProbeFaultSites drives the new cluster.probe fault site:
-// an injected probe failure opens the target shard's breaker without
-// touching the network, and an injected delay past the probe budget
-// counts as a probe timeout.
+// TestGatewayProbeFaultSites drives the cluster.probe fault site: an
+// injected probe failure takes the target shard out of rotation
+// without touching the network, and an injected delay of the 500 ms
+// probe budget counts as a probe timeout.
 func TestGatewayProbeFaultSites(t *testing.T) {
-	f := newFleet(t, 2, serve.Config{Workers: 1},
-		Config{BreakerThreshold: 1, BreakerCooldown: time.Hour, ProbeTimeout: 5 * time.Millisecond})
+	f := newFleet(t, 2, serve.Config{Workers: 1}, Config{})
 
 	ctx := faults.WithInjector(context.Background(), faults.New(
 		faults.Rule{Site: faults.SiteClusterProbe, Action: faults.ActFail, Label: "shard0"},
-		faults.Rule{Site: faults.SiteClusterProbe, Action: faults.ActLatency, Label: "shard1", Delay: 10 * time.Millisecond}))
-	f.gw.probeNow(ctx)
+		faults.Rule{Site: faults.SiteClusterProbe, Action: faults.ActLatency, Label: "shard1", Delay: probeTimeout}))
+	for i := 0; i < failureLimit; i++ {
+		f.gw.probeNow(ctx)
+	}
 	states := f.gw.breakerStates()
 	if states["shard0"] != "open" {
 		t.Errorf("shard0 breaker %q after injected probe failure, want open", states["shard0"])
@@ -350,9 +347,8 @@ func TestGatewayProbeFaultSites(t *testing.T) {
 		t.Errorf("shard1 breaker %q after injected probe timeout, want open", states["shard1"])
 	}
 
-	// A clean sweep (no injector) heals both immediately: a healthy
-	// probe is authoritative and closes the breaker (Reset) without
-	// waiting out the hour-long cooldown.
+	// A clean sweep (no injector) brings both back at once: a healthy
+	// probe is what returns a shard to rotation.
 	f.gw.probeNow(context.Background())
 	states = f.gw.breakerStates()
 	for name, st := range states {
@@ -366,7 +362,7 @@ func TestGatewayProbeFaultSites(t *testing.T) {
 // site: the first forward attempt dies as if the connection dropped,
 // and the gateway hands off to the ring successor transparently.
 func TestGatewayForwardFaultSite(t *testing.T) {
-	f := newFleet(t, 2, serve.Config{Workers: 1}, Config{BreakerThreshold: 3})
+	f := newFleet(t, 2, serve.Config{Workers: 1}, Config{})
 	req := &serve.AnalyzeRequest{Pgen: &pgen.Config{Class: pgen.Fake, W: 16, H: 16, Seed: 11}}
 	succ := f.gw.ring.successors(mustKey(t, req))
 

@@ -306,7 +306,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	default:
 		code := http.StatusInternalServerError
 		switch {
-		case v.ErrorKind == errKindExhausted:
+		case v.ErrorKind == ErrKindExhausted:
 			// Every degradation rung failed: the request was valid, the
 			// backends are unhealthy. Like a full queue, a 503 a client
 			// may retry.
@@ -615,7 +615,7 @@ func failureKind(err error) (kind, msg string) {
 	case errors.Is(err, errWorkerPanic):
 		kind = errKindPanic
 	case errors.Is(err, plan.ErrLadderExhausted):
-		kind = errKindExhausted
+		kind = ErrKindExhausted
 	case errors.Is(err, context.DeadlineExceeded):
 		kind = errKindTimeout
 		msg = fmt.Sprintf("deadline exceeded: %v", err)

@@ -30,7 +30,7 @@ func TestFailureKindSeesThroughWrapping(t *testing.T) {
 		err  error
 		want string
 	}{
-		{"ladder-exhausted", exhausted, errKindExhausted},
+		{"ladder-exhausted", exhausted, ErrKindExhausted},
 		{"deadline", deadline, errKindTimeout},
 		{"worker-panic", panicErr, errKindPanic},
 		{"plain", errors.New("something else"), ""},

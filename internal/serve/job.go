@@ -67,9 +67,10 @@ type job struct {
 
 // Error kinds attached to failed jobs so clients (and the sync
 // response path) can map failures to behaviour without parsing
-// message text.
+// message text. The gateway relays an exhausted job's 503 instead of
+// handing it off.
 const (
-	errKindExhausted = "ladder-exhausted" // every degradation rung failed
+	ErrKindExhausted = "ladder-exhausted" // every degradation rung failed
 	errKindPanic     = "worker-panic"     // recovered panic in the worker
 	errKindTimeout   = "timeout"          // job deadline expired
 	errKindCancelled = "cancelled"        // cancelled via DELETE or disconnect

@@ -60,8 +60,8 @@ func TestServeLadderExhausted503(t *testing.T) {
 				t.Errorf("Retry-After %q, want %q", got, "1")
 			}
 			v := decodeJob(t, b)
-			if v.Status != statusFailed || v.ErrorKind != errKindExhausted {
-				t.Fatalf("status %q kind %q, want failed/%s (error %q)", v.Status, v.ErrorKind, errKindExhausted, v.Error)
+			if v.Status != statusFailed || v.ErrorKind != ErrKindExhausted {
+				t.Fatalf("status %q kind %q, want failed/%s (error %q)", v.Status, v.ErrorKind, ErrKindExhausted, v.Error)
 			}
 			if v.Result == nil || v.Result.Manifest == nil {
 				t.Fatal("exhausted job lost its manifest")

@@ -61,6 +61,10 @@ const maxJobs = 256
 // set timeout_ms.
 const defaultTimeout = 2 * time.Minute
 
+// MaxBodyBytes is the default request-body limit, which the cluster
+// gateway enforces at the edge too.
+const MaxBodyBytes = 8 << 20
+
 // Config sizes the service. Zero values take the documented defaults.
 type Config struct {
 	// Name is the shard identity of this server in a cluster: it
@@ -77,7 +81,7 @@ type Config struct {
 	// submissions beyond it are rejected with 503. Default 16.
 	QueueDepth int
 	// MaxBodyBytes is the request-body admission limit enforced with
-	// http.MaxBytesReader. Default 8 MiB.
+	// http.MaxBytesReader. Default MaxBodyBytes.
 	MaxBodyBytes int64
 	// MaxDesignSize caps the die size (and raster resolution) a
 	// request may ask for, bounding per-job memory and CPU. Default
@@ -106,7 +110,7 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 16
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
+		c.MaxBodyBytes = MaxBodyBytes
 	}
 	if c.MaxDesignSize <= 0 {
 		c.MaxDesignSize = 256
