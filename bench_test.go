@@ -498,11 +498,12 @@ func BenchmarkCacheECOLoop(b *testing.B) {
 
 // BenchmarkAnalyzeRepeat is one round trip of a byte-identical
 // resubmission — a 128 µm deck already answered once — straight to a
-// server and through a gateway in front of it: the body is read,
-// hashed (SHA-256 at the server; a seeded maphash at the gateway, for
-// routing only), found in the routing memo at the gateway and answered
-// from the server's one memo entry for the body. ns/op is what a
-// repeat costs; B/op what it allocates, client side included.
+// server and through a gateway in front of it: the body is read into a
+// pooled buffer at each hop, hashed with a seeded maphash (at the
+// gateway for routing; at the server as the memo key, the hit confirmed
+// by comparing the bytes), found in the routing memo at the gateway and
+// answered from the server's one memo entry for the body. ns/op is what
+// a repeat costs; B/op what it allocates, client side included.
 func BenchmarkAnalyzeRepeat(b *testing.B) {
 	d, err := pgen.Generate(pgen.DefaultConfig("repeat", pgen.Real, 128, 128, 7))
 	if err != nil {

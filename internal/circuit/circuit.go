@@ -258,12 +258,3 @@ func (s *System) FullDrops(d []float64) []float64 {
 	}
 	return out
 }
-
-// TotalLoad returns the summed current draw, a sanity metric.
-func (s *System) TotalLoad() float64 {
-	t := 0.0
-	for _, v := range s.I {
-		t += v
-	}
-	return t
-}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,14 +21,21 @@ import (
 
 // fleetShard is one real serve.Server instance behind the gateway,
 // with a middleware counter so tests can prove which shards were (or
-// were not) touched by analysis traffic.
+// were not) touched by analysis traffic. The middleware also keeps a
+// copy of every analysis body past bigBody bytes, as it arrived.
 type fleetShard struct {
 	name        string
 	svc         *serve.Server
 	ts          *httptest.Server
 	analyzeHits atomic.Int64
 	killed      atomic.Bool
+
+	mu       sync.Mutex
+	received [][]byte
 }
+
+// bigBody is the size past which an analysis body counts as big.
+const bigBody = 1 << 20
 
 // fleet is the in-process N-shard rehearsal harness of the tentpole:
 // real serve instances, a real gateway, all in one binary so the whole
@@ -54,6 +62,17 @@ func newFleet(t *testing.T, n int, scfg serve.Config, gcfg Config) *fleet {
 		sh.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/analyze" {
 				sh.analyzeHits.Add(1)
+				if r.ContentLength > bigBody {
+					b, err := io.ReadAll(r.Body)
+					if err != nil {
+						http.Error(w, err.Error(), http.StatusBadRequest)
+						return
+					}
+					sh.mu.Lock()
+					sh.received = append(sh.received, b)
+					sh.mu.Unlock()
+					r.Body = io.NopCloser(bytes.NewReader(b))
+				}
 			}
 			inner.ServeHTTP(w, r)
 		}))
@@ -385,6 +404,9 @@ func TestFleetLadderExhaustedNotHandedOff(t *testing.T) {
 	}
 	if got := resp.Header.Get(serve.HeaderRouteAttempt); got != "1" {
 		t.Errorf("route attempts %q, want 1", got)
+	}
+	if got, ok := resp.Header["Retry-After"]; ok {
+		t.Errorf("relayed Retry-After %q, want none: a retry fails the same way", got)
 	}
 	if got := resp.Header.Get(serve.HeaderShard); got != succ[0] {
 		t.Errorf("answered by %q, want the owner %q", got, succ[0])

@@ -45,6 +45,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"irfusion/internal/cache"
@@ -245,7 +246,7 @@ func (g *Gateway) track(h http.HandlerFunc) http.HandlerFunc {
 			g.mu.Unlock()
 			cRejected.Inc()
 			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusServiceUnavailable, "gateway draining")
+			serve.WriteError(w, http.StatusServiceUnavailable, "gateway draining")
 			return
 		}
 		g.inflight.Add(1)
@@ -282,18 +283,6 @@ func (g *Gateway) Close(ctx context.Context) error {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // client gone is the only failure; nothing to do
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // handleAnalyze admission-checks the request at the edge, derives its
 // routing key — once per distinct body: the key is memoised under
 // routeMemoKey, so a byte-identical resubmission is routed without
@@ -302,40 +291,58 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 // body itself rather than trust a header.
 func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	cRequests.Inc()
-	body, code, err := serve.ReadBody(w, r, serve.MaxBodyBytes)
+	rb, code, err := serve.ReadBody(w, r, serve.MaxBodyBytes)
 	if err != nil {
 		if code == http.StatusRequestEntityTooLarge {
 			cRejected.Inc() // dies here, at the edge: no shard sees a byte of it
 		}
-		httpError(w, code, "%v", err)
+		serve.WriteError(w, code, "%v", err)
 		return
 	}
-	mk := g.routeMemoKey(body)
+	defer rb.Release()
+	mk := g.routeMemoKey(rb.Bytes())
 	v, _ := g.memo.Get(string(mk[:]))
 	key, hit := v.(string)
 	if hit {
 		cMemoHits.Inc()
 	} else {
 		cMemoMisses.Inc()
-		req, err := serve.DecodeRequest(body)
+		req, err := serve.DecodeRequest(rb.Bytes())
 		if err == nil {
 			key, err = routingKey(req)
 		}
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			serve.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		g.memo.Put(string(mk[:]), key, routeBytes, "route")
 	}
-	g.forward(w, r, key, body)
+	g.forward(w, r, key, rb)
+}
+
+// attemptBody is one forward attempt's reader of a pooled body, which it
+// holds until the transport closes it: net/http may still be writing an
+// attempt's body after Do returns, and a buffer back in the pool then
+// could send another request's bytes to a shard.
+type attemptBody struct {
+	*bytes.Reader
+	body   *serve.Body
+	closed atomic.Bool
+}
+
+func (a *attemptBody) Close() error {
+	if a.closed.CompareAndSwap(false, true) {
+		a.body.Release()
+	}
+	return nil
 }
 
 // routeMemoKey is the routing memo's key for a body: its 64-bit
 // maphash under the gateway's per-process seed, one pass at memory
 // speed. A collision can only pick a shard, never hand out an answer:
 // the body goes to the colliding entry's shard, which admits it itself
-// (under its SHA-256) and answers or rejects it on its own. The seed
-// never leaves the process, so a client cannot aim a collision.
+// (its memo checks the bytes) and answers or rejects it on its own. The
+// seed never leaves the process, so a client cannot aim a collision.
 func (g *Gateway) routeMemoKey(body []byte) (k [8]byte) {
 	binary.LittleEndian.PutUint64(k[:], maphash.Bytes(g.seed, body))
 	return k
@@ -379,7 +386,7 @@ func routingKey(req *serve.AnalyzeRequest) (string, error) {
 // shard to produce any other response wins, and so does a 503 for an
 // exhausted solve ladder: the pipeline is deterministic, so every
 // successor would fail the same way.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) {
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, body *serve.Body) {
 	attempts := 0
 	prev := "" // shard whose failure the next attempt inherits
 	var tried []string
@@ -414,7 +421,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, bo
 	}
 	cRejected.Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(g.interval.Seconds()))))
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+	serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 		"error": "no shard available for this key",
 		"tried": tried,
 	})
@@ -436,17 +443,25 @@ func exhausted(resp *http.Response) bool {
 	return true
 }
 
-// send issues one forward attempt. The cluster.forward fault site
-// fires first (labeled with the shard name): ActFail simulates a
-// dropped connection without touching the network.
-func (g *Gateway) send(r *http.Request, sh *shardState, body []byte, attempt int, prev string) (*http.Response, error) {
+// send issues one forward attempt, carrying body unless it is nil. The
+// cluster.forward fault site fires first (labeled with the shard name):
+// ActFail simulates a dropped connection without touching the network.
+func (g *Gateway) send(r *http.Request, sh *shardState, body *serve.Body, attempt int, prev string) (*http.Response, error) {
 	ctx := r.Context()
 	if f := faults.ActiveOr(ctx).Fire(faults.SiteClusterForward, sh.name); f != nil && f.Action == faults.ActFail {
 		return nil, f.Error()
 	}
-	req, err := http.NewRequestWithContext(ctx, r.Method, sh.url+r.URL.Path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, r.Method, sh.url+r.URL.Path, nil)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: build forward request: %w", err)
+	}
+	if body != nil {
+		req.ContentLength = int64(len(body.Bytes()))
+		req.GetBody = func() (io.ReadCloser, error) { // the transport's re-sends call it too
+			body.Hold()
+			return &attemptBody{Reader: bytes.NewReader(body.Bytes()), body: body}, nil
+		}
+		req.Body, _ = req.GetBody()
 	}
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		req.Header.Set("Content-Type", ct)
@@ -482,18 +497,18 @@ func (g *Gateway) handleJobProxy(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	name, ok := shardOfJob(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "job id %q carries no shard prefix", id)
+		serve.WriteError(w, http.StatusNotFound, "job id %q carries no shard prefix", id)
 		return
 	}
 	sh, ok := g.shards[name]
 	if !ok {
-		httpError(w, http.StatusNotFound, "job id %q names unknown shard %q", id, name)
+		serve.WriteError(w, http.StatusNotFound, "job id %q names unknown shard %q", id, name)
 		return
 	}
 	resp, err := g.send(r, sh, nil, 1, "")
 	if err != nil {
 		cForwardFail.Inc()
-		httpError(w, http.StatusBadGateway, "shard %s unreachable: %v", name, err)
+		serve.WriteError(w, http.StatusBadGateway, "shard %s unreachable: %v", name, err)
 		return
 	}
 	g.relay(w, resp, name, 1)
@@ -613,7 +628,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			healthy++
 		}
 	}
-	writeJSON(w, code, map[string]any{
+	serve.WriteJSON(w, code, map[string]any{
 		"status":         status,
 		"role":           "gateway",
 		"uptime_seconds": time.Since(g.start).Seconds(),
@@ -623,19 +638,24 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// clusterCounters snapshots the process's cluster.* counters.
+func clusterCounters() map[string]int64 {
+	out := map[string]int64{}
+	for name, v := range obs.GlobalCounters() {
+		if strings.HasPrefix(name, "cluster.") {
+			out[name] = v
+		}
+	}
+	return out
+}
+
 // handleMetricsz reports the gateway's cluster.* counters and shard
 // breakers. Shard metrics are aggregated by GET /v1/cluster, not here —
 // this endpoint describes the gateway process itself.
 func (g *Gateway) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	counters := map[string]int64{}
-	for name, v := range obs.GlobalCounters() {
-		if strings.HasPrefix(name, "cluster.") {
-			counters[name] = v
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"role":     "gateway",
-		"counters": counters,
+		"counters": clusterCounters(),
 		"gauges": map[string]float64{
 			"cluster.uptime_seconds": time.Since(g.start).Seconds(),
 			"cluster.shards":         float64(len(g.order)),
@@ -701,22 +721,16 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 		}
 		shards = append(shards, st)
 	}
-	counters := map[string]int64{}
-	for name, v := range obs.GlobalCounters() {
-		if strings.HasPrefix(name, "cluster.") {
-			counters[name] = v
-		}
-	}
 	ringShards := append([]string(nil), g.ring.shards...)
 	sort.Strings(ringShards)
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         status,
 		"uptime_seconds": time.Since(g.start).Seconds(),
 		"ring": map[string]any{
 			"vnodes": vnodesPerShard,
 			"shards": ringShards,
 		},
-		"counters": counters,
+		"counters": clusterCounters(),
 		"shards":   shards,
 	})
 }

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"hash/maphash"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -122,7 +124,7 @@ func TestAdmitOnceDifferential(t *testing.T) {
 	}
 
 	// (2) the repeat: one memo lookup, and it hits.
-	hitsBefore := s.cacheStats().Hits
+	hitsBefore := s.cache.Stats().Hits
 	code, b = post(t, ts, "/v1/analyze", body)
 	v := decodeJob(t, b)
 	if code != http.StatusOK || v.ID == first.ID {
@@ -130,7 +132,7 @@ func TestAdmitOnceDifferential(t *testing.T) {
 	}
 	sameAnswer(t, "repeat", v.Result, want)
 	answeredFromMemo(t, "repeat", v.Result.Manifest, fp)
-	if got := s.cacheStats().Hits - hitsBefore; got != 1 {
+	if got := s.cache.Stats().Hits - hitsBefore; got != 1 {
 		t.Errorf("repeat: %d cache hits, want exactly 1", got)
 	}
 
@@ -222,6 +224,58 @@ func TestAdmitOnceDifferential(t *testing.T) {
 // TestAdmitMemoSkipsFailures: only a finished job is memoised.
 // A bad deck is linted again on every submission and gets the same 400
 // and issue list each time; an oversize body is 413 before any digest.
+// TestMemoKeyCollisionIsAMiss: a memo entry filed under a body's key but
+// holding other bytes — a maphash collision, planted here by filing body
+// A's entry under body B's key — is a miss. B is admitted in full,
+// solved and answered with its own map, never A's, and its store
+// replaces the entry. (A's die is smaller, so B cannot warm-start off
+// A's system: a fresh server's answer is B's, bit for bit.)
+func TestMemoKeyCollisionIsAMiss(t *testing.T) {
+	bodyA := pgenBody(51, 16, `"include_map": true`)
+	bodyB := pgenBody(52, 24, `"include_map": true`)
+	_, tsFresh := newTestServer(t, Config{Workers: 1})
+	code, b := post(t, tsFresh, "/v1/analyze", bodyB)
+	if code != http.StatusOK {
+		t.Fatalf("fresh server: status %d: %s", code, b)
+	}
+	want := decodeJob(t, b).Result
+
+	s, ts := newTestServer(t, Config{Workers: 1})
+	code, b = post(t, ts, "/v1/analyze", bodyA)
+	if code != http.StatusOK {
+		t.Fatalf("body A: status %d: %s", code, b)
+	}
+	jA, _ := s.reg.get(decodeJob(t, b).ID)
+	entryA, ok := s.cache.Get(memoKey(jA.digest))
+	if !ok {
+		t.Fatal("body A left no memo entry")
+	}
+	keyB := memoKey(maphash.Bytes(s.seed, []byte(bodyB)))
+	s.cache.Put(keyB, entryA, memoBytes, "memo")
+
+	code, b = post(t, ts, "/v1/analyze", bodyB)
+	if code != http.StatusOK {
+		t.Fatalf("body B: status %d: %s", code, b)
+	}
+	got := decodeJob(t, b).Result
+	var outcomes []string
+	for _, e := range got.Manifest.Cache.Events {
+		if e.Stage == "serve.analyze" {
+			outcomes = append(outcomes, e.Outcome)
+		}
+	}
+	if len(outcomes) != 2 || outcomes[0] != obs.CacheMiss || outcomes[1] != obs.CacheStore {
+		t.Fatalf("serve.analyze events %v, want [miss store]", outcomes)
+	}
+	if len(got.Manifest.Solves) == 0 {
+		t.Error("body B was answered without a solve")
+	}
+	sameAnswer(t, "body B under A's entry", got, want)
+	if e, ok := s.cache.Get(keyB); !ok || !bytes.Equal(e.(*memoEntry).body, []byte(bodyB)) {
+		t.Error("body B's store did not replace the planted entry")
+	}
+}
+
 func TestAdmitMemoSkipsFailures(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, MaxBodyBytes: 4096})
 	bad := `{"spice": ` + mustJSON("v1 a 0 1.1\nr1 a b 2\nrbad b 0 1\nrfloat p q 3\ni1 b 0 0.01\n.end") + `, "resolution": 24}`
@@ -239,7 +293,7 @@ func TestAdmitMemoSkipsFailures(t *testing.T) {
 	if code, b := post(t, ts, "/v1/analyze", `{"spice": "`+strings.Repeat("* pad\\n", 1000)+`"}`); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversize body: status %d, want 413: %s", code, b)
 	}
-	if st := s.cacheStats(); st.Hits != 0 || st.Misses != 2 || st.Stores != 0 || st.Entries != 0 {
+	if st := s.cache.Stats(); st.Hits != 0 || st.Misses != 2 || st.Stores != 0 || st.Entries != 0 {
 		t.Errorf("cache stats %+v, want two memo misses and nothing stored", st)
 	}
 }
@@ -281,8 +335,8 @@ func TestAdmitConcurrentSameBody(t *testing.T) {
 			t.Errorf("job %d: serve.analyze events %v, %d solves; want one verdict, no solve on a hit", i, oc, len(v.Result.Manifest.Solves))
 		}
 	}
-	if len(ids) != 16 || hits+misses != 16 || misses == 0 || s.cacheStats().Hits < hits {
-		t.Errorf("%d distinct jobs, %d hits + %d misses (cache hits %d), want 16, 16, the first a miss", len(ids), hits, misses, s.cacheStats().Hits)
+	if len(ids) != 16 || hits+misses != 16 || misses == 0 || s.cache.Stats().Hits < hits {
+		t.Errorf("%d distinct jobs, %d hits + %d misses (cache hits %d), want 16, 16, the first a miss", len(ids), hits, misses, s.cache.Stats().Hits)
 	}
 }
 
@@ -375,7 +429,7 @@ func TestServeRecoveredJobMemoises(t *testing.T) {
 	if m := recovered.Result.Manifest; m == nil || len(m.Solves) == 0 {
 		t.Fatalf("recovered job did not solve: %+v", recovered.Result)
 	}
-	hitsBefore := s2.cacheStats().Hits
+	hitsBefore := s2.cache.Stats().Hits
 	code, b = post(t, ts2, "/v1/analyze", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("repeat: status %d: %s", code, b)
@@ -384,7 +438,7 @@ func TestServeRecoveredJobMemoises(t *testing.T) {
 	fp := recovered.Result.Manifest.Config.(map[string]any)["fingerprint"]
 	answeredFromMemo(t, "repeat of the recovered job", v.Result.Manifest, fp)
 	sameAnswer(t, "repeat of the recovered job", v.Result, recovered.Result)
-	if got := s2.cacheStats().Hits - hitsBefore; got != 1 {
+	if got := s2.cache.Stats().Hits - hitsBefore; got != 1 {
 		t.Errorf("repeat: %d cache hits, want exactly 1", got)
 	}
 }

@@ -3,14 +3,15 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"irfusion/internal/cache"
@@ -137,7 +138,9 @@ func (s *Server) jobContext(timeoutMS int) (context.Context, context.CancelFunc)
 	return context.WithTimeout(s.baseCtx, timeout)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the indented JSON body of a code response, the
+// answer format of both front doors (this server and the cluster gateway).
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -148,8 +151,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
+// WriteError answers code with the uniform error body.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
 // admission is what admitting a request body yields, minus the design:
@@ -162,36 +166,65 @@ type admission struct {
 }
 
 // memoEntry is what the server remembers of a body whose job finished:
-// its admission and its answer (manifest dropped: a manifest describes
-// one run). Every analysis mode is deterministic in the admission, so a
-// byte-identical body is answered from the entry without being decoded,
-// parsed, fingerprinted or solved. It is filed under the body's SHA-256
-// (not a fast hash: bodies are untrusted, and a collision would hand
-// one client another's answer).
+// the body, its admission and its answer (manifest dropped: a manifest
+// describes one run). Every analysis mode is deterministic in the
+// admission, so a byte-identical body is answered from the entry without
+// being decoded, parsed, fingerprinted or solved. It is filed under the
+// body's seeded maphash and found only when its bytes equal the body's,
+// so a collision can never hand one client another's answer.
 type memoEntry struct {
-	adm *admission
-	res *AnalyzeResult
+	body []byte
+	adm  *admission
+	res  *AnalyzeResult
 }
 
-// memoKey is the artifact-cache key of a body's memo entry.
-func memoKey(digest string) string { return "memo|" + digest }
+// memoKey is the artifact-cache key of the memo entry under digest.
+func memoKey(digest uint64) string { return fmt.Sprintf("memo|%016x", digest) }
 
-// ReadBody reads a request body under the admission limit, sized from
-// Content-Length when the client sent one. On failure it returns the
-// status to answer with: 413 past the limit, 400 otherwise.
-func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int, error) {
-	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= limit {
-		buf.Grow(int(n) + bytes.MinRead)
+// Body is a request body in a pooled buffer, shared by its holders: the
+// buffer goes back to the pool at the last holder's Release, after which
+// neither the Body nor any slice of Bytes may be used.
+type Body struct {
+	buf  bytes.Buffer
+	refs atomic.Int32
+}
+
+var bodies = sync.Pool{New: func() any { return new(Body) }}
+
+// Bytes returns the body, valid until the last Release.
+func (b *Body) Bytes() []byte { return b.buf.Bytes() }
+
+// Hold adds a holder, who must Release.
+func (b *Body) Hold() { b.refs.Add(1) }
+
+// Release ends one holder's use.
+func (b *Body) Release() {
+	if b.refs.Add(-1) == 0 {
+		bodies.Put(b)
 	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+}
+
+// ReadBody reads a request body under the admission limit into a pooled
+// buffer, sized from Content-Length when the client sent one, with the
+// caller as its one holder. On failure it returns the status to answer
+// with: 413 past the limit, 400 otherwise.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) (*Body, int, error) {
+	b := bodies.Get().(*Body)
+	b.buf.Reset()
+	b.refs.Store(1)
+	if n := r.ContentLength; n > 0 && n <= limit && int64(b.buf.Cap()) < n+bytes.MinRead {
+		// Sized to the body: growing the pooled buffer would double it.
+		b.buf = *bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	}
+	if _, err := b.buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		b.Release()
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", limit)
 		}
 		return nil, http.StatusBadRequest, fmt.Errorf("read body: %w", err)
 	}
-	return buf.Bytes(), 0, nil
+	return b, 0, nil
 }
 
 // DecodeRequest is the strict decoder of both front doors (this
@@ -224,21 +257,24 @@ func (s *Server) admit(req *AnalyzeRequest) (*admission, *pgen.Design, error) {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	cRequests.Inc()
-	body, code, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	rb, code, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		if code == http.StatusRequestEntityTooLarge {
 			cRejected.Inc()
 		}
-		httpError(w, code, "%v", err)
+		WriteError(w, code, "%v", err)
 		return
 	}
 	// One lookup per body: a byte-identical resubmission of a body whose
 	// job finished carries its admission and its answer from the memo;
 	// any other body is admitted in full. Only a finished job is stored,
-	// so a bad deck is linted every time.
-	sum := sha256.Sum256(body)
-	j := &job{digest: hex.EncodeToString(sum[:])}
-	if v, ok := s.cache.Get(memoKey(j.digest)); ok {
+	// so a bad deck is linted every time. The buffer goes back to the
+	// pool once the answer is written (the accepted record's append has
+	// copied it by then).
+	defer rb.Release()
+	body := rb.Bytes()
+	j := &job{digest: maphash.Bytes(s.seed, body)}
+	if v, ok := s.cache.Get(memoKey(j.digest)); ok && bytes.Equal(v.(*memoEntry).body, body) {
 		e := v.(*memoEntry)
 		j.admission, j.memo = e.adm, e.res
 	} else {
@@ -251,29 +287,31 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			if errors.As(err, &de) {
 				// Deck-lint failures carry the full machine-readable issue
 				// list, not just the first problem.
-				writeJSON(w, http.StatusBadRequest, map[string]any{
+				WriteJSON(w, http.StatusBadRequest, map[string]any{
 					"error":  de.Error(),
 					"issues": de.Issues,
 				})
 				return
 			}
-			httpError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		rb.Hold() // never released: the job's memo entry keeps the buffer
+		j.body = body
 	}
 
 	ctx, cancel := s.jobContext(j.req.TimeoutMS)
 	j.submitted, j.status = time.Now(), statusQueued
 	j.ctx, j.cancel, j.done = ctx, cancel, make(chan struct{})
 	j.handoffFrom = r.Header.Get(HeaderHandoffFrom)
-	s.reg.add(j)
+	s.reg.add(j, "")
 
 	if !s.submit(j) {
 		cancel()
 		cRejected.Inc()
-		j.finalize(statusFailed, "queue full or server draining", nil)
+		j.finalizeKind(statusFailed, "queue full or server draining", "", nil)
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "job queue full or server draining")
+		WriteError(w, http.StatusServiceUnavailable, "job queue full or server draining")
 		return
 	}
 	// Journal the acceptance — the bytes the client sent, which is what
@@ -283,8 +321,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.journalAppend(j.ctx, journal.Record{Type: journal.TypeAccepted, JobID: j.id, Request: body})
 
 	if j.req.Async {
-		w.Header().Set("Location", "/v1/jobs/"+j.ID())
-		writeJSON(w, http.StatusAccepted, j.snapshot())
+		w.Header().Set("Location", "/v1/jobs/"+j.id)
+		WriteJSON(w, http.StatusAccepted, j.snapshot())
 		return
 	}
 
@@ -300,22 +338,21 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	v := j.snapshot()
 	switch v.Status {
 	case StatusDone:
-		writeJSON(w, http.StatusOK, v)
+		WriteJSON(w, http.StatusOK, v)
 	case statusCancelled:
-		writeJSON(w, http.StatusConflict, v)
+		WriteJSON(w, http.StatusConflict, v)
 	default:
 		code := http.StatusInternalServerError
 		switch {
 		case v.ErrorKind == ErrKindExhausted:
 			// Every degradation rung failed: the request was valid, the
-			// backends are unhealthy. Like a full queue, a 503 a client
-			// may retry.
-			w.Header().Set("Retry-After", "1")
+			// backends are unhealthy. No Retry-After: the pipeline is
+			// deterministic, so a retry fails the same way.
 			code = http.StatusServiceUnavailable
 		case errors.Is(ctx.Err(), context.DeadlineExceeded):
 			code = http.StatusGatewayTimeout
 		}
-		writeJSON(w, code, v)
+		WriteJSON(w, code, v)
 	}
 }
 
@@ -323,21 +360,21 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	cRequests.Inc()
 	j, ok := s.reg.get(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.snapshot())
+	WriteJSON(w, http.StatusOK, j.snapshot())
 }
 
 func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 	cRequests.Inc()
 	j, ok := s.reg.get(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
 	j.abort()
-	writeJSON(w, http.StatusOK, j.snapshot())
+	WriteJSON(w, http.StatusOK, j.snapshot())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -348,7 +385,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	WriteJSON(w, code, map[string]any{
 		"status":         status,
 		"shard":          s.cfg.Name,
 		"uptime_seconds": time.Since(s.start).Seconds(),
@@ -372,7 +409,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"shard":    s.cfg.Name,
 		"counters": obs.GlobalCounters(),
 		"gauges": map[string]float64{
@@ -381,7 +418,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 			"serve.in_flight":      float64(s.InFlight()),
 			"serve.workers":        float64(s.cfg.Workers),
 		},
-		"cache": s.cacheStats(),
+		"cache": s.cache.Stats(),
 	})
 }
 
@@ -501,22 +538,15 @@ func DeckDesign(name, deck string, fallbackSize int) (*pgen.Design, error) {
 // geometry for a SPICE deck that this shard will derive when analyzing
 // it.
 func InferDieSize(nl *spice.Netlist) int {
-	max := -1
+	size := 0
 	for _, e := range nl.Elements {
 		for _, name := range [2]string{e.NodeA, e.NodeB} {
-			n, err := spice.ParseNode(name)
-			if err != nil {
-				continue
-			}
-			if n.X > max {
-				max = n.X
-			}
-			if n.Y > max {
-				max = n.Y
+			if n, err := spice.ParseNode(name); err == nil {
+				size = max(size, n.X+1, n.Y+1)
 			}
 		}
 	}
-	return max + 1
+	return size
 }
 
 // PadVoltage returns the first V-card voltage (the VDD rail).
@@ -574,8 +604,8 @@ func (s *Server) runJob(j *job) {
 	result, err := s.executeProtected(ctx, j)
 
 	// The run is over: a retained job keeps its result and manifest, not
-	// the parsed deck (whose strings pin the text).
-	j.design = nil
+	// the parsed deck (whose strings pin the text) or the body.
+	j.design, j.body = nil, nil
 
 	manifest := rec.Manifest("serve.analyze", cfgMap)
 	manifest.Shard = s.cfg.Name
@@ -589,7 +619,7 @@ func (s *Server) runJob(j *job) {
 	switch {
 	case err == nil:
 		cDone.Inc()
-		j.finalize(StatusDone, "", result)
+		j.finalizeKind(StatusDone, "", "", result)
 		s.journalTerminal(j, journal.TypeFinished, "")
 	case j.cancelled.Load():
 		cCancelled.Inc()
@@ -656,13 +686,13 @@ func (s *Server) executeProtected(ctx context.Context, j *job) (result *AnalyzeR
 // execute runs the analysis of one job under ctx. A job admitted from
 // the memo is answered with a copy of the stored result and a fresh
 // manifest recording the hit; any other job runs, and its result is
-// memoised under its body's digest when it succeeds. On cancellation
-// the returned error wraps solver.ErrCancelled and the result is nil
-// (the caller still attaches the manifest with the partial history).
+// memoised with its body when it succeeds. On cancellation the returned
+// error wraps solver.ErrCancelled and the result is nil (the caller
+// still attaches the manifest with the partial history).
 func (s *Server) execute(ctx context.Context, j *job) (*AnalyzeResult, error) {
 	rec := obs.FromContext(ctx)
 	record := func(outcome string) {
-		rec.RecordCacheEvent(obs.CacheEvent{Stage: "serve.analyze", Outcome: outcome, Key: cache.ShortKey(j.digest)})
+		rec.RecordCacheEvent(obs.CacheEvent{Stage: "serve.analyze", Outcome: outcome, Key: cache.ShortKey(fmt.Sprintf("%016x", j.digest))})
 	}
 	if j.memo != nil {
 		start, st := time.Now(), rec.StartStage("serve.memo")
@@ -677,13 +707,13 @@ func (s *Server) execute(ctx context.Context, j *job) (*AnalyzeResult, error) {
 	if err == nil {
 		stored := *out
 		stored.Manifest = nil // manifests describe one run; never replay them
-		s.cache.Put(memoKey(j.digest), &memoEntry{adm: j.admission, res: &stored}, int64(len(stored.Map))*8+memoBytes, "memo")
+		s.cache.Put(memoKey(j.digest), &memoEntry{j.body, j.admission, &stored}, int64(len(stored.Map)*8+cap(j.body))+memoBytes, "memo")
 		record(obs.CacheStore)
 	}
 	return out, err
 }
 
-// memoBytes is the accounted size of one memo entry beside its map.
+// memoBytes is the accounted size of one memo entry beside map and body.
 const memoBytes = 1024
 
 // analyze dispatches the actual analysis of one job.

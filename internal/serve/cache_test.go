@@ -61,7 +61,7 @@ func TestServeCacheResponseHit(t *testing.T) {
 			t.Fatalf("served map differs from computed at %d", i)
 		}
 	}
-	if st := s.cacheStats(); st.Hits < 1 || st.Stores < 1 || st.Entries < 1 {
+	if st := s.cache.Stats(); st.Hits < 1 || st.Stores < 1 || st.Entries < 1 {
 		t.Fatalf("server cache stats = %+v, want hits/stores/entries >= 1", st)
 	}
 

@@ -85,7 +85,7 @@ func TestFusedAnalyze(t *testing.T) {
 	s, ts := newTestServer(t, Config{Analyzer: a})
 	for i, async := range []bool{false, true} {
 		seed := int64(11 + i)
-		storesBefore := s.cacheStats().Stores
+		storesBefore := s.cache.Stats().Stores
 		extra := ""
 		if async {
 			extra = `, "async": true`
@@ -135,7 +135,7 @@ func TestFusedAnalyze(t *testing.T) {
 				t.Errorf("async=%t: solve %q ran %d iterations, above the rough budget %d", async, sv.Label, sv.Iterations, a.Config.RoughIters)
 			}
 		}
-		if got := s.cacheStats().Stores - storesBefore; got != 1 {
+		if got := s.cache.Stats().Stores - storesBefore; got != 1 {
 			t.Errorf("async=%t: the job stored %d cache entries, want 1 (its memo entry)", async, got)
 		}
 	}
@@ -245,7 +245,7 @@ func TestFusedNonFinitePredictionFails(t *testing.T) {
 			t.Errorf("body %d: a failed job carries a map", i)
 		}
 	}
-	if st := s.cacheStats(); st.Stores != 0 {
+	if st := s.cache.Stats(); st.Stores != 0 {
 		t.Errorf("%d cache stores, want none: a failed job is not memoised", st.Stores)
 	}
 	ts.Close()

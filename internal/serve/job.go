@@ -42,12 +42,13 @@ type job struct {
 	id string
 	*admission
 	// A job carries either the memoised answer of a byte-identical
-	// earlier body (memo) or the design to analyse. runJob drops the
-	// design when the run ends: the registry retains finished jobs, and a
-	// parsed deck pins its text.
+	// earlier body (memo) or the design to analyse and the body its memo
+	// entry will hold. runJob drops both when the run ends: the registry
+	// retains finished jobs, and a parsed deck pins its text.
 	memo        *AnalyzeResult
 	design      *pgen.Design
-	digest      string // hex SHA-256 of the request body, the memo key
+	body        []byte
+	digest      uint64 // seeded maphash of the request body, the memo key
 	handoffFrom string // shard this job failed over from; "" normally
 	submitted   time.Time
 
@@ -75,9 +76,6 @@ const (
 	errKindTimeout   = "timeout"          // job deadline expired
 	errKindCancelled = "cancelled"        // cancelled via DELETE or disconnect
 )
-
-// ID returns the job's identifier.
-func (j *job) ID() string { return j.id }
 
 // Done returns a channel closed when the job reaches a terminal
 // status.
@@ -131,13 +129,8 @@ func (j *job) markRunning() bool {
 	return true
 }
 
-// finalize moves the job to a terminal status exactly once and closes
-// Done.
-func (j *job) finalize(status Status, errMsg string, result *AnalyzeResult) {
-	j.finalizeKind(status, errMsg, "", result)
-}
-
-// finalizeKind is finalize carrying a machine-readable error kind.
+// finalizeKind moves the job to a terminal status exactly once, with a
+// machine-readable error kind, and closes Done.
 func (j *job) finalizeKind(status Status, errMsg, kind string, result *AnalyzeResult) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -217,24 +210,16 @@ func newRegistry(capacity int, shard string) *registry {
 	return &registry{cap: capacity, prefix: prefix, jobs: make(map[string]*job)}
 }
 
-// add registers a new job under a fresh id.
-func (r *registry) add(j *job) string {
+// add registers a job under id, or under a fresh id when id is "". A
+// journal-recovered job keeps its original id, so clients polling a
+// pre-crash job id find it again.
+func (r *registry) add(j *job, id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.next++
-	id := fmt.Sprintf("%sjob-%06d", r.prefix, r.next)
-	j.id = id
-	r.jobs[id] = j
-	r.order = append(r.order, id)
-	r.evictLocked()
-	return id
-}
-
-// addWithID registers a journal-recovered job under its original id,
-// so clients polling a pre-crash job id find it again.
-func (r *registry) addWithID(j *job, id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	if id == "" {
+		r.next++
+		id = fmt.Sprintf("%sjob-%06d", r.prefix, r.next)
+	}
 	j.id = id
 	r.jobs[id] = j
 	r.order = append(r.order, id)

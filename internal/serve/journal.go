@@ -2,10 +2,9 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"time"
 
 	"irfusion/internal/journal"
@@ -55,31 +54,28 @@ func (s *Server) recoverOrphans(fold *journal.Fold) {
 		// Not the strict decoder of handleAnalyze: a record written by an
 		// earlier binary may carry a field since retired ("precision",
 		// "format"), and its job is still owed an answer.
+		fail := func(detail string) {
+			s.journalAppend(s.baseCtx, journal.Record{Type: journal.TypeFailed, JobID: st.JobID, Detail: "recovery: " + detail})
+		}
 		var req AnalyzeRequest
 		if err := json.Unmarshal(st.Request, &req); err != nil {
-			s.journalAppend(s.baseCtx, journal.Record{
-				Type: journal.TypeFailed, JobID: st.JobID,
-				Detail: fmt.Sprintf("recovery: undecodable request: %v", err),
-			})
+			fail(fmt.Sprintf("undecodable request: %v", err))
 			continue
 		}
 		adm, design, err := s.admit(&req)
 		if err != nil {
-			s.journalAppend(s.baseCtx, journal.Record{
-				Type: journal.TypeFailed, JobID: st.JobID,
-				Detail: fmt.Sprintf("recovery: %v", err),
-			})
+			fail(err.Error())
 			continue
 		}
 		ctx, cancel := s.jobContext(req.TimeoutMS)
 		// The accepted record holds the client's body, so the recovered
-		// job files its answer under the memo key a repeat of that body
-		// looks up (json.Marshal compacted it: a body sent with
-		// insignificant whitespace repeats under another key).
-		sum := sha256.Sum256(st.Request)
+		// job files its answer with those bytes, under the memo key a
+		// repeat of that body looks up (json.Marshal compacted it: a body
+		// sent with insignificant whitespace repeats as another body).
 		j := &job{
 			admission: adm,
-			digest:    hex.EncodeToString(sum[:]),
+			body:      st.Request,
+			digest:    maphash.Bytes(s.seed, st.Request),
 			submitted: time.Now(),
 			cancel:    cancel,
 			done:      make(chan struct{}),
@@ -87,13 +83,11 @@ func (s *Server) recoverOrphans(fold *journal.Fold) {
 			ctx:       ctx,
 			design:    design,
 		}
-		s.reg.addWithID(j, st.JobID)
+		s.reg.add(j, st.JobID)
 		if !s.submit(j) {
 			cancel()
 			j.finalizeKind(statusFailed, "recovery: queue full", "", nil)
-			s.journalAppend(s.baseCtx, journal.Record{
-				Type: journal.TypeFailed, JobID: st.JobID, Detail: "recovery: queue full",
-			})
+			fail("queue full")
 			continue
 		}
 		cRecovered.Inc()

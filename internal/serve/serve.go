@@ -22,6 +22,7 @@ package serve
 
 import (
 	"context"
+	"hash/maphash"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -127,6 +128,7 @@ type Server struct {
 	reg   *registry
 	start time.Time
 	cache *cache.Cache // per-process artifact cache
+	seed  maphash.Seed // this process's secret body-memo seed
 
 	journal     *journal.Journal // write-ahead job journal; nil when disabled
 	journalErr  string           // journal open failure; serving continues without durability
@@ -159,6 +161,7 @@ func New(cfg Config) *Server {
 		// so sharing is race-free. It has the cache package's default
 		// size and entry lifetime.
 		cache:      cache.New(0, 0),
+		seed:       maphash.MakeSeed(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
@@ -185,15 +188,8 @@ func New(cfg Config) *Server {
 // Handler returns the HTTP handler tree of the service.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Name returns the configured shard identity ("" when standalone).
-func (s *Server) Name() string { return s.cfg.Name }
-
 // InFlight returns the number of jobs currently executing.
 func (s *Server) InFlight() int { return int(s.inflight.Load()) }
-
-// cacheStats snapshots the per-process artifact cache (zero stats
-// when caching is disabled).
-func (s *Server) cacheStats() cache.Stats { return s.cache.Stats() }
 
 // worker drains the job queue until Close closes it.
 func (s *Server) worker() {
@@ -229,11 +225,10 @@ func (s *Server) submit(j *job) bool {
 // drain to finish before returning ctx.Err().
 func (s *Server) Close(ctx context.Context) error {
 	s.submitMu.Lock()
-	already := s.draining
-	s.draining = true
-	if !already {
+	if !s.draining {
 		close(s.queue)
 	}
+	s.draining = true
 	s.submitMu.Unlock()
 
 	done := make(chan struct{})
@@ -241,17 +236,17 @@ func (s *Server) Close(ctx context.Context) error {
 		s.workers.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		s.baseCancel()
-		s.closeJournal()
-		return nil
 	case <-ctx.Done():
+		err = ctx.Err()
 		s.baseCancel() // force-cancel in-flight solves
 		<-done
-		s.closeJournal()
-		return ctx.Err()
 	}
+	s.baseCancel()
+	s.closeJournal()
+	return err
 }
 
 // closeJournal syncs and closes the journal after the workers have
@@ -267,22 +262,13 @@ func (s *Server) closeJournal() {
 // crash simulates a hard process kill for restart testing: journal
 // writes are suppressed first (a dying process never writes its
 // terminal records — that asymmetry is exactly what replay recovers
-// from), then every in-flight context is cancelled and the call
-// returns once the workers have exited. The journal directory is left
-// holding exactly what a kill -9 mid-solve would: an accepted record
-// with no terminal record after it.
+// from), then Close under an expired context cancels every in-flight
+// job and returns once the workers have exited. The journal directory
+// is left holding exactly what a kill -9 mid-solve would: an accepted
+// record with no terminal record after it.
 func (s *Server) crash() {
 	s.crashed.Store(true)
-	s.submitMu.Lock()
-	already := s.draining
-	s.draining = true
-	if !already {
-		close(s.queue)
-	}
-	s.submitMu.Unlock()
-	s.baseCancel() // in-flight solvers notice within one iteration
-	s.workers.Wait()
-	if s.journal != nil {
-		_ = s.journal.Close() // release the fd; appends were already suppressed
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = s.Close(ctx)
 }

@@ -360,10 +360,18 @@ func TestQueueFullRejects(t *testing.T) {
 		t.Fatalf("job 2: status %d: %s", code, b)
 	}
 	id2 := decodeJob(t, b).ID
-	// ...and the next submission must bounce.
-	code, b = post(t, ts, "/v1/analyze", slowBody(9))
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("job 3: status %d, want 503: %s", code, b)
+	// ...and the next submission must bounce, with a retry hint.
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(slowBody(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("job 3: status %d, want 503: %s", resp.StatusCode, b)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("queue-full Retry-After %q, want %q", got, "1")
 	}
 	for _, id := range []string{id1, id2} {
 		del(t, ts, "/v1/jobs/"+id)

@@ -13,8 +13,8 @@ import (
 // /healthz and /metricsz, and stamps it into every run manifest.
 func TestShardIdentity(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, Name: "shard7"})
-	if s.Name() != "shard7" {
-		t.Fatalf("Name() = %q", s.Name())
+	if s.cfg.Name != "shard7" {
+		t.Fatalf("Name = %q", s.cfg.Name)
 	}
 
 	code, b := post(t, ts, "/v1/analyze", pgenBody(1, 16, ""))
