@@ -214,9 +214,9 @@ func (a *Analyzer) PredictCtx(ctx context.Context, s *dataset.Sample) *grid.Map 
 // dataset.BuildInferenceCtx. A context cancelled by the time the sample
 // is built fails with solver.ErrCancelled instead of running inference.
 //
-// The rough solve of the numerical stage runs on a one-rung ladder
-// (plan.RoughLadder), so the manifest records which rung served; a
-// rough solve that fails fails the analysis with
+// The rough solve of the numerical stage is plan.RoughLadder: one
+// SSOR-PCG solve with a degradation record, so the manifest records
+// which rung served; a rough solve that fails fails the analysis with
 // plan.ErrLadderExhausted, before any inference.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*grid.Map, time.Duration, error) {
 	opts := a.Config.DatasetOptions()
@@ -239,7 +239,7 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, d *pgen.Design) (*grid.Map, t
 }
 
 // RoughSolver builds the dataset.Options.RoughSolver hook that runs
-// the fused pipeline's rough solve on the degradation ladder
+// the fused pipeline's rough solve with its degradation record
 // (plan.RoughLadder), with the given iteration budget (<= 0 uses the
 // config's RoughIters). Exported for callers that drive the dataset
 // build themselves.
@@ -502,11 +502,11 @@ func hotspotWeights(y *nn.Tensor) *nn.Tensor {
 // rough stage uses ("ssor" by default, "amg" for the full K-cycle) so
 // the Fig-7 comparison is engine-for-engine fair.
 //
-// Solves run on the degradation ladder of internal/plan (plan.Rungs is
-// the policy: a warm start, as the request and the cache allow, then
-// the one cold rung): a failing warm rung is abandoned for the cold
-// one, a failing cold rung exhausts the ladder, and
-// the outcome is recorded in the run manifest's degradation section.
+// Solves run through plan.Numerical: a warm start, as the request and
+// the cache allow, then the one cold solve. A failing warm start is
+// abandoned for the cold solve, a failing cold solve exhausts the
+// ladder, and the outcome is recorded in the run manifest's
+// degradation section.
 type NumericalAnalyzer struct {
 	Iters      int
 	Resolution int

@@ -1,17 +1,17 @@
 package plan
 
-// Regression tests for error-wrapping identity: the degradation
-// ladder's abort test (and the serving layer's error_kind mapping on
-// top of it) is driven entirely by errors.Is, so every wrap site on
-// the failure paths must use %w. These tests pin the contract by
-// pushing sentinel errors through the same multi-level wrap chains the
-// pipeline produces and asserting the identities survive.
+// Regression tests for error-wrapping identity: the solve's abort test
+// (and the serving layer's error_kind mapping on top of it) is driven
+// entirely by errors.Is, so every wrap site on the failure paths must
+// use %w. These tests push injected failures through the real wrap
+// chains, the solver's and the ladder's, and assert the identities
+// survive.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
+	"time"
 
 	"irfusion/internal/circuit"
 	"irfusion/internal/faults"
@@ -19,25 +19,17 @@ import (
 	"irfusion/internal/solver"
 )
 
-// TestLadderExhaustedPreservesBreakdown proves that when every rung
-// fails with a (further wrapped) solver.ErrBreakdown, the exhausted
-// ladder error still satisfies errors.Is for BOTH sentinels: the
-// serving layer classifies on ErrLadderExhausted while diagnostics and
-// tests still see the root cause.
+// TestLadderExhaustedPreservesBreakdown proves that when the warm start
+// breaks down and the cold solve then finds the operator indefinite,
+// the exhausted ladder error satisfies errors.Is for ErrLadderExhausted
+// and for the last rung's sentinel: the serving layer classifies on
+// the first while diagnostics and tests still see the root cause.
 func TestLadderExhaustedPreservesBreakdown(t *testing.T) {
-	rungs := []ladderRung{
-		{name: "a", run: func(context.Context) error {
-			return fmt.Errorf("rung a: solve failed: %w",
-				fmt.Errorf("%w (injected at iteration 3)", solver.ErrBreakdown))
-		}},
-		{name: "b", run: func(context.Context) error {
-			return fmt.Errorf("rung b: %w", solver.ErrIndefinite)
-		}},
-	}
-	err := runLadder(context.Background(), "test", rungs)
-	if err == nil {
-		t.Fatal("want error from fully failing ladder")
-	}
+	ctx, sys, req := warmFixture(t)
+	ctx = faults.WithInjector(ctx, faults.New(
+		faults.Rule{Site: faults.SitePCG, Action: faults.ActBreakdown, Label: RungAMGWarm},
+		faults.Rule{Site: faults.SitePCG, Action: faults.ActIndefinite, Label: RungAMG}))
+	_, err := Numerical(ctx, sys, make([]float64, sys.N()), req)
 	if !errors.Is(err, ErrLadderExhausted) {
 		t.Errorf("errors.Is(err, ErrLadderExhausted) = false; err = %v", err)
 	}
@@ -46,50 +38,48 @@ func TestLadderExhaustedPreservesBreakdown(t *testing.T) {
 	}
 }
 
-// TestLadderAbortPreservesCancellation proves a cancellation
-// surfacing from deep inside a rung (the PCGCtx wrap chain:
-// ErrCancelled wrapping ctx.Err()) aborts the ladder and keeps both
-// identities — the serve layer needs ErrCancelled/DeadlineExceeded,
-// not ErrLadderExhausted, for its 4xx/504 mapping.
+// TestLadderAbortPreservesCancellation proves a cancellation surfacing
+// from inside the warm start (the PCGCtx wrap chain: ErrCancelled
+// wrapping ctx.Err()) ends the solve without falling to the cold rung,
+// and keeps both identities — the serve layer needs
+// ErrCancelled/Canceled, not ErrLadderExhausted, for its 4xx mapping.
 func TestLadderAbortPreservesCancellation(t *testing.T) {
-	inner := fmt.Errorf("%w after 7 iterations: %w", solver.ErrCancelled, context.Canceled)
-	rungs := []ladderRung{
-		{name: "a", run: func(context.Context) error {
-			return fmt.Errorf("numerical.amg: %w", inner)
-		}},
-		{name: "b", run: func(context.Context) error {
-			t.Error("ladder must not fall through after cancellation")
-			return nil
-		}},
-	}
-	err := runLadder(context.Background(), "test", rungs)
-	if err == nil {
-		t.Fatal("want cancellation error")
-	}
+	ctx, sys, req := warmFixture(t)
+	ctx, cancel := context.WithCancel(faults.WithInjector(ctx,
+		faults.New(faults.Rule{Site: faults.SitePCG, Action: faults.ActStall, Label: RungAMGWarm})))
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Numerical(ctx, sys, make([]float64, sys.N()), req)
+		done <- err
+	}()
+	waitParked(t)
+	cancel()
+	err := <-done
 	if !errors.Is(err, solver.ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Errorf("cancellation identity lost; err = %v", err)
 	}
 	if errors.Is(err, ErrLadderExhausted) {
 		t.Errorf("cancellation must not read as exhaustion; err = %v", err)
 	}
+	deg := degradation(t, ctx)
+	if len(deg.Attempts) != 1 || deg.Attempts[0].Rung != RungAMGWarm || !deg.Exhausted {
+		t.Errorf("trail %+v, want the cancelled warm start alone", deg)
+	}
 }
 
 // TestDeadlineSurvivesLadderAsTimeout pins the errors.As path: a
 // deadline error keeps its net.Error-style Timeout() through the
-// ladder's abort return, which is what lets callers distinguish
-// timeout from explicit cancel without string matching.
+// solve's abort return, which is what lets callers distinguish timeout
+// from explicit cancel without string matching.
 func TestDeadlineSurvivesLadderAsTimeout(t *testing.T) {
-	rungs := []ladderRung{
-		{name: "a", run: func(context.Context) error {
-			return fmt.Errorf("%w mid-solve: %w", solver.ErrCancelled, context.DeadlineExceeded)
-		}},
-	}
-	err := runLadder(context.Background(), "test", rungs)
-	if err == nil {
-		t.Fatal("want deadline error")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("errors.Is(err, DeadlineExceeded) = false; err = %v", err)
+	sys := assemble(t, fixtureDesign(t))
+	ctx, cancel := context.WithTimeout(faults.WithInjector(context.Background(),
+		faults.New(faults.Rule{Site: faults.SitePCG, Action: faults.ActStall, Label: RungAMG})), 50*time.Millisecond)
+	defer cancel()
+	_, err := Numerical(ctx, sys, make([]float64, sys.N()), Solve{})
+	if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrLadderExhausted) {
+		t.Fatalf("err = %v; want DeadlineExceeded and not ErrLadderExhausted", err)
 	}
 	var te interface{ Timeout() bool }
 	if !errors.As(err, &te) || !te.Timeout() {

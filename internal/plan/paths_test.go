@@ -3,7 +3,6 @@ package plan_test
 import (
 	"context"
 	"math"
-	"slices"
 	"testing"
 
 	"irfusion/internal/cache"
@@ -50,16 +49,15 @@ func servingRung(t *testing.T, rec *obs.Recorder, component string) string {
 	return ""
 }
 
-// TestSolvePathsAgree is the differential test over the rung table:
-// one fixed deck, solved down every path a rung list can take — cold,
+// TestSolvePathsAgree is the differential test over the solve paths:
+// one fixed deck, solved down every path a request can take — cold,
 // a repeat (a warm start at delta 0), warm neighbour, each budgeted
-// rung, the fused rough ladder, and dataset.Build's one-rung label
-// ladder. Every path must name, in its manifest, the rung the
-// scenario was built to reach, that rung must be on the list the
-// policy emits for the request, and every converged path must return
-// the sparse-Cholesky answer — which shares no code with the iterative
-// rungs — to 1e-8. A new rung or policy branch gets its row here, not
-// a hand-written suite.
+// backend, the fused rough ladder, and dataset.Build's label solve.
+// Every path must name, in its manifest, the rung the scenario was
+// built to reach, and every converged path must return the
+// sparse-Cholesky answer — which shares no code with the iterative
+// backends — to 1e-8. A new backend or policy branch gets its row
+// here, not a hand-written suite.
 func TestSolvePathsAgree(t *testing.T) {
 	d, err := pgen.Generate(pgen.DefaultConfig("paths", pgen.Real, 24, 24, 17))
 	if err != nil {
@@ -120,9 +118,6 @@ func TestSolvePathsAgree(t *testing.T) {
 				c = p.cache()
 				ctx = cache.WithCache(ctx, c)
 			}
-			if list := plan.Rungs(req.Iters, req.Precond, c != nil); !slices.Contains(list, p.want) {
-				t.Fatalf("policy emits %v for this request; %s is not on it", list, p.want)
-			}
 			stores := c.Stats().Stores
 			x := make([]float64, sys.N())
 			res, err := plan.Numerical(ctx, sys, x, req)
@@ -149,9 +144,9 @@ func TestSolvePathsAgree(t *testing.T) {
 			}
 		})
 	}
-	for _, name := range plan.Rungs(0, "amg", true) {
+	for _, name := range []string{plan.RungAMG, plan.RungAMGWarm, plan.RungSSOR} {
 		if !reached[name] {
-			t.Errorf("policy can emit %s but no path above reaches it", name)
+			t.Errorf("Numerical can be served by %s but no path above reaches it", name)
 		}
 	}
 

@@ -12,56 +12,64 @@ import (
 	"irfusion/internal/pgen"
 )
 
-// TestRungsPolicy is the solve policy as a table: request in, ordered
-// rung names out. Reading this replaces reading the analyzer to learn
-// the ladder order.
+// TestRungsPolicy is the solve policy as a table over Numerical:
+// request and cache state in, the attempts the manifest records out.
+// Reading this replaces reading Numerical to learn which backend serves
+// which request. Every rung name serves at least one row.
 func TestRungsPolicy(t *testing.T) {
-	cold := []string{RungAMG}
+	d := fixtureDesign(t)
+	sys := assemble(t, d)
+	fp := func() string { return cache.DesignFingerprint(d) }
 	cases := []struct {
-		name    string
-		iters   int
-		precond string
-		cached  bool
-		want    []string
+		name  string
+		req   Solve
+		cache func(t *testing.T) *cache.Cache // nil: no artifact cache
+		want  []string
 	}{
-		{name: "converged, no cache", want: cold},
-		{name: "converged, ssor precond still runs AMG", precond: "ssor", want: cold},
-		{name: "converged, cache", cached: true, want: []string{RungAMGWarm, RungAMG}},
-		{name: "budgeted, default precond runs SSOR", iters: 5, want: []string{RungSSOR}},
-		{name: "budgeted ssor", iters: 5, precond: "ssor", want: []string{RungSSOR}},
-		{name: "budgeted amg", iters: 5, precond: "amg", want: cold},
+		{name: "converged, no cache", want: []string{RungAMG}},
+		{name: "converged, ssor precond still runs AMG", req: Solve{Precond: "ssor"}, want: []string{RungAMG}},
+		{name: "converged, cache miss leaves no attempt", cache: func(*testing.T) *cache.Cache { return cache.New(0, 0) }, want: []string{RungAMG}},
+		{name: "converged, cache holds the design", cache: func(t *testing.T) *cache.Cache { return donorCache(t, d) }, want: []string{RungAMGWarm}},
+		{name: "converged, cache holds a neighbour", cache: func(t *testing.T) *cache.Cache { return donorCache(t, pgen.Perturb(d, 0.01, 5)) }, want: []string{RungAMGWarm}},
+		{name: "budgeted, default precond runs SSOR", req: Solve{Iters: 5}, want: []string{RungSSOR}},
+		{name: "budgeted ssor", req: Solve{Iters: 5, Precond: "ssor"}, want: []string{RungSSOR}},
+		{name: "budgeted amg", req: Solve{Iters: 5, Precond: "amg"}, want: []string{RungAMG}},
 		{name: "budgeted solves run cold whatever the cache has on offer",
-			iters: 5, precond: "amg", cached: true, want: cold},
+			req: Solve{Iters: 5, Precond: "amg"}, cache: func(t *testing.T) *cache.Cache { return donorCache(t, d) }, want: []string{RungAMG}},
 	}
+	served := map[string]bool{}
 	for _, tc := range cases {
-		got := Rungs(tc.iters, tc.precond, tc.cached)
+		rec := obs.NewRecorder()
+		ctx := obs.WithRecorder(context.Background(), rec)
+		if tc.cache != nil {
+			ctx = cache.WithCache(ctx, tc.cache(t))
+		}
+		req := tc.req
+		req.Fingerprint = fp
+		if _, err := Numerical(ctx, sys, make([]float64, sys.N()), req); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		degs := rec.Manifest("t", nil).Degradations
+		if len(degs) != 1 || degs[0].Degraded() {
+			t.Fatalf("%s: degradations %+v, want one clean record", tc.name, degs)
+		}
+		var got []string
+		for _, a := range degs[0].Attempts {
+			got = append(got, a.Rung)
+		}
 		if !slices.Equal(got, tc.want) {
-			t.Errorf("%s: Rungs = %v, want %v", tc.name, got, tc.want)
+			t.Errorf("%s: attempts %v, want %v", tc.name, got, tc.want)
 		}
+		served[degs[0].Rung] = true
 	}
-}
-
-// TestEveryListedRungExists: a rung list is names; every name any list
-// can hold must be in the table.
-func TestEveryListedRungExists(t *testing.T) {
-	lists := [][]string{fusedRoughRungs}
-	for _, iters := range []int{0, 3} {
-		for _, precond := range []string{"amg", "ssor"} {
-			lists = append(lists, Rungs(iters, precond, true))
-		}
+	rec := obs.NewRecorder()
+	if err := RoughLadder(obs.WithRecorder(context.Background(), rec), sys, make([]float64, sys.N()), 4); err != nil {
+		t.Fatal(err)
 	}
-	listed := map[string]bool{}
-	for _, l := range lists {
-		for _, name := range l {
-			listed[name] = true
-			if _, ok := rungTable[name]; !ok {
-				t.Errorf("rung %q is listed but not in the table", name)
-			}
-		}
-	}
-	for name := range rungTable {
-		if !listed[name] {
-			t.Errorf("rung %q is in the table but on no list", name)
+	served[rec.Manifest("t", nil).Degradations[0].Rung] = true
+	for _, name := range []string{RungAMG, RungAMGWarm, RungSSOR, RungRough} {
+		if !served[name] {
+			t.Errorf("no solve is served by %s", name)
 		}
 	}
 }
@@ -149,6 +157,18 @@ func TestWarmDonorSurvivesItsVariants(t *testing.T) {
 			t.Fatalf("variant %d: cache section %+v, want a warm start off the base %s", seed, m.Cache, cache.ShortKey(fp))
 		}
 	}
+}
+
+// donorCache returns an artifact cache holding a converged solve of d.
+func donorCache(t *testing.T, d *pgen.Design) *cache.Cache {
+	t.Helper()
+	c := cache.New(0, 0)
+	sys := assemble(t, d)
+	req := Solve{Fingerprint: func() string { return cache.DesignFingerprint(d) }}
+	if _, err := Numerical(cache.WithCache(context.Background(), c), sys, make([]float64, sys.N()), req); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // assemble builds d's reduced system.

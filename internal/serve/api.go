@@ -41,6 +41,15 @@ const (
 // maxIters bounds the per-request iteration budget (admission limit).
 const maxIters = 100000
 
+// Admission limits on the pgen fields that set the generator's work,
+// with headroom over its defaults (5 layers, 4 hotspots, 2 blockages):
+// a request is generated on the handler goroutine, before any deadline.
+const (
+	maxPgenLayers    = 16
+	maxPgenHotspots  = 64
+	maxPgenBlockages = 16
+)
+
 // Cluster routing headers, set by the internal/cluster gateway and
 // read here. They are defined in serve (the lower layer) so the shard
 // can record handoffs without importing the cluster package.
@@ -479,9 +488,19 @@ func (s *Server) prepare(req *AnalyzeRequest) (*pgen.Design, error) {
 			}
 			cfg = base
 		}
+		if len(cfg.Layers) > maxPgenLayers || cfg.Hotspots < 0 || cfg.Hotspots > maxPgenHotspots ||
+			cfg.Blockages < 0 || cfg.Blockages > maxPgenBlockages {
+			return nil, fmt.Errorf("pgen: %d layers, %d hotspots, %d blockages: limits are %d, %d, %d",
+				len(cfg.Layers), cfg.Hotspots, cfg.Blockages, maxPgenLayers, maxPgenHotspots, maxPgenBlockages)
+		}
 		d, err := pgen.Generate(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("pgen: %w", err)
+		}
+		// The generated deck is linted like a submitted one, so a
+		// field that makes it unsolvable is a 400 with its issues.
+		if d.Network, err = circuit.Admit(d.Netlist); err != nil {
+			return nil, err
 		}
 		return d, nil
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -109,6 +110,73 @@ func TestAnalyzeNonFiniteValue400(t *testing.T) {
 	}
 	if got := journalTypes(t, dir); len(got) != 0 {
 		t.Errorf("a rejected deck was journaled: %v", got)
+	}
+}
+
+// TestAnalyzePgenAdmittedLikeADeck: a pgen request is generated on the
+// handler goroutine, before any deadline, so the fields that set the
+// generator's work are bounded there, and the generated deck is linted
+// like a submitted one. Each row used to be journaled and run: a 200
+// after generating as much as it asked for, or a 500 from the worker
+// for a negative wire resistance or a current that overflows to +Inf.
+// Now each is a 400, with the deck's issues when the lint found them,
+// and nothing is journaled.
+func TestAnalyzePgenAdmittedLikeADeck(t *testing.T) {
+	layer := func(i int, rPerUm string) string {
+		dir := [2]string{"horizontal", "vertical"}[i%2]
+		return fmt.Sprintf(`{"layer": %d, "dir": %q, "pitch": 8, "r_per_um": %s, "via_ohms": 1, "via_every": 1}`, i+1, dir, rPerUm)
+	}
+	stack := func(n int) string {
+		var l []string
+		for i := range n {
+			l = append(l, layer(i, "0.4"))
+		}
+		return strings.Join(l, ", ")
+	}
+	// pgenReq is a fake 32 µm design with every field set, so nothing
+	// falls back to the class defaults.
+	pgenReq := func(seed int, fields string) string {
+		return fmt.Sprintf(`{"pgen": {"class": "fake", "w": 32, "h": 32, "seed": %d, "vdd": 1.05, "num_pads": 4, "cell_pitch": 2, `+
+			`"background_amps": 5e-5, "hotspot_amps": 4e-4, "hotspots": 2, "layers": [%s], %s}}`, seed, stack(5), fields)
+	}
+	dir := t.TempDir()
+	s := New(Config{Workers: 1, JournalDir: dir})
+	ts := httptest.NewServer(s.Handler())
+	for _, tc := range []struct {
+		name, body string
+		issue      string // the first deck issue; "" for a plain 400
+	}{
+		{name: "17 layers", body: `{"pgen": {"class": "fake", "w": 32, "h": 32, "layers": [` + stack(17) + `]}}`},
+		{name: "65 hotspots", body: pgenReq(1, `"hotspots": 65`)},
+		{name: "negative hotspots", body: pgenReq(1, `"hotspots": -1`)},
+		{name: "17 blockages", body: pgenReq(1, `"blockages": 17, "class": "real"`)},
+		{name: "negative wire resistance", body: strings.Replace(pgenReq(1, `"blockages": 0`), layer(0, "0.4"), layer(0, "-0.8"), 1),
+			issue: "nonpositive-resistance"},
+		{name: "currents that overflow", body: pgenReq(5, `"hotspot_amps": 1e308`), issue: circuit.IssueNonFinite},
+	} {
+		code, b := post(t, ts, "/v1/analyze", tc.body)
+		var resp struct {
+			Issues []circuit.DeckIssue `json:"issues"`
+		}
+		if err := json.Unmarshal(b, &resp); err != nil || code != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%v), want a 400: %.200s", tc.name, code, err, b)
+			continue
+		}
+		if got := ""; tc.issue != "" {
+			if len(resp.Issues) > 0 {
+				got = resp.Issues[0].Code
+			}
+			if got != tc.issue {
+				t.Errorf("%s: issues %+v, want %s first", tc.name, resp.Issues, tc.issue)
+			}
+		}
+	}
+	ts.Close()
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := journalTypes(t, dir); len(got) != 0 {
+		t.Errorf("a rejected pgen request was journaled: %v", got)
 	}
 }
 
