@@ -430,11 +430,29 @@ func BenchmarkStructureFeatureMaps(b *testing.B) {
 	}
 }
 
+// BenchmarkDesignGeneration splits a real deck's input cost in two:
+// generate (pgen.Generate: geometry, rng draws, prune, names) and
+// render (Netlist.String: the SPICE text a request carries), at the
+// 64 µm and 128 µm dies of the end-to-end benchmark.
 func BenchmarkDesignGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := pgen.Generate(pgen.DefaultConfig("g", pgen.Real, benchRes, benchRes, int64(i))); err != nil {
+	for _, die := range []int{64, 128} {
+		cfg := pgen.DefaultConfig("g", pgen.Real, die, die, 7)
+		d, err := pgen.Generate(cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(fmt.Sprintf("die=%d/generate", die), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := pgen.Generate(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("die=%d/render", die), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = d.Netlist.String()
+			}
+		})
 	}
 }
 

@@ -21,7 +21,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 
 	"irfusion/internal/circuit"
 	"irfusion/internal/spice"
@@ -58,37 +59,38 @@ const (
 
 // LayerSpec describes one metal layer of the PG stack.
 type LayerSpec struct {
-	Layer    int       // metal layer number (m1, m4, ...)
-	Dir      Direction // strap direction
-	Pitch    int       // strap pitch in µm
-	RPerUm   float64   // wire resistance in Ω/µm
-	ViaOhms  float64   // resistance of a via up to the next layer
-	ViaEvery int       // populate every k-th crossing with a via (≥1)
+	Layer    int       `json:"layer"`     // metal layer number (m1, m4, ...)
+	Dir      Direction `json:"dir"`       // strap direction
+	Pitch    int       `json:"pitch"`     // strap pitch in µm
+	RPerUm   float64   `json:"r_per_um"`  // wire resistance in Ω/µm
+	ViaOhms  float64   `json:"via_ohms"`  // resistance of a via up to the next layer
+	ViaEvery int       `json:"via_every"` // populate every k-th crossing with a via (≥1)
 }
 
 // Config parameterizes generation.
 type Config struct {
-	Name  string
-	Class Class
-	Seed  int64
+	Name  string `json:"name"`
+	Class Class  `json:"class"`
+	Seed  int64  `json:"seed"`
 	// W, H are the die dimensions in µm (== pixels).
-	W, H int
+	W int `json:"w"`
+	H int `json:"h"`
 	// VDD is the pad voltage.
-	VDD float64
+	VDD float64 `json:"vdd"`
 	// Layers is the stack, bottom first. If nil, defaultStack is used.
-	Layers []LayerSpec
+	Layers []LayerSpec `json:"layers,omitempty"`
 	// NumPads is the number of VDD pads on the top layer.
-	NumPads int
+	NumPads int `json:"num_pads"`
 	// CellPitch is the load attachment pitch along m1 straps (µm).
-	CellPitch int
+	CellPitch int `json:"cell_pitch"`
 	// BackgroundAmps is the per-cell background current draw.
-	BackgroundAmps float64
+	BackgroundAmps float64 `json:"background_amps"`
 	// Hotspots is the number of Gaussian current blobs.
-	Hotspots int
+	Hotspots int `json:"hotspots"`
 	// HotspotAmps is the peak extra per-cell current inside a blob.
-	HotspotAmps float64
+	HotspotAmps float64 `json:"hotspot_amps"`
 	// Blockages is the number of macro cut-outs (Real designs).
-	Blockages int
+	Blockages int `json:"blockages"`
 }
 
 // defaultStack returns a five-layer stack patterned after the contest
@@ -153,10 +155,7 @@ type Design struct {
 // artifact cache's delta-solve path.
 func Perturb(d *Design, frac float64, seed int64) *Design {
 	rng := rand.New(rand.NewSource(seed))
-	nl := &spice.Netlist{
-		Title:    d.Netlist.Title,
-		Elements: append([]spice.Element(nil), d.Netlist.Elements...),
-	}
+	nl := &spice.Netlist{Title: d.Netlist.Title, Elements: slices.Clone(d.Netlist.Elements)}
 	changed := 0
 	for i := range nl.Elements {
 		e := &nl.Elements[i]
@@ -175,28 +174,28 @@ func Perturb(d *Design, frac float64, seed int64) *Design {
 // rect is a closed axis-aligned region.
 type rect struct{ x0, y0, x1, y1 int }
 
-func (r rect) contains(x, y int) bool {
-	return x >= r.x0 && x <= r.x1 && y >= r.y0 && y <= r.y1
-}
-
 // Generate synthesizes a design from the configuration. It is
 // deterministic for a fixed Config (including Seed).
 func Generate(cfg Config) (*Design, error) {
+	_, d, err := generate(cfg)
+	return d, err
+}
+
+// generate is Generate, also returning the builder that named the deck.
+func generate(cfg Config) (*builder, *Design, error) {
 	if cfg.W < 8 || cfg.H < 8 {
-		return nil, fmt.Errorf("pgen: die %dx%d too small", cfg.W, cfg.H)
+		return nil, nil, fmt.Errorf("pgen: die %dx%d too small", cfg.W, cfg.H)
 	}
 	if cfg.Layers == nil {
 		cfg.Layers = defaultStack()
 	}
 	if len(cfg.Layers) < 2 {
-		return nil, fmt.Errorf("pgen: need at least 2 layers, got %d", len(cfg.Layers))
+		return nil, nil, fmt.Errorf("pgen: need at least 2 layers, got %d", len(cfg.Layers))
 	}
 	if cfg.NumPads < 1 {
-		return nil, fmt.Errorf("pgen: need at least one pad")
+		return nil, nil, fmt.Errorf("pgen: need at least one pad")
 	}
-	if cfg.CellPitch < 1 {
-		cfg.CellPitch = 1
-	}
+	cfg.CellPitch = max(cfg.CellPitch, 1)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Macro blockages (lower half of the stack only).
@@ -211,26 +210,20 @@ func Generate(cfg Config) (*Design, error) {
 		}
 	}
 	blockedLow := func(x, y int) bool {
-		for _, r := range blocks {
-			if r.contains(x, y) {
-				return true
-			}
-		}
-		return false
+		return slices.ContainsFunc(blocks, func(r rect) bool { return x >= r.x0 && x <= r.x1 && y >= r.y0 && y <= r.y1 })
 	}
 
 	// Strap coordinates per layer.
 	coords := make([][]int, len(cfg.Layers))
 	for li, ls := range cfg.Layers {
 		if ls.Pitch < 1 {
-			return nil, fmt.Errorf("pgen: layer m%d has pitch %d", ls.Layer, ls.Pitch)
+			return nil, nil, fmt.Errorf("pgen: layer m%d has pitch %d", ls.Layer, ls.Pitch)
 		}
-		limit := cfg.H
-		if ls.Dir == vertical {
-			limit = cfg.W
+		if ls.Dir != horizontal && ls.Dir != vertical {
+			return nil, nil, fmt.Errorf("pgen: layer m%d has direction %d", ls.Layer, ls.Dir)
 		}
-		offset := ls.Pitch / 2
-		for c := offset; c < limit; c += ls.Pitch {
+		_, limit := cfg.extents(ls.Dir)
+		for c := ls.Pitch / 2; c < limit; c += ls.Pitch {
 			cc := c
 			if cfg.Class == Real && li < len(cfg.Layers)-1 {
 				// Jitter strap positions and occasionally delete one.
@@ -245,270 +238,296 @@ func Generate(cfg Config) (*Design, error) {
 			coords[li] = append(coords[li], cc)
 		}
 		if len(coords[li]) == 0 {
-			return nil, fmt.Errorf("pgen: layer m%d has no straps (pitch %d vs die %dx%d)",
+			return nil, nil, fmt.Errorf("pgen: layer m%d has no straps (pitch %d vs die %dx%d)",
 				ls.Layer, ls.Pitch, cfg.W, cfg.H)
 		}
-		coords[li] = dedupeSorted(coords[li])
+		slices.Sort(coords[li])
+		coords[li] = slices.Compact(coords[li])
 	}
-
-	// nodesOnLayer[li] collects the x/y positions of nodes per strap.
-	// key: strap coordinate; values: sorted positions along the strap.
-	type strapKey struct{ li, coord int }
-	strapNodes := make(map[strapKey]map[int]bool)
-	addNode := func(li, coord, pos int) {
-		k := strapKey{li, coord}
-		if strapNodes[k] == nil {
-			strapNodes[k] = make(map[int]bool)
-		}
-		strapNodes[k][pos] = true
-	}
-	nodeName := func(li, x, y int) string {
-		return spice.Node{Net: 1, Layer: cfg.Layers[li].Layer, X: x, Y: y}.String()
-	}
-
-	nl := &spice.Netlist{Title: fmt.Sprintf("%s (%s, %dx%d um)", cfg.Name, cfg.Class, cfg.W, cfg.H)}
-	elemID := 0
-	addR := func(a, b string, ohms float64) {
-		elemID++
-		nl.Elements = append(nl.Elements, spice.Element{
-			Type: spice.Resistor, Name: fmt.Sprintf("R%d", elemID),
-			NodeA: a, NodeB: b, Value: ohms,
-		})
-	}
-	addI := func(a string, amps float64) {
-		elemID++
-		nl.Elements = append(nl.Elements, spice.Element{
-			Type: spice.CurrentSource, Name: fmt.Sprintf("I%d", elemID),
-			NodeA: a, NodeB: spice.Ground, Value: amps,
-		})
-	}
-	addV := func(a string) {
-		elemID++
-		nl.Elements = append(nl.Elements, spice.Element{
-			Type: spice.VoltageSource, Name: fmt.Sprintf("V%d", elemID),
-			NodeA: a, NodeB: spice.Ground, Value: cfg.VDD,
-		})
-	}
+	b := newBuilder(cfg, coords)
 
 	// Vias between adjacent layers: nodes at crossings.
 	lowHalf := func(li int) bool { return li < (len(cfg.Layers)+1)/2 }
 	for li := 0; li+1 < len(cfg.Layers); li++ {
 		lo, hi := cfg.Layers[li], cfg.Layers[li+1]
 		if lo.Dir == hi.Dir {
-			return nil, fmt.Errorf("pgen: adjacent layers m%d/m%d share direction", lo.Layer, hi.Layer)
+			return nil, nil, fmt.Errorf("pgen: adjacent layers m%d/m%d share direction", lo.Layer, hi.Layer)
 		}
-		viaEvery := lo.ViaEvery
-		if viaEvery < 1 {
-			viaEvery = 1
-		}
+		viaEvery := max(lo.ViaEvery, 1)
 		k := 0
-		for _, cl := range coords[li] {
-			for _, ch := range coords[li+1] {
-				var x, y int
-				if lo.Dir == horizontal { // lo at y=cl, hi vertical at x=ch
-					x, y = ch, cl
-				} else { // lo vertical at x=cl, hi horizontal at y=ch
-					x, y = cl, ch
-				}
+		for il, cl := range coords[li] {
+			for ih, ch := range coords[li+1] {
+				x, y := xyFrom(lo.Dir, cl, ch) // lo's strap at cl meets hi's at ch
 				k++
-				if k%viaEvery != 0 {
+				// Real designs thin out the lower vias and lose those under blockages.
+				if k%viaEvery != 0 || cfg.Class == Real && lowHalf(li) && (rng.Float64() < 0.1 || blockedLow(x, y)) {
 					continue
 				}
-				if cfg.Class == Real {
-					// Thin out vias on lower layers outside pads.
-					if lowHalf(li) && rng.Float64() < 0.1 {
-						continue
-					}
-					if lowHalf(li) && blockedLow(x, y) {
-						continue
-					}
-				}
-				addNode(li, cl, posAlong(lo.Dir, x, y))
-				addNode(li+1, ch, posAlong(hi.Dir, x, y))
-				addR(nodeName(li, x, y), nodeName(li+1, x, y), lo.ViaOhms)
+				b.cards = append(b.cards, card{spice.Resistor, b.node(li, il, ch), b.node(li+1, ih, cl), lo.ViaOhms})
 			}
 		}
 	}
 
 	// Current loads along the bottom layer straps.
-	bot := cfg.Layers[0]
 	current := newCurrentField(cfg, rng)
 	var blobCenters [][2]int
 	for _, b := range current.blobs {
 		blobCenters = append(blobCenters, [2]int{b.cx, b.cy})
 	}
-	for _, c := range coords[0] {
-		limit := cfg.W
-		if bot.Dir == vertical {
-			limit = cfg.H
-		}
-		for p := cfg.CellPitch / 2; p < limit; p += cfg.CellPitch {
-			var x, y int
-			if bot.Dir == horizontal {
-				x, y = p, c
-			} else {
-				x, y = c, p
-			}
+	for s, c := range coords[0] {
+		for p := cfg.CellPitch / 2; p < b.grids[0].along; p += cfg.CellPitch {
+			x, y := xyFrom(cfg.Layers[0].Dir, c, p)
 			if cfg.Class == Real && blockedLow(x, y) {
 				continue
 			}
-			amps := current.at(float64(x), float64(y))
-			if amps <= 0 {
-				continue
+			if amps := current.at(float64(x), float64(y)); amps > 0 {
+				b.cards = append(b.cards, card{spice.CurrentSource, b.node(0, s, p), ground, amps})
 			}
-			addNode(0, c, posAlong(bot.Dir, x, y))
-			addI(nodeName(0, x, y), amps)
 		}
 	}
 
-	// Pads on the top layer: choose existing via nodes.
-	topLi := len(cfg.Layers) - 1
-	var topNodes [][2]int // (coord, pos)
-	for _, c := range coords[topLi] {
-		for p := range strapNodes[strapKey{topLi, c}] {
-			topNodes = append(topNodes, [2]int{c, p})
+	// Pads on the top layer: choose among its via nodes, listed strap
+	// by strap in position order.
+	var top []int32
+	for _, id := range b.grids[len(cfg.Layers)-1].ids {
+		if id != 0 {
+			top = append(top, id-1)
 		}
 	}
-	if len(topNodes) == 0 {
-		return nil, fmt.Errorf("pgen: top layer has no via nodes to attach pads")
+	if len(top) == 0 {
+		return nil, nil, fmt.Errorf("pgen: top layer has no via nodes to attach pads")
 	}
-	// Sort for determinism (map iteration order is random).
-	sortPairs(topNodes)
-	padIdx := choosePads(cfg, rng, topNodes)
-	for _, pi := range padIdx {
-		c, p := topNodes[pi][0], topNodes[pi][1]
-		x, y := xyFrom(cfg.Layers[topLi].Dir, c, p)
-		addV(nodeName(topLi, x, y))
+	for _, pi := range choosePads(cfg, rng, len(top)) {
+		b.cards = append(b.cards, card{spice.VoltageSource, top[pi], ground, cfg.VDD})
 	}
 
-	// Wire segments: connect consecutive nodes along each strap.
+	// Wire segments: connect consecutive nodes along each strap; in
+	// Real designs, segments crossing a blockage are cut.
 	for li, ls := range cfg.Layers {
-		for _, c := range coords[li] {
-			nodes := strapNodes[strapKey{li, c}]
-			if len(nodes) < 2 {
-				continue
-			}
-			ps := make([]int, 0, len(nodes))
-			for p := range nodes {
-				ps = append(ps, p)
-			}
-			sortInts(ps)
-			for i := 0; i+1 < len(ps); i++ {
-				x0, y0 := xyFrom(ls.Dir, c, ps[i])
-				x1, y1 := xyFrom(ls.Dir, c, ps[i+1])
-				dist := float64(ps[i+1] - ps[i])
-				if cfg.Class == Real && lowHalf(li) {
-					// Segments crossing a blockage are cut.
-					mx, my := (x0+x1)/2, (y0+y1)/2
-					if blockedLow(mx, my) {
-						continue
-					}
+		g := &b.grids[li]
+		for s, c := range g.coords {
+			row := g.ids[s*g.along : (s+1)*g.along]
+			prev := -1
+			for p, id := range row {
+				if id == 0 {
+					continue
 				}
-				addR(nodeName(li, x0, y0), nodeName(li, x1, y1), ls.RPerUm*dist)
+				if prev >= 0 && !(cfg.Class == Real && lowHalf(li) && blockedLow(xyFrom(ls.Dir, c, (prev+p)/2))) {
+					b.cards = append(b.cards, card{spice.Resistor, row[prev] - 1, id - 1, ls.RPerUm * float64(p-prev)})
+				}
+				prev = p
 			}
 		}
 	}
 
-	pruneFloating(nl)
-
-	return &Design{
-		Name:         cfg.Name,
-		Class:        cfg.Class,
-		W:            cfg.W,
-		H:            cfg.H,
-		VDD:          cfg.VDD,
-		Netlist:      nl,
-		CurrentBlobs: blobCenters,
-	}, nil
+	nl := b.netlist(fmt.Sprintf("%s (%s, %dx%d um)", cfg.Name, cfg.Class, cfg.W, cfg.H))
+	return b, &Design{Name: cfg.Name, Class: cfg.Class, W: cfg.W, H: cfg.H, VDD: cfg.VDD, Netlist: nl, CurrentBlobs: blobCenters}, nil
 }
 
-// pruneFloating removes elements attached to nodes without a resistive
-// path to any pad. The Real-design strap/via thinning and blockage
-// cuts can orphan small islands of the bottom layers; dropping their
-// loads (a macro's internal grid is not modeled anyway) keeps the MNA
-// system non-singular.
-func pruneFloating(nl *spice.Netlist) {
-	idx := map[string]int{}
-	intern := func(s string) int {
-		if i, ok := idx[s]; ok {
-			return i
-		}
-		i := len(idx)
-		idx[s] = i
-		return i
+// MaxCards bounds the cards Generate can emit for cfg from the stack's
+// pitches alone, before any draw: every ViaEvery-th crossing of
+// adjacent straps a via, every cell position on a bottom strap a load,
+// at most one wire segment per node, and at most NumPads pads. Jitter,
+// thinning, blockages and the prune only take cards away.
+func MaxCards(cfg Config) int {
+	layers := cfg.Layers
+	if layers == nil {
+		layers = defaultStack()
 	}
-	type edge struct{ a, b int }
-	var edges []edge
-	var seeds []int
-	for _, e := range nl.Elements {
-		switch e.Type {
-		case spice.Resistor:
-			edges = append(edges, edge{intern(e.NodeA), intern(e.NodeB)})
-		case spice.VoltageSource:
-			n := e.NodeA
-			if n == spice.Ground {
-				n = e.NodeB
+	// positions counts step/2, step/2+step, ... below limit.
+	positions := func(limit, step int) int {
+		step = max(step, 1)
+		return max(0, (limit-step/2+step-1)/step)
+	}
+	vias, loads, prev := 0, 0, 0
+	for li, ls := range layers {
+		along, across := cfg.extents(ls.Dir)
+		straps := positions(across, ls.Pitch)
+		if li == 0 {
+			loads = straps * positions(along, cfg.CellPitch)
+		} else {
+			vias += prev * straps / max(layers[li-1].ViaEvery, 1)
+		}
+		prev = straps
+	}
+	nodes := 2*vias + loads
+	return vias + loads + nodes + min(max(cfg.NumPads, 0), nodes)
+}
+
+// ground is the node id that stands for spice.Ground on a card.
+const ground = -1
+
+// strapGrid holds the nodes of one stack entry densely: ids[s*along+p]
+// is one plus the id of the node at position p along strap s (at
+// coords[s]), 0 where strap s has none, so walking a row visits a
+// strap's nodes in position order.
+type strapGrid struct {
+	dir          Direction
+	layer, along int
+	coords       []int
+	ids          []int32
+}
+
+// at returns ids' entry at (x, y), 0 when no strap of g runs there.
+func (g *strapGrid) at(x, y int) int32 {
+	c, p := y, x
+	if g.dir == vertical {
+		c, p = x, y
+	}
+	if s, ok := slices.BinarySearch(g.coords, c); ok {
+		return g.ids[s*g.along+p]
+	}
+	return 0
+}
+
+// card is a deck card before names exist. Its element number is its
+// index plus one, fixed at creation, so a pruned deck keeps gaps.
+type card struct {
+	typ  spice.ElemType
+	a, b int32 // node ids; ground for spice.Ground
+	v    float64
+}
+
+// builder accumulates a design's nodes and cards as integers.
+type builder struct {
+	grids []strapGrid
+	twins [][]int // per entry, the other entries with its layer number
+	nodes []spice.Node
+	cards []card
+}
+
+func newBuilder(cfg Config, coords [][]int) *builder {
+	n := len(cfg.Layers)
+	b := &builder{grids: make([]strapGrid, n), twins: make([][]int, n), cards: make([]card, 0, MaxCards(cfg))}
+	for li, ls := range cfg.Layers {
+		along, _ := cfg.extents(ls.Dir)
+		b.grids[li] = strapGrid{ls.Dir, ls.Layer, along, coords[li], make([]int32, len(coords[li])*along)}
+		for lj, other := range cfg.Layers {
+			if lj != li && other.Layer == ls.Layer {
+				b.twins[li] = append(b.twins[li], lj)
 			}
-			seeds = append(seeds, intern(n))
 		}
 	}
-	adj := make([][]int, len(idx))
-	for _, e := range edges {
-		adj[e.a] = append(adj[e.a], e.b)
-		adj[e.b] = append(adj[e.b], e.a)
+	return b
+}
+
+// node returns the id of the node at position p along strap s of stack
+// entry li, making it on first use. Entries that share a layer number
+// share their nodes at a position, as the nodes' names do.
+func (b *builder) node(li, s, p int) int32 {
+	g := &b.grids[li]
+	if i := s*g.along + p; g.ids[i] == 0 {
+		x, y := xyFrom(g.dir, g.coords[s], p)
+		var id int32
+		for _, lj := range b.twins[li] {
+			if id = b.grids[lj].at(x, y); id != 0 {
+				break
+			}
+		}
+		if id == 0 {
+			b.nodes = append(b.nodes, spice.Node{Net: 1, Layer: g.layer, X: x, Y: y})
+			id = int32(len(b.nodes))
+		}
+		g.ids[i] = id
 	}
-	reached := make([]bool, len(idx))
-	queue := []int{}
-	for _, s := range seeds {
-		if !reached[s] {
-			reached[s] = true
-			queue = append(queue, s)
+	return g.ids[s*g.along+p] - 1
+}
+
+// powered marks the nodes with a resistive path to a pad. The
+// Real-design strap/via thinning and blockage cuts can orphan small
+// islands of the bottom layers; dropping their loads (a macro's
+// internal grid is not modeled anyway) keeps the MNA system
+// non-singular.
+func (b *builder) powered() []bool {
+	n := len(b.nodes)
+	start := make([]int32, n+1) // resistor adjacency, compressed by node
+	for _, c := range b.cards {
+		if c.typ == spice.Resistor {
+			start[c.a+1]++
+			start[c.b+1]++
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, o := range adj[v] {
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	adj, next := make([]int32, start[n]), slices.Clone(start[:n])
+	for _, c := range b.cards {
+		if c.typ == spice.Resistor {
+			adj[next[c.a]] = c.b
+			next[c.a]++
+			adj[next[c.b]] = c.a
+			next[c.b]++
+		}
+	}
+	reached, queue := make([]bool, n), next[:0] // next is spent; the queue reuses it
+	for _, c := range b.cards {
+		if c.typ == spice.VoltageSource && !reached[c.a] {
+			reached[c.a] = true
+			queue = append(queue, c.a)
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		for _, o := range adj[start[queue[i]]:start[queue[i]+1]] {
 			if !reached[o] {
 				reached[o] = true
 				queue = append(queue, o)
 			}
 		}
 	}
-	ok := func(name string) bool {
-		if name == spice.Ground {
-			return true
-		}
-		i, exists := idx[name]
-		return exists && reached[i]
-	}
-	kept := nl.Elements[:0]
-	for _, e := range nl.Elements {
-		if ok(e.NodeA) && ok(e.NodeB) {
-			kept = append(kept, e)
-		}
-	}
-	nl.Elements = kept
+	return reached
 }
 
-// dedupeSorted sorts v ascending and removes duplicates in place.
-func dedupeSorted(v []int) []int {
-	sortInts(v)
-	out := v[:0]
-	for i, x := range v {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
+// netlist drops the cards on unpowered nodes and names the rest. Every
+// kept node's and card's name is written once into one string, which
+// the elements slice.
+func (b *builder) netlist(title string) *spice.Netlist {
+	reached := b.powered()
+	kept := func(c card) bool {
+		return (c.a == ground || reached[c.a]) && (c.b == ground || reached[c.b])
+	}
+	buf := make([]byte, 0, 16*len(b.nodes)+8*len(b.cards))
+	span := make([][2]int32, len(b.nodes)) // a reached node's name in buf
+	for id, n := range b.nodes {
+		if reached[id] {
+			span[id][0] = int32(len(buf))
+			buf = n.Append(buf)
+			span[id][1] = int32(len(buf))
 		}
 	}
-	return out
+	at, ends := len(buf), make([]int32, 0, len(b.cards)) // the kept cards' names follow
+	for i, c := range b.cards {
+		if kept(c) {
+			buf = strconv.AppendInt(append(buf, c.typ.String()...), int64(i+1), 10)
+			ends = append(ends, int32(len(buf)))
+		}
+	}
+	text := string(buf)
+	name := func(id int32) string {
+		if id == ground {
+			return spice.Ground
+		}
+		return text[span[id][0]:span[id][1]]
+	}
+	nl := &spice.Netlist{Title: title, Elements: make([]spice.Element, 0, len(ends))}
+	for _, c := range b.cards {
+		if kept(c) {
+			end := int(ends[len(nl.Elements)])
+			nl.Elements = append(nl.Elements, spice.Element{
+				Type: c.typ, Name: text[at:end], NodeA: name(c.a), NodeB: name(c.b), Value: c.v,
+			})
+			at = end
+		}
+	}
+	return nl
 }
 
-// posAlong returns the coordinate that varies along a strap.
-func posAlong(d Direction, x, y int) int {
-	if d == horizontal {
-		return x
+// extents returns how far a strap of direction d runs across the die
+// and the extent its layer's straps are spread over.
+func (c Config) extents(d Direction) (along, across int) {
+	if d == vertical {
+		return c.H, c.W
 	}
-	return y
+	return c.W, c.H
 }
 
 // xyFrom reconstructs (x, y) from a strap coordinate and position.
@@ -519,33 +538,19 @@ func xyFrom(d Direction, coord, pos int) (int, int) {
 	return coord, pos
 }
 
-func sortInts(v []int) { sort.Ints(v) }
-
-func sortPairs(v [][2]int) {
-	sort.Slice(v, func(i, j int) bool {
-		if v[i][0] != v[j][0] {
-			return v[i][0] < v[j][0]
-		}
-		return v[i][1] < v[j][1]
-	})
-}
-
-// choosePads selects pad node indices: a regular spread for Fake
-// designs, an edge-biased irregular pick for Real ones.
-func choosePads(cfg Config, rng *rand.Rand, top [][2]int) []int {
-	n := cfg.NumPads
-	if n > len(top) {
-		n = len(top)
-	}
+// choosePads selects pad node indices among nTop candidates: a regular
+// spread for Fake designs, an edge-biased irregular pick for Real ones.
+func choosePads(cfg Config, rng *rand.Rand, nTop int) []int {
+	n := min(cfg.NumPads, nTop)
 	idx := make([]int, 0, n)
 	if cfg.Class == Fake {
 		for i := 0; i < n; i++ {
-			idx = append(idx, i*(len(top)-1)/max(1, n-1))
+			idx = append(idx, i*(nTop-1)/max(1, n-1))
 		}
 	} else {
 		seen := map[int]bool{}
 		for len(idx) < n {
-			i := rng.Intn(len(top))
+			i := rng.Intn(nTop)
 			if !seen[i] {
 				seen[i] = true
 				idx = append(idx, i)

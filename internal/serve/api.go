@@ -50,6 +50,11 @@ const (
 	maxPgenBlockages = 16
 )
 
+// pgenCardBytes is taken as the least a generated card costs (a 128 µm
+// real deck averages 37 bytes): a pgen request whose pgen.MaxCards
+// passes the body limit over it is refused before generating.
+const pgenCardBytes = 32
+
 // Cluster routing headers, set by the internal/cluster gateway and
 // read here. They are defined in serve (the lower layer) so the shard
 // can record handoffs without importing the cluster package.
@@ -492,6 +497,9 @@ func (s *Server) prepare(req *AnalyzeRequest) (*pgen.Design, error) {
 			cfg.Blockages < 0 || cfg.Blockages > maxPgenBlockages {
 			return nil, fmt.Errorf("pgen: %d layers, %d hotspots, %d blockages: limits are %d, %d, %d",
 				len(cfg.Layers), cfg.Hotspots, cfg.Blockages, maxPgenLayers, maxPgenHotspots, maxPgenBlockages)
+		}
+		if n, most := pgen.MaxCards(cfg), s.cfg.MaxBodyBytes/pgenCardBytes; int64(n) > most {
+			return nil, fmt.Errorf("pgen: up to %d cards, more than the %d a %d-byte deck carries", n, most, s.cfg.MaxBodyBytes)
 		}
 		d, err := pgen.Generate(cfg)
 		if err != nil {

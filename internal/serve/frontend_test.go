@@ -12,6 +12,7 @@ import (
 
 	"irfusion/internal/circuit"
 	"irfusion/internal/faults"
+	"irfusion/internal/pgen"
 )
 
 // spiceBody wraps a deck into an analyze request.
@@ -177,6 +178,46 @@ func TestAnalyzePgenAdmittedLikeADeck(t *testing.T) {
 	}
 	if got := journalTypes(t, dir); len(got) != 0 {
 		t.Errorf("a rejected pgen request was journaled: %v", got)
+	}
+}
+
+// TestAnalyzePgenCardBound: the layer bound alone let a request ask for
+// pitch-1 straps on every layer, a deck of about a million cards built
+// on the handler goroutine in seconds. The card bound (pgen.MaxCards
+// against the body limit) refuses those from the request's numbers
+// alone, and still admits the class defaults at the largest die.
+func TestAnalyzePgenCardBound(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	pitch1 := func(n int) []pgen.LayerSpec {
+		var l []pgen.LayerSpec
+		for _, ls := range pgen.DefaultConfig("", pgen.Fake, 256, 256, 1).Layers {
+			ls.Pitch = 1
+			l = append(l, ls)
+		}
+		for len(l) < n {
+			l = append(l, l[len(l)-2])
+		}
+		return l
+	}
+	for _, n := range []int{16, 5} {
+		cfg := pgen.DefaultConfig("big", pgen.Fake, 256, 256, 1)
+		cfg.Layers = pitch1(n)
+		req, err := json.Marshal(AnalyzeRequest{Pgen: &cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The card bound is checked before pgen.Generate is called, so
+		// its message shows that nothing was generated.
+		code, b := post(t, ts, "/v1/analyze", string(req))
+		if code != http.StatusBadRequest || !strings.Contains(string(b), "cards, more than the 262144") {
+			t.Errorf("%d pitch-1 layers: status %d, want a 400 on the card bound: %.200s", n, code, b)
+		}
+	}
+	for _, class := range []pgen.Class{pgen.Fake, pgen.Real} {
+		cfg := pgen.DefaultConfig("big", class, 256, 256, 1)
+		if _, err := s.prepare(&AnalyzeRequest{Pgen: &cfg}); err != nil {
+			t.Errorf("default %s config at 256 um refused: %v", class, err)
+		}
 	}
 }
 

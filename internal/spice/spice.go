@@ -13,7 +13,6 @@
 package spice
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -78,7 +77,15 @@ type Node struct {
 
 // String formats the node back into the canonical name.
 func (n Node) String() string {
-	return fmt.Sprintf("n%d_m%d_%d_%d", n.Net, n.Layer, n.X, n.Y)
+	return string(n.Append(make([]byte, 0, 24)))
+}
+
+// Append appends the canonical name n<net>_m<layer>_<x>_<y> to b.
+func (n Node) Append(b []byte) []byte {
+	b = strconv.AppendInt(append(b, 'n'), int64(n.Net), 10)
+	b = strconv.AppendInt(append(b, "_m"...), int64(n.Layer), 10)
+	b = strconv.AppendInt(append(b, '_'), int64(n.X), 10)
+	return strconv.AppendInt(append(b, '_'), int64(n.Y), 10)
 }
 
 // ParseNode decodes a canonical node name n<net>_m<layer>_<x>_<y>.
@@ -259,22 +266,34 @@ func fields4(line string) (f [4]string, n int) {
 
 // Write emits the deck in canonical form, terminated by ".end".
 func (nl *Netlist) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if nl.Title != "" {
-		fmt.Fprintf(bw, "* %s\n", nl.Title)
-	}
-	for _, e := range nl.Elements {
-		fmt.Fprintf(bw, "%s %s %s %s\n", e.Name, e.NodeA, e.NodeB, FormatValue(e.Value))
-	}
-	fmt.Fprintln(bw, ".end")
-	return bw.Flush()
+	_, err := w.Write(nl.render())
+	return err
 }
 
 // String renders the deck to a string.
-func (nl *Netlist) String() string {
-	var b strings.Builder
-	_ = nl.Write(&b)
-	return b.String()
+func (nl *Netlist) String() string { return string(nl.render()) }
+
+// render appends the deck to a buffer sized for it up front: the title
+// comment, one "name nodeA nodeB value" line per card, ".end".
+func (nl *Netlist) render() []byte {
+	size := len("* \n") + len(nl.Title) + len(".end\n")
+	for i := range nl.Elements {
+		e := &nl.Elements[i]
+		// Three spaces, a newline and the longest FormatValue, -1.2345678901234567e-308.
+		size += len(e.Name) + len(e.NodeA) + len(e.NodeB) + 4 + 24
+	}
+	b := make([]byte, 0, size)
+	if nl.Title != "" {
+		b = append(append(append(b, "* "...), nl.Title...), '\n')
+	}
+	for i := range nl.Elements {
+		e := &nl.Elements[i]
+		b = append(append(b, e.Name...), ' ')
+		b = append(append(b, e.NodeA...), ' ')
+		b = append(append(b, e.NodeB...), ' ')
+		b = append(strconv.AppendFloat(b, e.Value, 'g', -1, 64), '\n')
+	}
+	return append(b, ".end\n"...)
 }
 
 // Counts returns the number of R, I, and V cards.

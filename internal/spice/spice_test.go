@@ -66,6 +66,27 @@ func TestParseNodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNodeStringMatchesSprintf: the strconv formatter writes what
+// fmt.Sprintf("n%d_m%d_%d_%d", ...) wrote, for negative, zero and
+// multi-digit fields alike, and Append appends exactly that.
+func TestNodeStringMatchesSprintf(t *testing.T) {
+	check := func(n Node) bool {
+		want := fmt.Sprintf("n%d_m%d_%d_%d", n.Net, n.Layer, n.X, n.Y)
+		return n.String() == want && string(n.Append([]byte("x"))) == "x"+want
+	}
+	for _, n := range []Node{
+		{}, {1, 1, 0, 0}, {2, 10, 255, 1024}, {-1, -12, -345, -6789},
+		{math.MaxInt, math.MinInt, math.MaxInt32, math.MinInt64},
+	} {
+		if !check(n) {
+			t.Errorf("%+v: String %q, want %q", n, n.String(), fmt.Sprintf("n%d_m%d_%d_%d", n.Net, n.Layer, n.X, n.Y))
+		}
+	}
+	if err := quick.Check(func(net, layer int16, x, y int) bool { return check(Node{int(net), int(layer), x, y}) }, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestParseNodeErrors(t *testing.T) {
 	for _, in := range []string{"", "0", "n1_m2_3", "x1_m2_3_4", "n1_x2_3_4", "n_m2_3_4", "n1_m2_a_4", "n1_m2_3_b"} {
 		if _, err := ParseNode(in); err == nil {
@@ -160,6 +181,43 @@ func TestWriteParseRoundTrip(t *testing.T) {
 			math.Abs(a.Value-b.Value) > 1e-15*math.Abs(b.Value) {
 			t.Errorf("element %d changed: %+v vs %+v", i, a, b)
 		}
+	}
+}
+
+// TestWriteMatchesFmt: the append renderer writes the bytes the
+// fmt-based writer wrote, with and without a title and at the value
+// extremes, and Write emits exactly String.
+func TestWriteMatchesFmt(t *testing.T) {
+	fmtDeck := func(nl *Netlist) string {
+		var b strings.Builder
+		if nl.Title != "" {
+			fmt.Fprintf(&b, "* %s\n", nl.Title)
+		}
+		for _, e := range nl.Elements {
+			fmt.Fprintf(&b, "%s %s %s %s\n", e.Name, e.NodeA, e.NodeB, FormatValue(e.Value))
+		}
+		fmt.Fprintln(&b, ".end")
+		return b.String()
+	}
+	nl, err := ParseString(sampleDeck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{-math.MaxFloat64, -1.2345678901234567e-308, 5e-324, 0, 1, 1.05, 1e21, math.Inf(-1), math.NaN()} {
+		nl.Elements = append(nl.Elements, Element{Type: CurrentSource, Name: "Ix", NodeA: "n1_m1_0_0", NodeB: Ground, Value: v})
+	}
+	for _, title := range []string{nl.Title, ""} {
+		nl.Title = title
+		var w strings.Builder
+		if err := nl.Write(&w); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := nl.String(), fmtDeck(nl); got != want || w.String() != want {
+			t.Errorf("title %q: String\n%s\nWrite\n%s\nwant\n%s", title, got, w.String(), want)
+		}
+	}
+	if len((&Netlist{}).String()) != len(".end\n") {
+		t.Error("an empty deck is not just .end")
 	}
 }
 
