@@ -69,84 +69,101 @@ func TestLinksResolveAndSkip(t *testing.T) {
 	}
 }
 
+// checkProse runs the anchor checks of one line of prose against the
+// fixture tree at root.
+func checkProse(t *testing.T, root, prose string) []string {
+	t.Helper()
+	// Anchors resolve against root, but the doc can live anywhere.
+	doc := writeTree(t, map[string]string{"doc.md": prose + "\n"})
+	idx, err := indexTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems, err := checkDoc(filepath.Join(doc, "doc.md"), idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return problems
+}
+
+// TestAnchorChecks: an anchor is a root-relative path and a declared
+// name; line anchors in prose are refused, sample output in a fence is
+// not read.
 func TestAnchorChecks(t *testing.T) {
-	tenLines := strings.Repeat("package p\n", 10)
 	root := writeTree(t, map[string]string{
-		"internal/solver/solver.go": tenLines,
-		"internal/other/solver.go":  strings.Repeat("package q\n", 3),
+		"internal/nn/gemm.go": "package nn\n\nfunc gemmQuad() {}\n",
 	})
 	cases := []struct {
 		line   string
 		broken int
 	}{
-		{"converges at `internal/solver/solver.go:7`", 0},
-		{"stale pathed anchor `internal/solver/solver.go:99`", 1},
-		{"missing file `internal/gone/gone.go:1`", 1},
-		// Bare basename: passes if ANY candidate is long enough.
-		{"bare anchor `solver.go:7` matches the longer candidate", 0},
-		{"bare anchor `solver.go:99` exceeds every candidate", 1},
-		{"unknown basename `nowhere.go:1`", 1},
+		{"the quad (`internal/nn/gemm.go#gemmQuad`)", 0},
+		{"missing file `internal/gone/gone.go#gemmQuad`", 1},
+		{"a bare basename `gemm.go#gemmQuad` is not root-relative", 1},
+		{"a line anchor `internal/nn/gemm.go:3` in prose", 1},
+		{"a bare line anchor (`gemm.go:12`) in prose", 1},
+		{"```\ninternal/nn/gemm.go:12: sample tool output\ngemm.go#x\n```", 0},
+		{"two on a line: `internal/nn/gemm.go#gemmQuad`, `gemm.go:3`", 1},
 	}
 	for _, tc := range cases {
-		doc := writeTree(t, map[string]string{"doc.md": tc.line + "\n"})
-		// Anchors resolve against root, but the doc can live anywhere.
-		idx, err := indexTree(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		problems, err := checkDoc(filepath.Join(doc, "doc.md"), idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(problems) != tc.broken {
+		if problems := checkProse(t, root, tc.line); len(problems) != tc.broken {
 			t.Errorf("%q: %d problems %v, want %d", tc.line, len(problems), problems, tc.broken)
 		}
 	}
 }
 
-// TestAnchorSymbolCheck: an anchor that still lands inside its file but
-// no longer on the identifier the prose ties it to is stale. The
-// fixture is the bug that motivated the check — a doc citing a line
-// inside a struct's field comments for a method 36 lines further down.
+// TestAnchorSymbolCheck: an anchor holds while its file declares the
+// symbol, and fails once a refactor renames or removes it.
 func TestAnchorSymbolCheck(t *testing.T) {
-	src := strings.Repeat("// filler\n", 9) + // lines 1-9
-		"func Solve() {}\n" + // 10
-		strings.Repeat("// filler\n", 9) + // 11-19
-		"func (h *Hier) apply() {}\n" + // 20
-		strings.Repeat("// filler\n", 10) // 21-30
-	root := writeTree(t, map[string]string{"internal/core/core.go": src})
-	cases := []struct {
-		prose  string
-		broken int
-	}{
-		{"`Solve` (`internal/core/core.go:10`) runs the ladder.", 0},
-		{"`Solve` (`internal/core/core.go:12`) is within the slack.", 0},
-		{"`Solve` (`internal/core/core.go:25`) drifted.", 1},
-		{"The ladder (`core.go:10`, `Solve`) by bare basename.", 0},
-		{"The ladder (`core.go:25`, `Solve`) by bare basename, drifted.", 1},
-		{"The K-cycle (`core.go:20`, `(*Hier).apply`) ties to the method name.", 0},
-		{"Lower-case names tie inside the parenthesis (`apply`, `core.go:20`).", 0},
-		{"Lower-case names tie inside the parenthesis (`apply`, `core.go:10`).", 1},
-		{"but `apply` out in the sentence is prose, not a symbol (`core.go:10`).", 0},
-		{"Two pairs (`core.go:10`, `Solve`; `core.go:20`,\n`(*Hier).apply`) across a line break.", 0},
-		{"The nearest name wins: `Solve` is far, (`core.go:20`) `Hier.apply` is near.", 0},
-		{"`Gone` (`core.go:10`) names nothing in the file.", 1},
-		{"`Solve` in one sentence. The next cites `core.go:25` alone.", 0},
-		{"```\ncore.go:25: Solve: sample tool output in a fence\n```", 0},
-		{"Files and fault sites are not symbols: `core.go`, `amg.setup` (`core.go:25`).", 0},
+	src := `package core
+
+type Hier struct {
+	levels int
+}
+
+type Model interface {
+	Forward() int
+}
+
+const Tol = 1e-8
+
+var errPanic error
+
+func Solve() {}
+
+func (h *Hier) apply() {}
+
+func (h Hier) Depth() int { return h.levels }
+`
+	check := func(src, anchor string) int {
+		root := writeTree(t, map[string]string{"internal/core/core.go": src})
+		return len(checkProse(t, root, "see `internal/core/core.go#"+anchor+"`."))
 	}
-	idx, err := indexTree(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range cases {
-		doc := writeTree(t, map[string]string{"doc.md": tc.prose + "\n"})
-		problems, err := checkDoc(filepath.Join(doc, "doc.md"), idx)
-		if err != nil {
-			t.Fatal(err)
+	for _, anchor := range []string{
+		"Solve", "Tol", "errPanic", "Hier",
+		"Hier.apply",    // pointer receiver
+		"Hier.Depth",    // value receiver
+		"Hier.levels",   // struct field
+		"Model.Forward", // interface method
+	} {
+		if n := check(src, anchor); n != 0 {
+			t.Errorf("%s: %d problems, want it to resolve", anchor, n)
 		}
-		if len(problems) != tc.broken {
-			t.Errorf("%q: %d problems %v, want %d", tc.prose, len(problems), problems, tc.broken)
+	}
+	for _, anchor := range []string{"Solved", "apply", "Hier.Apply", "Model.Backward", "Hier.apply.x"} {
+		if n := check(src, anchor); n != 1 {
+			t.Errorf("%s: %d problems, want 1: the file declares no such name", anchor, n)
+		}
+	}
+	refactors := []struct{ what, anchor, from, to string }{
+		{"renamed function", "Solve", "func Solve()", "func SolveCtx()"},
+		{"renamed method", "Hier.apply", "func (h *Hier) apply()", "func (h *Hier) applyOnce()"},
+		{"removed field", "Hier.levels", "\tlevels int\n", ""},
+		{"method moved to another type", "Hier.Depth", "func (h Hier) Depth() int { return h.levels }", "func (m Model) Depth() int { return 0 }"},
+	}
+	for _, r := range refactors {
+		if n := check(strings.Replace(src, r.from, r.to, 1), r.anchor); n != 1 {
+			t.Errorf("%s: %s gave %d problems after the refactor, want 1", r.what, r.anchor, n)
 		}
 	}
 }

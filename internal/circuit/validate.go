@@ -29,7 +29,14 @@ const (
 	IssueFloatingNode   = "floating-node"
 	issueNoElements     = "empty-deck"
 	IssueNonFinite      = "non-finite-value"
+	IssueDropOverflow   = "drop-overflow"
 )
+
+// maxDropBound is the admitted bound on Σ|I|·ΣR, which bounds every
+// node's IR drop: each load's current reaches a pad through at most
+// every resistor. PCG's inner products square the drop, so a drop near
+// √MaxFloat64 ≈ 1.3e154 overflows the solve.
+const maxDropBound = 1e150
 
 // DeckIssue is one validation finding.
 type DeckIssue struct {
@@ -68,9 +75,10 @@ const maxFloatingReported = 5
 // before any matrix is stamped, collecting every finding: malformed
 // elements (non-finite values, ground-touching or non-positive
 // resistors, ungrounded sources, bad capacitors), pad problems (none,
-// non-positive voltage, disagreeing voltages), and connectivity (nodes
+// non-positive voltage, disagreeing voltages), connectivity (nodes
 // with no resistive path to any pad, i.e. a singular reduced system —
-// over the nodes Assemble will see, capacitor terminals included). A
+// over the nodes Assemble will see, capacitor terminals included), and
+// a drop too large to solve (Σ|I|·ΣR not below maxDropBound). A
 // clean deck yields the network FromNetlist would build; otherwise the
 // error is a *DeckError listing all issues.
 func Admit(nl *spice.Netlist) (*Network, error) {
@@ -111,6 +119,7 @@ func build(nl *spice.Netlist, lint bool) (*Network, []DeckIssue) {
 		Loads:     make([]Load, 0, ni),
 		Pads:      make([]Pad, 0, nv),
 	}
+	var sumI, sumR float64 // Σ|I| and ΣR over the well-formed cards
 	for i := range nl.Elements {
 		if len(issues) > 0 && !lint {
 			return nil, issues
@@ -139,6 +148,7 @@ func build(nl *spice.Netlist, lint bool) (*Network, []DeckIssue) {
 			if len(issues) > found {
 				continue
 			}
+			sumR += e.Value
 			a, b := nw.intern(e.NodeA), nw.intern(e.NodeB)
 			if a == b {
 				continue // degenerate self-loop contributes nothing
@@ -150,6 +160,7 @@ func build(nl *spice.Netlist, lint bool) (*Network, []DeckIssue) {
 				add(issueUngroundedSrc, e.Name, "", "current source %s must connect one node to ground", e.Name)
 			} else {
 				nw.Loads = append(nw.Loads, Load{Node: nw.intern(node), Amps: e.Value})
+				sumI += math.Abs(e.Value)
 			}
 		case spice.VoltageSource:
 			if node, ok := gndPartner(e); !ok {
@@ -209,6 +220,10 @@ func build(nl *spice.Netlist, lint bool) (*Network, []DeckIssue) {
 	}
 	if floating > maxFloatingReported {
 		add(IssueFloatingNode, "", "", "%d further nodes have no resistive path to any pad", floating-maxFloatingReported)
+	}
+	// Σ|I| may overflow to +Inf; that rejects too.
+	if sumI*sumR >= maxDropBound {
+		add(IssueDropOverflow, "", "", "Σ|I|·ΣR = %g V bounds the IR drop and is not below %g V, past which the solve overflows", sumI*sumR, float64(maxDropBound))
 	}
 	return nw, issues
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"irfusion/internal/circuit"
 	"irfusion/internal/faults"
 	"irfusion/internal/pgen"
+	"irfusion/internal/spice"
 )
 
 // spiceBody wraps a deck into an analyze request.
@@ -66,11 +69,10 @@ func TestAnalyzeCapacitorOnlyNode400(t *testing.T) {
 	}
 }
 
-// overflowDeck is a generated deck whose first card of the given type
-// letter carries value instead of its own.
-func overflowDeck(t *testing.T, letter, value string) string {
-	t.Helper()
-	lines := strings.Split(genDeck(t, 24, 71), "\n")
+// setFirst returns deck with value in place of the value of its first
+// card of the given type letter.
+func setFirst(deck, letter, value string) string {
+	lines := strings.Split(deck, "\n")
 	for i, l := range lines {
 		if strings.HasPrefix(l, letter) {
 			f := strings.Fields(l)
@@ -94,7 +96,7 @@ func TestAnalyzeNonFiniteValue400(t *testing.T) {
 	s := New(Config{Workers: 1, JournalDir: dir})
 	ts := httptest.NewServer(s.Handler())
 	for _, tc := range []struct{ letter, value string }{{"I", "1e308k"}, {"R", "1e-300f"}, {"R", "1e308k"}} {
-		code, b := post(t, ts, "/v1/analyze", spiceBody(overflowDeck(t, tc.letter, tc.value), ""))
+		code, b := post(t, ts, "/v1/analyze", spiceBody(setFirst(genDeck(t, 24, 71), tc.letter, tc.value), ""))
 		var resp struct {
 			Issues []circuit.DeckIssue `json:"issues"`
 		}
@@ -154,6 +156,7 @@ func TestAnalyzePgenAdmittedLikeADeck(t *testing.T) {
 		{name: "negative wire resistance", body: strings.Replace(pgenReq(1, `"blockages": 0`), layer(0, "0.4"), layer(0, "-0.8"), 1),
 			issue: "nonpositive-resistance"},
 		{name: "currents that overflow", body: pgenReq(5, `"hotspot_amps": 1e308`), issue: circuit.IssueNonFinite},
+		{name: "a drop that overflows the solve", body: pgenReq(1, `"hotspot_amps": 1e308`), issue: circuit.IssueDropOverflow},
 	} {
 		code, b := post(t, ts, "/v1/analyze", tc.body)
 		var resp struct {
@@ -178,6 +181,67 @@ func TestAnalyzePgenAdmittedLikeADeck(t *testing.T) {
 	}
 	if got := journalTypes(t, dir); len(got) != 0 {
 		t.Errorf("a rejected pgen request was journaled: %v", got)
+	}
+}
+
+// TestAnalyzeDropBound400: a finite current whose IR drop overflows
+// the solve used to pass admission and exhaust the solve ladder, a 503
+// that says the backends are unhealthy. Σ|I|·ΣR bounds every node's
+// drop; a deck whose bound reaches 1e150 V is a 400 carrying
+// drop-overflow, and a deck just under it still solves to a finite map.
+// The pgen request with the same fault is a row of
+// TestAnalyzePgenAdmittedLikeADeck.
+func TestAnalyzeDropBound400(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	base := genDeck(t, 32, 1)
+	nl, err := spice.ParseString(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sumR := 0.0
+	for _, e := range nl.Elements {
+		if e.Type == spice.Resistor {
+			sumR += e.Value
+		}
+	}
+	load := func(amps float64) string {
+		return spiceBody(setFirst(base, "I", strconv.FormatFloat(amps, 'g', -1, 64)), "")
+	}
+	for _, tc := range []struct{ name, body string }{
+		{"a 1e308 load", load(1e308)},
+		{"a load just over the bound", load(1.01e150 / sumR)},
+	} {
+		code, b := post(t, ts, "/v1/analyze", tc.body)
+		var resp struct {
+			Issues []circuit.DeckIssue `json:"issues"`
+		}
+		if err := json.Unmarshal(b, &resp); err != nil || code != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%v), want a 400: %.200s", tc.name, code, err, b)
+			continue
+		}
+		found := false
+		for _, is := range resp.Issues {
+			found = found || is.Code == circuit.IssueDropOverflow && strings.Contains(is.Detail, "1e+150")
+		}
+		if !found {
+			t.Errorf("%s: issues %+v, want %s stating the bound", tc.name, resp.Issues, circuit.IssueDropOverflow)
+		}
+	}
+	code, b := post(t, ts, "/v1/analyze", load(0.99e150/sumR))
+	if code != http.StatusOK {
+		t.Fatalf("a load just under the bound: status %d, want a 200: %.200s", code, b)
+	}
+	res := decodeJob(t, b).Result
+	if res == nil {
+		t.Fatal("a load just under the bound: no result")
+	}
+	if res.MaxDropVolts < 1e100 || math.IsInf(res.MaxDropVolts, 0) {
+		t.Errorf("a load just under the bound: max drop %g V, want the load's finite drop", res.MaxDropVolts)
+	}
+	for i, v := range res.Map {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("a load just under the bound: map[%d] = %g", i, v)
+		}
 	}
 }
 

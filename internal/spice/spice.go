@@ -266,34 +266,35 @@ func fields4(line string) (f [4]string, n int) {
 
 // Write emits the deck in canonical form, terminated by ".end".
 func (nl *Netlist) Write(w io.Writer) error {
-	_, err := w.Write(nl.render())
+	_, err := io.WriteString(w, nl.String())
 	return err
 }
 
-// String renders the deck to a string.
-func (nl *Netlist) String() string { return string(nl.render()) }
-
-// render appends the deck to a buffer sized for it up front: the title
-// comment, one "name nodeA nodeB value" line per card, ".end".
-func (nl *Netlist) render() []byte {
+// String renders the deck: the title comment, one "name nodeA nodeB
+// value" line per card, ".end". The builder is sized for the deck up
+// front and hands its buffer over as the string, without a copy.
+func (nl *Netlist) String() string {
 	size := len("* \n") + len(nl.Title) + len(".end\n")
 	for i := range nl.Elements {
 		e := &nl.Elements[i]
 		// Three spaces, a newline and the longest FormatValue, -1.2345678901234567e-308.
 		size += len(e.Name) + len(e.NodeA) + len(e.NodeB) + 4 + 24
 	}
-	b := make([]byte, 0, size)
+	var b strings.Builder
+	b.Grow(size)
 	if nl.Title != "" {
-		b = append(append(append(b, "* "...), nl.Title...), '\n')
+		b.WriteString("* " + nl.Title + "\n")
 	}
+	var line [128]byte // one card, on the stack unless its names are long
 	for i := range nl.Elements {
 		e := &nl.Elements[i]
-		b = append(append(b, e.Name...), ' ')
-		b = append(append(b, e.NodeA...), ' ')
-		b = append(append(b, e.NodeB...), ' ')
-		b = append(strconv.AppendFloat(b, e.Value, 'g', -1, 64), '\n')
+		l := append(append(line[:0], e.Name...), ' ')
+		l = append(append(l, e.NodeA...), ' ')
+		l = append(append(l, e.NodeB...), ' ')
+		b.Write(append(strconv.AppendFloat(l, e.Value, 'g', -1, 64), '\n'))
 	}
-	return append(b, ".end\n"...)
+	b.WriteString(".end\n")
+	return b.String()
 }
 
 // Counts returns the number of R, I, and V cards.
