@@ -75,7 +75,7 @@ loc: ## non-test Go and assembly lines per package and the total
 # change pass. A change whose measured gain needs more code raises it by
 # exactly what lands and lists the lines per package in CHANGES.md,
 # which holds the ceiling's history.
-LOC_CEILING ?= 18083
+LOC_CEILING ?= 17651
 
 loc-check: ## fail when the non-test Go + assembly line total exceeds LOC_CEILING
 	@total="$$($(LOC_FIND) | xargs cat | wc -l)"; \
@@ -142,7 +142,7 @@ paper-check: ## cmd/experiments -mode quick at seeds 1-3; fails when a gated pap
 	exit $$fail
 
 docs-check: ## fail when a doc link or path.go#Symbol anchor no longer resolves, or a file.go:line anchor is used
-	$(GO) run ./cmd/docscheck README.md docs
+	$(GO) run ./cmd/docscheck README.md DESIGN.md docs
 
 FUZZTIME ?= 30s
 

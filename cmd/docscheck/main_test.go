@@ -177,6 +177,7 @@ func TestRepoDocsClean(t *testing.T) {
 	}
 	docs, err := collectMarkdown([]string{
 		filepath.Join(root, "README.md"),
+		filepath.Join(root, "DESIGN.md"),
 		filepath.Join(root, "docs"),
 	})
 	if err != nil {

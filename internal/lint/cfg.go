@@ -49,7 +49,6 @@ type cfg struct {
 	entry  *block
 	exit   *block // target of every return/panic/fall-off edge
 	blocks []*block
-	defers []*ast.CallExpr // deferred calls, in registration order
 }
 
 // buildCFG constructs the graph for body. isTerminal reports whether
@@ -295,8 +294,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.edge(b.c.exit)
 		b.dead()
 	case *ast.DeferStmt:
-		b.c.defers = append(b.c.defers, s.Call)
-		b.add(s) // marker: ctxleak resolves deferred cancels here
+		b.add(s) // marker: locksafe and ctxleak resolve deferred calls here
 	case *ast.ExprStmt:
 		b.add(s)
 		if b.isTerminal != nil && b.isTerminal(s) {

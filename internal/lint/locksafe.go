@@ -5,7 +5,8 @@ package lint
 //
 //  1. Every sync.Mutex/RWMutex Lock (or RLock) must be released on
 //     every path out of the function — by an Unlock on each exit or
-//     by a deferred Unlock (which also covers the panic edges).
+//     by a deferred Unlock registered on the path before that exit
+//     (which also covers the panic edges).
 //  2. No lock may be held across an operation that can block
 //     indefinitely: a channel send/receive, a select with no default,
 //     a range over a channel, (*sync.WaitGroup).Wait / (*sync.Cond).Wait,
@@ -31,22 +32,42 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
 
-// lockFact maps a held lock's key to where it was acquired. The "/R"
-// suffix distinguishes read locks so RLock pairs with RUnlock.
-type lockFact map[string]token.Pos
+// lockFact is the dataflow fact. held maps each held lock's key to
+// where it was acquired; the "/R" suffix distinguishes read locks so
+// RLock pairs with RUnlock. uncovered is the part of held that no
+// deferred unlock on the path covers: what a return here would leak.
+// Both join by union — a lock held on any path in is held. deferred
+// holds the keys whose unlock a defer statement registered on every
+// path in, and joins by intersection: a deferred unlock covers only
+// the exits reached after the defer runs.
+type lockFact struct {
+	held, uncovered map[string]token.Pos
+	deferred        map[string]bool
+}
 
 func joinLocks(a, b lockFact) lockFact {
+	deferred := map[string]bool{}
+	for k := range a.deferred {
+		if b.deferred[k] {
+			deferred[k] = true
+		}
+	}
+	return lockFact{held: unionLocks(a.held, b.held), uncovered: unionLocks(a.uncovered, b.uncovered), deferred: deferred}
+}
+
+func unionLocks(a, b map[string]token.Pos) map[string]token.Pos {
 	if len(b) == 0 {
 		return a
 	}
 	if len(a) == 0 {
 		return b
 	}
-	out := make(lockFact, len(a)+len(b))
+	out := make(map[string]token.Pos, len(a)+len(b))
 	for k, v := range a {
 		out[k] = v
 	}
@@ -59,15 +80,14 @@ func joinLocks(a, b lockFact) lockFact {
 }
 
 func equalLocks(a, b lockFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if w, ok := b[k]; !ok || v != w {
-			return false
-		}
-	}
-	return true
+	return maps.Equal(a.held, b.held) && maps.Equal(a.uncovered, b.uncovered) && maps.Equal(a.deferred, b.deferred)
+}
+
+// clonePos copies m into a new map that is never nil.
+func clonePos(m map[string]token.Pos) map[string]token.Pos {
+	out := make(map[string]token.Pos, len(m)+1)
+	maps.Copy(out, m)
+	return out
 }
 
 func (r *runner) checkLocksafe(p *modPkg) {
@@ -105,18 +125,17 @@ func (r *runner) locksafeBody(p *modPkg, body *ast.BlockStmt, term func(*ast.Exp
 	}
 
 	exit, reached := in[c.exit]
-	if !reached || len(exit) == 0 {
+	if !reached || len(exit.uncovered) == 0 {
 		return
 	}
-	released := deferredUnlocks(p.Info, c)
-	keys := make([]string, 0, len(exit))
-	for k := range exit {
+	keys := make([]string, 0, len(exit.uncovered))
+	for k := range exit.uncovered {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		pos := exit[k]
-		if released[k] || r.waived("lock-ok", pos) {
+		pos := exit.uncovered[k]
+		if r.waived("lock-ok", pos) {
 			continue
 		}
 		r.report(pos, "locksafe", "%s is not released on every path out of the function; unlock on each exit or defer the unlock", lockCallName(k))
@@ -130,8 +149,19 @@ func (r *runner) locksafeBody(p *modPkg, body *ast.BlockStmt, term func(*ast.Exp
 func (r *runner) lockTransfer(p *modPkg, fact lockFact, n ast.Node, report bool) lockFact {
 	switch n := n.(type) {
 	case *ast.DeferStmt:
-		// Deferred calls run at exit; deferredUnlocks accounts for them.
-		return fact
+		// The release runs at exit, so the lock stays held for the
+		// blocking checks; every exit from here on is covered.
+		keys := deferredUnlocks(p.Info, n.Call)
+		if len(keys) == 0 {
+			return fact
+		}
+		nf := lockFact{held: fact.held, uncovered: clonePos(fact.uncovered), deferred: map[string]bool{}}
+		maps.Copy(nf.deferred, fact.deferred)
+		for _, k := range keys {
+			delete(nf.uncovered, k)
+			nf.deferred[k] = true
+		}
+		return nf
 	case *ast.SelectStmt:
 		if !selectHasDefault(n) {
 			r.lockBlocked(fact, n.Pos(), "a select with no default clause", report)
@@ -166,25 +196,18 @@ func (r *runner) lockWalk(p *modPkg, fact lockFact, n ast.Node, report bool) loc
 			}
 		case *ast.CallExpr:
 			if op, key, ok := syncLockOp(p.Info, x); ok {
+				nf := lockFact{held: clonePos(fact.held), uncovered: clonePos(fact.uncovered), deferred: fact.deferred}
 				switch op {
 				case lockAcquire:
-					nf := make(lockFact, len(fact)+1)
-					for k, v := range fact {
-						nf[k] = v
+					nf.held[key] = x.Pos()
+					if !fact.deferred[key] {
+						nf.uncovered[key] = x.Pos()
 					}
-					nf[key] = x.Pos()
-					fact = nf
 				case lockRelease:
-					if _, held := fact[key]; held {
-						nf := make(lockFact, len(fact))
-						for k, v := range fact {
-							if k != key {
-								nf[k] = v
-							}
-						}
-						fact = nf
-					}
+					delete(nf.held, key)
+					delete(nf.uncovered, key)
 				}
+				fact = nf
 				return false
 			}
 			if desc := r.blockingCallDesc(p.Info, x); desc != "" {
@@ -199,11 +222,11 @@ func (r *runner) lockWalk(p *modPkg, fact lockFact, n ast.Node, report bool) loc
 // lockBlocked reports a blocking operation reached with locks held,
 // unless waived by //irfusion:lock-ok at the operation's line.
 func (r *runner) lockBlocked(fact lockFact, pos token.Pos, what string, report bool) {
-	if !report || len(fact) == 0 || r.waived("lock-ok", pos) {
+	if !report || len(fact.held) == 0 || r.waived("lock-ok", pos) {
 		return
 	}
-	keys := make([]string, 0, len(fact))
-	for k := range fact {
+	keys := make([]string, 0, len(fact.held))
+	for k := range fact.held {
 		keys = append(keys, lockDisplayName(k))
 	}
 	sort.Strings(keys)
@@ -319,28 +342,24 @@ func (r *runner) blockingCallDesc(info *types.Info, call *ast.CallExpr) string {
 	return ""
 }
 
-// deferredUnlocks collects the lock keys the function's deferred
-// calls release — direct defers and defers of function literals whose
-// bodies unlock.
-func deferredUnlocks(info *types.Info, c *cfg) map[string]bool {
-	out := map[string]bool{}
-	for _, call := range c.defers {
-		if op, key, ok := syncLockOp(info, call); ok && op == lockRelease {
-			out[key] = true
-			continue
-		}
-		if lit, ok := unparen(call.Fun).(*ast.FuncLit); ok {
-			ast.Inspect(lit.Body, func(x ast.Node) bool {
-				if inner, ok := x.(*ast.CallExpr); ok {
-					if op, key, ok := syncLockOp(info, inner); ok && op == lockRelease {
-						out[key] = true
-					}
-				}
-				return true
-			})
-		}
+// deferredUnlocks lists the lock keys a deferred call releases: a
+// direct unlock, or the unlocks inside a deferred function literal.
+func deferredUnlocks(info *types.Info, call *ast.CallExpr) []string {
+	if op, key, ok := syncLockOp(info, call); ok && op == lockRelease {
+		return []string{key}
 	}
-	return out
+	var keys []string
+	if lit, ok := unparen(call.Fun).(*ast.FuncLit); ok {
+		ast.Inspect(lit.Body, func(x ast.Node) bool {
+			if inner, ok := x.(*ast.CallExpr); ok {
+				if op, key, ok := syncLockOp(info, inner); ok && op == lockRelease {
+					keys = append(keys, key)
+				}
+			}
+			return true
+		})
+	}
+	return keys
 }
 
 // usesSyncLocks is the cheap pre-filter: only bodies that mention a

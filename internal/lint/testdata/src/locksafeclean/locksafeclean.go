@@ -1,7 +1,8 @@
 // Package locksafeclean seeds the sanctioned locking patterns the
-// locksafe rule must accept: deferred unlocks, per-branch unlocks, a
-// non-blocking select and a close under a lock, and an annotated hold
-// across a receive.
+// locksafe rule must accept: deferred unlocks (registered before or
+// after the Lock, with an early return ahead of both), per-branch
+// unlocks, a non-blocking select and a close under a lock, and an
+// annotated hold across a receive.
 package locksafeclean
 
 import "sync"
@@ -17,6 +18,24 @@ func (s *Store) Deferred(k string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.m[k]
+}
+
+// DeferFirst registers the unlock before taking the lock.
+func (s *Store) DeferFirst(k string) int {
+	defer s.mu.Unlock()
+	s.mu.Lock()
+	return s.m[k]
+}
+
+// ReturnBeforeLock: the early exit holds nothing, and every exit after
+// the Lock is covered by the defer.
+func (s *Store) ReturnBeforeLock(k string, skip bool) {
+	if skip {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m[k]++
 }
 
 // BothPaths unlocks on each branch explicitly.

@@ -1,6 +1,7 @@
 // Package locksafefix seeds locksafe violations: a lock leaked on an
-// early return, locks held across blocking operations, and a labeled
-// break that exits a loop with the lock still held.
+// early return, one leaked on a return taken before its deferred
+// unlock is registered, locks held across blocking operations, and a
+// labeled break that exits a loop with the lock still held.
 package locksafefix
 
 import (
@@ -24,6 +25,19 @@ func (b *Box) LeakOnError(fail bool) error {
 	}
 	b.n++
 	b.mu.Unlock()
+	return nil
+}
+
+// DeferAfterReturn registers its unlock after the early return, so
+// that return leaves b.mu held (the deferred unlock covers only the
+// exits after it).
+func (b *Box) DeferAfterReturn(closed bool) error {
+	b.mu.Lock()
+	if closed {
+		return errFail
+	}
+	defer b.mu.Unlock()
+	b.n++
 	return nil
 }
 

@@ -8,16 +8,11 @@
 // loop.
 //
 // This root package is the stable facade over the internal
-// implementation packages. Typical use:
-//
-//	design, _ := irfusion.GenerateDesign(irfusion.DesignConfig("chip", irfusion.Real, 64, 64, 1))
-//	cfg := irfusion.DefaultConfig(64)
-//	train, _ := irfusion.GenerateTrainingSet(8, 4, 64, 1, cfg.DatasetOptions())
-//	res, _ := irfusion.Train(cfg, train)
-//	drops, runtime, _ := res.Analyzer.AnalyzeCtx(ctx, design)
-//
-// The executables under cmd/ (irfusion, experiments) and the
-// runnable programs under examples/ demonstrate the full surface.
+// implementation packages. The package Example is its typical use,
+// checked by go test: generate a design, solve it to convergence,
+// train a miniature model and score the fused analysis against the
+// golden map. The executables under cmd/ (irfusion, experiments)
+// cover the rest of the surface.
 package irfusion
 
 import (

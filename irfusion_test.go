@@ -1,8 +1,9 @@
 package irfusion
 
-// Integration tests of the public facade: the full pipeline from
-// design generation through training to fused analysis, exercised the
-// way a downstream user would.
+// Integration tests of the public facade, exercised the way a
+// downstream user would. The full pipeline from design generation
+// through training to fused analysis is the package Example
+// (example_test.go).
 
 import (
 	"bytes"
@@ -17,57 +18,6 @@ func facadeConfig() Config {
 	cfg.Base, cfg.Depth, cfg.Epochs = 4, 2, 4
 	cfg.LearningRate = 5e-3
 	return cfg
-}
-
-func TestFacadeEndToEnd(t *testing.T) {
-	cfg := facadeConfig()
-
-	// Generate data through the facade.
-	cfg.Epochs = 8
-	train, err := GenerateTrainingSet(4, 2, 32, 5, cfg.DatasetOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Train(cfg, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Analyzer == nil || res.NumParams == 0 {
-		t.Fatal("training result incomplete")
-	}
-
-	// Analyze a fresh design end to end.
-	design, err := GenerateDesign(DesignConfig("facade", Real, 32, 32, 123))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, runtime, err := res.Analyzer.AnalyzeCtx(context.Background(), design)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred.H != 32 || pred.W != 32 || runtime <= 0 {
-		t.Fatalf("bad analysis output: %dx%d in %v", pred.H, pred.W, runtime)
-	}
-
-	// Compare against the golden numerical solution.
-	na := &NumericalAnalyzer{Resolution: 32}
-	golden, _, residual, err := na.AnalyzeCtx(context.Background(), design)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if residual > 1e-9 {
-		t.Fatalf("golden residual %v", residual)
-	}
-	rep := Evaluate(pred, golden)
-	// Robust sanity bounds for a minutes-scale CI model on an
-	// out-of-distribution design: errors well below the worst-case
-	// drop, and a clearly positive spatial correlation.
-	if rep.MAE <= 0 || rep.MAE >= 0.2*golden.Max() {
-		t.Errorf("fusion prediction implausible: MAE %v vs golden max %v", rep.MAE, golden.Max())
-	}
-	if rep.CC < 0.3 {
-		t.Errorf("fusion prediction uncorrelated with golden: CC %v", rep.CC)
-	}
 }
 
 func TestFacadeCheckpointing(t *testing.T) {
